@@ -91,7 +91,8 @@ type Config struct {
 	// Resume restores the whole job from the newest committed epoch in
 	// CheckpointDir instead of starting from scratch. The manifest's job
 	// fingerprint (graph, algorithm, worker count, partitioner) must match
-	// or Start refuses.
+	// or Start refuses. On a Session every launched job resumes (from
+	// CheckpointDir/<job ID>); a RemoteSession resumes its held JOBSPECs.
 	Resume bool
 	// FailTimeout marks a worker dead after this silence; 0 disables
 	// failure detection.
@@ -105,8 +106,8 @@ type Config struct {
 
 	// Chaos, if non-nil, wraps every node's endpoint with the seeded
 	// fault-injection layer (internal/chaos) and executes the profile's
-	// crash schedule against live workers. Crash entries require the
-	// local transport (UseTCP false).
+	// crash schedule against live workers, on either transport. A
+	// RemoteSession rejects it (its workers are other processes).
 	Chaos *chaos.Controller
 
 	// Partitioner distributes vertices to workers; default BDG (§6.1).
@@ -128,7 +129,8 @@ type Config struct {
 	Latency      time.Duration
 	BandwidthBps int64
 	// UseTCP runs the job over real loopback TCP sockets instead of the
-	// in-process network.
+	// in-process network: one transport.RemoteNetwork node per worker plus
+	// the master, in this process — the stack a multi-process cluster uses.
 	UseTCP bool
 
 	// SampleEvery enables utilization timeline sampling (Figures 5–6)

@@ -3,18 +3,17 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gminer/internal/chaos"
 	"gminer/internal/core"
 	"gminer/internal/graph"
-	"gminer/internal/kernels"
 	"gminer/internal/metrics"
-	"gminer/internal/partition"
 	"gminer/internal/trace"
-	"gminer/internal/transport"
 )
 
 // ErrCancelled is returned by Wait when the job was cancelled (Cancel, a
@@ -63,44 +62,34 @@ func (r *Result) CPUUtil(cfg Config) float64 {
 
 // Job is a running G-Miner job.
 type Job struct {
-	cfg    Config
-	g      *graph.Graph
-	algo   core.Algorithm
-	assign *partition.Assignment
-	locals []*localTable // prebuilt partition views (session jobs); nil entries are built on demand
+	cfg Config
 
-	netLocal *transport.LocalNetwork
-	netTCP   *transport.TCPNetwork
-	// release tears down transport state the job borrowed rather than owns
-	// (a Session's mux channel); called during Wait after the workers stop.
-	release func()
-	// retire runs at the very end of Wait's teardown, after the result —
-	// which still reads the shared graph — has been assembled. A dynamic
-	// Session drops the job's graph-epoch read lease here, so a pending
-	// mutation batch can only apply once no job is touching the graph.
-	retire func()
+	// Every job runs on a session: sess owns the resident graph and its
+	// partition (stable while the job holds its graph-epoch lease), the
+	// transport the job's mux channel ch is laid over and the registry the
+	// job leaves at the end of Wait; host is where its workers live.
+	sess *sessionCore
+	ch   uint64
+	host workerHost
+	// specFile is the durable JOBSPEC a coordinator wrote next to the job's
+	// MANIFEST ("" when the session keeps none); it outlives a coordinator
+	// shutdown — so `-resume` can rebuild the job — but not a normal
+	// completion or user cancel.
+	specFile string
 
-	workers  []*Worker
-	workerMu sync.Mutex
-	master   *master
-	sink     *snapshotSink
+	master *master
+	sink   *snapshotSink
 
 	counters []*metrics.Counters // one per node (workers + master)
 	sampler  *metrics.Sampler
 
-	// remote is set when the job's workers live in other processes
-	// (RemoteSession): no local Worker structs exist and the final records
-	// arrive over the control channel instead of takeResults.
-	remote *remoteJobState
-	// fence is the coordinator's fencing-token ledger (nil outside
-	// multi-process mode), shared with the master and snapshot sink.
-	fence *fenceTable
+	// resumePin, while a full-job resume is starting its workers, is the one
+	// committed epoch every worker restores from (noEpoch otherwise).
+	resumePin atomic.Int64
 
-	partitionTime time.Duration
-	started       time.Time
-	failures      chan int
-	recovered     int
-	autoRecover   bool
+	started   time.Time
+	failures  chan int
+	recovered atomic.Int64
 
 	cancelOnce sync.Once
 	cancelMu   sync.Mutex
@@ -111,317 +100,68 @@ type Job struct {
 	err      error
 }
 
-// launchEnv carries resources a Session already holds warm, so a job can
-// launch without re-partitioning the graph, rebuilding per-worker vertex
-// tables, or creating its own network. nil means single-shot mode: the job
-// builds (and owns) everything itself.
-type launchEnv struct {
-	assign        *partition.Assignment
-	partitionTime time.Duration
-	locals        []*localTable
-	endpoints     []transport.Endpoint
-	counters      []*metrics.Counters
-	release       func()
-	// csr is the session's prebuilt degree-ranked adjacency index, shared
-	// read-only by every job on the resident graph (nil when the session
-	// disabled plans; a single-shot job builds its own).
-	csr *kernels.CSR
-	// remote, when non-nil, marks the workers as living in other
-	// processes: startWithEnv builds only the master and Wait collects
-	// worker results through this state instead of local Worker structs.
-	remote *remoteJobState
-	// fence is the coordinator's fencing-token ledger (nil outside
-	// multi-process mode): the master and snapshot sink consult it to
-	// refuse checkpoint acks from fenced-out worker generations.
-	fence *fenceTable
-	// retire, see Job.retire.
-	retire func()
-}
-
-// remoteJobState gathers the per-worker results a multi-process job ships
-// over the control channel when each worker-process finishes the job.
-type remoteJobState struct {
-	timeout time.Duration
-	// fence, when set, gates completion on result generations: a draining
-	// worker ships a partial result at detach, and the job must not look
-	// complete until the replacement (at a later generation) supersedes it.
-	fence *fenceTable
-
-	mu       sync.Mutex
-	records  map[int][]string
-	counters map[int]metrics.Snapshot
-	ckptErrs map[int]string
-	gens     map[int]int64 // generation each worker's delivery arrived with
-	need     int
-	done     chan struct{}
-}
-
-// remoteStateWithFence builds the collector with the coordinator's
-// fencing ledger attached (the multi-process session path).
-func remoteStateWithFence(workers int, timeout time.Duration, fence *fenceTable) *remoteJobState {
-	r := newRemoteJobState(workers, timeout)
-	r.fence = fence
-	return r
-}
-
-func newRemoteJobState(workers int, timeout time.Duration) *remoteJobState {
-	return &remoteJobState{
-		timeout:  timeout,
-		records:  make(map[int][]string),
-		counters: make(map[int]metrics.Snapshot),
-		ckptErrs: make(map[int]string),
-		gens:     make(map[int]int64),
-		need:     workers,
-		done:     make(chan struct{}),
-	}
-}
-
-// deliver records one worker's shipped result. A replacement worker for
-// the same node supersedes an earlier delivery (the engine's termination
-// rule guarantees the final, complete instance reports last). Completion
-// requires a delivery from every worker AND that none of them has since
-// been fenced out — a detaching worker's partial result holds its slot's
-// place but can never satisfy the job by itself.
-func (r *remoteJobState) deliver(m *jobResultMsg) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.records[m.Worker] = m.Records
-	r.counters[m.Worker] = m.Counters
-	r.ckptErrs[m.Worker] = m.CkptErr
-	r.gens[m.Worker] = m.Gen
-	if len(r.records) == r.need {
-		for w, g := range r.gens {
-			if r.fence.stale(w, g) {
-				return
-			}
-		}
-		select {
-		case <-r.done:
-		default:
-			close(r.done)
-		}
-	}
-}
-
-// await blocks until every worker delivered or the timeout passes. The
-// returned maps are safe to read: delivery is over once done is closed,
-// and on timeout the caller is failing the job anyway.
-func (r *remoteJobState) await() error {
-	select {
-	case <-r.done:
-		return nil
-	case <-time.After(r.timeout):
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	missing := make([]int, 0, r.need)
-	for i := 0; i < r.need; i++ {
-		if _, ok := r.records[i]; !ok {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	return fmt.Errorf("cluster: remote job: no result from workers %v within %s", missing, r.timeout)
-}
-
-// Start partitions the graph and launches the cluster. The graph must be
-// frozen.
+// Start partitions the graph and launches the cluster: a throwaway session
+// holding exactly this job, closed at the end of the job's Wait. The graph
+// must be frozen.
 func Start(g *graph.Graph, algo core.Algorithm, cfg Config) (*Job, error) {
-	return startWithEnv(g, algo, cfg, nil)
-}
-
-func startWithEnv(g *graph.Graph, algo core.Algorithm, cfg Config, env *launchEnv) (*Job, error) {
-	cfg = cfg.Defaults()
-	if !g.Frozen() {
-		return nil, fmt.Errorf("cluster: graph must be frozen")
-	}
-	if cfg.Dynamic && env == nil {
+	if cfg.Dynamic {
 		return nil, fmt.Errorf("cluster: graph mutations need a warm Session (Config.Dynamic is meaningless for a single-shot job)")
 	}
-	j := &Job{cfg: cfg, g: g, algo: algo, failures: make(chan int, cfg.Workers)}
-
-	// Configure the kernel layer before any seeding: plan-capable
-	// algorithms get the CSR index (session-shared, or built here for
-	// single-shot jobs) unless the config forces the generic baseline.
-	if kc, ok := algo.(core.KernelConfigurable); ok {
-		switch {
-		case cfg.DisablePlans:
-			kc.ConfigureKernels(nil, true)
-		case env != nil && env.csr != nil:
-			kc.ConfigureKernels(env.csr, false)
-		default:
-			csr, err := kernels.Build(g)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: build CSR index: %w", err)
-			}
-			kc.ConfigureKernels(csr, false)
-		}
-	}
-	if env != nil && env.remote != nil {
-		j.remote = env.remote
-		if cfg.Chaos != nil {
-			return nil, fmt.Errorf("cluster: remote jobs do not support chaos injection")
-		}
-	}
-
-	if env != nil && env.assign != nil {
-		j.assign = env.assign
-		j.partitionTime = env.partitionTime
-		j.locals = env.locals
-	} else {
-		pStart := time.Now()
-		assign, err := cfg.Partitioner.Partition(g, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: partition: %w", err)
-		}
-		j.partitionTime = time.Since(pStart)
-		j.assign = assign
-	}
-
-	nodes := cfg.Workers + 1 // + master
-	if env != nil && env.counters != nil {
-		j.counters = env.counters
-	} else {
-		j.counters = make([]*metrics.Counters, nodes)
-		for i := range j.counters {
-			j.counters[i] = &metrics.Counters{}
-		}
-	}
-
-	var endpoints []transport.Endpoint
-	switch {
-	case env != nil && env.endpoints != nil:
-		endpoints = env.endpoints
-		j.release = env.release
-		j.retire = env.retire
-	case cfg.UseTCP:
-		tn, err := transport.NewTCP(nodes, j.counters)
-		if err != nil {
-			return nil, err
-		}
-		tn.SetTracer(cfg.Tracer)
-		j.netTCP = tn
-		endpoints = make([]transport.Endpoint, nodes)
-		for i := 0; i < nodes; i++ {
-			endpoints[i] = tn.Endpoint(i)
-		}
-	default:
-		ln := transport.NewLocal(transport.LocalConfig{
-			Nodes:        nodes,
-			Latency:      cfg.Latency,
-			BandwidthBps: cfg.BandwidthBps,
-			Counters:     j.counters,
-			Tracer:       cfg.Tracer,
-		})
-		j.netLocal = ln
-		endpoints = make([]transport.Endpoint, nodes)
-		for i := 0; i < nodes; i++ {
-			endpoints[i] = ln.Endpoint(i)
-		}
-	}
-
-	if cfg.Chaos != nil && cfg.Chaos.Profile().Active() {
-		// Task migration payloads carry the tasks themselves: the protocol
-		// has no ack/retransmit for them, so a dropped or duplicated
-		// msgTasks would lose or double-count work with no recovery path
-		// (the same hole the paper's checkpointing closes for crashes).
-		// Fault everything else.
-		cfg.Chaos.Exempt(msgTasks)
-		cfg.Chaos.SetTracer(cfg.Tracer)
-		cfg.Chaos.Begin()
-		for i := range endpoints {
-			endpoints[i] = cfg.Chaos.Wrap(endpoints[i])
-		}
-	}
-
-	if cfg.Resume && cfg.CheckpointDir == "" {
-		return nil, fmt.Errorf("cluster: resume requires a checkpoint directory")
-	}
-	fingerprint := jobFingerprint(g, algo.Name(), cfg)
-	sink, err := newSnapshotSink(cfg.CheckpointDir, cfg.Workers, fingerprint, 0, cfg.Resume)
+	s, err := newSession(g, cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	if env != nil && env.fence != nil {
-		j.fence = env.fence
-		sink.fence = env.fence
-	}
-	j.sink = sink
-
-	resumeEpoch := noEpoch
-	if cfg.Resume {
-		man := sink.manifestView()
-		if man == nil {
-			return nil, fmt.Errorf("cluster: resume: no committed checkpoint in %s", cfg.CheckpointDir)
-		}
-		if man.Fingerprint != fingerprint {
-			return nil, fmt.Errorf("cluster: resume: checkpoint fingerprint %016x does not match this job (%016x): "+
-				"the graph, algorithm, worker count or partitioner changed since the checkpoint was taken",
-				man.Fingerprint, fingerprint)
-		}
-		resumeEpoch = man.Epoch
-	}
-
-	var agg core.Aggregator
-	if ap, ok := algo.(core.AggregatorProvider); ok {
-		agg = ap.Aggregator()
-	}
-	j.master = newMaster(cfg, endpoints[cfg.Workers], agg, j.counters[cfg.Workers], j.failures, sink, j.fence)
-	if resumeEpoch != noEpoch {
-		// New epochs must supersede every committed one or the manifest's
-		// newest-first ordering breaks.
-		j.master.epoch = resumeEpoch
-	}
-
-	switch {
-	case j.remote != nil:
-		// The workers are other processes: the coordinator runs only the
-		// master. They are told to start via the control channel after this
-		// returns; their early traffic queues in the mux mailboxes.
-	case cfg.Resume:
-		j.workers, err = j.restoreAllWorkers(endpoints)
-	default:
-		j.workers, err = j.freshWorkers(endpoints)
-	}
+	j, err := s.Launch(algo, JobOptions{ID: cfg.JobID, Tracer: cfg.Tracer, RoundHook: cfg.RoundHook})
 	if err != nil {
-		return nil, err
+		s.Close()
 	}
-
-	if cfg.SampleEvery > 0 {
-		j.sampler = metrics.NewSampler(cfg.SampleEvery, cfg.Workers*cfg.Threads, j.counters[:cfg.Workers]...)
-		j.sampler.Start()
-	}
-
-	j.started = time.Now()
-	for _, w := range j.workers {
-		w.start()
-	}
-	go j.master.run()
-	if cfg.FailTimeout > 0 && j.remote == nil {
-		// In-process recovery respawns local Worker structs. A remote job
-		// has none: the master still detects the failure, and recovery is a
-		// replacement worker process rejoining through the coordinator.
-		j.autoRecover = true
-		go j.recoveryLoop()
-	}
-	if cfg.Chaos != nil {
-		for _, cr := range cfg.Chaos.Crashes() {
-			if cr.Node < 0 || cr.Node >= cfg.Workers {
-				continue
-			}
-			go j.runCrash(cr)
-		}
-	}
-	return j, nil
+	return j, err
 }
 
-// localFor returns worker i's prebuilt partition view, nil if the job has
-// none (single-shot mode builds the table inside newWorker).
-func (j *Job) localFor(i int) *localTable {
-	if j.locals != nil && i < len(j.locals) {
-		return j.locals[i]
+// refsFor lists the committed (epoch, checksum) candidates worker i may
+// restore from, newest first — the MANIFEST's column for that worker, or
+// only the pinned epoch while a full-job resume is starting.
+func (j *Job) refsFor(i int) []resumeEpochRef {
+	man := j.sink.manifestView()
+	epochs := man.epochs()
+	if pin := j.resumePin.Load(); pin != noEpoch {
+		epochs = []int64{pin}
+	}
+	var refs []resumeEpochRef
+	for _, epoch := range epochs {
+		if crcs := man.crcsFor(epoch); i < len(crcs) {
+			refs = append(refs, resumeEpochRef{Epoch: epoch, CRC: crcs[i]})
+		}
+	}
+	return refs
+}
+
+// startWorkers brings every slot's worker up. A full-job resume pins the
+// newest committed epoch every slot holds (the manifest head if the hosts
+// cannot tell — the checksum decides at restore) so the whole cluster
+// restores one consistent cut: task stealing moves tasks between epochs,
+// so mixing epochs across workers could lose or duplicate them.
+func (j *Job) startWorkers() error {
+	if man := j.sink.manifestView(); j.cfg.Resume && man != nil {
+		pin := man.Epoch
+	pick:
+		for _, epoch := range man.epochs() {
+			for i := 0; i < j.cfg.Workers; i++ {
+				if !j.host.holds(i, epoch) {
+					continue pick
+				}
+			}
+			pin = epoch
+			break
+		}
+		j.resumePin.Store(pin)
+		defer j.resumePin.Store(noEpoch)
+	}
+	// A fresh job's sink has no manifest, hence no candidates.
+	for i := 0; i < j.cfg.Workers; i++ {
+		if err := j.host.start(i, j.refsFor(i)); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -430,63 +170,6 @@ func (j *Job) localFor(i int) *localTable {
 // job's budget; co-resident jobs in the same session are untouched.
 func (j *Job) budgetAbort(err error) {
 	j.cancelWith(fmt.Errorf("%w: %w", ErrCancelled, err))
-}
-
-// freshWorkers builds every worker from scratch.
-func (j *Job) freshWorkers(endpoints []transport.Endpoint) ([]*Worker, error) {
-	ws := make([]*Worker, j.cfg.Workers)
-	for i := 0; i < j.cfg.Workers; i++ {
-		w, err := newWorker(i, j.cfg, j.algo, j.g, j.assign, j.localFor(i), endpoints[i], j.counters[i], j.sink, nil)
-		if err != nil {
-			releaseWorkers(ws)
-			return nil, err
-		}
-		w.oomFn = j.budgetAbort
-		ws[i] = w
-	}
-	return ws, nil
-}
-
-// restoreAllWorkers rebuilds the whole cluster from one committed epoch: a
-// full-job resume must restore every worker from the SAME epoch (task
-// stealing migrates tasks between epochs, so mixing epochs across workers
-// could lose or duplicate tasks). The newest committed epoch whose every
-// snapshot verifies and decodes wins; any bad file fails the epoch over to
-// the previous committed one.
-func (j *Job) restoreAllWorkers(endpoints []transport.Endpoint) ([]*Worker, error) {
-	var lastErr error
-	for _, epoch := range j.sink.committedEpochs() {
-		ws := make([]*Worker, j.cfg.Workers)
-		ok := true
-		for i := 0; i < j.cfg.Workers; i++ {
-			snap, err := j.sink.load(i, epoch)
-			if err == nil {
-				ws[i], err = newWorker(i, j.cfg, j.algo, j.g, j.assign, j.localFor(i), endpoints[i], j.counters[i], j.sink, snap)
-			}
-			if err != nil {
-				j.cfg.Tracer.Handle(i, trace.CompCheckpoint).Event(trace.EvRestoreFail, uint64(epoch))
-				lastErr = err
-				ok = false
-				break
-			}
-			ws[i].oomFn = j.budgetAbort
-		}
-		if ok {
-			return ws, nil
-		}
-		releaseWorkers(ws)
-	}
-	return nil, fmt.Errorf("cluster: resume: no usable committed epoch: %w", lastErr)
-}
-
-// releaseWorkers tears down never-started workers from an abandoned build.
-func releaseWorkers(ws []*Worker) {
-	for _, w := range ws {
-		if w != nil {
-			w.stop()
-			w.spiller.Close()
-		}
-	}
 }
 
 // runCrash executes one scheduled chaos crash: kill the worker at cr.At,
@@ -504,7 +187,7 @@ func (j *Job) runCrash(cr chaos.Crash) {
 	j.KillWorker(cr.Node)
 	wait := cr.RecoverAfter
 	if wait <= 0 {
-		if j.autoRecover {
+		if j.cfg.FailTimeout > 0 {
 			return
 		}
 		wait = 25 * j.cfg.ProgressInterval
@@ -528,119 +211,39 @@ func Run(g *graph.Graph, algo core.Algorithm, cfg Config) (*Result, error) {
 	return j.Wait()
 }
 
-// KillWorker simulates a crash of worker i: its goroutines stop without
-// flushing anything, its mailbox is wiped (in-flight messages to it are
-// lost) and it stops serving pull requests until recovered.
-func (j *Job) KillWorker(i int) {
-	j.workerMu.Lock()
-	if j.workers == nil {
-		// Remote job: kill the worker's process, not a local struct.
-		j.workerMu.Unlock()
-		return
-	}
-	w := j.workers[i]
-	j.workerMu.Unlock()
-	w.kill()
-	if j.netLocal != nil {
-		j.netLocal.Reset(i)
-	}
-	if j.netTCP != nil {
-		j.netTCP.Reset(i)
-	}
-}
+// KillWorker simulates a crash of worker i: its pipeline stops without
+// flushing anything, the job's mailbox for that node is wiped (in-flight
+// messages to it are lost) and it stops serving pull requests until
+// recovered. Co-resident jobs of the same session are untouched.
+func (j *Job) KillWorker(i int) { j.host.kill(i) }
 
-// RecoverWorker replaces a killed worker with a fresh one restored from
-// the newest committed epoch. A torn or corrupt snapshot falls back to the
-// previous committed epoch (traced as EvRestoreFail); with no usable
-// committed checkpoint the worker restarts from scratch, which is safe
-// because its un-checkpointed results died with it. On the TCP transport
-// the node's endpoint is reset first: peers' cached connections die and
-// their send-retry redials reach the replacement.
+// RecoverWorker replaces a killed worker with one restored from the newest
+// committed epoch. A torn or corrupt snapshot falls back to the previous
+// committed epoch (traced as EvRestoreFail); with no usable committed
+// checkpoint the worker restarts from scratch, which is safe because its
+// un-checkpointed results died with it. A no-op on a live worker or a
+// finished job.
 func (j *Job) RecoverWorker(i int) error {
-	if j.remote != nil {
-		return fmt.Errorf("cluster: remote job: recovery is a replacement worker process rejoining the coordinator")
+	if j.Done() {
+		return nil
 	}
-	var ep transport.Endpoint
-	if j.netLocal != nil {
-		ep = j.netLocal.Endpoint(i)
-	} else {
-		j.netTCP.Reset(i)
-		ep = j.netTCP.Endpoint(i)
+	replaced, err := j.host.recover(i)
+	if replaced && err == nil {
+		j.recovered.Add(1)
+		j.master.workerRestarted(i)
 	}
-	// The replacement worker must see the same faulty network the rest of
-	// the cluster does.
-	if j.cfg.Chaos != nil {
-		ep = j.cfg.Chaos.Wrap(ep)
-	}
-	tr := j.cfg.Tracer.Handle(i, trace.CompCheckpoint)
-	var w *Worker
-	for _, epoch := range j.sink.committedEpochs() {
-		snap, err := j.sink.load(i, epoch)
-		if err == nil {
-			w, err = newWorker(i, j.cfg, j.algo, j.g, j.assign, j.localFor(i), ep, j.counters[i], j.sink, snap)
-		}
-		if err != nil {
-			tr.Event(trace.EvRestoreFail, uint64(epoch))
-			w = nil
-			continue
-		}
-		break
-	}
-	if w == nil {
-		var err error
-		w, err = newWorker(i, j.cfg, j.algo, j.g, j.assign, j.localFor(i), ep, j.counters[i], j.sink, nil)
-		if err != nil {
-			return err
-		}
-	}
-	w.oomFn = j.budgetAbort
-	j.workerMu.Lock()
-	j.workers[i] = w
-	j.recovered++
-	j.workerMu.Unlock()
-	w.start()
-	return nil
+	return err
 }
 
-// noteRecovered counts a worker recovery performed outside the job (a
-// replacement worker process re-admitted by the coordinator).
-func (j *Job) noteRecovered() {
-	j.workerMu.Lock()
-	j.recovered++
-	j.workerMu.Unlock()
-}
-
-// requestBarrier asks the job's master to checkpoint on its next periodic
-// pass (no-op when checkpointing is disabled). The coordinator uses it to
-// commit a draining worker's state before letting the process detach.
-func (j *Job) requestBarrier() {
-	j.master.requestBarrier()
-}
-
-// committedEpoch returns the newest committed epoch (noEpoch if none).
-func (j *Job) committedEpoch() int64 {
-	return j.master.committedEpoch()
-}
-
-// checkpointing reports whether the job runs with periodic checkpoints.
-func (j *Job) checkpointing() bool {
-	return j.cfg.CheckpointEvery > 0 && j.cfg.CheckpointDir != ""
-}
-
-// recoveryLoop respawns workers flagged dead by the master's failure
-// detector.
+// recoveryLoop hands workers flagged dead by the master's failure detector
+// to the host for recovery.
 func (j *Job) recoveryLoop() {
 	for {
 		select {
 		case <-j.master.doneCh:
 			return
 		case i := <-j.failures:
-			j.workerMu.Lock()
-			alreadyDead := j.workers[i].killed.Load()
-			j.workerMu.Unlock()
-			if alreadyDead {
-				_ = j.RecoverWorker(i)
-			}
+			_ = j.RecoverWorker(i)
 		}
 	}
 }
@@ -651,82 +254,36 @@ func (j *Job) Wait() (*Result, error) {
 		<-j.master.doneCh
 		elapsed := time.Since(j.started)
 
-		// Remote job: the master has terminated (or been stopped), which
-		// broadcast msgStop to the worker processes; each ships its final
-		// records over the control channel. Collect them before tearing the
-		// mux channel down. The session's control loop keeps routing results
-		// to j.remote until release() runs below.
-		var remoteErr error
-		if j.remote != nil {
-			remoteErr = j.remote.await()
-		}
-
-		j.workerMu.Lock()
-		workers := append([]*Worker(nil), j.workers...)
-		recovered := j.recovered
-		j.workerMu.Unlock()
-
-		for _, w := range workers {
-			w.stop()
-		}
-		if j.netLocal != nil {
-			j.netLocal.Close()
-		}
-		if j.netTCP != nil {
-			j.netTCP.Close()
-		}
-		if j.release != nil {
-			// Session job: close the borrowed mux channel so blocked comm
-			// loops unblock; the shared network stays up for other jobs.
-			j.release()
-		}
-		for _, w := range workers {
-			w.wg.Wait()
-			w.spiller.Close()
-		}
+		// The master has terminated (or been stopped), which broadcast
+		// msgStop. Stop the workers explicitly too, close the job's mux
+		// channel so blocked comm loops unblock (the session's transport
+		// stays up for other jobs), then gather what each worker produced.
+		// The job stays registered until the results are in: a process host
+		// routes them by registry lookup.
+		j.host.stop()
+		j.sess.mux.CloseChannel(j.ch)
+		results, collectErr := j.host.collect()
+		j.sess.forget(j.cfg.JobID)
 
 		res := &Result{
 			Elapsed:       elapsed,
-			PartitionTime: j.partitionTime,
-			EdgeCut:       j.assign.EdgeCut(j.g),
+			PartitionTime: j.sess.partitionTime,
+			EdgeCut:       j.sess.assign.EdgeCut(j.sess.g),
 			AggGlobal:     j.master.globalAgg(),
-			Recovered:     recovered,
+			Recovered:     int(j.recovered.Load()),
 		}
-		for _, w := range workers {
-			if err := w.lastCheckpointErr(); err != nil {
-				res.LastCheckpointErr = err
+		for _, r := range results {
+			res.Records = append(res.Records, r.Records...)
+			res.PerWorker = append(res.PerWorker, r.Counters)
+			res.Total = res.Total.Add(r.Counters)
+			if r.CkptErr != "" {
+				res.LastCheckpointErr = errors.New(r.CkptErr)
 			}
 		}
+		// The master's own traffic is node K's counters.
+		res.Total = res.Total.Add(j.counters[j.cfg.Workers].Snapshot())
 		if j.master.ckptErr != nil {
 			res.LastCheckpointErr = j.master.ckptErr
-		}
-		if j.remote != nil {
-			// Records, per-worker counters and checkpoint errors were
-			// shipped by the worker processes; the master's own counters are
-			// the coordinator's node K.
-			j.remote.mu.Lock()
-			for i := 0; i < j.cfg.Workers; i++ {
-				res.Records = append(res.Records, j.remote.records[i]...)
-				snap := j.remote.counters[i]
-				res.PerWorker = append(res.PerWorker, snap)
-				res.Total = res.Total.Add(snap)
-				if e := j.remote.ckptErrs[i]; e != "" {
-					res.LastCheckpointErr = errors.New(e)
-				}
-			}
-			j.remote.mu.Unlock()
-			res.Total = res.Total.Add(j.counters[j.cfg.Workers].Snapshot())
-		} else {
-			for _, w := range workers {
-				res.Records = append(res.Records, w.takeResults()...)
-			}
-			for i := 0; i <= j.cfg.Workers; i++ {
-				snap := j.counters[i].Snapshot()
-				if i < j.cfg.Workers {
-					res.PerWorker = append(res.PerWorker, snap)
-				}
-				res.Total = res.Total.Add(snap)
-			}
 		}
 		sort.Strings(res.Records)
 		if j.sampler != nil {
@@ -736,12 +293,19 @@ func (j *Job) Wait() (*Result, error) {
 		j.result = res
 		j.cancelMu.Lock()
 		j.err = j.cancelErr
-		if j.err == nil && remoteErr != nil {
-			j.err = remoteErr
+		if j.err == nil {
+			j.err = collectErr
 		}
 		j.cancelMu.Unlock()
-		if j.retire != nil {
-			j.retire()
+		if j.specFile != "" && !errors.Is(j.err, errCoordinatorShutdown) {
+			_ = os.Remove(j.specFile)
+		}
+		// The result — which still reads the shared graph — is assembled:
+		// drop the graph-epoch read lease, so a pending mutation batch can
+		// apply once no job is touching the graph.
+		j.sess.epochMu.RUnlock()
+		if j.sess.oneShot {
+			j.sess.close(nil)
 		}
 	})
 	return j.result, j.err

@@ -53,6 +53,10 @@ type master struct {
 
 	failed   map[int]bool
 	failures chan<- int
+	// restarts names slots whose worker was just replaced: the dead
+	// incarnation's last report must not count toward termination (it may
+	// say "idle" while the replacement is still restoring tasks).
+	restarts chan int
 
 	doneCh chan struct{}
 	stopCh chan struct{}
@@ -75,6 +79,7 @@ func newMaster(cfg Config, ep transport.Endpoint, agg core.Aggregator,
 		trFence:  cfg.Tracer.Handle(cfg.Workers, trace.CompCheckpoint),
 		failed:   make(map[int]bool),
 		failures: failures,
+		restarts: make(chan int, cfg.Workers),
 		doneCh:   make(chan struct{}),
 		stopCh:   make(chan struct{}),
 		lastCkpt: time.Now(),
@@ -116,6 +121,7 @@ func (m *master) run() {
 				m.handle(msg)
 			}
 		}
+		m.noteRestarts()
 		m.periodic()
 		round++
 		if m.cfg.RoundHook != nil {
@@ -147,6 +153,30 @@ func (m *master) handle(msg transport.Message) {
 		m.scheduleSteal(msg.From)
 	case msgCheckpointDone:
 		m.handleCkptAck(msg)
+	}
+}
+
+// workerRestarted tells the master slot i's worker was replaced.
+func (m *master) workerRestarted(i int) {
+	select {
+	case m.restarts <- i:
+	case <-m.doneCh:
+	}
+}
+
+// noteRestarts forgets what replaced workers last reported, after the
+// mailbox was drained so a report the dead incarnation queued cannot undo
+// it. The newcomer's migration counters restart from zero, so like after
+// a detected failure the sent/recv sums may never match again.
+func (m *master) noteRestarts() {
+	for {
+		select {
+		case i := <-m.restarts:
+			m.reports[i], m.lastSeen[i] = nil, time.Now()
+			m.recovered = true
+		default:
+			return
+		}
 	}
 }
 

@@ -8,10 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"gminer/internal/algo"
 	"gminer/internal/cluster"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
+	"gminer/internal/kernels"
 	"gminer/internal/partition"
 )
 
@@ -111,6 +113,117 @@ func TestRemoteSessionByteIdentical(t *testing.T) {
 	}
 	if rs.ActiveJobs() != 0 {
 		t.Fatalf("jobs leaked: %d active", rs.ActiveJobs())
+	}
+}
+
+// kernelSpy counts the CSR indexes handed to a coordinator-side algorithm
+// value.
+type kernelSpy struct {
+	*algo.TriangleCount
+	indexes int
+}
+
+func (k *kernelSpy) ConfigureKernels(csr *kernels.CSR, generic bool) {
+	if csr != nil {
+		k.indexes++
+	}
+	k.TriangleCount.ConfigureKernels(csr, generic)
+}
+
+// The coordinator of a multi-process job hosts no worker, so it must not
+// build (or hand its algorithm value) a CSR index per launch; the worker
+// processes keep their once-per-process index, and the aggregate stays
+// byte-identical to a single-process run.
+func TestRemoteCoordinatorBuildsNoCSR(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 4000, Seed: 7})
+	cfg := smallConfig()
+	ref, err := cluster.Run(g, algo.NewTriangleCount(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.AggGlobal.(int64) == 0 {
+		t.Fatal("degenerate reference: no triangles")
+	}
+
+	rs, _ := remoteTestCluster(t, g, cfg,
+		cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
+		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
+	sp := jobspec.Spec{App: "tc"}.Normalize()
+	for launch := 0; launch < 2; launch++ {
+		spy := &kernelSpy{TriangleCount: algo.NewTriangleCount()}
+		j, err := rs.Launch(spy, cluster.JobOptions{Spec: &sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := j.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spy.indexes != 0 {
+			t.Fatalf("launch %d: coordinator-side algorithm was handed a CSR index %d time(s)", launch, spy.indexes)
+		}
+		if !reflect.DeepEqual(res.AggGlobal, ref.AggGlobal) {
+			t.Fatalf("launch %d: remote triangle count %v, single-process %v", launch, res.AggGlobal, ref.AggGlobal)
+		}
+		if res.Total.TasksDone == 0 {
+			t.Fatalf("launch %d: no shipped worker counters in result", launch)
+		}
+	}
+}
+
+// Job.KillWorker / RecoverWorker go through the worker host, so they work
+// on a multi-process job too: the kill takes down the job's worker inside
+// its (still healthy) worker process, and recovery — by hand, or by the
+// failure detector's loop — has that process rebuild it from the committed
+// epochs. Records stay byte-identical to a fault-free single-process run.
+func TestRemoteJobKillRecoverWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second kill/recover soak")
+	}
+	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 40000, Seed: 103})
+	sp := fencingSpec()
+	jobspec.Prepare(g, sp)
+	cfg := smallConfig()
+	cfg.Partitioner = partition.Hash{}
+	cfg.Stealing = false // a migration in flight at kill time would be lost
+	want := fencingRef(t, g, sp, cfg)
+
+	for _, auto := range []bool{false, true} {
+		coordDir := t.TempDir()
+		cfg.CheckpointDir = coordDir
+		rs, _ := remoteTestCluster(t, g, cfg,
+			cluster.RemoteSessionConfig{FailTimeout: 300 * time.Millisecond, ResultTimeout: 240 * time.Second},
+			cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond, CheckpointDir: t.TempDir()})
+		a, err := jobspec.Build(g, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := rs.Launch(a, cluster.JobOptions{ID: "kill-recover", Spec: &sp, CheckpointEvery: 3 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitManifest(t, j, coordDir, "kill-recover")
+		j.KillWorker(1)
+		if !auto {
+			time.Sleep(20 * time.Millisecond)
+			if err := j.RecoverWorker(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := j.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Records, want) {
+			t.Fatalf("auto=%v: records diverge after kill+recover: got %d records, want %d", auto, len(res.Records), len(want))
+		}
+		if res.Recovered == 0 {
+			t.Fatalf("auto=%v: result does not report the recovery", auto)
+		}
+		if health := rs.WorkerHealth(); !health[1].Joined || health[1].Generation != 1 {
+			t.Fatalf("auto=%v: the worker process must have survived its job's kill: %+v", auto, health[1])
+		}
+		rs.Close()
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Control plane of the multi-process cluster. Mux channel 0 is reserved
 // for coordinator ↔ worker-process control traffic; job channels start at
-// 1 (both Session and RemoteSession allocate from 1). Control payloads
+// 1 (sessionCore.reserve). Control payloads
 // are JSON: they are tiny, infrequent (job start/stop, final results,
 // heartbeats) and evolve more often than the hot-path codecs, so
 // self-describing encoding beats hand-rolled wire here.
@@ -27,7 +27,8 @@ const (
 	// if any), start mining.
 	ctrlJobStart uint8 = 64 + iota
 	// ctrlJobStop: coordinator → worker process. Tear the job channel
-	// down if it is still up (late or lost msgStop backstop).
+	// down if it is still up (late or lost msgStop backstop), or kill the
+	// job's worker (failure simulation).
 	ctrlJobStop
 	// ctrlJobResult: worker process → coordinator. The worker's final
 	// records and counter snapshot for one finished job.
@@ -81,9 +82,12 @@ type jobStartMsg struct {
 	Resume []resumeEpochRef `json:"resume,omitempty"`
 }
 
-// jobStopMsg is the ctrlJobStop payload.
+// jobStopMsg is the ctrlJobStop payload. With Kill set the job's worker
+// dies like a crashed machine — nothing flushed, no result shipped —
+// instead of stopping gracefully (Job.KillWorker on a multi-process job).
 type jobStopMsg struct {
 	Channel uint64 `json:"channel"`
+	Kill    bool   `json:"kill,omitempty"`
 }
 
 // jobResultMsg is the ctrlJobResult payload.

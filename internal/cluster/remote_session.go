@@ -14,8 +14,6 @@ import (
 	"gminer/internal/core"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
-	"gminer/internal/metrics"
-	"gminer/internal/partition"
 	"gminer/internal/trace"
 	"gminer/internal/transport"
 )
@@ -95,25 +93,6 @@ type workerSlot struct {
 	held map[string]map[int64]bool
 }
 
-// remoteJobMeta is what the coordinator must remember about a live job to
-// (re)start it on a worker process: the spec the worker rebuilds the
-// algorithm from, and the job whose sink manifest names the committed
-// epochs a rejoining worker may restore.
-type remoteJobMeta struct {
-	channel   uint64
-	id        string
-	spec      jobspec.Spec
-	ckptEvery time.Duration
-	job       *Job
-	// resumeEpoch, when not noEpoch, pins the initial job-start resume
-	// refs to ONE epoch: a full-session resume must restore every worker
-	// from the same cut, so the coordinator picks the highest committed
-	// epoch all rejoined workers hold and sends only that. Cleared (set to
-	// noEpoch) after the initial starts; later rejoins fall back across
-	// the whole manifest as usual.
-	resumeEpoch atomic.Int64
-}
-
 // jobspecFile is the JOBSPEC JSON schema: everything Launch needs to
 // reconstruct a held job on a restarted coordinator.
 type jobspecFile struct {
@@ -131,12 +110,15 @@ type HeldJob struct {
 	CheckpointEverySeconds float64
 }
 
-// RemoteSession is the multi-process sibling of Session: the same
-// serve-many-jobs surface (Launch, ActiveJobs, Close, fingerprint, ...)
-// with the K engine workers living in other OS processes. The coordinator
-// owns admission (the join handshake), the job registry, the checkpoint
-// MANIFEST and every job's master; worker processes own the partition
-// tables, the task pipelines and the checkpoint payload files.
+// RemoteSession is a Session whose K engine workers live in other OS
+// processes. It shares the session core with Session — registry, launch
+// path, job teardown, and with them the whole serve-many-jobs surface
+// (Launch, ActiveJobs, Close, ...) — and adds what a process host needs:
+// admission (the join handshake), worker slots with fencing generations,
+// the control channel, and the durable JOBSPECs a restarted coordinator
+// resumes from. The coordinator owns the checkpoint MANIFEST and every
+// job's master; worker processes own the partition tables, the task
+// pipelines and the checkpoint payload files.
 //
 // Determinism is preserved across the process split: the partition
 // assignment is a pure function of (graph, workers, partitioner) computed
@@ -145,36 +127,23 @@ type HeldJob struct {
 // job's records are byte-identical to the same job on a single-process
 // Session.
 type RemoteSession struct {
-	g    *graph.Graph
-	cfg  Config
-	rcfg RemoteSessionConfig
-
-	assign        *partition.Assignment
-	partitionTime time.Duration
-	fingerprint   uint64
+	sessionCore // its mu also guards slots and resumable
+	rcfg        RemoteSessionConfig
+	fingerprint uint64
 
 	net *transport.RemoteNetwork
-	mux *transport.Mux
 	ctl transport.Endpoint
 
 	readyOnce sync.Once
 	readyCh   chan struct{}
 
-	// fence is the cluster's fencing-token ledger, raised at admission and
-	// consulted by the control loop, every job's master and every sink.
-	fence *fenceTable
 	// fencedSeen dedups fenced-traffic log lines per slot: a zombie can
 	// emit thousands of frames before it notices it is dead, and one line
 	// per (generation, message type) is all an operator needs. Trace events
 	// still fire per refusal.
 	fencedSeen []atomic.Int64
 
-	mu      sync.Mutex
 	slots   []workerSlot
-	jobs    map[string]*Job
-	byCh    map[uint64]*remoteJobMeta
-	nextCh  uint64
-	closed  bool
 	ctlDone chan struct{}
 	// resumable maps job IDs found on disk at a `-resume` start to their
 	// JOBSPEC contents; a Launch of one of these IDs restores from the
@@ -203,34 +172,32 @@ func NewRemoteSession(g *graph.Graph, cfg Config, rcfg RemoteSessionConfig) (*Re
 		return nil, fmt.Errorf("cluster: remote sessions do not support graph mutations (run single-process for -dynamic)")
 	}
 
+	// Every job's master runs the engine's failure detector on the
+	// session's timeout.
+	cfg.FailTimeout = rcfg.FailTimeout
 	s := &RemoteSession{
-		g:          g,
-		cfg:        cfg,
-		rcfg:       rcfg,
-		readyCh:    make(chan struct{}),
-		fence:      newFenceTable(cfg.Workers),
-		slots:      make([]workerSlot, cfg.Workers),
-		jobs:       make(map[string]*Job),
-		byCh:       make(map[uint64]*remoteJobMeta),
-		ctlDone:    make(chan struct{}),
-		fencedSeen: make([]atomic.Int64, cfg.Workers),
+		sessionCore: sessionCore{g: g, cfg: cfg, fence: newFenceTable(cfg.Workers), jobs: make(map[string]*Job)},
+		rcfg:        rcfg,
+		readyCh:     make(chan struct{}),
+		slots:       make([]workerSlot, cfg.Workers),
+		ctlDone:     make(chan struct{}),
+		fencedSeen:  make([]atomic.Int64, cfg.Workers),
 	}
 	if cfg.Resume {
 		s.resumable = scanHeldJobs(cfg.CheckpointDir)
 		// The session-level Resume flag has done its work (the scan); jobs
 		// resume individually by ID so fresh launches still start clean.
 		s.cfg.Resume = false
-		cfg.Resume = false
 	}
 
 	pStart := time.Now()
 	assign, err := cfg.Partitioner.Partition(g, cfg.Workers)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: session partition: %w", err)
+		return nil, fmt.Errorf("cluster: partition: %w", err)
 	}
 	s.partitionTime = time.Since(pStart)
 	s.assign = assign
-	s.fingerprint = jobFingerprint(g, "session", cfg)
+	s.fingerprint = jobFingerprint(g, "session", s.cfg)
 
 	nodes := cfg.Workers + 1
 	s.net, err = transport.NewRemote(transport.RemoteConfig{
@@ -250,6 +217,7 @@ func NewRemoteSession(g *graph.Graph, cfg Config, rcfg RemoteSessionConfig) (*Re
 	if err != nil {
 		return nil, err
 	}
+	s.closeNet = s.net.Close
 	under := make([]transport.Endpoint, nodes)
 	under[cfg.Workers] = s.net.Endpoint()
 	s.mux = transport.NewMuxPaused(under)
@@ -314,7 +282,7 @@ func (s *RemoteSession) HeldJobs() []HeldJob {
 // handleHello is the admission gate, invoked by the transport for every
 // FrameHello received on an accepted connection. It decodes and validates
 // the worker's join request, assigns (or re-assigns) a node slot, installs
-// the peer address, rebroadcasts the topology, and re-starts every live
+// the peer address, rebroadcasts the topology, and (re)starts every live
 // job on the joiner — the epoch-fallback rejoin path a replacement process
 // takes after a crash.
 func (s *RemoteSession) handleHello(payload []byte) []byte {
@@ -368,30 +336,20 @@ func (s *RemoteSession) handleHello(payload []byte) []byte {
 	s.net.SetPeer(slot, h.Advertise)
 
 	peers, gens := s.peerTableLocked()
-	allJoined := true
-	for i := range s.slots {
-		if !s.slots[i].joined {
-			allJoined = false
-			break
-		}
-	}
-	// Snapshot the live jobs so the (re)start messages go out after the
-	// lock drops: encodeCtrl and manifest walks need no registry state.
-	restarts := make([]*remoteJobMeta, 0, len(s.byCh))
-	for _, meta := range s.byCh {
-		restarts = append(restarts, meta)
-	}
 	s.mu.Unlock()
 
 	s.logf("worker %d joined from %s (generation %d)", slot, h.Advertise, generation)
 	s.broadcastTopology(peers, gens)
-	for _, meta := range restarts {
-		s.sendJobStart(slot, meta, true)
+	// (Re)start every live job on the joiner, restoring from the epochs its
+	// MANIFEST vouches for. A replacement taking over a slot is a recovery.
+	for _, j := range s.liveJobs() {
 		if rejoin {
-			meta.job.noteRecovered()
+			_ = j.RecoverWorker(slot)
+		} else if !j.Done() {
+			_ = j.host.start(slot, j.refsFor(slot))
 		}
 	}
-	if allJoined {
+	if s.Ready() {
 		s.readyOnce.Do(func() { close(s.readyCh) })
 	}
 	return encodeWelcome(welcomeFrame{
@@ -451,34 +409,27 @@ func (s *RemoteSession) broadcastTopology(peers []string, gens []int64) {
 	}
 }
 
-// sendJobStart (re)starts one job on one worker process. With resume set,
-// the message carries the committed (epoch, crc) pairs for that worker
-// from the job's MANIFEST — the coordinator is its sole owner — newest
-// first, so the rejoining process restores the newest epoch whose local
-// snapshot file verifies and falls back across older commits.
-func (s *RemoteSession) sendJobStart(node int, meta *remoteJobMeta, resume bool) {
-	m := jobStartMsg{
-		Channel:                meta.channel,
-		JobID:                  meta.id,
-		Spec:                   meta.spec,
-		CheckpointEverySeconds: meta.ckptEvery.Seconds(),
+// slotState returns slot i's current generation and whether a process
+// holds it.
+func (s *RemoteSession) slotState(i int) (gen int64, joined bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return int64(s.slots[i].generation), s.slots[i].joined
+}
+
+// markLostIfSilent marks slot i lost when its process has been silent past
+// the failure timeout, so /healthz degrades and the slot becomes claimable
+// by an auto-assigned replacement. A slot whose process still heartbeats
+// stays joined: there only a job's worker died, not the process.
+func (s *RemoteSession) markLostIfSilent(i int) bool {
+	s.mu.Lock()
+	silent := time.Since(s.slots[i].lastSeen) > s.rcfg.FailTimeout
+	if silent && s.slots[i].joined {
+		s.slots[i].joined = false
+		defer s.logf("worker %d lost (silent past %s); awaiting replacement", i, s.rcfg.FailTimeout)
 	}
-	if resume {
-		if man := meta.job.sink.manifestView(); man != nil {
-			epochs := man.epochs()
-			if pin := meta.resumeEpoch.Load(); pin != noEpoch {
-				// Full-session resume: every worker restores the same cut.
-				epochs = []int64{pin}
-			}
-			for _, epoch := range epochs {
-				crcs := man.crcsFor(epoch)
-				if node < len(crcs) {
-					m.Resume = append(m.Resume, resumeEpochRef{Epoch: epoch, CRC: crcs[node]})
-				}
-			}
-		}
-	}
-	_ = s.ctl.Send(node, ctrlJobStart, encodeCtrl(m))
+	s.mu.Unlock()
+	return silent
 }
 
 // ctlLoop routes worker → coordinator control traffic: final job results
@@ -504,10 +455,12 @@ func (s *RemoteSession) ctlLoop() {
 				continue
 			}
 			s.mu.Lock()
-			meta := s.byCh[m.Channel]
+			j := s.jobs[m.JobID]
 			s.mu.Unlock()
-			if meta != nil && meta.job.remote != nil {
-				meta.job.remote.deliver(&m)
+			// A finished job's ID may be reused: the channel pins the result
+			// to the launch it belongs to.
+			if j != nil && j.ch == m.Channel {
+				j.host.(*processHost).deliver(&m)
 			}
 		case ctrlHeartbeat:
 			var m heartbeatMsg
@@ -526,8 +479,9 @@ func (s *RemoteSession) ctlLoop() {
 					// address is alive; re-mark a slot the failure detector
 					// gave up on. Only the CURRENT generation may do this —
 					// a delayed zombie's heartbeat re-marking the slot
-					// joined is exactly the split-brain fencing prevents.
-					st.joined = true
+					// joined is exactly the split-brain fencing prevents. (Nor
+					// may a draining worker, which is on its way out.)
+					st.joined = st.joined || !m.Draining
 					st.draining = m.Draining
 				case m.Gen < int64(st.generation):
 					s.mu.Unlock()
@@ -563,14 +517,8 @@ func (s *RemoteSession) traceFenced(from int, gen int64, typ uint8) {
 		s.logf("fenced: dropped message type %d from worker %d generation %d (slot is at %d)",
 			typ, from, gen, s.fence.current(from))
 	}
-	s.mu.Lock()
-	metas := make([]*remoteJobMeta, 0, len(s.byCh))
-	for _, meta := range s.byCh {
-		metas = append(metas, meta)
-	}
-	s.mu.Unlock()
-	for _, meta := range metas {
-		meta.job.cfg.Tracer.Handle(from, trace.CompCheckpoint).Event(trace.EvFenced, uint64(gen)<<8|uint64(typ))
+	for _, j := range s.liveJobs() {
+		j.cfg.Tracer.Handle(from, trace.CompCheckpoint).Event(trace.EvFenced, uint64(gen)<<8|uint64(typ))
 	}
 }
 
@@ -581,59 +529,47 @@ func (s *RemoteSession) traceFenced(from int, gen int64, typ uint8) {
 // worker is released anyway — it has SIGTERM pending and holding it
 // hostage helps nobody; its jobs recover through the normal rejoin path.
 func (s *RemoteSession) handleDrain(node int, gen int64) {
+	if node < 0 || node >= len(s.slots) {
+		return
+	}
 	s.mu.Lock()
-	if node >= 0 && node < len(s.slots) && int64(s.slots[node].generation) == gen {
+	if int64(s.slots[node].generation) == gen {
 		s.slots[node].draining = true
 	}
-	type pending struct {
-		meta   *remoteJobMeta
-		before int64
-	}
-	waits := make([]pending, 0, len(s.byCh))
-	for _, meta := range s.byCh {
-		if meta.job.checkpointing() && !meta.job.Done() {
-			waits = append(waits, pending{meta: meta, before: meta.job.committedEpoch()})
+	s.mu.Unlock()
+	before := make(map[*Job]int64) // newest committed epoch when the barrier was requested
+	for _, j := range s.liveJobs() {
+		if j.cfg.CheckpointEvery > 0 && j.cfg.CheckpointDir != "" && !j.Done() {
+			before[j] = j.master.committedEpoch()
+			j.master.requestBarrier()
 		}
 	}
-	s.mu.Unlock()
-
-	s.logf("worker %d draining (generation %d): forcing barrier checkpoint on %d job(s)", node, gen, len(waits))
-	for _, p := range waits {
-		p.meta.job.requestBarrier()
-	}
+	s.logf("worker %d draining (generation %d): forcing barrier checkpoint on %d job(s)", node, gen, len(before))
 	deadline := time.Now().Add(s.rcfg.ResultTimeout)
-	for _, p := range waits {
-		for p.meta.job.committedEpoch() <= p.before && !p.meta.job.Done() {
+	for j, epoch := range before {
+		for j.master.committedEpoch() <= epoch && !j.Done() {
 			if time.Now().After(deadline) {
-				s.logf("worker %d drain: job %s barrier did not commit in time; releasing anyway", node, p.meta.id)
+				s.logf("worker %d drain: job %s barrier did not commit in time; releasing anyway", node, j.ID())
 				break
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
 	_ = s.ctl.Send(node, ctrlDrainOK, encodeCtrl(drainMsg{Gen: gen}))
-	s.logf("worker %d released to detach (generation %d)", node, gen)
-}
-
-// watchFailures marks worker slots the job's failure detector flagged as
-// lost, so /healthz degrades and the slot becomes claimable by an
-// auto-assigned replacement.
-func (s *RemoteSession) watchFailures(j *Job) {
-	for {
-		select {
-		case <-j.master.doneCh:
-			return
-		case i := <-j.failures:
-			s.mu.Lock()
-			if i >= 0 && i < len(s.slots) && time.Since(s.slots[i].lastSeen) > s.rcfg.FailTimeout {
-				s.slots[i].joined = false
-				s.mu.Unlock()
-				s.logf("worker %d lost (silent past %s); awaiting replacement", i, s.rcfg.FailTimeout)
-				continue
-			}
-			s.mu.Unlock()
-		}
+	// The released process exits now. Give its slot up at once rather than
+	// after FailTimeout of silence: /healthz stays degraded until the
+	// replacement joins (a rolling restart really goes one slot at a time),
+	// and no running job terminates on the leaver's last report — it waits
+	// for the replacement to report.
+	s.mu.Lock()
+	if int64(s.slots[node].generation) == gen {
+		s.slots[node].joined = false
 	}
+	s.mu.Unlock()
+	for _, j := range s.liveJobs() {
+		j.master.workerRestarted(node)
+	}
+	s.logf("worker %d released to detach (generation %d)", node, gen)
 }
 
 // WaitReady blocks until every worker slot has joined (or the timeout
@@ -646,30 +582,25 @@ func (s *RemoteSession) WaitReady(timeout time.Duration) error {
 		return nil
 	case <-time.After(timeout):
 	}
+	if missing := s.missingSlots(); len(missing) > 0 {
+		return fmt.Errorf("cluster: workers %v have not joined within %s", missing, timeout)
+	}
+	return nil
+}
+
+// Ready reports whether every worker slot is currently joined.
+func (s *RemoteSession) Ready() bool { return len(s.missingSlots()) == 0 }
+
+func (s *RemoteSession) missingSlots() []int {
 	s.mu.Lock()
-	missing := make([]int, 0, len(s.slots))
+	defer s.mu.Unlock()
+	var missing []int
 	for i := range s.slots {
 		if !s.slots[i].joined {
 			missing = append(missing, i)
 		}
 	}
-	s.mu.Unlock()
-	if len(missing) == 0 {
-		return nil
-	}
-	return fmt.Errorf("cluster: workers %v have not joined within %s", missing, timeout)
-}
-
-// Ready reports whether every worker slot is currently joined.
-func (s *RemoteSession) Ready() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.slots {
-		if !s.slots[i].joined {
-			return false
-		}
-	}
-	return true
+	return missing
 }
 
 // WorkerHealth returns the per-slot join/liveness view for /healthz.
@@ -693,194 +624,35 @@ func (s *RemoteSession) WorkerHealth() []WorkerStatus {
 // Launch starts one mining job across the worker processes and returns its
 // handle; the same contract as Session.Launch, plus the requirement that
 // opt.Spec names the workload (worker processes rebuild the algorithm from
-// the spec — a core.Algorithm value cannot cross a process boundary).
+// the spec — a core.Algorithm value cannot cross a process boundary; the
+// coordinator uses a only for its name and aggregator, and hands it no CSR
+// index since it hosts no worker that could use one). A job whose ID
+// matches a JOBSPEC+MANIFEST found at a `-resume` start restores from its
+// committed epochs instead of starting fresh.
 func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 	if opt.Spec == nil {
 		return nil, fmt.Errorf("cluster: remote launch requires JobOptions.Spec (worker processes rebuild the algorithm from it)")
 	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("cluster: session closed")
-	}
-	s.nextCh++
-	ch := s.nextCh
-	id := opt.ID
-	if id == "" {
-		id = fmt.Sprintf("job-%d", ch)
-	}
-	if _, live := s.jobs[id]; live {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("cluster: job id %q already running", id)
-	}
-	s.jobs[id] = nil
-	// A job whose ID matches a JOBSPEC+MANIFEST found at a `-resume` start
-	// restores from its committed epochs instead of starting fresh.
-	_, resumeJob := s.resumable[id]
-	delete(s.resumable, id)
+	_, resume := s.resumable[opt.ID]
+	delete(s.resumable, opt.ID)
 	s.mu.Unlock()
-
-	cfg := s.cfg
-	cfg.JobID = id
-	cfg.Tracer = opt.Tracer
-	cfg.RoundHook = opt.RoundHook
-	cfg.FailTimeout = s.rcfg.FailTimeout
-	cfg.Resume = resumeJob
-	// opt.MemBudgetBytes is not enforced here: the budget is charged from
-	// worker progress loops, which live in other processes. The serving
-	// layer's admission costing still applies.
-	if opt.CheckpointEvery > 0 {
-		cfg.CheckpointEvery = opt.CheckpointEvery
-	}
-	if cfg.CheckpointDir != "" {
-		cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, id)
-	}
-
-	nodes := cfg.Workers + 1
-	counters := make([]*metrics.Counters, nodes)
-	for i := range counters {
-		counters[i] = &metrics.Counters{}
-	}
-	eps, err := s.mux.Open(ch, counters, cfg.Tracer)
-	if err != nil {
-		s.forget(id, ch)
-		return nil, err
-	}
-
-	env := &launchEnv{
-		assign:        s.assign,
-		partitionTime: s.partitionTime,
-		endpoints:     eps,
-		counters:      counters,
-		fence:         s.fence,
-		remote:        remoteStateWithFence(cfg.Workers, s.rcfg.ResultTimeout, s.fence),
-		release: func() {
-			// Backstop: workers normally stop on the master's msgStop
-			// broadcast; tell them explicitly too, in case the engine frame
-			// was dropped on a severed connection.
-			s.mu.Lock()
-			j := s.jobs[id]
-			joined := make([]int, 0, cfg.Workers)
-			for i := range s.slots {
-				if s.slots[i].joined {
-					joined = append(joined, i)
-				}
-			}
-			s.mu.Unlock()
-			stop := encodeCtrl(jobStopMsg{Channel: ch})
-			for _, i := range joined {
-				_ = s.ctl.Send(i, ctrlJobStop, stop)
-			}
-			// The durable JOBSPEC outlives a coordinator shutdown (so
-			// `-resume` can rebuild the job) but not a normal completion or
-			// user cancel.
-			if cfg.CheckpointDir != "" && (j == nil || !errors.Is(j.Err(), errCoordinatorShutdown)) {
-				_ = os.Remove(filepath.Join(cfg.CheckpointDir, jobspecName))
-			}
-			s.mux.CloseChannel(ch)
-			s.forget(id, ch)
+	j, err := s.launch(a, opt, launchSpec{
+		resume:  resume,
+		persist: opt.Spec,
+		newHost: func(j *Job, _ []transport.Endpoint) (workerHost, error) {
+			return newProcessHost(s, j, *opt.Spec), nil
 		},
+	})
+	if err == nil && resume {
+		s.logf("job %s resumed from committed checkpoint", j.ID())
 	}
-	j, err := startWithEnv(s.g, a, cfg, env)
-	if err != nil {
-		s.mux.CloseChannel(ch)
-		s.forget(id, ch)
-		return nil, err
-	}
-	meta := &remoteJobMeta{channel: ch, id: id, spec: *opt.Spec, ckptEvery: cfg.CheckpointEvery, job: j}
-	meta.resumeEpoch.Store(noEpoch)
-	if cfg.CheckpointDir != "" {
-		// Persist the spec next to the MANIFEST so a restarted coordinator
-		// can rebuild and resume this job.
-		b, _ := json.Marshal(jobspecFile{ID: id, Spec: *opt.Spec, CheckpointEverySeconds: cfg.CheckpointEvery.Seconds()})
-		if err := writeFileDurable(filepath.Join(cfg.CheckpointDir, jobspecName), b); err != nil {
-			s.logf("job %s: persisting JOBSPEC failed: %v (job runs; coordinator resume will not cover it)", id, err)
-		}
-	}
-
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.byCh[ch] = meta
-	joined := make([]int, 0, cfg.Workers)
-	for i := range s.slots {
-		if s.slots[i].joined {
-			joined = append(joined, i)
-		}
-	}
-	if resumeJob {
-		// Pin the initial resume refs to the highest committed epoch every
-		// joined worker claims to hold, so the whole cluster restores one
-		// consistent cut (falling back to the manifest head if the held
-		// lists are inconclusive — the CRC check decides at restore).
-		if man := j.sink.manifestView(); man != nil {
-			pin := man.Epoch
-			for _, epoch := range man.epochs() {
-				all := true
-				for i := range s.slots {
-					if !s.slots[i].joined || !s.slots[i].held[id][epoch] {
-						all = false
-						break
-					}
-				}
-				if all {
-					pin = epoch
-					break
-				}
-			}
-			meta.resumeEpoch.Store(pin)
-		}
-	}
-	s.mu.Unlock()
-
-	go s.watchFailures(j)
-	for _, i := range joined {
-		s.sendJobStart(i, meta, resumeJob)
-	}
-	if resumeJob {
-		meta.resumeEpoch.Store(noEpoch)
-		s.logf("job %s resumed from committed checkpoint (%d worker(s) started)", id, len(joined))
-	}
-	return j, nil
+	return j, err
 }
-
-func (s *RemoteSession) forget(id string, ch uint64) {
-	s.mu.Lock()
-	delete(s.jobs, id)
-	delete(s.byCh, ch)
-	s.mu.Unlock()
-}
-
-// ActiveJobs returns the number of jobs launched and not yet torn down.
-func (s *RemoteSession) ActiveJobs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
-}
-
-// Graph returns the resident graph.
-func (s *RemoteSession) Graph() *graph.Graph { return s.g }
-
-// Config returns the session's template config (with defaults applied).
-func (s *RemoteSession) Config() Config { return s.cfg }
-
-// PartitionTime is the coordinator's one-time static partitioning cost.
-func (s *RemoteSession) PartitionTime() time.Duration { return s.partitionTime }
-
-// EdgeCut is the partitioning edge-cut fraction of the resident assignment.
-func (s *RemoteSession) EdgeCut() float64 { return s.assign.EdgeCut(s.g) }
 
 // Fingerprint identifies the resident graph plus the session topology;
 // worker processes must present the same one to join.
 func (s *RemoteSession) Fingerprint() uint64 { return s.fingerprint }
-
-// GraphEpoch is always 0: a multi-process cluster's resident graph is
-// immutable (worker processes each hold their own copy; the dynamic
-// mutation path is in-process-session only).
-func (s *RemoteSession) GraphEpoch() int64 { return 0 }
-
-// WithGraphRead runs fn directly: with no mutation path, the resident
-// graph is always safe to read.
-func (s *RemoteSession) WithGraphRead(fn func()) { fn() }
 
 // Addr is the coordinator's cluster address (what workers dial to join).
 func (s *RemoteSession) Addr() string { return s.net.Addr() }
@@ -900,29 +672,7 @@ func (s *RemoteSession) FencedFrames() int64 { return s.net.Fenced() }
 // coordinator shutdown, which keeps each job's durable JOBSPEC on disk: a
 // restarted coordinator with `-resume` rebuilds and resumes those jobs.
 func (s *RemoteSession) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	live := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		if j != nil {
-			live = append(live, j)
-		}
-	}
-	s.mu.Unlock()
-
-	for _, j := range live {
-		j.CancelCause(errCoordinatorShutdown)
-	}
-	for _, j := range live {
-		_, _ = j.Wait()
-	}
-	s.mux.Close()
-	s.net.Close()
-	s.mux.WaitDemux()
+	s.close(errCoordinatorShutdown)
 	<-s.ctlDone
 }
 

@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"gminer/internal/chaos"
-	"gminer/internal/core"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
-	"gminer/internal/kernels"
 	"gminer/internal/metrics"
 	"gminer/internal/partition"
 	"gminer/internal/transport"
@@ -73,6 +71,7 @@ type workerJob struct {
 	id       string
 	w        *Worker
 	counters *metrics.Counters
+	done     chan struct{} // closed once runJob has torn the job down
 }
 
 // WorkerProcess hosts one engine worker node in its own OS process: it
@@ -90,11 +89,10 @@ type WorkerProcess struct {
 	assign      *partition.Assignment
 	local       *localTable
 
-	// csr is the process-wide degree-ranked adjacency index for compiled
-	// plans, built lazily on the first plan-capable job and shared by every
-	// subsequent one (the resident graph never changes under a process).
-	csrOnce sync.Once
-	csr     *kernels.CSR
+	// csr is the process-wide adjacency index for compiled plans, built
+	// lazily on the first plan-capable job and shared by every subsequent
+	// one (the resident graph never changes under a process).
+	csr csrIndex
 
 	net *transport.RemoteNetwork
 	mux *transport.Mux
@@ -112,16 +110,14 @@ type WorkerProcess struct {
 	drainOK     chan struct{}
 	drainOKOnce sync.Once
 
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	ctlDone  chan struct{}  // closed when the control loop exits (transport down)
-	loopWg   sync.WaitGroup // ctl + heartbeat loops (exit when the transport closes)
-	jobWg    sync.WaitGroup // runJob goroutines (exit when their job stops)
+	stopCh  chan struct{}
+	ctlDone chan struct{}  // closed when the control loop exits (transport down)
+	loopWg  sync.WaitGroup // ctl + heartbeat loops (exit when the transport closes)
+	jobWg   sync.WaitGroup // runJob goroutines (exit when their job stops)
 
 	mu     sync.Mutex
 	jobs   map[uint64]*workerJob
 	closed bool
-	killed bool
 }
 
 // StartWorkerProcess joins the coordinator and starts serving jobs. It
@@ -304,7 +300,11 @@ func (wp *WorkerProcess) ctlLoop() {
 			wp.mu.Lock()
 			wj := wp.jobs[m.Channel]
 			wp.mu.Unlock()
-			if wj != nil {
+			switch {
+			case wj == nil:
+			case m.Kill:
+				wj.w.kill()
+			default:
 				wj.w.stop()
 			}
 		case ctrlTopology:
@@ -362,33 +362,24 @@ func (wp *WorkerProcess) heartbeatLoop() {
 	}
 }
 
-// csrIndex returns the process-wide CSR index, building it on first use.
-// A build failure logs and returns nil, which sends algorithms down their
-// generic fallback instead of failing the job.
-func (wp *WorkerProcess) csrIndex() *kernels.CSR {
-	wp.csrOnce.Do(func() {
-		c, err := kernels.Build(wp.g)
-		if err != nil {
-			wp.logf("CSR index build failed (jobs run generic): %v", err)
-			return
-		}
-		wp.csr = c
-	})
-	return wp.csr
-}
-
 // startJob opens the job's mux channel, builds this node's engine worker —
 // restoring from the newest committed epoch the coordinator vouched for,
 // when the start message carries resume refs — and runs the job to
 // completion on its own goroutine.
 func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 	wp.mu.Lock()
-	if wp.closed || wp.jobs[m.Channel] != nil {
-		// Duplicate start (a coordinator retry) or shutdown race: ignore.
-		wp.mu.Unlock()
+	old := wp.jobs[m.Channel]
+	closed := wp.closed
+	wp.mu.Unlock()
+	if closed || (old != nil && !old.w.killed.Load()) {
+		// Shutdown race, or a duplicate start for a worker that is still
+		// running (a coordinator retry): ignore.
 		return
 	}
-	wp.mu.Unlock()
+	if old != nil {
+		// Restart of a killed worker: let its teardown release the channel.
+		<-old.done
+	}
 
 	spec := m.Spec.Normalize()
 	algo, err := jobspec.Build(wp.g, spec)
@@ -399,12 +390,10 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		wp.logf("job %s: cannot build %q: %v", m.JobID, spec.App, err)
 		return
 	}
-	if kc, ok := algo.(core.KernelConfigurable); ok {
-		if spec.Generic || wp.cfg.DisablePlans {
-			kc.ConfigureKernels(nil, true)
-		} else {
-			kc.ConfigureKernels(wp.csrIndex(), false)
-		}
+	generic := spec.Generic || wp.cfg.DisablePlans
+	if err := wp.csr.configure(algo, wp.g, 0, generic); err != nil {
+		wp.logf("job %s runs generic: %v", m.JobID, err)
+		_ = wp.csr.configure(algo, wp.g, 0, true)
 	}
 
 	cfg := wp.cfg
@@ -433,35 +422,19 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		wp.logf("job %s: open channel %d: %v", m.JobID, m.Channel, err)
 		return
 	}
-
-	// Restore from the newest committed epoch whose local file verifies
-	// against the coordinator's commit-time checksum; fall back across
-	// older commits, then to a fresh start (safe: un-checkpointed results
-	// died with the old process).
-	var w *Worker
-	for _, ref := range m.Resume {
-		snap, err := sink.loadWith(wp.node, ref.Epoch, ref.CRC)
-		if err == nil {
-			w, err = newWorker(wp.node, cfg, algo, wp.g, wp.assign, wp.local, eps[wp.node], counters, sink, snap)
-		}
-		if err != nil {
-			wp.logf("job %s: epoch %d restore failed (%v); falling back", m.JobID, ref.Epoch, err)
-			w = nil
-			continue
-		}
-		wp.logf("job %s: restored from committed epoch %d", m.JobID, ref.Epoch)
-		break
+	w, restored, err := buildWorker(wp.node, cfg, algo, wp.g, wp.assign, wp.local, eps[wp.node], counters, sink, m.Resume, false)
+	if err != nil {
+		wp.logf("job %s: worker build: %v", m.JobID, err)
+		wp.mux.CloseChannel(m.Channel)
+		return
 	}
-	if w == nil {
-		w, err = newWorker(wp.node, cfg, algo, wp.g, wp.assign, wp.local, eps[wp.node], counters, sink, nil)
-		if err != nil {
-			wp.logf("job %s: worker build: %v", m.JobID, err)
-			wp.mux.CloseChannel(m.Channel)
-			return
-		}
+	if restored != noEpoch {
+		wp.logf("job %s: restored from committed epoch %d", m.JobID, restored)
+	} else if len(m.Resume) > 0 {
+		wp.logf("job %s: none of %d committed epoch(s) restorable; starting fresh", m.JobID, len(m.Resume))
 	}
 
-	wj := &workerJob{channel: m.Channel, id: m.JobID, w: w, counters: counters}
+	wj := &workerJob{channel: m.Channel, id: m.JobID, w: w, counters: counters, done: make(chan struct{})}
 	wp.mu.Lock()
 	if wp.closed {
 		wp.mu.Unlock()
@@ -471,10 +444,10 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		return
 	}
 	wp.jobs[m.Channel] = wj
+	wp.jobWg.Add(1) // under mu: shutdown sets closed, then Waits
 	wp.mu.Unlock()
 
 	w.start()
-	wp.jobWg.Add(1)
 	go wp.runJob(wj)
 }
 
@@ -483,24 +456,16 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 // records and counters to the coordinator and tears the channel down.
 func (wp *WorkerProcess) runJob(wj *workerJob) {
 	defer wp.jobWg.Done()
+	defer close(wj.done)
 	<-wj.w.stopCh
+	// A stop that did not come through the comm loop (ctrlJobStop, Kill,
+	// Close) leaves it blocked in Recv; closing the job's mailbox frees it.
+	_ = wj.w.ep.Close()
 	wj.w.wg.Wait()
 
 	if !wj.w.killed.Load() {
-		res := jobResultMsg{
-			Channel:  wj.channel,
-			JobID:    wj.id,
-			Worker:   wp.node,
-			Records:  wj.w.takeResults(),
-			Counters: wj.counters.Snapshot(),
-			Gen:      wp.generation,
-		}
-		if res.Records == nil {
-			res.Records = []string{}
-		}
-		if err := wj.w.lastCheckpointErr(); err != nil {
-			res.CkptErr = err.Error()
-		}
+		res := wj.w.result(wj.counters)
+		res.Channel, res.JobID, res.Gen = wj.channel, wj.id, wp.generation
 		_ = wp.ctl.Send(wp.cfg.Workers, ctrlJobResult, encodeCtrl(res))
 	}
 	wj.w.spiller.Close()
@@ -551,30 +516,14 @@ func (wp *WorkerProcess) FencedFrames() int64 { return wp.net.Fenced() }
 // Kill simulates a machine crash for tests: every live engine worker dies
 // silently (nothing is flushed or shipped) and the process's transport
 // drops off the network, exactly like a SIGKILL'd process.
-func (wp *WorkerProcess) Kill() {
-	wp.mu.Lock()
-	wp.closed = true
-	wp.killed = true
-	jobs := make([]*workerJob, 0, len(wp.jobs))
-	for _, wj := range wp.jobs {
-		jobs = append(jobs, wj)
-	}
-	wp.mu.Unlock()
-	for _, wj := range jobs {
-		wj.w.kill()
-	}
-	wp.stopOnce.Do(func() { close(wp.stopCh) })
-	wp.mux.Close()
-	wp.net.Close()
-	wp.mux.WaitDemux()
-	wp.jobWg.Wait()
-	wp.loopWg.Wait()
-}
+func (wp *WorkerProcess) Kill() { wp.shutdown(true) }
 
 // Close shuts the worker process down gracefully: live jobs are stopped
 // (their partial results still ship if the transport is up), then the
 // transport closes.
-func (wp *WorkerProcess) Close() {
+func (wp *WorkerProcess) Close() { wp.shutdown(false) }
+
+func (wp *WorkerProcess) shutdown(crash bool) {
 	wp.mu.Lock()
 	if wp.closed {
 		wp.mu.Unlock()
@@ -587,23 +536,30 @@ func (wp *WorkerProcess) Close() {
 	}
 	wp.mu.Unlock()
 	for _, wj := range jobs {
-		wj.w.stop()
+		if crash {
+			wj.w.kill()
+		} else {
+			wj.w.stop()
+		}
 	}
-	wp.stopOnce.Do(func() { close(wp.stopCh) })
-	// Let runJob goroutines ship results before the transport dies; they
-	// finish quickly once their workers stop.
-	done := make(chan struct{})
-	go func() {
-		wp.jobWg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
+	close(wp.stopCh)
+	if !crash {
+		// Let runJob goroutines ship results before the transport dies; they
+		// finish quickly once their workers stop.
+		done := make(chan struct{})
+		go func() {
+			wp.jobWg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+		}
 	}
 	wp.mux.Close()
 	wp.net.Close()
 	wp.mux.WaitDemux()
+	wp.jobWg.Wait()
 	wp.loopWg.Wait()
 }
 

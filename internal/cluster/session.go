@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -11,7 +12,6 @@ import (
 	"gminer/internal/dyngraph"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
-	"gminer/internal/kernels"
 	"gminer/internal/memctl"
 	"gminer/internal/metrics"
 	"gminer/internal/partition"
@@ -19,73 +19,320 @@ import (
 	"gminer/internal/transport"
 )
 
-// Session is a warm cluster serving many mining jobs over one resident
-// graph. The costs a one-shot run pays per query — loading the graph,
-// BDG-partitioning it, building every worker's vertex table — are paid
-// once at session start; each Launch then reuses the partition assignment,
-// the shared read-only vertex tables and one multiplexed transport, so a
-// job's startup cost is only its own pipeline state (task store, RCV
-// cache, queues). The paper's task model makes jobs independent sets of
-// tasks (§4.1–4.2), so concurrent jobs never share mutable state: each
-// gets its own mux channel (job-scoped wire envelope), store, cache,
-// counters, checkpoints and tracer.
-type Session struct {
+// sessionCore is what every session is underneath, whichever host its jobs'
+// workers live on: the resident graph and its partition, one multiplexed
+// transport, the job registry, and the launch and teardown paths. Session
+// and RemoteSession embed it and add what is specific to their host.
+type sessionCore struct {
 	g      *graph.Graph
 	cfg    Config
 	assign *partition.Assignment
-	locals []*localTable
-	// csr is the degree-ranked adjacency index compiled execution plans run
-	// on, built once at session start (like the partition and the vertex
-	// tables) and shared read-only by every job. Nil when the session
-	// config disables plans. On a dynamic session it is rebuilt lazily:
-	// the first Launch after a mutation epoch pays for it.
-	csr *kernels.CSR
-
-	net *transport.LocalNetwork
-	mux *transport.Mux
 
 	partitionTime time.Duration
 
-	// Dynamic-session state (nil dyn on a static session). epochMu is the
-	// graph-epoch lock: every job holds the read side from Launch until
-	// the end of its Wait teardown, and ApplyMutations takes the write
-	// side — so a mutation batch applies only when no job is touching the
-	// shared graph, assignment or local tables, and jobs always observe a
-	// whole epoch. epoch mirrors dyn.Epoch() for lock-free reads
-	// (/healthz, /metrics).
-	epochMu  sync.RWMutex
-	dyn      *dyngraph.State
-	epoch    atomic.Int64
-	csrEpoch int64 // epoch s.csr was built at (guarded by mu)
+	mux      *transport.Mux
+	closeNet func() // shuts the node set the mux is laid over
+	// fence is the cluster's fencing-token ledger (nil unless workers are
+	// other processes), shared with every job's master and snapshot sink so
+	// they refuse checkpoint acks from fenced-out worker generations.
+	fence *fenceTable
+	// oneShot marks the throwaway session behind cluster.Start: its single
+	// job keeps the caller's (usually empty) ID — no job segment on disk —
+	// and closes the session at the end of its Wait.
+	oneShot bool
+
+	// epochMu is the graph-epoch lock: every job holds the read side from
+	// launch until the end of its Wait teardown, and a mutation batch
+	// (Session.ApplyMutations) takes the write side — so it applies only
+	// when no job is touching the shared graph, assignment or local tables,
+	// and jobs always observe a whole epoch. epoch is the current graph
+	// epoch, readable lock-free (/healthz, /metrics); it only ever advances
+	// on a dynamic Session.
+	epochMu sync.RWMutex
+	epoch   atomic.Int64
 
 	mu     sync.Mutex
-	jobs   map[string]*Job
+	jobs   map[string]*Job // a nil entry is an ID reserved by a Launch in progress
 	nextCh uint64
 	closed bool
 }
 
-// NewSession partitions the frozen graph once and brings the shared
-// transport up. The config is the template every job inherits (workers,
-// threads, cache sizes, stealing, ...); per-job knobs are set at Launch.
-func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
-	cfg = cfg.Defaults()
-	if !g.Frozen() {
-		return nil, fmt.Errorf("cluster: session graph must be frozen")
+// reserve allocates the job's mux channel and claims its ID; job channels
+// start at 1 (0 is the multi-process control channel).
+func (s *sessionCore) reserve(id string) (string, uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return "", 0, fmt.Errorf("cluster: session closed")
 	}
-	if cfg.UseTCP {
-		return nil, fmt.Errorf("cluster: sessions run over the in-process transport (TCP sessions are not supported yet)")
+	s.nextCh++
+	if id == "" && !s.oneShot {
+		id = fmt.Sprintf("job-%d", s.nextCh)
+	}
+	if _, live := s.jobs[id]; live {
+		return "", 0, fmt.Errorf("cluster: job id %q already running", id)
+	}
+	// Reserved before the lock drops so concurrent Launches with the same
+	// explicit ID cannot both proceed.
+	s.jobs[id] = nil
+	return id, s.nextCh, nil
+}
+
+func (s *sessionCore) forget(id string) {
+	s.mu.Lock()
+	delete(s.jobs, id)
+	s.mu.Unlock()
+}
+
+// liveJobs snapshots the launched, not yet torn down jobs.
+func (s *sessionCore) liveJobs() []*Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	live := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		if j != nil {
+			live = append(live, j)
+		}
+	}
+	return live
+}
+
+// launchSpec is what a session kind decides about one Launch.
+type launchSpec struct {
+	// resume restores the job from the committed epochs in its checkpoint
+	// directory instead of starting fresh.
+	resume bool
+	// persist, if non-nil, is written to the checkpoint directory as the
+	// durable JOBSPEC a restarted coordinator rebuilds the job from.
+	persist *jobspec.Spec
+	// newHost places the job's workers, given their endpoints.
+	newHost func(j *Job, eps []transport.Endpoint) (workerHost, error)
+}
+
+// launch is the one launch path: derive the job's config from the session
+// template, open its mux channel, checkpoint sink and master, hand the
+// worker endpoints to the host, and start everything.
+func (s *sessionCore) launch(a core.Algorithm, opt JobOptions, ls launchSpec) (*Job, error) {
+	id, ch, err := s.reserve(opt.ID)
+	if err != nil {
+		return nil, err
+	}
+	// The job's graph-epoch read lease: from here until the end of its Wait
+	// teardown the resident graph cannot mutate under it. On a static
+	// session the lock is never contended.
+	s.epochMu.RLock()
+	j, err := s.build(a, opt, id, ch, ls)
+	if err != nil {
+		s.mux.CloseChannel(ch)
+		s.forget(id)
+		s.epochMu.RUnlock()
+		return nil, err
+	}
+	cfg := j.cfg
+	if ls.persist != nil && cfg.CheckpointDir != "" {
+		j.specFile = filepath.Join(cfg.CheckpointDir, jobspecName)
+		b, _ := json.Marshal(jobspecFile{ID: id, Spec: *ls.persist, CheckpointEverySeconds: cfg.CheckpointEvery.Seconds()})
+		// On failure the job still runs; coordinator resume will not cover it.
+		_ = writeFileDurable(j.specFile, b)
+	}
+	// Registered before any worker starts: results and rejoining worker
+	// processes find the job through the registry.
+	s.mu.Lock()
+	s.jobs[id] = j
+	s.mu.Unlock()
+	if err := j.startWorkers(); err != nil {
+		// Tear down through Wait, like any job (a concurrent Close may
+		// already be waiting on it).
+		j.master.stop()
+		go j.master.run()
+		_, _ = j.Wait()
+		return nil, err
+	}
+
+	if cfg.SampleEvery > 0 {
+		j.sampler = metrics.NewSampler(cfg.SampleEvery, cfg.Workers*cfg.Threads, j.counters[:cfg.Workers]...)
+		j.sampler.Start()
+	}
+	j.started = time.Now()
+	go j.master.run()
+	if cfg.FailTimeout > 0 {
+		go j.recoveryLoop()
+	}
+	for _, cr := range cfg.Chaos.Crashes() {
+		if cr.Node >= 0 && cr.Node < cfg.Workers {
+			go j.runCrash(cr)
+		}
+	}
+	return j, nil
+}
+
+// build assembles everything of a job short of running it.
+func (s *sessionCore) build(a core.Algorithm, opt JobOptions, id string, ch uint64, ls launchSpec) (*Job, error) {
+	cfg := s.cfg
+	cfg.JobID = id
+	cfg.GraphEpoch = s.epoch.Load()
+	cfg.Resume = ls.resume
+	cfg.Tracer = opt.Tracer
+	cfg.RoundHook = opt.RoundHook
+	if opt.Spec != nil && opt.Spec.Generic {
+		// Spec-requested differential baseline: this job runs generic even
+		// though the session holds a warm CSR index.
+		cfg.DisablePlans = true
+	}
+	if opt.MemBudgetBytes > 0 {
+		// Charged from worker progress loops, so only a goroutine host
+		// enforces it; the serving layer's admission costing applies anyway.
+		cfg.MemBudget = memctl.NewBudget(opt.MemBudgetBytes)
+	}
+	if opt.CheckpointEvery > 0 {
+		cfg.CheckpointEvery = opt.CheckpointEvery
+	}
+	if cfg.CheckpointDir != "" {
+		cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, id)
+	} else if ls.resume {
+		return nil, fmt.Errorf("cluster: resume requires a checkpoint directory")
+	}
+
+	nodes := cfg.Workers + 1 // + master
+	counters := make([]*metrics.Counters, nodes)
+	for i := range counters {
+		counters[i] = &metrics.Counters{}
+	}
+	// Per-job byte accounting happens at the mux endpoints.
+	eps, err := s.mux.Open(ch, counters, cfg.Tracer)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Chaos != nil {
-		return nil, fmt.Errorf("cluster: sessions do not support chaos injection (crash schedules target a per-job network)")
-	}
-	if cfg.Resume {
-		return nil, fmt.Errorf("cluster: sessions cannot resume (resume a job, not the session)")
+		// Task migration payloads carry the tasks themselves: the protocol
+		// has no ack/retransmit for them, so a dropped or duplicated
+		// msgTasks would lose or double-count work with no recovery path
+		// (the same hole the paper's checkpointing closes for crashes).
+		// Fault everything else.
+		cfg.Chaos.Exempt(msgTasks)
+		cfg.Chaos.SetTracer(cfg.Tracer)
+		cfg.Chaos.Begin()
+		for i := range eps {
+			eps[i] = cfg.Chaos.Wrap(eps[i])
+		}
 	}
 
-	s := &Session{g: g, cfg: cfg, jobs: make(map[string]*Job)}
+	fingerprint := jobFingerprint(s.g, a.Name(), cfg)
+	sink, err := newSnapshotSink(cfg.CheckpointDir, cfg.Workers, fingerprint, 0, ls.resume)
+	if err != nil {
+		return nil, err
+	}
+	sink.fence = s.fence
+	j := &Job{cfg: cfg, sess: s, ch: ch, sink: sink, counters: counters, failures: make(chan int, cfg.Workers)}
+	j.resumePin.Store(noEpoch)
+
+	var agg core.Aggregator
+	if ap, ok := a.(core.AggregatorProvider); ok {
+		agg = ap.Aggregator()
+	}
+	j.master = newMaster(cfg, eps[cfg.Workers], agg, counters[cfg.Workers], j.failures, sink, s.fence)
+	if ls.resume {
+		man := sink.manifestView()
+		if man == nil {
+			return nil, fmt.Errorf("cluster: resume: no committed checkpoint in %s", cfg.CheckpointDir)
+		}
+		if man.Fingerprint != fingerprint {
+			return nil, fmt.Errorf("cluster: resume: checkpoint fingerprint %016x does not match this job (%016x): "+
+				"the graph, algorithm, worker count or partitioner changed since the checkpoint was taken",
+				man.Fingerprint, fingerprint)
+		}
+		// New epochs must supersede every committed one or the manifest's
+		// newest-first ordering breaks.
+		j.master.epoch = man.Epoch
+	}
+	j.host, err = ls.newHost(j, eps[:cfg.Workers])
+	return j, err
+}
+
+// ActiveJobs returns the number of jobs launched and not yet fully torn
+// down (a job leaves the count at the end of its Wait).
+func (s *sessionCore) ActiveJobs() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.jobs)
+}
+
+// Graph returns the resident graph.
+func (s *sessionCore) Graph() *graph.Graph { return s.g }
+
+// Config returns the session's template config (with defaults applied).
+func (s *sessionCore) Config() Config { return s.cfg }
+
+// PartitionTime is the one-time static partitioning cost every job
+// amortizes.
+func (s *sessionCore) PartitionTime() time.Duration { return s.partitionTime }
+
+// close cancels any jobs still running (attributing cause, nil for a plain
+// cancel), waits for their teardown, and shuts the transport down. The
+// session refuses Launches from the moment close begins.
+func (s *sessionCore) close(cause error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return
+	}
+	s.closed = true
+	s.mu.Unlock()
+
+	live := s.liveJobs()
+	for _, j := range live {
+		j.CancelCause(cause)
+	}
+	for _, j := range live {
+		_, _ = j.Wait()
+	}
+	s.mux.Close()
+	s.closeNet()
+	s.mux.WaitDemux()
+}
+
+// Session is a warm cluster serving many mining jobs over one resident
+// graph, its workers goroutines of this process. The costs a one-shot run
+// pays per query — loading the graph, BDG-partitioning it, building every
+// worker's vertex table — are paid once at session start; each Launch then
+// reuses the partition assignment, the shared read-only vertex tables and
+// one multiplexed transport, so a job's startup cost is only its own
+// pipeline state (task store, RCV cache, queues). The paper's task model
+// makes jobs independent sets of tasks (§4.1–4.2), so concurrent jobs
+// never share mutable state: each gets its own mux channel (job-scoped
+// wire envelope), store, cache, counters, checkpoints and tracer.
+type Session struct {
+	sessionCore
+	locals []*localTable
+	// csr is the adjacency index compiled execution plans run on, built at
+	// session start (like the partition and the vertex tables) and shared
+	// read-only by every job. On a dynamic session it is rebuilt lazily: the
+	// first Launch after a mutation epoch pays for it, whatever it runs.
+	csr csrIndex
+
+	// dyn is the dynamic-session state (nil on a static session); the
+	// core's epoch mirrors dyn.Epoch().
+	dyn *dyngraph.State
+}
+
+// NewSession partitions the frozen graph once and brings the shared
+// transport up: the in-process network, or with Config.UseTCP one loopback
+// TCP node per worker plus the master. The config is the template every
+// job inherits (workers, threads, cache sizes, stealing, ...); per-job
+// knobs are set at Launch. With Config.Resume every launched job restores
+// from the committed epochs under CheckpointDir/<job ID>.
+func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
+	return newSession(g, cfg, false)
+}
+
+func newSession(g *graph.Graph, cfg Config, oneShot bool) (*Session, error) {
+	cfg = cfg.Defaults()
+	if !g.Frozen() {
+		return nil, fmt.Errorf("cluster: graph must be frozen")
+	}
+	s := &Session{sessionCore: sessionCore{g: g, cfg: cfg, oneShot: oneShot, jobs: make(map[string]*Job)}}
 
 	pStart := time.Now()
-	var assign *partition.Assignment
 	if cfg.Dynamic {
 		blocked, ok := cfg.Partitioner.(partition.Blocked)
 		if !ok {
@@ -93,50 +340,73 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 		}
 		st, err := dyngraph.NewState(g, cfg.Workers, blocked.Shift)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: session partition: %w", err)
+			return nil, fmt.Errorf("cluster: partition: %w", err)
 		}
 		s.dyn = st
-		assign = st.Assignment()
+		s.assign = st.Assignment()
 	} else {
 		a, err := cfg.Partitioner.Partition(g, cfg.Workers)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: session partition: %w", err)
+			return nil, fmt.Errorf("cluster: partition: %w", err)
 		}
-		assign = a
+		s.assign = a
 	}
 	s.partitionTime = time.Since(pStart)
-	s.assign = assign
 
 	s.locals = make([]*localTable, cfg.Workers)
 	for i := range s.locals {
-		s.locals[i] = buildLocalTable(g, assign, i)
+		s.locals[i] = buildLocalTable(g, s.assign, i)
+	}
+	if err := s.warmCSR(); err != nil {
+		return nil, err
 	}
 
-	if !cfg.DisablePlans {
-		csr, err := kernels.Build(g)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: session CSR index: %w", err)
-		}
-		s.csr = csr
+	under, closeNet, err := newNodeSet(cfg)
+	if err != nil {
+		return nil, err
 	}
-
-	nodes := cfg.Workers + 1
-	// Per-job byte accounting happens at the mux endpoints, so the shared
-	// network carries no counters or tracer of its own.
-	s.net = transport.NewLocal(transport.LocalConfig{
-		Nodes:        nodes,
-		Latency:      cfg.Latency,
-		BandwidthBps: cfg.BandwidthBps,
-	})
-	under := make([]transport.Endpoint, nodes)
-	for i := range under {
-		under[i] = s.net.Endpoint(i)
-	}
-	s.mux = transport.NewMux(under)
+	s.mux, s.closeNet = transport.NewMux(under), closeNet
 	return s, nil
 }
 
-// JobOptions are the per-job knobs of Session.Launch.
+// newNodeSet brings up the K+1 nodes a goroutine-host session's mux is laid
+// over: the in-process network, or for Config.UseTCP one RemoteNetwork per
+// node on loopback with a static peer table — the very stack a
+// multi-process cluster runs on, minus the join handshake.
+func newNodeSet(cfg Config) ([]transport.Endpoint, func(), error) {
+	nodes := cfg.Workers + 1
+	under := make([]transport.Endpoint, nodes)
+	if !cfg.UseTCP {
+		ln := transport.NewLocal(transport.LocalConfig{Nodes: nodes, Latency: cfg.Latency, BandwidthBps: cfg.BandwidthBps})
+		for i := range under {
+			under[i] = ln.Endpoint(i)
+		}
+		return under, ln.Close, nil
+	}
+	nets := make([]*transport.RemoteNetwork, 0, nodes)
+	closeAll := func() {
+		for _, n := range nets {
+			n.Close()
+		}
+	}
+	for i := range under {
+		n, err := transport.NewRemote(transport.RemoteConfig{Nodes: nodes, Local: i, Listen: "127.0.0.1:0"})
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		nets = append(nets, n)
+		under[i] = n.Endpoint()
+	}
+	for _, a := range nets {
+		for k, b := range nets {
+			a.SetPeer(k, b.Addr()) // (its own entry is never dialed: self-sends loop back)
+		}
+	}
+	return under, closeAll, nil
+}
+
+// JobOptions are the per-job knobs of a session's Launch.
 type JobOptions struct {
 	// ID names the job; it namespaces spill/checkpoint directories and
 	// metrics labels. Empty picks "job-<n>". IDs of live jobs must be
@@ -147,7 +417,8 @@ type JobOptions struct {
 	Tracer *trace.Tracer
 	// MemBudgetBytes bounds the job-owned memory (task store + RCV cache
 	// summed over workers). 0 means unlimited. Exceeding it cancels the
-	// job with an error wrapping memctl.ErrOOM.
+	// job with an error wrapping memctl.ErrOOM. Enforced by a Session; a
+	// RemoteSession's workers charge no budget.
 	MemBudgetBytes int64
 	// CheckpointEvery overrides the template's checkpoint interval for
 	// this job; 0 inherits it.
@@ -157,10 +428,13 @@ type JobOptions struct {
 	// enforcement point: budget and deadline checks run here so a job is
 	// only ever stopped at a round boundary.
 	RoundHook func(round int64)
-	// Spec is the job's normalized workload spec. A RemoteSession requires
-	// it — worker processes rebuild the algorithm from the spec, since
-	// core.Algorithm values cannot cross a process boundary. A local
-	// Session ignores it.
+	// Spec is the job's normalized workload spec. Both session kinds read
+	// its Generic flag (run this job on the generic baseline). Beyond that
+	// a Session ignores it — its workers run the core.Algorithm value
+	// passed to Launch — while a RemoteSession requires it: worker
+	// processes rebuild the algorithm from the spec, since a
+	// core.Algorithm value cannot cross a process boundary, and the
+	// coordinator persists it as the job's JOBSPEC.
 	Spec *jobspec.Spec
 }
 
@@ -169,125 +443,35 @@ type JobOptions struct {
 // job's mux channel) and may Cancel it at any time without disturbing
 // co-resident jobs.
 func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
-	// Take the job's graph-epoch read lease first: from here until the end
-	// of the job's Wait teardown the resident graph cannot mutate under
-	// it. On a static session the lock is never contended.
-	s.epochMu.RLock()
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.epochMu.RUnlock()
-		return nil, fmt.Errorf("cluster: session closed")
-	}
-	s.nextCh++
-	ch := s.nextCh
-	id := opt.ID
-	if id == "" {
-		id = fmt.Sprintf("job-%d", ch)
-	}
-	if _, live := s.jobs[id]; live {
-		s.mu.Unlock()
-		s.epochMu.RUnlock()
-		return nil, fmt.Errorf("cluster: job id %q already running", id)
-	}
-	// Reserve the ID before dropping the lock so concurrent Launches with
-	// the same explicit ID cannot both proceed.
-	s.jobs[id] = nil
-	s.mu.Unlock()
-
-	csr, err := s.ensureCSR()
-	if err != nil {
-		s.forget(id)
-		s.epochMu.RUnlock()
-		return nil, err
-	}
-
-	cfg := s.cfg
-	cfg.JobID = id
-	cfg.GraphEpoch = s.epoch.Load()
-	cfg.Tracer = opt.Tracer
-	cfg.RoundHook = opt.RoundHook
-	if opt.Spec != nil && opt.Spec.Generic {
-		// Spec-requested differential baseline: this job runs generic even
-		// though the session holds a warm CSR index.
-		cfg.DisablePlans = true
-	}
-	if opt.MemBudgetBytes > 0 {
-		cfg.MemBudget = memctl.NewBudget(opt.MemBudgetBytes)
-	}
-	if opt.CheckpointEvery > 0 {
-		cfg.CheckpointEvery = opt.CheckpointEvery
-	}
-	if cfg.CheckpointDir != "" {
-		cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, id)
-	}
-
-	nodes := cfg.Workers + 1
-	counters := make([]*metrics.Counters, nodes)
-	for i := range counters {
-		counters[i] = &metrics.Counters{}
-	}
-	eps, err := s.mux.Open(ch, counters, cfg.Tracer)
-	if err != nil {
-		s.forget(id)
-		s.epochMu.RUnlock()
-		return nil, err
-	}
-
-	env := &launchEnv{
-		assign:        s.assign,
-		partitionTime: s.partitionTime,
-		locals:        s.locals,
-		endpoints:     eps,
-		counters:      counters,
-		csr:           csr,
-		release: func() {
-			s.mux.CloseChannel(ch)
-			s.forget(id)
+	return s.launch(a, opt, launchSpec{
+		resume: s.cfg.Resume,
+		newHost: func(j *Job, eps []transport.Endpoint) (workerHost, error) {
+			err := s.warmCSR()
+			if err == nil {
+				err = s.csr.configure(a, s.g, j.cfg.GraphEpoch, j.cfg.DisablePlans)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return &goroutineHost{j: j, algo: a, locals: s.locals, eps: eps, workers: make([]*Worker, len(eps))}, nil
 		},
-		retire: s.epochMu.RUnlock,
+	})
+}
+
+// warmCSR brings a warm session's index up to the current graph epoch. A
+// one-shot run skips it: there the index is built only if the algorithm
+// wants one.
+func (s *Session) warmCSR() error {
+	if s.oneShot || s.cfg.DisablePlans {
+		return nil
 	}
-	j, err := startWithEnv(s.g, a, cfg, env)
-	if err != nil {
-		s.mux.CloseChannel(ch)
-		s.forget(id)
-		s.epochMu.RUnlock()
-		return nil, err
-	}
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.mu.Unlock()
-	return j, nil
+	_, err := s.csr.get(s.g, s.epoch.Load())
+	return err
 }
-
-func (s *Session) forget(id string) {
-	s.mu.Lock()
-	delete(s.jobs, id)
-	s.mu.Unlock()
-}
-
-// ActiveJobs returns the number of jobs launched and not yet fully torn
-// down (a job leaves the count at the end of its Wait).
-func (s *Session) ActiveJobs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
-}
-
-// Graph returns the resident graph.
-func (s *Session) Graph() *graph.Graph { return s.g }
-
-// Config returns the session's template config (with defaults applied).
-func (s *Session) Config() Config { return s.cfg }
-
-// PartitionTime is the one-time static partitioning cost every job
-// amortizes.
-func (s *Session) PartitionTime() time.Duration { return s.partitionTime }
 
 // EdgeCut is the partitioning edge-cut fraction of the resident
 // assignment.
-func (s *Session) EdgeCut() float64 {
+func (s *sessionCore) EdgeCut() float64 {
 	s.epochMu.RLock()
 	defer s.epochMu.RUnlock()
 	return s.assign.EdgeCut(s.g)
@@ -310,40 +494,20 @@ func (s *Session) Fingerprint() uint64 {
 func (s *Session) Dynamic() bool { return s.dyn != nil }
 
 // GraphEpoch returns the current graph epoch (0 = the loaded snapshot;
-// always 0 on a static session). Lock-free, safe from any goroutine.
-func (s *Session) GraphEpoch() int64 { return s.epoch.Load() }
+// always 0 on a static session, and on a RemoteSession, whose worker
+// processes each hold their own immutable copy of the graph). Lock-free,
+// safe from any goroutine.
+func (s *sessionCore) GraphEpoch() int64 { return s.epoch.Load() }
 
 // WithGraphRead runs fn while holding a graph-epoch read lease: the
 // resident graph cannot mutate during fn. Control-plane reads of the
 // graph (spec validation against it, stats for health endpoints) go
 // through here on serving daemons; jobs get the same protection
 // implicitly from Launch.
-func (s *Session) WithGraphRead(fn func()) {
+func (s *sessionCore) WithGraphRead(fn func()) {
 	s.epochMu.RLock()
 	defer s.epochMu.RUnlock()
 	fn()
-}
-
-// ensureCSR returns the CSR index for the current epoch, rebuilding it
-// if mutations landed since it was last compiled. Callers hold the
-// epoch read lease, so the epoch cannot advance during the rebuild.
-func (s *Session) ensureCSR() (*kernels.CSR, error) {
-	if s.cfg.DisablePlans {
-		return nil, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dyn == nil {
-		return s.csr, nil
-	}
-	if ep := s.epoch.Load(); s.csr == nil || s.csrEpoch != ep {
-		csr, err := kernels.Build(s.g)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: session CSR rebuild: %w", err)
-		}
-		s.csr, s.csrEpoch = csr, ep
-	}
-	return s.csr, nil
 }
 
 // EpochResult reports what one applied mutation batch changed.
@@ -416,28 +580,4 @@ func (s *Session) DroppedMessages() int64 { return s.mux.Dropped() }
 // Close cancels any jobs still running, waits for their teardown, and
 // shuts the shared transport down. The session refuses Launches from the
 // moment Close begins.
-func (s *Session) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	live := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		if j != nil {
-			live = append(live, j)
-		}
-	}
-	s.mu.Unlock()
-
-	for _, j := range live {
-		j.Cancel()
-	}
-	for _, j := range live {
-		_, _ = j.Wait()
-	}
-	s.mux.Close()
-	s.net.Close()
-	s.mux.WaitDemux()
-}
+func (s *Session) Close() { s.close(nil) }

@@ -13,6 +13,7 @@ import (
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/memctl"
+	"gminer/internal/partition"
 )
 
 // servingGraph builds one graph usable by every algorithm family: labels
@@ -32,39 +33,6 @@ func joinRecords(res *cluster.Result) string {
 		out += r + "\n"
 	}
 	return fmt.Sprintf("agg=%v\n%s", res.AggGlobal, out)
-}
-
-// TestSessionJobMatchesSingleShot: a session job must produce the byte-
-// identical result a one-shot cluster.Run produces on the same graph.
-func TestSessionJobMatchesSingleShot(t *testing.T) {
-	g := servingGraph(t)
-	ref, err := cluster.Run(g, algo.NewTriangleCount(), smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := cluster.NewSession(g, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	for i := 0; i < 2; i++ { // second launch exercises rerun on a warm cluster
-		j, err := s.Launch(algo.NewTriangleCount(), cluster.JobOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := j.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := joinRecords(res), joinRecords(ref); got != want {
-			t.Fatalf("launch %d: session result diverges from single-shot:\ngot:  %q\nwant: %q", i, got, want)
-		}
-	}
-	if n := s.ActiveJobs(); n != 0 {
-		t.Fatalf("ActiveJobs after Wait: got %d want 0", n)
-	}
 }
 
 // TestSessionConcurrentJobsByteIdentical runs three different algorithms
@@ -198,6 +166,70 @@ func TestSessionCancelMidJob(t *testing.T) {
 	}
 	if n := s.ActiveJobs(); n != 0 {
 		t.Fatalf("ActiveJobs after cancel+waits: got %d want 0", n)
+	}
+}
+
+// TestSessionRecoverWorker kills one worker of a Session-launched job
+// mid-run and recovers it — by hand, then through the FailTimeout
+// auto-recovery loop — while a co-resident job keeps running on the same
+// warm cluster. Recovery goes through the worker host and the job's mux
+// mailbox, so it works on a session exactly as on a one-shot run; both
+// jobs' records must be byte-identical to a fault-free run.
+func TestSessionRecoverWorker(t *testing.T) {
+	for _, auto := range []bool{false, true} {
+		g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 2500, Seed: 61})
+		want := expectedMarks(g)
+
+		cfg := smallConfig()
+		cfg.CheckpointEvery = 3 * time.Millisecond
+		cfg.CheckpointDir = t.TempDir()
+		cfg.Partitioner = partition.Hash{}
+		// Stealing off: see TestRecoveryFromCheckpointExactlyOnce.
+		cfg.Stealing = false
+		if auto {
+			cfg.FailTimeout = 10 * time.Millisecond
+		}
+		s, err := cluster.NewSession(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim, err := s.Launch(&slowMark{delay: 100 * time.Microsecond}, cluster.JobOptions{ID: "victim"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		neighbour, err := s.Launch(&slowMark{delay: 100 * time.Microsecond}, cluster.JobOptions{ID: "neighbour"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Let some checkpoints land, then crash worker 1 of one job only.
+		time.Sleep(15 * time.Millisecond)
+		victim.KillWorker(1)
+		if !auto {
+			time.Sleep(2 * time.Millisecond)
+			if err := victim.RecoverWorker(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := victim.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRecords(t, res.Records, want)
+		if res.Recovered == 0 {
+			t.Fatalf("auto=%v: result does not report the recovery", auto)
+		}
+		res, err = neighbour.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRecords(t, res.Records, want)
+		if res.Recovered != 0 {
+			t.Fatalf("auto=%v: co-resident job reports %d recoveries", auto, res.Recovered)
+		}
+		if n := s.ActiveJobs(); n != 0 {
+			t.Fatalf("ActiveJobs after both Waits: got %d want 0", n)
+		}
+		s.Close()
 	}
 }
 

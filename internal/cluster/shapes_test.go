@@ -1,0 +1,93 @@
+package cluster_test
+
+import (
+	"testing"
+	"time"
+
+	"gminer/internal/cluster"
+	"gminer/internal/jobspec"
+)
+
+// TestShapesByteIdentical is the cross-shape differential: one seeded graph
+// and one spec through every way a job can be launched — one-shot Run over
+// the in-process network, one-shot Run over loopback TCP, a warm Session,
+// and a RemoteSession whose workers are WorkerProcess hosts — must yield
+// byte-identical records and aggregate. There is one launch path under all
+// four, so a divergence here is a host or transport bug, not a second
+// engine's.
+func TestShapesByteIdentical(t *testing.T) {
+	g := servingGraph(t)
+	cfg := smallConfig()
+
+	sess, err := cluster.NewSession(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	rs, _ := remoteTestCluster(t, g, cfg,
+		cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
+		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
+
+	wait := func(j *cluster.Job, err error) (*cluster.Result, error) {
+		if err != nil {
+			return nil, err
+		}
+		return j.Wait()
+	}
+	for _, sp := range []jobspec.Spec{
+		{App: "tc"},
+		{App: "gm"},
+		{App: "cd", MinSim: 0.2, MinSize: 3},
+	} {
+		sp := sp.Normalize()
+		t.Run(sp.App, func(t *testing.T) {
+			shapes := []struct {
+				name string
+				run  func() (*cluster.Result, error)
+			}{
+				{"run", func() (*cluster.Result, error) {
+					a, _ := jobspec.Build(g, sp)
+					return cluster.Run(g, a, cfg)
+				}},
+				{"run-tcp", func() (*cluster.Result, error) {
+					a, _ := jobspec.Build(g, sp)
+					tcp := cfg
+					tcp.UseTCP = true
+					return cluster.Run(g, a, tcp)
+				}},
+				{"session", func() (*cluster.Result, error) {
+					a, _ := jobspec.Build(g, sp)
+					return wait(sess.Launch(a, cluster.JobOptions{Spec: &sp}))
+				}},
+				// A second launch reruns the workload on the warm cluster.
+				{"session-rerun", func() (*cluster.Result, error) {
+					a, _ := jobspec.Build(g, sp)
+					return wait(sess.Launch(a, cluster.JobOptions{Spec: &sp}))
+				}},
+				{"remote", func() (*cluster.Result, error) {
+					a, _ := jobspec.Build(g, sp)
+					return wait(rs.Launch(a, cluster.JobOptions{Spec: &sp}))
+				}},
+			}
+			var want string
+			for i, sh := range shapes {
+				res, err := sh.run()
+				if err != nil {
+					t.Fatalf("%s: %v", sh.name, err)
+				}
+				got := joinRecords(res)
+				if i == 0 {
+					want = got
+					if len(res.Records) == 0 && res.AggGlobal == nil {
+						t.Fatal("degenerate reference: no records and no aggregate")
+					}
+				} else if got != want {
+					t.Fatalf("%s diverges from %s:\ngot:  %.200q\nwant: %.200q", sh.name, shapes[0].name, got, want)
+				}
+			}
+		})
+	}
+	if n := sess.ActiveJobs() + rs.ActiveJobs(); n != 0 {
+		t.Fatalf("ActiveJobs after every Wait: got %d want 0", n)
+	}
+}

@@ -960,13 +960,6 @@ func (w *Worker) takeResults() []string {
 	return append([]string(nil), w.results...)
 }
 
-// aggPartialValue returns the worker's current aggregator partial.
-func (w *Worker) aggPartialValue() any {
-	w.aggMu.Lock()
-	defer w.aggMu.Unlock()
-	return w.aggPartial
-}
-
 // ---------------------------------------------------------------------------
 // core.Env implementation (what Seed/Update can reach).
 

@@ -33,8 +33,9 @@ type LocalNetwork struct {
 	cfg   LocalConfig
 	boxes []*mailbox
 
-	mu sync.Mutex
-	// lastArrival models per-receiver link serialization for bandwidth.
+	// mu guards lastArrival, which models per-receiver link serialization
+	// for bandwidth.
+	mu          sync.Mutex
 	lastArrival []time.Time
 }
 
@@ -56,32 +57,11 @@ func (n *LocalNetwork) Endpoint(node int) Endpoint {
 	return &localEndpoint{net: n, node: node}
 }
 
-// Reset replaces node i's mailbox with a fresh one, closing the old box
-// (its blocked receivers unblock with ok=false) and dropping any queued
-// messages. Used by failure simulation: killing a worker loses whatever
-// was in flight to it, exactly like a crashed machine.
-func (n *LocalNetwork) Reset(node int) {
-	n.mu.Lock()
-	old := n.boxes[node]
-	n.boxes[node] = newMailbox()
-	n.mu.Unlock()
-	old.close()
-}
-
 // Close shuts every endpoint.
 func (n *LocalNetwork) Close() {
-	n.mu.Lock()
-	boxes := append([]*mailbox(nil), n.boxes...)
-	n.mu.Unlock()
-	for _, b := range boxes {
+	for _, b := range n.boxes {
 		b.close()
 	}
-}
-
-func (n *LocalNetwork) box(node int) *mailbox {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.boxes[node]
 }
 
 func (n *LocalNetwork) send(from, to int, typ uint8, payload []byte) error {
@@ -115,7 +95,7 @@ func (n *LocalNetwork) send(from, to int, typ uint8, payload []byte) error {
 	if len(payload) > 0 {
 		cp = append([]byte(nil), payload...)
 	}
-	n.box(to).push(Message{From: from, To: to, Type: typ, Payload: cp}, readyAt)
+	n.boxes[to].push(Message{From: from, To: to, Type: typ, Payload: cp}, readyAt)
 	return nil
 }
 
@@ -129,16 +109,16 @@ func (e *localEndpoint) Send(to int, typ uint8, payload []byte) error {
 }
 
 func (e *localEndpoint) Recv() (Message, bool) {
-	return e.net.box(e.node).pop(time.Time{})
+	return e.net.boxes[e.node].pop(time.Time{})
 }
 
 func (e *localEndpoint) RecvTimeout(d time.Duration) (Message, bool) {
-	return e.net.box(e.node).pop(time.Now().Add(d))
+	return e.net.boxes[e.node].pop(time.Now().Add(d))
 }
 
 func (e *localEndpoint) Node() int { return e.node }
 
 func (e *localEndpoint) Close() error {
-	e.net.box(e.node).close()
+	e.net.boxes[e.node].close()
 	return nil
 }

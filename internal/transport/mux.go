@@ -33,9 +33,12 @@ type Mux struct {
 	dropped atomic.Int64
 }
 
-// muxChannel is one job's view of the network: a mailbox per node.
+// muxChannel is one job's view of the network: a mailbox per node (swapped
+// by Reset, so read under Mux.mu) plus what its endpoints account to.
 type muxChannel struct {
-	boxes []*mailbox
+	boxes    []*mailbox
+	counters []*metrics.Counters
+	tracer   *trace.Tracer
 }
 
 // NewMux wraps the underlying endpoints (one per node, workers + master)
@@ -86,13 +89,16 @@ func (m *Mux) demux(node int, ep Endpoint) {
 		}
 		msg.Payload = msg.Payload[n:]
 		m.mu.Lock()
-		c := m.channels[ch]
+		var box *mailbox
+		if c := m.channels[ch]; c != nil {
+			box = c.boxes[node]
+		}
 		m.mu.Unlock()
-		if c == nil {
+		if box == nil {
 			m.dropped.Add(1)
 			continue
 		}
-		c.boxes[node].push(msg, time.Now())
+		box.push(msg, time.Now())
 	}
 }
 
@@ -110,20 +116,45 @@ func (m *Mux) Open(ch uint64, counters []*metrics.Counters, tracer *trace.Tracer
 	if _, dup := m.channels[ch]; dup {
 		return nil, fmt.Errorf("transport: mux channel %d already open", ch)
 	}
-	c := &muxChannel{boxes: make([]*mailbox, len(m.under))}
-	for i := range c.boxes {
-		c.boxes[i] = newMailbox()
-	}
+	c := &muxChannel{boxes: make([]*mailbox, len(m.under)), counters: counters, tracer: tracer}
 	m.channels[ch] = c
 	eps := make([]Endpoint, len(m.under))
 	for i := range eps {
-		e := &muxEndpoint{mux: m, ch: ch, node: i, box: c.boxes[i], tracer: tracer}
-		if counters != nil && i < len(counters) {
-			e.counters = counters[i]
-		}
-		eps[i] = e
+		c.boxes[i] = newMailbox()
+		eps[i] = m.endpoint(ch, c, i)
 	}
 	return eps, nil
+}
+
+// endpoint binds node's current mailbox in channel c. Caller holds m.mu.
+func (m *Mux) endpoint(ch uint64, c *muxChannel, node int) Endpoint {
+	e := &muxEndpoint{mux: m, ch: ch, node: node, box: c.boxes[node], tracer: c.tracer}
+	if node < len(c.counters) {
+		e.counters = c.counters[node]
+	}
+	return e
+}
+
+// Reset simulates a crash of node's worker in channel ch, on any
+// underlying transport: the node's mailbox is replaced by an empty one and
+// the old box closes, so whatever was queued or in flight to the dead
+// worker is lost and its blocked receiver unblocks with ok=false — the old
+// endpoint stays bound to the closed box forever. The returned endpoint
+// reads the fresh mailbox (the replacement worker's); nil if ch is not
+// open.
+func (m *Mux) Reset(ch uint64, node int) Endpoint {
+	m.mu.Lock()
+	c := m.channels[ch]
+	if c == nil {
+		m.mu.Unlock()
+		return nil
+	}
+	old := c.boxes[node]
+	c.boxes[node] = newMailbox()
+	ep := m.endpoint(ch, c, node)
+	m.mu.Unlock()
+	old.close()
+	return ep
 }
 
 // CloseChannel unregisters ch and closes its mailboxes: blocked receivers

@@ -46,10 +46,9 @@ type RemoteConfig struct {
 	OnFenced func(from int, typ uint8, gen, min uint32)
 }
 
-// RemoteNetwork is the multi-process sibling of TCPNetwork: where NewTCP
-// hosts every node's listener inside one process, a RemoteNetwork hosts
-// exactly ONE node and reaches the others through a peer address table
-// (SetPeer) over the same length-prefixed frame protocol:
+// RemoteNetwork is the TCP transport: it hosts exactly ONE node (one
+// listener, one inbox) and reaches the others through a peer address table
+// (SetPeer) over a length-prefixed frame protocol:
 //
 //	[4B big-endian frame length][1B type][4B from][4B generation][payload]
 //
@@ -60,7 +59,7 @@ type RemoteConfig struct {
 // generation fell below the fencing floor installed by FencePeer — so a
 // network-partitioned zombie process cannot ack, pull or push anything
 // once its replacement has been admitted. Generation 0 (the default) is
-// unfenced: single-process transports and handshake frames carry it.
+// unfenced: single-process loopback meshes and handshake frames carry it.
 //
 // Sends are asynchronous: each peer has an unbounded outbound queue
 // drained by its own sender goroutine, so Send never blocks the caller on
@@ -147,9 +146,6 @@ func (n *RemoteNetwork) SetLocal(node int) { n.local.Store(int32(node)) }
 // admission. 0 (the default) means unfenced.
 func (n *RemoteNetwork) SetGeneration(gen uint32) { n.gen.Store(gen) }
 
-// Generation returns the outbound fencing token.
-func (n *RemoteNetwork) Generation() uint32 { return n.gen.Load() }
-
 // FencePeer raises the fencing floor for frames claiming to come from
 // node: anything stamped with a generation below min is dropped by the
 // read loop (counted by Fenced, reported through OnFenced). The floor is
@@ -193,18 +189,6 @@ func (n *RemoteNetwork) SetPeer(node int, addr string) {
 	if old != nil {
 		_ = old.Close()
 	}
-}
-
-// Peer returns the currently installed dial address for node ("" if
-// unknown).
-func (n *RemoteNetwork) Peer(node int) string {
-	if node < 0 || node >= n.cfg.Nodes {
-		return ""
-	}
-	p := n.peers[node]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.addr
 }
 
 // Dropped returns how many outbound frames were abandoned because their
@@ -410,7 +394,8 @@ func (p *remotePeer) next() ([]byte, bool) {
 }
 
 // deliver writes the frame, dialing within the redial budget as needed.
-// Like tcpEndpoint.Send, a failed write gets exactly one retry on a fresh
+// A cached connection may have died since the last write (peer restart,
+// timed-out write), so a failed write gets exactly one retry on a fresh
 // connection before the frame is given up.
 func (p *remotePeer) deliver(frame []byte) bool {
 	for attempt := 0; attempt < 2; attempt++ {

@@ -3,8 +3,13 @@ package transport
 import (
 	"fmt"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
+
+	"gminer/internal/metrics"
+	"gminer/internal/trace"
 )
 
 // reserveAddr grabs an ephemeral loopback port and releases it, returning
@@ -20,8 +25,31 @@ func reserveAddr(t *testing.T) string {
 	return addr
 }
 
-// Regression for the redial budget: a single bounded redial (SetTimeouts)
-// cannot bridge a restarting worker process. Here the peer is unreachable
+// remoteMesh brings up n fully-peered RemoteNetwork nodes on loopback: the
+// shape cluster.Config.UseTCP runs a job over inside one process.
+func remoteMesh(t *testing.T, n int, redial RedialPolicy) []*RemoteNetwork {
+	t.Helper()
+	nets := make([]*RemoteNetwork, n)
+	for i := range nets {
+		var err error
+		nets[i], err = NewRemote(RemoteConfig{Nodes: n, Local: i, Listen: "127.0.0.1:0", Redial: redial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nets[i].Close)
+	}
+	for i, a := range nets {
+		for j, b := range nets {
+			if i != j {
+				a.SetPeer(j, b.Addr())
+			}
+		}
+	}
+	return nets
+}
+
+// Regression for the redial budget: a single bounded redial cannot bridge
+// a restarting worker process. Here the peer is unreachable
 // for 2s before it starts accepting; a sender with a redial budget must
 // still get the connection.
 func TestDialRetryWaitsForLateListener(t *testing.T) {
@@ -270,22 +298,176 @@ func TestRemoteSetPeerRedirects(t *testing.T) {
 	}
 }
 
-func TestTCPSetRedialBridgesGap(t *testing.T) {
-	// The TCP loopback network's listeners never go away, so exercise the
-	// shared dial path through a RemoteNetwork standing in for a TCP peer
-	// that is down: SetRedial on TCPNetwork shares dialRetry with it, and
-	// the policy plumbing is what this test pins down.
-	n, err := NewTCP(2, nil)
+func TestRemoteLargePayload(t *testing.T) {
+	nets := remoteMesh(t, 2, RedialPolicy{})
+	payload := make([]byte, 1<<20)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	_ = nets[0].Endpoint().Send(1, 1, payload)
+	m, ok := nets[1].Endpoint().RecvTimeout(5 * time.Second)
+	if !ok || len(m.Payload) != len(payload) {
+		t.Fatalf("len=%d ok=%v", len(m.Payload), ok)
+	}
+	for i := range payload {
+		if m.Payload[i] != payload[i] {
+			t.Fatalf("corruption at %d", i)
+		}
+	}
+}
+
+// TestRemoteConcurrentCloseVsSend hammers Send from many goroutines while
+// Close races in: no panic, no send blocks on the dying network, and every
+// transport goroutine (accept/read loops, per-peer senders) exits.
+func TestRemoteConcurrentCloseVsSend(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for round := 0; round < 5; round++ {
+		nets := remoteMesh(t, 4, RedialPolicy{})
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for src := range nets {
+			wg.Add(1)
+			go func(src int) {
+				defer wg.Done()
+				ep := nets[src].Endpoint()
+				payload := make([]byte, 512)
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					_ = ep.Send((src+1+i)%4, 7, payload)
+				}
+			}(src)
+		}
+		// Let traffic build, then yank the network out from under the senders.
+		time.Sleep(5 * time.Millisecond)
+		for _, n := range nets {
+			n.Close()
+		}
+		close(stop)
+		wg.Wait()
+	}
+	// Loops unwind asynchronously after Close; give them a bounded settle
+	// window before declaring a leak.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		now := runtime.NumGoroutine()
+		if now <= before+2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutine leak: %d before, %d after close\n%s",
+				before, now, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func TestRemoteDoubleCloseAndEndpointClose(t *testing.T) {
+	nets := remoteMesh(t, 2, RedialPolicy{})
+	_ = nets[0].Endpoint().Send(1, 1, []byte("x"))
+	nets[0].Close()
+	nets[0].Close() // idempotent
+	if err := nets[0].Endpoint().Close(); err != nil {
+		t.Fatalf("endpoint close after network close: %v", err)
+	}
+	if err := nets[0].Endpoint().Send(1, 1, []byte("late")); err != nil {
+		t.Fatalf("send after close must drop, not fail: %v", err)
+	}
+	if _, ok := nets[0].Endpoint().RecvTimeout(50 * time.Millisecond); ok {
+		t.Fatal("closed network still delivering")
+	}
+	nets[1].Close()
+	if _, ok := nets[1].Endpoint().RecvTimeout(50 * time.Millisecond); ok {
+		t.Fatal("mailbox still delivering after close")
+	}
+}
+
+// TestRemoteReconnectAfterConnDrop kills the cached outbound connection
+// between two sends; the sender's one retry on a fresh dial must deliver
+// the second frame.
+func TestRemoteReconnectAfterConnDrop(t *testing.T) {
+	nets := remoteMesh(t, 2, RedialPolicy{})
+	_ = nets[0].Endpoint().Send(1, 1, []byte("before"))
+	if m, ok := nets[1].Endpoint().RecvTimeout(5 * time.Second); !ok || string(m.Payload) != "before" {
+		t.Fatalf("got %+v ok=%v", m, ok)
+	}
+	// Sever the cached connection out from under the sender (a peer-side
+	// disconnect the sender has not noticed yet).
+	p := nets[0].peers[1]
+	p.mu.Lock()
+	_ = p.conn.Close()
+	p.mu.Unlock()
+	_ = nets[0].Endpoint().Send(1, 2, []byte("after"))
+	if m, ok := nets[1].Endpoint().RecvTimeout(5 * time.Second); !ok || string(m.Payload) != "after" {
+		t.Fatalf("send after conn drop: got %+v ok=%v", m, ok)
+	}
+	if d := nets[0].Dropped(); d != 0 {
+		t.Fatalf("dropped %d frames across a reconnect", d)
+	}
+}
+
+// TestRemotePeerGoneDropsAndCounts: a peer that was up and then went away
+// for good. Sends never block or error (the Endpoint contract); once the
+// redial budget is spent the frames are dropped and counted.
+func TestRemotePeerGoneDropsAndCounts(t *testing.T) {
+	nets := remoteMesh(t, 2, RedialPolicy{Budget: 100 * time.Millisecond, Base: 20 * time.Millisecond})
+	_ = nets[0].Endpoint().Send(1, 1, []byte("hello"))
+	if _, ok := nets[1].Endpoint().RecvTimeout(5 * time.Second); !ok {
+		t.Fatal("peer never received while up")
+	}
+	nets[1].Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for nets[0].Dropped() == 0 {
+		// The first write after the peer died can still land in a socket
+		// buffer; keep sending until one fails over to the dead listener.
+		start := time.Now()
+		if err := nets[0].Endpoint().Send(1, 1, []byte("gone")); err != nil {
+			t.Fatalf("send to a gone peer errored: %v", err)
+		}
+		if time.Since(start) > time.Second {
+			t.Fatal("send to a gone peer blocked")
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("frames to a gone peer were never dropped and counted")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// Byte accounting and EvNetSend tracing live in the mux, so they hold on
+// the TCP stack exactly as on the in-process one.
+func TestMuxOverRemoteAccountsAndTraces(t *testing.T) {
+	nets := remoteMesh(t, 2, RedialPolicy{})
+	mux := NewMux([]Endpoint{nets[0].Endpoint(), nets[1].Endpoint()})
+	defer func() {
+		mux.Close()
+		nets[0].Close()
+		nets[1].Close()
+		mux.WaitDemux()
+	}()
+	cs := []*metrics.Counters{{}, {}}
+	tr := trace.New(2, 16).EnableEvents()
+	eps, err := mux.Open(1, cs, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
-	n.SetRedial(RedialPolicy{Budget: 2 * time.Second, Base: 10 * time.Millisecond})
-	if err := n.Endpoint(0).Send(1, 1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if m, ok := n.Endpoint(1).RecvTimeout(5 * time.Second); !ok || string(m.Payload) != "x" {
+	_ = eps[0].Send(1, 1, make([]byte, 256))
+	if m, ok := eps[1].RecvTimeout(5 * time.Second); !ok || len(m.Payload) != 256 || m.From != 0 {
 		t.Fatalf("got %+v ok=%v", m, ok)
+	}
+	if got := cs[0].Snapshot().NetBytes; got != 256+16 {
+		t.Fatalf("sender charged %d bytes", got)
+	}
+	if cs[1].Snapshot().NetBytes != 0 {
+		t.Fatal("receiver charged for send")
+	}
+	if got := tr.EventCount(trace.EvNetSend); got != 1 {
+		t.Fatalf("net_send events = %d, want 1", got)
 	}
 }
 

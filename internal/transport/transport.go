@@ -1,11 +1,14 @@
 // Package transport carries messages between the master and the workers.
 //
-// Two implementations are provided: an in-process network (the default)
-// whose per-message byte accounting and optional latency/bandwidth model
-// stand in for the paper's Gigabit Ethernet, and a real TCP loopback
-// transport (tcp.go) demonstrating that the engine runs over sockets.
-// Every payload byte is charged to the sender's metrics counters, which is
-// what the "Net. (GB)" columns of Tables 1 and 4 report.
+// Two networks are provided: an in-process one (LocalNetwork, the default)
+// whose optional latency/bandwidth model stands in for the paper's Gigabit
+// Ethernet, and one TCP stack (RemoteNetwork): one node per listener,
+// reaching the others through a peer address table — K+1 of them in one
+// process for a loopback run, or one per OS process for a real cluster.
+// Jobs never touch either directly: a Mux lays job-scoped channels over
+// the node set, charges every payload byte to the sending job's metrics
+// counters (the "Net. (GB)" columns of Tables 1 and 4) and owns the
+// crash-simulation mailbox reset, so both are transport-independent.
 package transport
 
 import (

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -105,35 +104,6 @@ func TestLocalByteAccounting(t *testing.T) {
 	}
 }
 
-func TestLocalReset(t *testing.T) {
-	n := NewLocal(LocalConfig{Nodes: 2})
-	defer n.Close()
-	_ = n.Endpoint(0).Send(1, 1, []byte("lost"))
-	recvDone := make(chan bool)
-	go func() {
-		// Drain the first message, then block on the second Recv.
-		n.Endpoint(1).Recv()
-		_, ok := n.Endpoint(1).Recv()
-		recvDone <- ok
-	}()
-	time.Sleep(2 * time.Millisecond)
-	n.Reset(1) // old blocked Recv unblocks with ok=false
-	select {
-	case ok := <-recvDone:
-		if ok {
-			t.Fatal("old receiver got a message after reset")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("old receiver never unblocked")
-	}
-	// New mailbox works.
-	_ = n.Endpoint(0).Send(1, 1, []byte("fresh"))
-	m, ok := n.Endpoint(1).Recv()
-	if !ok || string(m.Payload) != "fresh" {
-		t.Fatalf("post-reset delivery broken: %+v", m)
-	}
-}
-
 func TestLocalInvalidDestination(t *testing.T) {
 	n := NewLocal(LocalConfig{Nodes: 2})
 	defer n.Close()
@@ -168,169 +138,6 @@ func TestLocalConcurrentSenders(t *testing.T) {
 	wg.Wait()
 }
 
-func TestTCPSendRecv(t *testing.T) {
-	n, err := NewTCP(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	if err := n.Endpoint(0).Send(2, 9, []byte("over tcp")); err != nil {
-		t.Fatal(err)
-	}
-	m, ok := n.Endpoint(2).RecvTimeout(2 * time.Second)
-	if !ok || m.From != 0 || m.Type != 9 || string(m.Payload) != "over tcp" {
-		t.Fatalf("got %+v ok=%v", m, ok)
-	}
-}
-
-func TestTCPBidirectional(t *testing.T) {
-	n, err := NewTCP(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	_ = n.Endpoint(0).Send(1, 1, []byte("hi"))
-	m, _ := n.Endpoint(1).RecvTimeout(2 * time.Second)
-	_ = n.Endpoint(1).Send(0, 2, append([]byte("re:"), m.Payload...))
-	m2, ok := n.Endpoint(0).RecvTimeout(2 * time.Second)
-	if !ok || string(m2.Payload) != "re:hi" {
-		t.Fatalf("got %+v", m2)
-	}
-}
-
-func TestTCPLargePayload(t *testing.T) {
-	n, err := NewTCP(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	payload := make([]byte, 1<<20)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	_ = n.Endpoint(0).Send(1, 1, payload)
-	m, ok := n.Endpoint(1).RecvTimeout(5 * time.Second)
-	if !ok || len(m.Payload) != len(payload) {
-		t.Fatalf("len=%d", len(m.Payload))
-	}
-	for i := range payload {
-		if m.Payload[i] != payload[i] {
-			t.Fatalf("corruption at %d", i)
-		}
-	}
-}
-
-func TestTCPByteAccounting(t *testing.T) {
-	cs := []*metrics.Counters{{}, {}}
-	n, err := NewTCP(2, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	_ = n.Endpoint(0).Send(1, 1, make([]byte, 256))
-	n.Endpoint(1).RecvTimeout(2 * time.Second)
-	if cs[0].Snapshot().NetBytes < 256 {
-		t.Fatal("tcp bytes not counted")
-	}
-}
-
-// TestTCPConcurrentCloseVsSend hammers Send from many goroutines while
-// Close races in: no panic, sends after close fail cleanly, and all
-// transport goroutines (accept/read loops) exit — no leak.
-func TestTCPConcurrentCloseVsSend(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for round := 0; round < 5; round++ {
-		n, err := NewTCP(4, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for src := 0; src < 4; src++ {
-			wg.Add(1)
-			go func(src int) {
-				defer wg.Done()
-				ep := n.Endpoint(src)
-				payload := make([]byte, 512)
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					// Errors are expected once Close lands; panics are not.
-					_ = ep.Send((src+1+i)%4, 7, payload)
-				}
-			}(src)
-		}
-		// Let traffic build, then yank the network out from under the senders.
-		time.Sleep(5 * time.Millisecond)
-		n.Close()
-		close(stop)
-		wg.Wait()
-		if err := n.Endpoint(0).Send(1, 7, nil); err == nil {
-			t.Fatal("send succeeded after Close")
-		}
-	}
-	// Read/accept loops unwind asynchronously after Close; give them a
-	// bounded settle window before declaring a leak.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		now := runtime.NumGoroutine()
-		if now <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak: %d before, %d after close\n%s",
-				before, now, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func TestTCPDoubleCloseAndEndpointClose(t *testing.T) {
-	n, err := NewTCP(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = n.Endpoint(0).Send(1, 1, []byte("x"))
-	n.Close()
-	n.Close() // idempotent
-	if err := n.Endpoint(0).Close(); err != nil {
-		t.Fatalf("endpoint close after network close: %v", err)
-	}
-	if _, ok := n.Endpoint(1).RecvTimeout(50 * time.Millisecond); ok {
-		// A message delivered before close may still be buffered; drain it
-		// and ensure the mailbox then reports closed.
-		if _, ok := n.Endpoint(1).RecvTimeout(50 * time.Millisecond); ok {
-			t.Fatal("mailbox still delivering after close")
-		}
-	}
-}
-
-func TestTCPTracerCountsSends(t *testing.T) {
-	n, err := NewTCP(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	tr := trace.New(2, 16).EnableEvents()
-	n.SetTracer(tr)
-	if err := n.Endpoint(0).Send(1, 1, make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	n.Endpoint(1).RecvTimeout(2 * time.Second)
-	if got := tr.EventCount(trace.EvNetSend); got != 1 {
-		t.Fatalf("net_send events = %d, want 1", got)
-	}
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Arg < 100 {
-		t.Fatalf("events: %+v", evs)
-	}
-}
-
 func TestLocalTracerCountsSends(t *testing.T) {
 	tr := trace.New(2, 16).EnableEvents()
 	n := NewLocal(LocalConfig{Nodes: 2, Tracer: tr})
@@ -339,64 +146,5 @@ func TestLocalTracerCountsSends(t *testing.T) {
 	}
 	if got := tr.EventCount(trace.EvNetSend); got != 1 {
 		t.Fatalf("net_send events = %d, want 1", got)
-	}
-}
-
-// TestTCPReconnectAfterConnDrop kills the cached outbound connection
-// between two sends; the bounded-retry path in Send must redial and
-// deliver the second message without surfacing an error.
-func TestTCPReconnectAfterConnDrop(t *testing.T) {
-	n, err := NewTCP(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	if err := n.Endpoint(0).Send(1, 1, []byte("before")); err != nil {
-		t.Fatal(err)
-	}
-	// Sever the cached connection out from under the sender (simulates a
-	// peer-side disconnect the sender has not noticed yet).
-	ep := n.endpoints[0]
-	ep.mu.Lock()
-	for _, c := range ep.conns {
-		_ = c.Close()
-	}
-	ep.mu.Unlock()
-	if err := n.Endpoint(0).Send(1, 2, []byte("after")); err != nil {
-		t.Fatalf("send after conn drop: %v", err)
-	}
-	got := map[uint8]string{}
-	for len(got) < 2 {
-		m, ok := n.Endpoint(1).RecvTimeout(2 * time.Second)
-		if !ok {
-			t.Fatalf("timed out, received %v", got)
-		}
-		got[m.Type] = string(m.Payload)
-	}
-	if got[1] != "before" || got[2] != "after" {
-		t.Fatalf("got %v", got)
-	}
-}
-
-// TestTCPSendFailsWhenPeerGone verifies the retry is bounded: once the
-// peer's listener is gone and no cached connection exists, Send returns
-// an error instead of retrying forever.
-func TestTCPSendFailsWhenPeerGone(t *testing.T) {
-	n, err := NewTCP(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	n.SetTimeouts(200*time.Millisecond, 200*time.Millisecond)
-	_ = n.listeners[1].Close()
-	ep := n.endpoints[0]
-	ep.mu.Lock()
-	for to, c := range ep.conns {
-		_ = c.Close()
-		delete(ep.conns, to)
-	}
-	ep.mu.Unlock()
-	if err := n.Endpoint(0).Send(1, 1, []byte("x")); err == nil {
-		t.Fatal("send to dead peer succeeded")
 	}
 }

@@ -493,32 +493,43 @@ func syncDir(dir string) error {
 // master abandons the epoch immediately instead of waiting out a timeout.
 func (w *Worker) checkpoint(epoch int64) {
 	w.paused.Store(true)
-	defer w.paused.Store(false)
+	defer func() {
+		w.paused.Store(false)
+		w.wake()
+	}()
 	var ckptStart time.Time
 	if w.trCkpt.Active() {
 		ckptStart = time.Now()
 		w.trCkpt.Event(trace.EvCheckpointBegin, uint64(epoch))
 	}
 
-	// Quiesce: wait until every alive task is inactive in the store.
+	// Quiesce: wait until every alive task is inactive in the store. Each
+	// task that parks or dies while the gate is closed wakes this wait
+	// (bufferTask, taskDead), as do stop and the deadline.
 	deadline := time.Now().Add(w.cfg.CheckpointQuiesceTimeout)
-	for {
-		if w.stopped() {
-			return
-		}
+	timer := time.AfterFunc(w.cfg.CheckpointQuiesceTimeout, w.wake)
+	defer timer.Stop()
+	quiesced := func() bool {
 		w.flushBatch(w.buffer.drain())
-		if int64(w.store.Size()) == w.inflight.Load() && w.buffer.len() == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			// Could not quiesce (pathological pull starvation); skip this
-			// checkpoint rather than stall the job. The negative ack lets
-			// the master abandon the epoch right away.
-			w.trCkpt.Event(trace.EvCheckpointSkip, uint64(epoch))
-			w.ackCheckpoint(epoch, 0, false)
-			return
-		}
-		time.Sleep(300 * time.Microsecond)
+		return int64(w.store.Size()) == w.inflight.Load() && w.buffer.len() == 0
+	}
+	w.pendMu.Lock()
+	ok := quiesced()
+	for !ok && !w.stopped() && time.Now().Before(deadline) {
+		w.pendCond.Wait()
+		ok = quiesced()
+	}
+	w.pendMu.Unlock()
+	if w.stopped() {
+		return
+	}
+	if !ok {
+		// Could not quiesce (pathological pull starvation); skip this
+		// checkpoint rather than stall the job. The negative ack lets the
+		// master abandon the epoch right away.
+		w.trCkpt.Event(trace.EvCheckpointSkip, uint64(epoch))
+		w.ackCheckpoint(epoch, 0, false)
+		return
 	}
 
 	taskBytes, err := w.store.Snapshot()

@@ -79,7 +79,12 @@ type Config struct {
 	// seeds stream into the pipeline with backpressure.
 	EagerSeeding bool
 
-	// ProgressInterval is the progress-report period.
+	// ProgressInterval is the heartbeat: each worker reports, asks to steal
+	// when idle, observes memory and retries stale pulls once per interval,
+	// and the master runs one scheduling round (aggregator sync, checkpoint
+	// trigger, failure detection, RoundHook). It is not the latency floor of
+	// a job: idle reports, termination probes and buffer flushes are
+	// event-driven. Default 2ms.
 	ProgressInterval time.Duration
 	// CheckpointEvery takes a checkpoint each interval; 0 disables.
 	CheckpointEvery time.Duration
@@ -144,7 +149,8 @@ type Config struct {
 	Tracer *trace.Tracer
 
 	// RoundHook, if non-nil, is called by the master once per scheduling
-	// round (every ProgressInterval tick) with the round number, from the
+	// round — at least once per ProgressInterval while the job runs, so not
+	// at all on a job shorter than that — with the round number, from the
 	// master goroutine. It is the cooperative-preemption point the serving
 	// layer uses to stop over-budget or past-deadline jobs at a round
 	// boundary: the hook may call Job.CancelCause, which only closes a
@@ -166,6 +172,11 @@ type Config struct {
 	// BufferFlush is the task-buffer batch size (§4.3: "inserted into the
 	// task store in batches").
 	BufferFlush int
+
+	// seedHold, when set (tests only, see export_test.go), makes every seeder
+	// wait for it to close before seeding its last vertex: the job cannot
+	// finish, however fast it runs, until the test lets it.
+	seedHold <-chan struct{}
 }
 
 // Defaults fills unset fields with production defaults.

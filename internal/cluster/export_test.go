@@ -1,0 +1,8 @@
+package cluster
+
+// HoldLastSeed is the deterministic hold of the fault-injection soaks: every
+// worker built from cfg — in this process or a worker process started with
+// it, first incarnation or replacement — seeds all but its last vertex, then
+// waits for release to close. Until then the job has work pending on every
+// slot and cannot finish under the test, whatever the engine's speed.
+func HoldLastSeed(cfg *Config, release <-chan struct{}) { cfg.seedHold = release }

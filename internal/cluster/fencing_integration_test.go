@@ -42,6 +42,16 @@ func fencingRef(t *testing.T, g *graph.Graph, sp jobspec.Spec, cfg cluster.Confi
 	return ref.Records
 }
 
+// holdJobs arms the soaks' deterministic hold on cfg (cluster.HoldLastSeed):
+// jobs of workers built from it keep one seed back on every slot until the
+// returned release is called, so "the job was still running when the fault
+// landed" no longer rests on the job being slow enough.
+func holdJobs(cfg *cluster.Config) (release func()) {
+	ch := make(chan struct{})
+	cluster.HoldLastSeed(cfg, ch)
+	return func() { close(ch) }
+}
+
 // awaitManifest blocks until the job's coordinator MANIFEST exists (the
 // first checkpoint epoch committed) or the job finishes first.
 func awaitManifest(t *testing.T, j *cluster.Job, coordDir, id string) {
@@ -53,7 +63,7 @@ func awaitManifest(t *testing.T, j *cluster.Job, coordDir, id string) {
 			return
 		}
 		if j.Done() {
-			t.Fatal("job finished before a checkpoint committed; enlarge the graph")
+			t.Fatal("job finished before a checkpoint committed; hold it (holdJobs)")
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("no checkpoint committed within 30s")
@@ -79,6 +89,7 @@ func TestRemoteZombieFenced(t *testing.T) {
 	cfg.Partitioner = partition.Hash{}
 	cfg.Stealing = false // a migration in flight at fencing time would be lost
 	want := fencingRef(t, g, sp, cfg)
+	release := holdJobs(&cfg)
 
 	coordDir := t.TempDir()
 	workerDir := t.TempDir()
@@ -129,6 +140,7 @@ func TestRemoteZombieFenced(t *testing.T) {
 		t.Fatalf("replacement admitted at generation %d, want 2", replacement.Generation())
 	}
 
+	release()
 	res, err := j.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -173,6 +185,7 @@ func TestRemoteRollingRestart(t *testing.T) {
 	cfg.Partitioner = partition.Hash{}
 	cfg.Stealing = false
 	want := fencingRef(t, g, sp, cfg)
+	release := holdJobs(&cfg)
 
 	coordDir := t.TempDir()
 	workerDir := t.TempDir()
@@ -203,7 +216,7 @@ func TestRemoteRollingRestart(t *testing.T) {
 
 	for i, wp := range wps {
 		if j.Done() {
-			t.Fatalf("job finished before worker %d restarted; enlarge the graph", i)
+			t.Fatalf("held job finished before worker %d restarted", i)
 		}
 		if err := wp.Drain(60 * time.Second); err != nil {
 			t.Fatalf("worker %d drain: %v", i, err)
@@ -228,6 +241,7 @@ func TestRemoteRollingRestart(t *testing.T) {
 		}
 	}
 
+	release()
 	res, err := j.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -263,6 +277,7 @@ func TestRemoteCoordinatorResume(t *testing.T) {
 	cfg.Partitioner = partition.Hash{}
 	cfg.Stealing = false
 	want := fencingRef(t, g, sp, cfg)
+	release := holdJobs(&cfg)
 
 	coordDir := t.TempDir()
 	workerDir := t.TempDir()
@@ -291,7 +306,7 @@ func TestRemoteCoordinatorResume(t *testing.T) {
 	}
 	awaitManifest(t, j, coordDir, "held-job")
 	if j.Done() {
-		t.Fatal("job finished before the coordinator restart; enlarge the graph")
+		t.Fatal("held job finished before the coordinator restart")
 	}
 
 	// Full-cluster shutdown: the coordinator goes first (its Close cancels
@@ -301,6 +316,7 @@ func TestRemoteCoordinatorResume(t *testing.T) {
 	for _, wp := range wps {
 		wp.Close()
 	}
+	release() // the restarted cluster runs the job out
 
 	// Restarted coordinator: same checkpoint directory, Resume on.
 	cfg2 := cfg

@@ -221,43 +221,3 @@ func TestRestoreVsMigrateRace(t *testing.T) {
 		}
 	}
 }
-
-// TestMasterForgetsRestartedWorker: a replaced worker's last report must not
-// count toward termination. With every worker reporting idle, the master is
-// ready to stop — until slot 1 is restarted (a replacement restoring tasks
-// from a checkpoint); it must then wait for the newcomer's own report, and
-// tolerate its migration counters restarting from zero.
-func TestMasterForgetsRestartedWorker(t *testing.T) {
-	cfg := Config{Workers: 2}.Defaults()
-	net := transport.NewLocal(transport.LocalConfig{Nodes: 3})
-	defer net.Close()
-	m := newMaster(cfg, net.Endpoint(2), nil, &metrics.Counters{}, nil, nil, nil)
-	idle := func(w int, sent, recv int64) transport.Message {
-		return transport.Message{From: w, Type: msgProgress, Payload: encodeProgress(
-			&progressReport{Worker: w, SeedsDone: true, TasksSent: sent, TasksRecv: recv})}
-	}
-	terminates := func() bool {
-		for i := 0; i < 5; i++ {
-			if m.checkTermination() {
-				return true
-			}
-		}
-		return false
-	}
-	m.handle(idle(0, 3, 0))
-	m.handle(idle(1, 0, 3))
-	if !terminates() {
-		t.Fatal("all-idle cluster with balanced migrations did not terminate")
-	}
-
-	m.stableRounds, m.lastPrint = 0, nil
-	m.workerRestarted(1)
-	m.noteRestarts()
-	if terminates() {
-		t.Fatal("terminated on the stale report of a replaced worker")
-	}
-	m.handle(idle(1, 0, 0)) // the replacement's counters start over
-	if !terminates() {
-		t.Fatal("did not terminate once the replacement reported idle")
-	}
-}

@@ -268,7 +268,7 @@ func (j *Job) Wait() (*Result, error) {
 		res := &Result{
 			Elapsed:       elapsed,
 			PartitionTime: j.sess.partitionTime,
-			EdgeCut:       j.sess.assign.EdgeCut(j.sess.g),
+			EdgeCut:       j.sess.edgeCut(),
 			AggGlobal:     j.master.globalAgg(),
 			Recovered:     int(j.recovered.Load()),
 		}

@@ -25,10 +25,12 @@ type master struct {
 	lastSeen []time.Time
 	partials [][]byte // latest encoded aggregator partial per worker
 
-	// termination detection state
-	stableRounds int
-	lastPrint    []int64 // activity fingerprint of the previous round
-	recovered    bool    // a failure happened: sent/recv sums may never match
+	// termination detection state (checkTermination)
+	wave        int64     // last probe wave issued; 0 = none yet
+	probedAt    time.Time // when it was last sent
+	lastPrint   []int64   // quiescent fingerprint of the previous complete wave; nil = none
+	stableSince time.Time // time-spaced test: since when lastPrint has stood still
+	recovered   bool      // a failure happened: sent/recv sums may never match
 
 	// checkpoint state
 	epoch        int64
@@ -95,10 +97,13 @@ func newMaster(cfg Config, ep transport.Endpoint, agg core.Aggregator,
 }
 
 // run is the master's main loop; it returns once the job has terminated
-// (doneCh closed) or the master is stopped externally.
+// (doneCh closed) or the master is stopped externally. It wakes on every
+// message and tests for termination at once; the scheduling round (periodic,
+// RoundHook) stays paced by ProgressInterval.
 func (m *master) run() {
 	defer close(m.doneCh)
 	tick := m.cfg.ProgressInterval
+	nextRound := time.Now().Add(tick)
 	var round int64
 	for {
 		select {
@@ -110,7 +115,7 @@ func (m *master) run() {
 			return
 		default:
 		}
-		if msg, ok := m.ep.RecvTimeout(tick); ok {
+		if msg, ok := m.ep.RecvTimeout(time.Until(nextRound)); ok {
 			m.handle(msg)
 			// Drain whatever else is queued before doing periodic work.
 			for {
@@ -122,12 +127,16 @@ func (m *master) run() {
 			}
 		}
 		m.noteRestarts()
-		m.periodic()
-		round++
-		if m.cfg.RoundHook != nil {
-			m.cfg.RoundHook(round)
+		now := time.Now()
+		if !now.Before(nextRound) {
+			nextRound = now.Add(tick)
+			m.periodic()
+			round++
+			if m.cfg.RoundHook != nil {
+				m.cfg.RoundHook(round)
+			}
 		}
-		if m.checkTermination() {
+		if m.checkTermination(now) {
 			m.broadcast(msgStop, nil)
 			return
 		}
@@ -308,7 +317,7 @@ func (m *master) periodic() {
 			if now.Sub(m.lastSeen[i]) > m.cfg.FailTimeout {
 				m.failed[i] = true
 				m.recovered = true
-				m.stableRounds = 0
+				m.lastPrint = nil
 				// A dead worker's checkpoint ack will never arrive: abandon
 				// the in-flight epoch now instead of letting it freeze task
 				// stealing and termination until the ack timeout expires.
@@ -345,61 +354,79 @@ func (m *master) committedEpoch() int64 {
 	return noEpoch
 }
 
-// checkTermination applies the stability-based quiescence test: every
-// worker idle (seeds done, no alive tasks), migration counters balanced,
-// and the per-worker activity fingerprint unchanged across several
-// consecutive rounds. The fingerprint window covers in-flight task
-// messages: any late delivery bumps a worker's activity counter and resets
-// the window.
-func (m *master) checkTermination() bool {
+// checkTermination decides whether the job is over, by counting rather than
+// timing (DESIGN.md, "Termination detection", has the argument). Once the
+// table is quiescent the master issues a numbered probe wave; a report
+// answers a wave if it echoes its number, i.e. was built after the probe
+// arrived. Two consecutive waves, each answered by every worker, that both
+// find the table quiescent with one fingerprint end the job: no task was
+// owned or in flight at the instant the second wave went out (Mattern's
+// four-counter rule). That needs reliable FIFO delivery and counters that
+// survive, so a simulated latency, a chaos profile or a recovery keep the
+// older test: the quiescent fingerprint must stand still for a window of
+// report periods, widened by the latency and the longest chaos delay.
+func (m *master) checkTermination(now time.Time) bool {
 	if m.ckptPending > 0 {
 		return false
 	}
-	var sent, recv int64
-	print := make([]int64, m.cfg.Workers)
-	for i, r := range m.reports {
-		if r == nil || m.failed[i] {
-			m.stableRounds = 0
-			m.lastPrint = nil
-			return false
-		}
-		if !r.SeedsDone || r.Inflight != 0 {
-			m.stableRounds = 0
-			m.lastPrint = nil
-			return false
-		}
-		sent += r.TasksSent
-		recv += r.TasksRecv
-		print[i] = r.Activity
-	}
-	if sent != recv && !m.recovered {
-		m.stableRounds = 0
+	print, answered, ok := m.quiescent()
+	if !ok {
 		m.lastPrint = nil
 		return false
 	}
-	if m.lastPrint != nil && equalInt64(print, m.lastPrint) {
-		m.stableRounds++
-	} else {
-		m.stableRounds = 1
+	if m.recovered || m.cfg.Latency > 0 || m.cfg.Chaos != nil {
+		if !equalInt64(print, m.lastPrint) {
+			m.lastPrint, m.stableSince = print, now
+		}
+		need := 3
+		if m.cfg.Latency > 0 {
+			need += int(m.cfg.Latency/m.cfg.ProgressInterval)*2 + 1
+		}
+		if d := m.cfg.Chaos.MaxDelay(); d > 0 {
+			need += int(d/m.cfg.ProgressInterval)*2 + 1
+		}
+		return now.Sub(m.stableSince) >= time.Duration(need)*m.cfg.ProgressInterval
 	}
-	m.lastPrint = print
-	// Widen the stability window when the simulated network is slow so an
-	// in-flight migration cannot slip past the quiescence check. Chaos
-	// delay/reorder holds are invisible to the transport's latency model,
-	// so they widen the window the same way.
-	need := 3
-	if m.cfg.Latency > 0 {
-		extra := int(m.cfg.Latency/m.cfg.ProgressInterval)*2 + 1
-		need += extra
+	switch {
+	case answered && equalInt64(print, m.lastPrint):
+		return true
+	case answered:
+		m.lastPrint = print
+		m.wave++
+	case m.wave == 0:
+		m.wave++
+	case now.Sub(m.probedAt) < m.cfg.ProgressInterval:
+		return false // the wave is still out
 	}
-	if d := m.cfg.Chaos.MaxDelay(); d > 0 {
-		need += int(d/m.cfg.ProgressInterval)*2 + 1
-	}
-	return m.stableRounds >= need
+	// A new wave — or the old one again: a frame can die with its connection.
+	m.probedAt = now
+	m.broadcast(msgProbe, encodeEpoch(m.wave))
+	return false
 }
 
+// quiescent reads the progress table. ok: every worker is live, idle (seeds
+// done, no alive task) and migrations balance (a recovery waives that).
+// print is the per-worker (activity, sent, recv) fingerprint; answered says
+// every report echoes the current probe wave.
+func (m *master) quiescent() (print []int64, answered, ok bool) {
+	var sent, recv int64
+	print = make([]int64, 0, 3*m.cfg.Workers)
+	answered = m.wave > 0
+	for i, r := range m.reports {
+		if r == nil || m.failed[i] || !r.SeedsDone || r.Inflight != 0 {
+			return nil, false, false
+		}
+		sent += r.TasksSent
+		recv += r.TasksRecv
+		print = append(print, r.Activity, r.TasksSent, r.TasksRecv)
+		answered = answered && r.Wave == m.wave
+	}
+	return print, answered, sent == recv || m.recovered
+}
+
+// equalInt64 compares fingerprints; a nil one equals nothing.
 func equalInt64(a, b []int64) bool {
-	if len(a) != len(b) {
+	if a == nil || b == nil || len(a) != len(b) {
 		return false
 	}
 	for i := range a {

@@ -48,11 +48,15 @@ const (
 	msgCheckpointDone
 	// msgStop: master → worker. Job finished; shut down the pipeline.
 	msgStop
+	// msgProbe: master → worker. Termination probe; payload: the wave number
+	// (encodeEpoch). The worker answers at once with a msgProgress echoing
+	// the wave, and echoes it in every later report.
+	msgProbe
 )
 
-// progressReport is the periodic worker → master report (§5.1: "a
-// progress reporter that sends its local progress to the master
-// periodically").
+// progressReport is the worker → master report (§5.1: "a progress reporter
+// that sends its local progress to the master periodically"), also sent the
+// moment a worker becomes idle and in answer to a msgProbe.
 type progressReport struct {
 	Worker    int
 	Inflight  int64 // alive tasks owned by this worker (store+queues+active)
@@ -64,6 +68,7 @@ type progressReport struct {
 	Results   int64
 	AggSet    bool   // AggPartial follows
 	AggBytes  []byte // encoded aggregator partial
+	Wave      int64  // newest msgProbe wave the worker had seen when it built this
 }
 
 func encodeProgress(p *progressReport) []byte {
@@ -85,6 +90,7 @@ func encodeProgressInto(w *wire.Writer, p *progressReport) {
 	if p.AggSet {
 		w.BytesField(p.AggBytes)
 	}
+	w.Varint(p.Wave)
 }
 
 func decodeProgress(b []byte) (*progressReport, error) {
@@ -102,6 +108,7 @@ func decodeProgress(b []byte) (*progressReport, error) {
 	if p.AggSet {
 		p.AggBytes = r.BytesField()
 	}
+	p.Wave = r.Varint()
 	return p, r.Err()
 }
 

@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -191,6 +190,9 @@ func TestRemoteJobKillRecoverWorker(t *testing.T) {
 	for _, auto := range []bool{false, true} {
 		coordDir := t.TempDir()
 		cfg.CheckpointDir = coordDir
+		// Held: the kill lands mid-job, and the victim's frozen last report
+		// (seeds not done) keeps the job open until a recovery replaces it.
+		release := holdJobs(&cfg)
 		rs, _ := remoteTestCluster(t, g, cfg,
 			cluster.RemoteSessionConfig{FailTimeout: 300 * time.Millisecond, ResultTimeout: 240 * time.Second},
 			cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond, CheckpointDir: t.TempDir()})
@@ -205,11 +207,11 @@ func TestRemoteJobKillRecoverWorker(t *testing.T) {
 		awaitManifest(t, j, coordDir, "kill-recover")
 		j.KillWorker(1)
 		if !auto {
-			time.Sleep(20 * time.Millisecond)
 			if err := j.RecoverWorker(1); err != nil {
 				t.Fatal(err)
 			}
 		}
+		release()
 		res, err := j.Wait()
 		if err != nil {
 			t.Fatal(err)
@@ -305,6 +307,7 @@ func TestRemoteWorkerKillAndRejoin(t *testing.T) {
 	if len(ref.Records) == 0 {
 		t.Fatal("degenerate reference: no matches")
 	}
+	release := holdJobs(&cfg)
 
 	coordDir := t.TempDir()
 	workerDir := t.TempDir()
@@ -337,27 +340,14 @@ func TestRemoteWorkerKillAndRejoin(t *testing.T) {
 
 	// Wait for the first committed epoch (the coordinator's MANIFEST
 	// appears), then crash the process holding one worker slot.
-	manifest := filepath.Join(coordDir, "kill-rejoin", "MANIFEST")
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if _, err := os.Stat(manifest); err == nil {
-			break
-		}
-		if j.Done() {
-			t.Fatal("job finished before a checkpoint committed; enlarge the graph")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint committed within 30s")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	awaitManifest(t, j, coordDir, "kill-rejoin")
 	victim := wps[1]
 	victimNode := victim.Node()
 	victim.Kill()
 	t.Logf("killed worker process holding node %d", victimNode)
 	time.Sleep(20 * time.Millisecond)
 	if j.Done() {
-		t.Fatal("job finished before the replacement joined; enlarge the graph")
+		t.Fatal("held job finished before the replacement joined")
 	}
 
 	// The replacement claims the dead process's slot and points at its
@@ -375,6 +365,7 @@ func TestRemoteWorkerKillAndRejoin(t *testing.T) {
 	}
 	t.Cleanup(replacement.Close)
 
+	release()
 	res, err := j.Wait()
 	if err != nil {
 		t.Fatal(err)

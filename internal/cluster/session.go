@@ -55,6 +55,12 @@ type sessionCore struct {
 	jobs   map[string]*Job // a nil entry is an ID reserved by a Launch in progress
 	nextCh uint64
 	closed bool
+
+	// cut caches assign.EdgeCut(g), an O(E) scan every job's Result carries,
+	// for graph epoch cutEpoch-1; a mutation batch retires it with the epoch.
+	cutMu    sync.Mutex
+	cut      float64
+	cutEpoch int64
 }
 
 // reserve allocates the job's mux channel and claims its ID; job channels
@@ -474,7 +480,17 @@ func (s *Session) warmCSR() error {
 func (s *sessionCore) EdgeCut() float64 {
 	s.epochMu.RLock()
 	defer s.epochMu.RUnlock()
-	return s.assign.EdgeCut(s.g)
+	return s.edgeCut()
+}
+
+// edgeCut computes the edge cut once per graph epoch (caller holds epochMu).
+func (s *sessionCore) edgeCut() float64 {
+	s.cutMu.Lock()
+	defer s.cutMu.Unlock()
+	if key := s.epoch.Load() + 1; s.cutEpoch != key {
+		s.cut, s.cutEpoch = s.assign.EdgeCut(s.g), key
+	}
+	return s.cut
 }
 
 // Fingerprint identifies the resident graph plus the session topology

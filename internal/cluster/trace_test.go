@@ -95,6 +95,25 @@ func TestUntracedRunHasNoPhases(t *testing.T) {
 	}
 }
 
+// TestHistogramOnlyRunKeepsNoEvents: the tracer a served job gets (Enable,
+// never EnableEvents) feeds Result.Phases through a whole job without its
+// event rings ever being allocated.
+func TestHistogramOnlyRunKeepsNoEvents(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 2000, Seed: 3})
+	cfg := smallConfig()
+	cfg.Tracer = trace.New(cfg.Workers+1, 0).Enable()
+	res, err := cluster.Run(g, algo.NewTriangleCount(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Phases) == 0 || cfg.Tracer.EventCount(trace.EvTaskDead) == 0 {
+		t.Fatal("histograms and event counters must record")
+	}
+	if evs := cfg.Tracer.Events(); evs != nil {
+		t.Fatalf("histogram-only run buffered %d events", len(evs))
+	}
+}
+
 // TestTracedStealAndCheckpoint exercises the steal and checkpoint
 // instrumentation paths under an event-recording tracer.
 func TestTracedStealAndCheckpoint(t *testing.T) {

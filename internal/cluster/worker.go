@@ -88,13 +88,20 @@ type Worker struct {
 	// back as a synchronized burst. Guarded by pendMu.
 	retryRng *rand.Rand
 
-	// Progress counters.
+	// Progress counters. Termination detection (DESIGN.md) leans on the order
+	// they move in: inflight is up before a task is admitted and down last
+	// when it dies or leaves, activity bumps in between, a migrated batch is
+	// in tasksSent before it is sent and in tasksRecv once it is in inflight.
 	inflight   atomic.Int64 // alive tasks owned by this worker
 	activity   atomic.Int64 // bumps on intake/death/migration
 	tasksSent  atomic.Int64
 	tasksRecv  atomic.Int64
 	seedsDone  atomic.Bool
 	seedCursor atomic.Int64
+	// wave is the newest termination probe seen, echoed by every report;
+	// repMu keeps reports leaving in the order they were built.
+	wave  atomic.Int64
+	repMu sync.Mutex
 
 	// Aggregator state.
 	aggMu      sync.Mutex
@@ -336,9 +343,48 @@ func (w *Worker) intake(t *core.Task, migrated bool) {
 		w.tasksRecv.Add(1)
 	}
 	w.computeToPull(t)
+	w.bufferTask(t)
+}
+
+// bufferTask parks an inactive task in the task buffer, flushing a full
+// batch to the store, and tells a checkpoint waiting for quiescence.
+func (w *Worker) bufferTask(t *core.Task) {
 	if batch := w.buffer.add(t); batch != nil {
 		w.flushBatch(batch)
 	}
+	if w.paused.Load() {
+		w.wake()
+	}
+}
+
+// flushStarved moves the buffered tasks into an empty task store: batching
+// inserts only pays while the store has other work to run first; once it is
+// empty the buffer holds the only work left and the retriever may be blocked.
+func (w *Worker) flushStarved() {
+	if w.store.Size() == 0 {
+		w.flushBatch(w.buffer.drain())
+	}
+}
+
+// wake broadcasts pendCond: the retriever's CMQ window, the pause gate and
+// a checkpoint's quiesce all wait on it.
+func (w *Worker) wake() {
+	w.pendMu.Lock()
+	w.pendCond.Broadcast()
+	w.pendMu.Unlock()
+}
+
+// waitResumed blocks while a checkpoint holds the pipeline paused; false
+// once the worker stopped.
+func (w *Worker) waitResumed() bool {
+	if w.paused.Load() {
+		w.pendMu.Lock()
+		for w.paused.Load() && !w.stopped() {
+			w.pendCond.Wait()
+		}
+		w.pendMu.Unlock()
+	}
+	return !w.stopped()
 }
 
 func (w *Worker) flushBatch(batch []*core.Task) {
@@ -382,29 +428,27 @@ func (w *Worker) seederLoop() {
 		w.intake(t, false)
 	}
 	for i := int(w.seedCursor.Load()); i < len(w.localIDs); i++ {
-		if w.stopped() {
-			return
-		}
-		for w.paused.Load() {
-			time.Sleep(200 * time.Microsecond)
-			if w.stopped() {
-				return
-			}
-		}
 		if !w.cfg.EagerSeeding {
 			// Streaming seeding (extension, §9): backpressure against the
 			// task store so seeds do not all materialize up front.
-			for w.store.Size() > 2*w.cfg.StoreMemCapacity {
-				time.Sleep(time.Millisecond)
-				if w.stopped() {
-					return
-				}
+			w.store.WaitBelow(2 * w.cfg.StoreMemCapacity)
+		}
+		if !w.waitResumed() {
+			return
+		}
+		if w.cfg.seedHold != nil && i == len(w.localIDs)-1 {
+			select {
+			case <-w.cfg.seedHold:
+			case <-w.stopCh:
+				return
 			}
 		}
 		w.algo.Seed(w.local[w.localIDs[i]], spawn)
 		w.seedCursor.Store(int64(i + 1))
 	}
 	w.seedsDone.Store(true)
+	w.flushBatch(w.buffer.drain())
+	w.reportIfIdle()
 }
 
 // ---------------------------------------------------------------------------
@@ -414,25 +458,22 @@ func (w *Worker) seederLoop() {
 
 func (w *Worker) retrieverLoop() {
 	for {
-		if w.stopped() {
+		// Only dispatch queues pull requests: none outlives the next block.
+		w.flushPulls()
+		if !w.waitResumed() {
 			return
-		}
-		if w.paused.Load() {
-			time.Sleep(200 * time.Microsecond)
-			continue
 		}
 		// Backpressure: bound ready tasks and in-flight pull tasks so the
 		// references they hold cannot overflow the cache without bound.
-		w.flushPulls()
 		w.cpq.waitBelow(w.cfg.CPQHighWater)
 		w.waitPendingBelow(w.cfg.MaxPendingPulls)
 		t, ok := w.store.TryPop()
 		if !ok {
-			// Nothing to dispatch: push out whatever requests are queued
-			// before going idle.
-			w.flushPulls()
-			time.Sleep(200 * time.Microsecond)
-			continue
+			// Nothing to dispatch: take in the task buffer, then block.
+			w.flushStarved()
+			if t, ok = w.store.PopWait(); !ok {
+				return
+			}
 		}
 		w.dispatch(t)
 	}
@@ -635,6 +676,9 @@ func (w *Worker) retryStalePulls() {
 
 func (w *Worker) executorLoop() {
 	for {
+		if w.cpq.len() == 0 {
+			w.flushStarved() // going idle: buffered output must not wait for a heartbeat
+		}
 		t, ok := w.cpq.pop()
 		if !ok {
 			return
@@ -690,9 +734,7 @@ func (w *Worker) runTask(t *core.Task) {
 		if len(t.ToPull) > 0 {
 			t.SetStatus(core.StatusInactive)
 			w.trExec.Event(trace.EvTaskInactive, t.ID)
-			if batch := w.buffer.add(t); batch != nil {
-				w.flushBatch(batch)
-			}
+			w.bufferTask(t)
 			return
 		}
 		if w.stopped() {
@@ -702,12 +744,16 @@ func (w *Worker) runTask(t *core.Task) {
 }
 
 func (w *Worker) taskDead(t *core.Task) {
-	w.inflight.Add(-1)
-	w.activity.Add(1)
 	w.counters.TaskDone()
 	w.trExec.Event(trace.EvTaskDead, t.ID)
 	if obs, ok := w.stealPolicy.(TaskObserver); ok {
 		obs.ObserveCompleted(t.CostC())
+	}
+	w.activity.Add(1)
+	w.inflight.Add(-1)
+	w.reportIfIdle()
+	if w.paused.Load() {
+		w.wake()
 	}
 }
 
@@ -770,6 +816,11 @@ func (w *Worker) commLoop() {
 					w.checkpoint(epoch)
 				}()
 			}
+		case msgProbe:
+			if wave, err := decodeEpoch(m.Payload); err == nil {
+				w.wave.Store(wave)
+				w.sendProgress()
+			}
 		case msgStop:
 			w.stop()
 			return
@@ -831,14 +882,15 @@ func (w *Worker) handleMigrate(payload []byte) {
 	w.trSteal.Event(trace.EvStealMigrate, uint64(len(tasks)))
 	wr := wire.GetWriter(256 * len(tasks))
 	encodeTasksInto(wr, tasks, w.algo)
-	w.inflight.Add(-int64(len(tasks)))
-	w.activity.Add(int64(len(tasks)))
 	w.tasksSent.Add(int64(len(tasks)))
+	w.activity.Add(int64(len(tasks)))
+	w.inflight.Add(-int64(len(tasks)))
 	for range tasks {
 		w.counters.TaskStolen()
 	}
 	_ = w.ep.Send(thief, msgTasks, wr.Bytes())
 	wire.PutWriter(wr)
+	w.reportIfIdle()
 }
 
 // handleTasks admits a migration batch.
@@ -853,6 +905,7 @@ func (w *Worker) handleTasks(payload []byte) {
 	for _, t := range tasks {
 		w.intake(t, true)
 	}
+	w.flushStarved() // a steal batch arrives at an idle pipeline
 }
 
 func (w *Worker) handleAggGlobal(payload []byte) {
@@ -884,32 +937,7 @@ func (w *Worker) progressLoop() {
 		w.retryStalePulls()
 		w.observeMemory()
 
-		rep := &progressReport{
-			Worker:    w.id,
-			Inflight:  w.inflight.Load(),
-			StoreSize: int64(w.store.Size()),
-			TasksSent: w.tasksSent.Load(),
-			TasksRecv: w.tasksRecv.Load(),
-			Activity:  w.activity.Load(),
-			SeedsDone: w.seedsDone.Load(),
-			Results:   int64(w.resultCount()),
-		}
-		var aggW *wire.Writer
-		if w.agg != nil {
-			aggW = wire.GetWriter(32)
-			w.aggMu.Lock()
-			w.agg.Encode(aggW, w.aggPartial)
-			w.aggMu.Unlock()
-			rep.AggSet = true
-			rep.AggBytes = aggW.Bytes()
-		}
-		pw := wire.GetWriter(64 + len(rep.AggBytes))
-		encodeProgressInto(pw, rep)
-		_ = w.ep.Send(w.masterNode, msgProgress, pw.Bytes())
-		wire.PutWriter(pw)
-		if aggW != nil {
-			wire.PutWriter(aggW)
-		}
+		w.sendProgress()
 
 		if w.cfg.Stealing && w.seedsDone.Load() && w.inflight.Load() == 0 {
 			if w.stealBackoff.Load() > 0 {
@@ -922,6 +950,54 @@ func (w *Worker) progressLoop() {
 				_ = w.ep.Send(w.masterNode, msgStealReq, nil)
 			}
 		}
+	}
+}
+
+// sendProgress reports to the master: on every heartbeat, the moment the
+// worker becomes idle, and in answer to a termination probe.
+func (w *Worker) sendProgress() {
+	w.repMu.Lock()
+	defer w.repMu.Unlock()
+	if w.stopped() {
+		return
+	}
+	// The wave is read first: a report echoing a probe was built after it.
+	rep := &progressReport{Worker: w.id, Wave: w.wave.Load()}
+	for {
+		// Seqlock-style: re-read if activity moved under the counter reads.
+		rep.Activity = w.activity.Load()
+		rep.Inflight = w.inflight.Load()
+		rep.TasksSent = w.tasksSent.Load()
+		rep.TasksRecv = w.tasksRecv.Load()
+		rep.SeedsDone = w.seedsDone.Load()
+		if w.activity.Load() == rep.Activity {
+			break
+		}
+	}
+	rep.StoreSize = int64(w.store.Size())
+	rep.Results = int64(w.resultCount())
+	var aggW *wire.Writer
+	if w.agg != nil {
+		aggW = wire.GetWriter(32)
+		w.aggMu.Lock()
+		w.agg.Encode(aggW, w.aggPartial)
+		w.aggMu.Unlock()
+		rep.AggSet = true
+		rep.AggBytes = aggW.Bytes()
+	}
+	pw := wire.GetWriter(64 + len(rep.AggBytes))
+	encodeProgressInto(pw, rep)
+	_ = w.ep.Send(w.masterNode, msgProgress, pw.Bytes())
+	wire.PutWriter(pw)
+	if aggW != nil {
+		wire.PutWriter(aggW)
+	}
+}
+
+// reportIfIdle pushes a report the moment the worker runs out of work.
+func (w *Worker) reportIfIdle() {
+	if w.seedsDone.Load() && w.inflight.Load() == 0 {
+		w.sendProgress()
 	}
 }
 

@@ -6,6 +6,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gminer/internal/algo"
+	"gminer/internal/cluster"
+	"gminer/internal/core"
+	"gminer/internal/graph"
 )
 
 func cancelJob(t *testing.T, base, id string) {
@@ -237,24 +242,60 @@ func TestOverBudgetPreemptedAtRoundBoundary(t *testing.T) {
 // TestQueuedDeadlineSheds: a job still queued when its deadline passes is
 // shed at dispatch time instead of being started doomed.
 func TestQueuedDeadlineSheds(t *testing.T) {
-	ccfg := testClusterConfig()
-	ccfg.Latency = time.Millisecond
-	srv, base := startServer(t, ccfg, Config{MaxConcurrentJobs: 1, ResultCacheEntries: -1})
+	sess, err := cluster.NewSession(servingGraph(), testClusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := heldCluster{Cluster: sess, id: "slot", release: make(chan struct{})}
+	srv := New(held, Config{MaxConcurrentJobs: 1, ResultCacheEntries: -1})
 	defer srv.Shutdown()
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + addr
 
 	if resp, _ := submit(t, base, `{"app":"mcf","id":"slot"}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("slot submit: %d", resp.StatusCode)
 	}
-	awaitState(t, base, "slot", StateRunning, StateDone)
+	awaitState(t, base, "slot", StateRunning)
 	if resp, _ := submit(t, base, `{"app":"tc","id":"late","deadline_seconds":0.01}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("deadline submit: %d", resp.StatusCode)
 	}
 	time.Sleep(20 * time.Millisecond) // let the deadline lapse while queued
 	cancelJob(t, base, "slot")        // free the slot; the pump must shed "late"
+	close(held.release)
 	st := awaitState(t, base, "late", StateShed)
 	if !strings.Contains(st.Error, "deadline") {
 		t.Fatalf("shed job error %q does not name the deadline", st.Error)
 	}
+}
+
+// heldCluster is a deterministic slot-holder: the mcf job launched under id
+// parks before its first seed, so it occupies its slot for exactly as long
+// as the test needs, however fast the engine finishes real jobs. A parked
+// seeder cannot see a stop: close release right after cancelling the job.
+type heldCluster struct {
+	Cluster
+	id      string
+	release chan struct{}
+}
+
+func (h heldCluster) Launch(a core.Algorithm, opt cluster.JobOptions) (*cluster.Job, error) {
+	if mc, ok := a.(*algo.MaxClique); ok && opt.ID == h.id {
+		a = heldMaxClique{mc, h.release}
+	}
+	return h.Cluster.Launch(a, opt)
+}
+
+type heldMaxClique struct {
+	*algo.MaxClique
+	release <-chan struct{}
+}
+
+func (h heldMaxClique) Seed(v *graph.Vertex, spawn func(*core.Task)) {
+	<-h.release
+	h.MaxClique.Seed(v, spawn)
 }
 
 // TestQueueWaitAndPositionInStatus: queued jobs expose a live queue wait

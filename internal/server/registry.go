@@ -114,9 +114,14 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	tracer    *trace.Tracer
-	cj        *cluster.Job                // non-nil once launched (guarded by registry.mu)
-	cjAtomic  atomic.Pointer[cluster.Job] // same handle, for the lock-free round hook
-	result    *cluster.Result             // non-nil once done
+	// built is the algorithm submit's validation constructed, at graph epoch
+	// builtEpoch: the pump launches it as is unless the epoch moved while the
+	// job waited. Nil once taken.
+	built      core.Algorithm
+	builtEpoch int64
+	cj         *cluster.Job                // non-nil once launched (guarded by registry.mu)
+	cjAtomic   atomic.Pointer[cluster.Job] // same handle, for the lock-free round hook
+	result     *cluster.Result             // non-nil once done
 
 	// QoS bookkeeping. tenant and priority are the normalized hints;
 	// deadline/budget the effective limits (zero means none); estimate the
@@ -239,8 +244,13 @@ func (r *registry) submit(req JobRequest) (*job, error) {
 	// serve (e.g. gm on an unlabeled graph) fails the submit with 400
 	// instead of a queued job that dies later. Under the graph-read guard:
 	// a mutation batch may be rewriting adjacency right now.
+	var built core.Algorithm
+	var builtEpoch int64
 	var buildErr error
-	r.sess.WithGraphRead(func() { _, buildErr = jobspec.Build(r.sess.Graph(), req.Spec) })
+	r.sess.WithGraphRead(func() {
+		built, buildErr = jobspec.Build(r.sess.Graph(), req.Spec)
+		builtEpoch = r.sess.GraphEpoch()
+	})
 	if buildErr != nil {
 		return nil, buildErr
 	}
@@ -273,11 +283,13 @@ func (r *registry) submit(req JobRequest) (*job, error) {
 
 	now := time.Now()
 	j := &job{
-		id:        id,
-		req:       req,
-		submitted: now,
-		tenant:    req.Spec.Tenant,
-		priority:  req.Spec.Priority,
+		id:         id,
+		req:        req,
+		submitted:  now,
+		tenant:     req.Spec.Tenant,
+		priority:   req.Spec.Priority,
+		built:      built,
+		builtEpoch: builtEpoch,
 	}
 	if req.Spec.DeadlineSeconds > 0 {
 		j.deadline = now.Add(time.Duration(req.Spec.DeadlineSeconds * float64(time.Second)))
@@ -378,9 +390,11 @@ func (r *registry) pumpLocked() {
 			r.finishQueuedLocked(j, StateShed, qos.ErrDeadline)
 			continue
 		}
-		var a core.Algorithm
-		var err error
-		r.sess.WithGraphRead(func() { a, err = jobspec.Build(r.sess.Graph(), j.req.Spec) })
+		a, err := j.built, error(nil)
+		j.built = nil
+		if a == nil || j.builtEpoch != r.sess.GraphEpoch() {
+			r.sess.WithGraphRead(func() { a, err = jobspec.Build(r.sess.Graph(), j.req.Spec) })
+		}
 		if err != nil {
 			j.state, j.err, j.finished = StateFailed, err, time.Now()
 			r.recordWaitLocked(j)

@@ -72,6 +72,8 @@ type Store struct {
 	seq    uint64 // FIFO tiebreaker / key source when LSH disabled
 	size   int
 	closed bool
+	// lowWater is the size a WaitBelow caller sleeps for; -1 when nobody does.
+	lowWater int
 
 	counters *metrics.Counters
 	memBytes int64
@@ -80,7 +82,7 @@ type Store struct {
 // New creates a task store spilling through sp.
 func New(cfg Config, codec core.ContextCodec, sp *spill.Spiller, counters *metrics.Counters) *Store {
 	cfg.defaults()
-	s := &Store{cfg: cfg, codec: codec, spiller: sp, counters: counters}
+	s := &Store{cfg: cfg, codec: codec, spiller: sp, counters: counters, lowWater: -1}
 	if cfg.LSHDims > 0 {
 		s.signer = lsh.NewSigner(cfg.LSHDims, cfg.Seed)
 	}
@@ -277,6 +279,26 @@ func (s *Store) PopWait() (*core.Task, bool) {
 	}
 }
 
+// WaitBelow blocks while the store holds more than n tasks (and is open):
+// the seeder's backpressure against a full store. One caller at a time.
+func (s *Store) WaitBelow(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.size > n && !s.closed {
+		s.lowWater = n
+		s.cond.Wait()
+	}
+	s.lowWater = -1
+}
+
+// shrunkLocked wakes the WaitBelow caller once the store has drained to its
+// mark — not on every pop above it, which would wake it only to sleep again.
+func (s *Store) shrunkLocked() {
+	if s.size <= s.lowWater {
+		s.cond.Broadcast()
+	}
+}
+
 // TryPop removes the lowest-key task without blocking.
 func (s *Store) TryPop() (*core.Task, bool) {
 	s.mu.Lock()
@@ -320,6 +342,7 @@ func (s *Store) popLocked() (*core.Task, error) {
 	s.head = s.head[1:]
 	s.size--
 	s.memBytes -= it.t.FootprintBytes()
+	s.shrunkLocked()
 	return it.t, nil
 }
 
@@ -339,6 +362,7 @@ func (s *Store) Steal(n int, eligible func(*core.Task) bool) []*core.Task {
 			s.size--
 		}
 	}
+	s.shrunkLocked()
 	return out
 }
 

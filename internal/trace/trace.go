@@ -180,7 +180,8 @@ type Event struct {
 
 // ring is a fixed-capacity overwrite-oldest event buffer. One ring per
 // worker keeps lock traffic local: a worker's goroutines only ever touch
-// their own ring.
+// their own ring. The buffer is allocated by EnableEvents: a tracer that
+// only ever feeds histograms (a served job's) holds no event memory.
 type ring struct {
 	mu    sync.Mutex
 	buf   []Event
@@ -199,10 +200,14 @@ func (r *ring) push(e Event) {
 	r.mu.Unlock()
 }
 
-// snapshot returns the buffered events oldest-first.
+// snapshot returns the buffered events oldest-first (nil while event
+// capture was never enabled).
 func (r *ring) snapshot() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.buf == nil {
+		return nil
+	}
 	if r.count >= int64(len(r.buf)) {
 		out := make([]Event, 0, len(r.buf))
 		out = append(out, r.buf[r.next:]...)
@@ -224,9 +229,10 @@ type Tracer struct {
 	enabled atomic.Bool
 	events  atomic.Bool
 
-	start time.Time
-	rings []*ring
-	hists [numMetrics]Histogram
+	start   time.Time
+	ringCap int
+	rings   []*ring
+	hists   [numMetrics]Histogram
 	// eventCounts survive ring overwrites; they feed the Prometheus sink.
 	eventCounts [numEventTypes]atomic.Int64
 }
@@ -241,9 +247,9 @@ func New(nodes, ringCap int) *Tracer {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCapacity
 	}
-	t := &Tracer{start: time.Now(), rings: make([]*ring, nodes)}
+	t := &Tracer{start: time.Now(), ringCap: ringCap, rings: make([]*ring, nodes)}
 	for i := range t.rings {
-		t.rings[i] = &ring{buf: make([]Event, ringCap)}
+		t.rings[i] = &ring{}
 	}
 	return t
 }
@@ -254,8 +260,16 @@ func (t *Tracer) Enable() *Tracer {
 	return t
 }
 
-// EnableEvents turns on ring-buffer event capture (implies Enable).
+// EnableEvents turns on ring-buffer event capture (implies Enable). The
+// ring buffers are allocated here, before any event, not by New.
 func (t *Tracer) EnableEvents() *Tracer {
+	for _, r := range t.rings {
+		r.mu.Lock()
+		if r.buf == nil {
+			r.buf = make([]Event, t.ringCap)
+		}
+		r.mu.Unlock()
+	}
 	t.enabled.Store(true)
 	t.events.Store(true)
 	return t

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -67,6 +68,45 @@ func TestEnabledWithoutEventsCountsButNoRing(t *testing.T) {
 	}
 	if tr.Histogram(MetricPullRTT).Count() != 1 {
 		t.Fatal("histogram sample missing")
+	}
+}
+
+// TestHistogramOnlyTracerHoldsNoRing: ring buffers are allocated by
+// EnableEvents, so a tracer that only feeds histograms and counters (every
+// served job's) costs a few hundred bytes, not nodes x 65 536 events.
+func TestHistogramOnlyTracerHoldsNoRing(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := New(3, 0).Enable()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("New allocated %d bytes; the rings must be lazy", got)
+	}
+	for w := 0; w < 3; w++ {
+		h := tr.Handle(w, CompExecutor)
+		h.Event(EvTaskDead, 1)
+		h.ObserveSpan(MetricTaskRound, EvTaskActive, time.Now().Add(-time.Millisecond), 1)
+	}
+	for i, r := range tr.rings {
+		if r.buf != nil {
+			t.Fatalf("ring %d allocated without EnableEvents", i)
+		}
+	}
+	if tr.Events() != nil {
+		t.Fatal("a never-used ring must snapshot to nil")
+	}
+	if tr.EventCount(EvTaskDead) != 3 || tr.Histogram(MetricTaskRound).Count() != 3 {
+		t.Fatal("counters and histograms must record without a ring")
+	}
+	tr.EnableEvents()
+	tr.Handle(1, CompExecutor).Event(EvTaskDead, 2)
+	for i, r := range tr.rings {
+		if len(r.buf) != DefaultRingCapacity {
+			t.Fatalf("ring %d holds %d events after EnableEvents", i, len(r.buf))
+		}
+	}
+	if evs := tr.Events(); len(evs) != 1 || evs[0].Worker != 1 {
+		t.Fatalf("events after enabling: %+v", evs)
 	}
 }
 

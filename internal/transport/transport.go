@@ -74,51 +74,49 @@ func (mb *mailbox) push(m Message, readyAt time.Time) {
 	mb.cond.Broadcast()
 }
 
-// pop blocks until a message is deliverable or the box closes. deadline
-// zero means wait forever.
+// pop blocks until a message is deliverable, the box closes or the deadline
+// passes (zero means wait forever). It always blocks on the cond: a push or
+// a close wakes it at once, and a timer wakes it when the head message's
+// not-before time (latency simulation) or the caller's deadline comes due.
 func (mb *mailbox) pop(deadline time.Time) (Message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
+	var timer *time.Timer
 	for {
-		if len(mb.queue) > 0 {
-			head := mb.queue[0]
-			wait := time.Until(head.readyAt)
-			if wait <= 0 {
-				mb.queue = mb.queue[1:]
-				return head.m, true
-			}
-			// Latency simulation: sleep outside the lock until the head
-			// message becomes deliverable, then retry.
-			mb.mu.Unlock()
-			if !deadline.IsZero() && time.Until(deadline) < wait {
-				time.Sleep(time.Until(deadline))
-				mb.mu.Lock()
-				if len(mb.queue) > 0 && time.Now().After(mb.queue[0].readyAt) {
-					continue
-				}
-				return Message{}, false
-			}
-			time.Sleep(wait)
-			mb.mu.Lock()
-			continue
+		if timer != nil {
+			timer.Stop() // last round's; every return below leaves none armed
 		}
 		if mb.closed {
 			return Message{}, false
 		}
-		if !deadline.IsZero() {
-			if !time.Now().Before(deadline) {
-				return Message{}, false
+		now := time.Now()
+		wake := deadline
+		if len(mb.queue) > 0 {
+			head := mb.queue[0]
+			if !head.readyAt.After(now) {
+				mb.queue = mb.queue[1:]
+				return head.m, true
 			}
-			// Condition variables have no timed wait; poll with a short
-			// sleep. Timeouts are only used on control paths, so the poll
-			// cost is irrelevant.
-			mb.mu.Unlock()
-			time.Sleep(200 * time.Microsecond)
-			mb.mu.Lock()
-			continue
+			if wake.IsZero() || head.readyAt.Before(wake) {
+				wake = head.readyAt
+			}
+		}
+		if !deadline.IsZero() && !now.Before(deadline) {
+			return Message{}, false
+		}
+		if !wake.IsZero() {
+			timer = time.AfterFunc(wake.Sub(now), mb.wake)
 		}
 		mb.cond.Wait()
 	}
+}
+
+// wake is the timer callback of a timed pop. It takes the lock so that it
+// cannot fire between the popper arming the timer and entering Wait.
+func (mb *mailbox) wake() {
+	mb.mu.Lock()
+	mb.cond.Broadcast()
+	mb.mu.Unlock()
 }
 
 func (mb *mailbox) close() {

@@ -148,3 +148,66 @@ func TestLocalTracerCountsSends(t *testing.T) {
 		t.Fatalf("net_send events = %d, want 1", got)
 	}
 }
+
+// The three tests below pin the timed pop: it sleeps on the cond, so a push
+// or a close ends the wait at once and only the caller's deadline bounds it.
+// Each waits under a deadline of a minute and must be back within seconds —
+// an order-of-magnitude check, not a latency figure.
+const generousDeadline = time.Minute
+
+func timedPop(t *testing.T, mb *mailbox, wantOK bool) time.Duration {
+	t.Helper()
+	start := time.Now()
+	_, ok := mb.pop(start.Add(generousDeadline))
+	if ok != wantOK {
+		t.Fatalf("pop ok=%v, want %v", ok, wantOK)
+	}
+	elapsed := time.Since(start)
+	if elapsed > generousDeadline/10 {
+		t.Fatalf("timed pop came back after %v: it sat out its deadline", elapsed)
+	}
+	return elapsed
+}
+
+func TestMailboxTimedPopWakesOnPush(t *testing.T) {
+	mb := newMailbox()
+	defer time.AfterFunc(20*time.Millisecond, func() { mb.push(Message{Type: 9}, time.Now()) }).Stop()
+	timedPop(t, mb, true)
+}
+
+func TestMailboxTimedPopWakesOnClose(t *testing.T) {
+	mb := newMailbox()
+	defer time.AfterFunc(20*time.Millisecond, mb.close).Stop()
+	timedPop(t, mb, false)
+	// Untimed, with a message queued behind simulated latency: close must
+	// still end the wait instead of the pop sleeping out the delivery time.
+	mb = newMailbox()
+	mb.push(Message{}, time.Now().Add(generousDeadline))
+	defer time.AfterFunc(20*time.Millisecond, mb.close).Stop()
+	start := time.Now()
+	if _, ok := mb.pop(time.Time{}); ok || time.Since(start) > generousDeadline/10 {
+		t.Fatalf("close during a latency wait: ok=%v after %v", ok, time.Since(start))
+	}
+}
+
+func TestMailboxTimedPopHonoursDeadlineUnderLatency(t *testing.T) {
+	// The head message is not deliverable before the caller's deadline: the
+	// pop gives up at the deadline and leaves the message queued.
+	mb := newMailbox()
+	mb.push(Message{Type: 1}, time.Now().Add(generousDeadline))
+	start := time.Now()
+	if _, ok := mb.pop(start.Add(30 * time.Millisecond)); ok {
+		t.Fatal("popped a message before its delivery time")
+	}
+	if d := time.Since(start); d < 30*time.Millisecond || d > generousDeadline/10 {
+		t.Fatalf("gave up after %v, want the 30ms deadline", d)
+	}
+	// Deliverable before the deadline: the pop returns it when it comes due.
+	mb = newMailbox()
+	due := time.Now().Add(30 * time.Millisecond)
+	mb.push(Message{Type: 2}, due)
+	timedPop(t, mb, true)
+	if time.Now().Before(due) {
+		t.Fatal("message delivered before its not-before time")
+	}
+}

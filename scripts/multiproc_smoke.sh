@@ -35,6 +35,7 @@ set -euo pipefail
 
 PRESET="${PRESET:-dblp-s}"
 SCALE="${SCALE:-0.5}"
+# Real processes cannot be held like the in-process soaks (cluster.HoldLastSeed), so phases B-D size the job to outlive the fault instead.
 KILL_SCALE="${KILL_SCALE:-32}"
 KILL_INDEX="${KILL_INDEX:-1}"
 ROLLING_DELAY="${ROLLING_DELAY:-0}"

@@ -83,9 +83,9 @@ type Report struct {
 
 // DynRep compares the dynamic session's incremental epoch apply
 // (block-aggregate maintenance + dirty-block re-placement + dirty-worker
-// table migration; the kernels CSR rebuilds lazily on the next launch)
-// against a full from-scratch prepare of the mutated graph (partition +
-// every worker table + CSR). ResultsIdentical confirms a triangle count
+// table migration; the oriented view is recut lazily by the next job that
+// mines it) against a full from-scratch prepare of the mutated graph
+// (partition + every worker table). ResultsIdentical confirms a triangle count
 // served from the warm mutated session equals one from the from-scratch
 // session at the final epoch — the differential gate, sampled.
 type DynRep struct {
@@ -590,7 +590,7 @@ func benchPlans(pc profileCfg, seed int64) []PlanRep {
 // on one warm dynamic session (ApplyMutations per batch), and from
 // scratch (a fresh NewSession over the replayed graph per batch, i.e.
 // what a static daemon would have to do: re-partition, rebuild every
-// worker table, rebuild the CSR). The means are comparable because both
+// worker table). The means are comparable because both
 // sides process the identical batch sequence on the identical graph.
 func benchDyngraph(pc profileCfg, seed int64) DynRep {
 	const workers, batches = 4, 6

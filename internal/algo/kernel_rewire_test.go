@@ -124,11 +124,11 @@ func TestMCFSplitKernelPinned(t *testing.T) {
 // appears in exactly one seed's candidate set).
 func TestTCDagSeedingTaskShape(t *testing.T) {
 	g := pinnedGraph(t)
-	csr := kernels.MustBuild(g)
+	gplus := graph.Orient(g)
 
 	var genericEdges, dagEdges int64
 	g.ForEach(func(v *graph.Vertex) bool {
-		dagEdges += int64(len(csr.AppendDagNeighborIDs(nil, v.ID)))
+		dagEdges += int64(len(gplus.Vertex(v.ID).Adj))
 		for _, u := range v.Adj {
 			if u > v.ID {
 				genericEdges++

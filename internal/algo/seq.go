@@ -20,8 +20,15 @@ type SeqResult struct {
 	Tasks     int64
 }
 
-// SeqRun runs algoImpl to completion over g.
+// SeqRun runs algoImpl to completion over g — over its degree-oriented
+// view, derived here the way the cluster runtime derives it, for an
+// algorithm that asks to mine that (core.OrientedMiner).
 func SeqRun(g *graph.Graph, algoImpl core.Algorithm) *SeqResult {
+	if om, ok := algoImpl.(core.OrientedMiner); ok && g.Frozen() {
+		if gplus := graph.Orient(g); om.MineOriented(gplus) {
+			g = gplus
+		}
+	}
 	env := &seqEnv{g: g}
 	if ap, ok := algoImpl.(core.AggregatorProvider); ok {
 		env.agg = ap.Aggregator()

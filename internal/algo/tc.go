@@ -1,6 +1,9 @@
 package algo
 
 import (
+	"math"
+	"sync"
+
 	"gminer/internal/core"
 	"gminer/internal/graph"
 	"gminer/internal/kernels"
@@ -13,27 +16,33 @@ import (
 // count the triangles through the seed. The global count accumulates
 // through a sum aggregator.
 //
-// Two seeding orders produce the same total:
+// There are two paths, and they produce the same total:
 //
-//   - generic: candidates are the neighbors u > v (ID order) — each
-//     triangle is counted at its minimum-ID vertex;
-//   - planned (CSR present, generic off): candidates are the neighbors
-//     with higher (degree, ID) rank — the degree-oriented DAG of the
-//     compiled triangle plan. Each triangle is counted at its
-//     minimum-rank vertex, and the heaviest vertices stop seeding the
-//     largest candidate sets: per-seed work drops from O(Δ²) to
-//     O(arboricity²), the integer-factor win on skewed graphs.
+//   - oriented (the runtime handed the job G⁺, see core.OrientedMiner): a
+//     seed's candidates are its forward list as it stands, and each pulled
+//     candidate's forward list is intersected with it — every operand is
+//     bounded by the arboricity, not the degree, and each triangle is
+//     counted at its lowest (degree, ID) vertex. On a graph whose IDs are
+//     dense the seed's list is marked once per task in a bitmap over the ID
+//     span and every candidate list is one probe per element; otherwise the
+//     two short lists go through the merge/gallop kernels.
+//   - generic (the default, and the differential baseline): candidates are
+//     the neighbors u > v of the undirected graph, probed by binary search
+//     — each triangle is counted at its minimum-ID vertex.
 //
-// Within a task both paths count candidate pairs in ID order with the
-// same intersection semantics, so results are byte-identical (TC emits no
-// records; the sum aggregate is order-independent).
+// TC emits no records and the sum aggregate is order-independent, so the
+// two are byte-identical.
 type TriangleCount struct {
 	core.NoContext
-	// Generic forces ID-order seeding and scalar intersection even when a
-	// CSR index is configured (the differential baseline).
+	// Generic keeps the job on the generic path even under a runtime that
+	// offers the oriented graph.
 	Generic bool
 
-	csr *kernels.CSR
+	oriented bool
+	// base and bitmaps are set when the oriented graph's IDs are dense: a
+	// task marks ID x as bit x-base of a pooled bitmap over the ID span.
+	base    graph.VertexID
+	bitmaps *sync.Pool
 }
 
 // NewTriangleCount returns the TC application.
@@ -45,24 +54,36 @@ func (*TriangleCount) Name() string { return "tc" }
 // Aggregator implements core.AggregatorProvider.
 func (*TriangleCount) Aggregator() core.Aggregator { return core.SumInt64Aggregator{} }
 
-// ConfigureKernels implements core.KernelConfigurable.
-func (a *TriangleCount) ConfigureKernels(csr *kernels.CSR, generic bool) {
-	a.csr = csr
+// ConfigureKernels implements core.KernelConfigurable. TC mines vertex
+// tables in ID space and ignores the index. It opens a job: whatever graph
+// an earlier job of this value ran on, this one is on the undirected graph
+// until the runtime offers G⁺.
+func (a *TriangleCount) ConfigureKernels(_ *kernels.CSR, generic bool) {
 	a.Generic = a.Generic || generic
+	a.oriented, a.bitmaps = false, nil
+}
+
+// MineOriented implements core.OrientedMiner. The bitmap is used when it
+// is no bigger than the vertex table (span ≤ 64·|V|: one bit per ID
+// against one pointer per vertex) — a property of the input, not a knob.
+func (a *TriangleCount) MineOriented(gplus *graph.Graph) bool {
+	if a.Generic {
+		return false
+	}
+	a.oriented = true
+	if min, span := gplus.IDSpan(); span > 0 && span <= 64*int64(gplus.NumVertices()) && span <= math.MaxUint32 {
+		a.base = min
+		a.bitmaps = &sync.Pool{New: func() any { return kernels.NewScratch(int(span)) }}
+	}
+	return true
 }
 
 // Seed implements core.Algorithm: one task per vertex with at least two
 // candidates (fewer cannot close a triangle).
 func (a *TriangleCount) Seed(v *graph.Vertex, spawn func(*core.Task)) {
-	var cands []graph.VertexID
-	if a.csr != nil && !a.Generic {
-		cands = a.csr.AppendDagNeighborIDs(nil, v.ID)
-	} else {
-		for _, u := range v.Adj {
-			if u > v.ID {
-				cands = append(cands, u)
-			}
-		}
+	cands := v.Adj // oriented: the forward list is the candidate set
+	if !a.oriented {
+		cands = cands[kernels.SearchSorted(cands, v.ID+1):]
 	}
 	if len(cands) < 2 {
 		return
@@ -74,31 +95,38 @@ func (a *TriangleCount) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 }
 
 // Update implements core.Algorithm: count pairs (u, w) of candidates with
-// u < w and w ∈ Γ(u). t.Cands is sorted ascending under both seeding
-// orders, so the candidate set doubles as the Γ(v) filter.
+// w ∈ Γ⁺(u) (oriented) or u < w and w ∈ Γ(u) (generic). t.Cands is sorted
+// ascending on both paths.
 func (a *TriangleCount) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 	var count int64
-	set := t.Cands
-	for i, u := range cands {
-		if u == nil {
-			continue
-		}
-		uid := t.Cands[i]
-		if a.Generic {
-			// Scalar baseline: probe each neighbor above uid against the set.
+	switch {
+	case !a.oriented:
+		for i, u := range cands {
+			if u == nil {
+				continue
+			}
 			for _, w := range u.Adj {
-				if w <= uid {
-					continue
-				}
-				if containsSorted(set, w) {
+				if w > t.Cands[i] && containsSorted(t.Cands, w) {
 					count++
 				}
 			}
-			continue
 		}
-		// Kernel path: branch-free suffix intersection, strategy selected
-		// by operand size.
-		count += int64(kernels.CountAbove(u.Adj, set, uid))
+	case a.bitmaps == nil:
+		for _, u := range cands {
+			if u != nil {
+				count += int64(kernels.Count(u.Adj, t.Cands))
+			}
+		}
+	default:
+		sc := a.bitmaps.Get().(*kernels.Scratch)
+		kernels.MarkAll(sc, t.Cands, a.base)
+		for _, u := range cands {
+			if u != nil {
+				count += int64(kernels.CountMarked(sc, u.Adj, a.base))
+			}
+		}
+		sc.Reset()
+		a.bitmaps.Put(sc)
 	}
 	if count > 0 {
 		env.AggUpdate(count)

@@ -119,29 +119,6 @@ func TestTinyCacheStillCorrect(t *testing.T) {
 	}
 }
 
-func TestLSHImprovesCacheHitRate(t *testing.T) {
-	g := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 103})
-	base := smallConfig()
-	base.Partitioner = partition.Hash{}
-	base.CacheCapacity = 64 // small enough that ordering matters
-
-	run := func(lsh bool) float64 {
-		cfg := base
-		cfg.UseLSH = lsh
-		res, err := cluster.Run(g, algo.NewMaxClique(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Total.CacheHitRate()
-	}
-	withLSH := run(true)
-	withoutLSH := run(false)
-	t.Logf("cache hit rate: lsh=%.3f fifo=%.3f", withLSH, withoutLSH)
-	if withLSH < withoutLSH-0.05 {
-		t.Fatalf("LSH ordering hurt the hit rate: %.3f vs %.3f", withLSH, withoutLSH)
-	}
-}
-
 func TestManyWorkers(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 2500, Seed: 107})
 	want := algo.RefTriangles(g)

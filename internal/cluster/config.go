@@ -66,12 +66,12 @@ type Config struct {
 	// TaskObserver are fed completed-task costs.
 	StealPolicy StealPolicy
 
-	// DisablePlans forces algorithms onto their generic exploration paths
-	// instead of compiled execution plans + intersection kernels: no CSR
-	// index is built and KernelConfigurable algorithms are told to stay
-	// generic. The generic path is the differential baseline — results must
-	// be byte-identical either way; this flag exists for that comparison
-	// and as an escape hatch.
+	// DisablePlans forces algorithms onto their generic exploration paths:
+	// KernelConfigurable algorithms are told to stay generic and no
+	// OrientedMiner is offered the degree-oriented view (none is built), so
+	// every job mines the undirected vertex tables. The generic path is the
+	// differential baseline — results must be byte-identical either way;
+	// this flag exists for that comparison and as an escape hatch.
 	DisablePlans bool
 
 	// EagerSeeding generates every seed task before processing starts

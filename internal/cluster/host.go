@@ -8,7 +8,6 @@ import (
 	"gminer/internal/core"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
-	"gminer/internal/kernels"
 	"gminer/internal/metrics"
 	"gminer/internal/partition"
 	"gminer/internal/trace"
@@ -80,48 +79,48 @@ func (w *Worker) result(counters *metrics.Counters) jobResultMsg {
 	return res
 }
 
-// csrIndex caches the degree-ranked adjacency index compiled execution
-// plans run on: built once per epoch of a resident graph (lazily — the
-// first plan-capable job after a mutation epoch pays for it) and shared
-// read-only by every job of the process.
-type csrIndex struct {
-	mu    sync.Mutex
-	csr   *kernels.CSR
-	epoch int64
+// orientedView caches G⁺ — the degree-oriented view of the resident graph
+// (graph.Orient) — and the per-worker vertex tables over it, for one graph
+// epoch: pure functions of the frozen graph and the partition, built by the
+// first job that mines G⁺ after start-up or a mutation epoch and shared
+// read-only by every later one.
+type orientedView struct {
+	mu     sync.Mutex
+	epoch  int64
+	g      *graph.Graph
+	locals []*localTable
 }
 
-func (c *csrIndex) get(g *graph.Graph, epoch int64) (*kernels.CSR, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.csr == nil || c.epoch != epoch {
-		csr, err := kernels.Build(g)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: build CSR index: %w", err)
+// tables readies algorithm a's planned path for one job on epoch `epoch` of
+// g, before any seeding, and returns the job's vertex tables by worker:
+// base — or, if a mines the oriented graph, the tables over G⁺ for the
+// workers base has one for. Those are what seeding, to_pull, pull serving
+// and restore run on, so forward lists are all such a job's tasks, caches
+// and wire carry. generic (Config.DisablePlans, or a spec asking for the
+// differential baseline) keeps a on its generic path and on base.
+func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partition.Assignment,
+	epoch int64, generic bool, base []*localTable) []*localTable {
+	if kc, ok := a.(core.KernelConfigurable); ok {
+		kc.ConfigureKernels(nil, generic)
+	}
+	om, ok := a.(core.OrientedMiner)
+	if !ok || generic {
+		return base
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.g == nil || o.epoch != epoch {
+		o.g, o.epoch, o.locals = graph.Orient(g), epoch, make([]*localTable, len(base))
+	}
+	if !om.MineOriented(o.g) {
+		return base
+	}
+	for i, lt := range base {
+		if lt != nil && o.locals[i] == nil {
+			o.locals[i] = buildLocalTable(o.g, assign, i)
 		}
-		c.csr, c.epoch = csr, epoch
 	}
-	return c.csr, nil
-}
-
-// configure wires the kernel layer of a plan-capable algorithm before any
-// seeding: the index for the graph's current epoch, or — with generic set
-// (Config.DisablePlans, or a spec asking for the differential baseline) —
-// the instruction to stay on the generic exploration path.
-func (c *csrIndex) configure(a core.Algorithm, g *graph.Graph, epoch int64, generic bool) error {
-	kc, ok := a.(core.KernelConfigurable)
-	if !ok {
-		return nil
-	}
-	if generic {
-		kc.ConfigureKernels(nil, true)
-		return nil
-	}
-	csr, err := c.get(g, epoch)
-	if err != nil {
-		return err
-	}
-	kc.ConfigureKernels(csr, false)
-	return nil
+	return o.locals
 }
 
 // goroutineHost runs the job's workers as Worker structs in this process.

@@ -1,0 +1,200 @@
+package cluster_test
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"gminer/internal/algo"
+	"gminer/internal/cluster"
+	"gminer/internal/core"
+	"gminer/internal/gen"
+	"gminer/internal/graph"
+	"gminer/internal/jobspec"
+	"gminer/internal/kernels"
+	"gminer/internal/partition"
+	"gminer/internal/plan"
+)
+
+// sparseIDs copies g with every ID scaled and offset: the ID span becomes
+// far wider than 64·|V|, so oriented TC's bitmap rule declines and forward
+// lists go through merge/gallop instead.
+func sparseIDs(g *graph.Graph) *graph.Graph {
+	relabel := func(id graph.VertexID) graph.VertexID { return id*1009 + 5_000_000_007 }
+	out := graph.New(g.NumVertices())
+	g.ForEach(func(v *graph.Vertex) bool {
+		out.AddVertex(relabel(v.ID))
+		for _, u := range v.Adj {
+			out.AddEdge(relabel(v.ID), relabel(u))
+		}
+		return true
+	})
+	out.Freeze()
+	return out
+}
+
+// orientedRef is the triangle count every route must reproduce — the
+// compiled plan, the sequential run and the scalar reference agree on it
+// first — plus the number of tasks an oriented job runs: one per vertex
+// with at least two forward neighbors.
+func orientedRef(t *testing.T, g *graph.Graph) (want, seeds int64) {
+	t.Helper()
+	want = algo.RefTriangles(g)
+	if want == 0 {
+		t.Fatal("degenerate graph: no triangles")
+	}
+	if planned, err := plan.Count(kernels.MustBuild(g), plan.Triangle()); err != nil || planned != want {
+		t.Fatalf("plan.Count = %d (%v), reference %d", planned, err, want)
+	}
+	if seq := algo.SeqRun(g, algo.NewTriangleCount()).AggGlobal; seq != any(want) {
+		t.Fatalf("SeqRun = %v, reference %d", seq, want)
+	}
+	graph.Orient(g).ForEach(func(v *graph.Vertex) bool {
+		if len(v.Adj) >= 2 {
+			seeds++
+		}
+		return true
+	})
+	return want, seeds
+}
+
+func differentialGraphs() map[string]*graph.Graph {
+	rmat := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 5000, Seed: 17})
+	community, _ := gen.Community(gen.CommunityConfig{Communities: 50, MinSize: 5, MaxSize: 10, PIn: 0.7, Bridges: 150, Seed: 17})
+	return map[string]*graph.Graph{
+		"rmat": rmat, "community": community,
+		"rmat-sparse-ids": sparseIDs(rmat), "community-sparse-ids": sparseIDs(community),
+	}
+}
+
+// TestOrientedTCDifferential: on every deployment shape of a session, TC on
+// the oriented view == TC on the generic baseline == plan.Count(Triangle)
+// == SeqRun, and the oriented job really ran on forward lists (it executed
+// the oriented seed set, not the ID-order one).
+func TestOrientedTCDifferential(t *testing.T) {
+	for name, g := range differentialGraphs() {
+		want, seeds := orientedRef(t, g)
+		for _, workers := range []int{1, 2, 4} {
+			for _, part := range []partition.Partitioner{partition.BDG{}, partition.Hash{}} {
+				for _, stealing := range []bool{false, true} {
+					for _, tcp := range []bool{false, true} {
+						if tcp && workers != 2 {
+							continue
+						}
+						cfg := smallConfig()
+						cfg.Workers, cfg.Threads, cfg.Partitioner, cfg.Stealing, cfg.UseTCP = workers, 1, part, stealing, tcp
+						shape := fmt.Sprintf("%s/w%d/%s/steal=%v/tcp=%v", name, workers, part.Name(), stealing, tcp)
+						s, err := cluster.NewSession(g, cfg)
+						if err != nil {
+							t.Fatalf("%s: %v", shape, err)
+						}
+						for _, generic := range []bool{false, true, false} {
+							sp := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
+							j, err := s.Launch(algo.NewTriangleCount(), cluster.JobOptions{Spec: &sp})
+							if err != nil {
+								t.Fatalf("%s: %v", shape, err)
+							}
+							res, err := j.Wait()
+							if err != nil {
+								t.Fatalf("%s: %v", shape, err)
+							}
+							if res.AggGlobal != any(want) {
+								t.Fatalf("%s generic=%v: %v triangles, want %d", shape, generic, res.AggGlobal, want)
+							}
+							if !generic && res.Total.TasksDone != seeds {
+								t.Fatalf("%s: oriented job ran %d tasks, the oriented graph seeds %d", shape, res.Total.TasksDone, seeds)
+							}
+						}
+						s.Close()
+					}
+				}
+			}
+		}
+	}
+}
+
+// The same differential through worker processes over loopback TCP: each
+// process cuts its own view of its own copy of the graph, once, and every
+// later oriented job of the process shares it.
+func TestOrientedTCRemoteSession(t *testing.T) {
+	for name, g := range differentialGraphs() {
+		want, seeds := orientedRef(t, g)
+		cfg := smallConfig()
+		cfg.Partitioner = partition.Hash{}
+		rs, _ := remoteTestCluster(t, g, cfg,
+			cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
+			cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
+		for launch, generic := range []bool{false, true, false} {
+			sp := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
+			j, err := rs.Launch(algo.NewTriangleCount(), cluster.JobOptions{Spec: &sp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := j.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.AggGlobal != any(want) {
+				t.Fatalf("%s launch %d generic=%v: %v triangles, want %d", name, launch, generic, res.AggGlobal, want)
+			}
+			if !generic && res.Total.TasksDone != seeds {
+				t.Fatalf("%s launch %d: oriented job ran %d tasks, the oriented graph seeds %d", name, launch, res.Total.TasksDone, seeds)
+			}
+		}
+		rs.Close()
+	}
+}
+
+// A worker killed mid-job is replaced by one restored from the committed
+// epoch — onto the oriented table: restored tasks carry forward lists and
+// the rest of the partition is still to be seeded, so a replacement built
+// over the undirected table would overcount.
+func TestOrientedTCKillRecover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second kill/recover soak")
+	}
+	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 40000, Seed: 103})
+	want, _ := orientedRef(t, g)
+	sp := jobspec.Spec{App: "tc"}.Normalize()
+	for _, remote := range []bool{false, true} {
+		cfg := smallConfig()
+		cfg.Partitioner = partition.Hash{}
+		cfg.Stealing = false // a migration in flight at kill time would be lost
+		cfg.CheckpointDir = t.TempDir()
+		// Held: the kill lands mid-job, with seeds still to come on every slot.
+		release := holdJobs(&cfg)
+		var sess interface {
+			Launch(a core.Algorithm, opt cluster.JobOptions) (*cluster.Job, error)
+			Close()
+		}
+		if remote {
+			sess, _ = remoteTestCluster(t, g, cfg,
+				cluster.RemoteSessionConfig{ResultTimeout: 240 * time.Second},
+				cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond, CheckpointDir: t.TempDir()})
+		} else {
+			s, err := cluster.NewSession(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess = s
+		}
+		j, err := sess.Launch(algo.NewTriangleCount(), cluster.JobOptions{ID: "tc-kill", Spec: &sp, CheckpointEvery: 3 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitManifest(t, j, cfg.CheckpointDir, "tc-kill")
+		j.KillWorker(1)
+		if err := j.RecoverWorker(1); err != nil {
+			t.Fatal(err)
+		}
+		release()
+		res, err := j.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AggGlobal != any(want) || res.Recovered == 0 {
+			t.Fatalf("remote=%v: %v triangles after %d recoveries, want %d after at least one", remote, res.AggGlobal, res.Recovered, want)
+		}
+		sess.Close()
+	}
+}

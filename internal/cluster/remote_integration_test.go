@@ -12,7 +12,6 @@ import (
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
-	"gminer/internal/kernels"
 	"gminer/internal/partition"
 )
 
@@ -115,25 +114,23 @@ func TestRemoteSessionByteIdentical(t *testing.T) {
 	}
 }
 
-// kernelSpy counts the CSR indexes handed to a coordinator-side algorithm
-// value.
-type kernelSpy struct {
+// viewSpy counts the oriented views offered to a coordinator-side
+// algorithm value.
+type viewSpy struct {
 	*algo.TriangleCount
-	indexes int
+	offers int
 }
 
-func (k *kernelSpy) ConfigureKernels(csr *kernels.CSR, generic bool) {
-	if csr != nil {
-		k.indexes++
-	}
-	k.TriangleCount.ConfigureKernels(csr, generic)
+func (k *viewSpy) MineOriented(gplus *graph.Graph) bool {
+	k.offers++
+	return k.TriangleCount.MineOriented(gplus)
 }
 
 // The coordinator of a multi-process job hosts no worker, so it must not
-// build (or hand its algorithm value) a CSR index per launch; the worker
-// processes keep their once-per-process index, and the aggregate stays
-// byte-identical to a single-process run.
-func TestRemoteCoordinatorBuildsNoCSR(t *testing.T) {
+// orient its copy of the graph (or offer its algorithm value a view) per
+// launch; the worker processes keep their once-per-process view, and the
+// aggregate stays byte-identical to a single-process run.
+func TestRemoteCoordinatorOrientsNothing(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 4000, Seed: 7})
 	cfg := smallConfig()
 	ref, err := cluster.Run(g, algo.NewTriangleCount(), cfg)
@@ -149,7 +146,7 @@ func TestRemoteCoordinatorBuildsNoCSR(t *testing.T) {
 		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
 	sp := jobspec.Spec{App: "tc"}.Normalize()
 	for launch := 0; launch < 2; launch++ {
-		spy := &kernelSpy{TriangleCount: algo.NewTriangleCount()}
+		spy := &viewSpy{TriangleCount: algo.NewTriangleCount()}
 		j, err := rs.Launch(spy, cluster.JobOptions{Spec: &sp})
 		if err != nil {
 			t.Fatal(err)
@@ -158,8 +155,8 @@ func TestRemoteCoordinatorBuildsNoCSR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spy.indexes != 0 {
-			t.Fatalf("launch %d: coordinator-side algorithm was handed a CSR index %d time(s)", launch, spy.indexes)
+		if spy.offers != 0 {
+			t.Fatalf("launch %d: coordinator-side algorithm was offered an oriented view %d time(s)", launch, spy.offers)
 		}
 		if !reflect.DeepEqual(res.AggGlobal, ref.AggGlobal) {
 			t.Fatalf("launch %d: remote triangle count %v, single-process %v", launch, res.AggGlobal, ref.AggGlobal)

@@ -625,8 +625,8 @@ func (s *RemoteSession) WorkerHealth() []WorkerStatus {
 // handle; the same contract as Session.Launch, plus the requirement that
 // opt.Spec names the workload (worker processes rebuild the algorithm from
 // the spec — a core.Algorithm value cannot cross a process boundary; the
-// coordinator uses a only for its name and aggregator, and hands it no CSR
-// index since it hosts no worker that could use one). A job whose ID
+// coordinator uses a only for its name and aggregator, and offers it no
+// oriented view since it hosts no worker that could mine one). A job whose ID
 // matches a JOBSPEC+MANIFEST found at a `-resume` start restores from its
 // committed epochs instead of starting fresh.
 func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {

@@ -87,12 +87,11 @@ type WorkerProcess struct {
 
 	fingerprint uint64
 	assign      *partition.Assignment
-	local       *localTable
+	locals      []*localTable // by worker; only this node's is materialized
 
-	// csr is the process-wide adjacency index for compiled plans, built
-	// lazily on the first plan-capable job and shared by every subsequent
-	// one (the resident graph never changes under a process).
-	csr csrIndex
+	// oriented is the process-wide view for jobs that mine G⁺ (the resident
+	// graph never changes under a process).
+	oriented orientedView
 
 	net *transport.RemoteNetwork
 	mux *transport.Mux
@@ -208,7 +207,8 @@ func StartWorkerProcess(g *graph.Graph, cfg Config, opt WorkerOptions) (*WorkerP
 		wp.net.Close()
 		return nil, fmt.Errorf("cluster: worker partition: %w", err)
 	}
-	wp.local = buildLocalTable(g, wp.assign, wp.node)
+	wp.locals = make([]*localTable, cfg.Workers)
+	wp.locals[wp.node] = buildLocalTable(g, wp.assign, wp.node)
 
 	// Open the control channel before demux starts: the coordinator sends
 	// ctrlJobStart for every live job the moment the handshake completes,
@@ -390,11 +390,7 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		wp.logf("job %s: cannot build %q: %v", m.JobID, spec.App, err)
 		return
 	}
-	generic := spec.Generic || wp.cfg.DisablePlans
-	if err := wp.csr.configure(algo, wp.g, 0, generic); err != nil {
-		wp.logf("job %s runs generic: %v", m.JobID, err)
-		_ = wp.csr.configure(algo, wp.g, 0, true)
-	}
+	locals := wp.oriented.tables(algo, wp.g, wp.assign, 0, spec.Generic || wp.cfg.DisablePlans, wp.locals)
 
 	cfg := wp.cfg
 	cfg.JobID = m.JobID
@@ -422,7 +418,7 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		wp.logf("job %s: open channel %d: %v", m.JobID, m.Channel, err)
 		return
 	}
-	w, restored, err := buildWorker(wp.node, cfg, algo, wp.g, wp.assign, wp.local, eps[wp.node], counters, sink, m.Resume, false)
+	w, restored, err := buildWorker(wp.node, cfg, algo, wp.g, wp.assign, locals[wp.node], eps[wp.node], counters, sink, m.Resume, false)
 	if err != nil {
 		wp.logf("job %s: worker build: %v", m.JobID, err)
 		wp.mux.CloseChannel(m.Channel)

@@ -181,8 +181,8 @@ func (s *sessionCore) build(a core.Algorithm, opt JobOptions, id string, ch uint
 	cfg.Tracer = opt.Tracer
 	cfg.RoundHook = opt.RoundHook
 	if opt.Spec != nil && opt.Spec.Generic {
-		// Spec-requested differential baseline: this job runs generic even
-		// though the session holds a warm CSR index.
+		// Spec-requested differential baseline: this job runs generic, on
+		// the undirected graph.
 		cfg.DisablePlans = true
 	}
 	if opt.MemBudgetBytes > 0 {
@@ -310,11 +310,9 @@ func (s *sessionCore) close(cause error) {
 type Session struct {
 	sessionCore
 	locals []*localTable
-	// csr is the adjacency index compiled execution plans run on, built at
-	// session start (like the partition and the vertex tables) and shared
-	// read-only by every job. On a dynamic session it is rebuilt lazily: the
-	// first Launch after a mutation epoch pays for it, whatever it runs.
-	csr csrIndex
+	// oriented is the per-epoch view of the resident graph for jobs that
+	// mine G⁺ (core.OrientedMiner); a mutation batch retires it.
+	oriented orientedView
 
 	// dyn is the dynamic-session state (nil on a static session); the
 	// core's epoch mirrors dyn.Epoch().
@@ -362,9 +360,6 @@ func newSession(g *graph.Graph, cfg Config, oneShot bool) (*Session, error) {
 	s.locals = make([]*localTable, cfg.Workers)
 	for i := range s.locals {
 		s.locals[i] = buildLocalTable(g, s.assign, i)
-	}
-	if err := s.warmCSR(); err != nil {
-		return nil, err
 	}
 
 	under, closeNet, err := newNodeSet(cfg)
@@ -452,27 +447,11 @@ func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 	return s.launch(a, opt, launchSpec{
 		resume: s.cfg.Resume,
 		newHost: func(j *Job, eps []transport.Endpoint) (workerHost, error) {
-			err := s.warmCSR()
-			if err == nil {
-				err = s.csr.configure(a, s.g, j.cfg.GraphEpoch, j.cfg.DisablePlans)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return &goroutineHost{j: j, algo: a, locals: s.locals, eps: eps, workers: make([]*Worker, len(eps))}, nil
+			// j holds its epoch lease: the view is of the graph j runs on.
+			locals := s.oriented.tables(a, s.g, s.assign, j.cfg.GraphEpoch, j.cfg.DisablePlans, s.locals)
+			return &goroutineHost{j: j, algo: a, locals: locals, eps: eps, workers: make([]*Worker, len(eps))}, nil
 		},
 	})
-}
-
-// warmCSR brings a warm session's index up to the current graph epoch. A
-// one-shot run skips it: there the index is built only if the algorithm
-// wants one.
-func (s *Session) warmCSR() error {
-	if s.oneShot || s.cfg.DisablePlans {
-		return nil
-	}
-	_, err := s.csr.get(s.g, s.epoch.Load())
-	return err
 }
 
 // EdgeCut is the partitioning edge-cut fraction of the resident
@@ -551,8 +530,8 @@ type EpochResult struct {
 // graph epoch. It blocks until every running job has finished (jobs hold
 // epoch read leases), then mutates the graph in place, incrementally
 // re-places the partition blocks, and rebuilds only the local tables of
-// workers the batch actually touched. The CSR index is not rebuilt here —
-// the next Launch pays for it lazily.
+// workers the batch actually touched. The oriented view is not recut here:
+// it is keyed by epoch, so the next job that mines it pays for it lazily.
 func (s *Session) ApplyMutations(b dyngraph.Batch) (*EpochResult, error) {
 	if s.dyn == nil {
 		return nil, fmt.Errorf("cluster: session is not dynamic (enable Config.Dynamic)")

@@ -10,6 +10,7 @@ import (
 	"gminer/internal/dyngraph"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
+	"gminer/internal/jobspec"
 	"gminer/internal/partition"
 )
 
@@ -233,5 +234,73 @@ func TestDynamicSessionConcurrentJobsAndMutations(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warm.AggGlobal, ref.AggGlobal) {
 		t.Fatalf("post-churn tc aggregate %v != fresh %v", warm.AggGlobal, ref.AggGlobal)
+	}
+}
+
+// TestOrientedViewFollowsGraphEpoch: on a dynamic session every oriented
+// job runs on the view of the epoch it leased. After each of eight
+// mutation batches — each of which changes the triangle count, so a view
+// left over from the previous epoch cannot pass — oriented TC equals the
+// generic job, the scalar reference and a from-scratch orientation of the
+// mutated graph; and applying a batch is what retires the view, not the
+// next job's luck.
+func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
+	g, _ := gen.Community(gen.CommunityConfig{Communities: 60, MinSize: 5, MaxSize: 10, PIn: 0.7, Bridges: 120, Seed: 31})
+	s, err := NewSession(g, dynConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	count := func(generic bool) int64 {
+		t.Helper()
+		sp := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
+		j, err := s.Launch(algo.NewTriangleCount(), JobOptions{Spec: &sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := j.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.AggGlobal.(int64)
+	}
+	prev := algo.RefTriangles(g)
+	if got := count(false); got != prev {
+		t.Fatalf("epoch 0: oriented tc %d, reference %d", got, prev)
+	}
+	for bi, b := range gen.Deltas(g, gen.DeltasConfig{Batches: 8, Ops: 60, Seed: 5}) {
+		stale := s.oriented.g
+		if _, err := s.ApplyMutations(b); err != nil {
+			t.Fatalf("batch %d: %v", bi, err)
+		}
+		want := algo.RefTriangles(g)
+		if want == prev {
+			t.Fatalf("batch %d left the triangle count at %d: a stale view would go unnoticed", bi, want)
+		}
+		if got := count(true); got != want {
+			t.Fatalf("batch %d: generic tc %d, reference %d", bi, got, want)
+		}
+		if s.oriented.g != stale {
+			t.Fatalf("batch %d: a generic job recut the oriented view", bi)
+		}
+		if got := count(false); got != want {
+			t.Fatalf("batch %d: oriented tc %d, reference %d (previous epoch: %d)", bi, got, want, prev)
+		}
+		if s.oriented.g == stale || s.oriented.epoch != s.GraphEpoch() {
+			t.Fatalf("batch %d: oriented job ran on the view of epoch %d at epoch %d", bi, s.oriented.epoch, s.GraphEpoch())
+		}
+		fresh := graph.Orient(g)
+		g.ForEach(func(v *graph.Vertex) bool {
+			if got, want := s.oriented.g.Vertex(v.ID).Adj, fresh.Vertex(v.ID).Adj; len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d: vertex %d forward list %v, fresh orientation %v", bi, v.ID, got, want)
+			}
+			return true
+		})
+		for w := range s.locals {
+			if lt := s.oriented.locals[w]; !reflect.DeepEqual(lt.ids, s.locals[w].ids) {
+				t.Fatalf("batch %d: worker %d oriented table scans %d vertices, undirected %d", bi, w, len(lt.ids), len(s.locals[w].ids))
+			}
+		}
+		prev = want
 	}
 }

@@ -272,13 +272,10 @@ func TestTerminationSoakStealUnderDelay(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		j, err := s.launch(a, JobOptions{}, launchSpec{
 			newHost: func(j *Job, eps []transport.Endpoint) (workerHost, error) {
-				if err := s.csr.configure(a, s.g, j.cfg.GraphEpoch, false); err != nil {
-					return nil, err
-				}
 				for i, ep := range eps {
 					eps[i] = &lateTasks{Endpoint: ep, rng: rand.New(rand.NewSource(rng.Int63()))}
 				}
-				return &goroutineHost{j: j, algo: a, locals: s.locals, eps: eps, workers: make([]*Worker, len(eps))}, nil
+				return &goroutineHost{j: j, algo: a, locals: s.oriented.tables(a, s.g, s.assign, j.cfg.GraphEpoch, false, s.locals), eps: eps, workers: make([]*Worker, len(eps))}, nil
 			},
 		})
 		if err != nil {

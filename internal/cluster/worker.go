@@ -399,18 +399,32 @@ func (w *Worker) flushBatch(batch []*core.Task) {
 
 // computeToPull fills t.ToPull with the deduplicated candidates that are
 // not in the local partition. Candidates owned by nobody (dangling IDs)
-// are excluded — they resolve to nil at update time.
+// are excluded — they resolve to nil at update time. Candidate lists are
+// almost always ID-sorted (adjacency and level lists), where a duplicate
+// sits next to its twin; only a list found unsorted pays for a set.
 func (w *Worker) computeToPull(t *core.Task) {
 	t.ToPull = t.ToPull[:0]
-	seen := make(map[graph.VertexID]struct{}, len(t.Cands))
-	for _, id := range t.Cands {
+	var seen map[graph.VertexID]struct{}
+	for i, id := range t.Cands {
+		if seen == nil && i > 0 && id <= t.Cands[i-1] {
+			if id == t.Cands[i-1] {
+				continue
+			}
+			// First descent: from here on dedupe against everything seen.
+			seen = make(map[graph.VertexID]struct{}, len(t.Cands))
+			for _, p := range t.Cands[:i] {
+				seen[p] = struct{}{}
+			}
+		}
+		if seen != nil {
+			if _, dup := seen[id]; dup {
+				continue
+			}
+			seen[id] = struct{}{}
+		}
 		if _, ok := w.local[id]; ok {
 			continue
 		}
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
 		if w.assign.Owner(id) < 0 {
 			continue
 		}

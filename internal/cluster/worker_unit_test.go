@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -54,6 +57,41 @@ func TestComputeToPullDeduplicatesAndFiltersLocal(t *testing.T) {
 	w.computeToPull(task)
 	if len(task.ToPull) != 1 || task.ToPull[0] != remote {
 		t.Fatalf("ToPull=%v want [%d]", task.ToPull, remote)
+	}
+}
+
+// computeToPull's contract, whatever the list's order: first occurrences of
+// the remote, owned candidates, in list order. A sorted list — what TC, MCF
+// and GM produce — must get there without allocating.
+func TestComputeToPullSortedIsAllocFree(t *testing.T) {
+	w, g, _ := newTestWorker(t)
+	oracle := func(cands []graph.VertexID) []graph.VertexID {
+		var out []graph.VertexID
+		seen := map[graph.VertexID]bool{}
+		for _, id := range cands {
+			if _, local := w.local[id]; local || seen[id] || w.assign.Owner(id) < 0 {
+				continue
+			}
+			seen[id] = true
+			out = append(out, id)
+		}
+		return out
+	}
+	sorted := g.IDs()
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted = append(sorted, sorted[len(sorted)-1], 1<<40) // adjacent dup + dangling
+	shuffled := append(append([]graph.VertexID(nil), sorted...), sorted[:8]...)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for name, cands := range map[string][]graph.VertexID{"sorted": sorted, "shuffled+dups": shuffled, "descent-to-dup": {5, 9, 5, 9, 7}} {
+		task := &core.Task{Cands: cands}
+		w.computeToPull(task)
+		if want := oracle(cands); !reflect.DeepEqual(task.ToPull, want) && len(want)+len(task.ToPull) > 0 {
+			t.Fatalf("%s: ToPull=%v want %v", name, task.ToPull, want)
+		}
+	}
+	task := &core.Task{Cands: sorted, ToPull: make([]graph.VertexID, 0, len(sorted))}
+	if n := testing.AllocsPerRun(20, func() { w.computeToPull(task) }); n != 0 {
+		t.Fatalf("computeToPull on a sorted list allocates %v times per call", n)
 	}
 }
 

@@ -18,7 +18,8 @@ type Algorithm interface {
 
 	// Seed implements init(v): inspect one vertex of the local partition
 	// and produce zero or more tasks rooted at it. The runtime streams
-	// seeds through the pipeline, so Seed must not retain v.
+	// seeds through the pipeline, so Seed must not retain v; a task may
+	// share (never modify) v.Adj, which is immutable while the job runs.
 	Seed(v *graph.Vertex, spawn func(*Task))
 
 	// Update implements the per-round update operation: cands[i] is the
@@ -30,19 +31,39 @@ type Algorithm interface {
 	Update(t *Task, cands []*graph.Vertex, env Env)
 }
 
-// KernelConfigurable is implemented by algorithms that can execute
-// compiled plans against a prebuilt kernels.CSR index (degree-ranked
-// packed adjacency). The runtime calls ConfigureKernels exactly once per
-// job, after graph validation and before seeding; csr may be nil when no
-// index is available (the algorithm must fall back to its generic path).
-// generic forces the generic path even with an index present — the
-// differential baseline the plan-vs-generic test suite compares against.
+// KernelConfigurable is implemented by algorithms that have a planned
+// path (compiled plan schedule, set-intersection kernels, the oriented
+// graph) beside their generic one. A runtime that knows the planned paths
+// calls ConfigureKernels exactly once per job, after graph validation and
+// before seeding. generic forces the generic path — the differential
+// baseline the plan-vs-generic test suite compares against. csr is a
+// prebuilt degree-ranked index of the job's graph for algorithms that
+// execute in rank space, or nil: the engine builds none (its jobs mine
+// vertex tables, in ID space), so an algorithm must never require it.
 //
 // Contract: plans change where exploration starts and how intersections
 // run, never what a job outputs. An algorithm's results (aggregate and
 // emitted records) must be byte-identical with and without kernels.
 type KernelConfigurable interface {
 	ConfigureKernels(csr *kernels.CSR, generic bool)
+}
+
+// OrientedMiner is implemented by algorithms that can mine G⁺, the
+// degree-oriented view of the job's graph (graph.Orient: every vertex
+// keeps only its neighbours of higher (degree, ID), ID-sorted, so each
+// edge lives in one list). A runtime able to provide the view calls
+// MineOriented once per job, after ConfigureKernels and before seeding,
+// with the view of the graph epoch the job runs on. If the algorithm
+// answers true the runtime must make the view the job's graph: every
+// *graph.Vertex the algorithm is handed — by Seed, as an Update candidate,
+// pulled, cached, stolen or restored, and by Env.LocalVertex — is a vertex
+// of gplus, and nothing else about the job changes. If it answers false
+// (it was configured generic) the job runs on the undirected graph.
+//
+// A runtime that does not know this interface simply never calls it, and
+// the algorithm must then produce the same output on the undirected graph.
+type OrientedMiner interface {
+	MineOriented(gplus *graph.Graph) bool
 }
 
 // AggregatorProvider is implemented by algorithms that use global

@@ -1,0 +1,63 @@
+package graph
+
+// Orient returns G⁺, the degree-oriented view of frozen graph g: the same
+// vertices in the same slots, each keeping only its neighbours of higher
+// (degree, ID), still ID-sorted. Every undirected edge lives in exactly one
+// forward list, so any walk that expands forward lists visits each
+// triangle or clique once, from its lowest-ranked vertex, and a list is
+// bounded by the arboricity rather than the degree (G2Miner's input
+// orientation).
+//
+// The view is a pure function of g at the time of the call: equal graphs
+// orient identically. Labels are copied by value, attribute slices and the
+// ID index are shared with g, tombstoned slots stay tombstoned. It is
+// read-only and belongs to the graph epoch it was cut from — after a Dyn*
+// mutation of g it is stale and must be dropped.
+func Orient(g *Graph) *Graph {
+	g.requireFrozen("Orient")
+	o := &Graph{verts: make([]*Vertex, len(g.verts)), index: g.index, dead: g.dead, frozen: true}
+	vs := make([]Vertex, g.NumVertices())
+	fwd := make([]VertexID, 0, g.NumEdges())
+	for i, v := range g.verts {
+		if v == nil {
+			continue
+		}
+		start := len(fwd)
+		for _, u := range v.Adj {
+			// A dangling neighbour has no list of its own to hold the edge.
+			if j, ok := g.index[u]; !ok || outranks(g.verts[j], v) {
+				fwd = append(fwd, u)
+			}
+		}
+		vs[0] = Vertex{ID: v.ID, Adj: fwd[start:len(fwd):len(fwd)], Label: v.Label, Attrs: v.Attrs}
+		o.verts[i], vs = &vs[0], vs[1:]
+	}
+	return o
+}
+
+// outranks reports whether u follows v in the (degree, ID) order.
+func outranks(u, v *Vertex) bool {
+	return len(u.Adj) > len(v.Adj) || (len(u.Adj) == len(v.Adj) && u.ID > v.ID)
+}
+
+// IDSpan returns the smallest vertex ID and the width of the ID range
+// (max − min + 1), or (0, 0) for an empty graph.
+func (g *Graph) IDSpan() (min VertexID, span int64) {
+	max, first := min, true
+	for _, v := range g.verts {
+		if v == nil {
+			continue
+		}
+		if first || v.ID < min {
+			min = v.ID
+		}
+		if first || v.ID > max {
+			max = v.ID
+		}
+		first = false
+	}
+	if first {
+		return 0, 0
+	}
+	return min, int64(max-min) + 1
+}

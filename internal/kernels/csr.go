@@ -92,7 +92,11 @@ func Build(g *graph.Graph) (*CSR, error) {
 		c.dag[r] = c.offsets[r] + int64(SearchSorted(row, uint32(r)+1))
 	}
 	c.offsets[n] = int64(len(c.edges))
-	c.scratch.New = func() any { return NewScratch(n) }
+	c.scratch.New = func() any {
+		sc := NewScratch(n)
+		sc.index = c.edges
+		return sc
+	}
 	return c, nil
 }
 
@@ -139,31 +143,16 @@ func (c *CSR) Rank(id graph.VertexID) (uint32, bool) {
 	return r, ok
 }
 
-// AppendDagNeighborIDs appends the IDs of id's neighbors with strictly
-// higher (degree, ID) rank to dst, sorted ascending by ID — the candidate
-// set of a degree-oriented seed task. Unknown IDs append nothing.
-func (c *CSR) AppendDagNeighborIDs(dst []graph.VertexID, id graph.VertexID) []graph.VertexID {
-	r, ok := c.rank[id]
-	if !ok {
-		return dst
-	}
-	base := len(dst)
-	for _, nb := range c.DagRow(r) {
-		dst = append(dst, c.ids[nb])
-	}
-	out := dst[base:]
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return dst
-}
-
 // GetScratch borrows a scratch bitmap sized to the rank universe; return
 // it with PutScratch. Pooled so concurrent executor threads each get
 // their own without per-call allocation.
 func (c *CSR) GetScratch() *Scratch { return c.scratch.Get().(*Scratch) }
 
-// PutScratch returns a scratch to the pool (it must be Reset, which every
-// kernel leaves it as).
-func (c *CSR) PutScratch(s *Scratch) { c.scratch.Put(s) }
+// PutScratch returns a scratch to the pool, clean.
+func (c *CSR) PutScratch(s *Scratch) {
+	s.Reset()
+	c.scratch.Put(s)
+}
 
 // FootprintBytes estimates the index's resident size for memory planning.
 func (c *CSR) FootprintBytes() int64 {

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"gminer/internal/graph"
 )
 
 // FuzzIntersectKernels cross-checks every intersection strategy — merge,
@@ -17,6 +19,17 @@ func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{0, 0, 0, 255}, []byte{255})
 	f.Add([]byte{1, 1, 2, 3, 5, 8, 13, 21}, []byte{2, 4, 8, 16, 32, 64})
+	// A scratch that owns an index (a star on a 2^16-vertex universe): the
+	// fuzzed operands are never rows of it, so it must never load them.
+	ig := graph.New(1 << 16)
+	for id := graph.VertexID(0); id < 1<<16; id++ {
+		ig.AddVertex(id)
+		if id > 0 && id < 64 {
+			ig.AddEdge(0, id)
+		}
+	}
+	ig.Freeze()
+	owned := MustBuild(ig).GetScratch()
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
 		a := setFromBytes(rawA)
 		b := setFromBytes(rawB)
@@ -45,6 +58,43 @@ func FuzzIntersectKernels(f *testing.F) {
 			if n != len(want) {
 				t.Fatalf("%s = %d, oracle %d (a=%v b=%v)", name, n, len(want), a, b)
 			}
+		}
+		// Load + CountLoaded, then the same backing buffer refilled with other
+		// contents at the same length: each call answers for what the
+		// buffer holds now.
+		sc.Load(a)
+		if n := sc.CountLoaded(b); n != len(want) {
+			t.Fatalf("Load+CountLoaded = %d, oracle %d (a=%v b=%v)", n, len(want), a, b)
+		}
+		buf := append([]uint32(nil), a...)
+		for round := 0; round < 3; round++ {
+			if n := CountScratch(owned, buf, b); n != len(intersectOracle(buf, b)) || owned.loaded != nil {
+				t.Fatalf("round %d: CountScratch(reused buffer) = %d, oracle %d, loaded=%v (buf=%v b=%v)",
+					round, n, len(intersectOracle(buf, b)), owned.loaded != nil, buf, b)
+			}
+			if round == 1 && len(b) >= len(buf) {
+				copy(buf, b[len(b)-len(buf):])
+			}
+		}
+		// The ID-span bitmap: marks and probes relative to a base, IDs
+		// outside the universe ignored on both sides.
+		const base, universe = 1000, 1 << 12
+		small := NewScratch(universe)
+		ids := func(xs []uint32) (out []graph.VertexID) {
+			for _, x := range xs {
+				out = append(out, graph.VertexID(x)+base-100)
+			}
+			return out
+		}
+		inside := 0
+		for _, x := range want {
+			if x >= 100 && x-100 < universe {
+				inside++
+			}
+		}
+		MarkAll(small, ids(a), base)
+		if n := CountMarked(small, ids(b), base); n != inside {
+			t.Fatalf("MarkAll+CountMarked = %d, want %d (a=%v b=%v)", n, inside, a, b)
 		}
 		if len(a) > 0 {
 			floor := a[len(a)/2]

@@ -5,15 +5,19 @@
 // executors used one scalar merge loop everywhere; following G2Miner, the
 // strategy is instead chosen per call from the operand sizes:
 //
-//   - merge: branch-free two-pointer merge, best when |a| ≈ |b|. The loop
-//     body has no data-dependent three-way branch — both cursors advance
-//     by comparison results the compiler lowers to conditional moves.
+//   - merge: two-pointer merge with a plain three-way branch, best when
+//     |a| ≈ |b|. On real adjacency rows (BenchmarkCountRealRows) most steps
+//     advance the same cursor, the branch predicts, and it beats a
+//     comparison-driven "branch-free" body — three compares and two
+//     dependent adds per step whichever way it goes — by ~1.3–1.5x.
 //   - gallop: exponential (galloping) binary search of the larger operand
 //     for each element of the smaller, best when the sizes are skewed
 //     (|b|/|a| ≥ GallopRatio). O(|a| · log |b|).
-//   - bitset: mark the smaller operand in a dense bitmap and probe it with
-//     the larger, best when both operands are high-degree and a Scratch
-//     bitmap over the (dense) rank universe is available (see CSR).
+//   - bitset: mark one operand in a dense bitmap and probe it with the
+//     other. It pays when an operand is reused: a Scratch keeps a loaded
+//     row marked across calls, so a walk that holds one row fixed against
+//     many never re-reads it. A one-off pair takes it only when both
+//     operands are long (BitsetMinLen) and a Scratch is at hand.
 //
 // All strategies are pure functions of their operands: they return the
 // same result on the same input, so swapping strategy never changes any
@@ -30,14 +34,15 @@ type ID interface {
 }
 
 // GallopRatio is the operand-size ratio from which the galloping search
-// beats the linear merge: below it, the merge's branch-free body wins on
-// real hardware even though it touches more elements. Chosen from the
-// cmd/bench kernel sweep (ratios 8–16 are the crossover on amd64).
+// replaces the linear merge. On BenchmarkCountRealRows the adaptive entry
+// point is flat for ratios 8–16 (level with merge on TC rows, ~8% ahead on
+// GM's skewed operands) and loses that lead at 32.
 const GallopRatio = 16
 
 // BitsetMinLen is the smaller-operand length from which the bitset
-// strategy is considered when a Scratch is supplied: below it, building
-// the bitmap costs more than the merge it replaces.
+// strategy is considered for a one-off pair when a Scratch is supplied. A
+// floor, not a measured crossover: real rows seldom reach it, and repeated
+// operands are served by the loaded-operand path instead.
 const BitsetMinLen = 512
 
 // Strategy identifies which kernel Choose selects; exported so benchmarks
@@ -45,7 +50,7 @@ const BitsetMinLen = 512
 type Strategy uint8
 
 const (
-	// StrategyMerge is the branch-free sorted merge.
+	// StrategyMerge is the sorted two-pointer merge.
 	StrategyMerge Strategy = iota
 	// StrategyGallop is the galloping binary search.
 	StrategyGallop
@@ -96,20 +101,19 @@ func Count[T ID](a, b []T) int {
 	return CountMerge(a, b)
 }
 
-// CountMerge is the branch-free sorted merge count. The loop advances
-// each cursor by a comparison result instead of branching three ways, so
-// mispredicted-branch stalls do not scale with the output.
+// CountMerge is the sorted merge count (see the package comment for why
+// its body branches three ways).
 func CountMerge[T ID](a, b []T) int {
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		va, vb := a[i], b[j]
-		if va == vb {
-			n++
-		}
-		if va <= vb {
+		if va < vb {
 			i++
-		}
-		if vb <= va {
+		} else if va > vb {
+			j++
+		} else {
+			n++
+			i++
 			j++
 		}
 	}
@@ -164,13 +168,13 @@ func intersectMerge[T ID](dst, a, b []T) []T {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		va, vb := a[i], b[j]
-		if va == vb {
-			dst = append(dst, va)
-		}
-		if va <= vb {
+		if va < vb {
 			i++
-		}
-		if vb <= va {
+		} else if va > vb {
+			j++
+		} else {
+			dst = append(dst, va)
+			i++
 			j++
 		}
 	}

@@ -87,6 +87,7 @@ func TestKernelAgreement(t *testing.T) {
 // IntersectScratchForced exercises the bitset path regardless of size
 // thresholds (test-only helper).
 func IntersectScratchForced(sc *Scratch, dst, a, b []uint32) []uint32 {
+	sc.Reset()
 	small, large := a, b
 	if len(small) > len(large) {
 		small, large = large, small
@@ -163,6 +164,87 @@ func TestScratchReuse(t *testing.T) {
 	// A different pair after Reset must not see leftover marks.
 	if n := CountBitset(sc, []uint32{7}, []uint32{1, 2, 3}); n != 0 {
 		t.Fatalf("CountBitset after reuse = %d, want 0", n)
+	}
+}
+
+// scratchClean reports whether nothing is marked, loaded or pending reset.
+func scratchClean(sc *Scratch) bool {
+	for _, w := range sc.words {
+		if w != 0 {
+			return false
+		}
+	}
+	return len(sc.dirty) == 0 && sc.loaded == nil
+}
+
+// A walk that holds one index row fixed against many — the triangle
+// kernel's shape — must get the oracle's answer on every pair while the
+// fixed row is marked once, from its second sighting on.
+func TestCountScratchLoadsRepeatedIndexRow(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 3000, Seed: 11})
+	csr := MustBuild(g)
+	sc := csr.GetScratch()
+	loads := 0
+	for r := uint32(0); int(r) < csr.N(); r++ {
+		row := csr.DagRow(r)
+		for i, s := range row {
+			other := csr.DagRow(s)
+			if got, want := CountScratch(sc, row, other), len(intersectOracle(row, other)); got != want {
+				t.Fatalf("row %d x row %d: %d, want %d", r, s, got, want)
+			}
+			if loaded := sameSlice(sc.loaded, row); loaded != (i >= 1) {
+				t.Fatalf("row %d, call %d: loaded=%v", r, i, loaded)
+			} else if loaded && i == 1 {
+				loads++
+			}
+		}
+	}
+	if loads == 0 {
+		t.Fatal("degenerate graph: no row was ever repeated")
+	}
+	// A one-off bitset kernel on a loaded scratch must not see the row.
+	if sc.loaded == nil {
+		t.Fatal("walk ended with nothing loaded")
+	}
+	if got := CountBitset(sc, []uint32{1, 2, 3}, []uint32{2, 3, 4}); got != 2 {
+		t.Fatalf("bitset after load: %d, want 2", got)
+	}
+	if !scratchClean(sc) {
+		t.Fatal("bitset kernel left the scratch dirty")
+	}
+	sc.Load(csr.Row(uint32(csr.N() - 1)))
+	csr.PutScratch(sc)
+	if !scratchClean(sc) {
+		t.Fatal("PutScratch returned a loaded scratch to the pool")
+	}
+}
+
+// The hazard the loaded-operand rule is restricted by: a caller's buffer
+// that comes back at the same address and length with other contents is
+// not "the operand already loaded" — only immutable index rows are.
+func TestCountScratchNeverLoadsCallerBuffer(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 3000, Seed: 11})
+	csr := MustBuild(g)
+	sc := csr.GetScratch()
+	defer csr.PutScratch(sc)
+	hub := csr.Row(uint32(csr.N() - 1))
+	buf := make([]uint32, 4)
+	for round, fill := range [][]uint32{hub[:4], hub[:4], hub[len(hub)-4:], {0, 1, 2, 3}} {
+		copy(buf, fill)
+		if got, want := CountScratch(sc, buf, hub), len(intersectOracle(buf, hub)); got != want {
+			t.Fatalf("round %d: %d, want %d", round, got, want)
+		}
+		if sc.loaded != nil {
+			t.Fatalf("round %d: a caller-owned buffer was loaded", round)
+		}
+	}
+	// Nor is a copy of a row, nor a 3-index slice whose capacity hides its
+	// offset — identity is only ever claimed for plain index sub-slices.
+	if sc.indexRow(append([]uint32(nil), hub...)) || sc.indexRow(hub[0:2:2]) {
+		t.Fatal("indexRow accepted a slice it cannot place in the index")
+	}
+	if !sc.indexRow(hub) || !sc.indexRow(hub[1:3]) || sc.indexRow(hub[:0]) {
+		t.Fatal("indexRow misjudged a plain index sub-slice")
 	}
 }
 
@@ -244,26 +326,22 @@ func TestCSRDeterministic(t *testing.T) {
 	}
 }
 
-func TestCSRDagNeighborIDs(t *testing.T) {
+// The engine's oriented view (graph.Orient) and the index's DAG rows are
+// two derivations of one order: a vertex's forward list must be exactly
+// the IDs of its DagRow, ascending.
+func TestOrientMatchesCSRDag(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 6, Edges: 300, Seed: 3})
 	csr := MustBuild(g)
+	gplus := graph.Orient(g)
 	g.ForEach(func(v *graph.Vertex) bool {
-		ids := csr.AppendDagNeighborIDs(nil, v.ID)
 		r, _ := csr.Rank(v.ID)
-		if len(ids) != len(csr.DagRow(r)) {
-			t.Fatalf("vertex %d: %d DAG neighbor IDs, want %d", v.ID, len(ids), len(csr.DagRow(r)))
+		var want []graph.VertexID
+		for _, nb := range csr.DagRow(r) {
+			want = append(want, csr.IDOf(nb))
 		}
-		for i, id := range ids {
-			if i > 0 && ids[i-1] >= id {
-				t.Fatalf("vertex %d: DAG neighbor IDs not ascending", v.ID)
-			}
-			if !v.HasNeighbor(id) {
-				t.Fatalf("vertex %d: %d not a neighbor", v.ID, id)
-			}
-			nr, _ := csr.Rank(id)
-			if nr <= r {
-				t.Fatalf("vertex %d: neighbor %d rank %d not above %d", v.ID, id, nr, r)
-			}
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if got := gplus.Vertex(v.ID).Adj; len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("vertex %d: forward list %v, DAG row IDs %v", v.ID, got, want)
 		}
 		return true
 	})
@@ -309,4 +387,84 @@ func pad(s []uint32) []uint32 {
 		return []uint32{}
 	}
 	return s
+}
+
+// countMergeBranchFree is the real-row benchmark's other arm: a merge whose
+// cursors advance by comparison results instead of a three-way branch.
+func countMergeBranchFree[T ID](a, b []T) int {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		va, vb := a[i], b[j]
+		if va == vb {
+			n++
+		}
+		if va <= vb {
+			i++
+		}
+		if vb <= va {
+			j++
+		}
+	}
+	return n
+}
+
+// BenchmarkCountRealRows times the merge bodies and the adaptive entry
+// point over operand pairs as the apps produce them on a seeded power-law
+// graph, instead of over synthetic sets: tc is every DAG edge's pair of
+// forward rows (rank space, uint32); gm is Listing 2's Adj ∩ parents — a
+// candidate's full adjacency against the one-in-seven "label class" of its
+// parent's adjacency (ID space, int64). The constants in kernels.go and
+// the choice of merge body are read off this benchmark.
+func BenchmarkCountRealRows(b *testing.B) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 14, Edges: 250_000, Seed: 42})
+	csr := MustBuild(g)
+	type pair32 struct{ a, b []uint32 }
+	var tc []pair32
+	for r := uint32(0); int(r) < csr.N(); r++ {
+		for _, s := range csr.DagRow(r) {
+			tc = append(tc, pair32{csr.DagRow(r), csr.DagRow(s)})
+		}
+	}
+	type pair64 struct{ a, b []graph.VertexID }
+	var gm []pair64
+	g.ForEach(func(v *graph.Vertex) bool {
+		var parents []graph.VertexID
+		for _, u := range v.Adj {
+			if u%7 == 3 {
+				parents = append(parents, u)
+			}
+		}
+		for _, u := range v.Adj {
+			if len(parents) > 0 && len(gm) < 1<<20 {
+				gm = append(gm, pair64{g.Vertex(u).Adj, parents})
+			}
+		}
+		return true
+	})
+	var sink int
+	for _, arm := range []struct {
+		name string
+		tc   func(a, b []uint32) int
+		gm   func(a, b []graph.VertexID) int
+	}{
+		{"branchy", CountMerge[uint32], CountMerge[graph.VertexID]},
+		{"branchfree", countMergeBranchFree[uint32], countMergeBranchFree[graph.VertexID]},
+		{"auto", Count[uint32], Count[graph.VertexID]},
+	} {
+		b.Run("tc/"+arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, p := range tc {
+					sink += arm.tc(p.a, p.b)
+				}
+			}
+		})
+		b.Run("gm/"+arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, p := range gm {
+					sink += arm.gm(p.a, p.b)
+				}
+			}
+		})
+	}
+	_ = sink
 }

@@ -90,6 +90,10 @@ func TestDifferentialTC(t *testing.T) {
 		if got, err := plan.Count(csr, plan.Triangle()); err != nil || got != want {
 			t.Errorf("%s: plan.Count=%d (err=%v), ref=%d", gname, got, err, want)
 		}
+		// And the sequential run, which orients its input like the cluster does.
+		if got := algo.SeqRun(g, algo.NewTriangleCount()).AggGlobal; got != any(want) {
+			t.Errorf("%s: SeqRun=%v, ref=%d", gname, got, want)
+		}
 	}
 }
 
@@ -146,7 +150,7 @@ func TestDifferentialGM(t *testing.T) {
 
 // TestDifferentialSessionLaunch pins the serving path: a session-launched
 // job with Spec.Generic toggled produces identical results, exercising
-// the Session-held CSR and the Spec→DisablePlans mapping.
+// the session-held oriented view and the Spec→DisablePlans mapping.
 func TestDifferentialSessionLaunch(t *testing.T) {
 	g := gen.ErdosRenyi(120, 700, 5)
 	gen.AssignLabels(g, 4, 105)

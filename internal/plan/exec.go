@@ -71,25 +71,11 @@ func CountFrom(c *kernels.CSR, p *Plan, r uint32) (int64, error) {
 
 func countRec(c *kernels.CSR, p *Plan, sc *kernels.Scratch, matched []uint32, bufs [][]uint32, depth int) int64 {
 	st := &p.Steps[depth]
-	lo, hi := uint32(0), uint32(c.N())
-	for _, s := range st.After {
-		if m := matched[s] + 1; m > lo {
-			lo = m
-		}
-	}
-	for _, s := range st.Before {
-		if m := matched[s]; m < hi {
-			hi = m
-		}
-	}
+	lo, hi := bounds(c, st, matched)
 	if lo >= hi {
 		return 0
 	}
 	last := depth == len(p.Steps)-1
-	// A last step with no label or distinctness filter contributes exactly
-	// |candidates|, so the final intersection can run as a counting kernel
-	// with nothing materialized.
-	countOnly := last && st.Label == noLabel && len(st.Distinct) == 0
 
 	// Order constraints only shrink operands, so narrowing every Connect
 	// row to the [lo, hi) rank window *before* intersecting makes the
@@ -99,14 +85,33 @@ func countRec(c *kernels.CSR, p *Plan, sc *kernels.Scratch, matched []uint32, bu
 	cands := window(c.Row(matched[st.Connect[0]]), lo, hi)
 	for i, s := range st.Connect[1:] {
 		row := window(c.Row(matched[s]), lo, hi)
-		if countOnly && i == len(st.Connect)-2 {
+		if last && countOnly(st) && i == len(st.Connect)-2 {
 			return int64(kernels.CountScratch(sc, cands, row))
 		}
 		bufs[depth] = kernels.IntersectScratch(sc, bufs[depth][:0], cands, row)
 		cands = bufs[depth]
 	}
-	if countOnly {
+	if last && countOnly(st) {
 		return int64(len(cands))
+	}
+
+	// A count-only closing child that intersects two rows has at most one
+	// of them, probe, change with this depth's candidate; the other, fixed,
+	// is the same for the whole loop. Load it once — windowed by the
+	// loosest bounds any candidate can produce (cands is ascending) — and
+	// the child is one bitmap probe per element of each candidate's row.
+	var closing *Step
+	fixed, probe := 0, 0
+	if nx := &p.Steps[len(p.Steps)-1]; depth == len(p.Steps)-2 && countOnly(nx) && len(nx.Connect) == 2 && len(cands) > 0 {
+		closing, fixed, probe = nx, nx.Connect[0], nx.Connect[1]
+		if fixed == depth {
+			fixed, probe = probe, fixed
+		}
+		matched[depth] = cands[0]
+		flo, _ := bounds(c, nx, matched)
+		matched[depth] = cands[len(cands)-1]
+		_, fhi := bounds(c, nx, matched)
+		sc.Load(window(c.Row(matched[fixed]), flo, fhi))
 	}
 
 	var total int64
@@ -129,9 +134,36 @@ func countRec(c *kernels.CSR, p *Plan, sc *kernels.Scratch, matched []uint32, bu
 			continue
 		}
 		matched[depth] = r
+		if closing != nil {
+			nlo, nhi := bounds(c, closing, matched)
+			total += int64(sc.CountLoaded(window(c.Row(matched[probe]), nlo, nhi)))
+			continue
+		}
 		total += countRec(c, p, sc, matched, bufs, depth+1)
 	}
 	return total
+}
+
+// countOnly reports whether a last step st contributes exactly
+// |candidates| — no label or distinctness filter — so its final
+// intersection can run as a counting kernel with nothing materialized.
+func countOnly(st *Step) bool { return st.Label == noLabel && len(st.Distinct) == 0 }
+
+// bounds returns the rank window [lo, hi) st's order constraints leave
+// open under the current partial match.
+func bounds(c *kernels.CSR, st *Step, matched []uint32) (lo, hi uint32) {
+	hi = uint32(c.N())
+	for _, s := range st.After {
+		if m := matched[s] + 1; m > lo {
+			lo = m
+		}
+	}
+	for _, s := range st.Before {
+		if m := matched[s]; m < hi {
+			hi = m
+		}
+	}
+	return lo, hi
 }
 
 // window returns the slice of sorted s falling in the rank window

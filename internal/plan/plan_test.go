@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math/rand"
 	"testing"
 
 	"gminer/internal/graph"
@@ -219,6 +220,7 @@ func TestCountAgainstOracle(t *testing.T) {
 		{"path3", 3, [][2]int{{0, 1}, {1, 2}}, nil},
 		{"square", 4, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, nil},
 		{"k4", 4, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}, nil},
+		{"diamond", 4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}}, nil},
 		{"tailed_triangle", 4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {2, 3}}, nil},
 		{"star3", 4, [][2]int{{0, 1}, {0, 2}, {0, 3}}, nil},
 		{"labeled_edge", 2, [][2]int{{0, 1}}, []int32{7, 9}},
@@ -237,6 +239,21 @@ func TestCountAgainstOracle(t *testing.T) {
 		{"labeled", 6, [][2]int64{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {3, 5}},
 			map[int64]int32{0: 7, 1: 9, 2: 9, 3: 7, 4: 9, 5: 9}},
 	}
+	// A skewed random graph: closing steps meet long fixed rows, short
+	// probed ones and empty windows, which the hand-drawn graphs do not.
+	rng := rand.New(rand.NewSource(12))
+	var skewed [][2]int64
+	for i := 0; i < 90; i++ {
+		if u, w := rng.Int63n(22)*rng.Int63n(22)/22, rng.Int63n(22); u != w {
+			skewed = append(skewed, [2]int64{u, w})
+		}
+	}
+	graphs = append(graphs, struct {
+		name   string
+		n      int
+		edges  [][2]int64
+		labels map[int64]int32
+	}{"skewed", 22, skewed, nil})
 	for _, pc := range patterns {
 		p, err := CompileGraph(pc.n, pc.edges, pc.labels)
 		if err != nil {

@@ -7,9 +7,13 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gminer/internal/cache"
 	"gminer/internal/core"
+	"gminer/internal/gen"
 	"gminer/internal/graph"
+	"gminer/internal/lsh"
 	"gminer/internal/metrics"
+	"gminer/internal/partition"
 	"gminer/internal/spill"
 )
 
@@ -278,5 +282,60 @@ func TestQuickNoTaskLoss(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// What LSH ordering is for (§7, Figure 12), measured without a clock: the
+// tasks of one worker of an oriented triangle count — one per local vertex,
+// to_pull = its remote forward neighbors — are popped one at a time
+// through a 64-entry RCV cache, once in signature order and once in the
+// seeder's hash-shuffled insertion order. Everything is single-threaded, so
+// the miss counts are exact, and signature order must need fewer pulls.
+func TestLSHOrderCutsCacheMisses(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 103})
+	gplus := graph.Orient(g)
+	assign, err := partition.Hash{}.Partition(g, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := assign.Local(g, 0)
+	sort.Slice(local, func(i, j int) bool { return lsh.HashID(uint64(local[i])) < lsh.HashID(uint64(local[j])) })
+	misses := func(dims int) int64 {
+		var tasks []*core.Task
+		for i, id := range local {
+			var pull []graph.VertexID
+			for _, u := range gplus.Vertex(id).Adj {
+				if assign.Owner(u) != 0 {
+					pull = append(pull, u)
+				}
+			}
+			if len(pull) > 0 {
+				tasks = append(tasks, mkTask(uint64(i), pull...))
+			}
+		}
+		s := newStore(t, Config{MemCapacity: len(tasks), LSHDims: dims, Seed: 0x5eed}, "")
+		if err := s.Insert(tasks); err != nil {
+			t.Fatal(err)
+		}
+		counters := &metrics.Counters{}
+		rcv := cache.New(64, counters)
+		for {
+			task, ok := s.TryPop()
+			if !ok {
+				break
+			}
+			for _, id := range task.ToPull {
+				if _, hit := rcv.Acquire(id); !hit {
+					rcv.ForceInsert(gplus.Vertex(id))
+				}
+			}
+			rcv.Release(task.ToPull...)
+		}
+		return counters.Snapshot().CacheMisses
+	}
+	withLSH, fifo := misses(4), misses(0)
+	t.Logf("cache misses: lsh=%d fifo=%d", withLSH, fifo)
+	if withLSH >= fifo {
+		t.Fatalf("signature order needed %d pulls, insertion order %d", withLSH, fifo)
 	}
 }

@@ -2,10 +2,11 @@ package algo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gminer/internal/core"
 	"gminer/internal/graph"
+	"gminer/internal/kernels"
 	"gminer/internal/wire"
 )
 
@@ -158,33 +159,26 @@ func (g *GraphCluster) Update(t *core.Task, cands []*graph.Vertex, env core.Env)
 			ctx.rejected = insertSorted(ctx.rejected, id)
 		}
 	}
-	if len(joined) == 0 {
-		g.report(t, ctx, env)
-		return
-	}
-	next := make(map[graph.VertexID]struct{})
-	for _, obj := range joined {
-		t.Subgraph.AddVertex(obj.ID)
-		for _, nb := range obj.Adj {
-			next[nb] = struct{}{}
+	// The next frontier: the joiners' unseen neighbours. No joiner, nothing
+	// unseen or the round cap reached: converged.
+	var next []graph.VertexID
+	if len(joined) > 0 {
+		rows := make([][]graph.VertexID, len(joined))
+		for i, obj := range joined {
+			t.Subgraph.AddVertex(obj.ID)
+			rows[i] = obj.Adj
+		}
+		if t.Round < g.MaxRounds {
+			next = slices.DeleteFunc(kernels.Union(nil, rows), func(id graph.VertexID) bool {
+				return t.Subgraph.Has(id) || containsSorted(ctx.rejected, id)
+			})
 		}
 	}
-	if t.Round >= g.MaxRounds {
+	if len(next) == 0 {
 		g.report(t, ctx, env)
 		return
 	}
-	var ids []graph.VertexID
-	for id := range next {
-		if !t.Subgraph.Has(id) && !containsSorted(ctx.rejected, id) {
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
-		g.report(t, ctx, env)
-		return
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	t.Pull(ids...)
+	t.Pull(next...)
 }
 
 // report emits the converged cluster if large enough. Deduplication: a
@@ -204,12 +198,8 @@ func (g *GraphCluster) report(t *core.Task, ctx *gcContext, env core.Env) {
 }
 
 func insertSorted(ids []graph.VertexID, x graph.VertexID) []graph.VertexID {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= x })
-	if i < len(ids) && ids[i] == x {
-		return ids
+	if i, found := slices.BinarySearch(ids, x); !found {
+		return slices.Insert(ids, i, x)
 	}
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = x
 	return ids
 }

@@ -1,7 +1,8 @@
 package algo
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"gminer/internal/core"
 	"gminer/internal/graph"
@@ -12,26 +13,31 @@ import (
 
 // GraphMatch implements GM (§8.1, Listing 2): count all occurrences
 // (homomorphisms) of a rooted labeled tree pattern in the data graph,
-// matched level by level exactly as in the paper's Figure 1 example. Each
-// vertex whose label matches the pattern root seeds a task; round r pulls
-// the frontier vertices matched at level r-1's neighborhoods and matches
-// level r by label and adjacency; after the deepest level, the matched
-// count is computed bottom-up and folded into a global sum aggregator.
+// matched level by level as in the paper's Figure 1 example. Each vertex
+// carrying the root's label seeds a task; round r matches pattern level r
+// against the pulled candidates by label and adjacency to the level above,
+// and pulls for round r+1 the neighbourhoods of the matches of *expanding*
+// pattern nodes only — nothing is explored below a leaf. After the deepest
+// level the count is folded bottom-up into a global sum aggregator.
 //
 // Matching is homomorphic (two pattern nodes may map to one data vertex),
-// the standard semantics for label-tree matching; the sequential oracle
-// RefMatchCount uses the same semantics.
+// as in the sequential oracle RefMatchCount. A leaf's subtree then counts 1
+// on every match, so a leaf is recorded as a counter per parent match and
+// never as a vertex list (DESIGN.md §12).
 type GraphMatch struct {
 	P *Pattern
-	// Generic forces the scalar HasNeighbor matching loop instead of the
-	// compiled plan + intersection kernels (the differential baseline).
+	// Generic forces the scalar HasNeighbor probe, parent by parent, instead
+	// of the position-emitting intersection kernel (the differential
+	// baseline). Context, frontier and codec are shared by both.
 	Generic bool
 
-	// plan is the compiled ModeHom execution plan: the level schedule the
-	// kernel path walks. Matching stays in ID space (candidates may live on
-	// remote partitions), so the CSR index is not needed — only the plan's
-	// schedule and the set kernels.
-	plan *plan.Plan
+	// levels[d] is the ModeHom plan's matching schedule of depth d, and
+	// expands[p] is node p's TreeStep.Expands from it. Matching stays in ID
+	// space (candidates may live on remote partitions), so the schedule and
+	// the set kernels are all of the plan GM needs — no CSR.
+	levels  [][]plan.TreeStep
+	expands []bool
+	scratch sync.Pool // *gmScratch, one per concurrent Update
 }
 
 // NewGraphMatch returns GM for the given pattern (nil: Figure 1 pattern).
@@ -39,15 +45,17 @@ func NewGraphMatch(p *Pattern) *GraphMatch {
 	if p == nil {
 		p = FigurePattern()
 	}
-	a := &GraphMatch{P: p}
-	// Oversize patterns (beyond plan.MaxTreeNodes) fall back to generic.
-	a.plan, _ = plan.Compile(p.Labels, p.Parent)
+	a := &GraphMatch{P: p, levels: plan.TreeSchedule(p.Labels, p.Parent), expands: make([]bool, len(p.Labels))}
+	for _, st := range slices.Concat(a.levels...) {
+		a.expands[st.Node] = st.Expands
+	}
+	a.scratch.New = func() any { return &gmScratch{base: make([]int, len(p.Labels))} }
 	return a
 }
 
 // ConfigureKernels implements core.KernelConfigurable. GM ignores the CSR
 // (matching runs in ID space against pulled candidates); the flag selects
-// between the compiled-plan path and the generic baseline.
+// between the kernel path and the generic baseline.
 func (a *GraphMatch) ConfigureKernels(_ *kernels.CSR, generic bool) {
 	a.Generic = a.Generic || generic
 }
@@ -59,22 +67,28 @@ func (*GraphMatch) Name() string { return "gm" }
 // matched patterns (the paper's sum aggregation over context.count).
 func (*GraphMatch) Aggregator() core.Aggregator { return core.SumInt64Aggregator{} }
 
-// gmContext is the task context: per pattern node, the matched data
-// vertices, and per (pattern node, matched parent vertex), the matched
-// child vertices — the "topology of the intermediate subgraph".
-type gmContext struct {
-	// matched[p] = sorted data vertices matched to pattern node p.
-	matched map[int][]graph.VertexID
-	// edges[p][v] = data vertices matched to p whose pattern parent
-	// matched v (adjacency realized in the data graph).
-	edges map[int]map[graph.VertexID][]graph.VertexID
+// gmNode is what a task remembers of one pattern node once its level has
+// been matched. An expanding node keeps its matches (ascending) and, for
+// match j, the positions parents[offsets[j]:offsets[j+1]] of the adjacent
+// matches of its pattern parent; a leaf keeps only hits[i], how many of
+// its matches are adjacent to the pattern parent's i-th match.
+type gmNode struct {
+	hits    []int64
+	matches []graph.VertexID
+	offsets []int32
+	parents []int32
 }
 
-func newGMContext() *gmContext {
-	return &gmContext{
-		matched: make(map[int][]graph.VertexID),
-		edges:   make(map[int]map[graph.VertexID][]graph.VertexID),
-	}
+// gmContext is the task context: one gmNode per pattern node.
+type gmContext struct{ nodes []gmNode }
+
+// gmScratch is Update's working memory, pooled per GraphMatch.
+type gmScratch struct {
+	pos      []int32
+	rows     [][]graph.VertexID
+	ids      []graph.VertexID
+	acc, sum []int64
+	base     []int
 }
 
 // Seed implements core.Algorithm.
@@ -82,223 +96,218 @@ func (a *GraphMatch) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 	if v.Label != a.P.Labels[0] {
 		return
 	}
-	ctx := newGMContext()
-	ctx.matched[0] = []graph.VertexID{v.ID}
+	ctx := &gmContext{nodes: make([]gmNode, len(a.P.Labels))}
+	ctx.nodes[0] = gmNode{matches: []graph.VertexID{v.ID}, offsets: []int32{0, 0}}
 	t := &core.Task{Context: ctx}
 	t.Subgraph.AddVertex(v.ID)
-	if a.P.Depth() == 0 {
-		// Single-node pattern: count 1 per matching vertex at update time.
-		spawn(t)
-		return
+	if a.P.Depth() > 0 { // a single-node pattern counts 1 per seed at update time
+		t.Cands = v.Adj // shared, never modified (core.Algorithm.Seed)
 	}
-	t.Cands = append([]graph.VertexID(nil), v.Adj...)
 	spawn(t)
 }
 
-// Update implements core.Algorithm: match pattern level t.Round against
-// the pulled candidate objects.
+// Update implements core.Algorithm: match pattern level t.Round against cands.
 func (a *GraphMatch) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 	ctx, ok := t.Context.(*gmContext)
-	if !ok {
-		return
-	}
-	if a.P.Depth() == 0 {
+	switch {
+	case ok && a.P.Depth() == 0: // before the round guard: executors start at round 1
 		env.AggUpdate(int64(1))
 		return
-	}
-	level := t.Round // rounds start at 1 = pattern depth 1
-	if level > a.P.Depth() {
+	case !ok || t.Round > a.P.Depth():
 		return
 	}
-	// Match every pattern node at this level: label match + adjacency to
-	// a matched parent vertex. The compiled-plan path intersects the
-	// candidate's adjacency with the matched-parent set through the
-	// strategy-selected kernels; the generic path probes parent by parent.
-	// Both walk parents in ascending ID order, so the recorded context is
-	// byte-identical between paths.
-	usePlan := a.plan != nil && !a.Generic
-	var buf []graph.VertexID
-	for _, st := range a.levelSteps(level) {
-		p := st.Node
-		parents := ctx.matched[st.Parent]
-		for i, obj := range cands {
-			if obj == nil || obj.Label != st.Label {
-				continue
-			}
-			w := t.Cands[i]
-			if usePlan {
-				buf = kernels.Intersect(buf[:0], obj.Adj, parents)
-				for _, pv := range buf {
-					if ctx.edges[p] == nil {
-						ctx.edges[p] = make(map[graph.VertexID][]graph.VertexID)
-					}
-					ctx.edges[p][pv] = append(ctx.edges[p][pv], w)
-					ctx.matched[p] = appendUnique(ctx.matched[p], w)
-				}
-				continue
-			}
-			for _, pv := range parents {
-				if obj.HasNeighbor(pv) {
-					if ctx.edges[p] == nil {
-						ctx.edges[p] = make(map[graph.VertexID][]graph.VertexID)
-					}
-					// ctx.edges IS the task's intermediate-subgraph
-					// topology (§4.2); mirroring it into t.Subgraph would
-					// double the bookkeeping on the hottest path.
-					ctx.edges[p][pv] = append(ctx.edges[p][pv], w)
-					ctx.matched[p] = appendUnique(ctx.matched[p], w)
-				}
-			}
-		}
-		if len(ctx.matched[p]) == 0 {
-			return // no match is possible; die with count 0
+	steps := a.levels[t.Round] // rounds start at 1 = pattern depth 1
+	for _, st := range steps {
+		if n := &ctx.nodes[st.Node]; st.Expands {
+			n.matches, n.parents, n.offsets = n.matches[:0], n.parents[:0], append(n.offsets[:0], 0)
+		} else {
+			n.hits = make([]int64, len(ctx.nodes[st.Parent].matches))
 		}
 	}
-	if level == a.P.Depth() {
-		count := a.countMatches(ctx)
-		if count > 0 {
+	sc := a.scratch.Get().(*gmScratch)
+	sc.rows = sc.rows[:0]
+	defer func() { clear(sc.rows); a.scratch.Put(sc) }() // the pool keeps no adjacency reachable
+	// t.Cands ascends, so every node's matches come out ascending and
+	// duplicate-free, and both probes emit parent positions ascending: the
+	// recorded context is identical between the two paths.
+	for i, obj := range cands {
+		if obj == nil {
+			continue
+		}
+		expands := false
+		for _, st := range steps {
+			if obj.Label != st.Label {
+				continue
+			}
+			parents := ctx.nodes[st.Parent].matches
+			sc.pos = sc.pos[:0]
+			if !a.Generic {
+				sc.pos = kernels.IntersectPos(sc.pos, obj.Adj, parents)
+			} else {
+				for j, pv := range parents {
+					if obj.HasNeighbor(pv) {
+						sc.pos = append(sc.pos, int32(j))
+					}
+				}
+			}
+			if len(sc.pos) == 0 {
+				continue
+			}
+			n := &ctx.nodes[st.Node]
+			if !st.Expands {
+				for _, j := range sc.pos {
+					n.hits[j]++
+				}
+				continue
+			}
+			n.matches = append(n.matches, t.Cands[i])
+			n.parents = append(n.parents, sc.pos...)
+			n.offsets = append(n.offsets, int32(len(n.parents)))
+			expands = true
+		}
+		if expands {
+			sc.rows = append(sc.rows, obj.Adj)
+		}
+	}
+	for _, st := range steps {
+		n := &ctx.nodes[st.Node]
+		if len(n.matches) == 0 && !slices.ContainsFunc(n.hits, func(h int64) bool { return h != 0 }) {
+			return // a pattern node without a match: the count is 0, die
+		}
+	}
+	if t.Round == a.P.Depth() {
+		if count := a.countMatches(ctx, sc); count > 0 {
 			env.AggUpdate(count)
 		}
 		return
 	}
-	// Next round: pull the distinct neighbors of this level's matches
-	// (the filter step of §4.2 excludes already-known non-frontier IDs).
-	next := make(map[graph.VertexID]struct{})
-	for _, p := range a.P.Levels()[level] {
-		for i, w := range t.Cands {
-			if cands[i] == nil || !containsSorted(ctx.matched[p], w) {
-				continue
-			}
-			for _, nb := range cands[i].Adj {
-				next[nb] = struct{}{}
-			}
-		}
-	}
-	if len(next) == 0 {
-		return
-	}
-	ids := make([]graph.VertexID, 0, len(next))
-	for id := range next {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	t.Pull(ids...)
+	// Next round: the distinct neighbours of this level's expanding matches.
+	sc.ids = kernels.Union(sc.ids[:0], sc.rows)
+	t.Pull(sc.ids...)
 }
 
-// levelSteps returns the matching schedule for one level: the compiled
-// plan's steps when available, otherwise the equivalent schedule read off
-// the pattern (both list nodes in ascending index order).
-func (a *GraphMatch) levelSteps(level int) []plan.TreeStep {
-	if a.plan != nil {
-		return a.plan.Level(level)
+// countMatches folds the recorded levels bottom-up in one pass. With
+// acc[p][j] the number of ways to map p's subtree with p on its j-th match,
+// acc[p][j] = ∏_{c ∈ children(p)} Σ_{k : j ∈ parents_c(k)} acc[c][k], a leaf
+// child's inner sum being hits_c[j]. Children carry higher node indices than
+// their parent (BFS order), so descending node order has every acc[c] final
+// before it is summed into its parent. The root has one match.
+func (a *GraphMatch) countMatches(ctx *gmContext, sc *gmScratch) int64 {
+	total := 0
+	for p := range ctx.nodes {
+		sc.base[p] = total
+		total += len(ctx.nodes[p].matches)
 	}
-	nodes := a.P.Levels()[level]
-	steps := make([]plan.TreeStep, len(nodes))
-	for i, n := range nodes {
-		steps[i] = plan.TreeStep{Node: n, Parent: a.P.Parent[n], Label: a.P.Labels[n]}
+	sc.acc = slices.Grow(sc.acc[:0], total)[:total]
+	for i := range sc.acc {
+		sc.acc[i] = 1
 	}
-	return steps
-}
-
-// countMatches runs the bottom-up dynamic program over the recorded
-// edges: h(p, v) = ∏_{c ∈ children(p)} Σ_{w ∈ edges[c][v]} h(c, w).
-func (a *GraphMatch) countMatches(ctx *gmContext) int64 {
-	memo := make(map[[2]int64]int64)
-	var h func(p int, v graph.VertexID) int64
-	h = func(p int, v graph.VertexID) int64 {
-		key := [2]int64{int64(p), int64(v)}
-		if c, ok := memo[key]; ok {
-			return c
-		}
-		var out int64 = 1
-		for _, c := range a.P.Children(p) {
-			var sum int64
-			for _, w := range ctx.edges[c][v] {
-				sum += h(c, w)
+	for p := len(ctx.nodes) - 1; p > 0; p-- {
+		n, up := &ctx.nodes[p], a.P.Parent[p]
+		upAcc := sc.acc[sc.base[up] : sc.base[up]+len(ctx.nodes[up].matches)]
+		if !a.expands[p] {
+			for j, h := range n.hits {
+				upAcc[j] *= h
 			}
-			out *= sum
-			if out == 0 {
-				break
+			continue
+		}
+		sc.sum = slices.Grow(sc.sum[:0], len(upAcc))[:len(upAcc)]
+		clear(sc.sum)
+		for k, v := range sc.acc[sc.base[p] : sc.base[p]+len(n.matches)] {
+			for _, j := range n.parents[n.offsets[k]:n.offsets[k+1]] {
+				sc.sum[j] += v
 			}
 		}
-		memo[key] = out
-		return out
-	}
-	var total int64
-	for _, v := range ctx.matched[0] {
-		total += h(0, v)
-	}
-	return total
-}
-
-func appendUnique(ids []graph.VertexID, x graph.VertexID) []graph.VertexID {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= x })
-	if i < len(ids) && ids[i] == x {
-		return ids
-	}
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = x
-	return ids
-}
-
-// EncodeContext implements core.ContextCodec.
-func (*GraphMatch) EncodeContext(w *wire.Writer, ctxAny any) {
-	ctx, ok := ctxAny.(*gmContext)
-	if !ok {
-		w.Uvarint(0)
-		w.Uvarint(0)
-		return
-	}
-	w.Uvarint(uint64(len(ctx.matched)))
-	for _, p := range sortedKeys(ctx.matched) {
-		w.Int(p)
-		wire.EncodeIDs(w, ctx.matched[p])
-	}
-	w.Uvarint(uint64(len(ctx.edges)))
-	for _, p := range sortedKeys(ctx.edges) {
-		w.Int(p)
-		m := ctx.edges[p]
-		w.Uvarint(uint64(len(m)))
-		vs := make([]graph.VertexID, 0, len(m))
-		for v := range m {
-			vs = append(vs, v)
+		for j, s := range sc.sum {
+			upAcc[j] *= s
 		}
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-		for _, v := range vs {
-			w.Varint(int64(v))
-			wire.EncodeIDs(w, m[v])
+	}
+	return sc.acc[0]
+}
+
+// gmFormat leads every encoded context. The map encoding it replaces led with
+// a node count (1..plan.MaxTreeNodes), so old bytes fail decode, never miscount.
+const gmFormat = 0xB1
+
+// EncodeContext implements core.ContextCodec: the format byte, the node
+// count, then per pattern node a leaf's hits or an expanding node's matches,
+// per-match parent counts and parent positions — which, the pattern says.
+func (a *GraphMatch) EncodeContext(w *wire.Writer, ctxAny any) {
+	w.Byte(gmFormat)
+	nodes := ctxAny.(*gmContext).nodes // Seed and DecodeContext make no other kind
+	w.Uvarint(uint64(len(nodes)))
+	for p := range nodes {
+		n := &nodes[p]
+		if !a.expands[p] {
+			w.Uvarint(uint64(len(n.hits)))
+			for _, h := range n.hits {
+				w.Uvarint(uint64(h))
+			}
+			continue
+		}
+		wire.EncodeIDs(w, n.matches)
+		for k := range n.matches {
+			w.Uvarint(uint64(n.offsets[k+1] - n.offsets[k]))
+		}
+		for _, j := range n.parents {
+			w.Uvarint(uint64(j))
 		}
 	}
 }
 
-// DecodeContext implements core.ContextCodec.
-func (*GraphMatch) DecodeContext(r *wire.Reader) any {
-	ctx := newGMContext()
-	nm := r.Uvarint()
-	for i := uint64(0); i < nm; i++ {
-		p := r.Int()
-		ctx.matched[p] = wire.DecodeIDs(r)
+// DecodeContext implements core.ContextCodec. Everything countMatches
+// indexes with is checked here — node count against the pattern, hits length
+// and parent positions against the parent node's matches, matches ascending
+// — so a corrupt or foreign context is a wire error, never a panic.
+func (a *GraphMatch) DecodeContext(r *wire.Reader) any {
+	if f := r.Byte(); r.Err() == nil && f != gmFormat {
+		r.Failf("gm context format %#x, want %#x", f, gmFormat)
 	}
-	ne := r.Uvarint()
-	for i := uint64(0); i < ne; i++ {
-		p := r.Int()
-		cnt := r.Uvarint()
-		m := make(map[graph.VertexID][]graph.VertexID, cnt)
-		for j := uint64(0); j < cnt; j++ {
-			v := graph.VertexID(r.Varint())
-			m[v] = wire.DecodeIDs(r)
+	if cnt := r.Count(1); r.Err() == nil && cnt != len(a.P.Labels) {
+		r.Failf("gm context has %d pattern nodes, pattern has %d", cnt, len(a.P.Labels))
+	}
+	ctx := &gmContext{nodes: make([]gmNode, len(a.P.Labels))}
+	for p := 0; p < len(ctx.nodes) && r.Err() == nil; p++ {
+		n, up := &ctx.nodes[p], 0
+		if p > 0 {
+			up = len(ctx.nodes[a.P.Parent[p]].matches)
 		}
-		ctx.edges[p] = m
+		if !a.expands[p] {
+			if cnt := r.Count(1); cnt != 0 && cnt != up {
+				r.Failf("gm context node %d: %d hits for %d parent matches", p, cnt, up)
+			} else if cnt > 0 {
+				n.hits = make([]int64, cnt)
+				for i := range n.hits {
+					n.hits[i] = int64(r.Uvarint())
+				}
+			}
+			continue
+		}
+		ids := wire.DecodeIDs(r)
+		if p == 0 && len(ids) != 1 {
+			r.Failf("gm context has %d root matches", len(ids))
+		} else if len(ids) == 0 {
+			continue
+		}
+		n.matches, n.offsets = ids, make([]int32, 1, len(ids)+1)
+		total := 0
+		for k := range ids {
+			if k > 0 && ids[k] <= ids[k-1] {
+				r.Failf("gm context node %d: matches not ascending", p)
+			}
+			total += r.Count(1)
+			n.offsets = append(n.offsets, int32(total))
+		}
+		for ; total > 0 && r.Err() == nil; total-- { // grows with the bytes read, not with the prefixes
+			if j := r.Uvarint(); j < uint64(up) {
+				n.parents = append(n.parents, int32(j))
+			} else {
+				r.Failf("gm context node %d: parent position %d of %d", p, j, up)
+			}
+		}
+	}
+	if r.Err() != nil {
+		return nil
 	}
 	return ctx
-}
-
-func sortedKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -41,6 +41,7 @@ func SeqRun(g *graph.Graph, algoImpl core.Algorithm) *SeqResult {
 		return true
 	})
 	var done int64
+	var cands []*graph.Vertex // reused every round (core.Algorithm.Update)
 	for len(queue) > 0 {
 		t := queue[0]
 		queue = queue[1:]
@@ -48,9 +49,9 @@ func SeqRun(g *graph.Graph, algoImpl core.Algorithm) *SeqResult {
 			if t.Round == 0 {
 				t.Round = 1
 			}
-			cands := make([]*graph.Vertex, len(t.Cands))
-			for i, id := range t.Cands {
-				cands[i] = g.Vertex(id)
+			cands = cands[:0]
+			for _, id := range t.Cands {
+				cands = append(cands, g.Vertex(id))
 			}
 			algoImpl.Update(t, cands, env)
 			next, children := t.TakeTransition()

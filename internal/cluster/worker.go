@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -689,6 +690,7 @@ func (w *Worker) retryStalePulls() {
 // rounds on ready tasks.
 
 func (w *Worker) executorLoop() {
+	var cands []*graph.Vertex // this thread's resolve scratch, reused every round
 	for {
 		if w.cpq.len() == 0 {
 			w.flushStarved() // going idle: buffered output must not wait for a heartbeat
@@ -704,21 +706,23 @@ func (w *Worker) executorLoop() {
 			// so this branch only fires on cancel/kill.)
 			continue
 		}
-		w.runTask(t)
+		cands = w.runTask(t, cands)
 	}
 }
 
 // runTask executes update rounds until the task dies or needs remote
 // candidates. A task whose next-round candidates are all local "directly
 // enters the next round of update without any status change" (§4.2).
-func (w *Worker) runTask(t *core.Task) {
+// cands is the calling thread's resolve scratch, returned (possibly grown)
+// for its next task.
+func (w *Worker) runTask(t *core.Task, cands []*graph.Vertex) []*graph.Vertex {
 	for {
 		t.SetStatus(core.StatusActive)
 		if t.Round == 0 {
 			t.Round = 1 // first update round after seeding (§4.2)
 		}
 		start := time.Now()
-		cands := w.resolve(t.Cands)
+		cands = w.resolve(cands, t.Cands)
 		w.algo.Update(t, cands, w)
 		w.counters.AddBusy(time.Since(start))
 		// Reuses the busy-time timestamps: a disabled tracer adds no clock
@@ -741,7 +745,7 @@ func (w *Worker) runTask(t *core.Task) {
 		if next == nil {
 			t.SetStatus(core.StatusDead)
 			w.taskDead(t)
-			return
+			return cands
 		}
 		t.Advance(next)
 		w.computeToPull(t)
@@ -749,10 +753,10 @@ func (w *Worker) runTask(t *core.Task) {
 			t.SetStatus(core.StatusInactive)
 			w.trExec.Event(trace.EvTaskInactive, t.ID)
 			w.bufferTask(t)
-			return
+			return cands
 		}
 		if w.stopped() {
-			return
+			return cands
 		}
 	}
 }
@@ -772,19 +776,18 @@ func (w *Worker) taskDead(t *core.Task) {
 }
 
 // resolve maps candidate IDs to vertex objects: local partition first,
-// then the RCV cache; unknown IDs yield nil.
-func (w *Worker) resolve(ids []graph.VertexID) []*graph.Vertex {
-	out := make([]*graph.Vertex, len(ids))
+// then the RCV cache; unknown IDs yield nil. The objects overwrite dst, the
+// caller's scratch, which is returned resized to len(ids).
+func (w *Worker) resolve(dst []*graph.Vertex, ids []graph.VertexID) []*graph.Vertex {
+	dst = slices.Grow(dst[:0], len(ids))[:len(ids)]
 	for i, id := range ids {
-		if v, ok := w.local[id]; ok {
-			out[i] = v
-			continue
+		v, ok := w.local[id]
+		if !ok {
+			v, _ = w.cache.Peek(id) // nil on a miss
 		}
-		if v, ok := w.cache.Peek(id); ok {
-			out[i] = v
-		}
+		dst[i] = v
 	}
-	return out
+	return dst
 }
 
 // ---------------------------------------------------------------------------

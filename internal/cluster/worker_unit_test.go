@@ -107,7 +107,7 @@ func TestResolvePrefersLocalThenCache(t *testing.T) {
 	})
 	cached := &graph.Vertex{ID: 1 << 20, Adj: []graph.VertexID{1}}
 	w.cache.ForceInsert(cached)
-	got := w.resolve([]graph.VertexID{local, cached.ID, 1 << 40})
+	got := w.resolve(nil, []graph.VertexID{local, cached.ID, 1 << 40})
 	if got[0] == nil || got[0].ID != local {
 		t.Fatalf("local resolve failed: %+v", got[0])
 	}

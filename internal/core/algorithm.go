@@ -24,10 +24,12 @@ type Algorithm interface {
 
 	// Update implements the per-round update operation: cands[i] is the
 	// vertex object for t.Cands[i] (nil if the vertex does not exist in
-	// the graph — algorithms must tolerate dangling candidates). Update
-	// mutates t.Subgraph / t.Context, emits results via env, and calls
-	// t.Pull to continue into the next round; returning without Pull ends
-	// the task.
+	// the graph — algorithms must tolerate dangling candidates). cands is
+	// the executor's scratch: valid only for the duration of the call, so
+	// Update may keep the *graph.Vertex objects it needs but never the
+	// slice. Update mutates t.Subgraph / t.Context, emits results via env,
+	// and calls t.Pull to continue into the next round; returning without
+	// Pull ends the task.
 	Update(t *Task, cands []*graph.Vertex, env Env)
 }
 

@@ -12,6 +12,7 @@ package gen
 
 import (
 	"math/rand"
+	"sort"
 
 	"gminer/internal/graph"
 )
@@ -181,6 +182,28 @@ func AssignLabels(g *graph.Graph, alphabet int32, seed int64) {
 		v.Label = rng.Int31n(alphabet)
 		return true
 	})
+}
+
+// DealLabels assigns [0, alphabet) round-robin down the (degree
+// descending, ID ascending) ranking instead of drawing labels: every label
+// gets the same degree profile, so a match count does not swing with which
+// label the few hubs of a power-law graph happened to draw. It is a test
+// fixture: a mirror of dealLabels in benchmark/inputs.go (a separate module
+// that cannot export it), so tests and micro-benchmarks here run on the
+// benchmark's GM input; algo.TestGMBenchGraphIsTheBenchmarks holds the two
+// together.
+func DealLabels(g *graph.Graph, alphabet int32) {
+	ids := g.IDs()
+	sort.Slice(ids, func(i, j int) bool {
+		di, dj := len(g.Vertex(ids[i]).Adj), len(g.Vertex(ids[j]).Adj)
+		if di != dj {
+			return di > dj
+		}
+		return ids[i] < ids[j]
+	})
+	for rank, id := range ids {
+		g.Vertex(id).Label = int32(rank) % alphabet
+	}
 }
 
 // AssignAttrs assigns each vertex a dim-dimensional attribute vector with

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -19,6 +20,13 @@ func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{0, 0, 0, 255}, []byte{255})
 	f.Add([]byte{1, 1, 2, 3, 5, 8, 13, 21}, []byte{2, 4, 8, 16, 32, 64})
+	// Skewed operands: the gallop arms of Intersect and IntersectPos, both ways.
+	skew := make([]byte, 0, 80)
+	for i := byte(0); i < 40; i++ {
+		skew = append(skew, 0, 3*i)
+	}
+	f.Add([]byte{0, 9}, skew)
+	f.Add(skew, []byte{0, 9, 0, 60})
 	// A scratch that owns an index (a star on a 2^16-vertex universe): the
 	// fuzzed operands are never rows of it, so it must never load them.
 	ig := graph.New(1 << 16)
@@ -95,6 +103,44 @@ func FuzzIntersectKernels(f *testing.F) {
 		MarkAll(small, ids(a), base)
 		if n := CountMarked(small, ids(b), base); n != inside {
 			t.Fatalf("MarkAll+CountMarked = %d, want %d (a=%v b=%v)", n, inside, a, b)
+		}
+		// IntersectPos: the positions index, in its second operand, exactly
+		// the IDs Intersect returns — whichever operand is the longer.
+		for _, ops := range [][2][]uint32{{a, b}, {b, a}} {
+			pos := IntersectPos([]int32{-1}, ops[0], ops[1])
+			if pos[0] != -1 || len(pos)-1 != len(want) {
+				t.Fatalf("IntersectPos = %v, oracle %v (a=%v b=%v)", pos, want, ops[0], ops[1])
+			}
+			for i, p := range pos[1:] {
+				if ops[1][p] != want[i] {
+					t.Fatalf("IntersectPos[%d] = %d -> %d, oracle %d (a=%v b=%v)", i, p, ops[1][p], want[i], ops[0], ops[1])
+				}
+			}
+		}
+		// Union: both arms, and the rule that picks one, against sort+compact
+		// — on the IDs as they come (a dense span) and spread 2^20 apart (a
+		// sparse one, negative IDs included).
+		for _, stride := range []graph.VertexID{1, 1 << 20} {
+			spread := func(xs []uint32) (out []graph.VertexID) {
+				for _, x := range xs {
+					out = append(out, (graph.VertexID(x)-300)*stride)
+				}
+				return out
+			}
+			rows := [][]graph.VertexID{spread(a), nil, spread(b), spread(want)}
+			oracle := append(spread(a), spread(b)...)
+			sort.Slice(oracle, func(i, j int) bool { return oracle[i] < oracle[j] })
+			oracle = append([]graph.VertexID{7}, slices.Compact(oracle)...)
+			got := [][]graph.VertexID{Union([]graph.VertexID{7}, rows), unionSort([]graph.VertexID{7}, rows)}
+			if len(oracle) > 1 && stride == 1 { // forced only where the bitmap is small
+				lo, hi := oracle[1], oracle[len(oracle)-1]
+				got = append(got, unionBitmap([]graph.VertexID{7}, rows, lo, int(uint64(hi-lo)/64)+1))
+			}
+			for arm, u := range got {
+				if !slices.Equal(u, oracle) {
+					t.Fatalf("Union arm %d stride %d = %v, oracle %v (a=%v b=%v)", arm, stride, u, oracle, a, b)
+				}
+			}
 		}
 		if len(a) > 0 {
 			floor := a[len(a)/2]

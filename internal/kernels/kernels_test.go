@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -467,4 +468,75 @@ func BenchmarkCountRealRows(b *testing.B) {
 		})
 	}
 	_ = sink
+}
+
+// BenchmarkFrontierUnionRealRows times Union's two arms, the rule that
+// picks between them, and the map + sort.Slice frontier they replaced, on
+// the frontiers GM actually builds: for every root-labelled vertex of the
+// benchmark's graph (RMAT scale 14, 7 labels dealt down the degree
+// ranking), the adjacency lists of its 'c'-labelled neighbours — Figure 1's
+// one expanding level-1 node. stride=64 spreads the same rows over a 64x
+// wider ID span, which puts the typical task at the rule's boundary (one
+// bitmap word per input element): the bitmap arm still wins there, so the
+// rule errs towards sorting, and past it the bitmap outgrows its input.
+func BenchmarkFrontierUnionRealRows(b *testing.B) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 14, Edges: 250_000, Seed: 42})
+	gen.DealLabels(g, 7)
+	type rowSet = [][]graph.VertexID
+	arms := []struct {
+		name string
+		f    func(dst []graph.VertexID, rows rowSet) []graph.VertexID
+	}{
+		{"bitmap", func(dst []graph.VertexID, rows rowSet) []graph.VertexID {
+			lo, hi := rows[0][0], rows[0][0]
+			for _, r := range rows {
+				lo, hi = min(lo, r[0]), max(hi, r[len(r)-1])
+			}
+			return unionBitmap(dst, rows, lo, int(uint64(hi-lo)/64)+1)
+		}},
+		{"sort", unionSort[graph.VertexID]},
+		{"auto", Union[graph.VertexID]},
+		{"map", func(dst []graph.VertexID, rows rowSet) []graph.VertexID {
+			next := make(map[graph.VertexID]struct{})
+			for _, r := range rows {
+				for _, x := range r {
+					next[x] = struct{}{}
+				}
+			}
+			for x := range next {
+				dst = append(dst, x)
+			}
+			sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+			return dst
+		}},
+	}
+	var buf []graph.VertexID
+	for _, stride := range []graph.VertexID{1, 64} {
+		var tasks []rowSet
+		g.ForEach(func(v *graph.Vertex) bool {
+			var rows rowSet
+			for _, u := range v.Adj {
+				if w := g.Vertex(u); v.Label == 0 && w.Label == 2 {
+					row := make([]graph.VertexID, len(w.Adj))
+					for i, x := range w.Adj {
+						row[i] = x * stride
+					}
+					rows = append(rows, row)
+				}
+			}
+			if len(rows) > 0 {
+				tasks = append(tasks, rows)
+			}
+			return true
+		})
+		for _, arm := range arms {
+			b.Run(fmt.Sprintf("stride=%d/%s", stride, arm.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, rows := range tasks {
+						buf = arm.f(buf[:0], rows)
+					}
+				}
+			})
+		}
+	}
 }

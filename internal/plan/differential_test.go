@@ -54,6 +54,19 @@ func randomTreePattern(n int, seed int64) *algo.Pattern {
 	return algo.MustPattern(labels, parent)
 }
 
+// randomTreeOfDepth returns the first randomTreePattern(n, seed), seed = 1,
+// 2, ..., that is exactly depth levels deep.
+func randomTreeOfDepth(t testing.TB, n, depth int) *algo.Pattern {
+	t.Helper()
+	for seed := int64(1); seed < 1000; seed++ {
+		if p := randomTreePattern(n, seed); p.Depth() == depth {
+			return p
+		}
+	}
+	t.Fatalf("no %d-node random tree of depth %d in 1000 seeds", n, depth)
+	return nil
+}
+
 // jobspecSpec is the serving-layer spec for a TC job with the generic
 // flag toggled.
 func jobspecSpec(generic bool) jobspec.Spec {
@@ -105,6 +118,15 @@ func TestDifferentialGM(t *testing.T) {
 		"rtree5-3": randomTreePattern(5, 3),
 		"rtree6-8": randomTreePattern(6, 8),
 		"rtree7-5": randomTreePattern(7, 5),
+		// Shapes that stress the leaf counters and the shared frontier: every
+		// non-root node a leaf; two expanding siblings with one label; a leaf
+		// and an expanding node with one label on one level; a deep tree; and
+		// the root alone, which counts 1 per seed and never matches a level.
+		"star":          algo.MustPattern([]int32{0, 1, 2, 3}, []int{-1, 0, 0, 0}),
+		"twins":         algo.MustPattern([]int32{0, 1, 1, 2, 3}, []int{-1, 0, 0, 1, 2}),
+		"leaf+internal": algo.MustPattern([]int32{0, 1, 1, 2}, []int{-1, 0, 0, 1}),
+		"rtree-depth4":  randomTreeOfDepth(t, 8, 4),
+		"single":        algo.MustPattern([]int32{1}, []int{-1}),
 	}
 	for gname, g := range diffGraphs(t) {
 		for pname, p := range patterns {

@@ -25,6 +25,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gminer/internal/graph"
@@ -68,6 +69,9 @@ type TreeStep struct {
 	Parent int
 	// Label is the required vertex label.
 	Label int32
+	// Expands reports whether Node has children: only then are its matches
+	// recorded and their neighbourhoods pulled; a leaf's are merely counted.
+	Expands bool
 }
 
 // Step is one expansion step of a ModeEmbed plan. The matched data vertex
@@ -124,9 +128,6 @@ type Plan struct {
 // Depth returns the number of levels below the root of a ModeHom plan.
 func (p *Plan) Depth() int { return len(p.TreeLevels) - 1 }
 
-// Level returns the ModeHom schedule for depth d.
-func (p *Plan) Level(d int) []TreeStep { return p.TreeLevels[d] }
-
 // Compile compiles a rooted labeled tree pattern (the algo.Pattern form:
 // node 0 is the root, every node's parent precedes it) into a ModeHom
 // plan. Invalid input returns an error; Compile never panics.
@@ -141,34 +142,36 @@ func Compile(labels []int32, parent []int) (*Plan, error) {
 	if parent[0] != -1 {
 		return nil, fmt.Errorf("plan: node 0 must be the root (parent -1, got %d)", parent[0])
 	}
-	depth := make([]int, n)
 	for i := 1; i < n; i++ {
 		if parent[i] < 0 || parent[i] >= i {
 			return nil, fmt.Errorf("plan: node %d: parent %d must precede it (BFS order)", i, parent[i])
 		}
-		depth[i] = depth[parent[i]] + 1
 	}
-	maxDepth := 0
-	for _, d := range depth {
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	p := &Plan{
+	return &Plan{
 		Mode:       ModeHom,
 		Nodes:      n,
 		Labels:     append([]int32(nil), labels...),
 		TreeParent: append([]int(nil), parent...),
-		TreeLevels: make([][]TreeStep, maxDepth+1),
+		TreeLevels: TreeSchedule(labels, parent),
+	}, nil
+}
+
+// TreeSchedule returns the level schedule ([d]: the depth-d nodes in node
+// order) of a tree pattern Compile would accept at any size — MaxTreeNodes
+// does not bound it. Parents precede children, so depths open one at a time.
+func TreeSchedule(labels []int32, parent []int) [][]TreeStep {
+	depth := make([]int, len(labels))
+	var levels [][]TreeStep
+	for i, label := range labels {
+		if i > 0 {
+			depth[i] = depth[parent[i]] + 1
+		}
+		if depth[i] == len(levels) {
+			levels = append(levels, nil)
+		}
+		levels[depth[i]] = append(levels[depth[i]], TreeStep{i, parent[i], label, slices.Contains(parent, i)})
 	}
-	for i := 0; i < n; i++ {
-		p.TreeLevels[depth[i]] = append(p.TreeLevels[depth[i]], TreeStep{
-			Node:   i,
-			Parent: parent[i],
-			Label:  labels[i],
-		})
-	}
-	return p, nil
+	return levels
 }
 
 // CompileGraph compiles a small connected pattern graph into a ModeEmbed

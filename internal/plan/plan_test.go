@@ -111,7 +111,7 @@ func TestCompileLevels(t *testing.T) {
 	}
 	wantLevels := [][]int{{0}, {1, 2}, {3, 4}}
 	for d, want := range wantLevels {
-		got := p.Level(d)
+		got := p.TreeLevels[d]
 		if len(got) != len(want) {
 			t.Fatalf("level %d has %d steps, want %d", d, len(got), len(want))
 		}
@@ -121,6 +121,9 @@ func TestCompileLevels(t *testing.T) {
 			}
 			if ts.Node > 0 && ts.Parent != []int{-1, 0, 0, 2, 2}[ts.Node] {
 				t.Errorf("node %d parent %d wrong", ts.Node, ts.Parent)
+			}
+			if wantExp := ts.Node == 0 || ts.Node == 2; ts.Expands != wantExp {
+				t.Errorf("node %d Expands = %v, want %v", ts.Node, ts.Expands, wantExp)
 			}
 		}
 	}

@@ -167,6 +167,15 @@ func (r *Reader) fail() {
 	}
 }
 
+// Failf puts the reader in the error state for a decoder's own validation
+// (a wrong format byte, an index out of range): the error wraps ErrCorrupt
+// like a short read does, and the first error wins.
+func (r *Reader) Failf(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w at offset %d: %s", ErrCorrupt, r.pos, fmt.Sprintf(format, args...))
+	}
+}
+
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {

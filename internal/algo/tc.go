@@ -1,7 +1,6 @@
 package algo
 
 import (
-	"math"
 	"sync"
 
 	"gminer/internal/core"
@@ -63,17 +62,18 @@ func (a *TriangleCount) ConfigureKernels(_ *kernels.CSR, generic bool) {
 	a.oriented, a.bitmaps = false, nil
 }
 
-// MineOriented implements core.OrientedMiner. The bitmap is used when it
-// is no bigger than the vertex table (span ≤ 64·|V|: one bit per ID
-// against one pointer per vertex) — a property of the input, not a knob.
+// MineOriented implements core.OrientedMiner. The bitmap is used when the
+// view's IDs are dense (graph.DenseIDs: then it is no bigger than the vertex
+// table, one bit per ID against one pointer per vertex) — a property of the
+// input, not a knob.
 func (a *TriangleCount) MineOriented(gplus *graph.Graph) bool {
 	if a.Generic {
 		return false
 	}
 	a.oriented = true
-	if min, span := gplus.IDSpan(); span > 0 && span <= 64*int64(gplus.NumVertices()) && span <= math.MaxUint32 {
-		a.base = min
-		a.bitmaps = &sync.Pool{New: func() any { return kernels.NewScratch(int(span)) }}
+	if base, span, ok := gplus.DenseIDs(); ok {
+		a.base = base
+		a.bitmaps = &sync.Pool{New: func() any { return kernels.NewScratch(span) }}
 	}
 	return true
 }

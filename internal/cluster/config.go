@@ -38,8 +38,11 @@ type Config struct {
 	// higher counts let executor threads and the pull-response path work
 	// on disjoint shards without contending. Default cache.DefaultShards.
 	CacheShards int
-	// StoreMemCapacity is the number of inactive tasks a worker keeps in
-	// memory before the task store spills blocks to disk.
+	// StoreMemCapacity is the task store's spill threshold: the number of
+	// inactive tasks a worker keeps in memory before the store spills
+	// blocks to disk. Seeds never cross it (given room for two BufferFlush
+	// batches): the streaming seeder holds the store at or under half of
+	// it, leaving spilling to the tasks the executor produces.
 	StoreMemCapacity int
 	// StoreBlockCapacity is the number of tasks per spilled block.
 	StoreBlockCapacity int
@@ -55,7 +58,9 @@ type Config struct {
 
 	// Stealing enables dynamic load balancing by task stealing (§6.2).
 	Stealing bool
-	// StealBatch is Tnum, the number of tasks migrated per MIGRATE.
+	// StealBatch is the floor of Tnum, the number of tasks a MIGRATE asks
+	// for: half the gap between the victim's store and the thief's, never
+	// under StealBatch, and nothing when the gap itself is smaller.
 	StealBatch int
 	// StealCostMax is Tc: only tasks with c(t) = |subG|+|cand| < Tc move.
 	StealCostMax int
@@ -76,7 +81,8 @@ type Config struct {
 
 	// EagerSeeding generates every seed task before processing starts
 	// (the paper's behavior; §9 lists it as an overhead). When false,
-	// seeds stream into the pipeline with backpressure.
+	// seeds stream into the pipeline with backpressure: the seeder waits
+	// while the task store holds more than StoreMemCapacity/2 tasks.
 	EagerSeeding bool
 
 	// ProgressInterval is the heartbeat: each worker reports, asks to steal

@@ -24,7 +24,7 @@ func TestRetryStalePullsReresolvesOwner(t *testing.T) {
 	w, g, net := newTestWorker(t)
 	var remote graph.VertexID = -1
 	g.ForEach(func(v *graph.Vertex) bool {
-		if w.assign.Owner(v.ID) == 1 {
+		if w.dir.owner(v.ID) == 1 {
 			remote = v.ID
 			return false
 		}
@@ -38,6 +38,7 @@ func TestRetryStalePullsReresolvesOwner(t *testing.T) {
 	w.pendMu.Unlock()
 
 	w.retryStalePulls()
+	w.flushPulls() // the heartbeat's next step: retries ride the flush
 
 	msg, ok := net.Endpoint(1).RecvTimeout(time.Second)
 	if !ok || msg.Type != msgPullReq {
@@ -157,7 +158,7 @@ func TestRestoreVsMigrateRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err := newWorker(0, cfg, algo, g, assign, nil, net.Endpoint(0), &metrics.Counters{}, nil, snap)
+	w, err := newWorker(0, cfg, algo, newDirectory(g, assign), buildLocalTable(g, assign, 0), net.Endpoint(0), &metrics.Counters{}, nil, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,15 +48,14 @@ type workerHost interface {
 // as EvRestoreFail), else built fresh. With strict set, candidates that
 // all fail are an error instead of a fresh start. It returns the epoch the
 // worker was restored from, noEpoch for a fresh one.
-func buildWorker(id int, cfg Config, a core.Algorithm, g *graph.Graph, assign *partition.Assignment,
-	local *localTable, ep transport.Endpoint, counters *metrics.Counters, sink *snapshotSink,
-	refs []resumeEpochRef, strict bool) (*Worker, int64, error) {
+func buildWorker(id int, cfg Config, a core.Algorithm, vt vertexTables, ep transport.Endpoint,
+	counters *metrics.Counters, sink *snapshotSink, refs []resumeEpochRef, strict bool) (*Worker, int64, error) {
 	var lastErr error
 	for _, ref := range refs {
 		snap, err := sink.loadWith(id, ref.Epoch, ref.CRC)
 		if err == nil {
 			var w *Worker
-			if w, err = newWorker(id, cfg, a, g, assign, local, ep, counters, sink, snap); err == nil {
+			if w, err = newWorker(id, cfg, a, vt.dir, vt.locals[id], ep, counters, sink, snap); err == nil {
 				return w, ref.Epoch, nil
 			}
 		}
@@ -66,7 +65,7 @@ func buildWorker(id int, cfg Config, a core.Algorithm, g *graph.Graph, assign *p
 	if strict && lastErr != nil {
 		return nil, noEpoch, fmt.Errorf("cluster: resume: worker %d: no usable committed epoch: %w", id, lastErr)
 	}
-	w, err := newWorker(id, cfg, a, g, assign, local, ep, counters, sink, nil)
+	w, err := newWorker(id, cfg, a, vt.dir, vt.locals[id], ep, counters, sink, nil)
 	return w, noEpoch, err
 }
 
@@ -80,26 +79,26 @@ func (w *Worker) result(counters *metrics.Counters) jobResultMsg {
 }
 
 // orientedView caches G⁺ — the degree-oriented view of the resident graph
-// (graph.Orient) — and the per-worker vertex tables over it, for one graph
-// epoch: pure functions of the frozen graph and the partition, built by the
-// first job that mines G⁺ after start-up or a mutation epoch and shared
-// read-only by every later one.
+// (graph.Orient) — and the vertex tables over it, for one graph epoch: pure
+// functions of the frozen graph and the partition, built by the first job
+// that mines G⁺ after start-up or a mutation epoch and shared read-only by
+// every later one.
 type orientedView struct {
-	mu     sync.Mutex
-	epoch  int64
-	g      *graph.Graph
-	locals []*localTable
+	mu    sync.Mutex
+	epoch int64
+	g     *graph.Graph
+	vertexTables
 }
 
 // tables readies algorithm a's planned path for one job on epoch `epoch` of
 // g, before any seeding, and returns the job's vertex tables by worker:
-// base — or, if a mines the oriented graph, the tables over G⁺ for the
-// workers base has one for. Those are what seeding, to_pull, pull serving
+// base — or, if a mines the oriented graph, the tables over G⁺ (a scan for
+// each worker base has one for). Those are what seeding, to_pull, pull serving
 // and restore run on, so forward lists are all such a job's tasks, caches
 // and wire carry. generic (Config.DisablePlans, or a spec asking for the
 // differential baseline) keeps a on its generic path and on base.
 func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partition.Assignment,
-	epoch int64, generic bool, base []*localTable) []*localTable {
+	epoch int64, generic bool, base vertexTables) vertexTables {
 	if kc, ok := a.(core.KernelConfigurable); ok {
 		kc.ConfigureKernels(nil, generic)
 	}
@@ -110,17 +109,21 @@ func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partitio
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.g == nil || o.epoch != epoch {
-		o.g, o.epoch, o.locals = graph.Orient(g), epoch, make([]*localTable, len(base))
+		o.g, o.epoch = graph.Orient(g), epoch
+		o.vertexTables = vertexTables{locals: make([]*localTable, len(base.locals))}
 	}
 	if !om.MineOriented(o.g) {
 		return base
 	}
-	for i, lt := range base {
+	if o.dir == nil {
+		o.dir = newDirectory(o.g, assign)
+	}
+	for i, lt := range base.locals {
 		if lt != nil && o.locals[i] == nil {
 			o.locals[i] = buildLocalTable(o.g, assign, i)
 		}
 	}
-	return o.locals
+	return o.vertexTables
 }
 
 // goroutineHost runs the job's workers as Worker structs in this process.
@@ -129,7 +132,7 @@ func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partitio
 type goroutineHost struct {
 	j      *Job
 	algo   core.Algorithm
-	locals []*localTable // the session's shared partition views
+	tables vertexTables // the session's shared partition views
 
 	mu      sync.Mutex
 	eps     []transport.Endpoint // slot i's current endpoint (replaced by kill)
@@ -146,7 +149,7 @@ func (h *goroutineHost) run(i int, refs []resumeEpochRef, strict bool) error {
 	h.mu.Lock()
 	ep := h.eps[i]
 	h.mu.Unlock()
-	w, _, err := buildWorker(i, j.cfg, h.algo, j.sess.g, j.sess.assign, h.locals[i], ep, j.counters[i], j.sink, refs, strict)
+	w, _, err := buildWorker(i, j.cfg, h.algo, h.tables, ep, j.counters[i], j.sink, refs, strict)
 	if err != nil {
 		return err
 	}

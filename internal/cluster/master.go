@@ -237,8 +237,11 @@ func (m *master) handleCkptAck(msg transport.Message) {
 }
 
 // scheduleSteal picks the most heavily loaded worker (largest task-store
-// backlog in the progress table) and orders it to migrate Tnum tasks to
-// the requesting idle worker (§6.2).
+// backlog in the progress table) and orders it to migrate tasks to the
+// requesting idle worker (§6.2). The batch is half the gap between the two
+// stores — what levels them, so one round trip keeps the thief busy for as
+// long as the victim still has work — and never under StealBatch: a gap
+// smaller than that is not worth a migration.
 func (m *master) scheduleSteal(thief int) {
 	if !m.cfg.Stealing || m.ckptPending > 0 {
 		return
@@ -252,11 +255,15 @@ func (m *master) scheduleSteal(thief int) {
 			victim, best = i, r.StoreSize
 		}
 	}
-	if victim < 0 || best == 0 {
+	gap := best
+	if thief >= 0 && thief < len(m.reports) && m.reports[thief] != nil {
+		gap -= m.reports[thief].StoreSize
+	}
+	if victim < 0 || gap < int64(m.cfg.StealBatch) {
 		_ = m.ep.Send(thief, msgNoTask, nil)
 		return
 	}
-	_ = m.ep.Send(victim, msgMigrate, encodeMigrate(thief, m.cfg.StealBatch))
+	_ = m.ep.Send(victim, msgMigrate, encodeMigrate(thief, max(int(gap/2), m.cfg.StealBatch)))
 }
 
 // periodic runs aggregator sync, checkpoint triggering and failure

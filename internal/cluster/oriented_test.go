@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,14 +17,17 @@ import (
 	"gminer/internal/plan"
 )
 
-// sparseIDs copies g with every ID scaled and offset: the ID span becomes
-// far wider than 64·|V|, so oriented TC's bitmap rule declines and forward
-// lists go through merge/gallop instead.
+// sparseIDs copies g, labels and attributes included, with every ID scaled
+// and offset: the ID span becomes far wider than 64·|V|, so oriented TC's
+// bitmap rule and the engine's vertex directory both decline their arrays —
+// forward lists go through merge/gallop, lookups through hash tables. The
+// relabelling is monotone, so sorted lists stay in the same order.
 func sparseIDs(g *graph.Graph) *graph.Graph {
 	relabel := func(id graph.VertexID) graph.VertexID { return id*1009 + 5_000_000_007 }
 	out := graph.New(g.NumVertices())
 	g.ForEach(func(v *graph.Vertex) bool {
-		out.AddVertex(relabel(v.ID))
+		nv := out.AddVertex(relabel(v.ID))
+		nv.Label, nv.Attrs = v.Label, v.Attrs
 		for _, u := range v.Adj {
 			out.AddEdge(relabel(v.ID), relabel(u))
 		}
@@ -87,6 +91,9 @@ func TestOrientedTCDifferential(t *testing.T) {
 						s, err := cluster.NewSession(g, cfg)
 						if err != nil {
 							t.Fatalf("%s: %v", shape, err)
+						}
+						if sparse := strings.HasSuffix(name, "-sparse-ids"); s.DenseDirectory() == sparse {
+							t.Fatalf("%s: vertex directory dense=%v", shape, !sparse)
 						}
 						for _, generic := range []bool{false, true, false} {
 							sp := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
@@ -196,5 +203,42 @@ func TestOrientedTCKillRecover(t *testing.T) {
 			t.Fatalf("remote=%v: %v triangles after %d recoveries, want %d after at least one", remote, res.AggGlobal, res.Recovered, want)
 		}
 		sess.Close()
+	}
+}
+
+// TestSeedOnlyJobNeverSpills: oriented TC makes one task per seed and none
+// of them ever comes back to the store, so whatever the store writes to the
+// spiller, the seeder put there. At the benchmark's engine shape — and the
+// same shape an eighth the size, which -short keeps — every worker seeds
+// more than twice its spill threshold and the streaming seeder must still
+// stay under it: spilling is for what the executor produces.
+func TestSeedOnlyJobNeverSpills(t *testing.T) {
+	for _, tc := range []struct {
+		scale    int
+		edges    int64
+		storeMem int
+		long     bool
+	}{
+		{scale: 13, edges: 125_000, storeMem: 1024},
+		{scale: 16, edges: 1_000_000, storeMem: 8192, long: true},
+	} {
+		if tc.long && testing.Short() {
+			continue
+		}
+		g := gen.RMAT(gen.RMATConfig{Scale: tc.scale, Edges: tc.edges, Seed: 42})
+		cfg := cluster.Config{Workers: 2, Threads: 1, CacheCapacity: 8192, StoreMemCapacity: tc.storeMem, UseLSH: true, Stealing: true}
+		res, err := cluster.Run(g, algo.NewTriangleCount(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AggGlobal != any(algo.RefTriangles(g)) {
+			t.Fatalf("scale %d: %v triangles, reference %d", tc.scale, res.AggGlobal, algo.RefTriangles(g))
+		}
+		if res.Total.TasksDone <= int64(2*cfg.Workers*tc.storeMem) {
+			t.Fatalf("scale %d: %d tasks cannot overflow %d stores of %d", tc.scale, res.Total.TasksDone, cfg.Workers, tc.storeMem)
+		}
+		if res.Total.DiskWrite != 0 || res.Total.DiskRead != 0 {
+			t.Fatalf("scale %d: a seed-only job spilled %d bytes and read back %d", tc.scale, res.Total.DiskWrite, res.Total.DiskRead)
+		}
 	}
 }

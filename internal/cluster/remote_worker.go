@@ -87,7 +87,7 @@ type WorkerProcess struct {
 
 	fingerprint uint64
 	assign      *partition.Assignment
-	locals      []*localTable // by worker; only this node's is materialized
+	tables      vertexTables // only this node's scan is materialized
 
 	// oriented is the process-wide view for jobs that mine G⁺ (the resident
 	// graph never changes under a process).
@@ -207,8 +207,8 @@ func StartWorkerProcess(g *graph.Graph, cfg Config, opt WorkerOptions) (*WorkerP
 		wp.net.Close()
 		return nil, fmt.Errorf("cluster: worker partition: %w", err)
 	}
-	wp.locals = make([]*localTable, cfg.Workers)
-	wp.locals[wp.node] = buildLocalTable(g, wp.assign, wp.node)
+	wp.tables = vertexTables{dir: newDirectory(g, wp.assign), locals: make([]*localTable, cfg.Workers)}
+	wp.tables.locals[wp.node] = buildLocalTable(g, wp.assign, wp.node)
 
 	// Open the control channel before demux starts: the coordinator sends
 	// ctrlJobStart for every live job the moment the handshake completes,
@@ -390,7 +390,7 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		wp.logf("job %s: cannot build %q: %v", m.JobID, spec.App, err)
 		return
 	}
-	locals := wp.oriented.tables(algo, wp.g, wp.assign, 0, spec.Generic || wp.cfg.DisablePlans, wp.locals)
+	tables := wp.oriented.tables(algo, wp.g, wp.assign, 0, spec.Generic || wp.cfg.DisablePlans, wp.tables)
 
 	cfg := wp.cfg
 	cfg.JobID = m.JobID
@@ -418,7 +418,7 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		wp.logf("job %s: open channel %d: %v", m.JobID, m.Channel, err)
 		return
 	}
-	w, restored, err := buildWorker(wp.node, cfg, algo, wp.g, wp.assign, locals[wp.node], eps[wp.node], counters, sink, m.Resume, false)
+	w, restored, err := buildWorker(wp.node, cfg, algo, tables, eps[wp.node], counters, sink, m.Resume, false)
 	if err != nil {
 		wp.logf("job %s: worker build: %v", m.JobID, err)
 		wp.mux.CloseChannel(m.Channel)

@@ -309,7 +309,10 @@ func (s *sessionCore) close(cause error) {
 // wire envelope), store, cache, counters, checkpoints and tracer.
 type Session struct {
 	sessionCore
-	locals []*localTable
+	// tables are the resident graph's vertex tables: the directory, rebuilt
+	// with every graph epoch, and one scan per worker, rebuilt for the
+	// workers a mutation batch touched.
+	tables vertexTables
 	// oriented is the per-epoch view of the resident graph for jobs that
 	// mine G⁺ (core.OrientedMiner); a mutation batch retires it.
 	oriented orientedView
@@ -357,9 +360,9 @@ func newSession(g *graph.Graph, cfg Config, oneShot bool) (*Session, error) {
 	}
 	s.partitionTime = time.Since(pStart)
 
-	s.locals = make([]*localTable, cfg.Workers)
-	for i := range s.locals {
-		s.locals[i] = buildLocalTable(g, s.assign, i)
+	s.tables = vertexTables{dir: newDirectory(g, s.assign), locals: make([]*localTable, cfg.Workers)}
+	for i := range s.tables.locals {
+		s.tables.locals[i] = buildLocalTable(g, s.assign, i)
 	}
 
 	under, closeNet, err := newNodeSet(cfg)
@@ -448,8 +451,8 @@ func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 		resume: s.cfg.Resume,
 		newHost: func(j *Job, eps []transport.Endpoint) (workerHost, error) {
 			// j holds its epoch lease: the view is of the graph j runs on.
-			locals := s.oriented.tables(a, s.g, s.assign, j.cfg.GraphEpoch, j.cfg.DisablePlans, s.locals)
-			return &goroutineHost{j: j, algo: a, locals: locals, eps: eps, workers: make([]*Worker, len(eps))}, nil
+			tables := s.oriented.tables(a, s.g, s.assign, j.cfg.GraphEpoch, j.cfg.DisablePlans, s.tables)
+			return &goroutineHost{j: j, algo: a, tables: tables, eps: eps, workers: make([]*Worker, len(eps))}, nil
 		},
 	})
 }
@@ -550,10 +553,13 @@ func (s *Session) ApplyMutations(b dyngraph.Batch) (*EpochResult, error) {
 		return nil, err
 	}
 	s.assign = s.dyn.Assignment()
+	// The batch may have moved the ID span and any vertex's owner: the
+	// directory never outlives its epoch.
+	s.tables.dir = newDirectory(s.g, s.assign)
 	var rebuilt []int
 	for w, dirty := range info.DirtyWorkers {
 		if dirty {
-			s.locals[w] = buildLocalTable(s.g, s.assign, w)
+			s.tables.locals[w] = buildLocalTable(s.g, s.assign, w)
 			rebuilt = append(rebuilt, w)
 		}
 	}

@@ -23,24 +23,22 @@ func dynConfig(workers int) Config {
 	}
 }
 
-// sameLocalTable compares two worker partition views byte for byte: same
-// scan order, same footprint, same vertex set with identical adjacency
-// and annotations.
-func sameLocalTable(t *testing.T, w int, a, b *localTable) {
+// sameTables compares two sessions' view of worker w byte for byte: same
+// scan order, same footprint, and behind every scanned ID the directory of
+// each finds a vertex of w's with identical adjacency and annotations.
+func sameTables(t *testing.T, w int, a, b vertexTables) {
 	t.Helper()
-	if !reflect.DeepEqual(a.ids, b.ids) {
-		t.Fatalf("worker %d: scan order diverged (%d vs %d ids)", w, len(a.ids), len(b.ids))
+	la, lb := a.locals[w], b.locals[w]
+	if !reflect.DeepEqual(la.ids, lb.ids) {
+		t.Fatalf("worker %d: scan order diverged (%d vs %d ids)", w, len(la.ids), len(lb.ids))
 	}
-	if a.footprint != b.footprint {
-		t.Fatalf("worker %d: footprint %d != %d", w, a.footprint, b.footprint)
+	if la.footprint != lb.footprint {
+		t.Fatalf("worker %d: footprint %d != %d", w, la.footprint, lb.footprint)
 	}
-	if len(a.vertices) != len(b.vertices) {
-		t.Fatalf("worker %d: table size %d != %d", w, len(a.vertices), len(b.vertices))
-	}
-	for id, va := range a.vertices {
-		vb, ok := b.vertices[id]
-		if !ok {
-			t.Fatalf("worker %d: vertex %d missing from fresh table", w, id)
+	for _, id := range la.ids {
+		va, vb := a.dir.local(id, w), b.dir.local(id, w)
+		if va == nil || vb == nil {
+			t.Fatalf("worker %d: vertex %d missing from a directory (warm %v, fresh %v)", w, id, va != nil, vb != nil)
 		}
 		if !reflect.DeepEqual(va.Adj, vb.Adj) || va.Label != vb.Label || !reflect.DeepEqual(va.Attrs, vb.Attrs) {
 			t.Fatalf("worker %d: vertex %d contents diverged", w, id)
@@ -91,7 +89,7 @@ func TestDynamicSessionMatchesFreshPrepare(t *testing.T) {
 			return true
 		})
 		for w := 0; w < workers; w++ {
-			sameLocalTable(t, w, s.locals[w], fresh.locals[w])
+			sameTables(t, w, s.tables, fresh.tables)
 		}
 
 		// Served results across the epoch boundary: warm == from-scratch.
@@ -296,11 +294,60 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 			}
 			return true
 		})
-		for w := range s.locals {
-			if lt := s.oriented.locals[w]; !reflect.DeepEqual(lt.ids, s.locals[w].ids) {
-				t.Fatalf("batch %d: worker %d oriented table scans %d vertices, undirected %d", bi, w, len(lt.ids), len(s.locals[w].ids))
+		for w := range s.tables.locals {
+			if lt := s.oriented.locals[w]; !reflect.DeepEqual(lt.ids, s.tables.locals[w].ids) {
+				t.Fatalf("batch %d: worker %d oriented table scans %d vertices, undirected %d", bi, w, len(lt.ids), len(s.tables.locals[w].ids))
 			}
 		}
 		prev = want
+	}
+
+	// One more batch, built to move what the vertex directory indexes by: it
+	// adds vertices past the end of the old ID span, each closing a triangle
+	// over an existing edge, and the block they form re-places others, so a
+	// vertex that did not change is now owned by a different worker. The job
+	// after it counts the new triangles only if it seeds the new vertices,
+	// pulls them from their owner and stops pulling re-owned ones from the
+	// old one: a directory kept from the previous epoch cannot.
+	base, span := g.IDSpan()
+	owners := make(map[graph.VertexID]int)
+	var batch dyngraph.Batch
+	next := base + graph.VertexID(span) + 1000
+	g.ForEach(func(v *graph.Vertex) bool {
+		owners[v.ID] = s.assign.Owner(v.ID)
+		if len(batch.Ops) < 3*40 && len(v.Adj) > 0 && v.Adj[0] > v.ID {
+			batch.Ops = append(batch.Ops,
+				dyngraph.Mutation{Op: dyngraph.OpAddVertex, ID: next},
+				dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: next, W: v.ID},
+				dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: next, W: v.Adj[0]})
+			next++
+		}
+		return true
+	})
+	epr, err := s.ApplyMutations(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reowned := 0
+	for id, was := range owners {
+		if s.assign.Owner(id) != was {
+			reowned++
+		}
+	}
+	if reowned == 0 || epr.MovedBlocks == 0 {
+		t.Fatalf("the batch re-owned %d vertices (%d blocks moved): it does not test what it is for", reowned, epr.MovedBlocks)
+	}
+	if !s.tables.dir.dense() {
+		t.Fatal("the widened ID span left the array arm: the span check is not exercised")
+	}
+	want := algo.RefTriangles(g)
+	if want != prev+int64(len(batch.Ops)/3) {
+		t.Fatalf("reference %d after adding %d triangles to %d", want, len(batch.Ops)/3, prev)
+	}
+	if got := count(false); got != want {
+		t.Fatalf("after the re-owning batch: oriented tc %d, reference %d", got, want)
+	}
+	if got := count(true); got != want {
+		t.Fatalf("after the re-owning batch: generic tc %d, reference %d", got, want)
 	}
 }

@@ -1,10 +1,12 @@
 package cluster_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"gminer/internal/cluster"
+	"gminer/internal/graph"
 	"gminer/internal/jobspec"
 )
 
@@ -14,80 +16,97 @@ import (
 // and a RemoteSession whose workers are WorkerProcess hosts — must yield
 // byte-identical records and aggregate. There is one launch path under all
 // four, so a divergence here is a host or transport bug, not a second
-// engine's.
+// engine's. It runs twice: on the graph as generated, whose dense IDs put
+// every lookup on the vertex directory's array arm, and on a copy with the
+// IDs strided apart, which takes the hash-table arm; the two must agree on
+// every aggregate and record count (the records name the IDs).
 func TestShapesByteIdentical(t *testing.T) {
-	g := servingGraph(t)
-	cfg := smallConfig()
+	dense := servingGraph(t)
+	byArm := map[bool]map[string]*cluster.Result{}
+	for _, g := range []*graph.Graph{dense, sparseIDs(dense)} {
+		cfg := smallConfig()
 
-	sess, err := cluster.NewSession(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	rs, _ := remoteTestCluster(t, g, cfg,
-		cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
-		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
-
-	wait := func(j *cluster.Job, err error) (*cluster.Result, error) {
+		sess, err := cluster.NewSession(g, cfg)
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		return j.Wait()
-	}
-	for _, sp := range []jobspec.Spec{
-		{App: "tc"},
-		{App: "gm"},
-		{App: "cd", MinSim: 0.2, MinSize: 3},
-	} {
-		sp := sp.Normalize()
-		t.Run(sp.App, func(t *testing.T) {
-			shapes := []struct {
-				name string
-				run  func() (*cluster.Result, error)
-			}{
-				{"run", func() (*cluster.Result, error) {
-					a, _ := jobspec.Build(g, sp)
-					return cluster.Run(g, a, cfg)
-				}},
-				{"run-tcp", func() (*cluster.Result, error) {
-					a, _ := jobspec.Build(g, sp)
-					tcp := cfg
-					tcp.UseTCP = true
-					return cluster.Run(g, a, tcp)
-				}},
-				{"session", func() (*cluster.Result, error) {
-					a, _ := jobspec.Build(g, sp)
-					return wait(sess.Launch(a, cluster.JobOptions{Spec: &sp}))
-				}},
-				// A second launch reruns the workload on the warm cluster.
-				{"session-rerun", func() (*cluster.Result, error) {
-					a, _ := jobspec.Build(g, sp)
-					return wait(sess.Launch(a, cluster.JobOptions{Spec: &sp}))
-				}},
-				{"remote", func() (*cluster.Result, error) {
-					a, _ := jobspec.Build(g, sp)
-					return wait(rs.Launch(a, cluster.JobOptions{Spec: &sp}))
-				}},
+		defer sess.Close()
+		if sess.DenseDirectory() != (g == dense) {
+			t.Fatalf("vertex directory dense=%v on the graph with dense IDs=%v", sess.DenseDirectory(), g == dense)
+		}
+		byArm[g == dense] = map[string]*cluster.Result{}
+		rs, _ := remoteTestCluster(t, g, cfg,
+			cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
+			cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
+
+		wait := func(j *cluster.Job, err error) (*cluster.Result, error) {
+			if err != nil {
+				return nil, err
 			}
-			var want string
-			for i, sh := range shapes {
-				res, err := sh.run()
-				if err != nil {
-					t.Fatalf("%s: %v", sh.name, err)
+			return j.Wait()
+		}
+		for _, sp := range []jobspec.Spec{
+			{App: "tc"},
+			{App: "gm"},
+			{App: "cd", MinSim: 0.2, MinSize: 3},
+		} {
+			sp := sp.Normalize()
+			t.Run(fmt.Sprintf("%s/dense=%v", sp.App, g == dense), func(t *testing.T) {
+				shapes := []struct {
+					name string
+					run  func() (*cluster.Result, error)
+				}{
+					{"run", func() (*cluster.Result, error) {
+						a, _ := jobspec.Build(g, sp)
+						return cluster.Run(g, a, cfg)
+					}},
+					{"run-tcp", func() (*cluster.Result, error) {
+						a, _ := jobspec.Build(g, sp)
+						tcp := cfg
+						tcp.UseTCP = true
+						return cluster.Run(g, a, tcp)
+					}},
+					{"session", func() (*cluster.Result, error) {
+						a, _ := jobspec.Build(g, sp)
+						return wait(sess.Launch(a, cluster.JobOptions{Spec: &sp}))
+					}},
+					// A second launch reruns the workload on the warm cluster.
+					{"session-rerun", func() (*cluster.Result, error) {
+						a, _ := jobspec.Build(g, sp)
+						return wait(sess.Launch(a, cluster.JobOptions{Spec: &sp}))
+					}},
+					{"remote", func() (*cluster.Result, error) {
+						a, _ := jobspec.Build(g, sp)
+						return wait(rs.Launch(a, cluster.JobOptions{Spec: &sp}))
+					}},
 				}
-				got := joinRecords(res)
-				if i == 0 {
-					want = got
-					if len(res.Records) == 0 && res.AggGlobal == nil {
-						t.Fatal("degenerate reference: no records and no aggregate")
+				var want string
+				for i, sh := range shapes {
+					res, err := sh.run()
+					if err != nil {
+						t.Fatalf("%s: %v", sh.name, err)
 					}
-				} else if got != want {
-					t.Fatalf("%s diverges from %s:\ngot:  %.200q\nwant: %.200q", sh.name, shapes[0].name, got, want)
+					got := joinRecords(res)
+					if i == 0 {
+						want = got
+						byArm[g == dense][sp.App] = res
+						if len(res.Records) == 0 && res.AggGlobal == nil {
+							t.Fatal("degenerate reference: no records and no aggregate")
+						}
+					} else if got != want {
+						t.Fatalf("%s diverges from %s:\ngot:  %.200q\nwant: %.200q", sh.name, shapes[0].name, got, want)
+					}
 				}
-			}
-		})
+			})
+		}
+		if n := sess.ActiveJobs() + rs.ActiveJobs(); n != 0 {
+			t.Fatalf("ActiveJobs after every Wait: got %d want 0", n)
+		}
 	}
-	if n := sess.ActiveJobs() + rs.ActiveJobs(); n != 0 {
-		t.Fatalf("ActiveJobs after every Wait: got %d want 0", n)
+	for app, d := range byArm[true] {
+		s := byArm[false][app]
+		if s == nil || fmt.Sprint(d.AggGlobal) != fmt.Sprint(s.AggGlobal) || len(d.Records) != len(s.Records) {
+			t.Fatalf("%s: array arm %v and %d records, hash-table arm %+v", app, d.AggGlobal, len(d.Records), s)
+		}
 	}
 }

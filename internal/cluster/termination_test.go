@@ -275,7 +275,7 @@ func TestTerminationSoakStealUnderDelay(t *testing.T) {
 				for i, ep := range eps {
 					eps[i] = &lateTasks{Endpoint: ep, rng: rand.New(rand.NewSource(rng.Int63()))}
 				}
-				return &goroutineHost{j: j, algo: a, locals: s.oriented.tables(a, s.g, s.assign, j.cfg.GraphEpoch, false, s.locals), eps: eps, workers: make([]*Worker, len(eps))}, nil
+				return &goroutineHost{j: j, algo: a, tables: s.oriented.tables(a, s.g, s.assign, j.cfg.GraphEpoch, false, s.tables), eps: eps, workers: make([]*Worker, len(eps))}, nil
 			},
 		})
 		if err != nil {

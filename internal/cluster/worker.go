@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,9 +12,7 @@ import (
 	"gminer/internal/cache"
 	"gminer/internal/core"
 	"gminer/internal/graph"
-	"gminer/internal/lsh"
 	"gminer/internal/metrics"
-	"gminer/internal/partition"
 	"gminer/internal/spill"
 	"gminer/internal/store"
 	"gminer/internal/trace"
@@ -30,6 +27,19 @@ type pendingTask struct {
 	remaining int
 }
 
+// pullWaiter is a parked task's claim on one in-flight vertex: the arrival
+// fills slot `slot` of its Pulled.
+type pullWaiter struct {
+	pt   *pendingTask
+	slot int
+}
+
+// serveScratch is one pull-serving goroutine's lists, reused across requests.
+type serveScratch struct {
+	found   []*graph.Vertex
+	missing []graph.VertexID
+}
+
 // pullWork is one incoming pull request queued for the serve pool.
 type pullWork struct {
 	from    int
@@ -41,7 +51,7 @@ type pullWork struct {
 // state used when the request or response is lost to a crashed worker or
 // a lossy network.
 type pullState struct {
-	waiters     []*pendingTask
+	waiters     []pullWaiter
 	requestedAt time.Time
 	retryAt     time.Time // next re-request time (exponential backoff)
 	attempts    int       // retries so far
@@ -58,9 +68,8 @@ type Worker struct {
 	agg  core.Aggregator // nil when the algorithm has no aggregator
 	ep   transport.Endpoint
 
-	assign    *partition.Assignment
-	local     map[graph.VertexID]*graph.Vertex // local vertex table
-	localIDs  []graph.VertexID                 // seed scan order
+	dir       *directory       // vertex and owner lookups, shared per graph epoch
+	localIDs  []graph.VertexID // seed scan order
 	graphFoot int64
 
 	store   *store.Store
@@ -157,52 +166,20 @@ type Worker struct {
 	lastStealReq atomic.Int64
 }
 
-// localTable is one worker's partition view: the vertex table (the hash
-// table of Figure 4) plus the hash-shuffled seed scan order. It is
-// read-only after build, so a Session shares one instance across every
-// job's worker i instead of rebuilding it per job.
-type localTable struct {
-	vertices  map[graph.VertexID]*graph.Vertex
-	ids       []graph.VertexID
-	footprint int64
-}
-
-// buildLocalTable loads worker id's partition from the shared frozen graph.
-func buildLocalTable(g *graph.Graph, assign *partition.Assignment, id int) *localTable {
-	ids := assign.Local(g, id)
-	lt := &localTable{
-		vertices: make(map[graph.VertexID]*graph.Vertex, len(ids)),
-		ids:      ids,
-	}
-	for _, vid := range ids {
-		v := g.Vertex(vid)
-		lt.vertices[vid] = v
-		lt.footprint += v.FootprintBytes()
-	}
-	// The vertex table is a hash table in the original system, so the task
-	// generator's scan order carries no ID locality; replicate that with a
-	// deterministic hash-shuffle. (Consecutive IDs in synthetic graphs
-	// share neighborhoods, which would otherwise gift the non-LSH queue an
-	// unrealistically good access pattern.)
-	sort.Slice(lt.ids, func(i, j int) bool {
-		return lsh.HashID(uint64(lt.ids[i])) < lsh.HashID(uint64(lt.ids[j]))
-	})
-	return lt
-}
-
-// newWorker builds worker `id` over the shared frozen graph. local, if
-// non-nil, is a prebuilt partition view (warm sessions); restore, if
-// non-nil, is a checkpoint snapshot to resume from.
-func newWorker(id int, cfg Config, algo core.Algorithm, g *graph.Graph,
-	assign *partition.Assignment, local *localTable, ep transport.Endpoint,
-	counters *metrics.Counters, snapshots *snapshotSink, restore *workerSnapshot) (*Worker, error) {
+// newWorker builds worker `id` over the shared frozen graph, read through
+// dir and local (its partition scan); restore, if non-nil, is a checkpoint
+// snapshot to resume from.
+func newWorker(id int, cfg Config, algo core.Algorithm, dir *directory, local *localTable,
+	ep transport.Endpoint, counters *metrics.Counters, snapshots *snapshotSink, restore *workerSnapshot) (*Worker, error) {
 
 	w := &Worker{
 		id:         id,
 		cfg:        cfg,
 		algo:       algo,
 		ep:         ep,
-		assign:     assign,
+		dir:        dir,
+		localIDs:   local.ids,
+		graphFoot:  local.footprint,
 		counters:   counters,
 		stopCh:     make(chan struct{}),
 		masterNode: cfg.Workers,
@@ -226,15 +203,6 @@ func newWorker(id int, cfg Config, algo core.Algorithm, g *graph.Graph,
 		w.aggPartial = w.agg.Zero()
 		w.aggGlobal = w.agg.Zero()
 	}
-
-	// Load the local partition: the graph loader + vertex table of Fig. 4.
-	// Warm sessions prebuild the table once and share it across jobs.
-	if local == nil {
-		local = buildLocalTable(g, assign, id)
-	}
-	w.local = local.vertices
-	w.localIDs = local.ids
-	w.graphFoot = local.footprint
 
 	spillDir := cfg.SpillDir
 	if spillDir != "" {
@@ -423,13 +391,14 @@ func (w *Worker) computeToPull(t *core.Task) {
 			}
 			seen[id] = struct{}{}
 		}
-		if _, ok := w.local[id]; ok {
-			continue
+		if owner := w.dir.owner(id); owner >= 0 && owner != w.id {
+			if cap(t.ToPull) == 0 {
+				// A short list in one allocation, not a doubling chain; a
+				// long one doubles from here and never holds far more than it uses.
+				t.ToPull = make([]graph.VertexID, 0, min(len(t.Cands)-i, 32))
+			}
+			t.ToPull = append(t.ToPull, id)
 		}
-		if w.assign.Owner(id) < 0 {
-			continue
-		}
-		t.ToPull = append(t.ToPull, id)
 	}
 }
 
@@ -437,17 +406,22 @@ func (w *Worker) computeToPull(t *core.Task) {
 // Seeder: the task generator of Figure 4, streaming seeds into the pipeline.
 
 func (w *Worker) seederLoop() {
+	// Streaming seeding (extension, §9): backpressure against the task store
+	// so seeds do not all materialize up front. A seed is admitted only while
+	// the store is at or under the level a spill cuts it back to, so seeds
+	// alone fill it to at most mark + BufferFlush — under the spill threshold
+	// (if that is two flushes or more): spilling is for what the executor
+	// produces, and for EagerSeeding.
+	mark := w.cfg.StoreMemCapacity / 2
 	spawn := func(t *core.Task) {
+		if !w.cfg.EagerSeeding {
+			w.store.WaitBelow(mark)
+		}
 		w.assignID(t)
 		w.trSeed.Event(trace.EvTaskSeed, t.ID)
 		w.intake(t, false)
 	}
 	for i := int(w.seedCursor.Load()); i < len(w.localIDs); i++ {
-		if !w.cfg.EagerSeeding {
-			// Streaming seeding (extension, §9): backpressure against the
-			// task store so seeds do not all materialize up front.
-			w.store.WaitBelow(2 * w.cfg.StoreMemCapacity)
-		}
 		if !w.waitResumed() {
 			return
 		}
@@ -458,7 +432,7 @@ func (w *Worker) seederLoop() {
 				return
 			}
 		}
-		w.algo.Seed(w.local[w.localIDs[i]], spawn)
+		w.algo.Seed(w.dir.local(w.localIDs[i], w.id), spawn)
 		w.seedCursor.Store(int64(i + 1))
 	}
 	w.seedsDone.Store(true)
@@ -471,10 +445,16 @@ func (w *Worker) seederLoop() {
 // store, satisfies candidates from the RCV cache, and issues pull requests
 // for the rest; tasks whose pulls are all satisfied go to the CPQ.
 
+// Pull requests leave in batches, as tasks enter the store: when BufferFlush
+// IDs are queued (dispatch), when the retriever is about to wait for what
+// only a response can bring — a free CMQ slot, a task in an empty store, the
+// end of a checkpoint's quiesce — and on the heartbeat. A full CPQ is not
+// such a wait: the executor has work queued and every pop wakes the retriever.
 func (w *Worker) retrieverLoop() {
 	for {
-		// Only dispatch queues pull requests: none outlives the next block.
-		w.flushPulls()
+		if w.paused.Load() {
+			w.flushPulls() // the checkpoint waits for the parked tasks' rounds
+		}
 		if !w.waitResumed() {
 			return
 		}
@@ -485,6 +465,7 @@ func (w *Worker) retrieverLoop() {
 		t, ok := w.store.TryPop()
 		if !ok {
 			// Nothing to dispatch: take in the task buffer, then block.
+			w.flushPulls()
 			w.flushStarved()
 			if t, ok = w.store.PopWait(); !ok {
 				return
@@ -494,47 +475,66 @@ func (w *Worker) retrieverLoop() {
 	}
 }
 
+// waitPendingBelow blocks while the CMQ window is full, after sending the
+// pull requests still queued: only their responses can empty it.
 func (w *Worker) waitPendingBelow(n int) {
 	w.pendMu.Lock()
 	for w.pendingTasks >= n && !w.stopped() {
+		if w.pullCount > 0 {
+			w.pendMu.Unlock()
+			w.flushPulls()
+			w.pendMu.Lock()
+			continue
+		}
 		w.pendCond.Wait()
 	}
 	w.pendMu.Unlock()
+}
+
+// ready hands a task whose candidates are all at hand to the executor.
+func (w *Worker) ready(t *core.Task) {
+	t.SetStatus(core.StatusReady)
+	w.trRetr.Event(trace.EvTaskReady, t.ID)
+	w.cpq.push(t)
 }
 
 // dispatch resolves one task's remote candidates against the cache and
 // either readies it or parks it in the CMQ behind batched pull requests.
 func (w *Worker) dispatch(t *core.Task) {
 	if len(t.ToPull) == 0 {
-		t.SetStatus(core.StatusReady)
-		w.trRetr.Event(trace.EvTaskReady, t.ID)
-		w.cpq.push(t)
+		w.ready(t)
 		return
 	}
-	pt := &pendingTask{t: t}
+	// A hit's reference is held until the round completes, and so is the
+	// pointer: the executor resolves the candidate from t.Pulled.
+	t.Pulled = make([]*graph.Vertex, len(t.ToPull))
+	missed := 0
 	w.pendMu.Lock()
-	for _, id := range t.ToPull {
-		if _, ok := w.cache.Acquire(id); ok {
-			continue // reference held until the round completes
+	for i, id := range t.ToPull {
+		if t.Pulled[i], _ = w.cache.Acquire(id); t.Pulled[i] == nil {
+			missed++
 		}
-		pt.remaining++
+	}
+	if missed == 0 {
+		w.pendMu.Unlock()
+		w.ready(t)
+		return
+	}
+	pt := &pendingTask{t: t, remaining: missed}
+	for i, id := range t.ToPull {
+		if t.Pulled[i] != nil {
+			continue
+		}
 		ps, inFlight := w.pulls[id]
 		if !inFlight {
-			owner := w.assign.Owner(id)
+			owner := w.dir.owner(id)
 			now := time.Now()
 			ps = &pullState{requestedAt: now, retryAt: now.Add(w.retryDelay(0)), owner: owner}
 			w.pulls[id] = ps
 			w.pullBatch[owner] = append(w.pullBatch[owner], id)
 			w.pullCount++
 		}
-		ps.waiters = append(ps.waiters, pt)
-	}
-	if pt.remaining == 0 {
-		w.pendMu.Unlock()
-		t.SetStatus(core.StatusReady)
-		w.trRetr.Event(trace.EvTaskReady, t.ID)
-		w.cpq.push(t)
-		return
+		ps.waiters = append(ps.waiters, pullWaiter{pt: pt, slot: i})
 	}
 	w.pendingTasks++
 	flush := w.pullCount >= w.cfg.BufferFlush
@@ -616,11 +616,13 @@ func (w *Worker) handlePullResp(payload []byte) {
 				w.cache.Acquire(pv.ID)
 			}
 		}
-		for _, pt := range ps.waiters {
-			pt.remaining--
-			if pt.remaining == 0 {
+		for _, wt := range ps.waiters {
+			if pv.Present {
+				wt.pt.t.Pulled[wt.slot] = pv.V
+			}
+			if wt.pt.remaining--; wt.pt.remaining == 0 {
 				w.pendingTasks--
-				ready = append(ready, pt.t)
+				ready = append(ready, wt.pt.t)
 			}
 		}
 	}
@@ -628,9 +630,7 @@ func (w *Worker) handlePullResp(payload []byte) {
 	w.pendMu.Unlock()
 	w.trRetr.Event(trace.EvPullAnswered, uint64(len(entries)))
 	for _, t := range ready {
-		t.SetStatus(core.StatusReady)
-		w.trRetr.Event(trace.EvTaskReady, t.ID)
-		w.cpq.push(t)
+		w.ready(t)
 	}
 }
 
@@ -658,30 +658,34 @@ func (w *Worker) retryDelay(attempts int) time.Duration {
 // snapshot taken at request time: after a failure + recovery the owner
 // assignment is re-read, so a stale snapshot could target the wrong
 // node forever. Retries back off exponentially with jitter (capped) so
-// a dead owner is probed, not hammered.
+// a dead owner is probed, not hammered. The re-requests are queued for the
+// caller's flushPulls.
 func (w *Worker) retryStalePulls() {
-	now := time.Now()
-	need := make(map[int][]graph.VertexID)
 	w.pendMu.Lock()
+	if len(w.pulls) == 0 {
+		w.pendMu.Unlock()
+		return // the usual heartbeat: nothing in flight, nothing to build
+	}
+	now := time.Now()
+	retried := 0
 	for id, ps := range w.pulls {
 		if now.Before(ps.retryAt) {
 			continue
 		}
 		ps.attempts++
-		if owner := w.assign.Owner(id); owner >= 0 {
+		if owner := w.dir.owner(id); owner >= 0 {
 			ps.owner = owner
 		}
 		ps.requestedAt = now
 		ps.retryAt = now.Add(w.retryDelay(ps.attempts))
-		need[ps.owner] = append(need[ps.owner], id)
+		// Retries ride the caller's flush, in the batch map it recycles.
+		w.pullBatch[ps.owner] = append(w.pullBatch[ps.owner], id)
+		retried++
 	}
+	w.pullCount += retried
 	w.pendMu.Unlock()
-	for owner, ids := range need {
-		w.trRetr.Event(trace.EvPullRetry, uint64(len(ids)))
-		wr := wire.GetWriter(16 + 4*len(ids))
-		encodePullReqInto(wr, ids)
-		_ = w.ep.Send(owner, msgPullReq, wr.Bytes())
-		wire.PutWriter(wr)
+	if retried > 0 {
+		w.trRetr.Event(trace.EvPullRetry, uint64(retried))
 	}
 }
 
@@ -722,7 +726,7 @@ func (w *Worker) runTask(t *core.Task, cands []*graph.Vertex) []*graph.Vertex {
 			t.Round = 1 // first update round after seeding (§4.2)
 		}
 		start := time.Now()
-		cands = w.resolve(cands, t.Cands)
+		cands = w.resolve(cands, t)
 		w.algo.Update(t, cands, w)
 		w.counters.AddBusy(time.Since(start))
 		// Reuses the busy-time timestamps: a disabled tracer adds no clock
@@ -732,7 +736,9 @@ func (w *Worker) runTask(t *core.Task, cands []*graph.Vertex) []*graph.Vertex {
 		next, children := t.TakeTransition()
 		if len(t.ToPull) > 0 {
 			w.cache.Release(t.ToPull...)
-			t.ToPull = t.ToPull[:0]
+			// A task waiting in the store must not hold an array the size
+			// of its last round.
+			t.ToPull, t.Pulled = t.ToPull[:0], nil
 		}
 		if len(children) > 0 {
 			w.trExec.Event(trace.EvTaskSplit, uint64(len(children)))
@@ -775,15 +781,23 @@ func (w *Worker) taskDead(t *core.Task) {
 	}
 }
 
-// resolve maps candidate IDs to vertex objects: local partition first,
-// then the RCV cache; unknown IDs yield nil. The objects overwrite dst, the
-// caller's scratch, which is returned resized to len(ids).
-func (w *Worker) resolve(dst []*graph.Vertex, ids []graph.VertexID) []*graph.Vertex {
-	dst = slices.Grow(dst[:0], len(ids))[:len(ids)]
-	for i, id := range ids {
-		v, ok := w.local[id]
-		if !ok {
-			v, _ = w.cache.Peek(id) // nil on a miss
+// resolve maps t's candidate IDs to vertex objects: the local partition
+// through the directory, remote candidates from the pointers the retriever
+// left in t.Pulled (nil where the owner had no such vertex); unknown IDs
+// yield nil. t.ToPull is the remote candidates in candidate order, each
+// once, so one cursor walks it beside t.Cands. The objects overwrite dst,
+// the caller's scratch, which is returned resized.
+func (w *Worker) resolve(dst []*graph.Vertex, t *core.Task) []*graph.Vertex {
+	dst = slices.Grow(dst[:0], len(t.Cands))[:len(t.Cands)]
+	next := 0
+	for i, id := range t.Cands {
+		v := w.dir.local(id, w.id)
+		if v == nil && next < len(t.ToPull) && t.ToPull[next] == id {
+			v, next = t.Pulled[next], next+1
+		} else if v == nil && len(t.ToPull) > 0 {
+			// A remote candidate listed twice (ToPull holds it once, and its
+			// reference keeps it cached), or an ID nobody owns.
+			v, _ = w.cache.Peek(id)
 		}
 		dst[i] = v
 	}
@@ -795,6 +809,7 @@ func (w *Worker) resolve(dst []*graph.Vertex, ids []graph.VertexID) []*graph.Ver
 // message handling.
 
 func (w *Worker) commLoop() {
+	var sc serveScratch // for requests served inline (PullServeWorkers <= 1)
 	for {
 		m, ok := w.ep.Recv()
 		if !ok || w.killed.Load() {
@@ -809,7 +824,7 @@ func (w *Worker) commLoop() {
 					return
 				}
 			} else {
-				w.servePull(m.From, m.Payload)
+				w.servePull(m.From, m.Payload, &sc)
 			}
 		case msgPullResp:
 			w.handlePullResp(m.Payload)
@@ -849,12 +864,13 @@ func (w *Worker) commLoop() {
 // worker so responses to different requesters are encoded and sent
 // concurrently.
 func (w *Worker) pullServeLoop() {
+	var sc serveScratch
 	for {
 		select {
 		case <-w.stopCh:
 			return
 		case req := <-w.pullServe:
-			w.servePull(req.from, req.payload)
+			w.servePull(req.from, req.payload, &sc)
 		}
 	}
 }
@@ -862,23 +878,22 @@ func (w *Worker) pullServeLoop() {
 // servePull answers a pull request from another worker with the requested
 // vertices from the local vertex table. The response is encoded into a
 // pooled buffer: Send copies the payload, so the buffer goes straight
-// back to the pool.
-func (w *Worker) servePull(from int, payload []byte) {
+// back to the pool. sc is the calling goroutine's scratch.
+func (w *Worker) servePull(from int, payload []byte, sc *serveScratch) {
 	ids, err := decodePullReq(payload)
 	if err != nil {
 		return
 	}
-	found := make([]*graph.Vertex, 0, len(ids))
-	var missing []graph.VertexID
+	sc.found, sc.missing = sc.found[:0], sc.missing[:0]
 	for _, id := range ids {
-		if v, ok := w.local[id]; ok {
-			found = append(found, v)
+		if v := w.dir.local(id, w.id); v != nil {
+			sc.found = append(sc.found, v)
 		} else {
-			missing = append(missing, id)
+			sc.missing = append(sc.missing, id)
 		}
 	}
 	wr := wire.GetWriter(64 + 32*len(ids))
-	encodePullRespInto(wr, found, missing)
+	encodePullRespInto(wr, sc.found, sc.missing)
 	_ = w.ep.Send(from, msgPullResp, wr.Bytes())
 	wire.PutWriter(wr)
 }
@@ -902,9 +917,7 @@ func (w *Worker) handleMigrate(payload []byte) {
 	w.tasksSent.Add(int64(len(tasks)))
 	w.activity.Add(int64(len(tasks)))
 	w.inflight.Add(-int64(len(tasks)))
-	for range tasks {
-		w.counters.TaskStolen()
-	}
+	w.counters.TasksStolen(len(tasks))
 	_ = w.ep.Send(thief, msgTasks, wr.Bytes())
 	wire.PutWriter(wr)
 	w.reportIfIdle()
@@ -950,8 +963,8 @@ func (w *Worker) progressLoop() {
 		}
 		// Flush tasks and pull requests stranded below batch thresholds.
 		w.flushBatch(w.buffer.drain())
-		w.flushPulls()
 		w.retryStalePulls()
+		w.flushPulls()
 		w.observeMemory()
 
 		w.sendProgress()
@@ -1094,5 +1107,5 @@ func (w *Worker) AggGlobal() any {
 
 // LocalVertex implements core.Env.
 func (w *Worker) LocalVertex(id graph.VertexID) *graph.Vertex {
-	return w.local[id]
+	return w.dir.local(id, w.id)
 }

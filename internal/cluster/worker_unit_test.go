@@ -28,7 +28,7 @@ func newTestWorker(t *testing.T) (*Worker, *graph.Graph, *transport.LocalNetwork
 	}
 	net := transport.NewLocal(transport.LocalConfig{Nodes: 3})
 	t.Cleanup(net.Close)
-	w, err := newWorker(0, cfg, algo.NewTriangleCount(), g, assign, nil, net.Endpoint(0),
+	w, err := newWorker(0, cfg, algo.NewTriangleCount(), newDirectory(g, assign), buildLocalTable(g, assign, 0), net.Endpoint(0),
 		&metrics.Counters{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -40,10 +40,10 @@ func TestComputeToPullDeduplicatesAndFiltersLocal(t *testing.T) {
 	w, g, _ := newTestWorker(t)
 	var local, remote graph.VertexID = -1, -1
 	g.ForEach(func(v *graph.Vertex) bool {
-		if w.assign.Owner(v.ID) == 0 && local < 0 {
+		if w.dir.owner(v.ID) == 0 && local < 0 {
 			local = v.ID
 		}
-		if w.assign.Owner(v.ID) == 1 && remote < 0 {
+		if w.dir.owner(v.ID) == 1 && remote < 0 {
 			remote = v.ID
 		}
 		return local >= 0 && remote >= 0 == false
@@ -69,7 +69,7 @@ func TestComputeToPullSortedIsAllocFree(t *testing.T) {
 		var out []graph.VertexID
 		seen := map[graph.VertexID]bool{}
 		for _, id := range cands {
-			if _, local := w.local[id]; local || seen[id] || w.assign.Owner(id) < 0 {
+			if local := w.dir.local(id, w.id) != nil; local || seen[id] || w.dir.owner(id) < 0 {
 				continue
 			}
 			seen[id] = true
@@ -95,24 +95,38 @@ func TestComputeToPullSortedIsAllocFree(t *testing.T) {
 	}
 }
 
-func TestResolvePrefersLocalThenCache(t *testing.T) {
+// resolve reads local candidates through the directory and remote ones from
+// the pointers dispatch left in t.Pulled — the cache is consulted only for a
+// remote candidate listed twice.
+func TestResolveLocalThenPulled(t *testing.T) {
 	w, g, _ := newTestWorker(t)
-	var local graph.VertexID = -1
+	var local, remote graph.VertexID = -1, -1
 	g.ForEach(func(v *graph.Vertex) bool {
-		if w.assign.Owner(v.ID) == 0 {
+		switch {
+		case w.dir.owner(v.ID) == 0 && local < 0:
 			local = v.ID
-			return false
+		case w.dir.owner(v.ID) == 1 && remote < 0:
+			remote = v.ID
 		}
-		return true
+		return local < 0 || remote < 0
 	})
-	cached := &graph.Vertex{ID: 1 << 20, Adj: []graph.VertexID{1}}
+	if local < 0 || remote < 0 {
+		t.Skip("degenerate partition")
+	}
+	cached := g.Vertex(remote).Clone()
 	w.cache.ForceInsert(cached)
-	got := w.resolve(nil, []graph.VertexID{local, cached.ID, 1 << 40})
+	task := &core.Task{Cands: []graph.VertexID{local, remote, 1 << 40, remote}}
+	w.computeToPull(task)
+	w.dispatch(task)
+	if w.cpq.len() != 1 || len(task.Pulled) != 1 || task.Pulled[0] != cached {
+		t.Fatalf("dispatch on a cache hit: cpq=%d pulled=%v", w.cpq.len(), task.Pulled)
+	}
+	got := w.resolve(nil, task)
 	if got[0] == nil || got[0].ID != local {
 		t.Fatalf("local resolve failed: %+v", got[0])
 	}
-	if got[1] != cached {
-		t.Fatalf("cache resolve failed: %+v", got[1])
+	if got[1] != cached || got[3] != cached {
+		t.Fatalf("remote resolve failed: %+v, repeat %+v", got[1], got[3])
 	}
 	if got[2] != nil {
 		t.Fatal("dangling candidate should resolve to nil")
@@ -141,7 +155,7 @@ func TestFlushPullsBatchesByOwner(t *testing.T) {
 	// Queue two pulls for worker 1 through dispatch's batch, then flush.
 	var remotes []graph.VertexID
 	g.ForEach(func(v *graph.Vertex) bool {
-		if w.assign.Owner(v.ID) == 1 {
+		if w.dir.owner(v.ID) == 1 {
 			remotes = append(remotes, v.ID)
 		}
 		return len(remotes) < 3
@@ -170,7 +184,7 @@ func TestHandlePullRespReadiesTask(t *testing.T) {
 	w, g, _ := newTestWorker(t)
 	var remotes []graph.VertexID
 	g.ForEach(func(v *graph.Vertex) bool {
-		if w.assign.Owner(v.ID) == 1 {
+		if w.dir.owner(v.ID) == 1 {
 			remotes = append(remotes, v.ID)
 		}
 		return len(remotes) < 2
@@ -207,7 +221,7 @@ func TestHandlePullRespTombstone(t *testing.T) {
 	// this models an owner-map/graph inconsistency).
 	w.pendMu.Lock()
 	pt := &pendingTask{t: task, remaining: 1}
-	w.pulls[missing] = &pullState{waiters: []*pendingTask{pt}, owner: 1}
+	w.pulls[missing] = &pullState{waiters: []pullWaiter{{pt: pt}}, owner: 1}
 	w.pendingTasks++
 	w.pendMu.Unlock()
 

@@ -68,6 +68,13 @@ type Task struct {
 	// signing and the locality rate lr(t) of task stealing.
 	ToPull []graph.VertexID
 
+	// Pulled holds, parallel to ToPull, the vertex objects the candidate
+	// retriever obtained for this round (each one a reference held in the
+	// RCV cache until the round ends), so the executor resolves remote
+	// candidates without going back to the cache. Runtime-owned and never
+	// serialized: a task outside a round has none.
+	Pulled []*graph.Vertex
+
 	// spawned collects child tasks created during Update (recursive task
 	// splitting, §9 future work).
 	spawned []*Task

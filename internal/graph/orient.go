@@ -1,5 +1,7 @@
 package graph
 
+import "math"
+
 // Orient returns G⁺, the degree-oriented view of frozen graph g: the same
 // vertices in the same slots, each keeping only its neighbours of higher
 // (degree, ID), still ID-sorted. Every undirected edge lives in exactly one
@@ -60,4 +62,15 @@ func (g *Graph) IDSpan() (min VertexID, span int64) {
 		return 0, 0
 	}
 	return min, int64(max-min) + 1
+}
+
+// DenseIDs reports whether the graph's IDs are dense enough to index a flat
+// structure by id − base: the ID range is at most 64 slots per vertex (and
+// fits 32 bits). It is the one rule every ID-indexed structure reads — TC's
+// candidate bitmap, the engine's vertex directory — so they agree on every
+// graph; a property of the input, re-read whenever the graph changes, never
+// a knob.
+func (g *Graph) DenseIDs() (base VertexID, span int, ok bool) {
+	base, s := g.IDSpan()
+	return base, int(s), s > 0 && s <= 64*int64(g.NumVertices()) && s <= math.MaxUint32
 }

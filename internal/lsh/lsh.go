@@ -40,14 +40,18 @@ func (s *Signer) K() int { return s.k }
 
 // Sign computes the minhash signature of the element set. An empty set
 // yields the all-max signature, which sorts last.
-func (s *Signer) Sign(set []uint64) Signature {
+func (s *Signer) Sign(set []uint64) Signature { return SignSet(s, set) }
+
+// SignSet is Sign over any 64-bit integer element type, so callers holding
+// typed IDs sign them in place instead of copying into a []uint64 first.
+func SignSet[E ~int64 | ~uint64](s *Signer, set []E) Signature {
 	sig := make(Signature, s.k)
 	for i := range sig {
 		sig[i] = ^uint64(0)
 	}
 	for _, e := range set {
 		for i, m := range s.seeds {
-			h := mix(e * m)
+			h := mix(uint64(e) * m)
 			if h < sig[i] {
 				sig[i] = h
 			}

@@ -88,8 +88,8 @@ func (c *Counters) EmitResult() { c.results.Add(1) }
 func (c *Counters) CacheHit()  { c.cacheHits.Add(1) }
 func (c *Counters) CacheMiss() { c.cacheMisses.Add(1) }
 
-// TaskStolen records a migrated task.
-func (c *Counters) TaskStolen() { c.stolen.Add(1) }
+// TasksStolen records n migrated tasks.
+func (c *Counters) TasksStolen(n int) { c.stolen.Add(int64(n)) }
 
 // CheckpointFailed records a failed checkpoint attempt.
 func (c *Counters) CheckpointFailed() { c.ckptFails.Add(1) }

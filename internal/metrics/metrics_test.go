@@ -19,7 +19,7 @@ func TestCountersBasics(t *testing.T) {
 	c.CacheHit()
 	c.CacheHit()
 	c.CacheMiss()
-	c.TaskStolen()
+	c.TasksStolen(1)
 	s := c.Snapshot()
 	if s.Busy != time.Second || s.NetBytes != 150 || s.NetMsgs != 2 ||
 		s.DiskRead != 10 || s.DiskWrite != 20 || s.TasksDone != 1 ||

@@ -7,7 +7,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,16 +20,25 @@ import (
 	"gminer/internal/wire"
 )
 
+// item is one stored task. (key, seq) is the store's total order: seq is
+// the arrival number, so equal keys leave in arrival order whether or not
+// they went through a spill block in between.
 type item struct {
-	key lsh.Signature
+	key lsh.Signature // nil when LSH is disabled: arrival order alone
+	seq uint64
 	t   *core.Task
 }
 
+func (a *item) compare(b *item) int {
+	if c := a.key.Compare(b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
 type diskBlock struct {
-	id     int
-	minKey lsh.Signature
-	count  int
-	bytes  int
+	id  int
+	min item // the block's first (key, seq); its task is not retained
 }
 
 // Config configures a task store.
@@ -61,17 +72,22 @@ func (c *Config) defaults() {
 // batches, the candidate retriever pops.
 type Store struct {
 	cfg     Config
-	signer  *lsh.Signer // nil when LSH disabled
+	signer  *lsh.Signer   // nil when LSH disabled
+	zeroKey lsh.Signature // shared by every task with nothing to pull
 	codec   core.ContextCodec
 	spiller *spill.Spiller
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	head   []item // sorted ascending by key
-	blocks []diskBlock
-	seq    uint64 // FIFO tiebreaker / key source when LSH disabled
-	size   int
-	closed bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	// The in-memory head is items[off:], ascending: pops advance off, inserts
+	// merge into the slack behind the tail, neither re-slices capacity away.
+	items   []item
+	off     int
+	scratch []item // Insert's sorted batch, reused
+	blocks  []diskBlock
+	seq     uint64 // arrival counter
+	size    int
+	closed  bool
 	// lowWater is the size a WaitBelow caller sleeps for; -1 when nobody does.
 	lowWater int
 
@@ -85,29 +101,28 @@ func New(cfg Config, codec core.ContextCodec, sp *spill.Spiller, counters *metri
 	s := &Store{cfg: cfg, codec: codec, spiller: sp, counters: counters, lowWater: -1}
 	if cfg.LSHDims > 0 {
 		s.signer = lsh.NewSigner(cfg.LSHDims, cfg.Seed)
+		s.zeroKey = make(lsh.Signature, cfg.LSHDims)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
 // keyFor computes the priority key of a task: the LSH signature of its
-// to_pull set, or a FIFO sequence number when LSH is disabled. Tasks with
-// nothing to pull get the zero signature and sort first — they are ready
-// to run immediately.
+// to_pull set, or nothing when LSH is disabled (arrival order decides).
+// Tasks with nothing to pull share the zero signature and sort first — they
+// are ready to run immediately.
 func (s *Store) keyFor(t *core.Task) lsh.Signature {
-	if s.signer == nil {
-		s.seq++
-		return lsh.Signature{s.seq}
+	switch {
+	case s.signer == nil:
+		return nil
+	case len(t.ToPull) == 0:
+		return s.zeroKey
 	}
-	if len(t.ToPull) == 0 {
-		return make(lsh.Signature, s.signer.K())
-	}
-	set := make([]uint64, len(t.ToPull))
-	for i, id := range t.ToPull {
-		set[i] = uint64(id)
-	}
-	return s.signer.Sign(set)
+	return lsh.SignSet(s.signer, t.ToPull)
 }
+
+// head is the in-memory tasks, ascending.
+func (s *Store) head() []item { return s.items[s.off:] }
 
 // Insert adds a batch of inactive tasks ("the tasks in this buffer are
 // inserted into the task store in batches", §4.3). Spills to disk when
@@ -121,30 +136,18 @@ func (s *Store) Insert(tasks []*core.Task) error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
-	// Sort the batch once and merge with the (sorted) head: O((n+m)·k)
-	// instead of n sorted insertions with O(m) memmoves each.
-	batch := make([]item, 0, len(tasks))
+	batch := s.scratch[:0]
 	for _, t := range tasks {
 		t.SetStatus(core.StatusInactive)
-		batch = append(batch, item{key: s.keyFor(t), t: t})
+		s.seq++
+		batch = append(batch, item{key: s.keyFor(t), seq: s.seq, t: t})
 		s.size++
 		s.memBytes += t.FootprintBytes()
 	}
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].key.Less(batch[j].key) })
-	merged := make([]item, 0, len(s.head)+len(batch))
-	i, j := 0, 0
-	for i < len(s.head) && j < len(batch) {
-		if !batch[j].key.Less(s.head[i].key) {
-			merged = append(merged, s.head[i])
-			i++
-		} else {
-			merged = append(merged, batch[j])
-			j++
-		}
-	}
-	merged = append(merged, s.head[i:]...)
-	merged = append(merged, batch[j:]...)
-	s.head = merged
+	slices.SortFunc(batch, func(a, b item) int { return a.compare(&b) })
+	s.mergeLocked(batch)
+	clear(batch)
+	s.scratch = batch[:0]
 	if err := s.maybeSpillLocked(); err != nil {
 		return err
 	}
@@ -152,20 +155,60 @@ func (s *Store) Insert(tasks []*core.Task) error {
 	return nil
 }
 
+// room makes space for n more items behind the head: a head filling under
+// half the storage slides back to the front, a fuller one moves to storage
+// twice the size. Either copy is paid for by the inserts that used the tail
+// up, so an insert costs its batch, amortised, not the head.
+func (s *Store) room(n int) {
+	live := len(s.items) - s.off
+	switch {
+	case cap(s.items)-len(s.items) >= n:
+		return
+	case 2*(live+n) <= cap(s.items):
+		copy(s.items, s.items[s.off:])
+		clear(s.items[live:])
+		s.items = s.items[:live]
+	default:
+		grown := make([]item, live, 2*(live+n))
+		copy(grown, s.items[s.off:])
+		s.items = grown
+	}
+	s.off = 0
+}
+
+// mergeLocked merges an ascending batch into the head in place, from the
+// back: each item is placed by binary search and the head items above it move
+// up as one block — no second slice, no compare per head item.
+func (s *Store) mergeLocked(batch []item) {
+	s.room(len(batch))
+	hi := len(s.items) // head items at or above hi have already moved up
+	s.items = s.items[:hi+len(batch)]
+	for j := len(batch) - 1; j >= 0; j-- {
+		b := &batch[j]
+		// First head item after b; equal keys arrived earlier and stay ahead.
+		p := s.off + sort.Search(hi-s.off, func(i int) bool { return s.items[s.off+i].compare(b) > 0 })
+		copy(s.items[p+j+1:], s.items[p:hi])
+		s.items[p+j] = *b
+		hi = p
+	}
+}
+
 // maybeSpillLocked spills the largest-key suffix of the head into disk
 // blocks until the head fits in memory again.
 func (s *Store) maybeSpillLocked() error {
-	for len(s.head) > s.cfg.MemCapacity {
+	for len(s.head()) > s.cfg.MemCapacity {
 		n := s.cfg.BlockCapacity
-		if n > len(s.head)-s.cfg.MemCapacity/2 {
-			n = len(s.head) - s.cfg.MemCapacity/2
+		if n > len(s.head())-s.cfg.MemCapacity/2 {
+			n = len(s.head()) - s.cfg.MemCapacity/2
 		}
 		if n <= 0 {
 			return nil
 		}
-		chunk := s.head[len(s.head)-n:]
-		s.head = s.head[:len(s.head)-n]
-		if err := s.spillChunkLocked(chunk); err != nil {
+		chunk := s.items[len(s.items)-n:]
+		err := s.spillChunkLocked(chunk)
+		clear(chunk)
+		s.items = s.items[:len(s.items)-n]
+		if err != nil {
 			return err
 		}
 	}
@@ -183,6 +226,7 @@ func (s *Store) spillChunkLocked(chunk []item) error {
 	w.Uvarint(uint64(len(chunk)))
 	for _, it := range chunk {
 		w.BytesField(it.key.Bytes())
+		w.Uvarint(it.seq)
 		tw.Reset()
 		core.EncodeTask(tw, it.t, s.codec)
 		w.BytesField(tw.Bytes())
@@ -192,26 +236,36 @@ func (s *Store) spillChunkLocked(chunk []item) error {
 	if err != nil {
 		return err
 	}
-	s.blocks = append(s.blocks, diskBlock{
-		id:     id,
-		minKey: append(lsh.Signature(nil), chunk[0].key...),
-		count:  len(chunk),
-		bytes:  w.Len(),
-	})
+	s.blocks = append(s.blocks, diskBlock{id: id, min: item{key: slices.Clone(chunk[0].key), seq: chunk[0].seq}})
 	return nil
 }
 
-// loadBlockLocked reads the spilled block with the smallest minKey back
-// into the in-memory head.
-func (s *Store) loadBlockLocked() error {
-	best := -1
-	for i := range s.blocks {
-		if best < 0 || s.blocks[i].minKey.Less(s.blocks[best].minKey) {
-			best = i
+// decodeBlock walks a spilled block, handing each item's key, arrival
+// number and encoded task to fn.
+func decodeBlock(data []byte, fn func(key lsh.Signature, seq uint64, task []byte) error) error {
+	r := wire.NewReader(data)
+	for n := r.Uvarint(); n > 0 && r.Err() == nil; n-- {
+		key := lsh.SignatureFromBytes(r.BytesField())
+		seq := r.Uvarint()
+		task := r.BytesField()
+		if r.Err() != nil {
+			break
+		}
+		if err := fn(key, seq, task); err != nil {
+			return err
 		}
 	}
-	if best < 0 {
-		return nil
+	return r.Err()
+}
+
+// loadBlockLocked reads the spilled block with the smallest first item back
+// into the in-memory head.
+func (s *Store) loadBlockLocked() error {
+	best := 0
+	for i := range s.blocks {
+		if s.blocks[i].min.compare(&s.blocks[best].min) < 0 {
+			best = i
+		}
 	}
 	blk := s.blocks[best]
 	s.blocks = append(s.blocks[:best], s.blocks[best+1:]...)
@@ -220,36 +274,20 @@ func (s *Store) loadBlockLocked() error {
 		return err
 	}
 	s.spiller.Free(blk.id)
-	r := wire.NewReader(data)
-	n := r.Uvarint()
-	items := make([]item, 0, n)
-	for i := uint64(0); i < n; i++ {
-		key := lsh.SignatureFromBytes(r.BytesField())
-		t, err := core.DecodeTask(wire.NewReader(r.BytesField()), s.codec)
+	var loaded []item // ascending, as spilled
+	err = decodeBlock(data, func(key lsh.Signature, seq uint64, task []byte) error {
+		t, err := core.DecodeTask(wire.NewReader(task), s.codec)
 		if err != nil {
-			return fmt.Errorf("store: decode spilled task: %w", err)
+			return fmt.Errorf("decode spilled task: %w", err)
 		}
-		items = append(items, item{key: key, t: t})
+		loaded = append(loaded, item{key: key, seq: seq, t: t})
 		s.memBytes += t.FootprintBytes()
-	}
-	if err := r.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("store: block %d: %w", blk.id, err)
 	}
-	// Merge (both sorted).
-	merged := make([]item, 0, len(s.head)+len(items))
-	i, j := 0, 0
-	for i < len(s.head) && j < len(items) {
-		if s.head[i].key.Less(items[j].key) {
-			merged = append(merged, s.head[i])
-			i++
-		} else {
-			merged = append(merged, items[j])
-			j++
-		}
-	}
-	merged = append(merged, s.head[i:]...)
-	merged = append(merged, items[j:]...)
-	s.head = merged
+	s.mergeLocked(loaded)
 	return nil
 }
 
@@ -314,36 +352,37 @@ func (s *Store) TryPop() (*core.Task, bool) {
 }
 
 func (s *Store) popLocked() (*core.Task, error) {
-	// If a spilled block may contain a smaller key than the head (or the
-	// head is empty), load it first.
-	for {
-		needLoad := false
-		if len(s.head) == 0 && len(s.blocks) > 0 {
-			needLoad = true
-		} else if len(s.blocks) > 0 {
-			for i := range s.blocks {
-				if s.blocks[i].minKey.Less(s.head[0].key) {
-					needLoad = true
-					break
-				}
-			}
-		}
-		if !needLoad {
-			break
-		}
+	// While a spilled block may hold an item ahead of the head's first (or
+	// the head is empty), load it first.
+	for s.blockAheadLocked() {
 		if err := s.loadBlockLocked(); err != nil {
 			return nil, err
 		}
 	}
-	if len(s.head) == 0 {
+	if s.off == len(s.items) {
 		return nil, nil
 	}
-	it := s.head[0]
-	s.head = s.head[1:]
+	it := s.items[s.off]
+	s.items[s.off] = item{}
+	if s.off++; s.off == len(s.items) {
+		s.items, s.off = s.items[:0], 0
+	}
 	s.size--
 	s.memBytes -= it.t.FootprintBytes()
 	s.shrunkLocked()
 	return it.t, nil
+}
+
+func (s *Store) blockAheadLocked() bool {
+	if s.off == len(s.items) {
+		return len(s.blocks) > 0
+	}
+	for i := range s.blocks {
+		if s.blocks[i].min.compare(&s.items[s.off]) < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Steal removes up to n tasks for migration, preferring the tail of the
@@ -354,14 +393,23 @@ func (s *Store) Steal(n int, eligible func(*core.Task) bool) []*core.Task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []*core.Task
-	for i := len(s.head) - 1; i >= 0 && len(out) < n; i-- {
-		if eligible == nil || eligible(s.head[i].t) {
-			out = append(out, s.head[i].t)
-			s.memBytes -= s.head[i].t.FootprintBytes()
-			s.head = append(s.head[:i], s.head[i+1:]...)
-			s.size--
+	// One pass down from the tail: picks leave, the tasks passed over pack
+	// against the end, and one copy closes the gap below them.
+	i, keep := len(s.items), len(s.items)
+	for i > s.off && len(out) < n {
+		i--
+		if t := s.items[i].t; eligible == nil || eligible(t) {
+			out = append(out, t)
+			s.memBytes -= t.FootprintBytes()
+			continue
 		}
+		keep--
+		s.items[keep] = s.items[i]
 	}
+	end := i + copy(s.items[i:], s.items[keep:])
+	clear(s.items[end:])
+	s.items = s.items[:end]
+	s.size -= len(out)
 	s.shrunkLocked()
 	return out
 }
@@ -419,7 +467,7 @@ func (s *Store) Snapshot() ([]byte, error) {
 	w.Uvarint(uint64(s.size))
 	tw := wire.GetWriter(256)
 	defer wire.PutWriter(tw)
-	for _, it := range s.head {
+	for _, it := range s.head() {
 		tw.Reset()
 		core.EncodeTask(tw, it.t, s.codec)
 		w.BytesField(tw.Bytes())
@@ -429,13 +477,11 @@ func (s *Store) Snapshot() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := wire.NewReader(data)
-		n := r.Uvarint()
-		for i := uint64(0); i < n; i++ {
-			_ = r.BytesField() // key, recomputed on restore
-			w.BytesField(r.BytesField())
-		}
-		if err := r.Err(); err != nil {
+		err = decodeBlock(data, func(_ lsh.Signature, _ uint64, task []byte) error {
+			w.BytesField(task) // key and arrival are recomputed on restore
+			return nil
+		})
+		if err != nil {
 			return nil, fmt.Errorf("store: snapshot block %d: %w", blk.id, err)
 		}
 	}

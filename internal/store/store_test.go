@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -337,5 +338,168 @@ func TestLSHOrderCutsCacheMisses(t *testing.T) {
 	t.Logf("cache misses: lsh=%d fifo=%d", withLSH, fifo)
 	if withLSH >= fifo {
 		t.Fatalf("signature order needed %d pulls, insertion order %d", withLSH, fifo)
+	}
+}
+
+// The store's contract, whatever happens in between: tasks leave in the
+// order of a stable sort by (key, arrival). A reference model — a plain
+// slice re-sorted after every insert — is driven beside the store through
+// random interleavings of Insert batches, TryPop and Steal, with the head
+// small enough that most tasks pass through a spill block when spilling is
+// on. Every pop must be the model's first task. A steal may only take what
+// is in memory, so with spilling off it must be exactly the model's last
+// eligible tasks, tail first; with spilling on it must be eligible tasks,
+// tail first among themselves, that the model still holds.
+func TestStoreOrderMatchesStableSort(t *testing.T) {
+	type ref struct {
+		key lsh.Signature
+		seq int
+		t   *core.Task
+	}
+	eligible := func(t *core.Task) bool { return t.ID%3 != 0 }
+	for _, tc := range []struct {
+		name       string
+		memCap     int
+		dims       int
+		spillsWant bool
+	}{
+		{"lsh", 1 << 20, 4, false},
+		{"fifo", 1 << 20, 0, false},
+		{"lsh+spill", 24, 4, true},
+		{"fifo+spill", 24, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.memCap + tc.dims)))
+			s := newStore(t, Config{MemCapacity: tc.memCap, BlockCapacity: 5, LSHDims: tc.dims, Seed: 99}, "")
+			signer := lsh.NewSigner(4, 99)
+			var model []ref
+			var nextID uint64
+			arrivals, spilled := 0, false
+			indexOf := func(id uint64) int {
+				return slices.IndexFunc(model, func(r ref) bool { return r.t.ID == id })
+			}
+			for step := 0; step < 3000; step++ {
+				switch op := rng.Intn(10); {
+				case op < 4: // insert a batch; few distinct to_pull sets, so keys tie
+					batch := make([]*core.Task, 1+rng.Intn(12))
+					for i := range batch {
+						nextID++
+						var pulls []graph.VertexID
+						for n := rng.Intn(3); n > 0; n-- {
+							pulls = append(pulls, graph.VertexID(500+rng.Intn(6)))
+						}
+						batch[i] = mkTask(nextID, pulls...)
+						r := ref{seq: arrivals, t: batch[i]}
+						arrivals++
+						switch {
+						case tc.dims == 0:
+						case len(pulls) == 0:
+							r.key = make(lsh.Signature, 4)
+						default:
+							r.key = lsh.SignSet(signer, pulls)
+						}
+						model = append(model, r)
+					}
+					if err := s.Insert(batch); err != nil {
+						t.Fatal(err)
+					}
+					sort.SliceStable(model, func(i, j int) bool {
+						if c := model[i].key.Compare(model[j].key); c != 0 {
+							return c < 0
+						}
+						return model[i].seq < model[j].seq
+					})
+					spilled = spilled || s.SpilledBlocks() > 0
+				case op < 8:
+					task, ok := s.TryPop()
+					if ok != (len(model) > 0) {
+						t.Fatalf("step %d: pop ok=%v with %d tasks stored", step, ok, len(model))
+					}
+					if !ok {
+						continue
+					}
+					if task.ID != model[0].t.ID {
+						t.Fatalf("step %d: popped task %d, reference order says %d", step, task.ID, model[0].t.ID)
+					}
+					model = model[1:]
+				default:
+					n := 1 + rng.Intn(6)
+					stolen := s.Steal(n, eligible)
+					var want []uint64 // the model's last n eligible, tail first
+					for i := len(model) - 1; i >= 0 && len(want) < n; i-- {
+						if eligible(model[i].t) {
+							want = append(want, model[i].t.ID)
+						}
+					}
+					if !tc.spillsWant && len(stolen) != len(want) {
+						t.Fatalf("step %d: stole %d tasks, the tail holds %d eligible", step, len(stolen), len(want))
+					}
+					prev := len(model)
+					for i, task := range stolen {
+						if !eligible(task) {
+							t.Fatalf("step %d: stole ineligible task %d", step, task.ID)
+						}
+						if !tc.spillsWant && task.ID != want[i] {
+							t.Fatalf("step %d: steal %d is task %d, want %d", step, i, task.ID, want[i])
+						}
+						// DecodeTask rebuilds a spilled task: identity is the ID.
+						at := indexOf(task.ID)
+						if at < 0 || at >= prev {
+							t.Fatalf("step %d: stolen task %d at model position %d after %d: not tail first", step, task.ID, at, prev)
+						}
+						prev = at
+					}
+					for _, task := range stolen {
+						model = slices.Delete(model, indexOf(task.ID), indexOf(task.ID)+1)
+					}
+				}
+				if s.Size() != len(model) {
+					t.Fatalf("step %d: size %d, model %d", step, s.Size(), len(model))
+				}
+			}
+			if spilled != tc.spillsWant {
+				t.Fatalf("spilled=%v, want %v: the interleaving missed the path it is for", spilled, tc.spillsWant)
+			}
+			for i := 0; len(model) > 0; i++ {
+				task, ok := s.TryPop()
+				if !ok || task.ID != model[0].t.ID {
+					t.Fatalf("drain %d: got %v ok=%v, want task %d", i, task, ok, model[0].t.ID)
+				}
+				model = model[1:]
+			}
+			if s.MemBytes() != 0 || s.SpilledBlocks() != 0 {
+				t.Fatalf("drained store still accounts %d bytes, %d blocks", s.MemBytes(), s.SpilledBlocks())
+			}
+		})
+	}
+}
+
+// Insert and pop must cost their batch, not the head: with 4 096 tasks
+// resident, putting a 64-task batch in and taking 64 tasks out allocates
+// at most the tasks' keys — no fresh head, no per-insert scratch, no
+// []uint64 copy of a to_pull set.
+func TestStoreInsertPopAllocs(t *testing.T) {
+	for _, dims := range []int{4, 0} {
+		s := newStore(t, Config{MemCapacity: 1 << 20, LSHDims: dims}, "")
+		if err := s.Insert(benchTasks(4096)); err != nil {
+			t.Fatal(err)
+		}
+		batch := benchTasks(64)
+		batch[0].ToPull = nil // the shared zero key
+		perRun := testing.AllocsPerRun(200, func() {
+			if err := s.Insert(batch); err != nil {
+				t.Fatal(err)
+			}
+			for range batch {
+				if _, ok := s.TryPop(); !ok {
+					t.Fatal("pop failed")
+				}
+			}
+		})
+		if perTask := perRun / float64(len(batch)); perTask > 1 {
+			t.Fatalf("dims=%d: %.2f allocations per task through Insert+Pop, want <= 1 (the key)", dims, perTask)
+		} else {
+			t.Logf("dims=%d: %.2f allocations per task", dims, perTask)
+		}
 	}
 }

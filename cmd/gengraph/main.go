@@ -45,6 +45,7 @@ func main() {
 		bridges     = flag.Int64("bridges", 1000, "community: inter-community edges")
 
 		labels   = flag.Int("labels", 0, "assign uniform labels from this alphabet (0=none)")
+		deal     = flag.Bool("deal-labels", false, "deal -labels round-robin down the degree ranking instead of drawing them (the benchmark's GM labelling)")
 		attrDim  = flag.Int("attr-dim", 0, "assign attribute vectors of this dimension (0=none)")
 		attrMax  = flag.Int("attr-max", 10, "attribute value range [1,attr-max]")
 		out      = flag.String("o", "", "output file (default stdout)")
@@ -91,7 +92,10 @@ func main() {
 		fatal(err)
 	}
 
-	if *labels > 0 {
+	switch {
+	case *labels > 0 && *deal:
+		gen.DealLabels(g, int32(*labels))
+	case *labels > 0:
 		gen.AssignLabels(g, int32(*labels), *seed+1)
 	}
 	if *attrDim > 0 {

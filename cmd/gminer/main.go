@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -86,6 +87,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "abort after this duration (0=none)")
 		httpAddr  = flag.String("http", "", "serve live job status over HTTP on this address (e.g. 127.0.0.1:8080)")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON dump (load in Perfetto) to this file")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the job (partitioning to last result; not graph loading) to this file")
 	)
 	flag.Parse()
 
@@ -168,6 +170,22 @@ func main() {
 		fmt.Printf("resume:       from newest committed epoch in %s\n", *ckptDir)
 	}
 
+	stopProfile := func() {}
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
+		}
+	}
 	job, err := gminer.Start(g, a, cfg)
 	if err != nil {
 		fatal(err)
@@ -189,6 +207,7 @@ func main() {
 		}()
 	}
 	res, err := job.Wait()
+	stopProfile()
 	if err != nil {
 		fatal(err)
 	}

@@ -27,17 +27,22 @@ import (
 type GraphMatch struct {
 	P *Pattern
 	// Generic forces the scalar HasNeighbor probe, parent by parent, instead
-	// of the position-emitting intersection kernel (the differential
-	// baseline). Context, frontier and codec are shared by both.
+	// of the position-emitting intersection kernels, and pulls a level's
+	// whole frontier whatever its labels (the differential baseline).
+	// Context and codec are shared by both.
 	Generic bool
 
 	// levels[d] is the ModeHom plan's matching schedule of depth d, and
 	// expands[p] is node p's TreeStep.Expands from it. Matching stays in ID
 	// space (candidates may live on remote partitions), so the schedule and
-	// the set kernels are all of the plan GM needs — no CSR.
+	// the set kernels are all of the plan GM needs — no CSR. parents[d] and
+	// wants[d] are the distinct parent nodes and labels of levels[d].
 	levels  [][]plan.TreeStep
+	parents [][]int
+	wants   [][]int32
 	expands []bool
-	scratch sync.Pool // *gmScratch, one per concurrent Update
+	labelOf func(graph.VertexID) (int32, bool) // nil: nobody offered one
+	scratch sync.Pool                          // *gmScratch, one per concurrent Update
 }
 
 // NewGraphMatch returns GM for the given pattern (nil: Figure 1 pattern).
@@ -46,10 +51,21 @@ func NewGraphMatch(p *Pattern) *GraphMatch {
 		p = FigurePattern()
 	}
 	a := &GraphMatch{P: p, levels: plan.TreeSchedule(p.Labels, p.Parent), expands: make([]bool, len(p.Labels))}
-	for _, st := range slices.Concat(a.levels...) {
-		a.expands[st.Node] = st.Expands
+	a.parents, a.wants = make([][]int, len(a.levels)), make([][]int32, len(a.levels))
+	for d, steps := range a.levels {
+		for _, st := range steps {
+			a.expands[st.Node] = st.Expands
+			if d > 0 && !slices.Contains(a.parents[d], st.Parent) {
+				a.parents[d] = append(a.parents[d], st.Parent)
+			}
+			if !slices.Contains(a.wants[d], st.Label) {
+				a.wants[d] = append(a.wants[d], st.Label)
+			}
+		}
 	}
-	a.scratch.New = func() any { return &gmScratch{base: make([]int, len(p.Labels))} }
+	a.scratch.New = func() any {
+		return &gmScratch{base: make([]int, len(p.Labels)), held: make([]kernels.PosTable[graph.VertexID], len(p.Labels))}
+	}
 	return a
 }
 
@@ -58,6 +74,16 @@ func NewGraphMatch(p *Pattern) *GraphMatch {
 // between the kernel path and the generic baseline.
 func (a *GraphMatch) ConfigureKernels(_ *kernels.CSR, generic bool) {
 	a.Generic = a.Generic || generic
+}
+
+// PruneByLabel implements core.LabelPruner: with the lookup in hand a round
+// leaves out of its pull every ID whose label no step of the next level
+// carries. Update reads a candidate's label before anything else and skips
+// it on that ground, so the recorded context — and the count — cannot tell.
+func (a *GraphMatch) PruneByLabel(labelOf func(graph.VertexID) (int32, bool)) {
+	if !a.Generic {
+		a.labelOf = labelOf
+	}
 }
 
 // Name implements core.Algorithm.
@@ -82,8 +108,10 @@ type gmNode struct {
 // gmContext is the task context: one gmNode per pattern node.
 type gmContext struct{ nodes []gmNode }
 
-// gmScratch is Update's working memory, pooled per GraphMatch.
+// gmScratch is Update's working memory, pooled per GraphMatch. held[p] is
+// pattern node p's matches loaded for the level its children are matched on.
 type gmScratch struct {
+	held     []kernels.PosTable[graph.VertexID]
 	pos      []int32
 	rows     [][]graph.VertexID
 	ids      []graph.VertexID
@@ -100,10 +128,26 @@ func (a *GraphMatch) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 	ctx.nodes[0] = gmNode{matches: []graph.VertexID{v.ID}, offsets: []int32{0, 0}}
 	t := &core.Task{Context: ctx}
 	t.Subgraph.AddVertex(v.ID)
-	if a.P.Depth() > 0 { // a single-node pattern counts 1 per seed at update time
+	switch {
+	case a.P.Depth() == 0: // a single-node pattern counts 1 per seed at update time
+	case a.labelOf != nil:
+		t.Cands = a.usable(nil, v.Adj, 1)
+	default:
 		t.Cands = v.Adj // shared, never modified (core.Algorithm.Seed)
 	}
 	spawn(t)
+}
+
+// usable appends to dst the IDs of ids that level d has a use for: all but
+// those whose label is known and none of the level's steps carries it.
+func (a *GraphMatch) usable(dst, ids []graph.VertexID, d int) []graph.VertexID {
+	want := a.wants[d]
+	for _, id := range ids {
+		if label, ok := a.labelOf(id); !ok || slices.Contains(want, label) {
+			dst = append(dst, id)
+		}
+	}
+	return dst
 }
 
 // Update implements core.Algorithm: match pattern level t.Round against cands.
@@ -126,7 +170,18 @@ func (a *GraphMatch) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 	}
 	sc := a.scratch.Get().(*gmScratch)
 	sc.rows = sc.rows[:0]
-	defer func() { clear(sc.rows); a.scratch.Put(sc) }() // the pool keeps no adjacency reachable
+	defer func() { // the pool keeps no adjacency and no context reachable
+		clear(sc.rows)
+		for _, p := range a.parents[t.Round] {
+			sc.held[p].Load(nil, 0)
+		}
+		a.scratch.Put(sc)
+	}()
+	if !a.Generic {
+		for _, p := range a.parents[t.Round] {
+			sc.held[p].Load(ctx.nodes[p].matches, len(cands))
+		}
+	}
 	// t.Cands ascends, so every node's matches come out ascending and
 	// duplicate-free, and both probes emit parent positions ascending: the
 	// recorded context is identical between the two paths.
@@ -139,12 +194,11 @@ func (a *GraphMatch) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 			if obj.Label != st.Label {
 				continue
 			}
-			parents := ctx.nodes[st.Parent].matches
 			sc.pos = sc.pos[:0]
 			if !a.Generic {
-				sc.pos = kernels.IntersectPos(sc.pos, obj.Adj, parents)
+				sc.pos = sc.held[st.Parent].IntersectPos(sc.pos, obj.Adj)
 			} else {
-				for j, pv := range parents {
+				for j, pv := range ctx.nodes[st.Parent].matches {
 					if obj.HasNeighbor(pv) {
 						sc.pos = append(sc.pos, int32(j))
 					}
@@ -181,8 +235,12 @@ func (a *GraphMatch) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 		}
 		return
 	}
-	// Next round: the distinct neighbours of this level's expanding matches.
+	// Next round: the distinct neighbours of this level's expanding matches
+	// that the next level has a use for, as far as anybody here can tell.
 	sc.ids = kernels.Union(sc.ids[:0], sc.rows)
+	if a.labelOf != nil {
+		sc.ids = a.usable(sc.ids[:0], sc.ids, t.Round+1)
+	}
 	t.Pull(sc.ids...)
 }
 

@@ -374,3 +374,94 @@ func gmContextSize(ctx *gmContext) (n int) {
 	}
 	return n
 }
+
+// TestGMContextIdenticalAcrossArms runs every task of a job three ways in
+// lockstep — label-pruned with the position kernels, unpruned with them, and
+// Generic — and holds the encoded context of all three byte-identical after
+// every round, the pruned arm's candidates to the usable subset of the
+// others', and the three counts to the reference. The dense graph's hub
+// tasks hold parent lists PosTable marks; the strided copy's spans are past
+// its rule, so there the kernels arm is IntersectPos. One arm's task also
+// crosses the task codec between rounds — what spill, steal and restore do
+// to it — and must not be told apart afterwards.
+func TestGMContextIdenticalAcrossArms(t *testing.T) {
+	dense := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 30_000, Seed: 42})
+	gen.DealLabels(dense, 5)
+	encode := func(a *GraphMatch, task *core.Task) []byte {
+		w := wire.NewWriter(64)
+		a.EncodeContext(w, task.Context)
+		return w.Bytes()
+	}
+	for name, g := range map[string]*graph.Graph{"dense": dense, "strided": sparseIDs(dense)} {
+		for pname, p := range map[string]*Pattern{
+			"figure": FigurePattern(),
+			"path":   PathPattern(0, 1, 2, 3),
+			"twins":  MustPattern([]int32{0, 1, 1, 2, 3}, []int{-1, 0, 0, 1, 2}),
+		} {
+			pruned, kernel, generic := NewGraphMatch(p), NewGraphMatch(p), NewGraphMatch(p)
+			pruned.PruneByLabel(g.LabelColumn())
+			generic.Generic = true
+			arms := []*GraphMatch{pruned, kernel, generic}
+			var counts [3]int64
+			longest, dropped := 0, 0
+			g.ForEach(func(v *graph.Vertex) bool {
+				var tasks [3]*core.Task
+				for i, a := range arms {
+					tasks[i] = gmSeedTask(a, v)
+				}
+				for tasks[0] != nil {
+					round := max(tasks[1].Round, 1) // the one about to run
+					if !slices.Equal(tasks[1].Cands, tasks[2].Cands) {
+						t.Fatalf("%s/%s root %d round %d: kernel and generic arms hold different candidates", name, pname, v.ID, round)
+					}
+					if want := pruned.usable(nil, tasks[1].Cands, round); !slices.Equal(tasks[0].Cands, want) {
+						t.Fatalf("%s/%s root %d round %d: pruned arm holds %v, the usable candidates are %v", name, pname, v.ID, round, tasks[0].Cands, want)
+					}
+					dropped += len(tasks[1].Cands) - len(tasks[0].Cands)
+					var next [3][]graph.VertexID
+					for i, a := range arms {
+						var agg int64
+						next[i], agg = gmRound(g, a, tasks[i])
+						counts[i] += agg
+					}
+					ref := encode(kernel, tasks[1])
+					if !bytes.Equal(encode(pruned, tasks[0]), ref) || !bytes.Equal(encode(generic, tasks[2]), ref) {
+						t.Fatalf("%s/%s root %d round %d: contexts differ between the arms", name, pname, v.ID, round)
+					}
+					for _, n := range tasks[1].Context.(*gmContext).nodes {
+						longest = max(longest, len(n.matches))
+					}
+					if (next[0] == nil) != (next[1] == nil) && len(pruned.usable(nil, next[1], round+1)) > 0 {
+						t.Fatalf("%s/%s root %d round %d: pruned arm ended with usable candidates left", name, pname, v.ID, round)
+					}
+					if next[1] == nil {
+						return true
+					}
+					for i := range tasks {
+						if next[i] == nil { // nothing usable: this arm is done, the others find that out a round later
+							tasks[i].Cands, tasks[i].Round = nil, tasks[i].Round+1
+							continue
+						}
+						tasks[i].Advance(next[i])
+					}
+					// Spill, steal and restore all move a task as these bytes.
+					w := wire.NewWriter(256)
+					core.EncodeTask(w, tasks[0], pruned)
+					moved, err := core.DecodeTask(wire.NewReader(w.Bytes()), pruned)
+					if err != nil {
+						t.Fatalf("%s/%s root %d: task codec: %v", name, pname, v.ID, err)
+					}
+					tasks[0] = moved
+				}
+				return true
+			})
+			want := RefMatchCount(g, p)
+			if counts != [3]int64{want, want, want} || want == 0 {
+				t.Errorf("%s/%s: counts %v (pruned, kernel, generic), reference %d", name, pname, counts, want)
+			}
+			if dropped == 0 || longest < 4*kernels.PosTableMinLen {
+				t.Errorf("%s/%s: pruning dropped %d candidates and the longest parent list has %d matches: the arms are not exercised", name, pname, dropped, longest)
+			}
+		}
+	}
+}

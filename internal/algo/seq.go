@@ -22,8 +22,12 @@ type SeqResult struct {
 
 // SeqRun runs algoImpl to completion over g — over its degree-oriented
 // view, derived here the way the cluster runtime derives it, for an
-// algorithm that asks to mine that (core.OrientedMiner).
+// algorithm that asks to mine that (core.OrientedMiner) — and makes the
+// cluster's label offer (core.LabelPruner), so the two compare as engines.
 func SeqRun(g *graph.Graph, algoImpl core.Algorithm) *SeqResult {
+	if lp, ok := algoImpl.(core.LabelPruner); ok {
+		lp.PruneByLabel(g.LabelColumn())
+	}
 	if om, ok := algoImpl.(core.OrientedMiner); ok && g.Frozen() {
 		if gplus := graph.Orient(g); om.MineOriented(gplus) {
 			g = gplus

@@ -10,13 +10,14 @@ import (
 	"gminer/internal/plan"
 )
 
-// sparseIDs copies g with every ID scaled and offset, so the ID span is
-// far wider than 64·|V| and the oriented path's bitmap rule declines.
+// sparseIDs copies g, labels included, with every ID scaled and offset, so
+// the ID span is far wider than 64·|V|: the oriented path's bitmap rule and
+// GM's position table both decline.
 func sparseIDs(g *graph.Graph) *graph.Graph {
 	relabel := func(id graph.VertexID) graph.VertexID { return id*1009 + 5_000_000_007 }
 	out := graph.New(g.NumVertices())
 	g.ForEach(func(v *graph.Vertex) bool {
-		out.AddVertex(relabel(v.ID))
+		out.AddVertex(relabel(v.ID)).Label = v.Label
 		for _, u := range v.Adj {
 			out.AddEdge(relabel(v.ID), relabel(u))
 		}

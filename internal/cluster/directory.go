@@ -15,6 +15,10 @@ import (
 // view's IDs are dense (graph.DenseIDs, the rule TC's bitmap goes by) a
 // lookup is one load from an array indexed by id − base; otherwise it is the
 // hash tables of Figure 4, one per worker, plus the assignment's owner map.
+//
+// Owner and label are the two columns replicated on every worker for every
+// vertex of the graph; adjacency and attributes live with the owner alone
+// and reach anybody else only by pull.
 type directory struct {
 	assign *partition.Assignment
 
@@ -24,9 +28,12 @@ type directory struct {
 	tables []map[graph.VertexID]*graph.Vertex // sparse arm, by worker
 }
 
+// dirSlot is 16 bytes with or without the label: it sits in the padding
+// after owner.
 type dirSlot struct {
 	v     *graph.Vertex
 	owner int32
+	label int32
 }
 
 func newDirectory(g *graph.Graph, assign *partition.Assignment) *directory {
@@ -45,7 +52,7 @@ func (d *directory) fillDense(g *graph.Graph, base graph.VertexID, span int) {
 		d.slots[i].owner = -1
 	}
 	g.ForEach(func(v *graph.Vertex) bool {
-		d.slots[v.ID-base] = dirSlot{v: v, owner: int32(d.assign.Owner(v.ID))}
+		d.slots[v.ID-base] = dirSlot{v: v, owner: int32(d.assign.Owner(v.ID)), label: v.Label}
 		return true
 	})
 }
@@ -72,6 +79,24 @@ func (d *directory) owner(id graph.VertexID) int {
 		return int(d.slots[i].owner)
 	}
 	return -1
+}
+
+// label returns the label of vertex id and whether the graph has such a
+// vertex. It is the lookup core.LabelPruner algorithms are offered: what a
+// worker may know about a vertex it does not own without pulling it.
+func (d *directory) label(id graph.VertexID) (int32, bool) {
+	if d.slots == nil {
+		if w := d.assign.Owner(id); w >= 0 {
+			if v := d.tables[w][id]; v != nil {
+				return v.Label, true
+			}
+		}
+		return 0, false
+	}
+	if i := uint64(id - d.base); i < uint64(len(d.slots)) && d.slots[i].owner >= 0 {
+		return d.slots[i].label, true
+	}
+	return 0, false
 }
 
 // local returns vertex id if worker self owns it, else nil.

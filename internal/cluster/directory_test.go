@@ -11,11 +11,16 @@ import (
 // The directory's two arms are one function of (graph, assignment): for
 // every ID of the graph — and the IDs around and between them — the array
 // arm and the hash-table arm name the same owner and hand each worker the
-// same vertex object. Only an ID the graph does not hold may differ in
-// owner (a block-backed assignment owns whole blocks; the array knows the
-// vertex is not there), and then neither arm has a vertex for anybody.
+// same vertex object, and both know every vertex's label — the graph's own
+// label column (graph.LabelColumn) for IDs it holds, nothing for the rest.
+// Only an ID the graph does not hold may differ in owner (a block-backed
+// assignment owns whole blocks; the array knows the vertex is not there),
+// and then neither arm has a vertex for anybody.
 func TestDirectoryArmsAgree(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 3000, Seed: 5})
+	gen.AssignLabels(g, 5, 11)
+	g.Vertex(g.IDs()[0]).Label = graph.NoLabel // a label like any other
+	column := g.LabelColumn()
 	base, span, ok := g.DenseIDs()
 	if !ok {
 		t.Fatal("RMAT IDs are not dense")
@@ -37,6 +42,15 @@ func TestDirectoryArmsAgree(t *testing.T) {
 			}
 			if !g.Has(id) && dense.owner(id) != -1 {
 				t.Fatalf("%s: array arm gives absent ID %d to worker %d", p.Name(), id, dense.owner(id))
+			}
+			wantLabel, known := column(id)
+			if v := g.Vertex(id); known != (v != nil) || (known && wantLabel != v.Label) {
+				t.Fatalf("%s: label column says (%d, %v) of vertex %d", p.Name(), wantLabel, known, id)
+			}
+			for arm, d := range []*directory{dense, sparse} {
+				if label, ok := d.label(id); ok != known || (ok && label != wantLabel) {
+					t.Fatalf("%s: arm %d says label (%d, %v) of vertex %d, the graph (%d, %v)", p.Name(), arm, label, ok, id, wantLabel, known)
+				}
 			}
 			for self := 0; self < assign.K; self++ {
 				dv, sv := dense.local(id, self), sparse.local(id, self)

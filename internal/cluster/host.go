@@ -95,12 +95,17 @@ type orientedView struct {
 // base — or, if a mines the oriented graph, the tables over G⁺ (a scan for
 // each worker base has one for). Those are what seeding, to_pull, pull serving
 // and restore run on, so forward lists are all such a job's tasks, caches
-// and wire carry. generic (Config.DisablePlans, or a spec asking for the
-// differential baseline) keeps a on its generic path and on base.
+// and wire carry. An algorithm that prunes candidates by label is handed the
+// epoch's replicated label column (labels are the same in both views).
+// generic (Config.DisablePlans, or a spec asking for the differential
+// baseline) keeps a on its generic path and on base, and offers it nothing.
 func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partition.Assignment,
 	epoch int64, generic bool, base vertexTables) vertexTables {
 	if kc, ok := a.(core.KernelConfigurable); ok {
 		kc.ConfigureKernels(nil, generic)
+	}
+	if lp, ok := a.(core.LabelPruner); ok && !generic {
+		lp.PruneByLabel(base.dir.label)
 	}
 	om, ok := a.(core.OrientedMiner)
 	if !ok || generic {

@@ -68,6 +68,23 @@ type OrientedMiner interface {
 	MineOriented(gplus *graph.Graph) bool
 }
 
+// LabelPruner is implemented by algorithms that can drop a candidate on its
+// label alone, before it is pulled. Every worker holds the label of every
+// vertex of the job's graph beside its owner (adjacency and attributes still
+// move only by pull). A runtime that keeps such a column calls PruneByLabel
+// once per job, after ConfigureKernels and before seeding, with the lookup
+// for the graph epoch the job runs on: the label of vertex id, and false
+// for an ID the graph has no vertex for. A generic job is never offered it.
+//
+// Contract: pruning changes what is pulled, never what a job outputs. An
+// algorithm may leave out of a task's candidates only IDs whose vertex its
+// Update would read the label of and skip; an unknown ID stays in (it
+// resolves to a nil candidate, as ever). A runtime that does not know this
+// interface simply never calls it, and the algorithm then pulls everything.
+type LabelPruner interface {
+	PruneByLabel(labelOf func(id graph.VertexID) (label int32, ok bool))
+}
+
 // AggregatorProvider is implemented by algorithms that use global
 // aggregation (e.g. MCF's global currently-maximum clique size, §5.1).
 type AggregatorProvider interface {

@@ -187,11 +187,11 @@ func AssignLabels(g *graph.Graph, alphabet int32, seed int64) {
 // DealLabels assigns [0, alphabet) round-robin down the (degree
 // descending, ID ascending) ranking instead of drawing labels: every label
 // gets the same degree profile, so a match count does not swing with which
-// label the few hubs of a power-law graph happened to draw. It is a test
-// fixture: a mirror of dealLabels in benchmark/inputs.go (a separate module
-// that cannot export it), so tests and micro-benchmarks here run on the
-// benchmark's GM input; algo.TestGMBenchGraphIsTheBenchmarks holds the two
-// together.
+// label the few hubs of a power-law graph happened to draw. It mirrors
+// dealLabels in benchmark/inputs.go (a separate module that cannot export
+// it), so tests, micro-benchmarks and `gengraph -deal-labels` here produce
+// the benchmark's GM input; algo.TestGMBenchGraphIsTheBenchmarks holds the
+// two together.
 func DealLabels(g *graph.Graph, alphabet int32) {
 	ids := g.IDs()
 	sort.Slice(ids, func(i, j int) bool {

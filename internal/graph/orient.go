@@ -74,3 +74,36 @@ func (g *Graph) DenseIDs() (base VertexID, span int, ok bool) {
 	base, s := g.IDSpan()
 	return base, int(s), s > 0 && s <= 64*int64(g.NumVertices()) && s <= math.MaxUint32
 }
+
+// LabelColumn returns the label lookup of g as it is now: the label of
+// vertex id, and false when g has no such vertex. With dense IDs (DenseIDs)
+// it reads a flat column cut here, else g's index. It is what a runtime
+// holding the whole graph offers a core.LabelPruner; like any ID-indexed
+// view it goes stale with the next Dyn* mutation.
+func (g *Graph) LabelColumn() func(id VertexID) (int32, bool) {
+	base, span, ok := g.DenseIDs()
+	if !ok {
+		return func(id VertexID) (int32, bool) {
+			if v := g.Vertex(id); v != nil {
+				return v.Label, true
+			}
+			return 0, false
+		}
+	}
+	// Labels are any int32, NoLabel included, so presence is its own bit.
+	type cell struct {
+		label int32
+		ok    bool
+	}
+	col := make([]cell, span)
+	g.ForEach(func(v *Vertex) bool {
+		col[v.ID-base] = cell{v.Label, true}
+		return true
+	})
+	return func(id VertexID) (int32, bool) {
+		if i := uint64(id - base); i < uint64(len(col)) {
+			return col[i].label, col[i].ok
+		}
+		return 0, false
+	}
+}

@@ -117,6 +117,31 @@ func FuzzIntersectKernels(f *testing.F) {
 				}
 			}
 		}
+		// PosTable: held against any list it emits IntersectPos's positions —
+		// marked (floor 1, so single-element parents too) or left a list
+		// (the floor, an empty b, a span past the rule), on negative IDs and
+		// on IDs spread too far apart to mark.
+		for _, stride := range []graph.VertexID{1, 1 << 20} {
+			spread := func(xs []uint32) (out []graph.VertexID) {
+				for _, x := range xs {
+					out = append(out, (graph.VertexID(x)-300)*stride)
+				}
+				return out
+			}
+			for _, ops := range [][2][]graph.VertexID{{spread(a), spread(b)}, {spread(b), spread(a)}} {
+				wantPos := IntersectPos([]int32{-1}, ops[0], ops[1])
+				var tab PosTable[graph.VertexID]
+				for _, minLen := range []int{1, PosTableMinLen} {
+					tab.load(ops[1], 1, minLen)
+					if tab.marked && stride > 1 && len(ops[1]) > 1 {
+						t.Fatalf("PosTable marked a span of %d IDs for %d elements", ops[1][len(ops[1])-1]-ops[1][0], len(ops[1]))
+					}
+					if got := tab.IntersectPos([]int32{-1}, ops[0]); !slices.Equal(got, wantPos) {
+						t.Fatalf("PosTable(minLen %d, marked %v) = %v, IntersectPos %v (a=%v b=%v)", minLen, tab.marked, got, wantPos, ops[0], ops[1])
+					}
+				}
+			}
+		}
 		// Union: both arms, and the rule that picks one, against sort+compact
 		// — on the IDs as they come (a dense span) and spread 2^20 apart (a
 		// sparse one, negative IDs included).

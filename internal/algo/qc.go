@@ -43,6 +43,10 @@ func NewQuasiClique(gamma float64, minSize int) *QuasiClique {
 // Name implements core.Algorithm.
 func (*QuasiClique) Name() string { return "qc" }
 
+// SeedRadius implements core.LocalMiner: one pull round over the seed's
+// induced neighbourhood, emitted only by the grown set's smallest member.
+func (*QuasiClique) SeedRadius() int { return 1 }
+
 // Seed implements core.Algorithm: the whole 1-hop neighborhood is the
 // candidate pool (no >v restriction — quasi-cliques are not closed under
 // minimum-vertex rooting; dedup happens at emission instead).

@@ -25,6 +25,13 @@ type SeqResult struct {
 // algorithm that asks to mine that (core.OrientedMiner) — and makes the
 // cluster's label offer (core.LabelPruner), so the two compare as engines.
 func SeqRun(g *graph.Graph, algoImpl core.Algorithm) *SeqResult {
+	return SeqRunSeeds(g, algoImpl, nil)
+}
+
+// SeqRunSeeds is SeqRun seeded at the given vertices alone, the reference
+// for a seed-restricted job (cluster.JobOptions.Seeds): IDs g does not hold
+// are skipped, and nil seeds every vertex.
+func SeqRunSeeds(g *graph.Graph, algoImpl core.Algorithm, seeds []graph.VertexID) *SeqResult {
 	if lp, ok := algoImpl.(core.LabelPruner); ok {
 		lp.PruneByLabel(g.LabelColumn())
 	}
@@ -40,10 +47,17 @@ func SeqRun(g *graph.Graph, algoImpl core.Algorithm) *SeqResult {
 	}
 	var queue []*core.Task
 	spawn := func(t *core.Task) { queue = append(queue, t) }
-	g.ForEach(func(v *graph.Vertex) bool {
-		algoImpl.Seed(v, spawn)
-		return true
-	})
+	if seeds == nil {
+		g.ForEach(func(v *graph.Vertex) bool {
+			algoImpl.Seed(v, spawn)
+			return true
+		})
+	}
+	for _, id := range seeds {
+		if v := g.Vertex(id); v != nil {
+			algoImpl.Seed(v, spawn)
+		}
+	}
 	var done int64
 	var cands []*graph.Vertex // reused every round (core.Algorithm.Update)
 	for len(queue) > 0 {

@@ -5,6 +5,7 @@ import (
 
 	"gminer/internal/cache"
 	"gminer/internal/chaos"
+	"gminer/internal/graph"
 	"gminer/internal/memctl"
 	"gminer/internal/partition"
 	"gminer/internal/trace"
@@ -183,6 +184,10 @@ type Config struct {
 	// wait for it to close before seeding its last vertex: the job cannot
 	// finish, however fast it runs, until the test lets it.
 	seedHold <-chan struct{}
+
+	// seeds, when non-nil, is JobOptions.Seeds as a set: each seeder skips
+	// the vertices of its scan that are not in it.
+	seeds map[graph.VertexID]struct{}
 }
 
 // Defaults fills unset fields with production defaults.

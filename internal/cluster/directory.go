@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"gminer/internal/graph"
 	"gminer/internal/lsh"
@@ -36,28 +37,36 @@ type dirSlot struct {
 	label int32
 }
 
-func newDirectory(g *graph.Graph, assign *partition.Assignment) *directory {
+// newDirectory fills the directory of view g in one pass over its vertices.
+// visit, if non-nil, is shown every owned vertex with its owner on the way:
+// whatever else an epoch must learn per vertex (the workers' seed scans, a
+// view's footprints) rides this pass instead of making its own.
+func newDirectory(g *graph.Graph, assign *partition.Assignment, visit func(v *graph.Vertex, owner int)) *directory {
 	d := &directory{assign: assign}
 	if base, span, ok := g.DenseIDs(); ok {
-		d.fillDense(g, base, span)
+		d.fillDense(g, base, span, visit)
 	} else {
-		d.fillSparse(g)
+		d.fillSparse(g, visit)
 	}
 	return d
 }
 
-func (d *directory) fillDense(g *graph.Graph, base graph.VertexID, span int) {
+func (d *directory) fillDense(g *graph.Graph, base graph.VertexID, span int, visit func(*graph.Vertex, int)) {
 	d.base, d.slots = base, make([]dirSlot, span)
 	for i := range d.slots {
 		d.slots[i].owner = -1
 	}
 	g.ForEach(func(v *graph.Vertex) bool {
-		d.slots[v.ID-base] = dirSlot{v: v, owner: int32(d.assign.Owner(v.ID)), label: v.Label}
+		w := d.assign.Owner(v.ID)
+		d.slots[v.ID-base] = dirSlot{v: v, owner: int32(w), label: v.Label}
+		if w >= 0 && visit != nil {
+			visit(v, w)
+		}
 		return true
 	})
 }
 
-func (d *directory) fillSparse(g *graph.Graph) {
+func (d *directory) fillSparse(g *graph.Graph, visit func(*graph.Vertex, int)) {
 	d.tables = make([]map[graph.VertexID]*graph.Vertex, d.assign.K)
 	for i, n := range d.assign.Sizes() {
 		d.tables[i] = make(map[graph.VertexID]*graph.Vertex, n)
@@ -65,6 +74,9 @@ func (d *directory) fillSparse(g *graph.Graph) {
 	g.ForEach(func(v *graph.Vertex) bool {
 		if w := d.assign.Owner(v.ID); w >= 0 {
 			d.tables[w][v.ID] = v
+			if visit != nil {
+				visit(v, w)
+			}
 		}
 		return true
 	})
@@ -120,25 +132,60 @@ type vertexTables struct {
 // localTable is one worker's partition scan: its vertices in hash-shuffled
 // seed order and their footprint. It is read-only after build, so a Session
 // shares one instance across every job's worker i instead of rebuilding it
-// per job, and a mutation batch rebuilds only the workers it touched.
+// per job, and a mutation batch rebuilds only the workers it touched. The
+// scan order depends on the IDs alone, so the oriented view's tables share
+// the base tables' ids and differ only in footprint.
 type localTable struct {
 	ids       []graph.VertexID
 	footprint int64
 }
 
-// buildLocalTable scans worker id's partition of the shared frozen graph.
-func buildLocalTable(g *graph.Graph, assign *partition.Assignment, id int) *localTable {
-	lt := &localTable{ids: assign.Local(g, id)}
-	for _, vid := range lt.ids {
-		lt.footprint += g.Vertex(vid).FootprintBytes()
+// newVertexTables cuts view g's directory and, in the directory's one pass
+// over the graph, the seed scan of every worker that scan marks (the other
+// workers' entries stay nil).
+//
+// The vertex table is a hash table in the original system, so the task
+// generator's scan order carries no ID locality; replicate that with a
+// deterministic hash-shuffle. (Consecutive IDs in synthetic graphs share
+// neighborhoods, which would otherwise gift the non-LSH queue an
+// unrealistically good access pattern.) lsh.HashID is a bijection, so the
+// keys never tie and the order is a function of the worker's ID set alone.
+func newVertexTables(g *graph.Graph, assign *partition.Assignment, scan []bool) vertexTables {
+	type keyed struct {
+		key uint64
+		id  graph.VertexID
 	}
-	// The vertex table is a hash table in the original system, so the task
-	// generator's scan order carries no ID locality; replicate that with a
-	// deterministic hash-shuffle. (Consecutive IDs in synthetic graphs
-	// share neighborhoods, which would otherwise gift the non-LSH queue an
-	// unrealistically good access pattern.)
-	sort.Slice(lt.ids, func(i, j int) bool {
-		return lsh.HashID(uint64(lt.ids[i])) < lsh.HashID(uint64(lt.ids[j]))
+	scans := make([][]keyed, assign.K)
+	vt := vertexTables{locals: make([]*localTable, assign.K)}
+	for w, on := range scan {
+		if on {
+			vt.locals[w] = &localTable{}
+		}
+	}
+	vt.dir = newDirectory(g, assign, func(v *graph.Vertex, w int) {
+		if lt := vt.locals[w]; lt != nil {
+			scans[w] = append(scans[w], keyed{lsh.HashID(uint64(v.ID)), v.ID})
+			lt.footprint += v.FootprintBytes()
+		}
 	})
-	return lt
+	for w, lt := range vt.locals {
+		if lt == nil {
+			continue
+		}
+		slices.SortFunc(scans[w], func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+		lt.ids = make([]graph.VertexID, len(scans[w]))
+		for i, k := range scans[w] {
+			lt.ids[i] = k.id
+		}
+	}
+	return vt
+}
+
+// allWorkers marks every one of k workers for newVertexTables.
+func allWorkers(k int) []bool {
+	all := make([]bool, k)
+	for i := range all {
+		all[i] = true
+	}
+	return all
 }

@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
+	"gminer/internal/algo"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
+	"gminer/internal/lsh"
 	"gminer/internal/partition"
 )
 
@@ -30,9 +34,9 @@ func TestDirectoryArmsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense := newDirectory(g, assign)
+		dense := newDirectory(g, assign, nil)
 		sparse := &directory{assign: assign}
-		sparse.fillSparse(g)
+		sparse.fillSparse(g, nil)
 		if !dense.dense() || sparse.dense() {
 			t.Fatalf("%s: arms dense=%v sparse=%v", p.Name(), dense.dense(), sparse.dense())
 		}
@@ -78,8 +82,80 @@ func TestDirectoryArmFollowsIDSpan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := newDirectory(g, assign); d.dense() != tc.dense {
+		if d := newDirectory(g, assign, nil); d.dense() != tc.dense {
 			t.Fatalf("stride %d: dense=%v, want %v", tc.stride, d.dense(), tc.dense)
+		}
+	}
+}
+
+// The scans cut in the directory's pass are the reference's: for every
+// partitioner and on both directory arms, worker w's scan is
+// Assignment.Local(g, w) — its own whole-graph pass — sorted by lsh.HashID
+// with a comparator, and its footprint the sum over those vertices; a worker
+// the caller did not mark gets no scan. The oriented view's tables are the
+// base scans with G⁺'s footprints.
+func TestScansMatchAssignmentLocal(t *testing.T) {
+	dense := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 3000, Seed: 5})
+	strided := graph.New(dense.NumVertices()) // the same edges, IDs too far apart for the array arm
+	dense.ForEach(func(v *graph.Vertex) bool {
+		for _, u := range v.Adj {
+			strided.AddEdge(v.ID*1009+7, u*1009+7)
+		}
+		return true
+	})
+	strided.Freeze()
+	for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": strided} {
+		gplus := graph.Orient(g)
+		for _, p := range []partition.Partitioner{partition.Hash{}, partition.BDG{}, partition.Blocked{Shift: 3}} {
+			assign, err := p.Partition(g, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := func(view *graph.Graph, w int) *localTable {
+				lt := &localTable{ids: assign.Local(view, w)}
+				sort.Slice(lt.ids, func(i, j int) bool {
+					return lsh.HashID(uint64(lt.ids[i])) < lsh.HashID(uint64(lt.ids[j]))
+				})
+				for _, id := range lt.ids {
+					lt.footprint += view.Vertex(id).FootprintBytes()
+				}
+				return lt
+			}
+			vt := newVertexTables(g, assign, []bool{true, false, true})
+			if vt.dir.dense() != (g == dense) {
+				t.Fatalf("%s/%s: directory dense=%v", gname, p.Name(), vt.dir.dense())
+			}
+			for w, lt := range vt.locals {
+				if w == 1 {
+					if lt != nil {
+						t.Fatalf("%s/%s: unmarked worker 1 got a scan", gname, p.Name())
+					}
+					continue
+				}
+				if ref := want(g, w); len(ref.ids) == 0 || !slices.Equal(lt.ids, ref.ids) || lt.footprint != ref.footprint {
+					t.Fatalf("%s/%s: worker %d scan (%d ids, %d B) is not the reference's (%d ids, %d B)",
+						gname, p.Name(), w, len(lt.ids), lt.footprint, len(ref.ids), ref.footprint)
+				}
+			}
+
+			var view orientedView
+			tc := algo.NewTriangleCount()
+			ot := view.tables(tc, g, assign, 0, false, vt)
+			if ot.dir == vt.dir || view.g == nil {
+				t.Fatalf("%s/%s: triangle counting did not get the oriented view", gname, p.Name())
+			}
+			for w, lt := range ot.locals {
+				if w == 1 {
+					if lt != nil {
+						t.Fatalf("%s/%s: the oriented view scans worker 1, the base tables do not", gname, p.Name())
+					}
+					continue
+				}
+				if ref := want(gplus, w); !slices.Equal(lt.ids, ref.ids) || lt.footprint != ref.footprint {
+					t.Fatalf("%s/%s: worker %d oriented scan (%d ids, %d B) is not the reference's over G⁺ (%d ids, %d B)",
+						gname, p.Name(), w, len(lt.ids), lt.footprint, len(ref.ids), ref.footprint)
+				}
+			}
 		}
 	}
 }

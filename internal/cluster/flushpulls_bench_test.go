@@ -28,9 +28,10 @@ func newBenchWorker(tb testing.TB) *Worker {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	vt := newVertexTables(g, assign, allWorkers(4))
 	net := transport.NewLocal(transport.LocalConfig{Nodes: 5})
 	tb.Cleanup(func() { net.Close() })
-	w, err := newWorker(0, cfg, algo.NewTriangleCount(), newDirectory(g, assign), buildLocalTable(g, assign, 0), net.Endpoint(0),
+	w, err := newWorker(0, cfg, algo.NewTriangleCount(), vt.dir, vt.locals[0], net.Endpoint(0),
 		&metrics.Counters{}, nil, nil)
 	if err != nil {
 		tb.Fatal(err)

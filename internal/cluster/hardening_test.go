@@ -158,7 +158,8 @@ func TestRestoreVsMigrateRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err := newWorker(0, cfg, algo, newDirectory(g, assign), buildLocalTable(g, assign, 0), net.Endpoint(0), &metrics.Counters{}, nil, snap)
+	vt := newVertexTables(g, assign, allWorkers(assign.K))
+	w, err := newWorker(0, cfg, algo, vt.dir, vt.locals[0], net.Endpoint(0), &metrics.Counters{}, nil, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,8 +92,8 @@ type orientedView struct {
 
 // tables readies algorithm a's planned path for one job on epoch `epoch` of
 // g, before any seeding, and returns the job's vertex tables by worker:
-// base — or, if a mines the oriented graph, the tables over G⁺ (a scan for
-// each worker base has one for). Those are what seeding, to_pull, pull serving
+// base — or, if a mines the oriented graph, the tables over G⁺ (base's scan
+// for each worker base has one for). Those are what seeding, to_pull, pull serving
 // and restore run on, so forward lists are all such a job's tasks, caches
 // and wire carry. An algorithm that prunes candidates by label is handed the
 // epoch's replicated label column (labels are the same in both views).
@@ -121,11 +121,15 @@ func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partitio
 		return base
 	}
 	if o.dir == nil {
-		o.dir = newDirectory(o.g, assign)
-	}
-	for i, lt := range base.locals {
-		if lt != nil && o.locals[i] == nil {
-			o.locals[i] = buildLocalTable(o.g, assign, i)
+		// G⁺ has the base view's vertices and owners, so each worker's scan
+		// is base's; only what a vertex weighs differs, and the directory's
+		// pass sums that.
+		foot := make([]int64, len(base.locals))
+		o.dir = newDirectory(o.g, assign, func(v *graph.Vertex, w int) { foot[w] += v.FootprintBytes() })
+		for i, lt := range base.locals {
+			if lt != nil {
+				o.locals[i] = &localTable{ids: lt.ids, footprint: foot[i]}
+			}
 		}
 	}
 	return o.vertexTables

@@ -633,6 +633,9 @@ func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 	if opt.Spec == nil {
 		return nil, fmt.Errorf("cluster: remote launch requires JobOptions.Spec (worker processes rebuild the algorithm from it)")
 	}
+	if opt.Seeds != nil {
+		return nil, fmt.Errorf("cluster: remote launch does not take JobOptions.Seeds (worker processes hold their own graph copy; mutations do not reach them yet)")
+	}
 	s.mu.Lock()
 	_, resume := s.resumable[opt.ID]
 	delete(s.resumable, opt.ID)

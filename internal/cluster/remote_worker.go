@@ -207,8 +207,9 @@ func StartWorkerProcess(g *graph.Graph, cfg Config, opt WorkerOptions) (*WorkerP
 		wp.net.Close()
 		return nil, fmt.Errorf("cluster: worker partition: %w", err)
 	}
-	wp.tables = vertexTables{dir: newDirectory(g, wp.assign), locals: make([]*localTable, cfg.Workers)}
-	wp.tables.locals[wp.node] = buildLocalTable(g, wp.assign, wp.node)
+	own := make([]bool, cfg.Workers)
+	own[wp.node] = true
+	wp.tables = newVertexTables(g, wp.assign, own)
 
 	// Open the control channel before demux starts: the coordinator sends
 	// ctrlJobStart for every live job the moment the handshake completes,

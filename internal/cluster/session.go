@@ -193,6 +193,12 @@ func (s *sessionCore) build(a core.Algorithm, opt JobOptions, id string, ch uint
 	if opt.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = opt.CheckpointEvery
 	}
+	if opt.Seeds != nil {
+		cfg.seeds = make(map[graph.VertexID]struct{}, len(opt.Seeds))
+		for _, id := range opt.Seeds {
+			cfg.seeds[id] = struct{}{}
+		}
+	}
 	if cfg.CheckpointDir != "" {
 		cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, id)
 	} else if ls.resume {
@@ -360,10 +366,7 @@ func newSession(g *graph.Graph, cfg Config, oneShot bool) (*Session, error) {
 	}
 	s.partitionTime = time.Since(pStart)
 
-	s.tables = vertexTables{dir: newDirectory(g, s.assign), locals: make([]*localTable, cfg.Workers)}
-	for i := range s.tables.locals {
-		s.tables.locals[i] = buildLocalTable(g, s.assign, i)
-	}
+	s.tables = newVertexTables(g, s.assign, allWorkers(cfg.Workers))
 
 	under, closeNet, err := newNodeSet(cfg)
 	if err != nil {
@@ -440,6 +443,17 @@ type JobOptions struct {
 	// core.Algorithm value cannot cross a process boundary, and the
 	// coordinator persists it as the job's JOBSPEC.
 	Spec *jobspec.Spec
+	// Seeds, when non-nil, is the set of vertices the job seeds tasks at:
+	// each worker's seeder walks its scan as ever and skips the vertices not
+	// in the set, so the job is the full job minus the tasks of the other
+	// seeds — same order, same cursor, same restore. IDs the graph does not
+	// hold are ignored; an empty non-nil set runs no task. It is a job
+	// input, not a knob: a standing query re-mines the seeds a mutation
+	// batch can have reached (core.LocalMiner) and nothing else. A
+	// RemoteSession refuses it: its worker processes hold their own copy of
+	// the graph, and a set computed on the coordinator's would not be one
+	// over theirs once mutations exist there.
+	Seeds []graph.VertexID
 }
 
 // Launch starts one mining job on the warm cluster and returns its handle.
@@ -554,12 +568,14 @@ func (s *Session) ApplyMutations(b dyngraph.Batch) (*EpochResult, error) {
 	}
 	s.assign = s.dyn.Assignment()
 	// The batch may have moved the ID span and any vertex's owner: the
-	// directory never outlives its epoch.
-	s.tables.dir = newDirectory(s.g, s.assign)
+	// directory never outlives its epoch. Its pass cuts the touched
+	// workers' scans too; the others keep theirs.
+	cut := newVertexTables(s.g, s.assign, info.DirtyWorkers)
+	s.tables.dir = cut.dir
 	var rebuilt []int
-	for w, dirty := range info.DirtyWorkers {
-		if dirty {
-			s.tables.locals[w] = buildLocalTable(s.g, s.assign, w)
+	for w, lt := range cut.locals {
+		if lt != nil {
+			s.tables.locals[w] = lt
 			rebuilt = append(rebuilt, w)
 		}
 	}

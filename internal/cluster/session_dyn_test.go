@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -349,5 +350,77 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 	}
 	if got := count(true); got != want {
 		t.Fatalf("after the re-owning batch: generic tc %d, reference %d", got, want)
+	}
+}
+
+// TestSeedRestrictedLaunch: a job launched with JobOptions.Seeds is the full
+// job minus the tasks of every other seed. At 1, 2 and 4 workers, stealing
+// on and off, its records equal the sequential per-seed reference over the
+// same set (IDs the graph does not hold skipped); an empty set runs no task
+// and still terminates; and a RemoteSession says it cannot take one.
+func TestSeedRestrictedLaunch(t *testing.T) {
+	g, _ := gen.Community(gen.CommunityConfig{Communities: 40, MinSize: 5, MaxSize: 10, PIn: 0.7, Bridges: 80, AttrDim: 3, AttrRange: 3, Seed: 9})
+	var seeds []graph.VertexID
+	for i, id := range g.IDs() {
+		if i%3 == 0 {
+			seeds = append(seeds, id)
+		}
+	}
+	_, span := g.IDSpan()
+	seeds = append(seeds, g.IDs()[0]+graph.VertexID(span)+50, -7) // off the graph
+	miners := map[string]func() core.Algorithm{
+		"cd": func() core.Algorithm { return algo.NewCommunityDetect(0.5, 3) },
+		"qc": func() core.Algorithm { return algo.NewQuasiClique(0.7, 4) },
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, stealing := range []bool{false, true} {
+			cfg := dynConfig(workers)
+			cfg.Stealing = stealing
+			s, err := NewSession(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, mk := range miners {
+				want := algo.SeqRunSeeds(g, mk(), seeds)
+				full := algo.SeqRun(g, mk())
+				if len(want.Records) == 0 || len(want.Records) >= len(full.Records) {
+					t.Fatalf("%s: the seed set mines %d of %d records: it does not restrict anything", name, len(want.Records), len(full.Records))
+				}
+				j, err := s.Launch(mk(), JobOptions{Seeds: seeds})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := j.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.Records, want.Records) {
+					t.Fatalf("%s workers=%d stealing=%v: %d records from the seed-restricted job, %d from the per-seed reference",
+						name, workers, stealing, len(res.Records), len(want.Records))
+				}
+				if res.Total.TasksDone != want.Tasks {
+					t.Fatalf("%s workers=%d stealing=%v: %d tasks done, the reference ran %d", name, workers, stealing, res.Total.TasksDone, want.Tasks)
+				}
+
+				j, err = s.Launch(mk(), JobOptions{Seeds: []graph.VertexID{}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res, err = j.Wait(); err != nil || len(res.Records) != 0 || res.Total.TasksDone != 0 {
+					t.Fatalf("%s workers=%d: empty seed set: %d records, %d tasks, err %v", name, workers, len(res.Records), res.Total.TasksDone, err)
+				}
+			}
+			s.Close()
+		}
+	}
+
+	rs, err := NewRemoteSession(g, Config{Workers: 2, Threads: 1}, RemoteSessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	sp := jobspec.Spec{App: "cd"}.Normalize()
+	if _, err := rs.Launch(algo.NewCommunityDetect(0.5, 3), JobOptions{Spec: &sp, Seeds: seeds}); err == nil || !strings.Contains(err.Error(), "Seeds") {
+		t.Fatalf("RemoteSession.Launch with a seed set: err = %v, want a refusal naming JobOptions.Seeds", err)
 	}
 }

@@ -37,11 +37,11 @@ func newTaskTrip(tb testing.TB) *taskTrip {
 	tc := algo.NewTriangleCount()
 	tc.MineOriented(gplus)
 	cfg := Config{Workers: 2, Threads: 1, UseLSH: true, CacheCapacity: gplus.NumVertices(), ProgressInterval: time.Hour}.Defaults()
-	dir := newDirectory(gplus, assign)
-	if !dir.dense() {
+	vt := newVertexTables(gplus, assign, allWorkers(2))
+	if !vt.dir.dense() {
 		tb.Fatal("RMAT IDs took the sparse arm")
 	}
-	w, err := newWorker(0, cfg, noUpdate{tc}, dir, buildLocalTable(gplus, assign, 0), discardEndpoint{}, &metrics.Counters{}, nil, nil)
+	w, err := newWorker(0, cfg, noUpdate{tc}, vt.dir, vt.locals[0], discardEndpoint{}, &metrics.Counters{}, nil, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -432,7 +432,9 @@ func (w *Worker) seederLoop() {
 				return
 			}
 		}
-		w.algo.Seed(w.dir.local(w.localIDs[i], w.id), spawn)
+		if _, in := w.cfg.seeds[w.localIDs[i]]; in || w.cfg.seeds == nil {
+			w.algo.Seed(w.dir.local(w.localIDs[i], w.id), spawn)
+		}
 		w.seedCursor.Store(int64(i + 1))
 	}
 	w.seedsDone.Store(true)

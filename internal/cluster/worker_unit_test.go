@@ -26,9 +26,10 @@ func newTestWorker(t *testing.T) (*Worker, *graph.Graph, *transport.LocalNetwork
 	if err != nil {
 		t.Fatal(err)
 	}
+	vt := newVertexTables(g, assign, allWorkers(2))
 	net := transport.NewLocal(transport.LocalConfig{Nodes: 3})
 	t.Cleanup(net.Close)
-	w, err := newWorker(0, cfg, algo.NewTriangleCount(), newDirectory(g, assign), buildLocalTable(g, assign, 0), net.Endpoint(0),
+	w, err := newWorker(0, cfg, algo.NewTriangleCount(), vt.dir, vt.locals[0], net.Endpoint(0),
 		&metrics.Counters{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -85,6 +85,23 @@ type LabelPruner interface {
 	PruneByLabel(labelOf func(id graph.VertexID) (label int32, ok bool))
 }
 
+// LocalMiner is implemented by algorithms whose seeds mine a bounded
+// neighbourhood, which lets a runtime holding a job's records keep them
+// current under graph mutations by re-mining only the seeds a batch can have
+// reached (the serving layer's standing queries, DESIGN §13).
+//
+// Contract: the records a seed emits are a pure function of the subgraph
+// induced on the vertices within SeedRadius hops of it — those vertices,
+// their labels and attributes, and the edges among them; nothing a task
+// reads through an aggregator, and nothing past the radius. Whether a record
+// is emitted or left to another seed (deduplication) is decided by the same
+// function, per seed, and no record is emitted by two seeds. An algorithm
+// that grows without bound (gc), or prunes on a global aggregate (mcf),
+// must not implement it.
+type LocalMiner interface {
+	SeedRadius() int
+}
+
 // AggregatorProvider is implemented by algorithms that use global
 // aggregation (e.g. MCF's global currently-maximum clique size, §5.1).
 type AggregatorProvider interface {

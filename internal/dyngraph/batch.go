@@ -110,10 +110,17 @@ func DecodeBatch(r io.Reader) (Batch, error) {
 }
 
 // DirtyIDs returns the sorted, deduplicated set of vertex IDs named by the
-// batch: edge endpoints and vertex-op targets. Every edge changed by the
-// batch — including edges dropped by a vertex deletion — has at least one
-// endpoint in this set, which is the soundness condition the dirty-rooted
-// delta path relies on.
+// batch: edge endpoints and vertex-op targets. It is what the dirty-rooted
+// delta paths (TrianglesTouching, Ball) are sound over:
+//
+//   - every vertex the batch creates, deletes or re-creates is in the set;
+//   - an edge the batch ADDS has both endpoints in it, and so has an edge
+//     a del-edge removes;
+//   - only del-vertex changes an edge with a single dirty end — an edge to
+//     a neighbour the batch never names — and such an edge exists in the
+//     graph as it was before the batch.
+//
+// In particular every changed edge has at least one endpoint in the set.
 func (b *Batch) DirtyIDs() []graph.VertexID {
 	seen := make(map[graph.VertexID]struct{}, 2*len(b.Ops))
 	for _, m := range b.Ops {

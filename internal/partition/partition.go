@@ -76,10 +76,11 @@ func (a *Assignment) BlockOwners() map[int64]int { return a.blockOwner }
 func (a *Assignment) EdgeCut(g *graph.Graph) float64 {
 	var cut, total int64
 	g.ForEach(func(v *graph.Vertex) bool {
+		owner := a.Owner(v.ID)
 		for _, n := range v.Adj {
 			if n > v.ID { // count each undirected edge once
 				total++
-				if a.Owner(v.ID) != a.Owner(n) {
+				if owner != a.Owner(n) {
 					cut++
 				}
 			}

@@ -26,13 +26,26 @@ func dynServingGraph() *graph.Graph {
 	return g
 }
 
+// standingGraph is a planted-community attributed graph: unlike the RMAT
+// serving graph, cd, qc and gc all find records on it, and a mutation
+// stream keeps adding and retracting them.
+func standingGraph() *graph.Graph {
+	g, _ := gen.Community(gen.CommunityConfig{Communities: 30, MinSize: 6, MaxSize: 12, PIn: 0.7, Bridges: 80, AttrDim: 3, AttrRange: 3, Seed: 13})
+	return g
+}
+
 // startDynServer brings up a daemon over a dynamic warm session.
 func startDynServer(t *testing.T, scfg Config) (*Server, string) {
+	t.Helper()
+	return startDynServerOn(t, dynServingGraph(), scfg)
+}
+
+func startDynServerOn(t *testing.T, g *graph.Graph, scfg Config) (*Server, string) {
 	t.Helper()
 	ccfg := testClusterConfig()
 	ccfg.Dynamic = true
 	ccfg.Partitioner = partition.Blocked{Shift: 4}
-	sess, err := cluster.NewSession(dynServingGraph(), ccfg)
+	sess, err := cluster.NewSession(g, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,25 +206,56 @@ func applyDelta(set []string, d DeltaDoc) []string {
 }
 
 // TestStandingQueryDifferential is the server half of the differential
-// gate: a standing cd job's delta stream, folded into its baseline, must
-// equal a full recomputation at every epoch; a standing tc job's
-// incremental aggregate must equal a full recount.
+// gate, over all three arms a standing round can take: cd and qc declare a
+// seed radius and are served dirty-rooted (two seed-restricted launches), gc
+// declares none and recomputes in full, tc rolls its aggregate forward. At
+// every epoch each record app's delta stream, folded into its baseline by a
+// client, must equal a full ad-hoc recomputation and the set the server
+// holds; tc's aggregate must equal a full recount. The stream carries all
+// four op kinds, and one batch moves blocks between workers.
 func TestStandingQueryDifferential(t *testing.T) {
-	srv, base := startDynServer(t, Config{MaxConcurrentJobs: 2})
+	srv, base := startDynServerOn(t, standingGraph(), Config{MaxConcurrentJobs: 2})
 	defer srv.Shutdown()
 
-	_, cdSt := submit(t, base, `{"app":"cd","standing":true,"id":"stand-cd"}`)
+	// app → whether its rounds must be marked incremental.
+	parked := []struct {
+		app, id     string
+		incremental bool
+	}{{"cd", "stand-cd", true}, {"qc", "stand-qc", true}, {"gc", "stand-gc", false}}
+	accum := make(map[string][]string)
+	for _, p := range parked {
+		submit(t, base, fmt.Sprintf(`{"app":%q,"minsim":0.5,"minsize":3,"standing":true,"id":%q}`, p.app, p.id))
+		awaitState(t, base, p.id, StateStanding)
+		// Baseline == ad-hoc result at epoch 0.
+		accum[p.id] = append([]string(nil), resultRecords(t, base, p.id).Records...)
+		sort.Strings(accum[p.id])
+		if len(accum[p.id]) == 0 {
+			t.Fatalf("%s: empty baseline: the gate would compare nothing", p.app)
+		}
+	}
 	_, tcSt := submit(t, base, `{"app":"tc","standing":true,"id":"stand-tc"}`)
-	awaitState(t, base, cdSt.ID, StateStanding)
 	awaitState(t, base, tcSt.ID, StateStanding)
 
-	// Baseline == ad-hoc result at epoch 0.
-	accum := append([]string(nil), resultRecords(t, base, cdSt.ID).Records...)
-	sort.Strings(accum)
-
-	seed := dynServingGraph()
-	batches := gen.Deltas(seed, gen.DeltasConfig{Batches: 3, Ops: 24, Seed: 5})
+	seed := standingGraph()
+	batches := gen.Deltas(seed, gen.DeltasConfig{Batches: 8, Ops: 24, Seed: 5})
+	// One more: a run of fresh vertices past the ID span, wired in — new
+	// blocks, placed on workers that then hold different vertex sets.
+	_, span := seed.IDSpan()
+	fresh := seed.IDs()[0] + graph.VertexID(span) + 64
+	var grow dyngraph.Batch
+	for i := graph.VertexID(0); i < 40; i++ {
+		grow.Ops = append(grow.Ops,
+			dyngraph.Mutation{Op: dyngraph.OpAddVertex, ID: fresh + i, Attrs: seed.VertexAt(int(i)).Attrs},
+			dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: fresh + i, W: seed.IDs()[i]},
+			dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: fresh + i, W: seed.IDs()[i+1]})
+	}
+	batches = append(batches, grow)
+	kinds := map[string]bool{}
+	moved, changed := 0, map[string]int{}
 	for bi, b := range batches {
+		for _, m := range b.Ops {
+			kinds[m.Op] = true
+		}
 		code, mres := mutate(t, base, b)
 		if code != http.StatusOK {
 			t.Fatalf("batch %d: status %d", bi, code)
@@ -219,46 +263,51 @@ func TestStandingQueryDifferential(t *testing.T) {
 		if mres.Epoch != int64(bi+1) {
 			t.Fatalf("batch %d: epoch %d", bi, mres.Epoch)
 		}
-		if len(mres.Standing) != 2 {
-			t.Fatalf("batch %d: %d standing rounds, want 2", bi, len(mres.Standing))
+		moved += mres.MovedBlocks
+		if len(mres.Standing) != len(parked)+1 {
+			t.Fatalf("batch %d: %d standing rounds, want %d", bi, len(mres.Standing), len(parked)+1)
 		}
-
-		var cdDelta, tcDelta *DeltaDoc
+		deltas := make(map[string]*DeltaDoc)
 		for i := range mres.Standing {
-			switch mres.Standing[i].JobID {
-			case "stand-cd":
-				cdDelta = &mres.Standing[i]
-			case "stand-tc":
-				tcDelta = &mres.Standing[i]
+			deltas[mres.Standing[i].JobID] = &mres.Standing[i]
+		}
+
+		for _, p := range parked {
+			d := deltas[p.id]
+			if d == nil {
+				t.Fatalf("batch %d: no %s round", bi, p.app)
 			}
-		}
-		if cdDelta == nil || tcDelta == nil {
-			t.Fatalf("batch %d: missing standing round (cd %v tc %v)", bi, cdDelta, tcDelta)
-		}
-		if !tcDelta.Incremental {
-			t.Fatalf("batch %d: tc round was not dirty-rooted incremental", bi)
-		}
-
-		// Client-side reconstruction from the delta...
-		accum = applyDelta(accum, *cdDelta)
-
-		// ...must equal a full ad-hoc recomputation at this epoch.
-		_, snapSt := submit(t, base, fmt.Sprintf(`{"app":"cd","id":"snap-cd-%d"}`, bi))
-		awaitState(t, base, snapSt.ID, StateDone)
-		full := append([]string(nil), resultRecords(t, base, snapSt.ID).Records...)
-		sort.Strings(full)
-		if !reflect.DeepEqual(accum, full) {
-			t.Fatalf("batch %d: reconstructed cd set (%d) != full recompute (%d)",
-				bi, len(accum), len(full))
-		}
-		// The server-side accumulated result must agree too.
-		servedNow := append([]string(nil), resultRecords(t, base, cdSt.ID).Records...)
-		sort.Strings(servedNow)
-		if !reflect.DeepEqual(servedNow, full) {
-			t.Fatalf("batch %d: server-side standing set diverged from full recompute", bi)
+			if d.Incremental != p.incremental {
+				t.Fatalf("batch %d: %s round incremental=%v, want %v", bi, p.app, d.Incremental, p.incremental)
+			}
+			changed[p.app] += len(d.Added) + len(d.Retracted)
+			// Client-side reconstruction from the delta...
+			accum[p.id] = applyDelta(accum[p.id], *d)
+			// ...must equal a full ad-hoc recomputation at this epoch.
+			_, snapSt := submit(t, base, fmt.Sprintf(`{"app":%q,"minsim":0.5,"minsize":3,"id":"snap-%s-%d"}`, p.app, p.app, bi))
+			awaitState(t, base, snapSt.ID, StateDone)
+			full := append([]string(nil), resultRecords(t, base, snapSt.ID).Records...)
+			sort.Strings(full)
+			if !reflect.DeepEqual(accum[p.id], full) {
+				t.Fatalf("batch %d: reconstructed %s set (%d) != full recompute (%d)",
+					bi, p.app, len(accum[p.id]), len(full))
+			}
+			if d.Matches != len(full) {
+				t.Fatalf("batch %d: %s delta says %d matches, the full recompute has %d", bi, p.app, d.Matches, len(full))
+			}
+			// The server-side accumulated result must agree too.
+			servedNow := append([]string(nil), resultRecords(t, base, p.id).Records...)
+			sort.Strings(servedNow)
+			if !reflect.DeepEqual(servedNow, full) {
+				t.Fatalf("batch %d: server-side standing %s set diverged from full recompute", bi, p.app)
+			}
 		}
 
 		// tc: incremental aggregate == full recount.
+		tcDelta := deltas["stand-tc"]
+		if tcDelta == nil || !tcDelta.Incremental {
+			t.Fatalf("batch %d: tc round missing or not dirty-rooted incremental (%v)", bi, tcDelta)
+		}
 		_, tcSnap := submit(t, base, fmt.Sprintf(`{"app":"tc","id":"snap-tc-%d"}`, bi))
 		awaitState(t, base, tcSnap.ID, StateDone)
 		fullTC := resultRecords(t, base, tcSnap.ID)
@@ -267,9 +316,50 @@ func TestStandingQueryDifferential(t *testing.T) {
 				bi, tcDelta.Aggregate, fullTC.Aggregate)
 		}
 	}
+	for _, op := range []string{dyngraph.OpAddEdge, dyngraph.OpDelEdge, dyngraph.OpAddVertex, dyngraph.OpDelVertex} {
+		if !kinds[op] {
+			t.Errorf("the stream has no %s", op)
+		}
+	}
+	if moved == 0 {
+		t.Error("no batch moved a block between workers")
+	}
+	for _, p := range parked {
+		if changed[p.app] == 0 {
+			t.Errorf("%s: no record was ever added or retracted: the fold was not exercised", p.app)
+		}
+	}
+
+	// Each arm is counted under its own mode.
+	_, metrics := fetchText(t, base+"/metrics")
+	for _, want := range []string{
+		fmt.Sprintf(`gminer_standing_rounds_total{mode="incremental"} %d`, 3*len(batches)),
+		fmt.Sprintf(`gminer_standing_rounds_total{mode="full"} %d`, len(batches)),
+		`gminer_standing_rounds_total{mode="fallback"} 0`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+
+	// Both halves of a dirty-rooted round are metered, apart from the
+	// app's own jobs (whose estimate prices ad-hoc admissions).
+	apps, _ := srv.reg.meter.Snapshot()
+	launches := map[string]int64{}
+	for _, ac := range apps {
+		launches[ac.App] = ac.Jobs
+	}
+	for _, app := range []string{"cd/delta", "qc/delta"} {
+		if launches[app] != int64(2*len(batches)) {
+			t.Errorf("meter saw %d %s launches, want %d", launches[app], app, 2*len(batches))
+		}
+	}
+	if launches["gc/delta"] != 0 || launches["gc"] != int64(1+2*len(batches)) {
+		t.Errorf("meter saw %d gc/delta and %d gc jobs, want 0 and %d", launches["gc/delta"], launches["gc"], 1+2*len(batches))
+	}
 
 	// Status carries the standing view.
-	st := awaitState(t, base, cdSt.ID, StateStanding)
+	st := awaitState(t, base, "stand-cd", StateStanding)
 	if st.GraphEpoch != int64(len(batches)) || st.DeltaRounds != len(batches) {
 		t.Fatalf("standing status: epoch %d rounds %d, want %d/%d",
 			st.GraphEpoch, st.DeltaRounds, len(batches), len(batches))
@@ -283,6 +373,57 @@ func TestStandingQueryDifferential(t *testing.T) {
 	}
 	resp.Body.Close()
 	awaitState(t, base, "stand-cd", StateCancelled)
+}
+
+// TestStandingFallback: the dirty-rooted identity presumes the parked set is
+// the app's output on the old graph. When what the old graph mines around
+// the batch is not in the set, the round must notice, serve the epoch from a
+// full recompute (still exact), and count it — once; the repaired set then
+// goes back to incremental rounds.
+func TestStandingFallback(t *testing.T) {
+	srv, base := startDynServerOn(t, standingGraph(), Config{})
+	defer srv.Shutdown()
+	const spec = `"app":"cd","minsim":0.5,"minsize":3`
+	submit(t, base, `{`+spec+`,"standing":true,"id":"stand-cd"}`)
+	awaitState(t, base, "stand-cd", StateStanding)
+
+	// Corrupt the parked set behind the server's back.
+	srv.reg.mu.Lock()
+	j := srv.reg.jobs["stand-cd"]
+	lost := len(j.matchSet)
+	j.matchSet = nil
+	srv.reg.mu.Unlock()
+	if lost == 0 {
+		t.Fatal("empty baseline: nothing to corrupt")
+	}
+
+	batches := gen.Deltas(standingGraph(), gen.DeltasConfig{Batches: 2, Ops: 24, Seed: 5})
+	for bi, wantIncremental := range []bool{false, true} {
+		code, mres := mutate(t, base, batches[bi])
+		if code != http.StatusOK || len(mres.Standing) != 1 {
+			t.Fatalf("batch %d: status %d, %d rounds", bi, code, len(mres.Standing))
+		}
+		if d := mres.Standing[0]; d.Incremental != wantIncremental {
+			t.Fatalf("batch %d: incremental=%v, want %v", bi, d.Incremental, wantIncremental)
+		}
+		_, snapSt := submit(t, base, fmt.Sprintf(`{`+spec+`,"id":"snap-%d"}`, bi))
+		awaitState(t, base, snapSt.ID, StateDone)
+		full := append([]string(nil), resultRecords(t, base, snapSt.ID).Records...)
+		sort.Strings(full)
+		served := resultRecords(t, base, "stand-cd").Records
+		if len(full) == 0 || !reflect.DeepEqual(served, full) {
+			t.Fatalf("batch %d: served set (%d records) != full recompute (%d)", bi, len(served), len(full))
+		}
+		_, metrics := fetchText(t, base+"/metrics")
+		for _, want := range []string{
+			`gminer_standing_rounds_total{mode="fallback"} 1`,
+			fmt.Sprintf(`gminer_standing_rounds_total{mode="incremental"} %d`, bi),
+		} {
+			if !strings.Contains(metrics, want) {
+				t.Fatalf("batch %d: /metrics lacks %q", bi, want)
+			}
+		}
+	}
 }
 
 // TestDeltasStream: the NDJSON stream opens with a snapshot and carries

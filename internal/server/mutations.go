@@ -55,10 +55,9 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
 
-	// Pre-reads on the old graph (tc's incremental identity needs the
-	// triangles touching the dirty set BEFORE the batch lands).
-	dirty := b.DirtyIDs()
-	pre := s.reg.standingPrepare(dirty)
+	// Pre-reads on the old graph: the dirty-rooted identities need what the
+	// batch's reach holds BEFORE the batch lands.
+	pre := s.reg.standingPrepare(b.DirtyIDs())
 
 	epr, err := mc.ApplyMutations(b)
 	if err != nil {
@@ -72,7 +71,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// memory immediately.
 	s.reg.invalidateCache()
 
-	rounds := s.reg.runStandingRounds(epr.Epoch, dirty, pre)
+	rounds := s.reg.runStandingRounds(epr.Epoch, pre)
 
 	out := MutationResult{
 		Epoch:          epr.Epoch,

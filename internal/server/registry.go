@@ -150,6 +150,8 @@ type job struct {
 	aggregate any
 	deltas    []DeltaDoc
 	notify    chan struct{}
+	// fallbackLogged: this job's first fallback round has been logged.
+	fallbackLogged bool
 }
 
 // tenantWait accumulates one tenant's queue-wait observations for the
@@ -181,8 +183,9 @@ type registry struct {
 	seq      uint64
 	draining bool
 
-	// standingRoundsRun counts delta rounds completed, for /metrics.
-	standingRoundsRun int64
+	// standingRounds counts delta rounds completed by the arm that served
+	// them (roundIncremental, roundFull, roundFallback), for /metrics.
+	standingRounds map[string]int64
 }
 
 func newRegistry(sess Cluster, cfg Config) *registry {
@@ -194,6 +197,8 @@ func newRegistry(sess Cluster, cfg Config) *registry {
 		jobs:  make(map[string]*job),
 		queue: qos.NewFairQueue(),
 		waits: make(map[string]*tenantWait),
+
+		standingRounds: make(map[string]int64),
 	}
 	if entries := cfg.ResultCacheEntries; entries >= 0 {
 		if entries == 0 {

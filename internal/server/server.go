@@ -442,10 +442,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Dynamic-graph families: the resident epoch, live standing queries
 	// and completed delta rounds.
 	fmt.Fprintf(w, "# HELP gminer_graph_epoch Mutation epoch of the resident graph (0 = as loaded).\n# TYPE gminer_graph_epoch gauge\ngminer_graph_epoch %d\n", s.sess.GraphEpoch())
+	fmt.Fprintf(w, "# HELP gminer_standing_rounds_total Per-epoch delta rounds completed across all standing jobs, by the arm that served them.\n# TYPE gminer_standing_rounds_total counter\n")
+	modes := []string{roundIncremental, roundFull, roundFallback}
+	rounds := make([]int64, len(modes))
 	s.reg.mu.Lock()
-	roundsRun := s.reg.standingRoundsRun
+	for i, mode := range modes {
+		rounds[i] = s.reg.standingRounds[mode]
+	}
 	s.reg.mu.Unlock()
-	fmt.Fprintf(w, "# HELP gminer_standing_rounds_total Per-epoch delta rounds completed across all standing jobs.\n# TYPE gminer_standing_rounds_total counter\ngminer_standing_rounds_total %d\n", roundsRun)
+	for i, mode := range modes {
+		fmt.Fprintf(w, "gminer_standing_rounds_total{mode=%q} %d\n", mode, rounds[i])
+	}
 
 	queued, running, standing, terminal := s.reg.counts()
 	fmt.Fprintf(w, "# HELP gminer_jobs_standing Standing queries live on the resident graph.\n# TYPE gminer_jobs_standing gauge\ngminer_jobs_standing %d\n", standing)

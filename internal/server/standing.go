@@ -2,10 +2,13 @@ package server
 
 import (
 	"fmt"
+	"log"
+	"slices"
 	"sort"
 	"time"
 
 	"gminer/internal/cluster"
+	"gminer/internal/core"
 	"gminer/internal/dyngraph"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
@@ -21,14 +24,21 @@ import (
 // the per-epoch added/retracted record sets a `gminer watch` client folds
 // into its snapshot.
 //
-// The default round is deliberately conservative: recompute the workload
-// on the warm session (the session already migrated only dirty blocks, so
-// the prepare cost is paid) and merge-diff the sorted record sets. That is
-// always sound — it satisfies the differential gate by construction for
-// any algorithm. Triangle counting additionally gets a true dirty-rooted
-// incremental round: the new aggregate is derived from the previous one
-// plus the triangles touching the batch's dirty vertices before/after,
-// with no cluster launch at all.
+// A round costs what the batch touched. An algorithm that declares how far
+// a seed's task reads (core.LocalMiner, radius r) has a match set that is a
+// union of per-seed record sets, and a batch with dirty vertices D can change
+// only the seeds in B = Ball(G, D, r) ∪ D (dyngraph.Ball has the argument),
+// so
+//
+//	set' = set − mine(G, B) + mine(G', B)
+//
+// where mine(·, B) is an engine job seeded at B alone: the first launch runs
+// on the old graph before the batch lands, the second after. Triangle
+// counting, whose seeds move with the orientation rank, uses the same
+// identity on its aggregate through dyngraph.TrianglesTouching and launches
+// nothing. Everything else (gc grows without bound, mcf prunes on a global
+// best) recomputes on the warm session and merge-diffs the sorted sets —
+// the arm the differential gate holds the other two to.
 
 // DeltaDoc is one epoch's output for one standing job: the records that
 // appeared, the records that vanished, and the aggregate movement. It is
@@ -64,15 +74,60 @@ type snapshotDoc struct {
 	Aggregate string   `json:"aggregate,omitempty"`
 }
 
-// standingPre holds per-job values that must be read off the OLD graph,
-// before the batch lands. Today that is the triangles touching the dirty
-// set, feeding tc's incremental identity
-//
-//	count' = count − touching(G, dirty) + touching(G', dirty)
-//
-// which is exact because every changed edge has an endpoint in dirty.
+// Which arm served a round, as gminer_standing_rounds_total's mode label.
+const (
+	roundIncremental = "incremental" // dirty-rooted: tc's identity, or two seed-restricted launches
+	roundFull        = "full"        // the app declares no radius: whole-graph recompute
+	roundFallback    = "fallback"    // dirty-rooted premise broke this epoch: recomputed, and logged
+)
+
+// standingPre is what one batch's rounds read off the OLD graph, before the
+// batch lands: per-batch values computed once and shared by every standing
+// job, and each dirty-rooted record job's pre-launch.
 type standingPre struct {
-	triTouching map[string]int64 // standing tc job id → touching(G, dirty)
+	dirty []graph.VertexID
+	// touching is TrianglesTouching(G, dirty), feeding tc's
+	//
+	//	count' = count − touching(G, dirty) + touching(G', dirty)
+	//
+	// exact because every changed edge has an endpoint in dirty. Computed
+	// if some tc job stands.
+	touching    int64
+	hasTouching bool
+	// reach is B by radius; mined the pre-launches by job id.
+	reach map[int][]graph.VertexID
+	mined map[string]preMine
+}
+
+// preMine is mine(G, B) for one standing job.
+type preMine struct {
+	seeds   []graph.VertexID
+	records []string // sorted
+	elapsed time.Duration
+}
+
+// reachOf returns B = Ball(G, dirty, r) ∪ dirty, sorted. The dirty IDs G
+// does not hold yet are in it because the batch may create them.
+func (p *standingPre) reachOf(g *graph.Graph, r int) []graph.VertexID {
+	if b, ok := p.reach[r]; ok {
+		return b
+	}
+	b := append(dyngraph.Ball(g, p.dirty, r), p.dirty...)
+	slices.Sort(b)
+	b = slices.Compact(b)
+	p.reach[r] = b
+	return b
+}
+
+// localRadius reports whether a's standing rounds can be dirty-rooted, and
+// at what radius: it declares one, and its output is records alone (an
+// aggregate over a seed subset is not the job's).
+func localRadius(a core.Algorithm) (int, bool) {
+	lm, ok := a.(core.LocalMiner)
+	if _, agg := a.(core.AggregatorProvider); !ok || agg {
+		return 0, false
+	}
+	return lm.SeedRadius(), true
 }
 
 // standingIDs snapshots the ids of jobs currently parked standing.
@@ -88,37 +143,94 @@ func (r *registry) standingIDs() []string {
 	return ids
 }
 
-// standingPrepare reads the pre-mutation values every standing job's
-// round needs. Called by the mutation handler with the batch decoded but
-// NOT yet applied; WithGraphRead excludes it from racing a mutation.
+// mine builds and runs one engine job of a standing query on the resident
+// graph — seeded at seeds alone, or with nil seeds the whole workload — and charges
+// its compute to the tenant, so standing queries pay their way in the QoS
+// ledger. A seed-restricted launch is metered under "<app>/delta": it is a
+// small fraction of a job and must not drag down the per-app estimate that
+// prices ad-hoc admissions.
+func (r *registry) mine(jobID string, spec jobspec.Spec, tenant string, seeds []graph.VertexID) (*cluster.Result, error) {
+	a, err := jobspec.Build(r.sess.Graph(), spec)
+	if err != nil {
+		return nil, err
+	}
+	cj, err := r.sess.Launch(a, cluster.JobOptions{ID: jobID, Seeds: seeds})
+	if err != nil {
+		return nil, err
+	}
+	res, err := cj.Wait()
+	if err != nil {
+		return nil, err
+	}
+	var cost float64
+	for _, snap := range res.PerWorker {
+		cost += snap.CostSeconds()
+	}
+	app := spec.App
+	if seeds != nil {
+		app += "/delta"
+	}
+	r.meter.ObserveJob(app, tenant, cost, resPhases(res))
+	return res, nil
+}
+
+// standingPrepare reads the pre-mutation values the standing rounds of one
+// batch need. Called by the mutation handler (under its mutation mutex)
+// with the batch decoded but NOT yet applied. A pre-launch that cannot run
+// is simply left out: that job's round then recomputes in full.
 func (r *registry) standingPrepare(dirty []graph.VertexID) standingPre {
-	pre := standingPre{triTouching: make(map[string]int64)}
-	for _, id := range r.standingIDs() {
-		r.mu.Lock()
-		j := r.jobs[id]
-		isTC := j != nil && j.state == StateStanding && j.req.Spec.App == "tc"
-		r.mu.Unlock()
-		if !isTC {
+	pre := standingPre{dirty: dirty, reach: make(map[int][]graph.VertexID), mined: make(map[string]preMine)}
+	type parked struct {
+		id, tenant string
+		spec       jobspec.Spec
+	}
+	var jobs []parked
+	r.mu.Lock()
+	for _, id := range r.order {
+		if j := r.jobs[id]; j != nil && j.state == StateStanding {
+			jobs = append(jobs, parked{id, j.tenant, j.req.Spec})
+		}
+	}
+	r.mu.Unlock()
+
+	g, next := r.sess.Graph(), r.sess.GraphEpoch()+1
+	for _, pj := range jobs {
+		if pj.spec.App == "tc" {
+			if !pre.hasTouching {
+				r.sess.WithGraphRead(func() { pre.touching = dyngraph.TrianglesTouching(g, dirty) })
+				pre.hasTouching = true
+			}
 			continue
 		}
-		var touching int64
-		r.sess.WithGraphRead(func() {
-			touching = dyngraph.TrianglesTouching(r.sess.Graph(), dirty)
-		})
-		pre.triTouching[id] = touching
+		started := time.Now()
+		a, err := jobspec.Build(g, pj.spec) // only asked its radius; each launch builds its own
+		if err != nil {
+			continue
+		}
+		radius, ok := localRadius(a)
+		if !ok {
+			continue
+		}
+		var seeds []graph.VertexID
+		r.sess.WithGraphRead(func() { seeds = pre.reachOf(g, radius) })
+		res, err := r.mine(fmt.Sprintf("%s.e%d.pre", pj.id, next), pj.spec, pj.tenant, seeds)
+		if err != nil {
+			continue
+		}
+		records := append([]string(nil), res.Records...)
+		sort.Strings(records)
+		pre.mined[pj.id] = preMine{seeds: seeds, records: records, elapsed: time.Since(started)}
 	}
 	return pre
 }
 
 // runStandingRounds runs one delta round for every standing job at the
 // freshly applied epoch. The caller holds the server's mutation mutex, so
-// rounds are serialized against other mutations; each round's compute is
-// metered like any job so standing queries pay their way in the QoS
-// ledger.
-func (r *registry) runStandingRounds(epoch int64, dirty []graph.VertexID, pre standingPre) []DeltaDoc {
+// rounds are serialized against other mutations.
+func (r *registry) runStandingRounds(epoch int64, pre standingPre) []DeltaDoc {
 	var docs []DeltaDoc
 	for _, id := range r.standingIDs() {
-		doc, err := r.standingRound(id, epoch, dirty, pre)
+		doc, err := r.standingRound(id, epoch, pre)
 		if err != nil {
 			// A round that cannot compute (e.g. the mutation stripped the
 			// labels the spec needs) fails the standing job rather than
@@ -137,8 +249,10 @@ func (r *registry) runStandingRounds(epoch int64, dirty []graph.VertexID, pre st
 	return docs
 }
 
-// standingRound computes one job's delta at one epoch.
-func (r *registry) standingRound(id string, epoch int64, dirty []graph.VertexID, pre standingPre) (DeltaDoc, error) {
+// standingRound computes one job's delta at one epoch. ElapsedSeconds
+// covers both halves of a dirty-rooted round: the pre-launch on the old
+// graph and everything here.
+func (r *registry) standingRound(id string, epoch int64, pre standingPre) (DeltaDoc, error) {
 	r.mu.Lock()
 	j := r.jobs[id]
 	if j == nil || j.state != StateStanding {
@@ -152,50 +266,61 @@ func (r *registry) standingRound(id string, epoch int64, dirty []graph.VertexID,
 	r.mu.Unlock()
 
 	started := time.Now()
-	doc := DeltaDoc{Type: "delta", JobID: id, Epoch: epoch, Added: []string{}, Retracted: []string{}}
-
+	doc := DeltaDoc{Type: "delta", JobID: id, Epoch: epoch}
+	mode := roundFull
+	var elapsed time.Duration
 	var newSet []string
 	var newAgg any
-	if touch, ok := pre.triTouching[id]; ok {
-		// Incremental tc: no cluster launch. Count triangles touching the
-		// dirty set on the new graph and roll the previous aggregate
-		// forward. tc emits no records, so the match set stays empty.
+	pm, mined := pre.mined[id]
+	switch {
+	case spec.App == "tc" && pre.hasTouching:
+		// No cluster launch: count the triangles touching the dirty set on
+		// the new graph and roll the previous aggregate forward. tc emits no
+		// records, so the match set stays empty.
 		prev, isInt := prevAgg.(int64)
 		if !isInt {
 			return DeltaDoc{}, fmt.Errorf("server: standing tc job %s has no integer aggregate", id)
 		}
 		var post int64
 		r.sess.WithGraphRead(func() {
-			post = dyngraph.TrianglesTouching(r.sess.Graph(), dirty)
+			post = dyngraph.TrianglesTouching(r.sess.Graph(), pre.dirty)
 		})
-		newAgg = prev - touch + post
-		doc.Incremental = true
-	} else {
-		a, err := jobspec.Build(r.sess.Graph(), spec)
+		newAgg = prev - pre.touching + post
+		mode = roundIncremental
+		doc.Added, doc.Retracted = []string{}, []string{}
+	case mined:
+		res, err := r.mine(fmt.Sprintf("%s.e%d", id, epoch), spec, tenant, pm.seeds)
 		if err != nil {
 			return DeltaDoc{}, err
 		}
-		cj, err := r.sess.Launch(a, cluster.JobOptions{ID: fmt.Sprintf("%s.e%d", id, epoch)})
-		if err != nil {
-			return DeltaDoc{}, err
+		post := append([]string(nil), res.Records...)
+		sort.Strings(post)
+		elapsed = pm.elapsed
+		var ok bool
+		if newSet, ok = foldDelta(prevSet, pm.records, post); ok {
+			mode = roundIncremental
+			doc.Added, doc.Retracted = diffSorted(pm.records, post)
+		} else {
+			// What the old graph mines at B is not in the parked set: the
+			// set is not this app's output on G, so the identity has no
+			// premise. Serve this epoch from a recompute.
+			mode = roundFallback
 		}
-		res, err := cj.Wait()
+	}
+	if mode != roundIncremental {
+		res, err := r.mine(fmt.Sprintf("%s.e%d", id, epoch), spec, tenant, nil)
 		if err != nil {
 			return DeltaDoc{}, err
 		}
 		newSet = append([]string(nil), res.Records...)
 		sort.Strings(newSet)
 		newAgg = res.AggGlobal
-		var cost float64
-		for _, snap := range res.PerWorker {
-			cost += snap.CostSeconds()
-		}
-		r.meter.ObserveJob(spec.App, tenant, cost, resPhases(res))
+		doc.Added, doc.Retracted = diffSorted(prevSet, newSet)
 	}
 
-	doc.Added, doc.Retracted = diffSorted(prevSet, newSet)
+	doc.Incremental = mode == roundIncremental
 	doc.Matches = len(newSet)
-	doc.ElapsedSeconds = time.Since(started).Seconds()
+	doc.ElapsedSeconds = (elapsed + time.Since(started)).Seconds()
 	if newAgg != nil {
 		doc.Aggregate = fmt.Sprintf("%v", newAgg)
 	}
@@ -219,10 +344,45 @@ func (r *registry) standingRound(id string, epoch int64, dirty []graph.VertexID,
 			j.result = &res
 		}
 		j.bumpDeltas()
-		r.standingRoundsRun++
+		r.standingRounds[mode]++
+		if mode == roundFallback && !j.fallbackLogged {
+			j.fallbackLogged = true
+			log.Printf("server: standing job %s (%s): epoch %d: records mined on the old graph are missing from the parked set; "+
+				"serving this epoch from a full recompute (further fallbacks of this job are only counted)", id, spec.App, epoch)
+		}
 	}
 	r.mu.Unlock()
 	return doc, nil
+}
+
+// foldDelta returns set − pre + post over sorted multisets of records, in
+// one pass, and false if pre is not contained in set.
+func foldDelta(set, pre, post []string) ([]string, bool) {
+	if len(pre) > len(set) {
+		return nil, false
+	}
+	out := make([]string, 0, len(set)-len(pre)+len(post))
+	p, q := 0, 0
+	for _, rec := range set {
+		if p < len(pre) {
+			if pre[p] < rec {
+				return nil, false
+			}
+			if pre[p] == rec {
+				p++
+				continue
+			}
+		}
+		for q < len(post) && post[q] < rec {
+			out = append(out, post[q])
+			q++
+		}
+		out = append(out, rec)
+	}
+	if p < len(pre) {
+		return nil, false
+	}
+	return append(out, post[q:]...), true
 }
 
 // diffSorted merge-diffs two sorted string sets into (added, retracted).

@@ -116,6 +116,9 @@ while IFS= read -r batch; do
   echo "$resp" | jq -e ".epoch == $i" >/dev/null \
     || { echo "batch $i: epoch $(echo "$resp" | jq .epoch), want $i"; exit 1; }
   echo "$resp" | jq -c '{epoch, stats, dirty_blocks, moved_blocks, rebuilt_workers}'
+  # cd declares a seed radius: its round is dirty-rooted, never a recompute.
+  echo "$resp" | jq -e '.standing | length == 1 and all(.incremental == true)' >/dev/null \
+    || { echo "batch $i: standing cd delta is not incremental"; echo "$resp" | jq -c .standing; exit 1; }
 
   # The epoch is visible on every surface.
   curl -sf "http://$ADDR/healthz" | jq -e ".graph_epoch == $i" >/dev/null \
@@ -139,9 +142,9 @@ echo "== job status carries the epoch and round count"
 curl -sf "http://$ADDR/jobs/stand" \
   | jq -e ".graph_epoch == $BATCHES and .delta_rounds == $BATCHES" >/dev/null \
   || { echo "standing status wrong"; curl -s "http://$ADDR/jobs/stand"; exit 1; }
-rounds="$(curl -sf "http://$ADDR/metrics" | awk '/^gminer_standing_rounds_total /{print $2}')"
+rounds="$(curl -sf "http://$ADDR/metrics" | awk '/^gminer_standing_rounds_total{mode="incremental"} /{print $2}')"
 [ "${rounds:-0}" -ge "$BATCHES" ] \
-  || { echo "gminer_standing_rounds_total=$rounds, want >=$BATCHES"; exit 1; }
+  || { echo "gminer_standing_rounds_total{mode=\"incremental\"}=$rounds, want >=$BATCHES"; exit 1; }
 
 echo "== unsubscribe ends the watch stream"
 curl -sf -X DELETE "http://$ADDR/jobs/stand" | jq -e '.state == "cancelled"' >/dev/null \

@@ -219,6 +219,9 @@ func main() {
 	fmt.Printf("network:      %d msgs, %d bytes\n", res.Total.NetMsgs, res.Total.NetBytes)
 	fmt.Printf("disk spill:   %d bytes written, %d read\n", res.Total.DiskWrite, res.Total.DiskRead)
 	fmt.Printf("cache:        %.1f%% hit rate\n", 100*res.Total.CacheHitRate())
+	if res.ResidentLists > 0 {
+		fmt.Printf("resident:     %d forward lists on every worker, %d bytes a copy\n", res.ResidentLists, res.ResidentBytes)
+	}
 	if res.LastCheckpointErr != nil {
 		fmt.Printf("checkpoint:   %d failed attempts, last: %v\n", res.Total.CkptFails, res.LastCheckpointErr)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"gminer/internal/graph"
@@ -17,25 +18,47 @@ import (
 // lookup is one load from an array indexed by id − base; otherwise it is the
 // hash tables of Figure 4, one per worker, plus the assignment's owner map.
 //
-// Owner and label are the two columns replicated on every worker for every
-// vertex of the graph; adjacency and attributes live with the owner alone
-// and reach anybody else only by pull.
+// Owner and label are replicated on every worker for every vertex of the
+// graph. Adjacency and attributes live with the owner alone and reach anybody
+// else only by pull — except, on the oriented view, the resident set: the
+// forward lists referenced most per byte (graph.HotLists), which every worker
+// reads in place. What a worker finds without a pull is local's answer and
+// nobody else's; owner keeps naming the one worker that seeds and serves the
+// vertex.
 type directory struct {
 	assign *partition.Assignment
 
 	base  graph.VertexID
 	slots []dirSlot // dense arm; nil on the sparse one
 
-	tables []map[graph.VertexID]*graph.Vertex // sparse arm, by worker
+	// Sparse arm, by worker. A resident vertex is entered in every worker's
+	// table (on the dense arm it is marked in its slot).
+	tables []map[graph.VertexID]*graph.Vertex
+
+	// residentLists and residentBytes size the resident set (reporting, and
+	// the workers' memory accounts).
+	residentLists int
+	residentBytes int64
 }
 
-// dirSlot is 16 bytes with or without the label: it sits in the padding
-// after owner.
+// dirSlot is 16 bytes, resident mark and label included: they sit in what
+// was padding after a 4-byte owner (denseWorkers keeps owners in 15 bits).
 type dirSlot struct {
-	v     *graph.Vertex
-	owner int32
-	label int32
+	v        *graph.Vertex
+	owner    int16
+	resident bool // in the view's resident set
+	label    int32
 }
+
+// denseWorkers is the largest cluster the dense arm's slot can name an owner
+// in; a larger one reads the graph through the sparse arm.
+const denseWorkers = math.MaxInt16
+
+// residentBudgetPerVertex is the byte budget of a view's resident set, per
+// vertex of the view: what a dirSlot weighs. The columns replicated on every
+// worker may double for the lists that save the most pulls, no more — a
+// budget read off the structure it rides in, so there is nothing to tune.
+const residentBudgetPerVertex = 16
 
 // newDirectory fills the directory of view g in one pass over its vertices.
 // visit, if non-nil, is shown every owned vertex with its owner on the way:
@@ -43,7 +66,7 @@ type dirSlot struct {
 // view's footprints) rides this pass instead of making its own.
 func newDirectory(g *graph.Graph, assign *partition.Assignment, visit func(v *graph.Vertex, owner int)) *directory {
 	d := &directory{assign: assign}
-	if base, span, ok := g.DenseIDs(); ok {
+	if base, span, ok := g.DenseIDs(); ok && assign.K <= denseWorkers {
 		d.fillDense(g, base, span, visit)
 	} else {
 		d.fillSparse(g, visit)
@@ -58,7 +81,7 @@ func (d *directory) fillDense(g *graph.Graph, base graph.VertexID, span int, vis
 	}
 	g.ForEach(func(v *graph.Vertex) bool {
 		w := d.assign.Owner(v.ID)
-		d.slots[v.ID-base] = dirSlot{v: v, owner: int32(w), label: v.Label}
+		d.slots[v.ID-base] = dirSlot{v: v, owner: int16(w), label: v.Label}
 		if w >= 0 && visit != nil {
 			visit(v, w)
 		}
@@ -111,15 +134,43 @@ func (d *directory) label(id graph.VertexID) (int32, bool) {
 	return 0, false
 }
 
-// local returns vertex id if worker self owns it, else nil.
+// local returns vertex id if worker self reads it without a pull — it owns
+// the vertex, or the view keeps its list resident on every worker — else nil.
 func (d *directory) local(id graph.VertexID, self int) *graph.Vertex {
 	if d.slots == nil {
 		return d.tables[self][id]
 	}
-	if i := uint64(id - d.base); i < uint64(len(d.slots)) && int(d.slots[i].owner) == self {
-		return d.slots[i].v
+	if i := uint64(id - d.base); i < uint64(len(d.slots)) {
+		if s := &d.slots[i]; int(s.owner) == self || s.resident {
+			return s.v
+		}
 	}
 	return nil
+}
+
+// keepResident makes the lists of ids — vertices of the directory's view —
+// resident on every worker, and charges each worker's account in foot for
+// the ones it does not own. It completes a directory under construction:
+// once workers read the directory it never changes.
+func (d *directory) keepResident(ids []graph.VertexID, foot []int64) {
+	for _, id := range ids {
+		owner := d.owner(id)
+		v := d.local(id, owner)
+		if d.slots != nil {
+			d.slots[id-d.base].resident = true
+		}
+		for w := range foot {
+			if w == owner {
+				continue
+			}
+			foot[w] += v.FootprintBytes()
+			if d.slots == nil {
+				d.tables[w][id] = v
+			}
+		}
+		d.residentBytes += v.FootprintBytes()
+	}
+	d.residentLists = len(ids)
 }
 
 // vertexTables is what a job's workers read the graph through: the view's

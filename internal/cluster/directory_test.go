@@ -67,24 +67,33 @@ func TestDirectoryArmsAgree(t *testing.T) {
 }
 
 // Which arm a graph takes is read off the graph, by the rule TC's bitmap
-// goes by: IDs spread wider than 64 slots per vertex fall back to tables.
+// goes by: IDs spread wider than 64 slots per vertex fall back to tables —
+// as does a cluster with more workers than a slot's owner field can name.
 func TestDirectoryArmFollowsIDSpan(t *testing.T) {
 	for _, tc := range []struct {
-		stride graph.VertexID
-		dense  bool
-	}{{1, true}, {64, true}, {65, false}, {1 << 20, false}} {
+		stride  graph.VertexID
+		workers int
+		dense   bool
+	}{{1, 2, true}, {64, 2, true}, {65, 2, false}, {1 << 20, 2, false}, {1, denseWorkers, true}, {1, denseWorkers + 1, false}} {
 		g := graph.New(100)
 		for i := graph.VertexID(0); i < 100; i++ {
 			g.AddEdge(7+i*tc.stride, 7+((i+1)%100)*tc.stride)
 		}
 		g.Freeze()
-		assign, err := partition.Hash{}.Partition(g, 2)
+		assign, err := partition.Hash{}.Partition(g, tc.workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := newDirectory(g, assign, nil); d.dense() != tc.dense {
-			t.Fatalf("stride %d: dense=%v, want %v", tc.stride, d.dense(), tc.dense)
+		d := newDirectory(g, assign, nil)
+		if d.dense() != tc.dense {
+			t.Fatalf("stride %d, %d workers: dense=%v, want %v", tc.stride, tc.workers, d.dense(), tc.dense)
 		}
+		g.ForEach(func(v *graph.Vertex) bool {
+			if w := assign.Owner(v.ID); d.owner(v.ID) != w || d.local(v.ID, w) != v {
+				t.Fatalf("stride %d, %d workers: vertex %d owned by %d reads as owner %d", tc.stride, tc.workers, v.ID, w, d.owner(v.ID))
+			}
+			return true
+		})
 	}
 }
 
@@ -93,17 +102,11 @@ func TestDirectoryArmFollowsIDSpan(t *testing.T) {
 // Assignment.Local(g, w) — its own whole-graph pass — sorted by lsh.HashID
 // with a comparator, and its footprint the sum over those vertices; a worker
 // the caller did not mark gets no scan. The oriented view's tables are the
-// base scans with G⁺'s footprints.
+// base scans with G⁺'s footprints — the partition's, plus the resident lists
+// of the other partitions.
 func TestScansMatchAssignmentLocal(t *testing.T) {
 	dense := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 3000, Seed: 5})
-	strided := graph.New(dense.NumVertices()) // the same edges, IDs too far apart for the array arm
-	dense.ForEach(func(v *graph.Vertex) bool {
-		for _, u := range v.Adj {
-			strided.AddEdge(v.ID*1009+7, u*1009+7)
-		}
-		return true
-	})
-	strided.Freeze()
+	strided, _ := stridedIDs(dense) // the same edges, IDs too far apart for the array arm
 	for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": strided} {
 		gplus := graph.Orient(g)
 		for _, p := range []partition.Partitioner{partition.Hash{}, partition.BDG{}, partition.Blocked{Shift: 3}} {
@@ -151,7 +154,13 @@ func TestScansMatchAssignmentLocal(t *testing.T) {
 					}
 					continue
 				}
-				if ref := want(gplus, w); !slices.Equal(lt.ids, ref.ids) || lt.footprint != ref.footprint {
+				ref := want(gplus, w)
+				for _, id := range view.residentIDs() {
+					if assign.Owner(id) != w {
+						ref.footprint += gplus.Vertex(id).FootprintBytes()
+					}
+				}
+				if !slices.Equal(lt.ids, ref.ids) || lt.footprint != ref.footprint {
 					t.Fatalf("%s/%s: worker %d oriented scan (%d ids, %d B) is not the reference's over G⁺ (%d ids, %d B)",
 						gname, p.Name(), w, len(lt.ids), lt.footprint, len(ref.ids), ref.footprint)
 				}

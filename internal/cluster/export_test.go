@@ -1,5 +1,11 @@
 package cluster
 
+import (
+	"slices"
+
+	"gminer/internal/graph"
+)
+
 // HoldLastSeed is the deterministic hold of the fault-injection soaks: every
 // worker built from cfg — in this process or a worker process started with
 // it, first incarnation or replacement — seeds all but its last vertex, then
@@ -13,3 +19,30 @@ func (s *Session) DenseDirectory() bool { return s.tables.dir.dense() }
 
 // dense reports which arm the directory took.
 func (d *directory) dense() bool { return d.slots != nil }
+
+// residentIDs lists the resident set of the view as its directory answers
+// for it — the vertices a worker other than the owner reads in place —
+// ascending; nil before the first job that mined the view (and with one
+// worker, where nobody is another worker).
+func (o *orientedView) residentIDs() []graph.VertexID {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.dir == nil || o.dir.assign.K < 2 {
+		return nil
+	}
+	var ids []graph.VertexID
+	o.g.ForEach(func(v *graph.Vertex) bool {
+		if other := (o.dir.owner(v.ID) + 1) % o.dir.assign.K; o.dir.local(v.ID, other) != nil {
+			ids = append(ids, v.ID)
+		}
+		return true
+	})
+	slices.Sort(ids)
+	return ids
+}
+
+// ResidentIDs is the resident set of the session's current oriented view.
+func (s *Session) ResidentIDs() []graph.VertexID { return s.oriented.residentIDs() }
+
+// ResidentIDs is the resident set of the process's oriented view.
+func (wp *WorkerProcess) ResidentIDs() []graph.VertexID { return wp.oriented.residentIDs() }

@@ -71,7 +71,8 @@ func buildWorker(id int, cfg Config, a core.Algorithm, vt vertexTables, ep trans
 
 // result is what a finished worker contributes to the job's Result.
 func (w *Worker) result(counters *metrics.Counters) jobResultMsg {
-	res := jobResultMsg{Worker: w.id, Records: w.takeResults(), Counters: counters.Snapshot()}
+	res := jobResultMsg{Worker: w.id, Records: w.takeResults(), Counters: counters.Snapshot(),
+		ResidentLists: w.dir.residentLists, ResidentBytes: w.dir.residentBytes}
 	if err := w.lastCheckpointErr(); err != nil {
 		res.CkptErr = err.Error()
 	}
@@ -79,10 +80,11 @@ func (w *Worker) result(counters *metrics.Counters) jobResultMsg {
 }
 
 // orientedView caches G⁺ — the degree-oriented view of the resident graph
-// (graph.Orient) — and the vertex tables over it, for one graph epoch: pure
-// functions of the frozen graph and the partition, built by the first job
-// that mines G⁺ after start-up or a mutation epoch and shared read-only by
-// every later one.
+// (graph.Orient) — and the vertex tables over it, resident set included, for
+// one graph epoch: pure functions of the frozen graph and the partition,
+// built by the first job that mines G⁺ after start-up or a mutation epoch
+// and shared read-only by every later one. Every process of a cluster cuts
+// the same ones.
 type orientedView struct {
 	mu    sync.Mutex
 	epoch int64
@@ -123,9 +125,13 @@ func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partitio
 	if o.dir == nil {
 		// G⁺ has the base view's vertices and owners, so each worker's scan
 		// is base's; only what a vertex weighs differs, and the directory's
-		// pass sums that.
+		// pass sums that. The view's hottest forward lists stay on every
+		// worker, up to the weight of the directory they are marked in.
 		foot := make([]int64, len(base.locals))
-		o.dir = newDirectory(o.g, assign, func(v *graph.Vertex, w int) { foot[w] += v.FootprintBytes() })
+		dir := newDirectory(o.g, assign, func(v *graph.Vertex, w int) { foot[w] += v.FootprintBytes() })
+		budget := residentBudgetPerVertex * int64(o.g.NumVertices())
+		dir.keepResident(graph.HotLists(g, o.g, budget), foot)
+		o.dir = dir
 		for i, lt := range base.locals {
 			if lt != nil {
 				o.locals[i] = &localTable{ids: lt.ids, footprint: foot[i]}

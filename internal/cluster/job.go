@@ -44,6 +44,11 @@ type Result struct {
 	EdgeCut float64
 	// Recovered counts worker recoveries during the run.
 	Recovered int
+	// ResidentLists and ResidentBytes size the job's resident set: the
+	// forward lists of G⁺ every worker held beside its own partition, and
+	// what one copy of them weighs. 0 for a job on the undirected graph.
+	ResidentLists int
+	ResidentBytes int64
 	// LastCheckpointErr is the most recent checkpoint persist/commit
 	// failure observed during the run (nil when every epoch landed). The
 	// job still completes — durability degraded, correctness did not — but
@@ -278,6 +283,9 @@ func (j *Job) Wait() (*Result, error) {
 			res.Total = res.Total.Add(r.Counters)
 			if r.CkptErr != "" {
 				res.LastCheckpointErr = errors.New(r.CkptErr)
+			}
+			if r.ResidentLists > 0 {
+				res.ResidentLists, res.ResidentBytes = r.ResidentLists, r.ResidentBytes
 			}
 		}
 		// The master's own traffic is node K's counters.

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -50,8 +51,9 @@ func orientedRef(t *testing.T, g *graph.Graph) (want, seeds int64) {
 	if planned, err := plan.Count(kernels.MustBuild(g), plan.Triangle()); err != nil || planned != want {
 		t.Fatalf("plan.Count = %d (%v), reference %d", planned, err, want)
 	}
-	if seq := algo.SeqRun(g, algo.NewTriangleCount()).AggGlobal; seq != any(want) {
-		t.Fatalf("SeqRun = %v, reference %d", seq, want)
+	seq := algo.SeqRun(g, algo.NewTriangleCount())
+	if seq.AggGlobal != any(want) {
+		t.Fatalf("SeqRun = %v, reference %d", seq.AggGlobal, want)
 	}
 	graph.Orient(g).ForEach(func(v *graph.Vertex) bool {
 		if len(v.Adj) >= 2 {
@@ -59,6 +61,9 @@ func orientedRef(t *testing.T, g *graph.Graph) (want, seeds int64) {
 		}
 		return true
 	})
+	if seq.Tasks != seeds {
+		t.Fatalf("SeqRun ran %d tasks, the oriented graph seeds %d", seq.Tasks, seeds)
+	}
 	return want, seeds
 }
 
@@ -74,20 +79,26 @@ func differentialGraphs() map[string]*graph.Graph {
 // TestOrientedTCDifferential: on every deployment shape of a session, TC on
 // the oriented view == TC on the generic baseline == plan.Count(Triangle)
 // == SeqRun, and the oriented job really ran on forward lists (it executed
-// the oriented seed set, not the ID-order one).
+// the oriented seed set — SeqRun's task count — not the ID-order one) with
+// the view's resident set in place, which the generic job never has. The
+// spilling shapes seed eagerly into a 16-task store, so most tasks go through
+// a spill block and come back with the to_pull they were spilled with.
 func TestOrientedTCDifferential(t *testing.T) {
 	for name, g := range differentialGraphs() {
 		want, seeds := orientedRef(t, g)
 		for _, workers := range []int{1, 2, 4} {
 			for _, part := range []partition.Partitioner{partition.BDG{}, partition.Hash{}} {
 				for _, stealing := range []bool{false, true} {
-					for _, tcp := range []bool{false, true} {
-						if tcp && workers != 2 {
+					for _, mode := range []string{"mem", "tcp", "spill"} {
+						if mode == "tcp" && workers != 2 {
 							continue
 						}
 						cfg := smallConfig()
-						cfg.Workers, cfg.Threads, cfg.Partitioner, cfg.Stealing, cfg.UseTCP = workers, 1, part, stealing, tcp
-						shape := fmt.Sprintf("%s/w%d/%s/steal=%v/tcp=%v", name, workers, part.Name(), stealing, tcp)
+						cfg.Workers, cfg.Threads, cfg.Partitioner, cfg.Stealing, cfg.UseTCP = workers, 1, part, stealing, mode == "tcp"
+						if mode == "spill" {
+							cfg.SpillDir, cfg.StoreMemCapacity, cfg.EagerSeeding = t.TempDir(), 16, true
+						}
+						shape := fmt.Sprintf("%s/w%d/%s/steal=%v/%s", name, workers, part.Name(), stealing, mode)
 						s, err := cluster.NewSession(g, cfg)
 						if err != nil {
 							t.Fatalf("%s: %v", shape, err)
@@ -111,6 +122,12 @@ func TestOrientedTCDifferential(t *testing.T) {
 							if !generic && res.Total.TasksDone != seeds {
 								t.Fatalf("%s: oriented job ran %d tasks, the oriented graph seeds %d", shape, res.Total.TasksDone, seeds)
 							}
+							if budget := 16 * int64(g.NumVertices()); generic != (res.ResidentLists == 0) || res.ResidentBytes > budget || (res.ResidentBytes > 0) != (res.ResidentLists > 0) {
+								t.Fatalf("%s generic=%v: %d resident lists weighing %d B, budget %d", shape, generic, res.ResidentLists, res.ResidentBytes, budget)
+							}
+							if mode == "spill" && res.Total.DiskWrite == 0 {
+								t.Fatalf("%s generic=%v: the job never spilled", shape, generic)
+							}
 						}
 						s.Close()
 					}
@@ -122,13 +139,14 @@ func TestOrientedTCDifferential(t *testing.T) {
 
 // The same differential through worker processes over loopback TCP: each
 // process cuts its own view of its own copy of the graph, once, and every
-// later oriented job of the process shares it.
+// later oriented job of the process shares it. Every process — and a
+// one-process session over the same graph — keeps the same lists resident.
 func TestOrientedTCRemoteSession(t *testing.T) {
 	for name, g := range differentialGraphs() {
 		want, seeds := orientedRef(t, g)
 		cfg := smallConfig()
 		cfg.Partitioner = partition.Hash{}
-		rs, _ := remoteTestCluster(t, g, cfg,
+		rs, wps := remoteTestCluster(t, g, cfg,
 			cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
 			cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
 		for launch, generic := range []bool{false, true, false} {
@@ -147,7 +165,30 @@ func TestOrientedTCRemoteSession(t *testing.T) {
 			if !generic && res.Total.TasksDone != seeds {
 				t.Fatalf("%s launch %d: oriented job ran %d tasks, the oriented graph seeds %d", name, launch, res.Total.TasksDone, seeds)
 			}
+			// The workers' own report: the coordinator cuts no view to count.
+			if generic != (res.ResidentLists == 0) {
+				t.Fatalf("%s launch %d generic=%v: %d resident lists", name, launch, generic, res.ResidentLists)
+			}
 		}
+		for i, wp := range wps {
+			if ids := wp.ResidentIDs(); !reflect.DeepEqual(ids, wps[0].ResidentIDs()) || len(ids) == 0 {
+				t.Fatalf("%s: worker process %d keeps %d lists resident, process 0 %d", name, i, len(ids), len(wps[0].ResidentIDs()))
+			}
+		}
+		ref, err := cluster.NewSession(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := jobspec.Spec{App: "tc"}.Normalize()
+		if j, err := ref.Launch(algo.NewTriangleCount(), cluster.JobOptions{Spec: &sp}); err != nil {
+			t.Fatal(err)
+		} else if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if ids := ref.ResidentIDs(); !reflect.DeepEqual(ids, wps[0].ResidentIDs()) {
+			t.Fatalf("%s: a session keeps %d lists resident, the worker processes %d", name, len(ids), len(wps[0].ResidentIDs()))
+		}
+		ref.Close()
 		rs.Close()
 	}
 }
@@ -155,7 +196,8 @@ func TestOrientedTCRemoteSession(t *testing.T) {
 // A worker killed mid-job is replaced by one restored from the committed
 // epoch — onto the oriented table: restored tasks carry forward lists and
 // the rest of the partition is still to be seeded, so a replacement built
-// over the undirected table would overcount.
+// over the undirected table would overcount. The table has its resident
+// set: a restored task's to_pull is recomputed at intake, against it.
 func TestOrientedTCKillRecover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second kill/recover soak")
@@ -199,8 +241,9 @@ func TestOrientedTCKillRecover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.AggGlobal != any(want) || res.Recovered == 0 {
-			t.Fatalf("remote=%v: %v triangles after %d recoveries, want %d after at least one", remote, res.AggGlobal, res.Recovered, want)
+		if res.AggGlobal != any(want) || res.Recovered == 0 || res.ResidentLists == 0 {
+			t.Fatalf("remote=%v: %v triangles after %d recoveries with %d resident lists, want %d after at least one",
+				remote, res.AggGlobal, res.Recovered, res.ResidentLists, want)
 		}
 		sess.Close()
 	}

@@ -167,6 +167,40 @@ func TestRemoteCoordinatorOrientsNothing(t *testing.T) {
 	}
 }
 
+// TC over loopback TCP between worker processes, hash-partitioned so half of
+// every list is remote: the job on G⁺, its hottest lists resident in every
+// process, counts what the generic job counts and moves strictly fewer bytes
+// doing it — on a graph big enough that pulls, not heartbeats, are the bytes.
+func TestRemoteJobTCMovesFewerBytesThanGeneric(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 40000, Seed: 103})
+	want := algo.RefTriangles(g)
+	cfg := smallConfig()
+	cfg.Workers, cfg.Partitioner = 2, partition.Hash{}
+	rs, _ := remoteTestCluster(t, g, cfg,
+		cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
+		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
+	netBytes := map[bool]int64{}
+	for _, generic := range []bool{false, true, false} { // the last oriented launch is warm
+		sp := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
+		j, err := rs.Launch(algo.NewTriangleCount(), cluster.JobOptions{Spec: &sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := j.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AggGlobal != any(want) || generic != (res.ResidentLists == 0) {
+			t.Fatalf("generic=%v: %v triangles with %d resident lists, want %d", generic, res.AggGlobal, res.ResidentLists, want)
+		}
+		netBytes[generic] = res.Total.NetBytes
+	}
+	if netBytes[false] >= netBytes[true] {
+		t.Fatalf("the oriented job moved %d bytes, the generic one %d", netBytes[false], netBytes[true])
+	}
+	t.Logf("net bytes: oriented %d, generic %d", netBytes[false], netBytes[true])
+}
+
 // Job.KillWorker / RecoverWorker go through the worker host, so they work
 // on a multi-process job too: the kill takes down the job's worker inside
 // its (still healthy) worker process, and recovery — by hand, or by the

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -422,5 +423,101 @@ func TestSeedRestrictedLaunch(t *testing.T) {
 	sp := jobspec.Spec{App: "cd"}.Normalize()
 	if _, err := rs.Launch(algo.NewCommunityDetect(0.5, 3), JobOptions{Spec: &sp, Seeds: seeds}); err == nil || !strings.Contains(err.Error(), "Seeds") {
 		t.Fatalf("RemoteSession.Launch with a seed set: err = %v, want a refusal naming JobOptions.Seeds", err)
+	}
+}
+
+// TestResidentSetFollowsGraphEpoch: the resident set is cut with the view,
+// per epoch. A batch that wires a cold vertex into a hub — in every list,
+// keeping nothing — puts it in the next epoch's set, and the job on that
+// epoch is exact. The set is a column of the epoch's own directory, never a
+// shared one: a job that leased the old epoch runs to the end on the old
+// view while the batch waits for it, and the old directory still answers as
+// it did after the new one is cut.
+func TestResidentSetFollowsGraphEpoch(t *testing.T) {
+	g, _ := gen.Community(gen.CommunityConfig{Communities: 60, MinSize: 5, MaxSize: 10, PIn: 0.7, Bridges: 120, Seed: 31})
+	cfg := dynConfig(3)
+	hold := make(chan struct{})
+	cfg.seedHold = hold
+	s, err := NewSession(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sp := jobspec.Spec{App: "tc"}.Normalize()
+	before := algo.RefTriangles(g)
+
+	// The held job cuts epoch 0's view and stays on it.
+	held, err := s.Launch(algo.NewTriangleCount(), JobOptions{Spec: &sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := s.oriented.vertexTables
+	oldIDs := s.oriented.residentIDs()
+	if len(oldIDs) == 0 {
+		t.Fatal("epoch 0 has no resident set")
+	}
+	var cold graph.VertexID = -1
+	g.ForEach(func(v *graph.Vertex) bool {
+		if _, hot := slices.BinarySearch(oldIDs, v.ID); !hot && len(v.Adj) <= 6 {
+			cold = v.ID
+		}
+		return cold < 0
+	})
+	if cold < 0 {
+		t.Fatal("no cold vertex to promote")
+	}
+	var batch dyngraph.Batch
+	g.ForEach(func(v *graph.Vertex) bool {
+		if v.ID != cold && !v.HasNeighbor(cold) && len(batch.Ops) < 150 {
+			batch.Ops = append(batch.Ops, dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: cold, W: v.ID})
+		}
+		return true
+	})
+	applied := make(chan error, 1)
+	go func() {
+		_, err := s.ApplyMutations(batch)
+		applied <- err
+	}()
+	close(hold) // the batch is waiting on the held job's lease, or about to
+	res, err := held.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AggGlobal != any(before) || res.ResidentLists != len(oldIDs) {
+		t.Fatalf("the job on epoch 0: %v triangles with %d resident lists, want %d with %d", res.AggGlobal, res.ResidentLists, before, len(oldIDs))
+	}
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+
+	after := algo.RefTriangles(g)
+	if after == before {
+		t.Fatal("the batch closed no triangle: a stale view would go unnoticed")
+	}
+	j, err := s.Launch(algo.NewTriangleCount(), JobOptions{Spec: &sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = j.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	newIDs := s.oriented.residentIDs()
+	if res.AggGlobal != any(after) || res.ResidentLists != len(newIDs) {
+		t.Fatalf("the job on epoch 1: %v triangles with %d resident lists, want %d with %d", res.AggGlobal, res.ResidentLists, after, len(newIDs))
+	}
+	if _, hot := slices.BinarySearch(newIDs, cold); !hot {
+		t.Fatalf("vertex %d, now in %d lists, is not resident on epoch 1", cold, len(g.Vertex(cold).Adj))
+	}
+	want := graph.HotLists(g, graph.Orient(g), residentBudgetPerVertex*int64(g.NumVertices()))
+	slices.Sort(want)
+	if !slices.Equal(newIDs, want) {
+		t.Fatalf("epoch 1 keeps %d lists resident, a fresh cut of the mutated graph %d", len(newIDs), len(want))
+	}
+	if s.oriented.dir == old.dir {
+		t.Fatal("epoch 1 reuses epoch 0's directory")
+	}
+	other := (old.dir.owner(cold) + 1) % 3
+	if old.dir.local(cold, other) != nil || old.dir.residentLists != len(oldIDs) {
+		t.Fatalf("cutting epoch 1's set changed epoch 0's directory (%d resident lists, was %d)", old.dir.residentLists, len(oldIDs))
 	}
 }

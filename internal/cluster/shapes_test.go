@@ -2,9 +2,11 @@ package cluster_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"gminer/internal/algo"
 	"gminer/internal/cluster"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
@@ -79,22 +81,55 @@ func TestShapesByteIdentical(t *testing.T) {
 						a, _ := jobspec.Build(g, sp)
 						return wait(rs.Launch(a, cluster.JobOptions{Spec: &sp}))
 					}},
+					// The differential baseline: no plan, no oriented view, no
+					// resident set — the same bytes.
+					{"session-generic", func() (*cluster.Result, error) {
+						generic := sp
+						generic.Generic = true
+						a, _ := jobspec.Build(g, generic)
+						return wait(sess.Launch(a, cluster.JobOptions{Spec: &generic}))
+					}},
+					{"remote-generic", func() (*cluster.Result, error) {
+						generic := sp
+						generic.Generic = true
+						a, _ := jobspec.Build(g, generic)
+						return wait(rs.Launch(a, cluster.JobOptions{Spec: &generic}))
+					}},
 				}
 				var want string
+				var wantTasks int64
 				for i, sh := range shapes {
 					res, err := sh.run()
 					if err != nil {
 						t.Fatalf("%s: %v", sh.name, err)
 					}
 					got := joinRecords(res)
+					generic := strings.HasSuffix(sh.name, "-generic")
 					if i == 0 {
-						want = got
+						want, wantTasks = got, res.Total.TasksDone
 						byArm[g == dense][sp.App] = res
 						if len(res.Records) == 0 && res.AggGlobal == nil {
 							t.Fatal("degenerate reference: no records and no aggregate")
 						}
 					} else if got != want {
 						t.Fatalf("%s diverges from %s:\ngot:  %.200q\nwant: %.200q", sh.name, shapes[0].name, got, want)
+					}
+					if sp.App != "tc" {
+						continue
+					}
+					// Triangle counting runs on G⁺ with its hottest lists
+					// resident on every worker: the same tasks, the same count.
+					if !generic && res.Total.TasksDone != wantTasks {
+						t.Fatalf("%s ran %d tasks, %s %d", sh.name, res.Total.TasksDone, shapes[0].name, wantTasks)
+					}
+					if generic != (res.ResidentLists == 0) {
+						t.Fatalf("%s: %d resident lists", sh.name, res.ResidentLists)
+					}
+				}
+				if sp.App == "tc" {
+					a, _ := jobspec.Build(g, sp)
+					if seq := algo.SeqRun(g, a); fmt.Sprintf("agg=%v\n", seq.AggGlobal) != want || seq.Tasks != wantTasks {
+						t.Fatalf("SeqRun: %v in %d tasks; the engine: %q in %d", seq.AggGlobal, seq.Tasks, want, wantTasks)
 					}
 				}
 			})

@@ -70,7 +70,7 @@ type Worker struct {
 
 	dir       *directory       // vertex and owner lookups, shared per graph epoch
 	localIDs  []graph.VertexID // seed scan order
-	graphFoot int64
+	graphFoot int64            // the partition, and other partitions' resident lists
 
 	store   *store.Store
 	cache   *cache.RCV
@@ -366,13 +366,15 @@ func (w *Worker) flushBatch(batch []*core.Task) {
 	}
 }
 
-// computeToPull fills t.ToPull with the deduplicated candidates that are
-// not in the local partition. Candidates owned by nobody (dangling IDs)
-// are excluded — they resolve to nil at update time. Candidate lists are
-// almost always ID-sorted (adjacency and level lists), where a duplicate
-// sits next to its twin; only a list found unsorted pays for a set.
+// computeToPull fills t.ToPull with the deduplicated candidates this worker
+// cannot read without a pull — not in its partition, not resident — and
+// counts the resident ones among the rest in t.Resident. Candidates owned by
+// nobody (dangling IDs) are excluded — they resolve to nil at update time.
+// Candidate lists are almost always ID-sorted (adjacency and level lists),
+// where a duplicate sits next to its twin; only a list found unsorted pays
+// for a set.
 func (w *Worker) computeToPull(t *core.Task) {
-	t.ToPull = t.ToPull[:0]
+	t.ToPull, t.Resident = t.ToPull[:0], 0
 	var seen map[graph.VertexID]struct{}
 	for i, id := range t.Cands {
 		if seen == nil && i > 0 && id <= t.Cands[i-1] {
@@ -391,14 +393,20 @@ func (w *Worker) computeToPull(t *core.Task) {
 			}
 			seen[id] = struct{}{}
 		}
-		if owner := w.dir.owner(id); owner >= 0 && owner != w.id {
-			if cap(t.ToPull) == 0 {
-				// A short list in one allocation, not a doubling chain; a
-				// long one doubles from here and never holds far more than it uses.
-				t.ToPull = make([]graph.VertexID, 0, min(len(t.Cands)-i, 32))
-			}
-			t.ToPull = append(t.ToPull, id)
+		owner := w.dir.owner(id)
+		if owner < 0 || owner == w.id {
+			continue
 		}
+		if w.dir.local(id, w.id) != nil {
+			t.Resident++
+			continue
+		}
+		if cap(t.ToPull) == 0 {
+			// A short list in one allocation, not a doubling chain; a
+			// long one doubles from here and never holds far more than it uses.
+			t.ToPull = make([]graph.VertexID, 0, min(len(t.Cands)-i, 32))
+		}
+		t.ToPull = append(t.ToPull, id)
 	}
 }
 
@@ -523,6 +531,7 @@ func (w *Worker) dispatch(t *core.Task) {
 		return
 	}
 	pt := &pendingTask{t: t, remaining: missed}
+	var now time.Time
 	for i, id := range t.ToPull {
 		if t.Pulled[i] != nil {
 			continue
@@ -530,7 +539,9 @@ func (w *Worker) dispatch(t *core.Task) {
 		ps, inFlight := w.pulls[id]
 		if !inFlight {
 			owner := w.dir.owner(id)
-			now := time.Now()
+			if now.IsZero() {
+				now = time.Now() // one reading serves every request of the dispatch
+			}
 			ps = &pullState{requestedAt: now, retryAt: now.Add(w.retryDelay(0)), owner: owner}
 			w.pulls[id] = ps
 			w.pullBatch[owner] = append(w.pullBatch[owner], id)
@@ -783,12 +794,13 @@ func (w *Worker) taskDead(t *core.Task) {
 	}
 }
 
-// resolve maps t's candidate IDs to vertex objects: the local partition
-// through the directory, remote candidates from the pointers the retriever
-// left in t.Pulled (nil where the owner had no such vertex); unknown IDs
-// yield nil. t.ToPull is the remote candidates in candidate order, each
-// once, so one cursor walks it beside t.Cands. The objects overwrite dst,
-// the caller's scratch, which is returned resized.
+// resolve maps t's candidate IDs to vertex objects: what this worker reads
+// without a pull (its partition, resident lists) through the directory, the
+// remote candidates from the pointers the retriever left in t.Pulled (nil
+// where the owner had no such vertex); unknown IDs yield nil. t.ToPull is
+// the remote candidates in candidate order, each once, so one cursor walks
+// it beside t.Cands. The objects overwrite dst, the caller's scratch, which
+// is returned resized.
 func (w *Worker) resolve(dst []*graph.Vertex, t *core.Task) []*graph.Vertex {
 	dst = slices.Grow(dst[:0], len(t.Cands))[:len(t.Cands)]
 	next := 0
@@ -878,9 +890,10 @@ func (w *Worker) pullServeLoop() {
 }
 
 // servePull answers a pull request from another worker with the requested
-// vertices from the local vertex table. The response is encoded into a
-// pooled buffer: Send copies the payload, so the buffer goes straight
-// back to the pool. sc is the calling goroutine's scratch.
+// vertices this worker holds (a peer never asks for a resident one). The
+// response is encoded into a pooled buffer: Send copies the payload, so the
+// buffer goes straight back to the pool. sc is the calling goroutine's
+// scratch.
 func (w *Worker) servePull(from int, payload []byte, sc *serveScratch) {
 	ids, err := decodePullReq(payload)
 	if err != nil {
@@ -1034,10 +1047,11 @@ func (w *Worker) reportIfIdle() {
 }
 
 // observeMemory refreshes this worker's live-memory estimate: graph
-// partition + in-memory task store + RCV cache. Job-owned bytes (store +
-// cache, not the shared resident graph) are also charged against the job's
-// memory budget when one is set; overflowing it aborts the job instead of
-// letting it starve co-resident jobs.
+// partition and the resident lists of other partitions + in-memory task
+// store + RCV cache. Job-owned bytes (store + cache, not the shared resident
+// graph) are also charged against the job's memory budget when one is set;
+// overflowing it aborts the job instead of letting it starve co-resident
+// jobs.
 func (w *Worker) observeMemory() {
 	owned := w.store.MemBytes() + w.cache.Bytes()
 	w.counters.ObserveLive(w.graphFoot + owned)

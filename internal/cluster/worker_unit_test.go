@@ -181,6 +181,42 @@ func TestFlushPullsBatchesByOwner(t *testing.T) {
 	}
 }
 
+// dispatch reads the clock once, on its first miss: every request it opens
+// carries that reading as requestedAt (the RTT metric's start) and a retryAt
+// one backoff after it; a dispatch that misses nothing reads no clock at all.
+func TestDispatchStampsOneClockReading(t *testing.T) {
+	w, g, _ := newTestWorker(t)
+	var remotes []graph.VertexID
+	g.ForEach(func(v *graph.Vertex) bool {
+		if w.dir.owner(v.ID) == 1 {
+			remotes = append(remotes, v.ID)
+		}
+		return len(remotes) < 5
+	})
+	if len(remotes) < 5 {
+		t.Skip("degenerate partition")
+	}
+	w.cache.ForceInsert(g.Vertex(remotes[0]).Clone()) // a hit ahead of the first miss
+	before := time.Now()
+	w.dispatch(&core.Task{Cands: remotes, ToPull: remotes})
+	after := time.Now()
+	if len(w.pulls) != len(remotes)-1 {
+		t.Fatalf("%d pulls in flight, want %d", len(w.pulls), len(remotes)-1)
+	}
+	stamp := w.pulls[remotes[1]].requestedAt
+	if stamp.Before(before) || stamp.After(after) {
+		t.Fatalf("requestedAt %v outside the dispatch [%v, %v]", stamp, before, after)
+	}
+	for id, ps := range w.pulls {
+		if !ps.requestedAt.Equal(stamp) {
+			t.Fatalf("pull of %d stamped %v, the dispatch's first miss %v", id, ps.requestedAt, stamp)
+		}
+		if d := ps.retryAt.Sub(stamp); d < w.cfg.PullRetryBase*3/4 || d > w.cfg.PullRetryBase*5/4 {
+			t.Fatalf("pull of %d retries %v after its request, base %v", id, d, w.cfg.PullRetryBase)
+		}
+	}
+}
+
 func TestHandlePullRespReadiesTask(t *testing.T) {
 	w, g, _ := newTestWorker(t)
 	var remotes []graph.VertexID

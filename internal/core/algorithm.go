@@ -140,8 +140,9 @@ type Env interface {
 	// aggregator's zero if no sync has happened yet. The value may lag the
 	// true global state — aggregation is periodic, not transactional.
 	AggGlobal() any
-	// LocalVertex returns the vertex from the worker's local partition
-	// (not the cache), or nil — used by algorithms that need extra
+	// LocalVertex returns the vertex if the worker reads it without a
+	// pull — its own partition, or a list the runtime keeps on every worker
+	// (never the cache) — else nil. Used by algorithms that need extra
 	// neighborhood probes beyond the candidate mechanism.
 	LocalVertex(id graph.VertexID) *graph.Vertex
 }

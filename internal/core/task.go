@@ -68,6 +68,13 @@ type Task struct {
 	// signing and the locality rate lr(t) of task stealing.
 	ToPull []graph.VertexID
 
+	// Resident counts the candidates the worker reads in place though another
+	// worker owns them (lists the view keeps resident on every worker). Like
+	// ToPull it is the candidate retriever's, recomputed at every intake; it
+	// is never serialized — a task reloaded from a spill block has none until
+	// then, and reads as more attached to its worker than it is.
+	Resident int
+
 	// Pulled holds, parallel to ToPull, the vertex objects the candidate
 	// retriever obtained for this round (each one a reference held in the
 	// RCV cache until the round ends), so the executor resolves remote
@@ -119,14 +126,18 @@ func (t *Task) Advance(next []graph.VertexID) {
 // CostC is the migration cost c(t) = |t.subG| + |t.candVtxs| (Eq. 2).
 func (t *Task) CostC() int { return t.Subgraph.Len() + len(t.Cands) }
 
-// LocalRate is lr(t) = (|cand| - |to_pull|) / |cand| (Eq. 3), the task's
-// dependency on its current local partition. A task with no candidates has
-// lr = 0 (fully migratable).
+// LocalRate is lr(t) = owned / (owned + |to_pull|), the task's dependency
+// on its current worker: of the candidates that live on one worker only, the
+// share that lives on this one. Without resident candidates that is Eq. 3,
+// (|cand| − |to_pull|) / |cand|; a resident candidate is as local on the
+// thief as on the victim, so it counts on neither side. A task with nothing
+// but resident candidates, or none at all, has lr = 0 (fully migratable).
 func (t *Task) LocalRate() float64 {
-	if len(t.Cands) == 0 {
+	owned := len(t.Cands) - len(t.ToPull) - t.Resident
+	if owned <= 0 {
 		return 0
 	}
-	return float64(len(t.Cands)-len(t.ToPull)) / float64(len(t.Cands))
+	return float64(owned) / float64(owned+len(t.ToPull))
 }
 
 // FootprintBytes estimates in-memory size for memory accounting.

@@ -37,6 +37,84 @@ func Orient(g *Graph) *Graph {
 	return o
 }
 
+// HotLists ranks the forward lists of o = Orient(g) by what replicating one
+// buys per byte it costs, and returns the IDs of the longest prefix of that
+// ranking whose lists weigh at most budget bytes together, densest first.
+//
+// A list is read once for every forward list it appears in, and an edge of
+// u that Orient did not keep in Γ⁺(u) it kept at the other end: u's
+// in-references are deg(u) − |Γ⁺(u)|, two lengths Orient left behind, so the
+// ranking costs a pass over the vertices and never looks at an edge. Density
+// is in-references per Vertex.FootprintBytes of the forward list, compared
+// exactly, ties by ID; a list nobody references is never taken. Orientation
+// makes the ranking steep — hubs are in every list and keep almost nothing —
+// where on an undirected view it would be flat: a list there is referenced
+// exactly as often as it is long.
+//
+// Like Orient it is a pure function of g: equal graphs pick equal sets.
+func HotLists(g, o *Graph, budget int64) []VertexID {
+	ranked := make([]hotList, 0, o.NumVertices())
+	for i, v := range o.verts {
+		if v == nil {
+			continue
+		}
+		if refs := len(g.verts[i].Adj) - len(v.Adj); refs > 0 {
+			ranked = append(ranked, hotList{int64(refs), v.FootprintBytes(), v.ID})
+		}
+	}
+	// The budget buys a few lists in a hundred: a heap yields them in rank
+	// order for O(|V|) plus a logarithm per list taken, where sorting the
+	// whole ranking would cost more than the selection is worth on a small
+	// epoch.
+	for i := len(ranked)/2 - 1; i >= 0; i-- {
+		siftDown(ranked, i)
+	}
+	var ids []VertexID
+	for len(ranked) > 0 {
+		if budget -= ranked[0].foot; budget < 0 {
+			break
+		}
+		ids = append(ids, ranked[0].id)
+		last := len(ranked) - 1
+		ranked[0], ranked = ranked[last], ranked[:last]
+		siftDown(ranked, 0)
+	}
+	return ids
+}
+
+// hotList is one forward list in HotLists' ranking.
+type hotList struct {
+	refs, foot int64
+	id         VertexID
+}
+
+// before reports whether a ranks ahead of b: more in-references per byte
+// (a.refs/a.foot against b.refs/b.foot, cross-multiplied), ties by ID.
+func (a hotList) before(b hotList) bool {
+	if l, r := a.refs*b.foot, b.refs*a.foot; l != r {
+		return l > r
+	}
+	return a.id < b.id
+}
+
+// siftDown restores the heap order (the list ranking first on top) below i.
+func siftDown(h []hotList, i int) {
+	for {
+		top := i
+		if l := 2*i + 1; l < len(h) && h[l].before(h[top]) {
+			top = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].before(h[top]) {
+			top = r
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
+}
+
 // outranks reports whether u follows v in the (degree, ID) order.
 func outranks(u, v *Vertex) bool {
 	return len(u.Adj) > len(v.Adj) || (len(u.Adj) == len(v.Adj) && u.ID > v.ID)

@@ -107,3 +107,129 @@ func TestOrientDynamicGraph(t *testing.T) {
 		t.Fatalf("IDSpan = (%d, %d), want (%d, %d)", base, span, lo, int64(hi-lo)+1)
 	}
 }
+
+// checkHotLists holds a HotLists pick to its contract: densities — the
+// in-references of a list over its footprint, counted here edge by edge —
+// non-increasing with ties by ID, nothing unreferenced, the whole weighing at
+// most the budget, and the densest list left out too heavy to have fitted.
+func checkHotLists(t *testing.T, g, gplus *graph.Graph, budget int64, hot []graph.VertexID) {
+	t.Helper()
+	refs := map[graph.VertexID]int64{}
+	gplus.ForEach(func(v *graph.Vertex) bool {
+		for _, u := range v.Adj {
+			refs[u]++
+		}
+		return true
+	})
+	denser := func(a, b graph.VertexID) bool { // a strictly before b in the ranking
+		fa, fb := gplus.Vertex(a).FootprintBytes(), gplus.Vertex(b).FootprintBytes()
+		if l, r := refs[a]*fb, refs[b]*fa; l != r {
+			return l > r
+		}
+		return a < b
+	}
+	picked := map[graph.VertexID]bool{}
+	var total int64
+	for i, id := range hot {
+		if picked[id] || gplus.Vertex(id) == nil || refs[id] == 0 {
+			t.Fatalf("pick %d: vertex %d is a duplicate, absent or unreferenced", i, id)
+		}
+		if i > 0 && !denser(hot[i-1], id) {
+			t.Fatalf("pick %d: vertex %d ranks before its predecessor %d", i, id, hot[i-1])
+		}
+		picked[id] = true
+		total += gplus.Vertex(id).FootprintBytes()
+	}
+	if total > budget {
+		t.Fatalf("picked lists weigh %d B, budget %d", total, budget)
+	}
+	var next *graph.Vertex
+	gplus.ForEach(func(v *graph.Vertex) bool {
+		if !picked[v.ID] && refs[v.ID] > 0 && (next == nil || denser(v.ID, next.ID)) {
+			next = v
+		}
+		return true
+	})
+	if next == nil {
+		return
+	}
+	if len(hot) > 0 && !denser(hot[len(hot)-1], next.ID) {
+		t.Fatalf("vertex %d was left out but outranks the last pick %d", next.ID, hot[len(hot)-1])
+	}
+	if total+next.FootprintBytes() <= budget {
+		t.Fatalf("next-densest list %d (%d B) fits beside the %d B picked under budget %d", next.ID, next.FootprintBytes(), total, budget)
+	}
+}
+
+// The resident set is a pure function of the graph — the same on every run
+// and on a graph rebuilt from the same edges — and obeys the density rule on
+// skewed, flat and degenerate inputs, at the engine's budget and at others.
+func TestResidentSet(t *testing.T) {
+	rebuilt := func(g *graph.Graph) *graph.Graph {
+		h := graph.New(g.NumVertices())
+		ids := g.IDs()
+		for i := len(ids) - 1; i >= 0; i-- { // another insertion order
+			v := g.Vertex(ids[i])
+			h.AddVertex(v.ID)
+			h.SetLabel(v.ID, v.Label)
+			h.SetAttrs(v.ID, v.Attrs)
+			for _, u := range v.Adj {
+				h.AddEdge(v.ID, u)
+			}
+		}
+		h.Freeze()
+		return h
+	}
+	build := func(edges func(add func(u, w graph.VertexID))) *graph.Graph {
+		g := graph.New(0)
+		edges(g.AddEdge)
+		g.Freeze()
+		return g
+	}
+	community, _ := gen.Community(gen.CommunityConfig{Communities: 40, MinSize: 4, MaxSize: 9, PIn: 0.6, Bridges: 60, Seed: 5})
+	graphs := map[string]*graph.Graph{
+		"rmat":      gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 9000, Seed: 5}),
+		"community": community,
+		"empty":     build(func(func(u, w graph.VertexID)) {}),
+		"star": build(func(add func(u, w graph.VertexID)) {
+			for i := graph.VertexID(1); i <= 50; i++ {
+				add(0, i)
+			}
+		}),
+		"clique": build(func(add func(u, w graph.VertexID)) {
+			for i := graph.VertexID(0); i < 24; i++ {
+				for j := i + 1; j < 24; j++ {
+					add(i, j)
+				}
+			}
+		}),
+	}
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			gplus := graph.Orient(g)
+			for _, budget := range []int64{0, 59, 16 * int64(g.NumVertices()), 1 << 40} {
+				hot := graph.HotLists(g, gplus, budget)
+				checkHotLists(t, g, gplus, budget, hot)
+				if again := graph.HotLists(g, graph.Orient(g), budget); !reflect.DeepEqual(hot, again) {
+					t.Fatalf("budget %d: two cuts differ: %v vs %v", budget, hot, again)
+				}
+				h := rebuilt(g)
+				if other := graph.HotLists(h, graph.Orient(h), budget); !reflect.DeepEqual(hot, other) {
+					t.Fatalf("budget %d: a graph rebuilt from the same edges picks %v, not %v", budget, other, hot)
+				}
+			}
+		})
+	}
+	// A star's hub is in every leaf's list and keeps nothing: it alone is
+	// referenced. A clique's lists shorten as its references grow, so the
+	// ranking runs down from the top ID.
+	if hot := graph.HotLists(graphs["star"], graph.Orient(graphs["star"]), 16*51); !reflect.DeepEqual(hot, []graph.VertexID{0}) {
+		t.Fatalf("star: resident set %v, want the hub alone", hot)
+	}
+	if hot := graph.HotLists(graphs["clique"], graph.Orient(graphs["clique"]), 16*24); len(hot) == 0 || hot[0] != 23 || hot[len(hot)-1] != 23-graph.VertexID(len(hot)-1) {
+		t.Fatalf("clique: resident set %v does not run down from the top ID", hot)
+	}
+	if hot := graph.HotLists(graphs["empty"], graph.Orient(graphs["empty"]), 1<<20); len(hot) != 0 {
+		t.Fatalf("empty graph: resident set %v", hot)
+	}
+}

@@ -186,6 +186,10 @@ type registry struct {
 	// standingRounds counts delta rounds completed by the arm that served
 	// them (roundIncremental, roundFull, roundFallback), for /metrics.
 	standingRounds map[string]int64
+	// residentLists and residentBytes are the resident set the last job
+	// reaped off G⁺ ran with (cluster.Result), for /metrics; 0 until one has.
+	residentLists int
+	residentBytes int64
 }
 
 func newRegistry(sess Cluster, cfg Config) *registry {
@@ -484,6 +488,9 @@ func (r *registry) reap(j *job, cj *cluster.Job) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	j.result, j.err, j.finished, j.costSeconds = res, err, time.Now(), cost
+	if res != nil && res.ResidentLists > 0 {
+		r.residentLists, r.residentBytes = res.ResidentLists, res.ResidentBytes
+	}
 	switch {
 	case err == nil && j.req.Spec.Standing:
 		// Baseline done: park the job standing with its epoch-stamped match

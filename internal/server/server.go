@@ -454,6 +454,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "gminer_standing_rounds_total{mode=%q} %d\n", mode, rounds[i])
 	}
 
+	s.reg.mu.Lock()
+	lists, bytes := s.reg.residentLists, s.reg.residentBytes
+	s.reg.mu.Unlock()
+	fmt.Fprintf(w, "# HELP gminer_resident_lists Forward lists of the oriented graph held on every worker beside its own partition, as of the last job that mined it.\n# TYPE gminer_resident_lists gauge\ngminer_resident_lists %d\n", lists)
+	fmt.Fprintf(w, "# HELP gminer_resident_bytes Footprint of one copy of those lists.\n# TYPE gminer_resident_bytes gauge\ngminer_resident_bytes %d\n", bytes)
+
 	queued, running, standing, terminal := s.reg.counts()
 	fmt.Fprintf(w, "# HELP gminer_jobs_standing Standing queries live on the resident graph.\n# TYPE gminer_jobs_standing gauge\ngminer_jobs_standing %d\n", standing)
 	fmt.Fprintf(w, "# HELP gminer_jobs_active Jobs currently mining on the warm cluster.\n# TYPE gminer_jobs_active gauge\ngminer_jobs_active %d\n", running)

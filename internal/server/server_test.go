@@ -374,15 +374,22 @@ func TestDrainRefusesNewJobs(t *testing.T) {
 }
 
 // TestMetricsPerJobLabels: /metrics must expose the monitor's counter
-// families labeled per job.
+// families labeled per job, and — once a job has mined the oriented graph —
+// the size of the resident set it ran with.
 func TestMetricsPerJobLabels(t *testing.T) {
 	srv, base := startServer(t, testClusterConfig(), Config{})
 	defer srv.Shutdown()
 
+	if lists := metricGauge(t, base, "gminer_resident_lists"); lists != 0 {
+		t.Fatalf("gminer_resident_lists = %v before any job", lists)
+	}
 	if resp, _ := submit(t, base, `{"app":"tc","id":"metrics-probe"}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatal("submit failed")
 	}
 	awaitState(t, base, "metrics-probe", StateDone)
+	if lists, bytes := metricGauge(t, base, "gminer_resident_lists"), metricGauge(t, base, "gminer_resident_bytes"); lists <= 0 || bytes < 60*lists {
+		t.Fatalf("after a tc job: gminer_resident_lists %v, gminer_resident_bytes %v", lists, bytes)
+	}
 	_, body := fetchText(t, base+"/metrics")
 	if !strings.Contains(body, `gminer_tasks_done_total{job="metrics-probe",worker="0"}`) {
 		t.Fatalf("per-job labeled series missing from /metrics:\n%s", body[:min(len(body), 800)])

@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"gminer/internal/graph"
 )
 
@@ -30,20 +33,49 @@ func DecodeVertex(r *Reader) *graph.Vertex {
 	return v
 }
 
-// EncodeIDs appends a slice of vertex IDs, delta varints with the exact
-// byte format of Writer.Int64Slice but without the temporary []int64 the
-// conversion used to allocate per message — this runs once per pull
-// request, task-batch member and pull-response adjacency list.
+// idChunk is how many IDs EncodeIDs writes per buffer reservation: enough
+// to amortise the capacity check, small enough that reserving the worst case
+// (a 10-byte varint each) never overshoots what is written by more than a
+// few hundred bytes.
+const idChunk = 64
+
+// EncodeIDs appends a slice of vertex IDs as delta zigzag varints, the exact
+// byte format of Writer.Int64Slice. It runs once per pull request, task-batch
+// member and pull-response adjacency list, over sorted lists whose deltas
+// fit one or two bytes: the loop writes into space reserved a chunk at a
+// time, with no call and no capacity check per element.
 func EncodeIDs(w *Writer, ids []graph.VertexID) {
 	w.Uvarint(uint64(len(ids)))
 	var prev int64
-	for _, id := range ids {
-		w.Varint(int64(id) - prev)
-		prev = int64(id)
+	for len(ids) > 0 {
+		chunk := ids[:min(len(ids), idChunk)]
+		ids = ids[len(chunk):]
+		w.buf = slices.Grow(w.buf, len(chunk)*binary.MaxVarintLen64)
+		b := w.buf[len(w.buf):cap(w.buf)]
+		n := 0
+		for _, id := range chunk {
+			d := int64(id) - prev
+			prev = int64(id)
+			ux := uint64(d<<1) ^ uint64(d>>63)
+			switch {
+			case ux < 1<<7:
+				b[n] = byte(ux)
+				n++
+			case ux < 1<<14:
+				b[n], b[n+1] = byte(ux)|0x80, byte(ux>>7)
+				n += 2
+			default:
+				n += binary.PutUvarint(b[n:], ux)
+			}
+		}
+		w.buf = w.buf[:len(w.buf)+n]
 	}
 }
 
-// DecodeIDs reads a slice written by EncodeIDs.
+// DecodeIDs reads a slice written by EncodeIDs, straight off the payload:
+// one- and two-byte deltas are decoded in line, anything longer — and
+// anything truncated or overlong — goes through binary.Uvarint, which fails
+// closed. It accepts exactly what a loop of Reader.Varint accepts.
 func DecodeIDs(r *Reader) []graph.VertexID {
 	n := r.Uvarint()
 	if r.Err() != nil {
@@ -54,13 +86,30 @@ func DecodeIDs(r *Reader) []graph.VertexID {
 		return nil
 	}
 	ids := make([]graph.VertexID, n)
+	buf, pos := r.buf, r.pos
 	var prev int64
 	for i := range ids {
-		prev += r.Varint()
+		var ux uint64
+		switch {
+		case pos < len(buf) && buf[pos] < 0x80:
+			ux = uint64(buf[pos])
+			pos++
+		case pos+1 < len(buf) && buf[pos+1] < 0x80:
+			ux = uint64(buf[pos]&0x7f) | uint64(buf[pos+1])<<7
+			pos += 2
+		default:
+			x, k := binary.Uvarint(buf[pos:])
+			if k <= 0 {
+				r.pos = pos
+				r.fail()
+				return nil
+			}
+			ux = x
+			pos += k
+		}
+		prev += int64(ux>>1) ^ -int64(ux&1)
 		ids[i] = graph.VertexID(prev)
 	}
-	if r.Err() != nil {
-		return nil
-	}
+	r.pos = pos
 	return ids
 }

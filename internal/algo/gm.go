@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 
@@ -14,11 +15,24 @@ import (
 // GraphMatch implements GM (§8.1, Listing 2): count all occurrences
 // (homomorphisms) of a rooted labeled tree pattern in the data graph,
 // matched level by level as in the paper's Figure 1 example. Each vertex
-// carrying the root's label seeds a task; round r matches pattern level r
-// against the pulled candidates by label and adjacency to the level above,
-// and pulls for round r+1 the neighbourhoods of the matches of *expanding*
-// pattern nodes only — nothing is explored below a leaf. After the deepest
-// level the count is folded bottom-up into a global sum aggregator.
+// carrying the root's label seeds a task, and after the deepest level the
+// count is folded bottom-up into a global sum aggregator.
+//
+// Offered the runtime's label column (core.LabelPruner), GM matches
+// parent-major: a level is read off its parents' own adjacency lists — x
+// matches step s under parent match m iff x ∈ adj(m) and the column says x
+// carries s's label, the very walk RefMatchCount makes. The seed matches
+// level 1 off the root's list and round r matches level r+1 off the pulled
+// lists of level r's expanding matches, so the only vertices a task pulls are
+// matches whose children are still to be matched: never a leaf, never the
+// deepest level. A seed some level-1 node finds no match for counts 0 and is
+// not spawned.
+//
+// Without the column — the Generic baseline — GM matches candidate-major, as
+// the paper does: round r pulls the neighbourhoods of level r−1's expanding
+// matches and keeps each candidate adjacent to a parent match, asking the
+// candidate's own list (which is the parents' answer only because adjacency
+// is symmetric). Both arms record one context and count it one way.
 //
 // Matching is homomorphic (two pattern nodes may map to one data vertex),
 // as in the sequential oracle RefMatchCount. A leaf's subtree then counts 1
@@ -26,23 +40,21 @@ import (
 // never as a vertex list (DESIGN.md §12).
 type GraphMatch struct {
 	P *Pattern
-	// Generic forces the scalar HasNeighbor probe, parent by parent, instead
-	// of the position-emitting intersection kernels, and pulls a level's
-	// whole frontier whatever its labels (the differential baseline).
-	// Context and codec are shared by both.
+	// Generic keeps GM candidate-major whatever it is offered (the
+	// differential baseline).
 	Generic bool
 
 	// levels[d] is the ModeHom plan's matching schedule of depth d, and
 	// expands[p] is node p's TreeStep.Expands from it. Matching stays in ID
-	// space (candidates may live on remote partitions), so the schedule and
-	// the set kernels are all of the plan GM needs — no CSR. parents[d] and
-	// wants[d] are the distinct parent nodes and labels of levels[d].
+	// space (matches may live on remote partitions), so the schedule and the
+	// set kernels are all of the plan GM needs — no CSR. parents[d] lists the
+	// distinct parent nodes of levels[d], kids[p] the steps under node p.
 	levels  [][]plan.TreeStep
 	parents [][]int
-	wants   [][]int32
+	kids    [][]plan.TreeStep
 	expands []bool
-	labelOf func(graph.VertexID) (int32, bool) // nil: nobody offered one
-	scratch sync.Pool                          // *gmScratch, one per concurrent Update
+	labelOf func(graph.VertexID) (int32, bool) // nil: candidate-major
+	scratch sync.Pool                          // *gmScratch, one per concurrent Seed or Update
 }
 
 // NewGraphMatch returns GM for the given pattern (nil: Figure 1 pattern).
@@ -51,35 +63,37 @@ func NewGraphMatch(p *Pattern) *GraphMatch {
 		p = FigurePattern()
 	}
 	a := &GraphMatch{P: p, levels: plan.TreeSchedule(p.Labels, p.Parent), expands: make([]bool, len(p.Labels))}
-	a.parents, a.wants = make([][]int, len(a.levels)), make([][]int32, len(a.levels))
+	a.parents, a.kids = make([][]int, len(a.levels)), make([][]plan.TreeStep, len(p.Labels))
 	for d, steps := range a.levels {
 		for _, st := range steps {
 			a.expands[st.Node] = st.Expands
-			if d > 0 && !slices.Contains(a.parents[d], st.Parent) {
-				a.parents[d] = append(a.parents[d], st.Parent)
-			}
-			if !slices.Contains(a.wants[d], st.Label) {
-				a.wants[d] = append(a.wants[d], st.Label)
+			if d > 0 {
+				a.kids[st.Parent] = append(a.kids[st.Parent], st)
+				if !slices.Contains(a.parents[d], st.Parent) {
+					a.parents[d] = append(a.parents[d], st.Parent)
+				}
 			}
 		}
 	}
+	a.expands[0] = true // the root keeps its one match, children or not
 	a.scratch.New = func() any {
-		return &gmScratch{base: make([]int, len(p.Labels)), held: make([]kernels.PosTable[graph.VertexID], len(p.Labels))}
+		return &gmScratch{pairs: make([][]gmPair, len(p.Labels)), base: make([]int, len(p.Labels))}
 	}
 	return a
 }
 
 // ConfigureKernels implements core.KernelConfigurable. GM ignores the CSR
-// (matching runs in ID space against pulled candidates); the flag selects
-// between the kernel path and the generic baseline.
+// (matching runs in ID space); generic keeps the job candidate-major.
 func (a *GraphMatch) ConfigureKernels(_ *kernels.CSR, generic bool) {
 	a.Generic = a.Generic || generic
+	if a.Generic {
+		a.labelOf = nil
+	}
 }
 
-// PruneByLabel implements core.LabelPruner: with the lookup in hand a round
-// leaves out of its pull every ID whose label no step of the next level
-// carries. Update reads a candidate's label before anything else and skips
-// it on that ground, so the recorded context — and the count — cannot tell.
+// PruneByLabel implements core.LabelPruner: with the column in hand GM
+// matches parent-major, reading a neighbour's label from it instead of
+// pulling the neighbour.
 func (a *GraphMatch) PruneByLabel(labelOf func(graph.VertexID) (int32, bool)) {
 	if !a.Generic {
 		a.labelOf = labelOf
@@ -108,15 +122,28 @@ type gmNode struct {
 // gmContext is the task context: one gmNode per pattern node.
 type gmContext struct{ nodes []gmNode }
 
-// gmScratch is Update's working memory, pooled per GraphMatch. held[p] is
-// pattern node p's matches loaded for the level its children are matched on.
+// gmPair says vertex id matches an expanding node under its parent's
+// match at position parent.
+type gmPair struct {
+	id     graph.VertexID
+	parent int32
+}
+
+// gmScratch is the working memory of one Seed or Update, pooled per
+// GraphMatch. pairs[p] collects expanding node p's pairs while its level is
+// matched.
 type gmScratch struct {
-	held     []kernels.PosTable[graph.VertexID]
-	pos      []int32
+	pairs    [][]gmPair
 	rows     [][]graph.VertexID
 	ids      []graph.VertexID
 	acc, sum []int64
 	base     []int
+}
+
+// putScratch returns sc to the pool holding no adjacency list.
+func (a *GraphMatch) putScratch(sc *gmScratch) {
+	clear(sc.rows)
+	a.scratch.Put(sc)
 }
 
 // Seed implements core.Algorithm.
@@ -130,118 +157,187 @@ func (a *GraphMatch) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 	t.Subgraph.AddVertex(v.ID)
 	switch {
 	case a.P.Depth() == 0: // a single-node pattern counts 1 per seed at update time
-	case a.labelOf != nil:
-		t.Cands = a.usable(nil, v.Adj, 1)
-	default:
+	case a.labelOf == nil:
 		t.Cands = v.Adj // shared, never modified (core.Algorithm.Seed)
+	default:
+		sc := a.scratch.Get().(*gmScratch)
+		defer a.putScratch(sc)
+		a.openLevel(ctx, 1, sc)
+		a.walkParents(ctx, 1, append(sc.rows[:0], v.Adj), sc)
+		if !a.closeLevel(ctx, 1, sc) {
+			return
+		}
+		t.Cands = a.frontier(nil, ctx, 1, nil, nil, sc)
 	}
 	spawn(t)
 }
 
-// usable appends to dst the IDs of ids that level d has a use for: all but
-// those whose label is known and none of the level's steps carries it.
-func (a *GraphMatch) usable(dst, ids []graph.VertexID, d int) []graph.VertexID {
-	want := a.wants[d]
-	for _, id := range ids {
-		if label, ok := a.labelOf(id); !ok || slices.Contains(want, label) {
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}
-
-// Update implements core.Algorithm: match pattern level t.Round against cands.
+// Update implements core.Algorithm: match one pattern level, then count or
+// ask for what the next level is matched from.
 func (a *GraphMatch) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 	ctx, ok := t.Context.(*gmContext)
-	switch {
-	case ok && a.P.Depth() == 0: // before the round guard: executors start at round 1
-		env.AggUpdate(int64(1))
+	if !ok {
 		return
-	case !ok || t.Round > a.P.Depth():
-		return
-	}
-	steps := a.levels[t.Round] // rounds start at 1 = pattern depth 1
-	for _, st := range steps {
-		if n := &ctx.nodes[st.Node]; st.Expands {
-			n.matches, n.parents, n.offsets = n.matches[:0], n.parents[:0], append(n.offsets[:0], 0)
-		} else {
-			n.hits = make([]int64, len(ctx.nodes[st.Parent].matches))
-		}
 	}
 	sc := a.scratch.Get().(*gmScratch)
-	sc.rows = sc.rows[:0]
-	defer func() { // the pool keeps no adjacency and no context reachable
-		clear(sc.rows)
-		for _, p := range a.parents[t.Round] {
-			sc.held[p].Load(nil, 0)
-		}
-		a.scratch.Put(sc)
-	}()
-	if !a.Generic {
-		for _, p := range a.parents[t.Round] {
-			sc.held[p].Load(ctx.nodes[p].matches, len(cands))
-		}
+	defer a.putScratch(sc)
+	// Levels up to t.Round have been matched (parent-major: cands are level
+	// t.Round's expanding matches), or up to t.Round−1 (candidate-major:
+	// cands are their neighbourhoods). d is the level this round matches.
+	d := t.Round
+	if a.labelOf != nil {
+		d++
 	}
-	// t.Cands ascends, so every node's matches come out ascending and
-	// duplicate-free, and both probes emit parent positions ascending: the
-	// recorded context is identical between the two paths.
-	for i, obj := range cands {
-		if obj == nil {
-			continue
+	if d <= a.P.Depth() {
+		a.openLevel(ctx, d, sc)
+		if a.labelOf == nil {
+			a.probeCandidates(ctx, d, t.Cands, cands, sc)
+		} else {
+			sc.rows = sc.rows[:0]
+			for _, p := range a.parents[d] {
+				sc.rows = appendRows(sc.rows, ctx.nodes[p].matches, t.Cands, cands)
+			}
+			a.walkParents(ctx, d, sc.rows, sc)
 		}
-		expands := false
-		for _, st := range steps {
-			if obj.Label != st.Label {
-				continue
-			}
-			sc.pos = sc.pos[:0]
-			if !a.Generic {
-				sc.pos = sc.held[st.Parent].IntersectPos(sc.pos, obj.Adj)
-			} else {
-				for j, pv := range ctx.nodes[st.Parent].matches {
-					if obj.HasNeighbor(pv) {
-						sc.pos = append(sc.pos, int32(j))
-					}
-				}
-			}
-			if len(sc.pos) == 0 {
-				continue
-			}
-			n := &ctx.nodes[st.Node]
-			if !st.Expands {
-				for _, j := range sc.pos {
-					n.hits[j]++
-				}
-				continue
-			}
-			n.matches = append(n.matches, t.Cands[i])
-			n.parents = append(n.parents, sc.pos...)
-			n.offsets = append(n.offsets, int32(len(n.parents)))
-			expands = true
-		}
-		if expands {
-			sc.rows = append(sc.rows, obj.Adj)
-		}
-	}
-	for _, st := range steps {
-		n := &ctx.nodes[st.Node]
-		if len(n.matches) == 0 && !slices.ContainsFunc(n.hits, func(h int64) bool { return h != 0 }) {
+		if !a.closeLevel(ctx, d, sc) {
 			return // a pattern node without a match: the count is 0, die
 		}
 	}
-	if t.Round == a.P.Depth() {
+	if d >= a.P.Depth() {
 		if count := a.countMatches(ctx, sc); count > 0 {
 			env.AggUpdate(count)
 		}
 		return
 	}
-	// Next round: the distinct neighbours of this level's expanding matches
-	// that the next level has a use for, as far as anybody here can tell.
-	sc.ids = kernels.Union(sc.ids[:0], sc.rows)
-	if a.labelOf != nil {
-		sc.ids = a.usable(sc.ids[:0], sc.ids, t.Round+1)
-	}
+	sc.ids = a.frontier(sc.ids[:0], ctx, d, t.Cands, cands, sc)
 	t.Pull(sc.ids...)
+}
+
+// openLevel readies level d's nodes for record.
+func (a *GraphMatch) openLevel(ctx *gmContext, d int, sc *gmScratch) {
+	for _, st := range a.levels[d] {
+		if st.Expands {
+			sc.pairs[st.Node] = sc.pairs[st.Node][:0]
+		} else {
+			ctx.nodes[st.Node].hits = make([]int64, len(ctx.nodes[st.Parent].matches))
+		}
+	}
+}
+
+// closeLevel turns the pairs recorded for level d's expanding nodes into
+// their matches (ascending, duplicate-free), each with its parent positions
+// ascending. It reports whether every node of the level has a match.
+func (a *GraphMatch) closeLevel(ctx *gmContext, d int, sc *gmScratch) bool {
+	matched := true
+	for _, st := range a.levels[d] {
+		n := &ctx.nodes[st.Node]
+		if !st.Expands {
+			matched = matched && slices.ContainsFunc(n.hits, func(h int64) bool { return h != 0 })
+			continue
+		}
+		pairs := sc.pairs[st.Node]
+		slices.SortFunc(pairs, func(x, y gmPair) int { return cmp.Or(cmp.Compare(x.id, y.id), cmp.Compare(x.parent, y.parent)) })
+		n.matches, n.parents, n.offsets = n.matches[:0], n.parents[:0], n.offsets[:0]
+		for i, pr := range pairs {
+			if i == 0 || pr.id != pairs[i-1].id {
+				n.matches = append(n.matches, pr.id)
+				n.offsets = append(n.offsets, int32(len(n.parents)))
+			}
+			n.parents = append(n.parents, pr.parent)
+		}
+		n.offsets = append(n.offsets, int32(len(n.parents)))
+		matched = matched && len(n.matches) > 0
+	}
+	return matched
+}
+
+// record notes that vertex id matches step st under its parent's j-th match.
+func (sc *gmScratch) record(ctx *gmContext, st plan.TreeStep, id graph.VertexID, j int) {
+	if st.Expands {
+		sc.pairs[st.Node] = append(sc.pairs[st.Node], gmPair{id, int32(j)})
+	} else {
+		ctx.nodes[st.Node].hits[j]++
+	}
+}
+
+// walkParents matches level d parent-major. rows holds, parent node by
+// parent node of the level (a.parents[d] order), the adjacency list of each
+// of the node's matches; a neighbour matches every step under that node
+// whose label the column gives it. An ID the column does not know is no
+// vertex of the graph, and matches nothing.
+func (a *GraphMatch) walkParents(ctx *gmContext, d int, rows [][]graph.VertexID, sc *gmScratch) {
+	for _, p := range a.parents[d] {
+		kids, n := a.kids[p], len(ctx.nodes[p].matches)
+		for j, adj := range rows[:n] {
+			for _, id := range adj {
+				label, ok := a.labelOf(id)
+				if !ok {
+					continue
+				}
+				for _, st := range kids {
+					if st.Label == label {
+						sc.record(ctx, st, id, j)
+					}
+				}
+			}
+		}
+		rows = rows[n:]
+	}
+}
+
+// probeCandidates matches level d candidate-major: a candidate carrying a
+// step's label matches under each parent match its own list holds.
+func (a *GraphMatch) probeCandidates(ctx *gmContext, d int, ids []graph.VertexID, objs []*graph.Vertex, sc *gmScratch) {
+	for i, obj := range objs {
+		if obj == nil {
+			continue
+		}
+		for _, st := range a.levels[d] {
+			if obj.Label != st.Label {
+				continue
+			}
+			for j, pv := range ctx.nodes[st.Parent].matches {
+				if obj.HasNeighbor(pv) {
+					sc.record(ctx, st, ids[i], j)
+				}
+			}
+		}
+	}
+}
+
+// frontier appends to dst what level d+1 is matched from, ascending and
+// duplicate-free: level d's expanding matches (parent-major), or the union of
+// their lists, read off the round's candidates ids / objs (candidate-major).
+func (a *GraphMatch) frontier(dst []graph.VertexID, ctx *gmContext, d int, ids []graph.VertexID, objs []*graph.Vertex, sc *gmScratch) []graph.VertexID {
+	sc.rows = sc.rows[:0]
+	for _, st := range a.levels[d] {
+		switch m := ctx.nodes[st.Node].matches; {
+		case !st.Expands:
+		case a.labelOf != nil:
+			sc.rows = append(sc.rows, m)
+		default:
+			sc.rows = appendRows(sc.rows, m, ids, objs)
+		}
+	}
+	return kernels.Union(dst, sc.rows)
+}
+
+// appendRows appends the adjacency list of each of matches — a subsequence
+// of ids, both ascending — to rows, reading them off objs (parallel to ids);
+// a match the round holds no vertex for has none.
+func appendRows(rows [][]graph.VertexID, matches, ids []graph.VertexID, objs []*graph.Vertex) [][]graph.VertexID {
+	i := 0
+	for _, m := range matches {
+		for i < len(ids) && ids[i] < m {
+			i++
+		}
+		var adj []graph.VertexID
+		if i < len(ids) && ids[i] == m && objs[i] != nil {
+			adj = objs[i].Adj
+		}
+		rows = append(rows, adj)
+	}
+	return rows
 }
 
 // countMatches folds the recorded levels bottom-up in one pass. With
@@ -283,15 +379,27 @@ func (a *GraphMatch) countMatches(ctx *gmContext, sc *gmScratch) int64 {
 	return sc.acc[0]
 }
 
-// gmFormat leads every encoded context. The map encoding it replaces led with
-// a node count (1..plan.MaxTreeNodes), so old bytes fail decode, never miscount.
-const gmFormat = 0xB1
+// An encoded context leads with its arm's format byte: a task at round r
+// holds levels up to r (parent-major) or up to r−1 (candidate-major), so
+// bytes of the other arm fail decode, never miscount. The map encoding both
+// replace led with a node count (1..plan.MaxTreeNodes).
+const (
+	gmFormat        = 0xB2 // parent-major
+	gmFormatGeneric = 0xB1 // candidate-major
+)
+
+func (a *GraphMatch) format() byte {
+	if a.labelOf == nil {
+		return gmFormatGeneric
+	}
+	return gmFormat
+}
 
 // EncodeContext implements core.ContextCodec: the format byte, the node
 // count, then per pattern node a leaf's hits or an expanding node's matches,
 // per-match parent counts and parent positions — which, the pattern says.
 func (a *GraphMatch) EncodeContext(w *wire.Writer, ctxAny any) {
-	w.Byte(gmFormat)
+	w.Byte(a.format())
 	nodes := ctxAny.(*gmContext).nodes // Seed and DecodeContext make no other kind
 	w.Uvarint(uint64(len(nodes)))
 	for p := range nodes {
@@ -318,8 +426,8 @@ func (a *GraphMatch) EncodeContext(w *wire.Writer, ctxAny any) {
 // and parent positions against the parent node's matches, matches ascending
 // — so a corrupt or foreign context is a wire error, never a panic.
 func (a *GraphMatch) DecodeContext(r *wire.Reader) any {
-	if f := r.Byte(); r.Err() == nil && f != gmFormat {
-		r.Failf("gm context format %#x, want %#x", f, gmFormat)
+	if f := r.Byte(); r.Err() == nil && f != a.format() {
+		r.Failf("gm context format %#x, want %#x", f, a.format())
 	}
 	if cnt := r.Count(1); r.Err() == nil && cnt != len(a.P.Labels) {
 		r.Failf("gm context has %d pattern nodes, pattern has %d", cnt, len(a.P.Labels))

@@ -3,6 +3,7 @@ package algo
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -25,19 +26,36 @@ func gmBenchGraph() *graph.Graph {
 // TestGMBenchGraphIsTheBenchmarks pins gen.DealLabels to the labelling it
 // mirrors (benchmark/inputs.go, a separate module no test here can import):
 // the Figure-1 count and task count are what batch-gm-compute's oracle
-// reports at seed 42, and either moves if the two labellings part.
+// reports at seed 42, and either moves if the two labellings part. The
+// candidate-major baseline spawns a task per root-labelled vertex; the
+// parent-major arm only where level 1 matches.
 func TestGMBenchGraphIsTheBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a full GM run on the benchmark graph")
 	}
-	res := SeqRun(gmBenchGraph(), NewGraphMatch(nil))
-	if got := res.AggGlobal.(int64); got != 1_517_950_617 || res.Tasks != 2341 {
-		t.Errorf("count %d in %d tasks, the benchmark reports 1517950617 in 2341", got, res.Tasks)
+	g := gmBenchGraph()
+	generic := NewGraphMatch(nil)
+	generic.Generic = true
+	for _, arm := range []struct {
+		a     *GraphMatch
+		tasks int64
+	}{{NewGraphMatch(nil), 849}, {generic, 2341}} {
+		res := SeqRun(g, arm.a)
+		if got := res.AggGlobal.(int64); got != 1_517_950_617 || res.Tasks != arm.tasks {
+			t.Errorf("generic=%v: count %d in %d tasks, the benchmark reports 1517950617 in %d", arm.a.Generic, got, res.Tasks, arm.tasks)
+		}
 	}
 }
 
-// gmSeedTask seeds a's task rooted at v (nil if v does not carry the root
-// label).
+// gmParentMajor is GM for p offered g's label column, as every runtime
+// offers it: the parent-major arm.
+func gmParentMajor(g *graph.Graph, p *Pattern) *GraphMatch {
+	a := NewGraphMatch(p)
+	a.PruneByLabel(g.LabelColumn())
+	return a
+}
+
+// gmSeedTask seeds a's task rooted at v (nil if a spawns none there).
 func gmSeedTask(a *GraphMatch, v *graph.Vertex) *core.Task {
 	var t *core.Task
 	a.Seed(v, func(s *core.Task) { t = s })
@@ -74,21 +92,40 @@ func unionAdj(g *graph.Graph, ids []graph.VertexID, labels ...int32) []graph.Ver
 	return slices.Compact(out)
 }
 
-// TestGMFrontierExpandsOnlyInternalNodes pins what each round pulls: the
-// neighbourhoods of the matches of pattern nodes that have children, and
-// nothing else.
+// withLabel keeps the vertices of ids that carry label.
+func withLabel(g *graph.Graph, ids []graph.VertexID, label int32) (out []graph.VertexID) {
+	for _, id := range ids {
+		if v := g.Vertex(id); v != nil && v.Label == label {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TestGMFrontierExpandsOnlyInternalNodes pins what each round pulls: on the
+// candidate-major baseline the neighbourhoods of the matches of pattern nodes
+// that have children; parent-major, those matches themselves — never a leaf,
+// never the deepest level.
 func TestGMFrontierExpandsOnlyInternalNodes(t *testing.T) {
 	g := pinnedGraph(t) // labels cycle over {0..3}
 
 	t.Run("figure", func(t *testing.T) {
 		// Level 1 is b (label 1, a leaf) and c (label 2, expanding): round 2
 		// pulls ∪ adj(c-matches), a strict subset of the ∪ adj(b- and
-		// c-matches) the map-based frontier pulled.
-		a, narrower := NewGraphMatch(FigurePattern()), 0
+		// c-matches) the map-based frontier pulled. Parent-major, the seed
+		// asks for the c-matches and round 1 ends the task.
+		a, pm, narrower, unspawned := NewGraphMatch(FigurePattern()), gmParentMajor(g, FigurePattern()), 0, 0
 		g.ForEach(func(v *graph.Vertex) bool {
 			task := gmSeedTask(a, v)
 			if task == nil {
 				return true
+			}
+			if task := gmSeedTask(pm, v); task == nil {
+				unspawned++
+			} else if want := withLabel(g, v.Adj, 2); !slices.Equal(task.Cands, want) {
+				t.Fatalf("root %d: parent-major seed pulls %v, want its c-matches %v", v.ID, task.Cands, want)
+			} else if next, _ := gmRound(g, pm, task); next != nil {
+				t.Fatalf("root %d: parent-major round 1 of a depth-2 pattern pulled %v", v.ID, next)
 			}
 			next, _ := gmRound(g, a, task)
 			if next == nil {
@@ -106,62 +143,81 @@ func TestGMFrontierExpandsOnlyInternalNodes(t *testing.T) {
 			}
 			return true
 		})
-		if narrower == 0 {
-			t.Fatal("no task's frontier shrank: the workload does not exercise the leaf")
+		if narrower == 0 || unspawned == 0 {
+			t.Fatalf("%d frontiers shrank, %d seeds went unspawned: the workload does not exercise the leaf", narrower, unspawned)
 		}
 	})
 
 	t.Run("star", func(t *testing.T) {
-		// Every non-root node is a leaf: one round, then the count.
+		// Every non-root node is a leaf: one round, then the count;
+		// parent-major pulls nothing at all.
 		p := MustPattern([]int32{0, 1, 1, 2}, []int{-1, 0, 0, 0})
-		a, total := NewGraphMatch(p), int64(0)
-		g.ForEach(func(v *graph.Vertex) bool {
-			if task := gmSeedTask(a, v); task != nil {
-				next, agg := gmRound(g, a, task)
-				if next != nil {
-					t.Fatalf("root %d: star pattern asked for a second round (%d candidates)", v.ID, len(next))
+		for _, a := range []*GraphMatch{NewGraphMatch(p), gmParentMajor(g, p)} {
+			total := int64(0)
+			g.ForEach(func(v *graph.Vertex) bool {
+				if task := gmSeedTask(a, v); task != nil {
+					if a.labelOf != nil && len(task.Cands) != 0 {
+						t.Fatalf("root %d: parent-major star seed pulls %v", v.ID, task.Cands)
+					}
+					next, agg := gmRound(g, a, task)
+					if next != nil {
+						t.Fatalf("root %d: star pattern asked for a second round (%d candidates)", v.ID, len(next))
+					}
+					total += agg
 				}
-				total += agg
+				return true
+			})
+			if want := RefMatchCount(g, p); total != want || want == 0 {
+				t.Fatalf("parent-major=%v: star count %d, reference %d", a.labelOf != nil, total, want)
 			}
-			return true
-		})
-		if want := RefMatchCount(g, p); total != want || want == 0 {
-			t.Fatalf("star count %d, reference %d", total, want)
 		}
 	})
 
 	t.Run("path", func(t *testing.T) {
-		// Depth 4, every node but the last expanding: every level pulls the
-		// neighbourhoods of exactly its own label's matches.
+		// Depth 4, every node but the last expanding: candidate-major, every
+		// level pulls the neighbourhoods of exactly its own label's matches;
+		// parent-major, the next level's matches, and the deepest none.
 		labels := []int32{0, 1, 2, 3, 0}
 		p := PathPattern(labels...)
-		a, finished, total := NewGraphMatch(p), 0, int64(0)
-		g.ForEach(func(v *graph.Vertex) bool {
-			task := gmSeedTask(a, v)
-			if task == nil {
-				return true
+		for _, a := range []*GraphMatch{NewGraphMatch(p), gmParentMajor(g, p)} {
+			finished, total, lag := 0, int64(0), 0
+			if a.labelOf != nil {
+				lag = 1 // the seed matched level 1
 			}
-			for {
-				frontier := task.Cands
-				next, agg := gmRound(g, a, task)
-				total += agg
-				if next == nil {
-					if task.Round == p.Depth() {
-						finished++
-					}
+			g.ForEach(func(v *graph.Vertex) bool {
+				task := gmSeedTask(a, v)
+				if task == nil {
 					return true
 				}
-				if task.Round >= p.Depth() {
-					t.Fatalf("root %d: round %d of a depth-%d pattern pulled", v.ID, task.Round, p.Depth())
+				if lag == 1 && !slices.Equal(task.Cands, withLabel(g, v.Adj, labels[1])) {
+					t.Fatalf("root %d: parent-major seed pulls %v", v.ID, task.Cands)
 				}
-				if want := unionAdj(g, frontier, labels[task.Round]); !slices.Equal(next, want) {
-					t.Fatalf("root %d round %d: pulled %v, want %v", v.ID, task.Round, next, want)
+				for {
+					frontier := task.Cands
+					next, agg := gmRound(g, a, task)
+					total += agg
+					if next == nil {
+						if task.Round+lag == p.Depth() {
+							finished++
+						}
+						return true
+					}
+					if task.Round+lag >= p.Depth() {
+						t.Fatalf("root %d: round %d of a depth-%d pattern pulled", v.ID, task.Round, p.Depth())
+					}
+					want := unionAdj(g, frontier, labels[task.Round])
+					if lag == 1 {
+						want = withLabel(g, want, labels[task.Round+1])
+					}
+					if !slices.Equal(next, want) {
+						t.Fatalf("root %d round %d: pulled %v, want %v", v.ID, task.Round, next, want)
+					}
+					task.Advance(next)
 				}
-				task.Advance(next)
+			})
+			if want := RefMatchCount(g, p); total != want || finished == 0 {
+				t.Fatalf("parent-major=%v: path count %d, reference %d, %d tasks reached the last level", lag == 1, total, want, finished)
 			}
-		})
-		if want := RefMatchCount(g, p); total != want || finished == 0 {
-			t.Fatalf("path count %d, reference %d, %d tasks reached the last level", total, want, finished)
 		}
 	})
 }
@@ -178,11 +234,16 @@ func gmHubTask(g *graph.Graph, a *GraphMatch) *core.Task {
 	return gmSeedTask(a, hub)
 }
 
-// gmRepeatRound returns a function that re-runs round `round` of the
-// hub-rooted Figure-1 task on g: Update opens its level's nodes afresh, so
-// one task state serves every repetition.
-func gmRepeatRound(g *graph.Graph, round int) func() {
-	a := NewGraphMatch(FigurePattern())
+// gmDeepPattern has an expanding node below level 1 and, on every level, a
+// parent with a leaf and an expanding child: a(b, c(b, d(e))).
+func gmDeepPattern() *Pattern {
+	return MustPattern([]int32{0, 1, 2, 1, 3, 4}, []int{-1, 0, 0, 2, 2, 4})
+}
+
+// gmRepeatRound returns a function that re-runs round `round` of a's
+// hub-rooted task on g: Update opens its level's nodes afresh, so one task
+// state serves every repetition.
+func gmRepeatRound(g *graph.Graph, a *GraphMatch, round int) func() {
 	// One scratch whatever the pool drops (under -race it drops at random),
 	// so a repetition allocates what Update allocates and nothing else.
 	sc := a.scratch.New()
@@ -204,6 +265,18 @@ func gmRepeatRound(g *graph.Graph, round int) func() {
 	}
 }
 
+// gmRoundArms names the Update calls the allocation bound and the benchmark
+// cover: both rounds of candidate-major Figure 1, and both rounds of the
+// parent-major deep pattern (pairs grouped and pulled, then leaves counted).
+func gmRoundArms(g *graph.Graph) map[string]func() {
+	arms := map[string]func(){}
+	for round := 1; round <= 2; round++ {
+		arms[fmt.Sprintf("generic/round%d", round)] = gmRepeatRound(g, NewGraphMatch(FigurePattern()), round)
+		arms[fmt.Sprintf("parent-major/round%d", round)] = gmRepeatRound(g, gmParentMajor(g, gmDeepPattern()), round)
+	}
+	return arms
+}
+
 // TestGMUpdateAllocsBounded pins the allocations of one round: a leaf's
 // counters, the copy Pull takes of the frontier, the boxed count — and no
 // per-match or per-candidate allocation, so a map cannot creep back in
@@ -211,25 +284,21 @@ func gmRepeatRound(g *graph.Graph, round int) func() {
 func TestGMUpdateAllocsBounded(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 30_000, Seed: 42})
 	gen.DealLabels(g, 7)
-	for round := 1; round <= 2; round++ {
-		run := gmRepeatRound(g, round)
+	for name, run := range gmRoundArms(g) {
 		run() // grow the task's slices and the pooled scratch once
 		if allocs := testing.AllocsPerRun(20, run); allocs > 8 {
-			t.Errorf("round %d: %.0f allocations per Update, want at most 8", round, allocs)
+			t.Errorf("%s: %.0f allocations per Update, want at most 8", name, allocs)
 		}
 	}
 }
 
-// BenchmarkGMUpdateRounds times the two rounds of the hub-rooted Figure-1
-// task on the benchmark's graph — the largest single Update calls of a
-// batch-gm-compute job.
+// BenchmarkGMUpdateRounds times the rounds of the hub-rooted tasks of
+// gmRoundArms on the benchmark's graph — the largest single Update calls of
+// a batch-gm-compute job.
 func BenchmarkGMUpdateRounds(b *testing.B) {
-	g := gmBenchGraph()
-	for round, name := range map[int]string{1: "round1", 2: "round2"} {
+	for name, run := range gmRoundArms(gmBenchGraph()) {
 		b.Run(name, func(b *testing.B) {
-			run := gmRepeatRound(g, round)
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				run()
 			}
@@ -237,85 +306,101 @@ func BenchmarkGMUpdateRounds(b *testing.B) {
 	}
 }
 
-// gmContextSamples returns encoded contexts of real tasks between rounds 1
-// and 2, for two patterns (so both node kinds and several shapes appear).
-func gmContextSamples(tb testing.TB, a *GraphMatch) [][]byte {
-	g := pinnedGraph(tb)
+// gmContextSamples returns encoded contexts of up to eight real tasks of a
+// on the pinned graph as they cross the wire: parent-major, waiting for round
+// 1 (the seed matched level 1); candidate-major, waiting for round 2.
+func gmContextSamples(tb testing.TB, g *graph.Graph, a *GraphMatch) [][]byte {
 	var out [][]byte
 	g.ForEach(func(v *graph.Vertex) bool {
-		if task := gmSeedTask(a, v); task != nil && len(out) < 8 {
-			if next, _ := gmRound(g, a, task); next != nil {
-				w := wire.NewWriter(64)
-				a.EncodeContext(w, task.Context)
-				out = append(out, w.Bytes())
+		task := gmSeedTask(a, v)
+		if task != nil && a.labelOf == nil {
+			if next, _ := gmRound(g, a, task); next == nil {
+				task = nil
 			}
+		}
+		if task != nil && len(out) < 8 {
+			w := wire.NewWriter(64)
+			a.EncodeContext(w, task.Context)
+			out = append(out, w.Bytes())
 		}
 		return true
 	})
-	if len(out) == 0 {
-		tb.Fatal("no task survived round 1")
+	if len(out) < 8 {
+		tb.Fatalf("%d tasks reached the wire", len(out))
 	}
 	return out
 }
 
-// TestGMContextCodec: a context crosses the wire unchanged and the task
-// finishes with the same count; the map-based encoding this format
-// replaced, a foreign pattern's context and a truncated one are wire
-// errors.
+// gmCarry moves task across the task codec — what spill, steal and restore
+// do to it.
+func gmCarry(tb testing.TB, a *GraphMatch, task *core.Task) *core.Task {
+	w := wire.NewWriter(256)
+	core.EncodeTask(w, task, a)
+	moved, err := core.DecodeTask(wire.NewReader(w.Bytes()), a)
+	if err != nil {
+		tb.Fatalf("task codec: %v", err)
+	}
+	if !reflect.DeepEqual(moved.Context, task.Context) || !slices.Equal(moved.Cands, task.Cands) {
+		tb.Fatalf("task changed on the wire:\n got %+v\nwant %+v", moved.Context, task.Context)
+	}
+	return moved
+}
+
+// TestGMContextCodec: on both arms a context crosses the wire unchanged and
+// the task finishes with the same count; the map-based encoding both
+// replaced, the other arm's bytes (a candidate-major checkpoint or steal
+// batch read by a parent-major job, and back), a foreign pattern's context
+// and a truncated one are wire errors.
 func TestGMContextCodec(t *testing.T) {
 	g := pinnedGraph(t)
-	a := NewGraphMatch(FigurePattern())
-	var direct, carried int64
-	g.ForEach(func(v *graph.Vertex) bool {
-		task := gmSeedTask(a, v)
-		if task == nil {
+	pm, generic := gmParentMajor(g, FigurePattern()), NewGraphMatch(FigurePattern())
+	for _, a := range []*GraphMatch{pm, generic} {
+		var direct, carried int64
+		g.ForEach(func(v *graph.Vertex) bool {
+			task := gmSeedTask(a, v)
+			if task == nil {
+				return true
+			}
+			if a == generic {
+				next, _ := gmRound(g, a, task)
+				if next == nil {
+					return true
+				}
+				task.Advance(next)
+			}
+			twin := gmCarry(t, a, task)
+			_, c1 := gmRound(g, a, task)
+			_, c2 := gmRound(g, a, twin)
+			direct, carried = direct+c1, carried+c2
 			return true
+		})
+		if want := RefMatchCount(g, a.P); direct != want || carried != want {
+			t.Fatalf("generic=%v: count %d direct, %d carried across the wire, reference %d", a == generic, direct, carried, want)
 		}
-		next, _ := gmRound(g, a, task)
-		if next == nil {
-			return true
-		}
-		w := wire.NewWriter(64)
-		a.EncodeContext(w, task.Context)
-		r := wire.NewReader(w.Bytes())
-		decoded := a.DecodeContext(r)
-		if r.Err() != nil || r.Remaining() != 0 {
-			t.Fatalf("root %d: decode: err=%v, %d bytes left", v.ID, r.Err(), r.Remaining())
-		}
-		if !reflect.DeepEqual(decoded, task.Context) {
-			t.Fatalf("root %d: context changed on the wire:\n got %+v\nwant %+v", v.ID, decoded, task.Context)
-		}
-		twin := &core.Task{Round: task.Round, Context: decoded}
-		task.Advance(next)
-		twin.Advance(next)
-		_, c1 := gmRound(g, a, task)
-		_, c2 := gmRound(g, a, twin)
-		direct, carried = direct+c1, carried+c2
-		return true
-	})
-	if want := RefMatchCount(g, a.P); direct != want || carried != want {
-		t.Fatalf("count %d direct, %d carried across the wire, reference %d", direct, carried, want)
 	}
 
-	sample := gmContextSamples(t, a)[0]
+	sample, genericSample := gmContextSamples(t, g, pm)[0], gmContextSamples(t, g, generic)[0]
 	old := wire.NewWriter(16) // the map encoding: matched-node count first
 	old.Uvarint(1)
 	old.Int(0)
 	wire.EncodeIDs(old, []graph.VertexID{5})
 	old.Uvarint(0)
-	for name, data := range map[string][]byte{
-		"map-encoding": old.Bytes(),
-		"truncated":    sample[:len(sample)-1],
-		"empty":        nil,
+	for _, c := range []struct {
+		name string
+		a    *GraphMatch
+		data []byte
+	}{
+		{"map-encoding", pm, old.Bytes()},
+		{"truncated", pm, sample[:len(sample)-1]},
+		{"empty", pm, nil},
+		{"candidate-major bytes, parent-major job", pm, genericSample},
+		{"parent-major bytes, candidate-major job", generic, sample},
+		{"foreign pattern", gmParentMajor(g, PathPattern(0, 1, 2)), sample},
 	} {
-		r := wire.NewReader(data)
-		if ctx := a.DecodeContext(r); ctx != nil || !errors.Is(r.Err(), wire.ErrCorrupt) {
-			t.Errorf("%s: decoded %v, err %v; want nil and wire.ErrCorrupt", name, ctx, r.Err())
+		r := wire.NewReader(c.data)
+		if ctx := c.a.DecodeContext(r); ctx != nil || !errors.Is(r.Err(), wire.ErrCorrupt) {
+			t.Errorf("%s: decoded %v, err %v; want nil and wire.ErrCorrupt", c.name, ctx, r.Err())
 		}
-	}
-	r := wire.NewReader(sample)
-	if ctx := NewGraphMatch(PathPattern(0, 1, 2)).DecodeContext(r); ctx != nil || !errors.Is(r.Err(), wire.ErrCorrupt) {
-		t.Errorf("foreign pattern: decoded %v, err %v; want nil and wire.ErrCorrupt", ctx, r.Err())
 	}
 }
 
@@ -325,18 +410,22 @@ func TestGMContextCodec(t *testing.T) {
 // is canonical — decode∘encode is the identity on contexts and
 // encode∘decode on the bytes the encoder produces.
 func FuzzGMContext(f *testing.F) {
+	g := pinnedGraph(f)
 	pats := []*GraphMatch{
-		NewGraphMatch(FigurePattern()),
-		NewGraphMatch(MustPattern([]int32{0, 1, 1, 2, 3, 1}, []int{-1, 0, 0, 1, 1, 2})),
+		gmParentMajor(g, FigurePattern()),
+		gmParentMajor(g, MustPattern([]int32{0, 1, 1, 2, 3, 1}, []int{-1, 0, 0, 1, 1, 2})),
 	}
+	var sample []byte
 	for i, a := range pats {
-		for _, data := range gmContextSamples(f, a) {
+		for _, data := range gmContextSamples(f, g, a) {
 			f.Add(uint8(i), data)
+			sample = data
 		}
 	}
 	f.Add(uint8(0), []byte{gmFormat, 5, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}) // huge count, no payload
 	f.Add(uint8(0), []byte{1, 0, 1, 10, 0})                               // the old encoding
 	f.Add(uint8(0), []byte{gmFormat, 5, 0, 0, 0, 0, 0, 0})                // no root match: nothing to count from
+	f.Add(uint8(1), append([]byte{gmFormatGeneric}, sample[1:]...))       // a candidate-major context's format byte
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		a := pats[int(which)%len(pats)]
 		r := wire.NewReader(data)
@@ -375,92 +464,58 @@ func gmContextSize(ctx *gmContext) (n int) {
 	return n
 }
 
-// TestGMContextIdenticalAcrossArms runs every task of a job three ways in
-// lockstep — label-pruned with the position kernels, unpruned with them, and
-// Generic — and holds the encoded context of all three byte-identical after
-// every round, the pruned arm's candidates to the usable subset of the
-// others', and the three counts to the reference. The dense graph's hub
-// tasks hold parent lists PosTable marks; the strided copy's spans are past
-// its rule, so there the kernels arm is IntersectPos. One arm's task also
-// crosses the task codec between rounds — what spill, steal and restore do
-// to it — and must not be told apart afterwards.
-func TestGMContextIdenticalAcrossArms(t *testing.T) {
-	dense := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 30_000, Seed: 42})
-	gen.DealLabels(dense, 5)
-	encode := func(a *GraphMatch, task *core.Task) []byte {
-		w := wire.NewWriter(64)
-		a.EncodeContext(w, task.Context)
-		return w.Bytes()
+// TestGMPatternZoo: parent-major GM counts what the candidate-major baseline
+// and RefMatchCount count, on every pattern shape the two arms part on — the
+// root alone, one level of leaves, expanding nodes below level 1, same-label
+// siblings (leaves, expanding, and one of each), a parent with leaf and
+// expanding children — over several graphs with dense and with strided IDs.
+// Every parent-major task crosses the task codec before every round, and its
+// task count is what SeqRun reports: one per root whose level 1 matches.
+func TestGMPatternZoo(t *testing.T) {
+	patterns := map[string]*Pattern{
+		"figure":        FigurePattern(),
+		"depth0":        MustPattern([]int32{1}, []int{-1}),
+		"depth1":        MustPattern([]int32{0, 1, 2, 1}, []int{-1, 0, 0, 0}),
+		"path":          PathPattern(0, 1, 2, 3, 4),
+		"deep":          gmDeepPattern(),
+		"twin-leaves":   MustPattern([]int32{0, 1, 2, 2}, []int{-1, 0, 1, 1}),
+		"twins":         MustPattern([]int32{0, 1, 1, 2, 3}, []int{-1, 0, 0, 1, 2}),
+		"leaf+internal": MustPattern([]int32{0, 1, 1, 2}, []int{-1, 0, 0, 1}),
 	}
-	for name, g := range map[string]*graph.Graph{"dense": dense, "strided": sparseIDs(dense)} {
-		for pname, p := range map[string]*Pattern{
-			"figure": FigurePattern(),
-			"path":   PathPattern(0, 1, 2, 3),
-			"twins":  MustPattern([]int32{0, 1, 1, 2, 3}, []int{-1, 0, 0, 1, 2}),
-		} {
-			pruned, kernel, generic := NewGraphMatch(p), NewGraphMatch(p), NewGraphMatch(p)
-			pruned.PruneByLabel(g.LabelColumn())
-			generic.Generic = true
-			arms := []*GraphMatch{pruned, kernel, generic}
-			var counts [3]int64
-			longest, dropped := 0, 0
-			g.ForEach(func(v *graph.Vertex) bool {
-				var tasks [3]*core.Task
-				for i, a := range arms {
-					tasks[i] = gmSeedTask(a, v)
+	for _, seed := range []int64{1, 2, 3} {
+		dense := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 4000, Seed: seed})
+		gen.DealLabels(dense, 5)
+		for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": sparseIDs(dense)} {
+			for pname, p := range patterns {
+				shape := fmt.Sprintf("seed %d/%s/%s", seed, gname, pname)
+				want := RefMatchCount(g, p)
+				if want == 0 {
+					t.Fatalf("%s: degenerate: nothing matches", shape)
 				}
-				for tasks[0] != nil {
-					round := max(tasks[1].Round, 1) // the one about to run
-					if !slices.Equal(tasks[1].Cands, tasks[2].Cands) {
-						t.Fatalf("%s/%s root %d round %d: kernel and generic arms hold different candidates", name, pname, v.ID, round)
-					}
-					if want := pruned.usable(nil, tasks[1].Cands, round); !slices.Equal(tasks[0].Cands, want) {
-						t.Fatalf("%s/%s root %d round %d: pruned arm holds %v, the usable candidates are %v", name, pname, v.ID, round, tasks[0].Cands, want)
-					}
-					dropped += len(tasks[1].Cands) - len(tasks[0].Cands)
-					var next [3][]graph.VertexID
-					for i, a := range arms {
-						var agg int64
-						next[i], agg = gmRound(g, a, tasks[i])
-						counts[i] += agg
-					}
-					ref := encode(kernel, tasks[1])
-					if !bytes.Equal(encode(pruned, tasks[0]), ref) || !bytes.Equal(encode(generic, tasks[2]), ref) {
-						t.Fatalf("%s/%s root %d round %d: contexts differ between the arms", name, pname, v.ID, round)
-					}
-					for _, n := range tasks[1].Context.(*gmContext).nodes {
-						longest = max(longest, len(n.matches))
-					}
-					if (next[0] == nil) != (next[1] == nil) && len(pruned.usable(nil, next[1], round+1)) > 0 {
-						t.Fatalf("%s/%s root %d round %d: pruned arm ended with usable candidates left", name, pname, v.ID, round)
-					}
-					if next[1] == nil {
-						return true
-					}
-					for i := range tasks {
-						if next[i] == nil { // nothing usable: this arm is done, the others find that out a round later
-							tasks[i].Cands, tasks[i].Round = nil, tasks[i].Round+1
-							continue
+				a := gmParentMajor(g, p)
+				var total, tasks int64
+				g.ForEach(func(v *graph.Vertex) bool {
+					for task := gmSeedTask(a, v); task != nil; {
+						task = gmCarry(t, a, task)
+						next, agg := gmRound(g, a, task)
+						total += agg
+						if next == nil {
+							tasks++
+							break
 						}
-						tasks[i].Advance(next[i])
+						task.Advance(next)
 					}
-					// Spill, steal and restore all move a task as these bytes.
-					w := wire.NewWriter(256)
-					core.EncodeTask(w, tasks[0], pruned)
-					moved, err := core.DecodeTask(wire.NewReader(w.Bytes()), pruned)
-					if err != nil {
-						t.Fatalf("%s/%s root %d: task codec: %v", name, pname, v.ID, err)
-					}
-					tasks[0] = moved
+					return true
+				})
+				generic := NewGraphMatch(p)
+				generic.Generic = true
+				seq, base := SeqRun(g, gmParentMajor(g, p)), SeqRun(g, generic)
+				if total != want || seq.AggGlobal != any(want) || base.AggGlobal != any(want) {
+					t.Errorf("%s: parent-major %d stepped, %v run; candidate-major %v; reference %d", shape, total, seq.AggGlobal, base.AggGlobal, want)
 				}
-				return true
-			})
-			want := RefMatchCount(g, p)
-			if counts != [3]int64{want, want, want} || want == 0 {
-				t.Errorf("%s/%s: counts %v (pruned, kernel, generic), reference %d", name, pname, counts, want)
-			}
-			if dropped == 0 || longest < 4*kernels.PosTableMinLen {
-				t.Errorf("%s/%s: pruning dropped %d candidates and the longest parent list has %d matches: the arms are not exercised", name, pname, dropped, longest)
+				if tasks != seq.Tasks || tasks > base.Tasks {
+					t.Errorf("%s: %d tasks stepped, %d run parent-major, %d candidate-major", shape, tasks, seq.Tasks, base.Tasks)
+				}
 			}
 		}
 	}

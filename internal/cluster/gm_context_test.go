@@ -8,7 +8,6 @@ import (
 	"gminer/internal/cluster"
 	"gminer/internal/core"
 	"gminer/internal/gen"
-	"gminer/internal/graph"
 	"gminer/internal/jobspec"
 	"gminer/internal/partition"
 )
@@ -29,19 +28,15 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 	}
 	g := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 77})
 	gen.DealLabels(g, 4)
-	p := algo.FigurePattern()
-	want := algo.RefMatchCount(g, p)
-	var roots int64
-	g.ForEach(func(v *graph.Vertex) bool {
-		if v.Label == p.Labels[0] {
-			roots++
-		}
-		return true
-	})
-	if want == 0 || roots == 0 {
-		t.Fatal("degenerate graph: nothing matches")
+	// Four levels, three of them expanding: a task crosses the wire between
+	// several rounds, each time with more levels matched, and it is long
+	// enough to be stolen from (Figure 1's tasks end before a thief asks).
+	p := algo.PathPattern(0, 1, 2, 3, 0)
+	want, seq := algo.RefMatchCount(g, p), algo.SeqRun(g, algo.NewGraphMatch(p))
+	if want == 0 || seq.AggGlobal != any(want) {
+		t.Fatalf("degenerate graph or sequential run: %v counted, reference %d", seq.AggGlobal, want)
 	}
-	sp := jobspec.Spec{App: "gm"}.Normalize()
+	sp := jobspec.Spec{App: "gm", Pattern: "0,1,2,3,0;-1,0,1,2,3"}.Normalize() // worker processes build p from it
 
 	type session interface {
 		Launch(a core.Algorithm, opt cluster.JobOptions) (*cluster.Job, error)
@@ -82,9 +77,9 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.AggGlobal != any(want) || res.Total.TasksDone != roots || res.Total.DiskWrite == 0 {
+		if res.AggGlobal != any(want) || res.Total.TasksDone != seq.Tasks || res.Total.DiskWrite == 0 {
 			t.Fatalf("remote=%v spill+steal: count %v over %d tasks, %d bytes spilled; want %d over %d tasks and a spill",
-				remote, res.AggGlobal, res.Total.TasksDone, res.Total.DiskWrite, want, roots)
+				remote, res.AggGlobal, res.Total.TasksDone, res.Total.DiskWrite, want, seq.Tasks)
 		}
 		stolen += res.Total.Stolen
 		sess.Close()

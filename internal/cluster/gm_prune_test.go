@@ -25,7 +25,7 @@ func gmPruneGraph() *graph.Graph {
 	return g
 }
 
-// gmRun launches GM for p on s — label-pruned on the plan, or the generic
+// gmRun launches GM for p on s — parent-major on the plan, or the generic
 // baseline nobody offers labels to — and returns the job's result.
 func gmRun(t *testing.T, s *cluster.Session, a core.Algorithm, generic bool) *cluster.Result {
 	t.Helper()
@@ -41,22 +41,21 @@ func gmRun(t *testing.T, s *cluster.Session, a core.Algorithm, generic bool) *cl
 	return res
 }
 
-func countLabel(g *graph.Graph, label int32) (n int64) {
-	g.ForEach(func(v *graph.Vertex) bool {
-		if v.Label == label {
-			n++
-		}
-		return true
-	})
-	return n
+// gmSeq is the sequential run a GM job of p must reproduce, count and tasks:
+// parent-major, or the generic baseline.
+func gmSeq(g *graph.Graph, p *algo.Pattern, generic bool) *algo.SeqResult {
+	a := algo.NewGraphMatch(p)
+	a.Generic = generic
+	return algo.SeqRun(g, a)
 }
 
-// TestGMLabelPruningDifferential: pulling only what the pattern can use is
-// invisible in a job's output. On every session shape — workers, stealing,
+// TestGMLabelPruningDifferential: matching parent-major off the label column
+// is invisible in a job's output. On every session shape — workers, stealing,
 // spilling, dense IDs (array directory, label in the slot) and strided ones
-// (hash tables, label through the owner's) — the pruned job, the generic job
-// and the sequential reference agree on the count, and both jobs run one task
-// per root-labelled vertex.
+// (hash tables, label through the owner's) — the parent-major job, the
+// generic job and the reference agree on the count, and each job runs the
+// tasks its arm's sequential run does: one per root-labelled vertex
+// candidate-major, one per root whose level 1 matches parent-major.
 func TestGMLabelPruningDifferential(t *testing.T) {
 	dense := gmPruneGraph()
 	patterns := map[string]*algo.Pattern{
@@ -69,6 +68,25 @@ func TestGMLabelPruningDifferential(t *testing.T) {
 		"every-label": algo.MustPattern([]int32{0, 0, 1, 2, 3, 0, 1, 2, 3}, []int{-1, 0, 0, 0, 0, 1, 1, 1, 1}),
 		// Level 2 wants a label no vertex carries: every known ID is pruned.
 		"absent-label": algo.PathPattern(0, 1, 9),
+		// Expanding nodes below level 1; a leaf and an expanding node with one
+		// label under one parent.
+		"path5":         algo.PathPattern(0, 1, 2, 3, 0),
+		"leaf+internal": algo.MustPattern([]int32{0, 1, 1, 2}, []int{-1, 0, 0, 1}),
+	}
+	type ref struct {
+		count int64
+		tasks [2]int64 // parent-major, generic
+	}
+	refs := map[string]ref{}
+	for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": sparseIDs(dense)} {
+		for pname, p := range patterns {
+			pm, generic := gmSeq(g, p, false), gmSeq(g, p, true)
+			want := algo.RefMatchCount(g, p)
+			if pm.AggGlobal != any(want) || generic.AggGlobal != any(want) || (want == 0) != (pname == "absent-label") || pm.Tasks == 0 {
+				t.Fatalf("%s/%s: sequential runs count %v and %v in %d tasks, reference %d", gname, pname, pm.AggGlobal, generic.AggGlobal, pm.Tasks, want)
+			}
+			refs[gname+"/"+pname] = ref{want, [2]int64{pm.Tasks, generic.Tasks}}
+		}
 	}
 	var spilled, stolen int64
 	for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": sparseIDs(dense)} {
@@ -92,14 +110,11 @@ func TestGMLabelPruningDifferential(t *testing.T) {
 					}
 					for pname, p := range patterns {
 						shape := fmt.Sprintf("%s/w%d/steal=%v/spill=%v/%s", gname, workers, stealing, spill, pname)
-						want, roots := algo.RefMatchCount(g, p), countLabel(g, p.Labels[0])
-						if (want == 0) != (pname == "absent-label") || roots == 0 {
-							t.Fatalf("%s: degenerate: reference count %d over %d roots", shape, want, roots)
-						}
-						for _, generic := range []bool{false, true} {
+						want := refs[gname+"/"+pname]
+						for arm, generic := range []bool{false, true} {
 							res := gmRun(t, s, algo.NewGraphMatch(p), generic)
-							if res.AggGlobal != any(want) || res.Total.TasksDone != roots {
-								t.Fatalf("%s generic=%v: count %v in %d tasks, want %d in %d", shape, generic, res.AggGlobal, res.Total.TasksDone, want, roots)
+							if res.AggGlobal != any(want.count) || res.Total.TasksDone != want.tasks[arm] {
+								t.Fatalf("%s generic=%v: count %v in %d tasks, want %d in %d", shape, generic, res.AggGlobal, res.Total.TasksDone, want.count, want.tasks[arm])
 							}
 							spilled, stolen = spilled+res.Total.DiskWrite, stolen+res.Total.Stolen
 						}
@@ -152,8 +167,9 @@ func (s *gmSpy) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 }
 
 // TestGMPullsOnlyUsableLabels: on the plan, every ID a task holds in any
-// round carries a label one of that round's steps wants; the generic job on
-// the same session holds the whole frontier, most of it of no use.
+// round carries the label of a node of that round's level (parent-major: its
+// expanding matches); the generic job on the same session holds the whole
+// frontier, most of it of no use.
 func TestGMPullsOnlyUsableLabels(t *testing.T) {
 	dense := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 77})
 	gen.DealLabels(dense, 7)
@@ -183,8 +199,8 @@ func TestGMPullsOnlyUsableLabels(t *testing.T) {
 }
 
 // TestGMPruningCutsCacheTraffic: with two of seven labels wanted per level,
-// a pruned job asks the RCV cache for at most 40% of the vertices the
-// unpruned job does (fixed two-worker shape, no stealing, so both jobs see
+// a parent-major job asks the RCV cache for at most 40% of the vertices the
+// generic job does (fixed two-worker shape, no stealing, so both jobs see
 // the same partition and the same remote share).
 func TestGMPruningCutsCacheTraffic(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 30_000, Seed: 42})
@@ -221,13 +237,14 @@ func TestGMPruningFollowsGraphEpoch(t *testing.T) {
 	defer s.Close()
 	check := func(when string, wantMatches bool) {
 		t.Helper()
-		want, roots := algo.RefMatchCount(g, p), countLabel(g, 0)
+		want := algo.RefMatchCount(g, p)
 		if (want > 0) != wantMatches {
 			t.Fatalf("%s: reference count %d", when, want)
 		}
 		for _, generic := range []bool{false, true} {
-			if res := gmRun(t, s, algo.NewGraphMatch(p), generic); res.AggGlobal != any(want) || res.Total.TasksDone != roots {
-				t.Fatalf("%s generic=%v: count %v in %d tasks, want %d in %d", when, generic, res.AggGlobal, res.Total.TasksDone, want, roots)
+			seq := gmSeq(g, p, generic)
+			if res := gmRun(t, s, algo.NewGraphMatch(p), generic); res.AggGlobal != any(want) || res.Total.TasksDone != seq.Tasks {
+				t.Fatalf("%s generic=%v: count %v in %d tasks, want %d in %d", when, generic, res.AggGlobal, res.Total.TasksDone, want, seq.Tasks)
 			}
 		}
 	}

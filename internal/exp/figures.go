@@ -41,10 +41,16 @@ func stallFraction(points []metrics.TimelinePoint) float64 {
 	return float64(stalled) / float64(len(points))
 }
 
+// figure56Growth is how many times o.Scale's friendster-s Figures 5 and 6
+// mine. A stall fraction is a share of 2 ms samples, so the G-Miner job must
+// span tens of them; at o.Scale itself parent-major GM on the test scale
+// finishes in a handful, and the fraction is noise.
+const figure56Growth = 8
+
 // Figure56 reproduces Figures 5 and 6.
 func Figure56(o Options) (*Figure56Result, error) {
 	o = o.defaults()
-	g := buildLabeled(gen.Friendster, o.Scale)
+	g := buildLabeled(gen.Friendster, figure56Growth*o.Scale)
 	p := algo.FigurePattern()
 	res := &Figure56Result{}
 

@@ -20,7 +20,7 @@ func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{0, 0, 0, 255}, []byte{255})
 	f.Add([]byte{1, 1, 2, 3, 5, 8, 13, 21}, []byte{2, 4, 8, 16, 32, 64})
-	// Skewed operands: the gallop arms of Intersect and IntersectPos, both ways.
+	// Skewed operands: the gallop arms of Intersect, both ways.
 	skew := make([]byte, 0, 80)
 	for i := byte(0); i < 40; i++ {
 		skew = append(skew, 0, 3*i)
@@ -103,44 +103,6 @@ func FuzzIntersectKernels(f *testing.F) {
 		MarkAll(small, ids(a), base)
 		if n := CountMarked(small, ids(b), base); n != inside {
 			t.Fatalf("MarkAll+CountMarked = %d, want %d (a=%v b=%v)", n, inside, a, b)
-		}
-		// IntersectPos: the positions index, in its second operand, exactly
-		// the IDs Intersect returns — whichever operand is the longer.
-		for _, ops := range [][2][]uint32{{a, b}, {b, a}} {
-			pos := IntersectPos([]int32{-1}, ops[0], ops[1])
-			if pos[0] != -1 || len(pos)-1 != len(want) {
-				t.Fatalf("IntersectPos = %v, oracle %v (a=%v b=%v)", pos, want, ops[0], ops[1])
-			}
-			for i, p := range pos[1:] {
-				if ops[1][p] != want[i] {
-					t.Fatalf("IntersectPos[%d] = %d -> %d, oracle %d (a=%v b=%v)", i, p, ops[1][p], want[i], ops[0], ops[1])
-				}
-			}
-		}
-		// PosTable: held against any list it emits IntersectPos's positions —
-		// marked (floor 1, so single-element parents too) or left a list
-		// (the floor, an empty b, a span past the rule), on negative IDs and
-		// on IDs spread too far apart to mark.
-		for _, stride := range []graph.VertexID{1, 1 << 20} {
-			spread := func(xs []uint32) (out []graph.VertexID) {
-				for _, x := range xs {
-					out = append(out, (graph.VertexID(x)-300)*stride)
-				}
-				return out
-			}
-			for _, ops := range [][2][]graph.VertexID{{spread(a), spread(b)}, {spread(b), spread(a)}} {
-				wantPos := IntersectPos([]int32{-1}, ops[0], ops[1])
-				var tab PosTable[graph.VertexID]
-				for _, minLen := range []int{1, PosTableMinLen} {
-					tab.load(ops[1], 1, minLen)
-					if tab.marked && stride > 1 && len(ops[1]) > 1 {
-						t.Fatalf("PosTable marked a span of %d IDs for %d elements", ops[1][len(ops[1])-1]-ops[1][0], len(ops[1]))
-					}
-					if got := tab.IntersectPos([]int32{-1}, ops[0]); !slices.Equal(got, wantPos) {
-						t.Fatalf("PosTable(minLen %d, marked %v) = %v, IntersectPos %v (a=%v b=%v)", minLen, tab.marked, got, wantPos, ops[0], ops[1])
-					}
-				}
-			}
 		}
 		// Union: both arms, and the rule that picks one, against sort+compact
 		// — on the IDs as they come (a dense span) and spread 2^20 apart (a

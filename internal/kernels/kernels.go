@@ -258,46 +258,3 @@ func SearchSorted[T ID](s []T, x T) int {
 	}
 	return lo
 }
-
-// IntersectPos appends, for every x ∈ a ∩ b, the index of x in b to dst
-// and returns it — Intersect for a caller that keeps per-element state
-// beside b (GM's matched-parent sets). Indices come out ascending; merge
-// or gallop is chosen by operand size as in Intersect.
-func IntersectPos[T ID](dst []int32, a, b []T) []int32 {
-	if Choose(len(a), len(b), false) != StrategyGallop {
-		i, j := 0, 0
-		for i < len(a) && j < len(b) {
-			va, vb := a[i], b[j]
-			if va < vb {
-				i++
-			} else if va > vb {
-				j++
-			} else {
-				dst = append(dst, int32(j))
-				i++
-				j++
-			}
-		}
-		return dst
-	}
-	// Gallop through the longer operand; the emitted index is b's either way.
-	short, long, swapped := a, b, false
-	if len(a) > len(b) {
-		short, long, swapped = b, a, true
-	}
-	lo := 0
-	for i, x := range short {
-		if lo = gallop(long, lo, x); lo == len(long) {
-			break
-		}
-		if long[lo] == x {
-			if swapped {
-				dst = append(dst, int32(i))
-			} else {
-				dst = append(dst, int32(lo))
-			}
-			lo++
-		}
-	}
-	return dst
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 
@@ -473,13 +472,14 @@ func BenchmarkCountRealRows(b *testing.B) {
 
 // BenchmarkFrontierUnionRealRows times Union's two arms, the rule that
 // picks between them, and the map + sort.Slice frontier they replaced, on
-// the frontiers GM actually builds: for every root-labelled vertex of the
-// benchmark's graph (RMAT scale 14, 7 labels dealt down the degree
-// ranking), the adjacency lists of its 'c'-labelled neighbours — Figure 1's
-// one expanding level-1 node. stride=64 spreads the same rows over a 64x
-// wider ID span, which puts the typical task at the rule's boundary (one
-// bitmap word per input element): the bitmap arm still wins there, so the
-// rule errs towards sorting, and past it the bitmap outgrows its input.
+// the frontiers candidate-major GM (the Generic baseline) builds: for every
+// root-labelled vertex of the benchmark's graph (RMAT scale 14, 7 labels
+// dealt down the degree ranking), the adjacency lists of its 'c'-labelled
+// neighbours — Figure 1's one expanding level-1 node. stride=64 spreads the
+// same rows over a 64x wider ID span, which puts the typical task at the
+// rule's boundary (one bitmap word per input element): the bitmap arm still
+// wins there, so the rule errs towards sorting, and past it the bitmap
+// outgrows its input.
 func BenchmarkFrontierUnionRealRows(b *testing.B) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 14, Edges: 250_000, Seed: 42})
 	gen.DealLabels(g, 7)
@@ -538,146 +538,6 @@ func BenchmarkFrontierUnionRealRows(b *testing.B) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// gmLevel is one GM level match as a batch-gm-compute task runs it: the
-// matched-parent list every candidate of the level is intersected with, and
-// those candidates' adjacency lists.
-type gmLevel struct {
-	parents []graph.VertexID
-	adjs    [][]graph.VertexID
-}
-
-// gmLevelsRealRows rebuilds, from the benchmark's GM input (RMAT scale 14, 7
-// labels dealt down the degree ranking, Figure-1 pattern a(b, c(b, d)) =
-// labels 0(1, 2(1, 3))), the operands of every task's two level matches:
-// round 1 holds the root alone against its neighbours labelled b or c; round
-// 2 holds the root's c-neighbours against their neighbours labelled b or d —
-// what label pruning leaves of the frontier.
-func gmLevelsRealRows() (round1, round2 []gmLevel) {
-	g := gen.RMAT(gen.RMATConfig{Scale: 14, Edges: 250_000, Seed: 42})
-	gen.DealLabels(g, 7)
-	g.ForEach(func(v *graph.Vertex) bool {
-		if v.Label != 0 {
-			return true
-		}
-		l1 := gmLevel{parents: []graph.VertexID{v.ID}}
-		l2 := gmLevel{}
-		var rows [][]graph.VertexID
-		for _, u := range v.Adj {
-			switch w := g.Vertex(u); w.Label {
-			case 1:
-				l1.adjs = append(l1.adjs, w.Adj)
-			case 2:
-				l1.adjs = append(l1.adjs, w.Adj)
-				l2.parents = append(l2.parents, u)
-				rows = append(rows, w.Adj)
-			}
-		}
-		for _, x := range Union(nil, rows) {
-			if w := g.Vertex(x); w.Label == 1 || w.Label == 3 {
-				l2.adjs = append(l2.adjs, w.Adj)
-			}
-		}
-		round1 = append(round1, l1)
-		if len(l2.parents) > 0 {
-			round2 = append(round2, l2)
-		}
-		return true
-	})
-	return round1, round2
-}
-
-// BenchmarkGMLevelRealRows times a job's worth of level matches per
-// iteration on the operands above, one IntersectPos per candidate (what GM
-// ran before PosTable) against PosTable: round 1, round 2, and round 2 split
-// by the length of the parent list with the table marked whatever that
-// length — the split PosTableMinLen is read off.
-func BenchmarkGMLevelRealRows(b *testing.B) {
-	r1, r2 := gmLevelsRealRows()
-	var pos []int32
-	var tab PosTable[graph.VertexID]
-	arms := func(name, table string, levels []gmLevel, minLen int) {
-		lists := 0
-		for _, l := range levels {
-			lists += len(l.adjs)
-		}
-		perList := func(b *testing.B) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lists), "ns/list")
-		}
-		b.Run(name+"/intersectpos", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, l := range levels {
-					for _, adj := range l.adjs {
-						pos = IntersectPos(pos[:0], adj, l.parents)
-					}
-				}
-			}
-			perList(b)
-		})
-		b.Run(name+"/"+table, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, l := range levels {
-					tab.load(l.parents, len(l.adjs), minLen)
-					for _, adj := range l.adjs {
-						pos = tab.IntersectPos(pos[:0], adj)
-					}
-				}
-			}
-			perList(b)
-		})
-	}
-	arms("round1", "postable", r1, PosTableMinLen)
-	arms("round2", "postable", r2, PosTableMinLen)
-	for lo := 1; lo <= 512; lo *= 2 {
-		var levels []gmLevel
-		for _, l := range r2 {
-			if len(l.parents) >= lo && len(l.parents) < 2*lo {
-				levels = append(levels, l)
-			}
-		}
-		if len(levels) > 0 {
-			arms(fmt.Sprintf("round2/parents=%d-%d", lo, 2*lo-1), "marked", levels, 1)
-		}
-	}
-}
-
-// TestPosTableRule pins what Load reads off its operands: a list is marked
-// from PosTableMinLen elements up, when one bitmap word per 64 IDs of its
-// span is no more than its length plus the lists about to be probed.
-func TestPosTableRule(t *testing.T) {
-	run := func(n int, stride graph.VertexID) []graph.VertexID {
-		out := make([]graph.VertexID, n)
-		for i := range out {
-			out[i] = -40 + graph.VertexID(i)*stride
-		}
-		return out
-	}
-	var tab PosTable[graph.VertexID]
-	for _, c := range []struct {
-		name   string
-		b      []graph.VertexID
-		lists  int
-		marked bool
-	}{
-		{"empty", nil, 1000, false},
-		{"short", run(PosTableMinLen-1, 1), 1000, false},
-		{"dense", run(PosTableMinLen, 1), 0, true},
-		{"one word per element", run(64, 64), 0, true},
-		{"wider than its own length", run(64, 128), 0, false},
-		{"wider, but probed by enough lists", run(64, 128), 64, true},
-		{"far too wide", run(64, 1<<40), 1 << 20, false},
-	} {
-		if tab.Load(c.b, c.lists); tab.marked != c.marked {
-			t.Errorf("%s: marked %v, want %v", c.name, tab.marked, c.marked)
-		}
-		probe := append(run(8, 3), c.b...)
-		slices.Sort(probe)
-		probe = slices.Compact(probe)
-		if got, want := tab.IntersectPos(nil, probe), IntersectPos(nil, probe, c.b); !slices.Equal(got, want) {
-			t.Errorf("%s: positions %v, IntersectPos %v", c.name, got, want)
 		}
 	}
 }

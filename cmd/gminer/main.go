@@ -218,7 +218,7 @@ func main() {
 	fmt.Printf("tasks done:   %d (stolen %d)\n", res.Total.TasksDone, res.Total.Stolen)
 	fmt.Printf("network:      %d msgs, %d bytes\n", res.Total.NetMsgs, res.Total.NetBytes)
 	fmt.Printf("disk spill:   %d bytes written, %d read\n", res.Total.DiskWrite, res.Total.DiskRead)
-	fmt.Printf("cache:        %.1f%% hit rate\n", 100*res.Total.CacheHitRate())
+	fmt.Printf("cache:        %.1f%% hit rate, %d inserts past capacity\n", 100*res.Total.CacheHitRate(), res.Total.CacheOverflows)
 	if res.ResidentLists > 0 {
 		fmt.Printf("resident:     %d forward lists on every worker, %d bytes a copy\n", res.ResidentLists, res.ResidentBytes)
 	}

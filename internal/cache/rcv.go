@@ -6,6 +6,8 @@
 // "even a vertex with r = 0 could be referred again by a subsequent task".
 // If the cache is full and every entry is referenced, the retriever goes
 // to sleep until some task finishes a round and releases its references.
+// Pinned counts the referenced entries; the retriever's CMQ window is
+// bounded by it (DESIGN.md §5).
 //
 // The paper describes one cache per worker guarded by one lock; here the
 // cache is split into power-of-two shards keyed by a hash of the vertex
@@ -21,6 +23,7 @@ package cache
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"gminer/internal/graph"
 	"gminer/internal/metrics"
@@ -46,6 +49,7 @@ type shard struct {
 	zeroHead, zeroTail *entry
 	closed             bool
 	bytes              int64
+	pinned             *atomic.Int64 // the cache's count of entries with ref > 0
 }
 
 // RCV is the reference-counting vertex cache. Safe for concurrent use.
@@ -53,6 +57,7 @@ type RCV struct {
 	shards   []*shard
 	mask     uint64
 	capacity int
+	pinned   atomic.Int64
 	counters *metrics.Counters
 	tr       trace.Handle
 }
@@ -101,7 +106,7 @@ func NewSharded(capacity, shards int, counters *metrics.Counters) *RCV {
 		if i < rem {
 			sc++
 		}
-		s := &shard{capacity: sc, entries: make(map[graph.VertexID]*entry, sc)}
+		s := &shard{capacity: sc, entries: make(map[graph.VertexID]*entry, sc), pinned: &c.pinned}
 		s.cond = sync.NewCond(&s.mu)
 		c.shards[i] = s
 	}
@@ -135,6 +140,10 @@ func (c *RCV) Bytes() int64 {
 	}
 	return total
 }
+
+// Pinned returns the number of cached vertices some task holds a reference
+// to. It is exact at any quiescent point and lock-free to read.
+func (c *RCV) Pinned() int { return int(c.pinned.Load()) }
 
 // Len returns the current number of cached vertices.
 func (c *RCV) Len() int {
@@ -174,8 +183,16 @@ func (c *RCV) Acquire(id graph.VertexID) (*graph.Vertex, bool) {
 func (s *shard) refLocked(e *entry) {
 	if e.ref == 0 {
 		s.zeroRemove(e)
+		s.pinned.Add(1)
 	}
 	e.ref++
+}
+
+// addLocked caches v with the one reference its inserting task holds.
+func (s *shard) addLocked(v *graph.Vertex) {
+	s.entries[v.ID] = &entry{v: v, ref: 1}
+	s.bytes += v.FootprintBytes()
+	s.pinned.Add(1)
 }
 
 // evictLocked removes the oldest zero-ref entry of the shard.
@@ -217,9 +234,7 @@ func (c *RCV) Insert(v *graph.Vertex) bool {
 		// vertices" (§7).
 		s.cond.Wait()
 	}
-	e := &entry{v: v, ref: 1}
-	s.entries[v.ID] = e
-	s.bytes += v.FootprintBytes()
+	s.addLocked(v)
 	return true
 }
 
@@ -244,8 +259,7 @@ func (c *RCV) TryInsert(v *graph.Vertex) bool {
 		}
 		s.evictLocked(c)
 	}
-	s.entries[v.ID] = &entry{v: v, ref: 1}
-	s.bytes += v.FootprintBytes()
+	s.addLocked(v)
 	return true
 }
 
@@ -254,7 +268,8 @@ func (c *RCV) TryInsert(v *graph.Vertex) bool {
 // referenced: blocking there (the paper's sleep) could deadlock the
 // communication loop, so we overflow instead and shed the excess as
 // references drain. Overflow entries are evicted by later TryInserts the
-// same way as ordinary zero-ref entries.
+// same way as ordinary zero-ref entries. An insert past the shard's capacity
+// is counted (metrics.Snapshot.CacheOverflows).
 func (c *RCV) ForceInsert(v *graph.Vertex) {
 	s := c.shardFor(v.ID)
 	s.mu.Lock()
@@ -266,8 +281,10 @@ func (c *RCV) ForceInsert(v *graph.Vertex) {
 		s.refLocked(e)
 		return
 	}
-	s.entries[v.ID] = &entry{v: v, ref: 1}
-	s.bytes += v.FootprintBytes()
+	if len(s.entries) >= s.capacity && c.counters != nil {
+		c.counters.CacheOverflow()
+	}
+	s.addLocked(v)
 }
 
 // Release decrements the reference counts of the given vertices, called
@@ -286,6 +303,7 @@ func (c *RCV) Release(ids ...graph.VertexID) {
 		released := false
 		if e.ref == 0 {
 			s.zeroAppend(e)
+			s.pinned.Add(-1)
 			released = true
 		}
 		// Shed ForceInsert overflow now that references drained.

@@ -329,9 +329,12 @@ func TestResumeCorruptNewestEpochFallsBack(t *testing.T) {
 	want := ckptWant(g)
 	dir := t.TempDir()
 
+	// A checkpoint's quiesce first runs every ready task (and each of this
+	// algorithm's rounds sleeps): a short CPQ keeps each epoch short enough
+	// for two to commit inside this short job.
 	cfg := Config{
 		Workers: 3, Threads: 2,
-		CacheCapacity: 512, StoreMemCapacity: 256,
+		CacheCapacity: 512, StoreMemCapacity: 256, CPQHighWater: 32,
 		UseLSH:           true,
 		ProgressInterval: time.Millisecond,
 		CheckpointEvery:  3 * time.Millisecond,

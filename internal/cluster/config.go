@@ -32,7 +32,9 @@ type Config struct {
 	// of letting one greedy job take down co-resident ones.
 	MemBudget *memctl.Budget
 
-	// CacheCapacity is the RCV cache size in vertices per worker.
+	// CacheCapacity is the RCV cache size in vertices per worker. It is also
+	// the CMQ window: while tasks wait for pulls, the retriever dispatches no
+	// more once the vertices pinned in the cache plus those in flight fill it.
 	CacheCapacity int
 	// CacheShards is the RCV cache shard count per worker (rounded down
 	// to a power of two). 1 reproduces the paper's single-lock cache;
@@ -172,8 +174,6 @@ type Config struct {
 	// other requester's response.
 	PullServeWorkers int
 
-	// MaxPendingPulls bounds tasks waiting in the CMQ per worker.
-	MaxPendingPulls int
 	// CPQHighWater bounds the ready-task computation queue per worker.
 	CPQHighWater int
 	// BufferFlush is the task-buffer batch size (§4.3: "inserted into the
@@ -243,22 +243,8 @@ func (c Config) Defaults() Config {
 	if c.Partitioner == nil {
 		c.Partitioner = partition.BDG{}
 	}
-	if c.MaxPendingPulls <= 0 {
-		// The CMQ window pins remote candidates in the cache; it must stay
-		// a fraction of the cache or the RCV ordering cannot pay off.
-		c.MaxPendingPulls = c.CacheCapacity / 16
-		if c.MaxPendingPulls < 16 {
-			c.MaxPendingPulls = 16
-		}
-		if c.MaxPendingPulls > 256 {
-			c.MaxPendingPulls = 256
-		}
-	}
 	if c.CPQHighWater <= 0 {
 		c.CPQHighWater = 4 * c.Threads * 8
-		if max := c.CacheCapacity / 16; c.CPQHighWater > max && max >= 8 {
-			c.CPQHighWater = max
-		}
 	}
 	if c.BufferFlush <= 0 {
 		c.BufferFlush = 64

@@ -275,13 +275,18 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Workers <= 0 || c.Threads <= 0 || c.CacheCapacity <= 0 ||
 		c.StoreMemCapacity <= 0 || c.LSHDims <= 0 || c.StealBatch <= 0 ||
 		c.ProgressInterval <= 0 || c.Partitioner == nil ||
-		c.MaxPendingPulls <= 0 || c.CPQHighWater <= 0 || c.BufferFlush <= 0 {
+		c.CPQHighWater <= 0 || c.BufferFlush <= 0 {
 		t.Fatalf("defaults incomplete: %+v", c)
 	}
-	// Pipeline windows scale with the cache.
-	small := Config{CacheCapacity: 64}.Defaults()
-	if small.MaxPendingPulls > 64 {
-		t.Fatalf("pending window %d not scaled to cache 64", small.MaxPendingPulls)
+	// The cache is the one window: no task-count bound on the CMQ, and the
+	// CPQ bound follows the executor threads, not the cache.
+	if _, ok := reflect.TypeOf(Config{}).FieldByName("MaxPendingPulls"); ok {
+		t.Fatal("Config still has a task-count CMQ bound")
+	}
+	for _, capacity := range []int{64, 256, 1 << 16} {
+		if got := (Config{Threads: 2, CacheCapacity: capacity}).Defaults().CPQHighWater; got != 4*2*8 {
+			t.Fatalf("cache %d: CPQ high water %d, want %d", capacity, got, 4*2*8)
+		}
 	}
 }
 

@@ -41,6 +41,9 @@ func (q *taskQueue) pop() (*core.Task, bool) {
 	for {
 		if len(q.queue) > 0 {
 			t := q.queue[0]
+			// The backing array outlives the pop: a slot left set would keep
+			// a finished task, and what it points to, reachable.
+			q.queue[0] = nil
 			q.queue = q.queue[1:]
 			q.cond.Broadcast() // wake WaitBelow waiters
 			return t, true

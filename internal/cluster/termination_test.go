@@ -206,17 +206,36 @@ func TestTerminationDecision(t *testing.T) {
 // lateTasks delivers every migration batch sent through it after a seeded
 // random delay, without telling the master (no Config.Latency, no chaos
 // profile): the probe-wave path runs while batches are in flight between
-// workers that both already look idle.
+// workers that both already look idle. Pull responses bound for worker 0
+// wait at the gate until the first batch has left.
 type lateTasks struct {
 	transport.Endpoint
-	mu  sync.Mutex
-	rng *rand.Rand
+	mu   sync.Mutex
+	rng  *rand.Rand
+	gate *stealGate
 }
 
 func (e *lateTasks) Send(to int, typ uint8, payload []byte) error {
+	switch typ {
+	case msgPullResp:
+		if to != 0 {
+			break
+		}
+		cp := append([]byte(nil), payload...)
+		if e.gate.hold(func() { _ = e.Endpoint.Send(to, typ, cp) }) {
+			return nil
+		}
+	case msgProgress:
+		// Worker 0 seeded everything and its store is empty: no steal can
+		// come, so holding its responses any longer only stalls the job.
+		if rep, err := decodeProgress(payload); err == nil && rep.Worker == 0 && rep.SeedsDone && rep.StoreSize == 0 {
+			e.gate.release()
+		}
+	}
 	if typ != msgTasks {
 		return e.Endpoint.Send(to, typ, payload)
 	}
+	e.gate.release()
 	e.mu.Lock()
 	d := time.Duration(e.rng.Int63n(int64(2 * time.Millisecond)))
 	e.mu.Unlock()
@@ -225,16 +244,51 @@ func (e *lateTasks) Send(to int, typ uint8, payload []byte) error {
 	return nil
 }
 
+// stealGate makes a migration happen by construction. Worker 0 owns most of
+// a skewed partition; while its pull responses are held its parked tasks
+// cannot finish, the cache fills with what they wait for, the CMQ window
+// shuts, and the rest of its seeds stay in the task store — where the other
+// workers, idle long before, find them when they steal. The first batch
+// shipped opens the gate; so does worker 0 reporting an empty store with
+// every seed spawned (a graph too small to shut the window), and a timer.
+type stealGate struct {
+	mu   sync.Mutex
+	open bool
+	held []func()
+}
+
+// hold queues send while the gate is shut and reports whether it did.
+func (g *stealGate) hold(send func()) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.open {
+		g.held = append(g.held, send)
+	}
+	return !g.open
+}
+
+// release opens the gate and sends what it held.
+func (g *stealGate) release() {
+	g.mu.Lock()
+	held := g.held
+	g.open, g.held = true, nil
+	g.mu.Unlock()
+	for _, send := range held {
+		send()
+	}
+}
+
 // TestTerminationSoakStealUnderDelay: 200 seeded jobs on a skewed partition
-// with eager stealing in small batches, every batch delayed in flight. A
-// job that stopped with a batch unreceived would lose its tasks' output, so
-// each result must equal the sequential run's, records and aggregate.
+// with eager stealing in small batches, every batch delayed in flight and
+// the big worker's pull responses held until one has left. A job that
+// stopped with a batch unreceived would lose its tasks' output, so each
+// result must equal the sequential run's, records and aggregate.
 func TestTerminationSoakStealUnderDelay(t *testing.T) {
 	seeds := 200
 	if testing.Short() {
 		seeds = 40
 	}
-	var stolen int64
+	var stolen, migrated int64
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		g := gen.RMAT(gen.RMATConfig{Scale: 7, Edges: 700, Seed: seed})
 		sp := jobspec.Spec{App: "tc"}
@@ -261,7 +315,7 @@ func TestTerminationSoakStealUnderDelay(t *testing.T) {
 			StealBatch:       2,
 			StealLocalityMax: 2, // every task may migrate
 			ProgressInterval: 200 * time.Microsecond,
-			CacheCapacity:    64,
+			CacheCapacity:    8, // worker 0's remote candidates alone shut the window
 			StoreMemCapacity: 64,
 			UseLSH:           seed%3 == 0,
 		})
@@ -270,10 +324,12 @@ func TestTerminationSoakStealUnderDelay(t *testing.T) {
 		}
 		a := build()
 		rng := rand.New(rand.NewSource(seed))
+		gate := &stealGate{}
+		fallback := time.AfterFunc(100*time.Millisecond, gate.release)
 		j, err := s.launch(a, JobOptions{}, launchSpec{
 			newHost: func(j *Job, eps []transport.Endpoint) (workerHost, error) {
 				for i, ep := range eps {
-					eps[i] = &lateTasks{Endpoint: ep, rng: rand.New(rand.NewSource(rng.Int63()))}
+					eps[i] = &lateTasks{Endpoint: ep, rng: rand.New(rand.NewSource(rng.Int63())), gate: gate}
 				}
 				return &goroutineHost{j: j, algo: a, tables: s.oriented.tables(a, s.g, s.assign, j.cfg.GraphEpoch, false, s.tables), eps: eps, workers: make([]*Worker, len(eps))}, nil
 			},
@@ -282,6 +338,7 @@ func TestTerminationSoakStealUnderDelay(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := j.Wait()
+		fallback.Stop()
 		s.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -293,9 +350,12 @@ func TestTerminationSoakStealUnderDelay(t *testing.T) {
 			t.Fatalf("seed %d (%s): %d records, sequential %d", seed, sp.App, len(res.Records), len(want.Records))
 		}
 		stolen += res.Total.Stolen
+		if res.Total.Stolen > 0 {
+			migrated++
+		}
 	}
 	if stolen == 0 {
 		t.Fatal("no task migrated in the whole soak: the race it is about never ran")
 	}
-	t.Logf("%d seeds, %d tasks migrated under delay", seeds, stolen)
+	t.Logf("%d seeds, %d with a migration, %d tasks migrated under delay", seeds, migrated, stolen)
 }

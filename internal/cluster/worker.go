@@ -457,8 +457,8 @@ func (w *Worker) seederLoop() {
 
 // Pull requests leave in batches, as tasks enter the store: when BufferFlush
 // IDs are queued (dispatch), when the retriever is about to wait for what
-// only a response can bring — a free CMQ slot, a task in an empty store, the
-// end of a checkpoint's quiesce — and on the heartbeat. A full CPQ is not
+// only a response can bring — room in the cache, a task in an empty store,
+// the end of a checkpoint's quiesce — and on the heartbeat. A full CPQ is not
 // such a wait: the executor has work queued and every pop wakes the retriever.
 func (w *Worker) retrieverLoop() {
 	for {
@@ -468,10 +468,10 @@ func (w *Worker) retrieverLoop() {
 		if !w.waitResumed() {
 			return
 		}
-		// Backpressure: bound ready tasks and in-flight pull tasks so the
-		// references they hold cannot overflow the cache without bound.
+		// Backpressure: bound ready tasks, and the vertices parked and ready
+		// tasks hold or wait for, by the cache they live in.
 		w.cpq.waitBelow(w.cfg.CPQHighWater)
-		w.waitPendingBelow(w.cfg.MaxPendingPulls)
+		w.waitCacheRoom()
 		t, ok := w.store.TryPop()
 		if !ok {
 			// Nothing to dispatch: take in the task buffer, then block.
@@ -485,11 +485,22 @@ func (w *Worker) retrieverLoop() {
 	}
 }
 
-// waitPendingBelow blocks while the CMQ window is full, after sending the
-// pull requests still queued: only their responses can empty it.
-func (w *Worker) waitPendingBelow(n int) {
+// windowShut reports whether the CMQ window is closed: tasks are parked, and
+// the vertices pinned in the cache plus those in flight fill it. The unit is
+// vertices, not tasks, so the window widens for tasks that pin few or shared
+// vertices and narrows for ones that pin many. With nothing parked it is
+// open whatever the count, so a task whose to_pull alone exceeds the cache
+// is still dispatched. Caller holds pendMu.
+func (w *Worker) windowShut() bool {
+	return w.pendingTasks > 0 && w.cache.Pinned()+len(w.pulls) >= w.cache.Capacity()
+}
+
+// waitCacheRoom blocks while the CMQ window is shut, after sending the pull
+// requests still queued: while tasks are parked a response is on its way,
+// and each one wakes the retriever.
+func (w *Worker) waitCacheRoom() {
 	w.pendMu.Lock()
-	for w.pendingTasks >= n && !w.stopped() {
+	for w.windowShut() && !w.stopped() {
 		if w.pullCount > 0 {
 			w.pendMu.Unlock()
 			w.flushPulls()

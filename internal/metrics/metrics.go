@@ -35,6 +35,9 @@ type Counters struct {
 	// cacheHits / cacheMisses for the RCV cache.
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
+	// cacheOverflows counts vertices cached past a shard's capacity because
+	// every entry there was referenced (cache.RCV.ForceInsert).
+	cacheOverflows atomic.Int64
 	// stolen counts tasks migrated by work stealing.
 	stolen atomic.Int64
 	// ckptFails counts checkpoint epochs a worker failed to snapshot or
@@ -88,6 +91,9 @@ func (c *Counters) EmitResult() { c.results.Add(1) }
 func (c *Counters) CacheHit()  { c.cacheHits.Add(1) }
 func (c *Counters) CacheMiss() { c.cacheMisses.Add(1) }
 
+// CacheOverflow records an RCV insert past capacity.
+func (c *Counters) CacheOverflow() { c.cacheOverflows.Add(1) }
+
 // TasksStolen records n migrated tasks.
 func (c *Counters) TasksStolen(n int) { c.stolen.Add(int64(n)) }
 
@@ -109,6 +115,8 @@ type Snapshot struct {
 	CacheMisses int64
 	Stolen      int64
 	CkptFails   int64
+	// CacheOverflows rides the worker-process result only when non-zero.
+	CacheOverflows int64 `json:",omitempty"`
 }
 
 // Snapshot returns the current counter values.
@@ -127,6 +135,8 @@ func (c *Counters) Snapshot() Snapshot {
 		CacheMisses: c.cacheMisses.Load(),
 		Stolen:      c.stolen.Load(),
 		CkptFails:   c.ckptFails.Load(),
+
+		CacheOverflows: c.cacheOverflows.Load(),
 	}
 }
 
@@ -147,6 +157,8 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		CacheMisses: s.CacheMisses + o.CacheMisses,
 		Stolen:      s.Stolen + o.Stolen,
 		CkptFails:   s.CkptFails + o.CkptFails,
+
+		CacheOverflows: s.CacheOverflows + o.CacheOverflows,
 	}
 }
 

@@ -154,6 +154,8 @@ var promCounters = []promCounter{
 		func(s metrics.Snapshot) float64 { return float64(s.CacheHits) }},
 	{"gminer_cache_misses_total", "RCV cache misses.", "counter",
 		func(s metrics.Snapshot) float64 { return float64(s.CacheMisses) }},
+	{"gminer_cache_overflows_total", "RCV cache inserts past capacity (every cached vertex was referenced).", "counter",
+		func(s metrics.Snapshot) float64 { return float64(s.CacheOverflows) }},
 	{"gminer_tasks_stolen_total", "Tasks migrated by work stealing.", "counter",
 		func(s metrics.Snapshot) float64 { return float64(s.Stolen) }},
 	{"gminer_checkpoint_failures_total", "Checkpoint epochs a worker failed to snapshot or persist.", "counter",

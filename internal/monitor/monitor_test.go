@@ -152,7 +152,7 @@ func validatePromText(t *testing.T, text string) map[string]float64 {
 
 func TestMetricsEndpoint(t *testing.T) {
 	src := &fakeSource{snaps: []metrics.Snapshot{
-		{Busy: time.Second, NetBytes: 100, TasksDone: 5, CacheHits: 9, CacheMisses: 1},
+		{Busy: time.Second, NetBytes: 100, TasksDone: 5, CacheHits: 9, CacheMisses: 1, CacheOverflows: 3},
 		{Busy: 2 * time.Second, NetBytes: 200, TasksDone: 7},
 	}}
 	_, addr := startServer(t, src)
@@ -174,6 +174,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if samples[`gminer_net_bytes_total{worker="1"}`] != 200 {
 		t.Fatalf("worker 1 net bytes: %v", samples[`gminer_net_bytes_total{worker="1"}`])
+	}
+	if samples[`gminer_cache_overflows_total{worker="0"}`] != 3 {
+		t.Fatalf("worker 0 cache overflows: %v", samples[`gminer_cache_overflows_total{worker="0"}`])
 	}
 	if samples["gminer_job_done"] != 0 {
 		t.Fatalf("job done gauge: %v", samples["gminer_job_done"])

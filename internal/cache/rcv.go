@@ -57,7 +57,11 @@ type RCV struct {
 	shards   []*shard
 	mask     uint64
 	capacity int
-	pinned   atomic.Int64
+	// pinned is shared with every shard, and allocated apart from the RCV so
+	// that nothing the cache owns points back into it: an RCV nobody holds
+	// is then collectable even with a finalizer set on it (the retention
+	// tests' probe).
+	pinned   *atomic.Int64
 	counters *metrics.Counters
 	tr       trace.Handle
 }
@@ -78,7 +82,9 @@ func New(capacity int, counters *metrics.Counters) *RCV {
 // down to a power of two, clamped to [1, capacity]) holding up to
 // capacity vertices in total. Capacity is split evenly across shards,
 // with the remainder spread over the first shards so every shard holds at
-// least one vertex.
+// least one vertex. Capacity is a bound, not an allocation: shard maps
+// start empty and grow with what is pulled, so a cache sized for the
+// worst case costs what the job actually caches.
 func NewSharded(capacity, shards int, counters *metrics.Counters) *RCV {
 	if capacity < 1 {
 		capacity = 1
@@ -98,6 +104,7 @@ func NewSharded(capacity, shards int, counters *metrics.Counters) *RCV {
 		shards:   make([]*shard, n),
 		mask:     uint64(n - 1),
 		capacity: capacity,
+		pinned:   new(atomic.Int64),
 		counters: counters,
 	}
 	base, rem := capacity/n, capacity%n
@@ -106,7 +113,7 @@ func NewSharded(capacity, shards int, counters *metrics.Counters) *RCV {
 		if i < rem {
 			sc++
 		}
-		s := &shard{capacity: sc, entries: make(map[graph.VertexID]*entry, sc), pinned: &c.pinned}
+		s := &shard{capacity: sc, entries: make(map[graph.VertexID]*entry), pinned: c.pinned}
 		s.cond = sync.NewCond(&s.mu)
 		c.shards[i] = s
 	}

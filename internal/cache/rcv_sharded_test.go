@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -67,6 +68,27 @@ func TestNewShardedShardAndCapacitySplit(t *testing.T) {
 			t.Errorf("NewSharded(%d,%d): shard capacities sum to %d want %d",
 				tc.capacity, tc.shards, sum, wantCap)
 		}
+	}
+}
+
+// TestNewShardedAllocatesOnDemand: capacity bounds a cache, it does not size
+// one. Every worker of every job builds a cache of the configured capacity
+// (8192 by default) whatever the graph; preallocating each shard map at its
+// capacity cost ~200 KB a worker a job, even on a graph of 512 vertices.
+func TestNewShardedAllocatesOnDemand(t *testing.T) {
+	// The least of a few tries, so a stray allocation elsewhere in the
+	// process cannot fail the bound.
+	least := ^uint64(0)
+	for try := 0; try < 5; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := NewSharded(8192, 16, nil)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(c)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 16<<10 {
+		t.Fatalf("NewSharded(8192, 16) allocated %d bytes up front, want < 16 KiB", least)
 	}
 }
 

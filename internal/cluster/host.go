@@ -143,13 +143,16 @@ func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partitio
 
 // goroutineHost runs the job's workers as Worker structs in this process.
 // It takes any core.Algorithm value, since nothing crosses a process
-// boundary.
+// boundary. Once collect has the workers' results it lets go of everything
+// it held — workers (caches, stores, queues, spillers), algorithm, vertex
+// tables, endpoints and the job itself — so a finished *Job pins no engine
+// state and no epoch's view. Once stop has run, run, kill and recover do
+// nothing.
 type goroutineHost struct {
-	j      *Job
-	algo   core.Algorithm
-	tables vertexTables // the session's shared partition views
-
 	mu      sync.Mutex
+	j       *Job
+	algo    core.Algorithm
+	tables  vertexTables         // the session's shared partition views
 	eps     []transport.Endpoint // slot i's current endpoint (replaced by kill)
 	workers []*Worker
 	stopped bool
@@ -160,18 +163,21 @@ func (h *goroutineHost) start(i int, refs []resumeEpochRef) error {
 }
 
 func (h *goroutineHost) run(i int, refs []resumeEpochRef, strict bool) error {
-	j := h.j
 	h.mu.Lock()
-	ep := h.eps[i]
+	if h.stopped {
+		h.mu.Unlock()
+		return nil
+	}
+	j, a, tables, ep := h.j, h.algo, h.tables, h.eps[i]
 	h.mu.Unlock()
-	w, _, err := buildWorker(i, j.cfg, h.algo, h.tables, ep, j.counters[i], j.sink, refs, strict)
+	w, _, err := buildWorker(i, j.cfg, a, tables, ep, j.counters[i], j.sink, refs, strict)
 	if err != nil {
 		return err
 	}
 	w.oomFn = j.budgetAbort
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if cur := h.workers[i]; h.stopped || (cur != nil && !cur.killed.Load()) {
+	if h.stopped || (h.workers[i] != nil && !h.workers[i].killed.Load()) {
 		// Lost a race with teardown (nobody would ever stop this worker) or
 		// with another recovery of the same slot.
 		w.stop()
@@ -191,6 +197,9 @@ func (h *goroutineHost) holds(i int, epoch int64) bool {
 func (h *goroutineHost) kill(i int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if h.stopped {
+		return // the job is over: there is no pipeline left to crash
+	}
 	if w := h.workers[i]; w != nil {
 		w.kill()
 	}
@@ -203,19 +212,24 @@ func (h *goroutineHost) kill(i int) {
 
 func (h *goroutineHost) recover(i int) (bool, error) {
 	h.mu.Lock()
-	w := h.workers[i]
+	if h.stopped {
+		h.mu.Unlock()
+		return false, nil
+	}
+	j, w := h.j, h.workers[i]
 	h.mu.Unlock()
 	if w == nil || !w.killed.Load() {
 		return false, nil
 	}
-	return true, h.run(i, h.j.refsFor(i), false)
+	return true, h.run(i, j.refsFor(i), false)
 }
 
 func (h *goroutineHost) stop() {
 	h.mu.Lock()
 	h.stopped = true
+	workers := h.workers
 	h.mu.Unlock()
-	for _, w := range h.workers {
+	for _, w := range workers {
 		if w != nil {
 			w.stop()
 		}
@@ -223,16 +237,21 @@ func (h *goroutineHost) stop() {
 }
 
 // collect runs after the job's mux channel closed, which is what unblocks
-// the comm loops.
+// the comm loops. It is the host's last act: the results taken, it drops
+// the workers and everything else of the engine.
 func (h *goroutineHost) collect() ([]jobResultMsg, error) {
-	out := make([]jobResultMsg, len(h.workers))
-	for i, w := range h.workers {
+	h.mu.Lock()
+	j, workers := h.j, h.workers
+	h.j, h.algo, h.tables, h.eps, h.workers = nil, nil, vertexTables{}, nil, nil
+	h.mu.Unlock()
+	out := make([]jobResultMsg, len(workers))
+	for i, w := range workers {
 		if w == nil {
 			continue
 		}
 		w.wg.Wait()
 		w.spiller.Close()
-		out[i] = w.result(h.j.counters[i])
+		out[i] = w.result(j.counters[i])
 	}
 	return out, nil
 }

@@ -219,7 +219,8 @@ func Run(g *graph.Graph, algo core.Algorithm, cfg Config) (*Result, error) {
 // KillWorker simulates a crash of worker i: its pipeline stops without
 // flushing anything, the job's mailbox for that node is wiped (in-flight
 // messages to it are lost) and it stops serving pull requests until
-// recovered. Co-resident jobs of the same session are untouched.
+// recovered. Co-resident jobs of the same session are untouched. A no-op on
+// a finished job.
 func (j *Job) KillWorker(i int) { j.host.kill(i) }
 
 // RecoverWorker replaces a killed worker with one restored from the newest
@@ -262,7 +263,9 @@ func (j *Job) Wait() (*Result, error) {
 		// The master has terminated (or been stopped), which broadcast
 		// msgStop. Stop the workers explicitly too, close the job's mux
 		// channel so blocked comm loops unblock (the session's transport
-		// stays up for other jobs), then gather what each worker produced.
+		// stays up for other jobs), then gather what each worker produced —
+		// after which the host holds no worker, algorithm or vertex table: a
+		// finished job is its Result, whoever keeps the *Job.
 		// The job stays registered until the results are in: a process host
 		// routes them by registry lookup.
 		j.host.stop()

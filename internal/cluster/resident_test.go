@@ -295,6 +295,12 @@ func TestResidentNeverPulled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Wait's collect lets go of the workers: take them while the host
+		// still holds them, once the master is done.
+		<-j.master.doneCh
+		host.mu.Lock()
+		workerSet := host.workers
+		host.mu.Unlock()
 		res, err := j.Wait()
 		if err != nil {
 			t.Fatal(err)
@@ -310,7 +316,7 @@ func TestResidentNeverPulled(t *testing.T) {
 			if asked[id] != 0 || a.pulled[id] != 0 {
 				t.Fatalf("w%d: resident vertex %d was asked for %d times and in %d tasks' to_pull", workers, id, asked[id], a.pulled[id])
 			}
-			for _, w := range host.workers {
+			for _, w := range workerSet {
 				if _, cached := w.cache.Peek(id); cached {
 					t.Fatalf("w%d: resident vertex %d sits in worker %d's RCV cache", workers, id, w.id)
 				}

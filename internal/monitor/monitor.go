@@ -11,6 +11,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"sync"
 	"time"
@@ -233,9 +234,33 @@ func WriteTenantProm(w io.Writer, stats []TenantStat) {
 	}
 }
 
+// heapGauges are the process heap families, each read from one
+// runtime/metrics sample.
+var heapGauges = [...]struct{ sample, name, help string }{
+	{"/gc/heap/live:bytes", "gminer_heap_live_bytes", "Heap bytes the last GC cycle marked live (0 before the first cycle)."},
+	{"/gc/heap/goal:bytes", "gminer_heap_goal_bytes", "Heap size at which the next GC cycle is due."},
+}
+
+// WriteHeapProm writes the process's heap gauges. runtime/metrics reads
+// them without stopping the world, so a scrape costs the process nothing.
+func WriteHeapProm(w io.Writer) {
+	samples := make([]rtmetrics.Sample, len(heapGauges))
+	for i, h := range heapGauges {
+		samples[i].Name = h.sample
+	}
+	rtmetrics.Read(samples)
+	for i, h := range heapGauges {
+		var v uint64
+		if samples[i].Value.Kind() == rtmetrics.KindUint64 {
+			v = samples[i].Value.Uint64()
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", h.name, h.help, h.name, h.name, v)
+	}
+}
+
 // handleMetrics serves the Prometheus text exposition: per-worker counter
-// families from the progress table plus the tracer's latency histograms
-// and event counters when a tracer is attached.
+// families from the progress table, the process heap, plus the tracer's
+// latency histograms and event counters when a tracer is attached.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.writeMetrics(w)
@@ -250,6 +275,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP gminer_job_done Whether the job has terminated.\n# TYPE gminer_job_done gauge\ngminer_job_done %g\n", done)
 	fmt.Fprintf(w, "# HELP gminer_uptime_seconds Time since the monitor started.\n# TYPE gminer_uptime_seconds gauge\ngminer_uptime_seconds %s\n",
 		strconv.FormatFloat(time.Since(s.start).Seconds(), 'g', -1, 64))
+	WriteHeapProm(w)
 	if s.tracer != nil {
 		_ = s.tracer.WritePrometheus(w)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -156,6 +157,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		{Busy: 2 * time.Second, NetBytes: 200, TasksDone: 7},
 	}}
 	_, addr := startServer(t, src)
+	runtime.GC() // live heap is what the last cycle marked: have one
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +182,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if samples["gminer_job_done"] != 0 {
 		t.Fatalf("job done gauge: %v", samples["gminer_job_done"])
+	}
+	live, goal := samples["gminer_heap_live_bytes"], samples["gminer_heap_goal_bytes"]
+	if live <= 0 || goal < live {
+		t.Fatalf("heap gauges: live %v, goal %v (want 0 < live <= goal)", live, goal)
 	}
 }
 

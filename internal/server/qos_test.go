@@ -200,8 +200,10 @@ func TestLoadSheddingCheapestFirst(t *testing.T) {
 	}
 
 	_, metricsBody := fetchText(t, base+"/metrics")
-	if !strings.Contains(metricsBody, `gminer_jobs_finished_total{state="shed"} 1`) {
-		t.Fatal("shed terminal state missing from /metrics")
+	for _, want := range []string{`gminer_jobs_finished_total{state="shed"} 1`, `gminer_jobs_retained{state="shed"} 1`} {
+		if !strings.Contains(metricsBody, want) {
+			t.Fatalf("shed terminal state missing from /metrics: no %s", want)
+		}
 	}
 	cancelJob(t, base, "expensive")
 	cancelJob(t, base, "slot")
@@ -234,8 +236,34 @@ func TestOverBudgetPreemptedAtRoundBoundary(t *testing.T) {
 		t.Fatalf("preempted job result: status %d, want 409", code)
 	}
 	_, metricsBody := fetchText(t, base+"/metrics")
-	if !strings.Contains(metricsBody, `gminer_jobs_finished_total{state="preempted"} 1`) {
-		t.Fatal("preempted terminal state missing from /metrics")
+	for _, want := range []string{`gminer_jobs_finished_total{state="preempted"} 1`, `gminer_jobs_retained{state="preempted"} 1`} {
+		if !strings.Contains(metricsBody, want) {
+			t.Fatalf("preempted terminal state missing from /metrics: no %s", want)
+		}
+	}
+}
+
+// TestJobsFinishedCounterSurvivesEviction: gminer_jobs_finished_total is a
+// counter — every terminal transition, for the daemon's life — while
+// gminer_jobs_retained is what the registry still answers for. Evicting a
+// finished job lowers the gauge and never the counter. The first job
+// computes; the rest are result-cache hits, born done, and each submit
+// evicts down to the cap.
+func TestJobsFinishedCounterSurvivesEviction(t *testing.T) {
+	srv, base := startServer(t, testClusterConfig(), Config{MaxRetainedJobs: 2})
+	defer srv.Shutdown()
+	for i := 0; i < 4; i++ {
+		id := fmt.Sprintf("tc-%d", i)
+		if resp, _ := submit(t, base, fmt.Sprintf(`{"app":"tc","id":%q}`, id)); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: %d", id, resp.StatusCode)
+		}
+		awaitState(t, base, id, StateDone)
+	}
+	_, body := fetchText(t, base+"/metrics")
+	for _, want := range []string{`gminer_jobs_finished_total{state="done"} 4`, `gminer_jobs_retained{state="done"} 2`} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics lacks %s", want)
+		}
 	}
 }
 

@@ -104,7 +104,10 @@ func (c Config) defaults() Config {
 	return c
 }
 
-// job is one registry entry through its whole lifecycle.
+// job is one registry entry through its whole lifecycle. While it runs it
+// holds the engine's handles (cj, cjAtomic, tracer); once reaped it holds
+// its Result and nothing of the engine, so what a retained job costs is its
+// records and counters, not its workers or its epoch's graph views.
 type job struct {
 	id        string
 	req       JobRequest
@@ -113,15 +116,15 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	tracer    *trace.Tracer
+	tracer    *trace.Tracer // while running
 	// built is the algorithm submit's validation constructed, at graph epoch
 	// builtEpoch: the pump launches it as is unless the epoch moved while the
 	// job waited. Nil once taken.
 	built      core.Algorithm
 	builtEpoch int64
-	cj         *cluster.Job                // non-nil once launched (guarded by registry.mu)
+	cj         *cluster.Job                // while running (guarded by registry.mu)
 	cjAtomic   atomic.Pointer[cluster.Job] // same handle, for the lock-free round hook
-	result     *cluster.Result             // non-nil once done
+	result     *cluster.Result             // non-nil once reaped
 
 	// QoS bookkeeping. tenant and priority are the normalized hints;
 	// deadline/budget the effective limits (zero means none); estimate the
@@ -186,6 +189,9 @@ type registry struct {
 	// standingRounds counts delta rounds completed by the arm that served
 	// them (roundIncremental, roundFull, roundFallback), for /metrics.
 	standingRounds map[string]int64
+	// finished counts terminal transitions by state since start, for
+	// gminer_jobs_finished_total; eviction does not take them back.
+	finished map[string]int64
 	// residentLists and residentBytes are the resident set the last job
 	// reaped off G⁺ ran with (cluster.Result), for /metrics; 0 until one has.
 	residentLists int
@@ -203,6 +209,7 @@ func newRegistry(sess Cluster, cfg Config) *registry {
 		waits: make(map[string]*tenantWait),
 
 		standingRounds: make(map[string]int64),
+		finished:       make(map[string]int64),
 	}
 	if entries := cfg.ResultCacheEntries; entries >= 0 {
 		if entries == 0 {
@@ -314,8 +321,9 @@ func (r *registry) submit(req JobRequest) (*job, error) {
 	// subscription, not the baseline records.
 	if !req.Spec.Standing {
 		if res, ok := r.cache.Get(r.cacheKey(req)); ok {
-			j.state, j.result, j.cached = StateDone, res, true
-			j.started, j.finished = now, now
+			j.result, j.cached = res, true
+			r.terminateLocked(j, StateDone, nil)
+			j.started = j.finished
 			j.epoch = r.sess.GraphEpoch()
 			r.jobs[id] = j
 			r.order = append(r.order, id)
@@ -361,10 +369,17 @@ func (r *registry) finishQueuedLocked(j *job, state string, cause error) {
 	if j == nil || j.state != StateQueued {
 		return
 	}
-	j.state, j.finished = state, time.Now()
-	j.err = fmt.Errorf("%w: %w", cluster.ErrCancelled, cause)
+	r.terminateLocked(j, state, fmt.Errorf("%w: %w", cluster.ErrCancelled, cause))
 	r.recordWaitLocked(j)
 	r.cond.Broadcast()
+}
+
+// terminateLocked moves j to a terminal state — the one place a job becomes
+// terminal, so gminer_jobs_finished_total counts every such transition
+// exactly once. Callers hold r.mu.
+func (r *registry) terminateLocked(j *job, state string, err error) {
+	j.state, j.err, j.finished = state, err, time.Now()
+	r.finished[state]++
 }
 
 // recordWaitLocked folds a job's time-in-queue into its tenant's wait
@@ -405,7 +420,7 @@ func (r *registry) pumpLocked() {
 			r.sess.WithGraphRead(func() { a, err = jobspec.Build(r.sess.Graph(), j.req.Spec) })
 		}
 		if err != nil {
-			j.state, j.err, j.finished = StateFailed, err, time.Now()
+			r.terminateLocked(j, StateFailed, err)
 			r.recordWaitLocked(j)
 			continue
 		}
@@ -428,7 +443,7 @@ func (r *registry) pumpLocked() {
 		}
 		cj, err := r.sess.Launch(a, opt)
 		if err != nil {
-			j.state, j.err, j.finished = StateFailed, err, time.Now()
+			r.terminateLocked(j, StateFailed, err)
 			r.recordWaitLocked(j)
 			continue
 		}
@@ -475,7 +490,9 @@ func roundHook(j *job, budget float64, deadline time.Time) func(int64) {
 
 // reap waits out one launched job and folds its terminal state back into
 // the registry: meter the spend, cache a successful result, free the
-// concurrency slot.
+// concurrency slot. From here the job is its Result: the engine handles are
+// dropped, and every reader of a reaped job (status, result, /metrics, the
+// standing rounds) reads j.result.
 func (r *registry) reap(j *job, cj *cluster.Job) {
 	res, err := cj.Wait()
 	var cost float64
@@ -487,7 +504,9 @@ func (r *registry) reap(j *job, cj *cluster.Job) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	j.result, j.err, j.finished, j.costSeconds = res, err, time.Now(), cost
+	j.result, j.costSeconds = res, cost
+	j.cj, j.tracer = nil, nil
+	j.cjAtomic.Store(nil)
 	if res != nil && res.ResidentLists > 0 {
 		r.residentLists, r.residentBytes = res.ResidentLists, res.ResidentBytes
 	}
@@ -497,7 +516,6 @@ func (r *registry) reap(j *job, cj *cluster.Job) {
 		// set. From here each mutation batch appends one DeltaDoc. Never
 		// cached — two standing jobs must each hold a live subscription.
 		j.state = StateStanding
-		j.finished = time.Time{}
 		j.baseEpoch = j.epoch
 		if res != nil {
 			j.matchSet = append([]string(nil), res.Records...)
@@ -506,16 +524,16 @@ func (r *registry) reap(j *job, cj *cluster.Job) {
 		}
 		j.bumpDeltas()
 	case err == nil:
-		j.state = StateDone
+		r.terminateLocked(j, StateDone, nil)
 		if res != nil {
 			r.cache.Put(r.cacheKeyAt(j.req, j.epoch), res)
 		}
 	case errors.Is(err, qos.ErrOverBudget) || errors.Is(err, qos.ErrDeadline):
-		j.state = StatePreempted
+		r.terminateLocked(j, StatePreempted, err)
 	case errors.Is(err, cluster.ErrCancelled):
-		j.state = StateCancelled
+		r.terminateLocked(j, StateCancelled, err)
 	default:
-		j.state = StateFailed
+		r.terminateLocked(j, StateFailed, err)
 	}
 	// Cancelled and preempted jobs are metered too: their partial spend is
 	// real spend, and pricing an app by what its jobs actually burned —
@@ -550,7 +568,7 @@ func (r *registry) cancel(id string) (*job, error) {
 	switch j.state {
 	case StateQueued:
 		r.queue.Remove(id)
-		j.state, j.err, j.finished = StateCancelled, cluster.ErrCancelled, time.Now()
+		r.terminateLocked(j, StateCancelled, cluster.ErrCancelled)
 		r.recordWaitLocked(j)
 		r.cond.Broadcast()
 	case StateRunning:
@@ -559,7 +577,7 @@ func (r *registry) cancel(id string) (*job, error) {
 		// Ending a standing query is a plain state flip — there is no
 		// cluster job to stop between rounds. Streamers wake and see the
 		// terminal state.
-		j.state, j.err, j.finished = StateCancelled, cluster.ErrCancelled, time.Now()
+		r.terminateLocked(j, StateCancelled, cluster.ErrCancelled)
 		j.bumpDeltas()
 		r.cond.Broadcast()
 	}
@@ -615,8 +633,8 @@ func isTerminal(state string) bool {
 // terminalStates lists every terminal state in exposition order.
 var terminalStates = []string{StateDone, StateFailed, StateCancelled, StatePreempted, StateShed}
 
-// counts returns (queued, running, standing, per-terminal-state totals)
-// for /metrics and /healthz.
+// counts returns (queued, running, standing, retained jobs by terminal
+// state) for /metrics and /healthz.
 func (r *registry) counts() (queued, running, standing int, terminal map[string]int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -683,7 +701,7 @@ func (r *registry) drain(timeout time.Duration) {
 	r.draining = true
 	for _, e := range r.queue.Clear() {
 		if j := r.jobs[e.ID]; j != nil && j.state == StateQueued {
-			j.state, j.err, j.finished = StateCancelled, cluster.ErrCancelled, time.Now()
+			r.terminateLocked(j, StateCancelled, cluster.ErrCancelled)
 			r.recordWaitLocked(j)
 		}
 	}
@@ -692,7 +710,7 @@ func (r *registry) drain(timeout time.Duration) {
 	// tear down.
 	for _, j := range r.jobs {
 		if j.state == StateStanding {
-			j.state, j.err, j.finished = StateCancelled, cluster.ErrCancelled, time.Now()
+			r.terminateLocked(j, StateCancelled, cluster.ErrCancelled)
 			j.bumpDeltas()
 		}
 	}

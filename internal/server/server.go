@@ -460,14 +460,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP gminer_resident_lists Forward lists of the oriented graph held on every worker beside its own partition, as of the last job that mined it.\n# TYPE gminer_resident_lists gauge\ngminer_resident_lists %d\n", lists)
 	fmt.Fprintf(w, "# HELP gminer_resident_bytes Footprint of one copy of those lists.\n# TYPE gminer_resident_bytes gauge\ngminer_resident_bytes %d\n", bytes)
 
-	queued, running, standing, terminal := s.reg.counts()
+	queued, running, standing, retained := s.reg.counts()
+	finished := make([]int64, len(terminalStates))
+	s.reg.mu.Lock()
+	for i, st := range terminalStates {
+		finished[i] = s.reg.finished[st]
+	}
+	s.reg.mu.Unlock()
 	fmt.Fprintf(w, "# HELP gminer_jobs_standing Standing queries live on the resident graph.\n# TYPE gminer_jobs_standing gauge\ngminer_jobs_standing %d\n", standing)
 	fmt.Fprintf(w, "# HELP gminer_jobs_active Jobs currently mining on the warm cluster.\n# TYPE gminer_jobs_active gauge\ngminer_jobs_active %d\n", running)
 	fmt.Fprintf(w, "# HELP gminer_jobs_queued_total Jobs waiting in the admission queue across all tenants.\n# TYPE gminer_jobs_queued_total gauge\ngminer_jobs_queued_total %d\n", queued)
-	fmt.Fprintf(w, "# HELP gminer_jobs_finished_total Retained jobs by terminal state.\n# TYPE gminer_jobs_finished_total counter\n")
-	for _, st := range terminalStates {
-		fmt.Fprintf(w, "gminer_jobs_finished_total{state=%q} %d\n", st, terminal[st])
+	fmt.Fprintf(w, "# HELP gminer_jobs_finished_total Jobs that reached each terminal state since the daemon started.\n# TYPE gminer_jobs_finished_total counter\n")
+	for i, st := range terminalStates {
+		fmt.Fprintf(w, "gminer_jobs_finished_total{state=%q} %d\n", st, finished[i])
 	}
+	fmt.Fprintf(w, "# HELP gminer_jobs_retained Finished jobs still queryable, by terminal state (the oldest are evicted past the retention cap).\n# TYPE gminer_jobs_retained gauge\n")
+	for _, st := range terminalStates {
+		fmt.Fprintf(w, "gminer_jobs_retained{state=%q} %d\n", st, retained[st])
+	}
+	monitor.WriteHeapProm(w)
 	fmt.Fprintf(w, "# HELP gminer_uptime_seconds Time since the daemon started.\n# TYPE gminer_uptime_seconds gauge\ngminer_uptime_seconds %s\n",
 		promFloat(time.Since(s.start).Seconds()))
 }

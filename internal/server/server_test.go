@@ -375,7 +375,7 @@ func TestDrainRefusesNewJobs(t *testing.T) {
 
 // TestMetricsPerJobLabels: /metrics must expose the monitor's counter
 // families labeled per job, and — once a job has mined the oriented graph —
-// the size of the resident set it ran with.
+// the size of the resident set it ran with — beside the daemon's own heap.
 func TestMetricsPerJobLabels(t *testing.T) {
 	srv, base := startServer(t, testClusterConfig(), Config{})
 	defer srv.Shutdown()
@@ -393,5 +393,8 @@ func TestMetricsPerJobLabels(t *testing.T) {
 	_, body := fetchText(t, base+"/metrics")
 	if !strings.Contains(body, `gminer_tasks_done_total{job="metrics-probe",worker="0"}`) {
 		t.Fatalf("per-job labeled series missing from /metrics:\n%s", body[:min(len(body), 800)])
+	}
+	if goal := metricGauge(t, base, "gminer_heap_goal_bytes"); goal <= 0 {
+		t.Fatalf("gminer_heap_goal_bytes = %v: the daemon's heap is not on /metrics", goal)
 	}
 }

@@ -237,7 +237,7 @@ func (r *registry) runStandingRounds(epoch int64, pre standingPre) []DeltaDoc {
 			// silently gapping its stream.
 			r.mu.Lock()
 			if j := r.jobs[id]; j != nil && j.state == StateStanding {
-				j.state, j.err, j.finished = StateFailed, err, time.Now()
+				r.terminateLocked(j, StateFailed, err)
 				j.bumpDeltas()
 				r.cond.Broadcast()
 			}

@@ -14,7 +14,6 @@ import (
 
 	"gminer"
 	"gminer/internal/algo"
-	"gminer/internal/cluster"
 	"gminer/internal/exp"
 	"gminer/internal/gen"
 	"gminer/internal/trace"
@@ -211,19 +210,6 @@ func BenchmarkAblationCache64(b *testing.B) {
 
 func BenchmarkAblationCache4096(b *testing.B) {
 	benchRun(b, func(c *gminer.Config) { c.CacheCapacity = 4096 })
-}
-
-// Adaptive steal policy vs the fixed Eq. 2/3 thresholds on a skewed load.
-func BenchmarkAblationAdaptiveStealPolicy(b *testing.B) {
-	g := gen.MustBuild(gen.Orkut, 0.15)
-	cfg := gminer.Config{Workers: 3, Threads: 2, UseLSH: true, Stealing: true}
-	cfg.StealPolicy = cluster.NewAdaptiveCostPolicy(0.9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gminer.Run(g, algo.NewMaxClique(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkTraceOverhead quantifies what permanently compiled-in tracing

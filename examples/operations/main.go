@@ -1,7 +1,8 @@
-// Operations: the full production-shaped job flow — the input graph lives
-// on the mini distributed filesystem, the job runs with checkpointing and
-// task stealing enabled, live progress is served over HTTP, and the
-// results are written back to the DFS (§5.1's HDFS round trip).
+// Operations: the full production-shaped job flow — the input graph is
+// loaded from a file, the job runs with checkpointing and task stealing
+// enabled, live progress is served over HTTP, and the results are written
+// back to a file (§5.1's load-from / dump-to storage round trip; the paper
+// uses HDFS only as that byte source and sink).
 //
 //	go run ./examples/operations
 package main
@@ -11,33 +12,37 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"gminer"
 	"gminer/internal/algo"
-	"gminer/internal/dfs"
 	"gminer/internal/gen"
+	"gminer/internal/graph"
 	"gminer/internal/monitor"
 )
 
 func main() {
-	// 1. Ingest: store the dataset on the replicated DFS.
-	fs, err := dfs.New(dfs.Config{DataNodes: 3, Replication: 2})
+	dir, err := os.MkdirTemp("", "gminer-operations-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := dfs.SaveGraph(fs, "/datasets/orkut-s", gen.MustBuild(gen.Orkut, 0.5)); err != nil {
+	defer os.RemoveAll(dir)
+
+	// 1. Ingest: store the dataset as a text adjacency list.
+	input := filepath.Join(dir, "orkut-s.txt")
+	if err := graph.SaveFile(input, gen.MustBuild(gen.Orkut, 0.5)); err != nil {
 		log.Fatal(err)
 	}
 
-	// 2. Load (a datanode fails; replicas cover it).
-	fs.KillDataNode(2)
-	g, err := dfs.LoadGraph(fs, "/datasets/orkut-s", 0)
+	// 2. Load.
+	g, err := graph.LoadFile(input)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("loaded %d vertices / %d edges from DFS (1 datanode down)\n",
-		g.NumVertices(), g.NumEdges())
+	fmt.Printf("loaded %d vertices / %d edges from %s\n", g.NumVertices(), g.NumEdges(), input)
 
 	// 3. Run maximum clique finding with the full production config.
 	job, err := gminer.Start(g, algo.NewMaxClique(), gminer.Config{
@@ -73,13 +78,22 @@ func main() {
 	fmt.Printf("max clique: %v (in %v, %d tasks, %d stolen)\n",
 		res.AggGlobal, res.Elapsed, res.Total.TasksDone, res.Total.Stolen)
 
-	// 5. Dump results back to the DFS.
-	if err := dfs.SaveRecords(fs, "/results/mcf", res.Records); err != nil {
+	// 5. Dump results, one record per line, and read them back.
+	output := filepath.Join(dir, "mcf.txt")
+	var out strings.Builder
+	for _, rec := range res.Records {
+		out.WriteString(rec + "\n")
+	}
+	if err := os.WriteFile(output, []byte(out.String()), 0o644); err != nil {
 		log.Fatal(err)
 	}
-	back, err := dfs.LoadRecords(fs, "/results/mcf")
+	data, err := os.ReadFile(output)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote %d witness records to /results/mcf and read them back ✓\n", len(back))
+	back := strings.Count(string(data), "\n")
+	if back != len(res.Records) {
+		log.Fatalf("read back %d records, wrote %d", back, len(res.Records))
+	}
+	fmt.Printf("wrote %d witness records to %s and read them back ✓\n", back, output)
 }

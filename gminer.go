@@ -20,9 +20,9 @@
 //
 // Custom algorithms implement the Algorithm interface: Seed creates tasks
 // from local vertices, Update advances a task one round, pulling the next
-// round's candidates with Task.Pull. See internal/algo for five complete
-// applications (TC, MCF, GM, CD, GC) and examples/customalgo for a
-// walkthrough.
+// round's candidates with Task.Pull. See internal/algo for eight complete
+// applications (TC, MCF, GM, CD, GC, GL3, QC, FSM) and examples/customalgo
+// for a walkthrough.
 package gminer
 
 import (

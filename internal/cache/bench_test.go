@@ -40,7 +40,6 @@ func BenchmarkInsertEvictCycle(b *testing.B) {
 // BenchmarkAcquireParallel is the contention benchmark behind the shard
 // design: GOMAXPROCS goroutines hammering Acquire/Release on a hot set,
 // at the paper's single-lock configuration (shards=1) and sharded.
-// cmd/bench runs the same loop standalone to produce BENCH_PR3.json.
 func BenchmarkAcquireParallel(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

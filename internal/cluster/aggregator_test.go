@@ -75,13 +75,12 @@ func TestAggregatorGlobalPropagates(t *testing.T) {
 
 func TestKitchenSink(t *testing.T) {
 	// Everything on at once: TCP transport, stealing, checkpoints, spill,
-	// LSH, adaptive policy, sampling — and the answer must still be exact.
+	// LSH, sampling — and the answer must still be exact.
 	g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 3000, Seed: 409})
 	want := algo.RefMaxClique(g)
 	cfg := smallConfig()
 	cfg.UseTCP = true
 	cfg.Stealing = true
-	cfg.StealPolicy = cluster.NewAdaptiveCostPolicy(0.9)
 	cfg.CheckpointEvery = 5 * time.Millisecond
 	cfg.CheckpointDir = t.TempDir()
 	cfg.SpillDir = t.TempDir()

@@ -34,6 +34,10 @@ import (
 // garbage to decodeSnapshot and never mixes epochs across workers on a
 // full-job resume.
 
+// checkpointQuiesceTimeout bounds how long a worker waits for its pipeline
+// to quiesce before skipping a checkpoint epoch.
+const checkpointQuiesceTimeout = 10 * time.Second
+
 // workerSnapshot is one worker's checkpoint.
 type workerSnapshot struct {
 	Epoch      int64
@@ -506,8 +510,8 @@ func (w *Worker) checkpoint(epoch int64) {
 	// Quiesce: wait until every alive task is inactive in the store. Each
 	// task that parks or dies while the gate is closed wakes this wait
 	// (bufferTask, taskDead), as do stop and the deadline.
-	deadline := time.Now().Add(w.cfg.CheckpointQuiesceTimeout)
-	timer := time.AfterFunc(w.cfg.CheckpointQuiesceTimeout, w.wake)
+	deadline := time.Now().Add(checkpointQuiesceTimeout)
+	timer := time.AfterFunc(checkpointQuiesceTimeout, w.wake)
 	defer timer.Stop()
 	quiesced := func() bool {
 		w.flushBatch(w.buffer.drain())

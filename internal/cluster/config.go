@@ -65,14 +65,9 @@ type Config struct {
 	// for: half the gap between the victim's store and the thief's, never
 	// under StealBatch, and nothing when the gap itself is smaller.
 	StealBatch int
-	// StealCostMax is Tc: only tasks with c(t) = |subG|+|cand| < Tc move.
-	StealCostMax int
-	// StealLocalityMax is Tr: only tasks with lr(t) < Tr move.
+	// StealLocalityMax is Tr: only tasks with lr(t) < Tr move (Eq. 3). Tc
+	// (Eq. 2) is fixed at 4096.
 	StealLocalityMax float64
-	// StealPolicy overrides the Eq. 2/3 cost model (nil: CostPolicy built
-	// from StealCostMax/StealLocalityMax). Policies implementing
-	// TaskObserver are fed completed-task costs.
-	StealPolicy StealPolicy
 
 	// DisablePlans forces algorithms onto their generic exploration paths:
 	// KernelConfigurable algorithms are told to stay generic and no
@@ -99,9 +94,6 @@ type Config struct {
 	CheckpointEvery time.Duration
 	// CheckpointDir stores checkpoint files (empty: in-memory snapshots).
 	CheckpointDir string
-	// CheckpointQuiesceTimeout bounds how long a worker waits for its
-	// pipeline to quiesce before skipping a checkpoint epoch (default 10s).
-	CheckpointQuiesceTimeout time.Duration
 	// Resume restores the whole job from the newest committed epoch in
 	// CheckpointDir instead of starting from scratch. The manifest's job
 	// fingerprint (graph, algorithm, worker count, partitioner) must match
@@ -113,10 +105,9 @@ type Config struct {
 	FailTimeout time.Duration
 
 	// PullRetryBase is the initial wait before re-issuing an unanswered
-	// pull request; retries back off exponentially (with jitter) up to
-	// PullRetryMax. Defaults scale with ProgressInterval.
+	// pull request; retries back off exponentially (with jitter) up to 16×
+	// it. The default scales with ProgressInterval.
 	PullRetryBase time.Duration
-	PullRetryMax  time.Duration
 
 	// Chaos, if non-nil, wraps every node's endpoint with the seeded
 	// fault-injection layer (internal/chaos) and executes the profile's
@@ -167,13 +158,6 @@ type Config struct {
 	// master's control loop.
 	RoundHook func(round int64)
 
-	// PullServeWorkers is the size of the per-worker pool serving
-	// incoming pull requests. With 1, responses are encoded inline on the
-	// communication loop (the paper's request listener); more workers
-	// stop one large neighborhood read from head-of-line-blocking every
-	// other requester's response.
-	PullServeWorkers int
-
 	// CPQHighWater bounds the ready-task computation queue per worker.
 	CPQHighWater int
 	// BufferFlush is the task-buffer batch size (§4.3: "inserted into the
@@ -204,9 +188,6 @@ func (c Config) Defaults() Config {
 	if c.CacheShards <= 0 {
 		c.CacheShards = cache.DefaultShards
 	}
-	if c.PullServeWorkers <= 0 {
-		c.PullServeWorkers = 4
-	}
 	if c.StoreMemCapacity <= 0 {
 		c.StoreMemCapacity = 8192
 	}
@@ -219,26 +200,17 @@ func (c Config) Defaults() Config {
 	if c.StealBatch <= 0 {
 		c.StealBatch = 32
 	}
-	if c.StealCostMax <= 0 {
-		c.StealCostMax = 4096
-	}
 	if c.StealLocalityMax <= 0 {
 		c.StealLocalityMax = 0.9
 	}
 	if c.ProgressInterval <= 0 {
 		c.ProgressInterval = 2 * time.Millisecond
 	}
-	if c.CheckpointQuiesceTimeout <= 0 {
-		c.CheckpointQuiesceTimeout = 10 * time.Second
-	}
 	if c.PullRetryBase <= 0 {
 		// First retry after ~30 report periods: late enough that a slow
 		// response usually wins the race, early enough that a lost batch
 		// does not stall the CMQ window for long.
 		c.PullRetryBase = 30 * c.ProgressInterval
-	}
-	if c.PullRetryMax <= 0 {
-		c.PullRetryMax = 16 * c.PullRetryBase
 	}
 	if c.Partitioner == nil {
 		c.Partitioner = partition.BDG{}

@@ -5,9 +5,7 @@ import (
 
 	"gminer/internal/algo"
 	"gminer/internal/cluster"
-	"gminer/internal/core"
 	"gminer/internal/gen"
-	"gminer/internal/partition"
 )
 
 func TestGraphletCensusMatchesReference(t *testing.T) {
@@ -35,53 +33,6 @@ func TestQuasiCliqueMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameRecords(t, res.Records, want)
-}
-
-func TestAdaptiveStealPolicyCorrect(t *testing.T) {
-	g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 3000, Seed: 131})
-	want := algo.RefMaxClique(g)
-	cfg := smallConfig()
-	cfg.Stealing = true
-	cfg.Partitioner = partition.Skewed{Bias: 0.7}
-	cfg.StealPolicy = cluster.NewAdaptiveCostPolicy(0.9)
-	res, err := cluster.Run(g, algo.NewMaxClique(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.AggGlobal.(int); got != want {
-		t.Fatalf("adaptive stealing mcf: got %d want %d", got, want)
-	}
-}
-
-func TestAdaptivePolicyLearnsBound(t *testing.T) {
-	p := cluster.NewAdaptiveCostPolicy(0.9)
-	// Before observations: InitialTc applies.
-	small := taskWithCost(10)
-	huge := taskWithCost(100000)
-	if !p.Eligible(small) || p.Eligible(huge) {
-		t.Fatal("initial bound wrong")
-	}
-	// Feed small completions: the learned bound shrinks far below the
-	// initial threshold.
-	for i := 0; i < 200; i++ {
-		p.ObserveCompleted(8)
-	}
-	if !p.Eligible(taskWithCost(10)) {
-		t.Fatal("typical task rejected after learning")
-	}
-	if p.Eligible(taskWithCost(2000)) {
-		t.Fatal("outlier task accepted after learning small costs")
-	}
-}
-
-func taskWithCost(c int) *core.Task {
-	t := &core.Task{}
-	for i := 0; i < c; i++ {
-		t.Cands = append(t.Cands, 0)
-	}
-	// All candidates remote: lr(t) = 0, so only the cost bound decides.
-	t.ToPull = t.Cands
-	return t
 }
 
 func TestFreqSubgraphMatchesReference(t *testing.T) {

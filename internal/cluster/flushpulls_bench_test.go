@@ -68,7 +68,7 @@ func BenchmarkFlushPulls(b *testing.B) {
 
 // BenchmarkFlushPullsBaseline is the pre-optimization shape of the same
 // flush — fresh map, fresh per-owner slices, fresh encode buffer — kept
-// as the comparison point for the alloc drop cmd/bench records.
+// as the comparison point for BenchmarkFlushPulls' allocations.
 func BenchmarkFlushPullsBaseline(b *testing.B) {
 	w := newBenchWorker(b)
 	b.ReportAllocs()

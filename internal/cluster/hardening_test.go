@@ -59,11 +59,12 @@ func TestRetryStalePullsReresolvesOwner(t *testing.T) {
 	w.pendMu.Unlock()
 }
 
-// TestRetryDelayBacksOffAndCaps checks the exponential growth, the
-// PullRetryMax cap and the ±25%% jitter envelope.
+// TestRetryDelayBacksOffAndCaps checks the exponential growth, the cap at
+// 16× PullRetryBase and the ±25%% jitter envelope.
 func TestRetryDelayBacksOffAndCaps(t *testing.T) {
 	w, _, _ := newTestWorker(t)
-	base, max := w.cfg.PullRetryBase, w.cfg.PullRetryMax
+	base := w.cfg.PullRetryBase
+	max := 16 * base
 	w.pendMu.Lock()
 	defer w.pendMu.Unlock()
 	for i := 0; i < 50; i++ {
@@ -96,12 +97,6 @@ func (*markAlgo) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 	env.Emit(fmt.Sprintf("t %d", t.ID))
 }
 
-// takeAll admits every task to migration (CostPolicy would refuse
-// all-local tasks, whose locality rate is 1).
-type takeAll struct{}
-
-func (takeAll) Eligible(*core.Task) bool { return true }
-
 // TestRestoreVsMigrateRace delivers a MIGRATE order into a worker's
 // mailbox before the worker is rebuilt from a checkpoint, so the steal
 // executes while/just after applySnapshot repopulates the task store —
@@ -117,7 +112,9 @@ func TestRestoreVsMigrateRace(t *testing.T) {
 		Threads:          2,
 		ProgressInterval: time.Millisecond,
 		StealBatch:       8,
-		StealPolicy:      takeAll{},
+		// Tr above every locality rate admits the all-local tasks below
+		// (lr = 1), which the default Tr refuses.
+		StealLocalityMax: 2,
 	}.Defaults()
 	assign, err := partition.Hash{}.Partition(g, 2)
 	if err != nil {

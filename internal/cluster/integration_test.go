@@ -5,49 +5,8 @@ import (
 
 	"gminer/internal/algo"
 	"gminer/internal/cluster"
-	"gminer/internal/dfs"
 	"gminer/internal/gen"
 )
-
-// TestEndToEndThroughDFS exercises the paper's full job flow: the input
-// graph lives on the (mini-)distributed filesystem, the job runs on the
-// cluster runtime, and the output records are dumped back to the DFS.
-func TestEndToEndThroughDFS(t *testing.T) {
-	fs, err := dfs.New(dfs.Config{DataNodes: 3, Replication: 2, BlockSize: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, _ := gen.Community(gen.CommunityConfig{
-		Communities: 15, MinSize: 6, MaxSize: 10, PIn: 0.7, Bridges: 150, Seed: 301,
-	})
-	if err := dfs.SaveGraph(fs, "/input/graph", orig); err != nil {
-		t.Fatal(err)
-	}
-
-	// A datanode dies between ingest and load; replication covers it.
-	fs.KillDataNode(1)
-	g, err := dfs.LoadGraph(fs, "/input/graph", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cd := algo.NewCommunityDetect(0.6, 4)
-	want := algo.RefCommunities(g, cd)
-	res, err := cluster.Run(g, cd, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRecords(t, res.Records, want)
-
-	if err := dfs.SaveRecords(fs, "/output/communities", res.Records); err != nil {
-		t.Fatal(err)
-	}
-	back, err := dfs.LoadRecords(fs, "/output/communities")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRecords(t, back, want)
-}
 
 // TestDeterministicResults: with stealing disabled the record set is a
 // pure function of (graph, algorithm, partitioning) — repeated runs agree

@@ -169,7 +169,7 @@ func TestStealLocalityIgnoresResident(t *testing.T) {
 		slices.Sort(out)
 		return out
 	}
-	policies := map[string]StealPolicy{"cost": CostPolicy{Tc: 1 << 20, Tr: 0.9}, "adaptive": NewAdaptiveCostPolicy(0.9)}
+	policy := CostPolicy{Tc: 1 << 20, Tr: 0.9}
 	for _, tc := range []struct {
 		name           string
 		cands          []graph.VertexID
@@ -197,10 +197,8 @@ func TestStealLocalityIgnoresResident(t *testing.T) {
 				t.Fatalf("%s: ToPull holds %d, which worker 0 reads in place", tc.name, id)
 			}
 		}
-		for name, p := range policies {
-			if p.Eligible(task) != tc.migrates {
-				t.Fatalf("%s: %s policy eligible=%v, want %v", tc.name, name, !tc.migrates, tc.migrates)
-			}
+		if policy.Eligible(task) != tc.migrates {
+			t.Fatalf("%s: eligible=%v, want %v", tc.name, !tc.migrates, tc.migrates)
 		}
 	}
 

@@ -1,98 +1,20 @@
 package cluster
 
-import (
-	"math"
-	"sync/atomic"
+import "gminer/internal/core"
 
-	"gminer/internal/core"
-)
+// stealCostMax is the paper's Tc (Eq. 2): only tasks with
+// c(t) = |subG| + |cand| < Tc migrate.
+const stealCostMax = 4096
 
-// StealPolicy decides which inactive tasks may migrate during task
-// stealing (§6.2). The paper's fixed-threshold cost model is the default;
-// §9 names "improving its cost model for task stealing" as future work,
-// which AdaptiveCostPolicy implements.
-type StealPolicy interface {
-	// Eligible reports whether t may be migrated to another worker.
-	Eligible(t *core.Task) bool
-}
-
-// TaskObserver is implemented by policies that learn from completed
-// tasks; the runtime feeds it every finished task's migration cost.
-type TaskObserver interface {
-	ObserveCompleted(cost int)
-}
-
-// CostPolicy is the paper's Eq. 2/3 model: migrate t iff
+// CostPolicy is the paper's Eq. 2/3 model, which decides which inactive
+// tasks may migrate during task stealing (§6.2): migrate t iff
 // c(t) = |subG| + |cand| < Tc and lr(t) < Tr.
 type CostPolicy struct {
 	Tc int
 	Tr float64
 }
 
-// Eligible implements StealPolicy.
+// Eligible reports whether t may be migrated to another worker.
 func (p CostPolicy) Eligible(t *core.Task) bool {
 	return t.CostC() < p.Tc && t.LocalRate() < p.Tr
-}
-
-// AdaptiveCostPolicy replaces the fixed Tc with a learned bound: it
-// tracks an exponentially weighted moving average of completed-task cost
-// and admits tasks up to Headroom× that average. Workloads with uniformly
-// small tasks migrate freely; workloads that grow huge subgraphs keep
-// them local — without hand-tuning Tc per application.
-type AdaptiveCostPolicy struct {
-	// Tr is the locality threshold, as in Eq. 3.
-	Tr float64
-	// Headroom multiplies the average cost (default 4).
-	Headroom float64
-	// InitialTc bounds migration before any task completes (default 4096).
-	InitialTc int
-
-	ewmaMilli atomic.Int64 // cost EWMA ×1000
-	seen      atomic.Int64
-}
-
-// NewAdaptiveCostPolicy returns an adaptive policy with defaults filled.
-func NewAdaptiveCostPolicy(tr float64) *AdaptiveCostPolicy {
-	if tr <= 0 {
-		tr = 0.9
-	}
-	return &AdaptiveCostPolicy{Tr: tr, Headroom: 4, InitialTc: 4096}
-}
-
-// ObserveCompleted implements TaskObserver.
-func (p *AdaptiveCostPolicy) ObserveCompleted(cost int) {
-	p.seen.Add(1)
-	const alphaMilli = 100 // EWMA α = 0.1
-	for {
-		old := p.ewmaMilli.Load()
-		var next int64
-		if old == 0 {
-			next = int64(cost) * 1000
-		} else {
-			next = old + (int64(cost)*1000-old)*alphaMilli/1000
-		}
-		if p.ewmaMilli.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Eligible implements StealPolicy.
-func (p *AdaptiveCostPolicy) Eligible(t *core.Task) bool {
-	if t.LocalRate() >= p.Tr {
-		return false
-	}
-	if p.seen.Load() < 16 {
-		tc := p.InitialTc
-		if tc <= 0 {
-			tc = 4096
-		}
-		return t.CostC() < tc
-	}
-	headroom := p.Headroom
-	if headroom <= 0 {
-		headroom = 4
-	}
-	bound := headroom * float64(p.ewmaMilli.Load()) / 1000
-	return float64(t.CostC()) < math.Max(bound, 16)
 }

@@ -40,6 +40,11 @@ type serveScratch struct {
 	missing []graph.VertexID
 }
 
+// pullServeWorkers is the size of each worker's pull-serve pool: one large
+// neighborhood read does not head-of-line-block every other requester's
+// response.
+const pullServeWorkers = 4
+
 // pullWork is one incoming pull request queued for the serve pool.
 type pullWork struct {
 	from    int
@@ -125,11 +130,8 @@ type Worker struct {
 	stealBackoff atomic.Int32
 
 	// pullServe feeds the pull-serve worker pool: the comm loop enqueues
-	// incoming pull requests and PullServeWorkers goroutines encode and
-	// send the responses, so one expensive neighborhood read cannot
-	// head-of-line-block every other requester. Nil when
-	// PullServeWorkers <= 1 (requests are served inline, the paper's
-	// single request listener).
+	// incoming pull requests and pullServeWorkers goroutines encode and
+	// send the responses.
 	pullServe chan pullWork
 
 	paused atomic.Bool // checkpoint quiesce
@@ -146,7 +148,7 @@ type Worker struct {
 
 	masterNode  int
 	snapshots   *snapshotSink
-	stealPolicy StealPolicy
+	stealPolicy CostPolicy
 
 	// Memory budget (Config.MemBudget): budgetCharged is what this worker
 	// currently has charged (store + cache bytes; only touched from the
@@ -194,10 +196,7 @@ func newWorker(id int, cfg Config, algo core.Algorithm, dir *directory, local *l
 	w.trExec = cfg.Tracer.Handle(id, trace.CompExecutor)
 	w.trSteal = cfg.Tracer.Handle(id, trace.CompSteal)
 	w.trCkpt = cfg.Tracer.Handle(id, trace.CompCheckpoint)
-	w.stealPolicy = cfg.StealPolicy
-	if w.stealPolicy == nil {
-		w.stealPolicy = CostPolicy{Tc: cfg.StealCostMax, Tr: cfg.StealLocalityMax}
-	}
+	w.stealPolicy = CostPolicy{Tc: stealCostMax, Tr: cfg.StealLocalityMax}
 	if ap, ok := algo.(core.AggregatorProvider); ok {
 		w.agg = ap.Aggregator()
 		w.aggPartial = w.agg.Zero()
@@ -253,11 +252,11 @@ func (w *Worker) start() {
 	for i := 0; i < w.cfg.Threads; i++ {
 		loops = append(loops, w.executorLoop)
 	}
-	if w.cfg.PullServeWorkers > 1 {
-		w.pullServe = make(chan pullWork, 4*w.cfg.PullServeWorkers)
-		for i := 0; i < w.cfg.PullServeWorkers; i++ {
-			loops = append(loops, w.pullServeLoop)
-		}
+	// A few queued requests per serve goroutine, so the comm loop rarely
+	// waits behind a slow encode.
+	w.pullServe = make(chan pullWork, 4*pullServeWorkers)
+	for i := 0; i < pullServeWorkers; i++ {
+		loops = append(loops, w.pullServeLoop)
 	}
 	w.wg.Add(len(loops))
 	for _, loop := range loops {
@@ -659,16 +658,16 @@ func (w *Worker) handlePullResp(payload []byte) {
 }
 
 // retryDelay is the wait before retry number `attempts` of a pull:
-// exponential from PullRetryBase, capped at PullRetryMax, with ±25%
-// jitter so a lost batch does not retry as one synchronized burst.
-// Caller holds pendMu (the RNG is not otherwise synchronized).
+// exponential from PullRetryBase, capped at 16× it, with ±25% jitter so a
+// lost batch does not retry as one synchronized burst. Caller holds pendMu
+// (the RNG is not otherwise synchronized).
 func (w *Worker) retryDelay(attempts int) time.Duration {
-	d := w.cfg.PullRetryBase
-	for i := 0; i < attempts && d < w.cfg.PullRetryMax; i++ {
+	d, limit := w.cfg.PullRetryBase, 16*w.cfg.PullRetryBase
+	for i := 0; i < attempts && d < limit; i++ {
 		d *= 2
 	}
-	if d > w.cfg.PullRetryMax {
-		d = w.cfg.PullRetryMax
+	if d > limit {
+		d = limit
 	}
 	if half := int64(d) / 2; half > 0 {
 		d = d*3/4 + time.Duration(w.retryRng.Int63n(half))
@@ -794,9 +793,6 @@ func (w *Worker) runTask(t *core.Task, cands []*graph.Vertex) []*graph.Vertex {
 func (w *Worker) taskDead(t *core.Task) {
 	w.counters.TaskDone()
 	w.trExec.Event(trace.EvTaskDead, t.ID)
-	if obs, ok := w.stealPolicy.(TaskObserver); ok {
-		obs.ObserveCompleted(t.CostC())
-	}
 	w.activity.Add(1)
 	w.inflight.Add(-1)
 	w.reportIfIdle()
@@ -834,7 +830,6 @@ func (w *Worker) resolve(dst []*graph.Vertex, t *core.Task) []*graph.Vertex {
 // message handling.
 
 func (w *Worker) commLoop() {
-	var sc serveScratch // for requests served inline (PullServeWorkers <= 1)
 	for {
 		m, ok := w.ep.Recv()
 		if !ok || w.killed.Load() {
@@ -842,14 +837,10 @@ func (w *Worker) commLoop() {
 		}
 		switch m.Type {
 		case msgPullReq:
-			if w.pullServe != nil {
-				select {
-				case w.pullServe <- pullWork{from: m.From, payload: m.Payload}:
-				case <-w.stopCh:
-					return
-				}
-			} else {
-				w.servePull(m.From, m.Payload, &sc)
+			select {
+			case w.pullServe <- pullWork{from: m.From, payload: m.Payload}:
+			case <-w.stopCh:
+				return
 			}
 		case msgPullResp:
 			w.handlePullResp(m.Payload)

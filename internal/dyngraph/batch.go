@@ -242,7 +242,7 @@ func applyBatch(g *graph.Graph, b Batch, agg *partition.BlockAgg, touched map[gr
 
 // ApplyToGraph applies b to a frozen graph with no aggregate maintenance —
 // the replay path used to build from-scratch comparison graphs in the
-// differential suites and by cmd/bench.
+// differential suites and the benchmark's dynamic workload.
 func ApplyToGraph(g *graph.Graph, b Batch) ApplyStats {
 	return applyBatch(g, b, nil, nil)
 }

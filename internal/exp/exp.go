@@ -204,18 +204,6 @@ func gminerRun(g *graph.Graph, algoImpl core.Algorithm, cfg cluster.Config, time
 	}
 }
 
-// MaxWorkerBusy returns the busiest worker's compute time — the modeled
-// critical path for the scalability figures.
-func MaxWorkerBusy(res *cluster.Result) time.Duration {
-	var max time.Duration
-	for _, w := range res.PerWorker {
-		if w.Busy > max {
-			max = w.Busy
-		}
-	}
-	return max
-}
-
 // ModelElapsed applies the measurement model described in the package
 // comment. Per worker, compute (busy/threads) and its own link's traffic
 // overlap — that is exactly what the task pipeline buys — so a worker's

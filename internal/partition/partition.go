@@ -60,12 +60,6 @@ func (a *Assignment) Sizes() []int {
 	return sizes
 }
 
-// BlockShift returns the block shift of a block-backed assignment, or
-// (0, false) for a vertex-backed one.
-func (a *Assignment) BlockShift() (uint, bool) {
-	return a.blockShift, a.blockOwner != nil
-}
-
 // BlockOwners returns the block→worker map of a block-backed assignment
 // (nil for a vertex-backed one). The map is shared, not copied: callers
 // must treat it as read-only.

@@ -64,7 +64,6 @@ type MutableCluster interface {
 // in-process Session does not implement it (its workers are goroutines —
 // alive iff the daemon is).
 type WorkerHealthReporter interface {
-	Ready() bool
 	WorkerHealth() []cluster.WorkerStatus
 }
 
@@ -141,12 +140,6 @@ func (s *Server) SubmitJob(req JobRequest) error {
 	_, err := s.reg.submit(req)
 	return err
 }
-
-// InvalidateResultCache drops every cached result. Any future path that
-// replaces or mutates the resident graph must call it — the graph
-// fingerprint in the cache key already isolates graphs, so this is
-// correctness belt-and-braces plus immediate memory release.
-func (s *Server) InvalidateResultCache() { s.reg.invalidateCache() }
 
 // Shutdown is the graceful stop behind SIGINT/SIGTERM: refuse new jobs,
 // cancel the queue, give running jobs up to the drain timeout to finish

@@ -275,12 +275,6 @@ func (t *Tracer) EnableEvents() *Tracer {
 	return t
 }
 
-// Disable turns all recording off; already-recorded data is kept.
-func (t *Tracer) Disable() {
-	t.enabled.Store(false)
-	t.events.Store(false)
-}
-
 // Enabled reports whether the tracer records anything. Nil-safe.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 

@@ -220,7 +220,7 @@ func main() {
 	fmt.Printf("disk spill:   %d bytes written, %d read\n", res.Total.DiskWrite, res.Total.DiskRead)
 	fmt.Printf("cache:        %.1f%% hit rate, %d inserts past capacity\n", 100*res.Total.CacheHitRate(), res.Total.CacheOverflows)
 	if res.ResidentLists > 0 {
-		fmt.Printf("resident:     %d forward lists on every worker, %d bytes a copy\n", res.ResidentLists, res.ResidentBytes)
+		fmt.Printf("resident:     %d forward lists on every worker, %d bytes a copy, %d as bit rows\n", res.ResidentLists, res.ResidentBytes, res.ResidentRows)
 	}
 	if res.LastCheckpointErr != nil {
 		fmt.Printf("checkpoint:   %d failed attempts, last: %v\n", res.Total.CkptFails, res.LastCheckpointErr)

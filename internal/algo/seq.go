@@ -5,6 +5,7 @@ import (
 
 	"gminer/internal/core"
 	"gminer/internal/graph"
+	"gminer/internal/kernels"
 )
 
 // SeqRun executes an Algorithm sequentially over the whole graph with
@@ -21,9 +22,10 @@ type SeqResult struct {
 }
 
 // SeqRun runs algoImpl to completion over g — over its degree-oriented
-// view, derived here the way the cluster runtime derives it, for an
-// algorithm that asks to mine that (core.OrientedMiner) — and makes the
-// cluster's label offer (core.LabelPruner), so the two compare as engines.
+// view and that view's resident core, both derived here the way the cluster
+// runtime derives them, for an algorithm that asks to mine that
+// (core.OrientedMiner) — and makes the cluster's label offer
+// (core.LabelPruner), so the two compare as engines.
 func SeqRun(g *graph.Graph, algoImpl core.Algorithm) *SeqResult {
 	return SeqRunSeeds(g, algoImpl, nil)
 }
@@ -36,7 +38,9 @@ func SeqRunSeeds(g *graph.Graph, algoImpl core.Algorithm, seeds []graph.VertexID
 		lp.PruneByLabel(g.LabelColumn())
 	}
 	if om, ok := algoImpl.(core.OrientedMiner); ok && g.Frozen() {
-		if gplus := graph.Orient(g); om.MineOriented(gplus) {
+		gplus := graph.Orient(g)
+		ids, refs := graph.HotLists(g, gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
+		if om.MineOriented(gplus, kernels.NewResidentCore(gplus, ids, refs)) {
 			g = gplus
 		}
 	}

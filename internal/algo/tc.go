@@ -24,7 +24,10 @@ import (
 //     counted at its lowest (degree, ID) vertex. On a graph whose IDs are
 //     dense the seed's list is marked once per task in a bitmap over the ID
 //     span and every candidate list is one probe per element; otherwise the
-//     two short lists go through the merge/gallop kernels.
+//     two short lists go through the merge/gallop kernels. When the runtime
+//     also offers the view's resident core (kernels.ResidentCore), the task
+//     marks its resident candidates by the core's index as well, and a
+//     candidate whose list is a bit row is counted a word at a time.
 //   - generic (the default, and the differential baseline): candidates are
 //     the neighbors u > v of the undirected graph, probed by binary search
 //     — each triangle is counted at its minimum-ID vertex.
@@ -39,9 +42,17 @@ type TriangleCount struct {
 
 	oriented bool
 	// base and bitmaps are set when the oriented graph's IDs are dense: a
-	// task marks ID x as bit x-base of a pooled bitmap over the ID span.
+	// task marks ID x as bit x-base of a pooled bitmap over the ID span
+	// (a *tcScratch), and with a core its resident candidates in the marks.
 	base    graph.VertexID
 	bitmaps *sync.Pool
+	core    *kernels.ResidentCore
+}
+
+// tcScratch is one task's working memory on the bitmap path.
+type tcScratch struct {
+	ids   *kernels.Scratch
+	marks []uint64 // by resident index; nil without a core
 }
 
 // NewTriangleCount returns the TC application.
@@ -59,21 +70,27 @@ func (*TriangleCount) Aggregator() core.Aggregator { return core.SumInt64Aggrega
 // until the runtime offers G⁺.
 func (a *TriangleCount) ConfigureKernels(_ *kernels.CSR, generic bool) {
 	a.Generic = a.Generic || generic
-	a.oriented, a.bitmaps = false, nil
+	a.oriented, a.bitmaps, a.core = false, nil, nil
 }
 
 // MineOriented implements core.OrientedMiner. The bitmap is used when the
 // view's IDs are dense (graph.DenseIDs: then it is no bigger than the vertex
 // table, one bit per ID against one pointer per vertex) — a property of the
-// input, not a knob.
-func (a *TriangleCount) MineOriented(gplus *graph.Graph) bool {
+// input, not a knob — and so is the resident core, which exists only then.
+func (a *TriangleCount) MineOriented(gplus *graph.Graph, rc *kernels.ResidentCore) bool {
 	if a.Generic {
 		return false
 	}
 	a.oriented = true
 	if base, span, ok := gplus.DenseIDs(); ok {
-		a.base = base
-		a.bitmaps = &sync.Pool{New: func() any { return kernels.NewScratch(span) }}
+		a.base, a.core = base, rc
+		a.bitmaps = &sync.Pool{New: func() any {
+			sc := &tcScratch{ids: kernels.NewScratch(span)}
+			if rc != nil {
+				sc.marks = make([]uint64, rc.Words())
+			}
+			return sc
+		}}
 	}
 	return true
 }
@@ -117,15 +134,31 @@ func (a *TriangleCount) Update(t *core.Task, cands []*graph.Vertex, env core.Env
 				count += int64(kernels.Count(u.Adj, t.Cands))
 			}
 		}
-	default:
-		sc := a.bitmaps.Get().(*kernels.Scratch)
-		kernels.MarkAll(sc, t.Cands, a.base)
+	case a.core == nil:
+		sc := a.bitmaps.Get().(*tcScratch)
+		kernels.MarkAll(sc.ids, t.Cands, a.base)
 		for _, u := range cands {
 			if u != nil {
-				count += int64(kernels.CountMarked(sc, u.Adj, a.base))
+				count += int64(kernels.CountMarked(sc.ids, u.Adj, a.base))
 			}
 		}
-		sc.Reset()
+		sc.ids.Reset()
+		a.bitmaps.Put(sc)
+	default:
+		sc := a.bitmaps.Get().(*tcScratch)
+		a.core.MarkAll(sc.ids, sc.marks, t.Cands)
+		for _, u := range cands {
+			if u == nil {
+				continue
+			}
+			n, row := a.core.Count(sc.ids, sc.marks, u.ID)
+			if !row {
+				n = kernels.CountMarked(sc.ids, u.Adj, a.base)
+			}
+			count += int64(n)
+		}
+		sc.ids.Reset()
+		clear(sc.marks)
 		a.bitmaps.Put(sc)
 	}
 	if count > 0 {

@@ -36,9 +36,11 @@ type directory struct {
 	tables []map[graph.VertexID]*graph.Vertex
 
 	// residentLists and residentBytes size the resident set (reporting, and
-	// the workers' memory accounts).
+	// the workers' memory accounts); residentRows counts the lists the view's
+	// resident core holds as bit rows (0: the view offers no core).
 	residentLists int
 	residentBytes int64
+	residentRows  int
 }
 
 // dirSlot is 16 bytes, resident mark and label included: they sit in what
@@ -53,12 +55,6 @@ type dirSlot struct {
 // denseWorkers is the largest cluster the dense arm's slot can name an owner
 // in; a larger one reads the graph through the sparse arm.
 const denseWorkers = math.MaxInt16
-
-// residentBudgetPerVertex is the byte budget of a view's resident set, per
-// vertex of the view: what a dirSlot weighs. The columns replicated on every
-// worker may double for the lists that save the most pulls, no more — a
-// budget read off the structure it rides in, so there is nothing to tune.
-const residentBudgetPerVertex = 16
 
 // newDirectory fills the directory of view g in one pass over its vertices.
 // visit, if non-nil, is shown every owned vertex with its owner on the way:

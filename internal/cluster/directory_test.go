@@ -160,6 +160,9 @@ func TestScansMatchAssignmentLocal(t *testing.T) {
 						ref.footprint += gplus.Vertex(id).FootprintBytes()
 					}
 				}
+				if view.core != nil {
+					ref.footprint += view.core.Bytes()
+				}
 				if !slices.Equal(lt.ids, ref.ids) || lt.footprint != ref.footprint {
 					t.Fatalf("%s/%s: worker %d oriented scan (%d ids, %d B) is not the reference's over G⁺ (%d ids, %d B)",
 						gname, p.Name(), w, len(lt.ids), lt.footprint, len(ref.ids), ref.footprint)

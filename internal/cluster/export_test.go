@@ -41,8 +41,28 @@ func (o *orientedView) residentIDs() []graph.VertexID {
 	return ids
 }
 
+// residentCore sizes the view's resident core — its bit rows — and names it
+// by its fingerprint; (0, 0) before the first job that mined the view, and on
+// a view that offers none.
+func (o *orientedView) residentCore() (rows int, fingerprint uint64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.core == nil {
+		return 0, 0
+	}
+	return o.core.Rows(), o.core.Fingerprint()
+}
+
 // ResidentIDs is the resident set of the session's current oriented view.
 func (s *Session) ResidentIDs() []graph.VertexID { return s.oriented.residentIDs() }
 
 // ResidentIDs is the resident set of the process's oriented view.
 func (wp *WorkerProcess) ResidentIDs() []graph.VertexID { return wp.oriented.residentIDs() }
+
+// ResidentCore is the resident core of the session's current oriented view.
+func (s *Session) ResidentCore() (rows int, fingerprint uint64) { return s.oriented.residentCore() }
+
+// ResidentCore is the resident core of the process's oriented view.
+func (wp *WorkerProcess) ResidentCore() (rows int, fingerprint uint64) {
+	return wp.oriented.residentCore()
+}

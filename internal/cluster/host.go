@@ -8,6 +8,7 @@ import (
 	"gminer/internal/core"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
+	"gminer/internal/kernels"
 	"gminer/internal/metrics"
 	"gminer/internal/partition"
 	"gminer/internal/trace"
@@ -72,7 +73,7 @@ func buildWorker(id int, cfg Config, a core.Algorithm, vt vertexTables, ep trans
 // result is what a finished worker contributes to the job's Result.
 func (w *Worker) result(counters *metrics.Counters) jobResultMsg {
 	res := jobResultMsg{Worker: w.id, Records: w.takeResults(), Counters: counters.Snapshot(),
-		ResidentLists: w.dir.residentLists, ResidentBytes: w.dir.residentBytes}
+		ResidentLists: w.dir.residentLists, ResidentBytes: w.dir.residentBytes, ResidentRows: w.dir.residentRows}
 	if err := w.lastCheckpointErr(); err != nil {
 		res.CkptErr = err.Error()
 	}
@@ -80,7 +81,8 @@ func (w *Worker) result(counters *metrics.Counters) jobResultMsg {
 }
 
 // orientedView caches G⁺ — the degree-oriented view of the resident graph
-// (graph.Orient) — and the vertex tables over it, resident set included, for
+// (graph.Orient) — and the vertex tables over it, resident set included, and
+// the resident core (kernels.ResidentCore, nil when the view offers none) for
 // one graph epoch: pure functions of the frozen graph and the partition,
 // built by the first job that mines G⁺ after start-up or a mutation epoch
 // and shared read-only by every later one. Every process of a cluster cuts
@@ -89,6 +91,7 @@ type orientedView struct {
 	mu    sync.Mutex
 	epoch int64
 	g     *graph.Graph
+	core  *kernels.ResidentCore
 	vertexTables
 }
 
@@ -117,28 +120,38 @@ func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partitio
 	defer o.mu.Unlock()
 	if o.g == nil || o.epoch != epoch {
 		o.g, o.epoch = graph.Orient(g), epoch
-		o.vertexTables = vertexTables{locals: make([]*localTable, len(base.locals))}
+		o.cut(g, assign, base)
 	}
-	if !om.MineOriented(o.g) {
+	if !om.MineOriented(o.g, o.core) {
 		return base
 	}
-	if o.dir == nil {
-		// G⁺ has the base view's vertices and owners, so each worker's scan
-		// is base's; only what a vertex weighs differs, and the directory's
-		// pass sums that. The view's hottest forward lists stay on every
-		// worker, up to the weight of the directory they are marked in.
-		foot := make([]int64, len(base.locals))
-		dir := newDirectory(o.g, assign, func(v *graph.Vertex, w int) { foot[w] += v.FootprintBytes() })
-		budget := residentBudgetPerVertex * int64(o.g.NumVertices())
-		dir.keepResident(graph.HotLists(g, o.g, budget), foot)
-		o.dir = dir
-		for i, lt := range base.locals {
-			if lt != nil {
-				o.locals[i] = &localTable{ids: lt.ids, footprint: foot[i]}
-			}
+	return o.vertexTables
+}
+
+// cut builds the tables and the resident core over the freshly oriented view
+// of g. G⁺ has the base view's vertices and owners, so each worker's scan is
+// base's; only what a vertex weighs differs, and the directory's pass sums
+// that. The view's hottest forward lists stay on every worker, up to the
+// weight of the directory they are marked in, and the core re-expresses them
+// as bit rows when that pays; every worker's account carries both.
+func (o *orientedView) cut(g *graph.Graph, assign *partition.Assignment, base vertexTables) {
+	foot := make([]int64, len(base.locals))
+	dir := newDirectory(o.g, assign, func(v *graph.Vertex, w int) { foot[w] += v.FootprintBytes() })
+	ids, refs := graph.HotLists(g, o.g, graph.ResidentBudgetPerVertex*int64(o.g.NumVertices()))
+	dir.keepResident(ids, foot)
+	o.core = kernels.NewResidentCore(o.g, ids, refs)
+	if o.core != nil {
+		dir.residentRows = o.core.Rows()
+		for w := range foot {
+			foot[w] += o.core.Bytes()
 		}
 	}
-	return o.vertexTables
+	o.vertexTables = vertexTables{dir: dir, locals: make([]*localTable, len(base.locals))}
+	for i, lt := range base.locals {
+		if lt != nil {
+			o.locals[i] = &localTable{ids: lt.ids, footprint: foot[i]}
+		}
+	}
 }
 
 // goroutineHost runs the job's workers as Worker structs in this process.

@@ -47,8 +47,11 @@ type Result struct {
 	// ResidentLists and ResidentBytes size the job's resident set: the
 	// forward lists of G⁺ every worker held beside its own partition, and
 	// what one copy of them weighs. 0 for a job on the undirected graph.
+	// ResidentRows counts the resident lists the view's resident core held
+	// as bit rows (kernels.ResidentCore; 0 when the view offered none).
 	ResidentLists int
 	ResidentBytes int64
+	ResidentRows  int
 	// LastCheckpointErr is the most recent checkpoint persist/commit
 	// failure observed during the run (nil when every epoch landed). The
 	// job still completes — durability degraded, correctness did not — but
@@ -288,7 +291,7 @@ func (j *Job) Wait() (*Result, error) {
 				res.LastCheckpointErr = errors.New(r.CkptErr)
 			}
 			if r.ResidentLists > 0 {
-				res.ResidentLists, res.ResidentBytes = r.ResidentLists, r.ResidentBytes
+				res.ResidentLists, res.ResidentBytes, res.ResidentRows = r.ResidentLists, r.ResidentBytes, r.ResidentRows
 			}
 		}
 		// The master's own traffic is node K's counters.

@@ -67,6 +67,18 @@ func orientedRef(t *testing.T, g *graph.Graph) (want, seeds int64) {
 	return want, seeds
 }
 
+// coreRef is the resident core every process must cut of g's view, the way
+// SeqRun cuts it: its bit rows and fingerprint, (0, 0) when the view offers
+// none.
+func coreRef(g *graph.Graph) (rows int, fingerprint uint64) {
+	gplus := graph.Orient(g)
+	ids, refs := graph.HotLists(g, gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
+	if c := kernels.NewResidentCore(gplus, ids, refs); c != nil {
+		return c.Rows(), c.Fingerprint()
+	}
+	return 0, 0
+}
+
 func differentialGraphs() map[string]*graph.Graph {
 	rmat := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 5000, Seed: 17})
 	community, _ := gen.Community(gen.CommunityConfig{Communities: 50, MinSize: 5, MaxSize: 10, PIn: 0.7, Bridges: 150, Seed: 17})
@@ -82,10 +94,16 @@ func differentialGraphs() map[string]*graph.Graph {
 // the oriented seed set — SeqRun's task count — not the ID-order one) with
 // the view's resident set in place, which the generic job never has. The
 // spilling shapes seed eagerly into a 16-task store, so most tasks go through
-// a spill block and come back with the to_pull they were spilled with.
+// a spill block and come back with the to_pull they were spilled with. Every
+// shape cuts the resident core SeqRun cuts (the RMAT views offer one), and its
+// jobs report its rows.
 func TestOrientedTCDifferential(t *testing.T) {
 	for name, g := range differentialGraphs() {
 		want, seeds := orientedRef(t, g)
+		rows, fingerprint := coreRef(g)
+		if (rows > 0) != (name == "rmat") {
+			t.Fatalf("%s: the view's resident core has %d rows", name, rows)
+		}
 		for _, workers := range []int{1, 2, 4} {
 			for _, part := range []partition.Partitioner{partition.BDG{}, partition.Hash{}} {
 				for _, stealing := range []bool{false, true} {
@@ -128,6 +146,12 @@ func TestOrientedTCDifferential(t *testing.T) {
 							if mode == "spill" && res.Total.DiskWrite == 0 {
 								t.Fatalf("%s generic=%v: the job never spilled", shape, generic)
 							}
+							if wantRows := map[bool]int{false: rows}[generic]; res.ResidentRows != wantRows {
+								t.Fatalf("%s generic=%v: %d rows reported, want %d", shape, generic, res.ResidentRows, wantRows)
+							}
+						}
+						if r, fp := s.ResidentCore(); r != rows || fp != fingerprint {
+							t.Fatalf("%s: the session's core has %d rows (%x), SeqRun's %d (%x)", shape, r, fp, rows, fingerprint)
 						}
 						s.Close()
 					}
@@ -140,10 +164,12 @@ func TestOrientedTCDifferential(t *testing.T) {
 // The same differential through worker processes over loopback TCP: each
 // process cuts its own view of its own copy of the graph, once, and every
 // later oriented job of the process shares it. Every process — and a
-// one-process session over the same graph — keeps the same lists resident.
+// one-process session over the same graph — keeps the same lists resident and
+// cuts the same resident core.
 func TestOrientedTCRemoteSession(t *testing.T) {
 	for name, g := range differentialGraphs() {
 		want, seeds := orientedRef(t, g)
+		rows, fingerprint := coreRef(g)
 		cfg := smallConfig()
 		cfg.Partitioner = partition.Hash{}
 		rs, wps := remoteTestCluster(t, g, cfg,
@@ -166,13 +192,16 @@ func TestOrientedTCRemoteSession(t *testing.T) {
 				t.Fatalf("%s launch %d: oriented job ran %d tasks, the oriented graph seeds %d", name, launch, res.Total.TasksDone, seeds)
 			}
 			// The workers' own report: the coordinator cuts no view to count.
-			if generic != (res.ResidentLists == 0) {
-				t.Fatalf("%s launch %d generic=%v: %d resident lists", name, launch, generic, res.ResidentLists)
+			if generic != (res.ResidentLists == 0) || res.ResidentRows != map[bool]int{false: rows}[generic] {
+				t.Fatalf("%s launch %d generic=%v: %d resident lists, %d rows", name, launch, generic, res.ResidentLists, res.ResidentRows)
 			}
 		}
 		for i, wp := range wps {
 			if ids := wp.ResidentIDs(); !reflect.DeepEqual(ids, wps[0].ResidentIDs()) || len(ids) == 0 {
 				t.Fatalf("%s: worker process %d keeps %d lists resident, process 0 %d", name, i, len(ids), len(wps[0].ResidentIDs()))
+			}
+			if r, fp := wp.ResidentCore(); r != rows || fp != fingerprint {
+				t.Fatalf("%s: worker process %d cut a core of %d rows (%x), SeqRun %d (%x)", name, i, r, fp, rows, fingerprint)
 			}
 		}
 		ref, err := cluster.NewSession(g, cfg)
@@ -187,6 +216,9 @@ func TestOrientedTCRemoteSession(t *testing.T) {
 		}
 		if ids := ref.ResidentIDs(); !reflect.DeepEqual(ids, wps[0].ResidentIDs()) {
 			t.Fatalf("%s: a session keeps %d lists resident, the worker processes %d", name, len(ids), len(wps[0].ResidentIDs()))
+		}
+		if r, fp := ref.ResidentCore(); r != rows || fp != fingerprint {
+			t.Fatalf("%s: a session cut a core of %d rows (%x), the worker processes %d (%x)", name, r, fp, rows, fingerprint)
 		}
 		ref.Close()
 		rs.Close()

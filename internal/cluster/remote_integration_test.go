@@ -12,6 +12,7 @@ import (
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
+	"gminer/internal/kernels"
 	"gminer/internal/partition"
 )
 
@@ -121,9 +122,9 @@ type viewSpy struct {
 	offers int
 }
 
-func (k *viewSpy) MineOriented(gplus *graph.Graph) bool {
+func (k *viewSpy) MineOriented(gplus *graph.Graph, rc *kernels.ResidentCore) bool {
 	k.offers++
-	return k.TriangleCount.MineOriented(gplus)
+	return k.TriangleCount.MineOriented(gplus, rc)
 }
 
 // The coordinator of a multi-process job hosts no worker, so it must not

@@ -97,11 +97,12 @@ type jobResultMsg struct {
 	Worker   int              `json:"worker"`
 	Records  []string         `json:"records"`
 	Counters metrics.Snapshot `json:"counters"`
-	// ResidentLists and ResidentBytes size the resident set of the view the
-	// worker ran on (0 on the base view); every worker of a job reports the
-	// same pair.
+	// ResidentLists, ResidentBytes and ResidentRows size the resident set of
+	// the view the worker ran on and its core (0 on the base view); every
+	// worker of a job reports the same three.
 	ResidentLists int   `json:"resident_lists,omitempty"`
 	ResidentBytes int64 `json:"resident_bytes,omitempty"`
+	ResidentRows  int   `json:"resident_rows,omitempty"`
 	// CkptErr is the worker's last checkpoint persist failure ("" = none).
 	CkptErr string `json:"ckpt_err,omitempty"`
 	// Gen is the sender's fencing generation; the coordinator refuses a

@@ -57,17 +57,18 @@ func orientedTables(t testing.TB, g *graph.Graph, p partition.Partitioner, k int
 // directory slot per vertex. local answers for a resident vertex on every
 // worker and for anything else on its owner alone, owner still names the
 // owner, each worker's memory account carries the resident lists it does not
-// own, and the slot has not grown.
+// own and the view's resident core (cut on the array arm only), and the slot
+// has not grown.
 func TestResidentColumn(t *testing.T) {
-	if size := unsafe.Sizeof(dirSlot{}); size != residentBudgetPerVertex {
-		t.Fatalf("dirSlot is %d bytes, the resident budget %d per vertex", size, residentBudgetPerVertex)
+	if size := unsafe.Sizeof(dirSlot{}); size != graph.ResidentBudgetPerVertex {
+		t.Fatalf("dirSlot is %d bytes, the resident budget %d per vertex", size, graph.ResidentBudgetPerVertex)
 	}
 	dense := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 9000, Seed: 5})
 	strided, relabel := stridedIDs(dense)
 	var byArm [2][]graph.VertexID
 	for arm, g := range []*graph.Graph{dense, strided} {
 		gplus := graph.Orient(g)
-		want := graph.HotLists(g, gplus, residentBudgetPerVertex*int64(g.NumVertices()))
+		want, _ := graph.HotLists(g, gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
 		for _, p := range []partition.Partitioner{partition.Hash{}, partition.BDG{}} {
 			const k = 3
 			ot, view, _ := orientedTables(t, g, p, k, allWorkers(k))
@@ -103,12 +104,19 @@ func TestResidentColumn(t *testing.T) {
 				}
 				return true
 			})
-			if d.residentBytes != bytes || bytes > residentBudgetPerVertex*int64(g.NumVertices()) {
-				t.Fatalf("arm %d/%s: resident set weighs %d B by the directory, %d B by the lists, budget %d", arm, p.Name(), d.residentBytes, bytes, residentBudgetPerVertex*g.NumVertices())
+			if d.residentBytes != bytes || bytes > graph.ResidentBudgetPerVertex*int64(g.NumVertices()) {
+				t.Fatalf("arm %d/%s: resident set weighs %d B by the directory, %d B by the lists, budget %d", arm, p.Name(), d.residentBytes, bytes, graph.ResidentBudgetPerVertex*g.NumVertices())
+			}
+			// The core is an ID-indexed structure: the dense arm's alone.
+			if (view.core != nil) != (arm == 0) || (arm == 0 && d.residentRows != view.core.Rows()) {
+				t.Fatalf("arm %d/%s: resident core cut = %v, directory reports %d rows", arm, p.Name(), view.core != nil, d.residentRows)
 			}
 			for self, lt := range ot.locals {
+				if view.core != nil {
+					foot[self] += view.core.Bytes()
+				}
 				if lt.footprint != foot[self] {
-					t.Fatalf("arm %d/%s: worker %d accounts %d B of graph, its partition and the resident lists weigh %d", arm, p.Name(), self, lt.footprint, foot[self])
+					t.Fatalf("arm %d/%s: worker %d accounts %d B of graph, its partition, the resident lists and core weigh %d", arm, p.Name(), self, lt.footprint, foot[self])
 				}
 			}
 

@@ -508,7 +508,7 @@ func TestResidentSetFollowsGraphEpoch(t *testing.T) {
 	if _, hot := slices.BinarySearch(newIDs, cold); !hot {
 		t.Fatalf("vertex %d, now in %d lists, is not resident on epoch 1", cold, len(g.Vertex(cold).Adj))
 	}
-	want := graph.HotLists(g, graph.Orient(g), residentBudgetPerVertex*int64(g.NumVertices()))
+	want, _ := graph.HotLists(g, graph.Orient(g), graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
 	slices.Sort(want)
 	if !slices.Equal(newIDs, want) {
 		t.Fatalf("epoch 1 keeps %d lists resident, a fresh cut of the mutated graph %d", len(newIDs), len(want))

@@ -35,7 +35,7 @@ func newTaskTrip(tb testing.TB) *taskTrip {
 		tb.Fatal(err)
 	}
 	tc := algo.NewTriangleCount()
-	tc.MineOriented(gplus)
+	tc.MineOriented(gplus, nil)
 	cfg := Config{Workers: 2, Threads: 1, UseLSH: true, CacheCapacity: gplus.NumVertices(), ProgressInterval: time.Hour}.Defaults()
 	vt := newVertexTables(gplus, assign, allWorkers(2))
 	if !vt.dir.dense() {

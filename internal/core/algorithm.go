@@ -55,7 +55,12 @@ type KernelConfigurable interface {
 // keeps only its neighbours of higher (degree, ID), ID-sorted, so each
 // edge lives in one list). A runtime able to provide the view calls
 // MineOriented once per job, after ConfigureKernels and before seeding,
-// with the view of the graph epoch the job runs on. If the algorithm
+// with the view of the graph epoch the job runs on and the view's resident
+// core: the forward lists the runtime keeps readable on every worker
+// (graph.HotLists at graph.ResidentBudgetPerVertex) as bit rows
+// (kernels.NewResidentCore), or nil when it offers none. The core mirrors
+// lists of gplus, so an algorithm may count against it in place of reading
+// them; it changes how a job counts, never what. If the algorithm
 // answers true the runtime must make the view the job's graph: every
 // *graph.Vertex the algorithm is handed — by Seed, as an Update candidate,
 // pulled, cached, stolen or restored, and by Env.LocalVertex — is a vertex
@@ -65,7 +70,7 @@ type KernelConfigurable interface {
 // A runtime that does not know this interface simply never calls it, and
 // the algorithm must then produce the same output on the undirected graph.
 type OrientedMiner interface {
-	MineOriented(gplus *graph.Graph) bool
+	MineOriented(gplus *graph.Graph, rc *kernels.ResidentCore) bool
 }
 
 // LabelPruner is implemented by algorithms that can use a vertex's label

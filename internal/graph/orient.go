@@ -37,6 +37,13 @@ func Orient(g *Graph) *Graph {
 	return o
 }
 
+// ResidentBudgetPerVertex is the byte budget of a view's resident set, per
+// vertex of the view: what a slot of the engine's vertex directory weighs. The
+// columns replicated on every worker may double for the lists that save the
+// most pulls, no more — a budget read off the structure it rides in, so there
+// is nothing to tune. The engine and algo.SeqRun cut the same set with it.
+const ResidentBudgetPerVertex = 16
+
 // HotLists ranks the forward lists of o = Orient(g) by what replicating one
 // buys per byte it costs, and returns the IDs of the longest prefix of that
 // ranking whose lists weigh at most budget bytes together, densest first.
@@ -51,8 +58,9 @@ func Orient(g *Graph) *Graph {
 // where on an undirected view it would be flat: a list there is referenced
 // exactly as often as it is long.
 //
-// Like Orient it is a pure function of g: equal graphs pick equal sets.
-func HotLists(g, o *Graph, budget int64) []VertexID {
+// refs[i] is the in-reference count of ids[i]. Like Orient it is a pure
+// function of g: equal graphs pick equal sets.
+func HotLists(g, o *Graph, budget int64) (ids []VertexID, refs []int64) {
 	ranked := make([]hotList, 0, o.NumVertices())
 	for i, v := range o.verts {
 		if v == nil {
@@ -69,17 +77,16 @@ func HotLists(g, o *Graph, budget int64) []VertexID {
 	for i := len(ranked)/2 - 1; i >= 0; i-- {
 		siftDown(ranked, i)
 	}
-	var ids []VertexID
 	for len(ranked) > 0 {
 		if budget -= ranked[0].foot; budget < 0 {
 			break
 		}
-		ids = append(ids, ranked[0].id)
+		ids, refs = append(ids, ranked[0].id), append(refs, ranked[0].refs)
 		last := len(ranked) - 1
 		ranked[0], ranked = ranked[last], ranked[:last]
 		siftDown(ranked, 0)
 	}
-	return ids
+	return ids, refs
 }
 
 // hotList is one forward list in HotLists' ranking.

@@ -110,9 +110,10 @@ func TestOrientDynamicGraph(t *testing.T) {
 
 // checkHotLists holds a HotLists pick to its contract: densities — the
 // in-references of a list over its footprint, counted here edge by edge —
-// non-increasing with ties by ID, nothing unreferenced, the whole weighing at
-// most the budget, and the densest list left out too heavy to have fitted.
-func checkHotLists(t *testing.T, g, gplus *graph.Graph, budget int64, hot []graph.VertexID) {
+// non-increasing with ties by ID, nothing unreferenced, each pick's reported
+// in-references the counted ones, the whole weighing at most the budget, and
+// the densest list left out too heavy to have fitted.
+func checkHotLists(t *testing.T, g, gplus *graph.Graph, budget int64, hot []graph.VertexID, hotRefs []int64) {
 	t.Helper()
 	refs := map[graph.VertexID]int64{}
 	gplus.ForEach(func(v *graph.Vertex) bool {
@@ -133,6 +134,9 @@ func checkHotLists(t *testing.T, g, gplus *graph.Graph, budget int64, hot []grap
 	for i, id := range hot {
 		if picked[id] || gplus.Vertex(id) == nil || refs[id] == 0 {
 			t.Fatalf("pick %d: vertex %d is a duplicate, absent or unreferenced", i, id)
+		}
+		if len(hotRefs) != len(hot) || hotRefs[i] != refs[id] {
+			t.Fatalf("pick %d: vertex %d is held by %d forward lists, HotLists says %v", i, id, refs[id], hotRefs)
 		}
 		if i > 0 && !denser(hot[i-1], id) {
 			t.Fatalf("pick %d: vertex %d ranks before its predecessor %d", i, id, hot[i-1])
@@ -208,13 +212,13 @@ func TestResidentSet(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			gplus := graph.Orient(g)
 			for _, budget := range []int64{0, 59, 16 * int64(g.NumVertices()), 1 << 40} {
-				hot := graph.HotLists(g, gplus, budget)
-				checkHotLists(t, g, gplus, budget, hot)
-				if again := graph.HotLists(g, graph.Orient(g), budget); !reflect.DeepEqual(hot, again) {
+				hot, refs := graph.HotLists(g, gplus, budget)
+				checkHotLists(t, g, gplus, budget, hot, refs)
+				if again, _ := graph.HotLists(g, graph.Orient(g), budget); !reflect.DeepEqual(hot, again) {
 					t.Fatalf("budget %d: two cuts differ: %v vs %v", budget, hot, again)
 				}
 				h := rebuilt(g)
-				if other := graph.HotLists(h, graph.Orient(h), budget); !reflect.DeepEqual(hot, other) {
+				if other, _ := graph.HotLists(h, graph.Orient(h), budget); !reflect.DeepEqual(hot, other) {
 					t.Fatalf("budget %d: a graph rebuilt from the same edges picks %v, not %v", budget, other, hot)
 				}
 			}
@@ -223,13 +227,13 @@ func TestResidentSet(t *testing.T) {
 	// A star's hub is in every leaf's list and keeps nothing: it alone is
 	// referenced. A clique's lists shorten as its references grow, so the
 	// ranking runs down from the top ID.
-	if hot := graph.HotLists(graphs["star"], graph.Orient(graphs["star"]), 16*51); !reflect.DeepEqual(hot, []graph.VertexID{0}) {
+	if hot, _ := graph.HotLists(graphs["star"], graph.Orient(graphs["star"]), 16*51); !reflect.DeepEqual(hot, []graph.VertexID{0}) {
 		t.Fatalf("star: resident set %v, want the hub alone", hot)
 	}
-	if hot := graph.HotLists(graphs["clique"], graph.Orient(graphs["clique"]), 16*24); len(hot) == 0 || hot[0] != 23 || hot[len(hot)-1] != 23-graph.VertexID(len(hot)-1) {
+	if hot, _ := graph.HotLists(graphs["clique"], graph.Orient(graphs["clique"]), 16*24); len(hot) == 0 || hot[0] != 23 || hot[len(hot)-1] != 23-graph.VertexID(len(hot)-1) {
 		t.Fatalf("clique: resident set %v does not run down from the top ID", hot)
 	}
-	if hot := graph.HotLists(graphs["empty"], graph.Orient(graphs["empty"]), 1<<20); len(hot) != 0 {
+	if hot, _ := graph.HotLists(graphs["empty"], graph.Orient(graphs["empty"]), 1<<20); len(hot) != 0 {
 		t.Fatalf("empty graph: resident set %v", hot)
 	}
 }

@@ -39,7 +39,7 @@ func SeqRunSeeds(g *graph.Graph, algoImpl core.Algorithm, seeds []graph.VertexID
 	}
 	if om, ok := algoImpl.(core.OrientedMiner); ok && g.Frozen() {
 		gplus := graph.Orient(g)
-		ids, refs := graph.HotLists(g, gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
+		ids, refs := graph.HotLists(gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
 		if om.MineOriented(gplus, kernels.NewResidentCore(gplus, ids, refs)) {
 			g = gplus
 		}

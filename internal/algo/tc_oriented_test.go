@@ -97,7 +97,7 @@ func newTCTasks(tb testing.TB, g *graph.Graph, withCore bool) *tcTasks {
 	gplus := graph.Orient(g)
 	var rc *kernels.ResidentCore
 	if withCore {
-		ids, refs := graph.HotLists(g, gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
+		ids, refs := graph.HotLists(gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
 		if rc = kernels.NewResidentCore(gplus, ids, refs); rc == nil {
 			tb.Fatal("the view offers no resident core")
 		}

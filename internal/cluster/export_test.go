@@ -53,6 +53,14 @@ func (o *orientedView) residentCore() (rows int, fingerprint uint64) {
 	return o.core.Rows(), o.core.Fingerprint()
 }
 
+// patchState reports how many rows the view's last cut cut (|V| for a full
+// orientation) and how many touched vertices wait for the next one.
+func (o *orientedView) patchState() (recut, pending int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.recut, len(o.pending)
+}
+
 // ResidentIDs is the resident set of the session's current oriented view.
 func (s *Session) ResidentIDs() []graph.VertexID { return s.oriented.residentIDs() }
 

@@ -84,15 +84,44 @@ func (w *Worker) result(counters *metrics.Counters) jobResultMsg {
 // (graph.Orient) — and the vertex tables over it, resident set included, and
 // the resident core (kernels.ResidentCore, nil when the view offers none) for
 // one graph epoch: pure functions of the frozen graph and the partition,
-// built by the first job that mines G⁺ after start-up or a mutation epoch
-// and shared read-only by every later one. Every process of a cluster cuts
+// built by the first job that mines G⁺ after start-up or a mutation epoch —
+// after a mutation, G⁺ patched from the previous epoch's — and shared
+// read-only by every later one. Every process of a cluster cuts
 // the same ones.
 type orientedView struct {
 	mu    sync.Mutex
 	epoch int64
 	g     *graph.Graph
-	core  *kernels.ResidentCore
+	// pending holds every vertex the mutation batches since g's epoch
+	// touched — ApplyMutations hands each batch's set to follow — the rows
+	// the next cut patches g on (graph.Reorient) rather than orienting the
+	// whole graph again. recut counts the rows the last cut cut.
+	pending map[graph.VertexID]struct{}
+	recut   int
+	core    *kernels.ResidentCore
 	vertexTables
+}
+
+// follow records the vertices one mutation batch touched, for the next cut
+// to patch. Before the first cut there is nothing to patch; once the batches
+// have touched more vertices than the view holds, a patch would cut every
+// row anyway, so the view is dropped rather than kept with its set.
+func (o *orientedView) follow(touched map[graph.VertexID]struct{}) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.g == nil {
+		return
+	}
+	if o.pending == nil {
+		o.pending = touched
+	} else {
+		for id := range touched {
+			o.pending[id] = struct{}{}
+		}
+	}
+	if len(o.pending) > o.g.NumVertices() {
+		o.g, o.pending, o.core, o.vertexTables = nil, nil, nil, vertexTables{}
+	}
 }
 
 // tables readies algorithm a's planned path for one job on epoch `epoch` of
@@ -119,8 +148,9 @@ func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partitio
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.g == nil || o.epoch != epoch {
-		o.g, o.epoch = graph.Orient(g), epoch
-		o.cut(g, assign, base)
+		o.g, o.recut = graph.Reorient(g, o.g, o.pending)
+		o.epoch, o.pending = epoch, nil
+		o.cut(assign, base)
 	}
 	if !om.MineOriented(o.g, o.core) {
 		return base
@@ -128,16 +158,16 @@ func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partitio
 	return o.vertexTables
 }
 
-// cut builds the tables and the resident core over the freshly oriented view
-// of g. G⁺ has the base view's vertices and owners, so each worker's scan is
+// cut builds the tables and the resident core over the freshly oriented view.
+// G⁺ has the base view's vertices and owners, so each worker's scan is
 // base's; only what a vertex weighs differs, and the directory's pass sums
 // that. The view's hottest forward lists stay on every worker, up to the
 // weight of the directory they are marked in, and the core re-expresses them
 // as bit rows when that pays; every worker's account carries both.
-func (o *orientedView) cut(g *graph.Graph, assign *partition.Assignment, base vertexTables) {
+func (o *orientedView) cut(assign *partition.Assignment, base vertexTables) {
 	foot := make([]int64, len(base.locals))
 	dir := newDirectory(o.g, assign, func(v *graph.Vertex, w int) { foot[w] += v.FootprintBytes() })
-	ids, refs := graph.HotLists(g, o.g, graph.ResidentBudgetPerVertex*int64(o.g.NumVertices()))
+	ids, refs := graph.HotLists(o.g, graph.ResidentBudgetPerVertex*int64(o.g.NumVertices()))
 	dir.keepResident(ids, foot)
 	o.core = kernels.NewResidentCore(o.g, ids, refs)
 	if o.core != nil {

@@ -72,7 +72,7 @@ func orientedRef(t *testing.T, g *graph.Graph) (want, seeds int64) {
 // none.
 func coreRef(g *graph.Graph) (rows int, fingerprint uint64) {
 	gplus := graph.Orient(g)
-	ids, refs := graph.HotLists(g, gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
+	ids, refs := graph.HotLists(gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
 	if c := kernels.NewResidentCore(gplus, ids, refs); c != nil {
 		return c.Rows(), c.Fingerprint()
 	}

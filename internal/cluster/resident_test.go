@@ -68,7 +68,7 @@ func TestResidentColumn(t *testing.T) {
 	var byArm [2][]graph.VertexID
 	for arm, g := range []*graph.Graph{dense, strided} {
 		gplus := graph.Orient(g)
-		want, _ := graph.HotLists(g, gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
+		want, _ := graph.HotLists(gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
 		for _, p := range []partition.Partitioner{partition.Hash{}, partition.BDG{}} {
 			const k = 3
 			ot, view, _ := orientedTables(t, g, p, k, allWorkers(k))

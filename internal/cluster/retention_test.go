@@ -60,10 +60,11 @@ func (fw *freeWatch) await(t *testing.T) {
 
 // TestWaitReleasesEngineState: a caller that keeps a *Job after Wait keeps
 // its Result and nothing of the engine. Holding an oriented tc job of epoch
-// 0, its workers' RCV caches and epoch 0's G⁺ — the graph and its vertex
-// array, which the epoch's directory points into — are freed once the
-// session has moved on to epoch 1's view; KillWorker and RecoverWorker on
-// the finished job stay no-ops.
+// 0, its workers' RCV caches and epoch 0's G⁺ — the graph, its vertex array,
+// which the epoch's directory points into, and its forward-list array — are
+// freed once the session has moved on to epoch 1's view, though that view
+// was patched from epoch 0's: a patch shares nothing with its ancestor.
+// KillWorker and RecoverWorker on the finished job stay no-ops.
 func TestWaitReleasesEngineState(t *testing.T) {
 	g := gen.ErdosRenyi(400, 1600, 21)
 	batch := gen.Deltas(gen.ErdosRenyi(400, 1600, 21), gen.DeltasConfig{Batches: 1, Ops: 40, Seed: 13})[0]
@@ -100,6 +101,13 @@ func TestWaitReleasesEngineState(t *testing.T) {
 		watchFree(fw, v, "epoch 0's G⁺ vertex array") // the first vertex heads the array
 		return false
 	})
+	gplus.ForEach(func(v *graph.Vertex) bool {
+		if len(v.Adj) == 0 {
+			return true
+		}
+		watchFree(fw, &v.Adj[0], "epoch 0's G⁺ forward-list array") // so does the first row with an entry
+		return false
+	})
 
 	want := algo.RefTriangles(g)
 	res, err := j.Wait()
@@ -112,6 +120,9 @@ func TestWaitReleasesEngineState(t *testing.T) {
 	next, err := launch().Wait()
 	if err != nil || next.AggGlobal != any(algo.RefTriangles(g)) {
 		t.Fatalf("epoch 1: %v triangles (err %v), reference %d", next.AggGlobal, err, algo.RefTriangles(g))
+	}
+	if recut, _ := s.oriented.patchState(); recut >= g.NumVertices() {
+		t.Fatalf("epoch 1's view cut %d of %d rows: not a patch of epoch 0's", recut, g.NumVertices())
 	}
 	fw.await(t)
 

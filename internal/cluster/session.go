@@ -320,7 +320,8 @@ type Session struct {
 	// workers a mutation batch touched.
 	tables vertexTables
 	// oriented is the per-epoch view of the resident graph for jobs that
-	// mine G⁺ (core.OrientedMiner); a mutation batch retires it.
+	// mine G⁺ (core.OrientedMiner); a mutation batch marks the rows the next
+	// oriented job patches.
 	oriented orientedView
 
 	// dyn is the dynamic-session state (nil on a static session); the
@@ -548,7 +549,8 @@ type EpochResult struct {
 // epoch read leases), then mutates the graph in place, incrementally
 // re-places the partition blocks, and rebuilds only the local tables of
 // workers the batch actually touched. The oriented view is not recut here:
-// it is keyed by epoch, so the next job that mines it pays for it lazily.
+// it is keyed by epoch and only learns which vertices the batch touched, so
+// the next job that mines it pays for patching those rows, lazily.
 func (s *Session) ApplyMutations(b dyngraph.Batch) (*EpochResult, error) {
 	if s.dyn == nil {
 		return nil, fmt.Errorf("cluster: session is not dynamic (enable Config.Dynamic)")
@@ -567,6 +569,7 @@ func (s *Session) ApplyMutations(b dyngraph.Batch) (*EpochResult, error) {
 		return nil, err
 	}
 	s.assign = s.dyn.Assignment()
+	s.oriented.follow(info.Touched)
 	// The batch may have moved the ID span and any vertex's owner: the
 	// directory never outlives its epoch. Its pass cuts the touched
 	// workers' scans too; the others keep theirs.

@@ -241,9 +241,12 @@ func TestDynamicSessionConcurrentJobsAndMutations(t *testing.T) {
 // job runs on the view of the epoch it leased. After each of eight
 // mutation batches — each of which changes the triangle count, so a view
 // left over from the previous epoch cannot pass — oriented TC equals the
-// generic job, the scalar reference and a from-scratch orientation of the
-// mutated graph; and applying a batch is what retires the view, not the
-// next job's luck.
+// generic job and the scalar reference, and the view is a from-scratch
+// orientation of the mutated graph, byte for byte, though it was patched: it
+// cut fewer rows than the graph has. Applying a batch is what retires the
+// view, not the next job's luck. Batches served by generic jobs alone leave
+// the view as it was and pile up for the next oriented job, which patches
+// them all at once.
 func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 	g, _ := gen.Community(gen.CommunityConfig{Communities: 60, MinSize: 5, MaxSize: 10, PIn: 0.7, Bridges: 120, Seed: 31})
 	s, err := NewSession(g, dynConfig(3))
@@ -264,11 +267,26 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 		}
 		return res.AggGlobal.(int64)
 	}
+	// exactPatch holds the view to a fresh orientation of the graph, and the
+	// cut that made it to a patch.
+	exactPatch := func(bi int) {
+		t.Helper()
+		if !reflect.DeepEqual(s.oriented.g, graph.Orient(g)) {
+			t.Fatalf("batch %d: the view differs from a fresh orientation of the graph", bi)
+		}
+		if recut, pending := s.oriented.patchState(); recut >= g.NumVertices() || pending != 0 {
+			t.Fatalf("batch %d: the view's cut cut %d of %d rows (%d still pending): not a patch", bi, recut, g.NumVertices(), pending)
+		}
+	}
 	prev := algo.RefTriangles(g)
 	if got := count(false); got != prev {
 		t.Fatalf("epoch 0: oriented tc %d, reference %d", got, prev)
 	}
-	for bi, b := range gen.Deltas(g, gen.DeltasConfig{Batches: 8, Ops: 60, Seed: 5}) {
+	if recut, _ := s.oriented.patchState(); recut != g.NumVertices() {
+		t.Fatalf("epoch 0: the first cut cut %d of %d rows", recut, g.NumVertices())
+	}
+	stream := gen.Deltas(g, gen.DeltasConfig{Batches: 12, Ops: 60, Seed: 5})
+	for bi, b := range stream[:8] {
 		stale := s.oriented.g
 		if _, err := s.ApplyMutations(b); err != nil {
 			t.Fatalf("batch %d: %v", bi, err)
@@ -289,13 +307,7 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 		if s.oriented.g == stale || s.oriented.epoch != s.GraphEpoch() {
 			t.Fatalf("batch %d: oriented job ran on the view of epoch %d at epoch %d", bi, s.oriented.epoch, s.GraphEpoch())
 		}
-		fresh := graph.Orient(g)
-		g.ForEach(func(v *graph.Vertex) bool {
-			if got, want := s.oriented.g.Vertex(v.ID).Adj, fresh.Vertex(v.ID).Adj; len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
-				t.Fatalf("batch %d: vertex %d forward list %v, fresh orientation %v", bi, v.ID, got, want)
-			}
-			return true
-		})
+		exactPatch(bi)
 		for w := range s.tables.locals {
 			if lt := s.oriented.locals[w]; !reflect.DeepEqual(lt.ids, s.tables.locals[w].ids) {
 				t.Fatalf("batch %d: worker %d oriented table scans %d vertices, undirected %d", bi, w, len(lt.ids), len(s.tables.locals[w].ids))
@@ -303,6 +315,29 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 		}
 		prev = want
 	}
+
+	// Generic jobs alone over four epochs: the view stays the one cut at
+	// epoch 8 while the batches' touched vertices pile up, and the next
+	// oriented job patches them in one cut.
+	stale, pending := s.oriented.g, 0
+	for bi, b := range stream[8:] {
+		if _, err := s.ApplyMutations(b); err != nil {
+			t.Fatalf("batch %d: %v", 8+bi, err)
+		}
+		if got, want := count(true), algo.RefTriangles(g); got != want {
+			t.Fatalf("batch %d: generic tc %d, reference %d", 8+bi, got, want)
+		}
+		_, now := s.oriented.patchState()
+		if s.oriented.g != stale || now <= pending {
+			t.Fatalf("batch %d: %d vertices pending after %d, view kept %v", 8+bi, now, pending, s.oriented.g == stale)
+		}
+		pending = now
+	}
+	prev = algo.RefTriangles(g)
+	if got := count(false); got != prev {
+		t.Fatalf("after four generic epochs: oriented tc %d, reference %d", got, prev)
+	}
+	exactPatch(len(stream))
 
 	// One more batch, built to move what the vertex directory indexes by: it
 	// adds vertices past the end of the old ID span, each closing a triangle
@@ -349,6 +384,7 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 	if got := count(false); got != want {
 		t.Fatalf("after the re-owning batch: oriented tc %d, reference %d", got, want)
 	}
+	exactPatch(len(stream) + 1)
 	if got := count(true); got != want {
 		t.Fatalf("after the re-owning batch: generic tc %d, reference %d", got, want)
 	}
@@ -508,7 +544,7 @@ func TestResidentSetFollowsGraphEpoch(t *testing.T) {
 	if _, hot := slices.BinarySearch(newIDs, cold); !hot {
 		t.Fatalf("vertex %d, now in %d lists, is not resident on epoch 1", cold, len(g.Vertex(cold).Adj))
 	}
-	want, _ := graph.HotLists(g, graph.Orient(g), graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
+	want, _ := graph.HotLists(graph.Orient(g), graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
 	slices.Sort(want)
 	if !slices.Equal(newIDs, want) {
 		t.Fatalf("epoch 1 keeps %d lists resident, a fresh cut of the mutated graph %d", len(newIDs), len(want))

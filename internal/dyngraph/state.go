@@ -50,6 +50,10 @@ type ApplyInfo struct {
 	DirtyBlocks  int        // blocks containing a structurally-changed vertex
 	MovedBlocks  int        // blocks whose owner changed in re-placement
 	DirtyWorkers []bool     // workers whose local tables must be rebuilt
+	// Touched holds every vertex the batch created or deleted and every one
+	// whose adjacency changed, the surviving neighbours of a deleted vertex
+	// included: all that graph.Reorient needs to patch the previous view.
+	Touched map[graph.VertexID]struct{}
 }
 
 // Apply mutates g in place, maintains the block aggregates, re-runs the
@@ -109,6 +113,7 @@ func (s *State) Apply(g *graph.Graph, b Batch) (*ApplyInfo, error) {
 		DirtyBlocks:  len(dirtyBlocks),
 		MovedBlocks:  moved,
 		DirtyWorkers: dirty,
+		Touched:      touched,
 	}, nil
 }
 

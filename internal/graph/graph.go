@@ -75,6 +75,10 @@ type Graph struct {
 	// mutation of a frozen graph goes through the Dyn* methods, which
 	// preserve the frozen invariants op by op.
 	frozen bool
+
+	// deg is set on an oriented view alone (Orient, Reorient): by slot, the
+	// degree of the vertex in the graph the view was cut from.
+	deg []int32
 }
 
 // New returns an empty graph with capacity hint n.

@@ -212,13 +212,13 @@ func TestResidentSet(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			gplus := graph.Orient(g)
 			for _, budget := range []int64{0, 59, 16 * int64(g.NumVertices()), 1 << 40} {
-				hot, refs := graph.HotLists(g, gplus, budget)
+				hot, refs := graph.HotLists(gplus, budget)
 				checkHotLists(t, g, gplus, budget, hot, refs)
-				if again, _ := graph.HotLists(g, graph.Orient(g), budget); !reflect.DeepEqual(hot, again) {
+				if again, _ := graph.HotLists(graph.Orient(g), budget); !reflect.DeepEqual(hot, again) {
 					t.Fatalf("budget %d: two cuts differ: %v vs %v", budget, hot, again)
 				}
 				h := rebuilt(g)
-				if other, _ := graph.HotLists(h, graph.Orient(h), budget); !reflect.DeepEqual(hot, other) {
+				if other, _ := graph.HotLists(graph.Orient(h), budget); !reflect.DeepEqual(hot, other) {
 					t.Fatalf("budget %d: a graph rebuilt from the same edges picks %v, not %v", budget, other, hot)
 				}
 			}
@@ -227,13 +227,13 @@ func TestResidentSet(t *testing.T) {
 	// A star's hub is in every leaf's list and keeps nothing: it alone is
 	// referenced. A clique's lists shorten as its references grow, so the
 	// ranking runs down from the top ID.
-	if hot, _ := graph.HotLists(graphs["star"], graph.Orient(graphs["star"]), 16*51); !reflect.DeepEqual(hot, []graph.VertexID{0}) {
+	if hot, _ := graph.HotLists(graph.Orient(graphs["star"]), 16*51); !reflect.DeepEqual(hot, []graph.VertexID{0}) {
 		t.Fatalf("star: resident set %v, want the hub alone", hot)
 	}
-	if hot, _ := graph.HotLists(graphs["clique"], graph.Orient(graphs["clique"]), 16*24); len(hot) == 0 || hot[0] != 23 || hot[len(hot)-1] != 23-graph.VertexID(len(hot)-1) {
+	if hot, _ := graph.HotLists(graph.Orient(graphs["clique"]), 16*24); len(hot) == 0 || hot[0] != 23 || hot[len(hot)-1] != 23-graph.VertexID(len(hot)-1) {
 		t.Fatalf("clique: resident set %v does not run down from the top ID", hot)
 	}
-	if hot, _ := graph.HotLists(graphs["empty"], graph.Orient(graphs["empty"]), 1<<20); len(hot) != 0 {
+	if hot, _ := graph.HotLists(graph.Orient(graphs["empty"]), 1<<20); len(hot) != 0 {
 		t.Fatalf("empty graph: resident set %v", hot)
 	}
 }

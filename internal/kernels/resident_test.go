@@ -10,8 +10,8 @@ import (
 
 // forcedCore cuts gplus's core whatever the offer rule says (nil only when
 // the IDs are sparse), beside what NewResidentCore offers.
-func forcedCore(g, gplus *graph.Graph, budget int64) (forced, offered *ResidentCore) {
-	ids, refs := graph.HotLists(g, gplus, budget)
+func forcedCore(gplus *graph.Graph, budget int64) (forced, offered *ResidentCore) {
+	ids, refs := graph.HotLists(gplus, budget)
 	base, span, ok := gplus.DenseIDs()
 	if !ok {
 		return nil, NewResidentCore(gplus, ids, refs)
@@ -136,7 +136,7 @@ func TestResidentCoreCounts(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gplus := graph.Orient(tc.g)
-			forced, offered := forcedCore(tc.g, gplus, tc.budget*int64(tc.g.NumVertices()))
+			forced, offered := forcedCore(gplus, tc.budget*int64(tc.g.NumVertices()))
 			checkCore(t, gplus, forced)
 			if (offered != nil) != tc.offered {
 				t.Fatalf("core offered = %v (%d of %d resident lists are rows)", offered != nil, forced.Rows(), len(forced.rows))
@@ -144,11 +144,11 @@ func TestResidentCoreCounts(t *testing.T) {
 			if offered != nil && (offered.Fingerprint() != forced.Fingerprint() || offered.Rows() == 0) {
 				t.Fatalf("the offered core (%d rows) is not the one cut (%d rows)", offered.Rows(), forced.Rows())
 			}
-			if again, _ := forcedCore(tc.g, graph.Orient(tc.g), tc.budget*int64(tc.g.NumVertices())); again.Fingerprint() != forced.Fingerprint() {
+			if again, _ := forcedCore(graph.Orient(tc.g), tc.budget*int64(tc.g.NumVertices())); again.Fingerprint() != forced.Fingerprint() {
 				t.Fatal("two cuts of the same view differ")
 			}
 			sparse := relabel(tc.g)
-			if none, offered := forcedCore(sparse, graph.Orient(sparse), tc.budget*int64(tc.g.NumVertices())); none != nil || offered != nil {
+			if none, offered := forcedCore(graph.Orient(sparse), tc.budget*int64(tc.g.NumVertices())); none != nil || offered != nil {
 				t.Fatal("a core over sparse IDs")
 			}
 		})
@@ -181,7 +181,7 @@ func FuzzCoreCount(f *testing.F) {
 			budget = 1 << 40
 		}
 		gplus := graph.Orient(g)
-		c, offered := forcedCore(g, gplus, budget)
+		c, offered := forcedCore(gplus, budget)
 		if c == nil {
 			return // sparse: a handful of IDs far apart
 		}

@@ -234,27 +234,30 @@ func WriteTenantProm(w io.Writer, stats []TenantStat) {
 	}
 }
 
-// heapGauges are the process heap families, each read from one
-// runtime/metrics sample.
-var heapGauges = [...]struct{ sample, name, help string }{
-	{"/gc/heap/live:bytes", "gminer_heap_live_bytes", "Heap bytes the last GC cycle marked live (0 before the first cycle)."},
-	{"/gc/heap/goal:bytes", "gminer_heap_goal_bytes", "Heap size at which the next GC cycle is due."},
+// heapFamilies are the process heap families, each read from one
+// runtime/metrics sample: two gauges, and two counters that make what the
+// process allocates, and the collections that costs, a rate.
+var heapFamilies = [...]struct{ sample, name, kind, help string }{
+	{"/gc/heap/live:bytes", "gminer_heap_live_bytes", "gauge", "Heap bytes the last GC cycle marked live (0 before the first cycle)."},
+	{"/gc/heap/goal:bytes", "gminer_heap_goal_bytes", "gauge", "Heap size at which the next GC cycle is due."},
+	{"/gc/heap/allocs:bytes", "gminer_heap_allocs_bytes_total", "counter", "Bytes allocated on the heap since the process started."},
+	{"/gc/cycles/total:gc-cycles", "gminer_gc_cycles_total", "counter", "GC cycles completed since the process started."},
 }
 
-// WriteHeapProm writes the process's heap gauges. runtime/metrics reads
+// WriteHeapProm writes the process's heap families. runtime/metrics reads
 // them without stopping the world, so a scrape costs the process nothing.
 func WriteHeapProm(w io.Writer) {
-	samples := make([]rtmetrics.Sample, len(heapGauges))
-	for i, h := range heapGauges {
+	samples := make([]rtmetrics.Sample, len(heapFamilies))
+	for i, h := range heapFamilies {
 		samples[i].Name = h.sample
 	}
 	rtmetrics.Read(samples)
-	for i, h := range heapGauges {
+	for i, h := range heapFamilies {
 		var v uint64
 		if samples[i].Value.Kind() == rtmetrics.KindUint64 {
 			v = samples[i].Value.Uint64()
 		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", h.name, h.help, h.name, h.name, v)
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", h.name, h.help, h.name, h.kind, h.name, v)
 	}
 }
 

@@ -375,13 +375,20 @@ func TestDrainRefusesNewJobs(t *testing.T) {
 
 // TestMetricsPerJobLabels: /metrics must expose the monitor's counter
 // families labeled per job, and — once a job has mined the oriented graph —
-// the size of the resident set it ran with — beside the daemon's own heap.
+// the size of the resident set it ran with — beside the daemon's own heap:
+// its gauges, and its allocation and GC-cycle counters, which a job does not
+// take back.
 func TestMetricsPerJobLabels(t *testing.T) {
 	srv, base := startServer(t, testClusterConfig(), Config{})
 	defer srv.Shutdown()
 
 	if lists := metricGauge(t, base, "gminer_resident_lists"); lists != 0 {
 		t.Fatalf("gminer_resident_lists = %v before any job", lists)
+	}
+	counters := []string{"gminer_heap_allocs_bytes_total", "gminer_gc_cycles_total"}
+	before := make([]float64, len(counters))
+	for i, name := range counters {
+		before[i] = metricGauge(t, base, name)
 	}
 	if resp, _ := submit(t, base, `{"app":"tc","id":"metrics-probe"}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatal("submit failed")
@@ -396,5 +403,10 @@ func TestMetricsPerJobLabels(t *testing.T) {
 	}
 	if goal := metricGauge(t, base, "gminer_heap_goal_bytes"); goal <= 0 {
 		t.Fatalf("gminer_heap_goal_bytes = %v: the daemon's heap is not on /metrics", goal)
+	}
+	for i, name := range counters {
+		if after := metricGauge(t, base, name); after < before[i] || !strings.Contains(body, "# TYPE "+name+" counter\n") {
+			t.Fatalf("%s went %v -> %v across a job, or is not typed a counter", name, before[i], after)
+		}
 	}
 }

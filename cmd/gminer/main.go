@@ -125,7 +125,6 @@ func main() {
 		CheckpointDir:    *ckptDir,
 		CheckpointEvery:  *ckptEvery,
 		Resume:           *resume,
-		DisablePlans:     *generic,
 	}
 	switch *part {
 	case "bdg":

@@ -43,10 +43,10 @@ func NewCommunityDetect(minSim float64, minSize int) *CommunityDetect {
 // Name implements core.Algorithm.
 func (*CommunityDetect) Name() string { return "cd" }
 
-// SeedRadius implements core.LocalMiner: a task reads its seed, pulls the
+// Plan implements core.Planner, declaring a seed radius of 1: a task reads its seed, pulls the
 // seed's neighbours once and searches the subgraph they induce, and reports
 // a community only as its smallest member.
-func (*CommunityDetect) SeedRadius() int { return 1 }
+func (*CommunityDetect) Plan() core.Plan { return core.Plan{SeedRadius: 1} }
 
 // EncodeContext implements core.ContextCodec: the context is the seed's
 // attribute vector, carried with the task so migrated tasks can still

@@ -18,7 +18,7 @@ import (
 // carrying the root's label seeds a task, and after the deepest level the
 // count is folded bottom-up into a global sum aggregator.
 //
-// Offered the runtime's label column (core.LabelPruner), GM matches
+// Offered the runtime's label column (core.Plan.Labels), GM matches
 // parent-major: a level is read off its parents' own adjacency lists — x
 // matches step s under parent match m iff x ∈ adj(m) and the column says x
 // carries s's label, the very walk RefMatchCount makes. The seed matches
@@ -82,22 +82,16 @@ func NewGraphMatch(p *Pattern) *GraphMatch {
 	return a
 }
 
-// ConfigureKernels implements core.KernelConfigurable. GM ignores the CSR
-// (matching runs in ID space); generic keeps the job candidate-major.
-func (a *GraphMatch) ConfigureKernels(_ *kernels.CSR, generic bool) {
-	a.Generic = a.Generic || generic
+// Plan implements core.Planner: GM asks for the label column, and with it in
+// hand matches parent-major, reading a neighbour's label from it instead of
+// pulling the neighbour. Until the runtime offers it the job is
+// candidate-major.
+func (a *GraphMatch) Plan() core.Plan {
+	a.labelOf = nil
 	if a.Generic {
-		a.labelOf = nil
+		return core.Plan{}
 	}
-}
-
-// PruneByLabel implements core.LabelPruner: with the column in hand GM
-// matches parent-major, reading a neighbour's label from it instead of
-// pulling the neighbour.
-func (a *GraphMatch) PruneByLabel(labelOf func(graph.VertexID) (int32, bool)) {
-	if !a.Generic {
-		a.labelOf = labelOf
-	}
+	return core.Plan{Labels: func(labelOf func(graph.VertexID) (int32, bool)) { a.labelOf = labelOf }}
 }
 
 // Name implements core.Algorithm.

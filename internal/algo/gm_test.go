@@ -51,7 +51,7 @@ func TestGMBenchGraphIsTheBenchmarks(t *testing.T) {
 // offers it: the parent-major arm.
 func gmParentMajor(g *graph.Graph, p *Pattern) *GraphMatch {
 	a := NewGraphMatch(p)
-	a.PruneByLabel(g.LabelColumn())
+	core.PlanOf(a).Labels(g.LabelColumn())
 	return a
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"gminer/internal/gen"
 	"gminer/internal/graph"
-	"gminer/internal/kernels"
 )
 
 // This file pins the kernel rewiring of the algo hot loops: the three
@@ -51,10 +50,11 @@ func TestTCKernelVsGenericPinned(t *testing.T) {
 	genericTC.Generic = true
 	genRes := SeqRun(g, genericTC)
 
-	csr := kernels.MustBuild(g)
 	planTC := NewTriangleCount()
-	planTC.ConfigureKernels(csr, false)
 	planRes := SeqRun(g, planTC)
+	if genericTC.oriented || !planTC.oriented {
+		t.Fatalf("oriented: generic TC %v, planned TC %v", genericTC.oriented, planTC.oriented)
+	}
 
 	if genRes.AggGlobal.(int64) != want {
 		t.Errorf("generic TC = %d, ref = %d", genRes.AggGlobal, want)
@@ -85,8 +85,10 @@ func TestGMKernelVsGenericPinned(t *testing.T) {
 		genRes := SeqRun(g, genericGM)
 
 		planGM := NewGraphMatch(pat.p)
-		planGM.ConfigureKernels(nil, false)
 		planRes := SeqRun(g, planGM)
+		if genericGM.labelOf != nil || planGM.labelOf == nil {
+			t.Fatalf("%s: label column taken: generic GM %v, planned GM %v", pat.name, genericGM.labelOf != nil, planGM.labelOf != nil)
+		}
 
 		if genRes.AggGlobal.(int64) != want {
 			t.Errorf("%s: generic GM = %d, ref = %d", pat.name, genRes.AggGlobal, want)

@@ -43,9 +43,9 @@ func NewQuasiClique(gamma float64, minSize int) *QuasiClique {
 // Name implements core.Algorithm.
 func (*QuasiClique) Name() string { return "qc" }
 
-// SeedRadius implements core.LocalMiner: one pull round over the seed's
+// Plan implements core.Planner, declaring a seed radius of 1: one pull round over the seed's
 // induced neighbourhood, emitted only by the grown set's smallest member.
-func (*QuasiClique) SeedRadius() int { return 1 }
+func (*QuasiClique) Plan() core.Plan { return core.Plan{SeedRadius: 1} }
 
 // Seed implements core.Algorithm: the whole 1-hop neighborhood is the
 // candidate pool (no >v restriction — quasi-cliques are not closed under

@@ -21,11 +21,10 @@ type SeqResult struct {
 	Tasks     int64
 }
 
-// SeqRun runs algoImpl to completion over g — over its degree-oriented
-// view and that view's resident core, both derived here the way the cluster
-// runtime derives them, for an algorithm that asks to mine that
-// (core.OrientedMiner) — and makes the cluster's label offer
-// (core.LabelPruner), so the two compare as engines.
+// SeqRun runs algoImpl to completion over g, honouring its plan
+// (core.PlanOf) the way the cluster runtime does — G⁺ and that view's
+// resident core, both derived here as the cluster derives them, and the
+// label column — so the two compare as engines.
 func SeqRun(g *graph.Graph, algoImpl core.Algorithm) *SeqResult {
 	return SeqRunSeeds(g, algoImpl, nil)
 }
@@ -34,15 +33,15 @@ func SeqRun(g *graph.Graph, algoImpl core.Algorithm) *SeqResult {
 // for a seed-restricted job (cluster.JobOptions.Seeds): IDs g does not hold
 // are skipped, and nil seeds every vertex.
 func SeqRunSeeds(g *graph.Graph, algoImpl core.Algorithm, seeds []graph.VertexID) *SeqResult {
-	if lp, ok := algoImpl.(core.LabelPruner); ok {
-		lp.PruneByLabel(g.LabelColumn())
+	p := core.PlanOf(algoImpl)
+	if p.Labels != nil {
+		p.Labels(g.LabelColumn())
 	}
-	if om, ok := algoImpl.(core.OrientedMiner); ok && g.Frozen() {
+	if p.Oriented != nil && g.Frozen() {
 		gplus := graph.Orient(g)
 		ids, refs := graph.HotLists(gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
-		if om.MineOriented(gplus, kernels.NewResidentCore(gplus, ids, refs)) {
-			g = gplus
-		}
+		p.Oriented(gplus, kernels.NewResidentCore(gplus, ids, refs))
+		g = gplus
 	}
 	env := &seqEnv{g: g}
 	if ap, ok := algoImpl.(core.AggregatorProvider); ok {

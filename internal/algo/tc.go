@@ -17,7 +17,7 @@ import (
 //
 // There are two paths, and they produce the same total:
 //
-//   - oriented (the runtime handed the job G⁺, see core.OrientedMiner): a
+//   - oriented (the runtime handed the job G⁺, see core.Plan.Oriented): a
 //     seed's candidates are its forward list as it stands, and each pulled
 //     candidate's forward list is intersected with it — every operand is
 //     bounded by the arboricity, not the degree, and each triangle is
@@ -64,23 +64,22 @@ func (*TriangleCount) Name() string { return "tc" }
 // Aggregator implements core.AggregatorProvider.
 func (*TriangleCount) Aggregator() core.Aggregator { return core.SumInt64Aggregator{} }
 
-// ConfigureKernels implements core.KernelConfigurable. TC mines vertex
-// tables in ID space and ignores the index. It opens a job: whatever graph
-// an earlier job of this value ran on, this one is on the undirected graph
-// until the runtime offers G⁺.
-func (a *TriangleCount) ConfigureKernels(_ *kernels.CSR, generic bool) {
-	a.Generic = a.Generic || generic
+// Plan implements core.Planner: TC asks for G⁺. It opens a job: whatever
+// graph an earlier job of this value ran on, this one is on the undirected
+// graph until the runtime offers the view.
+func (a *TriangleCount) Plan() core.Plan {
 	a.oriented, a.bitmaps, a.core = false, nil, nil
+	if a.Generic {
+		return core.Plan{}
+	}
+	return core.Plan{Oriented: a.mineOriented}
 }
 
-// MineOriented implements core.OrientedMiner. The bitmap is used when the
-// view's IDs are dense (graph.DenseIDs: then it is no bigger than the vertex
-// table, one bit per ID against one pointer per vertex) — a property of the
-// input, not a knob — and so is the resident core, which exists only then.
-func (a *TriangleCount) MineOriented(gplus *graph.Graph, rc *kernels.ResidentCore) bool {
-	if a.Generic {
-		return false
-	}
+// mineOriented moves the job onto G⁺. The bitmap is used when the view's IDs
+// are dense (graph.DenseIDs: then it is no bigger than the vertex table, one
+// bit per ID against one pointer per vertex) — a property of the input, not
+// a knob — and so is the resident core, which exists only then.
+func (a *TriangleCount) mineOriented(gplus *graph.Graph, rc *kernels.ResidentCore) {
 	a.oriented = true
 	if base, span, ok := gplus.DenseIDs(); ok {
 		a.base, a.core = base, rc
@@ -92,7 +91,6 @@ func (a *TriangleCount) MineOriented(gplus *graph.Graph, rc *kernels.ResidentCor
 			return sc
 		}}
 	}
-	return true
 }
 
 // Seed implements core.Algorithm: one task per vertex with at least two

@@ -103,7 +103,7 @@ func newTCTasks(tb testing.TB, g *graph.Graph, withCore bool) *tcTasks {
 		}
 	}
 	a := NewTriangleCount()
-	a.MineOriented(gplus, rc)
+	core.PlanOf(a).Oriented(gplus, rc)
 	tt := &tcTasks{a: a, env: &seqEnv{g: gplus, agg: a.Aggregator(), partial: int64(0)}}
 	gplus.ForEach(func(v *graph.Vertex) bool {
 		a.Seed(v, func(t *core.Task) {
@@ -195,17 +195,17 @@ type discardAgg struct{ seqEnv }
 
 func (*discardAgg) AggUpdate(any) {}
 
-// A runner that knows nothing of orientation — a bare Seed/Update loop
-// over the undirected graph, which is all baseline.Batch is to an
-// algorithm — must get correct generic TC, whether or not it configured
-// the kernel layer. Only MineOriented may move TC onto forward lists.
+// A runner that offers no G⁺ — a bare Seed/Update loop over the undirected
+// graph that opens each job with core.PlanOf and calls none of the plan's
+// fields, which is all baseline.Batch is to TC — must get correct generic TC:
+// only Plan.Oriented moves TC onto forward lists, and opening the next job
+// moves it back off. One TC value runs a planned job first and the bare loop
+// after it: the second count is still the reference.
 func TestTCUnawareRunnerStaysGeneric(t *testing.T) {
 	g := pinnedGraph(t)
 	want := RefTriangles(g)
-	for name, a := range map[string]*TriangleCount{
-		"default":            NewTriangleCount(),
-		"kernels-configured": func() *TriangleCount { a := NewTriangleCount(); a.ConfigureKernels(nil, false); return a }(),
-	} {
+	bare := func(a *TriangleCount) any {
+		core.PlanOf(a)
 		env := &seqEnv{g: g, agg: a.Aggregator(), partial: a.Aggregator().Zero()}
 		g.ForEach(func(v *graph.Vertex) bool {
 			a.Seed(v, func(task *core.Task) {
@@ -217,13 +217,21 @@ func TestTCUnawareRunnerStaysGeneric(t *testing.T) {
 			})
 			return true
 		})
-		if env.partial != any(want) {
-			t.Fatalf("%s: bare loop counted %v triangles, reference %d", name, env.partial, want)
-		}
+		return env.partial
+	}
+	if got := bare(NewTriangleCount()); got != any(want) {
+		t.Fatalf("fresh value: bare loop counted %v triangles, reference %d", got, want)
+	}
+	reused := NewTriangleCount()
+	if res := SeqRun(g, reused); res.AggGlobal != any(want) || !reused.oriented {
+		t.Fatalf("planned job counted %v triangles (oriented=%v), reference %d", res.AggGlobal, reused.oriented, want)
+	}
+	if got := bare(reused); got != any(want) || reused.oriented {
+		t.Fatalf("reused value: bare loop counted %v triangles (oriented=%v), reference %d", got, reused.oriented, want)
 	}
 	generic := NewTriangleCount()
-	generic.ConfigureKernels(nil, true)
-	if generic.MineOriented(graph.Orient(g), nil) {
-		t.Fatal("a TC configured generic accepted the oriented graph")
+	generic.Generic = true
+	if p := core.PlanOf(generic); p.Oriented != nil || p.Labels != nil || p.SeedRadius != 0 {
+		t.Fatal("a TC configured generic declared a plan")
 	}
 }

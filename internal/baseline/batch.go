@@ -91,9 +91,10 @@ func (b Batch) Run(g *graph.Graph, algoImpl core.Algorithm, cfg Config) (*BatchR
 		eng.global.Store(eng.agg.Zero())
 	}
 	// Every simulated node holds g, so the label column G-Miner replicates
-	// is here for the asking: the comparison stays one of engines.
-	if lp, ok := algoImpl.(core.LabelPruner); ok {
-		lp.PruneByLabel(g.LabelColumn())
+	// is here for the asking: the comparison stays one of engines. G⁺ is
+	// not offered, so an oriented plan runs on the undirected graph.
+	if p := core.PlanOf(algoImpl); p.Labels != nil {
+		p.Labels(g.LabelColumn())
 	}
 	if err := eng.budget.Charge(g.FootprintBytes()); err != nil {
 		return nil, statsNow(start, eng.budget, counters, 0), err

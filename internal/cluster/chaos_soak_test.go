@@ -32,7 +32,7 @@ func TestChaosSoakLossyNetwork(t *testing.T) {
 	cfg.Partitioner = partition.Hash{}
 	// Faster pull retries keep the soak short: each dropped pull costs one
 	// backoff interval before the retry path re-issues it.
-	cfg.PullRetryBase = 10 * time.Millisecond
+	cluster.Tune(&cfg, cluster.Knobs{PullRetryBase: 10 * time.Millisecond})
 
 	want := chaosBaseline(t, cfg, 61)
 
@@ -74,7 +74,7 @@ func TestChaosSoakWithWorkerCrash(t *testing.T) {
 	cfg.CheckpointEvery = 3 * time.Millisecond
 	cfg.CheckpointDir = t.TempDir()
 	cfg.FailTimeout = 10 * time.Millisecond
-	cfg.PullRetryBase = 10 * time.Millisecond
+	cluster.Tune(&cfg, cluster.Knobs{PullRetryBase: 10 * time.Millisecond})
 	// Stealing off: a migration in flight at kill time would be lost — the
 	// same hole the paper's checkpoint protocol has (tasks migrated after
 	// the victim's checkpoint are in nobody's snapshot).
@@ -113,7 +113,7 @@ func TestChaosSameSeedSameStats(t *testing.T) {
 	run := func() chaos.Stats {
 		cfg := smallConfig()
 		cfg.Partitioner = partition.Hash{}
-		cfg.PullRetryBase = 10 * time.Millisecond
+		cluster.Tune(&cfg, cluster.Knobs{PullRetryBase: 10 * time.Millisecond})
 		ctl := chaos.New(profile)
 		cfg.Chaos = ctl
 		g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 1200, Seed: 71})

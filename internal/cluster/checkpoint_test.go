@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gminer/internal/algo"
 	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
@@ -254,15 +255,18 @@ func TestJobFingerprintSensitivity(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 7, Edges: 400, Seed: 3})
 	g2 := gen.RMAT(gen.RMATConfig{Scale: 7, Edges: 400, Seed: 4})
 	base := Config{Workers: 3, Partitioner: partition.Hash{}}
-	fp := jobFingerprint(g, "tc", base)
-	if fp != jobFingerprint(g, "tc", base) {
+	plan := core.PlanOf(algo.NewTriangleCount())
+	fp := jobFingerprint(g, "tc", plan, base)
+	if fp != jobFingerprint(g, "tc", plan, base) {
 		t.Fatal("fingerprint not deterministic")
 	}
 	diff := map[string]uint64{
-		"algorithm":   jobFingerprint(g, "mcf", base),
-		"workers":     jobFingerprint(g, "tc", Config{Workers: 4, Partitioner: partition.Hash{}}),
-		"partitioner": jobFingerprint(g, "tc", Config{Workers: 3, Partitioner: partition.BDG{}}),
-		"graph":       jobFingerprint(g2, "tc", base),
+		"algorithm":    jobFingerprint(g, "mcf", plan, base),
+		"generic plan": jobFingerprint(g, "tc", core.Plan{}, base),
+		"label column": jobFingerprint(g, "tc", core.PlanOf(algo.NewGraphMatch(nil)), base),
+		"workers":      jobFingerprint(g, "tc", plan, Config{Workers: 4, Partitioner: partition.Hash{}}),
+		"partitioner":  jobFingerprint(g, "tc", plan, Config{Workers: 3, Partitioner: partition.BDG{}}),
+		"graph":        jobFingerprint(g2, "tc", plan, base),
 	}
 	for name, got := range diff {
 		if got == fp {
@@ -334,9 +338,9 @@ func TestResumeCorruptNewestEpochFallsBack(t *testing.T) {
 	// for two to commit inside this short job.
 	cfg := Config{
 		Workers: 3, Threads: 2,
-		CacheCapacity: 512, StoreMemCapacity: 256, CPQHighWater: 32,
+		CacheCapacity: 512, StoreMemCapacity: 256, cpqHighWater: 32,
 		UseLSH:           true,
-		ProgressInterval: time.Millisecond,
+		progressInterval: time.Millisecond,
 		CheckpointEvery:  3 * time.Millisecond,
 		CheckpointDir:    dir,
 		Partitioner:      partition.Hash{},

@@ -13,14 +13,15 @@ import (
 
 // smallConfig returns a fast test configuration.
 func smallConfig() cluster.Config {
-	return cluster.Config{
+	cfg := cluster.Config{
 		Workers:          3,
 		Threads:          2,
 		CacheCapacity:    512,
 		StoreMemCapacity: 256,
 		UseLSH:           true,
-		ProgressInterval: time.Millisecond,
 	}
+	cluster.Tune(&cfg, cluster.Knobs{Heartbeat: time.Millisecond})
+	return cfg
 }
 
 func TestTriangleCountMatchesReference(t *testing.T) {

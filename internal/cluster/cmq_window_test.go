@@ -29,7 +29,7 @@ func TestCMQWindowCountsVertices(t *testing.T) {
 		t.Fatal(err)
 	}
 	vt := newVertexTables(g, assign, allWorkers(2))
-	cfg := Config{Workers: 2, Threads: 1, CacheCapacity: capacity, ProgressInterval: time.Hour}.Defaults()
+	cfg := Config{Workers: 2, Threads: 1, CacheCapacity: capacity, progressInterval: time.Hour}.Defaults()
 	counters := &metrics.Counters{}
 	w, err := newWorker(0, cfg, noUpdate{algo.NewTriangleCount()}, vt.dir, vt.locals[0], discardEndpoint{}, counters, nil, nil)
 	if err != nil {

@@ -61,21 +61,6 @@ type Config struct {
 
 	// Stealing enables dynamic load balancing by task stealing (§6.2).
 	Stealing bool
-	// StealBatch is the floor of Tnum, the number of tasks a MIGRATE asks
-	// for: half the gap between the victim's store and the thief's, never
-	// under StealBatch, and nothing when the gap itself is smaller.
-	StealBatch int
-	// StealLocalityMax is Tr: only tasks with lr(t) < Tr move (Eq. 3). Tc
-	// (Eq. 2) is fixed at 4096.
-	StealLocalityMax float64
-
-	// DisablePlans forces algorithms onto their generic exploration paths:
-	// KernelConfigurable algorithms are told to stay generic and no
-	// OrientedMiner is offered the degree-oriented view (none is built), so
-	// every job mines the undirected vertex tables. The generic path is the
-	// differential baseline — results must be byte-identical either way;
-	// this flag exists for that comparison and as an escape hatch.
-	DisablePlans bool
 
 	// EagerSeeding generates every seed task before processing starts
 	// (the paper's behavior; §9 lists it as an overhead). When false,
@@ -83,13 +68,6 @@ type Config struct {
 	// while the task store holds more than StoreMemCapacity/2 tasks.
 	EagerSeeding bool
 
-	// ProgressInterval is the heartbeat: each worker reports, asks to steal
-	// when idle, observes memory and retries stale pulls once per interval,
-	// and the master runs one scheduling round (aggregator sync, checkpoint
-	// trigger, failure detection, RoundHook). It is not the latency floor of
-	// a job: idle reports, termination probes and buffer flushes are
-	// event-driven. Default 2ms.
-	ProgressInterval time.Duration
 	// CheckpointEvery takes a checkpoint each interval; 0 disables.
 	CheckpointEvery time.Duration
 	// CheckpointDir stores checkpoint files (empty: in-memory snapshots).
@@ -103,11 +81,6 @@ type Config struct {
 	// FailTimeout marks a worker dead after this silence; 0 disables
 	// failure detection.
 	FailTimeout time.Duration
-
-	// PullRetryBase is the initial wait before re-issuing an unanswered
-	// pull request; retries back off exponentially (with jitter) up to 16×
-	// it. The default scales with ProgressInterval.
-	PullRetryBase time.Duration
 
 	// Chaos, if non-nil, wraps every node's endpoint with the seeded
 	// fault-injection layer (internal/chaos) and executes the profile's
@@ -149,7 +122,7 @@ type Config struct {
 	Tracer *trace.Tracer
 
 	// RoundHook, if non-nil, is called by the master once per scheduling
-	// round — at least once per ProgressInterval while the job runs, so not
+	// round — at least once per heartbeat (2 ms) while the job runs, so not
 	// at all on a job shorter than that — with the round number, from the
 	// master goroutine. It is the cooperative-preemption point the serving
 	// layer uses to stop over-budget or past-deadline jobs at a round
@@ -158,11 +131,18 @@ type Config struct {
 	// master's control loop.
 	RoundHook func(round int64)
 
-	// CPQHighWater bounds the ready-task computation queue per worker.
-	CPQHighWater int
 	// BufferFlush is the task-buffer batch size (§4.3: "inserted into the
 	// task store in batches").
 	BufferFlush int
+
+	// The engine's tuning, filled by Defaults from the constants below. No
+	// deployment sets them; a test that must shape a scenario does
+	// (export_test.go).
+	progressInterval time.Duration
+	stealBatch       int
+	stealLocalityMax float64
+	cpqHighWater     int
+	pullRetryBase    time.Duration
 
 	// seedHold, when set (tests only, see export_test.go), makes every seeder
 	// wait for it to close before seeding its last vertex: the job cannot
@@ -173,6 +153,33 @@ type Config struct {
 	// the vertices of its scan that are not in it.
 	seeds map[graph.VertexID]struct{}
 }
+
+// Engine constants: the values Defaults gives the tuning fields.
+const (
+	// defaultProgressInterval is the heartbeat: each worker reports, asks to
+	// steal when idle, observes memory and retries stale pulls once per
+	// interval, and the master runs one scheduling round (aggregator sync,
+	// checkpoint trigger, failure detection, RoundHook). It is not the
+	// latency floor of a job: idle reports, termination probes and buffer
+	// flushes are event-driven.
+	defaultProgressInterval = 2 * time.Millisecond
+	// defaultStealBatch is the floor of Tnum, the number of tasks a MIGRATE
+	// asks for: half the gap between the victim's store and the thief's,
+	// never under it, and nothing when the gap itself is smaller.
+	defaultStealBatch = 32
+	// defaultStealLocalityMax is Tr: only tasks with lr(t) < Tr move (Eq. 3).
+	// Tc (Eq. 2) is fixed at 4096.
+	defaultStealLocalityMax = 0.9
+	// cpqDepthPerThread bounds the ready-task computation queue per worker,
+	// per executor thread.
+	cpqDepthPerThread = 32
+	// pullRetryHeartbeats is the initial wait before re-issuing an
+	// unanswered pull request, in heartbeats: late enough that a slow
+	// response usually wins the race, early enough that a lost batch does not
+	// stall the CMQ window for long. Retries back off exponentially (with
+	// jitter) up to 16× it.
+	pullRetryHeartbeats = 30
+)
 
 // Defaults fills unset fields with production defaults.
 func (c Config) Defaults() Config {
@@ -197,26 +204,23 @@ func (c Config) Defaults() Config {
 	if c.LSHDims <= 0 {
 		c.LSHDims = 4
 	}
-	if c.StealBatch <= 0 {
-		c.StealBatch = 32
+	if c.stealBatch <= 0 {
+		c.stealBatch = defaultStealBatch
 	}
-	if c.StealLocalityMax <= 0 {
-		c.StealLocalityMax = 0.9
+	if c.stealLocalityMax <= 0 {
+		c.stealLocalityMax = defaultStealLocalityMax
 	}
-	if c.ProgressInterval <= 0 {
-		c.ProgressInterval = 2 * time.Millisecond
+	if c.progressInterval <= 0 {
+		c.progressInterval = defaultProgressInterval
 	}
-	if c.PullRetryBase <= 0 {
-		// First retry after ~30 report periods: late enough that a slow
-		// response usually wins the race, early enough that a lost batch
-		// does not stall the CMQ window for long.
-		c.PullRetryBase = 30 * c.ProgressInterval
+	if c.pullRetryBase <= 0 {
+		c.pullRetryBase = pullRetryHeartbeats * c.progressInterval
 	}
 	if c.Partitioner == nil {
 		c.Partitioner = partition.BDG{}
 	}
-	if c.CPQHighWater <= 0 {
-		c.CPQHighWater = 4 * c.Threads * 8
+	if c.cpqHighWater <= 0 {
+		c.cpqHighWater = cpqDepthPerThread * c.Threads
 	}
 	if c.BufferFlush <= 0 {
 		c.BufferFlush = 64

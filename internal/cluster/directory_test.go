@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gminer/internal/algo"
+	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/lsh"
@@ -143,7 +144,7 @@ func TestScansMatchAssignmentLocal(t *testing.T) {
 
 			var view orientedView
 			tc := algo.NewTriangleCount()
-			ot := view.tables(tc, g, assign, 0, false, vt)
+			ot := view.tables(core.PlanOf(tc), g, assign, 0, vt)
 			if ot.dir == vt.dir || view.g == nil {
 				t.Fatalf("%s/%s: triangle counting did not get the oriented view", gname, p.Name())
 			}

@@ -1,10 +1,29 @@
 package cluster
 
 import (
+	"cmp"
 	"slices"
+	"time"
 
 	"gminer/internal/graph"
 )
+
+// Knobs are the engine constants a test may shape a scenario with; a zero
+// field keeps the default.
+type Knobs struct {
+	Heartbeat        time.Duration
+	PullRetryBase    time.Duration
+	StealBatch       int
+	StealLocalityMax float64 // Tr; 2 lets every task migrate
+}
+
+// Tune sets cfg's engine constants to k's non-zero fields.
+func Tune(cfg *Config, k Knobs) {
+	cfg.progressInterval = cmp.Or(k.Heartbeat, cfg.progressInterval)
+	cfg.pullRetryBase = cmp.Or(k.PullRetryBase, cfg.pullRetryBase)
+	cfg.stealBatch = cmp.Or(k.StealBatch, cfg.stealBatch)
+	cfg.stealLocalityMax = cmp.Or(k.StealLocalityMax, cfg.stealLocalityMax)
+}
 
 // HoldLastSeed is the deterministic hold of the fault-injection soaks: every
 // worker built from cfg — in this process or a worker process started with

@@ -23,7 +23,7 @@ func (discardEndpoint) Send(int, uint8, []byte) error { return nil }
 func newBenchWorker(tb testing.TB) *Worker {
 	tb.Helper()
 	g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 2000, Seed: 17})
-	cfg := Config{Workers: 4, Threads: 1, ProgressInterval: time.Millisecond}.Defaults()
+	cfg := Config{Workers: 4, Threads: 1, progressInterval: time.Millisecond}.Defaults()
 	assign, err := partition.Hash{}.Partition(g, 4)
 	if err != nil {
 		tb.Fatal(err)

@@ -67,7 +67,8 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 	for _, remote := range []bool{false, true} {
 		cfg := spilling()
 		cfg.Partitioner = partition.Skewed{Bias: 0.8}
-		cfg.Stealing, cfg.StealBatch, cfg.StealLocalityMax = true, 2, 2 // every task may migrate
+		cfg.Stealing = true
+		cluster.Tune(&cfg, cluster.Knobs{StealBatch: 2, StealLocalityMax: 2}) // every task may migrate
 		sess := open(remote, cfg)
 		j, err := sess.Launch(algo.NewGraphMatch(p), cluster.JobOptions{Spec: &sp})
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 	"gminer/internal/dyngraph"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
-	"gminer/internal/jobspec"
 	"gminer/internal/partition"
 	"gminer/internal/plan"
 )
@@ -25,12 +24,27 @@ func gmPruneGraph() *graph.Graph {
 	return g
 }
 
-// gmRun launches GM for p on s — parent-major on the plan, or the generic
-// baseline nobody offers labels to — and returns the job's result.
-func gmRun(t *testing.T, s *cluster.Session, a core.Algorithm, generic bool) *cluster.Result {
+// gmArm is GM for p, parent-major on the plan or the generic baseline that
+// declares none.
+func gmArm(p *algo.Pattern, generic bool) *algo.GraphMatch {
+	a := algo.NewGraphMatch(p)
+	a.Generic = generic
+	return a
+}
+
+// gmRun launches a — GM, or a spy around it — on s and returns the job's
+// result, once it has checked that the job ran the arm a declares: the tasks
+// of that arm's sequential run.
+func gmRun(t *testing.T, s *cluster.Session, a core.Algorithm) *cluster.Result {
 	t.Helper()
-	sp := jobspec.Spec{App: "gm", Generic: generic}.Normalize()
-	j, err := s.Launch(a, cluster.JobOptions{Spec: &sp})
+	gm, ok := a.(*algo.GraphMatch)
+	if spy, isSpy := a.(*gmSpy); isSpy {
+		gm, ok = spy.GraphMatch, true
+	}
+	if !ok {
+		t.Fatalf("gmRun: %T is not GM", a)
+	}
+	j, err := s.Launch(a, cluster.JobOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,15 +52,16 @@ func gmRun(t *testing.T, s *cluster.Session, a core.Algorithm, generic bool) *cl
 	if err != nil {
 		t.Fatal(err)
 	}
+	if seq := gmSeq(s.Graph(), gm.P, gm.Generic); res.Total.TasksDone != seq.Tasks {
+		t.Fatalf("generic=%v: %d tasks, but that arm runs %d sequentially: the other arm ran", gm.Generic, res.Total.TasksDone, seq.Tasks)
+	}
 	return res
 }
 
 // gmSeq is the sequential run a GM job of p must reproduce, count and tasks:
 // parent-major, or the generic baseline.
 func gmSeq(g *graph.Graph, p *algo.Pattern, generic bool) *algo.SeqResult {
-	a := algo.NewGraphMatch(p)
-	a.Generic = generic
-	return algo.SeqRun(g, a)
+	return algo.SeqRun(g, gmArm(p, generic))
 }
 
 // TestGMLabelPruningDifferential: matching parent-major off the label column
@@ -96,7 +111,8 @@ func TestGMLabelPruningDifferential(t *testing.T) {
 					cfg := smallConfig()
 					cfg.Workers, cfg.Threads, cfg.Stealing = workers, 1, stealing
 					if stealing {
-						cfg.Partitioner, cfg.StealBatch, cfg.StealLocalityMax = partition.Skewed{Bias: 0.8}, 2, 2
+						cfg.Partitioner = partition.Skewed{Bias: 0.8}
+						cluster.Tune(&cfg, cluster.Knobs{StealBatch: 2, StealLocalityMax: 2})
 					}
 					if spill {
 						cfg.StoreMemCapacity, cfg.StoreBlockCapacity = 8, 2
@@ -112,7 +128,7 @@ func TestGMLabelPruningDifferential(t *testing.T) {
 						shape := fmt.Sprintf("%s/w%d/steal=%v/spill=%v/%s", gname, workers, stealing, spill, pname)
 						want := refs[gname+"/"+pname]
 						for arm, generic := range []bool{false, true} {
-							res := gmRun(t, s, algo.NewGraphMatch(p), generic)
+							res := gmRun(t, s, gmArm(p, generic))
 							if res.AggGlobal != any(want.count) || res.Total.TasksDone != want.tasks[arm] {
 								t.Fatalf("%s generic=%v: count %v in %d tasks, want %d in %d", shape, generic, res.AggGlobal, res.Total.TasksDone, want.count, want.tasks[arm])
 							}
@@ -182,8 +198,9 @@ func TestGMPullsOnlyUsableLabels(t *testing.T) {
 			t.Fatal(err)
 		}
 		pruned, generic := newGMSpy(g, p), newGMSpy(g, p)
+		generic.Generic = true
 		want := algo.RefMatchCount(g, p)
-		if a, b := gmRun(t, s, pruned, false).AggGlobal, gmRun(t, s, generic, true).AggGlobal; a != any(want) || b != any(want) || want == 0 {
+		if a, b := gmRun(t, s, pruned).AggGlobal, gmRun(t, s, generic).AggGlobal; a != any(want) || b != any(want) || want == 0 {
 			t.Fatalf("%s: counts %v pruned, %v generic, reference %d", gname, a, b, want)
 		}
 		s.Close()
@@ -213,7 +230,7 @@ func TestGMPruningCutsCacheTraffic(t *testing.T) {
 	}
 	defer s.Close()
 	acquires := func(generic bool) int64 {
-		res := gmRun(t, s, algo.NewGraphMatch(nil), generic)
+		res := gmRun(t, s, gmArm(nil, generic))
 		return res.Total.CacheHits + res.Total.CacheMisses
 	}
 	pruned, unpruned := acquires(false), acquires(true)
@@ -243,7 +260,7 @@ func TestGMPruningFollowsGraphEpoch(t *testing.T) {
 		}
 		for _, generic := range []bool{false, true} {
 			seq := gmSeq(g, p, generic)
-			if res := gmRun(t, s, algo.NewGraphMatch(p), generic); res.AggGlobal != any(want) || res.Total.TasksDone != seq.Tasks {
+			if res := gmRun(t, s, gmArm(p, generic)); res.AggGlobal != any(want) || res.Total.TasksDone != seq.Tasks {
 				t.Fatalf("%s generic=%v: count %v in %d tasks, want %d in %d", when, generic, res.AggGlobal, res.Total.TasksDone, want, seq.Tasks)
 			}
 		}

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"gminer/internal/algo"
+	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
-	"gminer/internal/jobspec"
 	"gminer/internal/partition"
 	"gminer/internal/transport"
 )
@@ -50,7 +50,7 @@ func TestGMNeverPullsLeaves(t *testing.T) {
 	want, expanding := algo.RefMatchCount(g, p), expandingMatches(g, p)
 	s, err := NewSession(g, Config{
 		Workers: 4, Threads: 1, Partitioner: partition.Hash{}, CacheCapacity: 64,
-		Stealing: true, StealBatch: 4, StealLocalityMax: 2, // every task may migrate
+		Stealing: true, stealBatch: 4, stealLocalityMax: 2, // every task may migrate
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,15 +58,18 @@ func TestGMNeverPullsLeaves(t *testing.T) {
 	defer s.Close()
 	for _, generic := range []bool{false, true} {
 		a := algo.NewGraphMatch(p)
+		a.Generic = generic
+		seqArm := algo.NewGraphMatch(p)
+		seqArm.Generic = generic
+		tasks := algo.SeqRun(g, seqArm).Tasks
 		var mu sync.Mutex
 		asked := map[graph.VertexID]int{}
-		sp := jobspec.Spec{App: "gm", Generic: generic}.Normalize()
-		j, err := s.launch(a, JobOptions{Spec: &sp}, launchSpec{
-			newHost: func(j *Job, eps []transport.Endpoint) (workerHost, error) {
+		j, err := s.launch(a, JobOptions{}, launchSpec{
+			newHost: func(j *Job, plan core.Plan, eps []transport.Endpoint) (workerHost, error) {
 				for i, ep := range eps {
 					eps[i] = &pullSpy{Endpoint: ep, codec: a, mu: &mu, asked: asked}
 				}
-				return &goroutineHost{j: j, algo: a, tables: s.oriented.tables(a, s.g, s.assign, j.cfg.GraphEpoch, j.cfg.DisablePlans, s.tables), eps: eps, workers: make([]*Worker, len(eps))}, nil
+				return &goroutineHost{j: j, algo: a, tables: s.oriented.tables(plan, s.g, s.assign, j.cfg.GraphEpoch, s.tables), eps: eps, workers: make([]*Worker, len(eps))}, nil
 			},
 		})
 		if err != nil {
@@ -85,6 +88,8 @@ func TestGMNeverPullsLeaves(t *testing.T) {
 		switch {
 		case res.AggGlobal != any(want) || want == 0:
 			t.Fatalf("generic=%v: count %v, reference %d", generic, res.AggGlobal, want)
+		case res.Total.TasksDone != tasks:
+			t.Fatalf("generic=%v: %d tasks, but that arm runs %d sequentially: the other arm ran", generic, res.Total.TasksDone, tasks)
 		case len(asked) == 0:
 			t.Fatalf("generic=%v: nothing was pulled: the test is vacuous", generic)
 		case !generic && len(outside) > 0:

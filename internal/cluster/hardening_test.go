@@ -63,7 +63,7 @@ func TestRetryStalePullsReresolvesOwner(t *testing.T) {
 // 16× PullRetryBase and the ±25%% jitter envelope.
 func TestRetryDelayBacksOffAndCaps(t *testing.T) {
 	w, _, _ := newTestWorker(t)
-	base := w.cfg.PullRetryBase
+	base := w.cfg.pullRetryBase
 	max := 16 * base
 	w.pendMu.Lock()
 	defer w.pendMu.Unlock()
@@ -110,11 +110,11 @@ func TestRestoreVsMigrateRace(t *testing.T) {
 	cfg := Config{
 		Workers:          2,
 		Threads:          2,
-		ProgressInterval: time.Millisecond,
-		StealBatch:       8,
+		progressInterval: time.Millisecond,
+		stealBatch:       8,
 		// Tr above every locality rate admits the all-local tasks below
 		// (lr = 1), which the default Tr refuses.
-		StealLocalityMax: 2,
+		stealLocalityMax: 2,
 	}.Defaults()
 	assign, err := partition.Hash{}.Partition(g, 2)
 	if err != nil {
@@ -151,7 +151,7 @@ func TestRestoreVsMigrateRace(t *testing.T) {
 	net := transport.NewLocal(transport.LocalConfig{Nodes: 3})
 	// The racing MIGRATE: queued before the worker exists, handled the
 	// moment its comm loop starts, while the restored tasks drain.
-	if err := net.Endpoint(2).Send(0, msgMigrate, encodeMigrate(1, cfg.StealBatch)); err != nil {
+	if err := net.Endpoint(2).Send(0, msgMigrate, encodeMigrate(1, cfg.stealBatch)); err != nil {
 		t.Fatal(err)
 	}
 

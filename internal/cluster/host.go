@@ -124,25 +124,20 @@ func (o *orientedView) follow(touched map[graph.VertexID]struct{}) {
 	}
 }
 
-// tables readies algorithm a's planned path for one job on epoch `epoch` of
-// g, before any seeding, and returns the job's vertex tables by worker:
-// base — or, if a mines the oriented graph, the tables over G⁺ (base's scan
-// for each worker base has one for). Those are what seeding, to_pull, pull serving
-// and restore run on, so forward lists are all such a job's tasks, caches
-// and wire carry. An algorithm that prunes candidates by label is handed the
-// epoch's replicated label column (labels are the same in both views).
-// generic (Config.DisablePlans, or a spec asking for the differential
-// baseline) keeps a on its generic path and on base, and offers it nothing.
-func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partition.Assignment,
-	epoch int64, generic bool, base vertexTables) vertexTables {
-	if kc, ok := a.(core.KernelConfigurable); ok {
-		kc.ConfigureKernels(nil, generic)
+// tables honours plan p — algorithm a's, read once for the job — on epoch
+// `epoch` of g, before any seeding, and returns the job's vertex tables by
+// worker: base — or, if p mines the oriented graph, the tables over G⁺
+// (base's scan for each worker base has one for). Those are what seeding,
+// to_pull, pull serving and restore run on, so forward lists are all such a
+// job's tasks, caches and wire carry. A plan that takes the label column is
+// handed the epoch's replicated one (labels are the same in both views). The
+// zero plan — the generic path — is offered nothing and runs on base.
+func (o *orientedView) tables(p core.Plan, g *graph.Graph, assign *partition.Assignment,
+	epoch int64, base vertexTables) vertexTables {
+	if p.Labels != nil {
+		p.Labels(base.dir.label)
 	}
-	if lp, ok := a.(core.LabelPruner); ok && !generic {
-		lp.PruneByLabel(base.dir.label)
-	}
-	om, ok := a.(core.OrientedMiner)
-	if !ok || generic {
+	if p.Oriented == nil {
 		return base
 	}
 	o.mu.Lock()
@@ -152,9 +147,7 @@ func (o *orientedView) tables(a core.Algorithm, g *graph.Graph, assign *partitio
 		o.epoch, o.pending = epoch, nil
 		o.cut(assign, base)
 	}
-	if !om.MineOriented(o.g, o.core) {
-		return base
-	}
+	p.Oriented(o.g, o.core)
 	return o.vertexTables
 }
 

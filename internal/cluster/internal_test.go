@@ -273,9 +273,9 @@ func TestCostPolicy(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
 	if c.Workers <= 0 || c.Threads <= 0 || c.CacheCapacity <= 0 ||
-		c.StoreMemCapacity <= 0 || c.LSHDims <= 0 || c.StealBatch <= 0 ||
-		c.ProgressInterval <= 0 || c.Partitioner == nil ||
-		c.CPQHighWater <= 0 || c.BufferFlush <= 0 {
+		c.StoreMemCapacity <= 0 || c.LSHDims <= 0 || c.stealBatch <= 0 ||
+		c.progressInterval <= 0 || c.Partitioner == nil ||
+		c.cpqHighWater <= 0 || c.BufferFlush <= 0 {
 		t.Fatalf("defaults incomplete: %+v", c)
 	}
 	// The cache is the one window: no task-count bound on the CMQ, and the
@@ -284,9 +284,21 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal("Config still has a task-count CMQ bound")
 	}
 	for _, capacity := range []int{64, 256, 1 << 16} {
-		if got := (Config{Threads: 2, CacheCapacity: capacity}).Defaults().CPQHighWater; got != 4*2*8 {
+		if got := (Config{Threads: 2, CacheCapacity: capacity}).Defaults().cpqHighWater; got != 4*2*8 {
 			t.Fatalf("cache %d: CPQ high water %d, want %d", capacity, got, 4*2*8)
 		}
+	}
+	// A deployment sets what it owns; the engine's tuning is constants, and
+	// whether a job runs its plan is the algorithm's to declare.
+	typ := reflect.TypeOf(Config{})
+	var exported []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			exported = append(exported, f.Name)
+		}
+	}
+	if len(exported) != 28 {
+		t.Fatalf("Config has %d exported fields, want 28: %v", len(exported), exported)
 	}
 }
 

@@ -198,7 +198,7 @@ func (j *Job) runCrash(cr chaos.Crash) {
 		if j.cfg.FailTimeout > 0 {
 			return
 		}
-		wait = 25 * j.cfg.ProgressInterval
+		wait = 25 * j.cfg.progressInterval
 	}
 	t2 := time.NewTimer(wait)
 	defer t2.Stop()

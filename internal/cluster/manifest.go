@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 
+	"gminer/internal/core"
 	"gminer/internal/graph"
 	"gminer/internal/wire"
 )
@@ -176,15 +177,17 @@ func decodeManifest(b []byte) (*manifest, error) {
 }
 
 // jobFingerprint hashes everything a checkpoint's validity depends on: the
-// algorithm, the worker count, the partitioner (the vertex→worker
+// algorithm and what its plan mines — G⁺ or the undirected graph, with or
+// without the label column, which decide the seeds and the task contexts a
+// snapshot holds — the worker count, the partitioner (the vertex→worker
 // assignment must reproduce exactly on resume), the graph epoch (a
 // dynamic session's graph mutates in place; epoch N snapshots must never
 // restore against epoch M structure) and the graph structure itself.
 // Two jobs with the same fingerprint generate the same seed tasks in the
 // same partitions, so one's snapshots are restorable by the other.
-func jobFingerprint(g *graph.Graph, algoName string, cfg Config) uint64 {
+func jobFingerprint(g *graph.Graph, algoName string, p core.Plan, cfg Config) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%T|%d|", algoName, cfg.Workers, cfg.Partitioner, cfg.GraphEpoch)
+	fmt.Fprintf(h, "%s|%t|%t|%d|%T|%d|", algoName, p.Oriented != nil, p.Labels != nil, cfg.Workers, cfg.Partitioner, cfg.GraphEpoch)
 	var fold uint64
 	g.ForEach(func(v *graph.Vertex) bool {
 		fold = fold*0x100000001b3 + uint64(v.ID)*2654435761 + uint64(len(v.Adj))

@@ -99,10 +99,10 @@ func newMaster(cfg Config, ep transport.Endpoint, agg core.Aggregator,
 // run is the master's main loop; it returns once the job has terminated
 // (doneCh closed) or the master is stopped externally. It wakes on every
 // message and tests for termination at once; the scheduling round (periodic,
-// RoundHook) stays paced by ProgressInterval.
+// RoundHook) stays paced by the heartbeat.
 func (m *master) run() {
 	defer close(m.doneCh)
-	tick := m.cfg.ProgressInterval
+	tick := m.cfg.progressInterval
 	nextRound := time.Now().Add(tick)
 	var round int64
 	for {
@@ -240,7 +240,7 @@ func (m *master) handleCkptAck(msg transport.Message) {
 // backlog in the progress table) and orders it to migrate tasks to the
 // requesting idle worker (§6.2). The batch is half the gap between the two
 // stores — what levels them, so one round trip keeps the thief busy for as
-// long as the victim still has work — and never under StealBatch: a gap
+// long as the victim still has work — and never under the steal batch: a gap
 // smaller than that is not worth a migration.
 func (m *master) scheduleSteal(thief int) {
 	if !m.cfg.Stealing || m.ckptPending > 0 {
@@ -259,11 +259,11 @@ func (m *master) scheduleSteal(thief int) {
 	if thief >= 0 && thief < len(m.reports) && m.reports[thief] != nil {
 		gap -= m.reports[thief].StoreSize
 	}
-	if victim < 0 || gap < int64(m.cfg.StealBatch) {
+	if victim < 0 || gap < int64(m.cfg.stealBatch) {
 		_ = m.ep.Send(thief, msgNoTask, nil)
 		return
 	}
-	_ = m.ep.Send(victim, msgMigrate, encodeMigrate(thief, max(int(gap/2), m.cfg.StealBatch)))
+	_ = m.ep.Send(victim, msgMigrate, encodeMigrate(thief, max(int(gap/2), m.cfg.stealBatch)))
 }
 
 // periodic runs aggregator sync, checkpoint triggering and failure
@@ -387,12 +387,12 @@ func (m *master) checkTermination(now time.Time) bool {
 		}
 		need := 3
 		if m.cfg.Latency > 0 {
-			need += int(m.cfg.Latency/m.cfg.ProgressInterval)*2 + 1
+			need += int(m.cfg.Latency/m.cfg.progressInterval)*2 + 1
 		}
 		if d := m.cfg.Chaos.MaxDelay(); d > 0 {
-			need += int(d/m.cfg.ProgressInterval)*2 + 1
+			need += int(d/m.cfg.progressInterval)*2 + 1
 		}
-		return now.Sub(m.stableSince) >= time.Duration(need)*m.cfg.ProgressInterval
+		return now.Sub(m.stableSince) >= time.Duration(need)*m.cfg.progressInterval
 	}
 	switch {
 	case answered && equalInt64(print, m.lastPrint):
@@ -402,7 +402,7 @@ func (m *master) checkTermination(now time.Time) bool {
 		m.wave++
 	case m.wave == 0:
 		m.wave++
-	case now.Sub(m.probedAt) < m.cfg.ProgressInterval:
+	case now.Sub(m.probedAt) < m.cfg.progressInterval:
 		return false // the wave is still out
 	}
 	// A new wave — or the old one again: a frame can die with its connection.

@@ -39,10 +39,11 @@ func sparseIDs(g *graph.Graph) *graph.Graph {
 }
 
 // orientedRef is the triangle count every route must reproduce — the
-// compiled plan, the sequential run and the scalar reference agree on it
-// first — plus the number of tasks an oriented job runs: one per vertex
-// with at least two forward neighbors.
-func orientedRef(t *testing.T, g *graph.Graph) (want, seeds int64) {
+// compiled plan, the sequential runs of both arms and the scalar reference
+// agree on it first — plus the number of tasks each arm's job runs, by
+// generic: oriented, one per vertex with at least two forward neighbors;
+// generic, one per vertex with at least two higher-ID neighbors.
+func orientedRef(t *testing.T, g *graph.Graph) (want int64, tasks map[bool]int64) {
 	t.Helper()
 	want = algo.RefTriangles(g)
 	if want == 0 {
@@ -51,20 +52,38 @@ func orientedRef(t *testing.T, g *graph.Graph) (want, seeds int64) {
 	if planned, err := plan.Count(kernels.MustBuild(g), plan.Triangle()); err != nil || planned != want {
 		t.Fatalf("plan.Count = %d (%v), reference %d", planned, err, want)
 	}
-	seq := algo.SeqRun(g, algo.NewTriangleCount())
-	if seq.AggGlobal != any(want) {
-		t.Fatalf("SeqRun = %v, reference %d", seq.AggGlobal, want)
+	tasks = map[bool]int64{}
+	for _, generic := range []bool{false, true} {
+		a := algo.NewTriangleCount()
+		a.Generic = generic
+		seq := algo.SeqRun(g, a)
+		if seq.AggGlobal != any(want) {
+			t.Fatalf("SeqRun generic=%v = %v, reference %d", generic, seq.AggGlobal, want)
+		}
+		tasks[generic] = seq.Tasks
 	}
+	var seeds int64
 	graph.Orient(g).ForEach(func(v *graph.Vertex) bool {
 		if len(v.Adj) >= 2 {
 			seeds++
 		}
 		return true
 	})
-	if seq.Tasks != seeds {
-		t.Fatalf("SeqRun ran %d tasks, the oriented graph seeds %d", seq.Tasks, seeds)
+	if tasks[false] != seeds || tasks[true] == seeds {
+		t.Fatalf("SeqRun ran %d tasks oriented and %d generic, the oriented graph seeds %d", tasks[false], tasks[true], seeds)
 	}
-	return want, seeds
+	return want, tasks
+}
+
+// tcArm is the TC a spec asks for, built the way the serving layer builds it.
+func tcArm(t *testing.T, g *graph.Graph, generic bool) (core.Algorithm, *jobspec.Spec) {
+	t.Helper()
+	sp := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
+	a, err := jobspec.Build(g, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, &sp
 }
 
 // coreRef is the resident core every process must cut of g's view, the way
@@ -90,16 +109,16 @@ func differentialGraphs() map[string]*graph.Graph {
 
 // TestOrientedTCDifferential: on every deployment shape of a session, TC on
 // the oriented view == TC on the generic baseline == plan.Count(Triangle)
-// == SeqRun, and the oriented job really ran on forward lists (it executed
-// the oriented seed set — SeqRun's task count — not the ID-order one) with
-// the view's resident set in place, which the generic job never has. The
+// == SeqRun, and each job ran its own arm: the oriented job executed the
+// oriented seed set with the view's resident set in place, the generic job
+// the ID-order seed set with none. The
 // spilling shapes seed eagerly into a 16-task store, so most tasks go through
 // a spill block and come back with the to_pull they were spilled with. Every
 // shape cuts the resident core SeqRun cuts (the RMAT views offer one), and its
 // jobs report its rows.
 func TestOrientedTCDifferential(t *testing.T) {
 	for name, g := range differentialGraphs() {
-		want, seeds := orientedRef(t, g)
+		want, tasks := orientedRef(t, g)
 		rows, fingerprint := coreRef(g)
 		if (rows > 0) != (name == "rmat") {
 			t.Fatalf("%s: the view's resident core has %d rows", name, rows)
@@ -125,8 +144,8 @@ func TestOrientedTCDifferential(t *testing.T) {
 							t.Fatalf("%s: vertex directory dense=%v", shape, !sparse)
 						}
 						for _, generic := range []bool{false, true, false} {
-							sp := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
-							j, err := s.Launch(algo.NewTriangleCount(), cluster.JobOptions{Spec: &sp})
+							a, _ := tcArm(t, g, generic)
+							j, err := s.Launch(a, cluster.JobOptions{})
 							if err != nil {
 								t.Fatalf("%s: %v", shape, err)
 							}
@@ -137,8 +156,8 @@ func TestOrientedTCDifferential(t *testing.T) {
 							if res.AggGlobal != any(want) {
 								t.Fatalf("%s generic=%v: %v triangles, want %d", shape, generic, res.AggGlobal, want)
 							}
-							if !generic && res.Total.TasksDone != seeds {
-								t.Fatalf("%s: oriented job ran %d tasks, the oriented graph seeds %d", shape, res.Total.TasksDone, seeds)
+							if res.Total.TasksDone != tasks[generic] {
+								t.Fatalf("%s generic=%v: the job ran %d tasks, its arm seeds %d", shape, generic, res.Total.TasksDone, tasks[generic])
 							}
 							if budget := 16 * int64(g.NumVertices()); generic != (res.ResidentLists == 0) || res.ResidentBytes > budget || (res.ResidentBytes > 0) != (res.ResidentLists > 0) {
 								t.Fatalf("%s generic=%v: %d resident lists weighing %d B, budget %d", shape, generic, res.ResidentLists, res.ResidentBytes, budget)
@@ -168,7 +187,7 @@ func TestOrientedTCDifferential(t *testing.T) {
 // cuts the same resident core.
 func TestOrientedTCRemoteSession(t *testing.T) {
 	for name, g := range differentialGraphs() {
-		want, seeds := orientedRef(t, g)
+		want, tasks := orientedRef(t, g)
 		rows, fingerprint := coreRef(g)
 		cfg := smallConfig()
 		cfg.Partitioner = partition.Hash{}
@@ -176,8 +195,8 @@ func TestOrientedTCRemoteSession(t *testing.T) {
 			cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
 			cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
 		for launch, generic := range []bool{false, true, false} {
-			sp := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
-			j, err := rs.Launch(algo.NewTriangleCount(), cluster.JobOptions{Spec: &sp})
+			a, sp := tcArm(t, g, generic)
+			j, err := rs.Launch(a, cluster.JobOptions{Spec: sp})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,8 +207,8 @@ func TestOrientedTCRemoteSession(t *testing.T) {
 			if res.AggGlobal != any(want) {
 				t.Fatalf("%s launch %d generic=%v: %v triangles, want %d", name, launch, generic, res.AggGlobal, want)
 			}
-			if !generic && res.Total.TasksDone != seeds {
-				t.Fatalf("%s launch %d: oriented job ran %d tasks, the oriented graph seeds %d", name, launch, res.Total.TasksDone, seeds)
+			if res.Total.TasksDone != tasks[generic] {
+				t.Fatalf("%s launch %d generic=%v: the job ran %d tasks, its arm seeds %d", name, launch, generic, res.Total.TasksDone, tasks[generic])
 			}
 			// The workers' own report: the coordinator cuts no view to count.
 			if generic != (res.ResidentLists == 0) || res.ResidentRows != map[bool]int{false: rows}[generic] {

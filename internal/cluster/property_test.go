@@ -34,12 +34,12 @@ func TestQuickClusterTriangles(t *testing.T) {
 		cfg := cluster.Config{
 			Workers:          int(workers8%4) + 1,
 			Threads:          int(threads4%3) + 1,
-			ProgressInterval: time.Millisecond,
 			CacheCapacity:    32,
 			StoreMemCapacity: 16,
 			UseLSH:           seed%2 == 0,
 			Stealing:         seed%3 == 0,
 		}
+		cluster.Tune(&cfg, cluster.Knobs{Heartbeat: time.Millisecond})
 		switch partPick % 3 {
 		case 0:
 			cfg.Partitioner = partition.Hash{}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gminer/internal/algo"
 	"gminer/internal/cluster"
 	"gminer/internal/core"
 	"gminer/internal/gen"
@@ -208,6 +209,45 @@ func TestResumeRefusesMismatchedFingerprint(t *testing.T) {
 	if _, err := cluster.Start(g, &slowMark{}, cfg); err == nil ||
 		!strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("mismatched fingerprint accepted: %v", err)
+	}
+}
+
+// TestResumeRefusesTheOtherArm: a checkpoint holds one arm of a job — a
+// planned TC's tasks carry forward lists of G⁺, a generic one's undirected
+// candidates — so the plan folds into the job fingerprint, and resuming on
+// the other arm is refused with the fingerprint error, both ways round.
+func TestResumeRefusesTheOtherArm(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 8000, Seed: 42})
+	tc := func(generic bool) *algo.TriangleCount {
+		a := algo.NewTriangleCount()
+		a.Generic = generic
+		return a
+	}
+	for _, generic := range []bool{false, true} {
+		cfg := smallConfig()
+		cfg.Workers, cfg.Partitioner, cfg.Stealing = 2, partition.Hash{}, false
+		cfg.CheckpointEvery, cfg.CheckpointDir = time.Millisecond, t.TempDir()
+		resume := cfg
+		resume.Resume, resume.CheckpointEvery = true, 0
+		release := holdJobs(&cfg) // the job cannot finish before an epoch commits
+		job, err := cluster.Start(g, tc(generic), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitForManifest(t, cfg.CheckpointDir, 30*time.Second)
+		job.Stop()
+		release()
+		if _, err := job.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		other, err := cluster.Start(g, tc(!generic), resume)
+		if err == nil {
+			res, _ := other.Wait()
+			t.Fatalf("generic=%v checkpoint resumed generic=%v: accepted, counted %v of %d", generic, !generic, res.AggGlobal, algo.RefTriangles(g))
+		}
+		if !strings.Contains(err.Error(), "fingerprint") {
+			t.Fatalf("generic=%v checkpoint resumed generic=%v: %v, want the fingerprint error", generic, !generic, err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"gminer/internal/algo"
 	"gminer/internal/cluster"
+	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
@@ -122,9 +123,14 @@ type viewSpy struct {
 	offers int
 }
 
-func (k *viewSpy) MineOriented(gplus *graph.Graph, rc *kernels.ResidentCore) bool {
-	k.offers++
-	return k.TriangleCount.MineOriented(gplus, rc)
+func (k *viewSpy) Plan() core.Plan {
+	p := k.TriangleCount.Plan()
+	oriented := p.Oriented
+	p.Oriented = func(gplus *graph.Graph, rc *kernels.ResidentCore) {
+		k.offers++
+		oriented(gplus, rc)
+	}
+	return p
 }
 
 // The coordinator of a multi-process job hosts no worker, so it must not
@@ -183,7 +189,11 @@ func TestRemoteJobTCMovesFewerBytesThanGeneric(t *testing.T) {
 	netBytes := map[bool]int64{}
 	for _, generic := range []bool{false, true, false} { // the last oriented launch is warm
 		sp := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
-		j, err := rs.Launch(algo.NewTriangleCount(), cluster.JobOptions{Spec: &sp})
+		a, err := jobspec.Build(g, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := rs.Launch(a, cluster.JobOptions{Spec: &sp})
 		if err != nil {
 			t.Fatal(err)
 		}

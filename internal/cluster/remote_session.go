@@ -197,7 +197,7 @@ func NewRemoteSession(g *graph.Graph, cfg Config, rcfg RemoteSessionConfig) (*Re
 	}
 	s.partitionTime = time.Since(pStart)
 	s.assign = assign
-	s.fingerprint = jobFingerprint(g, "session", s.cfg)
+	s.fingerprint = jobFingerprint(g, "session", core.Plan{}, s.cfg)
 
 	nodes := cfg.Workers + 1
 	s.net, err = transport.NewRemote(transport.RemoteConfig{
@@ -643,7 +643,7 @@ func (s *RemoteSession) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 	j, err := s.launch(a, opt, launchSpec{
 		resume:  resume,
 		persist: opt.Spec,
-		newHost: func(j *Job, _ []transport.Endpoint) (workerHost, error) {
+		newHost: func(j *Job, _ core.Plan, _ []transport.Endpoint) (workerHost, error) {
 			return newProcessHost(s, j, *opt.Spec), nil
 		},
 	})

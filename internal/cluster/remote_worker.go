@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gminer/internal/chaos"
+	"gminer/internal/core"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
 	"gminer/internal/metrics"
@@ -144,7 +145,7 @@ func StartWorkerProcess(g *graph.Graph, cfg Config, opt WorkerOptions) (*WorkerP
 		drainOK: make(chan struct{}),
 		jobs:    make(map[uint64]*workerJob),
 	}
-	wp.fingerprint = jobFingerprint(g, "session", cfg)
+	wp.fingerprint = jobFingerprint(g, "session", core.Plan{}, cfg)
 
 	nodes := cfg.Workers + 1
 	var err error
@@ -391,7 +392,7 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		wp.logf("job %s: cannot build %q: %v", m.JobID, spec.App, err)
 		return
 	}
-	tables := wp.oriented.tables(algo, wp.g, wp.assign, 0, spec.Generic || wp.cfg.DisablePlans, wp.tables)
+	tables := wp.oriented.tables(core.PlanOf(algo), wp.g, wp.assign, 0, wp.tables)
 
 	cfg := wp.cfg
 	cfg.JobID = m.JobID

@@ -45,7 +45,7 @@ func orientedTables(t testing.TB, g *graph.Graph, p partition.Partitioner, k int
 		t.Fatal(err)
 	}
 	view, tc := &orientedView{}, algo.NewTriangleCount()
-	ot := view.tables(tc, g, assign, 0, false, newVertexTables(g, assign, scan))
+	ot := view.tables(core.PlanOf(tc), g, assign, 0, newVertexTables(g, assign, scan))
 	if view.g == nil || ot.dir.residentLists == 0 {
 		t.Fatal("triangle counting got no oriented view, or one without a resident set")
 	}
@@ -278,9 +278,9 @@ func TestResidentNeverPulled(t *testing.T) {
 			Workers: workers, Threads: 1, Partitioner: partition.Hash{}, UseLSH: true,
 			CacheCapacity:    g.NumVertices(), // nothing is evicted: the caches remember every pull
 			Stealing:         true,
-			StealBatch:       4,
-			StealLocalityMax: 2, // every task may migrate
-			ProgressInterval: 500 * time.Microsecond,
+			stealBatch:       4,
+			stealLocalityMax: 2, // every task may migrate
+			progressInterval: 500 * time.Microsecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -290,11 +290,11 @@ func TestResidentNeverPulled(t *testing.T) {
 		asked := map[graph.VertexID]int{}
 		var host *goroutineHost
 		j, err := s.launch(a, JobOptions{}, launchSpec{
-			newHost: func(j *Job, eps []transport.Endpoint) (workerHost, error) {
+			newHost: func(j *Job, plan core.Plan, eps []transport.Endpoint) (workerHost, error) {
 				for i, ep := range eps {
 					eps[i] = &pullSpy{Endpoint: ep, codec: a, mu: &mu, asked: asked}
 				}
-				host = &goroutineHost{j: j, algo: a, tables: s.oriented.tables(a, s.g, s.assign, j.cfg.GraphEpoch, false, s.tables), eps: eps, workers: make([]*Worker, len(eps))}
+				host = &goroutineHost{j: j, algo: a, tables: s.oriented.tables(plan, s.g, s.assign, j.cfg.GraphEpoch, s.tables), eps: eps, workers: make([]*Worker, len(eps))}
 				return host, nil
 			},
 		})

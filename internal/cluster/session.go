@@ -111,8 +111,9 @@ type launchSpec struct {
 	// persist, if non-nil, is written to the checkpoint directory as the
 	// durable JOBSPEC a restarted coordinator rebuilds the job from.
 	persist *jobspec.Spec
-	// newHost places the job's workers, given their endpoints.
-	newHost func(j *Job, eps []transport.Endpoint) (workerHost, error)
+	// newHost places the job's workers, given the job's plan and their
+	// endpoints.
+	newHost func(j *Job, p core.Plan, eps []transport.Endpoint) (workerHost, error)
 }
 
 // launch is the one launch path: derive the job's config from the session
@@ -180,11 +181,6 @@ func (s *sessionCore) build(a core.Algorithm, opt JobOptions, id string, ch uint
 	cfg.Resume = ls.resume
 	cfg.Tracer = opt.Tracer
 	cfg.RoundHook = opt.RoundHook
-	if opt.Spec != nil && opt.Spec.Generic {
-		// Spec-requested differential baseline: this job runs generic, on
-		// the undirected graph.
-		cfg.DisablePlans = true
-	}
 	if opt.MemBudgetBytes > 0 {
 		// Charged from worker progress loops, so only a goroutine host
 		// enforces it; the serving layer's admission costing applies anyway.
@@ -229,7 +225,8 @@ func (s *sessionCore) build(a core.Algorithm, opt JobOptions, id string, ch uint
 		}
 	}
 
-	fingerprint := jobFingerprint(s.g, a.Name(), cfg)
+	plan := core.PlanOf(a)
+	fingerprint := jobFingerprint(s.g, a.Name(), plan, cfg)
 	sink, err := newSnapshotSink(cfg.CheckpointDir, cfg.Workers, fingerprint, 0, ls.resume)
 	if err != nil {
 		return nil, err
@@ -250,14 +247,14 @@ func (s *sessionCore) build(a core.Algorithm, opt JobOptions, id string, ch uint
 		}
 		if man.Fingerprint != fingerprint {
 			return nil, fmt.Errorf("cluster: resume: checkpoint fingerprint %016x does not match this job (%016x): "+
-				"the graph, algorithm, worker count or partitioner changed since the checkpoint was taken",
+				"the graph, algorithm, plan, worker count or partitioner changed since the checkpoint was taken",
 				man.Fingerprint, fingerprint)
 		}
 		// New epochs must supersede every committed one or the manifest's
 		// newest-first ordering breaks.
 		j.master.epoch = man.Epoch
 	}
-	j.host, err = ls.newHost(j, eps[:cfg.Workers])
+	j.host, err = ls.newHost(j, plan, eps[:cfg.Workers])
 	return j, err
 }
 
@@ -320,7 +317,7 @@ type Session struct {
 	// workers a mutation batch touched.
 	tables vertexTables
 	// oriented is the per-epoch view of the resident graph for jobs that
-	// mine G⁺ (core.OrientedMiner); a mutation batch marks the rows the next
+	// mine G⁺ (core.Plan.Oriented); a mutation batch marks the rows the next
 	// oriented job patches.
 	oriented orientedView
 
@@ -436,13 +433,12 @@ type JobOptions struct {
 	// enforcement point: budget and deadline checks run here so a job is
 	// only ever stopped at a round boundary.
 	RoundHook func(round int64)
-	// Spec is the job's normalized workload spec. Both session kinds read
-	// its Generic flag (run this job on the generic baseline). Beyond that
-	// a Session ignores it — its workers run the core.Algorithm value
-	// passed to Launch — while a RemoteSession requires it: worker
-	// processes rebuild the algorithm from the spec, since a
-	// core.Algorithm value cannot cross a process boundary, and the
-	// coordinator persists it as the job's JOBSPEC.
+	// Spec is the job's normalized workload spec, what a RemoteSession's
+	// worker processes rebuild the algorithm from (jobspec.Build), since a
+	// core.Algorithm value cannot cross a process boundary; the coordinator
+	// persists it as the job's JOBSPEC, and a RemoteSession requires it. A
+	// Session ignores it: its workers run the core.Algorithm value passed to
+	// Launch, whose plan alone decides the planned or generic path.
 	Spec *jobspec.Spec
 	// Seeds, when non-nil, is the set of vertices the job seeds tasks at:
 	// each worker's seeder walks its scan as ever and skips the vertices not
@@ -450,7 +446,7 @@ type JobOptions struct {
 	// seeds — same order, same cursor, same restore. IDs the graph does not
 	// hold are ignored; an empty non-nil set runs no task. It is a job
 	// input, not a knob: a standing query re-mines the seeds a mutation
-	// batch can have reached (core.LocalMiner) and nothing else. A
+	// batch can have reached (core.Plan.SeedRadius) and nothing else. A
 	// RemoteSession refuses it: its worker processes hold their own copy of
 	// the graph, and a set computed on the coordinator's would not be one
 	// over theirs once mutations exist there.
@@ -464,9 +460,9 @@ type JobOptions struct {
 func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 	return s.launch(a, opt, launchSpec{
 		resume: s.cfg.Resume,
-		newHost: func(j *Job, eps []transport.Endpoint) (workerHost, error) {
+		newHost: func(j *Job, p core.Plan, eps []transport.Endpoint) (workerHost, error) {
 			// j holds its epoch lease: the view is of the graph j runs on.
-			tables := s.oriented.tables(a, s.g, s.assign, j.cfg.GraphEpoch, j.cfg.DisablePlans, s.tables)
+			tables := s.oriented.tables(p, s.g, s.assign, j.cfg.GraphEpoch, s.tables)
 			return &goroutineHost{j: j, algo: a, tables: tables, eps: eps, workers: make([]*Worker, len(eps))}, nil
 		},
 	})
@@ -500,7 +496,7 @@ func (s *Session) Fingerprint() uint64 {
 	defer s.epochMu.RUnlock()
 	cfg := s.cfg
 	cfg.GraphEpoch = s.epoch.Load()
-	return jobFingerprint(s.g, "session", cfg)
+	return jobFingerprint(s.g, "session", core.Plan{}, cfg)
 }
 
 // Dynamic reports whether the session accepts mutations.

@@ -256,14 +256,18 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 	defer s.Close()
 	count := func(generic bool) int64 {
 		t.Helper()
-		sp := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
-		j, err := s.Launch(algo.NewTriangleCount(), JobOptions{Spec: &sp})
+		a := algo.NewTriangleCount()
+		a.Generic = generic
+		j, err := s.Launch(a, JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := j.Wait()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if generic != (res.ResidentLists == 0) {
+			t.Fatalf("generic=%v: the job reports %d resident lists: the other arm ran", generic, res.ResidentLists)
 		}
 		return res.AggGlobal.(int64)
 	}

@@ -35,8 +35,8 @@ func newTaskTrip(tb testing.TB) *taskTrip {
 		tb.Fatal(err)
 	}
 	tc := algo.NewTriangleCount()
-	tc.MineOriented(gplus, nil)
-	cfg := Config{Workers: 2, Threads: 1, UseLSH: true, CacheCapacity: gplus.NumVertices(), ProgressInterval: time.Hour}.Defaults()
+	core.PlanOf(tc).Oriented(gplus, nil)
+	cfg := Config{Workers: 2, Threads: 1, UseLSH: true, CacheCapacity: gplus.NumVertices(), progressInterval: time.Hour}.Defaults()
 	vt := newVertexTables(gplus, assign, allWorkers(2))
 	if !vt.dir.dense() {
 		tb.Fatal("RMAT IDs took the sparse arm")

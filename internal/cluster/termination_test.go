@@ -50,7 +50,7 @@ func rep(r *progressReport, echo string, wave int64) termStep {
 }
 
 func TestTerminationDecision(t *testing.T) {
-	tick := Config{}.Defaults().ProgressInterval
+	tick := Config{}.Defaults().progressInterval
 	cases := []struct {
 		name  string
 		cfg   Config
@@ -312,9 +312,9 @@ func TestTerminationSoakStealUnderDelay(t *testing.T) {
 			Threads:          1,
 			Partitioner:      partition.Skewed{Bias: 0.8},
 			Stealing:         true,
-			StealBatch:       2,
-			StealLocalityMax: 2, // every task may migrate
-			ProgressInterval: 200 * time.Microsecond,
+			stealBatch:       2,
+			stealLocalityMax: 2, // every task may migrate
+			progressInterval: 200 * time.Microsecond,
 			CacheCapacity:    8, // worker 0's remote candidates alone shut the window
 			StoreMemCapacity: 64,
 			UseLSH:           seed%3 == 0,
@@ -327,11 +327,11 @@ func TestTerminationSoakStealUnderDelay(t *testing.T) {
 		gate := &stealGate{}
 		fallback := time.AfterFunc(100*time.Millisecond, gate.release)
 		j, err := s.launch(a, JobOptions{}, launchSpec{
-			newHost: func(j *Job, eps []transport.Endpoint) (workerHost, error) {
+			newHost: func(j *Job, plan core.Plan, eps []transport.Endpoint) (workerHost, error) {
 				for i, ep := range eps {
 					eps[i] = &lateTasks{Endpoint: ep, rng: rand.New(rand.NewSource(rng.Int63())), gate: gate}
 				}
-				return &goroutineHost{j: j, algo: a, tables: s.oriented.tables(a, s.g, s.assign, j.cfg.GraphEpoch, false, s.tables), eps: eps, workers: make([]*Worker, len(eps))}, nil
+				return &goroutineHost{j: j, algo: a, tables: s.oriented.tables(plan, s.g, s.assign, j.cfg.GraphEpoch, s.tables), eps: eps, workers: make([]*Worker, len(eps))}, nil
 			},
 		})
 		if err != nil {

@@ -196,7 +196,7 @@ func newWorker(id int, cfg Config, algo core.Algorithm, dir *directory, local *l
 	w.trExec = cfg.Tracer.Handle(id, trace.CompExecutor)
 	w.trSteal = cfg.Tracer.Handle(id, trace.CompSteal)
 	w.trCkpt = cfg.Tracer.Handle(id, trace.CompCheckpoint)
-	w.stealPolicy = CostPolicy{Tc: stealCostMax, Tr: cfg.StealLocalityMax}
+	w.stealPolicy = CostPolicy{Tc: stealCostMax, Tr: cfg.stealLocalityMax}
 	if ap, ok := algo.(core.AggregatorProvider); ok {
 		w.agg = ap.Aggregator()
 		w.aggPartial = w.agg.Zero()
@@ -469,7 +469,7 @@ func (w *Worker) retrieverLoop() {
 		}
 		// Backpressure: bound ready tasks, and the vertices parked and ready
 		// tasks hold or wait for, by the cache they live in.
-		w.cpq.waitBelow(w.cfg.CPQHighWater)
+		w.cpq.waitBelow(w.cfg.cpqHighWater)
 		w.waitCacheRoom()
 		t, ok := w.store.TryPop()
 		if !ok {
@@ -658,11 +658,11 @@ func (w *Worker) handlePullResp(payload []byte) {
 }
 
 // retryDelay is the wait before retry number `attempts` of a pull:
-// exponential from PullRetryBase, capped at 16× it, with ±25% jitter so a
+// exponential from the pull retry base, capped at 16× it, with ±25% jitter so a
 // lost batch does not retry as one synchronized burst. Caller holds pendMu
 // (the RNG is not otherwise synchronized).
 func (w *Worker) retryDelay(attempts int) time.Duration {
-	d, limit := w.cfg.PullRetryBase, 16*w.cfg.PullRetryBase
+	d, limit := w.cfg.pullRetryBase, 16*w.cfg.pullRetryBase
 	for i := 0; i < attempts && d < limit; i++ {
 		d *= 2
 	}
@@ -970,7 +970,7 @@ func (w *Worker) handleAggGlobal(payload []byte) {
 // Progress reporting, idle detection and steal requests.
 
 func (w *Worker) progressLoop() {
-	ticker := time.NewTicker(w.cfg.ProgressInterval)
+	ticker := time.NewTicker(w.cfg.progressInterval)
 	defer ticker.Stop()
 	for {
 		select {

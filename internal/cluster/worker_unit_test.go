@@ -21,7 +21,7 @@ import (
 func newTestWorker(t *testing.T) (*Worker, *graph.Graph, *transport.LocalNetwork) {
 	t.Helper()
 	g := gen.RMAT(gen.RMATConfig{Scale: 6, Edges: 300, Seed: 9})
-	cfg := Config{Workers: 2, Threads: 1, ProgressInterval: time.Millisecond}.Defaults()
+	cfg := Config{Workers: 2, Threads: 1, progressInterval: time.Millisecond}.Defaults()
 	assign, err := partition.Hash{}.Partition(g, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +211,8 @@ func TestDispatchStampsOneClockReading(t *testing.T) {
 		if !ps.requestedAt.Equal(stamp) {
 			t.Fatalf("pull of %d stamped %v, the dispatch's first miss %v", id, ps.requestedAt, stamp)
 		}
-		if d := ps.retryAt.Sub(stamp); d < w.cfg.PullRetryBase*3/4 || d > w.cfg.PullRetryBase*5/4 {
-			t.Fatalf("pull of %d retries %v after its request, base %v", id, d, w.cfg.PullRetryBase)
+		if d := ps.retryAt.Sub(stamp); d < w.cfg.pullRetryBase*3/4 || d > w.cfg.pullRetryBase*5/4 {
+			t.Fatalf("pull of %d retries %v after its request, base %v", id, d, w.cfg.pullRetryBase)
 		}
 	}
 }

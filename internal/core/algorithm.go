@@ -33,79 +33,78 @@ type Algorithm interface {
 	Update(t *Task, cands []*graph.Vertex, env Env)
 }
 
-// KernelConfigurable is implemented by algorithms that have a planned
-// path (compiled plan schedule, set-intersection kernels, the oriented
-// graph) beside their generic one. A runtime that knows the planned paths
-// calls ConfigureKernels exactly once per job, after graph validation and
-// before seeding. generic forces the generic path — the differential
-// baseline the plan-vs-generic test suite compares against. csr is a
-// prebuilt degree-ranked index of the job's graph for algorithms that
-// execute in rank space, or nil: the engine builds none (its jobs mine
-// vertex tables, in ID space), so an algorithm must never require it.
+// Plan is an algorithm's planned path: what it takes from a runtime, beside
+// the undirected graph every runtime serves, to mine a job faster. The zero
+// Plan is the generic path, the differential baseline: a job that declares
+// it is offered nothing and mines the undirected vertex tables.
 //
-// Contract: plans change where exploration starts and how intersections
-// run, never what a job outputs. An algorithm's results (aggregate and
-// emitted records) must be byte-identical with and without kernels.
+// Contract: a plan changes where exploration starts, what is pulled and how
+// intersections run, never what a job outputs. An algorithm's records and
+// aggregate are byte-identical whether or not a runtime honours its plan, so
+// a runtime that cannot offer a field simply never calls it.
+type Plan struct {
+	// Oriented, when set, asks to mine G⁺, the degree-oriented view of the
+	// job's graph (graph.Orient: every vertex keeps only its neighbours of
+	// higher (degree, ID), ID-sorted, so each edge lives in one list). A
+	// runtime able to provide the view calls it once, before seeding, with
+	// the view of the graph epoch the job runs on and the view's resident
+	// core: the forward lists the runtime keeps readable on every worker
+	// (graph.HotLists at graph.ResidentBudgetPerVertex) as bit rows
+	// (kernels.NewResidentCore), or nil when it offers none. The core
+	// mirrors lists of gplus, so the algorithm may count against it in place
+	// of reading them. Once it is called the view is the job's graph: every
+	// *graph.Vertex the algorithm is handed — by Seed, as an Update
+	// candidate, pulled, cached, stolen or restored, and by Env.LocalVertex —
+	// is a vertex of gplus, and nothing else about the job changes.
+	Oriented func(gplus *graph.Graph, rc *kernels.ResidentCore)
+	// Labels, when set, asks for the label column: the label of every vertex
+	// of the job's graph, held by every worker beside its owner (adjacency
+	// and attributes still move only by pull). A runtime that keeps one calls
+	// it once, before seeding, with the lookup for the graph epoch the job
+	// runs on: the label of vertex id, and false for an ID the graph has no
+	// vertex for. The algorithm may then read a label from it instead of from
+	// the pulled vertex, and leave out of a task's candidates every vertex it
+	// would read nothing else of.
+	Labels func(labelOf func(id graph.VertexID) (label int32, ok bool))
+	// SeedRadius, when positive, declares that the records a seed emits are a
+	// pure function of the subgraph induced on the vertices within SeedRadius
+	// hops of it — those vertices, their labels and attributes, and the edges
+	// among them; nothing a task reads through an aggregator, and nothing
+	// past the radius. Whether a record is emitted or left to another seed
+	// (deduplication) is decided by the same function, per seed, and no
+	// record is emitted by two seeds. A runtime holding a job's records may
+	// then keep them current under graph mutations by re-mining only the
+	// seeds a batch can have reached (the serving layer's standing queries,
+	// DESIGN §13). An algorithm that grows without bound (gc), or prunes on a
+	// global aggregate (mcf), leaves it 0.
+	SeedRadius int
+}
+
+// Planner is implemented by algorithms that have a planned path beside their
+// generic one. Plan opens a job: a runtime calls it exactly once per job,
+// after graph validation and before seeding, and an algorithm value reused
+// across jobs starts each one on the undirected graph until a field of the
+// returned Plan is called. An algorithm configured generic returns the zero
+// Plan.
+type Planner interface {
+	Plan() Plan
+}
+
+// PlanOf opens a job of a and returns its plan: the zero Plan for an
+// algorithm that is not a Planner. It is the one way a runtime reads one.
+func PlanOf(a Algorithm) Plan {
+	if p, ok := a.(Planner); ok {
+		return p.Plan()
+	}
+	return Plan{}
+}
+
+// KernelConfigurable is a retired capability: nothing in the engine
+// implements or calls it, and it remains only because the benchmark's
+// reference oracle (benchmark/oracle.go) still asserts it. Declare a Plan
+// instead.
 type KernelConfigurable interface {
 	ConfigureKernels(csr *kernels.CSR, generic bool)
-}
-
-// OrientedMiner is implemented by algorithms that can mine G⁺, the
-// degree-oriented view of the job's graph (graph.Orient: every vertex
-// keeps only its neighbours of higher (degree, ID), ID-sorted, so each
-// edge lives in one list). A runtime able to provide the view calls
-// MineOriented once per job, after ConfigureKernels and before seeding,
-// with the view of the graph epoch the job runs on and the view's resident
-// core: the forward lists the runtime keeps readable on every worker
-// (graph.HotLists at graph.ResidentBudgetPerVertex) as bit rows
-// (kernels.NewResidentCore), or nil when it offers none. The core mirrors
-// lists of gplus, so an algorithm may count against it in place of reading
-// them; it changes how a job counts, never what. If the algorithm
-// answers true the runtime must make the view the job's graph: every
-// *graph.Vertex the algorithm is handed — by Seed, as an Update candidate,
-// pulled, cached, stolen or restored, and by Env.LocalVertex — is a vertex
-// of gplus, and nothing else about the job changes. If it answers false
-// (it was configured generic) the job runs on the undirected graph.
-//
-// A runtime that does not know this interface simply never calls it, and
-// the algorithm must then produce the same output on the undirected graph.
-type OrientedMiner interface {
-	MineOriented(gplus *graph.Graph, rc *kernels.ResidentCore) bool
-}
-
-// LabelPruner is implemented by algorithms that can use a vertex's label
-// without pulling the vertex. Every worker holds the label of every vertex
-// of the job's graph beside its owner (adjacency and attributes still move
-// only by pull). A runtime that keeps such a column calls PruneByLabel once
-// per job, after ConfigureKernels and before seeding, with the lookup for
-// the graph epoch the job runs on: the label of vertex id, and false for an
-// ID the graph has no vertex for. A generic job is never offered it.
-//
-// Contract: the column changes what is pulled, never what a job outputs. It
-// holds the labels the job's vertices carry, so an algorithm may read a
-// label from it instead of from the pulled vertex, and leave out of a task's
-// candidates every vertex it would read nothing else of. A runtime that does
-// not know this interface simply never calls it, and the algorithm then
-// pulls what it reads labels off.
-type LabelPruner interface {
-	PruneByLabel(labelOf func(id graph.VertexID) (label int32, ok bool))
-}
-
-// LocalMiner is implemented by algorithms whose seeds mine a bounded
-// neighbourhood, which lets a runtime holding a job's records keep them
-// current under graph mutations by re-mining only the seeds a batch can have
-// reached (the serving layer's standing queries, DESIGN §13).
-//
-// Contract: the records a seed emits are a pure function of the subgraph
-// induced on the vertices within SeedRadius hops of it — those vertices,
-// their labels and attributes, and the edges among them; nothing a task
-// reads through an aggregator, and nothing past the radius. Whether a record
-// is emitted or left to another seed (deduplication) is decided by the same
-// function, per seed, and no record is emitted by two seeds. An algorithm
-// that grows without bound (gc), or prunes on a global aggregate (mcf),
-// must not implement it.
-type LocalMiner interface {
-	SeedRadius() int
 }
 
 // AggregatorProvider is implemented by algorithms that use global

@@ -44,7 +44,7 @@ func TestBall(t *testing.T) {
 }
 
 // seedRecords mines every vertex of g on its own: the per-seed record sets
-// a LocalMiner's match set is the union of.
+// a seed-radius plan's match set is the union of.
 func seedRecords(g *graph.Graph, a core.Algorithm) map[graph.VertexID][]string {
 	out := make(map[graph.VertexID][]string)
 	for _, id := range g.IDs() {
@@ -113,7 +113,7 @@ func TestBallCoversChangedSeeds(t *testing.T) {
 			for i, mk := range miners {
 				a := mk()
 				before[i] = seedRecords(g, a)
-				if r := a.(core.LocalMiner).SeedRadius(); reach[r] == nil {
+				if r := core.PlanOf(a).SeedRadius; reach[r] == nil {
 					reach[r] = make(map[graph.VertexID]bool)
 					for _, id := range append(dyngraph.Ball(g, dirty, r), dirty...) {
 						reach[r][id] = true
@@ -123,7 +123,7 @@ func TestBallCoversChangedSeeds(t *testing.T) {
 			dyngraph.ApplyToGraph(g, b)
 			for i, mk := range miners {
 				a := mk()
-				r := a.(core.LocalMiner).SeedRadius()
+				r := core.PlanOf(a).SeedRadius
 				after := seedRecords(g, a)
 				for _, seeds := range []map[graph.VertexID][]string{before[i], after} {
 					for id := range seeds {

@@ -93,14 +93,13 @@ const (
 // gmConfig builds the standard G-Miner configuration for experiments.
 func gmConfig(o Options, workers, threads int) cluster.Config {
 	return cluster.Config{
-		Workers:          workers,
-		Threads:          threads,
-		UseLSH:           true,
-		Stealing:         true,
-		Latency:          simLatency,
-		BandwidthBps:     simBandwidth,
-		ProgressInterval: 2 * time.Millisecond,
-		Partitioner:      partition.BDG{},
+		Workers:      workers,
+		Threads:      threads,
+		UseLSH:       true,
+		Stealing:     true,
+		Latency:      simLatency,
+		BandwidthBps: simBandwidth,
+		Partitioner:  partition.BDG{},
 	}
 }
 

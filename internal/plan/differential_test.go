@@ -67,12 +67,6 @@ func randomTreeOfDepth(t testing.TB, n, depth int) *algo.Pattern {
 	return nil
 }
 
-// jobspecSpec is the serving-layer spec for a TC job with the generic
-// flag toggled.
-func jobspecSpec(generic bool) jobspec.Spec {
-	return jobspec.Spec{App: "tc", Generic: generic}.Normalize()
-}
-
 func TestDifferentialTC(t *testing.T) {
 	for gname, g := range diffGraphs(t) {
 		want := algo.RefTriangles(g)
@@ -80,11 +74,12 @@ func TestDifferentialTC(t *testing.T) {
 			var baseline []string
 			for _, generic := range []bool{true, false} {
 				tc := algo.NewTriangleCount()
-				res, err := cluster.Run(g, tc, cluster.Config{
-					Workers:      workers,
-					Threads:      2,
-					DisablePlans: generic,
-				})
+				tc.Generic = generic
+				seq := algo.SeqRun(g, tc)
+				res, err := cluster.Run(g, tc, cluster.Config{Workers: workers, Threads: 2})
+				if err == nil && res.Total.TasksDone != seq.Tasks {
+					t.Errorf("%s w=%d generic=%v: %d tasks, the arm's sequential run %d", gname, workers, generic, res.Total.TasksDone, seq.Tasks)
+				}
 				if err != nil {
 					t.Fatalf("%s w=%d generic=%v: %v", gname, workers, generic, err)
 				}
@@ -136,11 +131,12 @@ func TestDifferentialGM(t *testing.T) {
 				var baselineAgg int64
 				for _, generic := range []bool{true, false} {
 					gm := algo.NewGraphMatch(p)
-					res, err := cluster.Run(g, gm, cluster.Config{
-						Workers:      workers,
-						Threads:      2,
-						DisablePlans: generic,
-					})
+					gm.Generic = generic
+					seq := algo.SeqRun(g, gm)
+					res, err := cluster.Run(g, gm, cluster.Config{Workers: workers, Threads: 2})
+					if err == nil && res.Total.TasksDone != seq.Tasks {
+						t.Errorf("%s/%s w=%d generic=%v: %d tasks, the arm's sequential run %d", gname, pname, workers, generic, res.Total.TasksDone, seq.Tasks)
+					}
 					if err != nil {
 						t.Fatalf("%s/%s w=%d generic=%v: %v", gname, pname, workers, generic, err)
 					}
@@ -172,7 +168,8 @@ func TestDifferentialGM(t *testing.T) {
 
 // TestDifferentialSessionLaunch pins the serving path: a session-launched
 // job with Spec.Generic toggled produces identical results, exercising
-// the session-held oriented view and the Spec→DisablePlans mapping.
+// the session-held oriented view; the algorithm is built from the spec,
+// as the serving layer builds it.
 func TestDifferentialSessionLaunch(t *testing.T) {
 	g := gen.ErdosRenyi(120, 700, 5)
 	gen.AssignLabels(g, 4, 105)
@@ -185,14 +182,21 @@ func TestDifferentialSessionLaunch(t *testing.T) {
 	defer sess.Close()
 
 	run := func(generic bool) int64 {
-		spec := jobspecSpec(generic)
-		j, err := sess.Launch(algo.NewTriangleCount(), cluster.JobOptions{Spec: &spec})
+		spec := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
+		a, err := jobspec.Build(g, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := sess.Launch(a, cluster.JobOptions{Spec: &spec})
 		if err != nil {
 			t.Fatalf("Launch(generic=%v): %v", generic, err)
 		}
 		res, err := j.Wait()
 		if err != nil {
 			t.Fatalf("Wait(generic=%v): %v", generic, err)
+		}
+		if generic != (res.ResidentLists == 0) {
+			t.Fatalf("generic=%v: %d resident lists: the other arm ran", generic, res.ResidentLists)
 		}
 		return res.AggGlobal.(int64)
 	}

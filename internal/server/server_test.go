@@ -32,7 +32,6 @@ func testClusterConfig() cluster.Config {
 		CacheCapacity:    512,
 		StoreMemCapacity: 256,
 		UseLSH:           true,
-		ProgressInterval: time.Millisecond,
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // into its snapshot.
 //
 // A round costs what the batch touched. An algorithm that declares how far
-// a seed's task reads (core.LocalMiner, radius r) has a match set that is a
+// a seed's task reads (core.Plan.SeedRadius r) has a match set that is a
 // union of per-seed record sets, and a batch with dirty vertices D can change
 // only the seeds in B = Ball(G, D, r) ∪ D (dyngraph.Ball has the argument),
 // so
@@ -120,14 +120,14 @@ func (p *standingPre) reachOf(g *graph.Graph, r int) []graph.VertexID {
 }
 
 // localRadius reports whether a's standing rounds can be dirty-rooted, and
-// at what radius: it declares one, and its output is records alone (an
+// at what radius: its plan declares one, and its output is records alone (an
 // aggregate over a seed subset is not the job's).
 func localRadius(a core.Algorithm) (int, bool) {
-	lm, ok := a.(core.LocalMiner)
-	if _, agg := a.(core.AggregatorProvider); !ok || agg {
+	r := core.PlanOf(a).SeedRadius
+	if _, agg := a.(core.AggregatorProvider); r <= 0 || agg {
 		return 0, false
 	}
-	return lm.SeedRadius(), true
+	return r, true
 }
 
 // standingIDs snapshots the ids of jobs currently parked standing.

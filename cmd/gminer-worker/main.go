@@ -46,7 +46,7 @@ func main() {
 
 		workers  = flag.Int("workers", 4, "number of workers in the cluster (must match the coordinator)")
 		threads  = flag.Int("threads", 4, "computing threads in this worker")
-		part     = flag.String("partitioner", "bdg", "partitioner: bdg, hash, skewed (must match the coordinator)")
+		part     = flag.String("partitioner", "bdg", "partitioner: bdg, hash, skewed, blocked (must match the coordinator)")
 		lsh      = flag.Bool("lsh", true, "enable the LSH task priority queue")
 		steal    = flag.Bool("steal", true, "enable task stealing")
 		cacheCap = flag.Int("cache", 8192, "RCV cache capacity (vertices) per job")
@@ -89,15 +89,8 @@ func main() {
 		Stealing:         *steal,
 		SpillDir:         *spillDir,
 	}
-	switch *part {
-	case "bdg":
-		ccfg.Partitioner = partition.BDG{}
-	case "hash":
-		ccfg.Partitioner = partition.Hash{}
-	case "skewed":
-		ccfg.Partitioner = partition.Skewed{Bias: 0.6}
-	default:
-		fatal(fmt.Errorf("unknown partitioner %q", *part))
+	if ccfg.Partitioner, err = partition.ByName(*part); err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("graph: %s\n", graph.ComputeStats(datasetName(*graphPath, *preset), g))

@@ -126,17 +126,8 @@ func main() {
 		CheckpointEvery:  *ckptEvery,
 		Resume:           *resume,
 	}
-	switch *part {
-	case "bdg":
-		cfg.Partitioner = partition.BDG{}
-	case "hash":
-		cfg.Partitioner = partition.Hash{}
-	case "skewed":
-		cfg.Partitioner = partition.Skewed{Bias: 0.6}
-	case "blocked":
-		cfg.Partitioner = partition.Blocked{}
-	default:
-		fatal(fmt.Errorf("unknown partitioner %q", *part))
+	if cfg.Partitioner, err = partition.ByName(*part); err != nil {
+		fatal(err)
 	}
 
 	var chaosCtl *chaos.Controller

@@ -92,17 +92,8 @@ func main() {
 		CheckpointDir:    *ckptDir,
 		CheckpointEvery:  *ckptEvery,
 	}
-	switch *part {
-	case "bdg":
-		ccfg.Partitioner = partition.BDG{}
-	case "hash":
-		ccfg.Partitioner = partition.Hash{}
-	case "skewed":
-		ccfg.Partitioner = partition.Skewed{Bias: 0.6}
-	case "blocked":
-		ccfg.Partitioner = partition.Blocked{}
-	default:
-		fatal(fmt.Errorf("unknown partitioner %q", *part))
+	if ccfg.Partitioner, err = partition.ByName(*part); err != nil {
+		fatal(err)
 	}
 	if *dynamic {
 		// Mutations re-place only dirty blocks, which requires the

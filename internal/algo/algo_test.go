@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -308,6 +310,31 @@ func TestQuickMatchCount(t *testing.T) {
 		return RefMatchCount(g, p) == bruteMatchCount(g, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The records of CD, GC, QC and MCF end in formatIDs, which builds in one
+// buffer exactly what the formatter it replaced built with += and Sprintf
+// (kept here as the reference): the IDs as %d prints them, one space apart.
+func TestFormatIDsMatchesSprintf(t *testing.T) {
+	ref := func(ids []graph.VertexID) string {
+		out := ""
+		for i, id := range ids {
+			if i > 0 {
+				out += " "
+			}
+			out += fmt.Sprintf("%d", id)
+		}
+		return out
+	}
+	same := func(ids []graph.VertexID) bool { return formatIDs(ids) == ref(ids) }
+	for _, ids := range [][]graph.VertexID{nil, {}, {0}, {-1, 0, 9, 10}, {math.MinInt64, math.MaxInt64}} {
+		if !same(ids) {
+			t.Fatalf("formatIDs(%v) = %q, want %q", ids, formatIDs(ids), ref(ids))
+		}
+	}
+	if err := quick.Check(same, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -21,12 +21,14 @@ import (
 // Offered the runtime's label column (core.Plan.Labels), GM matches
 // parent-major: a level is read off its parents' own adjacency lists — x
 // matches step s under parent match m iff x ∈ adj(m) and the column says x
-// carries s's label, the very walk RefMatchCount makes. The seed matches
-// level 1 off the root's list and round r matches level r+1 off the pulled
-// lists of level r's expanding matches, so the only vertices a task pulls are
-// matches whose children are still to be matched: never a leaf, never the
-// deepest level. A seed some level-1 node finds no match for counts 0 and is
-// not spawned.
+// carries s's label, the very walk RefMatchCount makes: a neighbour's label
+// is one load from the column, and one mask test against the labels of its
+// parent node's children drops most neighbours before any step is read. The
+// seed matches level 1 off the root's list and round r matches level r+1 off
+// the pulled lists of level r's expanding matches, so the only vertices a
+// task pulls are matches whose children are still to be matched: never a
+// leaf, never the deepest level. A seed some level-1 node finds no match for
+// counts 0 and is not spawned.
 //
 // Without the column — the Generic baseline — GM matches candidate-major, as
 // the paper does: round r pulls the neighbourhoods of level r−1's expanding
@@ -48,13 +50,15 @@ type GraphMatch struct {
 	// expands[p] is node p's TreeStep.Expands from it. Matching stays in ID
 	// space (matches may live on remote partitions), so the schedule and the
 	// set kernels are all of the plan GM needs — no CSR. parents[d] lists the
-	// distinct parent nodes of levels[d], kids[p] the steps under node p.
-	levels  [][]plan.TreeStep
-	parents [][]int
-	kids    [][]plan.TreeStep
-	expands []bool
-	labelOf func(graph.VertexID) (int32, bool) // nil: candidate-major
-	scratch sync.Pool                          // *gmScratch, one per concurrent Seed or Update
+	// distinct parent nodes of levels[d], kids[p] the steps under node p, and
+	// kidLabels[p] the set of their labels that lie in [0, 64), bit by bit.
+	levels    [][]plan.TreeStep
+	parents   [][]int
+	kids      [][]plan.TreeStep
+	kidLabels []uint64
+	expands   []bool
+	labels    *graph.Labels // nil: candidate-major
+	scratch   sync.Pool     // *gmScratch, one per concurrent Seed or Update
 }
 
 // NewGraphMatch returns GM for the given pattern (nil: Figure 1 pattern).
@@ -64,11 +68,15 @@ func NewGraphMatch(p *Pattern) *GraphMatch {
 	}
 	a := &GraphMatch{P: p, levels: plan.TreeSchedule(p.Labels, p.Parent), expands: make([]bool, len(p.Labels))}
 	a.parents, a.kids = make([][]int, len(a.levels)), make([][]plan.TreeStep, len(p.Labels))
+	a.kidLabels = make([]uint64, len(p.Labels))
 	for d, steps := range a.levels {
 		for _, st := range steps {
 			a.expands[st.Node] = st.Expands
 			if d > 0 {
 				a.kids[st.Parent] = append(a.kids[st.Parent], st)
+				if uint32(st.Label) < 64 {
+					a.kidLabels[st.Parent] |= 1 << uint32(st.Label)
+				}
 				if !slices.Contains(a.parents[d], st.Parent) {
 					a.parents[d] = append(a.parents[d], st.Parent)
 				}
@@ -87,11 +95,11 @@ func NewGraphMatch(p *Pattern) *GraphMatch {
 // pulling the neighbour. Until the runtime offers it the job is
 // candidate-major.
 func (a *GraphMatch) Plan() core.Plan {
-	a.labelOf = nil
+	a.labels = nil
 	if a.Generic {
 		return core.Plan{}
 	}
-	return core.Plan{Labels: func(labelOf func(graph.VertexID) (int32, bool)) { a.labelOf = labelOf }}
+	return core.Plan{Labels: func(labels *graph.Labels) { a.labels = labels }}
 }
 
 // Name implements core.Algorithm.
@@ -151,7 +159,7 @@ func (a *GraphMatch) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 	t.Subgraph.AddVertex(v.ID)
 	switch {
 	case a.P.Depth() == 0: // a single-node pattern counts 1 per seed at update time
-	case a.labelOf == nil:
+	case a.labels == nil:
 		t.Cands = v.Adj // shared, never modified (core.Algorithm.Seed)
 	default:
 		sc := a.scratch.Get().(*gmScratch)
@@ -179,12 +187,12 @@ func (a *GraphMatch) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 	// t.Round's expanding matches), or up to t.Round−1 (candidate-major:
 	// cands are their neighbourhoods). d is the level this round matches.
 	d := t.Round
-	if a.labelOf != nil {
+	if a.labels != nil {
 		d++
 	}
 	if d <= a.P.Depth() {
 		a.openLevel(ctx, d, sc)
-		if a.labelOf == nil {
+		if a.labels == nil {
 			a.probeCandidates(ctx, d, t.Cands, cands, sc)
 		} else {
 			sc.rows = sc.rows[:0]
@@ -258,14 +266,17 @@ func (sc *gmScratch) record(ctx *gmContext, st plan.TreeStep, id graph.VertexID,
 // parent node of the level (a.parents[d] order), the adjacency list of each
 // of the node's matches; a neighbour matches every step under that node
 // whose label the column gives it. An ID the column does not know is no
-// vertex of the graph, and matches nothing.
+// vertex of the graph, and matches nothing; a label in [0, 64) that no step
+// under the node carries is dropped by the mask, and any other label is
+// compared step by step.
 func (a *GraphMatch) walkParents(ctx *gmContext, d int, rows [][]graph.VertexID, sc *gmScratch) {
+	labels := a.labels
 	for _, p := range a.parents[d] {
-		kids, n := a.kids[p], len(ctx.nodes[p].matches)
+		kids, mask, n := a.kids[p], a.kidLabels[p], len(ctx.nodes[p].matches)
 		for j, adj := range rows[:n] {
 			for _, id := range adj {
-				label, ok := a.labelOf(id)
-				if !ok {
+				label, ok := labels.Of(id)
+				if !ok || uint32(label) < 64 && mask>>uint32(label)&1 == 0 {
 					continue
 				}
 				for _, st := range kids {
@@ -307,7 +318,7 @@ func (a *GraphMatch) frontier(dst []graph.VertexID, ctx *gmContext, d int, ids [
 	for _, st := range a.levels[d] {
 		switch m := ctx.nodes[st.Node].matches; {
 		case !st.Expands:
-		case a.labelOf != nil:
+		case a.labels != nil:
 			sc.rows = append(sc.rows, m)
 		default:
 			sc.rows = appendRows(sc.rows, m, ids, objs)
@@ -383,7 +394,7 @@ const (
 )
 
 func (a *GraphMatch) format() byte {
-	if a.labelOf == nil {
+	if a.labels == nil {
 		return gmFormatGeneric
 	}
 	return gmFormat

@@ -156,7 +156,7 @@ func TestGMFrontierExpandsOnlyInternalNodes(t *testing.T) {
 			total := int64(0)
 			g.ForEach(func(v *graph.Vertex) bool {
 				if task := gmSeedTask(a, v); task != nil {
-					if a.labelOf != nil && len(task.Cands) != 0 {
+					if a.labels != nil && len(task.Cands) != 0 {
 						t.Fatalf("root %d: parent-major star seed pulls %v", v.ID, task.Cands)
 					}
 					next, agg := gmRound(g, a, task)
@@ -168,7 +168,7 @@ func TestGMFrontierExpandsOnlyInternalNodes(t *testing.T) {
 				return true
 			})
 			if want := RefMatchCount(g, p); total != want || want == 0 {
-				t.Fatalf("parent-major=%v: star count %d, reference %d", a.labelOf != nil, total, want)
+				t.Fatalf("parent-major=%v: star count %d, reference %d", a.labels != nil, total, want)
 			}
 		}
 	})
@@ -181,7 +181,7 @@ func TestGMFrontierExpandsOnlyInternalNodes(t *testing.T) {
 		p := PathPattern(labels...)
 		for _, a := range []*GraphMatch{NewGraphMatch(p), gmParentMajor(g, p)} {
 			finished, total, lag := 0, int64(0), 0
-			if a.labelOf != nil {
+			if a.labels != nil {
 				lag = 1 // the seed matched level 1
 			}
 			g.ForEach(func(v *graph.Vertex) bool {
@@ -313,7 +313,7 @@ func gmContextSamples(tb testing.TB, g *graph.Graph, a *GraphMatch) [][]byte {
 	var out [][]byte
 	g.ForEach(func(v *graph.Vertex) bool {
 		task := gmSeedTask(a, v)
-		if task != nil && a.labelOf == nil {
+		if task != nil && a.labels == nil {
 			if next, _ := gmRound(g, a, task); next == nil {
 				task = nil
 			}

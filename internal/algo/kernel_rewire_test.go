@@ -86,8 +86,8 @@ func TestGMKernelVsGenericPinned(t *testing.T) {
 
 		planGM := NewGraphMatch(pat.p)
 		planRes := SeqRun(g, planGM)
-		if genericGM.labelOf != nil || planGM.labelOf == nil {
-			t.Fatalf("%s: label column taken: generic GM %v, planned GM %v", pat.name, genericGM.labelOf != nil, planGM.labelOf != nil)
+		if genericGM.labels != nil || planGM.labels == nil {
+			t.Fatalf("%s: label column taken: generic GM %v, planned GM %v", pat.name, genericGM.labels != nil, planGM.labels != nil)
 		}
 
 		if genRes.AggGlobal.(int64) != want {

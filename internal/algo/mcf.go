@@ -1,6 +1,9 @@
 package algo
 
 import (
+	"slices"
+	"strconv"
+
 	"gminer/internal/core"
 	"gminer/internal/graph"
 	"gminer/internal/kernels"
@@ -101,7 +104,7 @@ func (m *MaxClique) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 			for _, i := range members {
 				clique = append(clique, cg.ids[i])
 			}
-			env.Emit("clique size=" + itoa(best) + ": " + formatIDs(sortedIDs(clique)))
+			env.Emit("clique size=" + strconv.Itoa(best) + ": " + formatIDs(sortedIDs(clique)))
 		}
 	}
 	// No Pull: the task dies.
@@ -126,33 +129,7 @@ func (m *MaxClique) split(t *core.Task, cands []*graph.Vertex) {
 }
 
 func sortedIDs(ids []graph.VertexID) []graph.VertexID {
-	out := append([]graph.VertexID(nil), ids...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	out := slices.Clone(ids)
+	slices.Sort(out)
 	return out
-}
-
-func itoa(x int) string {
-	if x == 0 {
-		return "0"
-	}
-	neg := x < 0
-	if neg {
-		x = -x
-	}
-	var buf [20]byte
-	i := len(buf)
-	for x > 0 {
-		i--
-		buf[i] = byte('0' + x%10)
-		x /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -8,6 +8,7 @@ package algo
 
 import (
 	"fmt"
+	"strconv"
 
 	"gminer/internal/graph"
 	"gminer/internal/kernels"
@@ -146,14 +147,15 @@ func intersectSorted(a, b []graph.VertexID) int {
 	return kernels.Count(a, b)
 }
 
-// formatIDs renders a sorted vertex set as a stable record string.
+// formatIDs renders a sorted vertex set as a stable record string: the IDs
+// in decimal, one space apart, built in one buffer.
 func formatIDs(ids []graph.VertexID) string {
-	out := ""
+	buf := make([]byte, 0, 8*len(ids))
 	for i, id := range ids {
 		if i > 0 {
-			out += " "
+			buf = append(buf, ' ')
 		}
-		out += fmt.Sprintf("%d", id)
+		buf = strconv.AppendInt(buf, int64(id), 10)
 	}
-	return out
+	return string(buf)
 }

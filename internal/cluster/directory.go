@@ -19,17 +19,19 @@ import (
 // hash tables of Figure 4, one per worker, plus the assignment's owner map.
 //
 // Owner and label are replicated on every worker for every vertex of the
-// graph. Adjacency and attributes live with the owner alone and reach anybody
-// else only by pull — except, on the oriented view, the resident set: the
-// forward lists referenced most per byte (graph.HotLists), which every worker
-// reads in place. What a worker finds without a pull is local's answer and
-// nobody else's; owner keeps naming the one worker that seeds and serves the
-// vertex.
+// graph, the labels as the epoch's column (graph.Labels) that the directory's
+// one pass fills. Adjacency and attributes live with the owner alone and
+// reach anybody else only by pull — except, on the oriented view, the
+// resident set: the forward lists referenced most per byte (graph.HotLists),
+// which every worker reads in place. What a worker finds without a pull is
+// local's answer and nobody else's; owner keeps naming the one worker that
+// seeds and serves the vertex.
 type directory struct {
 	assign *partition.Assignment
 
-	base  graph.VertexID
-	slots []dirSlot // dense arm; nil on the sparse one
+	base   graph.VertexID
+	slots  []dirSlot     // dense arm; nil on the sparse one
+	labels *graph.Labels // the epoch's label column, on either arm
 
 	// Sparse arm, by worker. A resident vertex is entered in every worker's
 	// table (on the dense arm it is marked in its slot).
@@ -43,13 +45,12 @@ type directory struct {
 	residentRows  int
 }
 
-// dirSlot is 16 bytes, resident mark and label included: they sit in what
-// was padding after a 4-byte owner (denseWorkers keeps owners in 15 bits).
+// dirSlot is 16 bytes, resident mark included (denseWorkers keeps owners in
+// 15 bits).
 type dirSlot struct {
 	v        *graph.Vertex
 	owner    int16
 	resident bool // in the view's resident set
-	label    int32
 }
 
 // denseWorkers is the largest cluster the dense arm's slot can name an owner
@@ -61,8 +62,9 @@ const denseWorkers = math.MaxInt16
 // whatever else an epoch must learn per vertex (the workers' seed scans, a
 // view's footprints) rides this pass instead of making its own.
 func newDirectory(g *graph.Graph, assign *partition.Assignment, visit func(v *graph.Vertex, owner int)) *directory {
-	d := &directory{assign: assign}
-	if base, span, ok := g.DenseIDs(); ok && assign.K <= denseWorkers {
+	base, span, dense := g.DenseIDs()
+	d := &directory{assign: assign, labels: graph.NewLabels(g, base, span, dense)}
+	if dense && assign.K <= denseWorkers {
 		d.fillDense(g, base, span, visit)
 	} else {
 		d.fillSparse(g, visit)
@@ -77,7 +79,8 @@ func (d *directory) fillDense(g *graph.Graph, base graph.VertexID, span int, vis
 	}
 	g.ForEach(func(v *graph.Vertex) bool {
 		w := d.assign.Owner(v.ID)
-		d.slots[v.ID-base] = dirSlot{v: v, owner: int16(w), label: v.Label}
+		d.slots[v.ID-base] = dirSlot{v: v, owner: int16(w)}
+		d.labels.Set(v)
 		if w >= 0 && visit != nil {
 			visit(v, w)
 		}
@@ -91,6 +94,7 @@ func (d *directory) fillSparse(g *graph.Graph, visit func(*graph.Vertex, int)) {
 		d.tables[i] = make(map[graph.VertexID]*graph.Vertex, n)
 	}
 	g.ForEach(func(v *graph.Vertex) bool {
+		d.labels.Set(v)
 		if w := d.assign.Owner(v.ID); w >= 0 {
 			d.tables[w][v.ID] = v
 			if visit != nil {
@@ -110,24 +114,6 @@ func (d *directory) owner(id graph.VertexID) int {
 		return int(d.slots[i].owner)
 	}
 	return -1
-}
-
-// label returns the label of vertex id and whether the graph has such a
-// vertex. It is the lookup core.LabelPruner algorithms are offered: what a
-// worker may know about a vertex it does not own without pulling it.
-func (d *directory) label(id graph.VertexID) (int32, bool) {
-	if d.slots == nil {
-		if w := d.assign.Owner(id); w >= 0 {
-			if v := d.tables[w][id]; v != nil {
-				return v.Label, true
-			}
-		}
-		return 0, false
-	}
-	if i := uint64(id - d.base); i < uint64(len(d.slots)) && d.slots[i].owner >= 0 {
-		return d.slots[i].label, true
-	}
-	return 0, false
 }
 
 // local returns vertex id if worker self reads it without a pull — it owns

@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 
 	"gminer/internal/algo"
 	"gminer/internal/core"
+	"gminer/internal/dyngraph"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/lsh"
@@ -16,16 +20,11 @@ import (
 // The directory's two arms are one function of (graph, assignment): for
 // every ID of the graph — and the IDs around and between them — the array
 // arm and the hash-table arm name the same owner and hand each worker the
-// same vertex object, and both know every vertex's label — the graph's own
-// label column (graph.LabelColumn) for IDs it holds, nothing for the rest.
-// Only an ID the graph does not hold may differ in owner (a block-backed
-// assignment owns whole blocks; the array knows the vertex is not there),
-// and then neither arm has a vertex for anybody.
+// same vertex object. Only an ID the graph does not hold may differ in owner
+// (a block-backed assignment owns whole blocks; the array knows the vertex is
+// not there), and then neither arm has a vertex for anybody.
 func TestDirectoryArmsAgree(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 3000, Seed: 5})
-	gen.AssignLabels(g, 5, 11)
-	g.Vertex(g.IDs()[0]).Label = graph.NoLabel // a label like any other
-	column := g.LabelColumn()
 	base, span, ok := g.DenseIDs()
 	if !ok {
 		t.Fatal("RMAT IDs are not dense")
@@ -36,7 +35,7 @@ func TestDirectoryArmsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		dense := newDirectory(g, assign, nil)
-		sparse := &directory{assign: assign}
+		sparse := &directory{assign: assign, labels: g.LabelColumn()}
 		sparse.fillSparse(g, nil)
 		if !dense.dense() || sparse.dense() {
 			t.Fatalf("%s: arms dense=%v sparse=%v", p.Name(), dense.dense(), sparse.dense())
@@ -48,15 +47,6 @@ func TestDirectoryArmsAgree(t *testing.T) {
 			if !g.Has(id) && dense.owner(id) != -1 {
 				t.Fatalf("%s: array arm gives absent ID %d to worker %d", p.Name(), id, dense.owner(id))
 			}
-			wantLabel, known := column(id)
-			if v := g.Vertex(id); known != (v != nil) || (known && wantLabel != v.Label) {
-				t.Fatalf("%s: label column says (%d, %v) of vertex %d", p.Name(), wantLabel, known, id)
-			}
-			for arm, d := range []*directory{dense, sparse} {
-				if label, ok := d.label(id); ok != known || (ok && label != wantLabel) {
-					t.Fatalf("%s: arm %d says label (%d, %v) of vertex %d, the graph (%d, %v)", p.Name(), arm, label, ok, id, wantLabel, known)
-				}
-			}
 			for self := 0; self < assign.K; self++ {
 				dv, sv := dense.local(id, self), sparse.local(id, self)
 				if dv != sv || (dv != nil) != (g.Has(id) && assign.Owner(id) == self) {
@@ -64,6 +54,93 @@ func TestDirectoryArmsAgree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The label column a directory fills in its pass is the graph's labels,
+// whatever they are: on random graphs labelled from NoLabel, other negatives,
+// [0, 64), 64 and beyond and the int32 extremes, every ID of the span and
+// around it reads (label, true) when the graph holds it and false when not —
+// with dense IDs (the flat column, through either directory arm) and with
+// strided ones (the index). A vertex carrying the column's empty-slot mark,
+// math.MinInt32, sends a dense graph's column to the index instead. Each
+// mutation batch's epoch has its own column: a vertex deleted and added back
+// under another label reads the new one, a deleted vertex reads false, and a
+// vertex added past the span widens it (TestGMPruningFollowsGraphEpoch has
+// the next GM job count with the new label).
+func TestDirectoryLabelColumn(t *testing.T) {
+	agree := func(what string, g *graph.Graph, labels *graph.Labels) {
+		t.Helper()
+		base, span := g.IDSpan()
+		for id := base - 70; id < base+graph.VertexID(span)+70; id++ {
+			label, ok := labels.Of(id)
+			if v := g.Vertex(id); ok != (v != nil) || ok && label != v.Label {
+				t.Fatalf("%s: column says (%d, %v) of ID %d, the graph holds %+v", what, label, ok, id, v)
+			}
+		}
+	}
+	draws := []int32{graph.NoLabel, -2, math.MinInt32 + 1, 0, 1, 63, 64, 65, 1000, math.MaxInt32}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := gen.RMAT(gen.RMATConfig{Scale: 7, Edges: 500, Seed: seed})
+		g.ForEach(func(v *graph.Vertex) bool {
+			v.Label = draws[rng.Intn(len(draws))]
+			return true
+		})
+		marked := seed == 6
+		if marked {
+			g.Vertex(g.IDs()[rng.Intn(g.NumVertices())]).Label = math.MinInt32
+		}
+		strided, _ := stridedIDs(g)
+		for _, tc := range []struct {
+			name  string
+			g     *graph.Graph
+			k     int
+			dense bool // the column's arm
+		}{{"dense", g, 3, !marked}, {"dense/sparse-directory", g, denseWorkers + 1, !marked}, {"strided", strided, 3, false}} {
+			assign, err := partition.Hash{}.Partition(tc.g, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := newDirectory(tc.g, assign, nil)
+			if d.labels.Dense() != tc.dense || d.dense() != (tc.g == g && tc.k == 3) {
+				t.Fatalf("seed %d %s: column dense=%v, directory dense=%v", seed, tc.name, d.labels.Dense(), d.dense())
+			}
+			agree(fmt.Sprintf("seed %d %s", seed, tc.name), tc.g, d.labels)
+		}
+	}
+
+	g := gen.RMAT(gen.RMATConfig{Scale: 7, Edges: 500, Seed: 9})
+	gen.DealLabels(g, 7)
+	s, err := NewSession(g, dynConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ids := g.IDs()
+	base, span := g.IDSpan()
+	for epoch := 1; epoch <= 4; epoch++ {
+		relabelled, deleted := ids[epoch], ids[len(ids)-epoch]
+		label, fresh := []int32{64, graph.NoLabel, 1000, 0}[epoch-1], int32(62+epoch)
+		added := base + graph.VertexID(span) + graph.VertexID(3*epoch)
+		ops := []dyngraph.Mutation{{Op: dyngraph.OpDelVertex, ID: relabelled}, {Op: dyngraph.OpAddVertex, ID: relabelled, Label: &label},
+			{Op: dyngraph.OpDelVertex, ID: deleted}, {Op: dyngraph.OpAddVertex, ID: added, Label: &fresh}}
+		for _, u := range g.Vertex(relabelled).Adj {
+			if u != deleted {
+				ops = append(ops, dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: relabelled, W: u})
+			}
+		}
+		if _, err := s.ApplyMutations(dyngraph.Batch{Ops: ops}); err != nil {
+			t.Fatal(err)
+		}
+		labels := s.tables.dir.labels
+		if l, ok := labels.Of(relabelled); !ok || l != label || !labels.Dense() {
+			t.Fatalf("epoch %d: vertex %d relabelled %d reads (%d, %v), dense column %v", epoch, relabelled, label, l, ok, labels.Dense())
+		}
+		if _, ok := labels.Of(deleted); ok {
+			t.Fatalf("epoch %d: deleted vertex %d still has a label", epoch, deleted)
+		}
+		agree(fmt.Sprintf("epoch %d", epoch), s.Graph(), labels)
 	}
 }
 

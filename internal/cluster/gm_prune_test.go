@@ -64,15 +64,36 @@ func gmSeq(g *graph.Graph, p *algo.Pattern, generic bool) *algo.SeqResult {
 	return algo.SeqRun(g, gmArm(p, generic))
 }
 
+// widen moves gmPruneGraph's labels 0, 1 and 3 off [0, 64) — to NoLabel, 64
+// and 2^20 — and keeps the others.
+func widen(label int32) int32 {
+	switch label {
+	case 0:
+		return graph.NoLabel
+	case 1:
+		return 64
+	case 3:
+		return 1 << 20
+	}
+	return label
+}
+
 // TestGMLabelPruningDifferential: matching parent-major off the label column
 // is invisible in a job's output. On every session shape — workers, stealing,
-// spilling, dense IDs (array directory, label in the slot) and strided ones
-// (hash tables, label through the owner's) — the parent-major job, the
-// generic job and the reference agree on the count, and each job runs the
-// tasks its arm's sequential run does: one per root-labelled vertex
-// candidate-major, one per root whose level 1 matches parent-major.
+// spilling, dense IDs (array directory, flat label column), strided ones
+// (hash tables, the column through the graph's index), and dense IDs with
+// labels widened off [0, 64) (past the mask, step by step) — the
+// parent-major job, the generic job and the reference agree on the count,
+// and each job runs the tasks its arm's sequential run does: one per
+// root-labelled vertex candidate-major, one per root whose level 1 matches
+// parent-major. Widening labels and patterns alike changes neither.
 func TestGMLabelPruningDifferential(t *testing.T) {
-	dense := gmPruneGraph()
+	dense, wide := gmPruneGraph(), gmPruneGraph()
+	wide.ForEach(func(v *graph.Vertex) bool {
+		v.Label = widen(v.Label)
+		return true
+	})
+	graphs := map[string]*graph.Graph{"dense": dense, "strided": sparseIDs(dense), "wide": wide}
 	patterns := map[string]*algo.Pattern{
 		"figure": algo.FigurePattern(),
 		"path":   algo.PathPattern(0, 1, 2, 3),
@@ -88,13 +109,27 @@ func TestGMLabelPruningDifferential(t *testing.T) {
 		"path5":         algo.PathPattern(0, 1, 2, 3, 0),
 		"leaf+internal": algo.MustPattern([]int32{0, 1, 1, 2}, []int{-1, 0, 0, 1}),
 	}
+	patternsOf := func(gname string) map[string]*algo.Pattern {
+		if gname != "wide" {
+			return patterns
+		}
+		widened := map[string]*algo.Pattern{}
+		for pname, p := range patterns {
+			labels := make([]int32, len(p.Labels))
+			for i, l := range p.Labels {
+				labels[i] = widen(l)
+			}
+			widened[pname] = algo.MustPattern(labels, p.Parent)
+		}
+		return widened
+	}
 	type ref struct {
 		count int64
 		tasks [2]int64 // parent-major, generic
 	}
 	refs := map[string]ref{}
-	for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": sparseIDs(dense)} {
-		for pname, p := range patterns {
+	for gname, g := range graphs {
+		for pname, p := range patternsOf(gname) {
 			pm, generic := gmSeq(g, p, false), gmSeq(g, p, true)
 			want := algo.RefMatchCount(g, p)
 			if pm.AggGlobal != any(want) || generic.AggGlobal != any(want) || (want == 0) != (pname == "absent-label") || pm.Tasks == 0 {
@@ -103,8 +138,13 @@ func TestGMLabelPruningDifferential(t *testing.T) {
 			refs[gname+"/"+pname] = ref{want, [2]int64{pm.Tasks, generic.Tasks}}
 		}
 	}
+	for pname := range patterns {
+		if refs["wide/"+pname] != refs["dense/"+pname] {
+			t.Fatalf("%s: widened labels count %+v, dense ones %+v", pname, refs["wide/"+pname], refs["dense/"+pname])
+		}
+	}
 	var spilled, stolen int64
-	for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": sparseIDs(dense)} {
+	for gname, g := range graphs {
 		for _, workers := range []int{1, 2, 4} {
 			for _, stealing := range []bool{false, true} {
 				for _, spill := range []bool{false, true} {
@@ -121,10 +161,10 @@ func TestGMLabelPruningDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if s.DenseDirectory() != (g == dense) {
+					if s.DenseDirectory() != (gname != "strided") {
 						t.Fatalf("%s: vertex directory dense=%v", gname, s.DenseDirectory())
 					}
-					for pname, p := range patterns {
+					for pname, p := range patternsOf(gname) {
 						shape := fmt.Sprintf("%s/w%d/steal=%v/spill=%v/%s", gname, workers, stealing, spill, pname)
 						want := refs[gname+"/"+pname]
 						for arm, generic := range []bool{false, true} {

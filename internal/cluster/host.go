@@ -135,7 +135,7 @@ func (o *orientedView) follow(touched map[graph.VertexID]struct{}) {
 func (o *orientedView) tables(p core.Plan, g *graph.Graph, assign *partition.Assignment,
 	epoch int64, base vertexTables) vertexTables {
 	if p.Labels != nil {
-		p.Labels(base.dir.label)
+		p.Labels(base.dir.labels)
 	}
 	if p.Oriented == nil {
 		return base

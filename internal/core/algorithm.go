@@ -60,12 +60,12 @@ type Plan struct {
 	// Labels, when set, asks for the label column: the label of every vertex
 	// of the job's graph, held by every worker beside its owner (adjacency
 	// and attributes still move only by pull). A runtime that keeps one calls
-	// it once, before seeding, with the lookup for the graph epoch the job
-	// runs on: the label of vertex id, and false for an ID the graph has no
-	// vertex for. The algorithm may then read a label from it instead of from
-	// the pulled vertex, and leave out of a task's candidates every vertex it
-	// would read nothing else of.
-	Labels func(labelOf func(id graph.VertexID) (label int32, ok bool))
+	// it once, before seeding, with the column of the graph epoch the job
+	// runs on (graph.Labels: the label of vertex id, and false for an ID the
+	// graph has no vertex for). The algorithm may then read a label from it
+	// instead of from the pulled vertex, and leave out of a task's candidates
+	// every vertex it would read nothing else of.
+	Labels func(labels *graph.Labels)
 	// SeedRadius, when positive, declares that the records a seed emits are a
 	// pure function of the subgraph induced on the vertices within SeedRadius
 	// hops of it — those vertices, their labels and attributes, and the edges

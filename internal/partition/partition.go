@@ -120,6 +120,23 @@ type Partitioner interface {
 	Partition(g *graph.Graph, k int) (*Assignment, error)
 }
 
+// ByName returns the partitioner a command line names — bdg, hash, skewed
+// (bias 0.6) or blocked — or an error for any other name. Every binary of a
+// cluster parses -partitioner here, so each accepts what the others do.
+func ByName(name string) (Partitioner, error) {
+	switch name {
+	case "bdg":
+		return BDG{}, nil
+	case "hash":
+		return Hash{}, nil
+	case "skewed":
+		return Skewed{Bias: 0.6}, nil
+	case "blocked":
+		return Blocked{}, nil
+	}
+	return nil, fmt.Errorf("unknown partitioner %q", name)
+}
+
 // Hash is the baseline random-hash partitioner ("distributes each vertex
 // to workers by hashing the vertex ID", §8.4).
 type Hash struct{}

@@ -176,3 +176,23 @@ func TestQuickAssignmentsComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Every name a binary's -partitioner accepts maps to its partitioner, the
+// same in gminer, gminerd and gminer-worker; any other name is an error.
+func TestByName(t *testing.T) {
+	for name, want := range map[string]partition.Partitioner{
+		"bdg":     partition.BDG{},
+		"hash":    partition.Hash{},
+		"skewed":  partition.Skewed{Bias: 0.6},
+		"blocked": partition.Blocked{},
+	} {
+		if got, err := partition.ByName(name); err != nil || got != want {
+			t.Errorf("ByName(%q) = %#v, %v; want %#v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "BDG", "ldg", "blocked "} {
+		if got, err := partition.ByName(name); err == nil {
+			t.Errorf("ByName(%q) = %#v, want an error", name, got)
+		}
+	}
+}

@@ -30,17 +30,16 @@ import (
 	"syscall"
 	"time"
 
+	"gminer/internal/cli"
 	"gminer/internal/cluster"
-	"gminer/internal/gen"
 	"gminer/internal/graph"
-	"gminer/internal/jobspec"
 	"gminer/internal/partition"
 )
 
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "input graph file")
-		format    = flag.String("format", "adj", "graph file format: adj (adjacency list) or edges (SNAP edge list)")
+		format    = flag.String("format", "adj", "graph file format: adj (adjacency list), edges (SNAP edge list) or bin")
 		preset    = flag.String("preset", "", "generated dataset preset (skitter-s, orkut-s, btc-s, friendster-s, tencent-s, dblp-s)")
 		scale     = flag.Float64("scale", 1.0, "preset scale factor")
 
@@ -70,15 +69,11 @@ func main() {
 		fatal(fmt.Errorf("need -coordinator (the gminerd -cluster-listen address)"))
 	}
 
-	g, err := loadGraph(*graphPath, *format, *preset, *scale)
+	g, dataset, err := cli.LoadGraph(*graphPath, *format, *preset, *scale)
 	if err != nil {
 		fatal(err)
 	}
-	// Mirror gminerd's startup preparation exactly: labels/attributes feed
-	// the join fingerprint (and gm/cd task semantics), so a worker that
-	// skipped them would be refused — or worse, silently diverge.
-	jobspec.Prepare(g, jobspec.Spec{App: "gm", Labels: int32(*labels)}.Normalize())
-	jobspec.Prepare(g, jobspec.Spec{App: "cd"}.Normalize())
+	cli.PrepareResident(g, *labels)
 
 	ccfg := cluster.Config{
 		Workers:          *workers,
@@ -93,7 +88,7 @@ func main() {
 		fatal(err)
 	}
 
-	fmt.Printf("graph: %s\n", graph.ComputeStats(datasetName(*graphPath, *preset), g))
+	fmt.Printf("graph: %s\n", graph.ComputeStats(dataset, g))
 	wp, err := cluster.StartWorkerProcess(g, ccfg, cluster.WorkerOptions{
 		Coordinator:    *coordinator,
 		Node:           *node,
@@ -126,31 +121,6 @@ func main() {
 		fmt.Println("coordinator link closed: exiting")
 	}
 	wp.Close()
-}
-
-func loadGraph(path, format, preset string, scale float64) (*graph.Graph, error) {
-	switch {
-	case path != "":
-		switch format {
-		case "adj":
-			return graph.LoadFile(path)
-		case "edges":
-			return graph.LoadEdgeListFile(path)
-		default:
-			return nil, fmt.Errorf("unknown format %q (want adj or edges)", format)
-		}
-	case preset != "":
-		return gen.Build(gen.Preset(preset), scale)
-	default:
-		return nil, fmt.Errorf("need -graph or -preset")
-	}
-}
-
-func datasetName(path, preset string) string {
-	if path != "" {
-		return path
-	}
-	return preset
 }
 
 func fatal(err error) {

@@ -29,10 +29,10 @@ import (
 	"gminer"
 	"gminer/internal/algo"
 	"gminer/internal/chaos"
-	"gminer/internal/gen"
+	"gminer/internal/cli"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
-	"gminer/internal/monitor"
+	"gminer/internal/metrics"
 	"gminer/internal/partition"
 	"gminer/internal/trace"
 )
@@ -51,7 +51,7 @@ func main() {
 
 	var (
 		graphPath = flag.String("graph", "", "input graph file")
-		format    = flag.String("format", "adj", "graph file format: adj (adjacency list) or edges (SNAP edge list)")
+		format    = flag.String("format", "adj", "graph file format: adj (adjacency list), edges (SNAP edge list) or bin")
 		preset    = flag.String("preset", "", "generated dataset preset (skitter-s, orkut-s, btc-s, friendster-s, tencent-s, dblp-s)")
 		scale     = flag.Float64("scale", 1.0, "preset scale factor")
 		app       = flag.String("app", "tc", "application: tc, mcf, gm, cd, gc, gl3, qc, fsm")
@@ -91,7 +91,7 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := loadGraph(*graphPath, *format, *preset, *scale)
+	g, dataset, err := cli.LoadGraph(*graphPath, *format, *preset, *scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -150,7 +150,7 @@ func main() {
 	}
 	cfg.Tracer = tracer
 
-	fmt.Printf("graph: %s\n", graph.ComputeStats(datasetName(*graphPath, *preset), g))
+	fmt.Printf("graph: %s\n", graph.ComputeStats(dataset, g))
 	fmt.Printf("running %s with %d workers x %d threads (%s partitioning, lsh=%v, stealing=%v)\n",
 		a.Name(), cfg.Workers, cfg.Threads, *part, *lsh, *steal)
 	if chaosCtl != nil {
@@ -181,7 +181,7 @@ func main() {
 		fatal(err)
 	}
 	if *httpAddr != "" {
-		mon := monitor.New(job)
+		mon := metrics.NewMonitor(job)
 		mon.SetTracer(tracer)
 		addr, err := mon.Start(*httpAddr)
 		if err != nil {
@@ -265,31 +265,6 @@ func main() {
 			fmt.Println(r)
 		}
 	}
-}
-
-func loadGraph(path, format, preset string, scale float64) (*graph.Graph, error) {
-	switch {
-	case path != "":
-		switch format {
-		case "adj":
-			return graph.LoadFile(path)
-		case "edges":
-			return graph.LoadEdgeListFile(path)
-		default:
-			return nil, fmt.Errorf("unknown format %q (want adj or edges)", format)
-		}
-	case preset != "":
-		return gen.Build(gen.Preset(preset), scale)
-	default:
-		return nil, fmt.Errorf("need -graph or -preset")
-	}
-}
-
-func datasetName(path, preset string) string {
-	if path != "" {
-		return path
-	}
-	return preset
 }
 
 func fatal(err error) {

@@ -21,10 +21,9 @@ import (
 	"syscall"
 	"time"
 
+	"gminer/internal/cli"
 	"gminer/internal/cluster"
-	"gminer/internal/gen"
 	"gminer/internal/graph"
-	"gminer/internal/jobspec"
 	"gminer/internal/partition"
 	"gminer/internal/server"
 )
@@ -32,7 +31,7 @@ import (
 func main() {
 	var (
 		graphPath = flag.String("graph", "", "input graph file")
-		format    = flag.String("format", "adj", "graph file format: adj (adjacency list) or edges (SNAP edge list)")
+		format    = flag.String("format", "adj", "graph file format: adj (adjacency list), edges (SNAP edge list) or bin")
 		preset    = flag.String("preset", "", "generated dataset preset (skitter-s, orkut-s, btc-s, friendster-s, tencent-s, dblp-s)")
 		scale     = flag.Float64("scale", 1.0, "preset scale factor")
 
@@ -68,7 +67,7 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := loadGraph(*graphPath, *format, *preset, *scale)
+	g, dataset, err := cli.LoadGraph(*graphPath, *format, *preset, *scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -78,8 +77,7 @@ func main() {
 	// mutated per job. The assignment parameters and seeds match the
 	// single-shot CLI's defaults, which is what makes served results
 	// byte-identical to `gminer -app ...` on the same input.
-	jobspec.Prepare(g, jobspec.Spec{App: "gm", Labels: int32(*labels)}.Normalize())
-	jobspec.Prepare(g, jobspec.Spec{App: "cd"}.Normalize())
+	cli.PrepareResident(g, *labels)
 
 	ccfg := cluster.Config{
 		Workers:          *workers,
@@ -110,7 +108,7 @@ func main() {
 		ccfg.Dynamic = true
 	}
 
-	fmt.Printf("graph: %s\n", graph.ComputeStats(datasetName(*graphPath, *preset), g))
+	fmt.Printf("graph: %s\n", graph.ComputeStats(dataset, g))
 	var sess server.Cluster
 	var held []cluster.HeldJob
 	if *clusterListen != "" {
@@ -191,31 +189,6 @@ func main() {
 	fmt.Printf("received %s: draining (up to %s) and shutting down\n", sig, *drainTimeout)
 	srv.Shutdown()
 	fmt.Println("shutdown complete, port released")
-}
-
-func loadGraph(path, format, preset string, scale float64) (*graph.Graph, error) {
-	switch {
-	case path != "":
-		switch format {
-		case "adj":
-			return graph.LoadFile(path)
-		case "edges":
-			return graph.LoadEdgeListFile(path)
-		default:
-			return nil, fmt.Errorf("unknown format %q (want adj or edges)", format)
-		}
-	case preset != "":
-		return gen.Build(gen.Preset(preset), scale)
-	default:
-		return nil, fmt.Errorf("need -graph or -preset")
-	}
-}
-
-func datasetName(path, preset string) string {
-	if path != "" {
-		return path
-	}
-	return preset
 }
 
 func fatal(err error) {

@@ -12,6 +12,7 @@ import (
 	"os"
 	"time"
 
+	"gminer/internal/cli"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/partition"
@@ -35,14 +36,14 @@ func main() {
 	)
 	_ = fs.Parse(os.Args[2:])
 
-	g, err := load(*graphPath, *inFormat, *preset, *scale)
+	g, dataset, err := cli.LoadGraph(*graphPath, *inFormat, *preset, *scale)
 	if err != nil {
 		fatal(err)
 	}
 
 	switch cmd {
 	case "stats":
-		fmt.Println(graph.ComputeStats(name(*graphPath, *preset), g))
+		fmt.Println(graph.ComputeStats(dataset, g))
 	case "hist":
 		hist(g, *buckets)
 	case "convert":
@@ -59,30 +60,6 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: graphtool {stats|hist|convert|partition} [flags]")
 	os.Exit(2)
-}
-
-func load(path, format, preset string, scale float64) (*graph.Graph, error) {
-	switch {
-	case path != "" && format == "adj":
-		return graph.LoadFile(path)
-	case path != "" && format == "edges":
-		return graph.LoadEdgeListFile(path)
-	case path != "" && format == "bin":
-		return graph.LoadBinaryFile(path)
-	case path != "":
-		return nil, fmt.Errorf("unknown input format %q", format)
-	case preset != "":
-		return gen.Build(gen.Preset(preset), scale)
-	default:
-		return nil, fmt.Errorf("need -graph or -preset")
-	}
-}
-
-func name(path, preset string) string {
-	if path != "" {
-		return path
-	}
-	return preset
 }
 
 func hist(g *graph.Graph, buckets int) {
@@ -124,16 +101,7 @@ func convert(g *graph.Graph, format, out string) error {
 		defer f.Close()
 		w = f
 	}
-	switch format {
-	case "adj":
-		return graph.WriteText(w, g)
-	case "edges":
-		return graph.WriteEdgeList(w, g)
-	case "bin":
-		return graph.WriteBinary(w, g)
-	default:
-		return fmt.Errorf("unknown output format %q", format)
-	}
+	return cli.WriteGraph(w, g, format)
 }
 
 func comparePartitioners(g *graph.Graph, k int) {

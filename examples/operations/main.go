@@ -21,7 +21,7 @@ import (
 	"gminer/internal/algo"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
-	"gminer/internal/monitor"
+	"gminer/internal/metrics"
 )
 
 func main() {
@@ -57,7 +57,7 @@ func main() {
 	}
 
 	// 4. Serve live progress over HTTP while the job runs.
-	mon := monitor.New(job)
+	mon := metrics.NewMonitor(job)
 	addr, err := mon.Start("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -9,6 +9,7 @@ import (
 
 	"gminer/internal/gen"
 	"gminer/internal/graph"
+	"gminer/internal/kernels"
 )
 
 // bruteTriangles enumerates all vertex triples — the independent oracle
@@ -217,10 +218,10 @@ func TestSimilarityHelpers(t *testing.T) {
 func TestIntersectSorted(t *testing.T) {
 	a := []graph.VertexID{1, 3, 5, 7}
 	b := []graph.VertexID{2, 3, 5, 8}
-	if intersectSorted(a, b) != 2 {
+	if kernels.Count(a, b) != 2 {
 		t.Fatal("intersect wrong")
 	}
-	if intersectSorted(a, nil) != 0 {
+	if kernels.Count(a, nil) != 0 {
 		t.Fatal("empty intersect")
 	}
 }

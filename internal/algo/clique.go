@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"slices"
 	"sort"
 
 	"gminer/internal/graph"
@@ -92,7 +93,7 @@ func (s *maxCliqueSearch) expand(r []int, p []int) {
 		// P for the child: candidates before v in the order ∩ Γ(v).
 		var np []int
 		for _, u := range order[:i] {
-			if containsInt(s.g.adj[v], u) {
+			if _, ok := slices.BinarySearch(s.g.adj[v], u); ok {
 				np = append(np, u)
 			}
 		}
@@ -111,7 +112,7 @@ func (s *maxCliqueSearch) color(p []int) (order []int, colors []int) {
 		for c := range classes {
 			ok := true
 			for _, u := range classes[c] {
-				if containsInt(s.g.adj[v], u) {
+				if _, adj := slices.BinarySearch(s.g.adj[v], u); adj {
 					ok = false
 					break
 				}
@@ -156,20 +157,4 @@ func SearchMaxClique(ids []graph.VertexID, verts []*graph.Vertex, base int, boun
 		out[i] = cg.ids[m]
 	}
 	return best, out
-}
-
-func containsInt(sorted []int, x int) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case sorted[mid] < x:
-			lo = mid + 1
-		case sorted[mid] > x:
-			hi = mid
-		default:
-			return true
-		}
-	}
-	return false
 }

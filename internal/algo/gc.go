@@ -149,10 +149,10 @@ func (g *GraphCluster) Update(t *core.Task, cands []*graph.Vertex, env core.Env)
 			continue
 		}
 		id := t.Cands[i]
-		if t.Subgraph.Has(id) || containsSorted(ctx.rejected, id) {
+		if _, rejected := slices.BinarySearch(ctx.rejected, id); rejected || t.Subgraph.Has(id) {
 			continue
 		}
-		conn := float64(intersectSorted(obj.Adj, members)) / float64(len(members))
+		conn := float64(kernels.Count(obj.Adj, members)) / float64(len(members))
 		if g.focused(obj.Attrs) && conn >= g.MinConn {
 			joined = append(joined, obj)
 		} else {
@@ -170,7 +170,8 @@ func (g *GraphCluster) Update(t *core.Task, cands []*graph.Vertex, env core.Env)
 		}
 		if t.Round < g.MaxRounds {
 			next = slices.DeleteFunc(kernels.Union(nil, rows), func(id graph.VertexID) bool {
-				return t.Subgraph.Has(id) || containsSorted(ctx.rejected, id)
+				_, rejected := slices.BinarySearch(ctx.rejected, id)
+				return rejected || t.Subgraph.Has(id)
 			})
 		}
 	}

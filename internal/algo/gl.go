@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"slices"
+
 	"gminer/internal/core"
 	"gminer/internal/graph"
 	"gminer/internal/wire"
@@ -100,7 +102,10 @@ func (*GraphletCensus) Update(t *core.Task, cands []*graph.Vertex, env core.Env)
 		}
 		uid := t.Cands[i]
 		for _, w := range u.Adj {
-			if w > uid && containsSorted(set, w) {
+			if w <= uid {
+				continue
+			}
+			if _, ok := slices.BinarySearch(set, w); ok {
 				out.Triangles++
 			}
 		}

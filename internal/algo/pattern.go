@@ -11,7 +11,6 @@ import (
 	"strconv"
 
 	"gminer/internal/graph"
-	"gminer/internal/kernels"
 )
 
 // Pattern is a rooted, labeled tree pattern for graph matching, matched
@@ -138,13 +137,6 @@ func weightedSimilarity(a, exemplar []int32, weights []float64) float64 {
 		return 0
 	}
 	return match / total
-}
-
-// intersectSorted returns |a ∩ b| for sorted ID slices. It is a thin
-// front for the kernel layer's adaptive merge/gallop counting, kept so
-// call sites read in set language.
-func intersectSorted(a, b []graph.VertexID) int {
-	return kernels.Count(a, b)
 }
 
 // formatIDs renders a sorted vertex set as a stable record string: the IDs

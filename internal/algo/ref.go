@@ -200,7 +200,7 @@ func RefClusters(g *graph.Graph, a *GraphCluster) []string {
 				if obj == nil {
 					continue
 				}
-				conn := float64(intersectSorted(obj.Adj, members)) / float64(len(members))
+				conn := float64(kernels.Count(obj.Adj, members)) / float64(len(members))
 				if a.focused(obj.Attrs) && conn >= a.MinConn {
 					joined = append(joined, obj)
 				} else {

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"slices"
 	"sync"
 
 	"gminer/internal/core"
@@ -121,7 +122,10 @@ func (a *TriangleCount) Update(t *core.Task, cands []*graph.Vertex, env core.Env
 				continue
 			}
 			for _, w := range u.Adj {
-				if w > t.Cands[i] && containsSorted(t.Cands, w) {
+				if w <= t.Cands[i] {
+					continue
+				}
+				if _, ok := slices.BinarySearch(t.Cands, w); ok {
 					count++
 				}
 			}
@@ -163,21 +167,4 @@ func (a *TriangleCount) Update(t *core.Task, cands []*graph.Vertex, env core.Env
 		env.AggUpdate(count)
 	}
 	// No Pull: the task dies after one round.
-}
-
-// containsSorted reports whether sorted ids contains x.
-func containsSorted(ids []graph.VertexID, x graph.VertexID) bool {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case ids[mid] < x:
-			lo = mid + 1
-		case ids[mid] > x:
-			hi = mid
-		default:
-			return true
-		}
-	}
-	return false
 }

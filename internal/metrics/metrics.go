@@ -6,6 +6,11 @@
 // All counters are lock-free atomics so the hot paths (executor loop,
 // transport send) stay cheap. A Sampler snapshots the counters on a fixed
 // period to produce the utilization timelines of Figures 5 and 6.
+//
+// The package also publishes them: Prom (prom.go) is the one writer of
+// the Prometheus text format, behind both the daemon's /metrics and the
+// single-job Monitor's (monitor.go), which serves a running job's
+// progress table over HTTP.
 package metrics
 
 import (

@@ -1,11 +1,11 @@
-package monitor
+package metrics_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -22,9 +22,9 @@ type fakeSource struct {
 func (f *fakeSource) WorkerSnapshots() []metrics.Snapshot { return f.snaps }
 func (f *fakeSource) Done() bool                          { return f.done }
 
-func startServer(t *testing.T, src Source) (*Server, string) {
+func startMonitor(t *testing.T, src metrics.Source) (*metrics.Monitor, string) {
 	t.Helper()
-	s := New(src)
+	s := metrics.NewMonitor(src)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +52,8 @@ func TestStatusJSON(t *testing.T) {
 		{Busy: time.Second, NetBytes: 100, TasksDone: 5},
 		{Busy: 2 * time.Second, NetBytes: 200, TasksDone: 7},
 	}}
-	_, addr := startServer(t, src)
-	var st Status
+	_, addr := startMonitor(t, src)
+	var st metrics.Status
 	if err := json.Unmarshal([]byte(get(t, "http://"+addr+"/status")), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestStatusJSON(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	src := &fakeSource{}
-	_, addr := startServer(t, src)
+	_, addr := startMonitor(t, src)
 	if got := get(t, "http://"+addr+"/healthz"); !strings.Contains(got, "running") {
 		t.Fatalf("healthz: %q", got)
 	}
@@ -82,7 +82,7 @@ func TestHealthz(t *testing.T) {
 
 func TestTextSummary(t *testing.T) {
 	src := &fakeSource{snaps: []metrics.Snapshot{{TasksDone: 3}}}
-	_, addr := startServer(t, src)
+	_, addr := startMonitor(t, src)
 	got := get(t, "http://"+addr+"/")
 	if !strings.Contains(got, "worker") || !strings.Contains(got, "total") {
 		t.Fatalf("text: %q", got)
@@ -90,65 +90,11 @@ func TestTextSummary(t *testing.T) {
 }
 
 func TestStopClosesListener(t *testing.T) {
-	s, addr := startServer(t, &fakeSource{})
+	s, addr := startMonitor(t, &fakeSource{})
 	s.Stop()
 	if _, err := http.Get("http://" + addr + "/status"); err == nil {
 		t.Fatal("server still reachable after Stop")
 	}
-}
-
-// validatePromText is a line-oriented validator for the Prometheus text
-// exposition format (0.0.4): every line must be a HELP/TYPE comment or a
-// `name{labels} value` sample with a legal metric name; histogram buckets
-// must be cumulative. Returns the parsed samples keyed by full series.
-func validatePromText(t *testing.T, text string) map[string]float64 {
-	t.Helper()
-	samples := make(map[string]float64)
-	bucketCum := make(map[string]float64)
-	for ln, line := range strings.Split(text, "\n") {
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
-			parts := strings.Fields(line)
-			if len(parts) < 4 {
-				t.Fatalf("line %d: malformed comment %q", ln+1, line)
-			}
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			t.Fatalf("line %d: bare comment %q", ln+1, line)
-		}
-		idx := strings.LastIndex(line, " ")
-		if idx < 0 {
-			t.Fatalf("line %d: no value in %q", ln+1, line)
-		}
-		series, valStr := line[:idx], line[idx+1:]
-		val, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			t.Fatalf("line %d: bad value %q: %v", ln+1, valStr, err)
-		}
-		name := series
-		if i := strings.IndexByte(series, '{'); i >= 0 {
-			name = series[:i]
-			if !strings.HasSuffix(series, "}") {
-				t.Fatalf("line %d: unterminated labels %q", ln+1, series)
-			}
-		}
-		for _, r := range name {
-			if !(r == '_' || r == ':' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9')) {
-				t.Fatalf("line %d: bad metric name %q", ln+1, name)
-			}
-		}
-		if strings.HasSuffix(name, "_bucket") {
-			if val < bucketCum[name] {
-				t.Fatalf("line %d: %s buckets not cumulative", ln+1, name)
-			}
-			bucketCum[name] = val
-		}
-		samples[series] = val
-	}
-	return samples
 }
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -156,7 +102,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		{Busy: time.Second, NetBytes: 100, TasksDone: 5, CacheHits: 9, CacheMisses: 1, CacheOverflows: 3},
 		{Busy: 2 * time.Second, NetBytes: 200, TasksDone: 7},
 	}}
-	_, addr := startServer(t, src)
+	_, addr := startMonitor(t, src)
 	runtime.GC() // live heap is what the last cycle marked: have one
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
@@ -170,7 +116,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := validatePromText(t, string(body))
+	samples := validateProm(t, string(body))
 	if samples[`gminer_tasks_done_total{worker="0"}`] != 5 {
 		t.Fatalf("worker 0 tasks: %v", samples[`gminer_tasks_done_total{worker="0"}`])
 	}
@@ -197,7 +143,7 @@ func TestMetricsWithTracer(t *testing.T) {
 		h.Observe(trace.MetricTaskRound, time.Millisecond)
 		h.Event(trace.EvTaskDead, 1)
 	}
-	s := New(src)
+	s := metrics.NewMonitor(src)
 	s.SetTracer(tr)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
@@ -205,7 +151,7 @@ func TestMetricsWithTracer(t *testing.T) {
 	}
 	t.Cleanup(s.Stop)
 	body := get(t, "http://"+addr+"/metrics")
-	samples := validatePromText(t, body)
+	samples := validateProm(t, body)
 	if samples["gminer_task_round_seconds_count"] != 10 {
 		t.Fatalf("histogram count: %v", samples["gminer_task_round_seconds_count"])
 	}
@@ -217,5 +163,38 @@ func TestMetricsWithTracer(t *testing.T) {
 	}
 	if samples["gminer_job_done"] != 1 {
 		t.Fatalf("job done gauge: %v", samples["gminer_job_done"])
+	}
+}
+
+// TestPrometheusExposition renders a tracer on its own: histogram buckets
+// are cumulative and end at +Inf, _count equals the +Inf bucket, and every
+// event type has its counter series.
+func TestPrometheusExposition(t *testing.T) {
+	tr := trace.New(1, 8).Enable()
+	h := tr.Handle(0, trace.CompExecutor)
+	for i := 0; i < 50; i++ {
+		h.Observe(trace.MetricTaskRound, time.Duration(i+1)*time.Millisecond)
+		h.Event(trace.EvCacheHit, 1)
+	}
+	var buf bytes.Buffer
+	p := metrics.NewProm(&buf)
+	p.WriteTracer(tr)
+	stats := validateProm(t, buf.String())
+	if stats["gminer_task_round_seconds_count"] != 50 {
+		t.Fatalf("task_round count = %v", stats["gminer_task_round_seconds_count"])
+	}
+	if stats[`gminer_task_round_seconds_bucket{le="+Inf"}`] != 50 {
+		t.Fatalf("+Inf bucket = %v", stats[`gminer_task_round_seconds_bucket{le="+Inf"}`])
+	}
+	if stats[`gminer_trace_events_total{event="cache_hit"}`] != 50 {
+		t.Fatalf("cache_hit counter = %v", stats[`gminer_trace_events_total{event="cache_hit"}`])
+	}
+	if n := strings.Count(buf.String(), "gminer_trace_events_total{"); n != int(trace.NumEventTypes)-1 {
+		t.Fatalf("%d event series, want %d", n, trace.NumEventTypes-1)
+	}
+	buf.Reset()
+	p.WriteTracer(nil)
+	if buf.Len() != 0 {
+		t.Fatalf("nil tracer wrote %q", buf.String())
 	}
 }

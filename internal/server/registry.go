@@ -11,6 +11,7 @@ import (
 	"gminer/internal/cluster"
 	"gminer/internal/core"
 	"gminer/internal/jobspec"
+	"gminer/internal/metrics"
 	"gminer/internal/qos"
 	"gminer/internal/trace"
 )
@@ -658,38 +659,36 @@ func (r *registry) counts() (queued, running, standing int, terminal map[string]
 }
 
 // tenantStats snapshots the per-tenant QoS view (queue depth, wait
-// summary, completed spend) for the /metrics exposition.
-func (r *registry) tenantStats() map[string]*tenantStat {
-	out := make(map[string]*tenantStat)
-	at := func(tenant string) *tenantStat {
-		ts := out[tenant]
+// summary, completed spend) for the /metrics exposition, sorted by tenant.
+func (r *registry) tenantStats() []metrics.TenantStat {
+	byTenant := make(map[string]*metrics.TenantStat)
+	at := func(tenant string) *metrics.TenantStat {
+		ts := byTenant[tenant]
 		if ts == nil {
-			ts = &tenantStat{}
-			out[tenant] = ts
+			ts = &metrics.TenantStat{Tenant: tenant}
+			byTenant[tenant] = ts
 		}
 		return ts
 	}
 	r.mu.Lock()
 	for tenant, n := range r.queue.PerTenant() {
-		at(tenant).queued = n
+		at(tenant).Queued = n
 	}
 	for tenant, tw := range r.waits {
 		ts := at(tenant)
-		ts.waitSum, ts.waitCount = tw.sum, tw.count
+		ts.WaitSumSeconds, ts.WaitCount = tw.sum, tw.count
 	}
 	r.mu.Unlock()
 	_, tenants := r.meter.Snapshot()
 	for _, te := range tenants {
-		at(te.Tenant).spend = te.Spend
+		at(te.Tenant).SpendSeconds = te.Spend
 	}
+	out := make([]metrics.TenantStat, 0, len(byTenant))
+	for _, ts := range byTenant {
+		out = append(out, *ts)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
-}
-
-type tenantStat struct {
-	queued    int
-	waitSum   float64
-	waitCount int64
-	spend     float64
 }
 
 // drain refuses new submissions, cancels everything still queued, then

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"sort"
@@ -24,7 +25,6 @@ import (
 	"gminer/internal/dyngraph"
 	"gminer/internal/graph"
 	"gminer/internal/metrics"
-	"gminer/internal/monitor"
 )
 
 // Cluster is the warm-session surface the daemon serves over. Both the
@@ -328,155 +328,96 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSONCode(w, code, doc)
 }
 
-// handleMetrics reuses the monitor package's Prometheus family table with
-// per-job labels, plus daemon-level job gauges.
+// handleMetrics serves the daemon's Prometheus exposition: the per-worker
+// counter table with a job label, then the daemon's own families.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-
-	s.reg.mu.Lock()
-	var labeled []monitor.JobSnapshots
-	for _, id := range s.reg.order {
-		j := s.reg.jobs[id]
-		var snaps []metrics.Snapshot
+	reg := s.reg
+	reg.mu.Lock()
+	var jobs []metrics.JobSnapshots
+	for _, id := range reg.order {
+		j := reg.jobs[id]
 		switch {
 		case j.cj != nil && j.state == StateRunning:
-			snaps = j.cj.WorkerSnapshots()
+			jobs = append(jobs, metrics.JobSnapshots{Job: id, Workers: j.cj.WorkerSnapshots()})
 		case j.result != nil:
-			snaps = j.result.PerWorker
-		}
-		if snaps != nil {
-			labeled = append(labeled, monitor.JobSnapshots{Job: id, Workers: snaps})
+			jobs = append(jobs, metrics.JobSnapshots{Job: id, Workers: j.result.PerWorker})
 		}
 	}
-	s.reg.mu.Unlock()
-	monitor.WriteProm(w, labeled)
+	rounds, finished := maps.Clone(reg.standingRounds), maps.Clone(reg.finished)
+	lists, bytes := reg.residentLists, reg.residentBytes
+	reg.mu.Unlock()
+	queued, running, standing, retained := reg.counts()
+	apps, _ := reg.meter.Snapshot()
+	cs := reg.cache.Stats()
 
-	// Per-tenant QoS families: queue depth, wait summary, spend ledger.
-	byTenant := s.reg.tenantStats()
-	tenants := make([]string, 0, len(byTenant))
-	for tenant := range byTenant {
-		tenants = append(tenants, tenant)
-	}
-	sort.Strings(tenants)
-	stats := make([]monitor.TenantStat, 0, len(tenants))
-	for _, tenant := range tenants {
-		ts := byTenant[tenant]
-		stats = append(stats, monitor.TenantStat{
-			Tenant:         tenant,
-			Queued:         ts.queued,
-			WaitSumSeconds: ts.waitSum,
-			WaitCount:      ts.waitCount,
-			SpendSeconds:   ts.spend,
-		})
-	}
-	monitor.WriteTenantProm(w, stats)
-
-	// Per-app cost meter: EWMA price estimates plus the opMeter phase
-	// table (count + cumulative seconds per pipeline phase per task type).
-	apps, _ := s.reg.meter.Snapshot()
-	fmt.Fprintf(w, "# HELP gminer_app_cost_estimate_seconds EWMA compute-cost estimate per task type, used to price admission.\n# TYPE gminer_app_cost_estimate_seconds gauge\n")
+	p := metrics.NewProm(w)
+	p.WriteWorkers(jobs)
+	p.WriteTenants(reg.tenantStats())
+	p.Family("gminer_app_cost_estimate_seconds", "gauge", "EWMA compute-cost estimate per task type, used to price admission.")
 	for _, ac := range apps {
-		fmt.Fprintf(w, "gminer_app_cost_estimate_seconds{app=%q} %s\n", ac.App, promFloat(ac.Estimate))
+		p.Float("", ac.Estimate, "app", ac.App)
 	}
-	fmt.Fprintf(w, "# HELP gminer_app_cost_seconds_total Metered compute spend per task type.\n# TYPE gminer_app_cost_seconds_total counter\n")
+	p.Family("gminer_app_cost_seconds_total", "counter", "Metered compute spend per task type.")
 	for _, ac := range apps {
-		fmt.Fprintf(w, "gminer_app_cost_seconds_total{app=%q} %s\n", ac.App, promFloat(ac.CostSum))
+		p.Float("", ac.CostSum, "app", ac.App)
 	}
-	fmt.Fprintf(w, "# HELP gminer_app_jobs_total Metered finished jobs per task type.\n# TYPE gminer_app_jobs_total counter\n")
+	p.Family("gminer_app_jobs_total", "counter", "Metered finished jobs per task type.")
 	for _, ac := range apps {
-		fmt.Fprintf(w, "gminer_app_jobs_total{app=%q} %d\n", ac.App, ac.Jobs)
+		p.Int("", ac.Jobs, "app", ac.App)
 	}
-	fmt.Fprintf(w, "# HELP gminer_app_phase_seconds_total Cumulative pipeline-phase time per task type.\n# TYPE gminer_app_phase_seconds_total counter\n")
+	p.Family("gminer_app_phase_seconds_total", "counter", "Cumulative pipeline-phase time per task type.")
 	for _, ac := range apps {
 		for _, phase := range sortedKeys(ac.Phases) {
-			fmt.Fprintf(w, "gminer_app_phase_seconds_total{app=%q,phase=%q} %s\n",
-				ac.App, phase, promFloat(ac.Phases[phase].Seconds))
+			p.Float("", ac.Phases[phase].Seconds, "app", ac.App, "phase", phase)
 		}
 	}
-
-	// Result cache.
-	cs := s.reg.cache.Stats()
-	fmt.Fprintf(w, "# HELP gminer_result_cache_hits_total Jobs answered from the result cache.\n# TYPE gminer_result_cache_hits_total counter\ngminer_result_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintf(w, "# HELP gminer_result_cache_misses_total Submits that had to compute.\n# TYPE gminer_result_cache_misses_total counter\ngminer_result_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintf(w, "# HELP gminer_result_cache_entries Result-cache entries resident.\n# TYPE gminer_result_cache_entries gauge\ngminer_result_cache_entries %d\n", cs.Entries)
-
-	// Multi-process cluster membership.
+	p.Family("gminer_result_cache_hits_total", "counter", "Jobs answered from the result cache.").Int("", cs.Hits)
+	p.Family("gminer_result_cache_misses_total", "counter", "Submits that had to compute.").Int("", cs.Misses)
+	p.Family("gminer_result_cache_entries", "gauge", "Result-cache entries resident.").Int("", int64(cs.Entries))
 	if hr, ok := s.sess.(WorkerHealthReporter); ok {
 		workers := hr.WorkerHealth()
-		fmt.Fprintf(w, "# HELP gminer_cluster_workers Worker-process slots in the multi-process cluster.\n# TYPE gminer_cluster_workers gauge\ngminer_cluster_workers %d\n", len(workers))
-		fmt.Fprintf(w, "# HELP gminer_cluster_worker_up Whether a live worker process holds the slot (by node index).\n# TYPE gminer_cluster_worker_up gauge\n")
+		p.Family("gminer_cluster_workers", "gauge", "Worker-process slots in the multi-process cluster.").Int("", int64(len(workers)))
+		p.Family("gminer_cluster_worker_up", "gauge", "Whether a live worker process holds the slot (by node index).")
 		for _, st := range workers {
-			up := 0
-			if st.Joined {
-				up = 1
-			}
-			fmt.Fprintf(w, "gminer_cluster_worker_up{node=\"%d\"} %d\n", st.Node, up)
+			p.Int("", boolInt(st.Joined), "node", strconv.Itoa(st.Node))
 		}
-		fmt.Fprintf(w, "# HELP gminer_cluster_worker_generation Fencing generation of the process holding the slot (rises on every reclaim).\n# TYPE gminer_cluster_worker_generation gauge\n")
+		p.Family("gminer_cluster_worker_generation", "gauge", "Fencing generation of the process holding the slot (rises on every reclaim).")
 		for _, st := range workers {
-			fmt.Fprintf(w, "gminer_cluster_worker_generation{node=\"%d\"} %d\n", st.Node, st.Generation)
+			p.Int("", int64(st.Generation), "node", strconv.Itoa(st.Node))
 		}
-		fmt.Fprintf(w, "# HELP gminer_cluster_worker_heartbeat_age_seconds Time since the slot's last heartbeat.\n# TYPE gminer_cluster_worker_heartbeat_age_seconds gauge\n")
+		p.Family("gminer_cluster_worker_heartbeat_age_seconds", "gauge", "Time since the slot's last heartbeat.")
 		for _, st := range workers {
 			if !st.LastSeen.IsZero() {
-				fmt.Fprintf(w, "gminer_cluster_worker_heartbeat_age_seconds{node=\"%d\"} %s\n", st.Node, promFloat(time.Since(st.LastSeen).Seconds()))
+				p.Float("", time.Since(st.LastSeen).Seconds(), "node", strconv.Itoa(st.Node))
 			}
 		}
-		fmt.Fprintf(w, "# HELP gminer_cluster_worker_draining Whether the slot's process is draining for a rolling restart.\n# TYPE gminer_cluster_worker_draining gauge\n")
+		p.Family("gminer_cluster_worker_draining", "gauge", "Whether the slot's process is draining for a rolling restart.")
 		for _, st := range workers {
-			d := 0
-			if st.Draining {
-				d = 1
-			}
-			fmt.Fprintf(w, "gminer_cluster_worker_draining{node=\"%d\"} %d\n", st.Node, d)
+			p.Int("", boolInt(st.Draining), "node", strconv.Itoa(st.Node))
 		}
 	}
-
-	// Dynamic-graph families: the resident epoch, live standing queries
-	// and completed delta rounds.
-	fmt.Fprintf(w, "# HELP gminer_graph_epoch Mutation epoch of the resident graph (0 = as loaded).\n# TYPE gminer_graph_epoch gauge\ngminer_graph_epoch %d\n", s.sess.GraphEpoch())
-	fmt.Fprintf(w, "# HELP gminer_standing_rounds_total Per-epoch delta rounds completed across all standing jobs, by the arm that served them.\n# TYPE gminer_standing_rounds_total counter\n")
-	modes := []string{roundIncremental, roundFull, roundFallback}
-	rounds := make([]int64, len(modes))
-	s.reg.mu.Lock()
-	for i, mode := range modes {
-		rounds[i] = s.reg.standingRounds[mode]
+	p.Family("gminer_graph_epoch", "gauge", "Mutation epoch of the resident graph (0 = as loaded).").Int("", s.sess.GraphEpoch())
+	p.Family("gminer_standing_rounds_total", "counter", "Per-epoch delta rounds completed across all standing jobs, by the arm that served them.")
+	for _, mode := range [...]string{roundIncremental, roundFull, roundFallback} {
+		p.Int("", rounds[mode], "mode", mode)
 	}
-	s.reg.mu.Unlock()
-	for i, mode := range modes {
-		fmt.Fprintf(w, "gminer_standing_rounds_total{mode=%q} %d\n", mode, rounds[i])
-	}
-
-	s.reg.mu.Lock()
-	lists, bytes := s.reg.residentLists, s.reg.residentBytes
-	s.reg.mu.Unlock()
-	fmt.Fprintf(w, "# HELP gminer_resident_lists Forward lists of the oriented graph held on every worker beside its own partition, as of the last job that mined it.\n# TYPE gminer_resident_lists gauge\ngminer_resident_lists %d\n", lists)
-	fmt.Fprintf(w, "# HELP gminer_resident_bytes Footprint of one copy of those lists.\n# TYPE gminer_resident_bytes gauge\ngminer_resident_bytes %d\n", bytes)
-
-	queued, running, standing, retained := s.reg.counts()
-	finished := make([]int64, len(terminalStates))
-	s.reg.mu.Lock()
-	for i, st := range terminalStates {
-		finished[i] = s.reg.finished[st]
-	}
-	s.reg.mu.Unlock()
-	fmt.Fprintf(w, "# HELP gminer_jobs_standing Standing queries live on the resident graph.\n# TYPE gminer_jobs_standing gauge\ngminer_jobs_standing %d\n", standing)
-	fmt.Fprintf(w, "# HELP gminer_jobs_active Jobs currently mining on the warm cluster.\n# TYPE gminer_jobs_active gauge\ngminer_jobs_active %d\n", running)
-	fmt.Fprintf(w, "# HELP gminer_jobs_queued_total Jobs waiting in the admission queue across all tenants.\n# TYPE gminer_jobs_queued_total gauge\ngminer_jobs_queued_total %d\n", queued)
-	fmt.Fprintf(w, "# HELP gminer_jobs_finished_total Jobs that reached each terminal state since the daemon started.\n# TYPE gminer_jobs_finished_total counter\n")
-	for i, st := range terminalStates {
-		fmt.Fprintf(w, "gminer_jobs_finished_total{state=%q} %d\n", st, finished[i])
-	}
-	fmt.Fprintf(w, "# HELP gminer_jobs_retained Finished jobs still queryable, by terminal state (the oldest are evicted past the retention cap).\n# TYPE gminer_jobs_retained gauge\n")
+	p.Family("gminer_resident_lists", "gauge", "Forward lists of the oriented graph held on every worker beside its own partition, as of the last job that mined it.").Int("", int64(lists))
+	p.Family("gminer_resident_bytes", "gauge", "Footprint of one copy of those lists.").Int("", bytes)
+	p.Family("gminer_jobs_standing", "gauge", "Standing queries live on the resident graph.").Int("", int64(standing))
+	p.Family("gminer_jobs_active", "gauge", "Jobs currently mining on the warm cluster.").Int("", int64(running))
+	p.Family("gminer_jobs_queued_total", "gauge", "Jobs waiting in the admission queue across all tenants.").Int("", int64(queued))
+	p.Family("gminer_jobs_finished_total", "counter", "Jobs that reached each terminal state since the daemon started.")
 	for _, st := range terminalStates {
-		fmt.Fprintf(w, "gminer_jobs_retained{state=%q} %d\n", st, retained[st])
+		p.Int("", finished[st], "state", st)
 	}
-	monitor.WriteHeapProm(w)
-	fmt.Fprintf(w, "# HELP gminer_uptime_seconds Time since the daemon started.\n# TYPE gminer_uptime_seconds gauge\ngminer_uptime_seconds %s\n",
-		promFloat(time.Since(s.start).Seconds()))
+	p.Family("gminer_jobs_retained", "gauge", "Finished jobs still queryable, by terminal state (the oldest are evicted past the retention cap).")
+	for _, st := range terminalStates {
+		p.Int("", int64(retained[st]), "state", st)
+	}
+	p.WriteHeap()
+	p.Family("gminer_uptime_seconds", "gauge", "Time since the daemon started.").Float("", time.Since(s.start).Seconds())
 }
-
-func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
@@ -485,6 +426,13 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+func boolInt(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // statusOf snapshots one job into its API document.

@@ -23,7 +23,8 @@ const (
 	// MetricCheckpoint is one worker checkpoint (quiesce + dump).
 	MetricCheckpoint
 
-	numMetrics
+	// NumMetrics is the number of metrics, not one of them.
+	NumMetrics
 )
 
 // String returns the metric's snake_case name.
@@ -34,7 +35,7 @@ func (m Metric) String() string {
 	return "unknown"
 }
 
-var metricNames = [numMetrics]string{
+var metricNames = [NumMetrics]string{
 	MetricTaskRound:  "task_round",
 	MetricPullRTT:    "pull_rtt",
 	MetricSpillIO:    "spill_io",
@@ -44,7 +45,7 @@ var metricNames = [numMetrics]string{
 
 // metricComponents maps each metric to the pipeline component it measures
 // (the "component" column of the CLI summary and DESIGN.md's §4.3 map).
-var metricComponents = [numMetrics]Component{
+var metricComponents = [NumMetrics]Component{
 	MetricTaskRound:  CompExecutor,
 	MetricPullRTT:    CompRetriever,
 	MetricSpillIO:    CompSpill,
@@ -95,8 +96,8 @@ func (h *Histogram) Buckets() [histBuckets]int64 {
 	return out
 }
 
-// bucketBounds returns the value range [lo, hi) of bucket b.
-func bucketBounds(b int) (lo, hi int64) {
+// BucketBounds returns the value range [lo, hi) of bucket b.
+func BucketBounds(b int) (lo, hi int64) {
 	if b == 0 {
 		return 0, 1
 	}
@@ -124,13 +125,13 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 			continue
 		}
 		if seen+n >= rank {
-			lo, hi := bucketBounds(b)
+			lo, hi := BucketBounds(b)
 			frac := (rank - seen) / n
 			return time.Duration(float64(lo) + frac*float64(hi-lo))
 		}
 		seen += n
 	}
-	lo, _ := bucketBounds(histBuckets - 1)
+	lo, _ := BucketBounds(histBuckets - 1)
 	return time.Duration(lo)
 }
 
@@ -152,7 +153,7 @@ func (t *Tracer) Summary() []PhaseSummary {
 		return nil
 	}
 	var out []PhaseSummary
-	for m := Metric(0); m < numMetrics; m++ {
+	for m := Metric(0); m < NumMetrics; m++ {
 		h := &t.hists[m]
 		if h.Count() == 0 {
 			continue

@@ -20,8 +20,9 @@
 //     other.
 //
 // Three sinks consume a tracer: a Chrome trace-event JSON dump loadable
-// in Perfetto (chrome.go), a Prometheus text exposition (prom.go), and a
-// per-phase percentile summary (hist.go) attached to cluster.Result.
+// in Perfetto (chrome.go), a per-phase percentile summary (hist.go)
+// attached to cluster.Result, and the Prometheus text exposition that
+// internal/metrics renders from Histogram and EventCount.
 package trace
 
 import (
@@ -87,7 +88,8 @@ const (
 	// lost. Arg = fenced generation << 8 | message type.
 	EvFenced
 
-	numEventTypes
+	// NumEventTypes is the number of event types, not one of them.
+	NumEventTypes
 )
 
 // String returns the snake_case event name used by every sink.
@@ -100,7 +102,7 @@ func (e EventType) String() string {
 	return "unknown"
 }
 
-var eventNames = [numEventTypes]string{
+var eventNames = [NumEventTypes]string{
 	EvTaskSeed:        "task_seed",
 	EvTaskActive:      "task_active",
 	EvTaskInactive:    "task_inactive",
@@ -232,9 +234,9 @@ type Tracer struct {
 	start   time.Time
 	ringCap int
 	rings   []*ring
-	hists   [numMetrics]Histogram
+	hists   [NumMetrics]Histogram
 	// eventCounts survive ring overwrites; they feed the Prometheus sink.
-	eventCounts [numEventTypes]atomic.Int64
+	eventCounts [NumEventTypes]atomic.Int64
 }
 
 // New returns a disabled tracer for `nodes` nodes (workers + master) with
@@ -315,7 +317,7 @@ func (t *Tracer) Events() []Event {
 // EventCount returns the total number of events of the given type
 // recorded since Enable, regardless of ring overwrites.
 func (t *Tracer) EventCount(typ EventType) int64 {
-	if t == nil || int(typ) >= int(numEventTypes) {
+	if t == nil || int(typ) >= int(NumEventTypes) {
 		return 0
 	}
 	return t.eventCounts[typ].Load()
@@ -323,7 +325,7 @@ func (t *Tracer) EventCount(typ EventType) int64 {
 
 // Histogram returns the histogram for m (read-only use).
 func (t *Tracer) Histogram(m Metric) *Histogram {
-	if t == nil || m >= numMetrics {
+	if t == nil || m >= NumMetrics {
 		return nil
 	}
 	return &t.hists[m]
@@ -384,7 +386,7 @@ func (h Handle) Span(typ EventType, start time.Time, arg uint64) {
 
 // Observe adds one latency sample to metric m.
 func (h Handle) Observe(m Metric, d time.Duration) {
-	if h.t == nil || !h.t.enabled.Load() || m >= numMetrics {
+	if h.t == nil || !h.t.enabled.Load() || m >= NumMetrics {
 		return
 	}
 	h.t.hists[m].Observe(d)
@@ -398,7 +400,7 @@ func (h Handle) ObserveSpan(m Metric, typ EventType, start time.Time, arg uint64
 		return
 	}
 	d := time.Since(start)
-	if m < numMetrics {
+	if m < NumMetrics {
 		h.t.hists[m].Observe(d)
 	}
 	h.t.record(h.worker, h.comp, typ, d, arg)

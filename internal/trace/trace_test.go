@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -32,9 +31,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -315,107 +311,4 @@ func TestChromeTraceSchema(t *testing.T) {
 	if !sawMeta || !sawInstant || !sawComplete {
 		t.Fatalf("missing event kinds: meta=%v instant=%v complete=%v", sawMeta, sawInstant, sawComplete)
 	}
-}
-
-// TestPrometheusExposition validates the exposition against the text
-// format rules: every line is a comment or `name{labels} value`, HELP/
-// TYPE precede samples, histogram buckets are cumulative and end at +Inf,
-// and _count equals the +Inf bucket.
-func TestPrometheusExposition(t *testing.T) {
-	tr := New(1, 8).Enable()
-	h := tr.Handle(0, CompExecutor)
-	for i := 0; i < 50; i++ {
-		h.Observe(MetricTaskRound, time.Duration(i+1)*time.Millisecond)
-		h.Event(EvCacheHit, 1)
-	}
-	var buf bytes.Buffer
-	if err := tr.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	stats := ValidatePrometheusText(t, buf.String())
-	if stats["gminer_task_round_seconds_count"] != 50 {
-		t.Fatalf("task_round count = %v", stats["gminer_task_round_seconds_count"])
-	}
-	if stats["gminer_trace_events_total{event=\"cache_hit\"}"] != 50 {
-		t.Fatalf("cache_hit counter = %v", stats["gminer_trace_events_total{event=\"cache_hit\"}"])
-	}
-}
-
-// ValidatePrometheusText is a strict line-oriented validator for the
-// Prometheus text exposition format (version 0.0.4). It fails the test on
-// any malformed line and returns the parsed samples keyed by series name.
-// Shared with internal/monitor's /metrics test via a tiny reimplementation
-// there (the packages must not depend on each other's test code).
-func ValidatePrometheusText(t *testing.T, text string) map[string]float64 {
-	t.Helper()
-	samples := make(map[string]float64)
-	var lastInfBucket string
-	bucketCum := make(map[string]float64)
-	for ln, line := range strings.Split(text, "\n") {
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
-			parts := strings.Fields(line)
-			if len(parts) < 4 {
-				t.Fatalf("line %d: malformed comment %q", ln+1, line)
-			}
-			if parts[1] == "TYPE" {
-				switch parts[3] {
-				case "counter", "gauge", "histogram", "summary", "untyped":
-				default:
-					t.Fatalf("line %d: bad metric type %q", ln+1, parts[3])
-				}
-			}
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			t.Fatalf("line %d: bare comment %q not HELP/TYPE", ln+1, line)
-		}
-		idx := strings.LastIndex(line, " ")
-		if idx < 0 {
-			t.Fatalf("line %d: no value separator in %q", ln+1, line)
-		}
-		series, valStr := line[:idx], line[idx+1:]
-		var val float64
-		if _, err := fmt.Sscanf(valStr, "%g", &val); err != nil {
-			t.Fatalf("line %d: bad value %q: %v", ln+1, valStr, err)
-		}
-		name := series
-		if i := strings.IndexByte(series, '{'); i >= 0 {
-			name = series[:i]
-			if !strings.HasSuffix(series, "}") {
-				t.Fatalf("line %d: unterminated label set %q", ln+1, series)
-			}
-		}
-		for _, r := range name {
-			if !(r == '_' || r == ':' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9')) {
-				t.Fatalf("line %d: bad metric name %q", ln+1, name)
-			}
-		}
-		if strings.HasSuffix(name, "_bucket") {
-			if val < bucketCum[name] {
-				t.Fatalf("line %d: histogram %s buckets not cumulative", ln+1, name)
-			}
-			bucketCum[name] = val
-			if strings.Contains(series, `le="+Inf"`) {
-				lastInfBucket = name
-				samples[strings.TrimSuffix(name, "_bucket")+"_inf"] = val
-			}
-			continue
-		}
-		samples[series] = val
-	}
-	if lastInfBucket == "" {
-		t.Fatal("no +Inf bucket found in exposition")
-	}
-	for k, v := range samples {
-		if strings.HasSuffix(k, "_inf") {
-			count := samples[strings.TrimSuffix(k, "_inf")+"_count"]
-			if count != v {
-				t.Fatalf("histogram %s: _count %v != +Inf bucket %v", k, count, v)
-			}
-		}
-	}
-	return samples
 }

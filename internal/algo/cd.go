@@ -1,7 +1,8 @@
 package algo
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 
 	"gminer/internal/core"
 	"gminer/internal/graph"
@@ -88,8 +89,8 @@ func (a *CommunityDetect) Update(t *core.Task, cands []*graph.Vertex, env core.E
 	seedID := t.Subgraph.Vertices()[0]
 	seedAttrs, _ := t.Context.([]int32)
 	// Attribute filter on newly added candidates.
-	var keepIDs []graph.VertexID
-	var keepObjs []*graph.Vertex
+	keepIDs := make([]graph.VertexID, 0, len(cands))
+	keepObjs := make([]*graph.Vertex, 0, len(cands))
 	for i, obj := range cands {
 		if obj == nil || len(obj.Attrs) == 0 {
 			continue
@@ -103,18 +104,10 @@ func (a *CommunityDetect) Update(t *core.Task, cands []*graph.Vertex, env core.E
 	if len(keepIDs)+1 < a.MinSize {
 		return
 	}
-	cg := buildCliqueGraph(keepIDs, keepObjs)
-	all := make([]int, len(keepIDs))
-	for i := range all {
-		all[i] = i
-	}
-	search := &maxCliqueSearch{g: cg, base: 1}
-	best, members := search.run(all)
+	best, members := SearchMaxClique(keepIDs, keepObjs, 1, nil)
 	if best >= a.MinSize && len(members) > 0 {
-		community := []graph.VertexID{seedID}
-		for _, i := range members {
-			community = append(community, cg.ids[i])
-		}
-		env.Emit(fmt.Sprintf("community size=%d: %s", best, formatIDs(sortedIDs(community))))
+		community := append(members, seedID)
+		slices.Sort(community)
+		env.Emit("community size=" + strconv.Itoa(best) + ": " + formatIDs(community))
 	}
 }

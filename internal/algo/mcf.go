@@ -90,21 +90,13 @@ func (m *MaxClique) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 		return
 	}
 
-	cg := buildCliqueGraph(t.Cands, cands)
-	all := make([]int, len(t.Cands))
-	for i := range all {
-		all[i] = i
-	}
-	search := &maxCliqueSearch{g: cg, base: r, bound: globalBest}
-	best, members := search.run(all)
+	best, members := SearchMaxClique(t.Cands, cands, r, globalBest)
 	if best > globalBest() {
 		env.AggUpdate(best)
 		if len(members) > 0 {
-			clique := append([]graph.VertexID(nil), t.Subgraph.Vertices()...)
-			for _, i := range members {
-				clique = append(clique, cg.ids[i])
-			}
-			env.Emit("clique size=" + strconv.Itoa(best) + ": " + formatIDs(sortedIDs(clique)))
+			clique := append(members, t.Subgraph.Vertices()...)
+			slices.Sort(clique)
+			env.Emit("clique size=" + strconv.Itoa(best) + ": " + formatIDs(clique))
 		}
 	}
 	// No Pull: the task dies.
@@ -126,10 +118,4 @@ func (m *MaxClique) split(t *core.Task, cands []*graph.Vertex) {
 		child.Cands = np // empty: the child just reports |R'|
 		t.Spawn(child)
 	}
-}
-
-func sortedIDs(ids []graph.VertexID) []graph.VertexID {
-	out := slices.Clone(ids)
-	slices.Sort(out)
-	return out
 }

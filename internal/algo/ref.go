@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gminer/internal/graph"
@@ -67,13 +68,7 @@ func RefMaxClique(g *graph.Graph) int {
 		for i, id := range ids {
 			verts[i] = g.Vertex(id)
 		}
-		cg := buildCliqueGraph(ids, verts)
-		all := make([]int, len(ids))
-		for i := range all {
-			all[i] = i
-		}
-		search := &maxCliqueSearch{g: cg, base: 1, bound: func() int { return best }}
-		if b, _ := search.run(all); b > best {
+		if b, _ := SearchMaxClique(ids, verts, 1, func() int { return best }); b > best {
 			best = b
 		}
 		return true
@@ -157,19 +152,11 @@ func RefCommunities(g *graph.Graph, a *CommunityDetect) []string {
 		if len(keepIDs)+1 < a.MinSize {
 			return true
 		}
-		cg := buildCliqueGraph(keepIDs, keepObjs)
-		all := make([]int, len(keepIDs))
-		for i := range all {
-			all[i] = i
-		}
-		search := &maxCliqueSearch{g: cg, base: 1}
-		best, members := search.run(all)
+		best, members := SearchMaxClique(keepIDs, keepObjs, 1, nil)
 		if best >= a.MinSize && len(members) > 0 {
-			community := []graph.VertexID{v.ID}
-			for _, i := range members {
-				community = append(community, cg.ids[i])
-			}
-			out = append(out, fmt.Sprintf("community size=%d: %s", best, formatIDs(sortedIDs(community))))
+			community := append(members, v.ID)
+			slices.Sort(community)
+			out = append(out, fmt.Sprintf("community size=%d: %s", best, formatIDs(community)))
 		}
 		return true
 	})

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"gminer/internal/algo"
@@ -104,12 +106,17 @@ func (p mcfProgram) Compute(ctx *ComputeCtx, v *graph.Vertex, state any, msgs []
 		}
 		return nil
 	default:
-		// Materialized neighborhood: adjacency of every higher neighbor.
-		var ids []graph.VertexID
+		// Materialized neighborhood: adjacency of every higher neighbor,
+		// in ID order as the clique search needs (messages arrive in the
+		// order the senders' threads ran).
 		verts := make([]*graph.Vertex, 0, len(msgs))
 		for _, m := range msgs {
-			ids = append(ids, m.Src)
 			verts = append(verts, &graph.Vertex{ID: m.Src, Adj: m.IDs})
+		}
+		slices.SortFunc(verts, func(a, b *graph.Vertex) int { return cmp.Compare(a.ID, b.ID) })
+		ids := make([]graph.VertexID, len(verts))
+		for i, u := range verts {
+			ids[i] = u.ID
 		}
 		if int64(1+len(ids)) > p.best.Load() {
 			bound := func() int { return int(p.best.Load()) }

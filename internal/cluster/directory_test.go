@@ -249,3 +249,34 @@ func TestScansMatchAssignmentLocal(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeCutMatchesAssignment: the edge cut a session reads from its
+// directory equals partition.Assignment.EdgeCut, on dense IDs (the array
+// arm) and strided ones (the hash arm), at every epoch of a mutation
+// stream — the batches move owners and the ID span.
+func TestEdgeCutMatchesAssignment(t *testing.T) {
+	dense := gen.ErdosRenyi(400, 1600, 21)
+	strided, _ := stridedIDs(gen.ErdosRenyi(400, 1600, 22))
+	for name, g := range map[string]*graph.Graph{"dense": dense, "strided": strided} {
+		s, err := NewSession(g, dynConfig(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(epoch int) {
+			if got, want := s.EdgeCut(), s.assign.EdgeCut(s.g); got != want || want == 0 {
+				t.Errorf("%s, epoch %d: directory cut %v, assignment cut %v", name, epoch, got, want)
+			}
+		}
+		if arrayArm := s.tables.dir.slots != nil; arrayArm != (name == "dense") {
+			t.Fatalf("%s: array arm %v", name, arrayArm)
+		}
+		check(0)
+		for bi, b := range gen.Deltas(g, gen.DeltasConfig{Batches: 4, Ops: 60, Seed: 9}) {
+			if _, err := s.ApplyMutations(b); err != nil {
+				t.Fatalf("%s, batch %d: %v", name, bi, err)
+			}
+			check(bi + 1)
+		}
+		s.Close()
+	}
+}

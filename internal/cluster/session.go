@@ -56,11 +56,13 @@ type sessionCore struct {
 	nextCh uint64
 	closed bool
 
-	// cut caches assign.EdgeCut(g), an O(E) scan every job's Result carries,
-	// for graph epoch cutEpoch-1; a mutation batch retires it with the epoch.
+	// cut caches the edge cut, an O(E) scan every job's Result carries, for
+	// graph epoch cutEpoch-1; a mutation batch retires it with the epoch.
+	// cutScan computes it (nil: assign.EdgeCut(g)).
 	cutMu    sync.Mutex
 	cut      float64
 	cutEpoch int64
+	cutScan  func() float64
 }
 
 // reserve allocates the job's mux channel and claims its ID; job channels
@@ -365,6 +367,11 @@ func newSession(g *graph.Graph, cfg Config, oneShot bool) (*Session, error) {
 	s.partitionTime = time.Since(pStart)
 
 	s.tables = newVertexTables(g, s.assign, allWorkers(cfg.Workers))
+	// The epoch's directory already holds every owner, one load each on
+	// its array arm: the cut reads them there, not through the
+	// assignment's block map. A dynamic session's first job after each
+	// batch pays this scan, inside the mutation POST when a round stands.
+	s.cutScan = func() float64 { return partition.EdgeCutBy(s.g, s.tables.dir.owner) }
 
 	under, closeNet, err := newNodeSet(cfg)
 	if err != nil {
@@ -481,7 +488,12 @@ func (s *sessionCore) edgeCut() float64 {
 	s.cutMu.Lock()
 	defer s.cutMu.Unlock()
 	if key := s.epoch.Load() + 1; s.cutEpoch != key {
-		s.cut, s.cutEpoch = s.assign.EdgeCut(s.g), key
+		if s.cutScan != nil {
+			s.cut = s.cutScan()
+		} else {
+			s.cut = s.assign.EdgeCut(s.g)
+		}
+		s.cutEpoch = key
 	}
 	return s.cut
 }

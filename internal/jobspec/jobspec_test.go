@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
@@ -85,5 +86,49 @@ func TestUnknownAppErrorListsApps(t *testing.T) {
 	err := jobspec.Spec{App: "bogus"}.Normalize().Validate()
 	if err == nil || !strings.Contains(err.Error(), "tc") {
 		t.Fatalf("error should list valid apps, got: %v", err)
+	}
+}
+
+// TestPlanDeclarations: every app declares the core.Plan DESIGN.md §12
+// lists for it — tc asks for G⁺, gm for the label column, cd and qc a seed
+// radius of 1, the other four nothing — and a Generic tc or gm job declares
+// the zero plan, so it runs the generic path as the differential baseline.
+func TestPlanDeclarations(t *testing.T) {
+	type declared struct {
+		oriented, labels bool
+		radius           int
+	}
+	want := map[string]declared{
+		"tc":  {oriented: true},
+		"gm":  {labels: true},
+		"cd":  {radius: 1},
+		"qc":  {radius: 1},
+		"mcf": {}, "gc": {}, "gl3": {}, "fsm": {},
+	}
+	g := testGraph()
+	if len(jobspec.Apps()) != len(want) {
+		t.Fatalf("apps %v, declarations for %d", jobspec.Apps(), len(want))
+	}
+	for _, app := range jobspec.Apps() {
+		for _, generic := range []bool{false, true} {
+			spec := jobspec.Spec{App: app, Generic: generic}.Normalize()
+			jobspec.Prepare(g, spec)
+			a, err := jobspec.Build(g, spec)
+			if err != nil {
+				t.Fatalf("%s: %v", app, err)
+			}
+			p := core.PlanOf(a)
+			got := declared{oriented: p.Oriented != nil, labels: p.Labels != nil, radius: p.SeedRadius}
+			w, ok := want[app]
+			if !ok {
+				t.Fatalf("%s: no declaration listed", app)
+			}
+			if generic && (app == "tc" || app == "gm") {
+				w = declared{}
+			}
+			if got != w {
+				t.Errorf("%s (generic %v): plan declares %+v, want %+v", app, generic, got, w)
+			}
+		}
 	}
 }

@@ -67,14 +67,18 @@ func (a *Assignment) BlockOwners() map[int64]int { return a.blockOwner }
 
 // EdgeCut returns the fraction of edges whose endpoints live on different
 // workers — the locality measure BDG optimizes.
-func (a *Assignment) EdgeCut(g *graph.Graph) float64 {
+func (a *Assignment) EdgeCut(g *graph.Graph) float64 { return EdgeCutBy(g, a.Owner) }
+
+// EdgeCutBy is EdgeCut with the owners read through owner, for a caller
+// that holds them somewhere cheaper to read than the assignment's maps.
+func EdgeCutBy(g *graph.Graph, owner func(graph.VertexID) int) float64 {
 	var cut, total int64
 	g.ForEach(func(v *graph.Vertex) bool {
-		owner := a.Owner(v.ID)
+		own := owner(v.ID)
 		for _, n := range v.Adj {
 			if n > v.ID { // count each undirected edge once
 				total++
-				if owner != a.Owner(n) {
+				if own != owner(n) {
 					cut++
 				}
 			}

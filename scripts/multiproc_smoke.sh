@@ -35,8 +35,12 @@ set -euo pipefail
 
 PRESET="${PRESET:-dblp-s}"
 SCALE="${SCALE:-0.5}"
-# Real processes cannot be held like the in-process soaks (cluster.HoldLastSeed), so phases B-D size the job to outlive the fault instead.
+# Real processes cannot be held like the in-process soaks (cluster.HoldLastSeed), so phases B-D size the job to outlive the fault instead:
+# starting from KILL_SCALE, the scale doubles until the phase-B single-shot
+# reference mines for at least KILL_MIN_SECONDS, or up to KILL_SCALE_MAX.
 KILL_SCALE="${KILL_SCALE:-32}"
+KILL_MIN_SECONDS=1.5
+KILL_SCALE_MAX=256
 KILL_INDEX="${KILL_INDEX:-1}"
 ROLLING_DELAY="${ROLLING_DELAY:-0}"
 PORT="${PORT:-17177}"
@@ -151,10 +155,21 @@ for pid in "${PIDS[@]}"; do kill -TERM "$pid" 2>/dev/null || true; done
 for pid in "${PIDS[@]}"; do wait "$pid" 2>/dev/null || true; done
 PIDS=()
 
-echo "== phase B: single-shot reference (scale $KILL_SCALE)"
-"$DIR/gminer" -preset "$PRESET" -scale "$KILL_SCALE" -app cd \
-  -workers "$WORKERS" -threads "$THREADS" -out "$DIR/kill.ref.txt" \
-  > "$DIR/kill.ref.log" 2>&1
+echo "== phase B: single-shot reference, sized to mine for at least ${KILL_MIN_SECONDS}s"
+while :; do
+  "$DIR/gminer" -preset "$PRESET" -scale "$KILL_SCALE" -app cd \
+    -workers "$WORKERS" -threads "$THREADS" -out "$DIR/kill.ref.txt" \
+    > "$DIR/kill.ref.log" 2>&1
+  mined="$(sed -n 's/^mining time: *\([0-9.]*\)s$/\1/p' "$DIR/kill.ref.log")"
+  next="$(awk -v s="$KILL_SCALE" 'BEGIN { print s * 2 }')"
+  if awk -v m="$mined" -v f="$KILL_MIN_SECONDS" -v n="$next" -v c="$KILL_SCALE_MAX" \
+    'BEGIN { exit !(m >= f || n > c) }'; then
+    break
+  fi
+  echo "scale $KILL_SCALE mined in ${mined}s; doubling"
+  KILL_SCALE="$next"
+done
+echo "phases B-D run at scale $KILL_SCALE (reference mined in ${mined}s)"
 [ -s "$DIR/kill.ref.txt" ] || { echo "degenerate kill reference: no records"; exit 1; }
 
 echo "== phase B: start checkpointing cluster"

@@ -165,10 +165,6 @@ func BenchmarkAblationNoStealing(b *testing.B) {
 	benchRun(b, func(c *gminer.Config) { c.Stealing = false })
 }
 
-func BenchmarkAblationEagerSeeding(b *testing.B) {
-	benchRun(b, func(c *gminer.Config) { c.EagerSeeding = true })
-}
-
 func BenchmarkAblationTaskSplitting(b *testing.B) {
 	g := gen.MustBuild(gen.Orkut, 0.15)
 	mc := algo.NewMaxClique()

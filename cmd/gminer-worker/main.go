@@ -33,24 +33,12 @@ import (
 	"gminer/internal/cli"
 	"gminer/internal/cluster"
 	"gminer/internal/graph"
-	"gminer/internal/partition"
 )
 
 func main() {
 	var (
-		graphPath = flag.String("graph", "", "input graph file")
-		format    = flag.String("format", "adj", "graph file format: adj (adjacency list), edges (SNAP edge list) or bin")
-		preset    = flag.String("preset", "", "generated dataset preset (skitter-s, orkut-s, btc-s, friendster-s, tencent-s, dblp-s)")
-		scale     = flag.Float64("scale", 1.0, "preset scale factor")
-
-		workers  = flag.Int("workers", 4, "number of workers in the cluster (must match the coordinator)")
-		threads  = flag.Int("threads", 4, "computing threads in this worker")
-		part     = flag.String("partitioner", "bdg", "partitioner: bdg, hash, skewed, blocked (must match the coordinator)")
-		lsh      = flag.Bool("lsh", true, "enable the LSH task priority queue")
-		steal    = flag.Bool("steal", true, "enable task stealing")
-		cacheCap = flag.Int("cache", 8192, "RCV cache capacity (vertices) per job")
-		storeCap = flag.Int("store-mem", 8192, "in-memory task store capacity (tasks) per job")
-		spillDir = flag.String("spill", "", "task-store spill directory; each job gets its own subdirectory")
+		loadGraph    = cli.GraphFlags(flag.CommandLine)
+		engineConfig = cli.EngineFlags(flag.CommandLine)
 
 		labels = flag.Int("labels", 7, "label alphabet assigned at startup when the graph is unlabeled (must match the coordinator)")
 
@@ -69,22 +57,14 @@ func main() {
 		fatal(fmt.Errorf("need -coordinator (the gminerd -cluster-listen address)"))
 	}
 
-	g, dataset, err := cli.LoadGraph(*graphPath, *format, *preset, *scale)
+	g, dataset, err := loadGraph()
 	if err != nil {
 		fatal(err)
 	}
 	cli.PrepareResident(g, *labels)
 
-	ccfg := cluster.Config{
-		Workers:          *workers,
-		Threads:          *threads,
-		CacheCapacity:    *cacheCap,
-		StoreMemCapacity: *storeCap,
-		UseLSH:           *lsh,
-		Stealing:         *steal,
-		SpillDir:         *spillDir,
-	}
-	if ccfg.Partitioner, err = partition.ByName(*part); err != nil {
+	ccfg, err := engineConfig()
+	if err != nil {
 		fatal(err)
 	}
 
@@ -105,7 +85,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("serving: node %d of %d, listening on %s, coordinator %s\n",
-		wp.Node(), *workers, wp.Addr(), *coordinator)
+		wp.Node(), ccfg.Workers, wp.Addr(), *coordinator)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)

@@ -11,7 +11,7 @@ import (
 	"strings"
 	"time"
 
-	"gminer/internal/jobspec"
+	"gminer/internal/cli"
 	"gminer/internal/server"
 )
 
@@ -39,14 +39,10 @@ func runClient(cmd string, args []string) {
 func clientSubmit(args []string) {
 	fs := flag.NewFlagSet("gminer submit", flag.ExitOnError)
 	var (
-		addr    = fs.String("addr", "http://127.0.0.1:7077", "gminerd base URL")
-		app     = fs.String("app", "tc", "application: tc, mcf, gm, cd, gc, gl3, qc, fsm")
-		id      = fs.String("id", "", "job id (empty: server picks one)")
-		pattern = fs.String("pattern", "", "gm pattern as 'labels;parents'")
-		minSim  = fs.Float64("minsim", 0.6, "cd/gc/qc similarity threshold")
-		minSize = fs.Int("minsize", 4, "cd/gc/qc minimum community size")
-		split   = fs.Int("split", 0, "mcf recursive task split threshold (0=off)")
-		memCap  = fs.Int64("mem-budget", 0, "per-job memory budget in bytes (0: server default)")
+		workloadSpec = cli.WorkloadFlags(fs)
+		addr         = fs.String("addr", "http://127.0.0.1:7077", "gminerd base URL")
+		id           = fs.String("id", "", "job id (empty: server picks one)")
+		memCap       = fs.Int64("mem-budget", 0, "per-job memory budget in bytes (0: server default)")
 
 		standing = fs.Bool("standing", false, "subscribe to the dynamic graph: after the baseline, the job emits per-epoch match deltas (needs a -dynamic daemon; see 'gminer watch')")
 		epoch    = fs.Int64("epoch", 0, "pin the job to this graph epoch; the server rejects the submit with 409 if the graph has moved (0: any)")
@@ -65,23 +61,11 @@ func clientSubmit(args []string) {
 		*wait = true
 	}
 
-	req := server.JobRequest{
-		Spec: jobspec.Spec{
-			App:             *app,
-			Pattern:         *pattern,
-			MinSim:          *minSim,
-			MinSize:         *minSize,
-			Split:           *split,
-			Standing:        *standing,
-			Epoch:           *epoch,
-			Tenant:          *tenant,
-			Priority:        *priority,
-			DeadlineSeconds: deadline.Seconds(),
-			BudgetSeconds:   budget.Seconds(),
-		},
-		ID:             *id,
-		MemBudgetBytes: *memCap,
-	}
+	spec := workloadSpec()
+	spec.Standing, spec.Epoch = *standing, *epoch
+	spec.Tenant, spec.Priority = *tenant, *priority
+	spec.DeadlineSeconds, spec.BudgetSeconds = deadline.Seconds(), budget.Seconds()
+	req := server.JobRequest{Spec: spec, ID: *id, MemBudgetBytes: *memCap}
 	body, err := json.Marshal(req)
 	if err != nil {
 		fatal(err)

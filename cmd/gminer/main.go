@@ -33,7 +33,6 @@ import (
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
 	"gminer/internal/metrics"
-	"gminer/internal/partition"
 	"gminer/internal/trace"
 )
 
@@ -50,33 +49,18 @@ func main() {
 	}
 
 	var (
-		graphPath = flag.String("graph", "", "input graph file")
-		format    = flag.String("format", "adj", "graph file format: adj (adjacency list), edges (SNAP edge list) or bin")
-		preset    = flag.String("preset", "", "generated dataset preset (skitter-s, orkut-s, btc-s, friendster-s, tencent-s, dblp-s)")
-		scale     = flag.Float64("scale", 1.0, "preset scale factor")
-		app       = flag.String("app", "tc", "application: tc, mcf, gm, cd, gc, gl3, qc, fsm")
+		loadGraph    = cli.GraphFlags(flag.CommandLine)
+		engineConfig = cli.EngineFlags(flag.CommandLine)
+		workloadSpec = cli.WorkloadFlags(flag.CommandLine)
 
-		workers = flag.Int("workers", 4, "number of workers")
-		threads = flag.Int("threads", 4, "computing threads per worker")
-		part    = flag.String("partitioner", "bdg", "partitioner: bdg, hash, skewed, blocked")
-		lsh     = flag.Bool("lsh", true, "enable the LSH task priority queue")
-		steal   = flag.Bool("steal", true, "enable task stealing")
-		useTCP  = flag.Bool("tcp", false, "run over loopback TCP instead of the in-process network")
-
+		useTCP    = flag.Bool("tcp", false, "run over loopback TCP instead of the in-process network")
 		latency   = flag.Duration("latency", 0, "simulated network latency")
 		bandwidth = flag.Int64("bandwidth", 0, "simulated network bandwidth (bytes/s, 0=unlimited)")
-		spillDir  = flag.String("spill", "", "task-store spill directory (default: in-memory)")
 		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint directory")
 		ckptEvery = flag.Duration("checkpoint-every", 0, "checkpoint interval (0=off)")
 		resume    = flag.Bool("resume", false, "resume the job from the newest committed checkpoint in -checkpoint-dir")
-		cacheCap  = flag.Int("cache", 8192, "RCV cache capacity (vertices)")
-		storeCap  = flag.Int("store-mem", 8192, "in-memory task store capacity (tasks)")
 
 		labels  = flag.Int("labels", 7, "for gm on unlabeled inputs: assign labels from this alphabet")
-		pattern = flag.String("pattern", "", "gm pattern as 'labels;parents', e.g. '0,1,2,1,3;-1,0,0,2,2' (default: Figure 1 pattern)")
-		minSim  = flag.Float64("minsim", 0.6, "cd/gc attribute similarity threshold")
-		minSize = flag.Int("minsize", 4, "cd/gc minimum community/cluster size")
-		split   = flag.Int("split", 0, "mcf: recursive task split threshold (0=off)")
 		generic = flag.Bool("generic", false, "force the generic exploration path (no compiled plans / intersection kernels)")
 
 		chaosProfile = flag.String("chaos-profile", "", "fault-injection profile: default, heavy, or 'drop=0.05,delay=0.2,delaymax=2ms,crash=1@15ms' (empty=off)")
@@ -91,44 +75,26 @@ func main() {
 	)
 	flag.Parse()
 
-	g, dataset, err := cli.LoadGraph(*graphPath, *format, *preset, *scale)
+	g, dataset, err := loadGraph()
 	if err != nil {
 		fatal(err)
 	}
 
-	spec := jobspec.Spec{
-		App:     *app,
-		Labels:  int32(*labels),
-		Pattern: *pattern,
-		MinSim:  *minSim,
-		MinSize: *minSize,
-		Split:   *split,
-		Generic: *generic,
-	}.Normalize()
+	spec := workloadSpec()
+	spec.Labels, spec.Generic = int32(*labels), *generic
+	spec = spec.Normalize()
 	jobspec.Prepare(g, spec)
 	a, err := jobspec.Build(g, spec)
 	if err != nil {
 		fatal(err)
 	}
 
-	cfg := gminer.Config{
-		Workers:          *workers,
-		Threads:          *threads,
-		CacheCapacity:    *cacheCap,
-		StoreMemCapacity: *storeCap,
-		UseLSH:           *lsh,
-		Stealing:         *steal,
-		UseTCP:           *useTCP,
-		Latency:          *latency,
-		BandwidthBps:     *bandwidth,
-		SpillDir:         *spillDir,
-		CheckpointDir:    *ckptDir,
-		CheckpointEvery:  *ckptEvery,
-		Resume:           *resume,
-	}
-	if cfg.Partitioner, err = partition.ByName(*part); err != nil {
+	cfg, err := engineConfig()
+	if err != nil {
 		fatal(err)
 	}
+	cfg.UseTCP, cfg.Latency, cfg.BandwidthBps = *useTCP, *latency, *bandwidth
+	cfg.CheckpointDir, cfg.CheckpointEvery, cfg.Resume = *ckptDir, *ckptEvery, *resume
 
 	var chaosCtl *chaos.Controller
 	if *chaosProfile != "" {
@@ -152,7 +118,7 @@ func main() {
 
 	fmt.Printf("graph: %s\n", graph.ComputeStats(dataset, g))
 	fmt.Printf("running %s with %d workers x %d threads (%s partitioning, lsh=%v, stealing=%v)\n",
-		a.Name(), cfg.Workers, cfg.Threads, *part, *lsh, *steal)
+		a.Name(), cfg.Workers, cfg.Threads, cfg.Partitioner.Name(), cfg.UseLSH, cfg.Stealing)
 	if chaosCtl != nil {
 		fmt.Printf("chaos:        profile %q, seed %d\n", *chaosProfile, *chaosSeed)
 	}

@@ -30,20 +30,10 @@ import (
 
 func main() {
 	var (
-		graphPath = flag.String("graph", "", "input graph file")
-		format    = flag.String("format", "adj", "graph file format: adj (adjacency list), edges (SNAP edge list) or bin")
-		preset    = flag.String("preset", "", "generated dataset preset (skitter-s, orkut-s, btc-s, friendster-s, tencent-s, dblp-s)")
-		scale     = flag.Float64("scale", 1.0, "preset scale factor")
+		loadGraph    = cli.GraphFlags(flag.CommandLine)
+		engineConfig = cli.EngineFlags(flag.CommandLine)
 
-		workers  = flag.Int("workers", 4, "number of workers")
-		threads  = flag.Int("threads", 4, "computing threads per worker")
-		part     = flag.String("partitioner", "bdg", "partitioner: bdg, hash, skewed, blocked")
-		dynamic  = flag.Bool("dynamic", false, "accept graph mutations (POST /graph/mutations) and standing queries; forces the blocked partitioner; single-process mode only")
-		lsh      = flag.Bool("lsh", true, "enable the LSH task priority queue")
-		steal    = flag.Bool("steal", true, "enable task stealing")
-		cacheCap = flag.Int("cache", 8192, "RCV cache capacity (vertices) per worker per job")
-		storeCap = flag.Int("store-mem", 8192, "in-memory task store capacity (tasks) per worker per job")
-		spillDir = flag.String("spill", "", "task-store spill directory; each job gets its own subdirectory")
+		dynamic = flag.Bool("dynamic", false, "accept graph mutations (POST /graph/mutations) and standing queries; forces the blocked partitioner; single-process mode only")
 
 		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint directory; each job gets its own subdirectory")
 		ckptEvery = flag.Duration("checkpoint-every", 0, "default checkpoint interval for served jobs (0=off)")
@@ -67,7 +57,7 @@ func main() {
 	)
 	flag.Parse()
 
-	g, dataset, err := cli.LoadGraph(*graphPath, *format, *preset, *scale)
+	g, dataset, err := loadGraph()
 	if err != nil {
 		fatal(err)
 	}
@@ -79,20 +69,11 @@ func main() {
 	// byte-identical to `gminer -app ...` on the same input.
 	cli.PrepareResident(g, *labels)
 
-	ccfg := cluster.Config{
-		Workers:          *workers,
-		Threads:          *threads,
-		CacheCapacity:    *cacheCap,
-		StoreMemCapacity: *storeCap,
-		UseLSH:           *lsh,
-		Stealing:         *steal,
-		SpillDir:         *spillDir,
-		CheckpointDir:    *ckptDir,
-		CheckpointEvery:  *ckptEvery,
-	}
-	if ccfg.Partitioner, err = partition.ByName(*part); err != nil {
+	ccfg, err := engineConfig()
+	if err != nil {
 		fatal(err)
 	}
+	ccfg.CheckpointDir, ccfg.CheckpointEvery = *ckptDir, *ckptEvery
 	if *dynamic {
 		// Mutations re-place only dirty blocks, which requires the
 		// decomposable block partitioner. Silently upgrading bdg would
@@ -101,8 +82,7 @@ func main() {
 			fatal(fmt.Errorf("-dynamic requires single-process mode (the resident graph lives in this process)"))
 		}
 		if _, ok := ccfg.Partitioner.(partition.Blocked); !ok {
-			fmt.Printf("dynamic: overriding -partitioner %s with blocked (incremental re-placement needs decomposable blocks)\n", *part)
-			*part = "blocked"
+			fmt.Printf("dynamic: overriding -partitioner %s with blocked (incremental re-placement needs decomposable blocks)\n", ccfg.Partitioner.Name())
 			ccfg.Partitioner = partition.Blocked{}
 		}
 		ccfg.Dynamic = true
@@ -116,11 +96,10 @@ func main() {
 		// gminer-worker processes dialing in over TCP. Block serving until
 		// every slot has joined — a job launched into a half-formed cluster
 		// would only stall against the failure detector.
-		ccfg.Resume = *resume
+		ccfg.Resume, ccfg.FailTimeout = *resume, *failTimeout
 		rs, err := cluster.NewRemoteSession(g, ccfg, cluster.RemoteSessionConfig{
-			Listen:      *clusterListen,
-			Advertise:   *clusterAdv,
-			FailTimeout: *failTimeout,
+			Listen:    *clusterListen,
+			Advertise: *clusterAdv,
 			Logf: func(format string, args ...any) {
 				fmt.Printf("cluster: "+format+"\n", args...)
 			},
@@ -129,7 +108,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("coordinator: listening on %s for %d worker processes (fingerprint %x)\n",
-			rs.Addr(), *workers, rs.Fingerprint())
+			rs.Addr(), ccfg.Workers, rs.Fingerprint())
 		if err := rs.WaitReady(*joinTimeout); err != nil {
 			fatal(err)
 		}
@@ -143,7 +122,7 @@ func main() {
 		sess = s
 	}
 	fmt.Printf("warm cluster: %d workers x %d threads, %s partitioning in %.3fs (edge cut %.1f%%)\n",
-		*workers, *threads, *part, sess.PartitionTime().Seconds(), 100*sess.EdgeCut())
+		ccfg.Workers, ccfg.Threads, ccfg.Partitioner.Name(), sess.PartitionTime().Seconds(), 100*sess.EdgeCut())
 
 	cacheEntries := *resultCache
 	if cacheEntries <= 0 {

@@ -135,7 +135,7 @@ func Heavy(seed uint64) Profile {
 }
 
 // HeartbeatFlaky is the fencing-soak profile: aimed at a worker's
-// heartbeat path only (WorkerOptions.HeartbeatChaos), it loses most
+// heartbeat path only (the cluster tests' HeartbeatChaos hook), it loses most
 // beats and delays the rest well past typical failure timeouts. The
 // worker stays alive and mining — only its liveness signal degrades —
 // which is exactly the split-brain setup generation fencing must

@@ -1,6 +1,7 @@
 // Package cli is what the gminer binaries share at their front door: the
-// graph formats and loader behind -graph / -format / -preset / -scale,
-// and the preparation a resident graph gets before it serves jobs.
+// graph formats and loader behind -graph / -format / -preset / -scale, the
+// flag groups the mining binaries register (flags.go), and the preparation
+// a resident graph gets before it serves jobs.
 package cli
 
 import (

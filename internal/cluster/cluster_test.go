@@ -194,13 +194,30 @@ func TestEagerVsStreamingSeeding(t *testing.T) {
 	want := algo.RefTriangles(g)
 	for _, eager := range []bool{false, true} {
 		cfg := smallConfig()
-		cfg.EagerSeeding = eager
+		if eager {
+			cluster.SeedEagerly(&cfg)
+		}
 		res, err := cluster.Run(g, algo.NewTriangleCount(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := res.AggGlobal.(int64); got != want {
 			t.Fatalf("eager=%v: got %d want %d", eager, got, want)
+		}
+	}
+}
+
+// BenchmarkAblationEagerSeeding is the seeding ablation beside the root
+// package's others (MCF on orkut-s, 3 workers × 2 threads): every seed task
+// generated before processing starts, as in the paper.
+func BenchmarkAblationEagerSeeding(b *testing.B) {
+	g := gen.MustBuild(gen.Orkut, 0.15)
+	cfg := cluster.Config{Workers: 3, Threads: 2, UseLSH: true, Stealing: true}
+	cluster.SeedEagerly(&cfg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cluster.Run(g, algo.NewMaxClique(), cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -62,12 +62,6 @@ type Config struct {
 	// Stealing enables dynamic load balancing by task stealing (§6.2).
 	Stealing bool
 
-	// EagerSeeding generates every seed task before processing starts
-	// (the paper's behavior; §9 lists it as an overhead). When false,
-	// seeds stream into the pipeline with backpressure: the seeder waits
-	// while the task store holds more than StoreMemCapacity/2 tasks.
-	EagerSeeding bool
-
 	// CheckpointEvery takes a checkpoint each interval; 0 disables.
 	CheckpointEvery time.Duration
 	// CheckpointDir stores checkpoint files (empty: in-memory snapshots).
@@ -79,7 +73,7 @@ type Config struct {
 	// CheckpointDir/<job ID>); a RemoteSession resumes its held JOBSPECs.
 	Resume bool
 	// FailTimeout marks a worker dead after this silence; 0 disables
-	// failure detection.
+	// failure detection, except on a RemoteSession, whose default is 2 s.
 	FailTimeout time.Duration
 
 	// Chaos, if non-nil, wraps every node's endpoint with the seeded
@@ -143,6 +137,13 @@ type Config struct {
 	stealLocalityMax float64
 	cpqHighWater     int
 	pullRetryBase    time.Duration
+
+	// eagerSeeding, when set (tests only, see export_test.go), generates
+	// every seed task before processing starts — the paper's behaviour,
+	// which §9 lists as an overhead. Otherwise seeds stream into the
+	// pipeline with backpressure: the seeder waits while the task store
+	// holds more than StoreMemCapacity/2 tasks.
+	eagerSeeding bool
 
 	// seedHold, when set (tests only, see export_test.go), makes every seeder
 	// wait for it to close before seeding its last vertex: the job cannot

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"gminer/internal/graph"
@@ -19,19 +18,19 @@ import (
 // hash tables of Figure 4, one per worker, plus the assignment's owner map.
 //
 // Owner and label are replicated on every worker for every vertex of the
-// graph, the labels as the epoch's column (graph.Labels) that the directory's
-// one pass fills. Adjacency and attributes live with the owner alone and
-// reach anybody else only by pull — except, on the oriented view, the
-// resident set: the forward lists referenced most per byte (graph.HotLists),
-// which every worker reads in place. What a worker finds without a pull is
-// local's answer and nobody else's; owner keeps naming the one worker that
-// seeds and serves the vertex.
+// graph, the labels as the epoch's column (graph.Labels) that the base view's
+// directory fills in its one pass. Adjacency and attributes live with the
+// owner alone and reach anybody else only by pull — except, on the oriented
+// view, the resident set: the forward lists referenced most per byte
+// (graph.HotLists), which every worker reads in place. What a worker finds
+// without a pull is local's answer and nobody else's; owner keeps naming the
+// one worker that seeds and serves the vertex.
 type directory struct {
 	assign *partition.Assignment
 
 	base   graph.VertexID
 	slots  []dirSlot     // dense arm; nil on the sparse one
-	labels *graph.Labels // the epoch's label column, on either arm
+	labels *graph.Labels // the epoch's label column, on either arm; nil on G⁺
 
 	// Sparse arm, by worker. A resident vertex is entered in every worker's
 	// table (on the dense arm it is marked in its slot).
@@ -45,26 +44,26 @@ type directory struct {
 	residentRows  int
 }
 
-// dirSlot is 16 bytes, resident mark included (denseWorkers keeps owners in
-// 15 bits).
+// dirSlot is 16 bytes, resident mark included.
 type dirSlot struct {
 	v        *graph.Vertex
-	owner    int16
+	owner    int32
 	resident bool // in the view's resident set
 }
 
-// denseWorkers is the largest cluster the dense arm's slot can name an owner
-// in; a larger one reads the graph through the sparse arm.
-const denseWorkers = math.MaxInt16
-
-// newDirectory fills the directory of view g in one pass over its vertices.
-// visit, if non-nil, is shown every owned vertex with its owner on the way:
-// whatever else an epoch must learn per vertex (the workers' seed scans, a
-// view's footprints) rides this pass instead of making its own.
-func newDirectory(g *graph.Graph, assign *partition.Assignment, visit func(v *graph.Vertex, owner int)) *directory {
+// newDirectory fills the directory of view g — and, if labelled, the epoch's
+// label column — in one pass over its vertices. Only the base view cuts the
+// column; G⁺ has the same labels. visit, if non-nil, is shown every owned
+// vertex with its owner on the way: whatever else an epoch must learn per
+// vertex (the workers' seed scans, a view's footprints) rides this pass
+// instead of making its own.
+func newDirectory(g *graph.Graph, assign *partition.Assignment, labelled bool, visit func(v *graph.Vertex, owner int)) *directory {
 	base, span, dense := g.DenseIDs()
-	d := &directory{assign: assign, labels: graph.NewLabels(g, base, span, dense)}
-	if dense && assign.K <= denseWorkers {
+	d := &directory{assign: assign}
+	if labelled {
+		d.labels = graph.NewLabels(g, base, span, dense)
+	}
+	if dense {
 		d.fillDense(g, base, span, visit)
 	} else {
 		d.fillSparse(g, visit)
@@ -79,8 +78,10 @@ func (d *directory) fillDense(g *graph.Graph, base graph.VertexID, span int, vis
 	}
 	g.ForEach(func(v *graph.Vertex) bool {
 		w := d.assign.Owner(v.ID)
-		d.slots[v.ID-base] = dirSlot{v: v, owner: int16(w)}
-		d.labels.Set(v)
+		d.slots[v.ID-base] = dirSlot{v: v, owner: int32(w)}
+		if d.labels != nil {
+			d.labels.Set(v)
+		}
 		if w >= 0 && visit != nil {
 			visit(v, w)
 		}
@@ -94,7 +95,9 @@ func (d *directory) fillSparse(g *graph.Graph, visit func(*graph.Vertex, int)) {
 		d.tables[i] = make(map[graph.VertexID]*graph.Vertex, n)
 	}
 	g.ForEach(func(v *graph.Vertex) bool {
-		d.labels.Set(v)
+		if d.labels != nil {
+			d.labels.Set(v)
+		}
 		if w := d.assign.Owner(v.ID); w >= 0 {
 			d.tables[w][v.ID] = v
 			if visit != nil {
@@ -195,7 +198,7 @@ func newVertexTables(g *graph.Graph, assign *partition.Assignment, scan []bool) 
 			vt.locals[w] = &localTable{}
 		}
 	}
-	vt.dir = newDirectory(g, assign, func(v *graph.Vertex, w int) {
+	vt.dir = newDirectory(g, assign, true, func(v *graph.Vertex, w int) {
 		if lt := vt.locals[w]; lt != nil {
 			scans[w] = append(scans[w], keyed{lsh.HashID(uint64(v.ID)), v.ID})
 			lt.footprint += v.FootprintBytes()

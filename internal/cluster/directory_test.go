@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"gminer/internal/algo"
 	"gminer/internal/core"
@@ -34,7 +35,7 @@ func TestDirectoryArmsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense := newDirectory(g, assign, nil)
+		dense := newDirectory(g, assign, true, nil)
 		sparse := &directory{assign: assign, labels: g.LabelColumn()}
 		sparse.fillSparse(g, nil)
 		if !dense.dense() || sparse.dense() {
@@ -95,15 +96,14 @@ func TestDirectoryLabelColumn(t *testing.T) {
 		for _, tc := range []struct {
 			name  string
 			g     *graph.Graph
-			k     int
 			dense bool // the column's arm
-		}{{"dense", g, 3, !marked}, {"dense/sparse-directory", g, denseWorkers + 1, !marked}, {"strided", strided, 3, false}} {
-			assign, err := partition.Hash{}.Partition(tc.g, tc.k)
+		}{{"dense", g, !marked}, {"strided", strided, false}} {
+			assign, err := partition.Hash{}.Partition(tc.g, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := newDirectory(tc.g, assign, nil)
-			if d.labels.Dense() != tc.dense || d.dense() != (tc.g == g && tc.k == 3) {
+			d := newDirectory(tc.g, assign, true, nil)
+			if d.labels.Dense() != tc.dense || d.dense() != (tc.g == g) {
 				t.Fatalf("seed %d %s: column dense=%v, directory dense=%v", seed, tc.name, d.labels.Dense(), d.dense())
 			}
 			agree(fmt.Sprintf("seed %d %s", seed, tc.name), tc.g, d.labels)
@@ -144,15 +144,20 @@ func TestDirectoryLabelColumn(t *testing.T) {
 	}
 }
 
-// Which arm a graph takes is read off the graph, by the rule TC's bitmap
-// goes by: IDs spread wider than 64 slots per vertex fall back to tables —
-// as does a cluster with more workers than a slot's owner field can name.
+// Which arm a graph takes is read off the graph alone, by the rule TC's
+// bitmap goes by: IDs spread wider than 64 slots per vertex fall back to
+// tables. A slot names any worker — owners past 16 bits read back exactly —
+// and still takes 16 bytes.
 func TestDirectoryArmFollowsIDSpan(t *testing.T) {
+	if size := unsafe.Sizeof(dirSlot{}); size != 16 {
+		t.Fatalf("a directory slot takes %d bytes, want 16", size)
+	}
 	for _, tc := range []struct {
 		stride  graph.VertexID
 		workers int
 		dense   bool
-	}{{1, 2, true}, {64, 2, true}, {65, 2, false}, {1 << 20, 2, false}, {1, denseWorkers, true}, {1, denseWorkers + 1, false}} {
+	}{{1, 2, true}, {64, 2, true}, {65, 2, false}, {1 << 20, 2, false},
+		{1, math.MaxInt16, true}, {1, math.MaxInt16 + 1, true}, {1, 1 << 20, true}} {
 		g := graph.New(100)
 		for i := graph.VertexID(0); i < 100; i++ {
 			g.AddEdge(7+i*tc.stride, 7+((i+1)%100)*tc.stride)
@@ -162,16 +167,22 @@ func TestDirectoryArmFollowsIDSpan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := newDirectory(g, assign, nil)
+		d := newDirectory(g, assign, true, nil)
 		if d.dense() != tc.dense {
 			t.Fatalf("stride %d, %d workers: dense=%v, want %v", tc.stride, tc.workers, d.dense(), tc.dense)
 		}
+		widest := 0
 		g.ForEach(func(v *graph.Vertex) bool {
-			if w := assign.Owner(v.ID); d.owner(v.ID) != w || d.local(v.ID, w) != v {
+			w := assign.Owner(v.ID)
+			if d.owner(v.ID) != w || d.local(v.ID, w) != v {
 				t.Fatalf("stride %d, %d workers: vertex %d owned by %d reads as owner %d", tc.stride, tc.workers, v.ID, w, d.owner(v.ID))
 			}
+			widest = max(widest, w)
 			return true
 		})
+		if tc.workers > math.MaxUint16+1 && widest <= math.MaxUint16 {
+			t.Fatalf("%d workers: no owner is wider than 16 bits (widest %d)", tc.workers, widest)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"gminer/internal/chaos"
 	"gminer/internal/graph"
 )
 
@@ -92,4 +93,23 @@ func (s *Session) ResidentCore() (rows int, fingerprint uint64) { return s.orien
 // ResidentCore is the resident core of the process's oriented view.
 func (wp *WorkerProcess) ResidentCore() (rows int, fingerprint uint64) {
 	return wp.oriented.residentCore()
+}
+
+// SeedEagerly makes cfg's workers generate every seed task before processing
+// starts, the paper's behaviour, instead of streaming seeds under the task
+// store's backpressure.
+func SeedEagerly(cfg *Config) { cfg.eagerSeeding = true }
+
+// ResultTimeout is a RemoteSessionConfig whose finished jobs wait up to d
+// (default 60 s) for every worker process's final records: slow jobs on a
+// loaded machine get longer.
+func ResultTimeout(d time.Duration) RemoteSessionConfig {
+	return RemoteSessionConfig{resultTimeout: d}
+}
+
+// HeartbeatChaos returns opt with c's faults injected into the worker
+// process's heartbeat path only.
+func HeartbeatChaos(opt WorkerOptions, c *chaos.Controller) WorkerOptions {
+	opt.heartbeatChaos = c
+	return opt
 }

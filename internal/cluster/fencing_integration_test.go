@@ -95,10 +95,7 @@ func TestRemoteZombieFenced(t *testing.T) {
 	workerDir := t.TempDir()
 	cfg.CheckpointDir = coordDir
 	rs, wps := remoteTestCluster(t, g, cfg,
-		cluster.RemoteSessionConfig{
-			FailTimeout:   2 * time.Second,
-			ResultTimeout: 240 * time.Second,
-		},
+		cluster.ResultTimeout(240*time.Second),
 		cluster.WorkerOptions{
 			HeartbeatEvery: 20 * time.Millisecond,
 			CheckpointDir:  workerDir,
@@ -191,10 +188,7 @@ func TestRemoteRollingRestart(t *testing.T) {
 	workerDir := t.TempDir()
 	cfg.CheckpointDir = coordDir
 	rs, wps := remoteTestCluster(t, g, cfg,
-		cluster.RemoteSessionConfig{
-			FailTimeout:   2 * time.Second,
-			ResultTimeout: 240 * time.Second,
-		},
+		cluster.ResultTimeout(240*time.Second),
 		cluster.WorkerOptions{
 			HeartbeatEvery: 20 * time.Millisecond,
 			CheckpointDir:  workerDir,
@@ -283,10 +277,7 @@ func TestRemoteCoordinatorResume(t *testing.T) {
 	workerDir := t.TempDir()
 	cfg.CheckpointDir = coordDir
 	rs, wps := remoteTestCluster(t, g, cfg,
-		cluster.RemoteSessionConfig{
-			FailTimeout:   2 * time.Second,
-			ResultTimeout: 240 * time.Second,
-		},
+		cluster.ResultTimeout(240*time.Second),
 		cluster.WorkerOptions{
 			HeartbeatEvery: 20 * time.Millisecond,
 			CheckpointDir:  workerDir,
@@ -321,11 +312,9 @@ func TestRemoteCoordinatorResume(t *testing.T) {
 	// Restarted coordinator: same checkpoint directory, Resume on.
 	cfg2 := cfg
 	cfg2.Resume = true
-	rs2, err := cluster.NewRemoteSession(g, cfg2, cluster.RemoteSessionConfig{
-		FailTimeout:   2 * time.Second,
-		ResultTimeout: 240 * time.Second,
-		Logf:          t.Logf,
-	})
+	rcfg := cluster.ResultTimeout(240 * time.Second)
+	rcfg.Logf = t.Logf
+	rs2, err := cluster.NewRemoteSession(g, cfg2, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,24 +379,23 @@ func TestRemoteHeartbeatChaosFenced(t *testing.T) {
 	}
 	g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 2000, Seed: 19})
 	cfg := smallConfig()
-	cfg.Workers = 2
+	cfg.Workers, cfg.FailTimeout = 2, 150*time.Millisecond
 
 	coordDir := t.TempDir()
 	_ = coordDir
 	rs, wps := remoteTestCluster(t, g, cfg,
-		cluster.RemoteSessionConfig{FailTimeout: 150 * time.Millisecond},
+		cluster.RemoteSessionConfig{},
 		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
 	// remoteTestCluster cannot thread per-worker options, so rebuild
 	// worker 1 with the chaotic heartbeat path: close the healthy one and
 	// admit a flaky replacement on its slot (generation 2).
 	wps[1].Close()
-	flaky, err := cluster.StartWorkerProcess(g, cfg, cluster.WorkerOptions{
+	flaky, err := cluster.StartWorkerProcess(g, cfg, cluster.HeartbeatChaos(cluster.WorkerOptions{
 		Coordinator:    rs.Addr(),
 		Node:           1,
 		HeartbeatEvery: 20 * time.Millisecond,
-		HeartbeatChaos: chaos.New(chaos.HeartbeatFlaky(42)),
 		Logf:           t.Logf,
-	})
+	}, chaos.New(chaos.HeartbeatFlaky(42))))
 	if err != nil {
 		t.Fatal(err)
 	}

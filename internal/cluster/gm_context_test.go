@@ -45,7 +45,7 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 	open := func(remote bool, cfg cluster.Config) session {
 		if remote {
 			rs, _ := remoteTestCluster(t, g, cfg,
-				cluster.RemoteSessionConfig{ResultTimeout: 240 * time.Second},
+				cluster.ResultTimeout(240*time.Second),
 				cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond, CheckpointDir: t.TempDir()})
 			return rs
 		}

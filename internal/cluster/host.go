@@ -154,12 +154,13 @@ func (o *orientedView) tables(p core.Plan, g *graph.Graph, assign *partition.Ass
 // cut builds the tables and the resident core over the freshly oriented view.
 // G⁺ has the base view's vertices and owners, so each worker's scan is
 // base's; only what a vertex weighs differs, and the directory's pass sums
-// that. The view's hottest forward lists stay on every worker, up to the
-// weight of the directory they are marked in, and the core re-expresses them
-// as bit rows when that pays; every worker's account carries both.
+// that. Its labels are base's too, so it cuts no label column. The view's
+// hottest forward lists stay on every worker, up to the weight of the
+// directory they are marked in, and the core re-expresses them as bit rows
+// when that pays; every worker's account carries both.
 func (o *orientedView) cut(assign *partition.Assignment, base vertexTables) {
 	foot := make([]int64, len(base.locals))
-	dir := newDirectory(o.g, assign, func(v *graph.Vertex, w int) { foot[w] += v.FootprintBytes() })
+	dir := newDirectory(o.g, assign, false, func(v *graph.Vertex, w int) { foot[w] += v.FootprintBytes() })
 	ids, refs := graph.HotLists(o.g, graph.ResidentBudgetPerVertex*int64(o.g.NumVertices()))
 	dir.keepResident(ids, foot)
 	o.core = kernels.NewResidentCore(o.g, ids, refs)
@@ -399,11 +400,11 @@ func (h *processHost) deliver(m *jobResultMsg) {
 }
 
 // collect blocks until every slot's result arrived from the generation the
-// job last started on, or the session's ResultTimeout passes — then it
+// job last started on, or the session's result timeout passes — then it
 // settles for whatever each slot delivered last and fails the job only if
 // some slot delivered nothing at all.
 func (h *processHost) collect() ([]jobResultMsg, error) {
-	timeout := h.s.rcfg.ResultTimeout
+	timeout := h.s.rcfg.resultTimeout
 	deadline := time.After(timeout)
 	for {
 		h.mu.Lock()

@@ -297,8 +297,8 @@ func TestConfigDefaults(t *testing.T) {
 			exported = append(exported, f.Name)
 		}
 	}
-	if len(exported) != 28 {
-		t.Fatalf("Config has %d exported fields, want 28: %v", len(exported), exported)
+	if len(exported) != 27 {
+		t.Fatalf("Config has %d exported fields, want 27: %v", len(exported), exported)
 	}
 }
 

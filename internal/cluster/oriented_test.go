@@ -133,7 +133,8 @@ func TestOrientedTCDifferential(t *testing.T) {
 						cfg := smallConfig()
 						cfg.Workers, cfg.Threads, cfg.Partitioner, cfg.Stealing, cfg.UseTCP = workers, 1, part, stealing, mode == "tcp"
 						if mode == "spill" {
-							cfg.SpillDir, cfg.StoreMemCapacity, cfg.EagerSeeding = t.TempDir(), 16, true
+							cfg.SpillDir, cfg.StoreMemCapacity = t.TempDir(), 16
+							cluster.SeedEagerly(&cfg)
 						}
 						shape := fmt.Sprintf("%s/w%d/%s/steal=%v/%s", name, workers, part.Name(), stealing, mode)
 						s, err := cluster.NewSession(g, cfg)
@@ -192,7 +193,7 @@ func TestOrientedTCRemoteSession(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Partitioner = partition.Hash{}
 		rs, wps := remoteTestCluster(t, g, cfg,
-			cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
+			cluster.RemoteSessionConfig{},
 			cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
 		for launch, generic := range []bool{false, true, false} {
 			a, sp := tcArm(t, g, generic)
@@ -269,7 +270,7 @@ func TestOrientedTCKillRecover(t *testing.T) {
 		}
 		if remote {
 			sess, _ = remoteTestCluster(t, g, cfg,
-				cluster.RemoteSessionConfig{ResultTimeout: 240 * time.Second},
+				cluster.ResultTimeout(240*time.Second),
 				cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond, CheckpointDir: t.TempDir()})
 		} else {
 			s, err := cluster.NewSession(g, cfg)

@@ -83,7 +83,7 @@ func TestRemoteSessionByteIdentical(t *testing.T) {
 	}
 
 	rs, _ := remoteTestCluster(t, g, cfg,
-		cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
+		cluster.RemoteSessionConfig{},
 		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
 
 	jobs := make([]*cluster.Job, len(specs))
@@ -113,6 +113,58 @@ func TestRemoteSessionByteIdentical(t *testing.T) {
 	}
 	if rs.ActiveJobs() != 0 {
 		t.Fatalf("jobs leaked: %d active", rs.ActiveJobs())
+	}
+}
+
+// Two worker processes under the blocked partitioner (`gminer-worker
+// -partitioner blocked`) join a coordinator and serve tc and gm with the
+// aggregates and records of an in-process Session on the same graph.
+func TestRemoteBlockedClusterServes(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 4000, Seed: 7})
+	specs := []jobspec.Spec{{App: "tc"}, {App: "gm"}}
+	for i := range specs {
+		specs[i] = specs[i].Normalize()
+		jobspec.Prepare(g, specs[i])
+	}
+	cfg := smallConfig()
+	cfg.Workers, cfg.Partitioner = 2, partition.Blocked{}
+
+	local, err := cluster.NewSession(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	rs, _ := remoteTestCluster(t, g, cfg, cluster.RemoteSessionConfig{},
+		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
+	run := func(s interface {
+		Launch(core.Algorithm, cluster.JobOptions) (*cluster.Job, error)
+	}, sp jobspec.Spec) *cluster.Result {
+		a, err := jobspec.Build(g, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.Launch(a, cluster.JobOptions{Spec: &sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := j.Wait()
+		if err != nil {
+			t.Fatalf("%s: %v", sp.App, err)
+		}
+		return res
+	}
+	for _, sp := range specs {
+		want, got := run(local, sp), run(rs, sp)
+		if n, _ := want.AggGlobal.(int64); n == 0 {
+			t.Fatalf("%s: degenerate reference aggregate %v", sp.App, want.AggGlobal)
+		}
+		if !reflect.DeepEqual(got.AggGlobal, want.AggGlobal) || !reflect.DeepEqual(got.Records, want.Records) {
+			t.Fatalf("%s: remote aggregate %v and %d records, in-process %v and %d",
+				sp.App, got.AggGlobal, len(got.Records), want.AggGlobal, len(want.Records))
+		}
+		if got.Total.TasksDone == 0 {
+			t.Fatalf("%s: no shipped worker counters in result", sp.App)
+		}
 	}
 }
 
@@ -149,7 +201,7 @@ func TestRemoteCoordinatorOrientsNothing(t *testing.T) {
 	}
 
 	rs, _ := remoteTestCluster(t, g, cfg,
-		cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
+		cluster.RemoteSessionConfig{},
 		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
 	sp := jobspec.Spec{App: "tc"}.Normalize()
 	for launch := 0; launch < 2; launch++ {
@@ -184,7 +236,7 @@ func TestRemoteJobTCMovesFewerBytesThanGeneric(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Workers, cfg.Partitioner = 2, partition.Hash{}
 	rs, _ := remoteTestCluster(t, g, cfg,
-		cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
+		cluster.RemoteSessionConfig{},
 		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
 	netBytes := map[bool]int64{}
 	for _, generic := range []bool{false, true, false} { // the last oriented launch is warm
@@ -231,12 +283,12 @@ func TestRemoteJobKillRecoverWorker(t *testing.T) {
 
 	for _, auto := range []bool{false, true} {
 		coordDir := t.TempDir()
-		cfg.CheckpointDir = coordDir
+		cfg.CheckpointDir, cfg.FailTimeout = coordDir, 300*time.Millisecond
 		// Held: the kill lands mid-job, and the victim's frozen last report
 		// (seeds not done) keeps the job open until a recovery replaces it.
 		release := holdJobs(&cfg)
 		rs, _ := remoteTestCluster(t, g, cfg,
-			cluster.RemoteSessionConfig{FailTimeout: 300 * time.Millisecond, ResultTimeout: 240 * time.Second},
+			cluster.ResultTimeout(240*time.Second),
 			cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond, CheckpointDir: t.TempDir()})
 		a, err := jobspec.Build(g, sp)
 		if err != nil {
@@ -355,13 +407,11 @@ func TestRemoteWorkerKillAndRejoin(t *testing.T) {
 	workerDir := t.TempDir()
 	cfg.CheckpointDir = coordDir
 	rs, wps := remoteTestCluster(t, g, cfg,
-		cluster.RemoteSessionConfig{
-			// Generous: under load, heartbeats and progress share the TCP
-			// path with mining traffic, and the race detector can starve
-			// the heartbeat goroutine; a tight timeout flaps every slot.
-			FailTimeout:   2 * time.Second,
-			ResultTimeout: 240 * time.Second,
-		},
+		// The default 2 s fail timeout is generous on purpose: under load,
+		// heartbeats and progress share the TCP path with mining traffic,
+		// and the race detector can starve the heartbeat goroutine; a tight
+		// timeout flaps every slot.
+		cluster.ResultTimeout(240*time.Second),
 		cluster.WorkerOptions{
 			HeartbeatEvery: 20 * time.Millisecond,
 			CheckpointDir:  workerDir,

@@ -37,30 +37,30 @@ type RemoteSessionConfig struct {
 	// Advertise is the address worker processes are told to dial; defaults
 	// to the bound listen address.
 	Advertise string
-	// FailTimeout marks a worker process failed after this much silence
-	// during a job (the engine's failure detector). Default 2s.
-	FailTimeout time.Duration
-	// ResultTimeout bounds how long a finished job waits for every worker
-	// process to ship its final records. Default 60s.
-	ResultTimeout time.Duration
-	// Redial is the dial retry budget for coordinator → worker traffic.
-	// The zero value inherits the transport default (10s): long enough to
-	// bridge a worker-process restart.
-	Redial transport.RedialPolicy
 	// Logf, if non-nil, receives coordinator lifecycle lines (joins,
 	// losses, rejections).
 	Logf func(format string, args ...any)
+
+	// resultTimeout bounds how long a finished job waits for every worker
+	// process to ship its final records; zero is defaultResultTimeout. Only
+	// tests shape it (export_test.go).
+	resultTimeout time.Duration
 }
+
+const (
+	// defaultFailTimeout is a remote session's Config.FailTimeout when the
+	// caller sets none: the silence after which a worker process is lost.
+	defaultFailTimeout = 2 * time.Second
+	// defaultResultTimeout is RemoteSessionConfig.resultTimeout's default.
+	defaultResultTimeout = 60 * time.Second
+)
 
 func (c RemoteSessionConfig) withDefaults() RemoteSessionConfig {
 	if c.Listen == "" {
 		c.Listen = "127.0.0.1:0"
 	}
-	if c.FailTimeout <= 0 {
-		c.FailTimeout = 2 * time.Second
-	}
-	if c.ResultTimeout <= 0 {
-		c.ResultTimeout = 60 * time.Second
+	if c.resultTimeout <= 0 {
+		c.resultTimeout = defaultResultTimeout
 	}
 	return c
 }
@@ -172,9 +172,11 @@ func NewRemoteSession(g *graph.Graph, cfg Config, rcfg RemoteSessionConfig) (*Re
 		return nil, fmt.Errorf("cluster: remote sessions do not support graph mutations (run single-process for -dynamic)")
 	}
 
-	// Every job's master runs the engine's failure detector on the
-	// session's timeout.
-	cfg.FailTimeout = rcfg.FailTimeout
+	// Every job's master runs the engine's failure detector: a worker
+	// process can die on its own.
+	if cfg.FailTimeout <= 0 {
+		cfg.FailTimeout = defaultFailTimeout
+	}
 	s := &RemoteSession{
 		sessionCore: sessionCore{g: g, cfg: cfg, fence: newFenceTable(cfg.Workers), jobs: make(map[string]*Job)},
 		rcfg:        rcfg,
@@ -205,7 +207,6 @@ func NewRemoteSession(g *graph.Graph, cfg Config, rcfg RemoteSessionConfig) (*Re
 		Local:     cfg.Workers, // the coordinator holds the master slot K
 		Listen:    rcfg.Listen,
 		Advertise: rcfg.Advertise,
-		Redial:    rcfg.Redial,
 		Hello:     s.handleHello,
 		// Transport-level fencing refusals (frames a zombie sent after its
 		// slot was reclaimed) surface as EvFenced trace events on every
@@ -370,7 +371,7 @@ func (s *RemoteSession) pickSlotLocked() int {
 			return i
 		}
 	}
-	stalest, age := -1, s.rcfg.FailTimeout
+	stalest, age := -1, s.cfg.FailTimeout
 	for i := range s.slots {
 		if since := time.Since(s.slots[i].lastSeen); since > age {
 			stalest, age = i, since
@@ -423,10 +424,10 @@ func (s *RemoteSession) slotState(i int) (gen int64, joined bool) {
 // stays joined: there only a job's worker died, not the process.
 func (s *RemoteSession) markLostIfSilent(i int) bool {
 	s.mu.Lock()
-	silent := time.Since(s.slots[i].lastSeen) > s.rcfg.FailTimeout
+	silent := time.Since(s.slots[i].lastSeen) > s.cfg.FailTimeout
 	if silent && s.slots[i].joined {
 		s.slots[i].joined = false
-		defer s.logf("worker %d lost (silent past %s); awaiting replacement", i, s.rcfg.FailTimeout)
+		defer s.logf("worker %d lost (silent past %s); awaiting replacement", i, s.cfg.FailTimeout)
 	}
 	s.mu.Unlock()
 	return silent
@@ -545,7 +546,7 @@ func (s *RemoteSession) handleDrain(node int, gen int64) {
 		}
 	}
 	s.logf("worker %d draining (generation %d): forcing barrier checkpoint on %d job(s)", node, gen, len(before))
-	deadline := time.Now().Add(s.rcfg.ResultTimeout)
+	deadline := time.Now().Add(s.rcfg.resultTimeout)
 	for j, epoch := range before {
 		for j.master.committedEpoch() <= epoch && !j.Done() {
 			if time.Now().After(deadline) {

@@ -42,15 +42,14 @@ type WorkerOptions struct {
 	JoinTimeout time.Duration
 	// HeartbeatEvery is the liveness report period (default 250ms).
 	HeartbeatEvery time.Duration
-	// Redial is the dial retry budget for worker → peer traffic; zero
-	// inherits the transport default (10s).
-	Redial transport.RedialPolicy
-	// HeartbeatChaos, when set, injects faults (drops, delays, dups) into
-	// this worker's heartbeat path only — the soak harness for "delayed
-	// but alive worker gets fenced, not split-brained".
-	HeartbeatChaos *chaos.Controller
 	// Logf, if non-nil, receives worker lifecycle lines.
 	Logf func(format string, args ...any)
+
+	// heartbeatChaos, when set (tests only, see export_test.go), injects
+	// faults (drops, delays, dups) into this worker's heartbeat path only —
+	// the soak harness for "delayed but alive worker gets fenced, not
+	// split-brained".
+	heartbeatChaos *chaos.Controller
 }
 
 func (o WorkerOptions) withDefaults() WorkerOptions {
@@ -154,7 +153,6 @@ func StartWorkerProcess(g *graph.Graph, cfg Config, opt WorkerOptions) (*WorkerP
 		Local:     -1, // learned from the welcome
 		Listen:    opt.Listen,
 		Advertise: opt.Advertise,
-		Redial:    opt.Redial,
 	})
 	if err != nil {
 		return nil, err
@@ -167,7 +165,7 @@ func StartWorkerProcess(g *graph.Graph, cfg Config, opt WorkerOptions) (*WorkerP
 		Advertise:   wp.net.Addr(),
 		Held:        scanHeldEpochs(opt.CheckpointDir, opt.Node),
 	})
-	reply, err := transport.JoinCluster(opt.Coordinator, hello, 0,
+	reply, err := transport.JoinCluster(opt.Coordinator, hello,
 		transport.RedialPolicy{Budget: opt.JoinTimeout}, wp.stopCh)
 	if err != nil {
 		wp.net.Close()
@@ -342,14 +340,14 @@ func (wp *WorkerProcess) ctlLoop() {
 // heartbeatLoop reports liveness to the coordinator for /healthz and slot
 // reclamation. Each beat carries this process's fencing generation (so a
 // delayed zombie's beat cannot re-mark a reclaimed slot as joined) and
-// its draining state. With HeartbeatChaos set, beats route through the
+// its draining state. With heartbeatChaos set, beats route through the
 // fault-injecting endpoint wrapper — drops and delays on this path are
 // exactly what the fencing soak exercises.
 func (wp *WorkerProcess) heartbeatLoop() {
 	defer wp.loopWg.Done()
 	ep := wp.ctl
-	if wp.opt.HeartbeatChaos != nil {
-		ep = wp.opt.HeartbeatChaos.Wrap(ep)
+	if wp.opt.heartbeatChaos != nil {
+		ep = wp.opt.heartbeatChaos.Wrap(ep)
 	}
 	t := time.NewTicker(wp.opt.HeartbeatEvery)
 	defer t.Stop()

@@ -38,7 +38,7 @@ func TestShapesByteIdentical(t *testing.T) {
 		}
 		byArm[g == dense] = map[string]*cluster.Result{}
 		rs, _ := remoteTestCluster(t, g, cfg,
-			cluster.RemoteSessionConfig{ResultTimeout: 60 * time.Second},
+			cluster.RemoteSessionConfig{},
 			cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
 
 		wait := func(j *cluster.Job, err error) (*cluster.Result, error) {

@@ -418,10 +418,10 @@ func (w *Worker) seederLoop() {
 	// the store is at or under the level a spill cuts it back to, so seeds
 	// alone fill it to at most mark + BufferFlush — under the spill threshold
 	// (if that is two flushes or more): spilling is for what the executor
-	// produces, and for EagerSeeding.
+	// produces, and for eager seeding.
 	mark := w.cfg.StoreMemCapacity / 2
 	spawn := func(t *core.Task) {
-		if !w.cfg.EagerSeeding {
+		if !w.cfg.eagerSeeding {
 			w.store.WaitBelow(mark)
 		}
 		w.assignID(t)

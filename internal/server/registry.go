@@ -76,8 +76,6 @@ type Config struct {
 	// sets keyed by graph fingerprint + normalized spec). 0 means the
 	// default 256; negative disables caching.
 	ResultCacheEntries int
-	// RetryAfter is the hint returned with 429 responses. Default 1s.
-	RetryAfter time.Duration
 	// MaxRetainedJobs bounds how many finished jobs (and their result
 	// records) stay queryable; the oldest are evicted first. Default 64.
 	MaxRetainedJobs int
@@ -86,15 +84,16 @@ type Config struct {
 	DrainTimeout time.Duration
 }
 
+// retryAfter is the hint a 429 carries: a queue slot is worth asking for
+// again a second later.
+const retryAfter = time.Second
+
 func (c Config) defaults() Config {
 	if c.MaxConcurrentJobs <= 0 {
 		c.MaxConcurrentJobs = 2
 	}
 	if c.MaxQueueDepth <= 0 {
 		c.MaxQueueDepth = 8
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.MaxRetainedJobs <= 0 {
 		c.MaxRetainedJobs = 64

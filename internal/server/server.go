@@ -169,8 +169,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After",
-			strconv.Itoa(int(s.cfg.RetryAfter/time.Second)+1))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 		writeErr(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrDraining):

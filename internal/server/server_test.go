@@ -287,8 +287,8 @@ func TestAdmissionQueueFull(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("third submit: got %d want 429", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After header")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("429 with Retry-After %q, want the 1 s hint", got)
 	}
 	// Unblock the test quickly.
 	for _, id := range []string{"slot", "queued"} {

@@ -24,16 +24,19 @@ const (
 // helloReplyLimit bounds a welcome frame read by JoinCluster.
 const helloReplyLimit = 1 << 20
 
+const (
+	// dialTimeout bounds one dial attempt.
+	dialTimeout = 5 * time.Second
+	// sendTimeout is the write deadline of one frame.
+	sendTimeout = 5 * time.Second
+)
+
 // RemoteConfig configures one process's node in a multi-process cluster.
 type RemoteConfig struct {
 	Nodes     int    // total nodes (workers + coordinator)
 	Local     int    // this process's node index; -1 until SetLocal (a joining worker)
 	Listen    string // TCP listen address, e.g. "127.0.0.1:0"
 	Advertise string // address peers should dial; defaults to the bound listen address
-
-	Dial   time.Duration // per-attempt dial timeout (default 5s)
-	Send   time.Duration // per-frame write deadline (default 5s)
-	Redial RedialPolicy  // dial retry budget (default 10s — a peer process restart takes seconds)
 
 	// Hello, when set, answers FrameHello payloads received on accepted
 	// connections (the coordinator's join handshake); the reply is written
@@ -44,6 +47,10 @@ type RemoteConfig struct {
 	// frame refused because its generation is below the sender's fencing
 	// floor (FencePeer). Keep it fast.
 	OnFenced func(from int, typ uint8, gen, min uint32)
+
+	// redial is the senders' dial retry budget; zero is 10 s, since a peer
+	// process restart takes seconds. Only this package's tests shape it.
+	redial RedialPolicy
 }
 
 // RemoteNetwork is the TCP transport: it hosts exactly ONE node (one
@@ -95,14 +102,8 @@ func NewRemote(cfg RemoteConfig) (*RemoteNetwork, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("transport: remote network needs nodes > 0")
 	}
-	if cfg.Dial <= 0 {
-		cfg.Dial = 5 * time.Second
-	}
-	if cfg.Send <= 0 {
-		cfg.Send = 5 * time.Second
-	}
-	if cfg.Redial == (RedialPolicy{}) {
-		cfg.Redial = RedialPolicy{Budget: 10 * time.Second}
+	if cfg.redial == (RedialPolicy{}) {
+		cfg.redial = RedialPolicy{Budget: 10 * time.Second}
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -270,7 +271,7 @@ func (n *RemoteNetwork) readLoop(conn net.Conn) {
 				continue
 			}
 			reply := buildFrame(FrameWelcome, n.LocalNode(), 0, h(frame[frameHeader:]))
-			_ = conn.SetWriteDeadline(time.Now().Add(n.cfg.Send))
+			_ = conn.SetWriteDeadline(time.Now().Add(sendTimeout))
 			if _, err := conn.Write(reply); err != nil {
 				return
 			}
@@ -403,7 +404,7 @@ func (p *remotePeer) deliver(frame []byte) bool {
 		if err != nil {
 			return false
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(p.n.cfg.Send))
+		_ = conn.SetWriteDeadline(time.Now().Add(sendTimeout))
 		if _, err := conn.Write(frame); err != nil {
 			p.dropConn(conn)
 			continue
@@ -420,7 +421,7 @@ func (p *remotePeer) ensureConn() (net.Conn, error) {
 		return c, nil
 	}
 	p.mu.Unlock()
-	c, err := dialRetry(p.currentAddr, p.n.cfg.Dial, p.n.cfg.Redial, p.n.stop)
+	c, err := dialRetry(p.currentAddr, dialTimeout, p.n.cfg.redial, p.n.stop)
 	if err != nil {
 		return nil, err
 	}
@@ -470,10 +471,7 @@ func (e *remoteEndpoint) Close() error {
 // FrameHello carrying hello, and returns the coordinator's FrameWelcome
 // payload. The connection is handshake-only and closed before returning;
 // cluster traffic flows over the peer table afterwards.
-func JoinCluster(addr string, hello []byte, dialTimeout time.Duration, p RedialPolicy, cancel <-chan struct{}) ([]byte, error) {
-	if dialTimeout <= 0 {
-		dialTimeout = 5 * time.Second
-	}
+func JoinCluster(addr string, hello []byte, p RedialPolicy, cancel <-chan struct{}) ([]byte, error) {
 	conn, err := dialRetry(func() string { return addr }, dialTimeout, p, cancel)
 	if err != nil {
 		return nil, fmt.Errorf("transport: join %s: %w", addr, err)

@@ -32,7 +32,7 @@ func remoteMesh(t *testing.T, n int, redial RedialPolicy) []*RemoteNetwork {
 	nets := make([]*RemoteNetwork, n)
 	for i := range nets {
 		var err error
-		nets[i], err = NewRemote(RemoteConfig{Nodes: n, Local: i, Listen: "127.0.0.1:0", Redial: redial})
+		nets[i], err = NewRemote(RemoteConfig{Nodes: n, Local: i, Listen: "127.0.0.1:0", redial: redial})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestRemoteDeliversAfterLateAccept(t *testing.T) {
 	peerAddr := reserveAddr(t)
 	a, err := NewRemote(RemoteConfig{
 		Nodes: 2, Local: 0, Listen: "127.0.0.1:0",
-		Redial: RedialPolicy{Budget: 10 * time.Second, Base: 20 * time.Millisecond},
+		redial: RedialPolicy{Budget: 10 * time.Second, Base: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestJoinClusterHelloWelcome(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	reply, err := JoinCluster(coord.Addr(), []byte("node-a"), 2*time.Second, RedialPolicy{Budget: 5 * time.Second}, nil)
+	reply, err := JoinCluster(coord.Addr(), []byte("node-a"), RedialPolicy{Budget: 5 * time.Second}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestJoinClusterRetriesUntilCoordinatorUp(t *testing.T) {
 			Hello: func(payload []byte) []byte { return []byte("ok") },
 		})
 	}()
-	reply, err := JoinCluster(addr, []byte("x"), 2*time.Second,
+	reply, err := JoinCluster(addr, []byte("x"),
 		RedialPolicy{Budget: 10 * time.Second, Base: 20 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatalf("join should retry until the coordinator is up: %v", err)
@@ -475,7 +475,7 @@ func TestRemoteDropsAfterBudget(t *testing.T) {
 	dead := reserveAddr(t)
 	a, err := NewRemote(RemoteConfig{
 		Nodes: 2, Local: 0, Listen: "127.0.0.1:0",
-		Redial: RedialPolicy{Budget: 100 * time.Millisecond, Base: 20 * time.Millisecond},
+		redial: RedialPolicy{Budget: 100 * time.Millisecond, Base: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

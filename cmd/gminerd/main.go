@@ -89,38 +89,35 @@ func main() {
 	}
 
 	fmt.Printf("graph: %s\n", graph.ComputeStats(dataset, g))
-	var sess server.Cluster
-	var held []cluster.HeldJob
-	if *clusterListen != "" {
+	var sess *cluster.Session
+	if *clusterListen == "" {
+		sess, err = cluster.NewSession(g, ccfg)
+	} else {
 		// Multi-process coordinator: the engine's workers live in separate
-		// gminer-worker processes dialing in over TCP. Block serving until
-		// every slot has joined — a job launched into a half-formed cluster
-		// would only stall against the failure detector.
+		// gminer-worker processes dialing in over TCP.
 		ccfg.Resume, ccfg.FailTimeout = *resume, *failTimeout
-		rs, err := cluster.NewRemoteSession(g, ccfg, cluster.RemoteSessionConfig{
+		sess, err = cluster.NewRemoteSession(g, ccfg, cluster.RemoteSessionConfig{
 			Listen:    *clusterListen,
 			Advertise: *clusterAdv,
 			Logf: func(format string, args ...any) {
 				fmt.Printf("cluster: "+format+"\n", args...)
 			},
 		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("coordinator: listening on %s for %d worker processes (fingerprint %x)\n",
-			rs.Addr(), ccfg.Workers, rs.Fingerprint())
-		if err := rs.WaitReady(*joinTimeout); err != nil {
-			fatal(err)
-		}
-		held = rs.HeldJobs()
-		sess = rs
-	} else {
-		s, err := cluster.NewSession(g, ccfg)
-		if err != nil {
-			fatal(err)
-		}
-		sess = s
 	}
+	if err != nil {
+		fatal(err)
+	}
+	if addr := sess.Addr(); addr != "" {
+		fmt.Printf("coordinator: listening on %s for %d worker processes (fingerprint %x)\n",
+			addr, ccfg.Workers, sess.Fingerprint())
+	}
+	// Serving waits until every worker slot has joined — a job launched into
+	// a half-formed cluster would only stall against the failure detector.
+	// Goroutine workers are ready at once.
+	if err := sess.WaitReady(*joinTimeout); err != nil {
+		fatal(err)
+	}
+	held := sess.HeldJobs()
 	fmt.Printf("warm cluster: %d workers x %d threads, %s partitioning in %.3fs (edge cut %.1f%%)\n",
 		ccfg.Workers, ccfg.Threads, ccfg.Partitioner.Name(), sess.PartitionTime().Seconds(), 100*sess.EdgeCut())
 

@@ -202,12 +202,10 @@ func (s *snapshotSink) commit(epoch int64, crcs []uint32, gens []int64) error {
 	if len(crcs) != s.workers {
 		return fmt.Errorf("checkpoint: commit epoch %d with %d checksums, want %d", epoch, len(crcs), s.workers)
 	}
-	if s.fence != nil && gens != nil {
-		for w, g := range gens {
-			if s.fence.stale(w, g) {
-				return fmt.Errorf("checkpoint: refusing commit of epoch %d: worker %d ack bears fenced generation %d (slot is at %d)",
-					epoch, w, g, s.fence.current(w))
-			}
+	for w, g := range gens { // a nil fence table passes every generation
+		if s.fence.stale(w, g) {
+			return fmt.Errorf("checkpoint: refusing commit of epoch %d: worker %d ack bears fenced generation %d (slot is at %d)",
+				epoch, w, g, s.fence.current(w))
 		}
 	}
 	s.mu.Lock()

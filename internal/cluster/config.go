@@ -69,27 +69,28 @@ type Config struct {
 	// Resume restores the whole job from the newest committed epoch in
 	// CheckpointDir instead of starting from scratch. The manifest's job
 	// fingerprint (graph, algorithm, worker count, partitioner) must match
-	// or Start refuses. On a Session every launched job resumes (from
-	// CheckpointDir/<job ID>); a RemoteSession resumes its held JOBSPECs.
+	// or Start refuses. On the goroutine host every launched job resumes
+	// (from CheckpointDir/<job ID>); the process host resumes the jobs whose
+	// JOBSPECs it finds there (Session.HeldJobs), each at its Launch.
 	Resume bool
 	// FailTimeout marks a worker dead after this silence; 0 disables
-	// failure detection, except on a RemoteSession, whose default is 2 s.
+	// failure detection, except on the process host, whose default is 2 s.
 	FailTimeout time.Duration
 
 	// Chaos, if non-nil, wraps every node's endpoint with the seeded
 	// fault-injection layer (internal/chaos) and executes the profile's
-	// crash schedule against live workers, on either transport. A
-	// RemoteSession rejects it (its workers are other processes).
+	// crash schedule against live workers, on either transport. The
+	// process host rejects it (its workers are other processes).
 	Chaos *chaos.Controller
 
 	// Partitioner distributes vertices to workers; default BDG (§6.1).
 	Partitioner partition.Partitioner
 
-	// Dynamic enables graph mutations on a Session (ApplyMutations and
+	// Dynamic enables graph mutations on a session (ApplyMutations and
 	// the graph-epoch machinery). Requires the block-decomposable
 	// partition.Blocked partitioner — the only one whose incremental
 	// re-placement provably equals a from-scratch partition. Single-shot
-	// jobs and RemoteSessions reject it.
+	// jobs and the process host reject it.
 	Dynamic bool
 	// GraphEpoch stamps the graph epoch a job runs at. Sessions set it at
 	// Launch; it folds into the job fingerprint so a checkpoint taken

@@ -180,7 +180,7 @@ func TestRemoteRollingRestart(t *testing.T) {
 
 	cfg := smallConfig()
 	cfg.Partitioner = partition.Hash{}
-	cfg.Stealing = false
+	cfg.Stealing = true // the draining slot neither steals nor is stolen from
 	want := fencingRef(t, g, sp, cfg)
 	release := holdJobs(&cfg)
 

@@ -6,7 +6,6 @@ import (
 
 	"gminer/internal/algo"
 	"gminer/internal/cluster"
-	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/jobspec"
 	"gminer/internal/partition"
@@ -38,23 +37,6 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 	}
 	sp := jobspec.Spec{App: "gm", Pattern: "0,1,2,3,0;-1,0,1,2,3"}.Normalize() // worker processes build p from it
 
-	type session interface {
-		Launch(a core.Algorithm, opt cluster.JobOptions) (*cluster.Job, error)
-		Close()
-	}
-	open := func(remote bool, cfg cluster.Config) session {
-		if remote {
-			rs, _ := remoteTestCluster(t, g, cfg,
-				cluster.ResultTimeout(240*time.Second),
-				cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond, CheckpointDir: t.TempDir()})
-			return rs
-		}
-		s, err := cluster.NewSession(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
 	// Eight tasks in memory, two to a block: nearly every inactive task of a
 	// worker goes through a spill block.
 	spilling := func() cluster.Config {
@@ -64,12 +46,12 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 	}
 
 	var stolen int64
-	for _, remote := range []bool{false, true} {
+	for _, h := range []host{goroutines, processes} { // a kill takes one path over either goroutine transport
 		cfg := spilling()
 		cfg.Partitioner = partition.Skewed{Bias: 0.8}
 		cfg.Stealing = true
 		cluster.Tune(&cfg, cluster.Knobs{StealBatch: 2, StealLocalityMax: 2}) // every task may migrate
-		sess := open(remote, cfg)
+		sess := openSession(t, g, cfg, h)
 		j, err := sess.Launch(algo.NewGraphMatch(p), cluster.JobOptions{Spec: &sp})
 		if err != nil {
 			t.Fatal(err)
@@ -79,8 +61,8 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.AggGlobal != any(want) || res.Total.TasksDone != seq.Tasks || res.Total.DiskWrite == 0 {
-			t.Fatalf("remote=%v spill+steal: count %v over %d tasks, %d bytes spilled; want %d over %d tasks and a spill",
-				remote, res.AggGlobal, res.Total.TasksDone, res.Total.DiskWrite, want, seq.Tasks)
+			t.Fatalf("%s: spill+steal: count %v over %d tasks, %d bytes spilled; want %d over %d tasks and a spill",
+				h.name, res.AggGlobal, res.Total.TasksDone, res.Total.DiskWrite, want, seq.Tasks)
 		}
 		stolen += res.Total.Stolen
 		sess.Close()
@@ -90,7 +72,7 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 		cfg.CheckpointDir = t.TempDir()
 		// Held: the kill lands mid-job, with seeds still to come on every slot.
 		release := holdJobs(&cfg)
-		sess = open(remote, cfg)
+		sess = openSession(t, g, cfg, h)
 		j, err = sess.Launch(algo.NewGraphMatch(p), cluster.JobOptions{ID: "gm-kill", Spec: &sp, CheckpointEvery: 3 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
@@ -109,8 +91,8 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 		// re-run after the restore count twice in process and a killed worker
 		// process takes its counters with it. The aggregate is restored.
 		if res.AggGlobal != any(want) || res.Recovered == 0 || res.Total.DiskWrite == 0 {
-			t.Fatalf("remote=%v spill+kill+restore: count %v after %d recoveries, %d bytes spilled; want %d, a recovery and a spill",
-				remote, res.AggGlobal, res.Recovered, res.Total.DiskWrite, want)
+			t.Fatalf("%s: spill+kill+restore: count %v after %d recoveries, %d bytes spilled; want %d, a recovery and a spill",
+				h.name, res.AggGlobal, res.Recovered, res.Total.DiskWrite, want)
 		}
 		sess.Close()
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gminer/internal/algo"
-	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/partition"
@@ -64,14 +63,12 @@ func TestGMNeverPullsLeaves(t *testing.T) {
 		tasks := algo.SeqRun(g, seqArm).Tasks
 		var mu sync.Mutex
 		asked := map[graph.VertexID]int{}
-		j, err := s.launch(a, JobOptions{}, launchSpec{
-			newHost: func(j *Job, plan core.Plan, eps []transport.Endpoint) (workerHost, error) {
-				for i, ep := range eps {
-					eps[i] = &pullSpy{Endpoint: ep, codec: a, mu: &mu, asked: asked}
-				}
-				return &goroutineHost{j: j, algo: a, tables: s.oriented.tables(plan, s.g, s.assign, j.cfg.GraphEpoch, s.tables), eps: eps, workers: make([]*Worker, len(eps))}, nil
-			},
-		})
+		s.wrapEps = func(eps []transport.Endpoint) {
+			for i, ep := range eps {
+				eps[i] = &pullSpy{Endpoint: ep, codec: a, mu: &mu, asked: asked}
+			}
+		}
+		j, err := s.Launch(a, JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

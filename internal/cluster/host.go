@@ -302,7 +302,7 @@ func (h *goroutineHost) collect() ([]jobResultMsg, error) {
 // and fencing (a result counts only if it comes from the generation the
 // job was last started on).
 type processHost struct {
-	s    *RemoteSession
+	c    *coordinator
 	j    *Job
 	spec jobspec.Spec
 
@@ -317,16 +317,10 @@ type processHost struct {
 	arrived chan struct{} // poked on every delivery
 }
 
-func newProcessHost(s *RemoteSession, j *Job, spec jobspec.Spec) *processHost {
-	k := j.cfg.Workers
-	return &processHost{s: s, j: j, spec: spec, started: make([]int64, k),
-		results: make([]jobResultMsg, k), arrived: make(chan struct{}, 1)}
-}
-
 // start is a no-op on a slot no process has joined yet: the join handshake
 // starts every live job on the newcomer.
 func (h *processHost) start(i int, refs []resumeEpochRef) error {
-	gen, joined := h.s.slotState(i)
+	gen, joined := h.c.slotState(i)
 	h.mu.Lock()
 	if h.stopped || !joined {
 		h.mu.Unlock()
@@ -334,7 +328,7 @@ func (h *processHost) start(i int, refs []resumeEpochRef) error {
 	}
 	h.started[i] = gen
 	h.mu.Unlock()
-	return h.s.ctl.Send(i, ctrlJobStart, encodeCtrl(jobStartMsg{
+	return h.c.ctl.Send(i, ctrlJobStart, encodeCtrl(jobStartMsg{
 		Channel:                h.j.ch,
 		JobID:                  h.j.ID(),
 		Spec:                   h.spec,
@@ -346,14 +340,14 @@ func (h *processHost) start(i int, refs []resumeEpochRef) error {
 // holds goes by what the slot's process claimed at join to have snapshot
 // files for; the commit-time CRC still decides at restore.
 func (h *processHost) holds(i int, epoch int64) bool {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	return h.s.slots[i].joined && h.s.slots[i].held[h.j.ID()][epoch]
+	h.c.mu.Lock()
+	defer h.c.mu.Unlock()
+	return h.c.slots[i].Joined && h.c.slots[i].held[h.j.ID()][epoch]
 }
 
 func (h *processHost) kill(i int) {
-	if _, joined := h.s.slotState(i); joined {
-		_ = h.s.ctl.Send(i, ctrlJobStop, encodeCtrl(jobStopMsg{Channel: h.j.ch, Kill: true}))
+	if _, joined := h.c.slotState(i); joined {
+		_ = h.c.ctl.Send(i, ctrlJobStop, encodeCtrl(jobStopMsg{Channel: h.j.ch, Kill: true}))
 	}
 }
 
@@ -363,7 +357,7 @@ func (h *processHost) kill(i int) {
 // restores it. A slot whose process has itself gone silent is marked lost
 // instead, which lets a replacement claim it — whose join calls back here.
 func (h *processHost) recover(i int) (bool, error) {
-	if h.s.markLostIfSilent(i) {
+	if h.c.markLostIfSilent(i) {
 		return false, nil
 	}
 	return true, h.start(i, h.j.refsFor(i))
@@ -378,8 +372,8 @@ func (h *processHost) stop() {
 	h.mu.Unlock()
 	stop := encodeCtrl(jobStopMsg{Channel: h.j.ch})
 	for i := range h.started {
-		if _, joined := h.s.slotState(i); joined {
-			_ = h.s.ctl.Send(i, ctrlJobStop, stop)
+		if _, joined := h.c.slotState(i); joined {
+			_ = h.c.ctl.Send(i, ctrlJobStop, stop)
 		}
 	}
 }
@@ -404,7 +398,7 @@ func (h *processHost) deliver(m *jobResultMsg) {
 // settles for whatever each slot delivered last and fails the job only if
 // some slot delivered nothing at all.
 func (h *processHost) collect() ([]jobResultMsg, error) {
-	timeout := h.s.rcfg.resultTimeout
+	timeout := h.c.rcfg.resultTimeout
 	deadline := time.After(timeout)
 	for {
 		h.mu.Lock()

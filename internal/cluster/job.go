@@ -76,7 +76,7 @@ type Job struct {
 	// partition (stable while the job holds its graph-epoch lease), the
 	// transport the job's mux channel ch is laid over and the registry the
 	// job leaves at the end of Wait; host is where its workers live.
-	sess *sessionCore
+	sess *Session
 	ch   uint64
 	host workerHost
 	// specFile is the durable JOBSPEC a coordinator wrote next to the job's
@@ -115,10 +115,11 @@ func Start(g *graph.Graph, algo core.Algorithm, cfg Config) (*Job, error) {
 	if cfg.Dynamic {
 		return nil, fmt.Errorf("cluster: graph mutations need a warm Session (Config.Dynamic is meaningless for a single-shot job)")
 	}
-	s, err := newSession(g, cfg, true)
+	s, err := NewSession(g, cfg)
 	if err != nil {
 		return nil, err
 	}
+	s.oneShot = true
 	j, err := s.Launch(algo, JobOptions{ID: cfg.JobID, Tracer: cfg.Tracer, RoundHook: cfg.RoundHook})
 	if err != nil {
 		s.Close()
@@ -319,7 +320,7 @@ func (j *Job) Wait() (*Result, error) {
 		// apply once no job is touching the graph.
 		j.sess.epochMu.RUnlock()
 		if j.sess.oneShot {
-			j.sess.close(nil)
+			j.sess.Close()
 		}
 	})
 	return j.result, j.err

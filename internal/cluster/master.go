@@ -52,6 +52,8 @@ type master struct {
 	// regardless of the interval clock. A draining worker raises it (via
 	// the coordinator) so its state is committed before it detaches.
 	barrier atomic.Bool
+	// draining marks the slots whose process is detaching (requestDrain).
+	draining []atomic.Bool
 
 	failed   map[int]bool
 	failures chan<- int
@@ -82,6 +84,7 @@ func newMaster(cfg Config, ep transport.Endpoint, agg core.Aggregator,
 		failed:   make(map[int]bool),
 		failures: failures,
 		restarts: make(chan int, cfg.Workers),
+		draining: make([]atomic.Bool, cfg.Workers),
 		doneCh:   make(chan struct{}),
 		stopCh:   make(chan struct{}),
 		lastCkpt: time.Now(),
@@ -183,6 +186,7 @@ func (m *master) noteRestarts() {
 		case i := <-m.restarts:
 			m.reports[i], m.lastSeen[i] = nil, time.Now()
 			m.recovered = true
+			m.draining[i].Store(false)
 		default:
 			return
 		}
@@ -246,9 +250,13 @@ func (m *master) scheduleSteal(thief int) {
 	if !m.cfg.Stealing || m.ckptPending > 0 {
 		return
 	}
+	if thief >= 0 && thief < len(m.draining) && m.draining[thief].Load() {
+		_ = m.ep.Send(thief, msgNoTask, nil)
+		return
+	}
 	victim, best := -1, int64(0)
 	for i, r := range m.reports {
-		if r == nil || i == thief || m.failed[i] {
+		if r == nil || i == thief || m.failed[i] || m.draining[i].Load() {
 			continue
 		}
 		if r.StoreSize > best {
@@ -349,6 +357,14 @@ func (m *master) requestBarrier() {
 	m.barrier.Store(true)
 }
 
+// requestDrain marks slot i draining: its process checkpoints at the next
+// barrier and detaches, and until a replacement restarts the slot
+// (workerRestarted) the slot is neither served as a thief nor chosen as a
+// victim — a task that moved after the barrier would run twice, or never,
+// once the replacement restores it — and the job cannot end on the leaving
+// process's reports. Safe from any goroutine.
+func (m *master) requestDrain(i int) { m.draining[i].Store(true) }
+
 // committedEpoch returns the newest committed epoch, or noEpoch when
 // nothing has committed (or the job has no sink).
 func (m *master) committedEpoch() int64 {
@@ -420,7 +436,7 @@ func (m *master) quiescent() (print []int64, answered, ok bool) {
 	print = make([]int64, 0, 3*m.cfg.Workers)
 	answered = m.wave > 0
 	for i, r := range m.reports {
-		if r == nil || m.failed[i] || !r.SeedsDone || r.Inflight != 0 {
+		if r == nil || m.failed[i] || m.draining[i].Load() || !r.SeedsDone || r.Inflight != 0 {
 			return nil, false, false
 		}
 		sent += r.TasksSent

@@ -257,28 +257,14 @@ func TestOrientedTCKillRecover(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 40000, Seed: 103})
 	want, _ := orientedRef(t, g)
 	sp := jobspec.Spec{App: "tc"}.Normalize()
-	for _, remote := range []bool{false, true} {
+	for _, h := range []host{goroutines, processes} { // a kill takes one path over either goroutine transport
 		cfg := smallConfig()
 		cfg.Partitioner = partition.Hash{}
 		cfg.Stealing = false // a migration in flight at kill time would be lost
 		cfg.CheckpointDir = t.TempDir()
 		// Held: the kill lands mid-job, with seeds still to come on every slot.
 		release := holdJobs(&cfg)
-		var sess interface {
-			Launch(a core.Algorithm, opt cluster.JobOptions) (*cluster.Job, error)
-			Close()
-		}
-		if remote {
-			sess, _ = remoteTestCluster(t, g, cfg,
-				cluster.ResultTimeout(240*time.Second),
-				cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond, CheckpointDir: t.TempDir()})
-		} else {
-			s, err := cluster.NewSession(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess = s
-		}
+		sess := openSession(t, g, cfg, h)
 		j, err := sess.Launch(algo.NewTriangleCount(), cluster.JobOptions{ID: "tc-kill", Spec: &sp, CheckpointEvery: 3 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
@@ -294,8 +280,8 @@ func TestOrientedTCKillRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.AggGlobal != any(want) || res.Recovered == 0 || res.ResidentLists == 0 {
-			t.Fatalf("remote=%v: %v triangles after %d recoveries with %d resident lists, want %d after at least one",
-				remote, res.AggGlobal, res.Recovered, res.ResidentLists, want)
+			t.Fatalf("%s: %v triangles after %d recoveries with %d resident lists, want %d after at least one",
+				h.name, res.AggGlobal, res.Recovered, res.ResidentLists, want)
 		}
 		sess.Close()
 	}

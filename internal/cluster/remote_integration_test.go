@@ -20,7 +20,7 @@ import (
 // remoteTestCluster brings up a coordinator and cfg.Workers in-process
 // WorkerProcess instances over real TCP sockets.
 func remoteTestCluster(t *testing.T, g *graph.Graph, cfg cluster.Config,
-	rcfg cluster.RemoteSessionConfig, wopt cluster.WorkerOptions) (*cluster.RemoteSession, []*cluster.WorkerProcess) {
+	rcfg cluster.RemoteSessionConfig, wopt cluster.WorkerOptions) (*cluster.Session, []*cluster.WorkerProcess) {
 	t.Helper()
 	rcfg.Logf = t.Logf
 	rs, err := cluster.NewRemoteSession(g, cfg, rcfg)
@@ -129,16 +129,8 @@ func TestRemoteBlockedClusterServes(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Workers, cfg.Partitioner = 2, partition.Blocked{}
 
-	local, err := cluster.NewSession(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-	rs, _ := remoteTestCluster(t, g, cfg, cluster.RemoteSessionConfig{},
-		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
-	run := func(s interface {
-		Launch(core.Algorithm, cluster.JobOptions) (*cluster.Job, error)
-	}, sp jobspec.Spec) *cluster.Result {
+	local, rs := openSession(t, g, cfg, goroutines), openSession(t, g, cfg, processes)
+	run := func(s *cluster.Session, sp jobspec.Spec) *cluster.Result {
 		a, err := jobspec.Build(g, sp)
 		if err != nil {
 			t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 
 // Control plane of the multi-process cluster. Mux channel 0 is reserved
 // for coordinator ↔ worker-process control traffic; job channels start at
-// 1 (sessionCore.reserve). Control payloads
+// 1 (Session.reserve). Control payloads
 // are JSON: they are tiny, infrequent (job start/stop, final results,
 // heartbeats) and evolve more often than the hot-path codecs, so
 // self-describing encoding beats hand-rolled wire here.

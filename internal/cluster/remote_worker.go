@@ -135,6 +135,7 @@ func StartWorkerProcess(g *graph.Graph, cfg Config, opt WorkerOptions) (*WorkerP
 		return nil, fmt.Errorf("cluster: node %d of a %d-worker cluster", opt.Node, cfg.Workers)
 	}
 
+	cfg.CheckpointDir = opt.CheckpointDir // each job's snapshots go in a subdirectory
 	wp := &WorkerProcess{
 		g:       g,
 		cfg:     cfg,
@@ -392,15 +393,7 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 	}
 	tables := wp.oriented.tables(core.PlanOf(algo), wp.g, wp.assign, 0, wp.tables)
 
-	cfg := wp.cfg
-	cfg.JobID = m.JobID
-	if m.CheckpointEverySeconds > 0 {
-		cfg.CheckpointEvery = time.Duration(m.CheckpointEverySeconds * float64(time.Second))
-	}
-	cfg.CheckpointDir = ""
-	if wp.opt.CheckpointDir != "" {
-		cfg.CheckpointDir = filepath.Join(wp.opt.CheckpointDir, m.JobID)
-	}
+	cfg := jobConfig(wp.cfg, m.JobID, time.Duration(m.CheckpointEverySeconds*float64(time.Second)))
 	// resume=true keeps existing snapshot files (this is a rejoin after a
 	// crash; the refs below vouch for them). A fresh start clears leftovers
 	// from any previous job sharing the directory.

@@ -288,19 +288,16 @@ func TestResidentNeverPulled(t *testing.T) {
 		var mu sync.Mutex
 		a := &toPullSpy{TriangleCount: algo.NewTriangleCount(), mu: &mu, pulled: map[graph.VertexID]int{}}
 		asked := map[graph.VertexID]int{}
-		var host *goroutineHost
-		j, err := s.launch(a, JobOptions{}, launchSpec{
-			newHost: func(j *Job, plan core.Plan, eps []transport.Endpoint) (workerHost, error) {
-				for i, ep := range eps {
-					eps[i] = &pullSpy{Endpoint: ep, codec: a, mu: &mu, asked: asked}
-				}
-				host = &goroutineHost{j: j, algo: a, tables: s.oriented.tables(plan, s.g, s.assign, j.cfg.GraphEpoch, s.tables), eps: eps, workers: make([]*Worker, len(eps))}
-				return host, nil
-			},
-		})
+		s.wrapEps = func(eps []transport.Endpoint) {
+			for i, ep := range eps {
+				eps[i] = &pullSpy{Endpoint: ep, codec: a, mu: &mu, asked: asked}
+			}
+		}
+		j, err := s.Launch(a, JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		host := j.host.(*goroutineHost)
 		// Wait's collect lets go of the workers: take them while the host
 		// still holds them, once the master is done.
 		<-j.master.doneCh

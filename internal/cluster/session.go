@@ -19,11 +19,22 @@ import (
 	"gminer/internal/transport"
 )
 
-// sessionCore is what every session is underneath, whichever host its jobs'
-// workers live on: the resident graph and its partition, one multiplexed
-// transport, the job registry, and the launch and teardown paths. Session
-// and RemoteSession embed it and add what is specific to their host.
-type sessionCore struct {
+// Session is a warm cluster serving many mining jobs over one resident
+// graph. The costs a one-shot run pays per query — loading the graph,
+// BDG-partitioning it, building every worker's vertex table — are paid once
+// at session start; each Launch then reuses the partition assignment, the
+// shared read-only vertex tables and one multiplexed transport, so a job's
+// startup cost is only its own pipeline state (task store, RCV cache,
+// queues). The paper's task model makes jobs independent sets of tasks
+// (§4.1–4.2), so concurrent jobs never share mutable state: each gets its
+// own mux channel (job-scoped wire envelope), store, cache, counters,
+// checkpoints and tracer.
+//
+// Its jobs' workers live on one of two hosts, chosen when it is built:
+// goroutines of this process (NewSession), or other OS processes that join
+// a coordinator (NewRemoteSession). Either way a job takes the one launch
+// path, master and teardown below; the host is only where its workers run.
+type Session struct {
 	g      *graph.Graph
 	cfg    Config
 	assign *partition.Assignment
@@ -32,10 +43,6 @@ type sessionCore struct {
 
 	mux      *transport.Mux
 	closeNet func() // shuts the node set the mux is laid over
-	// fence is the cluster's fencing-token ledger (nil unless workers are
-	// other processes), shared with every job's master and snapshot sink so
-	// they refuse checkpoint acks from fenced-out worker generations.
-	fence *fenceTable
 	// oneShot marks the throwaway session behind cluster.Start: its single
 	// job keeps the caller's (usually empty) ID — no job segment on disk —
 	// and closes the session at the end of its Wait.
@@ -43,11 +50,11 @@ type sessionCore struct {
 
 	// epochMu is the graph-epoch lock: every job holds the read side from
 	// launch until the end of its Wait teardown, and a mutation batch
-	// (Session.ApplyMutations) takes the write side — so it applies only
-	// when no job is touching the shared graph, assignment or local tables,
-	// and jobs always observe a whole epoch. epoch is the current graph
-	// epoch, readable lock-free (/healthz, /metrics); it only ever advances
-	// on a dynamic Session.
+	// (ApplyMutations) takes the write side — so it applies only when no job
+	// is touching the shared graph, assignment or local tables, and jobs
+	// always observe a whole epoch. epoch is the current graph epoch,
+	// readable lock-free (/healthz, /metrics); it only ever advances on a
+	// dynamic session.
 	epochMu sync.RWMutex
 	epoch   atomic.Int64
 
@@ -58,16 +65,86 @@ type sessionCore struct {
 
 	// cut caches the edge cut, an O(E) scan every job's Result carries, for
 	// graph epoch cutEpoch-1; a mutation batch retires it with the epoch.
-	// cutScan computes it (nil: assign.EdgeCut(g)).
 	cutMu    sync.Mutex
 	cut      float64
 	cutEpoch int64
-	cutScan  func() float64
+
+	// The goroutine host's state. tables are the resident graph's vertex
+	// tables: the directory, rebuilt with every graph epoch, and one scan per
+	// worker, rebuilt for the workers a mutation batch touched. oriented is
+	// the per-epoch view of the resident graph for jobs that mine G⁺
+	// (core.Plan.Oriented); a mutation batch marks the rows the next oriented
+	// job patches. dyn is the dynamic-session state (nil on a static
+	// session); epoch mirrors dyn.Epoch().
+	tables   vertexTables
+	oriented orientedView
+	dyn      *dyngraph.State
+	// wrapEps, when set (tests only), wraps each job's worker endpoints.
+	wrapEps func(eps []transport.Endpoint)
+
+	// coord is the process host's state — slots, the join handshake,
+	// fencing, the control loop, drain and the held JOBSPECs; nil on the
+	// goroutine host.
+	coord *coordinator
+}
+
+// NewSession partitions the frozen graph once and brings the shared
+// transport up for the goroutine host: the in-process network, or with
+// Config.UseTCP one loopback TCP node per worker plus the master. The config
+// is the template every job inherits (workers, threads, cache sizes,
+// stealing, ...); per-job knobs are set at Launch. With Config.Resume every
+// launched job restores from the committed epochs under
+// CheckpointDir/<job ID>.
+func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
+	s, err := openSession(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.tables = newVertexTables(g, s.assign, allWorkers(s.cfg.Workers))
+
+	under, closeNet, err := newNodeSet(s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.mux, s.closeNet = transport.NewMux(under), closeNet
+	return s, nil
+}
+
+// openSession is what both hosts' constructors share: the template config
+// with defaults, the frozen graph, and its one partitioning.
+func openSession(g *graph.Graph, cfg Config) (*Session, error) {
+	cfg = cfg.Defaults()
+	if !g.Frozen() {
+		return nil, fmt.Errorf("cluster: graph must be frozen")
+	}
+	s := &Session{g: g, cfg: cfg, jobs: make(map[string]*Job)}
+
+	pStart := time.Now()
+	if cfg.Dynamic {
+		blocked, ok := cfg.Partitioner.(partition.Blocked)
+		if !ok {
+			return nil, fmt.Errorf("cluster: dynamic sessions require the blocked partitioner, not %q", cfg.Partitioner.Name())
+		}
+		st, err := dyngraph.NewState(g, cfg.Workers, blocked.Shift)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: partition: %w", err)
+		}
+		s.dyn = st
+		s.assign = st.Assignment()
+	} else {
+		a, err := cfg.Partitioner.Partition(g, cfg.Workers)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: partition: %w", err)
+		}
+		s.assign = a
+	}
+	s.partitionTime = time.Since(pStart)
+	return s, nil
 }
 
 // reserve allocates the job's mux channel and claims its ID; job channels
-// start at 1 (0 is the multi-process control channel).
-func (s *sessionCore) reserve(id string) (string, uint64, error) {
+// start at 1 (0 is the process host's control channel).
+func (s *Session) reserve(id string) (string, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -86,14 +163,21 @@ func (s *sessionCore) reserve(id string) (string, uint64, error) {
 	return id, s.nextCh, nil
 }
 
-func (s *sessionCore) forget(id string) {
+func (s *Session) forget(id string) {
 	s.mu.Lock()
 	delete(s.jobs, id)
 	s.mu.Unlock()
 }
 
+// closing reports whether Close has begun.
+func (s *Session) closing() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
 // liveJobs snapshots the launched, not yet torn down jobs.
-func (s *sessionCore) liveJobs() []*Job {
+func (s *Session) liveJobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	live := make([]*Job, 0, len(s.jobs))
@@ -105,23 +189,27 @@ func (s *sessionCore) liveJobs() []*Job {
 	return live
 }
 
-// launchSpec is what a session kind decides about one Launch.
-type launchSpec struct {
-	// resume restores the job from the committed epochs in its checkpoint
-	// directory instead of starting fresh.
-	resume bool
-	// persist, if non-nil, is written to the checkpoint directory as the
-	// durable JOBSPEC a restarted coordinator rebuilds the job from.
-	persist *jobspec.Spec
-	// newHost places the job's workers, given the job's plan and their
-	// endpoints.
-	newHost func(j *Job, p core.Plan, eps []transport.Endpoint) (workerHost, error)
-}
-
-// launch is the one launch path: derive the job's config from the session
-// template, open its mux channel, checkpoint sink and master, hand the
-// worker endpoints to the host, and start everything.
-func (s *sessionCore) launch(a core.Algorithm, opt JobOptions, ls launchSpec) (*Job, error) {
+// Launch starts one mining job on the warm cluster and returns its handle.
+// The caller collects the result with Job.Wait (which also releases the
+// job's mux channel) and may Cancel it at any time without disturbing
+// co-resident jobs. On the process host opt.Spec must name the workload,
+// and a job whose ID matches a JOBSPEC+MANIFEST found at a `-resume` start
+// restores from its committed epochs instead of starting fresh.
+func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
+	resume := s.cfg.Resume
+	if s.coord != nil {
+		if opt.Spec == nil {
+			return nil, fmt.Errorf("cluster: remote launch requires JobOptions.Spec (worker processes rebuild the algorithm from it)")
+		}
+		if opt.Seeds != nil {
+			return nil, fmt.Errorf("cluster: remote launch does not take JobOptions.Seeds (worker processes hold their own graph copy; mutations do not reach them yet)")
+		}
+		// A held job's ID resumes it, once.
+		s.coord.mu.Lock()
+		_, resume = s.coord.held[opt.ID]
+		delete(s.coord.held, opt.ID)
+		s.coord.mu.Unlock()
+	}
 	id, ch, err := s.reserve(opt.ID)
 	if err != nil {
 		return nil, err
@@ -130,7 +218,7 @@ func (s *sessionCore) launch(a core.Algorithm, opt JobOptions, ls launchSpec) (*
 	// teardown the resident graph cannot mutate under it. On a static
 	// session the lock is never contended.
 	s.epochMu.RLock()
-	j, err := s.build(a, opt, id, ch, ls)
+	j, err := s.build(a, opt, id, ch, resume)
 	if err != nil {
 		s.mux.CloseChannel(ch)
 		s.forget(id)
@@ -138,9 +226,10 @@ func (s *sessionCore) launch(a core.Algorithm, opt JobOptions, ls launchSpec) (*
 		return nil, err
 	}
 	cfg := j.cfg
-	if ls.persist != nil && cfg.CheckpointDir != "" {
+	if s.coord != nil && cfg.CheckpointDir != "" {
+		// The durable JOBSPEC a restarted coordinator rebuilds the job from.
 		j.specFile = filepath.Join(cfg.CheckpointDir, jobspecName)
-		b, _ := json.Marshal(jobspecFile{ID: id, Spec: *ls.persist, CheckpointEverySeconds: cfg.CheckpointEvery.Seconds()})
+		b, _ := json.Marshal(HeldJob{ID: id, Spec: *opt.Spec, CheckpointEverySeconds: cfg.CheckpointEvery.Seconds()})
 		// On failure the job still runs; coordinator resume will not cover it.
 		_ = writeFileDurable(j.specFile, b)
 	}
@@ -172,24 +261,39 @@ func (s *sessionCore) launch(a core.Algorithm, opt JobOptions, ls launchSpec) (*
 			go j.runCrash(cr)
 		}
 	}
+	if resume && s.coord != nil {
+		s.coord.logf("job %s resumed from committed checkpoint", id)
+	}
 	return j, nil
 }
 
-// build assembles everything of a job short of running it.
-func (s *sessionCore) build(a core.Algorithm, opt JobOptions, id string, ch uint64, ls launchSpec) (*Job, error) {
-	cfg := s.cfg
+// jobConfig derives job id's config from a host's template, on the
+// coordinator and in every worker process alike: its ID, the per-job
+// checkpoint interval (0 keeps the template's) and its own checkpoint
+// subdirectory under the template's (none without one).
+func jobConfig(tmpl Config, id string, checkpointEvery time.Duration) Config {
+	cfg := tmpl
 	cfg.JobID = id
+	if checkpointEvery > 0 {
+		cfg.CheckpointEvery = checkpointEvery
+	}
+	if cfg.CheckpointDir != "" {
+		cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, id)
+	}
+	return cfg
+}
+
+// build assembles everything of a job short of running it.
+func (s *Session) build(a core.Algorithm, opt JobOptions, id string, ch uint64, resume bool) (*Job, error) {
+	cfg := jobConfig(s.cfg, id, opt.CheckpointEvery)
 	cfg.GraphEpoch = s.epoch.Load()
-	cfg.Resume = ls.resume
+	cfg.Resume = resume
 	cfg.Tracer = opt.Tracer
 	cfg.RoundHook = opt.RoundHook
 	if opt.MemBudgetBytes > 0 {
-		// Charged from worker progress loops, so only a goroutine host
+		// Charged from worker progress loops, so only the goroutine host
 		// enforces it; the serving layer's admission costing applies anyway.
 		cfg.MemBudget = memctl.NewBudget(opt.MemBudgetBytes)
-	}
-	if opt.CheckpointEvery > 0 {
-		cfg.CheckpointEvery = opt.CheckpointEvery
 	}
 	if opt.Seeds != nil {
 		cfg.seeds = make(map[graph.VertexID]struct{}, len(opt.Seeds))
@@ -197,9 +301,7 @@ func (s *sessionCore) build(a core.Algorithm, opt JobOptions, id string, ch uint
 			cfg.seeds[id] = struct{}{}
 		}
 	}
-	if cfg.CheckpointDir != "" {
-		cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, id)
-	} else if ls.resume {
+	if resume && cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("cluster: resume requires a checkpoint directory")
 	}
 
@@ -229,11 +331,13 @@ func (s *sessionCore) build(a core.Algorithm, opt JobOptions, id string, ch uint
 
 	plan := core.PlanOf(a)
 	fingerprint := jobFingerprint(s.g, a.Name(), plan, cfg)
-	sink, err := newSnapshotSink(cfg.CheckpointDir, cfg.Workers, fingerprint, 0, ls.resume)
+	sink, err := newSnapshotSink(cfg.CheckpointDir, cfg.Workers, fingerprint, 0, resume)
 	if err != nil {
 		return nil, err
 	}
-	sink.fence = s.fence
+	if s.coord != nil {
+		sink.fence = s.coord.fence // the goroutine host leaves it nil: unfenced
+	}
 	j := &Job{cfg: cfg, sess: s, ch: ch, sink: sink, counters: counters, failures: make(chan int, cfg.Workers)}
 	j.resumePin.Store(noEpoch)
 
@@ -241,8 +345,8 @@ func (s *sessionCore) build(a core.Algorithm, opt JobOptions, id string, ch uint
 	if ap, ok := a.(core.AggregatorProvider); ok {
 		agg = ap.Aggregator()
 	}
-	j.master = newMaster(cfg, eps[cfg.Workers], agg, counters[cfg.Workers], j.failures, sink, s.fence)
-	if ls.resume {
+	j.master = newMaster(cfg, eps[cfg.Workers], agg, counters[cfg.Workers], j.failures, sink, sink.fence)
+	if resume {
 		man := sink.manifestView()
 		if man == nil {
 			return nil, fmt.Errorf("cluster: resume: no committed checkpoint in %s", cfg.CheckpointDir)
@@ -256,32 +360,49 @@ func (s *sessionCore) build(a core.Algorithm, opt JobOptions, id string, ch uint
 		// newest-first ordering breaks.
 		j.master.epoch = man.Epoch
 	}
-	j.host, err = ls.newHost(j, plan, eps[:cfg.Workers])
-	return j, err
+	if s.coord != nil {
+		// The worker processes rebuild the algorithm from the spec; the
+		// coordinator hosts no worker, so it offers no oriented view.
+		k := cfg.Workers
+		j.host = &processHost{c: s.coord, j: j, spec: *opt.Spec, started: make([]int64, k),
+			results: make([]jobResultMsg, k), arrived: make(chan struct{}, 1)}
+		return j, nil
+	}
+	// j holds its epoch lease: the view is of the graph j runs on.
+	tables := s.oriented.tables(plan, s.g, s.assign, cfg.GraphEpoch, s.tables)
+	workers := eps[:cfg.Workers]
+	if s.wrapEps != nil {
+		s.wrapEps(workers)
+	}
+	j.host = &goroutineHost{j: j, algo: a, tables: tables, eps: workers, workers: make([]*Worker, len(workers))}
+	return j, nil
 }
 
 // ActiveJobs returns the number of jobs launched and not yet fully torn
 // down (a job leaves the count at the end of its Wait).
-func (s *sessionCore) ActiveJobs() int {
+func (s *Session) ActiveJobs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.jobs)
 }
 
 // Graph returns the resident graph.
-func (s *sessionCore) Graph() *graph.Graph { return s.g }
+func (s *Session) Graph() *graph.Graph { return s.g }
 
 // Config returns the session's template config (with defaults applied).
-func (s *sessionCore) Config() Config { return s.cfg }
+func (s *Session) Config() Config { return s.cfg }
 
 // PartitionTime is the one-time static partitioning cost every job
 // amortizes.
-func (s *sessionCore) PartitionTime() time.Duration { return s.partitionTime }
+func (s *Session) PartitionTime() time.Duration { return s.partitionTime }
 
-// close cancels any jobs still running (attributing cause, nil for a plain
-// cancel), waits for their teardown, and shuts the transport down. The
-// session refuses Launches from the moment close begins.
-func (s *sessionCore) close(cause error) {
+// Close cancels any jobs still running, waits for their teardown, and
+// shuts the shared transport down. The session refuses Launches from the
+// moment Close begins. On the process host the cancellation is attributed
+// to coordinator shutdown, which keeps each job's durable JOBSPEC on disk
+// for a `-resume` coordinator; the worker processes see their connections
+// die and exit on their own schedule.
+func (s *Session) Close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -290,6 +411,10 @@ func (s *sessionCore) close(cause error) {
 	s.closed = true
 	s.mu.Unlock()
 
+	var cause error // nil: a plain cancel
+	if s.coord != nil {
+		cause = errCoordinatorShutdown
+	}
 	live := s.liveJobs()
 	for _, j := range live {
 		j.CancelCause(cause)
@@ -300,85 +425,9 @@ func (s *sessionCore) close(cause error) {
 	s.mux.Close()
 	s.closeNet()
 	s.mux.WaitDemux()
-}
-
-// Session is a warm cluster serving many mining jobs over one resident
-// graph, its workers goroutines of this process. The costs a one-shot run
-// pays per query — loading the graph, BDG-partitioning it, building every
-// worker's vertex table — are paid once at session start; each Launch then
-// reuses the partition assignment, the shared read-only vertex tables and
-// one multiplexed transport, so a job's startup cost is only its own
-// pipeline state (task store, RCV cache, queues). The paper's task model
-// makes jobs independent sets of tasks (§4.1–4.2), so concurrent jobs
-// never share mutable state: each gets its own mux channel (job-scoped
-// wire envelope), store, cache, counters, checkpoints and tracer.
-type Session struct {
-	sessionCore
-	// tables are the resident graph's vertex tables: the directory, rebuilt
-	// with every graph epoch, and one scan per worker, rebuilt for the
-	// workers a mutation batch touched.
-	tables vertexTables
-	// oriented is the per-epoch view of the resident graph for jobs that
-	// mine G⁺ (core.Plan.Oriented); a mutation batch marks the rows the next
-	// oriented job patches.
-	oriented orientedView
-
-	// dyn is the dynamic-session state (nil on a static session); the
-	// core's epoch mirrors dyn.Epoch().
-	dyn *dyngraph.State
-}
-
-// NewSession partitions the frozen graph once and brings the shared
-// transport up: the in-process network, or with Config.UseTCP one loopback
-// TCP node per worker plus the master. The config is the template every
-// job inherits (workers, threads, cache sizes, stealing, ...); per-job
-// knobs are set at Launch. With Config.Resume every launched job restores
-// from the committed epochs under CheckpointDir/<job ID>.
-func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
-	return newSession(g, cfg, false)
-}
-
-func newSession(g *graph.Graph, cfg Config, oneShot bool) (*Session, error) {
-	cfg = cfg.Defaults()
-	if !g.Frozen() {
-		return nil, fmt.Errorf("cluster: graph must be frozen")
+	if s.coord != nil {
+		<-s.coord.ctlDone
 	}
-	s := &Session{sessionCore: sessionCore{g: g, cfg: cfg, oneShot: oneShot, jobs: make(map[string]*Job)}}
-
-	pStart := time.Now()
-	if cfg.Dynamic {
-		blocked, ok := cfg.Partitioner.(partition.Blocked)
-		if !ok {
-			return nil, fmt.Errorf("cluster: dynamic sessions require the blocked partitioner, not %q", cfg.Partitioner.Name())
-		}
-		st, err := dyngraph.NewState(g, cfg.Workers, blocked.Shift)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: partition: %w", err)
-		}
-		s.dyn = st
-		s.assign = st.Assignment()
-	} else {
-		a, err := cfg.Partitioner.Partition(g, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: partition: %w", err)
-		}
-		s.assign = a
-	}
-	s.partitionTime = time.Since(pStart)
-
-	s.tables = newVertexTables(g, s.assign, allWorkers(cfg.Workers))
-	// The epoch's directory already holds every owner, one load each on
-	// its array arm: the cut reads them there, not through the
-	// assignment's block map. A dynamic session's first job after each
-	// batch pays this scan, inside the mutation POST when a round stands.
-	s.cutScan = func() float64 { return partition.EdgeCutBy(s.g, s.tables.dir.owner) }
-
-	under, closeNet, err := newNodeSet(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.mux, s.closeNet = transport.NewMux(under), closeNet
-	return s, nil
 }
 
 // newNodeSet brings up the K+1 nodes a goroutine-host session's mux is laid
@@ -429,8 +478,8 @@ type JobOptions struct {
 	Tracer *trace.Tracer
 	// MemBudgetBytes bounds the job-owned memory (task store + RCV cache
 	// summed over workers). 0 means unlimited. Exceeding it cancels the
-	// job with an error wrapping memctl.ErrOOM. Enforced by a Session; a
-	// RemoteSession's workers charge no budget.
+	// job with an error wrapping memctl.ErrOOM. Enforced on the goroutine
+	// host; worker processes charge no budget.
 	MemBudgetBytes int64
 	// CheckpointEvery overrides the template's checkpoint interval for
 	// this job; 0 inherits it.
@@ -440,12 +489,12 @@ type JobOptions struct {
 	// enforcement point: budget and deadline checks run here so a job is
 	// only ever stopped at a round boundary.
 	RoundHook func(round int64)
-	// Spec is the job's normalized workload spec, what a RemoteSession's
+	// Spec is the job's normalized workload spec, what the process host's
 	// worker processes rebuild the algorithm from (jobspec.Build), since a
 	// core.Algorithm value cannot cross a process boundary; the coordinator
-	// persists it as the job's JOBSPEC, and a RemoteSession requires it. A
-	// Session ignores it: its workers run the core.Algorithm value passed to
-	// Launch, whose plan alone decides the planned or generic path.
+	// persists it as the job's JOBSPEC, and the process host requires it.
+	// The goroutine host ignores it: its workers run the core.Algorithm value
+	// passed to Launch, whose plan alone decides the planned or generic path.
 	Spec *jobspec.Spec
 	// Seeds, when non-nil, is the set of vertices the job seeds tasks at:
 	// each worker's seeder walks its scan as ever and skips the vertices not
@@ -453,43 +502,33 @@ type JobOptions struct {
 	// seeds — same order, same cursor, same restore. IDs the graph does not
 	// hold are ignored; an empty non-nil set runs no task. It is a job
 	// input, not a knob: a standing query re-mines the seeds a mutation
-	// batch can have reached (core.Plan.SeedRadius) and nothing else. A
-	// RemoteSession refuses it: its worker processes hold their own copy of
+	// batch can have reached (core.Plan.SeedRadius) and nothing else. The
+	// process host refuses it: its worker processes hold their own copy of
 	// the graph, and a set computed on the coordinator's would not be one
 	// over theirs once mutations exist there.
 	Seeds []graph.VertexID
 }
 
-// Launch starts one mining job on the warm cluster and returns its handle.
-// The caller collects the result with Job.Wait (which also releases the
-// job's mux channel) and may Cancel it at any time without disturbing
-// co-resident jobs.
-func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
-	return s.launch(a, opt, launchSpec{
-		resume: s.cfg.Resume,
-		newHost: func(j *Job, p core.Plan, eps []transport.Endpoint) (workerHost, error) {
-			// j holds its epoch lease: the view is of the graph j runs on.
-			tables := s.oriented.tables(p, s.g, s.assign, j.cfg.GraphEpoch, s.tables)
-			return &goroutineHost{j: j, algo: a, tables: tables, eps: eps, workers: make([]*Worker, len(eps))}, nil
-		},
-	})
-}
-
 // EdgeCut is the partitioning edge-cut fraction of the resident
 // assignment.
-func (s *sessionCore) EdgeCut() float64 {
+func (s *Session) EdgeCut() float64 {
 	s.epochMu.RLock()
 	defer s.epochMu.RUnlock()
 	return s.edgeCut()
 }
 
 // edgeCut computes the edge cut once per graph epoch (caller holds epochMu).
-func (s *sessionCore) edgeCut() float64 {
+func (s *Session) edgeCut() float64 {
 	s.cutMu.Lock()
 	defer s.cutMu.Unlock()
 	if key := s.epoch.Load() + 1; s.cutEpoch != key {
-		if s.cutScan != nil {
-			s.cut = s.cutScan()
+		// On the goroutine host the epoch's directory already holds every
+		// owner, one load each on its array arm: the cut reads them there,
+		// not through the assignment's block map. A dynamic session's first
+		// job after each batch pays this scan, inside the mutation POST when
+		// a round stands. The coordinator keeps no directory.
+		if s.tables.dir != nil {
+			s.cut = partition.EdgeCutBy(s.g, s.tables.dir.owner)
 		} else {
 			s.cut = s.assign.EdgeCut(s.g)
 		}
@@ -511,21 +550,22 @@ func (s *Session) Fingerprint() uint64 {
 	return jobFingerprint(s.g, "session", core.Plan{}, cfg)
 }
 
-// Dynamic reports whether the session accepts mutations.
+// Dynamic reports whether the session accepts mutations: one built with
+// Config.Dynamic on the goroutine host.
 func (s *Session) Dynamic() bool { return s.dyn != nil }
 
 // GraphEpoch returns the current graph epoch (0 = the loaded snapshot;
-// always 0 on a static session, and on a RemoteSession, whose worker
+// always 0 on a static session, and on the process host, whose worker
 // processes each hold their own immutable copy of the graph). Lock-free,
 // safe from any goroutine.
-func (s *sessionCore) GraphEpoch() int64 { return s.epoch.Load() }
+func (s *Session) GraphEpoch() int64 { return s.epoch.Load() }
 
 // WithGraphRead runs fn while holding a graph-epoch read lease: the
 // resident graph cannot mutate during fn. Control-plane reads of the
 // graph (spec validation against it, stats for health endpoints) go
 // through here on serving daemons; jobs get the same protection
 // implicitly from Launch.
-func (s *sessionCore) WithGraphRead(fn func()) {
+func (s *Session) WithGraphRead(fn func()) {
 	s.epochMu.RLock()
 	defer s.epochMu.RUnlock()
 	fn()
@@ -565,10 +605,7 @@ func (s *Session) ApplyMutations(b dyngraph.Batch) (*EpochResult, error) {
 	}
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.closing() {
 		return nil, fmt.Errorf("cluster: session closed")
 	}
 	start := time.Now()
@@ -602,10 +639,12 @@ func (s *Session) ApplyMutations(b dyngraph.Batch) (*EpochResult, error) {
 }
 
 // DroppedMessages counts stale wire messages the mux discarded (traffic
-// addressed to already-torn-down jobs).
-func (s *Session) DroppedMessages() int64 { return s.mux.Dropped() }
-
-// Close cancels any jobs still running, waits for their teardown, and
-// shuts the shared transport down. The session refuses Launches from the
-// moment Close begins.
-func (s *Session) Close() { s.close(nil) }
+// addressed to already-torn-down jobs), plus on the process host the
+// frames abandoned because a worker process stayed unreachable past the
+// redial budget.
+func (s *Session) DroppedMessages() int64 {
+	if s.coord != nil {
+		return s.mux.Dropped() + s.coord.net.Dropped()
+	}
+	return s.mux.Dropped()
+}

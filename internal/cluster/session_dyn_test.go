@@ -398,7 +398,7 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 // job minus the tasks of every other seed. At 1, 2 and 4 workers, stealing
 // on and off, its records equal the sequential per-seed reference over the
 // same set (IDs the graph does not hold skipped); an empty set runs no task
-// and still terminates; and a RemoteSession says it cannot take one.
+// and still terminates; and the process host says it cannot take one.
 func TestSeedRestrictedLaunch(t *testing.T) {
 	g, _ := gen.Community(gen.CommunityConfig{Communities: 40, MinSize: 5, MaxSize: 10, PIn: 0.7, Bridges: 80, AttrDim: 3, AttrRange: 3, Seed: 9})
 	var seeds []graph.VertexID
@@ -462,7 +462,7 @@ func TestSeedRestrictedLaunch(t *testing.T) {
 	defer rs.Close()
 	sp := jobspec.Spec{App: "cd"}.Normalize()
 	if _, err := rs.Launch(algo.NewCommunityDetect(0.5, 3), JobOptions{Spec: &sp, Seeds: seeds}); err == nil || !strings.Contains(err.Error(), "Seeds") {
-		t.Fatalf("RemoteSession.Launch with a seed set: err = %v, want a refusal naming JobOptions.Seeds", err)
+		t.Fatalf("a process-host Launch with a seed set: err = %v, want a refusal naming JobOptions.Seeds", err)
 	}
 }
 

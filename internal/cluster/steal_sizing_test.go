@@ -10,17 +10,19 @@ import (
 // TestStealSizing drives the master's steal scheduling from synthetic
 // progress reports, like TestTerminationDecision drives termination: what a
 // MIGRATE asks for is half the gap between the fullest store and the
-// thief's, never under StealBatch, and a gap under StealBatch moves nothing.
+// thief's, never under StealBatch, and a gap under StealBatch moves nothing;
+// no task moves into or out of a slot that is draining.
 func TestStealSizing(t *testing.T) {
 	store := func(w int, size int64) *progressReport {
 		return &progressReport{Worker: w, SeedsDone: true, Inflight: size, StoreSize: size}
 	}
 	const thief = 2
 	cases := []struct {
-		name    string
-		reports []*progressReport // a nil slot never reported (or was just replaced)
-		failed  []int
-		ckpt    bool
+		name     string
+		reports  []*progressReport // a nil slot never reported (or was just replaced)
+		failed   []int
+		draining []int
+		ckpt     bool
 		// want: the victim and batch of the MIGRATE, or victim -1 for a
 		// msgNoTask to the thief, or -2 for no message at all.
 		victim, tnum int
@@ -35,6 +37,8 @@ func TestStealSizing(t *testing.T) {
 		{name: "nobody has work", reports: []*progressReport{store(0, 0), store(1, 0), store(2, 0)}, victim: -1},
 		{name: "failed victim is skipped", reports: []*progressReport{store(0, 10_000), store(1, 600), store(2, 0)}, failed: []int{0}, victim: 1, tnum: 300},
 		{name: "recovering victim is skipped", reports: []*progressReport{nil, store(1, 600), store(2, 0)}, victim: 1, tnum: 300},
+		{name: "draining thief gets nothing", reports: []*progressReport{store(0, 10_000), store(1, 400), store(2, 0)}, draining: []int{thief}, victim: -1},
+		{name: "draining victim is skipped", reports: []*progressReport{store(0, 10_000), store(1, 600), store(2, 0)}, draining: []int{0}, victim: 1, tnum: 300},
 		{name: "checkpoint pending freezes stealing", reports: []*progressReport{store(0, 10_000), store(1, 0), store(2, 0)}, ckpt: true, victim: -2},
 	}
 	for _, tc := range cases {
@@ -50,6 +54,9 @@ func TestStealSizing(t *testing.T) {
 			}
 			for _, w := range tc.failed {
 				m.failed[w] = true
+			}
+			for _, w := range tc.draining {
+				m.requestDrain(w)
 			}
 			if tc.ckpt {
 				m.ckptPending = 1

@@ -52,9 +52,10 @@ func rep(r *progressReport, echo string, wave int64) termStep {
 func TestTerminationDecision(t *testing.T) {
 	tick := Config{}.Defaults().progressInterval
 	cases := []struct {
-		name  string
-		cfg   Config
-		steps []termStep
+		name     string
+		cfg      Config
+		draining []int // slots draining from the start
+		steps    []termStep
 	}{
 		{
 			// Idle pushes, then two probe waves that agree.
@@ -137,6 +138,20 @@ func TestTerminationDecision(t *testing.T) {
 			},
 		},
 		{
+			// A draining slot's process is on its way out: its idle reports
+			// send no wave and end nothing until a replacement restarts it.
+			name:     "draining slot holds the job until its restart",
+			draining: []int{1},
+			steps: []termStep{
+				rep(idleRep(0, 10, 3, 0), "cur", 0),
+				rep(idleRep(1, 7, 0, 3), "cur", 0),
+				rep(idleRep(0, 10, 3, 0), "cur", 0),
+				{rep: idleRep(1, 0, 0, 0), echo: "cur", restart: 1, wave: 0}, // the replacement
+				{rep: idleRep(1, 0, 0, 0), echo: "cur", restart: -1, advance: 3*tick - 1, wave: 0},
+				{rep: idleRep(1, 0, 0, 0), echo: "cur", restart: -1, advance: 1, want: true, wave: 0},
+			},
+		},
+		{
 			// Simulated latency keeps the widened window and never probes; a
 			// fingerprint that moves restarts the window.
 			name: "latency keeps the widened time-spaced window",
@@ -159,6 +174,9 @@ func TestTerminationDecision(t *testing.T) {
 			net := transport.NewLocal(transport.LocalConfig{Nodes: 3})
 			defer net.Close()
 			m := newMaster(cfg, net.Endpoint(2), nil, &metrics.Counters{}, nil, nil, nil)
+			for _, w := range tc.draining {
+				m.requestDrain(w)
+			}
 			now := time.Unix(0, 0)
 			probes := 0
 			for i, st := range tc.steps {
@@ -326,14 +344,12 @@ func TestTerminationSoakStealUnderDelay(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		gate := &stealGate{}
 		fallback := time.AfterFunc(100*time.Millisecond, gate.release)
-		j, err := s.launch(a, JobOptions{}, launchSpec{
-			newHost: func(j *Job, plan core.Plan, eps []transport.Endpoint) (workerHost, error) {
-				for i, ep := range eps {
-					eps[i] = &lateTasks{Endpoint: ep, rng: rand.New(rand.NewSource(rng.Int63())), gate: gate}
-				}
-				return &goroutineHost{j: j, algo: a, tables: s.oriented.tables(plan, s.g, s.assign, j.cfg.GraphEpoch, s.tables), eps: eps, workers: make([]*Worker, len(eps))}, nil
-			},
-		})
+		s.wrapEps = func(eps []transport.Endpoint) {
+			for i, ep := range eps {
+				eps[i] = &lateTasks{Endpoint: ep, rng: rand.New(rand.NewSource(rng.Int63())), gate: gate}
+			}
+		}
+		j, err := s.Launch(a, JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,8 +40,7 @@ const deltaPollFallback = 500 * time.Millisecond
 // ad-hoc jobs are not disturbed: the session's epoch lock waits for their
 // read leases before the graph moves.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	mc, ok := s.sess.(MutableCluster)
-	if !ok || !mc.Dynamic() {
+	if !s.sess.Dynamic() {
 		writeErr(w, http.StatusNotImplemented,
 			fmt.Errorf("%w: start gminerd with -dynamic", ErrNotDynamic))
 		return
@@ -59,7 +58,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// batch's reach holds BEFORE the batch lands.
 	pre := s.reg.standingPrepare(b.DirtyIDs())
 
-	epr, err := mc.ApplyMutations(b)
+	epr, err := s.sess.ApplyMutations(b)
 	if err != nil {
 		// The batch was syntactically valid but semantically rejected
 		// (e.g. it would empty the graph): conflict, nothing changed.

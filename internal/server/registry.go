@@ -244,13 +244,6 @@ func (r *registry) cacheKeyAt(req JobRequest, epoch int64) qos.CacheKey {
 // entries' memory at once).
 func (r *registry) invalidateCache() { r.cache.Invalidate() }
 
-// dynamic reports whether the backing session accepts mutation batches.
-// Only the in-process cluster.Session started with Config.Dynamic does.
-func (r *registry) dynamic() bool {
-	d, ok := r.sess.(interface{ Dynamic() bool })
-	return ok && d.Dynamic()
-}
-
 // submit admits one job request: validates the spec against the resident
 // graph, serves it from the result cache when possible, otherwise
 // enqueues into the weighted-fair queue and pumps the scheduler. The
@@ -270,7 +263,7 @@ func (r *registry) submit(req JobRequest) (*job, error) {
 	if buildErr != nil {
 		return nil, buildErr
 	}
-	if req.Spec.Standing && !r.dynamic() {
+	if req.Spec.Standing && !r.sess.Dynamic() {
 		return nil, fmt.Errorf("%w: standing queries need a -dynamic daemon", ErrNotDynamic)
 	}
 	if req.Spec.Epoch > 0 {

@@ -27,10 +27,10 @@ import (
 	"gminer/internal/metrics"
 )
 
-// Cluster is the warm-session surface the daemon serves over. Both the
-// in-process cluster.Session and the multi-process cluster.RemoteSession
-// satisfy it; the registry and handlers are agnostic to which one backs
-// them.
+// Cluster is the warm-session surface the daemon serves over:
+// cluster.Session, whichever host its workers live on. The registry and
+// handlers never ask which; a capability the host lacks gives its neutral
+// answer (no mutations, no worker processes to report).
 type Cluster interface {
 	Launch(a core.Algorithm, opt cluster.JobOptions) (*cluster.Job, error)
 	Graph() *graph.Graph
@@ -40,31 +40,22 @@ type Cluster interface {
 	Fingerprint() uint64
 	ActiveJobs() int
 	DroppedMessages() int64
-	// GraphEpoch is the resident graph's mutation epoch (0 on a static or
-	// remote session, monotonic on a dynamic one).
+	// GraphEpoch is the resident graph's mutation epoch (0 on a static
+	// session, monotonic on a dynamic one).
 	GraphEpoch() int64
 	// WithGraphRead runs fn while the resident graph is guaranteed not to
 	// mutate. On static sessions it is a plain call.
 	WithGraphRead(fn func())
-	Close()
-}
-
-// MutableCluster is the optional dynamic-graph extension of Cluster: only
-// the in-process cluster.Session started with Config.Dynamic implements a
-// true ApplyMutations (remote sessions reject Config.Dynamic at build
-// time, so POST /graph/mutations answers 501 there).
-type MutableCluster interface {
-	Cluster
+	// Dynamic reports whether ApplyMutations takes batches: only a session
+	// built with cluster.Config.Dynamic does (POST /graph/mutations answers
+	// 501 elsewhere).
 	Dynamic() bool
 	ApplyMutations(b dyngraph.Batch) (*cluster.EpochResult, error)
-}
-
-// WorkerHealthReporter is the optional multi-process extension of
-// Cluster: per-worker-process liveness for /healthz and /metrics. The
-// in-process Session does not implement it (its workers are goroutines —
-// alive iff the daemon is).
-type WorkerHealthReporter interface {
+	// WorkerHealth is the per-slot liveness of the worker processes for
+	// /healthz and /metrics; nil when the workers are goroutines, alive iff
+	// the daemon is.
 	WorkerHealth() []cluster.WorkerStatus
+	Close()
 }
 
 // Server serves mining jobs over one warm cluster session.
@@ -287,17 +278,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"uptime":      time.Since(s.start).Round(time.Millisecond).String(),
 		"graph":       map[string]int{"vertices": vertices},
 		"graph_epoch": s.sess.GraphEpoch(),
-		"dynamic":     s.reg.dynamic(),
+		"dynamic":     s.sess.Dynamic(),
 		"queued":      queued,
 		"running":     running,
 		"standing":    standing,
 		"sessions":    1,
 	}
-	if hr, ok := s.sess.(WorkerHealthReporter); ok {
+	if workers := s.sess.WorkerHealth(); workers != nil {
 		// Multi-process mode: the daemon is degraded (still 503, like
 		// draining — load balancers should not route here) until every
 		// worker slot has a live process attached.
-		workers := hr.WorkerHealth()
 		ws := make([]map[string]any, len(workers))
 		allUp := true
 		for i, st := range workers {
@@ -374,8 +364,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Family("gminer_result_cache_hits_total", "counter", "Jobs answered from the result cache.").Int("", cs.Hits)
 	p.Family("gminer_result_cache_misses_total", "counter", "Submits that had to compute.").Int("", cs.Misses)
 	p.Family("gminer_result_cache_entries", "gauge", "Result-cache entries resident.").Int("", int64(cs.Entries))
-	if hr, ok := s.sess.(WorkerHealthReporter); ok {
-		workers := hr.WorkerHealth()
+	if workers := s.sess.WorkerHealth(); workers != nil {
 		p.Family("gminer_cluster_workers", "gauge", "Worker-process slots in the multi-process cluster.").Int("", int64(len(workers)))
 		p.Family("gminer_cluster_worker_up", "gauge", "Whether a live worker process holds the slot (by node index).")
 		for _, st := range workers {

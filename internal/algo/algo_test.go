@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -172,7 +173,7 @@ func TestSearchMaxCliqueExported(t *testing.T) {
 	}
 	g.AddEdge(4, 5)
 	g.Freeze()
-	ids := []graph.VertexID{2, 3, 4, 5}
+	ids := []graph.VertexID{1, 2, 3, 4} // vertices 2..5
 	verts := make([]*graph.Vertex, len(ids))
 	for i, id := range ids {
 		verts[i] = g.Vertex(id)
@@ -317,8 +318,10 @@ func TestQuickMatchCount(t *testing.T) {
 
 // The records of CD, GC, QC and MCF end in formatIDs, which builds in one
 // buffer exactly what the formatter it replaced built with += and Sprintf
-// (kept here as the reference): the IDs as %d prints them, one space apart.
+// (kept here as the reference): the external IDs, ascending, as %d prints
+// them, one space apart.
 func TestFormatIDsMatchesSprintf(t *testing.T) {
+	identity := func(id graph.VertexID) graph.VertexID { return id }
 	ref := func(ids []graph.VertexID) string {
 		out := ""
 		for i, id := range ids {
@@ -329,13 +332,21 @@ func TestFormatIDsMatchesSprintf(t *testing.T) {
 		}
 		return out
 	}
-	same := func(ids []graph.VertexID) bool { return formatIDs(ids) == ref(ids) }
+	same := func(ids []graph.VertexID) bool {
+		got := formatIDs(identity, ids)
+		slices.Sort(ids)
+		return got == ref(ids)
+	}
 	for _, ids := range [][]graph.VertexID{nil, {}, {0}, {-1, 0, 9, 10}, {math.MinInt64, math.MaxInt64}} {
 		if !same(ids) {
-			t.Fatalf("formatIDs(%v) = %q, want %q", ids, formatIDs(ids), ref(ids))
+			t.Fatalf("formatIDs(%v) = %q, want %q", ids, formatIDs(identity, ids), ref(ids))
 		}
 	}
 	if err := quick.Check(same, nil); err != nil {
 		t.Fatal(err)
+	}
+	negated := func(id graph.VertexID) graph.VertexID { return -id }
+	if got := formatIDs(negated, []graph.VertexID{1, 2, 30}); got != "-30 -2 -1" {
+		t.Fatalf("formatIDs names %q, want the external IDs ascending", got)
 	}
 }

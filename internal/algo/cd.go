@@ -108,6 +108,6 @@ func (a *CommunityDetect) Update(t *core.Task, cands []*graph.Vertex, env core.E
 	if best >= a.MinSize && len(members) > 0 {
 		community := append(members, seedID)
 		slices.Sort(community)
-		env.Emit("community size=" + strconv.Itoa(best) + ": " + formatIDs(community))
+		env.Emit("community size=" + strconv.Itoa(best) + ": " + formatIDs(env.External, community))
 	}
 }

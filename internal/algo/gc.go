@@ -195,7 +195,7 @@ func (g *GraphCluster) report(t *core.Task, ctx *gcContext, env core.Env) {
 	if members[0] != ctx.seed {
 		return
 	}
-	env.Emit(fmt.Sprintf("cluster size=%d: %s", len(members), formatIDs(members)))
+	env.Emit(fmt.Sprintf("cluster size=%d: %s", len(members), formatIDs(env.External, members)))
 }
 
 func insertSorted(ids []graph.VertexID, x graph.VertexID) []graph.VertexID {

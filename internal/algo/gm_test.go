@@ -485,7 +485,7 @@ func TestGMPatternZoo(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		dense := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 4000, Seed: seed})
 		gen.DealLabels(dense, 5)
-		for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": sparseIDs(dense)} {
+		for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": stridedIDs(dense)} {
 			for pname, p := range patterns {
 				shape := fmt.Sprintf("seed %d/%s/%s", seed, gname, pname)
 				want := RefMatchCount(g, p)

@@ -52,8 +52,8 @@ func TestTCKernelVsGenericPinned(t *testing.T) {
 
 	planTC := NewTriangleCount()
 	planRes := SeqRun(g, planTC)
-	if genericTC.oriented || !planTC.oriented {
-		t.Fatalf("oriented: generic TC %v, planned TC %v", genericTC.oriented, planTC.oriented)
+	if genericTC.bitmaps != nil || planTC.bitmaps == nil {
+		t.Fatalf("oriented: generic TC %v, planned TC %v", genericTC.bitmaps != nil, planTC.bitmaps != nil)
 	}
 
 	if genRes.AggGlobal.(int64) != want {

@@ -96,7 +96,7 @@ func (m *MaxClique) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 		if len(members) > 0 {
 			clique := append(members, t.Subgraph.Vertices()...)
 			slices.Sort(clique)
-			env.Emit("clique size=" + strconv.Itoa(best) + ": " + formatIDs(clique))
+			env.Emit("clique size=" + strconv.Itoa(best) + ": " + formatIDs(env.External, clique))
 		}
 	}
 	// No Pull: the task dies.

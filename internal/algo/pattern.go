@@ -8,6 +8,7 @@ package algo
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"gminer/internal/graph"
@@ -139,11 +140,17 @@ func weightedSimilarity(a, exemplar []int32, weights []float64) float64 {
 	return match / total
 }
 
-// formatIDs renders a sorted vertex set as a stable record string: the IDs
-// in decimal, one space apart, built in one buffer.
-func formatIDs(ids []graph.VertexID) string {
-	buf := make([]byte, 0, 8*len(ids))
+// formatIDs renders a vertex set as a stable record string: the external
+// IDs ext gives its members, ascending, in decimal, one space apart, built in
+// one buffer. It is the one place a record names vertices.
+func formatIDs(ext func(graph.VertexID) graph.VertexID, ids []graph.VertexID) string {
+	named := make([]graph.VertexID, len(ids))
 	for i, id := range ids {
+		named[i] = ext(id)
+	}
+	slices.Sort(named)
+	buf := make([]byte, 0, 8*len(named))
+	for i, id := range named {
 		if i > 0 {
 			buf = append(buf, ' ')
 		}

@@ -71,7 +71,7 @@ func (a *QuasiClique) Update(t *core.Task, cands []*graph.Vertex, env core.Env) 
 	if members[0] != seed {
 		return // dedup: only the smallest member's task reports
 	}
-	env.Emit(fmt.Sprintf("quasiclique gamma=%.2f size=%d: %s", a.Gamma, len(members), formatIDs(members)))
+	env.Emit(fmt.Sprintf("quasiclique gamma=%.2f size=%d: %s", a.Gamma, len(members), formatIDs(env.External, members)))
 }
 
 // grow runs the deterministic greedy expansion and returns the sorted
@@ -170,7 +170,7 @@ func RefQuasiCliques(g *graph.Graph, a *QuasiClique) []string {
 		}
 		members := a.grow(v.ID, candIDs, cands)
 		if len(members) >= a.MinSize && members[0] == v.ID {
-			out = append(out, fmt.Sprintf("quasiclique gamma=%.2f size=%d: %s", a.Gamma, len(members), formatIDs(members)))
+			out = append(out, fmt.Sprintf("quasiclique gamma=%.2f size=%d: %s", a.Gamma, len(members), formatIDs(g.External, members)))
 		}
 		return true
 	})

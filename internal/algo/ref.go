@@ -156,7 +156,7 @@ func RefCommunities(g *graph.Graph, a *CommunityDetect) []string {
 		if best >= a.MinSize && len(members) > 0 {
 			community := append(members, v.ID)
 			slices.Sort(community)
-			out = append(out, fmt.Sprintf("community size=%d: %s", best, formatIDs(community)))
+			out = append(out, fmt.Sprintf("community size=%d: %s", best, formatIDs(g.External, community)))
 		}
 		return true
 	})
@@ -217,7 +217,7 @@ func RefClusters(g *graph.Graph, a *GraphCluster) []string {
 			sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
 		}
 		if len(members) >= a.MinSize && members[0] == v.ID {
-			out = append(out, fmt.Sprintf("cluster size=%d: %s", len(members), formatIDs(members)))
+			out = append(out, fmt.Sprintf("cluster size=%d: %s", len(members), formatIDs(g.External, members)))
 		}
 		return true
 	})

@@ -117,3 +117,6 @@ func (e *seqEnv) AggGlobal() any { return e.partial }
 
 // LocalVertex implements core.Env.
 func (e *seqEnv) LocalVertex(id graph.VertexID) *graph.Vertex { return e.g.Vertex(id) }
+
+// External implements core.Env.
+func (e *seqEnv) External(id graph.VertexID) graph.VertexID { return e.g.External(id) }

@@ -22,10 +22,9 @@ import (
 //     seed's candidates are its forward list as it stands, and each pulled
 //     candidate's forward list is intersected with it — every operand is
 //     bounded by the arboricity, not the degree, and each triangle is
-//     counted at its lowest (degree, ID) vertex. On a graph whose IDs are
-//     dense the seed's list is marked once per task in a bitmap over the ID
-//     span and every candidate list is one probe per element; otherwise the
-//     two short lists go through the merge/gallop kernels. When the runtime
+//     counted at its lowest (degree, ID) vertex. The seed's list is marked
+//     once per task in a bitmap over the view's internal IDs, and every
+//     candidate list is one probe per element. When the runtime
 //     also offers the view's resident core (kernels.ResidentCore), the task
 //     marks its resident candidates by the core's index as well, and a
 //     candidate whose list is a bit row is counted a word at a time.
@@ -41,11 +40,9 @@ type TriangleCount struct {
 	// offers the oriented graph.
 	Generic bool
 
-	oriented bool
-	// base and bitmaps are set when the oriented graph's IDs are dense: a
-	// task marks ID x as bit x-base of a pooled bitmap over the ID span
-	// (a *tcScratch), and with a core its resident candidates in the marks.
-	base    graph.VertexID
+	// bitmaps is set on the oriented path: a task marks ID x as bit x of a
+	// pooled bitmap over the view's internal IDs (a *tcScratch), and with a
+	// core its resident candidates in the marks.
 	bitmaps *sync.Pool
 	core    *kernels.ResidentCore
 }
@@ -69,36 +66,32 @@ func (*TriangleCount) Aggregator() core.Aggregator { return core.SumInt64Aggrega
 // graph an earlier job of this value ran on, this one is on the undirected
 // graph until the runtime offers the view.
 func (a *TriangleCount) Plan() core.Plan {
-	a.oriented, a.bitmaps, a.core = false, nil, nil
+	a.bitmaps, a.core = nil, nil
 	if a.Generic {
 		return core.Plan{}
 	}
 	return core.Plan{Oriented: a.mineOriented}
 }
 
-// mineOriented moves the job onto G⁺. The bitmap is used when the view's IDs
-// are dense (graph.DenseIDs: then it is no bigger than the vertex table, one
-// bit per ID against one pointer per vertex) — a property of the input, not
-// a knob — and so is the resident core, which exists only then.
+// mineOriented moves the job onto G⁺. A task's bitmap has one bit per
+// internal ID of the view, against the vertex table's pointer per vertex.
 func (a *TriangleCount) mineOriented(gplus *graph.Graph, rc *kernels.ResidentCore) {
-	a.oriented = true
-	if base, span, ok := gplus.DenseIDs(); ok {
-		a.base, a.core = base, rc
-		a.bitmaps = &sync.Pool{New: func() any {
-			sc := &tcScratch{ids: kernels.NewScratch(span)}
-			if rc != nil {
-				sc.marks = make([]uint64, rc.Words())
-			}
-			return sc
-		}}
-	}
+	a.core = rc
+	slots := gplus.Slots() // not gplus: the pool outlives the job's epoch
+	a.bitmaps = &sync.Pool{New: func() any {
+		sc := &tcScratch{ids: kernels.NewScratch(slots)}
+		if rc != nil {
+			sc.marks = make([]uint64, rc.Words())
+		}
+		return sc
+	}}
 }
 
 // Seed implements core.Algorithm: one task per vertex with at least two
 // candidates (fewer cannot close a triangle).
 func (a *TriangleCount) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 	cands := v.Adj // oriented: the forward list is the candidate set
-	if !a.oriented {
+	if a.bitmaps == nil {
 		cands = cands[kernels.SearchSorted(cands, v.ID+1):]
 	}
 	if len(cands) < 2 {
@@ -116,7 +109,7 @@ func (a *TriangleCount) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 func (a *TriangleCount) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 	var count int64
 	switch {
-	case !a.oriented:
+	case a.bitmaps == nil:
 		for i, u := range cands {
 			if u == nil {
 				continue
@@ -130,18 +123,12 @@ func (a *TriangleCount) Update(t *core.Task, cands []*graph.Vertex, env core.Env
 				}
 			}
 		}
-	case a.bitmaps == nil:
-		for _, u := range cands {
-			if u != nil {
-				count += int64(kernels.Count(u.Adj, t.Cands))
-			}
-		}
 	case a.core == nil:
 		sc := a.bitmaps.Get().(*tcScratch)
-		kernels.MarkAll(sc.ids, t.Cands, a.base)
+		kernels.MarkAll(sc.ids, t.Cands)
 		for _, u := range cands {
 			if u != nil {
-				count += int64(kernels.CountMarked(sc.ids, u.Adj, a.base))
+				count += int64(kernels.CountMarked(sc.ids, u.Adj))
 			}
 		}
 		sc.ids.Reset()
@@ -155,7 +142,7 @@ func (a *TriangleCount) Update(t *core.Task, cands []*graph.Vertex, env core.Env
 			}
 			n, row := a.core.Count(sc.ids, sc.marks, u.ID)
 			if !row {
-				n = kernels.CountMarked(sc.ids, u.Adj, a.base)
+				n = kernels.CountMarked(sc.ids, u.Adj)
 			}
 			count += int64(n)
 		}

@@ -10,14 +10,15 @@ import (
 	"gminer/internal/plan"
 )
 
-// sparseIDs copies g, labels included, with every ID scaled and offset, so
-// the ID span is far wider than 64·|V|: the oriented path's bitmap rule and
-// GM's position table both decline.
-func sparseIDs(g *graph.Graph) *graph.Graph {
-	relabel := func(id graph.VertexID) graph.VertexID { return id*1009 + 5_000_000_007 }
+// stridedIDs copies g, labels and attributes included, with every external
+// ID scaled and offset far apart. The relabelling is monotone, so the copy
+// numbers its vertices exactly as g does.
+func stridedIDs(g *graph.Graph) *graph.Graph {
+	relabel := func(id graph.VertexID) graph.VertexID { return g.External(id)*1009 + 5_000_000_007 }
 	out := graph.New(g.NumVertices())
 	g.ForEach(func(v *graph.Vertex) bool {
-		out.AddVertex(relabel(v.ID)).Label = v.Label
+		nv := out.AddVertex(relabel(v.ID))
+		nv.Label, nv.Attrs = v.Label, v.Attrs
 		for _, u := range v.Adj {
 			out.AddEdge(relabel(v.ID), relabel(u))
 		}
@@ -28,22 +29,22 @@ func sparseIDs(g *graph.Graph) *graph.Graph {
 }
 
 // Oriented TC == generic TC == the compiled triangle plan == the reference
-// count, on skewed and on community graphs, with dense IDs (bitmap) and
-// with sparse IDs (merge/gallop over forward lists). SeqRun offers the
-// resident core the way the runtime does: RMAT takes it, the community graph
-// declines it, and sparse IDs have none.
+// count, on skewed and on community graphs, as generated and with their IDs
+// strided far apart: the bitmap over internal IDs either way. SeqRun offers
+// the resident core the way the runtime does: RMAT takes it, the community
+// graph declines it.
 func TestOrientedTCDifferential(t *testing.T) {
 	community, _ := gen.Community(gen.CommunityConfig{Communities: 60, MinSize: 5, MaxSize: 12, PIn: 0.7, Bridges: 200, Seed: 3})
 	rmat := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 3})
 	for _, tc := range []struct {
-		name        string
-		g           *graph.Graph
-		dense, core bool
+		name string
+		g    *graph.Graph
+		core bool
 	}{
-		{"rmat", rmat, true, true},
-		{"community", community, true, false},
-		{"rmat-sparse-ids", sparseIDs(rmat), false, false},
-		{"community-sparse-ids", sparseIDs(community), false, false},
+		{"rmat", rmat, true},
+		{"community", community, false},
+		{"rmat-sparse-ids", stridedIDs(rmat), true},
+		{"community-sparse-ids", stridedIDs(community), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := RefTriangles(tc.g)
@@ -52,16 +53,16 @@ func TestOrientedTCDifferential(t *testing.T) {
 			}
 			generic := NewTriangleCount()
 			generic.Generic = true
-			if got := SeqRun(tc.g, generic).AggGlobal; got != any(want) || generic.oriented {
-				t.Fatalf("generic TC = %v (oriented=%v), reference %d", got, generic.oriented, want)
+			if got := SeqRun(tc.g, generic).AggGlobal; got != any(want) || generic.bitmaps != nil {
+				t.Fatalf("generic TC = %v (oriented=%v), reference %d", got, generic.bitmaps != nil, want)
 			}
 			oriented := NewTriangleCount()
 			res := SeqRun(tc.g, oriented)
-			if res.AggGlobal != any(want) || !oriented.oriented {
-				t.Fatalf("oriented TC = %v (oriented=%v), reference %d", res.AggGlobal, oriented.oriented, want)
+			if res.AggGlobal != any(want) || oriented.bitmaps == nil {
+				t.Fatalf("oriented TC = %v (oriented=%v), reference %d", res.AggGlobal, oriented.bitmaps != nil, want)
 			}
-			if bitmap := oriented.bitmaps != nil; bitmap != tc.dense || (oriented.core != nil) != tc.core {
-				t.Fatalf("bitmap path taken = %v, resident core = %v on a graph with dense IDs = %v", bitmap, oriented.core != nil, tc.dense)
+			if (oriented.core != nil) != tc.core {
+				t.Fatalf("resident core = %v, want %v", oriented.core != nil, tc.core)
 			}
 			planned, err := plan.Count(kernels.MustBuild(tc.g), plan.Triangle())
 			if err != nil || planned != want {
@@ -223,11 +224,11 @@ func TestTCUnawareRunnerStaysGeneric(t *testing.T) {
 		t.Fatalf("fresh value: bare loop counted %v triangles, reference %d", got, want)
 	}
 	reused := NewTriangleCount()
-	if res := SeqRun(g, reused); res.AggGlobal != any(want) || !reused.oriented {
-		t.Fatalf("planned job counted %v triangles (oriented=%v), reference %d", res.AggGlobal, reused.oriented, want)
+	if res := SeqRun(g, reused); res.AggGlobal != any(want) || reused.bitmaps == nil {
+		t.Fatalf("planned job counted %v triangles (oriented=%v), reference %d", res.AggGlobal, reused.bitmaps != nil, want)
 	}
-	if got := bare(reused); got != any(want) || reused.oriented {
-		t.Fatalf("reused value: bare loop counted %v triangles (oriented=%v), reference %d", got, reused.oriented, want)
+	if got := bare(reused); got != any(want) || reused.bitmaps != nil {
+		t.Fatalf("reused value: bare loop counted %v triangles (oriented=%v), reference %d", got, reused.bitmaps != nil, want)
 	}
 	generic := NewTriangleCount()
 	generic.Generic = true

@@ -488,3 +488,6 @@ func (c *lruCache) unlink(e *lruEntry) {
 	}
 	e.prev, e.next = nil, nil
 }
+
+// External implements core.Env.
+func (w *batchWorker) External(id graph.VertexID) graph.VertexID { return w.engine.g.External(id) }

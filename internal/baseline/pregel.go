@@ -68,14 +68,15 @@ func runPregel(g *graph.Graph, prog VertexProgram, cfg Config, counters *metrics
 	dl := newDeadline(cfg.Timeout)
 	start := time.Now()
 
-	n := g.NumVertices()
+	ids := g.IDs()
+	n := len(ids)
 	states := make([]any, n)
 	halted := make([]bool, n)
 	inbox := make(map[graph.VertexID][]Message)
 	index := make(map[graph.VertexID]int, n)
 	owner := make([]int, n)
 	for i := 0; i < n; i++ {
-		id := g.VertexAt(i).ID
+		id := ids[i]
 		index[id] = i
 		owner[i] = int(lsh.HashID(uint64(id)) % uint64(cfg.Workers))
 	}
@@ -93,7 +94,7 @@ func runPregel(g *graph.Graph, prog VertexProgram, cfg Config, counters *metrics
 		// Active set: not halted, or has messages.
 		active := make([]int, 0, n)
 		for i := 0; i < n; i++ {
-			if !halted[i] || len(inbox[g.VertexAt(i).ID]) > 0 {
+			if !halted[i] || len(inbox[ids[i]]) > 0 {
 				active = append(active, i)
 			}
 		}
@@ -116,7 +117,7 @@ func runPregel(g *graph.Graph, prog VertexProgram, cfg Config, counters *metrics
 				defer func() { busy.Add(int64(time.Since(tStart))) }()
 				for k := t; k < len(active); k += threads {
 					i := active[k]
-					v := g.VertexAt(i)
+					v := g.Vertex(ids[i])
 					ctx := &ComputeCtx{Superstep: superstep}
 					states[i] = prog.Compute(ctx, v, states[i], inbox[v.ID])
 					halted[i] = ctx.halted

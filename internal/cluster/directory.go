@@ -9,13 +9,12 @@ import (
 	"gminer/internal/partition"
 )
 
-// directory answers "who owns ID x, and which vertex is it" for one view of
-// the resident graph — g or G⁺ — at one graph epoch. Every worker of every
-// job on that view shares it read-only; a mutation batch retires it with
-// the epoch, since both the ID span and the owners may have moved. When the
-// view's IDs are dense (graph.DenseIDs, the rule TC's bitmap goes by) a
-// lookup is one load from an array indexed by id − base; otherwise it is the
-// hash tables of Figure 4, one per worker, plus the assignment's owner map.
+// directory answers "who owns vertex x, and which vertex is it" for one
+// view of the resident graph — g or G⁺ — at one graph epoch: one slot per
+// internal ID, so a lookup is one load. Every worker of every job on that
+// view shares it read-only; a mutation batch retires it with the epoch,
+// since the owners may have moved and new IDs been issued. It stands in for
+// Figure 4's per-worker hash tables.
 //
 // Owner and label are replicated on every worker for every vertex of the
 // graph, the labels as the epoch's column (graph.Labels) that the base view's
@@ -26,15 +25,11 @@ import (
 // without a pull is local's answer and nobody else's; owner keeps naming the
 // one worker that seeds and serves the vertex.
 type directory struct {
+	g      *graph.Graph // the view; records name its vertices by External
 	assign *partition.Assignment
 
-	base   graph.VertexID
-	slots  []dirSlot     // dense arm; nil on the sparse one
-	labels *graph.Labels // the epoch's label column, on either arm; nil on G⁺
-
-	// Sparse arm, by worker. A resident vertex is entered in every worker's
-	// table (on the dense arm it is marked in its slot).
-	tables []map[graph.VertexID]*graph.Vertex
+	slots  []dirSlot     // by internal ID
+	labels *graph.Labels // the epoch's label column; nil on G⁺
 
 	// residentLists and residentBytes size the resident set (reporting, and
 	// the workers' memory accounts); residentRows counts the lists the view's
@@ -58,27 +53,16 @@ type dirSlot struct {
 // vertex (the workers' seed scans, a view's footprints) rides this pass
 // instead of making its own.
 func newDirectory(g *graph.Graph, assign *partition.Assignment, labelled bool, visit func(v *graph.Vertex, owner int)) *directory {
-	base, span, dense := g.DenseIDs()
-	d := &directory{assign: assign}
+	d := &directory{g: g, assign: assign, slots: make([]dirSlot, g.Slots())}
 	if labelled {
-		d.labels = graph.NewLabels(g, base, span, dense)
+		d.labels = graph.NewLabels(g)
 	}
-	if dense {
-		d.fillDense(g, base, span, visit)
-	} else {
-		d.fillSparse(g, visit)
-	}
-	return d
-}
-
-func (d *directory) fillDense(g *graph.Graph, base graph.VertexID, span int, visit func(*graph.Vertex, int)) {
-	d.base, d.slots = base, make([]dirSlot, span)
 	for i := range d.slots {
 		d.slots[i].owner = -1
 	}
 	g.ForEach(func(v *graph.Vertex) bool {
-		w := d.assign.Owner(v.ID)
-		d.slots[v.ID-base] = dirSlot{v: v, owner: int32(w)}
+		w := assign.Owner(v.ID)
+		d.slots[v.ID] = dirSlot{v: v, owner: int32(w)}
 		if d.labels != nil {
 			d.labels.Set(v)
 		}
@@ -87,34 +71,13 @@ func (d *directory) fillDense(g *graph.Graph, base graph.VertexID, span int, vis
 		}
 		return true
 	})
-}
-
-func (d *directory) fillSparse(g *graph.Graph, visit func(*graph.Vertex, int)) {
-	d.tables = make([]map[graph.VertexID]*graph.Vertex, d.assign.K)
-	for i, n := range d.assign.Sizes() {
-		d.tables[i] = make(map[graph.VertexID]*graph.Vertex, n)
-	}
-	g.ForEach(func(v *graph.Vertex) bool {
-		if d.labels != nil {
-			d.labels.Set(v)
-		}
-		if w := d.assign.Owner(v.ID); w >= 0 {
-			d.tables[w][v.ID] = v
-			if visit != nil {
-				visit(v, w)
-			}
-		}
-		return true
-	})
+	return d
 }
 
 // owner returns the worker owning id, -1 if nobody does.
 func (d *directory) owner(id graph.VertexID) int {
-	if d.slots == nil {
-		return d.assign.Owner(id)
-	}
-	if i := uint64(id - d.base); i < uint64(len(d.slots)) {
-		return int(d.slots[i].owner)
+	if uint64(id) < uint64(len(d.slots)) {
+		return int(d.slots[id].owner)
 	}
 	return -1
 }
@@ -122,11 +85,8 @@ func (d *directory) owner(id graph.VertexID) int {
 // local returns vertex id if worker self reads it without a pull — it owns
 // the vertex, or the view keeps its list resident on every worker — else nil.
 func (d *directory) local(id graph.VertexID, self int) *graph.Vertex {
-	if d.slots == nil {
-		return d.tables[self][id]
-	}
-	if i := uint64(id - d.base); i < uint64(len(d.slots)) {
-		if s := &d.slots[i]; int(s.owner) == self || s.resident {
+	if uint64(id) < uint64(len(d.slots)) {
+		if s := &d.slots[id]; int(s.owner) == self || s.resident {
 			return s.v
 		}
 	}
@@ -141,16 +101,10 @@ func (d *directory) keepResident(ids []graph.VertexID, foot []int64) {
 	for _, id := range ids {
 		owner := d.owner(id)
 		v := d.local(id, owner)
-		if d.slots != nil {
-			d.slots[id-d.base].resident = true
-		}
+		d.slots[id].resident = true
 		for w := range foot {
-			if w == owner {
-				continue
-			}
-			foot[w] += v.FootprintBytes()
-			if d.slots == nil {
-				d.tables[w][id] = v
+			if w != owner {
+				foot[w] += v.FootprintBytes()
 			}
 		}
 		d.residentBytes += v.FootprintBytes()

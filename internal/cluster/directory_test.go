@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -18,62 +19,21 @@ import (
 	"gminer/internal/partition"
 )
 
-// The directory's two arms are one function of (graph, assignment): for
-// every ID of the graph — and the IDs around and between them — the array
-// arm and the hash-table arm name the same owner and hand each worker the
-// same vertex object. Only an ID the graph does not hold may differ in owner
-// (a block-backed assignment owns whole blocks; the array knows the vertex is
-// not there), and then neither arm has a vertex for anybody.
-func TestDirectoryArmsAgree(t *testing.T) {
-	g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 3000, Seed: 5})
-	base, span, ok := g.DenseIDs()
-	if !ok {
-		t.Fatal("RMAT IDs are not dense")
-	}
-	for _, p := range []partition.Partitioner{partition.Hash{}, partition.BDG{}, partition.Blocked{Shift: 3}} {
-		assign, err := p.Partition(g, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dense := newDirectory(g, assign, true, nil)
-		sparse := &directory{assign: assign, labels: g.LabelColumn()}
-		sparse.fillSparse(g, nil)
-		if !dense.dense() || sparse.dense() {
-			t.Fatalf("%s: arms dense=%v sparse=%v", p.Name(), dense.dense(), sparse.dense())
-		}
-		for id := base - 3; id < base+graph.VertexID(span)+3; id++ {
-			if g.Has(id) && dense.owner(id) != sparse.owner(id) {
-				t.Fatalf("%s: owner of %d: array %d, tables %d", p.Name(), id, dense.owner(id), sparse.owner(id))
-			}
-			if !g.Has(id) && dense.owner(id) != -1 {
-				t.Fatalf("%s: array arm gives absent ID %d to worker %d", p.Name(), id, dense.owner(id))
-			}
-			for self := 0; self < assign.K; self++ {
-				dv, sv := dense.local(id, self), sparse.local(id, self)
-				if dv != sv || (dv != nil) != (g.Has(id) && assign.Owner(id) == self) {
-					t.Fatalf("%s: vertex %d as seen by worker %d: array %p, tables %p, owner %d", p.Name(), id, self, dv, sv, assign.Owner(id))
-				}
-			}
-		}
-	}
-}
-
 // The label column a directory fills in its pass is the graph's labels,
 // whatever they are: on random graphs labelled from NoLabel, other negatives,
-// [0, 64), 64 and beyond and the int32 extremes, every ID of the span and
-// around it reads (label, true) when the graph holds it and false when not —
-// with dense IDs (the flat column, through either directory arm) and with
-// strided ones (the index). A vertex carrying the column's empty-slot mark,
-// math.MinInt32, sends a dense graph's column to the index instead. Each
-// mutation batch's epoch has its own column: a vertex deleted and added back
-// under another label reads the new one, a deleted vertex reads false, and a
-// vertex added past the span widens it (TestGMPruningFollowsGraphEpoch has
-// the next GM job count with the new label).
+// [0, 64), 64 and beyond and the int32 extremes, every internal ID and the
+// IDs around them read (label, true) when the graph holds the vertex and
+// false when not — math.MinInt32, the column's empty-slot mark, included. A
+// copy of the graph with its external IDs strided apart reads the same
+// column. Each mutation batch's epoch has its own column: a vertex deleted
+// and added back under another label reads the new one, a deleted vertex
+// reads false, and a vertex added past the old slots reads its label
+// (TestGMPruningFollowsGraphEpoch has the next GM job count with the new
+// label).
 func TestDirectoryLabelColumn(t *testing.T) {
 	agree := func(what string, g *graph.Graph, labels *graph.Labels) {
 		t.Helper()
-		base, span := g.IDSpan()
-		for id := base - 70; id < base+graph.VertexID(span)+70; id++ {
+		for id := graph.VertexID(-70); id < graph.VertexID(g.Slots()+70); id++ {
 			label, ok := labels.Of(id)
 			if v := g.Vertex(id); ok != (v != nil) || ok && label != v.Label {
 				t.Fatalf("%s: column says (%d, %v) of ID %d, the graph holds %+v", what, label, ok, id, v)
@@ -88,25 +48,22 @@ func TestDirectoryLabelColumn(t *testing.T) {
 			v.Label = draws[rng.Intn(len(draws))]
 			return true
 		})
-		marked := seed == 6
-		if marked {
+		if seed == 6 {
 			g.Vertex(g.IDs()[rng.Intn(g.NumVertices())]).Label = math.MinInt32
 		}
-		strided, _ := stridedIDs(g)
-		for _, tc := range []struct {
-			name  string
-			g     *graph.Graph
-			dense bool // the column's arm
-		}{{"dense", g, !marked}, {"strided", strided, false}} {
-			assign, err := partition.Hash{}.Partition(tc.g, 3)
+		strided, _ := StridedIDs(g)
+		var columns []*graph.Labels
+		for name, g := range map[string]*graph.Graph{"dense": g, "strided": strided} {
+			assign, err := partition.Hash{}.Partition(g, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := newDirectory(tc.g, assign, true, nil)
-			if d.labels.Dense() != tc.dense || d.dense() != (tc.g == g) {
-				t.Fatalf("seed %d %s: column dense=%v, directory dense=%v", seed, tc.name, d.labels.Dense(), d.dense())
-			}
-			agree(fmt.Sprintf("seed %d %s", seed, tc.name), tc.g, d.labels)
+			d := newDirectory(g, assign, true, nil)
+			agree(fmt.Sprintf("seed %d %s", seed, name), g, d.labels)
+			columns = append(columns, d.labels)
+		}
+		if !reflect.DeepEqual(columns[0], columns[1]) {
+			t.Fatalf("seed %d: the strided copy's column differs", seed)
 		}
 	}
 
@@ -117,77 +74,73 @@ func TestDirectoryLabelColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ids := g.IDs()
-	base, span := g.IDSpan()
+	ids, ext := g.IDs(), g.External
 	for epoch := 1; epoch <= 4; epoch++ {
 		relabelled, deleted := ids[epoch], ids[len(ids)-epoch]
 		label, fresh := []int32{64, graph.NoLabel, 1000, 0}[epoch-1], int32(62+epoch)
-		added := base + graph.VertexID(span) + graph.VertexID(3*epoch)
-		ops := []dyngraph.Mutation{{Op: dyngraph.OpDelVertex, ID: relabelled}, {Op: dyngraph.OpAddVertex, ID: relabelled, Label: &label},
-			{Op: dyngraph.OpDelVertex, ID: deleted}, {Op: dyngraph.OpAddVertex, ID: added, Label: &fresh}}
+		added := ext(graph.VertexID(g.Slots()-1)) + graph.VertexID(3*epoch)
+		ops := []dyngraph.Mutation{{Op: dyngraph.OpDelVertex, ID: ext(relabelled)}, {Op: dyngraph.OpAddVertex, ID: ext(relabelled), Label: &label},
+			{Op: dyngraph.OpDelVertex, ID: ext(deleted)}, {Op: dyngraph.OpAddVertex, ID: added, Label: &fresh}}
 		for _, u := range g.Vertex(relabelled).Adj {
 			if u != deleted {
-				ops = append(ops, dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: relabelled, W: u})
+				ops = append(ops, dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: ext(relabelled), W: ext(u)})
 			}
 		}
 		if _, err := s.ApplyMutations(dyngraph.Batch{Ops: ops}); err != nil {
 			t.Fatal(err)
 		}
 		labels := s.tables.dir.labels
-		if l, ok := labels.Of(relabelled); !ok || l != label || !labels.Dense() {
-			t.Fatalf("epoch %d: vertex %d relabelled %d reads (%d, %v), dense column %v", epoch, relabelled, label, l, ok, labels.Dense())
+		if l, ok := labels.Of(relabelled); !ok || l != label {
+			t.Fatalf("epoch %d: vertex %d relabelled %d reads (%d, %v)", epoch, relabelled, label, l, ok)
 		}
 		if _, ok := labels.Of(deleted); ok {
 			t.Fatalf("epoch %d: deleted vertex %d still has a label", epoch, deleted)
+		}
+		if id, _ := g.Lookup(added); id != graph.VertexID(g.Slots()-1) {
+			t.Fatalf("epoch %d: new external ID %d got internal ID %d, not the last slot", epoch, added, id)
 		}
 		agree(fmt.Sprintf("epoch %d", epoch), s.Graph(), labels)
 	}
 }
 
-// Which arm a graph takes is read off the graph alone, by the rule TC's
-// bitmap goes by: IDs spread wider than 64 slots per vertex fall back to
-// tables. A slot names any worker — owners past 16 bits read back exactly —
-// and still takes 16 bytes.
+// A directory slot names any worker — owners past 16 bits read back
+// exactly — and still takes 16 bytes.
 func TestDirectoryArmFollowsIDSpan(t *testing.T) {
 	if size := unsafe.Sizeof(dirSlot{}); size != 16 {
 		t.Fatalf("a directory slot takes %d bytes, want 16", size)
 	}
-	for _, tc := range []struct {
-		stride  graph.VertexID
-		workers int
-		dense   bool
-	}{{1, 2, true}, {64, 2, true}, {65, 2, false}, {1 << 20, 2, false},
-		{1, math.MaxInt16, true}, {1, math.MaxInt16 + 1, true}, {1, 1 << 20, true}} {
+	for _, workers := range []int{2, math.MaxInt16, math.MaxInt16 + 1, 1 << 20} {
 		g := graph.New(100)
 		for i := graph.VertexID(0); i < 100; i++ {
-			g.AddEdge(7+i*tc.stride, 7+((i+1)%100)*tc.stride)
+			g.AddEdge(7+i, 7+(i+1)%100)
 		}
 		g.Freeze()
-		assign, err := partition.Hash{}.Partition(g, tc.workers)
+		assign, err := partition.Hash{}.Partition(g, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := newDirectory(g, assign, true, nil)
-		if d.dense() != tc.dense {
-			t.Fatalf("stride %d, %d workers: dense=%v, want %v", tc.stride, tc.workers, d.dense(), tc.dense)
-		}
 		widest := 0
 		g.ForEach(func(v *graph.Vertex) bool {
 			w := assign.Owner(v.ID)
 			if d.owner(v.ID) != w || d.local(v.ID, w) != v {
-				t.Fatalf("stride %d, %d workers: vertex %d owned by %d reads as owner %d", tc.stride, tc.workers, v.ID, w, d.owner(v.ID))
+				t.Fatalf("%d workers: vertex %d owned by %d reads as owner %d", workers, v.ID, w, d.owner(v.ID))
 			}
 			widest = max(widest, w)
 			return true
 		})
-		if tc.workers > math.MaxUint16+1 && widest <= math.MaxUint16 {
-			t.Fatalf("%d workers: no owner is wider than 16 bits (widest %d)", tc.workers, widest)
+		if d.owner(-1) != -1 || d.owner(graph.VertexID(g.Slots())) != -1 {
+			t.Fatalf("%d workers: an ID past the slots has an owner", workers)
+		}
+		if workers > math.MaxUint16+1 && widest <= math.MaxUint16 {
+			t.Fatalf("%d workers: no owner is wider than 16 bits (widest %d)", workers, widest)
 		}
 	}
 }
 
 // The scans cut in the directory's pass are the reference's: for every
-// partitioner and on both directory arms, worker w's scan is
+// partitioner, on a graph and on its copy with the external IDs strided
+// apart — whose scans are the same — worker w's scan is
 // Assignment.Local(g, w) — its own whole-graph pass — sorted by lsh.HashID
 // with a comparator, and its footprint the sum over those vertices; a worker
 // the caller did not mark gets no scan. The oriented view's tables are the
@@ -195,8 +148,10 @@ func TestDirectoryArmFollowsIDSpan(t *testing.T) {
 // of the other partitions.
 func TestScansMatchAssignmentLocal(t *testing.T) {
 	dense := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 3000, Seed: 5})
-	strided, _ := stridedIDs(dense) // the same edges, IDs too far apart for the array arm
-	for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": strided} {
+	strided, _ := StridedIDs(dense) // the same edges, the external IDs far apart
+	scans := map[string][]*localTable{}
+	for _, gname := range []string{"dense", "strided"} {
+		g := map[string]*graph.Graph{"dense": dense, "strided": strided}[gname]
 		gplus := graph.Orient(g)
 		for _, p := range []partition.Partitioner{partition.Hash{}, partition.BDG{}, partition.Blocked{Shift: 3}} {
 			assign, err := p.Partition(g, 3)
@@ -214,9 +169,10 @@ func TestScansMatchAssignmentLocal(t *testing.T) {
 				return lt
 			}
 			vt := newVertexTables(g, assign, []bool{true, false, true})
-			if vt.dir.dense() != (g == dense) {
-				t.Fatalf("%s/%s: directory dense=%v", gname, p.Name(), vt.dir.dense())
+			if ref := scans[p.Name()]; ref != nil && !reflect.DeepEqual(vt.locals, ref) {
+				t.Fatalf("%s/%s: the scans differ from the dense graph's", gname, p.Name())
 			}
+			scans[p.Name()] = vt.locals
 			for w, lt := range vt.locals {
 				if w == 1 {
 					if lt != nil {
@@ -262,32 +218,39 @@ func TestScansMatchAssignmentLocal(t *testing.T) {
 }
 
 // TestEdgeCutMatchesAssignment: the edge cut a session reads from its
-// directory equals partition.Assignment.EdgeCut, on dense IDs (the array
-// arm) and strided ones (the hash arm), at every epoch of a mutation
-// stream — the batches move owners and the ID span.
+// directory equals partition.Assignment.EdgeCut at every epoch of a mutation
+// stream — the batches move owners and add slots — and a copy of the graph
+// with its external IDs strided apart, fed the same stream relabelled, cuts
+// the same edges.
 func TestEdgeCutMatchesAssignment(t *testing.T) {
 	dense := gen.ErdosRenyi(400, 1600, 21)
-	strided, _ := stridedIDs(gen.ErdosRenyi(400, 1600, 22))
-	for name, g := range map[string]*graph.Graph{"dense": dense, "strided": strided} {
+	strided, _ := StridedIDs(gen.ErdosRenyi(400, 1600, 21))
+	var sessions []*Session
+	var streams [][]dyngraph.Batch
+	for _, g := range []*graph.Graph{dense, strided} {
 		s, err := NewSession(g, dynConfig(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		check := func(epoch int) {
+		defer s.Close()
+		sessions = append(sessions, s)
+		streams = append(streams, gen.Deltas(g, gen.DeltasConfig{Batches: 4, Ops: 60, Seed: 9}))
+	}
+	for epoch := 0; epoch <= len(streams[0]); epoch++ {
+		var cuts []float64
+		for i, s := range sessions {
+			if epoch > 0 {
+				if _, err := s.ApplyMutations(streams[i][epoch-1]); err != nil {
+					t.Fatalf("session %d, batch %d: %v", i, epoch-1, err)
+				}
+			}
 			if got, want := s.EdgeCut(), s.assign.EdgeCut(s.g); got != want || want == 0 {
-				t.Errorf("%s, epoch %d: directory cut %v, assignment cut %v", name, epoch, got, want)
+				t.Errorf("session %d, epoch %d: directory cut %v, assignment cut %v", i, epoch, got, want)
 			}
+			cuts = append(cuts, s.EdgeCut())
 		}
-		if arrayArm := s.tables.dir.slots != nil; arrayArm != (name == "dense") {
-			t.Fatalf("%s: array arm %v", name, arrayArm)
+		if cuts[0] != cuts[1] {
+			t.Errorf("epoch %d: the dense graph cuts %v, its strided copy %v", epoch, cuts[0], cuts[1])
 		}
-		check(0)
-		for bi, b := range gen.Deltas(g, gen.DeltasConfig{Batches: 4, Ops: 60, Seed: 9}) {
-			if _, err := s.ApplyMutations(b); err != nil {
-				t.Fatalf("%s, batch %d: %v", name, bi, err)
-			}
-			check(bi + 1)
-		}
-		s.Close()
 	}
 }

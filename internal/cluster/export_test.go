@@ -33,13 +33,6 @@ func Tune(cfg *Config, k Knobs) {
 // slot and cannot finish under the test, whatever the engine's speed.
 func HoldLastSeed(cfg *Config, release <-chan struct{}) { cfg.seedHold = release }
 
-// DenseDirectory reports which arm the session's vertex directory took for
-// the resident graph: the ID-indexed array, or the hash tables.
-func (s *Session) DenseDirectory() bool { return s.tables.dir.dense() }
-
-// dense reports which arm the directory took.
-func (d *directory) dense() bool { return d.slots != nil }
-
 // residentIDs lists the resident set of the view as its directory answers
 // for it — the vertices a worker other than the owner reads in place —
 // ascending; nil before the first job that mined the view (and with one
@@ -112,4 +105,24 @@ func ResultTimeout(d time.Duration) RemoteSessionConfig {
 func HeartbeatChaos(opt WorkerOptions, c *chaos.Controller) WorkerOptions {
 	opt.heartbeatChaos = c
 	return opt
+}
+
+// StridedIDs copies g, labels and attributes included, with every external
+// ID x relabelled x·1009 + 5 000 000 007, and returns the relabelling. It is
+// monotone, so the copy numbers its vertices exactly as g does: everything
+// the engine computes is the same, and records name the relabelled IDs.
+func StridedIDs(g *graph.Graph) (*graph.Graph, func(graph.VertexID) graph.VertexID) {
+	relabel := func(x graph.VertexID) graph.VertexID { return x*1009 + 5_000_000_007 }
+	ext := func(id graph.VertexID) graph.VertexID { return relabel(g.External(id)) }
+	out := graph.New(g.NumVertices())
+	g.ForEach(func(v *graph.Vertex) bool {
+		nv := out.AddVertex(ext(v.ID))
+		nv.Label, nv.Attrs = v.Label, v.Attrs
+		for _, u := range v.Adj {
+			out.AddEdge(ext(v.ID), ext(u))
+		}
+		return true
+	})
+	out.Freeze()
+	return out, relabel
 }

@@ -80,20 +80,20 @@ func widen(label int32) int32 {
 
 // TestGMLabelPruningDifferential: matching parent-major off the label column
 // is invisible in a job's output. On every session shape — workers, stealing,
-// spilling, dense IDs (array directory, flat label column), strided ones
-// (hash tables, the column through the graph's index), and dense IDs with
-// labels widened off [0, 64) (past the mask, step by step) — the
-// parent-major job, the generic job and the reference agree on the count,
-// and each job runs the tasks its arm's sequential run does: one per
-// root-labelled vertex candidate-major, one per root whose level 1 matches
-// parent-major. Widening labels and patterns alike changes neither.
+// spilling, the graph as generated, a copy with its external IDs strided
+// apart, and one with labels widened off [0, 64) (past the mask, step by
+// step) — the parent-major job, the generic job and the reference agree on
+// the count, and each job runs the tasks its arm's sequential run does: one
+// per root-labelled vertex candidate-major, one per root whose level 1
+// matches parent-major. Striding the IDs changes neither, and nor does
+// widening labels and patterns alike.
 func TestGMLabelPruningDifferential(t *testing.T) {
 	dense, wide := gmPruneGraph(), gmPruneGraph()
 	wide.ForEach(func(v *graph.Vertex) bool {
 		v.Label = widen(v.Label)
 		return true
 	})
-	graphs := map[string]*graph.Graph{"dense": dense, "strided": sparseIDs(dense), "wide": wide}
+	graphs := map[string]*graph.Graph{"dense": dense, "strided": stridedIDs(dense), "wide": wide}
 	patterns := map[string]*algo.Pattern{
 		"figure": algo.FigurePattern(),
 		"path":   algo.PathPattern(0, 1, 2, 3),
@@ -139,8 +139,10 @@ func TestGMLabelPruningDifferential(t *testing.T) {
 		}
 	}
 	for pname := range patterns {
-		if refs["wide/"+pname] != refs["dense/"+pname] {
-			t.Fatalf("%s: widened labels count %+v, dense ones %+v", pname, refs["wide/"+pname], refs["dense/"+pname])
+		for _, other := range []string{"wide", "strided"} {
+			if refs[other+"/"+pname] != refs["dense/"+pname] {
+				t.Fatalf("%s: the %s graph counts %+v, the graph as generated %+v", pname, other, refs[other+"/"+pname], refs["dense/"+pname])
+			}
 		}
 	}
 	var spilled, stolen int64
@@ -160,9 +162,6 @@ func TestGMLabelPruningDifferential(t *testing.T) {
 					s, err := cluster.NewSession(g, cfg)
 					if err != nil {
 						t.Fatal(err)
-					}
-					if s.DenseDirectory() != (gname != "strided") {
-						t.Fatalf("%s: vertex directory dense=%v", gname, s.DenseDirectory())
 					}
 					for pname, p := range patternsOf(gname) {
 						shape := fmt.Sprintf("%s/w%d/steal=%v/spill=%v/%s", gname, workers, stealing, spill, pname)
@@ -230,7 +229,7 @@ func TestGMPullsOnlyUsableLabels(t *testing.T) {
 	dense := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 77})
 	gen.DealLabels(dense, 7)
 	p := algo.FigurePattern()
-	for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": sparseIDs(dense)} {
+	for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": stridedIDs(dense)} {
 		cfg := smallConfig()
 		cfg.Workers, cfg.Stealing = 2, true
 		s, err := cluster.NewSession(g, cfg)

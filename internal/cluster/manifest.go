@@ -182,7 +182,10 @@ func decodeManifest(b []byte) (*manifest, error) {
 // snapshot holds — the worker count, the partitioner (the vertex→worker
 // assignment must reproduce exactly on resume), the graph epoch (a
 // dynamic session's graph mutates in place; epoch N snapshots must never
-// restore against epoch M structure) and the graph structure itself.
+// restore against epoch M structure) and the graph structure itself, with
+// the external IDs the vertices carry: two processes whose files differ
+// only in their IDs number the vertices alike but name them differently in
+// records, so they must not join one cluster.
 // Two jobs with the same fingerprint generate the same seed tasks in the
 // same partitions, so one's snapshots are restorable by the other.
 func jobFingerprint(g *graph.Graph, algoName string, p core.Plan, cfg Config) uint64 {
@@ -190,7 +193,7 @@ func jobFingerprint(g *graph.Graph, algoName string, p core.Plan, cfg Config) ui
 	fmt.Fprintf(h, "%s|%t|%t|%d|%T|%d|", algoName, p.Oriented != nil, p.Labels != nil, cfg.Workers, cfg.Partitioner, cfg.GraphEpoch)
 	var fold uint64
 	g.ForEach(func(v *graph.Vertex) bool {
-		fold = fold*0x100000001b3 + uint64(v.ID)*2654435761 + uint64(len(v.Adj))
+		fold = fold*0x100000001b3 + uint64(g.External(v.ID))*2654435761 + uint64(len(v.Adj))
 		return true
 	})
 	fmt.Fprintf(h, "%d|%d|%t|%t|%x", g.NumVertices(), g.NumEdges(), g.Labeled(), g.Attributed(), fold)

@@ -18,26 +18,6 @@ import (
 	"gminer/internal/plan"
 )
 
-// sparseIDs copies g, labels and attributes included, with every ID scaled
-// and offset: the ID span becomes far wider than 64·|V|, so oriented TC's
-// bitmap rule and the engine's vertex directory both decline their arrays —
-// forward lists go through merge/gallop, lookups through hash tables. The
-// relabelling is monotone, so sorted lists stay in the same order.
-func sparseIDs(g *graph.Graph) *graph.Graph {
-	relabel := func(id graph.VertexID) graph.VertexID { return id*1009 + 5_000_000_007 }
-	out := graph.New(g.NumVertices())
-	g.ForEach(func(v *graph.Vertex) bool {
-		nv := out.AddVertex(relabel(v.ID))
-		nv.Label, nv.Attrs = v.Label, v.Attrs
-		for _, u := range v.Adj {
-			out.AddEdge(relabel(v.ID), relabel(u))
-		}
-		return true
-	})
-	out.Freeze()
-	return out
-}
-
 // orientedRef is the triangle count every route must reproduce — the
 // compiled plan, the sequential runs of both arms and the scalar reference
 // agree on it first — plus the number of tasks each arm's job runs, by
@@ -103,7 +83,7 @@ func differentialGraphs() map[string]*graph.Graph {
 	community, _ := gen.Community(gen.CommunityConfig{Communities: 50, MinSize: 5, MaxSize: 10, PIn: 0.7, Bridges: 150, Seed: 17})
 	return map[string]*graph.Graph{
 		"rmat": rmat, "community": community,
-		"rmat-sparse-ids": sparseIDs(rmat), "community-sparse-ids": sparseIDs(community),
+		"rmat-sparse-ids": stridedIDs(rmat), "community-sparse-ids": stridedIDs(community),
 	}
 }
 
@@ -115,14 +95,23 @@ func differentialGraphs() map[string]*graph.Graph {
 // spilling shapes seed eagerly into a 16-task store, so most tasks go through
 // a spill block and come back with the to_pull they were spilled with. Every
 // shape cuts the resident core SeqRun cuts (the RMAT views offer one), and its
-// jobs report its rows.
+// jobs report its rows. A copy of a graph with its external IDs strided
+// apart counts the same triangles in the same tasks over the same core.
 func TestOrientedTCDifferential(t *testing.T) {
+	type ref struct {
+		want        int64
+		tasks       map[bool]int64
+		rows        int
+		fingerprint uint64
+	}
+	refs := map[string]ref{}
 	for name, g := range differentialGraphs() {
 		want, tasks := orientedRef(t, g)
 		rows, fingerprint := coreRef(g)
-		if (rows > 0) != (name == "rmat") {
+		if (rows > 0) != strings.HasPrefix(name, "rmat") {
 			t.Fatalf("%s: the view's resident core has %d rows", name, rows)
 		}
+		refs[name] = ref{want, tasks, rows, fingerprint}
 		for _, workers := range []int{1, 2, 4} {
 			for _, part := range []partition.Partitioner{partition.BDG{}, partition.Hash{}} {
 				for _, stealing := range []bool{false, true} {
@@ -140,9 +129,6 @@ func TestOrientedTCDifferential(t *testing.T) {
 						s, err := cluster.NewSession(g, cfg)
 						if err != nil {
 							t.Fatalf("%s: %v", shape, err)
-						}
-						if sparse := strings.HasSuffix(name, "-sparse-ids"); s.DenseDirectory() == sparse {
-							t.Fatalf("%s: vertex directory dense=%v", shape, !sparse)
 						}
 						for _, generic := range []bool{false, true, false} {
 							a, _ := tcArm(t, g, generic)
@@ -177,6 +163,11 @@ func TestOrientedTCDifferential(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	for _, name := range []string{"rmat", "community"} {
+		if a, b := refs[name], refs[name+"-sparse-ids"]; !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: %+v, its strided copy %+v", name, a, b)
 		}
 	}
 }
@@ -322,4 +313,10 @@ func TestSeedOnlyJobNeverSpills(t *testing.T) {
 			t.Fatalf("scale %d: a seed-only job spilled %d bytes and read back %d", tc.scale, res.Total.DiskWrite, res.Total.DiskRead)
 		}
 	}
+}
+
+// stridedIDs is cluster.StridedIDs without the relabelling.
+func stridedIDs(g *graph.Graph) *graph.Graph {
+	strided, _ := cluster.StridedIDs(g)
+	return strided
 }

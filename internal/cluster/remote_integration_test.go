@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -464,5 +465,47 @@ func TestRemoteWorkerKillAndRejoin(t *testing.T) {
 	health := rs.WorkerHealth()
 	if !health[victimNode].Joined || health[victimNode].Generation < 2 {
 		t.Fatalf("slot %d health after rejoin: %+v", victimNode, health[victimNode])
+	}
+}
+
+// Worker processes join only a coordinator whose graph names its vertices
+// alike: a process that loaded the same file joins, and one whose file
+// differs only in its external IDs — the same structure, numbered the same
+// internally, naming other IDs in its records — is refused at the handshake.
+func TestJoinRefusesRelabelledGraph(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 7, Edges: 600, Seed: 3})
+	strided, _ := cluster.StridedIDs(g)
+	dir := t.TempDir()
+	load := func(name string, g *graph.Graph) *graph.Graph {
+		path := filepath.Join(dir, name)
+		if err := graph.SaveFile(path, g); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := graph.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}
+	cfg := smallConfig()
+	cfg.Workers = 2
+	rs, err := cluster.NewRemoteSession(load("coordinator.txt", g), cfg, cluster.RemoteSessionConfig{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	for node, tc := range []struct {
+		file string
+		g    *graph.Graph
+		join bool
+	}{{"same.txt", g, true}, {"strided.txt", strided, false}} {
+		wp, err := cluster.StartWorkerProcess(load(tc.file, tc.g), cfg,
+			cluster.WorkerOptions{Coordinator: rs.Addr(), Node: node, Logf: t.Logf, JoinTimeout: 5 * time.Second})
+		if err == nil {
+			defer wp.Close()
+		}
+		if tc.join != (err == nil) || !tc.join && !strings.Contains(err.Error(), "fingerprint") {
+			t.Fatalf("%s: join error %v, want joined=%v", tc.file, err, tc.join)
+		}
 	}
 }

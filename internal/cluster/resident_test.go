@@ -17,24 +17,6 @@ import (
 	"gminer/internal/wire"
 )
 
-// stridedIDs copies g with every ID scaled and offset (a monotone
-// relabelling, so every (degree, ID) ranking survives it): IDs too far apart
-// for the directory's array arm.
-func stridedIDs(g *graph.Graph) (*graph.Graph, func(graph.VertexID) graph.VertexID) {
-	relabel := func(id graph.VertexID) graph.VertexID { return id*1009 + 7 }
-	out := graph.New(g.NumVertices())
-	g.ForEach(func(v *graph.Vertex) bool {
-		nv := out.AddVertex(relabel(v.ID))
-		nv.Label, nv.Attrs = v.Label, v.Attrs
-		for _, u := range v.Adj {
-			out.AddEdge(relabel(v.ID), relabel(u))
-		}
-		return true
-	})
-	out.Freeze()
-	return out, relabel
-}
-
 // orientedTables cuts the tables an oriented TC job of a k-worker cluster
 // runs on, the way a session does: base tables scanning the workers in scan,
 // then the view's.
@@ -57,15 +39,16 @@ func orientedTables(t testing.TB, g *graph.Graph, p partition.Partitioner, k int
 // directory slot per vertex. local answers for a resident vertex on every
 // worker and for anything else on its owner alone, owner still names the
 // owner, each worker's memory account carries the resident lists it does not
-// own and the view's resident core (cut on the array arm only), and the slot
-// has not grown.
+// own and the view's resident core, and the slot has not grown. A copy of the
+// graph with its external IDs strided apart keeps the same lists and core.
 func TestResidentColumn(t *testing.T) {
 	if size := unsafe.Sizeof(dirSlot{}); size != graph.ResidentBudgetPerVertex {
 		t.Fatalf("dirSlot is %d bytes, the resident budget %d per vertex", size, graph.ResidentBudgetPerVertex)
 	}
 	dense := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 9000, Seed: 5})
-	strided, relabel := stridedIDs(dense)
+	strided, relabel := StridedIDs(dense)
 	var byArm [2][]graph.VertexID
+	var cores [2]uint64
 	for arm, g := range []*graph.Graph{dense, strided} {
 		gplus := graph.Orient(g)
 		want, _ := graph.HotLists(gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
@@ -73,9 +56,6 @@ func TestResidentColumn(t *testing.T) {
 			const k = 3
 			ot, view, _ := orientedTables(t, g, p, k, allWorkers(k))
 			d := ot.dir
-			if d.dense() != (arm == 0) {
-				t.Fatalf("arm %d: directory dense=%v", arm, d.dense())
-			}
 			got := view.residentIDs()
 			slices.Sort(got)
 			sorted := slices.Clone(want)
@@ -107,10 +87,10 @@ func TestResidentColumn(t *testing.T) {
 			if d.residentBytes != bytes || bytes > graph.ResidentBudgetPerVertex*int64(g.NumVertices()) {
 				t.Fatalf("arm %d/%s: resident set weighs %d B by the directory, %d B by the lists, budget %d", arm, p.Name(), d.residentBytes, bytes, graph.ResidentBudgetPerVertex*g.NumVertices())
 			}
-			// The core is an ID-indexed structure: the dense arm's alone.
-			if (view.core != nil) != (arm == 0) || (arm == 0 && d.residentRows != view.core.Rows()) {
+			if view.core == nil || d.residentRows != view.core.Rows() {
 				t.Fatalf("arm %d/%s: resident core cut = %v, directory reports %d rows", arm, p.Name(), view.core != nil, d.residentRows)
 			}
+			cores[arm] = view.core.Fingerprint()
 			for self, lt := range ot.locals {
 				if view.core != nil {
 					foot[self] += view.core.Bytes()
@@ -132,9 +112,12 @@ func TestResidentColumn(t *testing.T) {
 		byArm[arm] = want
 	}
 	for i, id := range byArm[0] {
-		if byArm[1][i] != relabel(id) {
-			t.Fatalf("pick %d: array arm keeps vertex %d, table arm %d (want its relabelling %d)", i, id, byArm[1][i], relabel(id))
+		if byArm[1][i] != id || strided.External(id) != relabel(dense.External(id)) {
+			t.Fatalf("pick %d: the graph keeps vertex %d, its strided copy %d", i, id, byArm[1][i])
 		}
+	}
+	if cores[0] != cores[1] {
+		t.Fatal("the strided copy cuts another resident core")
 	}
 }
 

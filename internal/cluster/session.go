@@ -523,7 +523,7 @@ func (s *Session) edgeCut() float64 {
 	defer s.cutMu.Unlock()
 	if key := s.epoch.Load() + 1; s.cutEpoch != key {
 		// On the goroutine host the epoch's directory already holds every
-		// owner, one load each on its array arm: the cut reads them there,
+		// owner, one load each: the cut reads them there,
 		// not through the assignment's block map. A dynamic session's first
 		// job after each batch pays this scan, inside the mutation POST when
 		// a round stands. The coordinator keeps no directory.
@@ -615,7 +615,7 @@ func (s *Session) ApplyMutations(b dyngraph.Batch) (*EpochResult, error) {
 	}
 	s.assign = s.dyn.Assignment()
 	s.oriented.follow(info.Touched)
-	// The batch may have moved the ID span and any vertex's owner: the
+	// The batch may have issued new IDs and moved any vertex's owner: the
 	// directory never outlives its epoch. Its pass cuts the touched
 	// workers' scans too; the others keep theirs.
 	cut := newVertexTables(s.g, s.assign, info.DirtyWorkers)

@@ -344,23 +344,23 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 	exactPatch(len(stream))
 
 	// One more batch, built to move what the vertex directory indexes by: it
-	// adds vertices past the end of the old ID span, each closing a triangle
+	// adds vertices past the end of the old slots, each closing a triangle
 	// over an existing edge, and the block they form re-places others, so a
 	// vertex that did not change is now owned by a different worker. The job
 	// after it counts the new triangles only if it seeds the new vertices,
 	// pulls them from their owner and stops pulling re-owned ones from the
 	// old one: a directory kept from the previous epoch cannot.
-	base, span := g.IDSpan()
+	slots := g.Slots()
 	owners := make(map[graph.VertexID]int)
 	var batch dyngraph.Batch
-	next := base + graph.VertexID(span) + 1000
+	next := g.External(graph.VertexID(slots-1)) + 1000
 	g.ForEach(func(v *graph.Vertex) bool {
 		owners[v.ID] = s.assign.Owner(v.ID)
 		if len(batch.Ops) < 3*40 && len(v.Adj) > 0 && v.Adj[0] > v.ID {
 			batch.Ops = append(batch.Ops,
 				dyngraph.Mutation{Op: dyngraph.OpAddVertex, ID: next},
-				dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: next, W: v.ID},
-				dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: next, W: v.Adj[0]})
+				dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: next, W: g.External(v.ID)},
+				dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: next, W: g.External(v.Adj[0])})
 			next++
 		}
 		return true
@@ -378,8 +378,8 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 	if reowned == 0 || epr.MovedBlocks == 0 {
 		t.Fatalf("the batch re-owned %d vertices (%d blocks moved): it does not test what it is for", reowned, epr.MovedBlocks)
 	}
-	if !s.tables.dir.dense() {
-		t.Fatal("the widened ID span left the array arm: the span check is not exercised")
+	if added := len(batch.Ops) / 3; g.Slots() != slots+added || len(s.tables.dir.slots) != slots+added {
+		t.Fatalf("%d new vertices: the graph has %d slots and the directory %d, want %d", added, g.Slots(), len(s.tables.dir.slots), slots+added)
 	}
 	want := algo.RefTriangles(g)
 	if want != prev+int64(len(batch.Ops)/3) {
@@ -407,8 +407,7 @@ func TestSeedRestrictedLaunch(t *testing.T) {
 			seeds = append(seeds, id)
 		}
 	}
-	_, span := g.IDSpan()
-	seeds = append(seeds, g.IDs()[0]+graph.VertexID(span)+50, -7) // off the graph
+	seeds = append(seeds, graph.VertexID(g.Slots()+50), -7) // off the graph
 	miners := map[string]func() core.Algorithm{
 		"cd": func() core.Algorithm { return algo.NewCommunityDetect(0.5, 3) },
 		"qc": func() core.Algorithm { return algo.NewQuasiClique(0.7, 4) },

@@ -2,6 +2,8 @@ package cluster_test
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -56,16 +58,14 @@ func openSession(t *testing.T, g *graph.Graph, cfg cluster.Config, h host) *clus
 // records and aggregate. There is one launch path under all of them, so a
 // divergence here is a host or transport bug, not a second engine's. MCF is
 // held to its aggregate only: which records it emits depends on when the
-// global best reaches each worker. Each graph runs twice: as
-// generated, whose dense IDs put every lookup on the vertex directory's
-// array arm, and on a copy with the IDs strided apart, which takes the
-// hash-table arm; the two must agree on every aggregate and record count
-// (the records name the IDs).
+// global best reaches each worker. Each graph runs twice: as generated, and
+// on a copy with its external IDs strided far apart, whose records must be
+// the first run's with every ID relabelled — IDs cross into the engine and
+// back out only at the boundary.
 func TestShapesByteIdentical(t *testing.T) {
 	community, _ := gen.Community(gen.CommunityConfig{
 		Communities: 15, MinSize: 6, MaxSize: 10, PIn: 0.7, Bridges: 150, Seed: 23,
 	})
-	byArm := map[bool]map[string]*cluster.Result{true: {}, false: {}}
 	for _, set := range []struct {
 		g     *graph.Graph
 		specs []jobspec.Spec
@@ -83,16 +83,46 @@ func TestShapesByteIdentical(t *testing.T) {
 		// communities whose members' attributes agree.
 		{community, []jobspec.Spec{{App: "gc", MinSize: 3}}},
 	} {
-		for _, g := range []*graph.Graph{set.g, sparseIDs(set.g)} {
-			shapesByteIdentical(t, g, g == set.g, set.specs, byArm[g == set.g])
+		strided, relabel := cluster.StridedIDs(set.g)
+		byIDs := map[bool]map[string]*cluster.Result{true: {}, false: {}}
+		shapesByteIdentical(t, set.g, true, set.specs, byIDs[true])
+		shapesByteIdentical(t, strided, false, set.specs, byIDs[false])
+		for app, d := range byIDs[true] {
+			s := byIDs[false][app]
+			if s == nil || fmt.Sprint(d.AggGlobal) != fmt.Sprint(s.AggGlobal) {
+				t.Fatalf("%s: aggregate %v as generated, strided %+v", app, d.AggGlobal, s)
+			}
+			if app == "mcf" {
+				continue
+			}
+			if got, want := relabelRecords(s.Records, nil), relabelRecords(d.Records, relabel); !slices.Equal(got, want) {
+				t.Fatalf("%s: the strided copy's records are not the relabelled ones:\ngot:  %.300q\nwant: %.300q", app, got, want)
+			}
 		}
 	}
-	for app, d := range byArm[true] {
-		s := byArm[false][app]
-		if s == nil || fmt.Sprint(d.AggGlobal) != fmt.Sprint(s.AggGlobal) || (app != "mcf" && len(d.Records) != len(s.Records)) {
-			t.Fatalf("%s: array arm %v and %d records, hash-table arm %+v", app, d.AggGlobal, len(d.Records), s)
+}
+
+// relabelRecords returns records, sorted, with every ID a record names after
+// its ": " mapped through relabel (nil: kept).
+func relabelRecords(records []string, relabel func(graph.VertexID) graph.VertexID) []string {
+	out := make([]string, len(records))
+	for i, r := range records {
+		head, ids, ok := strings.Cut(r, ": ")
+		if ok && relabel != nil {
+			fields := strings.Fields(ids)
+			for j, f := range fields {
+				x, err := strconv.ParseInt(f, 10, 64)
+				if err != nil {
+					panic(fmt.Sprintf("record %q names %q", r, f))
+				}
+				fields[j] = strconv.FormatInt(int64(relabel(graph.VertexID(x))), 10)
+			}
+			r = head + ": " + strings.Join(fields, " ")
 		}
+		out[i] = r
 	}
+	slices.Sort(out)
+	return out
 }
 
 // shapesByteIdentical runs each spec on g through every shape, filing the
@@ -102,9 +132,6 @@ func shapesByteIdentical(t *testing.T, g *graph.Graph, dense bool, specs []jobsp
 	sessions := make([]*cluster.Session, len(hosts))
 	for i, h := range hosts {
 		sessions[i] = openSession(t, g, cfg, h)
-	}
-	if sessions[0].DenseDirectory() != dense {
-		t.Fatalf("vertex directory dense=%v on the graph with dense IDs=%v", sessions[0].DenseDirectory(), dense)
 	}
 	for _, sp := range specs {
 		sp := sp.Normalize()

@@ -38,9 +38,6 @@ func newTaskTrip(tb testing.TB) *taskTrip {
 	core.PlanOf(tc).Oriented(gplus, nil)
 	cfg := Config{Workers: 2, Threads: 1, UseLSH: true, CacheCapacity: gplus.NumVertices(), progressInterval: time.Hour}.Defaults()
 	vt := newVertexTables(gplus, assign, allWorkers(2))
-	if !vt.dir.dense() {
-		tb.Fatal("RMAT IDs took the sparse arm")
-	}
 	w, err := newWorker(0, cfg, noUpdate{tc}, vt.dir, vt.locals[0], discardEndpoint{}, &metrics.Counters{}, nil, nil)
 	if err != nil {
 		tb.Fatal(err)

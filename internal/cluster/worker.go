@@ -1127,3 +1127,6 @@ func (w *Worker) AggGlobal() any {
 func (w *Worker) LocalVertex(id graph.VertexID) *graph.Vertex {
 	return w.dir.local(id, w.id)
 }
+
+// External implements core.Env.
+func (w *Worker) External(id graph.VertexID) graph.VertexID { return w.dir.g.External(id) }

@@ -150,6 +150,9 @@ type Env interface {
 	// (never the cache) — else nil. Used by algorithms that need extra
 	// neighborhood probes beyond the candidate mechanism.
 	LocalVertex(id graph.VertexID) *graph.Vertex
+	// External returns the external ID of vertex id (graph.Graph.External):
+	// what a record names the vertex by.
+	External(id graph.VertexID) graph.VertexID
 }
 
 // MaxIntAggregator is the "maximum aggregator" the paper describes for

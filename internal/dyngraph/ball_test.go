@@ -12,12 +12,12 @@ import (
 )
 
 func TestBall(t *testing.T) {
-	// A path 0-1-2-3-4-5 and an isolated vertex 9.
+	// A path 0-1-2-3-4-5 and an isolated vertex 6.
 	g := graph.New(7)
 	for i := graph.VertexID(0); i < 5; i++ {
 		g.AddEdge(i, i+1)
 	}
-	g.AddVertex(9)
+	g.AddVertex(6)
 	g.Freeze()
 	ids := func(v ...graph.VertexID) []graph.VertexID { return v }
 	for _, tc := range []struct {
@@ -32,7 +32,7 @@ func TestBall(t *testing.T) {
 		{"balls merge", ids(5, 0), 2, ids(0, 1, 2, 3, 4, 5)},
 		{"absent id", ids(77), 2, nil},
 		{"absent id beside a present one", ids(77, 4), 1, ids(3, 4, 5)},
-		{"isolated vertex", ids(9), 2, ids(9)},
+		{"isolated vertex", ids(6), 2, ids(6)},
 		{"duplicate ids", ids(2, 2), 0, ids(2)},
 		{"radius past the component", ids(3), 10, ids(0, 1, 2, 3, 4, 5)},
 		{"no ids", nil, 3, nil},
@@ -107,7 +107,7 @@ func TestBallCoversChangedSeeds(t *testing.T) {
 			for _, m := range b.Ops {
 				kinds[m.Op] = true
 			}
-			dirty := b.DirtyIDs()
+			dirty := b.DirtyIDs(g)
 			reach := make(map[int]map[graph.VertexID]bool) // B, by radius
 			before := make([]map[graph.VertexID][]string, len(miners))
 			for i, mk := range miners {

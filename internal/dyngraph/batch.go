@@ -15,7 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"gminer/internal/graph"
 	"gminer/internal/partition"
@@ -109,9 +109,13 @@ func DecodeBatch(r io.Reader) (Batch, error) {
 	return b, nil
 }
 
-// DirtyIDs returns the sorted, deduplicated set of vertex IDs named by the
-// batch: edge endpoints and vertex-op targets. It is what the dirty-rooted
-// delta paths (TrianglesTouching, Ball) are sound over:
+// DirtyIDs returns, ascending, the internal IDs of the vertices the batch
+// names — edge endpoints and vertex-op targets — as g numbers them, or will
+// once b is applied to it: an external ID g has never held gets the slot
+// the apply will give it, and one that only a delete names, and the batch
+// never creates, is no vertex before or after and is left out. The set is
+// what the dirty-rooted delta paths (TrianglesTouching, Ball) are sound
+// over:
 //
 //   - every vertex the batch creates, deletes or re-creates is in the set;
 //   - an edge the batch ADDS has both endpoints in it, and so has an edge
@@ -121,22 +125,37 @@ func DecodeBatch(r io.Reader) (Batch, error) {
 //     graph as it was before the batch.
 //
 // In particular every changed edge has at least one endpoint in the set.
-func (b *Batch) DirtyIDs() []graph.VertexID {
+func (b *Batch) DirtyIDs(g *graph.Graph) []graph.VertexID {
+	fresh := make(map[graph.VertexID]graph.VertexID)
 	seen := make(map[graph.VertexID]struct{}, 2*len(b.Ops))
+	name := func(ext graph.VertexID, creates bool) {
+		id, ok := g.Lookup(ext)
+		if !ok {
+			id, ok = fresh[ext]
+		}
+		if !ok && creates { // the apply appends new vertices in op order
+			id, ok = graph.VertexID(g.Slots()+len(fresh)), true
+			fresh[ext] = id
+		}
+		if ok {
+			seen[id] = struct{}{}
+		}
+	}
 	for _, m := range b.Ops {
 		switch m.Op {
 		case OpAddEdge, OpDelEdge:
-			seen[m.U] = struct{}{}
-			seen[m.W] = struct{}{}
+			creates := m.Op == OpAddEdge && m.U != m.W
+			name(m.U, creates)
+			name(m.W, creates)
 		case OpAddVertex, OpDelVertex:
-			seen[m.ID] = struct{}{}
+			name(m.ID, m.Op == OpAddVertex)
 		}
 	}
 	out := make([]graph.VertexID, 0, len(seen))
 	for id := range seen {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -154,7 +173,8 @@ type ApplyStats struct {
 // effective change into agg (when non-nil) and recording every vertex
 // whose structure changed into touched (when non-nil): edge endpoints,
 // created/deleted vertices, and the surviving neighbors of deleted
-// vertices (their adjacency shrank too).
+// vertices (their adjacency shrank too). It is the mutation path's ingress:
+// ops name external IDs, and agg and touched see internal ones.
 func applyBatch(g *graph.Graph, b Batch, agg *partition.BlockAgg, touched map[graph.VertexID]struct{}) ApplyStats {
 	stats := ApplyStats{Ops: len(b.Ops)}
 	mark := func(id graph.VertexID) {
@@ -162,14 +182,16 @@ func applyBatch(g *graph.Graph, b Batch, agg *partition.BlockAgg, touched map[gr
 			touched[id] = struct{}{}
 		}
 	}
-	ensure := func(id graph.VertexID) {
-		if g.DynAddVertex(id, graph.NoLabel, nil) {
+	addVertex := func(ext graph.VertexID, label int32, attrs []int32) (graph.VertexID, bool) {
+		id, added := g.DynAddVertex(ext, label, attrs)
+		if added {
 			stats.VerticesAdded++
 			if agg != nil {
 				agg.AddVertex(id)
 			}
 			mark(id)
 		}
+		return id, added
 	}
 	for _, m := range b.Ops {
 		switch m.Op {
@@ -180,26 +202,28 @@ func applyBatch(g *graph.Graph, b Batch, agg *partition.BlockAgg, touched map[gr
 			}
 			// Missing endpoints are created implicitly, unlabeled — the
 			// streaming analogue of the builder's AddEdge.
-			ensure(m.U)
-			ensure(m.W)
-			if g.DynAddEdge(m.U, m.W) {
+			u, _ := addVertex(m.U, graph.NoLabel, nil)
+			w, _ := addVertex(m.W, graph.NoLabel, nil)
+			if g.DynAddEdge(u, w) {
 				stats.EdgesAdded++
 				if agg != nil {
-					agg.AddEdge(m.U, m.W)
+					agg.AddEdge(u, w)
 				}
-				mark(m.U)
-				mark(m.W)
+				mark(u)
+				mark(w)
 			} else {
 				stats.NoOps++
 			}
 		case OpDelEdge:
-			if g.DynDelEdge(m.U, m.W) {
+			u, uok := g.Lookup(m.U)
+			w, wok := g.Lookup(m.W)
+			if uok && wok && g.DynDelEdge(u, w) {
 				stats.EdgesRemoved++
 				if agg != nil {
-					agg.DelEdge(m.U, m.W)
+					agg.DelEdge(u, w)
 				}
-				mark(m.U)
-				mark(m.W)
+				mark(u)
+				mark(w)
 			} else {
 				stats.NoOps++
 			}
@@ -208,35 +232,33 @@ func applyBatch(g *graph.Graph, b Batch, agg *partition.BlockAgg, touched map[gr
 			if m.Label != nil {
 				label = *m.Label
 			}
-			if g.DynAddVertex(m.ID, label, m.Attrs) {
-				stats.VerticesAdded++
-				if agg != nil {
-					agg.AddVertex(m.ID)
-				}
-				mark(m.ID)
-			} else {
+			if _, added := addVertex(m.ID, label, m.Attrs); !added {
 				stats.NoOps++
 			}
 		case OpDelVertex:
-			if removed, ok := g.DynDelVertex(m.ID); ok {
-				stats.VerticesRemoved++
-				stats.EdgesRemoved += len(removed)
-				if agg != nil {
-					agg.DelVertex(m.ID)
-				}
-				mark(m.ID)
-				for _, nb := range removed {
-					if agg != nil {
-						agg.DelEdge(m.ID, nb)
-					}
-					mark(nb)
-				}
-			} else {
+			id, ok := g.Lookup(m.ID)
+			var removed []graph.VertexID
+			if ok {
+				removed, ok = g.DynDelVertex(id)
+			}
+			if !ok {
 				stats.NoOps++
+				continue
+			}
+			stats.VerticesRemoved++
+			stats.EdgesRemoved += len(removed)
+			if agg != nil {
+				agg.DelVertex(id)
+			}
+			mark(id)
+			for _, nb := range removed {
+				if agg != nil {
+					agg.DelEdge(id, nb)
+				}
+				mark(nb)
 			}
 		}
 	}
-	g.DynCompact()
 	return stats
 }
 

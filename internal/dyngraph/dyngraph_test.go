@@ -93,19 +93,22 @@ func TestApplySemantics(t *testing.T) {
 	if stats != want {
 		t.Fatalf("stats = %+v, want %+v", stats, want)
 	}
-	if g.Has(3) || !g.Has(9) || !g.Has(100) {
-		t.Fatalf("wrong vertex set after apply")
+	// New external IDs take the next internal IDs in the order the batch
+	// creates them; the deleted vertex 3 leaves a tombstone.
+	nine, _ := g.Lookup(9)
+	hundred, _ := g.Lookup(100)
+	if g.Has(3) || nine != 4 || hundred != 5 || !g.Has(nine) || !g.Has(hundred) {
+		t.Fatalf("wrong vertex set after apply: 9 → %d, 100 → %d", nine, hundred)
 	}
-	if v := g.Vertex(9); v.Label != 2 || !v.HasNeighbor(0) {
+	if v := g.Vertex(nine); v.Label != 2 || !v.HasNeighbor(0) {
 		t.Fatalf("vertex 9 = %+v, want label 2 adjacent to 0", v)
 	}
 	if g.Vertex(1).HasNeighbor(2) {
 		t.Fatal("edge {1,2} should be gone")
 	}
-	// Insertion order of survivors is preserved across the tombstone compact.
-	wantIDs := []graph.VertexID{0, 1, 2, 9, 100}
-	if got := g.IDs(); !reflect.DeepEqual(got, wantIDs) {
-		t.Fatalf("IDs after compact = %v, want %v", got, wantIDs)
+	wantIDs := []graph.VertexID{0, 1, 2, 4, 5}
+	if got := g.IDs(); !reflect.DeepEqual(got, wantIDs) || g.Slots() != 6 {
+		t.Fatalf("IDs after apply = %v over %d slots, want %v over 6", got, g.Slots(), wantIDs)
 	}
 }
 
@@ -126,15 +129,34 @@ func TestApplyRejectsEmptying(t *testing.T) {
 	}
 }
 
+// DirtyIDs names the batch's vertices by the internal IDs the apply gives
+// them: a known external ID by its own, a new one by the next slot in the
+// order the batch creates it, and one only a delete names not at all.
 func TestDirtyIDsCoverChangedEdges(t *testing.T) {
+	g := graph.New(4)
+	g.AddEdge(2, 3)
+	g.AddEdge(5, 7) // internal IDs 0 1 2 3
+	g.Freeze()
 	b := Batch{Ops: []Mutation{
+		{Op: OpDelEdge, U: 41, W: 2},
 		{Op: OpAddEdge, U: 5, W: 2},
 		{Op: OpDelVertex, ID: 7},
+		{Op: OpDelVertex, ID: 99},
 		{Op: OpAddVertex, ID: 40},
+		{Op: OpAddEdge, U: 2, W: 41},
 		{Op: OpDelEdge, U: 2, W: 3},
 	}}
-	want := []graph.VertexID{2, 3, 5, 7, 40}
-	if got := b.DirtyIDs(); !reflect.DeepEqual(got, want) {
+	want := []graph.VertexID{0, 1, 2, 3, 4, 5}
+	if got := b.DirtyIDs(g); !reflect.DeepEqual(got, want) {
 		t.Fatalf("DirtyIDs = %v, want %v", got, want)
+	}
+	ApplyToGraph(g, b)
+	for ext, id := range map[graph.VertexID]graph.VertexID{40: 4, 41: 5} {
+		if got, ok := g.Lookup(ext); !ok || got != id {
+			t.Fatalf("external ID %d applied as internal ID %d (%v), DirtyIDs said %d", ext, got, ok, id)
+		}
+	}
+	if _, ok := g.Lookup(99); ok {
+		t.Fatal("a delete of an unknown ID created it")
 	}
 }

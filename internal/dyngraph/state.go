@@ -134,9 +134,9 @@ func (s *State) checkNotEmptying(g *graph.Graph, b Batch) error {
 	if dels < g.NumVertices() {
 		return nil
 	}
-	alive := make(map[graph.VertexID]struct{}, g.NumVertices())
+	alive := make(map[graph.VertexID]struct{}, g.NumVertices()) // by external ID, as ops name them
 	g.ForEach(func(v *graph.Vertex) bool {
-		alive[v.ID] = struct{}{}
+		alive[g.External(v.ID)] = struct{}{}
 		return true
 	})
 	for _, m := range b.Ops {

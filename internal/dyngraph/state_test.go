@@ -145,7 +145,7 @@ func TestTrianglesTouchingMatchesNaive(t *testing.T) {
 	}
 	total, _ := countTriangles(g, nil)
 	for bi, b := range gen.Deltas(g, gen.DeltasConfig{Batches: 4, Ops: 32, Seed: 17}) {
-		dirty := b.DirtyIDs()
+		dirty := b.DirtyIDs(g)
 		pre := dyngraph.TrianglesTouching(g, dirty)
 		if _, err := st.Apply(g, b); err != nil {
 			t.Fatalf("batch %d: %v", bi, err)

@@ -38,15 +38,15 @@ func Deltas(g *graph.Graph, cfg DeltasConfig) []dyngraph.Batch {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	ids := g.IDs()
+	// Ops name external IDs; g's vertices are picked, and read, by internal
+	// ID.
+	ids, ext := g.IDs(), g.External
 	if len(ids) == 0 {
 		return nil
 	}
 	var maxID graph.VertexID
 	for _, id := range ids {
-		if id > maxID {
-			maxID = id
-		}
+		maxID = max(maxID, ext(id))
 	}
 	nextID := maxID + 1
 	labels := int32(0)
@@ -80,7 +80,7 @@ func Deltas(g *graph.Graph, cfg DeltasConfig) []dyngraph.Batch {
 		if len(born) > 0 && rng.Float64() < 0.25 {
 			return born[rng.Intn(len(born))]
 		}
-		return pick()
+		return ext(pick())
 	}
 
 	batches := make([]dyngraph.Batch, 0, cfg.Batches)
@@ -100,7 +100,7 @@ func Deltas(g *graph.Graph, cfg DeltasConfig) []dyngraph.Batch {
 				if len(adj) == 0 {
 					continue
 				}
-				ops = append(ops, dyngraph.Mutation{Op: dyngraph.OpDelEdge, U: u, W: adj[rng.Intn(len(adj))]})
+				ops = append(ops, dyngraph.Mutation{Op: dyngraph.OpDelEdge, U: ext(u), W: ext(adj[rng.Intn(len(adj))])})
 			case r < 0.92: // fresh vertex, immediately wired in
 				id := nextID
 				nextID++
@@ -115,10 +115,10 @@ func Deltas(g *graph.Graph, cfg DeltasConfig) []dyngraph.Batch {
 						m.Attrs[i] = rng.Int31n(attrMax)
 					}
 				}
-				ops = append(ops, m, dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: id, W: pick()})
+				ops = append(ops, m, dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: id, W: ext(pick())})
 				born = append(born, id)
 			default: // vertex deletion
-				ops = append(ops, dyngraph.Mutation{Op: dyngraph.OpDelVertex, ID: pick()})
+				ops = append(ops, dyngraph.Mutation{Op: dyngraph.OpDelVertex, ID: ext(pick())})
 			}
 		}
 		batches = append(batches, dyngraph.Batch{Ops: ops})

@@ -13,7 +13,9 @@ import (
 //	magic "GMG1" | uvarint |V| | per vertex: id, label (zigzag varints),
 //	attr count + attrs, adjacency as delta varints
 //
-// Only frozen graphs can be written; loading yields a frozen graph.
+// IDs are external IDs. Only frozen graphs can be written; loading yields a
+// frozen graph, and a file whose adjacency is not symmetric, or names a
+// vertex the file does not hold, does not load.
 
 var binaryMagic = [4]byte{'G', 'M', 'G', '1'}
 
@@ -35,7 +37,7 @@ func WriteBinary(w io.Writer, g *Graph) error {
 		}
 	}
 	g.ForEach(func(v *Vertex) bool {
-		buf = binary.AppendVarint(buf, int64(v.ID))
+		buf = binary.AppendVarint(buf, int64(g.External(v.ID)))
 		buf = binary.AppendVarint(buf, int64(v.Label))
 		buf = binary.AppendUvarint(buf, uint64(len(v.Attrs)))
 		for _, a := range v.Attrs {
@@ -44,8 +46,9 @@ func WriteBinary(w io.Writer, g *Graph) error {
 		buf = binary.AppendUvarint(buf, uint64(len(v.Adj)))
 		var prev int64
 		for _, n := range v.Adj {
-			buf = binary.AppendVarint(buf, int64(n)-prev)
-			prev = int64(n)
+			x := int64(g.External(n))
+			buf = binary.AppendVarint(buf, x-prev)
+			prev = x
 		}
 		if len(buf) >= 1<<16 {
 			flush()
@@ -59,7 +62,10 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return nil
 }
 
-// ReadBinary loads a graph written by WriteBinary.
+// ReadBinary loads a graph written by WriteBinary. It trusts no count the
+// file declares: vertices, attributes and neighbours are entered as their
+// bytes arrive, so a short file fails on EOF having allocated no more than
+// it held.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := &byteReader{r: r}
 	var magic [4]byte
@@ -73,56 +79,60 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: vertex count: %w", err)
 	}
-	if n > 1<<34 {
-		return nil, fmt.Errorf("graph: implausible vertex count %d", n)
-	}
-	g := New(int(n))
+	g := New(0)
 	for i := uint64(0); i < n; i++ {
 		id, err := binary.ReadVarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("graph: vertex %d id: %w", i, err)
 		}
-		label, err := binary.ReadVarint(br)
+		label, err := readInt32(br)
 		if err != nil {
 			return nil, fmt.Errorf("graph: vertex %d label: %w", i, err)
 		}
 		v := g.AddVertex(VertexID(id))
-		v.Label = int32(label)
+		v.Label = label
 		na, err := binary.ReadUvarint(br)
-		if err != nil || na > 1<<24 {
+		if err != nil {
 			return nil, fmt.Errorf("graph: vertex %d attrs: %w", i, err)
 		}
-		if na > 0 {
-			attrs := make([]int32, na)
-			for j := range attrs {
-				a, err := binary.ReadVarint(br)
-				if err != nil {
-					return nil, fmt.Errorf("graph: vertex %d attr %d: %w", i, j, err)
-				}
-				attrs[j] = int32(a)
+		for j := uint64(0); j < na; j++ {
+			a, err := readInt32(br)
+			if err != nil {
+				return nil, fmt.Errorf("graph: vertex %d attr %d: %w", i, j, err)
 			}
-			v.Attrs = attrs
+			v.Attrs = append(v.Attrs, a)
 		}
 		deg, err := binary.ReadUvarint(br)
-		if err != nil || deg > 1<<30 {
+		if err != nil {
 			return nil, fmt.Errorf("graph: vertex %d degree: %w", i, err)
 		}
-		if deg > 0 {
-			adj := make([]VertexID, deg)
-			var prev int64
-			for j := range adj {
-				d, err := binary.ReadVarint(br)
-				if err != nil {
-					return nil, fmt.Errorf("graph: vertex %d adj %d: %w", i, j, err)
-				}
-				prev += d
-				adj[j] = VertexID(prev)
+		var prev int64
+		for j := uint64(0); j < deg; j++ {
+			d, err := binary.ReadVarint(br)
+			if err != nil {
+				return nil, fmt.Errorf("graph: vertex %d adj %d: %w", i, j, err)
 			}
-			v.Adj = adj
+			prev += d
+			v.Adj = append(v.Adj, VertexID(prev))
 		}
 	}
-	g.Freeze()
+	if err := g.freeze(); err != nil {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
 	return g, nil
+}
+
+// readInt32 reads a zigzag varint that must fit an int32: a label or an
+// attribute.
+func readInt32(br *byteReader) (int32, error) {
+	x, err := binary.ReadVarint(br)
+	if err == nil && x != int64(int32(x)) {
+		err = fmt.Errorf("%d is outside int32", x)
+	}
+	return int32(x), err
 }
 
 // SaveBinaryFile / LoadBinaryFile are file-path conveniences.

@@ -25,7 +25,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertGraphsEqual(t, g, g2)
-	if g2.Vertex(1).Label != 5 || !reflect.DeepEqual(g2.Vertex(2).Attrs, []int32{7, -3, 9}) {
+	if vertexOf(g2, 1).Label != 5 || !reflect.DeepEqual(vertexOf(g2, 2).Attrs, []int32{7, -3, 9}) {
 		t.Fatal("labels/attrs lost")
 	}
 	if !g2.Frozen() {
@@ -91,16 +91,7 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		if err != nil || g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
 			return false
 		}
-		ok := true
-		g.ForEach(func(v *Vertex) bool {
-			w := g2.Vertex(v.ID)
-			if w == nil || !reflect.DeepEqual(v.Adj, w.Adj) || v.Label != w.Label {
-				ok = false
-				return false
-			}
-			return true
-		})
-		return ok
+		return reflect.DeepEqual(external(g), external(g2))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -10,10 +10,10 @@ import "sort"
 // (internal/dyngraph), which serializes them against running jobs at the
 // Session layer; the methods themselves are not concurrency safe.
 //
-// Vertex deletion tombstones the slot (verts[i] = nil) so that positions of
-// surviving vertices — and therefore insertion order, annotation assignment
-// and graph fingerprints — are untouched until DynCompact reclaims the
-// slots once per mutation batch.
+// Vertices are named by internal ID, except by DynAddVertex, which takes
+// the mutation's external ID: a new one gets the next slot. Vertex deletion
+// tombstones the slot (verts[i] = nil) for good, so no surviving vertex ever
+// changes its internal ID, and re-adding the external ID revives the slot.
 
 // adjInsert inserts id into a sorted adjacency list, reporting whether it
 // was absent.
@@ -44,43 +44,49 @@ func (g *Graph) requireFrozen(op string) {
 	}
 }
 
-// DynAddVertex inserts an isolated vertex with the given label and
-// attributes into a frozen graph. It reports whether the vertex was absent;
-// an existing vertex is left untouched (annotations are never rewritten by
-// the mutation path — they are fixed at creation, like Prepare fixes them
-// at load).
-func (g *Graph) DynAddVertex(id VertexID, label int32, attrs []int32) bool {
+// DynAddVertex inserts an isolated vertex with external ID ext and the
+// given label and attributes into a frozen graph, and returns its internal
+// ID: the slot ext had, if a DynDelVertex tombstoned it, else the next one.
+// It reports whether the vertex was absent; an existing vertex is left
+// untouched (annotations are never rewritten by the mutation path — they are
+// fixed at creation, like Prepare fixes them at load).
+func (g *Graph) DynAddVertex(ext VertexID, label int32, attrs []int32) (VertexID, bool) {
 	g.requireFrozen("DynAddVertex")
-	if _, ok := g.index[id]; ok {
-		return false
+	id, ok := g.index[ext]
+	if ok && g.verts[id] != nil {
+		return id, false
 	}
 	v := &Vertex{ID: id, Label: label}
 	if len(attrs) > 0 {
 		v.Attrs = append([]int32(nil), attrs...)
 	}
-	g.index[id] = len(g.verts)
-	g.verts = append(g.verts, v)
-	return true
+	if ok {
+		g.verts[id] = v
+		g.dead--
+		return id, true
+	}
+	v.ID = VertexID(len(g.verts))
+	g.index[ext] = v.ID
+	g.verts, g.ext = append(g.verts, v), append(g.ext, ext)
+	return v.ID, true
 }
 
 // DynDelVertex removes vertex id and every edge incident to it, returning
 // the former neighbor list (callers maintaining edge aggregates need it).
-// The slot is tombstoned until DynCompact. Returns (nil, false) if the
-// vertex does not exist.
+// The slot stays a tombstone. Returns (nil, false) if the vertex does not
+// exist.
 func (g *Graph) DynDelVertex(id VertexID) ([]VertexID, bool) {
 	g.requireFrozen("DynDelVertex")
-	i, ok := g.index[id]
-	if !ok {
+	v := g.Vertex(id)
+	if v == nil {
 		return nil, false
 	}
-	v := g.verts[i]
 	removed := append([]VertexID(nil), v.Adj...)
 	for _, nb := range removed {
-		w := g.Vertex(nb)
+		w := g.verts[nb]
 		w.Adj, _ = adjRemove(w.Adj, id)
 	}
-	delete(g.index, id)
-	g.verts[i] = nil
+	g.verts[id] = nil
 	g.dead++
 	return removed, true
 }
@@ -119,25 +125,4 @@ func (g *Graph) DynDelEdge(u, w VertexID) bool {
 	}
 	vw.Adj, _ = adjRemove(vw.Adj, u)
 	return true
-}
-
-// DynCompact reclaims tombstoned slots left by DynDelVertex, preserving the
-// insertion order of surviving vertices. Cheap no-op when nothing is dead.
-func (g *Graph) DynCompact() {
-	if g.dead == 0 {
-		return
-	}
-	out := g.verts[:0]
-	for _, v := range g.verts {
-		if v == nil {
-			continue
-		}
-		g.index[v.ID] = len(out)
-		out = append(out, v)
-	}
-	for i := len(out); i < len(g.verts); i++ {
-		g.verts[i] = nil
-	}
-	g.verts = out
-	g.dead = 0
 }

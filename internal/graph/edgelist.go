@@ -39,19 +39,21 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: scan: %w", err)
 	}
-	g.Freeze()
+	if err := g.freeze(); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
-// WriteEdgeList writes the graph as an edge list (each undirected edge
-// once, smaller endpoint first).
+// WriteEdgeList writes the graph as an edge list of external IDs (each
+// undirected edge once, the endpoint with the smaller internal ID first).
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	var err error
 	g.ForEach(func(v *Vertex) bool {
 		for _, u := range v.Adj {
 			if u > v.ID {
-				if _, err = fmt.Fprintf(bw, "%d %d\n", v.ID, u); err != nil {
+				if _, err = fmt.Fprintf(bw, "%d %d\n", g.External(v.ID), g.External(u)); err != nil {
 					return false
 				}
 			}

@@ -58,14 +58,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: V %d/%d E %d/%d",
 			g.NumVertices(), g2.NumVertices(), g.NumEdges(), g2.NumEdges())
 	}
-	g.ForEach(func(v *Vertex) bool {
-		for _, u := range v.Adj {
-			if !g2.Vertex(v.ID).HasNeighbor(u) {
-				t.Fatalf("edge {%d,%d} lost", v.ID, u)
-			}
-		}
-		return true
-	})
+	assertGraphsEqual(t, g, g2)
 }
 
 func TestEdgeListEachEdgeOnce(t *testing.T) {

@@ -20,9 +20,10 @@ import (
 //
 //	id \t label \t a1,a2,a3 \t n1 n2 n3 ...
 //
-// Lines starting with '#' are comments. The reader accepts one-sided edge
-// lists; Freeze symmetrizes nothing, so WriteText always emits both
-// directions and ReadText adds the reverse edge defensively.
+// Lines starting with '#' are comments. IDs are external IDs. The reader
+// accepts one-sided edge lists; Freeze symmetrizes nothing, so WriteText
+// always emits both directions and ReadText adds the reverse edge
+// defensively.
 
 // ReadText parses a graph in either text format, auto-detected per line by
 // the presence of tabs.
@@ -50,7 +51,9 @@ func ReadText(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: scan: %w", err)
 	}
-	g.Freeze()
+	if err := g.freeze(); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
@@ -60,19 +63,18 @@ func parsePlainLine(g *Graph, line string) error {
 	if err != nil {
 		return err
 	}
-	v := g.AddVertex(id)
-	for _, f := range fields[1:] {
+	g.AddVertex(id)
+	return addNeighbors(g, id, fields[1:])
+}
+
+// addNeighbors enters the edges from id to each neighbor ID in fields.
+func addNeighbors(g *Graph, id VertexID, fields []string) error {
+	for _, f := range fields {
 		n, err := parseID(f)
 		if err != nil {
 			return err
 		}
-		if n == id {
-			continue
-		}
-		v = g.Vertex(id) // AddVertex below may grow the slice
-		v.Adj = append(v.Adj, n)
-		w := g.AddVertex(n)
-		w.Adj = append(w.Adj, id)
+		g.AddEdge(id, n)
 	}
 	return nil
 }
@@ -104,19 +106,7 @@ func parseAttributedLine(g *Graph, line string) error {
 	v.Label = int32(label64)
 	v.Attrs = attrs
 	if len(parts) >= 4 {
-		for _, f := range strings.Fields(parts[3]) {
-			n, err := parseID(f)
-			if err != nil {
-				return err
-			}
-			if n == id {
-				continue
-			}
-			v = g.Vertex(id)
-			v.Adj = append(v.Adj, n)
-			w := g.AddVertex(n)
-			w.Adj = append(w.Adj, id)
-		}
+		return addNeighbors(g, id, strings.Fields(parts[3]))
 	}
 	return nil
 }
@@ -130,7 +120,7 @@ func parseID(s string) (VertexID, error) {
 }
 
 // WriteText writes the graph in the attributed format when it carries
-// labels or attributes, otherwise in the plain format.
+// labels or attributes, otherwise in the plain format, naming external IDs.
 func WriteText(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	attributed := g.Labeled() || g.Attributed()
@@ -145,11 +135,11 @@ func WriteText(w io.Writer, g *Graph) error {
 				}
 				attrs = strings.Join(parts, ",")
 			}
-			if _, err = fmt.Fprintf(bw, "%d\t%d\t%s\t", v.ID, v.Label, attrs); err != nil {
+			if _, err = fmt.Fprintf(bw, "%d\t%d\t%s\t", g.External(v.ID), v.Label, attrs); err != nil {
 				return false
 			}
 		} else {
-			if _, err = fmt.Fprintf(bw, "%d ", v.ID); err != nil {
+			if _, err = fmt.Fprintf(bw, "%d ", g.External(v.ID)); err != nil {
 				return false
 			}
 		}
@@ -159,7 +149,7 @@ func WriteText(w io.Writer, g *Graph) error {
 					return false
 				}
 			}
-			if _, err = bw.WriteString(strconv.FormatInt(int64(n), 10)); err != nil {
+			if _, err = bw.WriteString(strconv.FormatInt(int64(g.External(n)), 10)); err != nil {
 				return false
 			}
 		}

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // Orient returns G⁺, the degree-oriented view of frozen graph g: the same
 // vertices in the same slots, each keeping only its neighbours of higher
@@ -15,7 +12,7 @@ import (
 //
 // The view is a pure function of g at the time of the call: equal graphs
 // orient identically. Labels are copied by value, attribute slices and the
-// ID index are shared with g, tombstoned slots stay tombstoned. It is
+// external-ID column are shared with g, tombstoned slots stay tombstoned. It is
 // read-only and belongs to the graph epoch it was cut from — after a Dyn*
 // mutation of g it is stale: drop it, or patch it into the next epoch's view
 // with Reorient.
@@ -28,111 +25,78 @@ func Orient(g *Graph) *Graph {
 // Reorient returns Orient(g) for a graph g that was prev's source until
 // mutations that touched exactly the vertices in touched: every vertex they
 // created or deleted and every one whose adjacency changed — the surviving
-// neighbours of a deleted vertex included — over any number of batches, each
-// ending in DynCompact (dyngraph's ApplyInfo.Touched, unioned).
+// neighbours of a deleted vertex included — over any number of batches
+// (dyngraph's ApplyInfo.Touched, unioned).
 //
 // A forward list can change only at a touched vertex, or at an untouched one
 // whose edge to a touched neighbour turned round because that neighbour's
 // degree moved. Those rows are cut again; every other row is copied from
-// prev, found by one walk over both slot arrays, since compaction keeps
-// survivors in order and appends new vertices. The result is byte-identical
-// to Orient(g) and shares no memory with prev, so a chain of patched views
-// pins none of its ancestors. It also returns how many rows it cut: all of
-// them when prev is nil, or when touched does not account for a vertex.
+// prev's row in the same slot, since a vertex keeps its internal ID for
+// good. The result is byte-identical to Orient(g) and shares no memory with
+// prev, so a chain of patched views pins none of its ancestors. It also
+// returns how many rows it cut: all of them when prev is nil, or when
+// touched does not account for a vertex.
 func Reorient(g, prev *Graph, touched map[VertexID]struct{}) (*Graph, int) {
 	g.requireFrozen("Reorient")
 	d := degreesOf(g)
 	if prev == nil {
-		return d.orient(nil, nil, nil)
+		return d.orient(nil, nil)
 	}
 	recut := make([]bool, len(g.verts))
 	for id := range touched {
-		if i, ok := d.slot(id); ok {
-			recut[i] = true
+		if g.Has(id) {
+			recut[id] = true
 		}
 	}
-	from, p := make([]int32, len(g.verts)), 0
 	for i, v := range g.verts {
-		if v == nil || recut[i] {
-			continue
+		if v != nil && !recut[i] && prev.Vertex(VertexID(i)) == nil {
+			return d.orient(nil, nil) // an untouched vertex prev never held
 		}
-		for p < len(prev.verts) && (prev.verts[p] == nil || prev.verts[p].ID != v.ID) {
-			p++
-		}
-		if p == len(prev.verts) {
-			return d.orient(nil, nil, nil) // an untouched vertex prev never held
-		}
-		from[i] = int32(p)
-		p++
 	}
 	// An untouched neighbour w of touched u kept the edge in its row iff u
 	// outranked it before; it must iff u outranks it now.
 	for u := range touched {
-		i, ok := d.slot(u)
-		if !ok {
+		if !g.Has(u) {
 			continue
 		}
-		for _, w := range g.verts[i].Adj {
-			if j, ok := d.slot(w); ok && !recut[j] {
-				_, was := slices.BinarySearch(prev.verts[from[j]].Adj, u)
-				recut[j] = was != outranks(d.deg[i], d.deg[j], u, w)
+		for _, w := range g.verts[u].Adj {
+			if !recut[w] {
+				_, was := slices.BinarySearch(prev.verts[w].Adj, u)
+				recut[w] = was != outranks(d.deg[u], d.deg[w], u, w)
 			}
 		}
 	}
-	return d.orient(prev, recut, from)
+	return d.orient(prev, recut)
 }
 
 // degrees is a frozen graph's (degree, ID) order, the order Orient cuts by,
-// read off the graph once: deg holds each slot's degree and, with dense
-// IDs (DenseIDs), col holds slot + 1 by id − base, 0 where the graph has no
-// vertex, so finding a neighbour's degree costs two array reads rather than
-// an index lookup and a pointer chase. Sparse IDs go through the index.
+// read off the graph once: deg holds each vertex's degree by internal ID, so
+// finding a neighbour's degree costs one array read rather than a pointer
+// chase.
 type degrees struct {
 	g     *Graph
 	deg   []int32
 	edges int64
-	base  VertexID
-	col   []int32
 }
 
 func degreesOf(g *Graph) degrees {
 	d := degrees{g: g, deg: make([]int32, len(g.verts))}
-	base, span, dense := g.DenseIDs()
-	if dense {
-		d.base, d.col = base, make([]int32, span)
-	}
 	for i, v := range g.verts {
-		if v == nil {
-			continue
-		}
-		d.deg[i] = int32(len(v.Adj))
-		d.edges += int64(len(v.Adj))
-		if dense {
-			d.col[v.ID-base] = int32(i) + 1
+		if v != nil {
+			d.deg[i] = int32(len(v.Adj))
+			d.edges += int64(len(v.Adj))
 		}
 	}
 	d.edges /= 2
 	return d
 }
 
-// slot returns the slot of vertex id, and false when the graph has none.
-func (d *degrees) slot(id VertexID) (int, bool) {
-	if d.col == nil {
-		i, ok := d.g.index[id]
-		return i, ok
-	}
-	if k := uint64(id - d.base); k < uint64(len(d.col)) && d.col[k] > 0 {
-		return int(d.col[k]) - 1, true
-	}
-	return 0, false
-}
-
 // orient lays out the view: the rows recut marks (every row, with prev nil)
-// are cut from g, the others copied from prev's row from[i]. It returns the
-// view and the number of rows it cut.
-func (d *degrees) orient(prev *Graph, recut []bool, from []int32) (*Graph, int) {
+// are cut from g, the others copied from prev's row in the same slot. It
+// returns the view and the number of rows it cut.
+func (d *degrees) orient(prev *Graph, recut []bool) (*Graph, int) {
 	g := d.g
-	o := &Graph{verts: make([]*Vertex, len(g.verts)), index: g.index, dead: g.dead, frozen: true, deg: d.deg}
+	o := &Graph{verts: make([]*Vertex, len(g.verts)), ext: g.ext, dead: g.dead, frozen: true, deg: d.deg}
 	vs := make([]Vertex, g.NumVertices())
 	fwd := make([]VertexID, 0, d.edges)
 	cut := 0
@@ -142,12 +106,12 @@ func (d *degrees) orient(prev *Graph, recut []bool, from []int32) (*Graph, int) 
 		}
 		start := len(fwd)
 		if prev == nil || recut[i] {
-			fwd = d.cut(fwd, i, v)
+			fwd = d.cut(fwd, v)
 			cut++
 		} else {
 			// The row, its label and attributes are prev's: the vertex and
 			// its neighbours' degrees are as they were.
-			v = prev.verts[from[i]]
+			v = prev.verts[i]
 			fwd = append(fwd, v.Adj...)
 		}
 		r := &vs[0]
@@ -157,11 +121,10 @@ func (d *degrees) orient(prev *Graph, recut []bool, from []int32) (*Graph, int) 
 	return o, cut
 }
 
-// cut appends to fwd the neighbours of v, in slot i, that outrank it. A
-// dangling neighbour has no list of its own to hold the edge, so v keeps it.
-func (d *degrees) cut(fwd []VertexID, i int, v *Vertex) []VertexID {
+// cut appends to fwd the neighbours of v that outrank it.
+func (d *degrees) cut(fwd []VertexID, v *Vertex) []VertexID {
 	for _, u := range v.Adj {
-		if j, ok := d.slot(u); !ok || outranks(d.deg[j], d.deg[i], u, v.ID) {
+		if outranks(d.deg[u], d.deg[v.ID], u, v.ID) {
 			fwd = append(fwd, u)
 		}
 	}
@@ -258,37 +221,4 @@ func siftDown(h []hotList, i int) {
 // (degree, ID) order.
 func outranks(du, dv int32, u, v VertexID) bool {
 	return du > dv || (du == dv && u > v)
-}
-
-// IDSpan returns the smallest vertex ID and the width of the ID range
-// (max − min + 1), or (0, 0) for an empty graph.
-func (g *Graph) IDSpan() (min VertexID, span int64) {
-	max, first := min, true
-	for _, v := range g.verts {
-		if v == nil {
-			continue
-		}
-		if first || v.ID < min {
-			min = v.ID
-		}
-		if first || v.ID > max {
-			max = v.ID
-		}
-		first = false
-	}
-	if first {
-		return 0, 0
-	}
-	return min, int64(max-min) + 1
-}
-
-// DenseIDs reports whether the graph's IDs are dense enough to index a flat
-// structure by id − base: the ID range is at most 64 slots per vertex (and
-// fits 32 bits). It is the one rule every ID-indexed structure reads — TC's
-// candidate bitmap, the engine's vertex directory — so they agree on every
-// graph; a property of the input, re-read whenever the graph changes, never
-// a knob.
-func (g *Graph) DenseIDs() (base VertexID, span int, ok bool) {
-	base, s := g.IDSpan()
-	return base, int(s), s > 0 && s <= 64*int64(g.NumVertices()) && s <= math.MaxUint32
 }

@@ -80,32 +80,32 @@ func TestOrientProperties(t *testing.T) {
 
 // On a dynamic graph the view is cut per epoch: tombstoned slots are
 // skipped, later vertices keep their place, and a view cut after the
-// mutations sees them.
+// mutations sees them. A new external ID takes the next internal ID, and a
+// tombstone stays one until its external ID comes back.
 func TestOrientDynamicGraph(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 1500, Seed: 9})
 	rng := rand.New(rand.NewSource(9))
 	ids := g.IDs()
+	slots := g.Slots()
 	for round := 0; round < 8; round++ {
 		for i := 0; i < 6; i++ {
 			g.DynDelVertex(ids[rng.Intn(len(ids))])
 			g.DynAddEdge(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))])
 			g.DynDelEdge(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))])
 		}
-		g.DynAddVertex(graph.VertexID(100000+round), 3, []int32{1, 2})
-		g.DynAddEdge(graph.VertexID(100000+round), ids[0])
-		checkOriented(t, g, graph.Orient(g)) // with tombstones
-		if round%2 == 1 {
-			g.DynCompact()
-			checkOriented(t, g, graph.Orient(g))
+		id, added := g.DynAddVertex(graph.VertexID(100000+round), 3, []int32{1, 2})
+		if !added || id != graph.VertexID(slots+round) || g.External(id) != graph.VertexID(100000+round) {
+			t.Fatalf("round %d: new vertex 100000+%d got internal ID %d (added %v), want %d", round, round, id, added, slots+round)
 		}
+		g.DynAddEdge(id, ids[0])
+		checkOriented(t, g, graph.Orient(g)) // with tombstones
 	}
-	var lo, hi graph.VertexID = 1 << 40, -1
-	for _, id := range g.IDs() {
-		lo, hi = min(lo, id), max(hi, id)
+	gone := ids[rng.Intn(len(ids))]
+	g.DynDelVertex(gone)
+	if back, added := g.DynAddVertex(g.External(gone), 0, nil); !added || back != gone || g.Slots() != slots+8 {
+		t.Fatalf("re-adding external ID %d gave internal ID %d (added %v) and %d slots, want %d and %d", g.External(gone), back, added, g.Slots(), gone, slots+8)
 	}
-	if base, span := g.IDSpan(); base != lo || span != int64(hi-lo)+1 {
-		t.Fatalf("IDSpan = (%d, %d), want (%d, %d)", base, span, lo, int64(hi-lo)+1)
-	}
+	checkOriented(t, g, graph.Orient(g))
 }
 
 // checkHotLists holds a HotLists pick to its contract: densities — the

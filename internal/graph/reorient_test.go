@@ -16,7 +16,7 @@ func checkReorient(t testing.TB, g, prev *graph.Graph, touched map[graph.VertexI
 	t.Helper()
 	got, rows := graph.Reorient(g, prev, touched)
 	if want := graph.Orient(g); !reflect.DeepEqual(got, want) {
-		for i := 0; i < g.NumVertices(); i++ {
+		for i := 0; i < g.Slots(); i++ {
 			if a, b := got.VertexAt(i), want.VertexAt(i); !reflect.DeepEqual(a, b) {
 				t.Fatalf("slot %d: patched row %+v, fresh orientation %+v", i, a, b)
 			}
@@ -55,8 +55,8 @@ func touchedBy(t testing.TB, st *dyngraph.State, g *graph.Graph, b dyngraph.Batc
 // batches — is the fresh orientation of the mutated graph, byte for byte, and
 // cuts fewer rows than a fresh one. The stream ends in the shapes that move
 // most: a hub deleted, an ID deleted and re-created in one batch, and a batch
-// that widens the ID span past DenseIDs, after which patches take the map
-// path.
+// naming an external ID far past the others, which takes the next internal
+// ID like any other.
 func TestReorientMatchesOrient(t *testing.T) {
 	for name, build := range map[string]func() *graph.Graph{
 		"community": func() *graph.Graph {
@@ -103,35 +103,34 @@ func TestReorientMatchesOrient(t *testing.T) {
 				}
 				return true
 			})
-			nb := hub.Adj[0]
+			ext := g.External
 			patch("hub deleted", touchedBy(t, st, g, dyngraph.Batch{Ops: []dyngraph.Mutation{
-				{Op: dyngraph.OpDelVertex, ID: hub.ID},
-				{Op: dyngraph.OpAddEdge, U: nb, W: hub.Adj[len(hub.Adj)-1]},
+				{Op: dyngraph.OpDelVertex, ID: ext(hub.ID)},
+				{Op: dyngraph.OpAddEdge, U: ext(hub.Adj[0]), W: ext(hub.Adj[len(hub.Adj)-1])},
 			}}))
 
-			// The re-created vertex is appended: the walk must not pair it
-			// with its old row.
+			// The re-created vertex takes its old slot back: its row must be
+			// cut again, not copied.
 			ids := g.IDs()
-			again := ids[len(ids)/3]
+			again := ext(ids[len(ids)/3])
 			patch("deleted and re-created", touchedBy(t, st, g, dyngraph.Batch{Ops: []dyngraph.Mutation{
 				{Op: dyngraph.OpDelVertex, ID: again},
 				{Op: dyngraph.OpAddVertex, ID: again},
-				{Op: dyngraph.OpAddEdge, U: again, W: ids[0]},
-				{Op: dyngraph.OpAddEdge, U: again, W: ids[len(ids)-1]},
+				{Op: dyngraph.OpAddEdge, U: again, W: ext(ids[0])},
+				{Op: dyngraph.OpAddEdge, U: again, W: ext(ids[len(ids)-1])},
 			}}))
 
-			base, span := g.IDSpan()
-			far := base + graph.VertexID(span+64*int64(g.NumVertices()))
-			patch("span widened", touchedBy(t, st, g, dyngraph.Batch{Ops: []dyngraph.Mutation{
-				{Op: dyngraph.OpAddEdge, U: far, W: ids[1]},
-				{Op: dyngraph.OpAddEdge, U: far, W: ids[2]},
+			far, slots := ext(ids[len(ids)-1])<<20, g.Slots()
+			patch("far ID", touchedBy(t, st, g, dyngraph.Batch{Ops: []dyngraph.Mutation{
+				{Op: dyngraph.OpAddEdge, U: far, W: ext(ids[1])},
+				{Op: dyngraph.OpAddEdge, U: far, W: ext(ids[2])},
 			}}))
-			if _, _, dense := g.DenseIDs(); dense {
-				t.Fatal("the far ID left the IDs dense: the map path is not exercised")
+			if id, ok := g.Lookup(far); !ok || id != graph.VertexID(slots) {
+				t.Fatalf("far external ID %d got internal ID %d (%v), want %d", far, id, ok, slots)
 			}
 			for i, b := range gen.Deltas(g, gen.DeltasConfig{Batches: 3, Ops: 40, Seed: 12}) {
-				if rows := patch("sparse batch", touchedBy(t, st, g, b)); rows >= g.NumVertices() {
-					t.Fatalf("sparse batch %d: the patch cut all %d rows", i, rows)
+				if rows := patch("batch past the far ID", touchedBy(t, st, g, b)); rows >= g.NumVertices() {
+					t.Fatalf("batch %d past the far ID: the patch cut all %d rows", i, rows)
 				}
 			}
 		})
@@ -141,7 +140,7 @@ func TestReorientMatchesOrient(t *testing.T) {
 // FuzzReorient cross-checks patched views against Orient on graphs and
 // batches the fuzzer draws. The first byte counts the edge pairs that build
 // the graph; the rest are (op, x, y) triples over up to 48 IDs — 250 and up
-// name IDs far apart, which turns the span sparse — split into batches where
+// name external IDs far apart — split into batches where
 // an op byte ≡ 4 (mod 5) ends one. One view is patched after every batch,
 // another once over all of them; both must equal the fresh orientation.
 func FuzzReorient(f *testing.F) {

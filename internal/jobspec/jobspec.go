@@ -256,7 +256,11 @@ func Build(g *graph.Graph, s Spec) (core.Algorithm, error) {
 	case "cd":
 		return algo.NewCommunityDetect(s.MinSim, s.MinSize), nil
 	case "gc":
-		exemplar := g.VertexAt(0).Attrs
+		var exemplar []int32 // the attributes of the vertex with the smallest ID
+		g.ForEach(func(v *graph.Vertex) bool {
+			exemplar = v.Attrs
+			return false
+		})
 		return algo.NewGraphCluster([][]int32{exemplar}, 0.8, 0.3, s.MinSize), nil
 	}
 	return nil, fmt.Errorf("jobspec: unknown app %q", s.App) // unreachable after Validate

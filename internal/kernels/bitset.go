@@ -53,22 +53,22 @@ func (s *Scratch) Reset() {
 	s.dirty, s.loaded = s.dirty[:0], nil
 }
 
-// MarkAll sets bit x-base for every x of ids that falls inside the
-// universe: a bitmap over an ID span rather than over ranks.
-func MarkAll[T ID](s *Scratch, ids []T, base T) {
+// MarkAll sets bit x for every x of ids that falls inside the universe: a
+// bitmap over internal IDs or over ranks.
+func MarkAll[T ID](s *Scratch, ids []T) {
 	for _, v := range ids {
-		if x := uint64(v - base); x>>6 < uint64(len(s.words)) {
+		if x := uint64(v); x>>6 < uint64(len(s.words)) {
 			s.Mark(uint32(x))
 		}
 	}
 }
 
-// CountMarked returns how many x of b have bit x-base set — one
-// branch-free probe per element; IDs outside the universe are unmarked.
-func CountMarked[T ID](s *Scratch, b []T, base T) int {
+// CountMarked returns how many x of b have bit x set — one branch-free
+// probe per element; IDs outside the universe are unmarked.
+func CountMarked[T ID](s *Scratch, b []T) int {
 	n, words := 0, s.words
 	for _, v := range b {
-		if x := uint64(v - base); x>>6 < uint64(len(words)) {
+		if x := uint64(v); x>>6 < uint64(len(words)) {
 			n += int(words[x>>6] >> (x & 63) & 1)
 		}
 	}
@@ -79,12 +79,12 @@ func CountMarked[T ID](s *Scratch, b []T, base T) int {
 // the next Load, Reset or bitset kernel on this scratch.
 func (s *Scratch) Load(row []uint32) {
 	s.Reset()
-	MarkAll(s, row, 0)
+	MarkAll(s, row)
 	s.loaded = row
 }
 
 // CountLoaded returns |loaded ∩ b|.
-func (s *Scratch) CountLoaded(b []uint32) int { return CountMarked(s, b, 0) }
+func (s *Scratch) CountLoaded(b []uint32) int { return CountMarked(s, b) }
 
 // indexRow reports whether a is a (non-empty) slice of the owning CSR's
 // edge array. A plain sub-slice shares the array's end, so its capacity

@@ -28,15 +28,19 @@ import (
 // ID space (the differential suite in internal/plan pins this).
 type CSR struct {
 	n       int
-	ids     []graph.VertexID          // rank → vertex ID
-	labels  []int32                   // rank → label (graph.NoLabel if none)
-	rank    map[graph.VertexID]uint32 // vertex ID → rank
-	offsets []int64                   // len n+1
-	edges   []uint32                  // neighbor ranks, ascending per row
-	dag     []int64                   // absolute edge index of the first higher-ranked neighbor
+	ids     []graph.VertexID // rank → vertex ID
+	labels  []int32          // rank → label (graph.NoLabel if none)
+	rank    []uint32         // internal vertex ID → rank, noRank for a tombstone
+	offsets []int64          // len n+1
+	edges   []uint32         // neighbor ranks, ascending per row
+	dag     []int64          // absolute edge index of the first higher-ranked neighbor
 
 	scratch sync.Pool
 }
+
+// noRank marks a slot of the rank column with no vertex: ranks stay below
+// the vertex count, which Build keeps under 2³².
+const noRank = ^uint32(0)
 
 // Build compiles the CSR index from a frozen graph. It is a pure function
 // of the graph: two builds from equal graphs produce identical indexes.
@@ -52,7 +56,10 @@ func Build(g *graph.Graph) (*CSR, error) {
 		n:      n,
 		ids:    make([]graph.VertexID, n),
 		labels: make([]int32, n),
-		rank:   make(map[graph.VertexID]uint32, n),
+		rank:   make([]uint32, g.Slots()),
+	}
+	for i := range c.rank {
+		c.rank[i] = noRank
 	}
 	type vd struct {
 		id  graph.VertexID
@@ -139,8 +146,10 @@ func (c *CSR) IDOf(r uint32) graph.VertexID { return c.ids[r] }
 
 // Rank maps a vertex ID to its rank.
 func (c *CSR) Rank(id graph.VertexID) (uint32, bool) {
-	r, ok := c.rank[id]
-	return r, ok
+	if uint64(id) < uint64(len(c.rank)) && c.rank[id] != noRank {
+		return c.rank[id], true
+	}
+	return 0, false
 }
 
 // GetScratch borrows a scratch bitmap sized to the rank universe; return
@@ -156,6 +165,6 @@ func (c *CSR) PutScratch(s *Scratch) {
 
 // FootprintBytes estimates the index's resident size for memory planning.
 func (c *CSR) FootprintBytes() int64 {
-	return int64(8*len(c.ids)) + int64(4*len(c.labels)) + int64(16*len(c.rank)) +
+	return int64(8*len(c.ids)) + int64(4*len(c.labels)) + int64(4*len(c.rank)) +
 		int64(8*len(c.offsets)) + int64(4*len(c.edges)) + int64(8*len(c.dag))
 }

@@ -18,9 +18,8 @@ import (
 //
 //   - Index: the resident IDs are numbered in (degree, ID) rank order, the
 //     order G⁺ orients by, so a row's bits all lie above its own and the hubs
-//     that most lists hold share the last words. A dense int32 array over the
-//     view's ID span maps ID → index; the core exists only where the IDs are
-//     dense (graph.DenseIDs, the rule the ID bitmap goes by).
+//     that most lists hold share the last words. An int32 column by internal
+//     ID maps ID → index.
 //   - Rows: a resident list becomes a bit row only if it has at least as many
 //     resident members as words its row spans, and the row is stored from its
 //     first non-zero word, so no row outweighs the list it mirrors. Members
@@ -29,8 +28,7 @@ import (
 // A core is read-only once cut and shared by every executor thread; what a
 // thread marks is its own (an ID bitmap and Words() words of marks).
 type ResidentCore struct {
-	base  graph.VertexID
-	index []int32  // id − base → resident index, −1 outside the set
+	index []int32  // internal ID → resident index, −1 outside the set
 	rows  []bitRow // by resident index
 	bits  []uint64 // every row's words, back to back
 	tails []graph.VertexID
@@ -47,16 +45,15 @@ type bitRow struct {
 
 // NewResidentCore cuts the core of gplus's resident lists ids, whose
 // in-reference counts (how many forward lists hold each) are refs — what
-// graph.HotLists returns. It returns nil when gplus's IDs are not dense, and
-// when the core would not pay: it is offered only if the probes its rows save,
+// graph.HotLists returns. It returns nil when the core would not pay: it is
+// offered only if the probes its rows save,
 // Σ over rows of refs × (|Γ⁺| − words − |tail|), exceed what it adds to every
 // task, Σ over vertices with two or more forward neighbours (a triangle task
 // each) of |Γ⁺(v)| + Words() — a mark per candidate and the marks to clear.
 // Like HotLists it is a pure function of the graph: equal views cut equal
 // cores.
 func NewResidentCore(gplus *graph.Graph, ids []graph.VertexID, refs []int64) *ResidentCore {
-	base, span, ok := gplus.DenseIDs()
-	if !ok || len(ids) == 0 {
+	if len(ids) == 0 {
 		return nil
 	}
 	words := (len(ids) + 63) / 64
@@ -76,7 +73,7 @@ func NewResidentCore(gplus *graph.Graph, ids []graph.VertexID, refs []int64) *Re
 	if most <= added { // declined without cutting an index
 		return nil
 	}
-	if c, saving := cutCore(base, span, lists); saving > added {
+	if c, saving := cutCore(gplus.Slots(), lists); saving > added {
 		return c
 	}
 	return nil
@@ -89,22 +86,22 @@ type hotList struct {
 	deg, refs int64
 }
 
-// cutCore numbers lists in (degree, ID) order over an index spanning span IDs
-// from base, makes a bit row of every list that qualifies, and returns the
+// cutCore numbers lists in (degree, ID) order over an index of slots
+// internal IDs, makes a bit row of every list that qualifies, and returns the
 // core with the probes its rows save.
-func cutCore(base graph.VertexID, span int, lists []hotList) (*ResidentCore, int64) {
+func cutCore(slots int, lists []hotList) (*ResidentCore, int64) {
 	slices.SortFunc(lists, func(a, b hotList) int {
 		if a.deg != b.deg {
 			return cmp.Compare(a.deg, b.deg)
 		}
 		return cmp.Compare(a.v.ID, b.v.ID)
 	})
-	c := &ResidentCore{base: base, index: make([]int32, span), rows: make([]bitRow, len(lists)), words: (len(lists) + 63) / 64}
+	c := &ResidentCore{index: make([]int32, slots), rows: make([]bitRow, len(lists)), words: (len(lists) + 63) / 64}
 	for i := range c.index {
 		c.index[i] = -1
 	}
 	for r, h := range lists {
-		c.index[h.v.ID-base] = int32(r)
+		c.index[h.v.ID] = int32(r)
 	}
 	var saving int64
 	for r, h := range lists {
@@ -131,8 +128,8 @@ func cutCore(base graph.VertexID, span int, lists []hotList) (*ResidentCore, int
 
 // resident returns the resident index of id, and whether id is resident.
 func (c *ResidentCore) resident(id graph.VertexID) (int, bool) {
-	if x := uint64(id - c.base); x < uint64(len(c.index)) && c.index[x] >= 0 {
-		return int(c.index[x]), true
+	if uint64(id) < uint64(len(c.index)) && c.index[id] >= 0 {
+		return int(c.index[id]), true
 	}
 	return 0, false
 }
@@ -166,7 +163,6 @@ func (c *ResidentCore) Bytes() int64 {
 func (c *ResidentCore) Fingerprint() uint64 {
 	h := uint64(14695981039346656037) // FNV-1a, a word at a time
 	put := func(x uint64) { h = (h ^ x) * 1099511628211 }
-	put(uint64(c.base))
 	for _, i := range c.index {
 		put(uint64(i))
 	}
@@ -184,17 +180,16 @@ func (c *ResidentCore) Fingerprint() uint64 {
 	return h
 }
 
-// MarkAll marks ids twice: every ID in sc, an ID bitmap over the view's span
-// (bit id − base, as the MarkAll function sets it), and every resident ID in
+// MarkAll marks ids twice: every ID in sc, an ID bitmap over the view's
+// internal IDs (as the MarkAll function sets it), and every resident ID in
 // marks by its resident index.
 func (c *ResidentCore) MarkAll(sc *Scratch, marks []uint64, ids []graph.VertexID) {
 	for _, id := range ids {
-		x := uint64(id - c.base)
-		if x >= uint64(len(c.index)) {
+		if uint64(id) >= uint64(len(c.index)) {
 			continue
 		}
-		sc.Mark(uint32(x))
-		if i := c.index[x]; i >= 0 {
+		sc.Mark(uint32(id))
+		if i := c.index[id]; i >= 0 {
 			marks[i>>6] |= 1 << (i & 63)
 		}
 	}
@@ -214,5 +209,5 @@ func (c *ResidentCore) Count(sc *Scratch, marks []uint64, id graph.VertexID) (in
 	for j, w := range c.bits[row.off : row.off+row.n] {
 		n += bits.OnesCount64(w & marks[j])
 	}
-	return n + CountMarked(sc, c.tails[row.tail:row.tail+row.tn], c.base), true
+	return n + CountMarked(sc, c.tails[row.tail:row.tail+row.tn]), true
 }

@@ -8,20 +8,16 @@ import (
 	"gminer/internal/graph"
 )
 
-// forcedCore cuts gplus's core whatever the offer rule says (nil only when
-// the IDs are sparse), beside what NewResidentCore offers.
+// forcedCore cuts gplus's core whatever the offer rule says, beside what
+// NewResidentCore offers.
 func forcedCore(gplus *graph.Graph, budget int64) (forced, offered *ResidentCore) {
 	ids, refs := graph.HotLists(gplus, budget)
-	base, span, ok := gplus.DenseIDs()
-	if !ok {
-		return nil, NewResidentCore(gplus, ids, refs)
-	}
 	lists := make([]hotList, len(ids))
 	for i, id := range ids {
 		v := gplus.Vertex(id)
 		lists[i] = hotList{v, refs[i] + int64(len(v.Adj)), refs[i]}
 	}
-	forced, _ = cutCore(base, span, lists)
+	forced, _ = cutCore(gplus.Slots(), lists)
 	return forced, NewResidentCore(gplus, ids, refs)
 }
 
@@ -32,7 +28,7 @@ func forcedCore(gplus *graph.Graph, budget int64) (forced, offered *ResidentCore
 // the plain MarkAll would set; the marks hold the resident members alone.
 func checkCore(t *testing.T, gplus *graph.Graph, c *ResidentCore) {
 	t.Helper()
-	base, span, _ := gplus.DenseIDs()
+	span := gplus.Slots()
 	sc, plain, marks := NewScratch(span), NewScratch(span), make([]uint64, c.Words())
 	rows := 0
 	gplus.ForEach(func(u *graph.Vertex) bool {
@@ -49,14 +45,14 @@ func checkCore(t *testing.T, gplus *graph.Graph, c *ResidentCore) {
 	}
 	gplus.ForEach(func(v *graph.Vertex) bool {
 		c.MarkAll(sc, marks, v.Adj)
-		MarkAll(plain, v.Adj, base)
+		MarkAll(plain, v.Adj)
 		resident := 0
 		for _, u := range v.Adj {
 			if _, ok := c.resident(u); ok {
 				resident++
 			}
-			if x := uint64(u - base); x < uint64(span) && sc.Has(uint32(x)) != plain.Has(uint32(x)) {
-				t.Fatalf("list of %d: ID %d marked %v, the plain bitmap says %v", v.ID, u, sc.Has(uint32(x)), plain.Has(uint32(x)))
+			if sc.Has(uint32(u)) != plain.Has(uint32(u)) {
+				t.Fatalf("list of %d: ID %d marked %v, the plain bitmap says %v", v.ID, u, sc.Has(uint32(u)), plain.Has(uint32(u)))
 			}
 			n, row := c.Count(sc, marks, u)
 			i, ok := c.resident(u)
@@ -81,14 +77,17 @@ func checkCore(t *testing.T, gplus *graph.Graph, c *ResidentCore) {
 	})
 }
 
-// relabel copies g with every ID scaled and offset: an ID span far wider than
-// 64·|V|, so graph.DenseIDs declines.
+// relabel copies g, labels and attributes included, with every external ID
+// scaled and offset far apart. The relabelling is monotone, so the copy
+// numbers its vertices as g does.
 func relabel(g *graph.Graph) *graph.Graph {
+	ext := func(id graph.VertexID) graph.VertexID { return g.External(id)*1009 + 5_000_000_007 }
 	out := graph.New(g.NumVertices())
 	g.ForEach(func(v *graph.Vertex) bool {
-		out.AddVertex(v.ID*1009 + 5_000_000_007)
+		nv := out.AddVertex(ext(v.ID))
+		nv.Label, nv.Attrs = v.Label, v.Attrs
 		for _, u := range v.Adj {
-			out.AddEdge(v.ID*1009+5_000_000_007, u*1009+5_000_000_007)
+			out.AddEdge(ext(v.ID), ext(u))
 		}
 		return true
 	})
@@ -106,8 +105,8 @@ func buildGraph(edges func(add func(u, w graph.VertexID))) *graph.Graph {
 // The core counts what the merge counts for every resident list and every
 // list that references it, on skewed, flat and degenerate graphs; the offer
 // rule takes it on RMAT and declines it on the community graph the
-// benchmark's dyn-standing-mix workload runs on (seed 42); sparse IDs get
-// none.
+// benchmark's dyn-standing-mix workload runs on (seed 42); a copy with the
+// external IDs strided far apart gets the same core.
 func TestResidentCoreCounts(t *testing.T) {
 	standing, _ := gen.Community(gen.CommunityConfig{Communities: 1024, MinSize: 8, MaxSize: 16, PIn: 0.7, Bridges: 10_240, Seed: 42})
 	for _, tc := range []struct {
@@ -147,9 +146,9 @@ func TestResidentCoreCounts(t *testing.T) {
 			if again, _ := forcedCore(graph.Orient(tc.g), tc.budget*int64(tc.g.NumVertices())); again.Fingerprint() != forced.Fingerprint() {
 				t.Fatal("two cuts of the same view differ")
 			}
-			sparse := relabel(tc.g)
-			if none, offered := forcedCore(graph.Orient(sparse), tc.budget*int64(tc.g.NumVertices())); none != nil || offered != nil {
-				t.Fatal("a core over sparse IDs")
+			strided, stridedOffer := forcedCore(graph.Orient(relabel(tc.g)), tc.budget*int64(tc.g.NumVertices()))
+			if strided.Fingerprint() != forced.Fingerprint() || (stridedOffer != nil) != tc.offered {
+				t.Fatal("the strided copy cuts another core")
 			}
 		})
 	}
@@ -182,14 +181,10 @@ func FuzzCoreCount(f *testing.F) {
 		}
 		gplus := graph.Orient(g)
 		c, offered := forcedCore(gplus, budget)
-		if c == nil {
-			return // sparse: a handful of IDs far apart
-		}
 		if offered != nil && offered.Fingerprint() != c.Fingerprint() {
 			t.Fatal("the offered core is not the one cut")
 		}
-		base, span, _ := gplus.DenseIDs()
-		sc, marks := NewScratch(span), make([]uint64, c.Words())
+		sc, marks := NewScratch(gplus.Slots()), make([]uint64, c.Words())
 		gplus.ForEach(func(v *graph.Vertex) bool {
 			in := map[graph.VertexID]bool{}
 			for _, x := range v.Adj {
@@ -204,7 +199,7 @@ func FuzzCoreCount(f *testing.F) {
 					}
 				}
 				if n, row := c.Count(sc, marks, u); row && n != want {
-					t.Fatalf("list of %d: row of %d counts %d, oracle %d (base %d)", v.ID, u, n, want, base)
+					t.Fatalf("list of %d: row of %d counts %d, oracle %d", v.ID, u, n, want)
 				}
 			}
 			sc.Reset()

@@ -19,13 +19,13 @@ import (
 
 // Assignment maps every vertex to its owning worker in [0, K).
 //
-// Two representations back it: a per-vertex owner map (Hash, Skewed, BDG)
-// or a per-block owner map plus a block shift (Blocked) — the block form is
-// O(#blocks) to rebuild, which is what makes incremental repartitioning
-// under graph mutations cheap (see internal/dyngraph).
+// Two representations back it: a per-vertex owner column by internal ID
+// (Hash, Skewed, BDG) or a per-block owner map plus a block shift (Blocked)
+// — the block form is O(#blocks) to rebuild, which is what makes incremental
+// repartitioning under graph mutations cheap (see internal/dyngraph).
 type Assignment struct {
 	K     int
-	owner map[graph.VertexID]int
+	owner []int32 // by internal ID, −1 where the graph has no vertex
 
 	// Block-backed form: owner of block (id >> blockShift). Exactly one of
 	// owner / blockOwner is non-nil.
@@ -42,10 +42,20 @@ func (a *Assignment) Owner(id graph.VertexID) int {
 		}
 		return -1
 	}
-	if w, ok := a.owner[id]; ok {
-		return w
+	if uint64(id) < uint64(len(a.owner)) {
+		return int(a.owner[id])
 	}
 	return -1
+}
+
+// newAssignment returns a vertex-backed assignment of g to k workers with
+// no vertex placed yet.
+func newAssignment(g *graph.Graph, k int) *Assignment {
+	a := &Assignment{K: k, owner: make([]int32, g.Slots())}
+	for i := range a.owner {
+		a.owner[i] = -1
+	}
+	return a
 }
 
 // Sizes returns the number of vertices per worker.
@@ -55,7 +65,9 @@ func (a *Assignment) Sizes() []int {
 	}
 	sizes := make([]int, a.K)
 	for _, w := range a.owner {
-		sizes[w]++
+		if w >= 0 {
+			sizes[w]++
+		}
 	}
 	return sizes
 }
@@ -153,9 +165,9 @@ func (Hash) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k must be >= 1, got %d", k)
 	}
-	a := &Assignment{K: k, owner: make(map[graph.VertexID]int, g.NumVertices())}
+	a := newAssignment(g, k)
 	g.ForEach(func(v *graph.Vertex) bool {
-		a.owner[v.ID] = int(lsh.HashID(uint64(v.ID)) % uint64(k))
+		a.owner[v.ID] = int32(lsh.HashID(uint64(v.ID)) % uint64(k))
 		return true
 	})
 	return a, nil
@@ -176,13 +188,13 @@ func (s Skewed) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k must be >= 1, got %d", k)
 	}
-	a := &Assignment{K: k, owner: make(map[graph.VertexID]int, g.NumVertices())}
+	a := newAssignment(g, k)
 	g.ForEach(func(v *graph.Vertex) bool {
 		h := lsh.HashID(uint64(v.ID))
 		if k == 1 || float64(h%1000)/1000.0 < s.Bias {
 			a.owner[v.ID] = 0
 		} else {
-			a.owner[v.ID] = 1 + int((h>>10)%uint64(k-1))
+			a.owner[v.ID] = 1 + int32((h>>10)%uint64(k-1))
 		}
 		return true
 	})
@@ -229,16 +241,19 @@ func (b BDG) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	b = b.defaults()
 	color := b.colorBlocks(g)
 	blocks := groupBlocks(g, color)
-	return b.assignBlocks(g, blocks, color, k)
+	return b.assignBlocks(g, blocks, k)
 }
 
 // colorBlocks runs the multi-source bounded BFS coloring; any vertices
 // still uncolored after MaxRounds are grouped into connected components by
 // Hash-Min, "and then simply consider each CC as a block".
-func (b BDG) colorBlocks(g *graph.Graph) map[graph.VertexID]int32 {
+func (b BDG) colorBlocks(g *graph.Graph) []int32 {
 	rng := rand.New(rand.NewSource(b.Seed))
 	n := g.NumVertices()
-	color := make(map[graph.VertexID]int32, n)
+	color := make([]int32, g.Slots()) // by internal ID, −1 while uncolored
+	for i := range color {
+		color[i] = -1
+	}
 	var nextColor int32
 
 	uncolored := make([]graph.VertexID, 0, n)
@@ -258,7 +273,7 @@ func (b BDG) colorBlocks(g *graph.Graph) map[graph.VertexID]int32 {
 		})
 		frontier := make([]graph.VertexID, 0, numSources)
 		for _, id := range uncolored[:numSources] {
-			if _, ok := color[id]; ok {
+			if color[id] >= 0 {
 				continue
 			}
 			color[id] = nextColor
@@ -272,7 +287,7 @@ func (b BDG) colorBlocks(g *graph.Graph) map[graph.VertexID]int32 {
 			for _, id := range frontier {
 				c := color[id]
 				for _, nb := range g.Vertex(id).Adj {
-					if _, ok := color[nb]; !ok {
+					if color[nb] < 0 {
 						color[nb] = c
 						next = append(next, nb)
 					}
@@ -283,7 +298,7 @@ func (b BDG) colorBlocks(g *graph.Graph) map[graph.VertexID]int32 {
 		// Compact the uncolored list.
 		out := uncolored[:0]
 		for _, id := range uncolored {
-			if _, ok := color[id]; !ok {
+			if color[id] < 0 {
 				out = append(out, id)
 			}
 		}
@@ -299,8 +314,11 @@ func (b BDG) colorBlocks(g *graph.Graph) map[graph.VertexID]int32 {
 // hashMinCC assigns each remaining connected component (within the
 // uncolored subgraph) a fresh color via min-ID label propagation
 // (Hash-Min [39]).
-func (b BDG) hashMinCC(g *graph.Graph, color map[graph.VertexID]int32, uncolored []graph.VertexID, nextColor *int32) {
-	label := make(map[graph.VertexID]graph.VertexID, len(uncolored))
+func (b BDG) hashMinCC(g *graph.Graph, color []int32, uncolored []graph.VertexID, nextColor *int32) {
+	label := make([]graph.VertexID, g.Slots()) // by internal ID, −1 off the uncolored set
+	for i := range label {
+		label[i] = -1
+	}
 	for _, id := range uncolored {
 		label[id] = id
 	}
@@ -310,7 +328,7 @@ func (b BDG) hashMinCC(g *graph.Graph, color map[graph.VertexID]int32, uncolored
 		for _, id := range uncolored {
 			min := label[id]
 			for _, nb := range g.Vertex(id).Adj {
-				if l, ok := label[nb]; ok && l < min {
+				if l := label[nb]; l >= 0 && l < min {
 					min = l
 				}
 			}
@@ -334,7 +352,7 @@ func (b BDG) hashMinCC(g *graph.Graph, color map[graph.VertexID]int32, uncolored
 }
 
 // groupBlocks collects block membership from the coloring.
-func groupBlocks(g *graph.Graph, color map[graph.VertexID]int32) [][]graph.VertexID {
+func groupBlocks(g *graph.Graph, color []int32) [][]graph.VertexID {
 	byColor := make(map[int32][]graph.VertexID)
 	g.ForEach(func(v *graph.Vertex) bool {
 		c := color[v.ID]
@@ -358,8 +376,8 @@ func groupBlocks(g *graph.Graph, color map[graph.VertexID]int32) [][]graph.Verte
 }
 
 // assignBlocks applies the deterministic greedy rule (Eq. 1).
-func (b BDG) assignBlocks(g *graph.Graph, blocks [][]graph.VertexID, color map[graph.VertexID]int32, k int) (*Assignment, error) {
-	a := &Assignment{K: k, owner: make(map[graph.VertexID]int, g.NumVertices())}
+func (b BDG) assignBlocks(g *graph.Graph, blocks [][]graph.VertexID, k int) (*Assignment, error) {
+	a := newAssignment(g, k)
 	partSize := make([]int, k)
 	capacity := float64(g.NumVertices()) / float64(k)
 	if capacity < 1 {
@@ -370,7 +388,7 @@ func (b BDG) assignBlocks(g *graph.Graph, blocks [][]graph.VertexID, color map[g
 		overlap := make([]float64, k)
 		for _, id := range members {
 			for _, nb := range g.Vertex(id).Adj {
-				if w, ok := a.owner[nb]; ok {
+				if w := a.owner[nb]; w >= 0 {
 					overlap[w]++
 				}
 			}
@@ -397,7 +415,7 @@ func (b BDG) assignBlocks(g *graph.Graph, blocks [][]graph.VertexID, color map[g
 			best = least
 		}
 		for _, id := range members {
-			a.owner[id] = best
+			a.owner[id] = int32(best)
 		}
 		partSize[best] += len(members)
 	}

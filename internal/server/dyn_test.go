@@ -238,16 +238,17 @@ func TestStandingQueryDifferential(t *testing.T) {
 
 	seed := standingGraph()
 	batches := gen.Deltas(seed, gen.DeltasConfig{Batches: 8, Ops: 24, Seed: 5})
-	// One more: a run of fresh vertices past the ID span, wired in — new
-	// blocks, placed on workers that then hold different vertex sets.
-	_, span := seed.IDSpan()
-	fresh := seed.IDs()[0] + graph.VertexID(span) + 64
+	// One more: a run of fresh vertices, external IDs far past the others,
+	// wired in — new slots and blocks, placed on workers that then hold
+	// different vertex sets.
+	ids, ext := seed.IDs(), seed.External
+	fresh := ext(ids[len(ids)-1]) + 1<<20
 	var grow dyngraph.Batch
 	for i := graph.VertexID(0); i < 40; i++ {
 		grow.Ops = append(grow.Ops,
 			dyngraph.Mutation{Op: dyngraph.OpAddVertex, ID: fresh + i, Attrs: seed.VertexAt(int(i)).Attrs},
-			dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: fresh + i, W: seed.IDs()[i]},
-			dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: fresh + i, W: seed.IDs()[i+1]})
+			dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: fresh + i, W: ext(ids[i])},
+			dyngraph.Mutation{Op: dyngraph.OpAddEdge, U: fresh + i, W: ext(ids[i+1])})
 	}
 	batches = append(batches, grow)
 	kinds := map[string]bool{}

@@ -56,7 +56,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 	// Pre-reads on the old graph: the dirty-rooted identities need what the
 	// batch's reach holds BEFORE the batch lands.
-	pre := s.reg.standingPrepare(b.DirtyIDs())
+	pre := s.reg.standingPrepare(b.DirtyIDs(s.sess.Graph()))
 
 	epr, err := s.sess.ApplyMutations(b)
 	if err != nil {

@@ -60,8 +60,7 @@ func main() {
 		ckptEvery = flag.Duration("checkpoint-every", 0, "checkpoint interval (0=off)")
 		resume    = flag.Bool("resume", false, "resume the job from the newest committed checkpoint in -checkpoint-dir")
 
-		labels  = flag.Int("labels", 7, "for gm on unlabeled inputs: assign labels from this alphabet")
-		generic = flag.Bool("generic", false, "force the generic exploration path (no compiled plans / intersection kernels)")
+		labels = flag.Int("labels", 7, "for gm on unlabeled inputs: assign labels from this alphabet")
 
 		chaosProfile = flag.String("chaos-profile", "", "fault-injection profile: default, heavy, or 'drop=0.05,delay=0.2,delaymax=2ms,crash=1@15ms' (empty=off)")
 		chaosSeed    = flag.Uint64("chaos-seed", 1, "chaos RNG seed; same seed, same fault sequence")
@@ -81,7 +80,7 @@ func main() {
 	}
 
 	spec := workloadSpec()
-	spec.Labels, spec.Generic = int32(*labels), *generic
+	spec.Labels = int32(*labels)
 	spec = spec.Normalize()
 	jobspec.Prepare(g, spec)
 	a, err := jobspec.Build(g, spec)

@@ -18,23 +18,18 @@ import (
 // carrying the root's label seeds a task, and after the deepest level the
 // count is folded bottom-up into a global sum aggregator.
 //
-// Offered the runtime's label column (core.Plan.Labels), GM matches
-// parent-major: a level is read off its parents' own adjacency lists — x
-// matches step s under parent match m iff x ∈ adj(m) and the column says x
-// carries s's label, the very walk RefMatchCount makes: a neighbour's label
-// is one load from the column, and one mask test against the labels of its
-// parent node's children drops most neighbours before any step is read. The
-// seed matches level 1 off the root's list and round r matches level r+1 off
-// the pulled lists of level r's expanding matches, so the only vertices a
-// task pulls are matches whose children are still to be matched: never a
-// leaf, never the deepest level. A seed some level-1 node finds no match for
-// counts 0 and is not spawned.
-//
-// Without the column — the Generic baseline — GM matches candidate-major, as
-// the paper does: round r pulls the neighbourhoods of level r−1's expanding
-// matches and keeps each candidate adjacent to a parent match, asking the
-// candidate's own list (which is the parents' answer only because adjacency
-// is symmetric). Both arms record one context and count it one way.
+// GM runs on the runtime's label column (core.Plan.Labels), which every
+// runtime offers — the cluster, SeqRun and baseline.Batch — and Seed panics
+// without it. It matches parent-major: a level is read off its parents' own
+// adjacency lists — x matches step s under parent match m iff x ∈ adj(m)
+// and the column says x carries s's label, the very walk RefMatchCount
+// makes: a neighbour's label is one load from the column, and one mask test
+// against the labels of its parent node's children drops most neighbours
+// before any step is read. The seed matches level 1 off the root's list and
+// round r matches level r+1 off the pulled lists of level r's expanding
+// matches, so the only vertices a task pulls are matches whose children are
+// still to be matched: never a leaf, never the deepest level. A seed some
+// level-1 node finds no match for counts 0 and is not spawned.
 //
 // Matching is homomorphic (two pattern nodes may map to one data vertex),
 // as in the sequential oracle RefMatchCount. A leaf's subtree then counts 1
@@ -42,9 +37,6 @@ import (
 // never as a vertex list (DESIGN.md §12).
 type GraphMatch struct {
 	P *Pattern
-	// Generic keeps GM candidate-major whatever it is offered (the
-	// differential baseline).
-	Generic bool
 
 	// levels[d] is the ModeHom plan's matching schedule of depth d, and
 	// expands[p] is node p's TreeStep.Expands from it. Matching stays in ID
@@ -57,7 +49,7 @@ type GraphMatch struct {
 	kids      [][]plan.TreeStep
 	kidLabels []uint64
 	expands   []bool
-	labels    *graph.Labels // nil: candidate-major
+	labels    *graph.Labels // the job's label column; nil until offered
 	scratch   sync.Pool     // *gmScratch, one per concurrent Seed or Update
 }
 
@@ -92,13 +84,10 @@ func NewGraphMatch(p *Pattern) *GraphMatch {
 
 // Plan implements core.Planner: GM asks for the label column, and with it in
 // hand matches parent-major, reading a neighbour's label from it instead of
-// pulling the neighbour. Until the runtime offers it the job is
-// candidate-major.
+// pulling the neighbour. A job Plan opens cannot seed until the runtime
+// offers the column.
 func (a *GraphMatch) Plan() core.Plan {
 	a.labels = nil
-	if a.Generic {
-		return core.Plan{}
-	}
 	return core.Plan{Labels: func(labels *graph.Labels) { a.labels = labels }}
 }
 
@@ -150,6 +139,9 @@ func (a *GraphMatch) putScratch(sc *gmScratch) {
 
 // Seed implements core.Algorithm.
 func (a *GraphMatch) Seed(v *graph.Vertex, spawn func(*core.Task)) {
+	if a.labels == nil {
+		panic("algo: gm seeded without the label column: the runtime never called core.Plan.Labels")
+	}
 	if v.Label != a.P.Labels[0] {
 		return
 	}
@@ -157,11 +149,7 @@ func (a *GraphMatch) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 	ctx.nodes[0] = gmNode{matches: []graph.VertexID{v.ID}, offsets: []int32{0, 0}}
 	t := &core.Task{Context: ctx}
 	t.Subgraph.AddVertex(v.ID)
-	switch {
-	case a.P.Depth() == 0: // a single-node pattern counts 1 per seed at update time
-	case a.labels == nil:
-		t.Cands = v.Adj // shared, never modified (core.Algorithm.Seed)
-	default:
+	if a.P.Depth() > 0 { // a single-node pattern counts 1 per seed at update time
 		sc := a.scratch.Get().(*gmScratch)
 		defer a.putScratch(sc)
 		a.openLevel(ctx, 1, sc)
@@ -169,7 +157,7 @@ func (a *GraphMatch) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 		if !a.closeLevel(ctx, 1, sc) {
 			return
 		}
-		t.Cands = a.frontier(nil, ctx, 1, nil, nil, sc)
+		t.Cands = a.frontier(nil, ctx, 1, sc)
 	}
 	spawn(t)
 }
@@ -183,24 +171,16 @@ func (a *GraphMatch) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 	}
 	sc := a.scratch.Get().(*gmScratch)
 	defer a.putScratch(sc)
-	// Levels up to t.Round have been matched (parent-major: cands are level
-	// t.Round's expanding matches), or up to t.Round−1 (candidate-major:
-	// cands are their neighbourhoods). d is the level this round matches.
-	d := t.Round
-	if a.labels != nil {
-		d++
-	}
+	// Levels up to t.Round have been matched, and cands are level t.Round's
+	// expanding matches. d is the level this round matches.
+	d := t.Round + 1
 	if d <= a.P.Depth() {
 		a.openLevel(ctx, d, sc)
-		if a.labels == nil {
-			a.probeCandidates(ctx, d, t.Cands, cands, sc)
-		} else {
-			sc.rows = sc.rows[:0]
-			for _, p := range a.parents[d] {
-				sc.rows = appendRows(sc.rows, ctx.nodes[p].matches, t.Cands, cands)
-			}
-			a.walkParents(ctx, d, sc.rows, sc)
+		sc.rows = sc.rows[:0]
+		for _, p := range a.parents[d] {
+			sc.rows = appendRows(sc.rows, ctx.nodes[p].matches, t.Cands, cands)
 		}
+		a.walkParents(ctx, d, sc.rows, sc)
 		if !a.closeLevel(ctx, d, sc) {
 			return // a pattern node without a match: the count is 0, die
 		}
@@ -211,7 +191,7 @@ func (a *GraphMatch) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 		}
 		return
 	}
-	sc.ids = a.frontier(sc.ids[:0], ctx, d, t.Cands, cands, sc)
+	sc.ids = a.frontier(sc.ids[:0], ctx, d, sc)
 	t.Pull(sc.ids...)
 }
 
@@ -290,38 +270,13 @@ func (a *GraphMatch) walkParents(ctx *gmContext, d int, rows [][]graph.VertexID,
 	}
 }
 
-// probeCandidates matches level d candidate-major: a candidate carrying a
-// step's label matches under each parent match its own list holds.
-func (a *GraphMatch) probeCandidates(ctx *gmContext, d int, ids []graph.VertexID, objs []*graph.Vertex, sc *gmScratch) {
-	for i, obj := range objs {
-		if obj == nil {
-			continue
-		}
-		for _, st := range a.levels[d] {
-			if obj.Label != st.Label {
-				continue
-			}
-			for j, pv := range ctx.nodes[st.Parent].matches {
-				if obj.HasNeighbor(pv) {
-					sc.record(ctx, st, ids[i], j)
-				}
-			}
-		}
-	}
-}
-
-// frontier appends to dst what level d+1 is matched from, ascending and
-// duplicate-free: level d's expanding matches (parent-major), or the union of
-// their lists, read off the round's candidates ids / objs (candidate-major).
-func (a *GraphMatch) frontier(dst []graph.VertexID, ctx *gmContext, d int, ids []graph.VertexID, objs []*graph.Vertex, sc *gmScratch) []graph.VertexID {
+// frontier appends to dst what level d+1 is matched from: level d's
+// expanding matches, ascending and duplicate-free.
+func (a *GraphMatch) frontier(dst []graph.VertexID, ctx *gmContext, d int, sc *gmScratch) []graph.VertexID {
 	sc.rows = sc.rows[:0]
 	for _, st := range a.levels[d] {
-		switch m := ctx.nodes[st.Node].matches; {
-		case !st.Expands:
-		case a.labels != nil:
-			sc.rows = append(sc.rows, m)
-		default:
-			sc.rows = appendRows(sc.rows, m, ids, objs)
+		if st.Expands {
+			sc.rows = append(sc.rows, ctx.nodes[st.Node].matches)
 		}
 	}
 	return kernels.Union(dst, sc.rows)
@@ -384,27 +339,17 @@ func (a *GraphMatch) countMatches(ctx *gmContext, sc *gmScratch) int64 {
 	return sc.acc[0]
 }
 
-// An encoded context leads with its arm's format byte: a task at round r
-// holds levels up to r (parent-major) or up to r−1 (candidate-major), so
-// bytes of the other arm fail decode, never miscount. The map encoding both
-// replace led with a node count (1..plan.MaxTreeNodes).
-const (
-	gmFormat        = 0xB2 // parent-major
-	gmFormatGeneric = 0xB1 // candidate-major
-)
-
-func (a *GraphMatch) format() byte {
-	if a.labels == nil {
-		return gmFormatGeneric
-	}
-	return gmFormat
-}
+// An encoded context leads with its format byte: a task at round r holds
+// levels up to r. The retired candidate-major format (0xB1) held levels up
+// to r−1, and the map encoding before it led with a node count
+// (1..plan.MaxTreeNodes), so their bytes fail decode, never miscount.
+const gmFormat = 0xB2
 
 // EncodeContext implements core.ContextCodec: the format byte, the node
 // count, then per pattern node a leaf's hits or an expanding node's matches,
 // per-match parent counts and parent positions — which, the pattern says.
 func (a *GraphMatch) EncodeContext(w *wire.Writer, ctxAny any) {
-	w.Byte(a.format())
+	w.Byte(gmFormat)
 	nodes := ctxAny.(*gmContext).nodes // Seed and DecodeContext make no other kind
 	w.Uvarint(uint64(len(nodes)))
 	for p := range nodes {
@@ -431,8 +376,8 @@ func (a *GraphMatch) EncodeContext(w *wire.Writer, ctxAny any) {
 // and parent positions against the parent node's matches, matches ascending
 // — so a corrupt or foreign context is a wire error, never a panic.
 func (a *GraphMatch) DecodeContext(r *wire.Reader) any {
-	if f := r.Byte(); r.Err() == nil && f != a.format() {
-		r.Failf("gm context format %#x, want %#x", f, a.format())
+	if f := r.Byte(); r.Err() == nil && f != gmFormat {
+		r.Failf("gm context format %#x, want %#x", f, gmFormat)
 	}
 	if cnt := r.Count(1); r.Err() == nil && cnt != len(a.P.Labels) {
 		r.Failf("gm context has %d pattern nodes, pattern has %d", cnt, len(a.P.Labels))

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/kernels"
+	"gminer/internal/plan"
 	"gminer/internal/wire"
 )
 
@@ -26,29 +28,38 @@ func gmBenchGraph() *graph.Graph {
 // TestGMBenchGraphIsTheBenchmarks pins gen.DealLabels to the labelling it
 // mirrors (benchmark/inputs.go, a separate module no test here can import):
 // the Figure-1 count and task count are what batch-gm-compute's oracle
-// reports at seed 42, and either moves if the two labellings part. The
-// candidate-major baseline spawns a task per root-labelled vertex; the
-// parent-major arm only where level 1 matches.
+// reports at seed 42, and either moves if the two labellings part. GM
+// spawns a task only where level 1 matches.
 func TestGMBenchGraphIsTheBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a full GM run on the benchmark graph")
 	}
-	g := gmBenchGraph()
-	generic := NewGraphMatch(nil)
-	generic.Generic = true
-	for _, arm := range []struct {
-		a     *GraphMatch
-		tasks int64
-	}{{NewGraphMatch(nil), 849}, {generic, 2341}} {
-		res := SeqRun(g, arm.a)
-		if got := res.AggGlobal.(int64); got != 1_517_950_617 || res.Tasks != arm.tasks {
-			t.Errorf("generic=%v: count %d in %d tasks, the benchmark reports 1517950617 in %d", arm.a.Generic, got, res.Tasks, arm.tasks)
-		}
+	res := SeqRun(gmBenchGraph(), NewGraphMatch(nil))
+	if got := res.AggGlobal.(int64); got != 1_517_950_617 || res.Tasks != 849 {
+		t.Errorf("count %d in %d tasks, the benchmark reports 1517950617 in 849", got, res.Tasks)
 	}
 }
 
+// TestGMSeedNeedsTheLabelColumn: a runtime that never offers the label
+// column gets a panic naming core.Plan.Labels at the first seed, not a nil
+// dereference deep in matching.
+func TestGMSeedNeedsTheLabelColumn(t *testing.T) {
+	g := pinnedGraph(t)
+	a := NewGraphMatch(nil)
+	core.PlanOf(a) // opens the job, offers nothing
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "core.Plan.Labels") {
+			t.Fatalf("Seed without the label column: recovered %q, want a panic naming core.Plan.Labels", msg)
+		}
+	}()
+	g.ForEach(func(v *graph.Vertex) bool {
+		a.Seed(v, func(*core.Task) {})
+		return true
+	})
+}
+
 // gmParentMajor is GM for p offered g's label column, as every runtime
-// offers it: the parent-major arm.
+// offers it.
 func gmParentMajor(g *graph.Graph, p *Pattern) *GraphMatch {
 	a := NewGraphMatch(p)
 	core.PlanOf(a).Labels(g.LabelColumn())
@@ -102,122 +113,95 @@ func withLabel(g *graph.Graph, ids []graph.VertexID, label int32) (out []graph.V
 	return out
 }
 
-// TestGMFrontierExpandsOnlyInternalNodes pins what each round pulls: on the
-// candidate-major baseline the neighbourhoods of the matches of pattern nodes
-// that have children; parent-major, those matches themselves — never a leaf,
-// never the deepest level.
+// TestGMFrontierExpandsOnlyInternalNodes pins what each round pulls: the
+// matches of pattern nodes that have children — never a leaf, never the
+// deepest level.
 func TestGMFrontierExpandsOnlyInternalNodes(t *testing.T) {
 	g := pinnedGraph(t) // labels cycle over {0..3}
 
 	t.Run("figure", func(t *testing.T) {
-		// Level 1 is b (label 1, a leaf) and c (label 2, expanding): round 2
-		// pulls ∪ adj(c-matches), a strict subset of the ∪ adj(b- and
-		// c-matches) the map-based frontier pulled. Parent-major, the seed
-		// asks for the c-matches and round 1 ends the task.
-		a, pm, narrower, unspawned := NewGraphMatch(FigurePattern()), gmParentMajor(g, FigurePattern()), 0, 0
+		// Level 1 is b (label 1, a leaf) and c (label 2, expanding): the seed
+		// asks for the c-matches and round 1 ends the task. A root some
+		// level-1 node has no match under spawns nothing.
+		a, spawned, unspawned := gmParentMajor(g, FigurePattern()), 0, 0
+		g.ForEach(func(v *graph.Vertex) bool {
+			if v.Label != a.P.Labels[0] {
+				return true
+			}
+			if task := gmSeedTask(a, v); task == nil {
+				unspawned++
+			} else if want := withLabel(g, v.Adj, 2); !slices.Equal(task.Cands, want) {
+				t.Fatalf("root %d: seed pulls %v, want its c-matches %v", v.ID, task.Cands, want)
+			} else if next, _ := gmRound(g, a, task); next != nil {
+				t.Fatalf("root %d: round 1 of a depth-2 pattern pulled %v", v.ID, next)
+			} else {
+				spawned++
+			}
+			return true
+		})
+		if spawned == 0 || unspawned == 0 {
+			t.Fatalf("%d seeds spawned, %d went unspawned: the workload does not exercise the leaf", spawned, unspawned)
+		}
+	})
+
+	t.Run("star", func(t *testing.T) {
+		// Every non-root node is a leaf: the seed pulls nothing, one round,
+		// then the count.
+		p := MustPattern([]int32{0, 1, 1, 2}, []int{-1, 0, 0, 0})
+		a, total := gmParentMajor(g, p), int64(0)
+		g.ForEach(func(v *graph.Vertex) bool {
+			if task := gmSeedTask(a, v); task != nil {
+				if len(task.Cands) != 0 {
+					t.Fatalf("root %d: star seed pulls %v", v.ID, task.Cands)
+				}
+				next, agg := gmRound(g, a, task)
+				if next != nil {
+					t.Fatalf("root %d: star pattern asked for a second round (%d candidates)", v.ID, len(next))
+				}
+				total += agg
+			}
+			return true
+		})
+		if want := RefMatchCount(g, p); total != want || want == 0 {
+			t.Fatalf("star count %d, reference %d", total, want)
+		}
+	})
+
+	t.Run("path", func(t *testing.T) {
+		// Depth 4, every node but the last expanding: the seed matched level
+		// 1, each round pulls the next level's matches, and the deepest none.
+		labels := []int32{0, 1, 2, 3, 0}
+		p := PathPattern(labels...)
+		a, finished, total := gmParentMajor(g, p), 0, int64(0)
 		g.ForEach(func(v *graph.Vertex) bool {
 			task := gmSeedTask(a, v)
 			if task == nil {
 				return true
 			}
-			if task := gmSeedTask(pm, v); task == nil {
-				unspawned++
-			} else if want := withLabel(g, v.Adj, 2); !slices.Equal(task.Cands, want) {
-				t.Fatalf("root %d: parent-major seed pulls %v, want its c-matches %v", v.ID, task.Cands, want)
-			} else if next, _ := gmRound(g, pm, task); next != nil {
-				t.Fatalf("root %d: parent-major round 1 of a depth-2 pattern pulled %v", v.ID, next)
+			if !slices.Equal(task.Cands, withLabel(g, v.Adj, labels[1])) {
+				t.Fatalf("root %d: seed pulls %v", v.ID, task.Cands)
 			}
-			next, _ := gmRound(g, a, task)
-			if next == nil {
-				return true
-			}
-			want, old := unionAdj(g, v.Adj, 2), unionAdj(g, v.Adj, 1, 2)
-			if !slices.Equal(next, want) {
-				t.Fatalf("root %d: round 2 pulls %v, want ∪ adj(c-matches) %v", v.ID, next, want)
-			}
-			if kernels.Count(next, old) != len(next) {
-				t.Fatalf("root %d: frontier %v is not inside the old frontier %v", v.ID, next, old)
-			}
-			if len(next) < len(old) {
-				narrower++
-			}
-			return true
-		})
-		if narrower == 0 || unspawned == 0 {
-			t.Fatalf("%d frontiers shrank, %d seeds went unspawned: the workload does not exercise the leaf", narrower, unspawned)
-		}
-	})
-
-	t.Run("star", func(t *testing.T) {
-		// Every non-root node is a leaf: one round, then the count;
-		// parent-major pulls nothing at all.
-		p := MustPattern([]int32{0, 1, 1, 2}, []int{-1, 0, 0, 0})
-		for _, a := range []*GraphMatch{NewGraphMatch(p), gmParentMajor(g, p)} {
-			total := int64(0)
-			g.ForEach(func(v *graph.Vertex) bool {
-				if task := gmSeedTask(a, v); task != nil {
-					if a.labels != nil && len(task.Cands) != 0 {
-						t.Fatalf("root %d: parent-major star seed pulls %v", v.ID, task.Cands)
+			for {
+				frontier := task.Cands
+				next, agg := gmRound(g, a, task)
+				total += agg
+				if next == nil {
+					if task.Round+1 == p.Depth() {
+						finished++
 					}
-					next, agg := gmRound(g, a, task)
-					if next != nil {
-						t.Fatalf("root %d: star pattern asked for a second round (%d candidates)", v.ID, len(next))
-					}
-					total += agg
-				}
-				return true
-			})
-			if want := RefMatchCount(g, p); total != want || want == 0 {
-				t.Fatalf("parent-major=%v: star count %d, reference %d", a.labels != nil, total, want)
-			}
-		}
-	})
-
-	t.Run("path", func(t *testing.T) {
-		// Depth 4, every node but the last expanding: candidate-major, every
-		// level pulls the neighbourhoods of exactly its own label's matches;
-		// parent-major, the next level's matches, and the deepest none.
-		labels := []int32{0, 1, 2, 3, 0}
-		p := PathPattern(labels...)
-		for _, a := range []*GraphMatch{NewGraphMatch(p), gmParentMajor(g, p)} {
-			finished, total, lag := 0, int64(0), 0
-			if a.labels != nil {
-				lag = 1 // the seed matched level 1
-			}
-			g.ForEach(func(v *graph.Vertex) bool {
-				task := gmSeedTask(a, v)
-				if task == nil {
 					return true
 				}
-				if lag == 1 && !slices.Equal(task.Cands, withLabel(g, v.Adj, labels[1])) {
-					t.Fatalf("root %d: parent-major seed pulls %v", v.ID, task.Cands)
+				if task.Round+1 >= p.Depth() {
+					t.Fatalf("root %d: round %d of a depth-%d pattern pulled", v.ID, task.Round, p.Depth())
 				}
-				for {
-					frontier := task.Cands
-					next, agg := gmRound(g, a, task)
-					total += agg
-					if next == nil {
-						if task.Round+lag == p.Depth() {
-							finished++
-						}
-						return true
-					}
-					if task.Round+lag >= p.Depth() {
-						t.Fatalf("root %d: round %d of a depth-%d pattern pulled", v.ID, task.Round, p.Depth())
-					}
-					want := unionAdj(g, frontier, labels[task.Round])
-					if lag == 1 {
-						want = withLabel(g, want, labels[task.Round+1])
-					}
-					if !slices.Equal(next, want) {
-						t.Fatalf("root %d round %d: pulled %v, want %v", v.ID, task.Round, next, want)
-					}
-					task.Advance(next)
+				if want := withLabel(g, unionAdj(g, frontier, labels[task.Round]), labels[task.Round+1]); !slices.Equal(next, want) {
+					t.Fatalf("root %d round %d: pulled %v, want %v", v.ID, task.Round, next, want)
 				}
-			})
-			if want := RefMatchCount(g, p); total != want || finished == 0 {
-				t.Fatalf("parent-major=%v: path count %d, reference %d, %d tasks reached the last level", lag == 1, total, want, finished)
+				task.Advance(next)
 			}
+		})
+		if want := RefMatchCount(g, p); total != want || finished == 0 {
+			t.Fatalf("path count %d, reference %d, %d tasks reached the last level", total, want, finished)
 		}
 	})
 }
@@ -266,13 +250,12 @@ func gmRepeatRound(g *graph.Graph, a *GraphMatch, round int) func() {
 }
 
 // gmRoundArms names the Update calls the allocation bound and the benchmark
-// cover: both rounds of candidate-major Figure 1, and both rounds of the
-// parent-major deep pattern (pairs grouped and pulled, then leaves counted).
+// cover: Figure 1's one round, and both rounds of the deep pattern (pairs
+// grouped and pulled, then leaves counted).
 func gmRoundArms(g *graph.Graph) map[string]func() {
-	arms := map[string]func(){}
+	arms := map[string]func(){"figure/round1": gmRepeatRound(g, gmParentMajor(g, FigurePattern()), 1)}
 	for round := 1; round <= 2; round++ {
-		arms[fmt.Sprintf("generic/round%d", round)] = gmRepeatRound(g, NewGraphMatch(FigurePattern()), round)
-		arms[fmt.Sprintf("parent-major/round%d", round)] = gmRepeatRound(g, gmParentMajor(g, gmDeepPattern()), round)
+		arms[fmt.Sprintf("deep/round%d", round)] = gmRepeatRound(g, gmParentMajor(g, gmDeepPattern()), round)
 	}
 	return arms
 }
@@ -307,17 +290,12 @@ func BenchmarkGMUpdateRounds(b *testing.B) {
 }
 
 // gmContextSamples returns encoded contexts of up to eight real tasks of a
-// on the pinned graph as they cross the wire: parent-major, waiting for round
-// 1 (the seed matched level 1); candidate-major, waiting for round 2.
+// on the pinned graph as they cross the wire, waiting for round 1 (the seed
+// matched level 1).
 func gmContextSamples(tb testing.TB, g *graph.Graph, a *GraphMatch) [][]byte {
 	var out [][]byte
 	g.ForEach(func(v *graph.Vertex) bool {
 		task := gmSeedTask(a, v)
-		if task != nil && a.labels == nil {
-			if next, _ := gmRound(g, a, task); next == nil {
-				task = nil
-			}
-		}
 		if task != nil && len(out) < 8 {
 			w := wire.NewWriter(64)
 			a.EncodeContext(w, task.Context)
@@ -346,40 +324,28 @@ func gmCarry(tb testing.TB, a *GraphMatch, task *core.Task) *core.Task {
 	return moved
 }
 
-// TestGMContextCodec: on both arms a context crosses the wire unchanged and
-// the task finishes with the same count; the map-based encoding both
-// replaced, the other arm's bytes (a candidate-major checkpoint or steal
-// batch read by a parent-major job, and back), a foreign pattern's context
-// and a truncated one are wire errors.
+// TestGMContextCodec: a context crosses the wire unchanged and the task
+// finishes with the same count; the map-based encoding, the retired
+// candidate-major format, a foreign pattern's context and a truncated one
+// are wire errors.
 func TestGMContextCodec(t *testing.T) {
 	g := pinnedGraph(t)
-	pm, generic := gmParentMajor(g, FigurePattern()), NewGraphMatch(FigurePattern())
-	for _, a := range []*GraphMatch{pm, generic} {
-		var direct, carried int64
-		g.ForEach(func(v *graph.Vertex) bool {
-			task := gmSeedTask(a, v)
-			if task == nil {
-				return true
-			}
-			if a == generic {
-				next, _ := gmRound(g, a, task)
-				if next == nil {
-					return true
-				}
-				task.Advance(next)
-			}
-			twin := gmCarry(t, a, task)
-			_, c1 := gmRound(g, a, task)
-			_, c2 := gmRound(g, a, twin)
+	pm := gmParentMajor(g, FigurePattern())
+	var direct, carried int64
+	g.ForEach(func(v *graph.Vertex) bool {
+		if task := gmSeedTask(pm, v); task != nil {
+			twin := gmCarry(t, pm, task)
+			_, c1 := gmRound(g, pm, task)
+			_, c2 := gmRound(g, pm, twin)
 			direct, carried = direct+c1, carried+c2
-			return true
-		})
-		if want := RefMatchCount(g, a.P); direct != want || carried != want {
-			t.Fatalf("generic=%v: count %d direct, %d carried across the wire, reference %d", a == generic, direct, carried, want)
 		}
+		return true
+	})
+	if want := RefMatchCount(g, pm.P); direct != want || carried != want {
+		t.Fatalf("count %d direct, %d carried across the wire, reference %d", direct, carried, want)
 	}
 
-	sample, genericSample := gmContextSamples(t, g, pm)[0], gmContextSamples(t, g, generic)[0]
+	sample := gmContextSamples(t, g, pm)[0]
 	old := wire.NewWriter(16) // the map encoding: matched-node count first
 	old.Uvarint(1)
 	old.Int(0)
@@ -393,8 +359,7 @@ func TestGMContextCodec(t *testing.T) {
 		{"map-encoding", pm, old.Bytes()},
 		{"truncated", pm, sample[:len(sample)-1]},
 		{"empty", pm, nil},
-		{"candidate-major bytes, parent-major job", pm, genericSample},
-		{"parent-major bytes, candidate-major job", generic, sample},
+		{"candidate-major format byte", pm, append([]byte{gmFormatCandidateMajor}, sample[1:]...)},
 		{"foreign pattern", gmParentMajor(g, PathPattern(0, 1, 2)), sample},
 	} {
 		r := wire.NewReader(c.data)
@@ -403,6 +368,10 @@ func TestGMContextCodec(t *testing.T) {
 		}
 	}
 }
+
+// gmFormatCandidateMajor led the contexts of the retired candidate-major
+// arm, which held one level fewer at a given round.
+const gmFormatCandidateMajor = 0xB1
 
 // FuzzGMContext: arbitrary bytes never panic the decoder or make it
 // allocate beyond the input's size (every length prefix is clamped by
@@ -422,10 +391,10 @@ func FuzzGMContext(f *testing.F) {
 			sample = data
 		}
 	}
-	f.Add(uint8(0), []byte{gmFormat, 5, 1, 0xff, 0xff, 0xff, 0xff, 0x0f}) // huge count, no payload
-	f.Add(uint8(0), []byte{1, 0, 1, 10, 0})                               // the old encoding
-	f.Add(uint8(0), []byte{gmFormat, 5, 0, 0, 0, 0, 0, 0})                // no root match: nothing to count from
-	f.Add(uint8(1), append([]byte{gmFormatGeneric}, sample[1:]...))       // a candidate-major context's format byte
+	f.Add(uint8(0), []byte{gmFormat, 5, 1, 0xff, 0xff, 0xff, 0xff, 0x0f})  // huge count, no payload
+	f.Add(uint8(0), []byte{1, 0, 1, 10, 0})                                // the old encoding
+	f.Add(uint8(0), []byte{gmFormat, 5, 0, 0, 0, 0, 0, 0})                 // no root match: nothing to count from
+	f.Add(uint8(1), append([]byte{gmFormatCandidateMajor}, sample[1:]...)) // the retired candidate-major format byte
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		a := pats[int(which)%len(pats)]
 		r := wire.NewReader(data)
@@ -464,13 +433,13 @@ func gmContextSize(ctx *gmContext) (n int) {
 	return n
 }
 
-// TestGMPatternZoo: parent-major GM counts what the candidate-major baseline
-// and RefMatchCount count, on every pattern shape the two arms part on — the
-// root alone, one level of leaves, expanding nodes below level 1, same-label
-// siblings (leaves, expanding, and one of each), a parent with leaf and
-// expanding children — over several graphs with dense and with strided IDs.
-// Every parent-major task crosses the task codec before every round, and its
-// task count is what SeqRun reports: one per root whose level 1 matches.
+// TestGMPatternZoo: GM counts what RefMatchCount and the compiled ModeHom
+// plan count, on every pattern shape the matching parts on — the root alone,
+// one level of leaves, expanding nodes below level 1, same-label siblings
+// (leaves, expanding, and one of each), a parent with leaf and expanding
+// children — over several graphs with dense and with strided IDs. Every task
+// crosses the task codec before every round, and its task count is what
+// SeqRun reports: one per root whose level 1 matches.
 func TestGMPatternZoo(t *testing.T) {
 	patterns := map[string]*Pattern{
 		"figure":        FigurePattern(),
@@ -486,6 +455,7 @@ func TestGMPatternZoo(t *testing.T) {
 		dense := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 4000, Seed: seed})
 		gen.DealLabels(dense, 5)
 		for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": stridedIDs(dense)} {
+			csr := kernels.MustBuild(g)
 			for pname, p := range patterns {
 				shape := fmt.Sprintf("seed %d/%s/%s", seed, gname, pname)
 				want := RefMatchCount(g, p)
@@ -507,14 +477,17 @@ func TestGMPatternZoo(t *testing.T) {
 					}
 					return true
 				})
-				generic := NewGraphMatch(p)
-				generic.Generic = true
-				seq, base := SeqRun(g, gmParentMajor(g, p)), SeqRun(g, generic)
-				if total != want || seq.AggGlobal != any(want) || base.AggGlobal != any(want) {
-					t.Errorf("%s: parent-major %d stepped, %v run; candidate-major %v; reference %d", shape, total, seq.AggGlobal, base.AggGlobal, want)
+				hp, err := plan.Compile(p.Labels, p.Parent)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if tasks != seq.Tasks || tasks > base.Tasks {
-					t.Errorf("%s: %d tasks stepped, %d run parent-major, %d candidate-major", shape, tasks, seq.Tasks, base.Tasks)
+				hom, err := plan.HomCount(csr, hp)
+				seq := SeqRun(g, gmParentMajor(g, p))
+				if total != want || seq.AggGlobal != any(want) || err != nil || hom != want {
+					t.Errorf("%s: %d stepped, %v run; plan.HomCount %d (%v); reference %d", shape, total, seq.AggGlobal, hom, err, want)
+				}
+				if tasks != seq.Tasks {
+					t.Errorf("%s: %d tasks stepped, %d run", shape, tasks, seq.Tasks)
 				}
 			}
 		}

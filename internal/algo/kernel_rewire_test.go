@@ -1,19 +1,30 @@
 package algo
 
 import (
-	"reflect"
 	"testing"
 
+	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
+	"gminer/internal/kernels"
+	"gminer/internal/plan"
 )
 
 // This file pins the kernel rewiring of the algo hot loops: the three
 // formerly hand-rolled intersection loops (GM parent matching, TC
-// counting, MCF split) now run on internal/kernels, and the compiled-plan
-// paths must produce results identical to the generic scalar paths — with
-// exact counts pinned so a silent semantic drift in either path fails
-// loudly rather than both drifting together.
+// counting, MCF split) now run on internal/kernels, and the planned paths
+// must produce results identical to the scalar references — with exact
+// counts pinned so a silent semantic drift fails loudly.
+
+// undirectedTC is TC whose Plan opens the job and declares nothing, so any
+// runtime runs it on the undirected graph: the arm a runtime without G⁺
+// (baseline.Batch) runs.
+type undirectedTC struct{ *TriangleCount }
+
+func (u undirectedTC) Plan() core.Plan {
+	u.TriangleCount.Plan()
+	return core.Plan{}
+}
 
 // pinnedGraph is the fixed workload: ER graph, 200 vertices, 1400 edges,
 // seed 7, labels cycling over {0..3}.
@@ -46,29 +57,31 @@ func TestTCKernelVsGenericPinned(t *testing.T) {
 		t.Fatalf("pinned graph has no triangles; workload is degenerate")
 	}
 
-	genericTC := NewTriangleCount()
-	genericTC.Generic = true
-	genRes := SeqRun(g, genericTC)
+	undirected := NewTriangleCount()
+	undRes := SeqRun(g, undirectedTC{undirected})
 
 	planTC := NewTriangleCount()
 	planRes := SeqRun(g, planTC)
-	if genericTC.bitmaps != nil || planTC.bitmaps == nil {
-		t.Fatalf("oriented: generic TC %v, planned TC %v", genericTC.bitmaps != nil, planTC.bitmaps != nil)
+	if undirected.bitmaps != nil || planTC.bitmaps == nil {
+		t.Fatalf("oriented: undirected TC %v, planned TC %v", undirected.bitmaps != nil, planTC.bitmaps != nil)
 	}
 
-	if genRes.AggGlobal.(int64) != want {
-		t.Errorf("generic TC = %d, ref = %d", genRes.AggGlobal, want)
+	if undRes.AggGlobal.(int64) != want {
+		t.Errorf("undirected TC = %d, ref = %d", undRes.AggGlobal, want)
 	}
 	if planRes.AggGlobal.(int64) != want {
 		t.Errorf("kernel TC = %d, ref = %d", planRes.AggGlobal, want)
 	}
-	if len(genRes.Records) != 0 || len(planRes.Records) != 0 {
-		t.Errorf("TC emitted records: generic=%d plan=%d, want none", len(genRes.Records), len(planRes.Records))
+	if len(undRes.Records) != 0 || len(planRes.Records) != 0 {
+		t.Errorf("TC emitted records: undirected=%d plan=%d, want none", len(undRes.Records), len(planRes.Records))
 	}
 }
 
-func TestGMKernelVsGenericPinned(t *testing.T) {
+// TestGMKernelPinned: GM on the label column counts what RefMatchCount and
+// the compiled ModeHom plan count.
+func TestGMKernelPinned(t *testing.T) {
 	g := pinnedGraph(t)
+	csr := kernels.MustBuild(g)
 	for _, pat := range []struct {
 		name string
 		p    *Pattern
@@ -79,25 +92,23 @@ func TestGMKernelVsGenericPinned(t *testing.T) {
 		{"star", MustPattern([]int32{0, 1, 1, 2}, []int{-1, 0, 0, 0})},
 	} {
 		want := RefMatchCount(g, pat.p)
-
-		genericGM := NewGraphMatch(pat.p)
-		genericGM.Generic = true
-		genRes := SeqRun(g, genericGM)
-
-		planGM := NewGraphMatch(pat.p)
-		planRes := SeqRun(g, planGM)
-		if genericGM.labels != nil || planGM.labels == nil {
-			t.Fatalf("%s: label column taken: generic GM %v, planned GM %v", pat.name, genericGM.labels != nil, planGM.labels != nil)
+		if want == 0 {
+			t.Fatalf("%s: nothing matches; workload is degenerate", pat.name)
 		}
-
-		if genRes.AggGlobal.(int64) != want {
-			t.Errorf("%s: generic GM = %d, ref = %d", pat.name, genRes.AggGlobal, want)
+		hp, err := plan.Compile(pat.p.Labels, pat.p.Parent)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if planRes.AggGlobal.(int64) != want {
-			t.Errorf("%s: plan GM = %d, ref = %d", pat.name, planRes.AggGlobal, want)
+		if got, err := plan.HomCount(csr, hp); err != nil || got != want {
+			t.Errorf("%s: plan.HomCount = %d (%v), ref = %d", pat.name, got, err, want)
 		}
-		if !reflect.DeepEqual(genRes.Records, planRes.Records) {
-			t.Errorf("%s: records differ between generic and plan paths", pat.name)
+		gm := NewGraphMatch(pat.p)
+		res := SeqRun(g, gm)
+		if gm.labels == nil {
+			t.Fatalf("%s: SeqRun offered no label column", pat.name)
+		}
+		if res.AggGlobal.(int64) != want || len(res.Records) != 0 {
+			t.Errorf("%s: GM = %d with %d records, ref = %d", pat.name, res.AggGlobal, len(res.Records), want)
 		}
 	}
 }

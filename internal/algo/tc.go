@@ -28,17 +28,14 @@ import (
 //     also offers the view's resident core (kernels.ResidentCore), the task
 //     marks its resident candidates by the core's index as well, and a
 //     candidate whose list is a bit row is counted a word at a time.
-//   - generic (the default, and the differential baseline): candidates are
-//     the neighbors u > v of the undirected graph, probed by binary search
-//     — each triangle is counted at its minimum-ID vertex.
+//   - undirected (a runtime that offers no G⁺, such as baseline.Batch):
+//     candidates are the neighbors u > v of the undirected graph, probed by
+//     binary search — each triangle is counted at its minimum-ID vertex.
 //
 // TC emits no records and the sum aggregate is order-independent, so the
 // two are byte-identical.
 type TriangleCount struct {
 	core.NoContext
-	// Generic keeps the job on the generic path even under a runtime that
-	// offers the oriented graph.
-	Generic bool
 
 	// bitmaps is set on the oriented path: a task marks ID x as bit x of a
 	// pooled bitmap over the view's internal IDs (a *tcScratch), and with a
@@ -67,9 +64,6 @@ func (*TriangleCount) Aggregator() core.Aggregator { return core.SumInt64Aggrega
 // graph until the runtime offers the view.
 func (a *TriangleCount) Plan() core.Plan {
 	a.bitmaps, a.core = nil, nil
-	if a.Generic {
-		return core.Plan{}
-	}
 	return core.Plan{Oriented: a.mineOriented}
 }
 
@@ -104,7 +98,7 @@ func (a *TriangleCount) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 }
 
 // Update implements core.Algorithm: count pairs (u, w) of candidates with
-// w ∈ Γ⁺(u) (oriented) or u < w and w ∈ Γ(u) (generic). t.Cands is sorted
+// w ∈ Γ⁺(u) (oriented) or u < w and w ∈ Γ(u) (undirected). t.Cands is sorted
 // ascending on both paths.
 func (a *TriangleCount) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 	var count int64

@@ -28,7 +28,7 @@ func stridedIDs(g *graph.Graph) *graph.Graph {
 	return out
 }
 
-// Oriented TC == generic TC == the compiled triangle plan == the reference
+// Oriented TC == undirected TC == the compiled triangle plan == the reference
 // count, on skewed and on community graphs, as generated and with their IDs
 // strided far apart: the bitmap over internal IDs either way. SeqRun offers
 // the resident core the way the runtime does: RMAT takes it, the community
@@ -51,10 +51,9 @@ func TestOrientedTCDifferential(t *testing.T) {
 			if want == 0 {
 				t.Fatal("degenerate graph: no triangles")
 			}
-			generic := NewTriangleCount()
-			generic.Generic = true
-			if got := SeqRun(tc.g, generic).AggGlobal; got != any(want) || generic.bitmaps != nil {
-				t.Fatalf("generic TC = %v (oriented=%v), reference %d", got, generic.bitmaps != nil, want)
+			undirected := NewTriangleCount()
+			if got := SeqRun(tc.g, undirectedTC{undirected}).AggGlobal; got != any(want) || undirected.bitmaps != nil {
+				t.Fatalf("undirected TC = %v (oriented=%v), reference %d", got, undirected.bitmaps != nil, want)
 			}
 			oriented := NewTriangleCount()
 			res := SeqRun(tc.g, oriented)
@@ -198,7 +197,7 @@ func (*discardAgg) AggUpdate(any) {}
 
 // A runner that offers no G⁺ — a bare Seed/Update loop over the undirected
 // graph that opens each job with core.PlanOf and calls none of the plan's
-// fields, which is all baseline.Batch is to TC — must get correct generic TC:
+// fields, which is all baseline.Batch is to TC — must get correct undirected TC:
 // only Plan.Oriented moves TC onto forward lists, and opening the next job
 // moves it back off. One TC value runs a planned job first and the bare loop
 // after it: the second count is still the reference.
@@ -229,10 +228,5 @@ func TestTCUnawareRunnerStaysGeneric(t *testing.T) {
 	}
 	if got := bare(reused); got != any(want) || reused.bitmaps != nil {
 		t.Fatalf("reused value: bare loop counted %v triangles (oriented=%v), reference %d", got, reused.bitmaps != nil, want)
-	}
-	generic := NewTriangleCount()
-	generic.Generic = true
-	if p := core.PlanOf(generic); p.Oriented != nil || p.Labels != nil || p.SeedRadius != 0 {
-		t.Fatal("a TC configured generic declared a plan")
 	}
 }

@@ -262,7 +262,7 @@ func TestJobFingerprintSensitivity(t *testing.T) {
 	}
 	diff := map[string]uint64{
 		"algorithm":    jobFingerprint(g, "mcf", plan, base),
-		"generic plan": jobFingerprint(g, "tc", core.Plan{}, base),
+		"zero plan":    jobFingerprint(g, "tc", core.Plan{}, base),
 		"label column": jobFingerprint(g, "tc", core.PlanOf(algo.NewGraphMatch(nil)), base),
 		"workers":      jobFingerprint(g, "tc", plan, Config{Workers: 4, Partitioner: partition.Hash{}}),
 		"partitioner":  jobFingerprint(g, "tc", plan, Config{Workers: 3, Partitioner: partition.BDG{}}),

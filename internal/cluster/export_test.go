@@ -5,9 +5,26 @@ import (
 	"slices"
 	"time"
 
+	"gminer/internal/algo"
 	"gminer/internal/chaos"
+	"gminer/internal/core"
 	"gminer/internal/graph"
 )
+
+// UndirectedTC is TC whose Plan opens the job and declares nothing, so a
+// goroutine-host session runs it on the undirected graph: the arm a runtime
+// without G⁺ runs. Worker processes rebuild a job's algorithm from its spec,
+// so the process host never runs it.
+type UndirectedTC struct{ *algo.TriangleCount }
+
+// Plan implements core.Planner.
+func (u UndirectedTC) Plan() core.Plan {
+	u.TriangleCount.Plan()
+	return core.Plan{}
+}
+
+// NewUndirectedTC returns TC on its undirected arm.
+func NewUndirectedTC() UndirectedTC { return UndirectedTC{algo.NewTriangleCount()} }
 
 // Knobs are the engine constants a test may shape a scenario with; a zero
 // field keeps the default.

@@ -24,17 +24,9 @@ func gmPruneGraph() *graph.Graph {
 	return g
 }
 
-// gmArm is GM for p, parent-major on the plan or the generic baseline that
-// declares none.
-func gmArm(p *algo.Pattern, generic bool) *algo.GraphMatch {
-	a := algo.NewGraphMatch(p)
-	a.Generic = generic
-	return a
-}
-
 // gmRun launches a — GM, or a spy around it — on s and returns the job's
-// result, once it has checked that the job ran the arm a declares: the tasks
-// of that arm's sequential run.
+// result, once it has checked that the job ran the tasks of GM's sequential
+// run.
 func gmRun(t *testing.T, s *cluster.Session, a core.Algorithm) *cluster.Result {
 	t.Helper()
 	gm, ok := a.(*algo.GraphMatch)
@@ -52,16 +44,15 @@ func gmRun(t *testing.T, s *cluster.Session, a core.Algorithm) *cluster.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq := gmSeq(s.Graph(), gm.P, gm.Generic); res.Total.TasksDone != seq.Tasks {
-		t.Fatalf("generic=%v: %d tasks, but that arm runs %d sequentially: the other arm ran", gm.Generic, res.Total.TasksDone, seq.Tasks)
+	if seq := gmSeq(s.Graph(), gm.P); res.Total.TasksDone != seq.Tasks {
+		t.Fatalf("%d tasks, but GM runs %d sequentially", res.Total.TasksDone, seq.Tasks)
 	}
 	return res
 }
 
-// gmSeq is the sequential run a GM job of p must reproduce, count and tasks:
-// parent-major, or the generic baseline.
-func gmSeq(g *graph.Graph, p *algo.Pattern, generic bool) *algo.SeqResult {
-	return algo.SeqRun(g, gmArm(p, generic))
+// gmSeq is the sequential run a GM job of p must reproduce, count and tasks.
+func gmSeq(g *graph.Graph, p *algo.Pattern) *algo.SeqResult {
+	return algo.SeqRun(g, algo.NewGraphMatch(p))
 }
 
 // widen moves gmPruneGraph's labels 0, 1 and 3 off [0, 64) — to NoLabel, 64
@@ -82,11 +73,10 @@ func widen(label int32) int32 {
 // is invisible in a job's output. On every session shape — workers, stealing,
 // spilling, the graph as generated, a copy with its external IDs strided
 // apart, and one with labels widened off [0, 64) (past the mask, step by
-// step) — the parent-major job, the generic job and the reference agree on
-// the count, and each job runs the tasks its arm's sequential run does: one
-// per root-labelled vertex candidate-major, one per root whose level 1
-// matches parent-major. Striding the IDs changes neither, and nor does
-// widening labels and patterns alike.
+// step) — the job, the sequential run and the reference agree on the count,
+// and the job runs the tasks the sequential run does: one per root whose
+// level 1 matches. Striding the IDs changes neither, and nor does widening
+// labels and patterns alike.
 func TestGMLabelPruningDifferential(t *testing.T) {
 	dense, wide := gmPruneGraph(), gmPruneGraph()
 	wide.ForEach(func(v *graph.Vertex) bool {
@@ -123,19 +113,16 @@ func TestGMLabelPruningDifferential(t *testing.T) {
 		}
 		return widened
 	}
-	type ref struct {
-		count int64
-		tasks [2]int64 // parent-major, generic
-	}
+	type ref struct{ count, tasks int64 }
 	refs := map[string]ref{}
 	for gname, g := range graphs {
 		for pname, p := range patternsOf(gname) {
-			pm, generic := gmSeq(g, p, false), gmSeq(g, p, true)
+			seq := gmSeq(g, p)
 			want := algo.RefMatchCount(g, p)
-			if pm.AggGlobal != any(want) || generic.AggGlobal != any(want) || (want == 0) != (pname == "absent-label") || pm.Tasks == 0 {
-				t.Fatalf("%s/%s: sequential runs count %v and %v in %d tasks, reference %d", gname, pname, pm.AggGlobal, generic.AggGlobal, pm.Tasks, want)
+			if seq.AggGlobal != any(want) || (want == 0) != (pname == "absent-label") || seq.Tasks == 0 {
+				t.Fatalf("%s/%s: the sequential run counts %v in %d tasks, reference %d", gname, pname, seq.AggGlobal, seq.Tasks, want)
 			}
-			refs[gname+"/"+pname] = ref{want, [2]int64{pm.Tasks, generic.Tasks}}
+			refs[gname+"/"+pname] = ref{want, seq.Tasks}
 		}
 	}
 	for pname := range patterns {
@@ -166,13 +153,11 @@ func TestGMLabelPruningDifferential(t *testing.T) {
 					for pname, p := range patternsOf(gname) {
 						shape := fmt.Sprintf("%s/w%d/steal=%v/spill=%v/%s", gname, workers, stealing, spill, pname)
 						want := refs[gname+"/"+pname]
-						for arm, generic := range []bool{false, true} {
-							res := gmRun(t, s, gmArm(p, generic))
-							if res.AggGlobal != any(want.count) || res.Total.TasksDone != want.tasks[arm] {
-								t.Fatalf("%s generic=%v: count %v in %d tasks, want %d in %d", shape, generic, res.AggGlobal, res.Total.TasksDone, want.count, want.tasks[arm])
-							}
-							spilled, stolen = spilled+res.Total.DiskWrite, stolen+res.Total.Stolen
+						res := gmRun(t, s, algo.NewGraphMatch(p))
+						if res.AggGlobal != any(want.count) || res.Total.TasksDone != want.tasks {
+							t.Fatalf("%s: count %v in %d tasks, want %d in %d", shape, res.AggGlobal, res.Total.TasksDone, want.count, want.tasks)
 						}
+						spilled, stolen = spilled+res.Total.DiskWrite, stolen+res.Total.Stolen
 					}
 					s.Close()
 				}
@@ -221,10 +206,10 @@ func (s *gmSpy) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 	s.GraphMatch.Update(t, cands, env)
 }
 
-// TestGMPullsOnlyUsableLabels: on the plan, every ID a task holds in any
-// round carries the label of a node of that round's level (parent-major: its
-// expanding matches); the generic job on the same session holds the whole
-// frontier, most of it of no use.
+// TestGMPullsOnlyUsableLabels: every ID a task holds in any round carries
+// the label of a node of that round's level (its expanding matches), though
+// most of the roots' neighbours — what a task matching candidate-major would
+// hold — carry none.
 func TestGMPullsOnlyUsableLabels(t *testing.T) {
 	dense := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 77})
 	gen.DealLabels(dense, 7)
@@ -236,45 +221,31 @@ func TestGMPullsOnlyUsableLabels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pruned, generic := newGMSpy(g, p), newGMSpy(g, p)
-		generic.Generic = true
-		want := algo.RefMatchCount(g, p)
-		if a, b := gmRun(t, s, pruned).AggGlobal, gmRun(t, s, generic).AggGlobal; a != any(want) || b != any(want) || want == 0 {
-			t.Fatalf("%s: counts %v pruned, %v generic, reference %d", gname, a, b, want)
+		pruned := newGMSpy(g, p)
+		if got, want := gmRun(t, s, pruned).AggGlobal, algo.RefMatchCount(g, p); got != any(want) || want == 0 {
+			t.Fatalf("%s: count %v, reference %d", gname, got, want)
 		}
 		s.Close()
 		if len(pruned.unusable) > 0 {
-			t.Errorf("%s: pruned job held %d IDs (of %d) no step of their round wants, e.g. vertex %d", gname, len(pruned.unusable), pruned.held, pruned.unusable[0])
+			t.Errorf("%s: job held %d IDs (of %d) no step of their round wants, e.g. vertex %d", gname, len(pruned.unusable), pruned.held, pruned.unusable[0])
 		}
-		// 2 of 7 labels a level: about 5 of every 7 frontier IDs are dead weight.
-		if len(generic.unusable)*2 < generic.held || pruned.held*2 > generic.held {
-			t.Errorf("%s: generic job held %d IDs, %d unusable; pruned job held %d: the workload does not exercise the filter",
-				gname, generic.held, len(generic.unusable), pruned.held)
+		// 2 of 7 labels a level: about 5 of every 7 neighbours are dead weight.
+		var offered, unwanted int
+		g.ForEach(func(v *graph.Vertex) bool {
+			if v.Label == p.Labels[0] {
+				for _, u := range v.Adj {
+					offered++
+					if !slices.Contains(pruned.wants[1], g.Vertex(u).Label) {
+						unwanted++
+					}
+				}
+			}
+			return true
+		})
+		if unwanted*2 < offered || pruned.held*2 > offered {
+			t.Errorf("%s: roots have %d neighbours, %d unusable; the job held %d: the workload does not exercise the filter",
+				gname, offered, unwanted, pruned.held)
 		}
-	}
-}
-
-// TestGMPruningCutsCacheTraffic: with two of seven labels wanted per level,
-// a parent-major job asks the RCV cache for at most 40% of the vertices the
-// generic job does (fixed two-worker shape, no stealing, so both jobs see
-// the same partition and the same remote share).
-func TestGMPruningCutsCacheTraffic(t *testing.T) {
-	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 30_000, Seed: 42})
-	gen.DealLabels(g, 7)
-	cfg := smallConfig()
-	cfg.Workers, cfg.Threads, cfg.Stealing = 2, 1, false
-	s, err := cluster.NewSession(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	acquires := func(generic bool) int64 {
-		res := gmRun(t, s, gmArm(nil, generic))
-		return res.Total.CacheHits + res.Total.CacheMisses
-	}
-	pruned, unpruned := acquires(false), acquires(true)
-	if unpruned == 0 || pruned*10 > unpruned*4 {
-		t.Fatalf("cache hits+misses: %d pruned, %d unpruned (%.0f%%), want at most 40%%", pruned, unpruned, 100*float64(pruned)/float64(unpruned))
 	}
 }
 
@@ -282,7 +253,7 @@ func TestGMPruningCutsCacheTraffic(t *testing.T) {
 // vertex deleted and added back under a label no vertex carried before must
 // be seen with its new label by the next job — a column kept from the
 // earlier epoch would prune it, or keep what now is of no use, and the count
-// would part from the generic job's and the reference.
+// would part from the reference.
 func TestGMPruningFollowsGraphEpoch(t *testing.T) {
 	g := gmPruneGraph() // labels 0..3
 	p := algo.PathPattern(0, 1, 9)
@@ -297,11 +268,8 @@ func TestGMPruningFollowsGraphEpoch(t *testing.T) {
 		if (want > 0) != wantMatches {
 			t.Fatalf("%s: reference count %d", when, want)
 		}
-		for _, generic := range []bool{false, true} {
-			seq := gmSeq(g, p, generic)
-			if res := gmRun(t, s, gmArm(p, generic)); res.AggGlobal != any(want) || res.Total.TasksDone != seq.Tasks {
-				t.Fatalf("%s generic=%v: count %v in %d tasks, want %d in %d", when, generic, res.AggGlobal, res.Total.TasksDone, want, seq.Tasks)
-			}
+		if res := gmRun(t, s, algo.NewGraphMatch(p)); res.AggGlobal != any(want) {
+			t.Fatalf("%s: count %v, want %d", when, res.AggGlobal, want)
 		}
 	}
 	check("epoch 0", false)

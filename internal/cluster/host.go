@@ -130,8 +130,9 @@ func (o *orientedView) follow(touched map[graph.VertexID]struct{}) {
 // (base's scan for each worker base has one for). Those are what seeding,
 // to_pull, pull serving and restore run on, so forward lists are all such a
 // job's tasks, caches and wire carry. A plan that takes the label column is
-// handed the epoch's replicated one (labels are the same in both views). The
-// zero plan — the generic path — is offered nothing and runs on base.
+// handed the epoch's replicated one (labels are the same in both views). A
+// plan that asks for neither — the zero plan of an algorithm with no planned
+// path — is offered nothing and runs on base.
 func (o *orientedView) tables(p core.Plan, g *graph.Graph, assign *partition.Assignment,
 	epoch int64, base vertexTables) vertexTables {
 	if p.Labels != nil {

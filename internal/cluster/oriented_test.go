@@ -21,8 +21,8 @@ import (
 // orientedRef is the triangle count every route must reproduce — the
 // compiled plan, the sequential runs of both arms and the scalar reference
 // agree on it first — plus the number of tasks each arm's job runs, by
-// generic: oriented, one per vertex with at least two forward neighbors;
-// generic, one per vertex with at least two higher-ID neighbors.
+// undirected: oriented, one per vertex with at least two forward neighbors;
+// undirected, one per vertex with at least two higher-ID neighbors.
 func orientedRef(t *testing.T, g *graph.Graph) (want int64, tasks map[bool]int64) {
 	t.Helper()
 	want = algo.RefTriangles(g)
@@ -33,14 +33,13 @@ func orientedRef(t *testing.T, g *graph.Graph) (want int64, tasks map[bool]int64
 		t.Fatalf("plan.Count = %d (%v), reference %d", planned, err, want)
 	}
 	tasks = map[bool]int64{}
-	for _, generic := range []bool{false, true} {
-		a := algo.NewTriangleCount()
-		a.Generic = generic
+	for _, undirected := range []bool{false, true} {
+		a, _ := tcArm(t, g, undirected)
 		seq := algo.SeqRun(g, a)
 		if seq.AggGlobal != any(want) {
-			t.Fatalf("SeqRun generic=%v = %v, reference %d", generic, seq.AggGlobal, want)
+			t.Fatalf("SeqRun undirected=%v = %v, reference %d", undirected, seq.AggGlobal, want)
 		}
-		tasks[generic] = seq.Tasks
+		tasks[undirected] = seq.Tasks
 	}
 	var seeds int64
 	graph.Orient(g).ForEach(func(v *graph.Vertex) bool {
@@ -50,18 +49,22 @@ func orientedRef(t *testing.T, g *graph.Graph) (want int64, tasks map[bool]int64
 		return true
 	})
 	if tasks[false] != seeds || tasks[true] == seeds {
-		t.Fatalf("SeqRun ran %d tasks oriented and %d generic, the oriented graph seeds %d", tasks[false], tasks[true], seeds)
+		t.Fatalf("SeqRun ran %d tasks oriented and %d undirected, the oriented graph seeds %d", tasks[false], tasks[true], seeds)
 	}
 	return want, tasks
 }
 
-// tcArm is the TC a spec asks for, built the way the serving layer builds it.
-func tcArm(t *testing.T, g *graph.Graph, generic bool) (core.Algorithm, *jobspec.Spec) {
+// tcArm is the TC a spec asks for, built the way the serving layer builds it,
+// or on its undirected arm.
+func tcArm(t *testing.T, g *graph.Graph, undirected bool) (core.Algorithm, *jobspec.Spec) {
 	t.Helper()
-	sp := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
+	sp := jobspec.Spec{App: "tc"}.Normalize()
 	a, err := jobspec.Build(g, sp)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if undirected {
+		a = cluster.NewUndirectedTC()
 	}
 	return a, &sp
 }
@@ -88,10 +91,10 @@ func differentialGraphs() map[string]*graph.Graph {
 }
 
 // TestOrientedTCDifferential: on every deployment shape of a session, TC on
-// the oriented view == TC on the generic baseline == plan.Count(Triangle)
+// the oriented view == TC on the undirected graph == plan.Count(Triangle)
 // == SeqRun, and each job ran its own arm: the oriented job executed the
-// oriented seed set with the view's resident set in place, the generic job
-// the ID-order seed set with none. The
+// oriented seed set with the view's resident set in place, the undirected
+// job the ID-order seed set with none. The
 // spilling shapes seed eagerly into a 16-task store, so most tasks go through
 // a spill block and come back with the to_pull they were spilled with. Every
 // shape cuts the resident core SeqRun cuts (the RMAT views offer one), and its
@@ -130,8 +133,8 @@ func TestOrientedTCDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", shape, err)
 						}
-						for _, generic := range []bool{false, true, false} {
-							a, _ := tcArm(t, g, generic)
+						for _, undirected := range []bool{false, true, false} {
+							a, _ := tcArm(t, g, undirected)
 							j, err := s.Launch(a, cluster.JobOptions{})
 							if err != nil {
 								t.Fatalf("%s: %v", shape, err)
@@ -141,19 +144,19 @@ func TestOrientedTCDifferential(t *testing.T) {
 								t.Fatalf("%s: %v", shape, err)
 							}
 							if res.AggGlobal != any(want) {
-								t.Fatalf("%s generic=%v: %v triangles, want %d", shape, generic, res.AggGlobal, want)
+								t.Fatalf("%s undirected=%v: %v triangles, want %d", shape, undirected, res.AggGlobal, want)
 							}
-							if res.Total.TasksDone != tasks[generic] {
-								t.Fatalf("%s generic=%v: the job ran %d tasks, its arm seeds %d", shape, generic, res.Total.TasksDone, tasks[generic])
+							if res.Total.TasksDone != tasks[undirected] {
+								t.Fatalf("%s undirected=%v: the job ran %d tasks, its arm seeds %d", shape, undirected, res.Total.TasksDone, tasks[undirected])
 							}
-							if budget := 16 * int64(g.NumVertices()); generic != (res.ResidentLists == 0) || res.ResidentBytes > budget || (res.ResidentBytes > 0) != (res.ResidentLists > 0) {
-								t.Fatalf("%s generic=%v: %d resident lists weighing %d B, budget %d", shape, generic, res.ResidentLists, res.ResidentBytes, budget)
+							if budget := 16 * int64(g.NumVertices()); undirected != (res.ResidentLists == 0) || res.ResidentBytes > budget || (res.ResidentBytes > 0) != (res.ResidentLists > 0) {
+								t.Fatalf("%s undirected=%v: %d resident lists weighing %d B, budget %d", shape, undirected, res.ResidentLists, res.ResidentBytes, budget)
 							}
 							if mode == "spill" && res.Total.DiskWrite == 0 {
-								t.Fatalf("%s generic=%v: the job never spilled", shape, generic)
+								t.Fatalf("%s undirected=%v: the job never spilled", shape, undirected)
 							}
-							if wantRows := map[bool]int{false: rows}[generic]; res.ResidentRows != wantRows {
-								t.Fatalf("%s generic=%v: %d rows reported, want %d", shape, generic, res.ResidentRows, wantRows)
+							if wantRows := map[bool]int{false: rows}[undirected]; res.ResidentRows != wantRows {
+								t.Fatalf("%s undirected=%v: %d rows reported, want %d", shape, undirected, res.ResidentRows, wantRows)
 							}
 						}
 						if r, fp := s.ResidentCore(); r != rows || fp != fingerprint {
@@ -173,8 +176,8 @@ func TestOrientedTCDifferential(t *testing.T) {
 }
 
 // The same differential through worker processes over loopback TCP: each
-// process cuts its own view of its own copy of the graph, once, and every
-// later oriented job of the process shares it. Every process — and a
+// process cuts its own view of its own copy of the graph, once, and the
+// second job of the process shares it. Every process — and a
 // one-process session over the same graph — keeps the same lists resident and
 // cuts the same resident core.
 func TestOrientedTCRemoteSession(t *testing.T) {
@@ -186,8 +189,8 @@ func TestOrientedTCRemoteSession(t *testing.T) {
 		rs, wps := remoteTestCluster(t, g, cfg,
 			cluster.RemoteSessionConfig{},
 			cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
-		for launch, generic := range []bool{false, true, false} {
-			a, sp := tcArm(t, g, generic)
+		for launch := 0; launch < 2; launch++ {
+			a, sp := tcArm(t, g, false)
 			j, err := rs.Launch(a, cluster.JobOptions{Spec: sp})
 			if err != nil {
 				t.Fatal(err)
@@ -197,14 +200,14 @@ func TestOrientedTCRemoteSession(t *testing.T) {
 				t.Fatal(err)
 			}
 			if res.AggGlobal != any(want) {
-				t.Fatalf("%s launch %d generic=%v: %v triangles, want %d", name, launch, generic, res.AggGlobal, want)
+				t.Fatalf("%s launch %d: %v triangles, want %d", name, launch, res.AggGlobal, want)
 			}
-			if res.Total.TasksDone != tasks[generic] {
-				t.Fatalf("%s launch %d generic=%v: the job ran %d tasks, its arm seeds %d", name, launch, generic, res.Total.TasksDone, tasks[generic])
+			if res.Total.TasksDone != tasks[false] {
+				t.Fatalf("%s launch %d: the job ran %d tasks, the oriented graph seeds %d", name, launch, res.Total.TasksDone, tasks[false])
 			}
 			// The workers' own report: the coordinator cuts no view to count.
-			if generic != (res.ResidentLists == 0) || res.ResidentRows != map[bool]int{false: rows}[generic] {
-				t.Fatalf("%s launch %d generic=%v: %d resident lists, %d rows", name, launch, generic, res.ResidentLists, res.ResidentRows)
+			if res.ResidentLists == 0 || res.ResidentRows != rows {
+				t.Fatalf("%s launch %d: %d resident lists, %d rows", name, launch, res.ResidentLists, res.ResidentRows)
 			}
 		}
 		for i, wp := range wps {

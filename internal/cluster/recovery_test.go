@@ -213,24 +213,26 @@ func TestResumeRefusesMismatchedFingerprint(t *testing.T) {
 }
 
 // TestResumeRefusesTheOtherArm: a checkpoint holds one arm of a job — a
-// planned TC's tasks carry forward lists of G⁺, a generic one's undirected
-// candidates — so the plan folds into the job fingerprint, and resuming on
-// the other arm is refused with the fingerprint error, both ways round.
+// planned TC's tasks carry forward lists of G⁺, an undirected one's
+// undirected candidates — so the plan folds into the job fingerprint, and
+// resuming on the other arm is refused with the fingerprint error, both ways
+// round.
 func TestResumeRefusesTheOtherArm(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 8000, Seed: 42})
-	tc := func(generic bool) *algo.TriangleCount {
-		a := algo.NewTriangleCount()
-		a.Generic = generic
-		return a
+	tc := func(undirected bool) core.Algorithm {
+		if undirected {
+			return cluster.NewUndirectedTC()
+		}
+		return algo.NewTriangleCount()
 	}
-	for _, generic := range []bool{false, true} {
+	for _, undirected := range []bool{false, true} {
 		cfg := smallConfig()
 		cfg.Workers, cfg.Partitioner, cfg.Stealing = 2, partition.Hash{}, false
 		cfg.CheckpointEvery, cfg.CheckpointDir = time.Millisecond, t.TempDir()
 		resume := cfg
 		resume.Resume, resume.CheckpointEvery = true, 0
 		release := holdJobs(&cfg) // the job cannot finish before an epoch commits
-		job, err := cluster.Start(g, tc(generic), cfg)
+		job, err := cluster.Start(g, tc(undirected), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,13 +242,13 @@ func TestResumeRefusesTheOtherArm(t *testing.T) {
 		if _, err := job.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		other, err := cluster.Start(g, tc(!generic), resume)
+		other, err := cluster.Start(g, tc(!undirected), resume)
 		if err == nil {
 			res, _ := other.Wait()
-			t.Fatalf("generic=%v checkpoint resumed generic=%v: accepted, counted %v of %d", generic, !generic, res.AggGlobal, algo.RefTriangles(g))
+			t.Fatalf("undirected=%v checkpoint resumed undirected=%v: accepted, counted %v of %d", undirected, !undirected, res.AggGlobal, algo.RefTriangles(g))
 		}
 		if !strings.Contains(err.Error(), "fingerprint") {
-			t.Fatalf("generic=%v checkpoint resumed generic=%v: %v, want the fingerprint error", generic, !generic, err)
+			t.Fatalf("undirected=%v checkpoint resumed undirected=%v: %v, want the fingerprint error", undirected, !undirected, err)
 		}
 	}
 }

@@ -221,8 +221,11 @@ func TestRemoteCoordinatorOrientsNothing(t *testing.T) {
 
 // TC over loopback TCP between worker processes, hash-partitioned so half of
 // every list is remote: the job on G⁺, its hottest lists resident in every
-// process, counts what the generic job counts and moves strictly fewer bytes
-// doing it — on a graph big enough that pulls, not heartbeats, are the bytes.
+// process, counts what the undirected job counts over loopback TCP between
+// goroutine workers of the same shape, and moves strictly fewer bytes doing
+// it — on a graph big enough that pulls, not heartbeats, are the bytes.
+// Worker processes rebuild TC from its spec, which always plans G⁺, so the
+// undirected job runs on the goroutine host.
 func TestRemoteJobTCMovesFewerBytesThanGeneric(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 40000, Seed: 103})
 	want := algo.RefTriangles(g)
@@ -231,14 +234,25 @@ func TestRemoteJobTCMovesFewerBytesThanGeneric(t *testing.T) {
 	rs, _ := remoteTestCluster(t, g, cfg,
 		cluster.RemoteSessionConfig{},
 		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
+	tcp := cfg
+	tcp.UseTCP = true
+	gs, err := cluster.NewSession(g, tcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	sp := jobspec.Spec{App: "tc"}.Normalize()
+	oriented, err := jobspec.Build(g, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	netBytes := map[bool]int64{}
-	for _, generic := range []bool{false, true, false} { // the last oriented launch is warm
-		sp := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
-		a, err := jobspec.Build(g, sp)
-		if err != nil {
-			t.Fatal(err)
+	for _, undirected := range []bool{false, true, false} { // the last oriented launch is warm
+		s, a := rs, oriented
+		if undirected {
+			s, a = gs, cluster.NewUndirectedTC()
 		}
-		j, err := rs.Launch(a, cluster.JobOptions{Spec: &sp})
+		j, err := s.Launch(a, cluster.JobOptions{Spec: &sp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,15 +260,15 @@ func TestRemoteJobTCMovesFewerBytesThanGeneric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.AggGlobal != any(want) || generic != (res.ResidentLists == 0) {
-			t.Fatalf("generic=%v: %v triangles with %d resident lists, want %d", generic, res.AggGlobal, res.ResidentLists, want)
+		if res.AggGlobal != any(want) || undirected != (res.ResidentLists == 0) {
+			t.Fatalf("undirected=%v: %v triangles with %d resident lists, want %d", undirected, res.AggGlobal, res.ResidentLists, want)
 		}
-		netBytes[generic] = res.Total.NetBytes
+		netBytes[undirected] = res.Total.NetBytes
 	}
 	if netBytes[false] >= netBytes[true] {
-		t.Fatalf("the oriented job moved %d bytes, the generic one %d", netBytes[false], netBytes[true])
+		t.Fatalf("the oriented job moved %d bytes, the undirected one %d", netBytes[false], netBytes[true])
 	}
-	t.Logf("net bytes: oriented %d, generic %d", netBytes[false], netBytes[true])
+	t.Logf("net bytes: oriented %d, undirected %d", netBytes[false], netBytes[true])
 }
 
 // Job.KillWorker / RecoverWorker go through the worker host, so they work

@@ -494,7 +494,7 @@ type JobOptions struct {
 	// core.Algorithm value cannot cross a process boundary; the coordinator
 	// persists it as the job's JOBSPEC, and the process host requires it.
 	// The goroutine host ignores it: its workers run the core.Algorithm value
-	// passed to Launch, whose plan alone decides the planned or generic path.
+	// passed to Launch, whose plan alone decides what the runtime offers it.
 	Spec *jobspec.Spec
 	// Seeds, when non-nil, is the set of vertices the job seeds tasks at:
 	// each worker's seeder walks its scan as ever and skips the vertices not

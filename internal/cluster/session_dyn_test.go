@@ -241,10 +241,10 @@ func TestDynamicSessionConcurrentJobsAndMutations(t *testing.T) {
 // job runs on the view of the epoch it leased. After each of eight
 // mutation batches — each of which changes the triangle count, so a view
 // left over from the previous epoch cannot pass — oriented TC equals the
-// generic job and the scalar reference, and the view is a from-scratch
+// undirected job and the scalar reference, and the view is a from-scratch
 // orientation of the mutated graph, byte for byte, though it was patched: it
 // cut fewer rows than the graph has. Applying a batch is what retires the
-// view, not the next job's luck. Batches served by generic jobs alone leave
+// view, not the next job's luck. Batches served by undirected jobs alone leave
 // the view as it was and pile up for the next oriented job, which patches
 // them all at once.
 func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
@@ -254,10 +254,12 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	count := func(generic bool) int64 {
+	count := func(undirected bool) int64 {
 		t.Helper()
-		a := algo.NewTriangleCount()
-		a.Generic = generic
+		var a core.Algorithm = algo.NewTriangleCount()
+		if undirected {
+			a = NewUndirectedTC()
+		}
 		j, err := s.Launch(a, JobOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -266,8 +268,8 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if generic != (res.ResidentLists == 0) {
-			t.Fatalf("generic=%v: the job reports %d resident lists: the other arm ran", generic, res.ResidentLists)
+		if undirected != (res.ResidentLists == 0) {
+			t.Fatalf("undirected=%v: the job reports %d resident lists: the other arm ran", undirected, res.ResidentLists)
 		}
 		return res.AggGlobal.(int64)
 	}
@@ -300,10 +302,10 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 			t.Fatalf("batch %d left the triangle count at %d: a stale view would go unnoticed", bi, want)
 		}
 		if got := count(true); got != want {
-			t.Fatalf("batch %d: generic tc %d, reference %d", bi, got, want)
+			t.Fatalf("batch %d: undirected tc %d, reference %d", bi, got, want)
 		}
 		if s.oriented.g != stale {
-			t.Fatalf("batch %d: a generic job recut the oriented view", bi)
+			t.Fatalf("batch %d: an undirected job recut the oriented view", bi)
 		}
 		if got := count(false); got != want {
 			t.Fatalf("batch %d: oriented tc %d, reference %d (previous epoch: %d)", bi, got, want, prev)
@@ -320,7 +322,7 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 		prev = want
 	}
 
-	// Generic jobs alone over four epochs: the view stays the one cut at
+	// Undirected jobs alone over four epochs: the view stays the one cut at
 	// epoch 8 while the batches' touched vertices pile up, and the next
 	// oriented job patches them in one cut.
 	stale, pending := s.oriented.g, 0
@@ -329,7 +331,7 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 			t.Fatalf("batch %d: %v", 8+bi, err)
 		}
 		if got, want := count(true), algo.RefTriangles(g); got != want {
-			t.Fatalf("batch %d: generic tc %d, reference %d", 8+bi, got, want)
+			t.Fatalf("batch %d: undirected tc %d, reference %d", 8+bi, got, want)
 		}
 		_, now := s.oriented.patchState()
 		if s.oriented.g != stale || now <= pending {
@@ -339,7 +341,7 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 	}
 	prev = algo.RefTriangles(g)
 	if got := count(false); got != prev {
-		t.Fatalf("after four generic epochs: oriented tc %d, reference %d", got, prev)
+		t.Fatalf("after four undirected epochs: oriented tc %d, reference %d", got, prev)
 	}
 	exactPatch(len(stream))
 
@@ -390,7 +392,7 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 	}
 	exactPatch(len(stream) + 1)
 	if got := count(true); got != want {
-		t.Fatalf("after the re-owning batch: generic tc %d, reference %d", got, want)
+		t.Fatalf("after the re-owning batch: undirected tc %d, reference %d", got, want)
 	}
 }
 

@@ -53,9 +53,9 @@ func openSession(t *testing.T, g *graph.Graph, cfg cluster.Config, h host) *clus
 // TestShapesByteIdentical is the cross-shape differential: a seeded graph
 // and each of the eight apps through every way a job can be launched —
 // one-shot Run over the in-process network and over loopback TCP, then a
-// warm session on every host, launched twice and once more generic (no
-// plan, no oriented view, no resident set) — must yield byte-identical
-// records and aggregate. There is one launch path under all of them, so a
+// warm session on every host, launched twice (and TC once more on each
+// goroutine host on its undirected arm: no oriented view, no resident set)
+// — must yield byte-identical records and aggregate. There is one launch path under all of them, so a
 // divergence here is a host or transport bug, not a second engine's. MCF is
 // held to its aggregate only: which records it emits depends on when the
 // global best reaches each worker. Each graph runs twice: as generated, and
@@ -150,9 +150,12 @@ func shapesByteIdentical(t *testing.T, g *graph.Graph, dense bool, specs []jobsp
 			}
 			shapes := []shape{{"run", oneShot(false)}, {"run-tcp", oneShot(true)}}
 			for i, h := range hosts {
-				launch := func(sp jobspec.Spec) func() (*cluster.Result, error) {
+				launch := func(undirected bool) func() (*cluster.Result, error) {
 					return func() (*cluster.Result, error) {
 						a, _ := jobspec.Build(g, sp)
+						if undirected {
+							a = cluster.NewUndirectedTC()
+						}
 						j, err := sessions[i].Launch(a, cluster.JobOptions{Spec: &sp})
 						if err != nil {
 							return nil, err
@@ -160,11 +163,11 @@ func shapesByteIdentical(t *testing.T, g *graph.Graph, dense bool, specs []jobsp
 						return j.Wait()
 					}
 				}
-				generic := sp
-				generic.Generic = true
 				// A second launch reruns the workload on the warm cluster.
-				shapes = append(shapes, shape{h.name, launch(sp)}, shape{h.name + "-rerun", launch(sp)},
-					shape{h.name + "-generic", launch(generic)})
+				shapes = append(shapes, shape{h.name, launch(false)}, shape{h.name + "-rerun", launch(false)})
+				if sp.App == "tc" && !h.processes {
+					shapes = append(shapes, shape{h.name + "-undirected", launch(true)})
+				}
 			}
 			var want string
 			var wantTasks int64
@@ -177,7 +180,7 @@ func shapesByteIdentical(t *testing.T, g *graph.Graph, dense bool, specs []jobsp
 				if sp.App == "mcf" {
 					got = fmt.Sprint(res.AggGlobal)
 				}
-				generic := strings.HasSuffix(sh.name, "-generic")
+				undirected := strings.HasSuffix(sh.name, "-undirected")
 				if i == 0 {
 					want, wantTasks = got, res.Total.TasksDone
 					refs[sp.App] = res
@@ -192,10 +195,10 @@ func shapesByteIdentical(t *testing.T, g *graph.Graph, dense bool, specs []jobsp
 				}
 				// Triangle counting runs on G⁺ with its hottest lists
 				// resident on every worker: the same tasks, the same count.
-				if !generic && res.Total.TasksDone != wantTasks {
+				if !undirected && res.Total.TasksDone != wantTasks {
 					t.Fatalf("%s ran %d tasks, %s %d", sh.name, res.Total.TasksDone, shapes[0].name, wantTasks)
 				}
-				if generic != (res.ResidentLists == 0) {
+				if undirected != (res.ResidentLists == 0) {
 					t.Fatalf("%s: %d resident lists", sh.name, res.ResidentLists)
 				}
 			}

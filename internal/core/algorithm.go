@@ -34,14 +34,15 @@ type Algorithm interface {
 }
 
 // Plan is an algorithm's planned path: what it takes from a runtime, beside
-// the undirected graph every runtime serves, to mine a job faster. The zero
-// Plan is the generic path, the differential baseline: a job that declares
-// it is offered nothing and mines the undirected vertex tables.
+// the undirected graph every runtime serves, to mine a job faster. A job that
+// declares the zero Plan is offered nothing and mines the undirected vertex
+// tables.
 //
 // Contract: a plan changes where exploration starts, what is pulled and how
 // intersections run, never what a job outputs. An algorithm's records and
-// aggregate are byte-identical whether or not a runtime honours its plan, so
-// a runtime that cannot offer a field simply never calls it.
+// aggregate are byte-identical whether or not a runtime honours Oriented, so
+// a runtime that cannot offer the view simply never calls it. Every runtime
+// offers Labels, and an algorithm may require it (GM does).
 type Plan struct {
 	// Oriented, when set, asks to mine G⁺, the degree-oriented view of the
 	// job's graph (graph.Orient: every vertex keeps only its neighbours of
@@ -80,12 +81,10 @@ type Plan struct {
 	SeedRadius int
 }
 
-// Planner is implemented by algorithms that have a planned path beside their
-// generic one. Plan opens a job: a runtime calls it exactly once per job,
-// after graph validation and before seeding, and an algorithm value reused
-// across jobs starts each one on the undirected graph until a field of the
-// returned Plan is called. An algorithm configured generic returns the zero
-// Plan.
+// Planner is implemented by algorithms that have a planned path. Plan opens
+// a job: a runtime calls it exactly once per job, after graph validation and
+// before seeding, and an algorithm value reused across jobs starts each one
+// on the undirected graph until a field of the returned Plan is called.
 type Planner interface {
 	Plan() Plan
 }

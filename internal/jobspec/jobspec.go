@@ -39,12 +39,6 @@ type Spec struct {
 	// attrs: 2). It never affects an already-labeled graph, so jobs on a
 	// serving daemon's resident graph ignore it.
 	Seed int64 `json:"seed,omitempty"`
-	// Generic forces the generic exploration path instead of compiled
-	// execution plans + intersection kernels — the differential baseline.
-	// Results are byte-identical by contract, but CacheKey still includes
-	// it: a differential comparison driven through the serving layer must
-	// observe two real executions, not one execution and a cache hit.
-	Generic bool `json:"generic,omitempty"`
 	// Standing subscribes the job to the dynamic graph: after the baseline
 	// run, the job stays resident and emits a delta (new/retracted
 	// matches) per graph epoch on GET /jobs/{id}/deltas. Requires a
@@ -125,8 +119,8 @@ func (s Spec) Normalize() Spec {
 // byte-identical results.
 func (s Spec) CacheKey() string {
 	n := s.Normalize()
-	return fmt.Sprintf("app=%s|labels=%d|pattern=%s|minsim=%g|minsize=%d|split=%d|seed=%d|generic=%t|standing=%t|epoch=%d",
-		n.App, n.Labels, n.Pattern, n.MinSim, n.MinSize, n.Split, n.Seed, n.Generic, n.Standing, n.Epoch)
+	return fmt.Sprintf("app=%s|labels=%d|pattern=%s|minsim=%g|minsize=%d|split=%d|seed=%d|standing=%t|epoch=%d",
+		n.App, n.Labels, n.Pattern, n.MinSim, n.MinSize, n.Split, n.Seed, n.Standing, n.Epoch)
 }
 
 // Validate checks the normalised spec without needing a graph.
@@ -228,9 +222,7 @@ func Build(g *graph.Graph, s Spec) (core.Algorithm, error) {
 	}
 	switch s.App {
 	case "tc":
-		tc := algo.NewTriangleCount()
-		tc.Generic = s.Generic
-		return tc, nil
+		return algo.NewTriangleCount(), nil
 	case "mcf":
 		mc := algo.NewMaxClique()
 		mc.SplitThreshold = s.Split
@@ -244,9 +236,7 @@ func Build(g *graph.Graph, s Spec) (core.Algorithm, error) {
 				return nil, err
 			}
 		}
-		gm := algo.NewGraphMatch(p)
-		gm.Generic = s.Generic
-		return gm, nil
+		return algo.NewGraphMatch(p), nil
 	case "gl3":
 		return algo.NewGraphletCensus(), nil
 	case "qc":

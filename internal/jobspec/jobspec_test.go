@@ -91,8 +91,7 @@ func TestUnknownAppErrorListsApps(t *testing.T) {
 
 // TestPlanDeclarations: every app declares the core.Plan DESIGN.md §12
 // lists for it — tc asks for G⁺, gm for the label column, cd and qc a seed
-// radius of 1, the other four nothing — and a Generic tc or gm job declares
-// the zero plan, so it runs the generic path as the differential baseline.
+// radius of 1, the other four nothing.
 func TestPlanDeclarations(t *testing.T) {
 	type declared struct {
 		oriented, labels bool
@@ -110,25 +109,16 @@ func TestPlanDeclarations(t *testing.T) {
 		t.Fatalf("apps %v, declarations for %d", jobspec.Apps(), len(want))
 	}
 	for _, app := range jobspec.Apps() {
-		for _, generic := range []bool{false, true} {
-			spec := jobspec.Spec{App: app, Generic: generic}.Normalize()
-			jobspec.Prepare(g, spec)
-			a, err := jobspec.Build(g, spec)
-			if err != nil {
-				t.Fatalf("%s: %v", app, err)
-			}
-			p := core.PlanOf(a)
-			got := declared{oriented: p.Oriented != nil, labels: p.Labels != nil, radius: p.SeedRadius}
-			w, ok := want[app]
-			if !ok {
-				t.Fatalf("%s: no declaration listed", app)
-			}
-			if generic && (app == "tc" || app == "gm") {
-				w = declared{}
-			}
-			if got != w {
-				t.Errorf("%s (generic %v): plan declares %+v, want %+v", app, generic, got, w)
-			}
+		spec := jobspec.Spec{App: app}.Normalize()
+		jobspec.Prepare(g, spec)
+		a, err := jobspec.Build(g, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
+		p := core.PlanOf(a)
+		got := declared{oriented: p.Oriented != nil, labels: p.Labels != nil, radius: p.SeedRadius}
+		if w, ok := want[app]; !ok || got != w {
+			t.Errorf("%s: plan declares %+v, want %+v (listed: %v)", app, got, w, ok)
 		}
 	}
 }

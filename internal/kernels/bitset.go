@@ -141,29 +141,3 @@ func CountBitset(sc *Scratch, a, b []uint32) int {
 	sc.Reset()
 	return n
 }
-
-// IntersectScratch appends a ∩ b to dst, picking bitset/gallop/merge by
-// operand size. The result is ascending regardless of strategy.
-func IntersectScratch(sc *Scratch, dst, a, b []uint32) []uint32 {
-	if sc == nil || Choose(len(a), len(b), true) != StrategyBitset {
-		return Intersect(dst, a, b)
-	}
-	// Mark the smaller operand, scan the larger — but emit in the order of
-	// the *larger* scan only if it is the probe side; either way the probe
-	// side is ascending, so the output is ascending.
-	small, large := a, b
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	sc.Reset()
-	for _, x := range small {
-		sc.Mark(x)
-	}
-	for _, x := range large {
-		if sc.Has(x) {
-			dst = append(dst, x)
-		}
-	}
-	sc.Reset()
-	return dst
-}

@@ -141,11 +141,11 @@ func (c *CSR) Degree(r uint32) int {
 // Label returns the label of rank r.
 func (c *CSR) Label(r uint32) int32 { return c.labels[r] }
 
-// IDOf maps a rank back to its vertex ID.
-func (c *CSR) IDOf(r uint32) graph.VertexID { return c.ids[r] }
+// idOf maps a rank back to its vertex ID.
+func (c *CSR) idOf(r uint32) graph.VertexID { return c.ids[r] }
 
-// Rank maps a vertex ID to its rank.
-func (c *CSR) Rank(id graph.VertexID) (uint32, bool) {
+// rankOf maps a vertex ID to its rank.
+func (c *CSR) rankOf(id graph.VertexID) (uint32, bool) {
 	if uint64(id) < uint64(len(c.rank)) && c.rank[id] != noRank {
 		return c.rank[id], true
 	}

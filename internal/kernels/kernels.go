@@ -159,11 +159,6 @@ func Intersect[T ID](dst, a, b []T) []T {
 	return intersectMerge(dst, a, b)
 }
 
-// IntersectAbove appends {x ∈ a ∩ b : x > floor} to dst and returns it.
-func IntersectAbove[T ID](dst, a, b []T, floor T) []T {
-	return Intersect(dst, above(a, floor), above(b, floor))
-}
-
 func intersectMerge[T ID](dst, a, b []T) []T {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

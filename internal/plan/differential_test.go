@@ -8,6 +8,7 @@ import (
 
 	"gminer/internal/algo"
 	"gminer/internal/cluster"
+	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
@@ -17,9 +18,19 @@ import (
 
 // This file is the differential suite gating the plan/kernel layer: on
 // seeded random graphs, across pattern shapes and shard (worker) counts,
-// a job run with compiled plans must produce output byte-identical to the
-// same job run generic, and both must equal the independent sequential
-// references. It runs under -race in the chaos CI lane.
+// every job must equal the independent sequential references and the
+// compiled plan executed over the CSR; TC runs both its arms, on G⁺ and
+// undirected, and their outputs must be byte-identical. It runs under
+// -race in the race CI job.
+
+// undirectedTC is TC whose Plan opens the job and declares nothing, so any
+// runtime runs it on the undirected graph.
+type undirectedTC struct{ *algo.TriangleCount }
+
+func (u undirectedTC) Plan() core.Plan {
+	u.TriangleCount.Plan()
+	return core.Plan{}
+}
 
 // diffGraphs is the seeded random-graph corpus. Labels are always
 // assigned (TC ignores them; GM needs them).
@@ -72,24 +83,26 @@ func TestDifferentialTC(t *testing.T) {
 		want := algo.RefTriangles(g)
 		for _, workers := range []int{1, 2, 4} {
 			var baseline []string
-			for _, generic := range []bool{true, false} {
-				tc := algo.NewTriangleCount()
-				tc.Generic = generic
+			for _, undirected := range []bool{true, false} {
+				var tc core.Algorithm = algo.NewTriangleCount()
+				if undirected {
+					tc = undirectedTC{algo.NewTriangleCount()}
+				}
 				seq := algo.SeqRun(g, tc)
 				res, err := cluster.Run(g, tc, cluster.Config{Workers: workers, Threads: 2})
 				if err == nil && res.Total.TasksDone != seq.Tasks {
-					t.Errorf("%s w=%d generic=%v: %d tasks, the arm's sequential run %d", gname, workers, generic, res.Total.TasksDone, seq.Tasks)
+					t.Errorf("%s w=%d undirected=%v: %d tasks, the arm's sequential run %d", gname, workers, undirected, res.Total.TasksDone, seq.Tasks)
 				}
 				if err != nil {
-					t.Fatalf("%s w=%d generic=%v: %v", gname, workers, generic, err)
+					t.Fatalf("%s w=%d undirected=%v: %v", gname, workers, undirected, err)
 				}
 				if got := res.AggGlobal.(int64); got != want {
-					t.Errorf("%s w=%d generic=%v: tc=%d ref=%d", gname, workers, generic, got, want)
+					t.Errorf("%s w=%d undirected=%v: tc=%d ref=%d", gname, workers, undirected, got, want)
 				}
-				if generic {
+				if undirected {
 					baseline = res.Records
 				} else if !reflect.DeepEqual(baseline, res.Records) {
-					t.Errorf("%s w=%d: records differ between generic and plan runs", gname, workers)
+					t.Errorf("%s w=%d: records differ between the undirected and oriented runs", gname, workers)
 				}
 			}
 		}
@@ -126,31 +139,20 @@ func TestDifferentialGM(t *testing.T) {
 	for gname, g := range diffGraphs(t) {
 		for pname, p := range patterns {
 			want := algo.RefMatchCount(g, p)
+			seq := algo.SeqRun(g, algo.NewGraphMatch(p))
+			if seq.AggGlobal != any(want) {
+				t.Errorf("%s/%s: SeqRun=%v ref=%d", gname, pname, seq.AggGlobal, want)
+			}
 			for _, workers := range []int{1, 3} {
-				var baseline []string
-				var baselineAgg int64
-				for _, generic := range []bool{true, false} {
-					gm := algo.NewGraphMatch(p)
-					gm.Generic = generic
-					seq := algo.SeqRun(g, gm)
-					res, err := cluster.Run(g, gm, cluster.Config{Workers: workers, Threads: 2})
-					if err == nil && res.Total.TasksDone != seq.Tasks {
-						t.Errorf("%s/%s w=%d generic=%v: %d tasks, the arm's sequential run %d", gname, pname, workers, generic, res.Total.TasksDone, seq.Tasks)
-					}
-					if err != nil {
-						t.Fatalf("%s/%s w=%d generic=%v: %v", gname, pname, workers, generic, err)
-					}
-					got := res.AggGlobal.(int64)
-					if got != want {
-						t.Errorf("%s/%s w=%d generic=%v: gm=%d ref=%d", gname, pname, workers, generic, got, want)
-					}
-					if generic {
-						baseline, baselineAgg = res.Records, got
-						continue
-					}
-					if !reflect.DeepEqual(baseline, res.Records) || got != baselineAgg {
-						t.Errorf("%s/%s w=%d: plan output differs from generic baseline", gname, pname, workers)
-					}
+				res, err := cluster.Run(g, algo.NewGraphMatch(p), cluster.Config{Workers: workers, Threads: 2})
+				if err != nil {
+					t.Fatalf("%s/%s w=%d: %v", gname, pname, workers, err)
+				}
+				if res.Total.TasksDone != seq.Tasks {
+					t.Errorf("%s/%s w=%d: %d tasks, the sequential run %d", gname, pname, workers, res.Total.TasksDone, seq.Tasks)
+				}
+				if got := res.AggGlobal.(int64); got != want || !reflect.DeepEqual(res.Records, seq.Records) {
+					t.Errorf("%s/%s w=%d: gm=%d with %d records, ref=%d with %d", gname, pname, workers, got, len(res.Records), want, len(seq.Records))
 				}
 			}
 			// The ModeHom plan executed directly must agree as well.
@@ -166,10 +168,10 @@ func TestDifferentialGM(t *testing.T) {
 	}
 }
 
-// TestDifferentialSessionLaunch pins the serving path: a session-launched
-// job with Spec.Generic toggled produces identical results, exercising
-// the session-held oriented view; the algorithm is built from the spec,
-// as the serving layer builds it.
+// TestDifferentialSessionLaunch pins the serving path: on one session, TC
+// built from its spec, as the serving layer builds it, runs on the
+// session-held oriented view, TC offered nothing runs undirected, and both
+// count the reference.
 func TestDifferentialSessionLaunch(t *testing.T) {
 	g := gen.ErdosRenyi(120, 700, 5)
 	gen.AssignLabels(g, 4, 105)
@@ -181,29 +183,26 @@ func TestDifferentialSessionLaunch(t *testing.T) {
 	}
 	defer sess.Close()
 
-	run := func(generic bool) int64 {
-		spec := jobspec.Spec{App: "tc", Generic: generic}.Normalize()
-		a, err := jobspec.Build(g, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	spec := jobspec.Spec{App: "tc"}.Normalize()
+	planned, err := jobspec.Build(g, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []core.Algorithm{planned, undirectedTC{algo.NewTriangleCount()}} {
+		_, undirected := a.(undirectedTC)
 		j, err := sess.Launch(a, cluster.JobOptions{Spec: &spec})
 		if err != nil {
-			t.Fatalf("Launch(generic=%v): %v", generic, err)
+			t.Fatalf("Launch(undirected=%v): %v", undirected, err)
 		}
 		res, err := j.Wait()
 		if err != nil {
-			t.Fatalf("Wait(generic=%v): %v", generic, err)
+			t.Fatalf("Wait(undirected=%v): %v", undirected, err)
 		}
-		if generic != (res.ResidentLists == 0) {
-			t.Fatalf("generic=%v: %d resident lists: the other arm ran", generic, res.ResidentLists)
+		if undirected != (res.ResidentLists == 0) {
+			t.Fatalf("undirected=%v: %d resident lists: the other arm ran", undirected, res.ResidentLists)
 		}
-		return res.AggGlobal.(int64)
-	}
-	if got := run(false); got != want {
-		t.Errorf("plan session job = %d, ref = %d", got, want)
-	}
-	if got := run(true); got != want {
-		t.Errorf("generic session job = %d, ref = %d", got, want)
+		if got := res.AggGlobal.(int64); got != want {
+			t.Errorf("undirected=%v session job = %d, ref = %d", undirected, got, want)
+		}
 	}
 }

@@ -8,12 +8,11 @@ import (
 
 // Count executes a ModeEmbed plan against a CSR index and returns the
 // number of distinct embeddings of the pattern in the graph. Each
-// embedding is generated exactly once: the plan's After/Before
-// constraints keep one representative per automorphism class, so no
-// post-hoc division or deduplication happens. The walk is a DFS over
-// matching steps; each step's candidate set is the intersection of the
-// adjacency rows named by Connect, computed by the strategy-selected
-// kernels, then narrowed to the rank window the order constraints allow.
+// embedding is generated exactly once: the plan's After constraints keep
+// one rank order of it, so no post-hoc division or deduplication happens.
+// The walk is a DFS over matching steps; each step's candidate set is the
+// intersection of the adjacency rows named by Connect, computed by the
+// strategy-selected kernels, above the floor the order constraints set.
 func Count(c *kernels.CSR, p *Plan) (int64, error) {
 	if p.Mode != ModeEmbed {
 		return 0, fmt.Errorf("plan: Count needs a ModeEmbed plan (got %s)", p.Mode)
@@ -23,6 +22,9 @@ func Count(c *kernels.CSR, p *Plan) (int64, error) {
 	if n == 0 || k == 0 {
 		return 0, nil
 	}
+	if k == 1 {
+		return int64(n), nil
+	}
 	sc := c.GetScratch()
 	defer c.PutScratch(sc)
 
@@ -31,112 +33,56 @@ func Count(c *kernels.CSR, p *Plan) (int64, error) {
 	bufs := make([][]uint32, k)
 	var total int64
 	for r := uint32(0); r < uint32(n); r++ {
-		if p.Steps[0].Label != noLabel && c.Label(r) != p.Steps[0].Label {
-			continue
-		}
-		if k == 1 {
-			total++
-			continue
-		}
 		matched[0] = r
 		total += countRec(c, p, sc, matched, bufs, 1)
 	}
 	return total, nil
 }
 
-// CountFrom executes the tail of a ModeEmbed plan with step 0 pinned to
-// the vertex ranked r — the per-seed form the task-parallel executors
-// use (one G-Miner task per DAG seed). Constraint and candidate handling
-// are identical to Count.
-func CountFrom(c *kernels.CSR, p *Plan, r uint32) (int64, error) {
-	if p.Mode != ModeEmbed {
-		return 0, fmt.Errorf("plan: CountFrom needs a ModeEmbed plan (got %s)", p.Mode)
-	}
-	if int(r) >= c.N() {
-		return 0, fmt.Errorf("plan: rank %d outside universe [0,%d)", r, c.N())
-	}
-	if p.Steps[0].Label != noLabel && c.Label(r) != p.Steps[0].Label {
-		return 0, nil
-	}
-	if len(p.Steps) == 1 {
-		return 1, nil
-	}
-	sc := c.GetScratch()
-	defer c.PutScratch(sc)
-	matched := make([]uint32, len(p.Steps))
-	bufs := make([][]uint32, len(p.Steps))
-	matched[0] = r
-	return countRec(c, p, sc, matched, bufs, 1), nil
-}
-
 func countRec(c *kernels.CSR, p *Plan, sc *kernels.Scratch, matched []uint32, bufs [][]uint32, depth int) int64 {
 	st := &p.Steps[depth]
-	lo, hi := bounds(c, st, matched)
-	if lo >= hi {
-		return 0
-	}
+	lo := floor(st, matched)
 	last := depth == len(p.Steps)-1
 
-	// Order constraints only shrink operands, so narrowing every Connect
-	// row to the [lo, hi) rank window *before* intersecting makes the
-	// intersection cost proportional to the window, not the full rows —
-	// for the symmetry-broken triangle this is the difference between
-	// Row(a) ∩ Row(b) and the suffix intersection above b.
-	cands := window(c.Row(matched[st.Connect[0]]), lo, hi)
+	// Order constraints only shrink operands, so cutting every Connect row
+	// to the ranks above the floor *before* intersecting makes the
+	// intersection cost proportional to those suffixes, not the full rows —
+	// for the triangle this is the difference between Row(a) ∩ Row(b) and
+	// the suffix intersection above b.
+	cands := above(c.Row(matched[st.Connect[0]]), lo)
 	for i, s := range st.Connect[1:] {
-		row := window(c.Row(matched[s]), lo, hi)
-		if last && countOnly(st) && i == len(st.Connect)-2 {
+		row := above(c.Row(matched[s]), lo)
+		if last && i == len(st.Connect)-2 {
 			return int64(kernels.CountScratch(sc, cands, row))
 		}
-		bufs[depth] = kernels.IntersectScratch(sc, bufs[depth][:0], cands, row)
+		bufs[depth] = kernels.Intersect(bufs[depth][:0], cands, row)
 		cands = bufs[depth]
 	}
-	if last && countOnly(st) {
+	if last {
 		return int64(len(cands))
 	}
 
-	// A count-only closing child that intersects two rows has at most one
-	// of them, probe, change with this depth's candidate; the other, fixed,
-	// is the same for the whole loop. Load it once — windowed by the
-	// loosest bounds any candidate can produce (cands is ascending) — and
-	// the child is one bitmap probe per element of each candidate's row.
+	// A closing child that intersects two rows has at most one of them,
+	// probe, change with this depth's candidate; the other, fixed, is the
+	// same for the whole loop. Load it once — above the lowest floor any
+	// candidate can produce (cands is ascending) — and the child is one
+	// bitmap probe per element of each candidate's row.
 	var closing *Step
 	fixed, probe := 0, 0
-	if nx := &p.Steps[len(p.Steps)-1]; depth == len(p.Steps)-2 && countOnly(nx) && len(nx.Connect) == 2 && len(cands) > 0 {
+	if nx := &p.Steps[len(p.Steps)-1]; depth == len(p.Steps)-2 && len(nx.Connect) == 2 && len(cands) > 0 {
 		closing, fixed, probe = nx, nx.Connect[0], nx.Connect[1]
 		if fixed == depth {
 			fixed, probe = probe, fixed
 		}
 		matched[depth] = cands[0]
-		flo, _ := bounds(c, nx, matched)
-		matched[depth] = cands[len(cands)-1]
-		_, fhi := bounds(c, nx, matched)
-		sc.Load(window(c.Row(matched[fixed]), flo, fhi))
+		sc.Load(above(c.Row(matched[fixed]), floor(nx, matched)))
 	}
 
 	var total int64
 	for _, r := range cands {
-		if st.Label != noLabel && c.Label(r) != st.Label {
-			continue
-		}
-		ok := true
-		for _, s := range st.Distinct {
-			if matched[s] == r {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if last {
-			total++
-			continue
-		}
 		matched[depth] = r
 		if closing != nil {
-			nlo, nhi := bounds(c, closing, matched)
-			total += int64(sc.CountLoaded(window(c.Row(matched[probe]), nlo, nhi)))
+			total += int64(sc.CountLoaded(above(c.Row(matched[probe]), floor(closing, matched))))
 			continue
 		}
 		total += countRec(c, p, sc, matched, bufs, depth+1)
@@ -144,33 +90,20 @@ func countRec(c *kernels.CSR, p *Plan, sc *kernels.Scratch, matched []uint32, bu
 	return total
 }
 
-// countOnly reports whether a last step st contributes exactly
-// |candidates| — no label or distinctness filter — so its final
-// intersection can run as a counting kernel with nothing materialized.
-func countOnly(st *Step) bool { return st.Label == noLabel && len(st.Distinct) == 0 }
-
-// bounds returns the rank window [lo, hi) st's order constraints leave
-// open under the current partial match.
-func bounds(c *kernels.CSR, st *Step, matched []uint32) (lo, hi uint32) {
-	hi = uint32(c.N())
+// floor returns the lowest rank st's order constraints leave open under
+// the current partial match.
+func floor(st *Step, matched []uint32) (lo uint32) {
 	for _, s := range st.After {
 		if m := matched[s] + 1; m > lo {
 			lo = m
 		}
 	}
-	for _, s := range st.Before {
-		if m := matched[s]; m < hi {
-			hi = m
-		}
-	}
-	return lo, hi
+	return lo
 }
 
-// window returns the slice of sorted s falling in the rank window
-// [lo, hi).
-func window(s []uint32, lo, hi uint32) []uint32 {
-	s = s[kernels.SearchSorted(s, lo):]
-	return s[:kernels.SearchSorted(s, hi)]
+// above returns the suffix of sorted s at or above rank lo.
+func above(s []uint32, lo uint32) []uint32 {
+	return s[kernels.SearchSorted(s, lo):]
 }
 
 // HomCount executes a ModeHom plan: the number of homomorphisms of the

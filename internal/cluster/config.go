@@ -140,10 +140,11 @@ type Config struct {
 	pullRetryBase    time.Duration
 
 	// eagerSeeding, when set (tests only, see export_test.go), generates
-	// every seed task before processing starts — the paper's behaviour,
-	// which §9 lists as an overhead. Otherwise seeds stream into the
-	// pipeline with backpressure: the seeder waits while the task store
-	// holds more than StoreMemCapacity/2 tasks.
+	// every seed task that waits for data before processing starts — the
+	// paper's behaviour, which §9 lists as an overhead. Otherwise such seeds
+	// stream into the pipeline with backpressure: the seeder waits while the
+	// task store holds more than StoreMemCapacity/2 tasks. A ready seed
+	// waits for room in the CPQ either way.
 	eagerSeeding bool
 
 	// seedHold, when set (tests only, see export_test.go), makes every seeder

@@ -132,21 +132,68 @@ type localTable struct {
 
 // newVertexTables cuts view g's directory and, in the directory's one pass
 // over the graph, the seed scan of every worker that scan marks (the other
-// workers' entries stay nil).
+// workers' entries stay nil), from an order built for this cut alone.
+func newVertexTables(g *graph.Graph, assign *partition.Assignment, scan []bool) vertexTables {
+	return new(hashOrder).cut(g, assign, scan)
+}
+
+// hashOrder is every slot of a graph in seed-scan order.
 //
 // The vertex table is a hash table in the original system, so the task
 // generator's scan order carries no ID locality; replicate that with a
 // deterministic hash-shuffle. (Consecutive IDs in synthetic graphs share
 // neighborhoods, which would otherwise gift the non-LSH queue an
 // unrealistically good access pattern.) lsh.HashID is a bijection, so the
-// keys never tie and the order is a function of the worker's ID set alone.
-func newVertexTables(g *graph.Graph, assign *partition.Assignment, scan []bool) vertexTables {
+// keys never tie: a worker's scan is the order of all slots filtered by
+// owner, a function of the worker's ID set alone. Internal IDs only grow, so a
+// dynamic session keeps one order across graph epochs and merges in only a
+// batch's new slots, in place.
+type hashOrder struct {
+	ids []graph.VertexID // every slot below len(ids), HashID ascending
+}
+
+// grow brings the order up to slots: the new slots are sorted on their own
+// and merged in from the back, so each old entry moves at most once and the
+// order's array is reused.
+func (o *hashOrder) grow(slots int) {
+	n := len(o.ids)
+	if slots <= n {
+		return
+	}
 	type keyed struct {
 		key uint64
 		id  graph.VertexID
 	}
-	scans := make([][]keyed, assign.K)
+	fresh := make([]keyed, 0, slots-n)
+	for id := n; id < slots; id++ {
+		fresh = append(fresh, keyed{lsh.HashID(uint64(id)), graph.VertexID(id)})
+	}
+	slices.SortFunc(fresh, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+	o.ids = slices.Grow(o.ids, slots-n)[:slots]
+	i, j := n-1, len(fresh)-1
+	var key uint64
+	if i >= 0 {
+		key = lsh.HashID(uint64(o.ids[i]))
+	}
+	for k := slots - 1; j >= 0; k-- {
+		if i >= 0 && key > fresh[j].key {
+			o.ids[k], i = o.ids[i], i-1
+			if i >= 0 {
+				key = lsh.HashID(uint64(o.ids[i]))
+			}
+		} else {
+			o.ids[k], j = fresh[j].id, j-1
+		}
+	}
+}
+
+// cut brings the order up to view g's slots, then cuts g's directory and the
+// seed scan of every worker that scan marks: each one's footprint in the
+// directory's pass, its IDs by filtering the order by owner.
+func (o *hashOrder) cut(g *graph.Graph, assign *partition.Assignment, scan []bool) vertexTables {
+	o.grow(g.Slots())
 	vt := vertexTables{locals: make([]*localTable, assign.K)}
+	sizes := make([]int, assign.K)
 	for w, on := range scan {
 		if on {
 			vt.locals[w] = &localTable{}
@@ -154,18 +201,18 @@ func newVertexTables(g *graph.Graph, assign *partition.Assignment, scan []bool) 
 	}
 	vt.dir = newDirectory(g, assign, true, func(v *graph.Vertex, w int) {
 		if lt := vt.locals[w]; lt != nil {
-			scans[w] = append(scans[w], keyed{lsh.HashID(uint64(v.ID)), v.ID})
+			sizes[w]++
 			lt.footprint += v.FootprintBytes()
 		}
 	})
 	for w, lt := range vt.locals {
-		if lt == nil {
-			continue
+		if lt != nil {
+			lt.ids = make([]graph.VertexID, 0, sizes[w])
 		}
-		slices.SortFunc(scans[w], func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
-		lt.ids = make([]graph.VertexID, len(scans[w]))
-		for i, k := range scans[w] {
-			lt.ids[i] = k.id
+	}
+	for _, id := range o.ids {
+		if w := vt.dir.owner(id); w >= 0 && vt.locals[w] != nil {
+			vt.locals[w].ids = append(vt.locals[w].ids, id)
 		}
 	}
 	return vt

@@ -105,9 +105,9 @@ func (wp *WorkerProcess) ResidentCore() (rows int, fingerprint uint64) {
 	return wp.oriented.residentCore()
 }
 
-// SeedEagerly makes cfg's workers generate every seed task before processing
-// starts, the paper's behaviour, instead of streaming seeds under the task
-// store's backpressure.
+// SeedEagerly makes cfg's workers generate every seed task that waits for
+// data before processing starts, the paper's behaviour, instead of streaming
+// those seeds under the task store's backpressure.
 func SeedEagerly(cfg *Config) { cfg.eagerSeeding = true }
 
 // ResultTimeout is a RemoteSessionConfig whose finished jobs wait up to d

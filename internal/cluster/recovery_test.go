@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +24,8 @@ import (
 // the invariant under test.
 type slowMark struct {
 	core.NoContext
-	delay time.Duration
+	delay   time.Duration
+	updates atomic.Int64 // rounds run
 }
 
 func (*slowMark) Name() string { return "slowmark" }
@@ -38,6 +40,7 @@ func (s *slowMark) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 }
 
 func (s *slowMark) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
+	s.updates.Add(1)
 	time.Sleep(s.delay)
 	env.Emit(fmt.Sprintf("v %d", t.Subgraph.Vertices()[0]))
 }
@@ -155,35 +158,59 @@ func waitForManifest(t *testing.T, dir string, deadline time.Duration) {
 // TestResumeFullJobByteIdentical is the crash-restart soak: abandon a job
 // mid-run (the process-death stand-in), then relaunch with -resume from the
 // same checkpoint directory and require output byte-identical to a
-// fault-free run.
+// fault-free run. It runs on two shapes: three workers, where most tasks wait
+// for a pull in the store, and one worker, where every task with a candidate
+// is ready at intake and goes straight to the CPQ — so each checkpoint's
+// quiesce waits for the executor to drain the CPQ, and the snapshot holds
+// only what the seeder had not yet reached. On both, a checkpointed run that
+// is left to finish runs one task per vertex, as a fault-free run does, and
+// the resumed run runs exactly the tasks the checkpoint had not finished.
 func TestResumeFullJobByteIdentical(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 2500, Seed: 79})
 	want := expectedMarks(g)
 
-	dir := t.TempDir()
-	cfg := smallConfig()
-	cfg.CheckpointEvery = 3 * time.Millisecond
-	cfg.CheckpointDir = dir
-	cfg.Partitioner = partition.Hash{}
-	// Stealing off: see TestRecoveryFromCheckpointExactlyOnce.
-	cfg.Stealing = false
+	for _, workers := range []int{3, 1} {
+		dir := t.TempDir()
+		cfg := smallConfig()
+		cfg.Workers = workers
+		cfg.CheckpointEvery = 3 * time.Millisecond
+		cfg.CheckpointDir = dir
+		cfg.Partitioner = partition.Hash{}
+		// Stealing off: see TestRecoveryFromCheckpointExactlyOnce.
+		cfg.Stealing = false
 
-	job, err := cluster.Start(g, &slowMark{delay: 150 * time.Microsecond}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForManifest(t, dir, 30*time.Second)
-	job.Stop() // crash: the run's in-memory output is abandoned
-	if _, err := job.Wait(); err != nil {
-		t.Fatal(err)
-	}
+		res, err := cluster.Run(g, &slowMark{delay: 50 * time.Microsecond}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRecords(t, res.Records, want)
+		if res.Total.TasksDone != int64(len(want)) {
+			t.Fatalf("w%d: a checkpointed run ran %d tasks, want one per vertex (%d)", workers, res.Total.TasksDone, len(want))
+		}
 
-	cfg.Resume = true
-	res, err := cluster.Run(g, &slowMark{delay: 100 * time.Microsecond}, cfg)
-	if err != nil {
-		t.Fatal(err)
+		dir = t.TempDir()
+		cfg.CheckpointDir = dir
+		job, err := cluster.Start(g, &slowMark{delay: 150 * time.Microsecond}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitForManifest(t, dir, 30*time.Second)
+		job.Stop() // crash: the run's in-memory output is abandoned
+		if _, err := job.Wait(); err != nil {
+			t.Fatal(err)
+		}
+
+		cfg.Resume = true
+		resumed := &slowMark{delay: 100 * time.Microsecond}
+		res, err = cluster.Run(g, resumed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRecords(t, res.Records, want)
+		if ran := resumed.updates.Load(); res.Total.TasksDone != ran || ran >= int64(len(want)) {
+			t.Fatalf("w%d: the resumed run reports %d tasks and ran %d, of %d: want what the checkpoint left", workers, res.Total.TasksDone, ran, len(want))
+		}
 	}
-	assertSameRecords(t, res.Records, want)
 }
 
 func TestResumeRefusesMismatchedFingerprint(t *testing.T) {

@@ -77,6 +77,7 @@ type Session struct {
 	// job patches. dyn is the dynamic-session state (nil on a static
 	// session); epoch mirrors dyn.Epoch().
 	tables   vertexTables
+	order    hashOrder // every slot in seed-scan order; dynamic sessions only
 	oriented orientedView
 	dyn      *dyngraph.State
 	// wrapEps, when set (tests only), wraps each job's worker endpoints.
@@ -100,7 +101,11 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.tables = newVertexTables(g, s.assign, allWorkers(s.cfg.Workers))
+	if s.dyn == nil {
+		s.tables = newVertexTables(g, s.assign, allWorkers(s.cfg.Workers))
+	} else {
+		s.tables = s.order.cut(g, s.assign, allWorkers(s.cfg.Workers))
+	}
 
 	under, closeNet, err := newNodeSet(s.cfg)
 	if err != nil {
@@ -616,9 +621,10 @@ func (s *Session) ApplyMutations(b dyngraph.Batch) (*EpochResult, error) {
 	s.assign = s.dyn.Assignment()
 	s.oriented.follow(info.Touched)
 	// The batch may have issued new IDs and moved any vertex's owner: the
-	// directory never outlives its epoch. Its pass cuts the touched
-	// workers' scans too; the others keep theirs.
-	cut := newVertexTables(s.g, s.assign, info.DirtyWorkers)
+	// directory never outlives its epoch. The touched workers' scans are
+	// cut from the session's order, which merges in only the new IDs; the
+	// other workers keep theirs.
+	cut := s.order.cut(s.g, s.assign, info.DirtyWorkers)
 	s.tables.dir = cut.dir
 	var rebuilt []int
 	for w, lt := range cut.locals {

@@ -121,6 +121,44 @@ func TestDynamicSessionMatchesFreshPrepare(t *testing.T) {
 	}
 }
 
+// TestDynamicScansMatchFreshCut: a dynamic session keeps one hash order of
+// every slot across epochs and merges in only each batch's new IDs. After
+// every batch of a stream that adds vertices, deletes them and moves blocks
+// between workers, the order equals one built whole, and every
+// worker's scan — cut anew or kept from an earlier epoch — equals a fresh
+// newVertexTables cut's, ID for ID, footprint included.
+func TestDynamicScansMatchFreshCut(t *testing.T) {
+	const workers = 3
+	g := gen.ErdosRenyi(400, 1600, 21)
+	s, err := NewSession(g, dynConfig(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var added, removed, moved int
+	for bi, b := range gen.Deltas(g, gen.DeltasConfig{Batches: 8, Ops: 60, Seed: 9}) {
+		epr, err := s.ApplyMutations(b)
+		if err != nil {
+			t.Fatalf("batch %d: %v", bi, err)
+		}
+		added, removed, moved = added+epr.Stats.VerticesAdded, removed+epr.Stats.VerticesRemoved, moved+epr.MovedBlocks
+		var whole hashOrder
+		whole.grow(g.Slots())
+		if !slices.Equal(s.order.ids, whole.ids) {
+			t.Fatalf("batch %d: the merged order of %d slots differs from a fresh one of %d", bi, len(s.order.ids), len(whole.ids))
+		}
+		fresh := newVertexTables(g, s.assign, allWorkers(workers))
+		for w, lt := range fresh.locals {
+			if got := s.tables.locals[w]; !slices.Equal(got.ids, lt.ids) || got.footprint != lt.footprint {
+				t.Fatalf("batch %d: worker %d scans %d vertices (%d B), a fresh cut %d (%d B)", bi, w, len(got.ids), got.footprint, len(lt.ids), lt.footprint)
+			}
+		}
+	}
+	if added == 0 || removed == 0 || moved == 0 {
+		t.Fatalf("the stream added %d vertices, removed %d and moved %d blocks: it must do all three", added, removed, moved)
+	}
+}
+
 func runOn(s *Session, a core.Algorithm) (*Result, error) {
 	j, err := s.Launch(a, JobOptions{})
 	if err != nil {

@@ -53,10 +53,12 @@ func newTaskTrip(tb testing.TB) *taskTrip {
 	return &taskTrip{w: w}
 }
 
-// run sends every task of the worker through intake → buffer → store →
-// dispatch → CPQ → resolve → (no-op) Update → release, and returns how many
-// there were.
-func (tt *taskTrip) run(tb testing.TB) int {
+// run sends every task of the worker on its trip and returns how many there
+// were and how many of them waited in the store. A ready task — nothing to
+// pull, and the steal policy keeps it — goes intake → CPQ → resolve →
+// (no-op) Update → release; any other goes intake → buffer → store →
+// dispatch → CPQ → resolve → Update → release.
+func (tt *taskTrip) run(tb testing.TB) (tasks, stored int) {
 	w := tt.w
 	spawn := func(t *core.Task) {
 		w.assignID(t)
@@ -66,11 +68,19 @@ func (tt *taskTrip) run(tb testing.TB) int {
 		w.algo.Seed(w.dir.local(id, w.id), spawn)
 	}
 	w.flushBatch(w.buffer.drain())
-	tasks := 0
+	stored = w.store.Size()
+	for w.cpq.len() > 0 {
+		t, _ := w.cpq.pop()
+		tt.cands = w.runTask(t, tt.cands)
+		tasks++
+	}
 	for {
 		t, ok := w.store.TryPop()
 		if !ok {
 			break
+		}
+		if w.runsNow(t) {
+			tb.Fatalf("task %d has nothing to pull and stays on this worker, yet it waited in the store", t.ID)
 		}
 		w.dispatch(t)
 		if t, ok = w.cpq.pop(); !ok {
@@ -82,14 +92,15 @@ func (tt *taskTrip) run(tb testing.TB) int {
 	if n := w.inflight.Load(); n != 0 {
 		tb.Fatalf("%d tasks still in flight after the trip", n)
 	}
-	return tasks
+	return tasks, stored
 }
 
 // BenchmarkTaskTrip prices the engine's fixed cost per task: everything a
-// task goes through on one worker except the mining.
+// task goes through on one worker except the mining, over both routes — the
+// ready tasks' straight to the CPQ and the others' through the store.
 func BenchmarkTaskTrip(b *testing.B) {
 	tt := newTaskTrip(b)
-	tasks := tt.run(b) // warm: grown buffers, store storage
+	tasks, _ := tt.run(b) // warm: grown buffers, store storage
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -101,14 +112,19 @@ func BenchmarkTaskTrip(b *testing.B) {
 }
 
 // TestTaskTripAllocsBounded pins the trip's allocations per task: the task
-// and its subgraph (the algorithm's), to_pull, its key, the pulled pointers
-// — and nothing per candidate or per insert. A map per lookup or a fresh
-// store head per batch shows up here as a multiple.
+// and its subgraph (the algorithm's), to_pull, and for a task that waits in
+// the store its key and the pulled pointers — and nothing per candidate or
+// per insert. A map per lookup or a fresh store head per batch shows up here
+// as a multiple. Both routes carry tasks: the ready ones never touch the
+// store (run fails any that does), the rest all wait there.
 func TestTaskTripAllocsBounded(t *testing.T) {
 	tt := newTaskTrip(t)
-	tasks := tt.run(t)
+	tasks, stored := tt.run(t)
+	if stored == 0 || stored == tasks {
+		t.Fatalf("%d of %d tasks waited in the store: the trip must cover both routes", stored, tasks)
+	}
 	perTask := testing.AllocsPerRun(3, func() { tt.run(t) }) / float64(tasks)
-	t.Logf("%d tasks, %.2f allocations each", tasks, perTask)
+	t.Logf("%d tasks (%d through the store), %.2f allocations each", tasks, stored, perTask)
 	if perTask > 6.5 && !raceEnabled {
 		t.Fatalf("%.2f allocations per task, want <= 6.5", perTask)
 	}

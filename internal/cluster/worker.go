@@ -302,16 +302,34 @@ func (w *Worker) assignID(t *core.Task) {
 }
 
 // intake admits a task into the pipeline: computes its to_pull set and
-// buffers it toward the task store. migrated marks tasks received via
-// task stealing.
+// routes it (admit). migrated marks tasks received via task stealing.
 func (w *Worker) intake(t *core.Task, migrated bool) {
+	w.computeToPull(t)
+	w.admit(t, migrated)
+}
+
+// admit counts a task whose to_pull is computed as alive and routes it. A
+// task waits in the store only while it waits for data (§4.2): one with
+// nothing to pull goes straight to the CPQ — unless the steal policy would
+// migrate it, since stealing draws only from the store. Any other task is
+// buffered toward the store.
+func (w *Worker) admit(t *core.Task, migrated bool) {
 	w.inflight.Add(1)
 	w.activity.Add(1)
 	if migrated {
 		w.tasksRecv.Add(1)
 	}
-	w.computeToPull(t)
+	if w.runsNow(t) {
+		w.ready(t)
+		return
+	}
 	w.bufferTask(t)
+}
+
+// runsNow reports whether a task with its to_pull computed skips the store:
+// it has nothing to pull and the steal policy would keep it here.
+func (w *Worker) runsNow(t *core.Task) bool {
+	return len(t.ToPull) == 0 && !w.stealPolicy.Eligible(t)
 }
 
 // bufferTask parks an inactive task in the task buffer, flushing a full
@@ -413,20 +431,25 @@ func (w *Worker) computeToPull(t *core.Task) {
 // Seeder: the task generator of Figure 4, streaming seeds into the pipeline.
 
 func (w *Worker) seederLoop() {
-	// Streaming seeding (extension, §9): backpressure against the task store
-	// so seeds do not all materialize up front. A seed is admitted only while
-	// the store is at or under the level a spill cuts it back to, so seeds
-	// alone fill it to at most mark + BufferFlush — under the spill threshold
-	// (if that is two flushes or more): spilling is for what the executor
-	// produces, and for eager seeding.
+	// Streaming seeding (extension, §9): backpressure where each seed is
+	// going, so seeds do not all materialize up front. A ready seed waits for
+	// the CPQ to drop below the high water the retriever fills it to. A
+	// waiting seed is admitted only while the store is at or under the level
+	// a spill cuts it back to, so seeds alone fill it to at most
+	// mark + BufferFlush — under the spill threshold (if that is two flushes
+	// or more): spilling is for what the executor produces, and for eager
+	// seeding.
 	mark := w.cfg.StoreMemCapacity / 2
 	spawn := func(t *core.Task) {
-		if !w.cfg.eagerSeeding {
+		w.computeToPull(t)
+		if w.runsNow(t) {
+			w.cpq.waitBelow(w.cfg.cpqHighWater)
+		} else if !w.cfg.eagerSeeding {
 			w.store.WaitBelow(mark)
 		}
 		w.assignID(t)
 		w.trSeed.Event(trace.EvTaskSeed, t.ID)
-		w.intake(t, false)
+		w.admit(t, false)
 	}
 	for i := int(w.seedCursor.Load()); i < len(w.localIDs); i++ {
 		if !w.waitResumed() {

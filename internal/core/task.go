@@ -167,7 +167,7 @@ func EncodeTask(w *wire.Writer, t *Task, codec ContextCodec) {
 }
 
 // DecodeTask reads a task serialized by EncodeTask. Status is reset to
-// inactive: a deserialized task always re-enters via the task store.
+// inactive: a deserialized task re-enters its worker's pipeline at intake.
 func DecodeTask(r *wire.Reader, codec ContextCodec) (*Task, error) {
 	t := &Task{}
 	t.ID = r.Uvarint()

@@ -56,7 +56,7 @@ func main() {
 		useTCP    = flag.Bool("tcp", false, "run over loopback TCP instead of the in-process network")
 		latency   = flag.Duration("latency", 0, "simulated network latency")
 		bandwidth = flag.Int64("bandwidth", 0, "simulated network bandwidth (bytes/s, 0=unlimited)")
-		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint directory")
+		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint directory (empty: a temporary one, removed when the job ends; -resume needs a directory)")
 		ckptEvery = flag.Duration("checkpoint-every", 0, "checkpoint interval (0=off)")
 		resume    = flag.Bool("resume", false, "resume the job from the newest committed checkpoint in -checkpoint-dir")
 

@@ -35,7 +35,7 @@ func main() {
 
 		dynamic = flag.Bool("dynamic", false, "accept graph mutations (POST /graph/mutations) and standing queries; forces the blocked partitioner; single-process mode only")
 
-		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint directory; each job gets its own subdirectory")
+		ckptDir   = flag.String("checkpoint-dir", "", "checkpoint directory; each job gets its own subdirectory (empty: a temporary one per checkpointing job, removed when it ends)")
 		ckptEvery = flag.Duration("checkpoint-every", 0, "default checkpoint interval for served jobs (0=off)")
 
 		labels = flag.Int("labels", 7, "label alphabet assigned at startup when the graph is unlabeled (gm/fsm jobs)")

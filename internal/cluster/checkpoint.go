@@ -26,13 +26,13 @@ import (
 // task model "we do not need to checkpoint any message".
 //
 // Durability is epoch-committed: each worker writes a CRC32C-framed
-// worker-<i>.epoch-<N>.ckpt (fsync file and directory before exposing it),
-// acks the master with the payload checksum, and the master commits epoch
-// N to the MANIFEST only once every worker acked. Restore resolves epochs
-// through the manifest — newest committed first, previous committed as the
-// fallback when a file is torn or corrupt — so recovery never feeds
-// garbage to decodeSnapshot and never mixes epochs across workers on a
-// full-job resume.
+// worker-<i>.epoch-<N>.gen-<G>.ckpt (fsync file and directory before
+// exposing it), acks the master with the payload checksum, and the master
+// commits epoch N to the MANIFEST only once every worker acked. Restore
+// resolves epochs through the manifest (Job.refsFor, buildWorker) —
+// newest committed first, previous committed as the fallback when a file
+// is torn or corrupt — so recovery never feeds garbage to decodeSnapshot
+// and never mixes epochs across workers on a full-job resume.
 
 // checkpointQuiesceTimeout bounds how long a worker waits for its pipeline
 // to quiesce before skipping a checkpoint epoch.
@@ -83,29 +83,36 @@ func decodeSnapshot(b []byte) (*workerSnapshot, error) {
 	return s, r.Err()
 }
 
-// snapshotSink stores per-worker, per-epoch checkpoints plus the master's
-// committed-epoch manifest: on disk when a checkpoint directory is
-// configured, in memory otherwise. All methods are safe for concurrent use
-// (workers put, the master commits, the recovery path loads).
+// snapshotSink stores per-worker, per-epoch checkpoint files plus the
+// master's committed-epoch manifest in one directory: the configured one,
+// or a temporary one the sink makes at its first write and removes at
+// close. All methods are safe for concurrent use (workers put, the master
+// commits, the recovery path loads).
 type snapshotSink struct {
-	dir         string
 	workers     int
 	fingerprint uint64
 	// gen is the writer's fencing generation, stamped into checkpoint
-	// filenames when non-zero so a zombie's late put() writes to its own
-	// generation's file instead of clobbering its replacement's.
+	// filenames so a zombie's late put() writes to its own generation's
+	// file instead of clobbering its replacement's. The goroutine host
+	// stamps 0.
 	gen int64
 	// fence, when set (coordinator side of a multi-process job), makes
 	// commit refuse acks bearing a fenced-out generation.
 	fence *fenceTable
 
-	mu  sync.Mutex
-	mem map[int64]map[int][]byte // epoch → worker → raw snapshot payload
-	man *manifest                // latest committed manifest, nil before the first commit
+	mu     sync.Mutex
+	dir    string    // "" until a sink opened without one first writes
+	temp   bool      // dir is the sink's own temporary directory
+	closed bool      // close ran: no temporary directory is made any more
+	man    *manifest // latest committed manifest, nil before the first commit
 }
 
+// ckptName is the one checkpoint filename form: worker, epoch, generation.
+const ckptName = "worker-%d.epoch-%d.gen-%d.ckpt"
+
 // newSnapshotSink opens the sink. gen is the writer's fencing generation
-// (0 = unfenced single-process mode). With resume set, an existing
+// (0 = unfenced single-process mode). An empty dir defers to a temporary
+// directory made at the first write. With resume set, an existing
 // MANIFEST in dir is loaded (the caller validates its fingerprint);
 // without it, any stale checkpoint state in dir belongs to a previous job
 // and is removed so in-job recovery can never restore another run's
@@ -113,7 +120,6 @@ type snapshotSink struct {
 func newSnapshotSink(dir string, workers int, fingerprint uint64, gen int64, resume bool) (*snapshotSink, error) {
 	s := &snapshotSink{dir: dir, workers: workers, fingerprint: fingerprint, gen: gen}
 	if dir == "" {
-		s.mem = make(map[int64]map[int][]byte)
 		return s, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -152,6 +158,34 @@ func (s *snapshotSink) clearDir() {
 	}
 }
 
+// directoryLocked returns the sink's directory, making the temporary one
+// first if the sink has none yet. Caller holds s.mu.
+func (s *snapshotSink) directoryLocked() (string, error) {
+	if s.dir != "" {
+		return s.dir, nil
+	}
+	if s.closed {
+		return "", fmt.Errorf("checkpoint: sink closed")
+	}
+	dir, err := os.MkdirTemp("", "gminer-ckpt-")
+	if err != nil {
+		return "", fmt.Errorf("checkpoint: %w", err)
+	}
+	s.dir, s.temp = dir, true
+	return dir, nil
+}
+
+// close removes the sink's temporary directory, if it made one, at the
+// end of the job; a configured directory stays for -resume.
+func (s *snapshotSink) close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	if s.temp {
+		_ = os.RemoveAll(s.dir)
+	}
+}
+
 // manifestView returns the current committed manifest (nil before the
 // first commit).
 func (s *snapshotSink) manifestView() *manifest {
@@ -160,33 +194,21 @@ func (s *snapshotSink) manifestView() *manifest {
 	return s.man
 }
 
-// committedEpochs returns the restorable epochs newest-first.
-func (s *snapshotSink) committedEpochs() []int64 {
-	return s.manifestView().epochs()
-}
-
 // put persists one worker's snapshot for an epoch and returns the payload
-// checksum the worker acks to the master. On disk the write is framed,
-// fsync'd and renamed into place, then the directory is fsync'd, so a
-// crash at any point leaves either no file or a complete one.
+// checksum the worker acks to the master. The write is framed, fsync'd
+// and renamed into place, then the directory is fsync'd, so a crash at
+// any point leaves either no file or a complete one.
 func (s *snapshotSink) put(worker int, epoch int64, data []byte) (uint32, error) {
-	crc := checksum(data)
-	if s.mem != nil {
-		s.mu.Lock()
-		byWorker := s.mem[epoch]
-		if byWorker == nil {
-			byWorker = make(map[int][]byte)
-			s.mem[epoch] = byWorker
-		}
-		byWorker[worker] = append([]byte(nil), data...)
-		s.mu.Unlock()
-		return crc, nil
+	s.mu.Lock()
+	dir, err := s.directoryLocked()
+	s.mu.Unlock()
+	if err != nil {
+		return 0, err
 	}
-	path := s.path(worker, epoch)
-	if err := writeFileDurable(path, frame(snapshotMagic, data)); err != nil {
+	if err := writeFileDurable(s.path(dir, worker, epoch), frame(snapshotMagic, data)); err != nil {
 		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	return crc, nil
+	return checksum(data), nil
 }
 
 // commit records epoch as the newest fully committed epoch: every worker's
@@ -210,6 +232,10 @@ func (s *snapshotSink) commit(epoch int64, crcs []uint32, gens []int64) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	dir, err := s.directoryLocked()
+	if err != nil {
+		return err
+	}
 	next := &manifest{
 		Fingerprint: s.fingerprint,
 		Workers:     s.workers,
@@ -221,50 +247,31 @@ func (s *snapshotSink) commit(epoch int64, crcs []uint32, gens []int64) error {
 		next.PrevEpoch = s.man.Epoch
 		next.PrevCRCs = s.man.EpochCRCs
 	}
-	if s.mem == nil {
-		if err := writeFileDurable(filepath.Join(s.dir, manifestName), encodeManifest(next)); err != nil {
-			return fmt.Errorf("checkpoint: manifest: %w", err)
-		}
+	if err := writeFileDurable(filepath.Join(dir, manifestName), encodeManifest(next)); err != nil {
+		return fmt.Errorf("checkpoint: manifest: %w", err)
 	}
 	s.man = next
 	s.gcLocked()
 	return nil
 }
 
-// gcLocked drops every epoch the manifest no longer vouches for, keeping
-// in-flight epochs newer than the committed one. Caller holds s.mu.
+// gcLocked removes every epoch's files the manifest no longer vouches
+// for, keeping in-flight epochs newer than the committed one. Caller holds
+// s.mu.
 func (s *snapshotSink) gcLocked() {
-	keep := func(epoch int64) bool {
-		return epoch >= s.man.Epoch || epoch == s.man.PrevEpoch
-	}
-	if s.mem != nil {
-		for epoch := range s.mem {
-			if !keep(epoch) {
-				delete(s.mem, epoch)
-			}
-		}
-		return
-	}
-	matches, _ := filepath.Glob(filepath.Join(s.dir, "worker-*.epoch-*.ckpt"))
+	matches, _ := filepath.Glob(filepath.Join(s.dir, "worker-*.epoch-*.gen-*.ckpt"))
 	for _, m := range matches {
 		_, epoch, _, ok := parseCkptName(filepath.Base(m))
-		if ok && !keep(epoch) {
+		if ok && epoch < s.man.Epoch && epoch != s.man.PrevEpoch {
 			_ = os.Remove(m)
 		}
 	}
 }
 
-// parseCkptName decodes both checkpoint filename forms: the legacy
-// worker-<w>.epoch-<e>.ckpt and the generation-stamped
-// worker-<w>.epoch-<e>.gen-<g>.ckpt (gen 0 is reported for legacy names).
+// parseCkptName decodes a checkpoint filename.
 func parseCkptName(name string) (worker int, epoch, gen int64, ok bool) {
-	if n, _ := fmt.Sscanf(name, "worker-%d.epoch-%d.gen-%d.ckpt", &worker, &epoch, &gen); n == 3 {
-		return worker, epoch, gen, true
-	}
-	if n, err := fmt.Sscanf(name, "worker-%d.epoch-%d.ckpt", &worker, &epoch); n == 2 && err == nil {
-		return worker, epoch, 0, true
-	}
-	return 0, 0, 0, false
+	n, err := fmt.Sscanf(name, ckptName, &worker, &epoch, &gen)
+	return worker, epoch, gen, n == 3 && err == nil
 }
 
 // heldEpochsIn scans a checkpoint directory for one worker's snapshot
@@ -273,7 +280,7 @@ func parseCkptName(name string) (worker int, epoch, gen int64, ok bool) {
 // it can restore; the commit-time CRC is still the authority at restore,
 // so listing an uncommitted or torn epoch here is harmless.
 func heldEpochsIn(dir string, worker int) []int64 {
-	matches, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("worker-%d.epoch-*.ckpt", worker)))
+	matches, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("worker-%d.epoch-*.gen-*.ckpt", worker)))
 	seen := make(map[int64]bool)
 	var epochs []int64
 	for _, m := range matches {
@@ -313,50 +320,38 @@ func (s *snapshotSink) load(worker int, epoch int64) (*workerSnapshot, error) {
 // committed (epoch, crc) pairs over the control channel and verifies its
 // local file against them.
 func (s *snapshotSink) loadWith(worker int, epoch int64, wantCRC uint32) (*workerSnapshot, error) {
-	var payload []byte
-	var crc uint32
-	if s.mem != nil {
-		s.mu.Lock()
-		data := s.mem[epoch][worker]
-		s.mu.Unlock()
-		if data == nil {
-			return nil, fmt.Errorf("checkpoint: worker %d epoch %d missing", worker, epoch)
-		}
-		payload, crc = data, checksum(data)
-	} else {
-		// The file may have been written under any generation (a restarted
-		// process restores its predecessor's snapshots), so try every name
-		// form; the commit-time CRC decides which file is the real one.
-		var lastErr error
-		for _, p := range s.candidatePaths(worker, epoch) {
-			b, err := os.ReadFile(p)
-			if err != nil {
-				lastErr = fmt.Errorf("checkpoint: %w", err)
-				continue
-			}
-			pl, c, err := unframe(snapshotMagic, b)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if c != wantCRC {
-				lastErr = fmt.Errorf("checkpoint: worker %d epoch %d checksum %08x does not match manifest %08x",
-					worker, epoch, c, wantCRC)
-				continue
-			}
-			payload, crc = pl, c
-			break
-		}
-		if payload == nil {
-			if lastErr == nil {
-				lastErr = fmt.Errorf("checkpoint: worker %d epoch %d missing", worker, epoch)
-			}
-			return nil, lastErr
-		}
+	s.mu.Lock()
+	dir := s.dir
+	s.mu.Unlock()
+	lastErr := fmt.Errorf("checkpoint: worker %d epoch %d missing", worker, epoch)
+	if dir == "" {
+		return nil, lastErr // a sink that never wrote holds nothing
 	}
-	if crc != wantCRC {
-		return nil, fmt.Errorf("checkpoint: worker %d epoch %d checksum %08x does not match manifest %08x",
-			worker, epoch, crc, wantCRC)
+	// The file may have been written under any generation (a restarted
+	// process restores its predecessor's snapshots), so try each; the
+	// commit-time CRC decides which file is the real one.
+	var payload []byte
+	for _, p := range s.candidatePaths(dir, worker, epoch) {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			lastErr = fmt.Errorf("checkpoint: %w", err)
+			continue
+		}
+		pl, crc, err := unframe(snapshotMagic, b)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if crc != wantCRC {
+			lastErr = fmt.Errorf("checkpoint: worker %d epoch %d checksum %08x does not match manifest %08x",
+				worker, epoch, crc, wantCRC)
+			continue
+		}
+		payload = pl
+		break
+	}
+	if payload == nil {
+		return nil, lastErr
 	}
 	snap, err := decodeSnapshot(payload)
 	if err != nil {
@@ -368,71 +363,16 @@ func (s *snapshotSink) loadWith(worker int, epoch int64, wantCRC uint32) (*worke
 	return snap, nil
 }
 
-// get resolves one worker's snapshot from the newest committed epoch,
-// falling back to the previous committed epoch on a torn or corrupt file.
-// (nil, nil) means no committed checkpoint exists: restart from scratch.
-func (s *snapshotSink) get(worker int) (*workerSnapshot, error) {
-	var firstErr error
-	for _, epoch := range s.committedEpochs() {
-		snap, err := s.load(worker, epoch)
-		if err == nil {
-			return snap, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return nil, nil
-}
-
-// loadAll resolves one consistent cut: the newest committed epoch whose
-// every worker snapshot verifies. A single bad file fails the whole epoch
-// over to the previous committed one, so a full-job resume never mixes
-// epochs across workers.
-func (s *snapshotSink) loadAll() (int64, []*workerSnapshot, error) {
-	var lastErr error
-	for _, epoch := range s.committedEpochs() {
-		snaps := make([]*workerSnapshot, s.workers)
-		ok := true
-		for w := 0; w < s.workers; w++ {
-			snap, err := s.load(w, epoch)
-			if err != nil {
-				lastErr = err
-				ok = false
-				break
-			}
-			snaps[w] = snap
-		}
-		if ok {
-			return epoch, snaps, nil
-		}
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("checkpoint: no committed epoch")
-	}
-	return 0, nil, lastErr
-}
-
-func (s *snapshotSink) path(worker int, epoch int64) string {
-	if s.gen > 0 {
-		return filepath.Join(s.dir, fmt.Sprintf("worker-%d.epoch-%d.gen-%d.ckpt", worker, epoch, s.gen))
-	}
-	return filepath.Join(s.dir, fmt.Sprintf("worker-%d.epoch-%d.ckpt", worker, epoch))
+func (s *snapshotSink) path(dir string, worker int, epoch int64) string {
+	return filepath.Join(dir, fmt.Sprintf(ckptName, worker, epoch, s.gen))
 }
 
 // candidatePaths lists the filenames a (worker, epoch) snapshot may live
-// under, this sink's own generation first, then the legacy un-stamped
-// name, then any other generation's file.
-func (s *snapshotSink) candidatePaths(worker int, epoch int64) []string {
-	own := s.path(worker, epoch)
+// under: this sink's own generation first, then any other generation's.
+func (s *snapshotSink) candidatePaths(dir string, worker int, epoch int64) []string {
+	own := s.path(dir, worker, epoch)
 	paths := []string{own}
-	if legacy := filepath.Join(s.dir, fmt.Sprintf("worker-%d.epoch-%d.ckpt", worker, epoch)); legacy != own {
-		paths = append(paths, legacy)
-	}
-	matches, _ := filepath.Glob(filepath.Join(s.dir, fmt.Sprintf("worker-%d.epoch-%d.gen-*.ckpt", worker, epoch)))
+	matches, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("worker-%d.epoch-%d.gen-*.ckpt", worker, epoch)))
 	for _, m := range matches {
 		if m != own {
 			paths = append(paths, m)

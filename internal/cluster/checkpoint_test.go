@@ -14,7 +14,10 @@ import (
 	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
+	"gminer/internal/metrics"
 	"gminer/internal/partition"
+	"gminer/internal/trace"
+	"gminer/internal/transport"
 )
 
 func TestFrameRoundtrip(t *testing.T) {
@@ -98,52 +101,143 @@ func TestManifestCodecRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestSinkCorruptLatestEpochFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	sink, err := newSnapshotSink(dir, 2, 7, 0, false)
+// putEpoch writes one snapshot per worker for epoch (seed cursor
+// cursor+w for worker w, no tasks) and returns the checksums a commit
+// needs.
+func putEpoch(t *testing.T, sink *snapshotSink, epoch, cursor int64) []uint32 {
+	t.Helper()
+	crcs := make([]uint32, sink.workers)
+	for w := range crcs {
+		snap := &workerSnapshot{Epoch: epoch, SeedCursor: cursor + int64(w), TaskBytes: []byte{0}, Results: []string{}}
+		crc, err := sink.put(w, epoch, encodeSnapshot(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		crcs[w] = crc
+	}
+	return crcs
+}
+
+func commitEpoch(t *testing.T, sink *snapshotSink, epoch, cursor int64) {
+	t.Helper()
+	if err := sink.commit(epoch, putEpoch(t, sink, epoch, cursor), nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// restoreJob is the part of a goroutine-host job the restore path reads:
+// its sink, behind Job.refsFor and goroutineHost.holds.
+func restoreJob(sink *snapshotSink) *Job {
+	j := &Job{cfg: Config{Workers: sink.workers}, sink: sink}
+	j.host = &goroutineHost{j: j}
+	j.resumePin.Store(noEpoch)
+	return j
+}
+
+// restore rebuilds worker w of j the way the engine does — the candidates
+// of Job.refsFor through buildWorker — and returns the epoch it restored
+// (noEpoch for a fresh start) and its seed cursor.
+func restore(t *testing.T, j *Job, w int, strict bool) (int64, int64, error) {
+	t.Helper()
+	g := gen.RMAT(gen.RMATConfig{Scale: 5, Edges: 60, Seed: 3})
+	assign, err := partition.Hash{}.Partition(g, j.cfg.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	commitEpoch := func(epoch int64, cursor int64) {
-		crcs := make([]uint32, 2)
-		for w := 0; w < 2; w++ {
-			snap := &workerSnapshot{Epoch: epoch, SeedCursor: cursor, TaskBytes: []byte{}, Results: []string{}}
-			crc, err := sink.put(w, epoch, encodeSnapshot(snap))
-			if err != nil {
-				t.Fatal(err)
-			}
-			crcs[w] = crc
+	vt := newVertexTables(g, assign, allWorkers(j.cfg.Workers))
+	net := transport.NewLocal(transport.LocalConfig{Nodes: j.cfg.Workers + 1})
+	defer net.Close()
+	cfg := Config{Workers: j.cfg.Workers, Threads: 1}.Defaults()
+	wk, epoch, err := buildWorker(w, cfg, &ckptMark{}, vt, net.Endpoint(w), &metrics.Counters{}, j.sink, j.refsFor(w), strict)
+	if err != nil {
+		return noEpoch, 0, err
+	}
+	wk.spiller.Close()
+	return epoch, wk.seedCursor.Load(), nil
+}
+
+// In-job recovery falls back per worker; a full-job resume falls back for
+// the whole cut, so no two workers restore from different epochs.
+func TestSinkCorruptLatestEpochFallsBack(t *testing.T) {
+	sink, err := newSnapshotSink(t.TempDir(), 2, 7, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitEpoch(t, sink, 1, 10)
+	commitEpoch(t, sink, 2, 20)
+	corruptFile(t, sink.path(sink.dir, 0, 2))
+	j := restoreJob(sink)
+	for w, want := range []int64{1, 2} {
+		if epoch, cursor, err := restore(t, j, w, false); err != nil || epoch != want || cursor != 10*want+int64(w) {
+			t.Fatalf("recovery of worker %d: epoch %d cursor %d err %v, want epoch %d", w, epoch, cursor, err, want)
 		}
-		if err := sink.commit(epoch, crcs, nil); err != nil {
+	}
+
+	j.resumePin.Store(j.resumeEpoch(sink.manifestView()))
+	for w := 0; w < 2; w++ {
+		if epoch, cursor, err := restore(t, j, w, true); err != nil || epoch != 1 || cursor != 10+int64(w) {
+			t.Fatalf("resume of worker %d: epoch %d cursor %d err %v, want the epoch-1 cut", w, epoch, cursor, err)
+		}
+	}
+
+	// Both epochs corrupt: a resume fails loudly, a recovery starts fresh.
+	corruptFile(t, sink.path(sink.dir, 0, 1))
+	if _, _, err := restore(t, j, 0, true); err == nil {
+		t.Fatal("all-corrupt resume did not error")
+	}
+	j.resumePin.Store(noEpoch)
+	if epoch, cursor, err := restore(t, j, 0, false); err != nil || epoch != noEpoch || cursor != 0 {
+		t.Fatalf("all-corrupt recovery: epoch %d cursor %d err %v, want a fresh start", epoch, cursor, err)
+	}
+}
+
+// TestRestoreResolvesCommittedEpochs: restore sees only what the manifest
+// vouches for, newest first, in a configured directory and in the
+// temporary one a sink makes without one, which close removes.
+func TestRestoreResolvesCommittedEpochs(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	for _, dir := range []string{"", t.TempDir()} {
+		sink, err := newSnapshotSink(dir, 1, 42, 0, false)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	commitEpoch(1, 10)
-	commitEpoch(2, 20)
-
-	// Corrupt worker 0's newest file: restore must fall back to epoch 1,
-	// and a full-cut load must fall back for BOTH workers (same epoch).
-	corruptFile(t, sink.path(0, 2))
-	if snap, err := sink.get(0); err != nil || snap == nil || snap.Epoch != 1 {
-		t.Fatalf("worker 0: got %+v err %v, want epoch 1", snap, err)
-	}
-	if snap, err := sink.get(1); err != nil || snap == nil || snap.Epoch != 2 {
-		t.Fatalf("worker 1 single-restore: got %+v err %v, want epoch 2", snap, err)
-	}
-	epoch, snaps, err := sink.loadAll()
-	if err != nil || epoch != 1 {
-		t.Fatalf("loadAll: epoch %d err %v, want epoch 1", epoch, err)
-	}
-	for w, s := range snaps {
-		if s.Epoch != 1 || s.SeedCursor != 10 {
-			t.Fatalf("worker %d restored %+v from mixed epochs", w, s)
+		j := restoreJob(sink)
+		if epoch, _, err := restore(t, j, 0, false); err != nil || epoch != noEpoch {
+			t.Fatalf("dir=%q: empty sink restored epoch %d (%v)", dir, epoch, err)
 		}
-	}
-
-	// Both epochs corrupt: loud error, not garbage.
-	corruptFile(t, sink.path(0, 1))
-	if _, err := sink.get(0); err == nil {
-		t.Fatal("all-corrupt restore did not error")
+		crcs := putEpoch(t, sink, 1, 5)
+		if epoch, _, _ := restore(t, j, 0, false); epoch != noEpoch {
+			t.Fatalf("dir=%q: uncommitted epoch %d visible", dir, epoch)
+		}
+		if _, err := sink.load(0, 1); err == nil {
+			t.Fatalf("dir=%q: load read an uncommitted epoch", dir)
+		}
+		if err := sink.commit(1, crcs, nil); err != nil {
+			t.Fatal(err)
+		}
+		if epoch, cursor, err := restore(t, j, 0, true); err != nil || epoch != 1 || cursor != 5 {
+			t.Fatalf("dir=%q: epoch %d cursor %d err %v", dir, epoch, cursor, err)
+		}
+		commitEpoch(t, sink, 2, 9)
+		if epoch, _, _ := restore(t, j, 0, true); epoch != 2 {
+			t.Fatalf("dir=%q: restored epoch %d, want the newer 2", dir, epoch)
+		}
+		if got := j.refsFor(0); len(got) != 2 || got[0].Epoch != 2 || got[1].Epoch != 1 {
+			t.Fatalf("dir=%q: candidates %+v, want epochs 2 then 1", dir, got)
+		}
+		if made, _ := os.ReadDir(tmp); (dir == "") != (len(made) == 1) {
+			t.Fatalf("dir=%q: temporary directories %v", dir, made)
+		}
+		sink.close()
+		if left, _ := os.ReadDir(tmp); len(left) != 0 {
+			t.Fatalf("dir=%q: close left %v", dir, left)
+		}
+		if dir != "" {
+			if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
+				t.Fatalf("close removed a configured directory's manifest: %v", err)
+			}
+		}
 	}
 }
 
@@ -178,10 +272,10 @@ func TestSinkStaleFileCannotImpersonateCommittedEpoch(t *testing.T) {
 	// (an abandoned retry, say). Its frame CRC is fine, but it is not what
 	// the manifest vouched for — restore must reject it.
 	other := &workerSnapshot{Epoch: 1, SeedCursor: 99, TaskBytes: []byte{}, Results: []string{}}
-	if err := os.WriteFile(sink.path(0, 1), frame(snapshotMagic, encodeSnapshot(other)), 0o644); err != nil {
+	if err := os.WriteFile(sink.path(dir, 0, 1), frame(snapshotMagic, encodeSnapshot(other)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sink.get(0); err == nil || !strings.Contains(err.Error(), "manifest") {
+	if _, err := sink.load(0, 1); err == nil || !strings.Contains(err.Error(), "manifest") {
 		t.Fatalf("impersonating file accepted: %v", err)
 	}
 }
@@ -202,16 +296,16 @@ func TestSinkGCKeepsOnlyTwoCommittedEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := os.Stat(sink.path(0, 1)); !os.IsNotExist(err) {
+	if _, err := os.Stat(sink.path(dir, 0, 1)); !os.IsNotExist(err) {
 		t.Fatalf("epoch 1 not GC'd: %v", err)
 	}
 	for epoch := int64(2); epoch <= 3; epoch++ {
-		if _, err := os.Stat(sink.path(0, epoch)); err != nil {
+		if _, err := os.Stat(sink.path(dir, 0, epoch)); err != nil {
 			t.Fatalf("epoch %d missing: %v", epoch, err)
 		}
 	}
-	if want := []int64{3, 2}; !reflect.DeepEqual(sink.committedEpochs(), want) {
-		t.Fatalf("committed %v want %v", sink.committedEpochs(), want)
+	if want := []int64{3, 2}; !reflect.DeepEqual(sink.manifestView().epochs(), want) {
+		t.Fatalf("committed %v want %v", sink.manifestView().epochs(), want)
 	}
 }
 
@@ -308,16 +402,17 @@ func ckptWant(g *graph.Graph) []string {
 	return out
 }
 
-// waitForCommittedEpochs polls the on-disk MANIFEST until it names at
-// least n committed epochs (rename is atomic, so every read decodes).
-func waitForCommittedEpochs(t *testing.T, dir string, n int, deadline time.Duration) {
+// waitForCommittedEpochs polls the job's manifest until it names at least
+// n committed epochs.
+func waitForCommittedEpochs(t *testing.T, j *Job, n int, deadline time.Duration) {
 	t.Helper()
 	stop := time.Now().Add(deadline)
 	for time.Now().Before(stop) {
-		if b, err := os.ReadFile(filepath.Join(dir, manifestName)); err == nil {
-			if man, err := decodeManifest(b); err == nil && len(man.epochs()) >= n {
-				return
-			}
+		if len(j.sink.manifestView().epochs()) >= n {
+			return
+		}
+		if j.Done() {
+			t.Fatalf("job finished before %d epochs committed", n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -350,7 +445,7 @@ func TestResumeCorruptNewestEpochFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitForCommittedEpochs(t, dir, 2, 30*time.Second)
+	waitForCommittedEpochs(t, job, 2, 30*time.Second)
 	job.Stop() // simulated crash: the in-memory run is abandoned
 	if _, err := job.Wait(); err != nil {
 		t.Fatal(err)
@@ -365,7 +460,7 @@ func TestResumeCorruptNewestEpochFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < cfg.Workers; w++ {
-		corruptFile(t, filepath.Join(dir, fmt.Sprintf("worker-%d.epoch-%d.ckpt", w, man.Epoch)))
+		corruptFile(t, filepath.Join(dir, fmt.Sprintf(ckptName, w, man.Epoch, 0)))
 	}
 
 	cfg.Resume = true
@@ -376,5 +471,55 @@ func TestResumeCorruptNewestEpochFallsBack(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Records, want) {
 		t.Fatalf("resumed records differ: got %d want %d", len(res.Records), len(want))
+	}
+}
+
+// TestRecoveryWithoutCheckpointDir: a job that checkpoints with no
+// CheckpointDir keeps its snapshots in a temporary directory. A killed
+// worker restores from it, the records match a fault-free run byte for
+// byte, and Wait leaves no directory behind.
+func TestRecoveryWithoutCheckpointDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 2500, Seed: 61})
+	tr := trace.New(4, 0).EnableEvents()
+	release := make(chan struct{})
+	cfg := Config{
+		Workers: 3, Threads: 2,
+		CacheCapacity: 512, StoreMemCapacity: 256, cpqHighWater: 32,
+		UseLSH:           true,
+		progressInterval: time.Millisecond,
+		CheckpointEvery:  3 * time.Millisecond,
+		Partitioner:      partition.Hash{},
+		Stealing:         false, // a migration in flight at kill time would be lost
+		Tracer:           tr,
+		seedHold:         release, // the kill lands with seeds still to come
+	}
+	job, err := Start(g, &ckptMark{delay: 100 * time.Microsecond}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForCommittedEpochs(t, job, 1, 30*time.Second)
+	if made, _ := os.ReadDir(tmp); len(made) != 1 {
+		t.Fatalf("checkpoints in %v, want one temporary directory", made)
+	}
+	job.KillWorker(1)
+	if err := job.RecoverWorker(1); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	res, err := job.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recovered != 1 || tr.EventCount(trace.EvRestoreFail) != 0 {
+		t.Fatalf("%d recoveries, %d failed restores: want one restore from the committed epoch",
+			res.Recovered, tr.EventCount(trace.EvRestoreFail))
+	}
+	if !reflect.DeepEqual(res.Records, ckptWant(g)) {
+		t.Fatalf("recovered records differ: got %d want %d", len(res.Records), len(ckptWant(g)))
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Fatalf("Wait left %v", left)
 	}
 }

@@ -64,7 +64,8 @@ type Config struct {
 
 	// CheckpointEvery takes a checkpoint each interval; 0 disables.
 	CheckpointEvery time.Duration
-	// CheckpointDir stores checkpoint files (empty: in-memory snapshots).
+	// CheckpointDir stores checkpoint files. Empty: a job that checkpoints
+	// keeps them in a temporary directory removed when the job ends.
 	CheckpointDir string
 	// Resume restores the whole job from the newest committed epoch in
 	// CheckpointDir instead of starting from scratch. The manifest's job

@@ -82,7 +82,7 @@ func TestParseCkptName(t *testing.T) {
 		epoch, gen int64
 		ok         bool
 	}{
-		{"worker-0.epoch-3.ckpt", 0, 3, 0, true},
+		{"worker-0.epoch-3.ckpt", 0, 0, 0, false}, // the un-stamped form of earlier builds
 		{"worker-2.epoch-11.gen-4.ckpt", 2, 11, 4, true},
 		{"worker-1.epoch-0.gen-0.ckpt", 1, 0, 0, true},
 		{"MANIFEST", 0, 0, 0, false},
@@ -102,17 +102,18 @@ func TestParseCkptName(t *testing.T) {
 	}
 }
 
-// heldEpochsIn must surface epochs from both legacy and gen-suffixed
-// snapshot names, deduplicated, newest first — that list is what a
-// rejoining worker's hello advertises.
+// heldEpochsIn must surface epochs from generation-stamped snapshot names,
+// deduplicated, newest first — that list is what a rejoining worker's
+// hello advertises.
 func TestHeldEpochsIn(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{
-		"worker-0.epoch-2.ckpt",
+		"worker-0.epoch-2.gen-0.ckpt",
+		"worker-0.epoch-7.ckpt", // un-stamped: not a checkpoint of this build
 		"worker-0.epoch-5.gen-2.ckpt",
 		"worker-0.epoch-5.gen-3.ckpt", // same epoch under two generations: one entry
 		"worker-0.epoch-9.gen-3.ckpt",
-		"worker-1.epoch-4.ckpt", // another worker's file: ignored
+		"worker-1.epoch-4.gen-0.ckpt", // another worker's file: ignored
 		"MANIFEST",
 	} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {

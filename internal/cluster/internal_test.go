@@ -208,50 +208,6 @@ func TestSnapshotCodec(t *testing.T) {
 	}
 }
 
-func TestSnapshotSinkMemoryAndDisk(t *testing.T) {
-	for _, dir := range []string{"", t.TempDir()} {
-		sink, err := newSnapshotSink(dir, 1, 42, 0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap, err := sink.get(0); err != nil || snap != nil {
-			t.Fatalf("empty sink: %v %v", snap, err)
-		}
-		// An uncommitted epoch is invisible to restore.
-		want := &workerSnapshot{Epoch: 1, SeedCursor: 5, TaskBytes: []byte{}, Results: []string{}}
-		crc1, err := sink.put(0, 1, encodeSnapshot(want))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap, err := sink.get(0); err != nil || snap != nil {
-			t.Fatalf("dir=%q: uncommitted epoch visible: %+v %v", dir, snap, err)
-		}
-		if err := sink.commit(1, []uint32{crc1}, nil); err != nil {
-			t.Fatal(err)
-		}
-		got, err := sink.get(0)
-		if err != nil || got == nil || got.Epoch != 1 || got.SeedCursor != 5 {
-			t.Fatalf("dir=%q: got %+v err %v", dir, got, err)
-		}
-		// A newer committed epoch wins.
-		want2 := &workerSnapshot{Epoch: 2, TaskBytes: []byte{}, Results: []string{}}
-		crc2, err := sink.put(0, 2, encodeSnapshot(want2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sink.commit(2, []uint32{crc2}, nil); err != nil {
-			t.Fatal(err)
-		}
-		got, _ = sink.get(0)
-		if got == nil || got.Epoch != 2 {
-			t.Fatalf("dir=%q: stale snapshot %+v", dir, got)
-		}
-		if want := []int64{2, 1}; !reflect.DeepEqual(sink.committedEpochs(), want) {
-			t.Fatalf("dir=%q: committed epochs %v, want %v", dir, sink.committedEpochs(), want)
-		}
-	}
-}
-
 func TestCostPolicy(t *testing.T) {
 	p := CostPolicy{Tc: 100, Tr: 0.5}
 	small := &core.Task{Cands: make([]graph.VertexID, 10)}

@@ -145,25 +145,13 @@ func (j *Job) refsFor(i int) []resumeEpochRef {
 	return refs
 }
 
-// startWorkers brings every slot's worker up. A full-job resume pins the
-// newest committed epoch every slot holds (the manifest head if the hosts
-// cannot tell — the checksum decides at restore) so the whole cluster
-// restores one consistent cut: task stealing moves tasks between epochs,
-// so mixing epochs across workers could lose or duplicate them.
+// startWorkers brings every slot's worker up. A full-job resume pins one
+// committed epoch (resumeEpoch) so the whole cluster restores one
+// consistent cut: task stealing moves tasks between epochs, so mixing
+// epochs across workers could lose or duplicate them.
 func (j *Job) startWorkers() error {
 	if man := j.sink.manifestView(); j.cfg.Resume && man != nil {
-		pin := man.Epoch
-	pick:
-		for _, epoch := range man.epochs() {
-			for i := 0; i < j.cfg.Workers; i++ {
-				if !j.host.holds(i, epoch) {
-					continue pick
-				}
-			}
-			pin = epoch
-			break
-		}
-		j.resumePin.Store(pin)
+		j.resumePin.Store(j.resumeEpoch(man))
 		defer j.resumePin.Store(noEpoch)
 	}
 	// A fresh job's sink has no manifest, hence no candidates.
@@ -173,6 +161,22 @@ func (j *Job) startWorkers() error {
 		}
 	}
 	return nil
+}
+
+// resumeEpoch is the committed epoch a full-job resume restores every
+// slot from: the newest one every slot holds, or the manifest head if the
+// hosts cannot tell — the checksum decides at restore.
+func (j *Job) resumeEpoch(man *manifest) int64 {
+pick:
+	for _, epoch := range man.epochs() {
+		for i := 0; i < j.cfg.Workers; i++ {
+			if !j.host.holds(i, epoch) {
+				continue pick
+			}
+		}
+		return epoch
+	}
+	return man.Epoch
 }
 
 // budgetAbort cancels the job when a worker's memory charge exceeded the
@@ -275,6 +279,7 @@ func (j *Job) Wait() (*Result, error) {
 		j.host.stop()
 		j.sess.mux.CloseChannel(j.ch)
 		results, collectErr := j.host.collect()
+		j.sink.close()
 		j.sess.forget(j.cfg.JobID)
 
 		res := &Result{

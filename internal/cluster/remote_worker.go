@@ -34,8 +34,9 @@ type WorkerOptions struct {
 	Advertise string
 	// CheckpointDir is where this process keeps its per-job snapshot
 	// files; a replacement claiming the same slot must point at the same
-	// directory (or a copy) to restore. Empty keeps snapshots in memory —
-	// durable across worker kills within the process, not across restarts.
+	// directory (or a copy) to restore. Empty gives each start of a job's
+	// worker a temporary directory, removed when that worker ends, so a
+	// killed worker restarts from scratch.
 	CheckpointDir string
 	// JoinTimeout bounds the join handshake, redials included (default 30s
 	// — a coordinator restart takes seconds).
@@ -458,6 +459,7 @@ func (wp *WorkerProcess) runJob(wj *workerJob) {
 		_ = wp.ctl.Send(wp.cfg.Workers, ctrlJobResult, encodeCtrl(res))
 	}
 	wj.w.spiller.Close()
+	wj.w.snapshots.close()
 	wp.mux.CloseChannel(wj.channel)
 	wp.mu.Lock()
 	delete(wp.jobs, wj.channel)

@@ -527,16 +527,9 @@ func (s *Session) edgeCut() float64 {
 	s.cutMu.Lock()
 	defer s.cutMu.Unlock()
 	if key := s.epoch.Load() + 1; s.cutEpoch != key {
-		// On the goroutine host the epoch's directory already holds every
-		// owner, one load each: the cut reads them there,
-		// not through the assignment's block map. A dynamic session's first
-		// job after each batch pays this scan, inside the mutation POST when
-		// a round stands. The coordinator keeps no directory.
-		if s.tables.dir != nil {
-			s.cut = partition.EdgeCutBy(s.g, s.tables.dir.owner)
-		} else {
-			s.cut = s.assign.EdgeCut(s.g)
-		}
+		// A dynamic session's first job after each batch pays this scan,
+		// inside the mutation POST when a round stands.
+		s.cut = s.assign.EdgeCut(s.g)
 		s.cutEpoch = key
 	}
 	return s.cut

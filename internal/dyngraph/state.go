@@ -19,6 +19,7 @@ import (
 type State struct {
 	k      int
 	agg    *partition.BlockAgg
+	blocks map[int64]int // block → worker, what Apply diffs to count moved blocks
 	assign *partition.Assignment
 	epoch  int64
 }
@@ -34,7 +35,8 @@ func NewState(g *graph.Graph, k int, shift uint) (*State, error) {
 		shift = partition.DefaultBlockShift
 	}
 	agg := partition.CollectBlocks(g, shift)
-	return &State{k: k, agg: agg, assign: agg.Assign(k)}, nil
+	blocks := agg.Place(k)
+	return &State{k: k, agg: agg, blocks: blocks, assign: agg.Assign(g, k, blocks)}, nil
 }
 
 // Assignment returns the current block assignment.
@@ -70,9 +72,10 @@ func (s *State) Apply(g *graph.Graph, b Batch) (*ApplyInfo, error) {
 	}
 
 	touched := make(map[graph.VertexID]struct{}, 2*len(b.Ops))
-	old := s.assign
+	old, oldBlocks := s.assign, s.blocks
 	stats := applyBatch(g, b, s.agg, touched)
-	s.assign = s.agg.Assign(s.k)
+	s.blocks = s.agg.Place(s.k)
+	s.assign = s.agg.Assign(g, s.k, s.blocks)
 	s.epoch++
 
 	dirty := make([]bool, s.k)
@@ -88,9 +91,8 @@ func (s *State) Apply(g *graph.Graph, b Batch) (*ApplyInfo, error) {
 		markW(s.assign.Owner(id))
 	}
 	moved := 0
-	newOwners := s.assign.BlockOwners()
-	for blk, w := range old.BlockOwners() {
-		nw, ok := newOwners[blk]
+	for blk, w := range oldBlocks {
+		nw, ok := s.blocks[blk]
 		if !ok {
 			moved++ // block emptied out
 			markW(w)
@@ -100,8 +102,8 @@ func (s *State) Apply(g *graph.Graph, b Batch) (*ApplyInfo, error) {
 			markW(nw)
 		}
 	}
-	for blk, nw := range newOwners {
-		if _, ok := old.BlockOwners()[blk]; !ok {
+	for blk, nw := range s.blocks {
+		if _, ok := oldBlocks[blk]; !ok {
 			moved++ // brand-new block
 			markW(nw)
 		}

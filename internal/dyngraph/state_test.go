@@ -49,7 +49,9 @@ func TestStateMatchesScratch(t *testing.T) {
 
 			batches := gen.Deltas(g, gen.DeltasConfig{Batches: 4, Ops: 48, Seed: seed})
 			replay := build() // from-scratch comparator, fed the same stream
+			prevPlace := partition.CollectBlocks(replay, shift).Place(k)
 			for bi, b := range batches {
+				prev := scratch
 				info, err := st.Apply(g, b)
 				if err != nil {
 					t.Fatalf("%s/seed%d batch %d: %v", name, seed, bi, err)
@@ -81,10 +83,43 @@ func TestStateMatchesScratch(t *testing.T) {
 
 				// Incremental assignment == from-scratch partition of the
 				// mutated graph.
-				scratch, err := partition.Blocked{Shift: shift}.Partition(replay, k)
+				scratch, err = partition.Blocked{Shift: shift}.Partition(replay, k)
 				if err != nil {
 					t.Fatal(err)
 				}
+				// MovedBlocks and DirtyWorkers against the two from-scratch
+				// placements around the batch: a block moved if it changed
+				// workers, appeared or emptied out; a worker is dirty if it
+				// owned a touched vertex before or after, or either side of a
+				// moved block.
+				place := partition.CollectBlocks(replay, shift).Place(k)
+				moved, dirty := 0, make([]bool, k)
+				for id := range info.Touched {
+					for _, w := range []int{prev.Owner(id), scratch.Owner(id)} {
+						if w >= 0 {
+							dirty[w] = true
+						}
+					}
+				}
+				for blk, w := range prevPlace {
+					if nw, ok := place[blk]; !ok || nw != w {
+						moved++
+						dirty[w] = true
+					}
+				}
+				for blk, nw := range place {
+					if w, ok := prevPlace[blk]; !ok || nw != w {
+						dirty[nw] = true
+						if !ok {
+							moved++
+						}
+					}
+				}
+				if info.MovedBlocks != moved || !reflect.DeepEqual(info.DirtyWorkers, dirty) {
+					t.Fatalf("%s/seed%d batch %d: moved %d dirty %v, scratch placements give %d %v",
+						name, seed, bi, info.MovedBlocks, info.DirtyWorkers, moved, dirty)
+				}
+				prevPlace = place
 				if got, want := st.Assignment().Sizes(), scratch.Sizes(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s/seed%d batch %d: sizes %v != scratch %v", name, seed, bi, got, want)
 				}

@@ -139,15 +139,3 @@ func Similarity(a, b Signature) float64 {
 func HashID(x uint64) uint64 {
 	return mix(x * 0x9e3779b97f4a7c15)
 }
-
-// Hash64 hashes a byte slice with FNV-1a folded through mix; stable across
-// runs, used for checkpoint integrity checks.
-func Hash64(b []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return mix(h)
-}

@@ -130,15 +130,6 @@ func TestHashIDDistribution(t *testing.T) {
 	}
 }
 
-func TestHash64(t *testing.T) {
-	a := Hash64([]byte("hello"))
-	b := Hash64([]byte("hello"))
-	c := Hash64([]byte("hellp"))
-	if a != b || a == c {
-		t.Fatalf("hash64: %x %x %x", a, b, c)
-	}
-}
-
 func TestQuickCompareIsTotalOrder(t *testing.T) {
 	f := func(a, b, c []uint64) bool {
 		s := NewSigner(4, 1)

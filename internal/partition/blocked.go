@@ -46,7 +46,8 @@ func (b Blocked) Partition(g *graph.Graph, k int) (*Assignment, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k must be >= 1, got %d", k)
 	}
-	return CollectBlocks(g, b.shift()).Assign(k), nil
+	agg := CollectBlocks(g, b.shift())
+	return agg.Assign(g, k, agg.Place(k)), nil
 }
 
 // BlockAgg holds the per-block aggregates the Blocked greedy needs: block
@@ -140,12 +141,12 @@ func (a *BlockAgg) NumVertices() int {
 	return total
 }
 
-// Assign places every block on a worker with the deterministic greedy rule
-// of Eq. (1) and returns the block-backed Assignment. The result is a pure
-// function of the aggregate values and k: block order is (size desc, block
-// ID asc) and overlap accumulates in integers, so map iteration order
-// cannot leak into the placement.
-func (a *BlockAgg) Assign(k int) *Assignment {
+// Place places every block on a worker with the deterministic greedy rule
+// of Eq. (1) and returns block → worker. The result is a pure function of
+// the aggregate values and k: block order is (size desc, block ID asc) and
+// overlap accumulates in integers, so map iteration order cannot leak into
+// the placement.
+func (a *BlockAgg) Place(k int) map[int64]int {
 	type blk struct {
 		id   int64
 		size int
@@ -201,10 +202,17 @@ func (a *BlockAgg) Assign(k int) *Assignment {
 		owner[b.id] = best
 		partSize[best] += b.size
 	}
-	return &Assignment{
-		K:          k,
-		blockOwner: owner,
-		blockShift: a.Shift,
-		blockSizes: partSize,
-	}
+	return owner
+}
+
+// Assign returns the assignment of g's vertices that the block placement
+// place (Place of this aggregate) makes: each vertex goes where its block
+// went.
+func (a *BlockAgg) Assign(g *graph.Graph, k int, place map[int64]int) *Assignment {
+	as := newAssignment(g, k)
+	g.ForEach(func(v *graph.Vertex) bool {
+		as.owner[v.ID] = int32(place[a.Block(v.ID)])
+		return true
+	})
+	return as
 }

@@ -17,39 +17,23 @@ import (
 	"gminer/internal/lsh"
 )
 
-// Assignment maps every vertex to its owning worker in [0, K).
-//
-// Two representations back it: a per-vertex owner column by internal ID
-// (Hash, Skewed, BDG) or a per-block owner map plus a block shift (Blocked)
-// — the block form is O(#blocks) to rebuild, which is what makes incremental
-// repartitioning under graph mutations cheap (see internal/dyngraph).
+// Assignment maps every vertex to its owning worker in [0, K): one owner
+// column by internal ID, whichever partitioner filled it.
 type Assignment struct {
 	K     int
 	owner []int32 // by internal ID, −1 where the graph has no vertex
-
-	// Block-backed form: owner of block (id >> blockShift). Exactly one of
-	// owner / blockOwner is non-nil.
-	blockOwner map[int64]int
-	blockShift uint
-	blockSizes []int // per-worker vertex counts, precomputed by Assign
 }
 
 // Owner returns the worker owning id; -1 if unknown.
 func (a *Assignment) Owner(id graph.VertexID) int {
-	if a.blockOwner != nil {
-		if w, ok := a.blockOwner[int64(id)>>a.blockShift]; ok {
-			return w
-		}
-		return -1
-	}
 	if uint64(id) < uint64(len(a.owner)) {
 		return int(a.owner[id])
 	}
 	return -1
 }
 
-// newAssignment returns a vertex-backed assignment of g to k workers with
-// no vertex placed yet.
+// newAssignment returns an assignment of g to k workers with no vertex
+// placed yet.
 func newAssignment(g *graph.Graph, k int) *Assignment {
 	a := &Assignment{K: k, owner: make([]int32, g.Slots())}
 	for i := range a.owner {
@@ -60,9 +44,6 @@ func newAssignment(g *graph.Graph, k int) *Assignment {
 
 // Sizes returns the number of vertices per worker.
 func (a *Assignment) Sizes() []int {
-	if a.blockSizes != nil {
-		return append([]int(nil), a.blockSizes...)
-	}
 	sizes := make([]int, a.K)
 	for _, w := range a.owner {
 		if w >= 0 {
@@ -72,25 +53,16 @@ func (a *Assignment) Sizes() []int {
 	return sizes
 }
 
-// BlockOwners returns the block→worker map of a block-backed assignment
-// (nil for a vertex-backed one). The map is shared, not copied: callers
-// must treat it as read-only.
-func (a *Assignment) BlockOwners() map[int64]int { return a.blockOwner }
-
 // EdgeCut returns the fraction of edges whose endpoints live on different
 // workers — the locality measure BDG optimizes.
-func (a *Assignment) EdgeCut(g *graph.Graph) float64 { return EdgeCutBy(g, a.Owner) }
-
-// EdgeCutBy is EdgeCut with the owners read through owner, for a caller
-// that holds them somewhere cheaper to read than the assignment's maps.
-func EdgeCutBy(g *graph.Graph, owner func(graph.VertexID) int) float64 {
+func (a *Assignment) EdgeCut(g *graph.Graph) float64 {
 	var cut, total int64
 	g.ForEach(func(v *graph.Vertex) bool {
-		own := owner(v.ID)
+		own := a.Owner(v.ID)
 		for _, n := range v.Adj {
 			if n > v.ID { // count each undirected edge once
 				total++
-				if own != owner(n) {
+				if own != a.Owner(n) {
 					cut++
 				}
 			}

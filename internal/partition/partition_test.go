@@ -196,3 +196,35 @@ func TestByName(t *testing.T) {
 		}
 	}
 }
+
+// Blocked's owner column is its block placement, vertex by vertex: each
+// vertex sits where Place put its block, and the per-worker sizes are the
+// placed blocks' sizes.
+func TestBlockedOwnerColumnFollowsPlacement(t *testing.T) {
+	g := testGraph()
+	const k, shift = 3, 4
+	a, err := partition.Blocked{Shift: shift}.Partition(g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := partition.CollectBlocks(g, shift)
+	place := agg.Place(k)
+	sizes := make([]int, k)
+	for blk, w := range place {
+		sizes[w] += agg.Size[blk]
+	}
+	g.ForEach(func(v *graph.Vertex) bool {
+		if got, want := a.Owner(v.ID), place[agg.Block(v.ID)]; got != want {
+			t.Fatalf("vertex %d on worker %d, its block on %d", v.ID, got, want)
+		}
+		return true
+	})
+	for w, n := range a.Sizes() {
+		if n != sizes[w] {
+			t.Fatalf("sizes %v, placed blocks weigh %v", a.Sizes(), sizes)
+		}
+	}
+	if a.Owner(graph.VertexID(g.Slots())) != -1 {
+		t.Fatal("an ID past the graph has an owner")
+	}
+}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"gminer/internal/metrics"
-	"gminer/internal/trace"
 )
 
 // LocalConfig configures the in-process network.
@@ -19,12 +16,6 @@ type LocalConfig struct {
 	// payload/bandwidth of serialization delay behind earlier messages to
 	// the same node. 0 = infinite.
 	BandwidthBps int64
-	// Counters, if non-nil, holds one metrics sink per node; sends are
-	// charged to the sender's counters.
-	Counters []*metrics.Counters
-	// Tracer, if non-nil, records one EvNetSend per message, attributed
-	// to the sending node.
-	Tracer *trace.Tracer
 }
 
 // LocalNetwork is the in-process transport: unbounded per-node mailboxes
@@ -69,12 +60,6 @@ func (n *LocalNetwork) send(from, to int, typ uint8, payload []byte) error {
 		return fmt.Errorf("transport: invalid destination node %d", to)
 	}
 	bytes := int64(len(payload) + headerBytes)
-	if n.cfg.Counters != nil && from >= 0 && from < len(n.cfg.Counters) && n.cfg.Counters[from] != nil {
-		n.cfg.Counters[from].AddNet(bytes)
-	}
-	if n.cfg.Tracer.Enabled() {
-		n.cfg.Tracer.Handle(from, trace.CompNet).Event(trace.EvNetSend, uint64(bytes))
-	}
 	readyAt := time.Now()
 	if n.cfg.Latency > 0 || n.cfg.BandwidthBps > 0 {
 		readyAt = readyAt.Add(n.cfg.Latency)

@@ -104,9 +104,8 @@ func (m *Mux) demux(node int, ep Endpoint) {
 
 // Open registers channel ch and returns one virtual endpoint per node.
 // counters, if non-nil, holds one metrics sink per node: sends through a
-// virtual endpoint are charged there (the underlying network should then be
-// built without counters, or bytes would be double-counted). tracer, if
-// non-nil, records per-job EvNetSend events.
+// virtual endpoint are charged there, the one place bytes are counted.
+// tracer, if non-nil, records per-job EvNetSend events.
 func (m *Mux) Open(ch uint64, counters []*metrics.Counters, tracer *trace.Tracer) ([]Endpoint, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -217,7 +216,7 @@ type muxEndpoint struct {
 
 // Send prepends the channel envelope and forwards on the underlying
 // endpoint. Accounting is per channel: the payload (plus framing estimate)
-// is charged to this job's counters, not the shared network's.
+// is charged to this job's counters.
 func (e *muxEndpoint) Send(to int, typ uint8, payload []byte) error {
 	buf := make([]byte, 0, binary.MaxVarintLen64+len(payload))
 	buf = binary.AppendUvarint(buf, e.ch)

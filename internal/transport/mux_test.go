@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gminer/internal/metrics"
+	"gminer/internal/trace"
 )
 
 func newTestMux(nodes int) (*Mux, *LocalNetwork) {
@@ -98,17 +99,24 @@ func TestMuxReopenSameChannelIDRejected(t *testing.T) {
 	}
 }
 
+// Byte accounting and EvNetSend tracing are the mux's: each send is
+// charged once, to the sender's counters on the sending channel, and
+// traced once on that channel's tracer.
 func TestMuxPerChannelAccounting(t *testing.T) {
 	mux, net := newTestMux(2)
 	defer func() { mux.Close(); net.Close(); mux.WaitDemux() }()
 	ca := []*metrics.Counters{{}, {}}
 	cb := []*metrics.Counters{{}, {}}
-	a, _ := mux.Open(1, ca, nil)
+	tr := trace.New(2, 16).EnableEvents()
+	a, _ := mux.Open(1, ca, tr)
 	b, _ := mux.Open(2, cb, nil)
 	_ = a[0].Send(1, 1, make([]byte, 100))
 	_ = b[1].Send(0, 1, make([]byte, 10))
-	if got := ca[0].Snapshot().NetBytes; got != 100+16 {
-		t.Fatalf("channel 1 node 0 bytes = %d", got)
+	if snap := ca[0].Snapshot(); snap.NetBytes != 100+16 || snap.NetMsgs != 1 {
+		t.Fatalf("channel 1 node 0: %d bytes in %d messages", snap.NetBytes, snap.NetMsgs)
+	}
+	if got := tr.EventCount(trace.EvNetSend); got != 1 {
+		t.Fatalf("channel 1 net_send events = %d, want 1", got)
 	}
 	if got := cb[1].Snapshot().NetBytes; got != 10+16 {
 		t.Fatalf("channel 2 node 1 bytes = %d", got)

@@ -5,9 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"gminer/internal/metrics"
-	"gminer/internal/trace"
 )
 
 func TestLocalSendRecv(t *testing.T) {
@@ -90,20 +87,6 @@ func TestLocalBandwidth(t *testing.T) {
 	}
 }
 
-func TestLocalByteAccounting(t *testing.T) {
-	cs := []*metrics.Counters{{}, {}}
-	n := NewLocal(LocalConfig{Nodes: 2, Counters: cs})
-	defer n.Close()
-	_ = n.Endpoint(0).Send(1, 1, make([]byte, 100))
-	snap := cs[0].Snapshot()
-	if snap.NetBytes < 100 || snap.NetMsgs != 1 {
-		t.Fatalf("accounting: %+v", snap)
-	}
-	if cs[1].Snapshot().NetBytes != 0 {
-		t.Fatal("receiver charged for send")
-	}
-}
-
 func TestLocalInvalidDestination(t *testing.T) {
 	n := NewLocal(LocalConfig{Nodes: 2})
 	defer n.Close()
@@ -136,17 +119,6 @@ func TestLocalConcurrentSenders(t *testing.T) {
 		got++
 	}
 	wg.Wait()
-}
-
-func TestLocalTracerCountsSends(t *testing.T) {
-	tr := trace.New(2, 16).EnableEvents()
-	n := NewLocal(LocalConfig{Nodes: 2, Tracer: tr})
-	if err := n.Endpoint(0).Send(1, 1, make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.EventCount(trace.EvNetSend); got != 1 {
-		t.Fatalf("net_send events = %d, want 1", got)
-	}
 }
 
 // The three tests below pin the timed pop: it sleeps on the cond, so a push

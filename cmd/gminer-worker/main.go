@@ -46,7 +46,7 @@ func main() {
 		node         = flag.Int("node", -1, "worker slot to claim: -1 lets the coordinator assign one; an explicit index is how a replacement takes over a crashed worker's slot")
 		listen       = flag.String("listen", "127.0.0.1:0", "this worker's TCP listen address")
 		advertise    = flag.String("advertise", "", "address peers dial to reach this worker (default: the bound listen address)")
-		ckptDir      = flag.String("checkpoint-dir", "", "snapshot directory for this worker's per-job checkpoint files; a replacement must reuse its predecessor's (empty: a temporary one per job start, so a killed worker restarts from scratch)")
+		ckptDir      = flag.String("checkpoint-dir", "", "snapshot directory for this worker's per-job checkpoint files; a replacement must reuse its predecessor's (empty: a temporary root of this process, removed when it exits, so only a job's worker restarted inside the process restores)")
 		joinTimeout  = flag.Duration("join-timeout", 30*time.Second, "join handshake budget, dial retries included")
 		heartbeat    = flag.Duration("heartbeat-every", 250*time.Millisecond, "liveness report period")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "SIGTERM drain budget: how long to wait for a barrier checkpoint of live jobs to commit before detaching anyway")

@@ -35,7 +35,7 @@ func EngineFlags(fs *flag.FlagSet) func() (cluster.Config, error) {
 	steal := fs.Bool("steal", true, "enable task stealing")
 	cache := fs.Int("cache", 8192, "RCV cache capacity (vertices) per worker per job")
 	storeMem := fs.Int("store-mem", 8192, "in-memory task store capacity (tasks) per worker per job")
-	spill := fs.String("spill", "", "task-store spill directory (default: in memory); a served job gets its own subdirectory")
+	spill := fs.String("spill", "", "directory under which each worker spills task-store blocks into a subdirectory of its own, removed when the worker ends (default: the system's temporary directory)")
 	return func() (cluster.Config, error) {
 		p, err := partition.ByName(*part)
 		return cluster.Config{Workers: *workers, Threads: *threads, Partitioner: p, UseLSH: *lsh, Stealing: *steal,

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"gminer/internal/spill"
 	"gminer/internal/store"
 	"gminer/internal/trace"
 	"gminer/internal/wire"
@@ -100,11 +101,10 @@ type snapshotSink struct {
 	// commit refuse acks bearing a fenced-out generation.
 	fence *fenceTable
 
-	mu     sync.Mutex
-	dir    string    // "" until a sink opened without one first writes
-	temp   bool      // dir is the sink's own temporary directory
-	closed bool      // close ran: no temporary directory is made any more
-	man    *manifest // latest committed manifest, nil before the first commit
+	dir string        // the configured directory; "" keeps the files in tmp
+	tmp spill.TempDir // made at the first write, removed at close
+	mu  sync.Mutex
+	man *manifest // latest committed manifest, nil before the first commit
 }
 
 // ckptName is the one checkpoint filename form: worker, epoch, generation.
@@ -118,7 +118,7 @@ const ckptName = "worker-%d.epoch-%d.gen-%d.ckpt"
 // and is removed so in-job recovery can never restore another run's
 // snapshot.
 func newSnapshotSink(dir string, workers int, fingerprint uint64, gen int64, resume bool) (*snapshotSink, error) {
-	s := &snapshotSink{dir: dir, workers: workers, fingerprint: fingerprint, gen: gen}
+	s := &snapshotSink{dir: dir, tmp: spill.TempDir{Pattern: "gminer-ckpt-"}, workers: workers, fingerprint: fingerprint, gen: gen}
 	if dir == "" {
 		return s, nil
 	}
@@ -147,44 +147,26 @@ func newSnapshotSink(dir string, workers int, fingerprint uint64, gen int64, res
 // clearDir removes the manifest and every checkpoint file of a previous
 // job sharing the directory.
 func (s *snapshotSink) clearDir() {
-	_ = os.Remove(filepath.Join(s.dir, manifestName))
-	matches, _ := filepath.Glob(filepath.Join(s.dir, "worker-*.ckpt"))
-	for _, m := range matches {
-		_ = os.Remove(m)
-	}
-	matches, _ = filepath.Glob(filepath.Join(s.dir, "worker-*.ckpt.tmp"))
-	for _, m := range matches {
-		_ = os.Remove(m)
+	for _, pattern := range []string{manifestName, "worker-*.ckpt", "worker-*.ckpt.tmp"} {
+		matches, _ := filepath.Glob(filepath.Join(s.dir, pattern))
+		for _, m := range matches {
+			_ = os.Remove(m)
+		}
 	}
 }
 
-// directoryLocked returns the sink's directory, making the temporary one
-// first if the sink has none yet. Caller holds s.mu.
-func (s *snapshotSink) directoryLocked() (string, error) {
+// directory returns the sink's directory, making the temporary one first if
+// the sink has none yet.
+func (s *snapshotSink) directory() (string, error) {
 	if s.dir != "" {
 		return s.dir, nil
 	}
-	if s.closed {
-		return "", fmt.Errorf("checkpoint: sink closed")
-	}
-	dir, err := os.MkdirTemp("", "gminer-ckpt-")
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: %w", err)
-	}
-	s.dir, s.temp = dir, true
-	return dir, nil
+	return s.tmp.Path()
 }
 
 // close removes the sink's temporary directory, if it made one, at the
 // end of the job; a configured directory stays for -resume.
-func (s *snapshotSink) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.temp {
-		_ = os.RemoveAll(s.dir)
-	}
-}
+func (s *snapshotSink) close() { s.tmp.Close() }
 
 // manifestView returns the current committed manifest (nil before the
 // first commit).
@@ -199,11 +181,9 @@ func (s *snapshotSink) manifestView() *manifest {
 // and renamed into place, then the directory is fsync'd, so a crash at
 // any point leaves either no file or a complete one.
 func (s *snapshotSink) put(worker int, epoch int64, data []byte) (uint32, error) {
-	s.mu.Lock()
-	dir, err := s.directoryLocked()
-	s.mu.Unlock()
+	dir, err := s.directory()
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("checkpoint: %w", err)
 	}
 	if err := writeFileDurable(s.path(dir, worker, epoch), frame(snapshotMagic, data)); err != nil {
 		return 0, fmt.Errorf("checkpoint: %w", err)
@@ -230,12 +210,12 @@ func (s *snapshotSink) commit(epoch int64, crcs []uint32, gens []int64) error {
 				epoch, w, g, s.fence.current(w))
 		}
 	}
+	dir, err := s.directory()
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dir, err := s.directoryLocked()
-	if err != nil {
-		return err
-	}
 	next := &manifest{
 		Fingerprint: s.fingerprint,
 		Workers:     s.workers,
@@ -251,15 +231,15 @@ func (s *snapshotSink) commit(epoch int64, crcs []uint32, gens []int64) error {
 		return fmt.Errorf("checkpoint: manifest: %w", err)
 	}
 	s.man = next
-	s.gcLocked()
+	s.gcLocked(dir)
 	return nil
 }
 
-// gcLocked removes every epoch's files the manifest no longer vouches
-// for, keeping in-flight epochs newer than the committed one. Caller holds
-// s.mu.
-func (s *snapshotSink) gcLocked() {
-	matches, _ := filepath.Glob(filepath.Join(s.dir, "worker-*.epoch-*.gen-*.ckpt"))
+// gcLocked removes every epoch's files in dir the manifest no longer
+// vouches for, keeping in-flight epochs newer than the committed one.
+// Caller holds s.mu.
+func (s *snapshotSink) gcLocked(dir string) {
+	matches, _ := filepath.Glob(filepath.Join(dir, "worker-*.epoch-*.gen-*.ckpt"))
 	for _, m := range matches {
 		_, epoch, _, ok := parseCkptName(filepath.Base(m))
 		if ok && epoch < s.man.Epoch && epoch != s.man.PrevEpoch {
@@ -320,13 +300,11 @@ func (s *snapshotSink) load(worker int, epoch int64) (*workerSnapshot, error) {
 // committed (epoch, crc) pairs over the control channel and verifies its
 // local file against them.
 func (s *snapshotSink) loadWith(worker int, epoch int64, wantCRC uint32) (*workerSnapshot, error) {
-	s.mu.Lock()
-	dir := s.dir
-	s.mu.Unlock()
-	lastErr := fmt.Errorf("checkpoint: worker %d epoch %d missing", worker, epoch)
-	if dir == "" {
-		return nil, lastErr // a sink that never wrote holds nothing
+	dir, err := s.directory()
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
+	lastErr := fmt.Errorf("checkpoint: worker %d epoch %d missing", worker, epoch)
 	// The file may have been written under any generation (a restarted
 	// process restores its predecessor's snapshots), so try each; the
 	// commit-time CRC decides which file is the real one.

@@ -477,49 +477,70 @@ func TestResumeCorruptNewestEpochFallsBack(t *testing.T) {
 // TestRecoveryWithoutCheckpointDir: a job that checkpoints with no
 // CheckpointDir keeps its snapshots in a temporary directory. A killed
 // worker restores from it, the records match a fault-free run byte for
-// byte, and Wait leaves no directory behind.
+// byte, and Wait leaves no directory behind. The second run spills under a
+// configured SpillDir, the replacement's restore included: every spiller
+// has a directory of its own there, so the killed worker's spiller, closed
+// around the restore, takes none of its replacement's blocks with it.
 func TestRecoveryWithoutCheckpointDir(t *testing.T) {
-	tmp := t.TempDir()
-	t.Setenv("TMPDIR", tmp)
 	g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 2500, Seed: 61})
-	tr := trace.New(4, 0).EnableEvents()
-	release := make(chan struct{})
-	cfg := Config{
-		Workers: 3, Threads: 2,
-		CacheCapacity: 512, StoreMemCapacity: 256, cpqHighWater: 32,
-		UseLSH:           true,
-		progressInterval: time.Millisecond,
-		CheckpointEvery:  3 * time.Millisecond,
-		Partitioner:      partition.Hash{},
-		Stealing:         false, // a migration in flight at kill time would be lost
-		Tracer:           tr,
-		seedHold:         release, // the kill lands with seeds still to come
-	}
-	job, err := Start(g, &ckptMark{delay: 100 * time.Microsecond}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitForCommittedEpochs(t, job, 1, 30*time.Second)
-	if made, _ := os.ReadDir(tmp); len(made) != 1 {
-		t.Fatalf("checkpoints in %v, want one temporary directory", made)
-	}
-	job.KillWorker(1)
-	if err := job.RecoverWorker(1); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	res, err := job.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Recovered != 1 || tr.EventCount(trace.EvRestoreFail) != 0 {
-		t.Fatalf("%d recoveries, %d failed restores: want one restore from the committed epoch",
-			res.Recovered, tr.EventCount(trace.EvRestoreFail))
-	}
-	if !reflect.DeepEqual(res.Records, ckptWant(g)) {
-		t.Fatalf("recovered records differ: got %d want %d", len(res.Records), len(ckptWant(g)))
-	}
-	if left, _ := os.ReadDir(tmp); len(left) != 0 {
-		t.Fatalf("Wait left %v", left)
+	for _, spills := range []bool{false, true} {
+		tmp := t.TempDir()
+		t.Setenv("TMPDIR", tmp)
+		tr := trace.New(4, 0).EnableEvents()
+		release := make(chan struct{})
+		cfg := Config{
+			Workers: 3, Threads: 2,
+			CacheCapacity: 512, StoreMemCapacity: 256, cpqHighWater: 32,
+			UseLSH:           true,
+			progressInterval: time.Millisecond,
+			CheckpointEvery:  3 * time.Millisecond,
+			Partitioner:      partition.Hash{},
+			Stealing:         false, // a migration in flight at kill time would be lost
+			Tracer:           tr,
+			seedHold:         release, // the kill lands with seeds still to come
+		}
+		if spills {
+			cfg.StoreMemCapacity, cfg.StoreBlockCapacity, cfg.SpillDir = 4, 4, tmp
+		}
+		job, err := Start(g, &ckptMark{delay: 100 * time.Microsecond}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitForCommittedEpochs(t, job, 1, 30*time.Second)
+		if made, _ := filepath.Glob(filepath.Join(tmp, "gminer-ckpt-*")); len(made) != 1 {
+			t.Fatalf("checkpoints in %v, want one temporary directory", made)
+		}
+		job.KillWorker(1)
+		if err := job.RecoverWorker(1); err != nil {
+			t.Fatal(err)
+		}
+		close(release)
+		var res *Result
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			res, err = job.Wait()
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("spills=%v: the job did not end; the replacement lost tasks", spills)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Recovered != 1 || tr.EventCount(trace.EvRestoreFail) != 0 {
+			t.Fatalf("%d recoveries, %d failed restores: want one restore from the committed epoch",
+				res.Recovered, tr.EventCount(trace.EvRestoreFail))
+		}
+		if spills && res.PerWorker[1].DiskWrite == 0 {
+			t.Fatal("worker 1 never spilled")
+		}
+		if !reflect.DeepEqual(res.Records, ckptWant(g)) {
+			t.Fatalf("spills=%v: recovered records differ: got %d want %d", spills, len(res.Records), len(ckptWant(g)))
+		}
+		if left, _ := os.ReadDir(tmp); len(left) != 0 {
+			t.Fatalf("spills=%v: Wait left %v", spills, left)
+		}
 	}
 }

@@ -19,19 +19,6 @@ type Config struct {
 	// executor's thread pool, §4.3).
 	Threads int
 
-	// JobID namespaces everything a job owns when many jobs share a
-	// process: spill and checkpoint directories, metrics labels and log
-	// lines. Sessions assign one automatically; empty means single-shot
-	// mode, whose on-disk layout is unchanged.
-	JobID string
-
-	// MemBudget, if non-nil, bounds the job-owned memory across all
-	// workers (task store + RCV cache; the resident graph is not charged —
-	// in a serving deployment it is shared by every job). Exceeding the
-	// budget cancels the job with an error wrapping memctl.ErrOOM instead
-	// of letting one greedy job take down co-resident ones.
-	MemBudget *memctl.Budget
-
 	// CacheCapacity is the RCV cache size in vertices per worker. It is also
 	// the CMQ window: while tasks wait for pulls, the retriever dispatches no
 	// more once the vertices pinned in the cache plus those in flight fill it.
@@ -49,8 +36,10 @@ type Config struct {
 	StoreMemCapacity int
 	// StoreBlockCapacity is the number of tasks per spilled block.
 	StoreBlockCapacity int
-	// SpillDir is the directory for spilled task blocks; empty keeps
-	// blocks in accounted memory buffers (tests, benchmarks).
+	// SpillDir is where workers spill task blocks: each worker, and each
+	// restart of one, makes a directory of its own under it at its first
+	// spill and removes it when it ends. Empty means the system's temporary
+	// directory.
 	SpillDir string
 
 	// UseLSH orders the task priority queue by minhash signatures of
@@ -93,12 +82,6 @@ type Config struct {
 	// re-placement provably equals a from-scratch partition. Single-shot
 	// jobs and the process host reject it.
 	Dynamic bool
-	// GraphEpoch stamps the graph epoch a job runs at. Sessions set it at
-	// Launch; it folds into the job fingerprint so a checkpoint taken
-	// against one epoch can never resume against another shape of the
-	// graph, and the serving result cache dies with the epoch.
-	GraphEpoch int64
-
 	// Latency and BandwidthBps configure the simulated network.
 	Latency      time.Duration
 	BandwidthBps int64
@@ -116,16 +99,6 @@ type Config struct {
 	// a constructed-but-disabled tracer costs one atomic load per probe.
 	// Create it with trace.New(Workers+1, ...) so the master has a ring.
 	Tracer *trace.Tracer
-
-	// RoundHook, if non-nil, is called by the master once per scheduling
-	// round — at least once per heartbeat (2 ms) while the job runs, so not
-	// at all on a job shorter than that — with the round number, from the
-	// master goroutine. It is the cooperative-preemption point the serving
-	// layer uses to stop over-budget or past-deadline jobs at a round
-	// boundary: the hook may call Job.CancelCause, which only closes a
-	// channel, so it is safe from here. Keep it fast — it runs on the
-	// master's control loop.
-	RoundHook func(round int64)
 
 	// BufferFlush is the task-buffer batch size (§4.3: "inserted into the
 	// task store in batches").
@@ -152,6 +125,15 @@ type Config struct {
 	// wait for it to close before seeding its last vertex: the job cannot
 	// finish, however fast it runs, until the test lets it.
 	seedHold <-chan struct{}
+
+	// The per-job fields, stamped by Session.build at every launch: the
+	// job's ID ("" in single-shot mode), the graph epoch it runs at (folded
+	// into the job fingerprint, so a checkpoint never resumes against another
+	// epoch's graph), and JobOptions' MemBudgetBytes and RoundHook.
+	jobID      string
+	graphEpoch int64
+	memBudget  *memctl.Budget
+	roundHook  func(round int64)
 
 	// seeds, when non-nil, is JobOptions.Seeds as a set: each seeder skips
 	// the vertices of its scan that are not in it.

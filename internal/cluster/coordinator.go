@@ -449,6 +449,9 @@ func (c *coordinator) ctlLoop() {
 			// A finished job's ID may be reused: the channel pins the result
 			// to the launch it belongs to.
 			if j != nil && j.ch == m.Channel {
+				if m.Err != "" {
+					j.cancelWith(fmt.Errorf("cluster: worker %d: %s", m.Worker, m.Err))
+				}
 				j.host.(*processHost).deliver(&m)
 			}
 		case ctrlHeartbeat:

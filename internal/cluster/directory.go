@@ -10,26 +10,25 @@ import (
 )
 
 // directory answers "who owns vertex x, and which vertex is it" for one
-// view of the resident graph — g or G⁺ — at one graph epoch: one slot per
-// internal ID, so a lookup is one load. Every worker of every job on that
-// view shares it read-only; a mutation batch retires it with the epoch,
-// since the owners may have moved and new IDs been issued. It stands in for
+// view of the resident graph — g or G⁺ — at one graph epoch, reading the
+// epoch's columns in place (the assignment's owners, the view's vertex
+// table), copying neither. Every worker of every job on that view shares it
+// read-only; a mutation batch retires it with the epoch. It stands in for
 // Figure 4's per-worker hash tables.
 //
-// Owner and label are replicated on every worker for every vertex of the
-// graph, the labels as the epoch's column (graph.Labels) that the base view's
-// directory fills in its one pass. Adjacency and attributes live with the
-// owner alone and reach anybody else only by pull — except, on the oriented
-// view, the resident set: the forward lists referenced most per byte
+// Owner and label (graph.Labels, which the base view's cut fills) are
+// replicated on every worker for every vertex. Adjacency and attributes live
+// with the owner alone and reach anybody else only by pull — except, on the
+// oriented view, the resident set: the forward lists referenced most per byte
 // (graph.HotLists), which every worker reads in place. What a worker finds
-// without a pull is local's answer and nobody else's; owner keeps naming the
-// one worker that seeds and serves the vertex.
+// without a pull is local's answer; owner keeps naming the one worker that
+// seeds and serves the vertex.
 type directory struct {
-	g      *graph.Graph // the view; records name its vertices by External
-	assign *partition.Assignment
-
-	slots  []dirSlot     // by internal ID
-	labels *graph.Labels // the epoch's label column; nil on G⁺
+	g        *graph.Graph    // the view; records name its vertices by External
+	verts    []*graph.Vertex // g's vertex table
+	owners   []int32         // the assignment's owner column
+	resident []bool          // the resident set's marks, by internal ID; nil on g
+	labels   *graph.Labels   // the epoch's label column; nil on G⁺
 
 	// residentLists and residentBytes size the resident set (reporting, and
 	// the workers' memory accounts); residentRows counts the lists the view's
@@ -39,45 +38,16 @@ type directory struct {
 	residentRows  int
 }
 
-// dirSlot is 16 bytes, resident mark included.
-type dirSlot struct {
-	v        *graph.Vertex
-	owner    int32
-	resident bool // in the view's resident set
-}
-
-// newDirectory fills the directory of view g — and, if labelled, the epoch's
-// label column — in one pass over its vertices. Only the base view cuts the
-// column; G⁺ has the same labels. visit, if non-nil, is shown every owned
-// vertex with its owner on the way: whatever else an epoch must learn per
-// vertex (the workers' seed scans, a view's footprints) rides this pass
-// instead of making its own.
-func newDirectory(g *graph.Graph, assign *partition.Assignment, labelled bool, visit func(v *graph.Vertex, owner int)) *directory {
-	d := &directory{g: g, assign: assign, slots: make([]dirSlot, g.Slots())}
-	if labelled {
-		d.labels = graph.NewLabels(g)
-	}
-	for i := range d.slots {
-		d.slots[i].owner = -1
-	}
-	g.ForEach(func(v *graph.Vertex) bool {
-		w := assign.Owner(v.ID)
-		d.slots[v.ID] = dirSlot{v: v, owner: int32(w)}
-		if d.labels != nil {
-			d.labels.Set(v)
-		}
-		if w >= 0 && visit != nil {
-			visit(v, w)
-		}
-		return true
-	})
-	return d
+// newDirectory returns the directory of view g under assign, a partition of
+// g's epoch: owners is never longer than verts, since slots only grow.
+func newDirectory(g *graph.Graph, assign *partition.Assignment) *directory {
+	return &directory{g: g, verts: g.Table(), owners: assign.Owners()}
 }
 
 // owner returns the worker owning id, -1 if nobody does.
 func (d *directory) owner(id graph.VertexID) int {
-	if uint64(id) < uint64(len(d.slots)) {
-		return int(d.slots[id].owner)
+	if uint64(id) < uint64(len(d.owners)) {
+		return int(d.owners[id])
 	}
 	return -1
 }
@@ -85,10 +55,8 @@ func (d *directory) owner(id graph.VertexID) int {
 // local returns vertex id if worker self reads it without a pull — it owns
 // the vertex, or the view keeps its list resident on every worker — else nil.
 func (d *directory) local(id graph.VertexID, self int) *graph.Vertex {
-	if uint64(id) < uint64(len(d.slots)) {
-		if s := &d.slots[id]; int(s.owner) == self || s.resident {
-			return s.v
-		}
+	if uint64(id) < uint64(len(d.owners)) && (int(d.owners[id]) == self || d.resident != nil && d.resident[id]) {
+		return d.verts[id]
 	}
 	return nil
 }
@@ -98,16 +66,16 @@ func (d *directory) local(id graph.VertexID, self int) *graph.Vertex {
 // the ones it does not own. It completes a directory under construction:
 // once workers read the directory it never changes.
 func (d *directory) keepResident(ids []graph.VertexID, foot []int64) {
+	d.resident = make([]bool, len(d.verts))
 	for _, id := range ids {
-		owner := d.owner(id)
-		v := d.local(id, owner)
-		d.slots[id].resident = true
+		owner, bytes := d.owner(id), d.verts[id].FootprintBytes()
+		d.resident[id] = true
 		for w := range foot {
 			if w != owner {
-				foot[w] += v.FootprintBytes()
+				foot[w] += bytes
 			}
 		}
-		d.residentBytes += v.FootprintBytes()
+		d.residentBytes += bytes
 	}
 	d.residentLists = len(ids)
 }
@@ -120,19 +88,18 @@ type vertexTables struct {
 }
 
 // localTable is one worker's partition scan: its vertices in hash-shuffled
-// seed order and their footprint. It is read-only after build, so a Session
-// shares one instance across every job's worker i instead of rebuilding it
-// per job, and a mutation batch rebuilds only the workers it touched. The
-// scan order depends on the IDs alone, so the oriented view's tables share
-// the base tables' ids and differ only in footprint.
+// seed order and their footprint. Read-only after build, a Session shares it
+// across every job's worker i, and a mutation batch rebuilds only the workers
+// it touched. The oriented view's tables share the base tables' ids and differ
+// only in footprint.
 type localTable struct {
 	ids       []graph.VertexID
 	footprint int64
 }
 
-// newVertexTables cuts view g's directory and, in the directory's one pass
-// over the graph, the seed scan of every worker that scan marks (the other
-// workers' entries stay nil), from an order built for this cut alone.
+// newVertexTables cuts view g's directory and the seed scan of every worker
+// that scan marks (the other workers' entries stay nil), from an order built
+// for this cut alone.
 func newVertexTables(g *graph.Graph, assign *partition.Assignment, scan []bool) vertexTables {
 	return new(hashOrder).cut(g, assign, scan)
 }
@@ -188,22 +155,26 @@ func (o *hashOrder) grow(slots int) {
 }
 
 // cut brings the order up to view g's slots, then cuts g's directory and the
-// seed scan of every worker that scan marks: each one's footprint in the
-// directory's pass, its IDs by filtering the order by owner.
+// seed scan of every worker that scan marks. Its one pass over g fills the
+// epoch's label column and sums each scanned worker's footprint; the IDs
+// come from filtering the order by owner.
 func (o *hashOrder) cut(g *graph.Graph, assign *partition.Assignment, scan []bool) vertexTables {
 	o.grow(g.Slots())
-	vt := vertexTables{locals: make([]*localTable, assign.K)}
+	vt := vertexTables{dir: newDirectory(g, assign), locals: make([]*localTable, assign.K)}
+	vt.dir.labels = graph.NewLabels(g)
 	sizes := make([]int, assign.K)
 	for w, on := range scan {
 		if on {
 			vt.locals[w] = &localTable{}
 		}
 	}
-	vt.dir = newDirectory(g, assign, true, func(v *graph.Vertex, w int) {
-		if lt := vt.locals[w]; lt != nil {
+	g.ForEach(func(v *graph.Vertex) bool {
+		vt.dir.labels.Set(v)
+		if w := vt.dir.owner(v.ID); w >= 0 && vt.locals[w] != nil {
 			sizes[w]++
-			lt.footprint += v.FootprintBytes()
+			vt.locals[w].footprint += v.FootprintBytes()
 		}
+		return true
 	})
 	for w, lt := range vt.locals {
 		if lt != nil {

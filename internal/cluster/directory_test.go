@@ -58,7 +58,7 @@ func TestDirectoryLabelColumn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := newDirectory(g, assign, true, nil)
+			d := newVertexTables(g, assign, nil).dir
 			agree(fmt.Sprintf("seed %d %s", seed, name), g, d.labels)
 			columns = append(columns, d.labels)
 		}
@@ -103,37 +103,76 @@ func TestDirectoryLabelColumn(t *testing.T) {
 	}
 }
 
-// A directory slot names any worker — owners past 16 bits read back
-// exactly — and still takes 16 bytes.
+// Both views' directories read the columns they stand on: for every slot and
+// the IDs around it, owner is Assignment.Owner and local is the view's vertex
+// on its owner and, on G⁺, on every worker when graph.HotLists keeps it
+// resident — nil anywhere else. That holds for any worker count, owners past
+// 16 bits included, and at every epoch of a gen.Deltas stream with a final
+// batch deleting the hub: tombstones, the deleted hub and the IDs the batches
+// issued.
 func TestDirectoryArmFollowsIDSpan(t *testing.T) {
-	if size := unsafe.Sizeof(dirSlot{}); size != 16 {
-		t.Fatalf("a directory slot takes %d bytes, want 16", size)
+	if unsafe.Sizeof(directory{}.verts[0])+unsafe.Sizeof(directory{}.owners[0])+unsafe.Sizeof(graph.Vertex{}.Label) != graph.ResidentBudgetPerVertex {
+		t.Fatal("the per-vertex columns every worker holds no longer weigh the resident budget")
 	}
 	for _, workers := range []int{2, math.MaxInt16, math.MaxInt16 + 1, 1 << 20} {
-		g := graph.New(100)
-		for i := graph.VertexID(0); i < 100; i++ {
-			g.AddEdge(7+i, 7+(i+1)%100)
-		}
-		g.Freeze()
-		assign, err := partition.Hash{}.Partition(g, workers)
+		g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 1500, Seed: 4})
+		batches := gen.Deltas(g, gen.DeltasConfig{Batches: 3, Ops: 40, Seed: 11})
+		st, err := dyngraph.NewState(g, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := newDirectory(g, assign, true, nil)
-		widest := 0
-		g.ForEach(func(v *graph.Vertex) bool {
-			w := assign.Owner(v.ID)
-			if d.owner(v.ID) != w || d.local(v.ID, w) != v {
-				t.Fatalf("%d workers: vertex %d owned by %d reads as owner %d", workers, v.ID, w, d.owner(v.ID))
+		slots, widest, last := g.Slots(), 0, len(batches)+1
+		for epoch := 0; epoch <= last; epoch++ {
+			switch {
+			case epoch == last:
+				hub := g.IDs()[0]
+				g.ForEach(func(v *graph.Vertex) bool {
+					if len(v.Adj) > len(g.Vertex(hub).Adj) {
+						hub = v.ID
+					}
+					return true
+				})
+				batches = append(batches, dyngraph.Batch{Ops: []dyngraph.Mutation{{Op: dyngraph.OpDelVertex, ID: g.External(hub)}}})
+				fallthrough
+			case epoch > 0:
+				if _, err := st.Apply(g, batches[epoch-1]); err != nil {
+					t.Fatalf("%d workers, batch %d: %v", workers, epoch-1, err)
+				}
 			}
-			widest = max(widest, w)
-			return true
-		})
-		if d.owner(-1) != -1 || d.owner(graph.VertexID(g.Slots())) != -1 {
-			t.Fatalf("%d workers: an ID past the slots has an owner", workers)
+			assign, err := partition.Hash{}.Partition(g, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gplus := graph.Orient(g)
+			hot, _ := graph.HotLists(gplus, graph.ResidentBudgetPerVertex*int64(g.NumVertices()))
+			resident := newDirectory(gplus, assign)
+			resident.keepResident(hot, nil)
+			for _, d := range []*directory{newDirectory(g, assign), resident} {
+				for id := graph.VertexID(-3); id < graph.VertexID(g.Slots()+3); id++ {
+					w := assign.Owner(id)
+					if d.owner(id) != w {
+						t.Fatalf("%d workers, epoch %d: vertex %d owned by %d reads as owner %d", workers, epoch, id, w, d.owner(id))
+					}
+					kept := d == resident && slices.Contains(hot, id)
+					for _, self := range []int{w, (w + 1) % workers, -1} {
+						var want *graph.Vertex
+						if w >= 0 && (self == w || kept) {
+							want = d.g.Vertex(id)
+						}
+						if got := d.local(id, self); got != want {
+							t.Fatalf("%d workers, epoch %d: vertex %d (owner %d, resident %v) reads %p on worker %d, want %p",
+								workers, epoch, id, w, kept, got, self, want)
+						}
+					}
+					widest = max(widest, w)
+				}
+			}
 		}
 		if workers > math.MaxUint16+1 && widest <= math.MaxUint16 {
 			t.Fatalf("%d workers: no owner is wider than 16 bits (widest %d)", workers, widest)
+		}
+		if g.Slots() == slots || g.NumVertices() == g.Slots() {
+			t.Fatalf("%d workers: the stream issued no ID or left no tombstone", workers)
 		}
 	}
 }

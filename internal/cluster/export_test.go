@@ -57,12 +57,12 @@ func HoldLastSeed(cfg *Config, release <-chan struct{}) { cfg.seedHold = release
 func (o *orientedView) residentIDs() []graph.VertexID {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.dir == nil || o.dir.assign.K < 2 {
+	if o.dir == nil || len(o.locals) < 2 {
 		return nil
 	}
 	var ids []graph.VertexID
 	o.g.ForEach(func(v *graph.Vertex) bool {
-		if other := (o.dir.owner(v.ID) + 1) % o.dir.assign.K; o.dir.local(v.ID, other) != nil {
+		if other := (o.dir.owner(v.ID) + 1) % len(o.locals); o.dir.local(v.ID, other) != nil {
 			ids = append(ids, v.ID)
 		}
 		return true

@@ -138,6 +138,7 @@ func TestRestoreVsMigrateRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sp.Close()
 	st := store.New(store.Config{MemCapacity: 256, BlockCapacity: 64}, algo, sp, &metrics.Counters{})
 	if err := st.Insert(tasks); err != nil {
 		t.Fatal(err)

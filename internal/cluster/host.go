@@ -153,15 +153,19 @@ func (o *orientedView) tables(p core.Plan, g *graph.Graph, assign *partition.Ass
 }
 
 // cut builds the tables and the resident core over the freshly oriented view.
-// G⁺ has the base view's vertices and owners, so each worker's scan is
-// base's; only what a vertex weighs differs, and the directory's pass sums
-// that. Its labels are base's too, so it cuts no label column. The view's
+// G⁺ has base's vertices, owners and labels, so each worker's scan is base's
+// and only its footprint, summed in one pass over the view, differs. The
 // hottest forward lists stay on every worker, up to the weight of the
-// directory they are marked in, and the core re-expresses them as bit rows
-// when that pays; every worker's account carries both.
+// per-vertex columns every worker holds, and the core re-expresses them as
+// bit rows when that pays; every worker's account carries both.
 func (o *orientedView) cut(assign *partition.Assignment, base vertexTables) {
 	foot := make([]int64, len(base.locals))
-	dir := newDirectory(o.g, assign, false, func(v *graph.Vertex, w int) { foot[w] += v.FootprintBytes() })
+	dir := newDirectory(o.g, assign)
+	for id, w := range dir.owners {
+		if w >= 0 {
+			foot[w] += dir.verts[id].FootprintBytes()
+		}
+	}
 	ids, refs := graph.HotLists(o.g, graph.ResidentBudgetPerVertex*int64(o.g.NumVertices()))
 	dir.keepResident(ids, foot)
 	o.core = kernels.NewResidentCore(o.g, ids, refs)
@@ -240,6 +244,7 @@ func (h *goroutineHost) kill(i int) {
 	}
 	if w := h.workers[i]; w != nil {
 		w.kill()
+		w.spiller.Close() // its spilled blocks die with it
 	}
 	// The replacement must see the same (possibly faulty) network the rest
 	// of the cluster does.

@@ -239,6 +239,12 @@ func TestConfigDefaults(t *testing.T) {
 	if _, ok := reflect.TypeOf(Config{}).FieldByName("MaxPendingPulls"); ok {
 		t.Fatal("Config still has a task-count CMQ bound")
 	}
+	// What a launch stamps on one job is not a template knob.
+	for _, name := range []string{"JobID", "MemBudget", "GraphEpoch", "RoundHook"} {
+		if _, ok := reflect.TypeOf(Config{}).FieldByName(name); ok {
+			t.Fatalf("Config still exports the per-job field %s", name)
+		}
+	}
 	for _, capacity := range []int{64, 256, 1 << 16} {
 		if got := (Config{Threads: 2, CacheCapacity: capacity}).Defaults().cpqHighWater; got != 4*2*8 {
 			t.Fatalf("cache %d: CPQ high water %d, want %d", capacity, got, 4*2*8)
@@ -253,8 +259,8 @@ func TestConfigDefaults(t *testing.T) {
 			exported = append(exported, f.Name)
 		}
 	}
-	if len(exported) != 27 {
-		t.Fatalf("Config has %d exported fields, want 27: %v", len(exported), exported)
+	if len(exported) != 23 {
+		t.Fatalf("Config has %d exported fields, want 23: %v", len(exported), exported)
 	}
 }
 

@@ -120,7 +120,7 @@ func Start(g *graph.Graph, algo core.Algorithm, cfg Config) (*Job, error) {
 		return nil, err
 	}
 	s.oneShot = true
-	j, err := s.Launch(algo, JobOptions{ID: cfg.JobID, Tracer: cfg.Tracer, RoundHook: cfg.RoundHook})
+	j, err := s.Launch(algo, JobOptions{Tracer: cfg.Tracer})
 	if err != nil {
 		s.Close()
 	}
@@ -280,7 +280,7 @@ func (j *Job) Wait() (*Result, error) {
 		j.sess.mux.CloseChannel(j.ch)
 		results, collectErr := j.host.collect()
 		j.sink.close()
-		j.sess.forget(j.cfg.JobID)
+		j.sess.forget(j.cfg.jobID)
 
 		res := &Result{
 			Elapsed:       elapsed,
@@ -345,7 +345,7 @@ func (j *Job) Cancel() { j.cancelWith(ErrCancelled) }
 // CancelCause cancels like Cancel but attributes a cause: Wait's error
 // wraps both ErrCancelled and cause, so callers can distinguish a user
 // cancel from, say, a QoS preemption with errors.Is. A nil cause is a
-// plain Cancel. Safe to call from Config.RoundHook.
+// plain Cancel. Safe to call from JobOptions.RoundHook.
 func (j *Job) CancelCause(cause error) {
 	if cause == nil {
 		j.Cancel()
@@ -374,7 +374,7 @@ func (j *Job) Err() error {
 }
 
 // ID returns the job-scoped identifier (empty in single-shot mode).
-func (j *Job) ID() string { return j.cfg.JobID }
+func (j *Job) ID() string { return j.cfg.jobID }
 
 // WorkerSnapshots returns the current per-worker counters (live view for
 // monitoring; implements monitor.Source).

@@ -190,7 +190,7 @@ func decodeManifest(b []byte) (*manifest, error) {
 // same partitions, so one's snapshots are restorable by the other.
 func jobFingerprint(g *graph.Graph, algoName string, p core.Plan, cfg Config) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%t|%t|%d|%T|%d|", algoName, p.Oriented != nil, p.Labels != nil, cfg.Workers, cfg.Partitioner, cfg.GraphEpoch)
+	fmt.Fprintf(h, "%s|%t|%t|%d|%T|%d|", algoName, p.Oriented != nil, p.Labels != nil, cfg.Workers, cfg.Partitioner, cfg.graphEpoch)
 	var fold uint64
 	g.ForEach(func(v *graph.Vertex) bool {
 		fold = fold*0x100000001b3 + uint64(g.External(v.ID))*2654435761 + uint64(len(v.Adj))

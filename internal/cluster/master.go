@@ -135,8 +135,8 @@ func (m *master) run() {
 			nextRound = now.Add(tick)
 			m.periodic()
 			round++
-			if m.cfg.RoundHook != nil {
-				m.cfg.RoundHook(round)
+			if m.cfg.roundHook != nil {
+				m.cfg.roundHook(round)
 			}
 		}
 		if m.checkTermination(now) {

@@ -1,7 +1,9 @@
 package cluster_test
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -34,7 +36,9 @@ func remoteTestCluster(t *testing.T, g *graph.Graph, cfg cluster.Config,
 		o := wopt
 		o.Coordinator = rs.Addr()
 		o.Node = i
-		o.Logf = t.Logf
+		if o.Logf == nil {
+			o.Logf = t.Logf
+		}
 		if wopt.CheckpointDir != "" {
 			o.CheckpointDir = filepath.Join(wopt.CheckpointDir, fmt.Sprintf("node-%d", i))
 		}
@@ -327,6 +331,159 @@ func TestRemoteJobKillRecoverWorker(t *testing.T) {
 			t.Fatalf("auto=%v: the worker process must have survived its job's kill: %+v", auto, health[1])
 		}
 		rs.Close()
+	}
+}
+
+// A worker process with no checkpoint directory keeps a job's snapshots in
+// its own temporary root across a restart of the job's worker: killed after
+// a commit, the replacement restores a committed epoch, and the records are
+// the fault-free run's.
+func TestRemoteWorkerRestoresWithoutCheckpointDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second kill/recover soak")
+	}
+	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 40000, Seed: 103})
+	sp := fencingSpec()
+	jobspec.Prepare(g, sp)
+	cfg := smallConfig()
+	cfg.Partitioner = partition.Hash{}
+	cfg.Stealing = false // a migration in flight at kill time would be lost
+	want := fencingRef(t, g, sp, cfg)
+
+	coordDir := t.TempDir()
+	cfg.CheckpointDir = coordDir
+	release := holdJobs(&cfg)
+	restored := make(chan struct{}, 1)
+	wopt := cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond, Logf: func(format string, args ...any) {
+		t.Logf(format, args...)
+		if strings.Contains(format, "restored from committed epoch") {
+			select {
+			case restored <- struct{}{}:
+			default: // the test reads one; never block the worker process
+			}
+		}
+	}}
+	rs, _ := remoteTestCluster(t, g, cfg, cluster.ResultTimeout(240*time.Second), wopt)
+	a, err := jobspec.Build(g, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := rs.Launch(a, cluster.JobOptions{ID: "tmp-restore", Spec: &sp, CheckpointEvery: 3 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitManifest(t, j, coordDir, "tmp-restore")
+	j.KillWorker(1)
+	if err := j.RecoverWorker(1); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	res, err := j.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Records, want) {
+		t.Fatalf("records diverge after kill+recover: got %d records, want %d", len(res.Records), len(want))
+	}
+	select {
+	case <-restored:
+	default:
+		t.Fatal("the replacement started fresh: its snapshots died with the killed worker")
+	}
+}
+
+// A job that ends while its worker lies killed takes that worker's snapshots
+// out of the process's temporary root: its stop reaches the process before
+// the next job's start does, so once that job is through the directory is
+// gone, and Close leaves nothing in TMPDIR.
+func TestRemoteKilledWorkerSnapshotsEndWithJob(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	t.Cleanup(func() { // runs after the worker processes' Close
+		if left, _ := os.ReadDir(tmp); len(left) != 0 {
+			t.Errorf("Close left %v in TMPDIR", left)
+		}
+	})
+	g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 2500, Seed: 61})
+	sp := jobspec.Spec{App: "tc"}.Normalize()
+	jobspec.Prepare(g, sp)
+	cfg := smallConfig()
+	cfg.Stealing = false
+	coordDir := t.TempDir()
+	cfg.CheckpointDir = coordDir
+	release := holdJobs(&cfg)
+	rs, _ := remoteTestCluster(t, g, cfg, cluster.ResultTimeout(time.Second), cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
+	a, err := jobspec.Build(g, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := rs.Launch(a, cluster.JobOptions{ID: "killed", Spec: &sp, CheckpointEvery: 3 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitManifest(t, j, coordDir, "killed")
+	if held, _ := filepath.Glob(filepath.Join(tmp, "gminer-worker-*", "killed")); len(held) != cfg.Workers {
+		t.Fatalf("snapshot directories %v, want one per worker process", held)
+	}
+	j.KillWorker(1)
+	j.Cancel()
+	if _, err := j.Wait(); !errors.Is(err, cluster.ErrCancelled) {
+		t.Fatalf("cancelled job: %v", err)
+	}
+	release()
+	next, err := rs.Launch(a, cluster.JobOptions{ID: "next", Spec: &sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if held, _ := filepath.Glob(filepath.Join(tmp, "gminer-worker-*", "killed")); len(held) != 0 {
+		t.Fatalf("the ended job left %v", held)
+	}
+}
+
+// A worker process that cannot start a job's worker — here its checkpoint
+// directory cannot be made — nacks the start, and the coordinator fails the
+// job at once with the worker's error instead of waiting for a result that
+// never comes.
+func TestRemoteWorkerStartFailureFailsJob(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 2000, Seed: 3})
+	sp := jobspec.Spec{App: "tc"}.Normalize()
+	jobspec.Prepare(g, sp)
+	cfg := smallConfig()
+	blocker := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rs, _ := remoteTestCluster(t, g, cfg, cluster.RemoteSessionConfig{}, cluster.WorkerOptions{CheckpointDir: blocker})
+	a, err := jobspec.Build(g, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	j, err := rs.Launch(a, cluster.JobOptions{ID: "doomed", Spec: &sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := j.Wait()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if elapsed := time.Since(start); elapsed > time.Second {
+			t.Fatalf("the job failed after %v", elapsed)
+		}
+		if err == nil || !strings.Contains(err.Error(), "cluster: worker ") || !strings.Contains(err.Error(), "not a directory") {
+			t.Fatalf("job error %v, want the worker and its cause", err)
+		}
+		if j.Err() == nil || j.Err().Error() != err.Error() {
+			t.Fatalf("Job.Err %v, Wait %v", j.Err(), err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job did not fail within 30 s")
 	}
 }
 

@@ -31,7 +31,8 @@ const (
 	// job's worker (failure simulation).
 	ctrlJobStop
 	// ctrlJobResult: worker process → coordinator. The worker's final
-	// records and counter snapshot for one finished job.
+	// records and counter snapshot for one finished job — or, with Err set,
+	// the nack of a ctrlJobStart the process could not carry out.
 	ctrlJobResult
 	// ctrlTopology: coordinator → worker process. The current peer
 	// address table; re-broadcast on every join so live workers learn a
@@ -108,6 +109,9 @@ type jobResultMsg struct {
 	// Gen is the sender's fencing generation; the coordinator refuses a
 	// result from a generation older than the slot's current one.
 	Gen int64 `json:"gen,omitempty"`
+	// Err, when set, nacks the job's start: the worker process could not
+	// build the job's worker, and the coordinator fails the job with it.
+	Err string `json:"err,omitempty"`
 }
 
 // topologyMsg is the ctrlTopology payload: dial addresses by node index

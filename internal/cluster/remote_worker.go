@@ -14,6 +14,7 @@ import (
 	"gminer/internal/jobspec"
 	"gminer/internal/metrics"
 	"gminer/internal/partition"
+	"gminer/internal/spill"
 	"gminer/internal/transport"
 )
 
@@ -33,10 +34,11 @@ type WorkerOptions struct {
 	// to the bound listen address.
 	Advertise string
 	// CheckpointDir is where this process keeps its per-job snapshot
-	// files; a replacement claiming the same slot must point at the same
-	// directory (or a copy) to restore. Empty gives each start of a job's
-	// worker a temporary directory, removed when that worker ends, so a
-	// killed worker restarts from scratch.
+	// files; a replacement process claiming the same slot must point at the
+	// same directory (or a copy) to restore. Empty keeps a checkpointing
+	// job's snapshots in a temporary root of this process, removed when the
+	// job ends and at Close: a job's worker restarted within the process
+	// restores, a replacement process does not.
 	CheckpointDir string
 	// JoinTimeout bounds the join handshake, redials included (default 30s
 	// — a coordinator restart takes seconds).
@@ -73,6 +75,7 @@ type workerJob struct {
 	w        *Worker
 	counters *metrics.Counters
 	done     chan struct{} // closed once runJob has torn the job down
+	tmp      string        // the job's snapshot directory under the process's temporary root, if any
 }
 
 // WorkerProcess hosts one engine worker node in its own OS process: it
@@ -115,8 +118,10 @@ type WorkerProcess struct {
 	loopWg  sync.WaitGroup // ctl + heartbeat loops (exit when the transport closes)
 	jobWg   sync.WaitGroup // runJob goroutines (exit when their job stops)
 
+	root spill.TempDir // holds checkpointing jobs' snapshots without a CheckpointDir
+
 	mu     sync.Mutex
-	jobs   map[uint64]*workerJob
+	jobs   map[uint64]*workerJob // a killed worker's job stays until its restart or the job's stop
 	closed bool
 }
 
@@ -145,6 +150,7 @@ func StartWorkerProcess(g *graph.Graph, cfg Config, opt WorkerOptions) (*WorkerP
 		ctlDone: make(chan struct{}),
 		drainOK: make(chan struct{}),
 		jobs:    make(map[uint64]*workerJob),
+		root:    spill.TempDir{Pattern: "gminer-worker-"},
 	}
 	wp.fingerprint = jobFingerprint(g, "session", core.Plan{}, cfg)
 
@@ -306,6 +312,9 @@ func (wp *WorkerProcess) ctlLoop() {
 			case wj == nil:
 			case m.Kill:
 				wj.w.kill()
+			case wj.w.killed.Load(): // the job ended before the killed worker's restart
+				<-wj.done
+				wp.endJob(wj)
 			default:
 				wj.w.stop()
 			}
@@ -387,20 +396,29 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 	algo, err := jobspec.Build(wp.g, spec)
 	if err != nil {
 		// The coordinator validated the same spec; disagreeing here means a
-		// version skew the handshake should have caught. The job will fail
-		// at the coordinator's result timeout.
-		wp.logf("job %s: cannot build %q: %v", m.JobID, spec.App, err)
+		// version skew the handshake should have caught.
+		wp.nack(m, fmt.Errorf("cannot build %q: %w", spec.App, err))
 		return
 	}
 	tables := wp.oriented.tables(core.PlanOf(algo), wp.g, wp.assign, 0, wp.tables)
 
 	cfg := jobConfig(wp.cfg, m.JobID, time.Duration(m.CheckpointEverySeconds*float64(time.Second)))
-	// resume=true keeps existing snapshot files (this is a rejoin after a
-	// crash; the refs below vouch for them). A fresh start clears leftovers
-	// from any previous job sharing the directory.
+	var tmp string
+	if cfg.CheckpointDir == "" && (cfg.CheckpointEvery > 0 || len(m.Resume) > 0) {
+		root, err := wp.root.Path()
+		if err != nil {
+			wp.nack(m, fmt.Errorf("checkpoint: %w", err))
+			return
+		}
+		tmp = filepath.Join(root, m.JobID)
+		cfg.CheckpointDir = tmp
+	}
+	// resume=true keeps existing snapshot files (a restart after a kill, or
+	// a rejoin after a crash; the refs below vouch for them). A fresh start
+	// clears leftovers from any previous job sharing the directory.
 	sink, err := newSnapshotSink(cfg.CheckpointDir, cfg.Workers, wp.fingerprint, wp.generation, len(m.Resume) > 0)
 	if err != nil {
-		wp.logf("job %s: checkpoint sink: %v", m.JobID, err)
+		wp.nack(m, fmt.Errorf("checkpoint sink: %w", err))
 		return
 	}
 
@@ -409,13 +427,13 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 	perNode[wp.node] = counters
 	eps, err := wp.mux.Open(m.Channel, perNode, nil)
 	if err != nil {
-		wp.logf("job %s: open channel %d: %v", m.JobID, m.Channel, err)
+		wp.nack(m, fmt.Errorf("open channel %d: %w", m.Channel, err))
 		return
 	}
 	w, restored, err := buildWorker(wp.node, cfg, algo, tables, eps[wp.node], counters, sink, m.Resume, false)
 	if err != nil {
-		wp.logf("job %s: worker build: %v", m.JobID, err)
 		wp.mux.CloseChannel(m.Channel)
+		wp.nack(m, fmt.Errorf("worker build: %w", err))
 		return
 	}
 	if restored != noEpoch {
@@ -424,7 +442,7 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		wp.logf("job %s: none of %d committed epoch(s) restorable; starting fresh", m.JobID, len(m.Resume))
 	}
 
-	wj := &workerJob{channel: m.Channel, id: m.JobID, w: w, counters: counters, done: make(chan struct{})}
+	wj := &workerJob{channel: m.Channel, id: m.JobID, w: w, counters: counters, done: make(chan struct{}), tmp: tmp}
 	wp.mu.Lock()
 	if wp.closed {
 		wp.mu.Unlock()
@@ -439,6 +457,14 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 
 	w.start()
 	go wp.runJob(wj)
+}
+
+// nack tells the coordinator that this process cannot start job m's worker:
+// a result carrying err, on which the coordinator fails the job at once.
+func (wp *WorkerProcess) nack(m *jobStartMsg, err error) {
+	wp.logf("job %s: %v", m.JobID, err)
+	res := jobResultMsg{Channel: m.Channel, JobID: m.JobID, Worker: wp.node, Gen: wp.generation, Err: err.Error()}
+	_ = wp.ctl.Send(wp.cfg.Workers, ctrlJobResult, encodeCtrl(res))
 }
 
 // runJob waits out one job's pipeline (the engine worker stops itself on
@@ -461,9 +487,21 @@ func (wp *WorkerProcess) runJob(wj *workerJob) {
 	wj.w.spiller.Close()
 	wj.w.snapshots.close()
 	wp.mux.CloseChannel(wj.channel)
+	if !wj.w.killed.Load() {
+		wp.endJob(wj)
+	}
+}
+
+// endJob forgets a job whose worker here has ended and removes its snapshots
+// from the temporary root. A killed worker's job ends only at its restart's
+// end, or at the job's stop: until then its restart may restore from them.
+func (wp *WorkerProcess) endJob(wj *workerJob) {
 	wp.mu.Lock()
 	delete(wp.jobs, wj.channel)
 	wp.mu.Unlock()
+	if wj.tmp != "" {
+		_ = os.RemoveAll(wj.tmp)
+	}
 }
 
 // Drain performs the graceful-detach protocol (the SIGTERM path of a
@@ -552,6 +590,7 @@ func (wp *WorkerProcess) shutdown(crash bool) {
 	wp.mux.WaitDemux()
 	wp.jobWg.Wait()
 	wp.loopWg.Wait()
+	wp.root.Close()
 }
 
 func (wp *WorkerProcess) logf(format string, args ...any) {

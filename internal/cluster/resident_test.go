@@ -35,15 +35,16 @@ func orientedTables(t testing.TB, g *graph.Graph, p partition.Partitioner, k int
 }
 
 // The resident column is the same set on both directory arms, on every
-// worker and in every process: graph.HotLists of the view at a budget of one
-// directory slot per vertex. local answers for a resident vertex on every
-// worker and for anything else on its owner alone, owner still names the
-// owner, each worker's memory account carries the resident lists it does not
-// own and the view's resident core, and the slot has not grown. A copy of the
-// graph with its external IDs strided apart keeps the same lists and core.
+// worker and in every process: graph.HotLists of the view at a budget of what
+// the per-vertex columns every worker holds weigh. local answers for a
+// resident vertex on every worker and for anything else on its owner alone,
+// owner still names the owner, each worker's memory account carries the
+// resident lists it does not own and the view's resident core, and those
+// columns have not grown. A copy of the graph with its external IDs strided
+// apart keeps the same lists and core.
 func TestResidentColumn(t *testing.T) {
-	if size := unsafe.Sizeof(dirSlot{}); size != graph.ResidentBudgetPerVertex {
-		t.Fatalf("dirSlot is %d bytes, the resident budget %d per vertex", size, graph.ResidentBudgetPerVertex)
+	if size := unsafe.Sizeof(directory{}.verts[0]) + unsafe.Sizeof(directory{}.owners[0]) + unsafe.Sizeof(graph.Vertex{}.Label); size != graph.ResidentBudgetPerVertex {
+		t.Fatalf("the per-vertex columns weigh %d bytes, the resident budget %d per vertex", size, graph.ResidentBudgetPerVertex)
 	}
 	dense := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 9000, Seed: 5})
 	strided, relabel := StridedIDs(dense)
@@ -56,6 +57,10 @@ func TestResidentColumn(t *testing.T) {
 			const k = 3
 			ot, view, _ := orientedTables(t, g, p, k, allWorkers(k))
 			d := ot.dir
+			assign, err := p.Partition(g, k)
+			if err != nil {
+				t.Fatal(err)
+			}
 			got := view.residentIDs()
 			slices.Sort(got)
 			sorted := slices.Clone(want)
@@ -70,8 +75,8 @@ func TestResidentColumn(t *testing.T) {
 				if resident {
 					bytes += v.FootprintBytes()
 				}
-				if d.owner(v.ID) != d.assign.Owner(v.ID) {
-					t.Fatalf("arm %d/%s: owner(%d) = %d, the assignment says %d", arm, p.Name(), v.ID, d.owner(v.ID), d.assign.Owner(v.ID))
+				if d.owner(v.ID) != assign.Owner(v.ID) {
+					t.Fatalf("arm %d/%s: owner(%d) = %d, the assignment says %d", arm, p.Name(), v.ID, d.owner(v.ID), assign.Owner(v.ID))
 				}
 				for self := 0; self < k; self++ {
 					here := resident || d.owner(v.ID) == self

@@ -278,7 +278,7 @@ func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 // subdirectory under the template's (none without one).
 func jobConfig(tmpl Config, id string, checkpointEvery time.Duration) Config {
 	cfg := tmpl
-	cfg.JobID = id
+	cfg.jobID = id
 	if checkpointEvery > 0 {
 		cfg.CheckpointEvery = checkpointEvery
 	}
@@ -291,14 +291,14 @@ func jobConfig(tmpl Config, id string, checkpointEvery time.Duration) Config {
 // build assembles everything of a job short of running it.
 func (s *Session) build(a core.Algorithm, opt JobOptions, id string, ch uint64, resume bool) (*Job, error) {
 	cfg := jobConfig(s.cfg, id, opt.CheckpointEvery)
-	cfg.GraphEpoch = s.epoch.Load()
+	cfg.graphEpoch = s.epoch.Load()
 	cfg.Resume = resume
 	cfg.Tracer = opt.Tracer
-	cfg.RoundHook = opt.RoundHook
+	cfg.roundHook = opt.RoundHook
 	if opt.MemBudgetBytes > 0 {
 		// Charged from worker progress loops, so only the goroutine host
 		// enforces it; the serving layer's admission costing applies anyway.
-		cfg.MemBudget = memctl.NewBudget(opt.MemBudgetBytes)
+		cfg.memBudget = memctl.NewBudget(opt.MemBudgetBytes)
 	}
 	if opt.Seeds != nil {
 		cfg.seeds = make(map[graph.VertexID]struct{}, len(opt.Seeds))
@@ -374,7 +374,7 @@ func (s *Session) build(a core.Algorithm, opt JobOptions, id string, ch uint64, 
 		return j, nil
 	}
 	// j holds its epoch lease: the view is of the graph j runs on.
-	tables := s.oriented.tables(plan, s.g, s.assign, cfg.GraphEpoch, s.tables)
+	tables := s.oriented.tables(plan, s.g, s.assign, cfg.graphEpoch, s.tables)
 	workers := eps[:cfg.Workers]
 	if s.wrapEps != nil {
 		s.wrapEps(workers)
@@ -489,10 +489,11 @@ type JobOptions struct {
 	// CheckpointEvery overrides the template's checkpoint interval for
 	// this job; 0 inherits it.
 	CheckpointEvery time.Duration
-	// RoundHook, if non-nil, is called by the job's master once per
-	// scheduling round (see Config.RoundHook). The serving layer's QoS
-	// enforcement point: budget and deadline checks run here so a job is
-	// only ever stopped at a round boundary.
+	// RoundHook, if non-nil, is called with the round number by the job's
+	// master goroutine once per scheduling round, at least once per 2 ms
+	// heartbeat while the job runs. The serving layer's QoS checks budgets
+	// and deadlines here, so a job is only ever stopped at a round boundary;
+	// the hook may call Job.CancelCause, and must be fast.
 	RoundHook func(round int64)
 	// Spec is the job's normalized workload spec, what the process host's
 	// worker processes rebuild the algorithm from (jobspec.Build), since a
@@ -544,7 +545,7 @@ func (s *Session) Fingerprint() uint64 {
 	s.epochMu.RLock()
 	defer s.epochMu.RUnlock()
 	cfg := s.cfg
-	cfg.GraphEpoch = s.epoch.Load()
+	cfg.graphEpoch = s.epoch.Load()
 	return jobFingerprint(s.g, "session", core.Plan{}, cfg)
 }
 

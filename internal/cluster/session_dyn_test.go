@@ -418,8 +418,8 @@ func TestOrientedViewFollowsGraphEpoch(t *testing.T) {
 	if reowned == 0 || epr.MovedBlocks == 0 {
 		t.Fatalf("the batch re-owned %d vertices (%d blocks moved): it does not test what it is for", reowned, epr.MovedBlocks)
 	}
-	if added := len(batch.Ops) / 3; g.Slots() != slots+added || len(s.tables.dir.slots) != slots+added {
-		t.Fatalf("%d new vertices: the graph has %d slots and the directory %d, want %d", added, g.Slots(), len(s.tables.dir.slots), slots+added)
+	if added := len(batch.Ops) / 3; g.Slots() != slots+added || len(s.tables.dir.verts) != slots+added {
+		t.Fatalf("%d new vertices: the graph has %d slots and the directory %d, want %d", added, g.Slots(), len(s.tables.dir.verts), slots+added)
 	}
 	want := algo.RefTriangles(g)
 	if want != prev+int64(len(batch.Ops)/3) {

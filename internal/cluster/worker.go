@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -150,7 +149,7 @@ type Worker struct {
 	snapshots   *snapshotSink
 	stealPolicy CostPolicy
 
-	// Memory budget (Config.MemBudget): budgetCharged is what this worker
+	// Memory budget (JobOptions.MemBudgetBytes): budgetCharged is what this worker
 	// currently has charged (store + cache bytes; only touched from the
 	// progress loop), oomFn aborts the job when a charge overflows.
 	budgetCharged int64
@@ -203,13 +202,9 @@ func newWorker(id int, cfg Config, algo core.Algorithm, dir *directory, local *l
 		w.aggGlobal = w.agg.Zero()
 	}
 
-	spillDir := cfg.SpillDir
-	if spillDir != "" {
-		// The JobID segment keeps concurrent jobs' spill files apart; it is
-		// empty (a no-op path segment) in single-shot mode.
-		spillDir = filepath.Join(spillDir, cfg.JobID, fmt.Sprintf("worker-%d", id))
-	}
-	sp, err := spill.New(spillDir, counters)
+	// Every spiller makes a directory of its own under SpillDir, so jobs,
+	// workers and a killed worker's replacement never share block files.
+	sp, err := spill.New(cfg.SpillDir, counters)
 	if err != nil {
 		return nil, err
 	}
@@ -1080,16 +1075,16 @@ func (w *Worker) reportIfIdle() {
 func (w *Worker) observeMemory() {
 	owned := w.store.MemBytes() + w.cache.Bytes()
 	w.counters.ObserveLive(w.graphFoot + owned)
-	if w.cfg.MemBudget == nil {
+	if w.cfg.memBudget == nil {
 		return
 	}
 	delta := owned - w.budgetCharged
 	w.budgetCharged = owned
 	if delta < 0 {
-		w.cfg.MemBudget.Release(-delta)
+		w.cfg.memBudget.Release(-delta)
 		return
 	}
-	if err := w.cfg.MemBudget.Charge(delta); err != nil && w.oomFn != nil {
+	if err := w.cfg.memBudget.Charge(delta); err != nil && w.oomFn != nil {
 		w.oomFn(fmt.Errorf("worker %d: %w", w.id, err))
 	}
 }

@@ -245,6 +245,10 @@ func (g *Graph) Has(id VertexID) bool { return g.Vertex(id) != nil }
 // ID i, or nil for a tombstone.
 func (g *Graph) VertexAt(i int) *Vertex { return g.verts[i] }
 
+// Table returns a frozen graph's vertex table by internal ID, nil at a
+// tombstone: the graph's own storage, read-only, changed by Dyn* mutations.
+func (g *Graph) Table() []*Vertex { return g.verts }
+
 // External returns the external ID of internal ID id: what a file, a
 // mutation or a record names the vertex by. Before Freeze IDs are external.
 func (g *Graph) External(id VertexID) VertexID {

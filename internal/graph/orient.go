@@ -132,9 +132,10 @@ func (d *degrees) cut(fwd []VertexID, v *Vertex) []VertexID {
 }
 
 // ResidentBudgetPerVertex is the byte budget of a view's resident set, per
-// vertex of the view: what a slot of the engine's vertex directory weighs. The
-// columns replicated on every worker may double for the lists that save the
-// most pulls, no more — a budget read off the structure it rides in, so there
+// vertex of the view: what the per-vertex columns every worker holds weigh —
+// the vertex table's 8 B pointer, the owner column's 4 B and the label
+// column's 4 B. Those columns may double for the lists that save the most
+// pulls, no more — a budget read off the structures it rides beside, so there
 // is nothing to tune. The engine and algo.SeqRun cut the same set with it.
 const ResidentBudgetPerVertex = 16
 

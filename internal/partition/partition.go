@@ -32,6 +32,10 @@ func (a *Assignment) Owner(id graph.VertexID) int {
 	return -1
 }
 
+// Owners returns the owner column by internal ID: the assignment's own
+// storage, read-only, for readers that index it in a hot loop.
+func (a *Assignment) Owners() []int32 { return a.owner }
+
 // newAssignment returns an assignment of g to k workers with no vertex
 // placed yet.
 func newAssignment(g *graph.Graph, k int) *Assignment {

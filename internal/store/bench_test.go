@@ -24,6 +24,7 @@ func benchTasks(n int) []*core.Task {
 
 func benchStore(b *testing.B, cfg Config) {
 	sp, _ := spill.New("", nil)
+	defer sp.Close()
 	s := New(cfg, core.NoContext{}, sp, nil)
 	tasks := benchTasks(1024)
 	b.ResetTimer()
@@ -53,6 +54,7 @@ func BenchmarkInsertPopSpilling(b *testing.B) {
 
 func BenchmarkSnapshot(b *testing.B) {
 	sp, _ := spill.New("", nil)
+	defer sp.Close()
 	s := New(Config{MemCapacity: 256, BlockCapacity: 128, LSHDims: 4}, core.NoContext{}, sp, nil)
 	_ = s.Insert(benchTasks(1024))
 	b.ResetTimer()

@@ -2,6 +2,8 @@ package store
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -24,6 +26,7 @@ func newStore(t *testing.T, cfg Config, dir string) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(sp.Close)
 	return New(cfg, core.NoContext{}, sp, &metrics.Counters{})
 }
 
@@ -125,6 +128,35 @@ func TestSpillAndReload(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("task set mismatch at %d: %d vs %d", i, got[i], want[i])
 		}
+	}
+}
+
+// With no directory configured a spilling store's blocks go to disk, under a
+// temporary directory in TMPDIR — never RAM, which MemBytes has stopped
+// counting — and closing the spiller leaves nothing behind.
+func TestSpillWithoutDirGoesToTempDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	sp, err := spill.New("", &metrics.Counters{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{MemCapacity: 8, BlockCapacity: 4, LSHDims: 4}, core.NoContext{}, sp, nil)
+	var batch []*core.Task
+	for i := uint64(0); i < 50; i++ {
+		batch = append(batch, mkTask(i, graph.VertexID(i%7+100)))
+	}
+	if err := s.Insert(batch); err != nil {
+		t.Fatal(err)
+	}
+	blocks, _ := filepath.Glob(filepath.Join(tmp, "gminer-spill-*", "block-*.bin"))
+	if s.SpilledBlocks() == 0 || len(blocks) != s.SpilledBlocks() {
+		t.Fatalf("%d spilled blocks, %d block files under TMPDIR", s.SpilledBlocks(), len(blocks))
+	}
+	s.Close()
+	sp.Close()
+	if entries, _ := os.ReadDir(tmp); len(entries) != 0 {
+		t.Fatalf("closing the spiller left %d entries in TMPDIR", len(entries))
 	}
 }
 
@@ -258,6 +290,7 @@ func TestQuickNoTaskLoss(t *testing.T) {
 		}
 		cfg := Config{MemCapacity: int(memCap8%16) + 2, BlockCapacity: 2, LSHDims: 4}
 		sp, _ := spill.New("", nil)
+		defer sp.Close()
 		s := New(cfg, core.NoContext{}, sp, nil)
 		want := map[uint64]int{}
 		for i, x := range seeds {

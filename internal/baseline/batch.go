@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"container/list"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -394,26 +395,21 @@ func (w *batchWorker) LocalVertex(id graph.VertexID) *graph.Vertex {
 }
 
 // lruCache is the plain LRU vertex cache (no reference counting — the
-// contrast to G-Miner's RCV cache).
+// contrast to G-Miner's RCV cache): a map into a recency list, most recent
+// at the front.
 type lruCache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[graph.VertexID]*lruEntry
-	head     *lruEntry // most recent
-	tail     *lruEntry // least recent
+	entries  map[graph.VertexID]*list.Element // values are *graph.Vertex
+	order    *list.List
 	bytes    int64
-}
-
-type lruEntry struct {
-	v          *graph.Vertex
-	prev, next *lruEntry
 }
 
 func newLRU(capacity int) *lruCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lruCache{capacity: capacity, entries: make(map[graph.VertexID]*lruEntry)}
+	return &lruCache{capacity: capacity, entries: make(map[graph.VertexID]*list.Element), order: list.New()}
 }
 
 func (c *lruCache) get(id graph.VertexID) (*graph.Vertex, bool) {
@@ -423,8 +419,8 @@ func (c *lruCache) get(id graph.VertexID) (*graph.Vertex, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.moveFront(e)
-	return e.v, true
+	c.order.MoveToFront(e)
+	return e.Value.(*graph.Vertex), true
 }
 
 // put inserts without evicting: a communication phase must be able to pin
@@ -435,58 +431,22 @@ func (c *lruCache) put(v *graph.Vertex) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[v.ID]; ok {
-		c.moveFront(e)
+		c.order.MoveToFront(e)
 		return
 	}
-	e := &lruEntry{v: v}
-	c.entries[v.ID] = e
+	c.entries[v.ID] = c.order.PushFront(v)
 	c.bytes += v.FootprintBytes()
-	c.pushFront(e)
 }
 
 // trim evicts least-recently-used entries down to capacity.
 func (c *lruCache) trim() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.entries) > c.capacity && c.tail != nil {
-		victim := c.tail
-		c.unlink(victim)
-		delete(c.entries, victim.v.ID)
-		c.bytes -= victim.v.FootprintBytes()
+	for len(c.entries) > c.capacity {
+		victim := c.order.Remove(c.order.Back()).(*graph.Vertex)
+		delete(c.entries, victim.ID)
+		c.bytes -= victim.FootprintBytes()
 	}
-}
-
-func (c *lruCache) moveFront(e *lruEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
-}
-
-func (c *lruCache) pushFront(e *lruEntry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *lruCache) unlink(e *lruEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }
 
 // External implements core.Env.

@@ -9,8 +9,8 @@ import (
 	"sync"
 	"time"
 
+	"gminer/internal/core"
 	"gminer/internal/spill"
-	"gminer/internal/store"
 	"gminer/internal/trace"
 	"gminer/internal/wire"
 )
@@ -44,7 +44,7 @@ type workerSnapshot struct {
 	Epoch      int64
 	SeedCursor int64
 	SeedsDone  bool
-	TaskBytes  []byte // store.Snapshot payload
+	TaskBytes  []byte // the stored tasks as one core.EncodeTasks list (store.Snapshot)
 	Results    []string
 	AggBytes   []byte // encoded aggregator partial; nil if no aggregator
 }
@@ -406,56 +406,93 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// checkpoint quiesces the pipeline and persists a snapshot, then acks the
-// master with the payload checksum. Runs on its own goroutine (must not
-// block the comm loop, which keeps serving pull requests during the global
-// checkpoint). Failure to snapshot or persist is acked negatively so the
-// master abandons the epoch immediately instead of waiting out a timeout.
-func (w *Worker) checkpoint(epoch int64) {
+// requestCheckpoint hands epoch to the worker's one checkpointer, started at
+// the first request. A newer request supersedes one still quiescing: that
+// one is nacked and the pipeline stays paused for the newer, so however
+// often the master abandons an epoch and starts the next, one goroutine
+// checkpoints and no cut is taken while another has unpaused the pipeline.
+// Comm loop only.
+func (w *Worker) requestCheckpoint(epoch int64) {
+	if epoch <= w.ckptEpoch.Load() {
+		return // a duplicated or reordered request
+	}
+	w.ckptEpoch.Store(epoch)
+	if w.ckptKick == nil {
+		w.ckptKick = make(chan struct{}, 1)
+		// Tracked in wg so job teardown can prove the checkpointer does not
+		// outlive the job (leak-checked reruns).
+		w.wg.Add(1)
+		go func() {
+			defer w.wg.Done()
+			w.checkpointLoop()
+		}()
+	}
+	select {
+	case w.ckptKick <- struct{}{}:
+	default:
+	}
+	w.wake() // a quiescing checkpoint sees it is superseded
+}
+
+// checkpointLoop is the worker's checkpointer: kicked, it checkpoints the
+// newest requested epoch it has not acked yet.
+func (w *Worker) checkpointLoop() {
+	var acked int64
+	for {
+		select {
+		case <-w.stopCh:
+			return
+		case <-w.ckptKick:
+		}
+		if w.ckptEpoch.Load() > acked {
+			acked = w.checkpoint()
+		}
+	}
+}
+
+// checkpoint quiesces the pipeline and persists a snapshot of the newest
+// requested epoch, then acks the master with the payload checksum; it
+// returns the epoch it acked last. It runs on the checkpointer, not the comm
+// loop, which keeps serving pull requests during the global checkpoint.
+// Failure to snapshot or persist is acked negatively so the master abandons
+// the epoch immediately instead of waiting out a timeout.
+func (w *Worker) checkpoint() int64 {
 	w.paused.Store(true)
 	defer func() {
 		w.paused.Store(false)
 		w.wake()
 	}()
+	epoch := w.ckptEpoch.Load()
 	var ckptStart time.Time
-	if w.trCkpt.Active() {
-		ckptStart = time.Now()
-		w.trCkpt.Event(trace.EvCheckpointBegin, uint64(epoch))
-	}
-
-	// Quiesce: wait until every alive task is inactive in the store. Each
-	// task that parks or dies while the gate is closed wakes this wait
-	// (bufferTask, taskDead), as do stop and the deadline.
-	deadline := time.Now().Add(checkpointQuiesceTimeout)
-	timer := time.AfterFunc(checkpointQuiesceTimeout, w.wake)
-	defer timer.Stop()
-	quiesced := func() bool {
-		w.flushBatch(w.buffer.drain())
-		return int64(w.store.Size()) == w.inflight.Load() && w.buffer.len() == 0
-	}
-	w.pendMu.Lock()
-	ok := quiesced()
-	for !ok && !w.stopped() && time.Now().Before(deadline) {
-		w.pendCond.Wait()
-		ok = quiesced()
-	}
-	w.pendMu.Unlock()
-	if w.stopped() {
-		return
-	}
-	if !ok {
-		// Could not quiesce (pathological pull starvation); skip this
-		// checkpoint rather than stall the job. The negative ack lets the
-		// master abandon the epoch right away.
+	for {
+		if w.trCkpt.Active() {
+			ckptStart = time.Now()
+			w.trCkpt.Event(trace.EvCheckpointBegin, uint64(epoch))
+		}
+		ok := w.quiesce(epoch)
+		if w.stopped() {
+			return epoch
+		}
+		next := w.ckptEpoch.Load()
+		if next == epoch && ok {
+			break
+		}
+		// Superseded (the master moved on, so this epoch can never commit)
+		// or unable to quiesce (pathological pull starvation; skipping beats
+		// stalling the job). The negative ack lets the master abandon the
+		// epoch right away.
 		w.trCkpt.Event(trace.EvCheckpointSkip, uint64(epoch))
 		w.ackCheckpoint(epoch, 0, false)
-		return
+		if next == epoch {
+			return epoch
+		}
+		epoch = next
 	}
 
 	taskBytes, err := w.store.Snapshot()
 	if err != nil {
 		w.checkpointFailed(epoch, err)
-		return
+		return epoch
 	}
 	snap := &workerSnapshot{
 		Epoch:      epoch,
@@ -476,11 +513,34 @@ func (w *Worker) checkpoint(epoch int64) {
 		crc, err = w.snapshots.put(w.id, epoch, encodeSnapshot(snap))
 		if err != nil {
 			w.checkpointFailed(epoch, err)
-			return
+			return epoch
 		}
 	}
 	w.trCkpt.ObserveSpan(trace.MetricCheckpoint, trace.EvCheckpointEnd, ckptStart, uint64(epoch))
 	w.ackCheckpoint(epoch, crc, true)
+	return epoch
+}
+
+// quiesce waits until every alive task is inactive in the store and reports
+// whether it got there. Each task that parks or dies while the gate is closed
+// wakes this wait (bufferTask, taskDead), as do stop, a newer request, which
+// ends it, and the checkpointQuiesceTimeout deadline, which fails it.
+func (w *Worker) quiesce(epoch int64) bool {
+	deadline := time.Now().Add(checkpointQuiesceTimeout)
+	timer := time.AfterFunc(checkpointQuiesceTimeout, w.wake)
+	defer timer.Stop()
+	quiesced := func() bool {
+		w.flushBatch(w.buffer.drain())
+		return int64(w.store.Size()) == w.inflight.Load() && w.buffer.len() == 0
+	}
+	w.pendMu.Lock()
+	defer w.pendMu.Unlock()
+	ok := quiesced()
+	for !ok && !w.stopped() && time.Now().Before(deadline) && w.ckptEpoch.Load() == epoch {
+		w.pendCond.Wait()
+		ok = quiesced()
+	}
+	return ok
 }
 
 // checkpointFailed surfaces a snapshot/persist failure: trace event,
@@ -522,7 +582,7 @@ func (w *Worker) lastCheckpointErr() error {
 // snapshot mutates nothing: the caller falls back to an older epoch (or
 // scratch) instead of silently dropping tasks mid-restore.
 func (w *Worker) applySnapshot(s *workerSnapshot) error {
-	tasks, err := store.DecodeSnapshot(s.TaskBytes, w.algo)
+	tasks, err := core.DecodeTasks(s.TaskBytes, w.algo)
 	if err != nil {
 		return fmt.Errorf("cluster: restore worker %d epoch %d: %w", w.id, s.Epoch, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -542,5 +543,59 @@ func TestRecoveryWithoutCheckpointDir(t *testing.T) {
 		if left, _ := os.ReadDir(tmp); len(left) != 0 {
 			t.Fatalf("spills=%v: Wait left %v", spills, left)
 		}
+	}
+}
+
+// TestCheckpointSingleFlight: a worker has one checkpointer. A request for a
+// newer epoch while the older one still quiesces supersedes it: the older is
+// nacked at once, the pipeline stays paused, and only the newer snapshots,
+// once the pipeline quiesces — no second checkpoint can unpause the pipeline
+// under a cut.
+func TestCheckpointSingleFlight(t *testing.T) {
+	w, _, net := newTestWorker(t)
+	w.serveControl(t)
+	master := net.Endpoint(w.masterNode)
+	nextAck := func(within time.Duration) ckptAck {
+		t.Helper()
+		for {
+			m, ok := master.RecvTimeout(within)
+			if !ok {
+				t.Fatalf("no checkpoint ack within %v", within)
+			}
+			if m.Type != msgCheckpointDone {
+				continue
+			}
+			a, err := decodeCkptAck(m.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+	}
+
+	w.inflight.Add(1) // a task alive outside the store: no quiesce until it parks
+	_ = master.Send(w.id, msgCheckpointReq, encodeEpoch(1))
+	for deadline := time.Now().Add(10 * time.Second); !w.paused.Load(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("epoch 1 never paused the pipeline")
+		}
+	}
+	_ = master.Send(w.id, msgCheckpointReq, encodeEpoch(2))
+	if a := nextAck(5 * time.Second); a.Epoch != 1 || a.OK {
+		t.Fatalf("first ack %+v, want epoch 1 nacked as superseded", a)
+	}
+	if !w.paused.Load() {
+		t.Fatal("the superseded checkpoint unpaused the pipeline before epoch 2 snapshotted")
+	}
+	_ = master.Send(w.id, msgCheckpointReq, encodeEpoch(1)) // stale: ignored
+
+	w.inflight.Add(-1)
+	w.wake()
+	if a := nextAck(10 * time.Second); a.Epoch != 2 || !a.OK {
+		t.Fatalf("second ack %+v, want epoch 2 snapshotted", a)
+	}
+	_ = master.Send(w.id, msgCheckpointReq, encodeEpoch(3))
+	if a := nextAck(10 * time.Second); a.Epoch != 3 || !a.OK {
+		t.Fatalf("third ack %+v, want epoch 3 snapshotted (the stale request left no ack)", a)
 	}
 }

@@ -3,12 +3,15 @@ package cluster
 import (
 	"cmp"
 	"slices"
+	"testing"
 	"time"
 
 	"gminer/internal/algo"
 	"gminer/internal/chaos"
 	"gminer/internal/core"
 	"gminer/internal/graph"
+	"gminer/internal/store"
+	"gminer/internal/wire"
 )
 
 // UndirectedTC is TC whose Plan opens the job and declares nothing, so a
@@ -142,4 +145,42 @@ func StridedIDs(g *graph.Graph) (*graph.Graph, func(graph.VertexID) graph.Vertex
 	})
 	out.Freeze()
 	return out, relabel
+}
+
+// taskList is tasks as one core.EncodeTasks list: a migration batch, or a
+// snapshot's task payload.
+func taskList(tasks []*core.Task, codec core.ContextCodec) []byte {
+	w := wire.NewWriter(256)
+	core.EncodeTasks(w, tasks, codec)
+	return w.Bytes()
+}
+
+// popAll takes every task out of s, in store order, as the retriever would.
+func popAll(s *store.Store) []*core.Task {
+	var out []*core.Task
+	for {
+		t, ok := s.TryPop()
+		if !ok {
+			return out
+		}
+		out = append(out, t)
+	}
+}
+
+// serveControl runs only w's comm loop — control messages, checkpoint
+// requests among them — with no seeder, retriever or executor beside it. When
+// the test ends it stops w, closes its endpoint and waits for every goroutine
+// w started.
+func (w *Worker) serveControl(t testing.TB) {
+	w.wg.Add(1)
+	go func() {
+		defer w.wg.Done()
+		w.commLoop()
+	}()
+	t.Cleanup(func() {
+		w.stop()
+		w.ep.Close()
+		w.wg.Wait()
+		w.spiller.Close()
+	})
 }

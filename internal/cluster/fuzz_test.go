@@ -30,25 +30,6 @@ func FuzzDecodePullResp(f *testing.F) {
 	})
 }
 
-func FuzzDecodeTasks(f *testing.F) {
-	task := &core.Task{ID: 42, Cands: []graph.VertexID{1, 2, 3}}
-	task.Subgraph.AddEdge(1, 2)
-	f.Add(encodeTasks(nil, core.NoContext{}))
-	f.Add(encodeTasks([]*core.Task{task}, core.NoContext{}))
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tasks, err := decodeTasks(data, core.NoContext{})
-		if err != nil {
-			return
-		}
-		for _, task := range tasks {
-			if task == nil {
-				t.Fatal("decoded nil task without error")
-			}
-		}
-	})
-}
-
 func FuzzDecodeProgress(f *testing.F) {
 	f.Add(encodeProgress(&progressReport{Worker: 1, Inflight: 5, AggSet: true, AggBytes: []byte{1, 2}}))
 	f.Add(encodeProgress(&progressReport{}))
@@ -102,10 +83,15 @@ func FuzzUnframeSnapshot(f *testing.F) {
 	})
 }
 
+// FuzzDecodeSnapshot walks a snapshot as restore does: the frame's payload,
+// then its task list.
 func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(encodeSnapshot(&workerSnapshot{Epoch: 3, SeedCursor: 7, Results: []string{"a", "b"}}))
 	f.Add(encodeSnapshot(&workerSnapshot{AggBytes: []byte{1}}))
 	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})
+	task := &core.Task{ID: 42, Cands: []graph.VertexID{1, 2, 3}}
+	task.Subgraph.AddEdge(1, 2)
+	f.Add(encodeSnapshot(&workerSnapshot{Epoch: 2, TaskBytes: taskList([]*core.Task{task}, core.NoContext{})}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := decodeSnapshot(data)
 		if err != nil {
@@ -113,6 +99,15 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		if s == nil {
 			t.Fatal("nil snapshot without error")
+		}
+		tasks, err := core.DecodeTasks(s.TaskBytes, core.NoContext{})
+		if err != nil {
+			return
+		}
+		for _, task := range tasks {
+			if task == nil {
+				t.Fatal("decoded nil task without error")
+			}
 		}
 	})
 }

@@ -38,9 +38,8 @@ func expandingMatches(g *graph.Graph, p *algo.Pattern) map[graph.VertexID]bool {
 }
 
 // TestGMNeverPullsLeaves: GM pulls a vertex only to match the level below
-// it, so every ID a worker asks a peer for — or ships in a steal payload's
-// to_pull — is a match of some expanding pattern node: never a leaf's, never
-// the deepest level's. The graph has leaf-only matches, so the check has
+// it, so every ID a worker asks a peer for is a match of some expanding
+// pattern node: never a leaf's, never the deepest level's. The graph has leaf-only matches, so the check has
 // teeth.
 func TestGMNeverPullsLeaves(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 77})
@@ -67,7 +66,7 @@ func TestGMNeverPullsLeaves(t *testing.T) {
 	asked := map[graph.VertexID]int{}
 	s.wrapEps = func(eps []transport.Endpoint) {
 		for i, ep := range eps {
-			eps[i] = &pullSpy{Endpoint: ep, codec: a, mu: &mu, asked: asked}
+			eps[i] = &pullSpy{Endpoint: ep, mu: &mu, asked: asked}
 		}
 	}
 	j, err := s.Launch(a, JobOptions{})

@@ -27,7 +27,9 @@ import (
 // v2: transport frames carry a fencing generation, the welcome assigns
 // one, the hello lists locally-held checkpoint epochs, and heartbeats are
 // JSON payloads carrying the sender's generation.
-const handshakeVersion = 2
+// v3: a migration batch is a core.EncodeTasks list, which carries no
+// to_pull.
+const handshakeVersion = 3
 
 // helloMagic / welcomeMagic open every handshake frame, so a stray or
 // corrupt frame is distinguishable from a version skew.

@@ -199,7 +199,7 @@ func TestRestoreVsMigrateRace(t *testing.T) {
 		if msg.Type != msgTasks {
 			continue
 		}
-		got, err := decodeTasks(msg.Payload, algo)
+		got, err := core.DecodeTasks(msg.Payload, algo)
 		if err != nil {
 			t.Fatal(err)
 		}

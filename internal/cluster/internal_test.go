@@ -169,7 +169,7 @@ func TestTasksCodec(t *testing.T) {
 	t1.Cands = []graph.VertexID{3}
 	t2 := &core.Task{ID: 2}
 	t2.Subgraph.AddVertex(9)
-	got, err := decodeTasks(encodeTasks([]*core.Task{t1, t2}, core.NoContext{}), core.NoContext{})
+	got, err := core.DecodeTasks(taskList([]*core.Task{t1, t2}, core.NoContext{}), core.NoContext{})
 	if err != nil || len(got) != 2 {
 		t.Fatalf("%v %v", got, err)
 	}

@@ -13,17 +13,20 @@ import (
 // Durable checkpoint format (§7 hardening). A worker's snapshot is framed
 // on disk as
 //
-//	"GMCK1" | uvarint payload length | payload | crc32c(payload), LE
+//	"GMCK2" | uvarint payload length | payload | crc32c(payload), LE
 //
 // so a torn write (crash mid-checkpoint, disk rot) is detected before the
 // payload ever reaches decodeSnapshot. The master's MANIFEST uses the same
 // frame with its own magic and records which epoch is committed: an epoch
 // exists durably only once every worker's file landed (fsync'd) and the
 // master wrote the manifest naming it. Restore never trusts a file the
-// manifest does not vouch for.
+// manifest does not vouch for. GMCK2 is the payload whose task list is a
+// core.EncodeTasks list without to_pull; a GMCK1 file from an older build
+// fails at unframe ("bad magic") instead of mis-decoding, so its directory
+// does not resume.
 
 const (
-	snapshotMagic = "GMCK1"
+	snapshotMagic = "GMCK2"
 	manifestMagic = "GMMF1"
 	// manifestName is the committed-epoch record inside the checkpoint
 	// directory.

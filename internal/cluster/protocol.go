@@ -6,7 +6,6 @@
 package cluster
 
 import (
-	"gminer/internal/core"
 	"gminer/internal/graph"
 	"gminer/internal/wire"
 )
@@ -177,39 +176,6 @@ func decodePullResp(b []byte) ([]pulledVertex, error) {
 		} else {
 			out = append(out, pulledVertex{ID: graph.VertexID(r.Varint())})
 		}
-	}
-	return out, r.Err()
-}
-
-// encodeTasks serializes a migration batch.
-func encodeTasks(tasks []*core.Task, codec core.ContextCodec) []byte {
-	w := wire.NewWriter(256 * len(tasks))
-	encodeTasksInto(w, tasks, codec)
-	return w.Bytes()
-}
-
-func encodeTasksInto(w *wire.Writer, tasks []*core.Task, codec core.ContextCodec) {
-	w.Uvarint(uint64(len(tasks)))
-	for _, t := range tasks {
-		core.EncodeTask(w, t, codec)
-	}
-}
-
-func decodeTasks(b []byte, codec core.ContextCodec) ([]*core.Task, error) {
-	r := wire.NewReader(b)
-	// An encoded task is ≥4 bytes (ID, round, subgraph and list length
-	// prefixes); reject counts the payload cannot hold.
-	n := r.Count(4)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]*core.Task, 0, n)
-	for i := 0; i < n; i++ {
-		t, err := core.DecodeTask(r, codec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
 	}
 	return out, r.Err()
 }

@@ -14,7 +14,6 @@ import (
 	"gminer/internal/metrics"
 	"gminer/internal/partition"
 	"gminer/internal/transport"
-	"gminer/internal/wire"
 )
 
 // orientedTables cuts the tables an oriented TC job of a k-worker cluster
@@ -209,24 +208,17 @@ func TestStealLocalityIgnoresResident(t *testing.T) {
 }
 
 // pullSpy is the counting endpoint of TestResidentNeverPulled: it records
-// every ID a worker asks a peer for and every to_pull a steal payload ships.
+// every ID a worker asks a peer for. (A steal payload ships no to_pull.)
 type pullSpy struct {
 	transport.Endpoint
-	codec core.ContextCodec
 	mu    *sync.Mutex
 	asked map[graph.VertexID]int
 }
 
 func (p *pullSpy) Send(to int, typ uint8, payload []byte) error {
 	var ids []graph.VertexID
-	switch typ {
-	case msgPullReq:
+	if typ == msgPullReq {
 		ids, _ = decodePullReq(payload)
-	case msgTasks:
-		tasks, _ := decodeTasks(payload, p.codec)
-		for _, t := range tasks {
-			ids = append(ids, t.ToPull...)
-		}
 	}
 	p.mu.Lock()
 	for _, id := range ids {
@@ -256,8 +248,8 @@ func (a *toPullSpy) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 // TestResidentNeverPulled: under hash partitioning about (k−1)/k of every
 // forward list is remote, and the resident lists are the ones referenced
 // most — yet no resident ID is ever in a pull request, in a task's to_pull
-// (as run, or as shipped in a steal payload) or in an RCV cache, while the
-// rest still move and the count stays exact.
+// as run or in an RCV cache, while the rest still move and the count stays
+// exact.
 func TestResidentNeverPulled(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 30000, Seed: 21})
 	want := algo.RefTriangles(g)
@@ -278,7 +270,7 @@ func TestResidentNeverPulled(t *testing.T) {
 		asked := map[graph.VertexID]int{}
 		s.wrapEps = func(eps []transport.Endpoint) {
 			for i, ep := range eps {
-				eps[i] = &pullSpy{Endpoint: ep, codec: a, mu: &mu, asked: asked}
+				eps[i] = &pullSpy{Endpoint: ep, mu: &mu, asked: asked}
 			}
 		}
 		j, err := s.Launch(a, JobOptions{})
@@ -317,11 +309,11 @@ func TestResidentNeverPulled(t *testing.T) {
 	}
 }
 
-// A task's to_pull travels with it — in a checkpoint, in a steal payload —
-// but only as a hint: whoever takes the task in recomputes it against its own
-// view. So a restored or stolen task never pulls a list its new worker reads
-// in place, even when the worker that wrote the to_pull had to (it owned
-// other vertices; its checkpoint predates the resident set).
+// A task's to_pull stays with the worker that computed it — a checkpoint or a
+// steal payload does not carry it — and whoever takes the task in computes it
+// against its own view. So a restored or stolen task never pulls a list its
+// new worker reads in place, whatever the worker that wrote it out had to
+// pull.
 func TestResidentRestoreAndStealRecompute(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 9000, Seed: 5})
 	ot, view, tc := orientedTables(t, g, partition.Hash{}, 2, allWorkers(2))
@@ -361,24 +353,12 @@ func TestResidentRestoreAndStealRecompute(t *testing.T) {
 	}
 	drain := func(w *Worker) []*core.Task {
 		w.flushBatch(w.buffer.drain())
-		got, err := w.store.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
+		return popAll(w.store)
 	}
 
-	snap := wire.NewWriter(256)
-	snap.Uvarint(uint64(len(tasks)))
-	tw := wire.NewWriter(64)
-	for _, task := range tasks {
-		tw.Reset()
-		core.EncodeTask(tw, task, tc)
-		snap.BytesField(tw.Bytes())
-	}
-	check("restored", drain(build(&workerSnapshot{Epoch: 1, SeedsDone: true, TaskBytes: snap.Bytes()})))
+	check("restored", drain(build(&workerSnapshot{Epoch: 1, SeedsDone: true, TaskBytes: taskList(tasks, tc)})))
 
 	thief := build(nil)
-	thief.handleTasks(encodeTasks(tasks, tc))
+	thief.handleTasks(taskList(tasks, tc))
 	check("stolen", drain(thief))
 }

@@ -9,7 +9,6 @@ import (
 	"gminer/internal/graph"
 	"gminer/internal/metrics"
 	"gminer/internal/partition"
-	"gminer/internal/wire"
 )
 
 // TestIntakeRoutesReadyTasksToCPQ: a task waits in the store only while it
@@ -61,10 +60,7 @@ func TestIntakeRoutesReadyTasksToCPQ(t *testing.T) {
 			task, _ := w.cpq.pop()
 			inCPQ = append(inCPQ, task.ID)
 		}
-		stored, err := w.store.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
+		stored := popAll(w.store)
 		inStore := map[uint64]bool{}
 		for _, task := range stored {
 			inStore[task.ID] = true
@@ -87,18 +83,11 @@ func TestIntakeRoutesReadyTasksToCPQ(t *testing.T) {
 	landed("seed", w)
 
 	w = newW(nil)
-	w.handleTasks(encodeTasks(tasks(), tc))
+	w.handleTasks(taskList(tasks(), tc))
 	landed("stolen batch", w)
 	if w.tasksRecv.Load() != int64(len(kinds)) {
 		t.Errorf("stolen batch: %d tasks received, want %d", w.tasksRecv.Load(), len(kinds))
 	}
 
-	payload := wire.NewWriter(256)
-	payload.Uvarint(uint64(len(kinds)))
-	for _, task := range tasks() {
-		tw := wire.NewWriter(64)
-		core.EncodeTask(tw, task, tc)
-		payload.BytesField(tw.Bytes())
-	}
-	landed("snapshot restore", newW(&workerSnapshot{TaskBytes: payload.Bytes()}))
+	landed("snapshot restore", newW(&workerSnapshot{TaskBytes: taskList(tasks(), tc)}))
 }

@@ -296,8 +296,9 @@ func (s *Session) build(a core.Algorithm, opt JobOptions, id string, ch uint64, 
 	cfg.Tracer = opt.Tracer
 	cfg.roundHook = opt.RoundHook
 	if opt.MemBudgetBytes > 0 {
-		// Charged from worker progress loops, so only the goroutine host
-		// enforces it; the serving layer's admission costing applies anyway.
+		// Charged by the goroutine host's workers (chargeBudget), so only
+		// it enforces the budget; the serving layer's admission costing
+		// applies anyway.
 		cfg.memBudget = memctl.NewBudget(opt.MemBudgetBytes)
 	}
 	if opt.Seeds != nil {

@@ -266,6 +266,26 @@ func TestSessionMemBudgetCancelsJob(t *testing.T) {
 	}
 }
 
+// TestMemBudgetChargedOnAllocation: the budget is charged where the job's
+// memory grows, not by the heartbeat. With a heartbeat longer than the test,
+// no progress loop ever ticks, yet a 1-byte budget still cancels the job.
+func TestMemBudgetChargedOnAllocation(t *testing.T) {
+	cfg := smallConfig()
+	cluster.Tune(&cfg, cluster.Knobs{Heartbeat: time.Hour})
+	s, err := cluster.NewSession(servingGraph(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	j, err := s.Launch(algo.NewMaxClique(), cluster.JobOptions{ID: "oom", MemBudgetBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(); !errors.Is(err, memctl.ErrOOM) {
+		t.Fatalf("budgeted job error: got %v, want wrapped memctl.ErrOOM", err)
+	}
+}
+
 // TestSessionRejectsDuplicateLiveID and closed-session launches.
 func TestSessionLaunchValidation(t *testing.T) {
 	g := servingGraph(t)

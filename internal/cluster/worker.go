@@ -135,6 +135,10 @@ type Worker struct {
 
 	paused atomic.Bool // checkpoint quiesce
 	killed atomic.Bool // failure simulation: drop all work silently
+	// ckptEpoch is the newest checkpoint epoch requested; ckptKick wakes the
+	// one checkpointer, made with it at the first request (requestCheckpoint).
+	ckptEpoch atomic.Int64
+	ckptKick  chan struct{}
 	// ckptErr is the most recent checkpoint failure (surfaced on
 	// cluster.Result so operators see degraded durability, not silence).
 	ckptMu   sync.Mutex
@@ -149,10 +153,10 @@ type Worker struct {
 	snapshots   *snapshotSink
 	stealPolicy CostPolicy
 
-	// Memory budget (JobOptions.MemBudgetBytes): budgetCharged is what this worker
-	// currently has charged (store + cache bytes; only touched from the
-	// progress loop), oomFn aborts the job when a charge overflows.
-	budgetCharged int64
+	// Memory budget (JobOptions.MemBudgetBytes): budgetCharged is what this
+	// worker currently has charged (store + cache bytes; see chargeBudget),
+	// oomFn aborts the job when a charge overflows.
+	budgetCharged atomic.Int64
 	oomFn         func(error)
 
 	// Trace handles, one per pipeline component (zero handles drop
@@ -376,6 +380,7 @@ func (w *Worker) flushBatch(batch []*core.Task) {
 		// Store closed: the job is shutting down; drop silently.
 		return
 	}
+	w.chargeBudget()
 }
 
 // computeToPull fills t.ToPull with the deduplicated candidates this worker
@@ -531,7 +536,6 @@ func (w *Worker) waitCacheRoom() {
 
 // ready hands a task whose candidates are all at hand to the executor.
 func (w *Worker) ready(t *core.Task) {
-	t.SetStatus(core.StatusReady)
 	w.trRetr.Event(trace.EvTaskReady, t.ID)
 	w.cpq.push(t)
 }
@@ -669,6 +673,7 @@ func (w *Worker) handlePullResp(payload []byte) {
 	}
 	w.pendCond.Broadcast()
 	w.pendMu.Unlock()
+	w.chargeBudget()
 	w.trRetr.Event(trace.EvPullAnswered, uint64(len(entries)))
 	for _, t := range ready {
 		w.ready(t)
@@ -762,7 +767,6 @@ func (w *Worker) executorLoop() {
 // for its next task.
 func (w *Worker) runTask(t *core.Task, cands []*graph.Vertex) []*graph.Vertex {
 	for {
-		t.SetStatus(core.StatusActive)
 		if t.Round == 0 {
 			t.Round = 1 // first update round after seeding (§4.2)
 		}
@@ -786,18 +790,15 @@ func (w *Worker) runTask(t *core.Task, cands []*graph.Vertex) []*graph.Vertex {
 		}
 		for _, c := range children {
 			w.assignID(c)
-			c.SetStatus(core.StatusInactive)
 			w.intake(c, false)
 		}
 		if next == nil {
-			t.SetStatus(core.StatusDead)
 			w.taskDead(t)
 			return cands
 		}
 		t.Advance(next)
 		w.computeToPull(t)
 		if len(t.ToPull) > 0 {
-			t.SetStatus(core.StatusInactive)
 			w.trExec.Event(trace.EvTaskInactive, t.ID)
 			w.bufferTask(t)
 			return cands
@@ -874,13 +875,7 @@ func (w *Worker) commLoop() {
 			w.handleAggGlobal(m.Payload)
 		case msgCheckpointReq:
 			if epoch, err := decodeEpoch(m.Payload); err == nil {
-				// Tracked in wg so job teardown can prove no checkpoint
-				// goroutine outlives the job (leak-checked reruns).
-				w.wg.Add(1)
-				go func() {
-					defer w.wg.Done()
-					w.checkpoint(epoch)
-				}()
+				w.requestCheckpoint(epoch)
 			}
 		case msgProbe:
 			if wave, err := decodeEpoch(m.Payload); err == nil {
@@ -948,7 +943,7 @@ func (w *Worker) handleMigrate(payload []byte) {
 	}
 	w.trSteal.Event(trace.EvStealMigrate, uint64(len(tasks)))
 	wr := wire.GetWriter(256 * len(tasks))
-	encodeTasksInto(wr, tasks, w.algo)
+	core.EncodeTasks(wr, tasks, w.algo)
 	w.tasksSent.Add(int64(len(tasks)))
 	w.activity.Add(int64(len(tasks)))
 	w.inflight.Add(-int64(len(tasks)))
@@ -960,7 +955,7 @@ func (w *Worker) handleMigrate(payload []byte) {
 
 // handleTasks admits a migration batch.
 func (w *Worker) handleTasks(payload []byte) {
-	tasks, err := decodeTasks(payload, w.algo)
+	tasks, err := core.DecodeTasks(payload, w.algo)
 	if err != nil {
 		return
 	}
@@ -1026,6 +1021,8 @@ func (w *Worker) sendProgress() {
 	if w.stopped() {
 		return
 	}
+	// The master may end the job on this report: its state is charged first.
+	w.chargeBudget()
 	// The wave is read first: a report echoing a probe was built after it.
 	rep := &progressReport{Worker: w.id, Wave: w.wave.Load()}
 	for {
@@ -1068,18 +1065,26 @@ func (w *Worker) reportIfIdle() {
 
 // observeMemory refreshes this worker's live-memory estimate: graph
 // partition and the resident lists of other partitions + in-memory task
-// store + RCV cache. Job-owned bytes (store + cache, not the shared resident
-// graph) are also charged against the job's memory budget when one is set;
-// overflowing it aborts the job instead of letting it starve co-resident
-// jobs.
+// store + RCV cache.
 func (w *Worker) observeMemory() {
-	owned := w.store.MemBytes() + w.cache.Bytes()
-	w.counters.ObserveLive(w.graphFoot + owned)
+	w.counters.ObserveLive(w.graphFoot + w.store.MemBytes() + w.cache.Bytes())
+}
+
+// chargeBudget brings this worker's charge against the job's memory budget,
+// when one is set, to its job-owned bytes: the in-memory task store and the
+// RCV cache, not the shared resident graph. Overflowing the budget aborts
+// the job instead of letting it starve co-resident jobs. It runs where those
+// bytes grow — after a store insert and after a pull response's cache
+// inserts — and before every progress report, so a job ends only on a
+// charged state however short it is. Callers race; each swaps in what it
+// saw, so the charges sum to the last one's. Without a budget it is one nil
+// check.
+func (w *Worker) chargeBudget() {
 	if w.cfg.memBudget == nil {
 		return
 	}
-	delta := owned - w.budgetCharged
-	w.budgetCharged = owned
+	owned := w.store.MemBytes() + w.cache.Bytes()
+	delta := owned - w.budgetCharged.Swap(owned)
 	if delta < 0 {
 		w.cfg.memBudget.Release(-delta)
 		return

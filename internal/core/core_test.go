@@ -89,22 +89,12 @@ func TestCostAndLocalRate(t *testing.T) {
 	}
 }
 
-func TestStatusString(t *testing.T) {
-	for s, want := range map[Status]string{
-		StatusActive: "active", StatusInactive: "inactive",
-		StatusReady: "ready", StatusDead: "dead",
-	} {
-		if s.String() != want {
-			t.Fatalf("%d -> %q", s, s.String())
-		}
-	}
-}
-
 func TestTaskCodecRoundTrip(t *testing.T) {
 	task := &Task{ID: 42, Round: 3}
 	task.Subgraph.AddVertices(1, 5, 9)
 	task.Subgraph.AddEdge(1, 5)
 	task.Cands = []graph.VertexID{10, 11}
+	task.ToPull = []graph.VertexID{11}
 	w := wire.NewWriter(64)
 	EncodeTask(w, task, NoContext{})
 	got, err := DecodeTask(wire.NewReader(w.Bytes()), NoContext{})
@@ -115,8 +105,8 @@ func TestTaskCodecRoundTrip(t *testing.T) {
 		got.Subgraph.NumEdges() != 1 || len(got.Cands) != 2 {
 		t.Fatalf("round trip mangled: %+v", got)
 	}
-	if got.Status() != StatusInactive {
-		t.Fatalf("decoded status %v, want inactive", got.Status())
+	if got.ToPull != nil {
+		t.Fatalf("to_pull %v crossed the codec; it is the worker's to derive", got.ToPull)
 	}
 }
 
@@ -230,4 +220,66 @@ func TestQuickTaskCodec(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A task list is the one form tasks leave a worker in: it round-trips, and
+// the decoder takes exactly a list — no trailing bytes, no count the
+// payload cannot hold.
+func TestTaskListCodec(t *testing.T) {
+	t1 := &Task{ID: 1, Round: 2, Cands: []graph.VertexID{3}}
+	t1.Subgraph.AddVertices(1, 2)
+	t2 := &Task{ID: 2}
+	t2.Subgraph.AddEdge(9, 4)
+	w := wire.NewWriter(64)
+	EncodeTasks(w, []*Task{t1, t2}, NoContext{})
+	list := w.Bytes()
+	got, err := DecodeTasks(list, NoContext{})
+	if err != nil || len(got) != 2 {
+		t.Fatalf("decoded %d tasks, err %v", len(got), err)
+	}
+	if got[0].ID != 1 || got[0].Round != 2 || got[0].Subgraph.Len() != 2 || len(got[0].Cands) != 1 ||
+		got[1].ID != 2 || got[1].Subgraph.NumEdges() != 1 {
+		t.Fatalf("round trip mangled: %+v %+v", got[0], got[1])
+	}
+	if _, err := DecodeTasks(append(list[:len(list):len(list)], 0), NoContext{}); err == nil {
+		t.Fatal("a list with a trailing byte decoded")
+	}
+	for cut := 0; cut < len(list); cut++ {
+		if _, err := DecodeTasks(list[:cut], NoContext{}); err == nil {
+			t.Fatalf("a list cut at %d of %d bytes decoded", cut, len(list))
+		}
+	}
+	// A count of 2^28 tasks over 4 bytes: refused before any allocation.
+	if _, err := DecodeTasks([]byte{0x80, 0x80, 0x80, 0x80, 0x01, 0, 0, 0, 0}, NoContext{}); err == nil {
+		t.Fatal("an impossible count decoded")
+	}
+	w.Reset()
+	EncodeTasks(w, nil, NoContext{})
+	if got, err := DecodeTasks(w.Bytes(), NoContext{}); err != nil || len(got) != 0 {
+		t.Fatalf("empty list: %d tasks, err %v", len(got), err)
+	}
+}
+
+func FuzzDecodeTasks(f *testing.F) {
+	task := &Task{ID: 42, Cands: []graph.VertexID{1, 2, 3}}
+	task.Subgraph.AddEdge(1, 2)
+	list := func(tasks []*Task) []byte {
+		w := wire.NewWriter(64)
+		EncodeTasks(w, tasks, NoContext{})
+		return w.Bytes()
+	}
+	f.Add(list(nil))
+	f.Add(list([]*Task{task}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tasks, err := DecodeTasks(data, NoContext{})
+		if err != nil {
+			return
+		}
+		for _, task := range tasks {
+			if task == nil {
+				t.Fatal("decoded nil task without error")
+			}
+		}
+	})
 }

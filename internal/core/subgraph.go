@@ -1,9 +1,10 @@
 // Package core defines the task model at the heart of G-Miner (§4.2 of
 // the paper): a graph mining job is decomposed into independent tasks,
 // each holding an intermediate subgraph g, the candidate vertex IDs for
-// the next round, and algorithm-specific context. Tasks move through the
-// statuses active → inactive → ready → … → dead as the task pipeline
-// (internal/pipeline) executes them.
+// the next round, and algorithm-specific context. A task's lifetime —
+// active → inactive → ready → … → dead — is where the worker's pipeline
+// (internal/cluster) holds it, recorded by its trace events; the task
+// itself carries no status.
 package core
 
 import (

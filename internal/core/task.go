@@ -7,37 +7,6 @@ import (
 	"gminer/internal/wire"
 )
 
-// Status is the lifetime state of a task (§4.2, "Task lifetime").
-type Status uint8
-
-const (
-	// StatusActive: currently being processed by update, or eligible to be
-	// because all its candidates are local/cached.
-	StatusActive Status = iota
-	// StatusInactive: waiting in the task store; at least one candidate
-	// must be pulled from a remote worker.
-	StatusInactive
-	// StatusReady: all remote candidates pulled; queued in the CPQ.
-	StatusReady
-	// StatusDead: finished (reported or confirmed fruitless).
-	StatusDead
-)
-
-func (s Status) String() string {
-	switch s {
-	case StatusActive:
-		return "active"
-	case StatusInactive:
-		return "inactive"
-	case StatusReady:
-		return "ready"
-	case StatusDead:
-		return "dead"
-	default:
-		return fmt.Sprintf("status(%d)", uint8(s))
-	}
-}
-
 // Task is one independent unit of mining work: the intermediate subgraph
 // g, the candidate vertex IDs used to update g in the next round, and the
 // algorithm-defined context (§4.2).
@@ -57,15 +26,15 @@ type Task struct {
 	// the wire or is spilled.
 	Context any
 
-	// status tracks the lifetime state; maintained by the runtime.
-	status Status
-
 	// pull accumulates the next round's candidates requested by Update.
 	pull []graph.VertexID
 
 	// ToPull is the subset of Cands that must be fetched from remote
 	// workers; computed by the candidate retriever and consumed for LSH
-	// signing and the locality rate lr(t) of task stealing.
+	// signing and the locality rate lr(t) of task stealing. It belongs to
+	// the worker that computed it and is not part of the task's encoding:
+	// a migrated or restored task gets it again at intake, a task reloaded
+	// from a spill block from the block's header.
 	ToPull []graph.VertexID
 
 	// Resident counts the candidates the worker reads in place though another
@@ -86,12 +55,6 @@ type Task struct {
 	// splitting, §9 future work).
 	spawned []*Task
 }
-
-// Status returns the task's lifetime state.
-func (t *Task) Status() Status { return t.status }
-
-// SetStatus is used by the runtime to advance the lifetime state.
-func (t *Task) SetStatus(s Status) { t.status = s }
 
 // Pull requests the given candidates for the next round ("reset it through
 // pull() for the next round", §5.2). Calling Pull at least once during
@@ -152,35 +115,64 @@ type ContextCodec interface {
 	DecodeContext(r *wire.Reader) any
 }
 
-// EncodeTask serializes a task (for migration, spilling or checkpointing)
-// using the algorithm's context codec. ToPull is carried along: a task
-// reloaded from a spill block on the same worker must still know which
-// candidates to pull (a migrated task's receiver recomputes it against
-// its own partition instead).
+// EncodeTask serializes what a task is — ID, round, subgraph, candidates
+// and context, the last through the algorithm's context codec. The
+// per-worker derivations (ToPull, Resident, Pulled) stay behind.
 func EncodeTask(w *wire.Writer, t *Task, codec ContextCodec) {
 	w.Uvarint(t.ID)
 	w.Int(t.Round)
 	encodeSubgraph(w, &t.Subgraph)
 	wire.EncodeIDs(w, t.Cands)
-	wire.EncodeIDs(w, t.ToPull)
 	codec.EncodeContext(w, t.Context)
 }
 
-// DecodeTask reads a task serialized by EncodeTask. Status is reset to
-// inactive: a deserialized task re-enters its worker's pipeline at intake.
+// DecodeTask reads a task serialized by EncodeTask.
 func DecodeTask(r *wire.Reader, codec ContextCodec) (*Task, error) {
 	t := &Task{}
 	t.ID = r.Uvarint()
 	t.Round = r.Int()
 	t.Subgraph = decodeSubgraph(r)
 	t.Cands = wire.DecodeIDs(r)
-	t.ToPull = wire.DecodeIDs(r)
 	t.Context = codec.DecodeContext(r)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	t.status = StatusInactive
 	return t, nil
+}
+
+// EncodeTasks writes a task list — a count, then EncodeTask per task — the
+// one form in which tasks leave a worker's memory: a migration batch, a
+// spill block's body and a checkpoint's task payload.
+func EncodeTasks(w *wire.Writer, tasks []*Task, codec ContextCodec) {
+	w.Uvarint(uint64(len(tasks)))
+	for _, t := range tasks {
+		EncodeTask(w, t, codec)
+	}
+}
+
+// DecodeTasks reads a task list written by EncodeTasks; b must hold exactly
+// the list, so trailing bytes (a count that lied, or corruption a checksum
+// missed) are an error.
+func DecodeTasks(b []byte, codec ContextCodec) ([]*Task, error) {
+	r := wire.NewReader(b)
+	// An encoded task is ≥4 bytes (ID, round, subgraph and list length
+	// prefixes); reject counts the payload cannot hold.
+	n := r.Count(4)
+	tasks := make([]*Task, 0, n)
+	for i := 0; i < n; i++ {
+		t, err := DecodeTask(r, codec)
+		if err != nil {
+			return nil, err
+		}
+		tasks = append(tasks, t)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("core: %d bytes after a list of %d tasks", r.Remaining(), n)
+	}
+	return tasks, nil
 }
 
 // NoContext is a ContextCodec for algorithms whose tasks carry no context.

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"gminer/internal/core"
+	"gminer/internal/graph"
 	"gminer/internal/lsh"
 	"gminer/internal/metrics"
 	"gminer/internal/spill"
@@ -138,7 +139,6 @@ func (s *Store) Insert(tasks []*core.Task) error {
 	}
 	batch := s.scratch[:0]
 	for _, t := range tasks {
-		t.SetStatus(core.StatusInactive)
 		s.seq++
 		batch = append(batch, item{key: s.keyFor(t), seq: s.seq, t: t})
 		s.size++
@@ -215,23 +215,24 @@ func (s *Store) maybeSpillLocked() error {
 	return nil
 }
 
+// spillChunkLocked writes chunk out as one block: a header of what the
+// store derived for each task — its key, arrival number and to_pull, which a
+// reloaded task skips intake and so cannot recompute — then the tasks
+// themselves as one core.EncodeTasks list.
 func (s *Store) spillChunkLocked(chunk []item) error {
-	// Pooled buffers: the spiller copies (or writes out) the block during
-	// Write, and one scratch writer per chunk replaces the per-task
-	// writer the encode loop used to allocate.
+	// Pooled: the spiller writes the block out during Write.
 	w := wire.GetWriter(1024 * len(chunk))
 	defer wire.PutWriter(w)
-	tw := wire.GetWriter(256)
-	defer wire.PutWriter(tw)
+	tasks := make([]*core.Task, len(chunk))
 	w.Uvarint(uint64(len(chunk)))
-	for _, it := range chunk {
+	for i, it := range chunk {
 		w.BytesField(it.key.Bytes())
 		w.Uvarint(it.seq)
-		tw.Reset()
-		core.EncodeTask(tw, it.t, s.codec)
-		w.BytesField(tw.Bytes())
+		wire.EncodeIDs(w, it.t.ToPull)
+		tasks[i] = it.t
 		s.memBytes -= it.t.FootprintBytes()
 	}
+	core.EncodeTasks(w, tasks, s.codec)
 	id, err := s.spiller.Write(w.Bytes())
 	if err != nil {
 		return err
@@ -240,22 +241,36 @@ func (s *Store) spillChunkLocked(chunk []item) error {
 	return nil
 }
 
-// decodeBlock walks a spilled block, handing each item's key, arrival
-// number and encoded task to fn.
-func decodeBlock(data []byte, fn func(key lsh.Signature, seq uint64, task []byte) error) error {
-	r := wire.NewReader(data)
-	for n := r.Uvarint(); n > 0 && r.Err() == nil; n-- {
-		key := lsh.SignatureFromBytes(r.BytesField())
-		seq := r.Uvarint()
-		task := r.BytesField()
-		if r.Err() != nil {
-			break
-		}
-		if err := fn(key, seq, task); err != nil {
-			return err
-		}
+// readBlock reads a spilled block back into items, ascending as spilled.
+func (s *Store) readBlock(id int) ([]item, error) {
+	data, err := s.spiller.Read(id)
+	if err != nil {
+		return nil, err
 	}
-	return r.Err()
+	r := wire.NewReader(data)
+	// A header entry is ≥3 bytes: key length, arrival number, to_pull length.
+	items := make([]item, r.Count(3))
+	pulls := make([][]graph.VertexID, len(items))
+	for i := range items {
+		items[i].key = lsh.SignatureFromBytes(r.BytesField())
+		items[i].seq = r.Uvarint()
+		pulls[i] = wire.DecodeIDs(r)
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("store: block %d header: %w", id, err)
+	}
+	tasks, err := core.DecodeTasks(data[len(data)-r.Remaining():], s.codec)
+	if err == nil && len(tasks) != len(items) {
+		err = fmt.Errorf("%d tasks under %d header entries", len(tasks), len(items))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: block %d: %w", id, err)
+	}
+	for i, t := range tasks {
+		t.ToPull = pulls[i]
+		items[i].t = t
+	}
+	return items, nil
 }
 
 // loadBlockLocked reads the spilled block with the smallest first item back
@@ -269,23 +284,13 @@ func (s *Store) loadBlockLocked() error {
 	}
 	blk := s.blocks[best]
 	s.blocks = append(s.blocks[:best], s.blocks[best+1:]...)
-	data, err := s.spiller.Read(blk.id)
+	loaded, err := s.readBlock(blk.id)
 	if err != nil {
 		return err
 	}
 	s.spiller.Free(blk.id)
-	var loaded []item // ascending, as spilled
-	err = decodeBlock(data, func(key lsh.Signature, seq uint64, task []byte) error {
-		t, err := core.DecodeTask(wire.NewReader(task), s.codec)
-		if err != nil {
-			return fmt.Errorf("decode spilled task: %w", err)
-		}
-		loaded = append(loaded, item{key: key, seq: seq, t: t})
-		s.memBytes += t.FootprintBytes()
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("store: block %d: %w", blk.id, err)
+	for _, it := range loaded {
+		s.memBytes += it.t.FootprintBytes()
 	}
 	s.mergeLocked(loaded)
 	return nil
@@ -414,25 +419,6 @@ func (s *Store) Steal(n int, eligible func(*core.Task) bool) []*core.Task {
 	return out
 }
 
-// Drain removes and returns every task currently in the store (used by
-// checkpointing). Spilled blocks are loaded as needed.
-func (s *Store) Drain() ([]*core.Task, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*core.Task
-	for s.size > 0 {
-		t, err := s.popLocked()
-		if err != nil {
-			return out, err
-		}
-		if t == nil {
-			break
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // Size returns the number of stored tasks (memory + disk).
 func (s *Store) Size() int {
 	s.mu.Lock()
@@ -454,61 +440,31 @@ func (s *Store) SpilledBlocks() int {
 	return len(s.blocks)
 }
 
-// Snapshot encodes every stored task (memory and disk) without removing
-// anything; the format is count + length-prefixed EncodeTask payloads.
-// Used by checkpointing (§7: "dump the state of its partition ... where
-// the state includes the inactive tasks on disk" and in memory).
+// Snapshot encodes every stored task (memory and disk) as one
+// core.EncodeTasks list without removing anything. Used by checkpointing
+// (§7: "dump the state of its partition ... where the state includes the
+// inactive tasks on disk" and in memory); a restored task's key and arrival
+// number are made anew at its intake.
 func (s *Store) Snapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// w is returned to the caller and must not come from the pool; the
-	// per-task scratch writer is pooled and reused across tasks.
-	w := wire.NewWriter(256 * s.size)
-	w.Uvarint(uint64(s.size))
-	tw := wire.GetWriter(256)
-	defer wire.PutWriter(tw)
+	tasks := make([]*core.Task, 0, s.size)
 	for _, it := range s.head() {
-		tw.Reset()
-		core.EncodeTask(tw, it.t, s.codec)
-		w.BytesField(tw.Bytes())
+		tasks = append(tasks, it.t)
 	}
 	for _, blk := range s.blocks {
-		data, err := s.spiller.Read(blk.id)
+		items, err := s.readBlock(blk.id)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("store: snapshot: %w", err)
 		}
-		err = decodeBlock(data, func(_ lsh.Signature, _ uint64, task []byte) error {
-			w.BytesField(task) // key and arrival are recomputed on restore
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot block %d: %w", blk.id, err)
+		for _, it := range items {
+			tasks = append(tasks, it.t)
 		}
 	}
+	// w is returned to the caller and must not come from the pool.
+	w := wire.NewWriter(256 * len(tasks))
+	core.EncodeTasks(w, tasks, s.codec)
 	return w.Bytes(), nil
-}
-
-// DecodeSnapshot parses tasks from a Snapshot payload.
-func DecodeSnapshot(data []byte, codec core.ContextCodec) ([]*core.Task, error) {
-	r := wire.NewReader(data)
-	n := r.Count(1)
-	tasks := make([]*core.Task, 0, n)
-	for i := 0; i < n; i++ {
-		t, err := core.DecodeTask(wire.NewReader(r.BytesField()), codec)
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, t)
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if r.Remaining() != 0 {
-		// A checkpoint payload is exactly its task list; trailing bytes mean
-		// the count lied (truncation or corruption the CRC layer missed).
-		return nil, fmt.Errorf("store: %d trailing snapshot bytes", r.Remaining())
-	}
-	return tasks, nil
 }
 
 // Close wakes any blocked PopWait callers; the store can still be drained

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -28,6 +29,18 @@ func newStore(t *testing.T, cfg Config, dir string) *Store {
 	}
 	t.Cleanup(sp.Close)
 	return New(cfg, core.NoContext{}, sp, &metrics.Counters{})
+}
+
+// popAll takes every task out of s, in store order.
+func popAll(s *Store) []*core.Task {
+	var out []*core.Task
+	for {
+		t, ok := s.TryPop()
+		if !ok {
+			return out
+		}
+		out = append(out, t)
+	}
 }
 
 func mkTask(id uint64, pulls ...graph.VertexID) *core.Task {
@@ -131,6 +144,45 @@ func TestSpillAndReload(t *testing.T) {
 	}
 }
 
+// A task reloaded from a spill block skips intake, so the block's header
+// gives it back the to_pull it was stored with; a snapshot, whose tasks do go
+// through intake, carries none.
+func TestSpilledTaskKeepsToPull(t *testing.T) {
+	s := newStore(t, Config{MemCapacity: 4, BlockCapacity: 2, LSHDims: 4}, t.TempDir())
+	var batch []*core.Task
+	for i := uint64(0); i < 20; i++ {
+		batch = append(batch, mkTask(i, graph.VertexID(100+i), graph.VertexID(200+i%3)))
+	}
+	if err := s.Insert(batch); err != nil {
+		t.Fatal(err)
+	}
+	if s.SpilledBlocks() == 0 {
+		t.Fatal("expected disk blocks")
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapped, err := core.DecodeTasks(snap, core.NoContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range snapped {
+		if task.ToPull != nil {
+			t.Fatalf("snapshot task %d carries to_pull %v", task.ID, task.ToPull)
+		}
+	}
+	popped := popAll(s)
+	if len(popped) != len(batch) {
+		t.Fatalf("popped %d of %d", len(popped), len(batch))
+	}
+	for _, task := range popped {
+		if want := []graph.VertexID{graph.VertexID(100 + task.ID), graph.VertexID(200 + task.ID%3)}; !slices.Equal(task.ToPull, want) {
+			t.Fatalf("task %d came back with to_pull %v, want %v", task.ID, task.ToPull, want)
+		}
+	}
+}
+
 // With no directory configured a spilling store's blocks go to disk, under a
 // temporary directory in TMPDIR — never RAM, which MemBytes has stopped
 // counting — and closing the spiller leaves nothing behind.
@@ -227,7 +279,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if s.Size() != 20 {
 		t.Fatalf("snapshot drained the store: %d", s.Size())
 	}
-	tasks, err := DecodeSnapshot(snap, core.NoContext{})
+	tasks, err := core.DecodeTasks(snap, core.NoContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,19 +352,26 @@ func TestQuickNoTaskLoss(t *testing.T) {
 				return false
 			}
 		}
-		tasks, err := s.Drain()
-		if err != nil || len(tasks) != len(seeds) {
+		// Both ways out see every task once: the snapshot, which reads the
+		// spilled blocks in place, and popping the store empty.
+		same := func(tasks []*core.Task) bool {
+			left := maps.Clone(want)
+			for _, task := range tasks {
+				left[task.ID]--
+			}
+			for _, c := range left {
+				if c != 0 {
+					return false
+				}
+			}
+			return len(tasks) == len(seeds)
+		}
+		snap, err := s.Snapshot()
+		if err != nil {
 			return false
 		}
-		for _, task := range tasks {
-			want[task.ID]--
-		}
-		for _, c := range want {
-			if c != 0 {
-				return false
-			}
-		}
-		return true
+		snapped, err := core.DecodeTasks(snap, core.NoContext{})
+		return err == nil && same(snapped) && same(popAll(s))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

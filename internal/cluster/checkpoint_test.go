@@ -82,23 +82,41 @@ func TestManifestCodec(t *testing.T) {
 }
 
 func TestManifestCodecRejectsInvalid(t *testing.T) {
-	bad := []*manifest{
-		// CRC count does not match worker count.
-		{Fingerprint: 1, Workers: 3, Epoch: 2, EpochCRCs: []uint32{1}, PrevEpoch: noEpoch},
-		// Previous epoch newer than the committed one.
-		{Fingerprint: 1, Workers: 1, Epoch: 2, EpochCRCs: []uint32{1}, PrevEpoch: 9, PrevCRCs: []uint32{2}},
-		// Previous epoch without its checksums.
-		{Fingerprint: 1, Workers: 2, Epoch: 2, EpochCRCs: []uint32{1, 2}, PrevEpoch: 1},
-		// No workers at all.
-		{Fingerprint: 1, Workers: 0, Epoch: 1, PrevEpoch: noEpoch},
+	good := []byte(`{"fingerprint":1,"workers":1,"epoch":2,"epoch_crcs":[1],"prev_epoch":-1,"prev_crcs":null}`)
+	if _, err := decodeManifest(frame(manifestMagic, good)); err != nil {
+		t.Fatalf("well-formed manifest refused: %v", err)
 	}
-	for i, m := range bad {
-		if _, err := decodeManifest(encodeManifest(m)); err == nil {
-			t.Errorf("case %d: invalid manifest decoded cleanly: %+v", i, m)
-		}
+	cases := []struct {
+		name, wantSub string
+		data          []byte
+	}{
+		{"crc count differs from worker count", "names 3 workers, carries 1 checksums",
+			encodeManifest(&manifest{Fingerprint: 1, Workers: 3, Epoch: 2, EpochCRCs: []uint32{1}, PrevEpoch: noEpoch})},
+		{"previous epoch after the current one", "out of order",
+			encodeManifest(&manifest{Fingerprint: 1, Workers: 1, Epoch: 2, EpochCRCs: []uint32{1}, PrevEpoch: 9, PrevCRCs: []uint32{2}})},
+		{"previous epoch equal to the current one", "out of order",
+			encodeManifest(&manifest{Fingerprint: 1, Workers: 1, Epoch: 2, EpochCRCs: []uint32{1}, PrevEpoch: 2, PrevCRCs: []uint32{2}})},
+		{"previous epoch without its checksums", "previous epoch carries 0 checksums",
+			encodeManifest(&manifest{Fingerprint: 1, Workers: 2, Epoch: 2, EpochCRCs: []uint32{1, 2}, PrevEpoch: 1})},
+		{"no workers", "names 0 workers",
+			encodeManifest(&manifest{Fingerprint: 1, Workers: 0, Epoch: 1, PrevEpoch: noEpoch})},
+		{"garbage", "bad magic", []byte{1, 2, 3}},
+		// A directory written before the manifest became JSON does not resume.
+		{"binary manifest of an older build", "bad magic (want GMMF2)", frame("GMMF1", []byte{1, 1, 2, 1, 1, 1, 0})},
+		{"garbled payload", "manifest:", frame(manifestMagic, good[:len(good)-1])},
+		{"trailing data in the frame", "manifest:", frame(manifestMagic, append(append([]byte{}, good...), '{', '}'))},
+		{"crc of the wrong type", "manifest:", frame(manifestMagic, []byte(`{"workers":1,"epoch_crcs":[-1]}`))},
 	}
-	if _, err := decodeManifest([]byte{1, 2, 3}); err == nil {
-		t.Error("garbage decoded cleanly")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := decodeManifest(tc.data)
+			if err == nil {
+				t.Fatalf("invalid manifest decoded cleanly: %+v", m)
+			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -233,7 +232,7 @@ func scanHeldJobs(root string) map[string]HeldJob {
 			continue
 		}
 		var jf HeldJob
-		if json.Unmarshal(b, &jf) != nil || jf.ID == "" || jf.ID != e.Name() {
+		if decodeCtrl(b, &jf) != nil || jf.ID == "" || jf.ID != e.Name() {
 			continue
 		}
 		if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
@@ -275,7 +274,7 @@ func (s *Session) HeldJobs() []HeldJob {
 func (c *coordinator) handleHello(payload []byte) []byte {
 	reject := func(reason string) []byte {
 		c.logf("join rejected: %s", reason)
-		return encodeWelcome(welcomeFrame{OK: false, Reason: reason})
+		return encodeCtrl(welcomeFrame{Version: handshakeVersion, OK: false, Reason: reason})
 	}
 	h, err := decodeHello(payload)
 	if err != nil {
@@ -339,7 +338,8 @@ func (c *coordinator) handleHello(payload []byte) []byte {
 	if c.s.Ready() {
 		c.readyOnce.Do(func() { close(c.readyCh) })
 	}
-	return encodeWelcome(welcomeFrame{
+	return encodeCtrl(welcomeFrame{
+		Version:    handshakeVersion,
 		OK:         true,
 		Node:       int32(slot),
 		Workers:    int32(workers),
@@ -456,10 +456,8 @@ func (c *coordinator) ctlLoop() {
 			}
 		case ctrlHeartbeat:
 			var m heartbeatMsg
-			if len(msg.Payload) > 0 {
-				if err := decodeCtrl(msg.Payload, &m); err != nil {
-					continue
-				}
+			if err := decodeCtrl(msg.Payload, &m); err != nil {
+				continue
 			}
 			c.mu.Lock()
 			if msg.From >= 0 && msg.From < len(c.slots) {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -254,15 +255,15 @@ func TestRemoteRollingRestart(t *testing.T) {
 	}
 }
 
-// Killing the whole cluster — coordinator included — and restarting the
-// coordinator with Resume must rebuild the held job from its durable
-// JOBSPEC + MANIFEST, wait for the slots to rejoin with their held
-// epochs, restore every worker from one consistent committed cut, and
-// finish byte-identically.
-func TestRemoteCoordinatorResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second coordinator-restart soak")
-	}
+// restartHeldJob runs the coordinator-restart drill: a checkpointing job
+// on a remote cluster, the whole cluster shut down once an epoch committed,
+// tamper(workerDir) run on the workers' checkpoint directories, then a
+// `-resume` coordinator and the same worker slots restarted on the same
+// directories, and the held job resubmitted under its ID — what gminerd's
+// -resume path does. It returns the resubmitted job and the fault-free
+// records.
+func restartHeldJob(t *testing.T, tamper func(workerDir string)) (*cluster.Job, []string) {
+	t.Helper()
 	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 40000, Seed: 307})
 	sp := fencingSpec()
 	jobspec.Prepare(g, sp)
@@ -308,6 +309,9 @@ func TestRemoteCoordinatorResume(t *testing.T) {
 		wp.Close()
 	}
 	release() // the restarted cluster runs the job out
+	if tamper != nil {
+		tamper(workerDir)
+	}
 
 	// Restarted coordinator: same checkpoint directory, Resume on.
 	cfg2 := cfg
@@ -344,7 +348,6 @@ func TestRemoteCoordinatorResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resubmit under the original ID — what gminerd's -resume path does.
 	a2, err := jobspec.Build(g, held[0].Spec)
 	if err != nil {
 		t.Fatal(err)
@@ -357,13 +360,57 @@ func TestRemoteCoordinatorResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := j2.Wait()
+	return j2, want
+}
+
+// Killing the whole cluster — coordinator included — and restarting the
+// coordinator with Resume must rebuild the held job from its durable
+// JOBSPEC + MANIFEST, wait for the slots to rejoin with their held
+// epochs, restore every worker from one consistent committed cut, and
+// finish byte-identically.
+func TestRemoteCoordinatorResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second coordinator-restart soak")
+	}
+	j, want := restartHeldJob(t, nil)
+	res, err := j.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Records, want) {
 		t.Fatalf("records diverge after coordinator resume: got %d records, want %d",
 			len(res.Records), len(want))
+	}
+}
+
+// A full-job resume restores every slot from one pinned epoch. The process
+// host picks the pin from the file names each hello listed, so a pinned
+// file that is present but torn is found only at restore: that worker must
+// fail the job, naming itself, not start fresh beside peers restored at the
+// pin — the mixed cut the pin exists to forbid.
+func TestRemotePinnedResumeIsStrict(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second coordinator-restart soak")
+	}
+	j, _ := restartHeldJob(t, func(workerDir string) {
+		files, _ := filepath.Glob(filepath.Join(workerDir, "node-1", "held-job", "worker-1.epoch-*.ckpt"))
+		if len(files) == 0 {
+			t.Fatal("worker 1 holds no snapshot files")
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[len(b)/2] ^= 0xFF
+			if err := os.WriteFile(f, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	_, err := j.Wait()
+	if err == nil || !strings.Contains(err.Error(), "worker 1") || !strings.Contains(err.Error(), "no usable committed epoch") {
+		t.Fatalf("job error %v, want worker 1's failed restore", err)
 	}
 }
 

@@ -50,7 +50,7 @@ func FuzzDecodeManifest(f *testing.F) {
 		EpochCRCs: []uint32{1, 2}, PrevEpoch: 1, PrevCRCs: []uint32{3, 4}}))
 	f.Add(encodeManifest(&manifest{Fingerprint: 1, Workers: 1, Epoch: 1,
 		EpochCRCs: []uint32{9}, PrevEpoch: noEpoch}))
-	f.Add([]byte(manifestMagic))
+	f.Add(frame(manifestMagic, []byte(`{"workers":2,"epoch_crcs":[1],"prev_epoch":-1}`)))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)
@@ -113,9 +113,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 }
 
 func FuzzDecodeHello(f *testing.F) {
-	f.Add(encodeHello(helloFrame{Version: handshakeVersion, Node: -1, Fingerprint: 42, Advertise: "127.0.0.1:7078"}))
-	f.Add(encodeHello(helloFrame{Version: handshakeVersion + 9, Node: 2, Fingerprint: 1, Advertise: "h:1"}))
-	f.Add([]byte("GMHS"))
+	f.Add(encodeCtrl(helloFrame{Version: handshakeVersion, Node: -1, Fingerprint: 42, Advertise: "127.0.0.1:7078",
+		Held: []heldEpochs{{JobID: "job-1", Epochs: []int64{5, 3}}}}))
+	f.Add(encodeCtrl(helloFrame{Version: handshakeVersion + 9, Node: 2, Fingerprint: 1, Advertise: "h:1"}))
+	f.Add([]byte("GMHS\x03\x02")) // a pre-v4 binary hello's opening
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := decodeHello(data)
@@ -127,6 +128,14 @@ func FuzzDecodeHello(f *testing.F) {
 		}
 		if len(h.Advertise) > maxHandshakeAddr {
 			t.Fatalf("accepted %d-byte advertise address", len(h.Advertise))
+		}
+		if len(h.Held) > maxHeldJobs {
+			t.Fatalf("accepted %d held jobs", len(h.Held))
+		}
+		for _, he := range h.Held {
+			if len(he.JobID) > maxHeldJobID || len(he.Epochs) > maxHeldEpochs {
+				t.Fatalf("accepted held entry with a %d-byte job id and %d epochs", len(he.JobID), len(he.Epochs))
+			}
 		}
 	})
 }
@@ -162,14 +171,17 @@ func FuzzDecodeCtrl(f *testing.F) {
 }
 
 func FuzzDecodeWelcome(f *testing.F) {
-	f.Add(encodeWelcome(welcomeFrame{OK: true, Node: 1, Workers: 3, Peers: []string{"a:1", "", "c:3"}}))
-	f.Add(encodeWelcome(welcomeFrame{OK: false, Reason: "fingerprint mismatch"}))
-	f.Add([]byte("GMWL"))
+	f.Add(encodeCtrl(welcomeFrame{Version: handshakeVersion, OK: true, Node: 1, Workers: 3, Peers: []string{"a:1", "", "c:3"}}))
+	f.Add(encodeCtrl(welcomeFrame{Version: handshakeVersion, OK: false, Reason: "fingerprint mismatch"}))
+	f.Add([]byte("GMWL\x03\x01")) // a pre-v4 binary welcome's opening
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, err := decodeWelcome(data)
 		if err != nil {
 			return
+		}
+		if w.Version != handshakeVersion {
+			t.Fatalf("accepted welcome with version %d", w.Version)
 		}
 		if len(w.Peers) > maxHandshakePeers {
 			t.Fatalf("accepted %d-entry peer table", len(w.Peers))

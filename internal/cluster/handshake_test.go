@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -13,13 +15,11 @@ func TestHandshakeHelloRoundTrip(t *testing.T) {
 		Fingerprint: 0xdeadbeefcafe,
 		Advertise:   "127.0.0.1:41234",
 	}
-	out, err := decodeHello(encodeHello(in))
+	out, err := decodeHello(encodeCtrl(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Version != in.Version || out.Node != in.Node ||
-		out.Fingerprint != in.Fingerprint || out.Advertise != in.Advertise ||
-		len(out.Held) != 0 {
+	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("round trip: got %+v want %+v", out, in)
 	}
 
@@ -28,134 +28,137 @@ func TestHandshakeHelloRoundTrip(t *testing.T) {
 		{JobID: "job-1", Epochs: []int64{5, 3}},
 		{JobID: "job-2", Epochs: []int64{12}},
 	}
-	out, err = decodeHello(encodeHello(in))
+	out, err = decodeHello(encodeCtrl(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Held) != len(in.Held) {
-		t.Fatalf("held round trip: got %d jobs want %d", len(out.Held), len(in.Held))
-	}
-	for i, he := range in.Held {
-		if out.Held[i].JobID != he.JobID || len(out.Held[i].Epochs) != len(he.Epochs) {
-			t.Fatalf("held job %d: got %+v want %+v", i, out.Held[i], he)
-		}
-		for j, e := range he.Epochs {
-			if out.Held[i].Epochs[j] != e {
-				t.Fatalf("held job %d epoch %d: got %d want %d", i, j, out.Held[i].Epochs[j], e)
-			}
-		}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("held round trip: got %+v want %+v", out, in)
 	}
 }
 
 func TestHandshakeWelcomeRoundTrip(t *testing.T) {
-	in := welcomeFrame{
-		OK:         true,
-		Node:       2,
-		Workers:    3,
-		Peers:      []string{"127.0.0.1:1", "", "127.0.0.1:3", "127.0.0.1:4"},
-		Generation: 7,
-	}
-	out, err := decodeWelcome(encodeWelcome(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.OK != in.OK || out.Node != in.Node || out.Workers != in.Workers ||
-		len(out.Peers) != len(in.Peers) || out.Generation != in.Generation {
-		t.Fatalf("round trip: got %+v want %+v", out, in)
-	}
-	for i := range in.Peers {
-		if out.Peers[i] != in.Peers[i] {
-			t.Fatalf("peer %d: got %q want %q", i, out.Peers[i], in.Peers[i])
+	for _, in := range []welcomeFrame{
+		{Version: handshakeVersion, OK: true, Node: 2, Workers: 3,
+			Peers: []string{"127.0.0.1:1", "", "127.0.0.1:3", "127.0.0.1:4"}, Generation: 7},
+		{Version: handshakeVersion, OK: false, Reason: "fingerprint mismatch"},
+	} {
+		out, err := decodeWelcome(encodeCtrl(in))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	rej := welcomeFrame{OK: false, Reason: "fingerprint mismatch"}
-	out, err = decodeWelcome(encodeWelcome(rej))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.OK || out.Reason != rej.Reason {
-		t.Fatalf("rejection round trip: %+v", out)
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("round trip: got %+v want %+v", out, in)
+		}
 	}
 }
 
-// Every malformed hello must be rejected with an error, never a panic or
-// a silently-wrong frame.
-func TestDecodeHelloRejects(t *testing.T) {
-	good := helloFrame{
-		Version:     handshakeVersion,
-		Node:        1,
-		Fingerprint: 42,
-		Advertise:   "127.0.0.1:9",
-	}
-	goodBytes := encodeHello(good)
+// handshakeRow is one malformed hello or welcome: decoding it must fail
+// with an error naming wantSub, unwrapping to errVersionMismatch exactly
+// when wantVersion is set — never a panic or a silently-wrong frame.
+type handshakeRow struct {
+	name        string
+	data        []byte
+	wantSub     string
+	wantVersion bool
+}
 
-	versionSkew := encodeHello(helloFrame{Version: handshakeVersion + 1, Node: 1, Fingerprint: 42, Advertise: "a:1"})
-
-	cases := []struct {
-		name        string
-		data        []byte
-		wantVersion bool // error must unwrap to errVersionMismatch
-	}{
-		{name: "empty", data: nil},
-		{name: "bad magic", data: []byte("XXXX\x01\x02")},
-		{name: "magic only", data: []byte("GMHS")},
-		{name: "truncated after version", data: goodBytes[:5]},
-		{name: "truncated mid-address", data: goodBytes[:len(goodBytes)-3]},
-		{name: "trailing garbage", data: append(append([]byte{}, goodBytes...), 0xAA)},
-		{name: "version mismatch", data: versionSkew, wantVersion: true},
-		{
-			name: "huge address length prefix",
-			// magic + version + node + fingerprint + a string length the
-			// payload cannot possibly satisfy.
-			data: append(goodBytes[:7], 0xff, 0xff, 0xff, 0xff, 0x0f),
-		},
-	}
-	for _, tc := range cases {
+func runHandshakeRows[T any](t *testing.T, decode func([]byte) (T, error), rows []handshakeRow) {
+	t.Helper()
+	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := decodeHello(tc.data)
+			_, err := decode(tc.data)
 			if err == nil {
-				t.Fatalf("decodeHello(%q) accepted a malformed frame", tc.data)
+				t.Fatalf("accepted a malformed frame: %.80q", tc.data)
 			}
 			if tc.wantVersion != errors.Is(err, errVersionMismatch) {
 				t.Fatalf("error %v: errVersionMismatch=%v, want %v", err, !tc.wantVersion, tc.wantVersion)
 			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
+			}
 		})
 	}
 }
 
+func TestDecodeHelloRejects(t *testing.T) {
+	good := helloFrame{Version: handshakeVersion, Node: 1, Fingerprint: 42, Advertise: "127.0.0.1:9"}
+	goodBytes := encodeCtrl(good)
+	with := func(mutate func(h *helloFrame)) []byte {
+		h := good
+		mutate(&h)
+		return encodeCtrl(h)
+	}
+	held := func(jobs, epochs, idLen int) []heldEpochs {
+		out := make([]heldEpochs, jobs)
+		for i := range out {
+			out[i] = heldEpochs{JobID: strings.Repeat("j", idLen), Epochs: make([]int64, epochs)}
+		}
+		return out
+	}
+	const garbled = "not a v4 handshake"
+	runHandshakeRows(t, decodeHello, []handshakeRow{
+		{name: "empty", data: nil, wantSub: garbled},
+		// A stray frame.
+		{name: "bad magic", data: []byte("XXXX\x01\x02"), wantSub: garbled},
+		// The opening of a pre-v4 binary hello.
+		{name: "magic only", data: []byte("GMHS\x03\x02"), wantSub: garbled},
+		{name: "truncated after version", data: goodBytes[:len(`{"version":4`)], wantSub: garbled},
+		{name: "truncated mid-address", data: goodBytes[:len(goodBytes)-8], wantSub: garbled},
+		{name: "trailing garbage", data: append(append([]byte{}, goodBytes...), 0xAA), wantSub: garbled},
+		{name: "version mismatch", wantVersion: true, wantSub: "peer speaks v5",
+			data: with(func(h *helloFrame) { h.Version = handshakeVersion + 1 })},
+		// A later version may reshape any other field; it is still told
+		// apart as a version skew.
+		{name: "version mismatch with a reshaped field", wantVersion: true, wantSub: "peer speaks v5",
+			data: []byte(`{"version":5,"node":"any","held":{}}`)},
+		// Refused on its size, before any of it is decoded.
+		{name: "huge address length prefix", wantSub: "exceeds",
+			data: with(func(h *helloFrame) { h.Advertise = strings.Repeat("a", maxHandshakeFrame) })},
+		{name: "address over bound", wantSub: "advertise address 257 bytes",
+			data: with(func(h *helloFrame) { h.Advertise = strings.Repeat("a", maxHandshakeAddr+1) })},
+		{name: "too many held jobs", wantSub: "257 held jobs",
+			data: with(func(h *helloFrame) { h.Held = held(maxHeldJobs+1, 1, 1) })},
+		{name: "held job id over bound", wantSub: "held job id 257 bytes",
+			data: with(func(h *helloFrame) { h.Held = held(1, 1, maxHeldJobID+1) })},
+		{name: "too many held epochs", wantSub: "17 held epochs",
+			data: with(func(h *helloFrame) { h.Held = held(1, maxHeldEpochs+1, 1) })},
+	})
+	// Every bound is inclusive.
+	at := with(func(h *helloFrame) {
+		h.Advertise = strings.Repeat("a", maxHandshakeAddr)
+		h.Held = held(maxHeldJobs, maxHeldEpochs, maxHeldJobID)
+	})
+	if _, err := decodeHello(at); err != nil {
+		t.Fatalf("hello at every bound refused: %v", err)
+	}
+}
+
 func TestDecodeWelcomeRejects(t *testing.T) {
-	good := encodeWelcome(welcomeFrame{OK: true, Node: 0, Workers: 3, Peers: []string{"a:1", "b:2"}})
-	// A well-formed frame whose version uvarint (the byte after the magic)
-	// is bumped: everything decodes, then the version gate must fire.
-	versionSkew := append([]byte{}, good...)
-	versionSkew[len(welcomeMagic)] = handshakeVersion + 1
-	cases := []struct {
-		name        string
-		data        []byte
-		wantVersion bool
-	}{
-		{name: "empty", data: nil},
-		{name: "bad magic", data: []byte("NOPE")},
-		{name: "truncated", data: good[:6]},
-		{name: "truncated peer table", data: good[:len(good)-2]},
-		{name: "trailing garbage", data: append(append([]byte{}, good...), 1)},
-		{name: "huge peer count", data: append(good[:5], 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f)},
+	good := welcomeFrame{Version: handshakeVersion, OK: true, Node: 0, Workers: 3, Peers: []string{"a:1", "b:2"}}
+	goodBytes := encodeCtrl(good)
+	with := func(mutate func(w *welcomeFrame)) []byte {
+		wf := good
+		mutate(&wf)
+		return encodeCtrl(wf)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := decodeWelcome(tc.data)
-			if err == nil {
-				t.Fatalf("decodeWelcome(%q) accepted a malformed frame", tc.data)
-			}
-			if tc.wantVersion != errors.Is(err, errVersionMismatch) {
-				t.Fatalf("error %v: errVersionMismatch mismatch", err)
-			}
-		})
-	}
-	if _, err := decodeWelcome(versionSkew); !errors.Is(err, errVersionMismatch) {
-		t.Fatalf("version-skewed welcome: %v", err)
-	}
+	const garbled = "not a v4 handshake"
+	runHandshakeRows(t, decodeWelcome, []handshakeRow{
+		{name: "empty", data: nil, wantSub: garbled},
+		// The opening of a pre-v4 binary welcome.
+		{name: "bad magic", data: []byte("GMWL\x03\x01"), wantSub: garbled},
+		{name: "truncated", data: goodBytes[:6], wantSub: garbled},
+		{name: "truncated peer table", data: goodBytes[:bytes.Index(goodBytes, []byte(`"b:2"`))], wantSub: garbled},
+		{name: "trailing garbage", data: append(append([]byte{}, goodBytes...), 1), wantSub: garbled},
+		{name: "version mismatch", wantVersion: true, wantSub: "peer speaks v5",
+			data: with(func(w *welcomeFrame) { w.Version = handshakeVersion + 1 })},
+		{name: "frame over byte cap", wantSub: "exceeds",
+			data: with(func(w *welcomeFrame) { w.Reason = strings.Repeat("r", maxHandshakeFrame) })},
+		{name: "huge peer count", wantSub: "4097 peers",
+			data: with(func(w *welcomeFrame) { w.Peers = make([]string, maxHandshakePeers+1) })},
+		{name: "peer address over bound", wantSub: "peer address 257 bytes",
+			data: with(func(w *welcomeFrame) { w.Peers = []string{"a:1", strings.Repeat("p", maxHandshakeAddr+1)} })},
+	})
 }
 
 // The coordinator's admission gates: a decodable hello can still be

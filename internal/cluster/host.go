@@ -324,7 +324,10 @@ type processHost struct {
 }
 
 // start is a no-op on a slot no process has joined yet: the join handshake
-// starts every live job on the newcomer.
+// starts every live job on the newcomer. A start whose refs are the
+// full-job resume's pinned epoch is strict, as on the goroutine host; but
+// holds trusts the file names a hello listed, so a torn pinned file fails
+// the job (naming the worker) rather than falling back to an older epoch.
 func (h *processHost) start(i int, refs []resumeEpochRef) error {
 	gen, joined := h.c.slotState(i)
 	h.mu.Lock()
@@ -340,6 +343,7 @@ func (h *processHost) start(i int, refs []resumeEpochRef) error {
 		Spec:                   h.spec,
 		CheckpointEverySeconds: h.j.cfg.CheckpointEvery.Seconds(),
 		Resume:                 refs,
+		Strict:                 h.j.resumePin.Load() != noEpoch,
 	}))
 }
 

@@ -21,13 +21,14 @@ import (
 // exists durably only once every worker's file landed (fsync'd) and the
 // master wrote the manifest naming it. Restore never trusts a file the
 // manifest does not vouch for. GMCK2 is the payload whose task list is a
-// core.EncodeTasks list without to_pull; a GMCK1 file from an older build
-// fails at unframe ("bad magic") instead of mis-decoding, so its directory
-// does not resume.
+// core.EncodeTasks list without to_pull; GMMF2 is the manifest whose
+// payload is JSON. A GMCK1 file or GMMF1 manifest from an older build fails
+// at unframe ("bad magic") instead of mis-decoding, so its directory does
+// not resume.
 
 const (
 	snapshotMagic = "GMCK2"
-	manifestMagic = "GMMF1"
+	manifestMagic = "GMMF2"
 	// manifestName is the committed-epoch record inside the checkpoint
 	// directory.
 	manifestName = "MANIFEST"
@@ -87,12 +88,12 @@ type manifest struct {
 	// Fingerprint identifies the job: graph structure, algorithm, worker
 	// count and partitioner. Resume refuses a manifest whose fingerprint
 	// does not match the job being launched.
-	Fingerprint uint64
-	Workers     int
-	Epoch       int64
-	EpochCRCs   []uint32
-	PrevEpoch   int64 // noEpoch when only one epoch has ever committed
-	PrevCRCs    []uint32
+	Fingerprint uint64   `json:"fingerprint"`
+	Workers     int      `json:"workers"`
+	Epoch       int64    `json:"epoch"`
+	EpochCRCs   []uint32 `json:"epoch_crcs"`
+	PrevEpoch   int64    `json:"prev_epoch"` // noEpoch when only one epoch has ever committed
+	PrevCRCs    []uint32 `json:"prev_crcs"`
 }
 
 // epochs returns the committed epochs newest-first.
@@ -121,49 +122,18 @@ func (m *manifest) crcsFor(epoch int64) []uint32 {
 	return nil
 }
 
-func encodeManifest(m *manifest) []byte {
-	w := wire.NewWriter(64 + 8*len(m.EpochCRCs))
-	w.Uvarint(m.Fingerprint)
-	w.Int(m.Workers)
-	w.Varint(m.Epoch)
-	w.Uvarint(uint64(len(m.EpochCRCs)))
-	for _, c := range m.EpochCRCs {
-		w.Uvarint(uint64(c))
-	}
-	w.Varint(m.PrevEpoch)
-	w.Uvarint(uint64(len(m.PrevCRCs)))
-	for _, c := range m.PrevCRCs {
-		w.Uvarint(uint64(c))
-	}
-	return frame(manifestMagic, w.Bytes())
-}
+// encodeManifest frames the manifest's JSON: it is a control record, and
+// only the frame (magic, length, CRC32C) is the checkpoint format's own.
+func encodeManifest(m *manifest) []byte { return frame(manifestMagic, encodeCtrl(m)) }
 
 func decodeManifest(b []byte) (*manifest, error) {
 	payload, _, err := unframe(manifestMagic, b)
 	if err != nil {
 		return nil, err
 	}
-	r := wire.NewReader(payload)
 	m := &manifest{}
-	m.Fingerprint = r.Uvarint()
-	m.Workers = r.Int()
-	m.Epoch = r.Varint()
-	n := r.Count(1)
-	m.EpochCRCs = make([]uint32, 0, n)
-	for i := 0; i < n; i++ {
-		m.EpochCRCs = append(m.EpochCRCs, uint32(r.Uvarint()))
-	}
-	m.PrevEpoch = r.Varint()
-	n = r.Count(1)
-	m.PrevCRCs = make([]uint32, 0, n)
-	for i := 0; i < n; i++ {
-		m.PrevCRCs = append(m.PrevCRCs, uint32(r.Uvarint()))
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("checkpoint: %d trailing manifest bytes", r.Remaining())
+	if err := decodeCtrl(payload, m); err != nil {
+		return nil, fmt.Errorf("checkpoint: manifest: %w", err)
 	}
 	if m.Workers <= 0 || len(m.EpochCRCs) != m.Workers {
 		return nil, fmt.Errorf("checkpoint: manifest names %d workers, carries %d checksums",

@@ -21,7 +21,9 @@ type master struct {
 	agg      core.Aggregator // nil if the algorithm has none
 	counters *metrics.Counters
 
-	reports  []*progressReport
+	reports []*progressReport
+	// lastSeen is when slot i last reported, restarted or was offered for
+	// recovery: the failure detector's clock.
 	lastSeen []time.Time
 	partials [][]byte // latest encoded aggregator partial per worker
 
@@ -90,8 +92,7 @@ func newMaster(cfg Config, ep transport.Endpoint, agg core.Aggregator,
 		lastCkpt: time.Now(),
 	}
 	// Start the silence clock at job launch so a worker that dies before
-	// its first report is still detected; zero lastSeen would make such a
-	// worker invisible to the failure detector forever.
+	// its first report is detected a FailTimeout later, not at once.
 	now := time.Now()
 	for i := range m.lastSeen {
 		m.lastSeen[i] = now
@@ -133,7 +134,7 @@ func (m *master) run() {
 		now := time.Now()
 		if !now.Before(nextRound) {
 			nextRound = now.Add(tick)
-			m.periodic()
+			m.periodic(now)
 			round++
 			if m.cfg.roundHook != nil {
 				m.cfg.roundHook(round)
@@ -155,9 +156,7 @@ func (m *master) handle(msg transport.Message) {
 		}
 		m.reports[p.Worker] = p
 		m.lastSeen[p.Worker] = time.Now()
-		if m.failed[p.Worker] {
-			delete(m.failed, p.Worker)
-		}
+		delete(m.failed, p.Worker)
 		if p.AggSet {
 			m.partials[p.Worker] = p.AggBytes
 		}
@@ -185,6 +184,7 @@ func (m *master) noteRestarts() {
 		select {
 		case i := <-m.restarts:
 			m.reports[i], m.lastSeen[i] = nil, time.Now()
+			delete(m.failed, i)
 			m.recovered = true
 			m.draining[i].Store(false)
 		default:
@@ -275,8 +275,8 @@ func (m *master) scheduleSteal(thief int) {
 }
 
 // periodic runs aggregator sync, checkpoint triggering and failure
-// detection.
-func (m *master) periodic() {
+// detection, the last on the clock reading now.
+func (m *master) periodic(now time.Time) {
 	// Aggregator: merge the latest partials and broadcast when changed.
 	if m.agg != nil {
 		merged := m.agg.Zero()
@@ -322,14 +322,16 @@ func (m *master) periodic() {
 		}
 	}
 
-	// Failure detection.
+	// Failure detection. A flagged slot stays suspect until it reports or
+	// restarts, and is offered for recovery again after each further
+	// FailTimeout of silence: the host declines a worker that is still
+	// alive, and that worker may die before its next report.
 	if m.cfg.FailTimeout > 0 {
-		now := time.Now()
 		for i := 0; i < m.cfg.Workers; i++ {
-			if m.failed[i] || m.lastSeen[i].IsZero() {
+			if now.Sub(m.lastSeen[i]) <= m.cfg.FailTimeout {
 				continue
 			}
-			if now.Sub(m.lastSeen[i]) > m.cfg.FailTimeout {
+			if !m.failed[i] {
 				m.failed[i] = true
 				m.recovered = true
 				m.lastPrint = nil
@@ -337,11 +339,12 @@ func (m *master) periodic() {
 				// the in-flight epoch now instead of letting it freeze task
 				// stealing and termination until the ack timeout expires.
 				m.ckptPending = 0
-				if m.failures != nil {
-					select {
-					case m.failures <- i:
-					default:
-					}
+			}
+			m.lastSeen[i] = now
+			if m.failures != nil {
+				select {
+				case m.failures <- i:
+				default:
 				}
 			}
 		}

@@ -10,10 +10,17 @@ import (
 
 // Control plane of the multi-process cluster. Mux channel 0 is reserved
 // for coordinator ↔ worker-process control traffic; job channels start at
-// 1 (Session.reserve). Control payloads
-// are JSON: they are tiny, infrequent (job start/stop, final results,
-// heartbeats) and evolve more often than the hot-path codecs, so
-// self-describing encoding beats hand-rolled wire here.
+// 1 (Session.reserve).
+//
+// One codec rule: a control record is JSON through encodeCtrl/decodeCtrl,
+// on the wire or on disk — the join hello and welcome, every message on
+// this channel, and the checkpoint MANIFEST and JOBSPEC files. They are
+// small, infrequent (a join, a job start/stop, a final result, a heartbeat,
+// a committed epoch) and evolve more often than the hot-path codecs, so
+// self-describing encoding beats hand-rolled wire here. Engine messages on
+// job channels (progress reports ride every heartbeat; pulls and tasks are
+// the hot path) and bulk payloads (snapshot task lists, records inside a
+// snapshot) stay binary.
 //
 // Message types live in their own range (64+) so a control frame
 // misrouted onto a job channel can never be mistaken for an engine
@@ -41,7 +48,7 @@ const (
 	// ctrlHeartbeat: worker process → coordinator. Liveness for /healthz.
 	// The payload is a heartbeatMsg carrying the sender's fencing
 	// generation and draining state (the frame's from-node identifies the
-	// sender; an empty payload is tolerated as a v1-style beat at gen 0).
+	// sender).
 	ctrlHeartbeat
 	// ctrlDrain: worker process → coordinator. The worker received SIGTERM
 	// and entered the draining state: hold its jobs, run a barrier
@@ -81,6 +88,10 @@ type jobStartMsg struct {
 	// Resume lists committed epochs (newest first) the worker should try
 	// restoring from; empty means start fresh.
 	Resume []resumeEpochRef `json:"resume,omitempty"`
+	// Strict marks the pinned start of a full-job resume: Resume names the
+	// one epoch every slot restores, and a worker that cannot restore it
+	// fails the job instead of starting fresh beside restored peers.
+	Strict bool `json:"strict,omitempty"`
 }
 
 // jobStopMsg is the ctrlJobStop payload. With Kill set the job's worker

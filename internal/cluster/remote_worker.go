@@ -166,7 +166,7 @@ func StartWorkerProcess(g *graph.Graph, cfg Config, opt WorkerOptions) (*WorkerP
 		return nil, err
 	}
 
-	hello := encodeHello(helloFrame{
+	hello := encodeCtrl(helloFrame{
 		Version:     handshakeVersion,
 		Node:        int32(opt.Node),
 		Fingerprint: wp.fingerprint,
@@ -375,8 +375,8 @@ func (wp *WorkerProcess) heartbeatLoop() {
 
 // startJob opens the job's mux channel, builds this node's engine worker —
 // restoring from the newest committed epoch the coordinator vouched for,
-// when the start message carries resume refs — and runs the job to
-// completion on its own goroutine.
+// when the start message carries resume refs; on a strict start a failed
+// restore nacks — and runs the job to completion on its own goroutine.
 func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 	wp.mu.Lock()
 	old := wp.jobs[m.Channel]
@@ -430,7 +430,7 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		wp.nack(m, fmt.Errorf("open channel %d: %w", m.Channel, err))
 		return
 	}
-	w, restored, err := buildWorker(wp.node, cfg, algo, tables, eps[wp.node], counters, sink, m.Resume, false)
+	w, restored, err := buildWorker(wp.node, cfg, algo, tables, eps[wp.node], counters, sink, m.Resume, m.Strict)
 	if err != nil {
 		wp.mux.CloseChannel(m.Channel)
 		wp.nack(m, fmt.Errorf("worker build: %w", err))

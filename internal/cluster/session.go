@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -234,7 +233,7 @@ func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 	if s.coord != nil && cfg.CheckpointDir != "" {
 		// The durable JOBSPEC a restarted coordinator rebuilds the job from.
 		j.specFile = filepath.Join(cfg.CheckpointDir, jobspecName)
-		b, _ := json.Marshal(HeldJob{ID: id, Spec: *opt.Spec, CheckpointEverySeconds: cfg.CheckpointEvery.Seconds()})
+		b := encodeCtrl(HeldJob{ID: id, Spec: *opt.Spec, CheckpointEverySeconds: cfg.CheckpointEvery.Seconds()})
 		// On failure the job still runs; coordinator resume will not cover it.
 		_ = writeFileDurable(j.specFile, b)
 	}
@@ -637,15 +636,4 @@ func (s *Session) ApplyMutations(b dyngraph.Batch) (*EpochResult, error) {
 		RebuiltWorkers: rebuilt,
 		ApplyTime:      time.Since(start),
 	}, nil
-}
-
-// DroppedMessages counts stale wire messages the mux discarded (traffic
-// addressed to already-torn-down jobs), plus on the process host the
-// frames abandoned because a worker process stayed unreachable past the
-// redial budget.
-func (s *Session) DroppedMessages() int64 {
-	if s.coord != nil {
-		return s.mux.Dropped() + s.coord.net.Dropped()
-	}
-	return s.mux.Dropped()
 }

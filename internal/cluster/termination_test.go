@@ -221,6 +221,74 @@ func TestTerminationDecision(t *testing.T) {
 	}
 }
 
+// The failure detector, on a synthetic clock: a slot flagged while its
+// worker is still alive is declined by the host; the worker then dies
+// before it reports again. The slot must be offered again once another
+// FailTimeout passes in silence — a one-shot flag left the job hanging.
+// A report or a restart clears the suspicion; only the first flag
+// abandons the in-flight checkpoint epoch.
+func TestFailureDetectorReoffersSuspect(t *testing.T) {
+	cfg := Config{Workers: 2, FailTimeout: 10 * time.Millisecond}.Defaults()
+	net := transport.NewLocal(transport.LocalConfig{Nodes: 3})
+	defer net.Close()
+	failures := make(chan int, cfg.Workers)
+	m := newMaster(cfg, net.Endpoint(2), nil, &metrics.Counters{}, failures, nil, nil)
+	now := time.Unix(0, 0)
+	for i := range m.lastSeen {
+		m.lastSeen[i] = now
+	}
+	offers := func() (slots []int) {
+		for {
+			select {
+			case i := <-failures:
+				slots = append(slots, i)
+			default:
+				return slots
+			}
+		}
+	}
+	step := func(d time.Duration, reporter int, want ...int) {
+		t.Helper()
+		now = now.Add(d)
+		if reporter >= 0 {
+			m.lastSeen[reporter] = now
+		}
+		m.periodic(now)
+		if got := offers(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("at %v: offered %v, want %v", now.Sub(time.Unix(0, 0)), got, want)
+		}
+	}
+	ft := cfg.FailTimeout
+
+	m.ckptPending = 1
+	step(ft+1, 1, 0) // slot 0 is silent: flagged and offered; the host declines it
+	if !m.failed[0] || !m.recovered || m.ckptPending != 0 {
+		t.Fatalf("first flag: failed=%v recovered=%v ckptPending=%d", m.failed[0], m.recovered, m.ckptPending)
+	}
+	m.ckptPending = 1 // a later epoch went out without slot 0
+	step(ft/2, 1)     // the worker dies; the lease has not run out yet
+	step(ft/2+1, 1, 0)
+	if !m.failed[0] || m.ckptPending != 1 {
+		t.Fatalf("re-offer: failed=%v ckptPending=%d (the epoch is abandoned only at the first flag)", m.failed[0], m.ckptPending)
+	}
+
+	// A restart ends the suspicion and restarts the silence clock.
+	m.workerRestarted(0)
+	m.noteRestarts()
+	if m.failed[0] {
+		t.Fatal("restarted slot still suspect")
+	}
+	m.lastSeen[0] = now
+	step(ft, 1)
+
+	// So does a report.
+	step(1, 1, 0)
+	m.handle(transport.Message{From: 0, Type: msgProgress, Payload: encodeProgress(idleRep(0, 1, 0, 0))})
+	if m.failed[0] {
+		t.Fatal("reporting slot still suspect")
+	}
+}
+
 // lateTasks delivers every migration batch sent through it after a seeded
 // random delay, without telling the master (no Config.Latency, no chaos
 // profile): the probe-wave path runs while batches are in flight between

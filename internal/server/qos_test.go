@@ -274,8 +274,9 @@ func TestQueuedDeadlineSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := heldCluster{Cluster: sess, id: "slot", release: make(chan struct{})}
-	srv := New(held, Config{MaxConcurrentJobs: 1, ResultCacheEntries: -1})
+	held := heldCluster{Session: sess, id: "slot", release: make(chan struct{})}
+	srv := New(sess, Config{MaxConcurrentJobs: 1, ResultCacheEntries: -1})
+	srv.reg.launch = held.Launch
 	defer srv.Shutdown()
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -304,7 +305,7 @@ func TestQueuedDeadlineSheds(t *testing.T) {
 // as the test needs, however fast the engine finishes real jobs. A parked
 // seeder cannot see a stop: close release right after cancelling the job.
 type heldCluster struct {
-	Cluster
+	*cluster.Session
 	id      string
 	release chan struct{}
 }
@@ -313,7 +314,7 @@ func (h heldCluster) Launch(a core.Algorithm, opt cluster.JobOptions) (*cluster.
 	if mc, ok := a.(*algo.MaxClique); ok && opt.ID == h.id {
 		a = heldMaxClique{mc, h.release}
 	}
-	return h.Cluster.Launch(a, opt)
+	return h.Session.Launch(a, opt)
 }
 
 type heldMaxClique struct {

@@ -169,8 +169,11 @@ type tenantWait struct {
 // session launches, a cost meter pricing admission, and a result cache
 // short-circuiting repeat queries.
 type registry struct {
-	sess Cluster
+	sess *cluster.Session
 	cfg  Config
+	// launch starts a job on sess (sess.Launch); tests wrap it to hold or
+	// watch the jobs the registry launches.
+	launch func(core.Algorithm, cluster.JobOptions) (*cluster.Job, error)
 
 	meter *qos.Meter
 	cache *qos.ResultCache[*cluster.Result] // nil when caching is disabled
@@ -198,15 +201,16 @@ type registry struct {
 	residentBytes int64
 }
 
-func newRegistry(sess Cluster, cfg Config) *registry {
+func newRegistry(sess *cluster.Session, cfg Config) *registry {
 	r := &registry{
-		sess:  sess,
-		cfg:   cfg.defaults(),
-		meter: qos.NewMeter(),
-		fp:    sess.Fingerprint(),
-		jobs:  make(map[string]*job),
-		queue: qos.NewFairQueue(),
-		waits: make(map[string]*tenantWait),
+		sess:   sess,
+		launch: sess.Launch,
+		cfg:    cfg.defaults(),
+		meter:  qos.NewMeter(),
+		fp:     sess.Fingerprint(),
+		jobs:   make(map[string]*job),
+		queue:  qos.NewFairQueue(),
+		waits:  make(map[string]*tenantWait),
 
 		standingRounds: make(map[string]int64),
 		finished:       make(map[string]int64),
@@ -434,7 +438,7 @@ func (r *registry) pumpLocked() {
 				j.req.CheckpointEverySeconds * float64(time.Second)),
 			RoundHook: roundHook(j, j.budget, j.deadline),
 		}
-		cj, err := r.sess.Launch(a, opt)
+		cj, err := r.launch(a, opt)
 		if err != nil {
 			r.terminateLocked(j, StateFailed, err)
 			r.recordWaitLocked(j)

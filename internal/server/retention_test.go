@@ -57,7 +57,8 @@ func TestReapedJobReleasesEngine(t *testing.T) {
 			mu.Unlock()
 		})
 	}}
-	srv := New(spy, Config{MaxRetainedJobs: adhoc})
+	srv := New(sess, Config{MaxRetainedJobs: adhoc})
+	srv.reg.launch = spy.Launch
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		sess.Close()

@@ -21,46 +21,12 @@ import (
 	"time"
 
 	"gminer/internal/cluster"
-	"gminer/internal/core"
-	"gminer/internal/dyngraph"
-	"gminer/internal/graph"
 	"gminer/internal/metrics"
 )
 
-// Cluster is the warm-session surface the daemon serves over:
-// cluster.Session, whichever host its workers live on. The registry and
-// handlers never ask which; a capability the host lacks gives its neutral
-// answer (no mutations, no worker processes to report).
-type Cluster interface {
-	Launch(a core.Algorithm, opt cluster.JobOptions) (*cluster.Job, error)
-	Graph() *graph.Graph
-	Config() cluster.Config
-	PartitionTime() time.Duration
-	EdgeCut() float64
-	Fingerprint() uint64
-	ActiveJobs() int
-	DroppedMessages() int64
-	// GraphEpoch is the resident graph's mutation epoch (0 on a static
-	// session, monotonic on a dynamic one).
-	GraphEpoch() int64
-	// WithGraphRead runs fn while the resident graph is guaranteed not to
-	// mutate. On static sessions it is a plain call.
-	WithGraphRead(fn func())
-	// Dynamic reports whether ApplyMutations takes batches: only a session
-	// built with cluster.Config.Dynamic does (POST /graph/mutations answers
-	// 501 elsewhere).
-	Dynamic() bool
-	ApplyMutations(b dyngraph.Batch) (*cluster.EpochResult, error)
-	// WorkerHealth is the per-slot liveness of the worker processes for
-	// /healthz and /metrics; nil when the workers are goroutines, alive iff
-	// the daemon is.
-	WorkerHealth() []cluster.WorkerStatus
-	Close()
-}
-
 // Server serves mining jobs over one warm cluster session.
 type Server struct {
-	sess  Cluster
+	sess  *cluster.Session
 	reg   *registry
 	cfg   Config
 	start time.Time
@@ -78,7 +44,7 @@ type Server struct {
 // New builds a Server over an already-warm session. The caller keeps
 // ownership of the session's graph (it must be fully prepared — labels,
 // attributes — before any job runs; see jobspec.Prepare).
-func New(sess Cluster, cfg Config) *Server {
+func New(sess *cluster.Session, cfg Config) *Server {
 	return &Server{
 		sess:  sess,
 		reg:   newRegistry(sess, cfg),

@@ -154,7 +154,7 @@ func (r *registry) mine(jobID string, spec jobspec.Spec, tenant string, seeds []
 	if err != nil {
 		return nil, err
 	}
-	cj, err := r.sess.Launch(a, cluster.JobOptions{ID: jobID, Seeds: seeds})
+	cj, err := r.launch(a, cluster.JobOptions{ID: jobID, Seeds: seeds})
 	if err != nil {
 		return nil, err
 	}

@@ -35,6 +35,12 @@ import (
 // as in the sequential oracle RefMatchCount. A leaf's subtree then counts 1
 // on every match, so a leaf is recorded as a counter per parent match and
 // never as a vertex list (DESIGN.md §12).
+//
+// Tasks share vertices, so many of them match one vertex m to one parent
+// node p whose children are all leaves — the deepest level's parents
+// always. The hits m gives those leaves depend on adj(m) and the label
+// column alone, so each worker remembers them for the job (gmMemo) and
+// walks adj(m) once per (p, m), not once per task that reaches it.
 type GraphMatch struct {
 	P *Pattern
 
@@ -42,14 +48,17 @@ type GraphMatch struct {
 	// expands[p] is node p's TreeStep.Expands from it. Matching stays in ID
 	// space (matches may live on remote partitions), so the schedule and the
 	// set kernels are all of the plan GM needs — no CSR. parents[d] lists the
-	// distinct parent nodes of levels[d], kids[p] the steps under node p, and
-	// kidLabels[p] the set of their labels that lie in [0, 64), bit by bit.
+	// distinct parent nodes of levels[d], kids[p] the steps under node p,
+	// kidLabels[p] the set of their labels that lie in [0, 64), bit by bit,
+	// and leafOnly[p] says p has children and none of them expands.
 	levels    [][]plan.TreeStep
 	parents   [][]int
 	kids      [][]plan.TreeStep
 	kidLabels []uint64
 	expands   []bool
+	leafOnly  []bool
 	labels    *graph.Labels // the job's label column; nil until offered
+	memos     *sync.Map     // worker ID → *gmMemo for the job Plan opened
 	scratch   sync.Pool     // *gmScratch, one per concurrent Seed or Update
 }
 
@@ -76,6 +85,11 @@ func NewGraphMatch(p *Pattern) *GraphMatch {
 		}
 	}
 	a.expands[0] = true // the root keeps its one match, children or not
+	a.leafOnly = make([]bool, len(p.Labels))
+	for q, kids := range a.kids {
+		a.leafOnly[q] = len(kids) > 0 && !slices.ContainsFunc(kids, func(st plan.TreeStep) bool { return st.Expands })
+	}
+	a.memos = new(sync.Map)
 	a.scratch.New = func() any {
 		return &gmScratch{pairs: make([][]gmPair, len(p.Labels)), base: make([]int, len(p.Labels))}
 	}
@@ -85,9 +99,9 @@ func NewGraphMatch(p *Pattern) *GraphMatch {
 // Plan implements core.Planner: GM asks for the label column, and with it in
 // hand matches parent-major, reading a neighbour's label from it instead of
 // pulling the neighbour. A job Plan opens cannot seed until the runtime
-// offers the column.
+// offers the column, and starts with no leaf counts remembered.
 func (a *GraphMatch) Plan() core.Plan {
-	a.labels = nil
+	a.labels, a.memos = nil, new(sync.Map)
 	return core.Plan{Labels: func(labels *graph.Labels) { a.labels = labels }}
 }
 
@@ -122,13 +136,45 @@ type gmPair struct {
 
 // gmScratch is the working memory of one Seed or Update, pooled per
 // GraphMatch. pairs[p] collects expanding node p's pairs while its level is
-// matched.
+// matched; misses and fresh hold the matches a leaf-only parent's memo
+// lacks and the hits counted for them.
 type gmScratch struct {
 	pairs    [][]gmPair
 	rows     [][]graph.VertexID
 	ids      []graph.VertexID
 	acc, sum []int64
 	base     []int
+	misses   []int
+	fresh    []int64
+}
+
+// gmMemo is one worker's leaf counts for one job: for a leaf-only parent
+// node p and a vertex m matched to it, at[{p, m}] is where counts holds,
+// child by child of p (kids[p] order), the hits m gives that leaf — how
+// many of adj(m) the column gives the leaf's label. They depend on the
+// job's epoch alone, never on the task, so any of the worker's executor
+// threads may fill or read an entry; mu guards the lot. scanned counts
+// the adjacency elements read to fill it.
+type gmMemo struct {
+	mu      sync.Mutex
+	at      map[gmMemoKey]int
+	counts  []int64
+	scanned int64
+}
+
+// gmMemoKey names a leaf-only parent node and its match.
+type gmMemoKey struct {
+	node int
+	id   graph.VertexID
+}
+
+// memo returns worker w's leaf counts for the job, made on its first ask.
+func (a *GraphMatch) memo(w int) *gmMemo {
+	if m, ok := a.memos.Load(w); ok {
+		return m.(*gmMemo)
+	}
+	m, _ := a.memos.LoadOrStore(w, &gmMemo{at: map[gmMemoKey]int{}})
+	return m.(*gmMemo)
 }
 
 // putScratch returns sc to the pool holding no adjacency list.
@@ -153,7 +199,7 @@ func (a *GraphMatch) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 		sc := a.scratch.Get().(*gmScratch)
 		defer a.putScratch(sc)
 		a.openLevel(ctx, 1, sc)
-		a.walkParents(ctx, 1, append(sc.rows[:0], v.Adj), sc)
+		a.walkParents(ctx, 1, append(sc.rows[:0], v.Adj), -1, sc)
 		if !a.closeLevel(ctx, 1, sc) {
 			return
 		}
@@ -180,7 +226,7 @@ func (a *GraphMatch) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 		for _, p := range a.parents[d] {
 			sc.rows = appendRows(sc.rows, ctx.nodes[p].matches, t.Cands, cands)
 		}
-		a.walkParents(ctx, d, sc.rows, sc)
+		a.walkParents(ctx, d, sc.rows, env.WorkerID(), sc)
 		if !a.closeLevel(ctx, d, sc) {
 			return // a pattern node without a match: the count is 0, die
 		}
@@ -248,15 +294,22 @@ func (sc *gmScratch) record(ctx *gmContext, st plan.TreeStep, id graph.VertexID,
 // whose label the column gives it. An ID the column does not know is no
 // vertex of the graph, and matches nothing; a label in [0, 64) that no step
 // under the node carries is dropped by the mask, and any other label is
-// compared step by step.
-func (a *GraphMatch) walkParents(ctx *gmContext, d int, rows [][]graph.VertexID, sc *gmScratch) {
+// compared step by step. A leaf-only parent's hits come from worker's memo
+// (Update); the seed passes worker −1, its level having no repeats to save.
+func (a *GraphMatch) walkParents(ctx *gmContext, d int, rows [][]graph.VertexID, worker int, sc *gmScratch) {
 	labels := a.labels
 	for _, p := range a.parents[d] {
-		kids, mask, n := a.kids[p], a.kidLabels[p], len(ctx.nodes[p].matches)
+		n := len(ctx.nodes[p].matches)
+		if worker >= 0 && a.leafOnly[p] {
+			a.countLeaves(ctx, p, rows[:n], a.memo(worker), sc)
+			rows = rows[n:]
+			continue
+		}
+		kids, mask := a.kids[p], a.kidLabels[p]
 		for j, adj := range rows[:n] {
 			for _, id := range adj {
-				label, ok := labels.Of(id)
-				if !ok || uint32(label) < 64 && mask>>uint32(label)&1 == 0 {
+				label, ok := kidLabel(labels, mask, id)
+				if !ok {
 					continue
 				}
 				for _, st := range kids {
@@ -267,6 +320,70 @@ func (a *GraphMatch) walkParents(ctx *gmContext, d int, rows [][]graph.VertexID,
 			}
 		}
 		rows = rows[n:]
+	}
+}
+
+// kidLabel returns the label labels gives id, and false when id is no
+// vertex or its label is in [0, 64) but not in mask.
+func kidLabel(labels *graph.Labels, mask uint64, id graph.VertexID) (int32, bool) {
+	label, ok := labels.Of(id)
+	return label, ok && (uint32(label) >= 64 || mask>>uint32(label)&1 != 0)
+}
+
+// countLeaves sets the hits of leaf-only node p's children under each of
+// p's matches (rows: their adjacency lists) from memo, walking the lists of
+// the matches memo lacks and entering their counts. A match the round holds
+// no list for contributes nothing and is not entered. The lock is taken
+// twice, around the lookups and around the entries, never over a walk.
+func (a *GraphMatch) countLeaves(ctx *gmContext, p int, rows [][]graph.VertexID, memo *gmMemo, sc *gmScratch) {
+	labels, kids, mask, matches := a.labels, a.kids[p], a.kidLabels[p], ctx.nodes[p].matches
+	k := len(kids)
+	sc.misses = sc.misses[:0]
+	memo.mu.Lock()
+	for j, m := range matches {
+		at, ok := memo.at[gmMemoKey{p, m}]
+		if !ok {
+			sc.misses = append(sc.misses, j)
+			continue
+		}
+		for i, st := range kids {
+			ctx.nodes[st.Node].hits[j] = memo.counts[at+i]
+		}
+	}
+	memo.mu.Unlock()
+	if len(sc.misses) == 0 {
+		return
+	}
+	sc.fresh = slices.Grow(sc.fresh[:0], len(sc.misses)*k)[:len(sc.misses)*k]
+	clear(sc.fresh)
+	var scanned int64
+	for x, j := range sc.misses {
+		counts := sc.fresh[x*k : (x+1)*k]
+		for _, id := range rows[j] {
+			label, ok := kidLabel(labels, mask, id)
+			if !ok {
+				continue
+			}
+			for i, st := range kids {
+				if st.Label == label {
+					counts[i]++
+				}
+			}
+		}
+		scanned += int64(len(rows[j]))
+		for i, st := range kids {
+			ctx.nodes[st.Node].hits[j] = counts[i]
+		}
+	}
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	memo.scanned += scanned
+	for x, j := range sc.misses {
+		key := gmMemoKey{p, matches[j]}
+		if _, ok := memo.at[key]; !ok && rows[j] != nil {
+			memo.at[key] = len(memo.counts)
+			memo.counts = append(memo.counts, sc.fresh[x*k:(x+1)*k]...)
+		}
 	}
 }
 

@@ -224,10 +224,90 @@ func gmDeepPattern() *Pattern {
 	return MustPattern([]int32{0, 1, 2, 1, 3, 4}, []int{-1, 0, 0, 2, 2, 4})
 }
 
+// gmLeafWalk is the account, kept apart from GraphMatch, of what p's tasks
+// on g read at leaf-only levels below the root. It matches every root's
+// levels as sets, ends a root's walk at the first level with a node nothing
+// matches, and lists the (parent node, match) pairs a round reaches with a
+// leaf-only parent — level 1's parents are the seed's and left out — with
+// the adjacency elements of each distinct pair (once) and of every pair a
+// task reaches (the walk without the memo).
+func gmLeafWalk(g *graph.Graph, p *Pattern) (pairs map[[2]int64]bool, once, perTask int64) {
+	pairs = map[[2]int64]bool{}
+	leafOnly := func(q int) bool {
+		kids := p.Children(q)
+		return len(kids) > 0 && !slices.ContainsFunc(kids, func(c int) bool { return len(p.Children(c)) > 0 })
+	}
+	g.ForEach(func(root *graph.Vertex) bool {
+		if root.Label != p.Labels[0] {
+			return true
+		}
+		matches := make([][]graph.VertexID, len(p.Labels))
+		matches[0] = []graph.VertexID{root.ID}
+		for d := 1; d <= p.Depth(); d++ {
+			for _, q := range p.Levels()[d-1] {
+				if d < 2 || !leafOnly(q) {
+					continue
+				}
+				for _, m := range matches[q] {
+					key := [2]int64{int64(q), int64(m)}
+					n := int64(len(g.Vertex(m).Adj))
+					if !pairs[key] {
+						pairs[key], once = true, once+n
+					}
+					perTask += n
+				}
+			}
+			dead := false
+			for _, q := range p.Levels()[d] {
+				matches[q] = withLabel(g, unionAdj(g, matches[p.Parent[q]], p.Labels[p.Parent[q]]), p.Labels[q])
+				dead = dead || len(matches[q]) == 0
+			}
+			if dead {
+				break
+			}
+		}
+		return true
+	})
+	return pairs, once, perTask
+}
+
+// TestGMLeafLevelScansEachMatchOnce pins the leaf memo by what it reads, not
+// by a clock: over a whole sequential run, the adjacency elements GM walks to
+// count leaves under leaf-only parents are Σ |adj(m)| over the distinct
+// (parent node, match) pairs its tasks reach — each list once, however many
+// tasks share it — and the memo holds one entry per pair. The count stays
+// RefMatchCount's, and the walk without the memo would read more.
+func TestGMLeafLevelScansEachMatchOnce(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 30_000, Seed: 42})
+	gen.DealLabels(g, 7)
+	for name, p := range map[string]*Pattern{
+		"figure":            FigurePattern(),
+		"deep":              gmDeepPattern(),
+		"leaf-parent-above": gmLeafParentAbovePattern(),
+	} {
+		a := NewGraphMatch(p)
+		res := SeqRun(g, a)
+		pairs, once, perTask := gmLeafWalk(g, p)
+		scanned, entries := a.leafCounts()
+		if want := RefMatchCount(g, p); res.AggGlobal != any(want) {
+			t.Errorf("%s: counted %v, reference %d", name, res.AggGlobal, want)
+		}
+		if scanned != once || entries != len(pairs) {
+			t.Errorf("%s: walked %d elements into %d entries; %d distinct pairs hold %d", name, scanned, entries, len(pairs), once)
+		}
+		t.Logf("%s: %d pairs hold %d elements; task by task %d", name, len(pairs), once, perTask)
+		if once == 0 || perTask <= once {
+			t.Errorf("%s: degenerate: %d elements once, %d task by task", name, once, perTask)
+		}
+	}
+}
+
 // gmRepeatRound returns a function that re-runs round `round` of a's
 // hub-rooted task on g: Update opens its level's nodes afresh, so one task
-// state serves every repetition.
-func gmRepeatRound(g *graph.Graph, a *GraphMatch, round int) func() {
+// state serves every repetition. A cold repetition opens a new job first —
+// core.PlanOf, the label column offered again — so it finds no leaf count
+// remembered; a warm one finds every count the first repetition entered.
+func gmRepeatRound(g *graph.Graph, a *GraphMatch, round int, cold bool) func() {
 	// One scratch whatever the pool drops (under -race it drops at random),
 	// so a repetition allocates what Update allocates and nothing else.
 	sc := a.scratch.New()
@@ -243,19 +323,34 @@ func gmRepeatRound(g *graph.Graph, a *GraphMatch, round int) func() {
 		cands[i] = g.Vertex(id)
 	}
 	env := &seqEnv{g: g, agg: a.Aggregator(), partial: int64(0)}
+	labels := a.labels
 	return func() {
+		if cold {
+			core.PlanOf(a).Labels(labels)
+		}
 		a.Update(task, cands, env)
 		task.TakeTransition()
 	}
 }
 
+// gmArm is one Update call the allocation bound and the benchmark repeat,
+// and the GM it runs on.
+type gmArm struct {
+	a   *GraphMatch
+	run func()
+}
+
 // gmRoundArms names the Update calls the allocation bound and the benchmark
-// cover: Figure 1's one round, and both rounds of the deep pattern (pairs
-// grouped and pulled, then leaves counted).
-func gmRoundArms(g *graph.Graph) map[string]func() {
-	arms := map[string]func(){"figure/round1": gmRepeatRound(g, gmParentMajor(g, FigurePattern()), 1)}
+// cover, cold or warm: Figure 1's one round, and both rounds of the deep
+// pattern (pairs grouped and pulled, then leaves counted).
+func gmRoundArms(g *graph.Graph, cold bool) map[string]gmArm {
+	arm := func(p *Pattern, round int) gmArm {
+		a := gmParentMajor(g, p)
+		return gmArm{a, gmRepeatRound(g, a, round, cold)}
+	}
+	arms := map[string]gmArm{"figure/round1": arm(FigurePattern(), 1)}
 	for round := 1; round <= 2; round++ {
-		arms[fmt.Sprintf("deep/round%d", round)] = gmRepeatRound(g, gmParentMajor(g, gmDeepPattern()), round)
+		arms[fmt.Sprintf("deep/round%d", round)] = arm(gmDeepPattern(), round)
 	}
 	return arms
 }
@@ -263,29 +358,45 @@ func gmRoundArms(g *graph.Graph) map[string]func() {
 // TestGMUpdateAllocsBounded pins the allocations of one round: a leaf's
 // counters, the copy Pull takes of the frontier, the boxed count — and no
 // per-match or per-candidate allocation, so a map cannot creep back in
-// (the map-based context allocated thousands of times a round here).
+// (the map-based context allocated thousands of times a round here). A warm
+// round reads every leaf count from the memo and allocates nothing for it;
+// a cold one opens the job and the worker's memo and may add one
+// allocation per entry it makes.
 func TestGMUpdateAllocsBounded(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 30_000, Seed: 42})
 	gen.DealLabels(g, 7)
-	for name, run := range gmRoundArms(g) {
-		run() // grow the task's slices and the pooled scratch once
-		if allocs := testing.AllocsPerRun(20, run); allocs > 8 {
-			t.Errorf("%s: %.0f allocations per Update, want at most 8", name, allocs)
+	for _, cold := range []bool{false, true} {
+		for name, arm := range gmRoundArms(g, cold) {
+			arm.run() // grow the task's slices and the pooled scratch once
+			bound := 8
+			if cold {
+				_, entries := arm.a.leafCounts()
+				bound, name = bound+entries, "cold/"+name
+			}
+			if allocs := testing.AllocsPerRun(20, arm.run); allocs > float64(bound) {
+				t.Errorf("%s: %.0f allocations per Update, want at most %d", name, allocs, bound)
+			}
 		}
 	}
 }
 
 // BenchmarkGMUpdateRounds times the rounds of the hub-rooted tasks of
 // gmRoundArms on the benchmark's graph — the largest single Update calls of
-// a batch-gm-compute job.
+// a batch-gm-compute job: cold, as the first task of a job to reach the
+// hub's matches runs them, and warm, as every later one does.
 func BenchmarkGMUpdateRounds(b *testing.B) {
-	for name, run := range gmRoundArms(gmBenchGraph()) {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
+	g := gmBenchGraph()
+	for _, mode := range []string{"cold", "warm"} {
+		for name, arm := range gmRoundArms(g, mode == "cold") {
+			b.Run(mode+"/"+name, func(b *testing.B) {
+				arm.run() // a warm round finds the memo full even at -benchtime 1x
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					arm.run()
+				}
+			})
+		}
 	}
 }
 
@@ -437,9 +548,12 @@ func gmContextSize(ctx *gmContext) (n int) {
 // plan count, on every pattern shape the matching parts on — the root alone,
 // one level of leaves, expanding nodes below level 1, same-label siblings
 // (leaves, expanding, and one of each), a parent with leaf and expanding
-// children — over several graphs with dense and with strided IDs. Every task
-// crosses the task codec before every round, and its task count is what
-// SeqRun reports: one per root whose level 1 matches.
+// children, two leaf-only parents of one label with leaves of different
+// labels on one level, a leaf-only parent above the deepest level, and
+// leaves whose labels lie off [0, 64) — over several graphs with dense and
+// with strided IDs. Every task crosses the task codec before every round,
+// and its task count is what SeqRun reports: one per root whose level 1
+// matches.
 func TestGMPatternZoo(t *testing.T) {
 	patterns := map[string]*Pattern{
 		"figure":        FigurePattern(),
@@ -450,14 +564,27 @@ func TestGMPatternZoo(t *testing.T) {
 		"twin-leaves":   MustPattern([]int32{0, 1, 2, 2}, []int{-1, 0, 1, 1}),
 		"twins":         MustPattern([]int32{0, 1, 1, 2, 3}, []int{-1, 0, 0, 1, 2}),
 		"leaf+internal": MustPattern([]int32{0, 1, 1, 2}, []int{-1, 0, 0, 1}),
+		// a(b(c(d), c(e))): one level-2 vertex may match both c nodes, and
+		// gives their leaves different hits.
+		"twin-parents": MustPattern([]int32{0, 1, 2, 2, 3, 4}, []int{-1, 0, 1, 1, 2, 3}),
+		// a(b(c), d(e(b))): b's leaves are counted a level above the deepest.
+		"leaf-parent-above": gmLeafParentAbovePattern(),
+		// a(c(64, -3), 64): leaf labels the mask does not hold; it runs on
+		// the graphs with labels 3 and 4 moved to 64 and -3 (gmWideLabels).
+		"wide-leaves": MustPattern([]int32{0, 2, 64, gmWideLabels(4), 64}, []int{-1, 0, 1, 1, 0}),
 	}
 	for _, seed := range []int64{1, 2, 3} {
 		dense := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 4000, Seed: seed})
 		gen.DealLabels(dense, 5)
 		for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": stridedIDs(dense)} {
-			csr := kernels.MustBuild(g)
+			wide := relabeled(g, gmWideLabels)
+			csr, wideCSR := kernels.MustBuild(g), kernels.MustBuild(wide)
 			for pname, p := range patterns {
 				shape := fmt.Sprintf("seed %d/%s/%s", seed, gname, pname)
+				g, csr := g, csr
+				if slices.ContainsFunc(p.Labels, func(l int32) bool { return uint32(l) >= 64 }) {
+					g, csr = wide, wideCSR
+				}
 				want := RefMatchCount(g, p)
 				if want == 0 {
 					t.Fatalf("%s: degenerate: nothing matches", shape)
@@ -492,4 +619,37 @@ func TestGMPatternZoo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// gmLeafParentAbovePattern is a(b(c), d(e(b))): the leaf-only parent b sits
+// on level 1, above the deepest level's parent e.
+func gmLeafParentAbovePattern() *Pattern {
+	return MustPattern([]int32{0, 1, 3, 2, 4, 1}, []int{-1, 0, 0, 1, 2, 4})
+}
+
+// gmWideLabels moves the dealt labels 3 and 4 off [0, 64), to 64 and -3.
+func gmWideLabels(label int32) int32 {
+	switch label {
+	case 3:
+		return 64
+	case 4:
+		return -3
+	}
+	return label
+}
+
+// relabeled is a copy of g, external IDs and edges alike, whose vertices
+// carry f of their labels.
+func relabeled(g *graph.Graph, f func(int32) int32) *graph.Graph {
+	out := graph.New(g.NumVertices())
+	g.ForEach(func(v *graph.Vertex) bool {
+		nv := out.AddVertex(g.External(v.ID))
+		nv.Label, nv.Attrs = f(v.Label), v.Attrs
+		for _, u := range v.Adj {
+			out.AddEdge(g.External(v.ID), g.External(u))
+		}
+		return true
+	})
+	out.Freeze()
+	return out
 }

@@ -1,0 +1,113 @@
+package cluster_test
+
+import (
+	"testing"
+	"time"
+
+	"gminer/internal/algo"
+	"gminer/internal/cluster"
+	"gminer/internal/gen"
+	"gminer/internal/jobspec"
+	"gminer/internal/partition"
+)
+
+// TestGMLeafMemoUnderConcurrencyAndFailure holds GM's per-worker leaf counts
+// to the sequential run where the memo is shared and where it outlives a
+// worker: four executor threads per worker filling and reading one memo
+// while tasks are stolen (both hosts), and a goroutine-host worker killed
+// and replaced mid-job, the replacement taking over its slot's memo. The
+// pattern has leaf-only parents on the deepest level and above it. Count
+// and tasks are SeqRun's either way.
+func TestGMLeafMemoUnderConcurrencyAndFailure(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 91})
+	gen.DealLabels(g, 5)
+	p := algo.MustPattern([]int32{0, 1, 3, 2, 4, 1}, []int{-1, 0, 0, 1, 2, 4}) // a(b(c), d(e(b)))
+	sp := jobspec.Spec{App: "gm", Pattern: "0,1,3,2,4,1;-1,0,0,1,2,4"}.Normalize()
+	want, seq := algo.RefMatchCount(g, p), algo.SeqRun(g, algo.NewGraphMatch(p))
+	if want == 0 || seq.AggGlobal != any(want) {
+		t.Fatalf("degenerate graph or sequential run: %v counted, reference %d", seq.AggGlobal, want)
+	}
+
+	var stolen int64
+	for _, h := range []host{goroutines, processes} {
+		cfg := smallConfig()
+		cfg.Threads, cfg.Stealing, cfg.Partitioner = 4, true, partition.Skewed{Bias: 0.8}
+		// A few remote candidates shut the pull window, so tasks queue in
+		// the store where a thief finds them.
+		cfg.CacheCapacity, cfg.StoreMemCapacity = 8, 64
+		cluster.Tune(&cfg, cluster.Knobs{Heartbeat: 200 * time.Microsecond, StealBatch: 2, StealLocalityMax: 2})
+		sess := openSession(t, g, cfg, h)
+		j, err := sess.Launch(algo.NewGraphMatch(p), cluster.JobOptions{Spec: &sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := j.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AggGlobal != any(want) || res.Total.TasksDone != seq.Tasks {
+			t.Fatalf("%s: 4 threads, stealing: count %v over %d tasks; want %d over %d",
+				h.name, res.AggGlobal, res.Total.TasksDone, want, seq.Tasks)
+		}
+		stolen += res.Total.Stolen
+		sess.Close()
+	}
+	if stolen == 0 {
+		t.Error("no task migrated on either host: the memo never met a stolen task")
+	}
+
+	// Stealing off: a kill while a migration is in flight loses the batch
+	// (ROADMAP item 1).
+	cfg := smallConfig()
+	cfg.Threads, cfg.Stealing, cfg.Partitioner = 4, false, partition.Hash{}
+	cfg.CheckpointDir = t.TempDir()
+	release := holdJobs(&cfg)
+	sess := openSession(t, g, cfg, goroutines)
+	j, err := sess.Launch(algo.NewGraphMatch(p), cluster.JobOptions{ID: "gm-memo-kill", Spec: &sp, CheckpointEvery: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitManifest(t, j, cfg.CheckpointDir, "gm-memo-kill")
+	awaitSettled(t, j, cfg.CheckpointDir+"/gm-memo-kill")
+	j.KillWorker(1)
+	if err := j.RecoverWorker(1); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	res, err := j.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AggGlobal != any(want) || res.Total.TasksDone != seq.Tasks || res.Recovered == 0 {
+		t.Fatalf("kill+recover: count %v over %d tasks after %d recoveries; want %d over %d and a recovery",
+			res.AggGlobal, res.Total.TasksDone, res.Recovered, want, seq.Tasks)
+	}
+}
+
+// awaitSettled blocks until a held job has finished every task it can and
+// an epoch committed in dir has been cut since: its snapshots then hold
+// every task the job has finished, so a worker killed now re-runs none and
+// the job's task count stays exact (a slot's counters outlive its worker
+// on the goroutine host).
+func awaitSettled(t *testing.T, j *cluster.Job, dir string) {
+	t.Helper()
+	done := func() (n int64) {
+		for _, s := range j.WorkerSnapshots() {
+			n += s.TasksDone
+		}
+		return n
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		before, from := done(), int64(0)
+		from, _ = cluster.CommittedEpoch(dir)
+		// Two commits: the first may have been cut before `before` was read.
+		for e, _ := cluster.CommittedEpoch(dir); e < from+2 && time.Now().Before(deadline); e, _ = cluster.CommittedEpoch(dir) {
+			time.Sleep(time.Millisecond)
+		}
+		if done() == before {
+			return
+		}
+	}
+	t.Fatal("the held job never settled under a committed epoch within 30s")
+}

@@ -75,10 +75,8 @@ func TestChaosSoakWithWorkerCrash(t *testing.T) {
 	cfg.CheckpointDir = t.TempDir()
 	cfg.FailTimeout = 10 * time.Millisecond
 	cluster.Tune(&cfg, cluster.Knobs{PullRetryBase: 10 * time.Millisecond})
-	// Stealing off: a migration in flight at kill time would be lost — the
-	// same hole the paper's checkpoint protocol has (tasks migrated after
-	// the victim's checkpoint are in nobody's snapshot).
-	cfg.Stealing = false
+	// Stealing on: a kill rolls the job back to one committed cut.
+	cfg.Stealing = true
 
 	want := chaosBaseline(t, cfg, 67)
 

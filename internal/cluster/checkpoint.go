@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gminer/internal/core"
@@ -20,39 +21,44 @@ import (
 // worker to dump the state of its partition."
 //
 // A worker checkpoints by quiescing its pipeline: the retriever and seeder
-// pause, the task buffer flushes, and in-flight tasks (CMQ, CPQ, active)
-// drain back into the task store or die. At that point every alive task is
-// inactive in the store, so the snapshot = seed cursor + store contents +
-// emitted results + aggregator partial is a consistent cut. Thanks to the
-// task model "we do not need to checkpoint any message".
+// pause, the task buffer flushes, in-flight tasks (CMQ, CPQ, active) drain
+// back into the task store or die, and the reply to an outstanding steal REQ
+// arrives. Then every alive task is inactive in the store, and the snapshot
+// (seed cursor, store, results, aggregator partial, tasks done, per-peer
+// migration counts) is the worker's state. Thanks to the task model "we do
+// not need to checkpoint any message" — bar a migration batch on the wire,
+// so the master commits no epoch a batch crosses (consistentCut).
 //
 // Durability is epoch-committed: each worker writes a CRC32C-framed
 // worker-<i>.epoch-<N>.gen-<G>.ckpt (fsync file and directory before
-// exposing it), acks the master with the payload checksum, and the master
-// commits epoch N to the MANIFEST only once every worker acked. Restore
-// resolves epochs through the manifest (Job.refsFor, buildWorker) —
-// newest committed first, previous committed as the fallback when a file
-// is torn or corrupt — so recovery never feeds garbage to decodeSnapshot
-// and never mixes epochs across workers on a full-job resume.
+// exposing it), acks the master with the payload checksum and its counts,
+// and the master commits epoch N to the MANIFEST only once every worker
+// acked and the counts pair up. A rollback or a resume restores every worker
+// from one committed epoch (Job.pin, buildWorker).
 
 // checkpointQuiesceTimeout bounds how long a worker waits for its pipeline
 // to quiesce before skipping a checkpoint epoch.
 const checkpointQuiesceTimeout = 10 * time.Second
 
-// workerSnapshot is one worker's checkpoint.
+// workerSnapshot is one worker's checkpoint. Its counters restore with its
+// tasks, so a rolled-back job counts what a fault-free one does.
 type workerSnapshot struct {
-	Epoch      int64
-	SeedCursor int64
-	SeedsDone  bool
-	TaskBytes  []byte // the stored tasks as one core.EncodeTasks list (store.Snapshot)
-	Results    []string
-	AggBytes   []byte // encoded aggregator partial; nil if no aggregator
+	Epoch       int64
+	SeedCursor  int64
+	SeedSpawned int64 // tasks of the vertex at SeedCursor the snapshot holds
+	SeedsDone   bool
+	TaskBytes   []byte // the stored tasks as one core.EncodeTasks list (store.Snapshot)
+	Results     []string
+	AggBytes    []byte // encoded aggregator partial; nil if no aggregator
+	TasksDone   int64
+	Sent, Recv  []int64 // tasks migrated to / from each worker
 }
 
 func encodeSnapshot(s *workerSnapshot) []byte {
 	w := wire.NewWriter(1024 + len(s.TaskBytes))
 	w.Varint(s.Epoch)
 	w.Varint(s.SeedCursor)
+	w.Varint(s.SeedSpawned)
 	w.Bool(s.SeedsDone)
 	w.BytesField(s.TaskBytes)
 	w.Uvarint(uint64(len(s.Results)))
@@ -63,6 +69,9 @@ func encodeSnapshot(s *workerSnapshot) []byte {
 	if s.AggBytes != nil {
 		w.BytesField(s.AggBytes)
 	}
+	w.Varint(s.TasksDone)
+	encodeCounts(w, s.Sent)
+	encodeCounts(w, s.Recv)
 	return w.Bytes()
 }
 
@@ -71,6 +80,7 @@ func decodeSnapshot(b []byte) (*workerSnapshot, error) {
 	s := &workerSnapshot{}
 	s.Epoch = r.Varint()
 	s.SeedCursor = r.Varint()
+	s.SeedSpawned = r.Varint()
 	s.SeedsDone = r.Bool()
 	s.TaskBytes = r.BytesField()
 	n := r.Count(1)
@@ -81,6 +91,9 @@ func decodeSnapshot(b []byte) (*workerSnapshot, error) {
 	if r.Bool() {
 		s.AggBytes = r.BytesField()
 	}
+	s.TasksDone = r.Varint()
+	s.Sent = decodeCounts(r)
+	s.Recv = decodeCounts(r)
 	return s, r.Err()
 }
 
@@ -222,10 +235,12 @@ func (s *snapshotSink) commit(epoch int64, crcs []uint32, gens []int64) error {
 		Epoch:       epoch,
 		EpochCRCs:   append([]uint32(nil), crcs...),
 		PrevEpoch:   noEpoch,
+		gens:        gens,
 	}
 	if s.man != nil {
 		next.PrevEpoch = s.man.Epoch
 		next.PrevCRCs = s.man.EpochCRCs
+		next.prevGens = s.man.gens
 	}
 	if err := writeFileDurable(filepath.Join(dir, manifestName), encodeManifest(next)); err != nil {
 		return fmt.Errorf("checkpoint: manifest: %w", err)
@@ -475,31 +490,60 @@ func (w *Worker) checkpoint() int64 {
 		}
 		next := w.ckptEpoch.Load()
 		if next == epoch && ok {
-			break
+			w.cutMu.Lock() // held until the cut is taken
+			if w.quiet(time.Now()) {
+				break
+			}
+			w.cutMu.Unlock() // a migration batch landed after the quiesce
+			continue
 		}
 		// Superseded (the master moved on, so this epoch can never commit)
 		// or unable to quiesce (pathological pull starvation; skipping beats
 		// stalling the job). The negative ack lets the master abandon the
 		// epoch right away.
 		w.trCkpt.Event(trace.EvCheckpointSkip, uint64(epoch))
-		w.ackCheckpoint(epoch, 0, false)
+		w.ackCheckpoint(ckptAck{Epoch: epoch})
 		if next == epoch {
 			return epoch
 		}
 		epoch = next
 	}
 
-	taskBytes, err := w.store.Snapshot()
+	snap, err := w.cut(epoch)
+	w.cutMu.Unlock()
 	if err != nil {
 		w.checkpointFailed(epoch, err)
 		return epoch
 	}
+	ack := ckptAck{Epoch: epoch, OK: true, Sent: snap.Sent, Recv: snap.Recv}
+	if w.snapshots != nil {
+		ack.CRC, err = w.snapshots.put(w.id, epoch, encodeSnapshot(snap))
+		if err != nil {
+			w.checkpointFailed(epoch, err)
+			return epoch
+		}
+	}
+	w.trCkpt.ObserveSpan(trace.MetricCheckpoint, trace.EvCheckpointEnd, ckptStart, uint64(epoch))
+	w.ackCheckpoint(ack)
+	return epoch
+}
+
+// cut takes the snapshot of a quiet pipeline. Caller holds cutMu.
+func (w *Worker) cut(epoch int64) (*workerSnapshot, error) {
+	taskBytes, err := w.store.Snapshot()
+	if err != nil {
+		return nil, err
+	}
 	snap := &workerSnapshot{
-		Epoch:      epoch,
-		SeedCursor: w.seedCursor.Load(),
-		SeedsDone:  w.seedsDone.Load(),
-		TaskBytes:  taskBytes,
-		Results:    w.takeResults(),
+		Epoch:       epoch,
+		SeedCursor:  w.seedCursor.Load(),
+		SeedSpawned: w.seedSpawned.Load(),
+		SeedsDone:   w.seedsDone.Load(),
+		TaskBytes:   taskBytes,
+		Results:     w.takeResults(),
+		TasksDone:   w.counters.Snapshot().TasksDone,
+		Sent:        loadCounts(w.sentTo),
+		Recv:        loadCounts(w.recvFrom),
 	}
 	if w.agg != nil {
 		wr := wire.NewWriter(32)
@@ -508,30 +552,30 @@ func (w *Worker) checkpoint() int64 {
 		w.aggMu.Unlock()
 		snap.AggBytes = wr.Bytes()
 	}
-	var crc uint32
-	if w.snapshots != nil {
-		crc, err = w.snapshots.put(w.id, epoch, encodeSnapshot(snap))
-		if err != nil {
-			w.checkpointFailed(epoch, err)
-			return epoch
-		}
-	}
-	w.trCkpt.ObserveSpan(trace.MetricCheckpoint, trace.EvCheckpointEnd, ckptStart, uint64(epoch))
-	w.ackCheckpoint(epoch, crc, true)
-	return epoch
+	return snap, nil
 }
 
-// quiesce waits until every alive task is inactive in the store and reports
-// whether it got there. Each task that parks or dies while the gate is closed
-// wakes this wait (bufferTask, taskDead), as do stop, a newer request, which
-// ends it, and the checkpointQuiesceTimeout deadline, which fails it.
+// loadCounts reads a per-peer count vector.
+func loadCounts(counts []atomic.Int64) []int64 {
+	out := make([]int64, len(counts))
+	for i := range counts {
+		out[i] = counts[i].Load()
+	}
+	return out
+}
+
+// quiesce waits until the pipeline is quiet and reports whether it got
+// there. Each task that parks or dies while the gate is closed wakes this
+// wait (bufferTask, taskDead), as do a steal reply, the heartbeat, stop, a
+// newer request, which ends it, and the checkpointQuiesceTimeout deadline,
+// which fails it.
 func (w *Worker) quiesce(epoch int64) bool {
 	deadline := time.Now().Add(checkpointQuiesceTimeout)
 	timer := time.AfterFunc(checkpointQuiesceTimeout, w.wake)
 	defer timer.Stop()
 	quiesced := func() bool {
 		w.flushBatch(w.buffer.drain())
-		return int64(w.store.Size()) == w.inflight.Load() && w.buffer.len() == 0
+		return w.quiet(time.Now())
 	}
 	w.pendMu.Lock()
 	defer w.pendMu.Unlock()
@@ -543,6 +587,11 @@ func (w *Worker) quiesce(epoch int64) bool {
 	return ok
 }
 
+// quiet: every alive task is inactive in the store, no steal reply due.
+func (w *Worker) quiet(now time.Time) bool {
+	return int64(w.store.Size()) == w.inflight.Load() && w.buffer.len() == 0 && !w.stealPending(now)
+}
+
 // checkpointFailed surfaces a snapshot/persist failure: trace event,
 // metrics counter, last-error on the worker (collected into
 // cluster.Result) and a negative ack to the master.
@@ -552,21 +601,20 @@ func (w *Worker) checkpointFailed(epoch int64, err error) {
 	w.ckptMu.Lock()
 	w.ckptErr = fmt.Errorf("worker %d epoch %d: %w", w.id, epoch, err)
 	w.ckptMu.Unlock()
-	w.ackCheckpoint(epoch, 0, false)
+	w.ackCheckpoint(ckptAck{Epoch: epoch})
 }
 
 // ackCheckpoint reports the epoch's outcome to the master, stamped with
 // the writer's fencing generation. A killed worker stays silent, like a
 // crashed machine.
-func (w *Worker) ackCheckpoint(epoch int64, crc uint32, ok bool) {
+func (w *Worker) ackCheckpoint(ack ckptAck) {
 	if w.killed.Load() {
 		return
 	}
-	var gen int64
 	if w.snapshots != nil {
-		gen = w.snapshots.gen
+		ack.Gen = w.snapshots.gen
 	}
-	_ = w.ep.Send(w.masterNode, msgCheckpointDone, encodeCkptAck(epoch, crc, ok, gen))
+	_ = w.ep.Send(w.masterNode, msgCheckpointDone, encodeCkptAck(ack))
 }
 
 // lastCheckpointErr returns the most recent checkpoint failure, nil if all
@@ -579,18 +627,26 @@ func (w *Worker) lastCheckpointErr() error {
 
 // applySnapshot restores worker state from a checkpoint before the
 // pipeline starts. The task payload is decoded up front so a corrupt
-// snapshot mutates nothing: the caller falls back to an older epoch (or
-// scratch) instead of silently dropping tasks mid-restore.
+// snapshot mutates nothing: the caller fails the restore instead of
+// silently dropping tasks mid-restore.
 func (w *Worker) applySnapshot(s *workerSnapshot) error {
 	tasks, err := core.DecodeTasks(s.TaskBytes, w.algo)
 	if err != nil {
 		return fmt.Errorf("cluster: restore worker %d epoch %d: %w", w.id, s.Epoch, err)
 	}
 	w.seedCursor.Store(s.SeedCursor)
+	w.seedSpawned.Store(s.SeedSpawned)
 	w.seedsDone.Store(s.SeedsDone)
 	w.results = append(w.results, s.Results...)
 	if w.agg != nil && s.AggBytes != nil {
 		w.aggPartial = w.agg.Decode(wire.NewReader(s.AggBytes))
+	}
+	w.counters.SetTasksDone(s.TasksDone)
+	for peer := range w.sentTo {
+		w.sentTo[peer].Store(peerCount(s.Sent, peer))
+		w.recvFrom[peer].Store(peerCount(s.Recv, peer))
+		w.tasksSent.Add(peerCount(s.Sent, peer))
+		w.tasksRecv.Add(peerCount(s.Recv, peer))
 	}
 	for _, t := range tasks {
 		w.intake(t, false)

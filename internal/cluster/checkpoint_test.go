@@ -145,18 +145,17 @@ func commitEpoch(t *testing.T, sink *snapshotSink, epoch, cursor int64) {
 }
 
 // restoreJob is the part of a goroutine-host job the restore path reads:
-// its sink, behind Job.refsFor and goroutineHost.holds.
+// its sink, behind Job.heldEpoch, Job.refFor and goroutineHost.holds.
 func restoreJob(sink *snapshotSink) *Job {
-	j := &Job{cfg: Config{Workers: sink.workers}, sink: sink}
+	j := &Job{cfg: Config{Workers: sink.workers}, sink: sink, pin: noEpoch}
 	j.host = &goroutineHost{j: j}
-	j.resumePin.Store(noEpoch)
 	return j
 }
 
-// restore rebuilds worker w of j the way the engine does — the candidates
-// of Job.refsFor through buildWorker — and returns the epoch it restored
-// (noEpoch for a fresh start) and its seed cursor.
-func restore(t *testing.T, j *Job, w int, strict bool) (int64, int64, error) {
+// restore rebuilds worker w of j the way the engine does — its snapshot in
+// the job's pinned epoch (Job.refFor) through buildWorker — and returns the
+// epoch it restored (noEpoch for a fresh start) and its seed cursor.
+func restore(t *testing.T, j *Job, w int) (int64, int64, error) {
 	t.Helper()
 	g := gen.RMAT(gen.RMATConfig{Scale: 5, Edges: 60, Seed: 3})
 	assign, err := partition.Hash{}.Partition(g, j.cfg.Workers)
@@ -167,16 +166,22 @@ func restore(t *testing.T, j *Job, w int, strict bool) (int64, int64, error) {
 	net := transport.NewLocal(transport.LocalConfig{Nodes: j.cfg.Workers + 1})
 	defer net.Close()
 	cfg := Config{Workers: j.cfg.Workers, Threads: 1}.Defaults()
-	wk, epoch, err := buildWorker(w, cfg, &ckptMark{}, vt, net.Endpoint(w), &metrics.Counters{}, j.sink, j.refsFor(w), strict)
+	ref := j.refFor(w)
+	wk, err := buildWorker(w, cfg, &ckptMark{}, vt, net.Endpoint(w), &metrics.Counters{}, j.sink, ref)
 	if err != nil {
 		return noEpoch, 0, err
 	}
 	wk.spiller.Close()
-	return epoch, wk.seedCursor.Load(), nil
+	if ref == nil {
+		return noEpoch, wk.seedCursor.Load(), nil
+	}
+	return ref.Epoch, wk.seedCursor.Load(), nil
 }
 
-// In-job recovery falls back per worker; a full-job resume falls back for
-// the whole cut, so no two workers restore from different epochs.
+// A rollback and a resume restore one cut alike: a corrupt file of the
+// newest epoch moves every worker, not only its own, to the previous one,
+// so no two workers restore from different epochs. Once no epoch is whole,
+// a pinned restore fails loudly and a rollback starts every worker fresh.
 func TestSinkCorruptLatestEpochFallsBack(t *testing.T) {
 	sink, err := newSnapshotSink(t.TempDir(), 2, 7, 0, false)
 	if err != nil {
@@ -186,27 +191,26 @@ func TestSinkCorruptLatestEpochFallsBack(t *testing.T) {
 	commitEpoch(t, sink, 2, 20)
 	corruptFile(t, sink.path(sink.dir, 0, 2))
 	j := restoreJob(sink)
-	for w, want := range []int64{1, 2} {
-		if epoch, cursor, err := restore(t, j, w, false); err != nil || epoch != want || cursor != 10*want+int64(w) {
-			t.Fatalf("recovery of worker %d: epoch %d cursor %d err %v, want epoch %d", w, epoch, cursor, err, want)
-		}
+	if j.pin = j.heldEpoch(); j.pin != 1 {
+		t.Fatalf("pinned epoch %d, want the epoch-1 cut", j.pin)
 	}
-
-	j.resumePin.Store(j.resumeEpoch(sink.manifestView()))
 	for w := 0; w < 2; w++ {
-		if epoch, cursor, err := restore(t, j, w, true); err != nil || epoch != 1 || cursor != 10+int64(w) {
-			t.Fatalf("resume of worker %d: epoch %d cursor %d err %v, want the epoch-1 cut", w, epoch, cursor, err)
+		if epoch, cursor, err := restore(t, j, w); err != nil || epoch != 1 || cursor != 10+int64(w) {
+			t.Fatalf("restore of worker %d: epoch %d cursor %d err %v, want the epoch-1 cut", w, epoch, cursor, err)
 		}
 	}
 
-	// Both epochs corrupt: a resume fails loudly, a recovery starts fresh.
+	// Both epochs corrupt: a pinned restore fails loudly, a rollback starts
+	// fresh.
 	corruptFile(t, sink.path(sink.dir, 0, 1))
-	if _, _, err := restore(t, j, 0, true); err == nil {
-		t.Fatal("all-corrupt resume did not error")
+	if _, _, err := restore(t, j, 0); err == nil {
+		t.Fatal("all-corrupt pinned restore did not error")
 	}
-	j.resumePin.Store(noEpoch)
-	if epoch, cursor, err := restore(t, j, 0, false); err != nil || epoch != noEpoch || cursor != 0 {
-		t.Fatalf("all-corrupt recovery: epoch %d cursor %d err %v, want a fresh start", epoch, cursor, err)
+	if j.pin = j.heldEpoch(); j.pin != noEpoch {
+		t.Fatalf("all-corrupt sink pinned epoch %d", j.pin)
+	}
+	if epoch, cursor, err := restore(t, j, 0); err != nil || epoch != noEpoch || cursor != 0 {
+		t.Fatalf("all-corrupt rollback: epoch %d cursor %d err %v, want a fresh start", epoch, cursor, err)
 	}
 }
 
@@ -222,11 +226,11 @@ func TestRestoreResolvesCommittedEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 		j := restoreJob(sink)
-		if epoch, _, err := restore(t, j, 0, false); err != nil || epoch != noEpoch {
-			t.Fatalf("dir=%q: empty sink restored epoch %d (%v)", dir, epoch, err)
+		if j.pin = j.heldEpoch(); j.pin != noEpoch {
+			t.Fatalf("dir=%q: empty sink pinned epoch %d", dir, j.pin)
 		}
 		crcs := putEpoch(t, sink, 1, 5)
-		if epoch, _, _ := restore(t, j, 0, false); epoch != noEpoch {
+		if epoch := j.heldEpoch(); epoch != noEpoch {
 			t.Fatalf("dir=%q: uncommitted epoch %d visible", dir, epoch)
 		}
 		if _, err := sink.load(0, 1); err == nil {
@@ -235,15 +239,17 @@ func TestRestoreResolvesCommittedEpochs(t *testing.T) {
 		if err := sink.commit(1, crcs, nil); err != nil {
 			t.Fatal(err)
 		}
-		if epoch, cursor, err := restore(t, j, 0, true); err != nil || epoch != 1 || cursor != 5 {
+		j.pin = j.heldEpoch()
+		if epoch, cursor, err := restore(t, j, 0); err != nil || epoch != 1 || cursor != 5 {
 			t.Fatalf("dir=%q: epoch %d cursor %d err %v", dir, epoch, cursor, err)
 		}
 		commitEpoch(t, sink, 2, 9)
-		if epoch, _, _ := restore(t, j, 0, true); epoch != 2 {
+		j.pin = j.heldEpoch()
+		if epoch, _, _ := restore(t, j, 0); epoch != 2 {
 			t.Fatalf("dir=%q: restored epoch %d, want the newer 2", dir, epoch)
 		}
-		if got := j.refsFor(0); len(got) != 2 || got[0].Epoch != 2 || got[1].Epoch != 1 {
-			t.Fatalf("dir=%q: candidates %+v, want epochs 2 then 1", dir, got)
+		if got := sink.manifestView().epochs(); !reflect.DeepEqual(got, []int64{2, 1}) {
+			t.Fatalf("dir=%q: committed epochs %v, want 2 then 1", dir, got)
 		}
 		if made, _ := os.ReadDir(tmp); (dir == "") != (len(made) == 1) {
 			t.Fatalf("dir=%q: temporary directories %v", dir, made)
@@ -458,7 +464,7 @@ func TestResumeCorruptNewestEpochFallsBack(t *testing.T) {
 		CheckpointEvery:  3 * time.Millisecond,
 		CheckpointDir:    dir,
 		Partitioner:      partition.Hash{},
-		Stealing:         false,
+		Stealing:         true,
 	}
 	job, err := Start(g, &ckptMark{delay: 150 * time.Microsecond}, cfg)
 	if err != nil {
@@ -514,7 +520,7 @@ func TestRecoveryWithoutCheckpointDir(t *testing.T) {
 			progressInterval: time.Millisecond,
 			CheckpointEvery:  3 * time.Millisecond,
 			Partitioner:      partition.Hash{},
-			Stealing:         false, // a migration in flight at kill time would be lost
+			Stealing:         true,
 			Tracer:           tr,
 			seedHold:         release, // the kill lands with seeds still to come
 		}

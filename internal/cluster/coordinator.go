@@ -268,9 +268,9 @@ func (s *Session) HeldJobs() []HeldJob {
 // handleHello is the admission gate, invoked by the transport for every
 // FrameHello received on an accepted connection. It decodes and validates
 // the worker's join request, assigns (or re-assigns) a node slot, installs
-// the peer address, rebroadcasts the topology, and (re)starts every live
-// job on the joiner — the epoch-fallback rejoin path a replacement process
-// takes after a crash.
+// the peer address, rebroadcasts the topology, and starts every live job on
+// the joiner — a replacement process after a crash rolls each job back to a
+// committed cut.
 func (c *coordinator) handleHello(payload []byte) []byte {
 	reject := func(reason string) []byte {
 		c.logf("join rejected: %s", reason)
@@ -326,14 +326,10 @@ func (c *coordinator) handleHello(payload []byte) []byte {
 
 	c.logf("worker %d joined from %s (generation %d)", slot, h.Advertise, generation)
 	c.broadcastTopology(peers, gens)
-	// (Re)start every live job on the joiner, restoring from the epochs its
-	// MANIFEST vouches for. A replacement taking over a slot is a recovery.
+	// Start every live job on the joiner. A replacement taking over a slot
+	// rolls each job back to a committed cut.
 	for _, j := range c.s.liveJobs() {
-		if rejoin {
-			_ = j.RecoverWorker(slot)
-		} else if !j.Done() {
-			_ = j.host.start(slot, j.refsFor(slot))
-		}
+		j.joined(slot, rejoin)
 	}
 	if c.s.Ready() {
 		c.readyOnce.Do(func() { close(c.readyCh) })
@@ -409,16 +405,14 @@ func (c *coordinator) slotState(i int) (gen int64, joined bool) {
 // the failure timeout, so /healthz degrades and the slot becomes claimable
 // by an auto-assigned replacement. A slot whose process still heartbeats
 // stays joined: there only a job's worker died, not the process.
-func (c *coordinator) markLostIfSilent(i int) bool {
+func (c *coordinator) markLostIfSilent(i int) {
 	timeout := c.s.cfg.FailTimeout
 	c.mu.Lock()
-	silent := time.Since(c.slots[i].LastSeen) > timeout
-	if silent && c.slots[i].Joined {
+	if time.Since(c.slots[i].LastSeen) > timeout && c.slots[i].Joined {
 		c.slots[i].Joined = false
 		defer c.logf("worker %d lost (silent past %s); awaiting replacement", i, timeout)
 	}
 	c.mu.Unlock()
-	return silent
 }
 
 // ctlLoop routes worker → coordinator control traffic: final job results
@@ -448,7 +442,7 @@ func (c *coordinator) ctlLoop() {
 			c.s.mu.Unlock()
 			// A finished job's ID may be reused: the channel pins the result
 			// to the launch it belongs to.
-			if j != nil && j.ch == m.Channel {
+			if j != nil && j.ch.Load() == m.Channel {
 				if m.Err != "" {
 					j.cancelWith(fmt.Errorf("cluster: worker %d: %s", m.Worker, m.Err))
 				}
@@ -538,14 +532,23 @@ func (c *coordinator) handleDrain(node int, gen int64) {
 		}
 	}
 	c.logf("worker %d draining (generation %d): forcing barrier checkpoint on %d job(s)", node, gen, len(before))
-	deadline := time.Now().Add(c.rcfg.resultTimeout)
+	deadline := time.NewTimer(c.rcfg.resultTimeout)
+	defer deadline.Stop()
+wait:
 	for j, epoch := range before {
-		for j.master.committedEpoch() <= epoch && !j.Done() {
-			if time.Now().After(deadline) {
-				c.logf("worker %d drain: job %s barrier did not commit in time; releasing anyway", node, j.ID())
+		for {
+			committed := j.master.commitSignal()
+			if j.master.committedEpoch() > epoch {
 				break
 			}
-			time.Sleep(5 * time.Millisecond)
+			select {
+			case <-committed:
+			case <-j.master.doneCh:
+				continue wait
+			case <-deadline.C:
+				c.logf("worker %d drain: job %s barrier did not commit in time; releasing anyway", node, j.ID())
+				break wait
+			}
 		}
 	}
 	_ = c.ctl.Send(node, ctrlDrainOK, encodeCtrl(drainMsg{Gen: gen}))
@@ -553,7 +556,7 @@ func (c *coordinator) handleDrain(node int, gen int64) {
 	// after FailTimeout of silence: /healthz stays degraded until the
 	// replacement joins (a rolling restart really goes one slot at a time).
 	// The jobs' masters keep the slot draining until the replacement's join
-	// restarts it, so none ends on, or moves a task for, the leaver.
+	// rolls them back, so none ends on, or moves a task for, the leaver.
 	c.mu.Lock()
 	if int64(c.slots[node].Generation) == gen {
 		c.slots[node].Joined = false

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"cmp"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -54,20 +52,6 @@ func Tune(cfg *Config, k Knobs) {
 // waits for release to close. Until then the job has work pending on every
 // slot and cannot finish under the test, whatever the engine's speed.
 func HoldLastSeed(cfg *Config, release <-chan struct{}) { cfg.seedHold = release }
-
-// CommittedEpoch returns the newest epoch the MANIFEST in dir commits, and
-// false while dir holds no readable one.
-func CommittedEpoch(dir string) (int64, bool) {
-	b, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
-	if err != nil {
-		return 0, false
-	}
-	m, err := decodeManifest(b)
-	if err != nil {
-		return 0, false
-	}
-	return m.Epoch, true
-}
 
 // residentIDs lists the resident set of the view as its directory answers
 // for it — the vertices a worker other than the owner reads in place —
@@ -181,6 +165,17 @@ func popAll(s *store.Store) []*core.Task {
 		}
 		out = append(out, t)
 	}
+}
+
+// jobWorker is the engine worker of job id in the process, nil when none
+// runs.
+func (wp *WorkerProcess) jobWorker(id string) *Worker {
+	wp.mu.Lock()
+	defer wp.mu.Unlock()
+	if wj := wp.jobs[id]; wj != nil {
+		return wj.w
+	}
+	return nil
 }
 
 // serveControl runs only w's comm loop — control messages, checkpoint

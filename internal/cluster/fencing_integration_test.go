@@ -88,7 +88,7 @@ func TestRemoteZombieFenced(t *testing.T) {
 
 	cfg := smallConfig()
 	cfg.Partitioner = partition.Hash{}
-	cfg.Stealing = false // a migration in flight at fencing time would be lost
+	cfg.Stealing = true
 	want := fencingRef(t, g, sp, cfg)
 	release := holdJobs(&cfg)
 
@@ -270,7 +270,7 @@ func restartHeldJob(t *testing.T, tamper func(workerDir string)) (*cluster.Job, 
 
 	cfg := smallConfig()
 	cfg.Partitioner = partition.Hash{}
-	cfg.Stealing = false
+	cfg.Stealing = true
 	want := fencingRef(t, g, sp, cfg)
 	release := holdJobs(&cfg)
 

@@ -146,7 +146,7 @@ func FuzzDecodeHello(f *testing.F) {
 // whatever struct the caller aims it at.
 func FuzzDecodeCtrl(f *testing.F) {
 	f.Add(encodeCtrl(jobStartMsg{Channel: 1, JobID: "job-1",
-		Resume: []resumeEpochRef{{Epoch: 3, CRC: 7}}}))
+		Resume: &resumeEpochRef{Epoch: 3, CRC: 7}}))
 	f.Add(encodeCtrl(jobStopMsg{Channel: 2}))
 	f.Add(encodeCtrl(jobResultMsg{Channel: 1, JobID: "job-1", Worker: 0,
 		Records: []string{"r"}, Gen: 2}))

@@ -19,23 +19,30 @@ import (
 // on a session and a session always drives its workers through this seam;
 // the deployment shape — goroutines of this process, or other OS processes
 // behind the control channel — is the implementation, not a second engine.
+//
+// A job runs in attempts. The first starts at launch; every rollback
+// (Job.rollback) retires the attempt — every worker, not only the lost one —
+// and starts the next on a fresh mux channel, all of its workers restored
+// from one committed epoch or all fresh.
 type workerHost interface {
-	// start brings the job's worker up on slot i, restored from the first
-	// of refs whose snapshot verifies and decodes; no refs is a fresh start.
-	start(i int, refs []resumeEpochRef) error
-	// holds reports whether slot i can restore the committed epoch (a
-	// full-job resume restores every slot from ONE epoch all of them hold).
+	// start brings the current attempt's worker up on slot i, restored from
+	// ref, the slot's snapshot in the attempt's pinned epoch; nil is a fresh
+	// start. A snapshot that cannot be restored is an error, never a fresh
+	// start beside workers restored at the pin.
+	start(i int, ref *resumeEpochRef) error
+	// holds reports whether slot i can restore the committed epoch.
 	holds(i int, epoch int64) bool
 	// kill crashes the job's worker on slot i like a failed machine: its
 	// pipeline stops without flushing or shipping anything, and whatever
 	// was in flight to it is lost.
 	kill(i int)
-	// recover replaces slot i's dead worker with one restored from the
-	// newest committed epoch the slot can load, falling back across older
-	// commits and then to a fresh start. It reports whether a replacement
-	// was started — false when the failure detector flagged a live worker,
-	// or the slot's process itself is gone and none has joined yet.
-	recover(i int) (bool, error)
+	// lost reports whether slot i's worker is known lost, which is what
+	// rolls the job back. A worker the failure detector merely suspects is
+	// not: it may be alive, only slow to report.
+	lost(i int) bool
+	// retire ends the current attempt like a crash of every worker: nothing
+	// is flushed or shipped. eps are the next attempt's worker endpoints.
+	retire(eps []transport.Endpoint)
 	// stop ends every worker's pipeline once the master has terminated.
 	stop()
 	// collect waits for the stopped workers and returns each slot's final
@@ -43,31 +50,27 @@ type workerHost interface {
 	collect() ([]jobResultMsg, error)
 }
 
-// buildWorker is the one worker (re)build routine: worker id of a job,
-// restored from the first of refs whose snapshot the sink can load,
-// verify against the commit-time checksum and decode (each failure traced
-// as EvRestoreFail), else built fresh. With strict set, candidates that
-// all fail are an error instead of a fresh start. It returns the epoch the
-// worker was restored from, noEpoch for a fresh one.
+// buildWorker is the one worker build routine: worker id of a job, restored
+// from ref — its snapshot loaded, verified against the commit-time checksum
+// and decoded, a failure traced as EvRestoreFail and returned — or, with no
+// ref, fresh, its tasks-done count at zero.
 func buildWorker(id int, cfg Config, a core.Algorithm, vt vertexTables, ep transport.Endpoint,
-	counters *metrics.Counters, sink *snapshotSink, refs []resumeEpochRef, strict bool) (*Worker, int64, error) {
-	var lastErr error
-	for _, ref := range refs {
-		snap, err := sink.loadWith(id, ref.Epoch, ref.CRC)
-		if err == nil {
-			var w *Worker
-			if w, err = newWorker(id, cfg, a, vt.dir, vt.locals[id], ep, counters, sink, snap); err == nil {
-				return w, ref.Epoch, nil
-			}
+	counters *metrics.Counters, sink *snapshotSink, ref *resumeEpochRef) (*Worker, error) {
+	var snap *workerSnapshot
+	var err error
+	if ref == nil {
+		counters.SetTasksDone(0)
+	} else if snap, err = sink.loadWith(id, ref.Epoch, ref.CRC); err == nil {
+		var w *Worker
+		if w, err = newWorker(id, cfg, a, vt.dir, vt.locals[id], ep, counters, sink, snap); err == nil {
+			return w, nil
 		}
+	}
+	if err != nil {
 		cfg.Tracer.Handle(id, trace.CompCheckpoint).Event(trace.EvRestoreFail, uint64(ref.Epoch))
-		lastErr = err
+		return nil, fmt.Errorf("cluster: restore: worker %d: no usable committed epoch: %w", id, err)
 	}
-	if strict && lastErr != nil {
-		return nil, noEpoch, fmt.Errorf("cluster: resume: worker %d: no usable committed epoch: %w", id, lastErr)
-	}
-	w, err := newWorker(id, cfg, a, vt.dir, vt.locals[id], ep, counters, sink, nil)
-	return w, noEpoch, err
+	return newWorker(id, cfg, a, vt.dir, vt.locals[id], ep, counters, sink, nil)
 }
 
 // result is what a finished worker contributes to the job's Result.
@@ -188,23 +191,18 @@ func (o *orientedView) cut(assign *partition.Assignment, base vertexTables) {
 // boundary. Once collect has the workers' results it lets go of everything
 // it held — workers (caches, stores, queues, spillers), algorithm, vertex
 // tables, endpoints and the job itself — so a finished *Job pins no engine
-// state and no epoch's view. Once stop has run, run, kill and recover do
-// nothing.
+// state and no epoch's view. Once stop has run, start and kill do nothing.
 type goroutineHost struct {
 	mu      sync.Mutex
 	j       *Job
 	algo    core.Algorithm
 	tables  vertexTables         // the session's shared partition views
-	eps     []transport.Endpoint // slot i's current endpoint (replaced by kill)
+	eps     []transport.Endpoint // the current attempt's
 	workers []*Worker
 	stopped bool
 }
 
-func (h *goroutineHost) start(i int, refs []resumeEpochRef) error {
-	return h.run(i, refs, len(refs) > 0)
-}
-
-func (h *goroutineHost) run(i int, refs []resumeEpochRef, strict bool) error {
+func (h *goroutineHost) start(i int, ref *resumeEpochRef) error {
 	h.mu.Lock()
 	if h.stopped {
 		h.mu.Unlock()
@@ -212,16 +210,15 @@ func (h *goroutineHost) run(i int, refs []resumeEpochRef, strict bool) error {
 	}
 	j, a, tables, ep := h.j, h.algo, h.tables, h.eps[i]
 	h.mu.Unlock()
-	w, _, err := buildWorker(i, j.cfg, a, tables, ep, j.counters[i], j.sink, refs, strict)
+	w, err := buildWorker(i, j.cfg, a, tables, ep, j.counters[i], j.sink, ref)
 	if err != nil {
 		return err
 	}
 	w.oomFn = j.budgetAbort
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.stopped || (h.workers[i] != nil && !h.workers[i].killed.Load()) {
-		// Lost a race with teardown (nobody would ever stop this worker) or
-		// with another recovery of the same slot.
+	if h.stopped {
+		// Lost a race with teardown: nobody would ever stop this worker.
 		w.stop()
 		w.spiller.Close()
 		return nil
@@ -242,29 +239,40 @@ func (h *goroutineHost) kill(i int) {
 	if h.stopped {
 		return // the job is over: there is no pipeline left to crash
 	}
+	// What is queued for it dies with the attempt's channel, its spilled
+	// blocks with the attempt (its retriever may be reading one now).
 	if w := h.workers[i]; w != nil {
 		w.kill()
-		w.spiller.Close() // its spilled blocks die with it
-	}
-	// The replacement must see the same (possibly faulty) network the rest
-	// of the cluster does.
-	if ep := h.j.sess.mux.Reset(h.j.ch, i); ep != nil {
-		h.eps[i] = h.j.cfg.Chaos.Wrap(ep)
 	}
 }
 
-func (h *goroutineHost) recover(i int) (bool, error) {
+// lost: the goroutine host's workers die only by kill.
+func (h *goroutineHost) lost(i int) bool {
 	h.mu.Lock()
-	if h.stopped {
-		h.mu.Unlock()
-		return false, nil
-	}
-	j, w := h.j, h.workers[i]
+	defer h.mu.Unlock()
+	return !h.stopped && h.workers[i] != nil && h.workers[i].killed.Load()
+}
+
+// retire kills every worker of the attempt and waits until none runs, so
+// none of them touches the job's counters or sink beside the next attempt.
+// The attempt's channel is closed first (Job.rollback): that is what ends
+// each comm loop's wait.
+func (h *goroutineHost) retire(eps []transport.Endpoint) {
+	h.mu.Lock()
+	workers := h.workers
+	h.workers, h.eps = make([]*Worker, len(workers)), eps
 	h.mu.Unlock()
-	if w == nil || !w.killed.Load() {
-		return false, nil
+	for _, w := range workers {
+		if w != nil {
+			w.kill()
+		}
 	}
-	return true, h.run(i, j.refsFor(i), false)
+	for _, w := range workers {
+		if w != nil {
+			w.wg.Wait()
+			w.spiller.Close()
+		}
+	}
 }
 
 func (h *goroutineHost) stop() {
@@ -302,11 +310,11 @@ func (h *goroutineHost) collect() ([]jobResultMsg, error) {
 // processHost drives the job's workers in other OS processes over the
 // coordinator's control channel: ctrlJobStart builds the worker from a
 // workload spec (a core.Algorithm value cannot cross a process boundary)
-// and the candidate epochs, ctrlJobStop stops or kills it, ctrlJobResult
-// ships its final records back. On top of what the goroutine host does it
-// adds slots (a worker can only start once a process has joined its slot)
-// and fencing (a result counts only if it comes from the generation the
-// job was last started on).
+// and the attempt's pinned epoch, ctrlJobStop stops or kills it,
+// ctrlJobResult ships its final records back. On top of what the goroutine
+// host does it adds slots (a worker can only start once a process has
+// joined its slot) and fencing (a result counts only if it comes from the
+// generation the job was last started on).
 type processHost struct {
 	c    *coordinator
 	j    *Job
@@ -314,63 +322,83 @@ type processHost struct {
 
 	mu sync.Mutex
 	// started is the generation of slot i's process when the job's worker
-	// was last started there (0: never). A draining worker ships a partial
-	// result at detach; the job must not look complete until the
-	// replacement, started at a later generation, supersedes it.
+	// was last started there (0: never), and attempt the job's channel then
+	// (0 once kill reached it). A draining worker ships a partial result at
+	// detach; the job must not look complete until the replacement, started
+	// at a later generation, supersedes it.
 	started []int64
+	attempt []uint64
 	results []jobResultMsg // by slot; Gen 0 = nothing delivered yet
 	stopped bool
 	arrived chan struct{} // poked on every delivery
 }
 
 // start is a no-op on a slot no process has joined yet: the join handshake
-// starts every live job on the newcomer. A start whose refs are the
-// full-job resume's pinned epoch is strict, as on the goroutine host; but
-// holds trusts the file names a hello listed, so a torn pinned file fails
-// the job (naming the worker) rather than falling back to an older epoch.
-func (h *processHost) start(i int, refs []resumeEpochRef) error {
+// starts every live job on the newcomer. holds trusts the file names a
+// hello listed, so a torn pinned file fails the job (naming the worker)
+// when the worker restores it.
+func (h *processHost) start(i int, ref *resumeEpochRef) error {
 	gen, joined := h.c.slotState(i)
 	h.mu.Lock()
 	if h.stopped || !joined {
 		h.mu.Unlock()
 		return nil
 	}
-	h.started[i] = gen
+	ch := h.j.ch.Load()
+	h.started[i], h.attempt[i] = gen, ch
 	h.mu.Unlock()
 	return h.c.ctl.Send(i, ctrlJobStart, encodeCtrl(jobStartMsg{
-		Channel:                h.j.ch,
+		Channel:                ch,
 		JobID:                  h.j.ID(),
 		Spec:                   h.spec,
 		CheckpointEverySeconds: h.j.cfg.CheckpointEvery.Seconds(),
-		Resume:                 refs,
-		Strict:                 h.j.resumePin.Load() != noEpoch,
+		Resume:                 ref,
 	}))
 }
 
-// holds goes by what the slot's process claimed at join to have snapshot
-// files for; the commit-time CRC still decides at restore.
+// holds: slot i's process claimed the epoch's file at join, or acked the
+// epoch itself (its generation is the one the commit recorded). The
+// commit-time CRC still decides at restore.
 func (h *processHost) holds(i int, epoch int64) bool {
 	h.c.mu.Lock()
-	defer h.c.mu.Unlock()
-	return h.c.slots[i].Joined && h.c.slots[i].held[h.j.ID()][epoch]
+	st := h.c.slots[i]
+	h.c.mu.Unlock()
+	return st.Joined && (st.held[h.j.ID()][epoch] || h.j.sink.manifestView().genFor(epoch, i) == int64(st.Generation))
 }
 
 func (h *processHost) kill(i int) {
+	h.mu.Lock()
+	h.attempt[i] = 0
+	h.mu.Unlock()
 	if _, joined := h.c.slotState(i); joined {
-		_ = h.c.ctl.Send(i, ctrlJobStop, encodeCtrl(jobStopMsg{Channel: h.j.ch, Kill: true}))
+		_ = h.c.ctl.Send(i, ctrlJobStop, encodeCtrl(jobStopMsg{Channel: h.j.ch.Load(), JobID: h.j.ID(), Kill: true}))
 	}
 }
 
-// recover re-sends the job start with the manifest's epochs for the slot.
-// A process that is still running the job's worker ignores the duplicate;
-// one that lost it (kill, or a replacement process that just joined)
-// restores it. A slot whose process has itself gone silent is marked lost
-// instead, which lets a replacement claim it — whose join calls back here.
-func (h *processHost) recover(i int) (bool, error) {
-	if h.c.markLostIfSilent(i) {
-		return false, nil
+// lost: slot i's process is not running the attempt's worker — killed,
+// never started there, or the process is a replacement. A slot whose
+// process has gone silent is not lost until a replacement joins it: it is
+// only marked lost in the registry, which lets one claim it, and the join
+// rolls the job back.
+func (h *processHost) lost(i int) bool {
+	gen, joined := h.c.slotState(i)
+	h.mu.Lock()
+	lost := joined && (h.started[i] != gen || h.attempt[i] != h.j.ch.Load())
+	h.mu.Unlock()
+	if !lost {
+		h.c.markLostIfSilent(i)
 	}
-	return true, h.start(i, h.j.refsFor(i))
+	return lost
+}
+
+// retire forgets what the attempt's workers delivered. Each process ends
+// its worker of the attempt when the next attempt's start reaches it
+// (WorkerProcess.startJob); until then the attempt's frames die at the
+// closed channel.
+func (h *processHost) retire([]transport.Endpoint) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	clear(h.results)
 }
 
 // stop backstops the master's msgStop broadcast, in case the engine frame
@@ -380,7 +408,7 @@ func (h *processHost) stop() {
 	h.mu.Lock()
 	h.stopped = true
 	h.mu.Unlock()
-	stop := encodeCtrl(jobStopMsg{Channel: h.j.ch})
+	stop := encodeCtrl(jobStopMsg{Channel: h.j.ch.Load(), JobID: h.j.ID()})
 	for i := range h.started {
 		if _, joined := h.c.slotState(i); joined {
 			_ = h.c.ctl.Send(i, ctrlJobStop, stop)

@@ -42,7 +42,8 @@ type Result struct {
 	Timeline []metrics.TimelinePoint
 	// EdgeCut is the partitioning edge-cut fraction.
 	EdgeCut float64
-	// Recovered counts worker recoveries during the run.
+	// Recovered counts the job's rollbacks during the run: each restarted
+	// every worker from one committed epoch, or all of them fresh.
 	Recovered int
 	// ResidentLists and ResidentBytes size the job's resident set: the
 	// forward lists of G⁺ every worker held beside its own partition, and
@@ -75,9 +76,10 @@ type Job struct {
 	// Every job runs on a session: sess owns the resident graph and its
 	// partition (stable while the job holds its graph-epoch lease), the
 	// transport the job's mux channel ch is laid over and the registry the
-	// job leaves at the end of Wait; host is where its workers live.
+	// job leaves at the end of Wait; host is where its workers live. Each
+	// attempt of the job has a channel of its own: a rollback moves ch.
 	sess *Session
-	ch   uint64
+	ch   atomic.Uint64
 	host workerHost
 	// specFile is the durable JOBSPEC a coordinator wrote next to the job's
 	// MANIFEST ("" when the session keeps none); it outlives a coordinator
@@ -91,9 +93,10 @@ type Job struct {
 	counters []*metrics.Counters // one per node (workers + master)
 	sampler  *metrics.Sampler
 
-	// resumePin, while a full-job resume is starting its workers, is the one
-	// committed epoch every worker restores from (noEpoch otherwise).
-	resumePin atomic.Int64
+	// pin is the committed epoch every worker of the current attempt
+	// restores from, noEpoch for a fresh start: set at build, then by
+	// rollback on the master's goroutine.
+	pin int64
 
 	started   time.Time
 	failures  chan int
@@ -127,48 +130,32 @@ func Start(g *graph.Graph, algo core.Algorithm, cfg Config) (*Job, error) {
 	return j, err
 }
 
-// refsFor lists the committed (epoch, checksum) candidates worker i may
-// restore from, newest first — the MANIFEST's column for that worker, or
-// only the pinned epoch while a full-job resume is starting.
-func (j *Job) refsFor(i int) []resumeEpochRef {
-	man := j.sink.manifestView()
-	epochs := man.epochs()
-	if pin := j.resumePin.Load(); pin != noEpoch {
-		epochs = []int64{pin}
+// refFor names worker i's snapshot in the attempt's pinned epoch, nil for a
+// fresh start.
+func (j *Job) refFor(i int) *resumeEpochRef {
+	crcs := j.sink.manifestView().crcsFor(j.pin)
+	if i >= len(crcs) {
+		return nil
 	}
-	var refs []resumeEpochRef
-	for _, epoch := range epochs {
-		if crcs := man.crcsFor(epoch); i < len(crcs) {
-			refs = append(refs, resumeEpochRef{Epoch: epoch, CRC: crcs[i]})
-		}
-	}
-	return refs
+	return &resumeEpochRef{Epoch: j.pin, CRC: crcs[i]}
 }
 
-// startWorkers brings every slot's worker up. A full-job resume pins one
-// committed epoch (resumeEpoch) so the whole cluster restores one
-// consistent cut: task stealing moves tasks between epochs, so mixing
-// epochs across workers could lose or duplicate them.
+// startWorkers brings every slot's worker of the first attempt up, before
+// the master runs.
 func (j *Job) startWorkers() error {
-	if man := j.sink.manifestView(); j.cfg.Resume && man != nil {
-		j.resumePin.Store(j.resumeEpoch(man))
-		defer j.resumePin.Store(noEpoch)
-	}
-	// A fresh job's sink has no manifest, hence no candidates.
 	for i := 0; i < j.cfg.Workers; i++ {
-		if err := j.host.start(i, j.refsFor(i)); err != nil {
+		if err := j.host.start(i, j.refFor(i)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// resumeEpoch is the committed epoch a full-job resume restores every
-// slot from: the newest one every slot holds, or the manifest head if the
-// hosts cannot tell — the checksum decides at restore.
-func (j *Job) resumeEpoch(man *manifest) int64 {
+// heldEpoch is the newest committed epoch every slot holds, noEpoch if
+// none: the one consistent cut every worker can restore.
+func (j *Job) heldEpoch() int64 {
 pick:
-	for _, epoch := range man.epochs() {
+	for _, epoch := range j.sink.manifestView().epochs() {
 		for i := 0; i < j.cfg.Workers; i++ {
 			if !j.host.holds(i, epoch) {
 				continue pick
@@ -176,7 +163,36 @@ pick:
 		}
 		return epoch
 	}
-	return man.Epoch
+	return noEpoch
+}
+
+// rollback retires the current attempt and starts the next: a fresh mux
+// channel, so every frame of the old attempt dies at the demux — reports,
+// MIGRATE orders, task batches, checkpoint acks, results — the master's
+// progress table reset, and every worker restored from the newest committed
+// epoch all slots hold, or all fresh. It is the one restore path: the
+// workers of one attempt always start from one cut. rejoined is the slot
+// whose loss caused it. It runs on the master's goroutine.
+func (j *Job) rollback(rejoined int) error {
+	ch, err := j.sess.channel()
+	if err != nil {
+		return err
+	}
+	eps, err := j.sess.openAttempt(ch, j.cfg, j.counters)
+	if err != nil {
+		return err
+	}
+	j.sess.mux.CloseChannel(j.ch.Swap(ch))
+	j.host.retire(eps[:j.cfg.Workers])
+	j.master.reset(eps[j.cfg.Workers], rejoined, time.Now())
+	j.pin = j.heldEpoch()
+	j.recovered.Add(1)
+	for i := 0; i < j.cfg.Workers; i++ {
+		if err := j.host.start(i, j.refFor(i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // budgetAbort cancels the job when a worker's memory charge exceeded the
@@ -226,31 +242,42 @@ func Run(g *graph.Graph, algo core.Algorithm, cfg Config) (*Result, error) {
 
 // KillWorker simulates a crash of worker i: its pipeline stops without
 // flushing anything, the job's mailbox for that node is wiped (in-flight
-// messages to it are lost) and it stops serving pull requests until
-// recovered. Co-resident jobs of the same session are untouched. A no-op on
+// messages to it are lost) and it stops serving pull requests until the job
+// recovers. Co-resident jobs of the same session are untouched. A no-op on
 // a finished job.
 func (j *Job) KillWorker(i int) { j.host.kill(i) }
 
-// RecoverWorker replaces a killed worker with one restored from the newest
-// committed epoch. A torn or corrupt snapshot falls back to the previous
-// committed epoch (traced as EvRestoreFail); with no usable committed
-// checkpoint the worker restarts from scratch, which is safe because its
-// un-checkpointed results died with it. A no-op on a live worker or a
-// finished job.
-func (j *Job) RecoverWorker(i int) error {
-	if j.Done() {
-		return nil
-	}
-	replaced, err := j.host.recover(i)
-	if replaced && err == nil {
-		j.recovered.Add(1)
-		j.master.workerRestarted(i)
-	}
+// RecoverWorker rolls the job back if worker i is known lost (killed, or on
+// the process host replaced by a new process): every worker restarts from
+// the newest committed epoch all of them hold — a torn or corrupt snapshot
+// found while picking it moves the pin one epoch back (traced as
+// EvRestoreFail) — or, with none, all from scratch, which is safe because
+// every un-checkpointed result dies with the attempt. A no-op on a live
+// worker or a finished job; a rollback that fails fails the job.
+func (j *Job) RecoverWorker(i int) (err error) {
+	j.master.do(func() {
+		if j.host.lost(i) {
+			if err = j.rollback(i); err != nil {
+				j.cancelWith(err)
+			}
+		}
+	})
 	return err
 }
 
-// recoveryLoop hands workers flagged dead by the master's failure detector
-// to the host for recovery.
+// joined starts the job on a process that just joined slot i: a slot's
+// first process starts the current attempt's worker at its pin, like a
+// worker that starts late; a replacement rolls the job back.
+func (j *Job) joined(i int, replacement bool) {
+	if replacement {
+		_ = j.RecoverWorker(i)
+		return
+	}
+	j.master.do(func() { _ = j.host.start(i, j.refFor(i)) })
+}
+
+// recoveryLoop offers the workers the master's failure detector flags to
+// RecoverWorker.
 func (j *Job) recoveryLoop() {
 	for {
 		select {
@@ -277,7 +304,7 @@ func (j *Job) Wait() (*Result, error) {
 		// The job stays registered until the results are in: a process host
 		// routes them by registry lookup.
 		j.host.stop()
-		j.sess.mux.CloseChannel(j.ch)
+		j.sess.mux.CloseChannel(j.ch.Load())
 		results, collectErr := j.host.collect()
 		j.sink.close()
 		j.sess.forget(j.cfg.jobID)

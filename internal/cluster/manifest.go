@@ -13,21 +13,21 @@ import (
 // Durable checkpoint format (§7 hardening). A worker's snapshot is framed
 // on disk as
 //
-//	"GMCK2" | uvarint payload length | payload | crc32c(payload), LE
+//	"GMCK3" | uvarint payload length | payload | crc32c(payload), LE
 //
 // so a torn write (crash mid-checkpoint, disk rot) is detected before the
 // payload ever reaches decodeSnapshot. The master's MANIFEST uses the same
 // frame with its own magic and records which epoch is committed: an epoch
 // exists durably only once every worker's file landed (fsync'd) and the
 // master wrote the manifest naming it. Restore never trusts a file the
-// manifest does not vouch for. GMCK2 is the payload whose task list is a
-// core.EncodeTasks list without to_pull; GMMF2 is the manifest whose
-// payload is JSON. A GMCK1 file or GMMF1 manifest from an older build fails
-// at unframe ("bad magic") instead of mis-decoding, so its directory does
-// not resume.
+// manifest does not vouch for. GMCK3 is the payload whose task list is a
+// core.EncodeTasks list without to_pull, followed by the worker's tasks
+// done and per-peer migration counts; GMMF2 is the manifest whose payload
+// is JSON. A file or manifest any older build framed fails at unframe ("bad
+// magic") instead of mis-decoding, so its directory does not resume.
 
 const (
-	snapshotMagic = "GMCK2"
+	snapshotMagic = "GMCK3"
 	manifestMagic = "GMMF2"
 	// manifestName is the committed-epoch record inside the checkpoint
 	// directory.
@@ -94,6 +94,10 @@ type manifest struct {
 	EpochCRCs   []uint32 `json:"epoch_crcs"`
 	PrevEpoch   int64    `json:"prev_epoch"` // noEpoch when only one epoch has ever committed
 	PrevCRCs    []uint32 `json:"prev_crcs"`
+	// gens and prevGens are the fencing generations whose acks committed
+	// the two epochs, known only to the coordinator that committed them
+	// (never written: generations restart with the coordinator).
+	gens, prevGens []int64
 }
 
 // epochs returns the committed epochs newest-first.
@@ -120,6 +124,20 @@ func (m *manifest) crcsFor(epoch int64) []uint32 {
 		return m.PrevCRCs
 	}
 	return nil
+}
+
+// genFor returns the generation whose ack committed worker's snapshot of
+// epoch, 0 when this process does not know it.
+func (m *manifest) genFor(epoch int64, worker int) int64 {
+	var gens []int64
+	switch {
+	case m == nil:
+	case epoch == m.Epoch:
+		gens = m.gens
+	case epoch == m.PrevEpoch:
+		gens = m.prevGens
+	}
+	return peerCount(gens, worker)
 }
 
 // encodeManifest frames the manifest's JSON: it is a control record, and

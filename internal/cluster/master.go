@@ -14,16 +14,19 @@ import (
 // master coordinates the job (§5.1, Figure 4): it maintains the global
 // progress table from worker reports, schedules task stealing (progress
 // scheduler), merges and broadcasts aggregator values, triggers periodic
-// checkpoints, detects failures and decides termination.
+// checkpoints, detects failures and decides termination. Its state is its
+// goroutine's: anything else that must change it — a rollback — runs there
+// between two passes (do).
 type master struct {
 	cfg      Config
-	ep       transport.Endpoint
-	agg      core.Aggregator // nil if the algorithm has none
+	ep       transport.Endpoint // the current attempt's
+	agg      core.Aggregator    // nil if the algorithm has none
 	counters *metrics.Counters
+	calls    chan func()
 
 	reports []*progressReport
-	// lastSeen is when slot i last reported, restarted or was offered for
-	// recovery: the failure detector's clock.
+	// lastSeen is when slot i last reported, or the attempt began, or it
+	// was offered for recovery: the failure detector's clock.
 	lastSeen []time.Time
 	partials [][]byte // latest encoded aggregator partial per worker
 
@@ -32,23 +35,24 @@ type master struct {
 	probedAt    time.Time // when it was last sent
 	lastPrint   []int64   // quiescent fingerprint of the previous complete wave; nil = none
 	stableSince time.Time // time-spaced test: since when lastPrint has stood still
-	recovered   bool      // a failure happened: sent/recv sums may never match
 
 	// checkpoint state
 	epoch        int64
 	ckptPending  int
-	ckptAcks     map[int]uint32 // worker → snapshot CRC acked for m.epoch
-	ackGens      map[int]int64  // worker → fencing generation the ack arrived with
-	sink         *snapshotSink  // commits epochs to the MANIFEST; may be nil in tests
-	ckptErr      error          // last commit failure, surfaced on cluster.Result
+	ckptAcks     map[int]ckptAck // worker → its ack for m.epoch
+	sink         *snapshotSink   // commits epochs to the MANIFEST; may be nil in tests
+	ckptErr      error           // last commit failure, surfaced on cluster.Result
 	lastCkpt     time.Time
 	lastAggBytes []byte
+	// committed is closed, and replaced, at every commit: a drain waits on
+	// it for its barrier epoch rather than polling the MANIFEST.
+	committed atomic.Pointer[chan struct{}]
 
 	// fence is the cluster's fencing-token ledger (nil in single-process
 	// mode): acks from a fenced-out generation are dropped before they can
 	// count toward a commit.
-	fence   *fenceTable
-	trFence trace.Handle
+	fence  *fenceTable
+	trCkpt trace.Handle
 
 	// barrier, when set, forces a checkpoint on the next periodic() pass
 	// regardless of the interval clock. A draining worker raises it (via
@@ -59,45 +63,57 @@ type master struct {
 
 	failed   map[int]bool
 	failures chan<- int
-	// restarts names slots whose worker was just replaced: the dead
-	// incarnation's last report must not count toward termination (it may
-	// say "idle" while the replacement is still restoring tasks).
-	restarts chan int
 
 	doneCh chan struct{}
 	stopCh chan struct{}
 }
 
+// newMaster builds a job's master. It reads no clock: run starts the
+// checkpoint and silence clocks, and a test drives periodic and
+// checkTermination on a clock of its own.
 func newMaster(cfg Config, ep transport.Endpoint, agg core.Aggregator,
 	counters *metrics.Counters, failures chan<- int, sink *snapshotSink, fence *fenceTable) *master {
 	m := &master{
 		cfg:      cfg,
-		ep:       ep,
 		agg:      agg,
 		counters: counters,
-		reports:  make([]*progressReport, cfg.Workers),
+		calls:    make(chan func()),
 		lastSeen: make([]time.Time, cfg.Workers),
-		partials: make([][]byte, cfg.Workers),
-		ckptAcks: make(map[int]uint32),
-		ackGens:  make(map[int]int64),
 		sink:     sink,
 		fence:    fence,
-		trFence:  cfg.Tracer.Handle(cfg.Workers, trace.CompCheckpoint),
-		failed:   make(map[int]bool),
+		trCkpt:   cfg.Tracer.Handle(cfg.Workers, trace.CompCheckpoint),
 		failures: failures,
-		restarts: make(chan int, cfg.Workers),
 		draining: make([]atomic.Bool, cfg.Workers),
 		doneCh:   make(chan struct{}),
 		stopCh:   make(chan struct{}),
-		lastCkpt: time.Now(),
 	}
-	// Start the silence clock at job launch so a worker that dies before
-	// its first report is detected a FailTimeout later, not at once.
-	now := time.Now()
+	sig := make(chan struct{})
+	m.committed.Store(&sig)
+	m.reset(ep, -1, time.Time{})
+	return m
+}
+
+// reset starts the master on an attempt of the job whose workers talk to it
+// through ep: the progress table, aggregator partials, probe wave, suspect
+// marks and epoch in flight of the previous attempt are gone; the epoch
+// counter, sink and fence stay. The silence clock starts at now, so a
+// worker that dies before its first report is detected a FailTimeout later.
+// rejoined, if not -1, is the slot whose new process made this attempt: it
+// is no longer draining.
+func (m *master) reset(ep transport.Endpoint, rejoined int, now time.Time) {
+	m.ep = ep
+	m.reports = make([]*progressReport, m.cfg.Workers)
+	m.partials = make([][]byte, m.cfg.Workers)
+	m.lastAggBytes = nil
+	m.wave, m.lastPrint = 0, nil
+	m.failed = make(map[int]bool)
 	for i := range m.lastSeen {
 		m.lastSeen[i] = now
 	}
-	return m
+	m.ckptPending, m.ckptAcks = 0, make(map[int]ckptAck)
+	if rejoined >= 0 {
+		m.draining[rejoined].Store(false)
+	}
 }
 
 // run is the master's main loop; it returns once the job has terminated
@@ -106,9 +122,14 @@ func newMaster(cfg Config, ep transport.Endpoint, agg core.Aggregator,
 // RoundHook) stays paced by the heartbeat.
 func (m *master) run() {
 	defer close(m.doneCh)
+	now := time.Now()
 	tick := m.cfg.progressInterval
-	nextRound := time.Now().Add(tick)
+	nextRound := now.Add(tick)
 	var round int64
+	m.lastCkpt = now
+	for i := range m.lastSeen {
+		m.lastSeen[i] = now
+	}
 	for {
 		select {
 		case <-m.stopCh:
@@ -117,6 +138,8 @@ func (m *master) run() {
 			// until the caller's Wait tears them down.
 			m.broadcast(msgStop, nil)
 			return
+		case f := <-m.calls:
+			f()
 		default:
 		}
 		if msg, ok := m.ep.RecvTimeout(time.Until(nextRound)); ok {
@@ -130,7 +153,6 @@ func (m *master) run() {
 				m.handle(msg)
 			}
 		}
-		m.noteRestarts()
 		now := time.Now()
 		if !now.Before(nextRound) {
 			nextRound = now.Add(tick)
@@ -144,6 +166,17 @@ func (m *master) run() {
 			m.broadcast(msgStop, nil)
 			return
 		}
+	}
+}
+
+// do runs f on the master's goroutine between two passes; once the master
+// has returned, it does not run f.
+func (m *master) do(f func()) {
+	done := make(chan struct{})
+	select {
+	case m.calls <- func() { f(); close(done) }:
+		<-done
+	case <-m.doneCh:
 	}
 }
 
@@ -167,36 +200,11 @@ func (m *master) handle(msg transport.Message) {
 	}
 }
 
-// workerRestarted tells the master slot i's worker was replaced.
-func (m *master) workerRestarted(i int) {
-	select {
-	case m.restarts <- i:
-	case <-m.doneCh:
-	}
-}
-
-// noteRestarts forgets what replaced workers last reported, after the
-// mailbox was drained so a report the dead incarnation queued cannot undo
-// it. The newcomer's migration counters restart from zero, so like after
-// a detected failure the sent/recv sums may never match again.
-func (m *master) noteRestarts() {
-	for {
-		select {
-		case i := <-m.restarts:
-			m.reports[i], m.lastSeen[i] = nil, time.Now()
-			delete(m.failed, i)
-			m.recovered = true
-			m.draining[i].Store(false)
-		default:
-			return
-		}
-	}
-}
-
 // handleCkptAck collects per-worker checkpoint acks and commits the epoch
-// to the MANIFEST once every worker acked. An epoch with any failed or
-// silent worker never commits: commit means "all K files are durable",
-// which is exactly what restore needs for a consistent cut.
+// to the MANIFEST once every worker acked and the acks make a consistent
+// cut. An epoch with any failed or silent worker never commits: commit means
+// "all K files are durable and together they are one state of the job",
+// which is exactly what a rollback or a resume restores.
 func (m *master) handleCkptAck(msg transport.Message) {
 	ack, err := decodeCkptAck(msg.Payload)
 	if err != nil || ack.Epoch != m.epoch || m.ckptPending == 0 {
@@ -209,7 +217,7 @@ func (m *master) handleCkptAck(msg transport.Message) {
 		// A zombie's ack: its slot has been claimed by a later generation.
 		// Dropping it here (and re-checking in sink.commit) keeps a fenced
 		// process from ever vouching for an epoch.
-		m.trFence.Event(trace.EvFenced, uint64(ack.Gen)<<8|uint64(msgCheckpointDone))
+		m.trCkpt.Event(trace.EvFenced, uint64(ack.Gen)<<8|uint64(msgCheckpointDone))
 		return
 	}
 	if _, dup := m.ckptAcks[msg.From]; dup {
@@ -221,23 +229,55 @@ func (m *master) handleCkptAck(msg transport.Message) {
 		m.ckptPending = 0
 		return
 	}
-	m.ckptAcks[msg.From] = ack.CRC
-	m.ackGens[msg.From] = ack.Gen
+	m.ckptAcks[msg.From] = ack
 	m.ckptPending--
 	if m.ckptPending > 0 || len(m.ckptAcks) != m.cfg.Workers {
 		return
 	}
+	m.ckptPending = 0
+	if !consistentCut(m.ckptAcks, m.cfg.Workers) {
+		// A batch was in flight between two snapshots: sent in one, not yet
+		// received in the other (or the reverse). No snapshot holds it, so
+		// the epoch is no state of the job; the next one will be.
+		m.trCkpt.Event(trace.EvCheckpointSkip, uint64(m.epoch))
+		return
+	}
 	crcs := make([]uint32, m.cfg.Workers)
 	gens := make([]int64, m.cfg.Workers)
-	for w, crc := range m.ckptAcks {
-		crcs[w] = crc
-		gens[w] = m.ackGens[w]
+	for w, a := range m.ckptAcks {
+		crcs[w], gens[w] = a.CRC, a.Gen
 	}
 	if m.sink != nil {
 		if err := m.sink.commit(m.epoch, crcs, gens); err != nil {
 			m.ckptErr = err
+			return
 		}
 	}
+	next := make(chan struct{})
+	close(*m.committed.Swap(&next))
+}
+
+// consistentCut reports whether every worker's snapshot counts, for every
+// other worker, as many tasks received from it as that worker's snapshot
+// counts sent to it: no migration batch crosses the cut (Chandy–Lamport
+// with empty channels).
+func consistentCut(acks map[int]ckptAck, workers int) bool {
+	for i := 0; i < workers; i++ {
+		for j := 0; j < workers; j++ {
+			if peerCount(acks[i].Sent, j) != peerCount(acks[j].Recv, i) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// peerCount is counts[peer], 0 past the end of counts.
+func peerCount(counts []int64, peer int) int64 {
+	if peer < len(counts) {
+		return counts[peer]
+	}
+	return 0
 }
 
 // scheduleSteal picks the most heavily loaded worker (largest task-store
@@ -246,11 +286,16 @@ func (m *master) handleCkptAck(msg transport.Message) {
 // stores — what levels them, so one round trip keeps the thief busy for as
 // long as the victim still has work — and never under the steal batch: a gap
 // smaller than that is not worth a migration.
+//
+// No batch may start moving while a checkpoint epoch is out — it could leave
+// the victim after its snapshot and reach the thief after its own — so the
+// master answers such a REQ with msgNoTask, which also ends the thief's wait
+// for a reply before it snapshots.
 func (m *master) scheduleSteal(thief int) {
-	if !m.cfg.Stealing || m.ckptPending > 0 {
+	if !m.cfg.Stealing {
 		return
 	}
-	if thief >= 0 && thief < len(m.draining) && m.draining[thief].Load() {
+	if m.ckptPending > 0 || thief >= 0 && thief < len(m.draining) && m.draining[thief].Load() {
 		_ = m.ep.Send(thief, msgNoTask, nil)
 		return
 	}
@@ -275,7 +320,7 @@ func (m *master) scheduleSteal(thief int) {
 }
 
 // periodic runs aggregator sync, checkpoint triggering and failure
-// detection, the last on the clock reading now.
+// detection on the clock reading now.
 func (m *master) periodic(now time.Time) {
 	// Aggregator: merge the latest partials and broadcast when changed.
 	if m.agg != nil {
@@ -304,28 +349,27 @@ func (m *master) periodic(now time.Time) {
 			if limit < 250*time.Millisecond {
 				limit = 250 * time.Millisecond
 			}
-			if time.Since(m.lastCkpt) > limit {
+			if now.Sub(m.lastCkpt) > limit {
 				m.ckptPending = 0
 			}
 		}
-		if m.ckptPending == 0 && (time.Since(m.lastCkpt) >= m.cfg.CheckpointEvery || m.barrier.Load()) {
+		if m.ckptPending == 0 && (now.Sub(m.lastCkpt) >= m.cfg.CheckpointEvery || m.barrier.Load()) {
 			m.barrier.Store(false)
 			m.epoch++
 			// Workers already marked dead will never ack; do not wait on
 			// them or the epoch stalls until the abandon timeout. (Such an
 			// epoch is incomplete by construction and will not commit.)
 			m.ckptPending = m.cfg.Workers - len(m.failed)
-			m.ckptAcks = make(map[int]uint32)
-			m.ackGens = make(map[int]int64)
-			m.lastCkpt = time.Now()
+			m.ckptAcks = make(map[int]ckptAck)
+			m.lastCkpt = now
 			m.broadcast(msgCheckpointReq, encodeEpoch(m.epoch))
 		}
 	}
 
 	// Failure detection. A flagged slot stays suspect until it reports or
-	// restarts, and is offered for recovery again after each further
-	// FailTimeout of silence: the host declines a worker that is still
-	// alive, and that worker may die before its next report.
+	// the job rolls back, and is offered for recovery again after each
+	// further FailTimeout of silence: the host declines a worker that is not
+	// known lost, and that worker may die before its next report.
 	if m.cfg.FailTimeout > 0 {
 		for i := 0; i < m.cfg.Workers; i++ {
 			if now.Sub(m.lastSeen[i]) <= m.cfg.FailTimeout {
@@ -333,7 +377,6 @@ func (m *master) periodic(now time.Time) {
 			}
 			if !m.failed[i] {
 				m.failed[i] = true
-				m.recovered = true
 				m.lastPrint = nil
 				// A dead worker's checkpoint ack will never arrive: abandon
 				// the in-flight epoch now instead of letting it freeze task
@@ -361,12 +404,15 @@ func (m *master) requestBarrier() {
 }
 
 // requestDrain marks slot i draining: its process checkpoints at the next
-// barrier and detaches, and until a replacement restarts the slot
-// (workerRestarted) the slot is neither served as a thief nor chosen as a
-// victim — a task that moved after the barrier would run twice, or never,
-// once the replacement restores it — and the job cannot end on the leaving
-// process's reports. Safe from any goroutine.
+// barrier and detaches, and until a replacement's join rolls the job back
+// (reset) the slot is neither served as a thief nor chosen as a victim, and
+// the job cannot end on the leaving process's reports. Safe from any
+// goroutine.
 func (m *master) requestDrain(i int) { m.draining[i].Store(true) }
+
+// commitSignal returns a channel closed at the next commit. Read it before
+// committedEpoch: a commit between the two then still wakes the caller.
+func (m *master) commitSignal() <-chan struct{} { return *m.committed.Load() }
 
 // committedEpoch returns the newest committed epoch, or noEpoch when
 // nothing has committed (or the job has no sink).
@@ -388,9 +434,10 @@ func (m *master) committedEpoch() int64 {
 // find the table quiescent with one fingerprint end the job: no task was
 // owned or in flight at the instant the second wave went out (Mattern's
 // four-counter rule). That needs reliable FIFO delivery and counters that
-// survive, so a simulated latency, a chaos profile or a recovery keep the
-// older test: the quiescent fingerprint must stand still for a window of
-// report periods, widened by the latency and the longest chaos delay.
+// survive — a rollback restores them with the tasks, from one consistent
+// cut — so only a simulated latency or a chaos profile keep the older test:
+// the quiescent fingerprint must stand still for a window of report periods,
+// widened by the latency and the longest chaos delay.
 func (m *master) checkTermination(now time.Time) bool {
 	if m.ckptPending > 0 {
 		return false
@@ -400,7 +447,7 @@ func (m *master) checkTermination(now time.Time) bool {
 		m.lastPrint = nil
 		return false
 	}
-	if m.recovered || m.cfg.Latency > 0 || m.cfg.Chaos != nil {
+	if m.cfg.Latency > 0 || m.cfg.Chaos != nil {
 		if !equalInt64(print, m.lastPrint) {
 			m.lastPrint, m.stableSince = print, now
 		}
@@ -431,7 +478,7 @@ func (m *master) checkTermination(now time.Time) bool {
 }
 
 // quiescent reads the progress table. ok: every worker is live, idle (seeds
-// done, no alive task) and migrations balance (a recovery waives that).
+// done, no alive task) and migrations balance.
 // print is the per-worker (activity, sent, recv) fingerprint; answered says
 // every report echoes the current probe wave.
 func (m *master) quiescent() (print []int64, answered, ok bool) {
@@ -447,7 +494,7 @@ func (m *master) quiescent() (print []int64, answered, ok bool) {
 		print = append(print, r.Activity, r.TasksSent, r.TasksRecv)
 		answered = answered && r.Wave == m.wave
 	}
-	return print, answered, sent == recv || m.recovered
+	return print, answered, sent == recv
 }
 
 // equalInt64 compares fingerprints; a nil one equals nothing.

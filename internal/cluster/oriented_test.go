@@ -256,7 +256,7 @@ func TestOrientedTCKillRecover(t *testing.T) {
 	for _, h := range []host{goroutines, processes} { // a kill takes one path over either goroutine transport
 		cfg := smallConfig()
 		cfg.Partitioner = partition.Hash{}
-		cfg.Stealing = false // a migration in flight at kill time would be lost
+		cfg.Stealing = true
 		cfg.CheckpointDir = t.TempDir()
 		// Held: the kill lands mid-job, with seeds still to come on every slot.
 		release := holdJobs(&cfg)

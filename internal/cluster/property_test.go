@@ -75,7 +75,7 @@ func TestQuickRecoveryExactlyOnce(t *testing.T) {
 			cfg.CheckpointEvery = 2 * time.Millisecond
 			cfg.CheckpointDir = t.TempDir()
 			cfg.Partitioner = partition.Hash{}
-			cfg.Stealing = false
+			cfg.Stealing = true
 
 			job, err := cluster.Start(g, &slowMark{delay: 80 * time.Microsecond}, cfg)
 			if err != nil {

@@ -217,14 +217,20 @@ type ckptAck struct {
 	// generation, and the snapshot sink refuses to commit them: a zombie
 	// must not be able to vouch for an epoch its replacement did not write.
 	Gen int64
+	// Sent and Recv are the snapshot's per-peer migration counts: tasks
+	// sent to, and received from, each worker. The master commits an epoch
+	// only if they pair up across every two workers (consistentCut).
+	Sent, Recv []int64
 }
 
-func encodeCkptAck(epoch int64, crc uint32, ok bool, gen int64) []byte {
-	w := wire.NewWriter(24)
-	w.Varint(epoch)
-	w.Uvarint(uint64(crc))
-	w.Bool(ok)
-	w.Varint(gen)
+func encodeCkptAck(a ckptAck) []byte {
+	w := wire.NewWriter(24 + 4*len(a.Sent))
+	w.Varint(a.Epoch)
+	w.Uvarint(uint64(a.CRC))
+	w.Bool(a.OK)
+	w.Varint(a.Gen)
+	encodeCounts(w, a.Sent)
+	encodeCounts(w, a.Recv)
 	return w.Bytes()
 }
 
@@ -235,5 +241,23 @@ func decodeCkptAck(b []byte) (ckptAck, error) {
 	a.CRC = uint32(r.Uvarint())
 	a.OK = r.Bool()
 	a.Gen = r.Varint()
+	a.Sent = decodeCounts(r)
+	a.Recv = decodeCounts(r)
 	return a, r.Err()
+}
+
+// encodeCounts writes a per-peer count vector.
+func encodeCounts(w *wire.Writer, counts []int64) {
+	w.Uvarint(uint64(len(counts)))
+	for _, c := range counts {
+		w.Varint(c)
+	}
+}
+
+func decodeCounts(r *wire.Reader) []int64 {
+	var counts []int64
+	for n := r.Count(1); len(counts) < n; {
+		counts = append(counts, r.Varint())
+	}
+	return counts
 }

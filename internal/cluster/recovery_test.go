@@ -65,10 +65,8 @@ func TestRecoveryFromCheckpointExactlyOnce(t *testing.T) {
 	cfg.CheckpointEvery = 3 * time.Millisecond
 	cfg.CheckpointDir = t.TempDir()
 	cfg.Partitioner = partition.Hash{}
-	// Stealing off: a migration in flight at kill time would be lost, a
-	// hole the paper's checkpoint protocol shares (tasks migrated after
-	// the victim's checkpoint are not covered by anyone's snapshot).
-	cfg.Stealing = false
+	// Stealing on: a kill rolls the job back to one committed cut.
+	cfg.Stealing = true
 
 	job, err := cluster.Start(g, &slowMark{delay: 100 * time.Microsecond}, cfg)
 	if err != nil {
@@ -164,7 +162,8 @@ func waitForManifest(t *testing.T, dir string, deadline time.Duration) {
 // quiesce waits for the executor to drain the CPQ, and the snapshot holds
 // only what the seeder had not yet reached. On both, a checkpointed run that
 // is left to finish runs one task per vertex, as a fault-free run does, and
-// the resumed run runs exactly the tasks the checkpoint had not finished.
+// the resumed run runs exactly the tasks the checkpoint had not finished and
+// reports, with the count the checkpoint restored, one task per vertex.
 func TestResumeFullJobByteIdentical(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 9, Edges: 2500, Seed: 79})
 	want := expectedMarks(g)
@@ -176,8 +175,8 @@ func TestResumeFullJobByteIdentical(t *testing.T) {
 		cfg.CheckpointEvery = 3 * time.Millisecond
 		cfg.CheckpointDir = dir
 		cfg.Partitioner = partition.Hash{}
-		// Stealing off: see TestRecoveryFromCheckpointExactlyOnce.
-		cfg.Stealing = false
+		// Stealing on: a kill rolls the job back to one committed cut.
+		cfg.Stealing = true
 
 		res, err := cluster.Run(g, &slowMark{delay: 50 * time.Microsecond}, cfg)
 		if err != nil {
@@ -207,8 +206,8 @@ func TestResumeFullJobByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameRecords(t, res.Records, want)
-		if ran := resumed.updates.Load(); res.Total.TasksDone != ran || ran >= int64(len(want)) {
-			t.Fatalf("w%d: the resumed run reports %d tasks and ran %d, of %d: want what the checkpoint left", workers, res.Total.TasksDone, ran, len(want))
+		if ran := resumed.updates.Load(); res.Total.TasksDone != int64(len(want)) || ran >= int64(len(want)) {
+			t.Fatalf("w%d: the resumed run reports %d tasks and ran %d, of %d: want the checkpoint's count restored and only what it left run", workers, res.Total.TasksDone, ran, len(want))
 		}
 	}
 }
@@ -297,8 +296,8 @@ func TestResumeWithoutCheckpointErrors(t *testing.T) {
 }
 
 // TestRecoverBeforeFirstCommittedEpoch kills and recovers a worker before
-// any epoch could commit: the replacement restarts from scratch and the
-// snapshot-held Results of other workers must not duplicate.
+// any epoch could commit: the job rolls back to a fresh start, every worker
+// from scratch, and no record may duplicate.
 func TestRecoverBeforeFirstCommittedEpoch(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 1200, Seed: 89})
 	want := expectedMarks(g)
@@ -338,7 +337,7 @@ func TestRecoverWorkerOverTCP(t *testing.T) {
 	cfg.CheckpointEvery = 3 * time.Millisecond
 	cfg.CheckpointDir = t.TempDir()
 	cfg.Partitioner = partition.Hash{}
-	cfg.Stealing = false
+	cfg.Stealing = true
 
 	job, err := cluster.Start(g, &slowMark{delay: 100 * time.Microsecond}, cfg)
 	if err != nil {

@@ -278,8 +278,9 @@ func TestRemoteJobTCMovesFewerBytesThanGeneric(t *testing.T) {
 // Job.KillWorker / RecoverWorker go through the worker host, so they work
 // on a multi-process job too: the kill takes down the job's worker inside
 // its (still healthy) worker process, and recovery — by hand, or by the
-// failure detector's loop — has that process rebuild it from the committed
-// epochs. Records stay byte-identical to a fault-free single-process run.
+// failure detector's loop — rolls the job back, every process rebuilding
+// its worker from one committed epoch. Records stay byte-identical to a
+// fault-free single-process run.
 func TestRemoteJobKillRecoverWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second kill/recover soak")
@@ -289,7 +290,7 @@ func TestRemoteJobKillRecoverWorker(t *testing.T) {
 	jobspec.Prepare(g, sp)
 	cfg := smallConfig()
 	cfg.Partitioner = partition.Hash{}
-	cfg.Stealing = false // a migration in flight at kill time would be lost
+	cfg.Stealing = true
 	want := fencingRef(t, g, sp, cfg)
 
 	for _, auto := range []bool{false, true} {
@@ -347,7 +348,7 @@ func TestRemoteWorkerRestoresWithoutCheckpointDir(t *testing.T) {
 	jobspec.Prepare(g, sp)
 	cfg := smallConfig()
 	cfg.Partitioner = partition.Hash{}
-	cfg.Stealing = false // a migration in flight at kill time would be lost
+	cfg.Stealing = true
 	want := fencingRef(t, g, sp, cfg)
 
 	coordDir := t.TempDir()
@@ -408,7 +409,7 @@ func TestRemoteKilledWorkerSnapshotsEndWithJob(t *testing.T) {
 	sp := jobspec.Spec{App: "tc"}.Normalize()
 	jobspec.Prepare(g, sp)
 	cfg := smallConfig()
-	cfg.Stealing = false
+	cfg.Stealing = true
 	coordDir := t.TempDir()
 	cfg.CheckpointDir = coordDir
 	release := holdJobs(&cfg)
@@ -549,10 +550,8 @@ func TestRemoteWorkerKillAndRejoin(t *testing.T) {
 
 	cfg := smallConfig()
 	cfg.Partitioner = partition.Hash{}
-	// Stealing off: a migration in flight at kill time would be lost (the
-	// paper's checkpoint protocol shares the hole); recovery_test.go makes
-	// the same choice.
-	cfg.Stealing = false
+	// Stealing on: a kill rolls the job back to one committed cut.
+	cfg.Stealing = true
 
 	a, err := jobspec.Build(g, sp)
 	if err != nil {

@@ -30,8 +30,9 @@ const ctrlChannel uint64 = 0
 
 const (
 	// ctrlJobStart: coordinator → worker process. Open a job channel,
-	// build the engine worker (restoring from the named committed epochs
-	// if any), start mining.
+	// build the engine worker (restoring from the named committed epoch, if
+	// any), start mining. A start on a new channel for a job the process
+	// runs is the job's next attempt: it ends the old one first.
 	ctrlJobStart uint8 = 64 + iota
 	// ctrlJobStop: coordinator → worker process. Tear the job channel
 	// down if it is still up (late or lost msgStop backstop), or kill the
@@ -70,8 +71,8 @@ const (
 const maxCtrlPayload = 64 << 20
 
 // resumeEpochRef names one committed epoch and the commit-time checksum
-// of ONE worker's snapshot in it. The coordinator (sole MANIFEST owner)
-// sends a rejoining worker its own column of the manifest, newest first.
+// of ONE worker's snapshot in it: what the coordinator (sole MANIFEST
+// owner) hands a worker to restore from.
 type resumeEpochRef struct {
 	Epoch int64  `json:"epoch"`
 	CRC   uint32 `json:"crc"`
@@ -85,20 +86,20 @@ type jobStartMsg struct {
 	// CheckpointEverySeconds carries the per-job checkpoint interval
 	// (0 = off).
 	CheckpointEverySeconds float64 `json:"checkpoint_every_seconds,omitempty"`
-	// Resume lists committed epochs (newest first) the worker should try
-	// restoring from; empty means start fresh.
-	Resume []resumeEpochRef `json:"resume,omitempty"`
-	// Strict marks the pinned start of a full-job resume: Resume names the
-	// one epoch every slot restores, and a worker that cannot restore it
-	// fails the job instead of starting fresh beside restored peers.
-	Strict bool `json:"strict,omitempty"`
+	// Resume names the worker's snapshot in the epoch every worker of the
+	// attempt restores from; nil means start fresh. A worker that cannot
+	// restore it fails the job instead of starting fresh beside restored
+	// peers.
+	Resume *resumeEpochRef `json:"resume,omitempty"`
 }
 
 // jobStopMsg is the ctrlJobStop payload. With Kill set the job's worker
 // dies like a crashed machine — nothing flushed, no result shipped —
 // instead of stopping gracefully (Job.KillWorker on a multi-process job).
+// Channel names the attempt the stop or kill is for.
 type jobStopMsg struct {
 	Channel uint64 `json:"channel"`
+	JobID   string `json:"job_id"`
 	Kill    bool   `json:"kill,omitempty"`
 }
 

@@ -121,7 +121,7 @@ type WorkerProcess struct {
 	root spill.TempDir // holds checkpointing jobs' snapshots without a CheckpointDir
 
 	mu     sync.Mutex
-	jobs   map[uint64]*workerJob // a killed worker's job stays until its restart or the job's stop
+	jobs   map[string]*workerJob // by job ID: a killed worker's job stays until its next attempt or the job's stop
 	closed bool
 }
 
@@ -149,7 +149,7 @@ func StartWorkerProcess(g *graph.Graph, cfg Config, opt WorkerOptions) (*WorkerP
 		stopCh:  make(chan struct{}),
 		ctlDone: make(chan struct{}),
 		drainOK: make(chan struct{}),
-		jobs:    make(map[uint64]*workerJob),
+		jobs:    make(map[string]*workerJob),
 		root:    spill.TempDir{Pattern: "gminer-worker-"},
 	}
 	wp.fingerprint = jobFingerprint(g, "session", core.Plan{}, cfg)
@@ -306,15 +306,16 @@ func (wp *WorkerProcess) ctlLoop() {
 				continue
 			}
 			wp.mu.Lock()
-			wj := wp.jobs[m.Channel]
+			wj := wp.jobs[m.JobID]
 			wp.mu.Unlock()
 			switch {
 			case wj == nil:
-			case m.Kill:
-				wj.w.kill()
-			case wj.w.killed.Load(): // the job ended before the killed worker's restart
+			case wj.w.killed.Load() && !m.Kill: // the job ended before its next attempt reached this process
 				<-wj.done
 				wp.endJob(wj)
+			case wj.channel != m.Channel: // for an attempt this process no longer runs
+			case m.Kill:
+				wj.w.kill()
 			default:
 				wj.w.stop()
 			}
@@ -373,23 +374,28 @@ func (wp *WorkerProcess) heartbeatLoop() {
 	}
 }
 
-// startJob opens the job's mux channel, builds this node's engine worker —
-// restoring from the newest committed epoch the coordinator vouched for,
-// when the start message carries resume refs; on a strict start a failed
-// restore nacks — and runs the job to completion on its own goroutine.
+// startJob opens the attempt's mux channel, builds this node's engine
+// worker — restored from the committed epoch the coordinator vouched for,
+// when the start message names one; a failed restore nacks — and runs the
+// job to completion on its own goroutine. A start on another channel for a
+// job this process runs is the job's next attempt: the old attempt's worker
+// dies first, like a crashed machine, and its snapshots stay.
 func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 	wp.mu.Lock()
-	old := wp.jobs[m.Channel]
+	old := wp.jobs[m.JobID]
 	closed := wp.closed
 	wp.mu.Unlock()
-	if closed || (old != nil && !old.w.killed.Load()) {
-		// Shutdown race, or a duplicate start for a worker that is still
-		// running (a coordinator retry): ignore.
+	if closed || old != nil && old.channel == m.Channel {
+		// Shutdown race, or a duplicate start for the attempt (a coordinator
+		// retry): ignore.
 		return
 	}
 	if old != nil {
-		// Restart of a killed worker: let its teardown release the channel.
-		<-old.done
+		old.w.kill()
+		<-old.done // its teardown releases the old attempt's channel
+		wp.mu.Lock()
+		delete(wp.jobs, old.id)
+		wp.mu.Unlock()
 	}
 
 	spec := m.Spec.Normalize()
@@ -404,7 +410,7 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 
 	cfg := jobConfig(wp.cfg, m.JobID, time.Duration(m.CheckpointEverySeconds*float64(time.Second)))
 	var tmp string
-	if cfg.CheckpointDir == "" && (cfg.CheckpointEvery > 0 || len(m.Resume) > 0) {
+	if cfg.CheckpointDir == "" && (cfg.CheckpointEvery > 0 || m.Resume != nil) {
 		root, err := wp.root.Path()
 		if err != nil {
 			wp.nack(m, fmt.Errorf("checkpoint: %w", err))
@@ -413,10 +419,10 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		tmp = filepath.Join(root, m.JobID)
 		cfg.CheckpointDir = tmp
 	}
-	// resume=true keeps existing snapshot files (a restart after a kill, or
-	// a rejoin after a crash; the refs below vouch for them). A fresh start
+	// resume=true keeps existing snapshot files (a restore, or a later
+	// attempt of a job this process ran). The job's first fresh start here
 	// clears leftovers from any previous job sharing the directory.
-	sink, err := newSnapshotSink(cfg.CheckpointDir, cfg.Workers, wp.fingerprint, wp.generation, len(m.Resume) > 0)
+	sink, err := newSnapshotSink(cfg.CheckpointDir, cfg.Workers, wp.fingerprint, wp.generation, m.Resume != nil || old != nil)
 	if err != nil {
 		wp.nack(m, fmt.Errorf("checkpoint sink: %w", err))
 		return
@@ -430,16 +436,14 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		wp.nack(m, fmt.Errorf("open channel %d: %w", m.Channel, err))
 		return
 	}
-	w, restored, err := buildWorker(wp.node, cfg, algo, tables, eps[wp.node], counters, sink, m.Resume, m.Strict)
+	w, err := buildWorker(wp.node, cfg, algo, tables, eps[wp.node], counters, sink, m.Resume)
 	if err != nil {
 		wp.mux.CloseChannel(m.Channel)
 		wp.nack(m, fmt.Errorf("worker build: %w", err))
 		return
 	}
-	if restored != noEpoch {
-		wp.logf("job %s: restored from committed epoch %d", m.JobID, restored)
-	} else if len(m.Resume) > 0 {
-		wp.logf("job %s: none of %d committed epoch(s) restorable; starting fresh", m.JobID, len(m.Resume))
+	if m.Resume != nil {
+		wp.logf("job %s: restored from committed epoch %d", m.JobID, m.Resume.Epoch)
 	}
 
 	wj := &workerJob{channel: m.Channel, id: m.JobID, w: w, counters: counters, done: make(chan struct{}), tmp: tmp}
@@ -451,7 +455,7 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		wp.mux.CloseChannel(m.Channel)
 		return
 	}
-	wp.jobs[m.Channel] = wj
+	wp.jobs[m.JobID] = wj
 	wp.jobWg.Add(1) // under mu: shutdown sets closed, then Waits
 	wp.mu.Unlock()
 
@@ -493,11 +497,14 @@ func (wp *WorkerProcess) runJob(wj *workerJob) {
 }
 
 // endJob forgets a job whose worker here has ended and removes its snapshots
-// from the temporary root. A killed worker's job ends only at its restart's
-// end, or at the job's stop: until then its restart may restore from them.
+// from the temporary root. A killed worker's job ends only at the end of its
+// next attempt, or at the job's stop: until then that attempt may restore
+// from them.
 func (wp *WorkerProcess) endJob(wj *workerJob) {
 	wp.mu.Lock()
-	delete(wp.jobs, wj.channel)
+	if wp.jobs[wj.id] == wj {
+		delete(wp.jobs, wj.id)
+	}
 	wp.mu.Unlock()
 	if wj.tmp != "" {
 		_ = os.RemoveAll(wj.tmp)

@@ -359,6 +359,6 @@ func TestResidentRestoreAndStealRecompute(t *testing.T) {
 	check("restored", drain(build(&workerSnapshot{Epoch: 1, SeedsDone: true, TaskBytes: taskList(tasks, tc)})))
 
 	thief := build(nil)
-	thief.handleTasks(taskList(tasks, tc))
+	thief.handleTasks(1, taskList(tasks, tc))
 	check("stolen", drain(thief))
 }

@@ -83,7 +83,7 @@ func TestIntakeRoutesReadyTasksToCPQ(t *testing.T) {
 	landed("seed", w)
 
 	w = newW(nil)
-	w.handleTasks(taskList(tasks(), tc))
+	w.handleTasks(1, taskList(tasks(), tc))
 	landed("stolen batch", w)
 	if w.tasksRecv.Load() != int64(len(kinds)) {
 		t.Errorf("stolen batch: %d tasks received, want %d", w.tasksRecv.Load(), len(kinds))

@@ -167,6 +167,35 @@ func (s *Session) reserve(id string) (string, uint64, error) {
 	return id, s.nextCh, nil
 }
 
+// channel allocates the mux channel of a job's next attempt.
+func (s *Session) channel() (uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return 0, fmt.Errorf("cluster: session closed")
+	}
+	s.nextCh++
+	return s.nextCh, nil
+}
+
+// openAttempt opens mux channel ch for one attempt of a job with config cfg
+// and returns its endpoints, the workers' then the master's: each one
+// charged to the node's counters and behind the job's fault profile, and the
+// workers' handed to the wrapEps hook.
+func (s *Session) openAttempt(ch uint64, cfg Config, counters []*metrics.Counters) ([]transport.Endpoint, error) {
+	eps, err := s.mux.Open(ch, counters, cfg.Tracer)
+	if err != nil {
+		return nil, err
+	}
+	for i := range eps {
+		eps[i] = cfg.Chaos.Wrap(eps[i])
+	}
+	if s.wrapEps != nil {
+		s.wrapEps(eps[:cfg.Workers])
+	}
+	return eps, nil
+}
+
 func (s *Session) forget(id string) {
 	s.mu.Lock()
 	delete(s.jobs, id)
@@ -315,23 +344,19 @@ func (s *Session) build(a core.Algorithm, opt JobOptions, id string, ch uint64, 
 	for i := range counters {
 		counters[i] = &metrics.Counters{}
 	}
-	// Per-job byte accounting happens at the mux endpoints.
-	eps, err := s.mux.Open(ch, counters, cfg.Tracer)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Chaos != nil {
 		// Task migration payloads carry the tasks themselves: the protocol
-		// has no ack/retransmit for them, so a dropped or duplicated
-		// msgTasks would lose or double-count work with no recovery path
-		// (the same hole the paper's checkpointing closes for crashes).
-		// Fault everything else.
+		// has no ack/retransmit for them, so a batch dropped or duplicated
+		// without a kill would lose or double-count work (a kill rolls the
+		// job back to a cut no batch crosses). Fault everything else.
 		cfg.Chaos.Exempt(msgTasks)
 		cfg.Chaos.SetTracer(cfg.Tracer)
 		cfg.Chaos.Begin()
-		for i := range eps {
-			eps[i] = cfg.Chaos.Wrap(eps[i])
-		}
+	}
+	// Per-job byte accounting happens at the mux endpoints.
+	eps, err := s.openAttempt(ch, cfg, counters)
+	if err != nil {
+		return nil, err
 	}
 
 	plan := core.PlanOf(a)
@@ -343,8 +368,8 @@ func (s *Session) build(a core.Algorithm, opt JobOptions, id string, ch uint64, 
 	if s.coord != nil {
 		sink.fence = s.coord.fence // the goroutine host leaves it nil: unfenced
 	}
-	j := &Job{cfg: cfg, sess: s, ch: ch, sink: sink, counters: counters, failures: make(chan int, cfg.Workers)}
-	j.resumePin.Store(noEpoch)
+	j := &Job{cfg: cfg, sess: s, sink: sink, counters: counters, failures: make(chan int, cfg.Workers), pin: noEpoch}
+	j.ch.Store(ch)
 
 	var agg core.Aggregator
 	if ap, ok := a.(core.AggregatorProvider); ok {
@@ -365,21 +390,25 @@ func (s *Session) build(a core.Algorithm, opt JobOptions, id string, ch uint64, 
 		// newest-first ordering breaks.
 		j.master.epoch = man.Epoch
 	}
+	k := cfg.Workers
 	if s.coord != nil {
 		// The worker processes rebuild the algorithm from the spec; the
 		// coordinator hosts no worker, so it offers no oriented view.
-		k := cfg.Workers
-		j.host = &processHost{c: s.coord, j: j, spec: *opt.Spec, started: make([]int64, k),
+		j.host = &processHost{c: s.coord, j: j, spec: *opt.Spec, started: make([]int64, k), attempt: make([]uint64, k),
 			results: make([]jobResultMsg, k), arrived: make(chan struct{}, 1)}
-		return j, nil
+	} else {
+		// j holds its epoch lease: the view is of the graph j runs on.
+		tables := s.oriented.tables(plan, s.g, s.assign, cfg.graphEpoch, s.tables)
+		j.host = &goroutineHost{j: j, algo: a, tables: tables, eps: eps[:k], workers: make([]*Worker, k)}
 	}
-	// j holds its epoch lease: the view is of the graph j runs on.
-	tables := s.oriented.tables(plan, s.g, s.assign, cfg.graphEpoch, s.tables)
-	workers := eps[:cfg.Workers]
-	if s.wrapEps != nil {
-		s.wrapEps(workers)
+	if resume {
+		// One committed epoch for every worker: the newest all of them hold,
+		// or the manifest's head if the hosts cannot tell, which then fails
+		// the job at the restore that cannot load it.
+		if j.pin = j.heldEpoch(); j.pin == noEpoch {
+			j.pin = sink.manifestView().Epoch
+		}
 	}
-	j.host = &goroutineHost{j: j, algo: a, tables: tables, eps: workers, workers: make([]*Worker, len(workers))}
 	return j, nil
 }
 

@@ -184,8 +184,8 @@ func TestSessionRecoverWorker(t *testing.T) {
 		cfg.CheckpointEvery = 3 * time.Millisecond
 		cfg.CheckpointDir = t.TempDir()
 		cfg.Partitioner = partition.Hash{}
-		// Stealing off: see TestRecoveryFromCheckpointExactlyOnce.
-		cfg.Stealing = false
+		// Stealing on: a kill rolls the job back to one committed cut.
+		cfg.Stealing = true
 		if auto {
 			cfg.FailTimeout = 10 * time.Millisecond
 		}

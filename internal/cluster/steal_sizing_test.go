@@ -11,7 +11,8 @@ import (
 // progress reports, like TestTerminationDecision drives termination: what a
 // MIGRATE asks for is half the gap between the fullest store and the
 // thief's, never under StealBatch, and a gap under StealBatch moves nothing;
-// no task moves into or out of a slot that is draining.
+// no task moves into or out of a slot that is draining, nor while a
+// checkpoint epoch is out — the thief is told so, which ends its wait.
 func TestStealSizing(t *testing.T) {
 	store := func(w int, size int64) *progressReport {
 		return &progressReport{Worker: w, SeedsDone: true, Inflight: size, StoreSize: size}
@@ -24,7 +25,7 @@ func TestStealSizing(t *testing.T) {
 		draining []int
 		ckpt     bool
 		// want: the victim and batch of the MIGRATE, or victim -1 for a
-		// msgNoTask to the thief, or -2 for no message at all.
+		// msgNoTask to the thief.
 		victim, tnum int
 	}{
 		{name: "half the gap", reports: []*progressReport{store(0, 10_000), store(1, 400), store(2, 0)}, victim: 0, tnum: 5_000},
@@ -39,7 +40,7 @@ func TestStealSizing(t *testing.T) {
 		{name: "recovering victim is skipped", reports: []*progressReport{nil, store(1, 600), store(2, 0)}, victim: 1, tnum: 300},
 		{name: "draining thief gets nothing", reports: []*progressReport{store(0, 10_000), store(1, 400), store(2, 0)}, draining: []int{thief}, victim: -1},
 		{name: "draining victim is skipped", reports: []*progressReport{store(0, 10_000), store(1, 600), store(2, 0)}, draining: []int{0}, victim: 1, tnum: 300},
-		{name: "checkpoint pending freezes stealing", reports: []*progressReport{store(0, 10_000), store(1, 0), store(2, 0)}, ckpt: true, victim: -2},
+		{name: "checkpoint pending freezes stealing", reports: []*progressReport{store(0, 10_000), store(1, 0), store(2, 0)}, ckpt: true, victim: -1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,10 +75,6 @@ func TestStealSizing(t *testing.T) {
 				}
 			}
 			switch {
-			case tc.victim == -2:
-				if len(got) != 0 {
-					t.Fatalf("sent %+v with a checkpoint pending", got)
-				}
 			case len(got) != 1:
 				t.Fatalf("sent %d messages, want one", len(got))
 			case tc.victim == -1:

@@ -29,7 +29,7 @@ import (
 type termStep struct {
 	rep     *progressReport
 	echo    string
-	restart int           // slot replaced before the step (-1: none)
+	restart int           // slot whose replacement rolled the job back before the step (-1: none)
 	advance time.Duration // synthetic clock moves first
 	want    bool          // the decision after the step
 	wave    int64         // the wave the master must have out after the step
@@ -123,32 +123,39 @@ func TestTerminationDecision(t *testing.T) {
 			},
 		},
 		{
-			// A replaced slot: the dead incarnation's idle report must not
-			// count, the newcomer's counters restart from zero, and from then
-			// on only the time-spaced window may end the job.
-			name: "restarted slot falls back to the time-spaced window",
+			// A rollback: the old attempt's reports are gone, the new
+			// attempt's workers report the counts they restored — which
+			// balance, the cut being consistent — and the probe waves start
+			// over; no time-spaced window.
+			name: "rolled-back job runs the probe waves afresh",
 			steps: []termStep{
 				rep(idleRep(0, 10, 3, 0), "cur", 0),
 				rep(idleRep(1, 7, 0, 3), "cur", 1),
 				rep(idleRep(0, 10, 3, 0), "cur", 1),
-				{rep: idleRep(0, 10, 3, 0), echo: "cur", restart: 1, wave: 1},
-				rep(idleRep(1, 0, 0, 0), "old", 1), // replacement: unbalanced, wave 0
-				{rep: idleRep(1, 0, 0, 0), echo: "old", restart: -1, advance: 3*tick - 1, wave: 1},
-				{rep: idleRep(1, 0, 0, 0), echo: "old", restart: -1, advance: 1, want: true, wave: 1},
+				{rep: idleRep(0, 4, 3, 0), echo: "cur", restart: 1, wave: 0}, // one report is no table
+				rep(idleRep(1, 2, 0, 3), "cur", 1),
+				rep(idleRep(0, 4, 3, 0), "cur", 1),
+				rep(idleRep(1, 2, 0, 3), "cur", 2),
+				rep(idleRep(0, 4, 3, 0), "cur", 2),
+				{rep: idleRep(1, 2, 0, 3), echo: "cur", restart: -1, want: true, wave: 2},
 			},
 		},
 		{
 			// A draining slot's process is on its way out: its idle reports
-			// send no wave and end nothing until a replacement restarts it.
+			// send no wave and end nothing until a replacement's join rolls
+			// the job back.
 			name:     "draining slot holds the job until its restart",
 			draining: []int{1},
 			steps: []termStep{
 				rep(idleRep(0, 10, 3, 0), "cur", 0),
 				rep(idleRep(1, 7, 0, 3), "cur", 0),
 				rep(idleRep(0, 10, 3, 0), "cur", 0),
-				{rep: idleRep(1, 0, 0, 0), echo: "cur", restart: 1, wave: 0}, // the replacement
-				{rep: idleRep(1, 0, 0, 0), echo: "cur", restart: -1, advance: 3*tick - 1, wave: 0},
-				{rep: idleRep(1, 0, 0, 0), echo: "cur", restart: -1, advance: 1, want: true, wave: 0},
+				{rep: idleRep(1, 7, 0, 3), echo: "cur", restart: 1, wave: 0}, // the replacement
+				rep(idleRep(0, 10, 3, 0), "cur", 1),
+				rep(idleRep(1, 7, 0, 3), "cur", 1),
+				rep(idleRep(0, 10, 3, 0), "cur", 2),
+				rep(idleRep(1, 7, 0, 3), "cur", 2),
+				{rep: idleRep(0, 10, 3, 0), echo: "cur", restart: -1, want: true, wave: 2},
 			},
 		},
 		{
@@ -181,8 +188,7 @@ func TestTerminationDecision(t *testing.T) {
 			probes := 0
 			for i, st := range tc.steps {
 				if st.restart >= 0 {
-					m.workerRestarted(st.restart)
-					m.noteRestarts()
+					m.reset(m.ep, st.restart, now)
 				}
 				now = now.Add(st.advance)
 				r := *st.rep
@@ -225,7 +231,7 @@ func TestTerminationDecision(t *testing.T) {
 // worker is still alive is declined by the host; the worker then dies
 // before it reports again. The slot must be offered again once another
 // FailTimeout passes in silence — a one-shot flag left the job hanging.
-// A report or a restart clears the suspicion; only the first flag
+// A report or a rollback clears the suspicion; only the first flag
 // abandons the in-flight checkpoint epoch.
 func TestFailureDetectorReoffersSuspect(t *testing.T) {
 	cfg := Config{Workers: 2, FailTimeout: 10 * time.Millisecond}.Defaults()
@@ -262,8 +268,8 @@ func TestFailureDetectorReoffersSuspect(t *testing.T) {
 
 	m.ckptPending = 1
 	step(ft+1, 1, 0) // slot 0 is silent: flagged and offered; the host declines it
-	if !m.failed[0] || !m.recovered || m.ckptPending != 0 {
-		t.Fatalf("first flag: failed=%v recovered=%v ckptPending=%d", m.failed[0], m.recovered, m.ckptPending)
+	if !m.failed[0] || m.ckptPending != 0 {
+		t.Fatalf("first flag: failed=%v ckptPending=%d", m.failed[0], m.ckptPending)
 	}
 	m.ckptPending = 1 // a later epoch went out without slot 0
 	step(ft/2, 1)     // the worker dies; the lease has not run out yet
@@ -272,9 +278,8 @@ func TestFailureDetectorReoffersSuspect(t *testing.T) {
 		t.Fatalf("re-offer: failed=%v ckptPending=%d (the epoch is abandoned only at the first flag)", m.failed[0], m.ckptPending)
 	}
 
-	// A restart ends the suspicion and restarts the silence clock.
-	m.workerRestarted(0)
-	m.noteRestarts()
+	// A rollback ends the suspicion and restarts the silence clock.
+	m.reset(m.ep, 0, now)
 	if m.failed[0] {
 		t.Fatal("restarted slot still suspect")
 	}
@@ -287,6 +292,88 @@ func TestFailureDetectorReoffersSuspect(t *testing.T) {
 	if m.failed[0] {
 		t.Fatal("reporting slot still suspect")
 	}
+}
+
+// recordingEndpoint keeps what the master sends through it.
+type recordingEndpoint struct {
+	transport.Endpoint
+	sent []transport.Message
+}
+
+func (e *recordingEndpoint) Send(to int, typ uint8, payload []byte) error {
+	e.sent = append(e.sent, transport.Message{To: to, Type: typ, Payload: payload})
+	return nil
+}
+
+// requests returns the checkpoint epochs requested of worker 0 since the
+// last call.
+func (e *recordingEndpoint) requests() []int64 {
+	var epochs []int64
+	for _, m := range e.sent {
+		if epoch, err := decodeEpoch(m.Payload); m.Type == msgCheckpointReq && m.To == 0 && err == nil {
+			epochs = append(epochs, epoch)
+		}
+	}
+	e.sent = nil
+	return epochs
+}
+
+// The checkpoint timer, on a synthetic clock: an epoch goes out once
+// CheckpointEvery has passed since the last; one whose acks never all come
+// is abandoned once max(5 × CheckpointEvery, 250 ms) has passed, and the
+// next goes out with it; a barrier sends the next at once; and an epoch
+// whose acks do not pair up — a batch sent in one snapshot, not received in
+// the other — is abandoned the moment its last ack arrives, uncommitted.
+func TestCheckpointTimerOnSyntheticClock(t *testing.T) {
+	cfg := Config{Workers: 2, CheckpointEvery: 10 * time.Millisecond}.Defaults()
+	ep := &recordingEndpoint{}
+	m := newMaster(cfg, ep, nil, &metrics.Counters{}, nil, nil, nil)
+	now := time.Unix(0, 0)
+	m.lastCkpt = now
+	step := func(d time.Duration, want ...int64) {
+		t.Helper()
+		now = now.Add(d)
+		m.periodic(now)
+		if got := ep.requests(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("at %v: requested epochs %v, want %v", now.Sub(time.Unix(0, 0)), got, want)
+		}
+	}
+	// ack delivers both workers' acks of the epoch out: worker 0 counts
+	// sent tasks to worker 1, which counts recv received from worker 0.
+	ack := func(sent, recv int64) (committed bool) {
+		t.Helper()
+		signal := m.commitSignal()
+		for w, counts := range [][2][]int64{{{0, sent}, {0, 0}}, {{0, 0}, {recv, 0}}} {
+			a := ckptAck{Epoch: m.epoch, OK: true, Sent: counts[0], Recv: counts[1]}
+			m.handle(transport.Message{From: w, Type: msgCheckpointDone, Payload: encodeCkptAck(a)})
+		}
+		if m.ckptPending != 0 {
+			t.Fatalf("epoch %d still pending after every ack", m.epoch)
+		}
+		select {
+		case <-signal:
+			return true
+		default:
+			return false
+		}
+	}
+	every := cfg.CheckpointEvery
+
+	step(every - 1)
+	step(1, 1)                   // the trigger
+	step(250 * time.Millisecond) // nobody acks; the limit is 250 ms, not 5 × 10 ms
+	step(1, 2)                   // abandoned, and epoch 2 goes out with it
+	if !ack(3, 3) {              // three tasks moved, both sides count them
+		t.Fatal("a consistent cut did not commit")
+	}
+	step(every - 1)
+	m.requestBarrier()
+	step(0, 3) // the barrier does not wait for the interval
+	if ack(5, 4) {
+		t.Fatal("a cut with a batch in flight committed")
+	}
+	step(every - 1) // abandoned at once; the interval runs from epoch 3
+	step(1, 4)
 }
 
 // lateTasks delivers every migration batch sent through it after a seeded

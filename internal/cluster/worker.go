@@ -106,12 +106,20 @@ type Worker struct {
 	// they move in: inflight is up before a task is admitted and down last
 	// when it dies or leaves, activity bumps in between, a migrated batch is
 	// in tasksSent before it is sent and in tasksRecv once it is in inflight.
-	inflight   atomic.Int64 // alive tasks owned by this worker
-	activity   atomic.Int64 // bumps on intake/death/migration
-	tasksSent  atomic.Int64
-	tasksRecv  atomic.Int64
-	seedsDone  atomic.Bool
-	seedCursor atomic.Int64
+	// sentTo and recvFrom split the two by peer, for the checkpoint cut.
+	inflight    atomic.Int64 // alive tasks owned by this worker
+	activity    atomic.Int64 // bumps on intake/death/migration
+	tasksSent   atomic.Int64
+	tasksRecv   atomic.Int64
+	sentTo      []atomic.Int64
+	recvFrom    []atomic.Int64
+	seedsDone   atomic.Bool
+	seedCursor  atomic.Int64
+	seedSpawned atomic.Int64 // tasks of the vertex at seedCursor admitted
+	// cutMu makes a checkpoint's cut atomic with what moves tasks beside the
+	// paused pipeline: a seed's admission with the seeder's place, and a
+	// migration batch shipped or taken in with its counts.
+	cutMu sync.Mutex
 	// wave is the newest termination probe seen, echoed by every report;
 	// repMu keeps reports leaving in the order they were built.
 	wave  atomic.Int64
@@ -166,8 +174,9 @@ type Worker struct {
 	trExec  trace.Handle
 	trSteal trace.Handle
 	trCkpt  trace.Handle
-	// lastStealReq is when this worker last sent a steal REQ (UnixNano),
-	// for the thief-side migration latency histogram. 0 = none pending.
+	// lastStealReq is when this worker sent its latest steal REQ while no
+	// reply came yet (UnixNano; 0 = none): the thief-side migration latency,
+	// and a checkpoint waits for the reply, whose batch belongs in its cut.
 	lastStealReq atomic.Int64
 }
 
@@ -192,6 +201,8 @@ func newWorker(id int, cfg Config, algo core.Algorithm, dir *directory, local *l
 		pullBatch:  make(map[int][]graph.VertexID),
 		retryRng:   rand.New(rand.NewSource(0xfa17 + int64(id))),
 		snapshots:  snapshots,
+		sentTo:     make([]atomic.Int64, cfg.Workers),
+		recvFrom:   make([]atomic.Int64, cfg.Workers),
 	}
 	w.pendCond = sync.NewCond(&w.pendMu)
 	w.trSeed = cfg.Tracer.Handle(id, trace.CompSeeder)
@@ -439,8 +450,15 @@ func (w *Worker) seederLoop() {
 	// mark + BufferFlush — under the spill threshold (if that is two flushes
 	// or more): spilling is for what the executor produces, and for eager
 	// seeding.
+	// A cut may fall between two tasks of one vertex: a restore skips those
+	// its cut holds.
 	mark := w.cfg.StoreMemCapacity / 2
+	skip := w.seedSpawned.Load()
 	spawn := func(t *core.Task) {
+		if skip > 0 {
+			skip--
+			return
+		}
 		w.computeToPull(t)
 		if w.runsNow(t) {
 			w.cpq.waitBelow(w.cfg.cpqHighWater)
@@ -449,7 +467,10 @@ func (w *Worker) seederLoop() {
 		}
 		w.assignID(t)
 		w.trSeed.Event(trace.EvTaskSeed, t.ID)
+		w.cutMu.Lock()
 		w.admit(t, false)
+		w.seedSpawned.Add(1)
+		w.cutMu.Unlock()
 	}
 	for i := int(w.seedCursor.Load()); i < len(w.localIDs); i++ {
 		if !w.waitResumed() {
@@ -465,7 +486,10 @@ func (w *Worker) seederLoop() {
 		if _, in := w.cfg.seeds[w.localIDs[i]]; in || w.cfg.seeds == nil {
 			w.algo.Seed(w.dir.local(w.localIDs[i], w.id), spawn)
 		}
+		w.cutMu.Lock()
 		w.seedCursor.Store(int64(i + 1))
+		w.seedSpawned.Store(0)
+		w.cutMu.Unlock()
 	}
 	w.seedsDone.Store(true)
 	w.flushBatch(w.buffer.drain())
@@ -866,11 +890,11 @@ func (w *Worker) commLoop() {
 		case msgMigrate:
 			w.handleMigrate(m.Payload)
 		case msgTasks:
-			w.handleTasks(m.Payload)
+			w.handleTasks(m.From, m.Payload)
 		case msgNoTask:
 			w.trSteal.Event(trace.EvStealNoTask, 0)
-			w.lastStealReq.Store(0)
 			w.stealBackoff.Store(8)
+			w.stealAnswered()
 		case msgAggGlobal:
 			w.handleAggGlobal(m.Payload)
 		case msgCheckpointReq:
@@ -932,9 +956,11 @@ func (w *Worker) servePull(from int, payload []byte, sc *serveScratch) {
 // eligible tasks from the task store and ship them to the thief.
 func (w *Worker) handleMigrate(payload []byte) {
 	thief, tnum, err := decodeMigrate(payload)
-	if err != nil {
+	if err != nil || thief < 0 || thief >= w.cfg.Workers {
 		return
 	}
+	w.cutMu.Lock()
+	defer w.cutMu.Unlock()
 	tasks := w.store.Steal(tnum, w.stealPolicy.Eligible)
 	if len(tasks) == 0 {
 		w.trSteal.Event(trace.EvStealNoTask, 0)
@@ -945,6 +971,7 @@ func (w *Worker) handleMigrate(payload []byte) {
 	wr := wire.GetWriter(256 * len(tasks))
 	core.EncodeTasks(wr, tasks, w.algo)
 	w.tasksSent.Add(int64(len(tasks)))
+	w.sentTo[thief].Add(int64(len(tasks)))
 	w.activity.Add(int64(len(tasks)))
 	w.inflight.Add(-int64(len(tasks)))
 	w.counters.TasksStolen(len(tasks))
@@ -953,19 +980,40 @@ func (w *Worker) handleMigrate(payload []byte) {
 	w.reportIfIdle()
 }
 
-// handleTasks admits a migration batch.
-func (w *Worker) handleTasks(payload []byte) {
+// handleTasks admits a migration batch from worker from.
+func (w *Worker) handleTasks(from int, payload []byte) {
 	tasks, err := core.DecodeTasks(payload, w.algo)
-	if err != nil {
+	if err != nil || from < 0 || from >= w.cfg.Workers {
 		return
 	}
-	if at := w.lastStealReq.Swap(0); at != 0 && w.trSteal.Active() {
+	if at := w.lastStealReq.Load(); at != 0 && w.trSteal.Active() {
 		w.trSteal.Observe(trace.MetricMigration, time.Duration(time.Now().UnixNano()-at))
 	}
+	w.cutMu.Lock()
 	for _, t := range tasks {
 		w.intake(t, true)
 	}
+	w.recvFrom[from].Add(int64(len(tasks)))
+	w.cutMu.Unlock()
+	w.stealAnswered()
 	w.flushStarved() // a steal batch arrives at an idle pipeline
+}
+
+// stealAnswered records the reply to the steal REQ — a batch or msgNoTask
+// — for a checkpoint waiting for it.
+func (w *Worker) stealAnswered() {
+	w.lastStealReq.Store(0)
+	if w.paused.Load() {
+		w.wake()
+	}
+}
+
+// stealPending: a steal REQ is unanswered at now, for less than a pull
+// waits before its retry. Past that the reply is taken as lost; should a
+// batch still come, the master's cut check refuses the epoch it crosses.
+func (w *Worker) stealPending(now time.Time) bool {
+	at := w.lastStealReq.Load()
+	return at != 0 && now.UnixNano()-at < int64(w.cfg.pullRetryBase)
 }
 
 func (w *Worker) handleAggGlobal(payload []byte) {
@@ -996,6 +1044,9 @@ func (w *Worker) progressLoop() {
 		w.retryStalePulls()
 		w.flushPulls()
 		w.observeMemory()
+		if w.paused.Load() {
+			w.wake() // a quiesce waiting on a steal reply sees it expire
+		}
 
 		w.sendProgress()
 
@@ -1003,10 +1054,8 @@ func (w *Worker) progressLoop() {
 			if w.stealBackoff.Load() > 0 {
 				w.stealBackoff.Add(-1)
 			} else {
-				if w.trSteal.Active() {
-					w.trSteal.Event(trace.EvStealReq, 0)
-					w.lastStealReq.CompareAndSwap(0, time.Now().UnixNano())
-				}
+				w.trSteal.Event(trace.EvStealReq, 0)
+				w.lastStealReq.Store(time.Now().UnixNano())
 				_ = w.ep.Send(w.masterNode, msgStealReq, nil)
 			}
 		}

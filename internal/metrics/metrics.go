@@ -92,6 +92,11 @@ func (c *Counters) ObserveLive(v int64) {
 func (c *Counters) TaskDone()   { c.tasksDone.Add(1) }
 func (c *Counters) EmitResult() { c.results.Add(1) }
 
+// SetTasksDone sets the completed-task count to the one a checkpoint
+// recorded (0 for a fresh start): a job rolled back or resumed reports the
+// tasks of one fault-free run.
+func (c *Counters) SetTasksDone(n int64) { c.tasksDone.Store(n) }
+
 // CacheHit / CacheMiss record RCV cache outcomes.
 func (c *Counters) CacheHit()  { c.cacheHits.Add(1) }
 func (c *Counters) CacheMiss() { c.cacheMisses.Add(1) }

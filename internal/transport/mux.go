@@ -33,8 +33,8 @@ type Mux struct {
 	dropped atomic.Int64
 }
 
-// muxChannel is one job's view of the network: a mailbox per node (swapped
-// by Reset, so read under Mux.mu) plus what its endpoints account to.
+// muxChannel is one job's view of the network: a mailbox per node plus what
+// its endpoints account to.
 type muxChannel struct {
 	boxes    []*mailbox
 	counters []*metrics.Counters
@@ -132,28 +132,6 @@ func (m *Mux) endpoint(ch uint64, c *muxChannel, node int) Endpoint {
 		e.counters = c.counters[node]
 	}
 	return e
-}
-
-// Reset simulates a crash of node's worker in channel ch, on any
-// underlying transport: the node's mailbox is replaced by an empty one and
-// the old box closes, so whatever was queued or in flight to the dead
-// worker is lost and its blocked receiver unblocks with ok=false — the old
-// endpoint stays bound to the closed box forever. The returned endpoint
-// reads the fresh mailbox (the replacement worker's); nil if ch is not
-// open.
-func (m *Mux) Reset(ch uint64, node int) Endpoint {
-	m.mu.Lock()
-	c := m.channels[ch]
-	if c == nil {
-		m.mu.Unlock()
-		return nil
-	}
-	old := c.boxes[node]
-	c.boxes[node] = newMailbox()
-	ep := m.endpoint(ch, c, node)
-	m.mu.Unlock()
-	old.close()
-	return ep
 }
 
 // CloseChannel unregisters ch and closes its mailboxes: blocked receivers

@@ -126,67 +126,6 @@ func TestMuxPerChannelAccounting(t *testing.T) {
 	}
 }
 
-// TestMuxReset is the crash-simulation contract, on whatever transport is
-// underneath: the dead worker's blocked Recv unblocks with ok=false, what
-// was queued for it is lost, its old endpoint stays dead, the replacement's
-// endpoint receives fresh traffic with the channel's accounting intact, and
-// other channels and nodes never notice.
-func TestMuxReset(t *testing.T) {
-	mux, net := newTestMux(2)
-	defer func() { mux.Close(); net.Close(); mux.WaitDemux() }()
-	counters := []*metrics.Counters{{}, {}}
-	a, _ := mux.Open(1, counters, nil)
-	b, _ := mux.Open(2, nil, nil)
-
-	_ = a[0].Send(1, 1, []byte("lost"))
-	_ = b[0].Send(1, 1, []byte("other job"))
-	recvDone := make(chan bool)
-	go func() {
-		a[1].Recv() // drain "lost", then block on the next Recv
-		_, ok := a[1].Recv()
-		recvDone <- ok
-	}()
-	time.Sleep(2 * time.Millisecond)
-	_ = a[0].Send(1, 1, []byte("in flight"))
-	fresh := mux.Reset(1, 1)
-	select {
-	case ok := <-recvDone:
-		if ok {
-			// The blocked receiver may win the race for "in flight"; it must
-			// then see the closed box on its next call.
-			if _, ok := a[1].Recv(); ok {
-				t.Fatal("old endpoint still receiving after reset")
-			}
-		}
-	case <-time.After(time.Second):
-		t.Fatal("old receiver never unblocked")
-	}
-
-	_ = a[0].Send(1, 1, []byte("fresh"))
-	m, ok := fresh.RecvTimeout(time.Second)
-	for ok && string(m.Payload) == "in flight" {
-		// Raced the reset into the new box: a message sent to the slot, not
-		// to the dead worker, so the replacement may legitimately see it.
-		m, ok = fresh.RecvTimeout(time.Second)
-	}
-	if !ok || string(m.Payload) != "fresh" || fresh.Node() != 1 {
-		t.Fatalf("post-reset delivery broken: %+v ok=%v", m, ok)
-	}
-	if _, ok := a[1].RecvTimeout(10 * time.Millisecond); ok {
-		t.Fatal("old endpoint received after reset")
-	}
-	_ = fresh.Send(0, 1, make([]byte, 10))
-	if got := counters[1].Snapshot().NetBytes; got != 10+16 {
-		t.Fatalf("replacement endpoint lost the channel's accounting: %d bytes", got)
-	}
-	if m, ok := b[1].RecvTimeout(time.Second); !ok || string(m.Payload) != "other job" {
-		t.Fatalf("reset leaked into another channel: %+v ok=%v", m, ok)
-	}
-	if mux.Reset(99, 0) != nil {
-		t.Fatal("reset of an unopened channel returned an endpoint")
-	}
-}
-
 func TestMuxConcurrentChannels(t *testing.T) {
 	const chans, msgs = 8, 200
 	mux, net := newTestMux(3)

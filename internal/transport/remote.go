@@ -29,6 +29,11 @@ const (
 	dialTimeout = 5 * time.Second
 	// sendTimeout is the write deadline of one frame.
 	sendTimeout = 5 * time.Second
+	// closeFlushBytes bounds what Close still writes to each connected peer:
+	// the frames queued when it began, until this many bytes have gone (the
+	// last frame whole). A flooded queue must not hold Close for as long as
+	// it takes to drain.
+	closeFlushBytes = 4 << 20
 )
 
 // RemoteConfig configures one process's node in a multi-process cluster.
@@ -123,7 +128,7 @@ func NewRemote(cfg RemoteConfig) (*RemoteNetwork, error) {
 	}
 	n.local.Store(int32(cfg.Local))
 	for i := range n.peers {
-		p := &remotePeer{n: n, node: i}
+		p := &remotePeer{n: n, node: i, done: make(chan struct{})}
 		p.cond = sync.NewCond(&p.mu)
 		n.peers[i] = p
 		go p.run()
@@ -199,8 +204,12 @@ func (n *RemoteNetwork) Dropped() int64 { return n.dropped.Load() }
 // Endpoint returns this process's node endpoint.
 func (n *RemoteNetwork) Endpoint() Endpoint { return &remoteEndpoint{n: n} }
 
-// Close shuts the listener, all connections, sender goroutines and the
-// inbox. Queued undelivered frames are dropped.
+// Close shuts the network down. Frames queued before it still go out to
+// every peer whose connection is up — the first closeFlushBytes of each
+// queue, each write bounded by the per-frame deadline; the rest, and the
+// queue of a peer not connected or whose write fails, are dropped (counted
+// in Dropped), and no dial outlives Close. Then the listener, all
+// connections and the inbox close.
 func (n *RemoteNetwork) Close() {
 	n.stopOnce.Do(func() { close(n.stop) })
 	n.mu.Lock()
@@ -209,15 +218,20 @@ func (n *RemoteNetwork) Close() {
 		return
 	}
 	n.closed = true
+	n.mu.Unlock()
+	for _, p := range n.peers {
+		p.stopQueue()
+	}
+	for _, p := range n.peers {
+		p.close()
+	}
+	n.mu.Lock()
 	accepted := n.accepted
 	n.accepted = make(map[net.Conn]struct{})
 	n.mu.Unlock()
 	_ = n.ln.Close()
 	for c := range accepted {
 		_ = c.Close()
-	}
-	for _, p := range n.peers {
-		p.close()
 	}
 	n.box.close()
 }
@@ -338,7 +352,9 @@ type remotePeer struct {
 	addr   string
 	queue  [][]byte
 	conn   net.Conn // dialed by the sender; severed by SetPeer/close
-	closed bool
+	closed bool     // takes no more frames; the sender flushes the queue and exits
+	flush  int      // bytes the sender may still write once closed
+	done   chan struct{}
 }
 
 func (p *remotePeer) enqueue(frame []byte) {
@@ -351,13 +367,21 @@ func (p *remotePeer) enqueue(frame []byte) {
 	p.cond.Broadcast()
 }
 
-func (p *remotePeer) close() {
+// stopQueue takes no more frames: the sender flushes what the queue holds,
+// up to closeFlushBytes, and exits.
+func (p *remotePeer) stopQueue() {
 	p.mu.Lock()
-	p.closed = true
+	p.closed, p.flush = true, closeFlushBytes
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+// close waits for the sender to exit and severs the connection.
+func (p *remotePeer) close() {
+	<-p.done
+	p.mu.Lock()
 	old := p.conn
 	p.conn = nil
-	p.queue = nil
-	p.cond.Broadcast()
 	p.mu.Unlock()
 	if old != nil {
 		_ = old.Close()
@@ -365,6 +389,7 @@ func (p *remotePeer) close() {
 }
 
 func (p *remotePeer) run() {
+	defer close(p.done)
 	for {
 		frame, ok := p.next()
 		if !ok {
@@ -377,18 +402,21 @@ func (p *remotePeer) run() {
 }
 
 // next blocks until a frame is queued and the peer's address is known, or
-// the peer closes.
+// the peer closes with nothing left it can send.
 func (p *remotePeer) next() ([]byte, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if p.closed {
-			return nil, false
-		}
-		if len(p.queue) > 0 && p.addr != "" {
+		if len(p.queue) > 0 && p.addr != "" && (!p.closed || p.flush > 0) {
 			f := p.queue[0]
 			p.queue = p.queue[1:]
+			p.flush -= len(f)
 			return f, true
+		}
+		if p.closed {
+			p.n.dropped.Add(int64(len(p.queue)))
+			p.queue = nil
+			return nil, false
 		}
 		p.cond.Wait()
 	}
@@ -416,11 +444,14 @@ func (p *remotePeer) deliver(frame []byte) bool {
 
 func (p *remotePeer) ensureConn() (net.Conn, error) {
 	p.mu.Lock()
-	if c := p.conn; c != nil {
-		p.mu.Unlock()
-		return c, nil
-	}
+	c, closed := p.conn, p.closed
 	p.mu.Unlock()
+	switch {
+	case c != nil:
+		return c, nil
+	case closed: // Close flushes to connected peers only
+		return nil, fmt.Errorf("transport: peer %d closed", p.node)
+	}
 	c, err := dialRetry(p.currentAddr, dialTimeout, p.n.cfg.redial, p.n.stop)
 	if err != nil {
 		return nil, err

@@ -367,6 +367,26 @@ func TestRemoteConcurrentCloseVsSend(t *testing.T) {
 	}
 }
 
+// TestRemoteCloseFlushesQueue: a frame queued just before Close, behind one
+// the sender is still writing, reaches its connected peer: Close flushes the
+// queue, each write within the per-frame deadline, instead of dropping it.
+func TestRemoteCloseFlushesQueue(t *testing.T) {
+	nets := remoteMesh(t, 2, RedialPolicy{})
+	ep, peer := nets[0].Endpoint(), nets[1].Endpoint()
+	_ = ep.Send(1, 1, []byte("connect"))
+	if _, ok := peer.RecvTimeout(5 * time.Second); !ok {
+		t.Fatal("peer never received while up")
+	}
+	_ = ep.Send(1, 2, make([]byte, 2<<20)) // the sender is still writing this one...
+	_ = ep.Send(1, 3, []byte("last"))      // ...when this one queues behind it
+	nets[0].Close()
+	for _, want := range []uint8{2, 3} {
+		if m, ok := peer.RecvTimeout(10 * time.Second); !ok || m.Type != want {
+			t.Fatalf("after Close: got type %d (ok=%v), want %d; %d frames dropped", m.Type, ok, want, nets[0].Dropped())
+		}
+	}
+}
+
 func TestRemoteDoubleCloseAndEndpointClose(t *testing.T) {
 	nets := remoteMesh(t, 2, RedialPolicy{})
 	_ = nets[0].Endpoint().Send(1, 1, []byte("x"))

@@ -6,9 +6,9 @@
 // reaching the others through a peer address table — K+1 of them in one
 // process for a loopback run, or one per OS process for a real cluster.
 // Jobs never touch either directly: a Mux lays job-scoped channels over
-// the node set, charges every payload byte to the sending job's metrics
-// counters (the "Net. (GB)" columns of Tables 1 and 4) and owns the
-// crash-simulation mailbox reset, so both are transport-independent.
+// the node set and charges every payload byte to the sending job's metrics
+// counters (the "Net. (GB)" columns of Tables 1 and 4), so both are
+// transport-independent.
 package transport
 
 import (

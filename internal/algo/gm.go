@@ -26,39 +26,33 @@ import (
 // makes: a neighbour's label is one load from the column, and one mask test
 // against the labels of its parent node's children drops most neighbours
 // before any step is read. The seed matches level 1 off the root's list and
-// round r matches level r+1 off the pulled lists of level r's expanding
-// matches, so the only vertices a task pulls are matches whose children are
-// still to be matched: never a leaf, never the deepest level. A seed some
-// level-1 node finds no match for counts 0 and is not spawned.
+// round r matches level r+1 off the pulled lists of level r's matches that
+// have an expanding child. A leaf-only node's children — the deepest
+// level's always — take their hits from the epoch's label-degree column
+// (graph.Labels.Degrees) as soon as that node is matched, so its matches are
+// never pulled: a depth-d pattern pulls d − 2 rounds, and Figure 1's none.
+// A seed some level-1 node finds no match for counts 0 and is not spawned.
 //
 // Matching is homomorphic (two pattern nodes may map to one data vertex),
 // as in the sequential oracle RefMatchCount. A leaf's subtree then counts 1
 // on every match, so a leaf is recorded as a counter per parent match and
 // never as a vertex list (DESIGN.md §12).
-//
-// Tasks share vertices, so many of them match one vertex m to one parent
-// node p whose children are all leaves — the deepest level's parents
-// always. The hits m gives those leaves depend on adj(m) and the label
-// column alone, so each worker remembers them for the job (gmMemo) and
-// walks adj(m) once per (p, m), not once per task that reaches it.
 type GraphMatch struct {
 	P *Pattern
 
 	// levels[d] is the ModeHom plan's matching schedule of depth d, and
 	// expands[p] is node p's TreeStep.Expands from it. Matching stays in ID
 	// space (matches may live on remote partitions), so the schedule and the
-	// set kernels are all of the plan GM needs — no CSR. parents[d] lists the
-	// distinct parent nodes of levels[d], kids[p] the steps under node p,
-	// kidLabels[p] the set of their labels that lie in [0, 64), bit by bit,
-	// and leafOnly[p] says p has children and none of them expands.
+	// set kernels are all of the plan GM needs — no CSR. pulls[p] says node
+	// p has an expanding child, so its matches' lists are pulled and walked;
+	// kids[p] lists the steps under node p, and kidLabels[p] the set of
+	// their labels that lie in [0, 64), bit by bit.
 	levels    [][]plan.TreeStep
-	parents   [][]int
 	kids      [][]plan.TreeStep
 	kidLabels []uint64
 	expands   []bool
-	leafOnly  []bool
+	pulls     []bool
 	labels    *graph.Labels // the job's label column; nil until offered
-	memos     *sync.Map     // worker ID → *gmMemo for the job Plan opened
 	scratch   sync.Pool     // *gmScratch, one per concurrent Seed or Update
 }
 
@@ -67,41 +61,35 @@ func NewGraphMatch(p *Pattern) *GraphMatch {
 	if p == nil {
 		p = FigurePattern()
 	}
-	a := &GraphMatch{P: p, levels: plan.TreeSchedule(p.Labels, p.Parent), expands: make([]bool, len(p.Labels))}
-	a.parents, a.kids = make([][]int, len(a.levels)), make([][]plan.TreeStep, len(p.Labels))
-	a.kidLabels = make([]uint64, len(p.Labels))
+	n := len(p.Labels)
+	a := &GraphMatch{P: p, levels: plan.TreeSchedule(p.Labels, p.Parent), expands: make([]bool, n), pulls: make([]bool, n)}
+	a.kids, a.kidLabels = make([][]plan.TreeStep, n), make([]uint64, n)
 	for d, steps := range a.levels {
 		for _, st := range steps {
 			a.expands[st.Node] = st.Expands
-			if d > 0 {
-				a.kids[st.Parent] = append(a.kids[st.Parent], st)
-				if uint32(st.Label) < 64 {
-					a.kidLabels[st.Parent] |= 1 << uint32(st.Label)
-				}
-				if !slices.Contains(a.parents[d], st.Parent) {
-					a.parents[d] = append(a.parents[d], st.Parent)
-				}
+			if d == 0 {
+				continue
 			}
+			a.kids[st.Parent] = append(a.kids[st.Parent], st)
+			if uint32(st.Label) < 64 {
+				a.kidLabels[st.Parent] |= 1 << uint32(st.Label)
+			}
+			a.pulls[st.Parent] = a.pulls[st.Parent] || st.Expands
 		}
 	}
 	a.expands[0] = true // the root keeps its one match, children or not
-	a.leafOnly = make([]bool, len(p.Labels))
-	for q, kids := range a.kids {
-		a.leafOnly[q] = len(kids) > 0 && !slices.ContainsFunc(kids, func(st plan.TreeStep) bool { return st.Expands })
-	}
-	a.memos = new(sync.Map)
 	a.scratch.New = func() any {
-		return &gmScratch{pairs: make([][]gmPair, len(p.Labels)), base: make([]int, len(p.Labels))}
+		return &gmScratch{pairs: make([][]gmPair, n), base: make([]int, n)}
 	}
 	return a
 }
 
 // Plan implements core.Planner: GM asks for the label column, and with it in
 // hand matches parent-major, reading a neighbour's label from it instead of
-// pulling the neighbour. A job Plan opens cannot seed until the runtime
-// offers the column, and starts with no leaf counts remembered.
+// pulling the neighbour, and a leaf-only node's hits from its label-degree
+// rows. A job Plan opens cannot seed until the runtime offers the column.
 func (a *GraphMatch) Plan() core.Plan {
-	a.labels, a.memos = nil, new(sync.Map)
+	a.labels = nil
 	return core.Plan{Labels: func(labels *graph.Labels) { a.labels = labels }}
 }
 
@@ -136,45 +124,13 @@ type gmPair struct {
 
 // gmScratch is the working memory of one Seed or Update, pooled per
 // GraphMatch. pairs[p] collects expanding node p's pairs while its level is
-// matched; misses and fresh hold the matches a leaf-only parent's memo
-// lacks and the hits counted for them.
+// matched.
 type gmScratch struct {
 	pairs    [][]gmPair
 	rows     [][]graph.VertexID
 	ids      []graph.VertexID
 	acc, sum []int64
 	base     []int
-	misses   []int
-	fresh    []int64
-}
-
-// gmMemo is one worker's leaf counts for one job: for a leaf-only parent
-// node p and a vertex m matched to it, at[{p, m}] is where counts holds,
-// child by child of p (kids[p] order), the hits m gives that leaf — how
-// many of adj(m) the column gives the leaf's label. They depend on the
-// job's epoch alone, never on the task, so any of the worker's executor
-// threads may fill or read an entry; mu guards the lot. scanned counts
-// the adjacency elements read to fill it.
-type gmMemo struct {
-	mu      sync.Mutex
-	at      map[gmMemoKey]int
-	counts  []int64
-	scanned int64
-}
-
-// gmMemoKey names a leaf-only parent node and its match.
-type gmMemoKey struct {
-	node int
-	id   graph.VertexID
-}
-
-// memo returns worker w's leaf counts for the job, made on its first ask.
-func (a *GraphMatch) memo(w int) *gmMemo {
-	if m, ok := a.memos.Load(w); ok {
-		return m.(*gmMemo)
-	}
-	m, _ := a.memos.LoadOrStore(w, &gmMemo{at: map[gmMemoKey]int{}})
-	return m.(*gmMemo)
 }
 
 // putScratch returns sc to the pool holding no adjacency list.
@@ -198,8 +154,8 @@ func (a *GraphMatch) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 	if a.P.Depth() > 0 { // a single-node pattern counts 1 per seed at update time
 		sc := a.scratch.Get().(*gmScratch)
 		defer a.putScratch(sc)
-		a.openLevel(ctx, 1, sc)
-		a.walkParents(ctx, 1, append(sc.rows[:0], v.Adj), -1, sc)
+		a.countLeaves(ctx, 0)
+		a.walkParents(ctx, 1, append(sc.rows[:0], v.Adj), sc)
 		if !a.closeLevel(ctx, 1, sc) {
 			return
 		}
@@ -217,44 +173,36 @@ func (a *GraphMatch) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 	}
 	sc := a.scratch.Get().(*gmScratch)
 	defer a.putScratch(sc)
-	// Levels up to t.Round have been matched, and cands are level t.Round's
-	// expanding matches. d is the level this round matches.
-	d := t.Round + 1
-	if d <= a.P.Depth() {
-		a.openLevel(ctx, d, sc)
+	// Levels up to t.Round have been matched, with the hits of their
+	// leaf-only nodes' children, and cands are the matches of level
+	// t.Round's nodes that have an expanding child. d is the level this
+	// round matches; the deepest is all such hits and needs no round.
+	if d := t.Round + 1; d < a.P.Depth() {
 		sc.rows = sc.rows[:0]
-		for _, p := range a.parents[d] {
-			sc.rows = appendRows(sc.rows, ctx.nodes[p].matches, t.Cands, cands)
+		for _, p := range a.levels[d-1] {
+			if a.pulls[p.Node] {
+				sc.rows = appendRows(sc.rows, ctx.nodes[p.Node].matches, t.Cands, cands)
+			}
 		}
-		a.walkParents(ctx, d, sc.rows, env.WorkerID(), sc)
+		a.walkParents(ctx, d, sc.rows, sc)
 		if !a.closeLevel(ctx, d, sc) {
 			return // a pattern node without a match: the count is 0, die
 		}
-	}
-	if d >= a.P.Depth() {
-		if count := a.countMatches(ctx, sc); count > 0 {
-			env.AggUpdate(count)
+		if d+1 < a.P.Depth() {
+			sc.ids = a.frontier(sc.ids[:0], ctx, d, sc)
+			t.Pull(sc.ids...)
+			return
 		}
-		return
 	}
-	sc.ids = a.frontier(sc.ids[:0], ctx, d, sc)
-	t.Pull(sc.ids...)
-}
-
-// openLevel readies level d's nodes for record.
-func (a *GraphMatch) openLevel(ctx *gmContext, d int, sc *gmScratch) {
-	for _, st := range a.levels[d] {
-		if st.Expands {
-			sc.pairs[st.Node] = sc.pairs[st.Node][:0]
-		} else {
-			ctx.nodes[st.Node].hits = make([]int64, len(ctx.nodes[st.Parent].matches))
-		}
+	if count := a.countMatches(ctx, sc); count > 0 {
+		env.AggUpdate(count)
 	}
 }
 
 // closeLevel turns the pairs recorded for level d's expanding nodes into
 // their matches (ascending, duplicate-free), each with its parent positions
-// ascending. It reports whether every node of the level has a match.
+// ascending. It reports whether every node of the level has a match, and if
+// so counts the leaves of its leaf-only nodes.
 func (a *GraphMatch) closeLevel(ctx *gmContext, d int, sc *gmScratch) bool {
 	matched := true
 	for _, st := range a.levels[d] {
@@ -276,7 +224,32 @@ func (a *GraphMatch) closeLevel(ctx *gmContext, d int, sc *gmScratch) bool {
 		n.offsets = append(n.offsets, int32(len(n.parents)))
 		matched = matched && len(n.matches) > 0
 	}
+	if matched {
+		a.countLeaves(ctx, d)
+	}
 	return matched
+}
+
+// countLeaves gives the children of level d's leaf-only nodes their hits:
+// under match m, a leaf of label L has as many as adj(m) has vertices
+// labelled L, which m's label-degree row holds.
+func (a *GraphMatch) countLeaves(ctx *gmContext, d int) {
+	for _, q := range a.levels[d] {
+		if !q.Expands || a.pulls[q.Node] {
+			continue
+		}
+		matches := ctx.nodes[q.Node].matches
+		for _, st := range a.kids[q.Node] {
+			hits := make([]int64, len(matches))
+			for j, m := range matches {
+				row := a.labels.Degrees(m)
+				if i, ok := slices.BinarySearchFunc(row, st.Label, func(e graph.LabelCount, l int32) int { return cmp.Compare(e.Label, l) }); ok {
+					hits[j] = int64(row[i].Count)
+				}
+			}
+			ctx.nodes[st.Node].hits = hits
+		}
+	}
 }
 
 // record notes that vertex id matches step st under its parent's j-th match.
@@ -288,28 +261,33 @@ func (sc *gmScratch) record(ctx *gmContext, st plan.TreeStep, id graph.VertexID,
 	}
 }
 
-// walkParents matches level d parent-major. rows holds, parent node by
-// parent node of the level (a.parents[d] order), the adjacency list of each
-// of the node's matches; a neighbour matches every step under that node
-// whose label the column gives it. An ID the column does not know is no
-// vertex of the graph, and matches nothing; a label in [0, 64) that no step
-// under the node carries is dropped by the mask, and any other label is
-// compared step by step. A leaf-only parent's hits come from worker's memo
-// (Update); the seed passes worker −1, its level having no repeats to save.
-func (a *GraphMatch) walkParents(ctx *gmContext, d int, rows [][]graph.VertexID, worker int, sc *gmScratch) {
+// walkParents readies level d's walked steps — all but the leaves of
+// leaf-only nodes, which hold their hits already — and matches them
+// parent-major. rows holds, node by node of level d−1 that pulls, the
+// adjacency list of each of the node's matches; a neighbour matches every
+// step under that node whose label the column gives it. An ID the column
+// does not know is no vertex of the graph, and matches nothing; a label in
+// [0, 64) that no step under the node carries is dropped by the mask, and
+// any other label is compared step by step.
+func (a *GraphMatch) walkParents(ctx *gmContext, d int, rows [][]graph.VertexID, sc *gmScratch) {
+	for _, st := range a.levels[d] {
+		if st.Expands {
+			sc.pairs[st.Node] = sc.pairs[st.Node][:0]
+		} else if a.pulls[st.Parent] {
+			ctx.nodes[st.Node].hits = make([]int64, len(ctx.nodes[st.Parent].matches))
+		}
+	}
 	labels := a.labels
-	for _, p := range a.parents[d] {
-		n := len(ctx.nodes[p].matches)
-		if worker >= 0 && a.leafOnly[p] {
-			a.countLeaves(ctx, p, rows[:n], a.memo(worker), sc)
-			rows = rows[n:]
+	for _, q := range a.levels[d-1] {
+		if !a.pulls[q.Node] {
 			continue
 		}
-		kids, mask := a.kids[p], a.kidLabels[p]
+		n := len(ctx.nodes[q.Node].matches)
+		kids, mask := a.kids[q.Node], a.kidLabels[q.Node]
 		for j, adj := range rows[:n] {
 			for _, id := range adj {
-				label, ok := kidLabel(labels, mask, id)
-				if !ok {
+				label, ok := labels.Of(id)
+				if !ok || uint32(label) < 64 && mask>>uint32(label)&1 == 0 {
 					continue
 				}
 				for _, st := range kids {
@@ -323,76 +301,13 @@ func (a *GraphMatch) walkParents(ctx *gmContext, d int, rows [][]graph.VertexID,
 	}
 }
 
-// kidLabel returns the label labels gives id, and false when id is no
-// vertex or its label is in [0, 64) but not in mask.
-func kidLabel(labels *graph.Labels, mask uint64, id graph.VertexID) (int32, bool) {
-	label, ok := labels.Of(id)
-	return label, ok && (uint32(label) >= 64 || mask>>uint32(label)&1 != 0)
-}
-
-// countLeaves sets the hits of leaf-only node p's children under each of
-// p's matches (rows: their adjacency lists) from memo, walking the lists of
-// the matches memo lacks and entering their counts. A match the round holds
-// no list for contributes nothing and is not entered. The lock is taken
-// twice, around the lookups and around the entries, never over a walk.
-func (a *GraphMatch) countLeaves(ctx *gmContext, p int, rows [][]graph.VertexID, memo *gmMemo, sc *gmScratch) {
-	labels, kids, mask, matches := a.labels, a.kids[p], a.kidLabels[p], ctx.nodes[p].matches
-	k := len(kids)
-	sc.misses = sc.misses[:0]
-	memo.mu.Lock()
-	for j, m := range matches {
-		at, ok := memo.at[gmMemoKey{p, m}]
-		if !ok {
-			sc.misses = append(sc.misses, j)
-			continue
-		}
-		for i, st := range kids {
-			ctx.nodes[st.Node].hits[j] = memo.counts[at+i]
-		}
-	}
-	memo.mu.Unlock()
-	if len(sc.misses) == 0 {
-		return
-	}
-	sc.fresh = slices.Grow(sc.fresh[:0], len(sc.misses)*k)[:len(sc.misses)*k]
-	clear(sc.fresh)
-	var scanned int64
-	for x, j := range sc.misses {
-		counts := sc.fresh[x*k : (x+1)*k]
-		for _, id := range rows[j] {
-			label, ok := kidLabel(labels, mask, id)
-			if !ok {
-				continue
-			}
-			for i, st := range kids {
-				if st.Label == label {
-					counts[i]++
-				}
-			}
-		}
-		scanned += int64(len(rows[j]))
-		for i, st := range kids {
-			ctx.nodes[st.Node].hits[j] = counts[i]
-		}
-	}
-	memo.mu.Lock()
-	defer memo.mu.Unlock()
-	memo.scanned += scanned
-	for x, j := range sc.misses {
-		key := gmMemoKey{p, matches[j]}
-		if _, ok := memo.at[key]; !ok && rows[j] != nil {
-			memo.at[key] = len(memo.counts)
-			memo.counts = append(memo.counts, sc.fresh[x*k:(x+1)*k]...)
-		}
-	}
-}
-
-// frontier appends to dst what level d+1 is matched from: level d's
-// expanding matches, ascending and duplicate-free.
+// frontier appends to dst what level d+1 is matched from: the matches of
+// level d's nodes that have an expanding child, ascending and
+// duplicate-free.
 func (a *GraphMatch) frontier(dst []graph.VertexID, ctx *gmContext, d int, sc *gmScratch) []graph.VertexID {
 	sc.rows = sc.rows[:0]
 	for _, st := range a.levels[d] {
-		if st.Expands {
+		if a.pulls[st.Node] {
 			sc.rows = append(sc.rows, ctx.nodes[st.Node].matches)
 		}
 	}
@@ -457,10 +372,12 @@ func (a *GraphMatch) countMatches(ctx *gmContext, sc *gmScratch) int64 {
 }
 
 // An encoded context leads with its format byte: a task at round r holds
-// levels up to r. The retired candidate-major format (0xB1) held levels up
-// to r−1, and the map encoding before it led with a node count
-// (1..plan.MaxTreeNodes), so their bytes fail decode, never miscount.
-const gmFormat = 0xB2
+// levels up to r and the hits of level r+1's leaves under leaf-only nodes.
+// The format before the label-degree column (0xB2) held those hits a round
+// later, the retired candidate-major one (0xB1) held levels up to r−1, and
+// the map encoding before it led with a node count (1..plan.MaxTreeNodes),
+// so their bytes fail decode, never miscount.
+const gmFormat = 0xB3
 
 // EncodeContext implements core.ContextCodec: the format byte, the node
 // count, then per pattern node a leaf's hits or an expanding node's matches,

@@ -114,62 +114,70 @@ func withLabel(g *graph.Graph, ids []graph.VertexID, label int32) (out []graph.V
 }
 
 // TestGMFrontierExpandsOnlyInternalNodes pins what each round pulls: the
-// matches of pattern nodes that have children — never a leaf, never the
-// deepest level.
+// matches of pattern nodes that have an expanding child — never a leaf,
+// never a leaf-only node, whose children's hits come from the label-degree
+// column, so never the last two levels.
 func TestGMFrontierExpandsOnlyInternalNodes(t *testing.T) {
 	g := pinnedGraph(t) // labels cycle over {0..3}
 
-	t.Run("figure", func(t *testing.T) {
-		// Level 1 is b (label 1, a leaf) and c (label 2, expanding): the seed
-		// asks for the c-matches and round 1 ends the task. A root some
-		// level-1 node has no match under spawns nothing.
-		a, spawned, unspawned := gmParentMajor(g, FigurePattern()), 0, 0
+	// oneRound runs p's tasks on g, each of which must end in its first
+	// Update having asked the seed for pull (nil: nothing), and returns
+	// their count.
+	oneRound := func(t *testing.T, p *Pattern, pull func(root *graph.Vertex) []graph.VertexID) int64 {
+		a, spawned, unspawned, total := gmParentMajor(g, p), 0, 0, int64(0)
 		g.ForEach(func(v *graph.Vertex) bool {
 			if v.Label != a.P.Labels[0] {
 				return true
 			}
-			if task := gmSeedTask(a, v); task == nil {
+			task := gmSeedTask(a, v)
+			if task == nil {
 				unspawned++
-			} else if want := withLabel(g, v.Adj, 2); !slices.Equal(task.Cands, want) {
-				t.Fatalf("root %d: seed pulls %v, want its c-matches %v", v.ID, task.Cands, want)
-			} else if next, _ := gmRound(g, a, task); next != nil {
-				t.Fatalf("root %d: round 1 of a depth-2 pattern pulled %v", v.ID, next)
-			} else {
-				spawned++
+				return true
 			}
-			return true
-		})
-		if spawned == 0 || unspawned == 0 {
-			t.Fatalf("%d seeds spawned, %d went unspawned: the workload does not exercise the leaf", spawned, unspawned)
-		}
-	})
-
-	t.Run("star", func(t *testing.T) {
-		// Every non-root node is a leaf: the seed pulls nothing, one round,
-		// then the count.
-		p := MustPattern([]int32{0, 1, 1, 2}, []int{-1, 0, 0, 0})
-		a, total := gmParentMajor(g, p), int64(0)
-		g.ForEach(func(v *graph.Vertex) bool {
-			if task := gmSeedTask(a, v); task != nil {
-				if len(task.Cands) != 0 {
-					t.Fatalf("root %d: star seed pulls %v", v.ID, task.Cands)
-				}
-				next, agg := gmRound(g, a, task)
-				if next != nil {
-					t.Fatalf("root %d: star pattern asked for a second round (%d candidates)", v.ID, len(next))
-				}
-				total += agg
+			if want := pull(v); !slices.Equal(task.Cands, want) {
+				t.Fatalf("root %d: seed pulls %v, want %v", v.ID, task.Cands, want)
 			}
+			next, agg := gmRound(g, a, task)
+			if next != nil {
+				t.Fatalf("root %d: round 1 pulled %v", v.ID, next)
+			}
+			spawned, total = spawned+1, total+agg
 			return true
 		})
 		if want := RefMatchCount(g, p); total != want || want == 0 {
-			t.Fatalf("star count %d, reference %d", total, want)
+			t.Fatalf("count %d, reference %d", total, want)
 		}
+		if spawned == 0 || unspawned == 0 {
+			t.Fatalf("%d seeds spawned, %d went unspawned: the workload does not exercise the death rule", spawned, unspawned)
+		}
+		return total
+	}
+
+	t.Run("figure", func(t *testing.T) {
+		// Level 1 is b (label 1, a leaf) and c (label 2, leaf-only): c's
+		// leaves are counted off its label-degree rows at the seed, so
+		// nothing is pulled and round 1 only counts.
+		oneRound(t, FigurePattern(), func(*graph.Vertex) []graph.VertexID { return nil })
+	})
+
+	t.Run("deep", func(t *testing.T) {
+		// gmDeepPattern's shape, e relabelled into the graph's alphabet: c
+		// has an expanding child, so the seed asks for the c-matches; d is
+		// leaf-only, so round 1 ends the task.
+		p := MustPattern([]int32{0, 1, 2, 1, 3, 0}, []int{-1, 0, 0, 2, 2, 4})
+		oneRound(t, p, func(v *graph.Vertex) []graph.VertexID { return withLabel(g, v.Adj, 2) })
+	})
+
+	t.Run("star", func(t *testing.T) {
+		// Every non-root node is a leaf: the root's row counts them, the seed
+		// pulls nothing, one round, then the count.
+		oneRound(t, MustPattern([]int32{0, 1, 1, 2}, []int{-1, 0, 0, 0}), func(*graph.Vertex) []graph.VertexID { return nil })
 	})
 
 	t.Run("path", func(t *testing.T) {
-		// Depth 4, every node but the last expanding: the seed matched level
-		// 1, each round pulls the next level's matches, and the deepest none.
+		// Depth 4: the seed matched level 1, each round pulls the next
+		// level's matches, and level 3 — leaf-only — is never pulled: its
+		// round counts.
 		labels := []int32{0, 1, 2, 3, 0}
 		p := PathPattern(labels...)
 		a, finished, total := gmParentMajor(g, p), 0, int64(0)
@@ -186,12 +194,12 @@ func TestGMFrontierExpandsOnlyInternalNodes(t *testing.T) {
 				next, agg := gmRound(g, a, task)
 				total += agg
 				if next == nil {
-					if task.Round+1 == p.Depth() {
+					if task.Round+2 == p.Depth() {
 						finished++
 					}
 					return true
 				}
-				if task.Round+1 >= p.Depth() {
+				if task.Round+2 >= p.Depth() {
 					t.Fatalf("root %d: round %d of a depth-%d pattern pulled", v.ID, task.Round, p.Depth())
 				}
 				if want := withLabel(g, unionAdj(g, frontier, labels[task.Round]), labels[task.Round+1]); !slices.Equal(next, want) {
@@ -201,7 +209,7 @@ func TestGMFrontierExpandsOnlyInternalNodes(t *testing.T) {
 			}
 		})
 		if want := RefMatchCount(g, p); total != want || finished == 0 {
-			t.Fatalf("path count %d, reference %d, %d tasks reached the last level", total, want, finished)
+			t.Fatalf("path count %d, reference %d, %d tasks reached the last round", total, want, finished)
 		}
 	})
 }
@@ -224,90 +232,10 @@ func gmDeepPattern() *Pattern {
 	return MustPattern([]int32{0, 1, 2, 1, 3, 4}, []int{-1, 0, 0, 2, 2, 4})
 }
 
-// gmLeafWalk is the account, kept apart from GraphMatch, of what p's tasks
-// on g read at leaf-only levels below the root. It matches every root's
-// levels as sets, ends a root's walk at the first level with a node nothing
-// matches, and lists the (parent node, match) pairs a round reaches with a
-// leaf-only parent — level 1's parents are the seed's and left out — with
-// the adjacency elements of each distinct pair (once) and of every pair a
-// task reaches (the walk without the memo).
-func gmLeafWalk(g *graph.Graph, p *Pattern) (pairs map[[2]int64]bool, once, perTask int64) {
-	pairs = map[[2]int64]bool{}
-	leafOnly := func(q int) bool {
-		kids := p.Children(q)
-		return len(kids) > 0 && !slices.ContainsFunc(kids, func(c int) bool { return len(p.Children(c)) > 0 })
-	}
-	g.ForEach(func(root *graph.Vertex) bool {
-		if root.Label != p.Labels[0] {
-			return true
-		}
-		matches := make([][]graph.VertexID, len(p.Labels))
-		matches[0] = []graph.VertexID{root.ID}
-		for d := 1; d <= p.Depth(); d++ {
-			for _, q := range p.Levels()[d-1] {
-				if d < 2 || !leafOnly(q) {
-					continue
-				}
-				for _, m := range matches[q] {
-					key := [2]int64{int64(q), int64(m)}
-					n := int64(len(g.Vertex(m).Adj))
-					if !pairs[key] {
-						pairs[key], once = true, once+n
-					}
-					perTask += n
-				}
-			}
-			dead := false
-			for _, q := range p.Levels()[d] {
-				matches[q] = withLabel(g, unionAdj(g, matches[p.Parent[q]], p.Labels[p.Parent[q]]), p.Labels[q])
-				dead = dead || len(matches[q]) == 0
-			}
-			if dead {
-				break
-			}
-		}
-		return true
-	})
-	return pairs, once, perTask
-}
-
-// TestGMLeafLevelScansEachMatchOnce pins the leaf memo by what it reads, not
-// by a clock: over a whole sequential run, the adjacency elements GM walks to
-// count leaves under leaf-only parents are Σ |adj(m)| over the distinct
-// (parent node, match) pairs its tasks reach — each list once, however many
-// tasks share it — and the memo holds one entry per pair. The count stays
-// RefMatchCount's, and the walk without the memo would read more.
-func TestGMLeafLevelScansEachMatchOnce(t *testing.T) {
-	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 30_000, Seed: 42})
-	gen.DealLabels(g, 7)
-	for name, p := range map[string]*Pattern{
-		"figure":            FigurePattern(),
-		"deep":              gmDeepPattern(),
-		"leaf-parent-above": gmLeafParentAbovePattern(),
-	} {
-		a := NewGraphMatch(p)
-		res := SeqRun(g, a)
-		pairs, once, perTask := gmLeafWalk(g, p)
-		scanned, entries := a.leafCounts()
-		if want := RefMatchCount(g, p); res.AggGlobal != any(want) {
-			t.Errorf("%s: counted %v, reference %d", name, res.AggGlobal, want)
-		}
-		if scanned != once || entries != len(pairs) {
-			t.Errorf("%s: walked %d elements into %d entries; %d distinct pairs hold %d", name, scanned, entries, len(pairs), once)
-		}
-		t.Logf("%s: %d pairs hold %d elements; task by task %d", name, len(pairs), once, perTask)
-		if once == 0 || perTask <= once {
-			t.Errorf("%s: degenerate: %d elements once, %d task by task", name, once, perTask)
-		}
-	}
-}
-
 // gmRepeatRound returns a function that re-runs round `round` of a's
 // hub-rooted task on g: Update opens its level's nodes afresh, so one task
-// state serves every repetition. A cold repetition opens a new job first —
-// core.PlanOf, the label column offered again — so it finds no leaf count
-// remembered; a warm one finds every count the first repetition entered.
-func gmRepeatRound(g *graph.Graph, a *GraphMatch, round int, cold bool) func() {
+// state serves every repetition.
+func gmRepeatRound(g *graph.Graph, a *GraphMatch, round int) func() {
 	// One scratch whatever the pool drops (under -race it drops at random),
 	// so a repetition allocates what Update allocates and nothing else.
 	sc := a.scratch.New()
@@ -323,80 +251,55 @@ func gmRepeatRound(g *graph.Graph, a *GraphMatch, round int, cold bool) func() {
 		cands[i] = g.Vertex(id)
 	}
 	env := &seqEnv{g: g, agg: a.Aggregator(), partial: int64(0)}
-	labels := a.labels
 	return func() {
-		if cold {
-			core.PlanOf(a).Labels(labels)
-		}
 		a.Update(task, cands, env)
 		task.TakeTransition()
 	}
 }
 
-// gmArm is one Update call the allocation bound and the benchmark repeat,
-// and the GM it runs on.
-type gmArm struct {
-	a   *GraphMatch
-	run func()
-}
-
 // gmRoundArms names the Update calls the allocation bound and the benchmark
-// cover, cold or warm: Figure 1's one round, and both rounds of the deep
-// pattern (pairs grouped and pulled, then leaves counted).
-func gmRoundArms(g *graph.Graph, cold bool) map[string]gmArm {
-	arm := func(p *Pattern, round int) gmArm {
-		a := gmParentMajor(g, p)
-		return gmArm{a, gmRepeatRound(g, a, round, cold)}
+// cover: Figure 1's one round (a count), the deep pattern's (a level walked
+// off pulled lists, leaves counted off the column, then the count), and the
+// depth-4 path's first (a level walked and its matches pulled).
+func gmRoundArms(g *graph.Graph) map[string]func() {
+	arm := func(p *Pattern, round int) func() { return gmRepeatRound(g, gmParentMajor(g, p), round) }
+	return map[string]func(){
+		"figure/round1": arm(FigurePattern(), 1),
+		"deep/round1":   arm(gmDeepPattern(), 1),
+		"path/round1":   arm(PathPattern(0, 1, 2, 3, 0), 1),
 	}
-	arms := map[string]gmArm{"figure/round1": arm(FigurePattern(), 1)}
-	for round := 1; round <= 2; round++ {
-		arms[fmt.Sprintf("deep/round%d", round)] = arm(gmDeepPattern(), round)
-	}
-	return arms
 }
 
-// TestGMUpdateAllocsBounded pins the allocations of one round: a leaf's
-// counters, the copy Pull takes of the frontier, the boxed count — and no
-// per-match or per-candidate allocation, so a map cannot creep back in
-// (the map-based context allocated thousands of times a round here). A warm
-// round reads every leaf count from the memo and allocates nothing for it;
-// a cold one opens the job and the worker's memo and may add one
-// allocation per entry it makes.
+// TestGMUpdateAllocsBounded pins the allocations of one round: a walked or
+// counted leaf's counters, the copy Pull takes of the frontier, the boxed
+// count — and no per-match or per-candidate allocation, so a map cannot
+// creep back in (the map-based context allocated thousands of times a round
+// here).
 func TestGMUpdateAllocsBounded(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 30_000, Seed: 42})
 	gen.DealLabels(g, 7)
-	for _, cold := range []bool{false, true} {
-		for name, arm := range gmRoundArms(g, cold) {
-			arm.run() // grow the task's slices and the pooled scratch once
-			bound := 8
-			if cold {
-				_, entries := arm.a.leafCounts()
-				bound, name = bound+entries, "cold/"+name
-			}
-			if allocs := testing.AllocsPerRun(20, arm.run); allocs > float64(bound) {
-				t.Errorf("%s: %.0f allocations per Update, want at most %d", name, allocs, bound)
-			}
+	for name, run := range gmRoundArms(g) {
+		run() // grow the task's slices and the pooled scratch once
+		if allocs := testing.AllocsPerRun(20, run); allocs > 8 {
+			t.Errorf("%s: %.0f allocations per Update, want at most 8", name, allocs)
 		}
 	}
 }
 
 // BenchmarkGMUpdateRounds times the rounds of the hub-rooted tasks of
 // gmRoundArms on the benchmark's graph — the largest single Update calls of
-// a batch-gm-compute job: cold, as the first task of a job to reach the
-// hub's matches runs them, and warm, as every later one does.
+// a batch-gm-compute job and of deeper patterns on its graph.
 func BenchmarkGMUpdateRounds(b *testing.B) {
 	g := gmBenchGraph()
-	for _, mode := range []string{"cold", "warm"} {
-		for name, arm := range gmRoundArms(g, mode == "cold") {
-			b.Run(mode+"/"+name, func(b *testing.B) {
-				arm.run() // a warm round finds the memo full even at -benchtime 1x
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					arm.run()
-				}
-			})
-		}
+	for name, run := range gmRoundArms(g) {
+		b.Run(name, func(b *testing.B) {
+			run() // the column is cut at the first ask
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
 	}
 }
 
@@ -437,8 +340,8 @@ func gmCarry(tb testing.TB, a *GraphMatch, task *core.Task) *core.Task {
 
 // TestGMContextCodec: a context crosses the wire unchanged and the task
 // finishes with the same count; the map-based encoding, the retired
-// candidate-major format, a foreign pattern's context and a truncated one
-// are wire errors.
+// candidate-major and pre-column formats, a foreign pattern's context and a
+// truncated one are wire errors.
 func TestGMContextCodec(t *testing.T) {
 	g := pinnedGraph(t)
 	pm := gmParentMajor(g, FigurePattern())
@@ -471,6 +374,7 @@ func TestGMContextCodec(t *testing.T) {
 		{"truncated", pm, sample[:len(sample)-1]},
 		{"empty", pm, nil},
 		{"candidate-major format byte", pm, append([]byte{gmFormatCandidateMajor}, sample[1:]...)},
+		{"pre-column format byte", pm, append([]byte{gmFormatPreColumn}, sample[1:]...)},
 		{"foreign pattern", gmParentMajor(g, PathPattern(0, 1, 2)), sample},
 	} {
 		r := wire.NewReader(c.data)
@@ -481,8 +385,13 @@ func TestGMContextCodec(t *testing.T) {
 }
 
 // gmFormatCandidateMajor led the contexts of the retired candidate-major
-// arm, which held one level fewer at a given round.
-const gmFormatCandidateMajor = 0xB1
+// arm, which held one level fewer at a given round, and gmFormatPreColumn
+// those of the parent-major arm before the label-degree column, which held
+// a leaf-only node's leaf hits one round later.
+const (
+	gmFormatCandidateMajor = 0xB1
+	gmFormatPreColumn      = 0xB2
+)
 
 // FuzzGMContext: arbitrary bytes never panic the decoder or make it
 // allocate beyond the input's size (every length prefix is clamped by

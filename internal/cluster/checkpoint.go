@@ -263,6 +263,26 @@ func (s *snapshotSink) gcLocked(dir string) {
 	}
 }
 
+// prune removes worker's snapshot files, of any generation, of epochs below
+// floor: older than every committed epoch a rollback may pick. It is a
+// worker process's only collection, its sink never committing; where the
+// sink commits, gcLocked has removed them already.
+func (s *snapshotSink) prune(worker int, floor int64) {
+	if floor == noEpoch {
+		return
+	}
+	dir, err := s.directory()
+	if err != nil {
+		return
+	}
+	matches, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("worker-%d.epoch-*.gen-*.ckpt", worker)))
+	for _, m := range matches {
+		if w, epoch, _, ok := parseCkptName(filepath.Base(m)); ok && w == worker && epoch < floor {
+			_ = os.Remove(m)
+		}
+	}
+}
+
 // parseCkptName decodes a checkpoint filename.
 func parseCkptName(name string) (worker int, epoch, gen int64, ok bool) {
 	n, err := fmt.Sscanf(name, ckptName, &worker, &epoch, &gen)
@@ -517,6 +537,9 @@ func (w *Worker) checkpoint() int64 {
 	}
 	ack := ckptAck{Epoch: epoch, OK: true, Sent: snap.Sent, Recv: snap.Recv}
 	if w.snapshots != nil {
+		// Older files go first, so the directory never holds more than the
+		// two committed epochs beside this one.
+		w.snapshots.prune(w.id, w.ckptFloor.Load())
 		ack.CRC, err = w.snapshots.put(w.id, epoch, encodeSnapshot(snap))
 		if err != nil {
 			w.checkpointFailed(epoch, err)

@@ -11,18 +11,20 @@ import (
 	"gminer/internal/partition"
 )
 
-// TestGMLeafMemoUnderConcurrencyAndFailure holds GM's per-worker leaf counts
-// to the sequential run where the memo is shared and where it outlives a
-// worker: four executor threads per worker filling and reading one memo
-// while tasks are stolen (both hosts), and a goroutine-host worker killed
-// mid-job, every worker replaced by the rollback taking over its slot's memo. The
-// pattern has leaf-only parents on the deepest level and above it. Count
-// and tasks are SeqRun's either way.
-func TestGMLeafMemoUnderConcurrencyAndFailure(t *testing.T) {
+// TestGMLabelDegreeColumnUnderConcurrencyAndFailure holds GM's leaf counts,
+// read off the epoch's label-degree column, to the sequential run where the
+// column is shared and where a worker dies: four executor threads per
+// worker asking for rows while the first ask cuts it and tasks are stolen
+// (both hosts), and a goroutine-host worker killed mid-job, every worker
+// replaced by the rollback reading the same column. The pattern has
+// leaf-only parents on the deepest level and above it, and its tasks pull
+// twice, so a thief finds them queued. Count and tasks are
+// SeqRun's either way.
+func TestGMLabelDegreeColumnUnderConcurrencyAndFailure(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 91})
 	gen.DealLabels(g, 5)
-	p := algo.MustPattern([]int32{0, 1, 3, 2, 4, 1}, []int{-1, 0, 0, 1, 2, 4}) // a(b(c), d(e(b)))
-	sp := jobspec.Spec{App: "gm", Pattern: "0,1,3,2,4,1;-1,0,0,1,2,4"}.Normalize()
+	p := algo.MustPattern([]int32{0, 1, 3, 2, 4, 1, 3}, []int{-1, 0, 0, 1, 2, 4, 5}) // a(b(c), d(e(b(d))))
+	sp := jobspec.Spec{App: "gm", Pattern: "0,1,3,2,4,1,3;-1,0,0,1,2,4,5"}.Normalize()
 	want, seq := algo.RefMatchCount(g, p), algo.SeqRun(g, algo.NewGraphMatch(p))
 	if want == 0 || seq.AggGlobal != any(want) {
 		t.Fatalf("degenerate graph or sequential run: %v counted, reference %d", seq.AggGlobal, want)
@@ -53,7 +55,7 @@ func TestGMLeafMemoUnderConcurrencyAndFailure(t *testing.T) {
 		sess.Close()
 	}
 	if stolen == 0 {
-		t.Error("no task migrated on either host: the memo never met a stolen task")
+		t.Error("no task migrated on either host: the column never met a stolen task")
 	}
 
 	// Stealing on: the kill lands while tasks run, and rolls every worker
@@ -63,11 +65,11 @@ func TestGMLeafMemoUnderConcurrencyAndFailure(t *testing.T) {
 	cfg.CheckpointDir = t.TempDir()
 	release := holdJobs(&cfg)
 	sess := openSession(t, g, cfg, goroutines)
-	j, err := sess.Launch(algo.NewGraphMatch(p), cluster.JobOptions{ID: "gm-memo-kill", Spec: &sp, CheckpointEvery: 2 * time.Millisecond})
+	j, err := sess.Launch(algo.NewGraphMatch(p), cluster.JobOptions{ID: "gm-column-kill", Spec: &sp, CheckpointEvery: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	awaitManifest(t, j, cfg.CheckpointDir, "gm-memo-kill")
+	awaitManifest(t, j, cfg.CheckpointDir, "gm-column-kill")
 	j.KillWorker(1)
 	if err := j.RecoverWorker(1); err != nil {
 		t.Fatal(err)

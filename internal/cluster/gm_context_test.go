@@ -27,15 +27,16 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 	}
 	g := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 77})
 	gen.DealLabels(g, 4)
-	// Four levels, three of them expanding: a task crosses the wire between
-	// several rounds, each time with more levels matched, and it is long
-	// enough to be stolen from (Figure 1's tasks end before a thief asks).
-	p := algo.PathPattern(0, 1, 2, 3, 0)
+	// Five levels, three of them pulled (the leaf-only fourth is counted off
+	// the label-degree column): a task crosses the wire between several
+	// rounds, each time with more levels matched, and it is long enough to
+	// be stolen from (Figure 1's tasks end before a thief asks).
+	p := algo.PathPattern(0, 1, 2, 3, 0, 1)
 	want, seq := algo.RefMatchCount(g, p), algo.SeqRun(g, algo.NewGraphMatch(p))
 	if want == 0 || seq.AggGlobal != any(want) {
 		t.Fatalf("degenerate graph or sequential run: %v counted, reference %d", seq.AggGlobal, want)
 	}
-	sp := jobspec.Spec{App: "gm", Pattern: "0,1,2,3,0;-1,0,1,2,3"}.Normalize() // worker processes build p from it
+	sp := jobspec.Spec{App: "gm", Pattern: "0,1,2,3,0,1;-1,0,1,2,3,4"}.Normalize() // worker processes build p from it
 
 	// Eight tasks in memory, two to a block: nearly every inactive task of a
 	// worker goes through a spill block.

@@ -213,7 +213,9 @@ func (s *gmSpy) Update(t *core.Task, cands []*graph.Vertex, env core.Env) {
 func TestGMPullsOnlyUsableLabels(t *testing.T) {
 	dense := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 77})
 	gen.DealLabels(dense, 7)
-	p := algo.FigurePattern()
+	// a(b, c(b, d(e))): its tasks pull the c matches for one round. Figure
+	// 1's pull nothing, its c node being leaf-only.
+	p := algo.MustPattern([]int32{0, 1, 2, 1, 3, 4}, []int{-1, 0, 0, 2, 2, 4})
 	for gname, g := range map[string]*graph.Graph{"dense": dense, "strided": stridedIDs(dense)} {
 		cfg := smallConfig()
 		cfg.Workers, cfg.Stealing = 2, true

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,9 +12,10 @@ import (
 	"gminer/internal/transport"
 )
 
-// expandingMatches is every vertex a task of p can match to an expanding
-// non-root node: x matches node c if it carries c's label and neighbours a
-// match of c's parent, the root matching every vertex with its label.
+// expandingMatches is every vertex a task of p can match to a non-root node
+// with an expanding child: x matches node c if it carries c's label and
+// neighbours a match of c's parent, the root matching every vertex with its
+// label.
 func expandingMatches(g *graph.Graph, p *algo.Pattern) map[graph.VertexID]bool {
 	matches := make([]map[graph.VertexID]bool, len(p.Labels))
 	for c := range matches {
@@ -29,7 +31,7 @@ func expandingMatches(g *graph.Graph, p *algo.Pattern) map[graph.VertexID]bool {
 			for _, x := range g.Vertex(m).Adj {
 				if ok && g.Vertex(x).Label == p.Labels[c] {
 					matches[c][x] = true
-					out[x] = out[x] || len(p.Children(c)) > 0
+					out[x] = out[x] || slices.ContainsFunc(p.Children(c), func(k int) bool { return len(p.Children(k)) > 0 })
 				}
 			}
 		}
@@ -37,9 +39,11 @@ func expandingMatches(g *graph.Graph, p *algo.Pattern) map[graph.VertexID]bool {
 	return out
 }
 
-// TestGMNeverPullsLeaves: GM pulls a vertex only to match the level below
-// it, so every ID a worker asks a peer for is a match of some expanding
-// pattern node: never a leaf's, never the deepest level's. The graph has leaf-only matches, so the check has
+// TestGMNeverPullsLeaves: GM pulls a vertex only to match an expanding node
+// below it, so every ID a worker asks a peer for is a match of a pattern
+// node with an expanding child: never a leaf's, never a leaf-only node's
+// (its leaves are counted off the label-degree column), never the deepest
+// two levels'. The graph has matches of neither kind, so the check has
 // teeth.
 func TestGMNeverPullsLeaves(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 77})
@@ -91,6 +95,6 @@ func TestGMNeverPullsLeaves(t *testing.T) {
 	case len(asked) == 0 || leafOnly == 0:
 		t.Fatalf("%d vertices pulled, %d leaf-only matches: the test is vacuous", len(asked), leafOnly)
 	case len(outside) > 0:
-		t.Fatalf("the job pulled %d vertices (of %d) no expanding node can match, e.g. %d", len(outside), len(asked), outside[0])
+		t.Fatalf("the job pulled %d vertices (of %d) no node with an expanding child can match, e.g. %d", len(outside), len(asked), outside[0])
 	}
 }

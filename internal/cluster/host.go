@@ -214,7 +214,7 @@ func (h *goroutineHost) start(i int, ref *resumeEpochRef) error {
 	if err != nil {
 		return err
 	}
-	w.oomFn = j.budgetAbort
+	w.failFn = func(err error) { j.cancelWith(fmt.Errorf("cluster: worker %d: %w", i, err)) }
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.stopped {

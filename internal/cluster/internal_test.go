@@ -190,6 +190,16 @@ func TestEpochCodec(t *testing.T) {
 	if err != nil || e != 12345 {
 		t.Fatalf("%d %v", e, err)
 	}
+	// A checkpoint request names the previous committed epoch; one that
+	// carries the epoch alone names none.
+	for _, c := range []struct {
+		payload     []byte
+		epoch, prev int64
+	}{{encodeCheckpointReq(9, 7), 9, 7}, {encodeCheckpointReq(1, noEpoch), 1, noEpoch}, {encodeEpoch(4), 4, noEpoch}} {
+		if epoch, prev, err := decodeCheckpointReq(c.payload); err != nil || epoch != c.epoch || prev != c.prev {
+			t.Fatalf("checkpoint request %x: epoch %d prev %d (%v), want %d and %d", c.payload, epoch, prev, err, c.epoch, c.prev)
+		}
+	}
 }
 
 func TestSnapshotCodec(t *testing.T) {

@@ -195,12 +195,6 @@ func (j *Job) rollback(rejoined int) error {
 	return nil
 }
 
-// budgetAbort cancels the job when a worker's memory charge exceeded the
-// job's budget; co-resident jobs in the same session are untouched.
-func (j *Job) budgetAbort(err error) {
-	j.cancelWith(fmt.Errorf("%w: %w", ErrCancelled, err))
-}
-
 // runCrash executes one scheduled chaos crash: kill the worker at cr.At,
 // then bring it back — after cr.RecoverAfter if set, via the failure
 // detector's recovery loop if one is running, or after a short fallback

@@ -362,7 +362,11 @@ func (m *master) periodic(now time.Time) {
 			m.ckptPending = m.cfg.Workers - len(m.failed)
 			m.ckptAcks = make(map[int]ckptAck)
 			m.lastCkpt = now
-			m.broadcast(msgCheckpointReq, encodeEpoch(m.epoch))
+			prev := noEpoch
+			if man := m.manifest(); man != nil {
+				prev = man.PrevEpoch
+			}
+			m.broadcast(msgCheckpointReq, encodeCheckpointReq(m.epoch, prev))
 		}
 	}
 
@@ -417,13 +421,19 @@ func (m *master) commitSignal() <-chan struct{} { return *m.committed.Load() }
 // committedEpoch returns the newest committed epoch, or noEpoch when
 // nothing has committed (or the job has no sink).
 func (m *master) committedEpoch() int64 {
-	if m.sink == nil {
-		return noEpoch
-	}
-	if man := m.sink.manifestView(); man != nil {
+	if man := m.manifest(); man != nil {
 		return man.Epoch
 	}
 	return noEpoch
+}
+
+// manifest returns the job's committed manifest, nil before the first
+// commit or without a sink.
+func (m *master) manifest() *manifest {
+	if m.sink == nil {
+		return nil
+	}
+	return m.sink.manifestView()
 }
 
 // checkTermination decides whether the job is over, by counting rather than

@@ -37,7 +37,8 @@ const (
 	// aggregator value.
 	msgAggGlobal
 	// msgCheckpoint: master → worker. Take a checkpoint at the epoch in
-	// the payload.
+	// the payload, which also names the manifest's previous committed epoch
+	// (encodeCheckpointReq).
 	msgCheckpointReq
 	// msgCheckpointDone: worker → master. Payload: ckptAck — the epoch,
 	// the CRC32C of the persisted snapshot payload (what the master
@@ -205,6 +206,26 @@ func decodeEpoch(b []byte) (int64, error) {
 	r := wire.NewReader(b)
 	e := r.Varint()
 	return e, r.Err()
+}
+
+// encodeCheckpointReq is the msgCheckpointReq payload: the epoch to cut and
+// the manifest's previous committed epoch (noEpoch before two commits), the
+// oldest a rollback may restore. A payload of the epoch alone, as a master
+// that names no previous epoch sends, decodes with noEpoch.
+func encodeCheckpointReq(epoch, prev int64) []byte {
+	w := wire.NewWriter(16)
+	w.Varint(epoch)
+	w.Varint(prev)
+	return w.Bytes()
+}
+
+func decodeCheckpointReq(b []byte) (epoch, prev int64, err error) {
+	r := wire.NewReader(b)
+	epoch, prev = r.Varint(), noEpoch
+	if r.Remaining() > 0 {
+		prev = r.Varint()
+	}
+	return epoch, prev, r.Err()
 }
 
 // ckptAck is the msgCheckpointDone payload.

@@ -445,6 +445,7 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 	if m.Resume != nil {
 		wp.logf("job %s: restored from committed epoch %d", m.JobID, m.Resume.Epoch)
 	}
+	w.failFn = func(err error) { wp.nack(m, err) } // the coordinator names the worker
 
 	wj := &workerJob{channel: m.Channel, id: m.JobID, w: w, counters: counters, done: make(chan struct{}), tmp: tmp}
 	wp.mu.Lock()
@@ -463,8 +464,9 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 	go wp.runJob(wj)
 }
 
-// nack tells the coordinator that this process cannot start job m's worker:
-// a result carrying err, on which the coordinator fails the job at once.
+// nack tells the coordinator that this process cannot start or go on with
+// job m's worker: a result carrying err, on which the coordinator fails the
+// job at once.
 func (wp *WorkerProcess) nack(m *jobStartMsg, err error) {
 	wp.logf("job %s: %v", m.JobID, err)
 	res := jobResultMsg{Channel: m.Channel, JobID: m.JobID, Worker: wp.node, Gen: wp.generation, Err: err.Error()}

@@ -147,6 +147,9 @@ type Worker struct {
 	// one checkpointer, made with it at the first request (requestCheckpoint).
 	ckptEpoch atomic.Int64
 	ckptKick  chan struct{}
+	// ckptFloor is the oldest committed epoch the master's last request
+	// named: no rollback reads this worker's snapshots below it.
+	ckptFloor atomic.Int64
 	// ckptErr is the most recent checkpoint failure (surfaced on
 	// cluster.Result so operators see degraded durability, not silence).
 	ckptMu   sync.Mutex
@@ -162,10 +165,12 @@ type Worker struct {
 	stealPolicy CostPolicy
 
 	// Memory budget (JobOptions.MemBudgetBytes): budgetCharged is what this
-	// worker currently has charged (store + cache bytes; see chargeBudget),
-	// oomFn aborts the job when a charge overflows.
+	// worker currently has charged (store + cache bytes; see chargeBudget).
 	budgetCharged atomic.Int64
-	oomFn         func(error)
+	// failFn fails the job with err — a charge that overflows the budget,
+	// or a task-store spill block that cannot be read back. The host sets
+	// it, and the error it fails the job with names this worker.
+	failFn func(error)
 
 	// Trace handles, one per pipeline component (zero handles drop
 	// everything when Config.Tracer is nil).
@@ -524,6 +529,9 @@ func (w *Worker) retrieverLoop() {
 			w.flushPulls()
 			w.flushStarved()
 			if t, ok = w.store.PopWait(); !ok {
+				if err := w.store.Err(); err != nil && w.failFn != nil {
+					w.failFn(err)
+				}
 				return
 			}
 		}
@@ -898,7 +906,8 @@ func (w *Worker) commLoop() {
 		case msgAggGlobal:
 			w.handleAggGlobal(m.Payload)
 		case msgCheckpointReq:
-			if epoch, err := decodeEpoch(m.Payload); err == nil {
+			if epoch, prev, err := decodeCheckpointReq(m.Payload); err == nil {
+				w.ckptFloor.Store(prev)
 				w.requestCheckpoint(epoch)
 			}
 		case msgProbe:
@@ -1138,8 +1147,8 @@ func (w *Worker) chargeBudget() {
 		w.cfg.memBudget.Release(-delta)
 		return
 	}
-	if err := w.cfg.memBudget.Charge(delta); err != nil && w.oomFn != nil {
-		w.oomFn(fmt.Errorf("worker %d: %w", w.id, err))
+	if err := w.cfg.memBudget.Charge(delta); err != nil && w.failFn != nil {
+		w.failFn(fmt.Errorf("%w: %w", ErrCancelled, err))
 	}
 }
 

@@ -63,9 +63,11 @@ type Plan struct {
 	// and attributes still move only by pull). A runtime that keeps one calls
 	// it once, before seeding, with the column of the graph epoch the job
 	// runs on (graph.Labels: the label of vertex id, and false for an ID the
-	// graph has no vertex for). The algorithm may then read a label from it
-	// instead of from the pulled vertex, and leave out of a task's candidates
-	// every vertex it would read nothing else of.
+	// graph has no vertex for; and, cut for the epoch at the first ask, each
+	// vertex's count of neighbours by label). The algorithm may then read a
+	// label, or a neighbour count, from it instead of from the pulled
+	// vertex, and leave out of a task's candidates every vertex it would
+	// read nothing else of.
 	Labels func(labels *graph.Labels)
 	// SeedRadius, when positive, declares that the records a seed emits are a
 	// pure function of the subgraph induced on the vertices within SeedRadius

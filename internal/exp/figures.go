@@ -8,6 +8,7 @@ import (
 	"gminer/internal/algo"
 	"gminer/internal/baseline"
 	"gminer/internal/gen"
+	"gminer/internal/graph"
 	"gminer/internal/metrics"
 	"gminer/internal/partition"
 )
@@ -47,21 +48,48 @@ func stallFraction(points []metrics.TimelinePoint) float64 {
 // finishes in a handful, and the fraction is noise.
 const figure56Growth = 8
 
-// Figure56 reproduces Figures 5 and 6.
+// Figure56 reproduces Figures 5 and 6 with pullingPattern, whose result it
+// returns, and prints Figure 1's utilization and stalls after it.
 func Figure56(o Options) (*Figure56Result, error) {
 	o = o.defaults()
 	g := buildLabeled(gen.Friendster, figure56Growth*o.Scale)
-	p := algo.FigurePattern()
-	res := &Figure56Result{}
+	res, err := figure56Run(o, g, pullingPattern())
+	if err != nil {
+		return nil, err
+	}
+	figure, err := figure56Run(o, g, algo.FigurePattern())
+	if err != nil {
+		return nil, err
+	}
 
-	// G-thinker-like: sample its counters during the run.
+	fmt.Fprintf(o.Out, "Figure 5/6: GM a(b,c(b,d(e))) on friendster-s — average CPU utilization: gthinker-like %s, g-miner %s\n",
+		fmtPct(res.GThinkerCPU), fmtPct(res.GMinerCPU))
+	fmt.Fprintf(o.Out, "stalled intervals (<10%% compute): gthinker-like %s, g-miner %s\n",
+		fmtPct(res.GThinkerStall), fmtPct(res.GMinerStall))
+	fmt.Fprintf(o.Out, "figure-1 pattern (pulls nothing): CPU gthinker-like %s, g-miner %s; stalled gthinker-like %s, g-miner %s\n",
+		fmtPct(figure.GThinkerCPU), fmtPct(figure.GMinerCPU), fmtPct(figure.GThinkerStall), fmtPct(figure.GMinerStall))
+	for _, tl := range []struct {
+		name   string
+		points []metrics.TimelinePoint
+	}{{"gthinker-like", res.GThinker}, {"g-miner", res.GMiner}} {
+		fmt.Fprintf(o.Out, "%s timeline (t, cpu%%, netB, diskB):\n", tl.name)
+		for _, pt := range tl.points {
+			fmt.Fprintf(o.Out, "  %8.1fms %6.1f%% %10d %10d\n",
+				float64(pt.At)/float64(time.Millisecond), 100*pt.CPUUtil, pt.NetBytes, pt.DiskBytes)
+		}
+	}
+	return res, nil
+}
+
+// figure56Run samples both engines' utilization while they match p on g.
+func figure56Run(o Options, g *graph.Graph, p *algo.Pattern) (*Figure56Result, error) {
+	res := &Figure56Result{}
 	bcfg := blConfig(o, o.Workers, o.Threads)
 	bcfg.SampleEvery = 2 * time.Millisecond
-	bres, bs, err := baseline.Batch{}.Run(g, algo.NewGraphMatch(p), bcfg)
+	_, bs, err := baseline.Batch{}.Run(g, algo.NewGraphMatch(p), bcfg)
 	if err != nil {
 		return nil, fmt.Errorf("figure56: batch engine: %w", err)
 	}
-	_ = bres
 	res.GThinkerCPU = bs.CPUUtil
 	res.GThinker = bs.Timeline
 
@@ -76,21 +104,6 @@ func Figure56(o Options) (*Figure56Result, error) {
 
 	res.GThinkerStall = stallFraction(res.GThinker)
 	res.GMinerStall = stallFraction(res.GMiner)
-
-	fmt.Fprintf(o.Out, "Figure 5/6: GM on friendster-s — average CPU utilization: gthinker-like %s, g-miner %s\n",
-		fmtPct(res.GThinkerCPU), fmtPct(res.GMinerCPU))
-	fmt.Fprintf(o.Out, "stalled intervals (<10%% compute): gthinker-like %s, g-miner %s\n",
-		fmtPct(res.GThinkerStall), fmtPct(res.GMinerStall))
-	for _, tl := range []struct {
-		name   string
-		points []metrics.TimelinePoint
-	}{{"gthinker-like", res.GThinker}, {"g-miner", res.GMiner}} {
-		fmt.Fprintf(o.Out, "%s timeline (t, cpu%%, netB, diskB):\n", tl.name)
-		for _, pt := range tl.points {
-			fmt.Fprintf(o.Out, "  %8.1fms %6.1f%% %10d %10d\n",
-				float64(pt.At)/float64(time.Millisecond), 100*pt.CPUUtil, pt.NetBytes, pt.DiskBytes)
-		}
-	}
 	return res, nil
 }
 
@@ -446,7 +459,8 @@ type AblationRow struct {
 }
 
 // Figure12 reproduces the LSH ablation: GM and MCF on orkut-s and
-// friendster-s with the LSH priority queue enabled and disabled.
+// friendster-s with the LSH priority queue enabled and disabled. GM runs
+// Figure 1's pattern, which pulls nothing, and the printout says so.
 func Figure12(o Options) ([]AblationRow, error) {
 	o = o.defaults()
 	var rows []AblationRow
@@ -478,6 +492,7 @@ func Figure12(o Options) ([]AblationRow, error) {
 		}
 	}
 	printAblation(o, "Figure 12: impact of the LSH-based task priority queue (En-LSH vs Dis-LSH)", "LSH", rows)
+	fmt.Fprintln(o.Out, "gm rows: Figure 1's pattern pulls nothing (its c node's leaves are counted off the label-degree column), so LSH order has no pull to save there")
 	return rows, nil
 }
 

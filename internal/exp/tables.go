@@ -219,7 +219,9 @@ func Table3(o Options) (*Table3Result, error) {
 // ---------------------------------------------------------------------------
 // Table 4: GM — G-Miner vs the G-thinker-like engine in detail.
 
-// Table4Row compares the two engines on one dataset.
+// Table4Row compares the two engines on one dataset. GatherGB is what the
+// label-degree column would cost a cluster that loads only its own
+// partition: every worker receives the rows of the vertices it does not own.
 type Table4Row struct {
 	Dataset     string
 	Matched     int64
@@ -231,16 +233,54 @@ type Table4Row struct {
 	BatchMemGB  float64
 	GMinerNetGB float64
 	BatchNetGB  float64
+	GatherGB    float64
 }
 
-// Table4 reproduces Table 4 on the four labeled presets.
+// pullingPattern is a(b, c(b, d(e))): its c node has an expanding child, so
+// GM pulls c's matches for one round. Figure 1's pattern pulls nothing —
+// its c node is leaf-only, counted off the label-degree column — so a table
+// of pull traffic runs on this one.
+func pullingPattern() *algo.Pattern {
+	return algo.MustPattern([]int32{0, 1, 2, 1, 3, 4}, []int{-1, 0, 0, 2, 2, 4})
+}
+
+// Table4 reproduces Table 4 on the four labeled presets with
+// pullingPattern, whose rows it returns, and prints Figure 1's rows after
+// them.
 func Table4(o Options) ([]Table4Row, error) {
 	o = o.defaults()
+	rows, err := table4Rows(o, pullingPattern())
+	if err != nil {
+		return nil, err
+	}
+	figure, err := table4Rows(o, algo.FigurePattern())
+	if err != nil {
+		return nil, err
+	}
+	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "Table 4: GM — g-miner vs gthinker-like")
+	fmt.Fprintln(tw, "Pattern\tDataset\tMatched\tTime g-miner\tTime gthinker\tCPU g-miner\tCPU gthinker\tMem g-miner\tMem gthinker\tNet g-miner\tNet gthinker\tColumn gather")
+	for _, set := range []struct {
+		name string
+		rows []Table4Row
+	}{{"a(b,c(b,d(e)))", rows}, {"figure-1", figure}} {
+		for _, r := range set.rows {
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%s\t%s\t%s\t%.3fGB\t%.3fGB\t%.4fGB\t%.4fGB\t%.4fGB\n",
+				set.name, r.Dataset, r.Matched, r.GMinerTime, r.BatchTime,
+				fmtPct(r.GMinerCPU), fmtPct(r.BatchCPU),
+				r.GMinerMemGB, r.BatchMemGB, r.GMinerNetGB, r.BatchNetGB, r.GatherGB)
+		}
+	}
+	tw.Flush()
+	return rows, nil
+}
+
+// table4Rows runs both engines on pattern p over the labeled presets.
+func table4Rows(o Options, p *algo.Pattern) ([]Table4Row, error) {
 	var rows []Table4Row
-	p := algo.FigurePattern()
 	for _, preset := range gen.NonAttributed() {
 		g := buildLabeled(preset, o.Scale)
-		row := Table4Row{Dataset: string(preset)}
+		row := Table4Row{Dataset: string(preset), GatherGB: gb(int64(o.Workers-1) * labelDegreeBytes(g))}
 
 		gres, cell := gminerRun(g, algo.NewGraphMatch(p), gmConfig(o, o.Workers, o.Threads), o.Timeout)
 		row.GMinerTime = cell
@@ -263,18 +303,14 @@ func Table4(o Options) ([]Table4Row, error) {
 		}
 		rows = append(rows, row)
 	}
-
-	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Table 4: GM — g-miner vs gthinker-like")
-	fmt.Fprintln(tw, "Dataset\tMatched\tTime g-miner\tTime gthinker\tCPU g-miner\tCPU gthinker\tMem g-miner\tMem gthinker\tNet g-miner\tNet gthinker")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\t%.3fGB\t%.3fGB\t%.4fGB\t%.4fGB\n",
-			r.Dataset, r.Matched, r.GMinerTime, r.BatchTime,
-			fmtPct(r.GMinerCPU), fmtPct(r.BatchCPU),
-			r.GMinerMemGB, r.BatchMemGB, r.GMinerNetGB, r.BatchNetGB)
-	}
-	tw.Flush()
 	return rows, nil
+}
+
+// labelDegreeBytes is the size of g's label-degree column.
+func labelDegreeBytes(g *graph.Graph) int64 {
+	labels := g.LabelColumn()
+	labels.Degrees(0) // the first ask cuts it
+	return labels.DegreeBytes()
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,36 @@
 package graph
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // Labels is the label column of one graph epoch: the label of every vertex,
 // by internal ID, readable without the vertex in hand. A lookup is one load
 // that inlines into the caller's loop. Like any per-vertex column it belongs
 // to the epoch it was cut in: a Dyn* mutation of the graph calls for a new
 // one.
+//
+// It also owns the epoch's label-degree column, cut on the first ask for a
+// row (Degrees): for each vertex, how many of its neighbours carry each
+// label. An epoch nobody asks of never pays for it.
 type Labels struct {
 	col   []int32   // by internal ID; emptySlot where the graph has no vertex
 	verts []*Vertex // the epoch's vertex table, read only behind emptySlot
+
+	degOnce  sync.Once
+	degOff   []int32      // vertex id's row is degRows[degOff[id]:degOff[id+1]]
+	degRows  []LabelCount // each row ascending by label
+	degBytes atomic.Int64 // the two arrays' bytes, once cut
+}
+
+// LabelCount is one entry of a label-degree row: Count neighbours of the
+// row's vertex carry Label.
+type LabelCount struct {
+	Label, Count int32
 }
 
 // emptySlot marks a slot with no vertex. Labels are any int32, so a vertex
@@ -50,3 +71,65 @@ func (g *Graph) LabelColumn() *Labels {
 	})
 	return l
 }
+
+// Degrees returns vertex id's label-degree row: one entry per label its
+// neighbours carry, ascending by label, with how many of them carry it. A
+// vertex with no neighbour, or an ID the graph has no vertex for, has an
+// empty row. The first call cuts the column for the whole epoch; every
+// caller, on any goroutine, then reads that one.
+func (l *Labels) Degrees(id VertexID) []LabelCount {
+	l.degOnce.Do(l.cutDegrees)
+	if uint64(id) < uint64(len(l.degOff)-1) {
+		return l.degRows[l.degOff[id]:l.degOff[id+1]]
+	}
+	return nil
+}
+
+// cutDegrees fills the label-degree column in two passes. The first ranks
+// every slot's label in the epoch's alphabet and bounds the pairs at
+// min(degree, alphabet) a vertex; the second fills each row in place off
+// the adjacency list, counting through a per-rank stamp, and sorts it.
+func (l *Labels) cutDegrees() {
+	ranks, rank := map[int32]int32{}, make([]int32, len(l.col))
+	var alphabet []int32
+	for id, label := range l.col {
+		r, ok := ranks[label]
+		if !ok {
+			r, alphabet = int32(len(alphabet)), append(alphabet, label)
+			ranks[label] = r
+		}
+		rank[id] = r
+	}
+	bound := 0
+	for _, v := range l.verts {
+		if v != nil {
+			bound += min(len(v.Adj), len(alphabet))
+		}
+	}
+	off, rows := make([]int32, len(l.col)+1), make([]LabelCount, 0, bound)
+	stamp, at := make([]int32, len(alphabet)), make([]int32, len(alphabet))
+	for id, v := range l.verts {
+		if v != nil {
+			start := len(rows)
+			for _, u := range v.Adj {
+				if l.verts[u] == nil {
+					continue // no vertex: Of does not know it either
+				}
+				r := rank[u]
+				if stamp[r] != int32(id)+1 {
+					stamp[r], at[r] = int32(id)+1, int32(len(rows))
+					rows = append(rows, LabelCount{Label: alphabet[r]})
+				}
+				rows[at[r]].Count++
+			}
+			slices.SortFunc(rows[start:], func(a, b LabelCount) int { return cmp.Compare(a.Label, b.Label) })
+		}
+		off[id+1] = int32(len(rows))
+	}
+	l.degOff, l.degRows = off, rows
+	l.degBytes.Store(int64(4*len(off) + 8*len(rows)))
+}
+
+// DegreeBytes is the size of the label-degree column: 0 until a row is asked
+// for, then its offsets and pairs.
+func (l *Labels) DegreeBytes() int64 { return l.degBytes.Load() }

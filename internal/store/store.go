@@ -89,6 +89,7 @@ type Store struct {
 	seq     uint64 // arrival counter
 	size    int
 	closed  bool
+	err     error // the spill read that failed; the store is closed from then on
 	// lowWater is the size a WaitBelow caller sleeps for; -1 when nobody does.
 	lowWater int
 
@@ -286,7 +287,7 @@ func (s *Store) loadBlockLocked() error {
 	s.blocks = append(s.blocks[:best], s.blocks[best+1:]...)
 	loaded, err := s.readBlock(blk.id)
 	if err != nil {
-		return err
+		return fmt.Errorf("store: spill read: %w", err)
 	}
 	s.spiller.Free(blk.id)
 	for _, it := range loaded {
@@ -297,29 +298,32 @@ func (s *Store) loadBlockLocked() error {
 }
 
 // PopWait removes and returns the lowest-key task, blocking until one is
-// available. Returns nil, false after Close with the store drained or
-// closed.
+// available. Returns nil, false after Close with the store drained, and at
+// once, every time, after a spill read failed (Err says which).
 func (s *Store) PopWait() (*core.Task, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
+	for s.err == nil {
 		if s.size > 0 {
-			t, err := s.popLocked()
-			if err == nil && t != nil {
+			if t := s.popLocked(); t != nil {
 				return t, true
-			}
-			if err != nil {
-				// Spill corruption is unrecoverable for this store.
-				s.closed = true
-				return nil, false
 			}
 			continue
 		}
 		if s.closed {
-			return nil, false
+			break
 		}
 		s.cond.Wait()
 	}
+	return nil, false
+}
+
+// Err returns the spill read that failed, or nil. A block that cannot be
+// read back loses its tasks, so the store answers no pop after it.
+func (s *Store) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // WaitBelow blocks while the store holds more than n tasks (and is open):
@@ -346,26 +350,27 @@ func (s *Store) shrunkLocked() {
 func (s *Store) TryPop() (*core.Task, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.size == 0 {
+	if s.size == 0 || s.err != nil {
 		return nil, false
 	}
-	t, err := s.popLocked()
-	if err != nil || t == nil {
-		return nil, false
-	}
-	return t, true
+	t := s.popLocked()
+	return t, t != nil
 }
 
-func (s *Store) popLocked() (*core.Task, error) {
+// popLocked removes the lowest-key task, nil if a spill read fails: that
+// closes the store, keeps the error and wakes every waiter.
+func (s *Store) popLocked() *core.Task {
 	// While a spilled block may hold an item ahead of the head's first (or
 	// the head is empty), load it first.
 	for s.blockAheadLocked() {
 		if err := s.loadBlockLocked(); err != nil {
-			return nil, err
+			s.err, s.closed = err, true
+			s.cond.Broadcast()
+			return nil
 		}
 	}
 	if s.off == len(s.items) {
-		return nil, nil
+		return nil
 	}
 	it := s.items[s.off]
 	s.items[s.off] = item{}
@@ -375,7 +380,7 @@ func (s *Store) popLocked() (*core.Task, error) {
 	s.size--
 	s.memBytes -= it.t.FootprintBytes()
 	s.shrunkLocked()
-	return it.t, nil
+	return it.t
 }
 
 func (s *Store) blockAheadLocked() bool {

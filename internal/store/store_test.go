@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"gminer/internal/cache"
 	"gminer/internal/core"
@@ -593,5 +595,65 @@ func TestStoreInsertPopAllocs(t *testing.T) {
 		} else {
 			t.Logf("dims=%d: %.2f allocations per task", dims, perTask)
 		}
+	}
+}
+
+// TestLostSpillBlockFailsEveryPop: a spilled block whose file is gone loses
+// its tasks, so the store keeps the read's error and answers every later
+// pop at once — PopWait and TryPop alike — rather than spinning on tasks it
+// still counts. The pops run under a bound, since a spinning one holds the
+// store lock for good.
+func TestLostSpillBlockFailsEveryPop(t *testing.T) {
+	dir := t.TempDir()
+	s := newStore(t, Config{MemCapacity: 8, BlockCapacity: 4, LSHDims: 4}, dir)
+	var batch []*core.Task
+	for i := uint64(0); i < 50; i++ {
+		batch = append(batch, mkTask(i, graph.VertexID(i%7+100)))
+	}
+	if err := s.Insert(batch); err != nil {
+		t.Fatal(err)
+	}
+	blocks, _ := filepath.Glob(filepath.Join(dir, "gminer-spill-*", "block-*.bin"))
+	if len(blocks) == 0 {
+		t.Fatal("nothing spilled")
+	}
+	for _, b := range blocks {
+		if err := os.Remove(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan int)
+	go func() {
+		popped := 0
+		for {
+			if _, ok := s.PopWait(); !ok {
+				break
+			}
+			popped++
+		}
+		// One more ask than there are blocks: a store that dropped only the
+		// block it failed on runs out of blocks to fail on, and spins.
+		for range blocks {
+			_, again := s.PopWait()
+			_, try := s.TryPop()
+			if again || try {
+				popped = -1
+			}
+		}
+		if _, again := s.PopWait(); again {
+			popped = -1
+		}
+		done <- popped
+	}()
+	select {
+	case popped := <-done:
+		if popped < 0 || popped >= 50 {
+			t.Fatalf("popped %d of 50 tasks with every block lost (-1: a pop succeeded after the failure)", popped)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("PopWait did not return within 10 s after a spill read failed")
+	}
+	if err := s.Err(); err == nil || !strings.Contains(err.Error(), "spill read") {
+		t.Fatalf("Err() = %v, want the failed spill read", err)
 	}
 }

@@ -13,6 +13,15 @@
 // entries in the profile are executed against live workers, and each
 // injected fault is recorded as an EvFaultInjected trace event so chaos
 // runs show up in the Chrome/Prometheus sinks.
+//
+// No protocol is told what the profile injects, and none needs to be: a
+// chaos job ends by the same counting probe waves as any other. Every
+// report names the probe wave it answers, so a dropped, duplicated,
+// delayed or reordered probe or report only postpones the end, never
+// brings it forward. Task-migration batches are the one type the cluster
+// exempts (Controller.Exempt): a migrated task lives nowhere else, so a
+// batch lost would lose its tasks and one delivered twice would run them
+// twice.
 package chaos
 
 import (
@@ -157,16 +166,6 @@ func (p Profile) Active() bool {
 		len(p.Partitions) > 0 || len(p.Crashes) > 0
 }
 
-// MaxDelay is the longest time any single message can be held back
-// (delay or reorder hold). Termination detectors must widen their
-// stability windows by at least this much.
-func (p Profile) MaxDelay() time.Duration {
-	if p.Delay <= 0 && p.Reorder <= 0 {
-		return 0
-	}
-	return p.delayMax()
-}
-
 func (p Profile) delayMax() time.Duration {
 	if p.DelayMax > 0 {
 		return p.DelayMax
@@ -227,14 +226,6 @@ func (c *Controller) Profile() Profile {
 		return Profile{}
 	}
 	return c.p
-}
-
-// MaxDelay is Profile.MaxDelay, nil-safe.
-func (c *Controller) MaxDelay() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.p.MaxDelay()
 }
 
 // Crashes returns the profile's crash schedule, nil-safe.

@@ -18,9 +18,8 @@ import (
 // reference: a context that lost or gained a match anywhere along the way
 // changes the count.
 //
-// Two jobs per host, because a kill while a migration is in flight loses
-// the batch (ROADMAP item 1; every kill soak runs with stealing off):
-// spill + steal on a skewed partition, then spill + kill + restore.
+// Two jobs per host: spill + steal on a skewed partition, then spill + kill
+// + restore.
 func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second kill/recover soak")
@@ -88,12 +87,16 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// No task count here: counters are not part of a snapshot, so rounds
-		// re-run after the restore count twice in process and a killed worker
-		// process takes its counters with it. The aggregate is restored.
-		if res.AggGlobal != any(want) || res.Recovered == 0 || res.Total.DiskWrite == 0 {
-			t.Fatalf("%s: spill+kill+restore: count %v after %d recoveries, %d bytes spilled; want %d, a recovery and a spill",
-				h.name, res.AggGlobal, res.Recovered, res.Total.DiskWrite, want)
+		// Tasks done restore with the snapshot, so the count is a fault-free
+		// run's. A worker process's counters are its last attempt's, so the
+		// spill must come after the restore: the kill lands at the first
+		// commit, while most tasks are still alive (a request that reached a
+		// worker process before the job's channel opened is asked again the
+		// next round, not after the 250 ms abandon), and the restored stores
+		// overflow memory again.
+		if res.AggGlobal != any(want) || res.Total.TasksDone != seq.Tasks || res.Recovered == 0 || res.Total.DiskWrite == 0 {
+			t.Fatalf("%s: spill+kill+restore: count %v over %d tasks after %d recoveries, %d bytes spilled; want %d over %d tasks, a recovery and a spill",
+				h.name, res.AggGlobal, res.Total.TasksDone, res.Recovered, res.Total.DiskWrite, want, seq.Tasks)
 		}
 		sess.Close()
 	}

@@ -99,7 +99,6 @@ type Job struct {
 	pin int64
 
 	started   time.Time
-	failures  chan int
 	recovered atomic.Int64
 
 	cancelOnce sync.Once
@@ -172,8 +171,9 @@ pick:
 // progress table reset, and every worker restored from the newest committed
 // epoch all slots hold, or all fresh. It is the one restore path: the
 // workers of one attempt always start from one cut. rejoined is the slot
-// whose loss caused it. It runs on the master's goroutine.
-func (j *Job) rollback(rejoined int) error {
+// whose loss caused it. It runs on the master's goroutine, on the clock
+// reading now of its pass.
+func (j *Job) rollback(rejoined int, now time.Time) error {
 	ch, err := j.sess.channel()
 	if err != nil {
 		return err
@@ -184,7 +184,7 @@ func (j *Job) rollback(rejoined int) error {
 	}
 	j.sess.mux.CloseChannel(j.ch.Swap(ch))
 	j.host.retire(eps[:j.cfg.Workers])
-	j.master.reset(eps[j.cfg.Workers], rejoined, time.Now())
+	j.master.reset(eps[j.cfg.Workers], rejoined, now)
 	j.pin = j.heldEpoch()
 	j.recovered.Add(1)
 	for i := 0; i < j.cfg.Workers; i++ {
@@ -196,9 +196,9 @@ func (j *Job) rollback(rejoined int) error {
 }
 
 // runCrash executes one scheduled chaos crash: kill the worker at cr.At,
-// then bring it back — after cr.RecoverAfter if set, via the failure
-// detector's recovery loop if one is running, or after a short fallback
-// delay so an unattended run still terminates.
+// then bring it back — after cr.RecoverAfter if set, by the master's failure
+// detector if it runs one, or after a short fallback delay so an unattended
+// run still terminates.
 func (j *Job) runCrash(cr chaos.Crash) {
 	t := time.NewTimer(cr.At)
 	defer t.Stop()
@@ -249,13 +249,20 @@ func (j *Job) KillWorker(i int) { j.host.kill(i) }
 // every un-checkpointed result dies with the attempt. A no-op on a live
 // worker or a finished job; a rollback that fails fails the job.
 func (j *Job) RecoverWorker(i int) (err error) {
-	j.master.do(func() {
-		if j.host.lost(i) {
-			if err = j.rollback(i); err != nil {
-				j.cancelWith(err)
-			}
-		}
-	})
+	j.master.do(func(now time.Time) { err = j.recoverLost(i, now) })
+	return err
+}
+
+// recoverLost is RecoverWorker on the master's goroutine: the master's
+// failure detector offers it each suspect slot.
+func (j *Job) recoverLost(i int, now time.Time) error {
+	if !j.host.lost(i) {
+		return nil
+	}
+	err := j.rollback(i, now)
+	if err != nil {
+		j.cancelWith(err)
+	}
 	return err
 }
 
@@ -267,20 +274,7 @@ func (j *Job) joined(i int, replacement bool) {
 		_ = j.RecoverWorker(i)
 		return
 	}
-	j.master.do(func() { _ = j.host.start(i, j.refFor(i)) })
-}
-
-// recoveryLoop offers the workers the master's failure detector flags to
-// RecoverWorker.
-func (j *Job) recoveryLoop() {
-	for {
-		select {
-		case <-j.master.doneCh:
-			return
-		case i := <-j.failures:
-			_ = j.RecoverWorker(i)
-		}
-	}
+	j.master.do(func(time.Time) { _ = j.host.start(i, j.refFor(i)) })
 }
 
 // Wait blocks until the job terminates and returns the merged result.

@@ -14,15 +14,16 @@ import (
 // master coordinates the job (§5.1, Figure 4): it maintains the global
 // progress table from worker reports, schedules task stealing (progress
 // scheduler), merges and broadcasts aggregator values, triggers periodic
-// checkpoints, detects failures and decides termination. Its state is its
-// goroutine's: anything else that must change it — a rollback — runs there
-// between two passes (do).
+// checkpoints, detects failures and recovers them, and decides termination.
+// Its state is its goroutine's: anything else that must change it — a
+// rollback — runs there between two passes (do). Only run reads the wall
+// clock; every handler takes the reading of its pass.
 type master struct {
 	cfg      Config
 	ep       transport.Endpoint // the current attempt's
 	agg      core.Aggregator    // nil if the algorithm has none
 	counters *metrics.Counters
-	calls    chan func()
+	calls    chan func(now time.Time)
 
 	reports []*progressReport
 	// lastSeen is when slot i last reported, or the attempt began, or it
@@ -31,15 +32,15 @@ type master struct {
 	partials [][]byte // latest encoded aggregator partial per worker
 
 	// termination detection state (checkTermination)
-	wave        int64     // last probe wave issued; 0 = none yet
-	probedAt    time.Time // when it was last sent
-	lastPrint   []int64   // quiescent fingerprint of the previous complete wave; nil = none
-	stableSince time.Time // time-spaced test: since when lastPrint has stood still
+	wave      int64     // last probe wave issued; 0 = none yet
+	probedAt  time.Time // when it was last sent
+	lastPrint []int64   // quiescent fingerprint of the previous complete wave; nil = none
 
 	// checkpoint state
 	epoch        int64
 	ckptPending  int
 	ckptAcks     map[int]ckptAck // worker → its ack for m.epoch
+	ckptReq      []byte          // the request for m.epoch, sent again to whoever has not acked
 	sink         *snapshotSink   // commits epochs to the MANIFEST; may be nil in tests
 	ckptErr      error           // last commit failure, surfaced on cluster.Result
 	lastCkpt     time.Time
@@ -61,28 +62,26 @@ type master struct {
 	// draining marks the slots whose process is detaching (requestDrain).
 	draining []atomic.Bool
 
-	failed   map[int]bool
-	failures chan<- int
+	failed map[int]bool
 
 	doneCh chan struct{}
 	stopCh chan struct{}
 }
 
 // newMaster builds a job's master. It reads no clock: run starts the
-// checkpoint and silence clocks, and a test drives periodic and
+// checkpoint and silence clocks, and a test drives handle, periodic and
 // checkTermination on a clock of its own.
 func newMaster(cfg Config, ep transport.Endpoint, agg core.Aggregator,
-	counters *metrics.Counters, failures chan<- int, sink *snapshotSink, fence *fenceTable) *master {
+	counters *metrics.Counters, sink *snapshotSink, fence *fenceTable) *master {
 	m := &master{
 		cfg:      cfg,
 		agg:      agg,
 		counters: counters,
-		calls:    make(chan func()),
+		calls:    make(chan func(time.Time)),
 		lastSeen: make([]time.Time, cfg.Workers),
 		sink:     sink,
 		fence:    fence,
 		trCkpt:   cfg.Tracer.Handle(cfg.Workers, trace.CompCheckpoint),
-		failures: failures,
 		draining: make([]atomic.Bool, cfg.Workers),
 		doneCh:   make(chan struct{}),
 		stopCh:   make(chan struct{}),
@@ -119,8 +118,10 @@ func (m *master) reset(ep transport.Endpoint, rejoined int, now time.Time) {
 // run is the master's main loop; it returns once the job has terminated
 // (doneCh closed) or the master is stopped externally. It wakes on every
 // message and tests for termination at once; the scheduling round (periodic,
-// RoundHook) stays paced by the heartbeat.
-func (m *master) run() {
+// RoundHook) stays paced by the heartbeat. It is the one place the master
+// reads the wall clock: each pass hands its reading to the handlers. offer
+// is periodic's: it recovers a suspect slot (Job.recoverLost).
+func (m *master) run(offer func(slot int, now time.Time)) {
 	defer close(m.doneCh)
 	now := time.Now()
 	tick := m.cfg.progressInterval
@@ -139,24 +140,25 @@ func (m *master) run() {
 			m.broadcast(msgStop, nil)
 			return
 		case f := <-m.calls:
-			f()
+			f(time.Now())
 		default:
 		}
-		if msg, ok := m.ep.RecvTimeout(time.Until(nextRound)); ok {
-			m.handle(msg)
+		msg, ok := m.ep.RecvTimeout(time.Until(nextRound))
+		now := time.Now()
+		if ok {
+			m.handle(msg, now)
 			// Drain whatever else is queued before doing periodic work.
 			for {
 				msg, ok := m.ep.RecvTimeout(0)
 				if !ok {
 					break
 				}
-				m.handle(msg)
+				m.handle(msg, now)
 			}
 		}
-		now := time.Now()
 		if !now.Before(nextRound) {
 			nextRound = now.Add(tick)
-			m.periodic(now)
+			m.periodic(now, offer)
 			round++
 			if m.cfg.roundHook != nil {
 				m.cfg.roundHook(round)
@@ -169,18 +171,19 @@ func (m *master) run() {
 	}
 }
 
-// do runs f on the master's goroutine between two passes; once the master
-// has returned, it does not run f.
-func (m *master) do(f func()) {
+// do runs f on the master's goroutine between two passes, with the clock
+// reading of its pass; once the master has returned, it does not run f.
+func (m *master) do(f func(now time.Time)) {
 	done := make(chan struct{})
 	select {
-	case m.calls <- func() { f(); close(done) }:
+	case m.calls <- func(now time.Time) { f(now); close(done) }:
 		<-done
 	case <-m.doneCh:
 	}
 }
 
-func (m *master) handle(msg transport.Message) {
+// handle applies one message received on the pass whose clock reads now.
+func (m *master) handle(msg transport.Message, now time.Time) {
 	switch msg.Type {
 	case msgProgress:
 		p, err := decodeProgress(msg.Payload)
@@ -188,7 +191,7 @@ func (m *master) handle(msg transport.Message) {
 			return
 		}
 		m.reports[p.Worker] = p
-		m.lastSeen[p.Worker] = time.Now()
+		m.lastSeen[p.Worker] = now
 		delete(m.failed, p.Worker)
 		if p.AggSet {
 			m.partials[p.Worker] = p.AggBytes
@@ -319,9 +322,10 @@ func (m *master) scheduleSteal(thief int) {
 	_ = m.ep.Send(victim, msgMigrate, encodeMigrate(thief, max(int(gap/2), m.cfg.stealBatch)))
 }
 
-// periodic runs aggregator sync, checkpoint triggering and failure
-// detection on the clock reading now.
-func (m *master) periodic(now time.Time) {
+// periodic runs aggregator sync, checkpoint triggering, and failure
+// detection on the clock reading now; it hands each suspect slot to offer,
+// which recovers it on the master's goroutine (nil offers nothing).
+func (m *master) periodic(now time.Time, offer func(slot int, now time.Time)) {
 	// Aggregator: merge the latest partials and broadcast when changed.
 	if m.agg != nil {
 		merged := m.agg.Zero()
@@ -342,15 +346,18 @@ func (m *master) periodic(now time.Time) {
 
 	// Checkpointing.
 	if m.cfg.CheckpointEvery > 0 {
-		if m.ckptPending > 0 {
-			// Abandon an epoch whose acks never arrive (a worker died
-			// mid-checkpoint); the next epoch will supersede it.
-			limit := 5 * m.cfg.CheckpointEvery
-			if limit < 250*time.Millisecond {
-				limit = 250 * time.Millisecond
-			}
-			if now.Sub(m.lastCkpt) > limit {
-				m.ckptPending = 0
+		// Abandon an epoch whose acks never arrive (a worker died
+		// mid-checkpoint); the next epoch will supersede it. Until then a
+		// request may have missed a worker — a lost frame, or on the process
+		// host one sent before the job's channel opened there — so each round
+		// asks again whoever has not acked; a worker ignores a request it has
+		// seen.
+		if now.Sub(m.lastCkpt) > max(5*m.cfg.CheckpointEvery, 250*time.Millisecond) {
+			m.ckptPending = 0
+		}
+		for i := 0; i < m.cfg.Workers && m.ckptPending > 0; i++ {
+			if _, acked := m.ckptAcks[i]; !acked && !m.failed[i] {
+				_ = m.ep.Send(i, msgCheckpointReq, m.ckptReq)
 			}
 		}
 		if m.ckptPending == 0 && (now.Sub(m.lastCkpt) >= m.cfg.CheckpointEvery || m.barrier.Load()) {
@@ -366,15 +373,19 @@ func (m *master) periodic(now time.Time) {
 			if man := m.manifest(); man != nil {
 				prev = man.PrevEpoch
 			}
-			m.broadcast(msgCheckpointReq, encodeCheckpointReq(m.epoch, prev))
+			m.ckptReq = encodeCheckpointReq(m.epoch, prev)
+			m.broadcast(msgCheckpointReq, m.ckptReq)
 		}
 	}
 
 	// Failure detection. A flagged slot stays suspect until it reports or
 	// the job rolls back, and is offered for recovery again after each
 	// further FailTimeout of silence: the host declines a worker that is not
-	// known lost, and that worker may die before its next report.
+	// known lost, and that worker may die before its next report. Suspects
+	// are offered once the scan is over: a rollback resets the table the
+	// scan reads.
 	if m.cfg.FailTimeout > 0 {
+		var suspects []int
 		for i := 0; i < m.cfg.Workers; i++ {
 			if now.Sub(m.lastSeen[i]) <= m.cfg.FailTimeout {
 				continue
@@ -388,11 +399,11 @@ func (m *master) periodic(now time.Time) {
 				m.ckptPending = 0
 			}
 			m.lastSeen[i] = now
-			if m.failures != nil {
-				select {
-				case m.failures <- i:
-				default:
-				}
+			suspects = append(suspects, i)
+		}
+		for _, i := range suspects {
+			if offer != nil {
+				offer(i, now)
 			}
 		}
 	}
@@ -443,11 +454,11 @@ func (m *master) manifest() *manifest {
 // arrived. Two consecutive waves, each answered by every worker, that both
 // find the table quiescent with one fingerprint end the job: no task was
 // owned or in flight at the instant the second wave went out (Mattern's
-// four-counter rule). That needs reliable FIFO delivery and counters that
-// survive — a rollback restores them with the tasks, from one consistent
-// cut — so only a simulated latency or a chaos profile keep the older test:
-// the quiescent fingerprint must stand still for a window of report periods,
-// widened by the latency and the longest chaos delay.
+// four-counter rule). Each report names its wave, so a drop, duplicate,
+// delay or reorder of a probe or a report only postpones the end; what the
+// rule needs is that every task batch arrives exactly once (chaos exempts
+// msgTasks) and counters that survive — a rollback restores them with the
+// tasks, from one consistent cut.
 func (m *master) checkTermination(now time.Time) bool {
 	if m.ckptPending > 0 {
 		return false
@@ -456,19 +467,6 @@ func (m *master) checkTermination(now time.Time) bool {
 	if !ok {
 		m.lastPrint = nil
 		return false
-	}
-	if m.cfg.Latency > 0 || m.cfg.Chaos != nil {
-		if !equalInt64(print, m.lastPrint) {
-			m.lastPrint, m.stableSince = print, now
-		}
-		need := 3
-		if m.cfg.Latency > 0 {
-			need += int(m.cfg.Latency/m.cfg.progressInterval)*2 + 1
-		}
-		if d := m.cfg.Chaos.MaxDelay(); d > 0 {
-			need += int(d/m.cfg.progressInterval)*2 + 1
-		}
-		return now.Sub(m.stableSince) >= time.Duration(need)*m.cfg.progressInterval
 	}
 	switch {
 	case answered && equalInt64(print, m.lastPrint):

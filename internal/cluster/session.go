@@ -275,7 +275,7 @@ func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 		// Tear down through Wait, like any job (a concurrent Close may
 		// already be waiting on it).
 		j.master.stop()
-		go j.master.run()
+		go j.master.run(nil)
 		_, _ = j.Wait()
 		return nil, err
 	}
@@ -285,10 +285,8 @@ func (s *Session) Launch(a core.Algorithm, opt JobOptions) (*Job, error) {
 		j.sampler.Start()
 	}
 	j.started = time.Now()
-	go j.master.run()
-	if cfg.FailTimeout > 0 {
-		go j.recoveryLoop()
-	}
+	// A failed rollback has already failed the job (recoverLost).
+	go j.master.run(func(i int, now time.Time) { _ = j.recoverLost(i, now) })
 	for _, cr := range cfg.Chaos.Crashes() {
 		if cr.Node >= 0 && cr.Node < cfg.Workers {
 			go j.runCrash(cr)
@@ -368,14 +366,14 @@ func (s *Session) build(a core.Algorithm, opt JobOptions, id string, ch uint64, 
 	if s.coord != nil {
 		sink.fence = s.coord.fence // the goroutine host leaves it nil: unfenced
 	}
-	j := &Job{cfg: cfg, sess: s, sink: sink, counters: counters, failures: make(chan int, cfg.Workers), pin: noEpoch}
+	j := &Job{cfg: cfg, sess: s, sink: sink, counters: counters, pin: noEpoch}
 	j.ch.Store(ch)
 
 	var agg core.Aggregator
 	if ap, ok := a.(core.AggregatorProvider); ok {
 		agg = ap.Aggregator()
 	}
-	j.master = newMaster(cfg, eps[cfg.Workers], agg, counters[cfg.Workers], j.failures, sink, sink.fence)
+	j.master = newMaster(cfg, eps[cfg.Workers], agg, counters[cfg.Workers], sink, sink.fence)
 	if resume {
 		man := sink.manifestView()
 		if man == nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"testing"
+	"time"
 
 	"gminer/internal/metrics"
 	"gminer/internal/transport"
@@ -47,10 +48,11 @@ func TestStealSizing(t *testing.T) {
 			cfg := Config{Workers: 3, Stealing: true}.Defaults()
 			net := transport.NewLocal(transport.LocalConfig{Nodes: 4})
 			defer net.Close()
-			m := newMaster(cfg, net.Endpoint(3), nil, &metrics.Counters{}, nil, nil, nil)
+			m := newMaster(cfg, net.Endpoint(3), nil, &metrics.Counters{}, nil, nil)
+			now := time.Unix(0, 0)
 			for _, r := range tc.reports {
 				if r != nil {
-					m.handle(transport.Message{From: r.Worker, Type: msgProgress, Payload: encodeProgress(r)})
+					m.handle(transport.Message{From: r.Worker, Type: msgProgress, Payload: encodeProgress(r)}, now)
 				}
 			}
 			for _, w := range tc.failed {
@@ -62,7 +64,7 @@ func TestStealSizing(t *testing.T) {
 			if tc.ckpt {
 				m.ckptPending = 1
 			}
-			m.handle(transport.Message{From: thief, Type: msgStealReq})
+			m.handle(transport.Message{From: thief, Type: msgStealReq}, now)
 
 			var got []transport.Message
 			for w := 0; w < cfg.Workers; w++ {

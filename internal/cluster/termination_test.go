@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gminer/internal/algo"
+	"gminer/internal/chaos"
 	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/jobspec"
@@ -25,7 +26,9 @@ import (
 // termStep is one event of a synthetic schedule. A report step feeds the
 // master a progress report; echo fills in the wave the worker echoes
 // ("cur": the wave currently out — a genuine answer; "old": the one before
-// — a report built before the probe arrived).
+// — a report built before the probe arrived, or one delayed or duplicated
+// past the next probe). A step sends a probe wave when it moves the wave
+// out, and otherwise only if resend says it sends the current one again.
 type termStep struct {
 	rep     *progressReport
 	echo    string
@@ -33,6 +36,7 @@ type termStep struct {
 	advance time.Duration // synthetic clock moves first
 	want    bool          // the decision after the step
 	wave    int64         // the wave the master must have out after the step
+	resend  bool          // the step probes the wave out again
 }
 
 func idleRep(w int, activity, sent, recv int64) *progressReport {
@@ -119,14 +123,14 @@ func TestTerminationDecision(t *testing.T) {
 				rep(idleRep(0, 10, 0, 0), "cur", 0),
 				rep(idleRep(1, 7, 0, 0), "cur", 1),
 				rep(idleRep(0, 10, 0, 0), "cur", 1),
-				{rep: idleRep(0, 10, 0, 0), echo: "cur", restart: -1, advance: tick, wave: 1},
+				{rep: idleRep(0, 10, 0, 0), echo: "cur", restart: -1, advance: tick, wave: 1, resend: true},
 			},
 		},
 		{
 			// A rollback: the old attempt's reports are gone, the new
 			// attempt's workers report the counts they restored — which
 			// balance, the cut being consistent — and the probe waves start
-			// over; no time-spaced window.
+			// over.
 			name: "rolled-back job runs the probe waves afresh",
 			steps: []termStep{
 				rep(idleRep(0, 10, 3, 0), "cur", 0),
@@ -159,17 +163,68 @@ func TestTerminationDecision(t *testing.T) {
 			},
 		},
 		{
-			// Simulated latency keeps the widened window and never probes; a
-			// fingerprint that moves restarts the window.
-			name: "latency keeps the widened time-spaced window",
+			// A simulated latency changes nothing: two answered waves end the
+			// job, however little time has passed.
+			name: "latency set ends after two answered waves",
 			cfg:  Config{Latency: 2 * tick},
 			steps: []termStep{
+				rep(idleRep(0, 10, 3, 0), "cur", 0),
+				rep(idleRep(1, 7, 0, 3), "cur", 1),
+				rep(idleRep(0, 10, 3, 0), "cur", 1),
+				rep(idleRep(1, 7, 0, 3), "cur", 2),
+				rep(idleRep(0, 10, 3, 0), "cur", 2),
+				{rep: idleRep(1, 7, 0, 3), echo: "cur", restart: -1, want: true, wave: 2},
+			},
+		},
+		{
+			// A chaos profile drops the probe to worker 0: its heartbeats
+			// still echo the wave before, and the wave goes out again one
+			// interval after it was sent, not before.
+			name: "dropped probe is re-sent after one interval",
+			cfg:  Config{Chaos: chaos.New(chaos.Heavy(1))},
+			steps: []termStep{
 				rep(idleRep(0, 10, 0, 0), "cur", 0),
-				rep(idleRep(1, 7, 0, 0), "cur", 0),
-				{rep: idleRep(1, 7, 0, 0), echo: "cur", restart: -1, advance: 8*tick - 1, wave: 0},
-				{rep: idleRep(1, 9, 0, 0), echo: "cur", restart: -1, advance: 1, wave: 0}, // moved
-				{rep: idleRep(1, 9, 0, 0), echo: "cur", restart: -1, advance: 8*tick - 1, wave: 0},
-				{rep: idleRep(1, 9, 0, 0), echo: "cur", restart: -1, advance: 1, want: true, wave: 0},
+				rep(idleRep(1, 7, 0, 0), "cur", 1),
+				rep(idleRep(1, 7, 0, 0), "cur", 1),
+				{rep: idleRep(0, 10, 0, 0), echo: "old", restart: -1, advance: tick - 1, wave: 1},
+				{rep: idleRep(0, 10, 0, 0), echo: "old", restart: -1, advance: 1, wave: 1, resend: true},
+				rep(idleRep(0, 10, 0, 0), "cur", 2),
+				rep(idleRep(1, 7, 0, 0), "cur", 2),
+				{rep: idleRep(0, 10, 0, 0), echo: "cur", restart: -1, want: true, wave: 2},
+			},
+		},
+		{
+			// Worker 1's answer to wave 1 arrives a second time after wave 2
+			// went out: it echoes 1, so it answers nothing, however idle and
+			// unchanged it looks.
+			name: "duplicated answer does not count for the next wave",
+			cfg:  Config{Chaos: chaos.New(chaos.Heavy(1))},
+			steps: []termStep{
+				rep(idleRep(0, 10, 3, 0), "cur", 0),
+				rep(idleRep(1, 7, 0, 3), "cur", 1),
+				rep(idleRep(0, 10, 3, 0), "cur", 1),
+				rep(idleRep(1, 7, 0, 3), "cur", 2),
+				rep(idleRep(1, 7, 0, 3), "old", 2), // the duplicate
+				rep(idleRep(0, 10, 3, 0), "cur", 2),
+				{rep: idleRep(1, 7, 0, 3), echo: "cur", restart: -1, want: true, wave: 2},
+			},
+		},
+		{
+			// Worker 0 answers wave 2, then its report from before the probe,
+			// delayed, lands on top of that answer: the table holds no answer
+			// of worker 0 until its next report, so worker 1's answer ends
+			// nothing and the job ends one report later.
+			name: "older report overwriting an answer delays the end",
+			cfg:  Config{Chaos: chaos.New(chaos.Heavy(1))},
+			steps: []termStep{
+				rep(idleRep(0, 10, 0, 0), "cur", 0),
+				rep(idleRep(1, 7, 0, 0), "cur", 1),
+				rep(idleRep(0, 10, 0, 0), "cur", 1),
+				rep(idleRep(1, 7, 0, 0), "cur", 2),
+				rep(idleRep(0, 10, 0, 0), "cur", 2),
+				rep(idleRep(0, 10, 0, 0), "old", 2), // delayed past the answer
+				rep(idleRep(1, 7, 0, 0), "cur", 2),
+				{rep: idleRep(0, 10, 0, 0), echo: "cur", restart: -1, want: true, wave: 2},
 			},
 		},
 	}
@@ -180,12 +235,11 @@ func TestTerminationDecision(t *testing.T) {
 			cfg = cfg.Defaults()
 			net := transport.NewLocal(transport.LocalConfig{Nodes: 3})
 			defer net.Close()
-			m := newMaster(cfg, net.Endpoint(2), nil, &metrics.Counters{}, nil, nil, nil)
+			m := newMaster(cfg, net.Endpoint(2), nil, &metrics.Counters{}, nil, nil)
 			for _, w := range tc.draining {
 				m.requestDrain(w)
 			}
 			now := time.Unix(0, 0)
-			probes := 0
 			for i, st := range tc.steps {
 				if st.restart >= 0 {
 					m.reset(m.ep, st.restart, now)
@@ -196,7 +250,8 @@ func TestTerminationDecision(t *testing.T) {
 				if st.echo == "old" {
 					r.Wave--
 				}
-				m.handle(transport.Message{From: r.Worker, Type: msgProgress, Payload: encodeProgress(&r)})
+				before := m.wave
+				m.handle(transport.Message{From: r.Worker, Type: msgProgress, Payload: encodeProgress(&r)}, now)
 				if got := m.checkTermination(now); got != st.want {
 					t.Fatalf("step %d: terminate = %v, want %v", i, got, st.want)
 				}
@@ -204,6 +259,10 @@ func TestTerminationDecision(t *testing.T) {
 					t.Fatalf("step %d: wave %d out, want %d", i, m.wave, st.wave)
 				}
 				// Every probe reaches every worker and carries the wave.
+				probes, want := 0, 0
+				if m.wave != before || st.resend {
+					want = cfg.Workers
+				}
 				for w := 0; w < cfg.Workers; w++ {
 					for {
 						msg, ok := net.Endpoint(w).RecvTimeout(0)
@@ -216,12 +275,9 @@ func TestTerminationDecision(t *testing.T) {
 						probes++
 					}
 				}
-			}
-			if last := tc.steps[len(tc.steps)-1]; last.advance == tick && probes != 2*cfg.Workers {
-				t.Fatalf("%d probes sent, want the wave sent twice to %d workers", probes, cfg.Workers)
-			}
-			if cfg.Latency > 0 && probes != 0 {
-				t.Fatalf("the time-spaced path sent %d probes", probes)
+				if probes != want {
+					t.Fatalf("step %d: %d probes sent, want %d", i, probes, want)
+				}
 			}
 		})
 	}
@@ -237,21 +293,16 @@ func TestFailureDetectorReoffersSuspect(t *testing.T) {
 	cfg := Config{Workers: 2, FailTimeout: 10 * time.Millisecond}.Defaults()
 	net := transport.NewLocal(transport.LocalConfig{Nodes: 3})
 	defer net.Close()
-	failures := make(chan int, cfg.Workers)
-	m := newMaster(cfg, net.Endpoint(2), nil, &metrics.Counters{}, failures, nil, nil)
+	m := newMaster(cfg, net.Endpoint(2), nil, &metrics.Counters{}, nil, nil)
+	var offered []int
+	offer := func(i int, _ time.Time) { offered = append(offered, i) }
 	now := time.Unix(0, 0)
 	for i := range m.lastSeen {
 		m.lastSeen[i] = now
 	}
 	offers := func() (slots []int) {
-		for {
-			select {
-			case i := <-failures:
-				slots = append(slots, i)
-			default:
-				return slots
-			}
-		}
+		slots, offered = offered, nil
+		return slots
 	}
 	step := func(d time.Duration, reporter int, want ...int) {
 		t.Helper()
@@ -259,7 +310,7 @@ func TestFailureDetectorReoffersSuspect(t *testing.T) {
 		if reporter >= 0 {
 			m.lastSeen[reporter] = now
 		}
-		m.periodic(now)
+		m.periodic(now, offer)
 		if got := offers(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("at %v: offered %v, want %v", now.Sub(time.Unix(0, 0)), got, want)
 		}
@@ -288,7 +339,7 @@ func TestFailureDetectorReoffersSuspect(t *testing.T) {
 
 	// So does a report.
 	step(1, 1, 0)
-	m.handle(transport.Message{From: 0, Type: msgProgress, Payload: encodeProgress(idleRep(0, 1, 0, 0))})
+	m.handle(transport.Message{From: 0, Type: msgProgress, Payload: encodeProgress(idleRep(0, 1, 0, 0))}, now)
 	if m.failed[0] {
 		t.Fatal("reporting slot still suspect")
 	}
@@ -305,13 +356,13 @@ func (e *recordingEndpoint) Send(to int, typ uint8, payload []byte) error {
 	return nil
 }
 
-// requests returns the checkpoint epochs requested of worker 0 since the
+// requests returns the checkpoint epochs requested of each worker since the
 // last call.
-func (e *recordingEndpoint) requests() []int64 {
-	var epochs []int64
+func (e *recordingEndpoint) requests() map[int][]int64 {
+	epochs := map[int][]int64{}
 	for _, m := range e.sent {
-		if epoch, err := decodeEpoch(m.Payload); m.Type == msgCheckpointReq && m.To == 0 && err == nil {
-			epochs = append(epochs, epoch)
+		if epoch, err := decodeEpoch(m.Payload); m.Type == msgCheckpointReq && err == nil {
+			epochs[m.To] = append(epochs[m.To], epoch)
 		}
 	}
 	e.sent = nil
@@ -319,33 +370,40 @@ func (e *recordingEndpoint) requests() []int64 {
 }
 
 // The checkpoint timer, on a synthetic clock: an epoch goes out once
-// CheckpointEvery has passed since the last; one whose acks never all come
-// is abandoned once max(5 × CheckpointEvery, 250 ms) has passed, and the
-// next goes out with it; a barrier sends the next at once; and an epoch
+// CheckpointEvery has passed since the last, and is asked again each round
+// of every worker yet to ack it (a request can be lost, or reach a worker
+// process before the job's channel opened there); one whose acks never all
+// come is abandoned once max(5 × CheckpointEvery, 250 ms) has passed, and
+// the next goes out with it; a barrier sends the next at once; and an epoch
 // whose acks do not pair up — a batch sent in one snapshot, not received in
 // the other — is abandoned the moment its last ack arrives, uncommitted.
 func TestCheckpointTimerOnSyntheticClock(t *testing.T) {
 	cfg := Config{Workers: 2, CheckpointEvery: 10 * time.Millisecond}.Defaults()
 	ep := &recordingEndpoint{}
-	m := newMaster(cfg, ep, nil, &metrics.Counters{}, nil, nil, nil)
+	m := newMaster(cfg, ep, nil, &metrics.Counters{}, nil, nil)
 	now := time.Unix(0, 0)
 	m.lastCkpt = now
 	step := func(d time.Duration, want ...int64) {
 		t.Helper()
 		now = now.Add(d)
-		m.periodic(now)
-		if got := ep.requests(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("at %v: requested epochs %v, want %v", now.Sub(time.Unix(0, 0)), got, want)
+		m.periodic(now, nil)
+		if got := ep.requests()[0]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("at %v: requested epochs %v of worker 0, want %v", now.Sub(time.Unix(0, 0)), got, want)
 		}
 	}
-	// ack delivers both workers' acks of the epoch out: worker 0 counts
-	// sent tasks to worker 1, which counts recv received from worker 0.
+	// ackOf delivers worker w's ack of the epoch out: worker 0 counts sent
+	// tasks to worker 1, which counts recv received from worker 0.
+	ackOf := func(w int, sent, recv int64) {
+		counts := [][2][]int64{{{0, sent}, {0, 0}}, {{0, 0}, {recv, 0}}}[w]
+		a := ckptAck{Epoch: m.epoch, OK: true, Sent: counts[0], Recv: counts[1]}
+		m.handle(transport.Message{From: w, Type: msgCheckpointDone, Payload: encodeCkptAck(a)}, now)
+	}
+	// ack delivers both workers' acks; one already in is not counted again.
 	ack := func(sent, recv int64) (committed bool) {
 		t.Helper()
 		signal := m.commitSignal()
-		for w, counts := range [][2][]int64{{{0, sent}, {0, 0}}, {{0, 0}, {recv, 0}}} {
-			a := ckptAck{Epoch: m.epoch, OK: true, Sent: counts[0], Recv: counts[1]}
-			m.handle(transport.Message{From: w, Type: msgCheckpointDone, Payload: encodeCkptAck(a)})
+		for w := range cfg.Workers {
+			ackOf(w, sent, recv)
 		}
 		if m.ckptPending != 0 {
 			t.Fatalf("epoch %d still pending after every ack", m.epoch)
@@ -360,10 +418,18 @@ func TestCheckpointTimerOnSyntheticClock(t *testing.T) {
 	every := cfg.CheckpointEvery
 
 	step(every - 1)
-	step(1, 1)                   // the trigger
-	step(250 * time.Millisecond) // nobody acks; the limit is 250 ms, not 5 × 10 ms
-	step(1, 2)                   // abandoned, and epoch 2 goes out with it
-	if !ack(3, 3) {              // three tasks moved, both sides count them
+	step(1, 1)                    // the trigger
+	step(250*time.Millisecond, 1) // nobody acks: asked again; the limit is 250 ms, not 5 × 10 ms
+	step(1, 2)                    // abandoned, and epoch 2 goes out with it
+	ackOf(0, 3, 3)                // worker 0 acks; worker 1's request was lost
+	if got := ep.requests(); len(got) != 0 {
+		t.Fatalf("an ack sent requests %v", got)
+	}
+	m.periodic(now, nil) // the next round
+	if got := ep.requests(); !reflect.DeepEqual(got, map[int][]int64{1: {2}}) {
+		t.Fatalf("requests %v after worker 0 acked, want epoch 2 of worker 1 only", got)
+	}
+	if !ack(3, 3) { // three tasks moved, both sides count them
 		t.Fatal("a consistent cut did not commit")
 	}
 	step(every - 1)

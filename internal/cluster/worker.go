@@ -912,7 +912,11 @@ func (w *Worker) commLoop() {
 			}
 		case msgProbe:
 			if wave, err := decodeEpoch(m.Payload); err == nil {
-				w.wave.Store(wave)
+				// A delayed older probe never lowers the echo: commLoop is
+				// the wave's one writer, so a max is a load and a store.
+				if wave > w.wave.Load() {
+					w.wave.Store(wave)
+				}
 				w.sendProgress()
 			}
 		case msgStop:

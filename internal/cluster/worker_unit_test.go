@@ -270,3 +270,28 @@ func TestHandlePullRespTombstone(t *testing.T) {
 		t.Fatal("tombstone cached as a vertex")
 	}
 }
+
+// A probe delayed past a newer one never lowers the wave a worker echoes:
+// probe 3, then a late probe 2, are both answered with wave 3.
+func TestDelayedProbeKeepsNewerWave(t *testing.T) {
+	w, _, net := newTestWorker(t)
+	master := net.Endpoint(2)
+	for _, wave := range []int64{3, 2} {
+		_ = master.Send(0, msgProbe, encodeEpoch(wave))
+	}
+	_ = master.Send(0, msgStop, nil)
+	w.commLoop()
+	var echoed []int64
+	for {
+		msg, ok := master.RecvTimeout(0)
+		if !ok {
+			break
+		}
+		if p, err := decodeProgress(msg.Payload); msg.Type == msgProgress && err == nil {
+			echoed = append(echoed, p.Wave)
+		}
+	}
+	if !reflect.DeepEqual(echoed, []int64{3, 3}) {
+		t.Fatalf("probes 3 then 2 echoed %v, want [3 3]", echoed)
+	}
+}

@@ -37,7 +37,7 @@ import (
 // from one committed epoch (Job.pin, buildWorker).
 
 // checkpointQuiesceTimeout bounds how long a worker waits for its pipeline
-// to quiesce before skipping a checkpoint epoch.
+// to quiesce before skipping a checkpoint epoch, counted on its ticks.
 const checkpointQuiesceTimeout = 10 * time.Second
 
 // workerSnapshot is one worker's checkpoint. Its counters restore with its
@@ -492,26 +492,28 @@ func (w *Worker) checkpointLoop() {
 // Failure to snapshot or persist is acked negatively so the master abandons
 // the epoch immediately instead of waiting out a timeout.
 func (w *Worker) checkpoint() int64 {
+	// One deadline, read before the pause, bounds it across superseding epochs.
+	epoch := w.ckptEpoch.Load()
+	deadline := w.clock.Load() + int64(checkpointQuiesceTimeout)
 	w.paused.Store(true)
 	defer func() {
 		w.paused.Store(false)
 		w.wake()
 	}()
-	epoch := w.ckptEpoch.Load()
 	var ckptStart time.Time
 	for {
 		if w.trCkpt.Active() {
 			ckptStart = time.Now()
 			w.trCkpt.Event(trace.EvCheckpointBegin, uint64(epoch))
 		}
-		ok := w.quiesce(epoch)
+		ok := w.quiesce(epoch, deadline)
 		if w.stopped() {
 			return epoch
 		}
 		next := w.ckptEpoch.Load()
 		if next == epoch && ok {
 			w.cutMu.Lock() // held until the cut is taken
-			if w.quiet(time.Now()) {
+			if w.quiet() {
 				break
 			}
 			w.cutMu.Unlock() // a migration batch landed after the quiesce
@@ -589,30 +591,23 @@ func loadCounts(counts []atomic.Int64) []int64 {
 
 // quiesce waits until the pipeline is quiet and reports whether it got
 // there. Each task that parks or dies while the gate is closed wakes this
-// wait (bufferTask, taskDead), as do a steal reply, the heartbeat, stop, a
-// newer request, which ends it, and the checkpointQuiesceTimeout deadline,
-// which fails it.
-func (w *Worker) quiesce(epoch int64) bool {
-	deadline := time.Now().Add(checkpointQuiesceTimeout)
-	timer := time.AfterFunc(checkpointQuiesceTimeout, w.wake)
-	defer timer.Stop()
-	quiesced := func() bool {
-		w.flushBatch(w.buffer.drain())
-		return w.quiet(time.Now())
-	}
+// wait (bufferTask, taskDead), as do a steal reply, stop, a newer request,
+// which ends it, and every tick: one that reaches deadline fails it.
+func (w *Worker) quiesce(epoch, deadline int64) bool {
 	w.pendMu.Lock()
 	defer w.pendMu.Unlock()
-	ok := quiesced()
-	for !ok && !w.stopped() && time.Now().Before(deadline) && w.ckptEpoch.Load() == epoch {
+	for {
+		w.flushBatch(w.buffer.drain())
+		if ok := w.quiet(); ok || w.stopped() || w.clock.Load() >= deadline || w.ckptEpoch.Load() != epoch {
+			return ok
+		}
 		w.pendCond.Wait()
-		ok = quiesced()
 	}
-	return ok
 }
 
 // quiet: every alive task is inactive in the store, no steal reply due.
-func (w *Worker) quiet(now time.Time) bool {
-	return int64(w.store.Size()) == w.inflight.Load() && w.buffer.len() == 0 && !w.stealPending(now)
+func (w *Worker) quiet() bool {
+	return int64(w.store.Size()) == w.inflight.Load() && w.buffer.len() == 0 && !w.stealPending()
 }
 
 // checkpointFailed surfaces a snapshot/persist failure: trace event,

@@ -574,11 +574,27 @@ func TestRecoveryWithoutCheckpointDir(t *testing.T) {
 // newer epoch while the older one still quiesces supersedes it: the older is
 // nacked at once, the pipeline stays paused, and only the newer snapshots,
 // once the pipeline quiesces — no second checkpoint can unpause the pipeline
-// under a cut.
+// under a cut. A pipeline that does not quiesce nacks its epoch at the tick
+// that reaches checkpointQuiesceTimeout.
 func TestCheckpointSingleFlight(t *testing.T) {
 	w, _, net := newTestWorker(t)
-	w.serveControl(t)
+	t.Cleanup(func() {
+		w.stop()
+		w.wg.Wait()
+		w.spiller.Close()
+	})
 	master := net.Endpoint(w.masterNode)
+	request := func(epoch int64) {
+		w.handle(transport.Message{From: w.masterNode, To: w.id, Type: msgCheckpointReq, Payload: encodeEpoch(epoch)})
+	}
+	awaitPaused := func(epoch int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !w.paused.Load(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("epoch %d never paused the pipeline", epoch)
+			}
+		}
+	}
 	nextAck := func(within time.Duration) ckptAck {
 		t.Helper()
 		for {
@@ -597,29 +613,37 @@ func TestCheckpointSingleFlight(t *testing.T) {
 		}
 	}
 
+	t0 := time.Unix(1000, 0)
+	w.tick(t0)
 	w.inflight.Add(1) // a task alive outside the store: no quiesce until it parks
-	_ = master.Send(w.id, msgCheckpointReq, encodeEpoch(1))
-	for deadline := time.Now().Add(10 * time.Second); !w.paused.Load(); runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatal("epoch 1 never paused the pipeline")
-		}
-	}
-	_ = master.Send(w.id, msgCheckpointReq, encodeEpoch(2))
+	request(1)
+	awaitPaused(1)
+	request(2)
 	if a := nextAck(5 * time.Second); a.Epoch != 1 || a.OK {
 		t.Fatalf("first ack %+v, want epoch 1 nacked as superseded", a)
 	}
 	if !w.paused.Load() {
 		t.Fatal("the superseded checkpoint unpaused the pipeline before epoch 2 snapshotted")
 	}
-	_ = master.Send(w.id, msgCheckpointReq, encodeEpoch(1)) // stale: ignored
+	request(1) // stale: ignored
 
 	w.inflight.Add(-1)
 	w.wake()
 	if a := nextAck(10 * time.Second); a.Epoch != 2 || !a.OK {
 		t.Fatalf("second ack %+v, want epoch 2 snapshotted", a)
 	}
-	_ = master.Send(w.id, msgCheckpointReq, encodeEpoch(3))
+	request(3)
 	if a := nextAck(10 * time.Second); a.Epoch != 3 || !a.OK {
 		t.Fatalf("third ack %+v, want epoch 3 snapshotted (the stale request left no ack)", a)
+	}
+
+	// The quiesce deadline runs on the tick clock, from the last reading
+	// before the pause: the tick that reaches it nacks the epoch.
+	w.inflight.Add(1)
+	request(4)
+	awaitPaused(4)
+	w.tick(t0.Add(checkpointQuiesceTimeout))
+	if a := nextAck(10 * time.Second); a.Epoch != 4 || a.OK {
+		t.Fatalf("fourth ack %+v, want epoch 4 nacked at the quiesce deadline", a)
 	}
 }

@@ -288,6 +288,8 @@ func (c *coordinator) handleHello(payload []byte) []byte {
 		return reject("cluster: coordinator shutting down")
 	}
 
+	now := time.Now()
+	c.expire(now)
 	c.mu.Lock()
 	slot := int(h.Node)
 	if slot < 0 {
@@ -302,7 +304,7 @@ func (c *coordinator) handleHello(payload []byte) []byte {
 	st.Addr = h.Advertise
 	st.Joined = true
 	st.Draining = false
-	st.LastSeen = time.Now()
+	st.LastSeen = now
 	st.Generation++
 	generation := st.Generation
 	st.held = make(map[string]map[int64]bool, len(h.Held))
@@ -344,22 +346,16 @@ func (c *coordinator) handleHello(payload []byte) []byte {
 	})
 }
 
-// pickSlotLocked auto-assigns a slot: the first never/no-longer-joined
-// one, else the stalest joined slot whose silence exceeds the failure
-// timeout (its process is presumed dead), else -1. Caller holds c.mu.
+// pickSlotLocked auto-assigns a slot: the lowest one not joined — never
+// joined, released by a drain, or expired by the lease sweep (expire, run
+// first at the caller's reading) — else -1. Caller holds c.mu.
 func (c *coordinator) pickSlotLocked() int {
 	for i := range c.slots {
 		if !c.slots[i].Joined {
 			return i
 		}
 	}
-	stalest, age := -1, c.s.cfg.FailTimeout
-	for i := range c.slots {
-		if since := time.Since(c.slots[i].LastSeen); since > age {
-			stalest, age = i, since
-		}
-	}
-	return stalest
+	return -1
 }
 
 // peerTableLocked builds the dial-address table and the matching slot
@@ -401,93 +397,101 @@ func (c *coordinator) slotState(i int) (gen int64, joined bool) {
 	return int64(c.slots[i].Generation), c.slots[i].Joined
 }
 
-// markLostIfSilent marks slot i lost when its process has been silent past
-// the failure timeout, so /healthz degrades and the slot becomes claimable
-// by an auto-assigned replacement. A slot whose process still heartbeats
-// stays joined: there only a job's worker died, not the process.
-func (c *coordinator) markLostIfSilent(i int) {
+// expire is the lease sweep at the reading now: a joined slot whose process
+// has been silent past the failure timeout is marked lost, job or no job, so
+// /healthz degrades and an auto-assigned replacement may claim it. A slot
+// whose process heartbeats stays joined: only a job's worker died there.
+func (c *coordinator) expire(now time.Time) {
 	timeout := c.s.cfg.FailTimeout
 	c.mu.Lock()
-	if time.Since(c.slots[i].LastSeen) > timeout && c.slots[i].Joined {
-		c.slots[i].Joined = false
-		defer c.logf("worker %d lost (silent past %s); awaiting replacement", i, timeout)
+	for i := range c.slots {
+		if st := &c.slots[i]; st.Joined && now.Sub(st.LastSeen) > timeout {
+			st.Joined = false
+			defer c.logf("worker %d lost (silent past %s); awaiting replacement", i, timeout)
+		}
 	}
 	c.mu.Unlock()
 }
 
-// ctlLoop routes worker → coordinator control traffic: final job results
-// to the owning job's collector, heartbeats to the health registry.
+// ctlLoop feeds worker → coordinator control traffic to handle and sweeps the
+// slot leases on every pass, at least four per failure timeout, at its reading.
 func (c *coordinator) ctlLoop() {
 	defer close(c.ctlDone)
 	for {
-		msg, ok := c.ctl.Recv()
-		if !ok {
+		msg, ok := c.ctl.RecvTimeout(c.s.cfg.FailTimeout / 4)
+		if !ok && c.s.mux.Closed() {
 			return
 		}
-		switch msg.Type {
-		case ctrlJobResult:
-			var m jobResultMsg
-			if err := decodeCtrl(msg.Payload, &m); err != nil {
-				continue
-			}
-			if c.fence.stale(m.Worker, m.Gen) {
-				// A fenced-out process shipping a "final" result: its slot
-				// has been reclaimed, and its partial output must not
-				// supersede the replacement's.
-				c.traceFenced(m.Worker, m.Gen, ctrlJobResult)
-				continue
-			}
-			c.s.mu.Lock()
-			j := c.s.jobs[m.JobID]
-			c.s.mu.Unlock()
-			// A finished job's ID may be reused: the channel pins the result
-			// to the launch it belongs to.
-			if j != nil && j.ch.Load() == m.Channel {
-				if m.Err != "" {
-					j.cancelWith(fmt.Errorf("cluster: worker %d: %s", m.Worker, m.Err))
-				}
-				j.host.(*processHost).deliver(&m)
-			}
-		case ctrlHeartbeat:
-			var m heartbeatMsg
-			if err := decodeCtrl(msg.Payload, &m); err != nil {
-				continue
-			}
-			c.mu.Lock()
-			if msg.From >= 0 && msg.From < len(c.slots) {
-				st := &c.slots[msg.From]
-				switch {
-				case m.Gen == int64(st.Generation):
-					st.LastSeen = time.Now()
-					// A heartbeat proves the process behind the slot's
-					// address is alive; re-mark a slot the failure detector
-					// gave up on. Only the CURRENT generation may do this —
-					// a delayed zombie's heartbeat re-marking the slot
-					// joined is exactly the split-brain fencing prevents. (Nor
-					// may a draining worker, which is on its way out.)
-					st.Joined = st.Joined || !m.Draining
-					st.Draining = m.Draining
-				case m.Gen < int64(st.Generation):
-					c.mu.Unlock()
-					c.traceFenced(msg.From, m.Gen, ctrlHeartbeat)
-					continue
-				}
-			}
-			c.mu.Unlock()
-		case ctrlDrain:
-			var m drainMsg
-			if err := decodeCtrl(msg.Payload, &m); err != nil {
-				continue
-			}
-			if c.fence.stale(msg.From, m.Gen) {
-				c.traceFenced(msg.From, m.Gen, ctrlDrain)
-				continue
-			}
-			// The barrier wait can span seconds; never block the ctl loop
-			// (checkpoint acks ride the engine channels, but results and
-			// heartbeats ride this one).
-			go c.handleDrain(msg.From, m.Gen)
+		now := time.Now()
+		if ok {
+			c.handle(msg, now)
 		}
+		c.expire(now)
+	}
+}
+
+// handle applies one control message received on the pass whose clock reads
+// now: a job's final result goes to its collector, a heartbeat renews a lease.
+func (c *coordinator) handle(msg transport.Message, now time.Time) {
+	switch msg.Type {
+	case ctrlJobResult:
+		var m jobResultMsg
+		if err := decodeCtrl(msg.Payload, &m); err != nil {
+			return
+		}
+		if c.fence.stale(m.Worker, m.Gen) {
+			// A fenced-out process shipping a "final" result: its slot
+			// has been reclaimed, and its partial output must not
+			// supersede the replacement's.
+			c.traceFenced(m.Worker, m.Gen, ctrlJobResult)
+			return
+		}
+		c.s.mu.Lock()
+		j := c.s.jobs[m.JobID]
+		c.s.mu.Unlock()
+		// A finished job's ID may be reused: the channel pins the result
+		// to the launch it belongs to.
+		if j != nil && j.ch.Load() == m.Channel {
+			if m.Err != "" {
+				j.cancelWith(fmt.Errorf("cluster: worker %d: %s", m.Worker, m.Err))
+			}
+			j.host.(*processHost).deliver(&m)
+		}
+	case ctrlHeartbeat:
+		var m heartbeatMsg
+		if decodeCtrl(msg.Payload, &m) != nil || msg.From < 0 || msg.From >= len(c.slots) {
+			return
+		}
+		c.mu.Lock()
+		st := &c.slots[msg.From]
+		fenced := m.Gen < int64(st.Generation)
+		if m.Gen == int64(st.Generation) {
+			st.LastSeen = now
+			// A heartbeat proves the process behind the slot's address is
+			// alive; re-mark a slot the lease sweep expired. Only the CURRENT
+			// generation may do this — a delayed zombie's heartbeat re-marking
+			// the slot joined is exactly the split-brain fencing prevents.
+			// (Nor may a draining worker, which is on its way out.)
+			st.Joined = st.Joined || !m.Draining
+			st.Draining = m.Draining
+		}
+		c.mu.Unlock()
+		if fenced {
+			c.traceFenced(msg.From, m.Gen, ctrlHeartbeat)
+		}
+	case ctrlDrain:
+		var m drainMsg
+		if err := decodeCtrl(msg.Payload, &m); err != nil {
+			return
+		}
+		if c.fence.stale(msg.From, m.Gen) {
+			c.traceFenced(msg.From, m.Gen, ctrlDrain)
+			return
+		}
+		// The barrier wait can span seconds; never block the ctl loop
+		// (checkpoint acks ride the engine channels, but results and
+		// heartbeats ride this one).
+		go c.handleDrain(msg.From, m.Gen)
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"cmp"
 	"slices"
-	"testing"
 	"time"
 
 	"gminer/internal/algo"
@@ -176,22 +175,4 @@ func (wp *WorkerProcess) jobWorker(id string) *Worker {
 		return wj.w
 	}
 	return nil
-}
-
-// serveControl runs only w's comm loop — control messages, checkpoint
-// requests among them — with no seeder, retriever or executor beside it. When
-// the test ends it stops w, closes its endpoint and waits for every goroutine
-// w started.
-func (w *Worker) serveControl(t testing.TB) {
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		w.commLoop()
-	}()
-	t.Cleanup(func() {
-		w.stop()
-		w.ep.Close()
-		w.wg.Wait()
-		w.spiller.Close()
-	})
 }

@@ -4,7 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"gminer/internal/transport"
 )
 
 func TestFenceTableMonotonic(t *testing.T) {
@@ -132,5 +136,60 @@ func TestHeldEpochsIn(t *testing.T) {
 	}
 	if got := heldEpochsIn(filepath.Join(dir, "missing"), 0); got != nil {
 		t.Fatalf("missing dir: %v", got)
+	}
+}
+
+// TestLeaseSweepIdle drives the coordinator's lease sweep on a synthetic
+// clock with no job running: a slot silent past FailTimeout is marked lost
+// and the session stops being ready; a heartbeat from a fenced generation
+// does not re-join the slot, one from its current generation does.
+func TestLeaseSweepIdle(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	s := &Session{cfg: Config{Workers: 2, FailTimeout: timeout}}
+	c := &coordinator{s: s, fence: newFenceTable(2), fencedSeen: make([]atomic.Int64, 2), slots: make([]workerSlot, 2)}
+	s.coord = c
+	t0 := time.Unix(1000, 0)
+	for i := range c.slots {
+		c.slots[i].WorkerStatus = WorkerStatus{Joined: true, Generation: 2, LastSeen: t0}
+		c.fence.raise(i, 2)
+	}
+	beat := func(node int, gen int64, at time.Time) {
+		c.handle(transport.Message{From: node, To: 2, Type: ctrlHeartbeat, Payload: encodeCtrl(heartbeatMsg{Gen: gen})}, at)
+	}
+	joined := func() []bool {
+		var out []bool
+		for _, st := range s.WorkerHealth() {
+			out = append(out, st.Joined)
+		}
+		return out
+	}
+
+	c.expire(t0.Add(timeout))
+	if !s.Ready() {
+		t.Fatalf("slots lost at exactly FailTimeout of silence: %v", joined())
+	}
+	beat(0, 2, t0.Add(timeout))
+	late := t0.Add(timeout + time.Millisecond)
+	c.expire(late)
+	if got := joined(); !got[0] || got[1] || s.Ready() {
+		t.Fatalf("after FailTimeout+1ms: joined %v ready %v, want slot 1 alone lost", got, s.Ready())
+	}
+	c.mu.Lock()
+	slot := c.pickSlotLocked()
+	c.mu.Unlock()
+	if slot != 1 {
+		t.Fatalf("auto-assigned slot %d, want the expired slot 1", slot)
+	}
+	beat(1, 1, late)
+	if joined()[1] {
+		t.Fatal("a heartbeat from fenced generation 1 re-joined slot 1")
+	}
+	beat(1, 2, late)
+	if !joined()[1] || !s.Ready() {
+		t.Fatalf("a heartbeat from the current generation left slot 1 lost: %v", joined())
+	}
+	c.expire(late.Add(timeout))
+	if !joined()[1] {
+		t.Fatal("slot 1's renewed lease expired at FailTimeout")
 	}
 }

@@ -15,9 +15,11 @@ import (
 	"gminer/internal/transport"
 )
 
-// TestRetryStalePullsReresolvesOwner registers an overdue pull whose
-// cached owner snapshot is wrong (points at the master node) and checks
-// the retry is sent to the vertex's actual owner. Before the fix,
+// TestRetryStalePullsReresolvesOwner registers a pull whose cached owner
+// snapshot is wrong (points at the master node) and drives the worker's
+// tick clock over it: the first tick stamps the retry deadline, a tick before
+// retryDelay(0)'s lower bound sends nothing, and a tick past its upper bound
+// sends the retry to the vertex's actual owner. Before the fix,
 // retryStalePulls resent to the stale ps.owner forever, so a pull issued
 // just before a failover could never complete.
 func TestRetryStalePullsReresolvesOwner(t *testing.T) {
@@ -36,24 +38,42 @@ func TestRetryStalePullsReresolvesOwner(t *testing.T) {
 	w.pendMu.Lock()
 	w.pulls[remote] = &pullState{owner: 2 /* wrong: the master node */}
 	w.pendMu.Unlock()
-
-	w.retryStalePulls()
-	w.flushPulls() // the heartbeat's next step: retries ride the flush
-
-	msg, ok := net.Endpoint(1).RecvTimeout(time.Second)
-	if !ok || msg.Type != msgPullReq {
-		t.Fatalf("no retried pull at the true owner: %+v ok=%v", msg, ok)
+	// pullsAt drains node's mailbox (the ticks' progress reports go to the
+	// master node too) and returns the pull requests in it.
+	pullsAt := func(node int) (reqs []transport.Message) {
+		for {
+			msg, ok := net.Endpoint(node).RecvTimeout(0)
+			if !ok {
+				return reqs
+			}
+			if msg.Type == msgPullReq {
+				reqs = append(reqs, msg)
+			}
+		}
 	}
-	ids, err := decodePullReq(msg.Payload)
+
+	base, t0 := w.cfg.pullRetryBase, time.Unix(1000, 0)
+	w.tick(t0) // stamps the deadline, retryDelay(0) from t0
+	w.tick(t0.Add(base*3/4 - time.Nanosecond))
+	if got := len(pullsAt(1)) + len(pullsAt(2)); got != 0 {
+		t.Fatalf("%d pull requests before the retry deadline's lower bound", got)
+	}
+	last := t0.Add(base * 5 / 4)
+	w.tick(last)
+	reqs := pullsAt(1)
+	if len(reqs) != 1 {
+		t.Fatalf("%d retried pulls at the true owner past the deadline's upper bound, want 1", len(reqs))
+	}
+	ids, err := decodePullReq(reqs[0].Payload)
 	if err != nil || len(ids) != 1 || ids[0] != remote {
 		t.Fatalf("ids=%v err=%v", ids, err)
 	}
-	if _, stray := net.Endpoint(2).RecvTimeout(10 * time.Millisecond); stray {
+	if stray := pullsAt(2); len(stray) != 0 {
 		t.Fatal("retry also sent to the stale owner")
 	}
 	w.pendMu.Lock()
 	ps := w.pulls[remote]
-	if ps.owner != 1 || ps.attempts != 1 || !ps.retryAt.After(time.Now()) {
+	if ps.owner != 1 || ps.attempts != 1 || !ps.retryAt.After(last) {
 		t.Fatalf("retry state not updated: %+v", ps)
 	}
 	w.pendMu.Unlock()

@@ -377,18 +377,14 @@ func (h *processHost) kill(i int) {
 
 // lost: slot i's process is not running the attempt's worker — killed,
 // never started there, or the process is a replacement. A slot whose
-// process has gone silent is not lost until a replacement joins it: it is
-// only marked lost in the registry, which lets one claim it, and the join
-// rolls the job back.
+// process has gone silent is not lost until a replacement joins it: the
+// coordinator's lease sweep only marks it lost in the registry, which lets
+// one claim it, and the join rolls the job back.
 func (h *processHost) lost(i int) bool {
 	gen, joined := h.c.slotState(i)
 	h.mu.Lock()
-	lost := joined && (h.started[i] != gen || h.attempt[i] != h.j.ch.Load())
-	h.mu.Unlock()
-	if !lost {
-		h.c.markLostIfSilent(i)
-	}
-	return lost
+	defer h.mu.Unlock()
+	return joined && (h.started[i] != gen || h.attempt[i] != h.j.ch.Load())
 }
 
 // retire forgets what the attempt's workers delivered. Each process ends

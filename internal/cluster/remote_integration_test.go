@@ -638,6 +638,26 @@ func TestRemoteWorkerKillAndRejoin(t *testing.T) {
 	}
 }
 
+// An idle coordinator sweeps its slot leases: a killed worker process's slot
+// is marked lost, and the session not ready, within two failure timeouts
+// with no job running.
+func TestRemoteIdleCoordinatorMarksDeadSlotLost(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 7, Edges: 600, Seed: 5})
+	cfg := smallConfig()
+	cfg.Workers = 2
+	cfg.FailTimeout = 200 * time.Millisecond
+	rs, wps := remoteTestCluster(t, g, cfg, cluster.RemoteSessionConfig{},
+		cluster.WorkerOptions{HeartbeatEvery: 20 * time.Millisecond})
+	wps[1].Kill()
+	killed := time.Now()
+	for rs.WorkerHealth()[1].Joined || rs.Ready() {
+		if time.Since(killed) > 2*cfg.FailTimeout {
+			t.Fatalf("slot 1 still joined %v after its process was killed: %+v", time.Since(killed), rs.WorkerHealth()[1])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // Worker processes join only a coordinator whose graph names its vertices
 // alike: a process that loaded the same file joins, and one whose file
 // differs only in its external IDs — the same structure, numbered the same

@@ -51,13 +51,13 @@ type pullWork struct {
 }
 
 // pullState tracks one in-flight vertex pull: the tasks waiting for it,
-// when it was (last) requested for the RTT metric, and the retry/backoff
-// state used when the request or response is lost to a crashed worker or
-// a lossy network.
+// when its request last left (the RTT metric, stamped only while tracing),
+// and the retry/backoff state used when the request or response is lost to a
+// crashed worker or a lossy network.
 type pullState struct {
 	waiters     []pullWaiter
 	requestedAt time.Time
-	retryAt     time.Time // next re-request time (exponential backoff)
+	retryAt     time.Time // next re-request time (exponential backoff); zero until a tick stamps it
 	attempts    int       // retries so far
 	owner       int       // last resolved owner (re-resolved on retry)
 }
@@ -179,10 +179,12 @@ type Worker struct {
 	trExec  trace.Handle
 	trSteal trace.Handle
 	trCkpt  trace.Handle
-	// lastStealReq is when this worker sent its latest steal REQ while no
-	// reply came yet (UnixNano; 0 = none): the thief-side migration latency,
-	// and a checkpoint waits for the reply, whose batch belongs in its cut.
+	// lastStealReq is the tick that sent the latest steal REQ while no reply
+	// came yet (UnixNano; 0 = none): the thief-side migration latency, and a
+	// checkpoint waits for the reply, whose batch belongs in its cut.
 	lastStealReq atomic.Int64
+	// clock is the newest tick's reading (UnixNano; pipeline start's before it).
+	clock atomic.Int64
 }
 
 // newWorker builds worker `id` over the shared frozen graph, read through
@@ -263,6 +265,7 @@ func newWorker(id int, cfg Config, algo core.Algorithm, dir *directory, local *l
 
 // start launches the pipeline goroutines.
 func (w *Worker) start() {
+	w.clock.Store(time.Now().UnixNano())
 	loops := []func(){w.commLoop, w.retrieverLoop, w.seederLoop, w.progressLoop}
 	for i := 0; i < w.cfg.Threads; i++ {
 		loops = append(loops, w.executorLoop)
@@ -595,7 +598,6 @@ func (w *Worker) dispatch(t *core.Task) {
 		return
 	}
 	pt := &pendingTask{t: t, remaining: missed}
-	var now time.Time
 	for i, id := range t.ToPull {
 		if t.Pulled[i] != nil {
 			continue
@@ -603,10 +605,7 @@ func (w *Worker) dispatch(t *core.Task) {
 		ps, inFlight := w.pulls[id]
 		if !inFlight {
 			owner := w.dir.owner(id)
-			if now.IsZero() {
-				now = time.Now() // one reading serves every request of the dispatch
-			}
-			ps = &pullState{requestedAt: now, retryAt: now.Add(w.retryDelay(0)), owner: owner}
+			ps = &pullState{owner: owner} // the next tick stamps its retry
 			w.pulls[id] = ps
 			w.pullBatch[owner] = append(w.pullBatch[owner], id)
 			w.pullCount++
@@ -636,6 +635,16 @@ func (w *Worker) flushPulls() {
 		return
 	}
 	batch := w.pullBatch
+	if w.trRetr.Active() {
+		now := time.Now() // the round trip starts as the request leaves
+		for _, ids := range batch {
+			for _, id := range ids {
+				if ps := w.pulls[id]; ps != nil { // a retry's answer may have come
+					ps.requestedAt = now
+				}
+			}
+		}
+	}
 	if w.pullSpare != nil {
 		w.pullBatch = w.pullSpare
 		w.pullSpare = nil
@@ -717,36 +726,28 @@ func (w *Worker) handlePullResp(payload []byte) {
 // lost batch does not retry as one synchronized burst. Caller holds pendMu
 // (the RNG is not otherwise synchronized).
 func (w *Worker) retryDelay(attempts int) time.Duration {
-	d, limit := w.cfg.pullRetryBase, 16*w.cfg.pullRetryBase
-	for i := 0; i < attempts && d < limit; i++ {
-		d *= 2
-	}
-	if d > limit {
-		d = limit
-	}
+	d := w.cfg.pullRetryBase << min(attempts, 4)
 	if half := int64(d) / 2; half > 0 {
 		d = d*3/4 + time.Duration(w.retryRng.Int63n(half))
 	}
 	return d
 }
 
-// retryStalePulls re-issues pull requests whose responses are overdue
-// (request or response lost to a crashed worker or a lossy network).
-// Each retry re-resolves the vertex owner instead of trusting the
-// snapshot taken at request time: after a failure + recovery the owner
-// assignment is re-read, so a stale snapshot could target the wrong
-// node forever. Retries back off exponentially with jitter (capped) so
+// retryStalePulls re-issues, at the tick reading now, pull requests whose
+// responses are overdue (request or response lost to a crashed worker or a
+// lossy network). Each retry re-resolves the vertex owner instead of
+// trusting the snapshot taken at request time: after a failure + recovery
+// the owner assignment is re-read, so a stale snapshot could target the
+// wrong node forever. Retries back off exponentially with jitter (capped) so
 // a dead owner is probed, not hammered. The re-requests are queued for the
 // caller's flushPulls.
-func (w *Worker) retryStalePulls() {
+func (w *Worker) retryStalePulls(now time.Time) {
 	w.pendMu.Lock()
-	if len(w.pulls) == 0 {
-		w.pendMu.Unlock()
-		return // the usual heartbeat: nothing in flight, nothing to build
-	}
-	now := time.Now()
 	retried := 0
 	for id, ps := range w.pulls {
+		if ps.retryAt.IsZero() {
+			ps.retryAt = now.Add(w.retryDelay(0)) // requested since the last tick
+		}
 		if now.Before(ps.retryAt) {
 			continue
 		}
@@ -754,7 +755,6 @@ func (w *Worker) retryStalePulls() {
 		if owner := w.dir.owner(id); owner >= 0 {
 			ps.owner = owner
 		}
-		ps.requestedAt = now
 		ps.retryAt = now.Add(w.retryDelay(ps.attempts))
 		// Retries ride the caller's flush, in the batch map it recycles.
 		w.pullBatch[ps.owner] = append(w.pullBatch[ps.owner], id)
@@ -883,47 +883,51 @@ func (w *Worker) resolve(dst []*graph.Vertex, t *core.Task) []*graph.Vertex {
 func (w *Worker) commLoop() {
 	for {
 		m, ok := w.ep.Recv()
-		if !ok || w.killed.Load() {
-			return
-		}
-		switch m.Type {
-		case msgPullReq:
-			select {
-			case w.pullServe <- pullWork{from: m.From, payload: m.Payload}:
-			case <-w.stopCh:
-				return
-			}
-		case msgPullResp:
-			w.handlePullResp(m.Payload)
-		case msgMigrate:
-			w.handleMigrate(m.Payload)
-		case msgTasks:
-			w.handleTasks(m.From, m.Payload)
-		case msgNoTask:
-			w.trSteal.Event(trace.EvStealNoTask, 0)
-			w.stealBackoff.Store(8)
-			w.stealAnswered()
-		case msgAggGlobal:
-			w.handleAggGlobal(m.Payload)
-		case msgCheckpointReq:
-			if epoch, prev, err := decodeCheckpointReq(m.Payload); err == nil {
-				w.ckptFloor.Store(prev)
-				w.requestCheckpoint(epoch)
-			}
-		case msgProbe:
-			if wave, err := decodeEpoch(m.Payload); err == nil {
-				// A delayed older probe never lowers the echo: commLoop is
-				// the wave's one writer, so a max is a load and a store.
-				if wave > w.wave.Load() {
-					w.wave.Store(wave)
-				}
-				w.sendProgress()
-			}
-		case msgStop:
-			w.stop()
+		if !ok || w.killed.Load() || !w.handle(m) {
 			return
 		}
 	}
+}
+
+// handle applies one message from a peer or the master and reports whether
+// the worker still serves: false once it stopped.
+func (w *Worker) handle(m transport.Message) bool {
+	switch m.Type {
+	case msgPullReq:
+		select {
+		case w.pullServe <- pullWork{from: m.From, payload: m.Payload}:
+		case <-w.stopCh:
+		}
+	case msgPullResp:
+		w.handlePullResp(m.Payload)
+	case msgMigrate:
+		w.handleMigrate(m.Payload)
+	case msgTasks:
+		w.handleTasks(m.From, m.Payload)
+	case msgNoTask:
+		w.trSteal.Event(trace.EvStealNoTask, 0)
+		w.stealBackoff.Store(8)
+		w.stealAnswered()
+	case msgAggGlobal:
+		w.handleAggGlobal(m.Payload)
+	case msgCheckpointReq:
+		if epoch, prev, err := decodeCheckpointReq(m.Payload); err == nil {
+			w.ckptFloor.Store(prev)
+			w.requestCheckpoint(epoch)
+		}
+	case msgProbe:
+		if wave, err := decodeEpoch(m.Payload); err == nil {
+			// A delayed older probe never lowers the echo: handle is the
+			// wave's one writer, so a max is a load and a store.
+			if wave > w.wave.Load() {
+				w.wave.Store(wave)
+			}
+			w.sendProgress()
+		}
+	case msgStop:
+		w.stop()
+	}
+	return !w.stopped()
 }
 
 // pullServeLoop drains the pull-serve queue; several of these run per
@@ -1021,12 +1025,12 @@ func (w *Worker) stealAnswered() {
 	}
 }
 
-// stealPending: a steal REQ is unanswered at now, for less than a pull
-// waits before its retry. Past that the reply is taken as lost; should a
+// stealPending: a steal REQ is unanswered at the newest tick, for less than a
+// pull waits before its retry. Past that the reply is taken as lost; should a
 // batch still come, the master's cut check refuses the epoch it crosses.
-func (w *Worker) stealPending(now time.Time) bool {
+func (w *Worker) stealPending() bool {
 	at := w.lastStealReq.Load()
-	return at != 0 && now.UnixNano()-at < int64(w.cfg.pullRetryBase)
+	return at != 0 && w.clock.Load()-at < int64(w.cfg.pullRetryBase)
 }
 
 func (w *Worker) handleAggGlobal(payload []byte) {
@@ -1043,6 +1047,7 @@ func (w *Worker) handleAggGlobal(payload []byte) {
 // ---------------------------------------------------------------------------
 // Progress reporting, idle detection and steal requests.
 
+// progressLoop feeds the heartbeat's readings to tick.
 func (w *Worker) progressLoop() {
 	ticker := time.NewTicker(w.cfg.progressInterval)
 	defer ticker.Stop()
@@ -1050,27 +1055,34 @@ func (w *Worker) progressLoop() {
 		select {
 		case <-w.stopCh:
 			return
-		case <-ticker.C:
+		case now := <-ticker.C:
+			w.tick(now)
 		}
-		// Flush tasks and pull requests stranded below batch thresholds.
-		w.flushBatch(w.buffer.drain())
-		w.retryStalePulls()
-		w.flushPulls()
-		w.observeMemory()
-		if w.paused.Load() {
-			w.wake() // a quiesce waiting on a steal reply sees it expire
-		}
+	}
+}
 
-		w.sendProgress()
+// tick is one heartbeat, reading now on the protocol's clock: it flushes what
+// sits below batch thresholds, retries overdue pulls, samples live memory
+// (partition and resident lists, store, cache), reports and, idle, steals.
+func (w *Worker) tick(now time.Time) {
+	w.clock.Store(now.UnixNano())
+	w.flushBatch(w.buffer.drain())
+	w.retryStalePulls(now)
+	w.flushPulls()
+	w.counters.ObserveLive(w.graphFoot + w.store.MemBytes() + w.cache.Bytes())
+	if w.paused.Load() {
+		w.wake() // a quiesce sees its deadline or a steal reply's wait expire
+	}
 
-		if w.cfg.Stealing && w.seedsDone.Load() && w.inflight.Load() == 0 {
-			if w.stealBackoff.Load() > 0 {
-				w.stealBackoff.Add(-1)
-			} else {
-				w.trSteal.Event(trace.EvStealReq, 0)
-				w.lastStealReq.Store(time.Now().UnixNano())
-				_ = w.ep.Send(w.masterNode, msgStealReq, nil)
-			}
+	w.sendProgress()
+
+	if w.cfg.Stealing && w.seedsDone.Load() && w.inflight.Load() == 0 {
+		if w.stealBackoff.Load() > 0 {
+			w.stealBackoff.Add(-1)
+		} else {
+			w.trSteal.Event(trace.EvStealReq, 0)
+			w.lastStealReq.Store(now.UnixNano())
+			_ = w.ep.Send(w.masterNode, msgStealReq, nil)
 		}
 	}
 }
@@ -1123,13 +1135,6 @@ func (w *Worker) reportIfIdle() {
 	if w.seedsDone.Load() && w.inflight.Load() == 0 {
 		w.sendProgress()
 	}
-}
-
-// observeMemory refreshes this worker's live-memory estimate: graph
-// partition and the resident lists of other partitions + in-memory task
-// store + RCV cache.
-func (w *Worker) observeMemory() {
-	w.counters.ObserveLive(w.graphFoot + w.store.MemBytes() + w.cache.Bytes())
 }
 
 // chargeBudget brings this worker's charge against the job's memory budget,

@@ -181,10 +181,10 @@ func TestFlushPullsBatchesByOwner(t *testing.T) {
 	}
 }
 
-// dispatch reads the clock once, on its first miss: every request it opens
-// carries that reading as requestedAt (the RTT metric's start) and a retryAt
-// one backoff after it; a dispatch that misses nothing reads no clock at all.
-func TestDispatchStampsOneClockReading(t *testing.T) {
+// dispatch reads no clock: the pulls it opens carry no stamp until the next
+// tick, which gives every one of them a retry deadline retryDelay(0) after
+// the tick's one reading.
+func TestTickStampsDispatchedPulls(t *testing.T) {
 	w, g, _ := newTestWorker(t)
 	var remotes []graph.VertexID
 	g.ForEach(func(v *graph.Vertex) bool {
@@ -197,22 +197,23 @@ func TestDispatchStampsOneClockReading(t *testing.T) {
 		t.Skip("degenerate partition")
 	}
 	w.cache.ForceInsert(g.Vertex(remotes[0]).Clone()) // a hit ahead of the first miss
-	before := time.Now()
 	w.dispatch(&core.Task{Cands: remotes, ToPull: remotes})
-	after := time.Now()
 	if len(w.pulls) != len(remotes)-1 {
 		t.Fatalf("%d pulls in flight, want %d", len(w.pulls), len(remotes)-1)
 	}
-	stamp := w.pulls[remotes[1]].requestedAt
-	if stamp.Before(before) || stamp.After(after) {
-		t.Fatalf("requestedAt %v outside the dispatch [%v, %v]", stamp, before, after)
-	}
 	for id, ps := range w.pulls {
-		if !ps.requestedAt.Equal(stamp) {
-			t.Fatalf("pull of %d stamped %v, the dispatch's first miss %v", id, ps.requestedAt, stamp)
+		if !ps.retryAt.IsZero() || !ps.requestedAt.IsZero() {
+			t.Fatalf("dispatch stamped the pull of %d: %+v", id, ps)
 		}
-		if d := ps.retryAt.Sub(stamp); d < w.cfg.pullRetryBase*3/4 || d > w.cfg.pullRetryBase*5/4 {
-			t.Fatalf("pull of %d retries %v after its request, base %v", id, d, w.cfg.pullRetryBase)
+	}
+	t0 := time.Unix(1000, 0)
+	w.tick(t0)
+	for id, ps := range w.pulls {
+		if d := ps.retryAt.Sub(t0); d < w.cfg.pullRetryBase*3/4 || d > w.cfg.pullRetryBase*5/4 {
+			t.Fatalf("pull of %d retries %v after the tick, base %v", id, d, w.cfg.pullRetryBase)
+		}
+		if ps.attempts != 0 {
+			t.Fatalf("the stamping tick retried the pull of %d", id)
 		}
 	}
 }
@@ -277,10 +278,8 @@ func TestDelayedProbeKeepsNewerWave(t *testing.T) {
 	w, _, net := newTestWorker(t)
 	master := net.Endpoint(2)
 	for _, wave := range []int64{3, 2} {
-		_ = master.Send(0, msgProbe, encodeEpoch(wave))
+		w.handle(transport.Message{From: 2, To: 0, Type: msgProbe, Payload: encodeEpoch(wave)})
 	}
-	_ = master.Send(0, msgStop, nil)
-	w.commLoop()
 	var echoed []int64
 	for {
 		msg, ok := master.RecvTimeout(0)

@@ -167,6 +167,14 @@ func (m *Mux) Close() {
 	}
 }
 
+// Closed reports whether Close has run: a receive that fails on one of the
+// mux's endpoints then failed for good, not on a timeout.
+func (m *Mux) Closed() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.closed
+}
+
 // WaitDemux blocks until every demux goroutine has exited (after the
 // underlying network is closed). Used by leak-checked teardown.
 func (m *Mux) WaitDemux() { m.wg.Wait() }

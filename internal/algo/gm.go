@@ -79,7 +79,7 @@ func NewGraphMatch(p *Pattern) *GraphMatch {
 	}
 	a.expands[0] = true // the root keeps its one match, children or not
 	a.scratch.New = func() any {
-		return &gmScratch{pairs: make([][]gmPair, n), base: make([]int, n)}
+		return &gmScratch{pairs: make([][]gmPair, n), base: make([]int, n), seed: gmContext{nodes: make([]gmNode, n)}}
 	}
 	return a
 }
@@ -124,13 +124,15 @@ type gmPair struct {
 
 // gmScratch is the working memory of one Seed or Update, pooled per
 // GraphMatch. pairs[p] collects expanding node p's pairs while its level is
-// matched.
+// matched, and seed is the context Seed matches the root and level 1 into
+// before it knows whether the seed spawns.
 type gmScratch struct {
 	pairs    [][]gmPair
 	rows     [][]graph.VertexID
 	ids      []graph.VertexID
 	acc, sum []int64
 	base     []int
+	seed     gmContext
 }
 
 // putScratch returns sc to the pool holding no adjacency list.
@@ -139,7 +141,10 @@ func (a *GraphMatch) putScratch(sc *gmScratch) {
 	a.scratch.Put(sc)
 }
 
-// Seed implements core.Algorithm.
+// Seed implements core.Algorithm. It matches the root and level 1 in the
+// scratch, so a seed some level-1 node finds no match for allocates
+// nothing, and a seed that spawns copies its context and frontier out once
+// (gmContext.keep).
 func (a *GraphMatch) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 	if a.labels == nil {
 		panic("algo: gm seeded without the label column: the runtime never called core.Plan.Labels")
@@ -147,21 +152,58 @@ func (a *GraphMatch) Seed(v *graph.Vertex, spawn func(*core.Task)) {
 	if v.Label != a.P.Labels[0] {
 		return
 	}
-	ctx := &gmContext{nodes: make([]gmNode, len(a.P.Labels))}
-	ctx.nodes[0] = gmNode{matches: []graph.VertexID{v.ID}, offsets: []int32{0, 0}}
-	t := &core.Task{Context: ctx}
-	t.Subgraph.AddVertex(v.ID)
+	sc := a.scratch.Get().(*gmScratch)
+	defer a.putScratch(sc)
+	ctx := &sc.seed
+	root := &ctx.nodes[0]
+	root.matches, root.offsets = append(root.matches[:0], v.ID), append(root.offsets[:0], 0, 0)
+	sc.ids = sc.ids[:0]
 	if a.P.Depth() > 0 { // a single-node pattern counts 1 per seed at update time
-		sc := a.scratch.Get().(*gmScratch)
-		defer a.putScratch(sc)
 		a.countLeaves(ctx, 0)
-		a.walkParents(ctx, 1, append(sc.rows[:0], v.Adj), sc)
+		sc.rows = append(sc.rows[:0], v.Adj)
+		a.walkParents(ctx, 1, sc.rows, sc)
 		if !a.closeLevel(ctx, 1, sc) {
 			return
 		}
-		t.Cands = a.frontier(nil, ctx, 1, sc)
+		sc.ids = a.frontier(sc.ids, ctx, 1, sc)
 	}
+	t := &core.Task{}
+	t.Context, t.Cands = ctx.keep(sc.ids)
+	t.Subgraph.AddVertex(v.ID)
 	spawn(t)
+}
+
+// keep copies ctx, and the frontier cands, into exact-size arenas — one for
+// the frontier and every node's matches, one for offsets and parents, one
+// for hits — so the copy shares nothing with either. Each slice is capped
+// at its length, so appending to it never reaches the next, and an empty
+// one is nil, as DecodeContext leaves it.
+func (ctx *gmContext) keep(cands []graph.VertexID) (*gmContext, []graph.VertexID) {
+	nIDs, nPos, nHits := len(cands), 0, 0
+	for i := range ctx.nodes {
+		n := &ctx.nodes[i]
+		nIDs += len(n.matches)
+		nPos += len(n.offsets) + len(n.parents)
+		nHits += len(n.hits)
+	}
+	ids, pos, hits := make([]graph.VertexID, 0, nIDs), make([]int32, 0, nPos), make([]int64, 0, nHits)
+	out := &gmContext{nodes: make([]gmNode, len(ctx.nodes))}
+	for i := range ctx.nodes {
+		n := &ctx.nodes[i]
+		out.nodes[i] = gmNode{hits: carve(&hits, n.hits), matches: carve(&ids, n.matches), offsets: carve(&pos, n.offsets), parents: carve(&pos, n.parents)}
+	}
+	return out, carve(&ids, cands)
+}
+
+// carve appends src to the arena and returns the copy, capped at its length;
+// nil for an empty src.
+func carve[T any](arena *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	start := len(*arena)
+	*arena = append(*arena, src...)
+	return (*arena)[start:len(*arena):len(*arena)]
 }
 
 // Update implements core.Algorithm: match one pattern level, then count or
@@ -240,7 +282,7 @@ func (a *GraphMatch) countLeaves(ctx *gmContext, d int) {
 		}
 		matches := ctx.nodes[q.Node].matches
 		for _, st := range a.kids[q.Node] {
-			hits := make([]int64, len(matches))
+			hits := zeroed(ctx.nodes[st.Node].hits, len(matches))
 			for j, m := range matches {
 				row := a.labels.Degrees(m)
 				if i, ok := slices.BinarySearchFunc(row, st.Label, func(e graph.LabelCount, l int32) int { return cmp.Compare(e.Label, l) }); ok {
@@ -250,6 +292,13 @@ func (a *GraphMatch) countLeaves(ctx *gmContext, d int) {
 			ctx.nodes[st.Node].hits = hits
 		}
 	}
+}
+
+// zeroed returns n zero counters, in hits' storage when it has the room.
+func zeroed(hits []int64, n int) []int64 {
+	hits = slices.Grow(hits[:0], n)[:n]
+	clear(hits)
+	return hits
 }
 
 // record notes that vertex id matches step st under its parent's j-th match.
@@ -274,7 +323,7 @@ func (a *GraphMatch) walkParents(ctx *gmContext, d int, rows [][]graph.VertexID,
 		if st.Expands {
 			sc.pairs[st.Node] = sc.pairs[st.Node][:0]
 		} else if a.pulls[st.Parent] {
-			ctx.nodes[st.Node].hits = make([]int64, len(ctx.nodes[st.Parent].matches))
+			ctx.nodes[st.Node].hits = zeroed(ctx.nodes[st.Node].hits, len(ctx.nodes[st.Parent].matches))
 		}
 	}
 	labels := a.labels

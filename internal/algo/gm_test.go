@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"slices"
 	"strings"
@@ -301,6 +302,176 @@ func BenchmarkGMUpdateRounds(b *testing.B) {
 			}
 		})
 	}
+}
+
+// gmSeedArms names the patterns the seed tests cover: Figure 1 (leaves
+// counted off the column at the seed), the deep tree (a level-1 node that
+// pulls), a path, a star whose root is leaf-only, and a lone root.
+func gmSeedArms() map[string]*Pattern {
+	return map[string]*Pattern{
+		"figure": FigurePattern(),
+		"deep":   gmDeepPattern(),
+		"path":   PathPattern(0, 1, 2, 3, 0),
+		"star":   MustPattern([]int32{0, 1, 2}, []int{-1, 0, 0}),
+		"root":   MustPattern([]int32{3}, []int{-1}),
+	}
+}
+
+// gmSeedGraph is the RMAT-11 graph with 7 dealt labels the allocation tests
+// run on.
+func gmSeedGraph() *graph.Graph {
+	g := gen.RMAT(gen.RMATConfig{Scale: 11, Edges: 30_000, Seed: 42})
+	gen.DealLabels(g, 7)
+	return g
+}
+
+// TestGMSeedAllocsBounded pins what a seed costs: a root-label vertex whose
+// level 1 matches nothing is matched in the pooled scratch and allocates
+// nothing, and one that spawns allocates its context (the struct and its
+// nodes), the three arenas its frontier and matches, positions and hits are
+// copied into, the task and its subgraph — never per match.
+func TestGMSeedAllocsBounded(t *testing.T) {
+	g := gmSeedGraph()
+	for name, p := range gmSeedArms() {
+		a := gmParentMajor(g, p)
+		sc := a.scratch.New() // one scratch, whatever the pool drops under -race
+		a.scratch.New = func() any { return sc }
+		var dies, spawns *graph.Vertex
+		g.ForEach(func(v *graph.Vertex) bool {
+			if v.Label != p.Labels[0] {
+				return true
+			}
+			if task := gmSeedTask(a, v); task == nil && (dies == nil || len(v.Adj) > len(dies.Adj)) {
+				dies = v
+			} else if task != nil && (spawns == nil || len(v.Adj) > len(spawns.Adj)) {
+				spawns = v
+			}
+			return true
+		})
+		if spawns == nil {
+			t.Fatalf("%s: no seed spawns", name)
+		}
+		if dies != nil {
+			if allocs := testing.AllocsPerRun(20, func() { gmSeedTask(a, dies) }); allocs != 0 {
+				t.Errorf("%s: %.0f allocations for a seed that spawns nothing, want 0", name, allocs)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { gmSeedTask(a, spawns) }); allocs > 7 {
+			t.Errorf("%s: %.0f allocations for a seed that spawns, want at most 7", name, allocs)
+		}
+	}
+}
+
+// TestGMSeededContextsKeepNothingOfTheScratch: a spawned task's context is
+// its own. Seeding every other vertex after it leaves it as it was, and
+// growing every node's slices leaves what each held before as it was.
+func TestGMSeededContextsKeepNothingOfTheScratch(t *testing.T) {
+	g := gmSeedGraph()
+	for name, p := range gmSeedArms() {
+		a := gmParentMajor(g, p)
+		var first *core.Task
+		var want []byte
+		g.ForEach(func(v *graph.Vertex) bool {
+			task := gmSeedTask(a, v)
+			if first == nil && task != nil {
+				first, want = task, gmEncoded(a, task)
+			}
+			return true
+		})
+		if got := gmEncoded(a, first); !bytes.Equal(got, want) {
+			t.Fatalf("%s: the first task's context changed as later vertices seeded", name)
+		}
+		nodes := first.Context.(*gmContext).nodes
+		held := make([]gmNode, len(nodes))
+		for i, n := range nodes {
+			held[i] = gmNode{slices.Clone(n.hits), slices.Clone(n.matches), slices.Clone(n.offsets), slices.Clone(n.parents)}
+		}
+		cands := slices.Clone(first.Cands)
+		for i := range nodes {
+			n := &nodes[i]
+			n.hits, n.matches = append(n.hits, -1), append(n.matches, -1)
+			n.offsets, n.parents = append(n.offsets, -1), append(n.parents, -1)
+		}
+		for i, n := range nodes {
+			h := held[i]
+			if !slices.Equal(n.hits[:len(h.hits)], h.hits) || !slices.Equal(n.matches[:len(h.matches)], h.matches) ||
+				!slices.Equal(n.offsets[:len(h.offsets)], h.offsets) || !slices.Equal(n.parents[:len(h.parents)], h.parents) {
+				t.Fatalf("%s: growing the nodes' slices overwrote node %d", name, i)
+			}
+		}
+		if !slices.Equal(first.Cands, cands) {
+			t.Fatalf("%s: growing the nodes' slices overwrote the frontier", name)
+		}
+	}
+}
+
+// TestGMSeededContextsPinned pins every seeded task's encoded context and
+// frontier on the RMAT-11 graph, pattern by pattern, to the bytes Seed
+// produced when it built each context slice by slice: matching in the
+// scratch and copying out must not move a byte of format 0xB3.
+func TestGMSeededContextsPinned(t *testing.T) {
+	want := map[string]string{
+		"figure": "121 tasks 6430a0a13a607181",
+		"deep":   "121 tasks 37f05a7e2db2cc0b",
+		"path":   "157 tasks f5693bc774fcf977",
+		"star":   "121 tasks 243828c51afc55ef",
+		"root":   "293 tasks 052a3f6527ad2582",
+	}
+	g := gmSeedGraph()
+	for name, p := range gmSeedArms() {
+		a := gmParentMajor(g, p)
+		h, tasks := fnv.New64a(), 0
+		g.ForEach(func(v *graph.Vertex) bool {
+			if task := gmSeedTask(a, v); task != nil {
+				tasks++
+				h.Write(gmEncoded(a, task))
+				w := wire.NewWriter(64)
+				wire.EncodeIDs(w, task.Cands)
+				h.Write(w.Bytes())
+			}
+			return true
+		})
+		if got := fmt.Sprintf("%d tasks %016x", tasks, h.Sum64()); got != want[name] {
+			t.Errorf("%s: seeded %s, want %s", name, got, want[name])
+		}
+	}
+}
+
+// gmEncoded is task's context as it crosses the wire.
+func gmEncoded(a *GraphMatch, task *core.Task) []byte {
+	w := wire.NewWriter(64)
+	a.EncodeContext(w, task.Context)
+	return w.Bytes()
+}
+
+// BenchmarkGMSeed times GM's task generator over every vertex of the
+// benchmark's graph (ns/seed, allocs/seed): Figure 1's level-1 match and
+// leaf counts, where most root-label seeds spawn nothing.
+func BenchmarkGMSeed(b *testing.B) {
+	g := gmBenchGraph()
+	a := gmParentMajor(g, nil)
+	var verts []*graph.Vertex
+	g.ForEach(func(v *graph.Vertex) bool {
+		verts = append(verts, v)
+		return true
+	})
+	spawn := func(*core.Task) {}
+	for _, v := range verts { // the column is cut at the first ask
+		a.Seed(v, spawn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, v := range verts {
+			a.Seed(v, spawn)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(verts)), "ns/seed")
+	b.ReportMetric(float64(testing.AllocsPerRun(1, func() {
+		for _, v := range verts {
+			a.Seed(v, spawn)
+		}
+	}))/float64(len(verts)), "allocs/seed")
 }
 
 // gmContextSamples returns encoded contexts of up to eight real tasks of a

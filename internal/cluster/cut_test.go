@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gminer/internal/algo"
+	"gminer/internal/core"
 	"gminer/internal/gen"
 	"gminer/internal/graph"
 	"gminer/internal/jobspec"
@@ -289,16 +290,18 @@ func batchAcrossCut(t *testing.T, c cutJob, resume bool) {
 	}
 	t.Cleanup(s.Close)
 	s.wrapEps = trap.wrap
-	a, err := jobspec.Build(c.g, c.spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Every seeder parks at its first vertex until the trap is armed, so the
+	// whole job's work, and its migrations, come after the first commit: a
+	// job that runs fast cannot end before there is a batch to hold.
+	armed := make(chan struct{})
+	a := gatedGM{GraphMatch: c.build(t), gate: func(_ *graph.Vertex, seed func()) { <-armed; seed() }}
 	j, err := s.Launch(a, JobOptions{ID: "cut", CheckpointEvery: time.Hour, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := commit(t, j, goroutineWorkers(j), noEpoch)
 	trap.arm(first + 1)
+	close(armed)
 	select {
 	case <-trap.held:
 	case <-j.master.doneCh:
@@ -340,6 +343,164 @@ func batchAcrossCut(t *testing.T, c cutJob, resume bool) {
 	if res.AggGlobal != c.seq.AggGlobal || res.Total.TasksDone != c.seq.Tasks {
 		t.Fatalf("count %v over %d tasks; want %v over %d", res.AggGlobal, res.Total.TasksDone, c.seq.AggGlobal, c.seq.Tasks)
 	}
+}
+
+// TestCutAmongSpawnlessSeeds: the seeder moves its cursor past a vertex that
+// admitted no task with one atomic store and no lock, and a cut may read
+// the cursor on either side of it. The test parks one worker's seeder among
+// such vertices — past one that admitted tasks, just after one whose cursor
+// moved unlocked — commits an epoch there, and rolls the job back to it
+// (killing that worker) or crashes it and resumes it from disk, stealing
+// on: the count is the sequential run's and the tasks done the fault-free
+// run's. On its way there the test takes the cut's lock as soon as Seed
+// returns from the vertex that admitted tasks, and the cursor must not move
+// past that vertex until it lets go.
+func TestCutAmongSpawnlessSeeds(t *testing.T) {
+	c := newCutJob(t)
+	ref, err := Run(c.g, c.build(t), c.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.AggGlobal != c.seq.AggGlobal || ref.Total.TasksDone != c.seq.Tasks {
+		t.Fatalf("fault-free: count %v over %d tasks; want %v over %d", ref.AggGlobal, ref.Total.TasksDone, c.seq.AggGlobal, c.seq.Tasks)
+	}
+	probe := c.build(t)
+	core.PlanOf(probe).Labels(c.g.LabelColumn())
+	spawns := func(id graph.VertexID) (yes bool) {
+		probe.Seed(c.g.Vertex(id), func(*core.Task) { yes = true })
+		return yes
+	}
+	for _, resume := range []bool{false, true} {
+		t.Run(map[bool]string{false: "rollback", true: "resume"}[resume], func(t *testing.T) {
+			s, err := NewSession(c.g, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			// On the worker with the longest scan: sv admits tasks, and gv,
+			// later, admits none, nor does the vertex before it.
+			w := 0
+			for i, l := range s.tables.locals {
+				if len(l.ids) > len(s.tables.locals[w].ids) {
+					w = i
+				}
+			}
+			order, sv, gv := s.tables.locals[w].ids, -1, -1
+			for i := range order {
+				if sv < 0 && spawns(order[i]) {
+					sv = i
+				} else if sv >= 0 && i > sv+1 && !spawns(order[i-1]) && !spawns(order[i]) {
+					gv = i
+					break
+				}
+			}
+			if gv < 0 {
+				t.Fatalf("worker %d's scan of %d vertices has no spawnless pair after a seed", w, len(order))
+			}
+
+			var (
+				job                    *Job
+				launched, parked, next = make(chan struct{}), make(chan struct{}), make(chan struct{})
+				moved                  = make(chan bool, 1)
+				atSV, atNext, atGV     sync.Once
+			)
+			release := make(chan struct{})
+			let := sync.OnceFunc(func() { close(release) })
+			t.Cleanup(let) // before s.Close: a failed run must not leave the seeder parked
+			a := gatedGM{GraphMatch: c.build(t), gate: func(v *graph.Vertex, seed func()) {
+				switch v.ID {
+				case order[sv]:
+					seed()
+					// sv's tasks are admitted: hold cutMu as a cut does until
+					// the seeder reaches the next vertex or 20 ms pass.
+					atSV.Do(func() {
+						<-launched
+						wk, held := goroutineWorkers(job)(w), make(chan struct{})
+						go func() {
+							wk.cutMu.Lock()
+							defer wk.cutMu.Unlock()
+							close(held)
+							before := wk.seedCursor.Load()
+							select {
+							case <-next:
+							case <-time.After(20 * time.Millisecond):
+							}
+							moved <- wk.seedCursor.Load() != before
+						}()
+						<-held
+					})
+					return
+				case order[sv+1]:
+					atNext.Do(func() { close(next) })
+				case order[gv]:
+					atGV.Do(func() { close(parked); <-release })
+				}
+				seed()
+			}}
+			j, err := s.Launch(a, JobOptions{ID: "cut", CheckpointEvery: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			job = j
+			close(launched)
+			<-parked
+			if <-moved {
+				t.Fatal("the seeder moved its cursor past a vertex that admitted tasks while the cut's lock was held")
+			}
+			wk := goroutineWorkers(j)(w)
+			if cur, sp := wk.seedCursor.Load(), wk.seedSpawned.Load(); cur != int64(gv) || sp != 0 {
+				t.Fatalf("parked at vertex %d of worker %d's scan: cursor %d, %d of its tasks admitted", gv, w, cur, sp)
+			}
+			commit(t, j, goroutineWorkers(j), noEpoch)
+			var res *Result
+			if resume {
+				let()
+				j.Stop() // a crash: the run's in-memory state is gone
+				if _, err := j.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				cfg := c.cfg
+				cfg.Resume, cfg.CheckpointDir = true, filepath.Join(c.cfg.CheckpointDir, "cut")
+				res, err = Run(c.g, a, cfg)
+			} else {
+				j.KillWorker(w)
+				let()
+				if err := j.RecoverWorker(w); err != nil {
+					t.Fatal(err)
+				}
+				res, err = j.Wait()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.AggGlobal != c.seq.AggGlobal || res.Total.TasksDone != ref.Total.TasksDone {
+				t.Fatalf("count %v over %d tasks; want %v over %d", res.AggGlobal, res.Total.TasksDone, c.seq.AggGlobal, ref.Total.TasksDone)
+			}
+		})
+	}
+}
+
+// build returns the job's GM, as Launch takes it.
+func (c cutJob) build(t *testing.T) *algo.GraphMatch {
+	t.Helper()
+	a, err := jobspec.Build(c.g, c.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.(*algo.GraphMatch)
+}
+
+// gatedGM is GM whose seeders hand every vertex to gate, with the call that
+// seeds it: a test parks a seeder there, or acts before or after a vertex
+// seeds.
+type gatedGM struct {
+	*algo.GraphMatch
+	gate func(v *graph.Vertex, seed func())
+}
+
+// Seed implements core.Algorithm.
+func (a gatedGM) Seed(v *graph.Vertex, spawn func(*core.Task)) {
+	a.gate(v, func() { a.GraphMatch.Seed(v, spawn) })
 }
 
 // masterSkips counts the epochs the master refused (its node's events).

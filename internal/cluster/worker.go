@@ -494,6 +494,14 @@ func (w *Worker) seederLoop() {
 		if _, in := w.cfg.seeds[w.localIDs[i]]; in || w.cfg.seeds == nil {
 			w.algo.Seed(w.dir.local(w.localIDs[i], w.id), spawn)
 		}
+		// A vertex that admitted nothing restores the same task set whether
+		// a cut reads the cursor before it or past it (Seed is a pure
+		// function of the vertex and the view), so only a vertex that
+		// admitted tasks moves the cursor under the cut's lock.
+		if w.seedSpawned.Load() == 0 {
+			w.seedCursor.Store(int64(i + 1))
+			continue
+		}
 		w.cutMu.Lock()
 		w.seedCursor.Store(int64(i + 1))
 		w.seedSpawned.Store(0)

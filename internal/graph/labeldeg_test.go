@@ -70,6 +70,15 @@ func oddLabels(g *graph.Graph) {
 	})
 }
 
+// wideLabels relabels g over an alphabet of 301 labels, negative and
+// positive.
+func wideLabels(g *graph.Graph) {
+	g.ForEach(func(v *graph.Vertex) bool {
+		v.Label = int32(int(v.ID)*7919%301) - 150
+		return true
+	})
+}
+
 // strided is a copy of g whose external IDs are spread out and shifted.
 func strided(g *graph.Graph) *graph.Graph {
 	out := graph.New(g.NumVertices())
@@ -86,16 +95,17 @@ func strided(g *graph.Graph) *graph.Graph {
 
 // TestLabelDegreeColumn: every row of the label-degree column is the brute
 // count of the vertex's neighbours by label — on dense and strided IDs,
-// with dealt labels and with labels off [0, 64), with tombstoned slots and
-// isolated vertices, and at every epoch of a mutation stream, each epoch's
-// column cut afresh.
+// with dealt labels, with labels off [0, 64) and with an alphabet past 64
+// labels, with tombstoned slots and isolated vertices, and at every epoch
+// of a mutation stream, each epoch's column cut afresh.
 func TestLabelDegreeColumn(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		dense := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 1500, Seed: seed})
 		gen.DealLabels(dense, 5)
-		odd := strided(dense)
+		odd, wide := strided(dense), strided(dense)
 		oddLabels(odd)
-		for name, g := range map[string]*graph.Graph{"dense": dense, "strided": strided(dense), "odd-labels": odd} {
+		wideLabels(wide)
+		for name, g := range map[string]*graph.Graph{"dense": dense, "strided": strided(dense), "odd-labels": odd, "wide-alphabet": wide} {
 			checkDegrees(t, name, g)
 
 			// A tombstone beside its former neighbours, and an isolated vertex.
@@ -115,5 +125,20 @@ func TestLabelDegreeColumn(t *testing.T) {
 				checkDegrees(t, fmt.Sprintf("%s/epoch %d", name, i+1), g)
 			}
 		}
+	}
+}
+
+// BenchmarkLabelDegreeCut times one cut of the label-degree column of the
+// batch-gm-compute graph (RMAT-14, 7 dealt labels), the first ask of every
+// GM job on a new epoch.
+func BenchmarkLabelDegreeCut(b *testing.B) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 14, Edges: 250_000, Seed: 42})
+	gen.DealLabels(g, 7)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l := g.LabelColumn()
+		b.StartTimer()
+		l.Degrees(0)
 	}
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -86,13 +85,19 @@ func (l *Labels) Degrees(id VertexID) []LabelCount {
 }
 
 // cutDegrees fills the label-degree column in two passes. The first ranks
-// every slot's label in the epoch's alphabet and bounds the pairs at
-// min(degree, alphabet) a vertex; the second fills each row in place off
-// the adjacency list, counting through a per-rank stamp, and sorts it.
+// every vertex's label in the epoch's alphabet, ranks ascending as labels
+// do (an empty slot ranks −1), and bounds the pairs at min(degree,
+// alphabet) a vertex; the second counts each vertex's neighbours by rank,
+// sorts the ranks it met and emits its row in rank order, so in label
+// order with no comparator.
 func (l *Labels) cutDegrees() {
 	ranks, rank := map[int32]int32{}, make([]int32, len(l.col))
 	var alphabet []int32
 	for id, label := range l.col {
+		if l.verts[id] == nil {
+			rank[id] = -1 // no vertex: Of does not know it either
+			continue
+		}
 		r, ok := ranks[label]
 		if !ok {
 			r, alphabet = int32(len(alphabet)), append(alphabet, label)
@@ -100,29 +105,42 @@ func (l *Labels) cutDegrees() {
 		}
 		rank[id] = r
 	}
+	sorted, byLabel := slices.Clone(alphabet), make([]int32, len(alphabet))
+	slices.Sort(sorted)
+	for r, label := range sorted {
+		byLabel[ranks[label]] = int32(r)
+	}
+	for id, r := range rank {
+		if r >= 0 {
+			rank[id] = byLabel[r]
+		}
+	}
 	bound := 0
 	for _, v := range l.verts {
 		if v != nil {
-			bound += min(len(v.Adj), len(alphabet))
+			bound += min(len(v.Adj), len(sorted))
 		}
 	}
 	off, rows := make([]int32, len(l.col)+1), make([]LabelCount, 0, bound)
-	stamp, at := make([]int32, len(alphabet)), make([]int32, len(alphabet))
+	count, met := make([]int32, len(sorted)), []int32(nil)
 	for id, v := range l.verts {
 		if v != nil {
-			start := len(rows)
+			met = met[:0]
 			for _, u := range v.Adj {
-				if l.verts[u] == nil {
-					continue // no vertex: Of does not know it either
-				}
 				r := rank[u]
-				if stamp[r] != int32(id)+1 {
-					stamp[r], at[r] = int32(id)+1, int32(len(rows))
-					rows = append(rows, LabelCount{Label: alphabet[r]})
+				if r < 0 {
+					continue
 				}
-				rows[at[r]].Count++
+				if count[r] == 0 {
+					met = append(met, r)
+				}
+				count[r]++
 			}
-			slices.SortFunc(rows[start:], func(a, b LabelCount) int { return cmp.Compare(a.Label, b.Label) })
+			slices.Sort(met)
+			for _, r := range met {
+				rows = append(rows, LabelCount{Label: sorted[r], Count: count[r]})
+				count[r] = 0
+			}
 		}
 		off[id+1] = int32(len(rows))
 	}

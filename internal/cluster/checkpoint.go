@@ -20,14 +20,15 @@ import (
 // snapshot periodically. For each checkpoint, the master instructs each
 // worker to dump the state of its partition."
 //
-// A worker checkpoints by quiescing its pipeline: the retriever and seeder
-// pause, the task buffer flushes, in-flight tasks (CMQ, CPQ, active) drain
-// back into the task store or die, and the reply to an outstanding steal REQ
-// arrives. Then every alive task is inactive in the store, and the snapshot
-// (seed cursor, store, results, aggregator partial, tasks done, per-peer
-// migration counts) is the worker's state. Thanks to the task model "we do
-// not need to checkpoint any message" — bar a migration batch on the wire,
-// so the master commits no epoch a batch crosses (consistentCut).
+// A worker checkpoints by quiescing its pipeline: the retriever pauses and
+// executors take no seed range, the task buffer flushes, in-flight tasks
+// (CMQ, CPQ, active) and seed ranges drain back into the task store or die,
+// and the reply to an outstanding steal REQ arrives. Then every alive task is
+// inactive in the store, and the snapshot (seed cursor, store, results,
+// aggregator partial, tasks done, per-peer migration counts) is the worker's
+// state. Thanks to the task model "we do not need to checkpoint any message"
+// — bar a migration batch on the wire, so the master commits no epoch a
+// batch crosses (consistentCut).
 //
 // Durability is epoch-committed: each worker writes a CRC32C-framed
 // worker-<i>.epoch-<N>.gen-<G>.ckpt (fsync file and directory before
@@ -43,23 +44,19 @@ const checkpointQuiesceTimeout = 10 * time.Second
 // workerSnapshot is one worker's checkpoint. Its counters restore with its
 // tasks, so a rolled-back job counts what a fault-free one does.
 type workerSnapshot struct {
-	Epoch       int64
-	SeedCursor  int64
-	SeedSpawned int64 // tasks of the vertex at SeedCursor the snapshot holds
-	SeedsDone   bool
-	TaskBytes   []byte // the stored tasks as one core.EncodeTasks list (store.Snapshot)
-	Results     []string
-	AggBytes    []byte // encoded aggregator partial; nil if no aggregator
-	TasksDone   int64
-	Sent, Recv  []int64 // tasks migrated to / from each worker
+	Epoch      int64
+	SeedCursor int64  // the first vertex of the seed scan no range has taken
+	TaskBytes  []byte // the stored tasks as one core.EncodeTasks list (store.Snapshot)
+	Results    []string
+	AggBytes   []byte // encoded aggregator partial; nil if no aggregator
+	TasksDone  int64
+	Sent, Recv []int64 // tasks migrated to / from each worker
 }
 
 func encodeSnapshot(s *workerSnapshot) []byte {
 	w := wire.NewWriter(1024 + len(s.TaskBytes))
 	w.Varint(s.Epoch)
 	w.Varint(s.SeedCursor)
-	w.Varint(s.SeedSpawned)
-	w.Bool(s.SeedsDone)
 	w.BytesField(s.TaskBytes)
 	w.Uvarint(uint64(len(s.Results)))
 	for _, r := range s.Results {
@@ -80,8 +77,6 @@ func decodeSnapshot(b []byte) (*workerSnapshot, error) {
 	s := &workerSnapshot{}
 	s.Epoch = r.Varint()
 	s.SeedCursor = r.Varint()
-	s.SeedSpawned = r.Varint()
-	s.SeedsDone = r.Bool()
 	s.TaskBytes = r.BytesField()
 	n := r.Count(1)
 	s.Results = make([]string, 0, n)
@@ -499,6 +494,7 @@ func (w *Worker) checkpoint() int64 {
 	defer func() {
 		w.paused.Store(false)
 		w.wake()
+		w.cpq.kick() // an executor waiting on the CPQ may take a seed range now
 	}()
 	var ckptStart time.Time
 	for {
@@ -560,15 +556,13 @@ func (w *Worker) cut(epoch int64) (*workerSnapshot, error) {
 		return nil, err
 	}
 	snap := &workerSnapshot{
-		Epoch:       epoch,
-		SeedCursor:  w.seedCursor.Load(),
-		SeedSpawned: w.seedSpawned.Load(),
-		SeedsDone:   w.seedsDone.Load(),
-		TaskBytes:   taskBytes,
-		Results:     w.takeResults(),
-		TasksDone:   w.counters.Snapshot().TasksDone,
-		Sent:        loadCounts(w.sentTo),
-		Recv:        loadCounts(w.recvFrom),
+		Epoch:      epoch,
+		SeedCursor: w.seedCursor.Load(),
+		TaskBytes:  taskBytes,
+		Results:    w.takeResults(),
+		TasksDone:  w.counters.Snapshot().TasksDone,
+		Sent:       loadCounts(w.sentTo),
+		Recv:       loadCounts(w.recvFrom),
 	}
 	if w.agg != nil {
 		wr := wire.NewWriter(32)
@@ -590,9 +584,10 @@ func loadCounts(counts []atomic.Int64) []int64 {
 }
 
 // quiesce waits until the pipeline is quiet and reports whether it got
-// there. Each task that parks or dies while the gate is closed wakes this
-// wait (bufferTask, taskDead), as do a steal reply, stop, a newer request,
-// which ends it, and every tick: one that reaches deadline fails it.
+// there. Each task that parks or dies and each seed range that retires
+// while the gate is closed wakes this wait (bufferTask, retire), as do a
+// steal reply, stop, a newer request, which ends it, and every tick: one that
+// reaches deadline fails it.
 func (w *Worker) quiesce(epoch, deadline int64) bool {
 	w.pendMu.Lock()
 	defer w.pendMu.Unlock()
@@ -653,8 +648,6 @@ func (w *Worker) applySnapshot(s *workerSnapshot) error {
 		return fmt.Errorf("cluster: restore worker %d epoch %d: %w", w.id, s.Epoch, err)
 	}
 	w.seedCursor.Store(s.SeedCursor)
-	w.seedSpawned.Store(s.SeedSpawned)
-	w.seedsDone.Store(s.SeedsDone)
 	w.results = append(w.results, s.Results...)
 	if w.agg != nil && s.AggBytes != nil {
 		w.aggPartial = w.agg.Decode(wire.NewReader(s.AggBytes))

@@ -522,7 +522,7 @@ func TestRecoveryWithoutCheckpointDir(t *testing.T) {
 			Partitioner:      partition.Hash{},
 			Stealing:         true,
 			Tracer:           tr,
-			seedHold:         release, // the kill lands with seeds still to come
+			seedHold:         holdLast(release), // the kill lands with seeds still to come
 		}
 		if spills {
 			cfg.StoreMemCapacity, cfg.StoreBlockCapacity, cfg.SpillDir = 4, 4, tmp

@@ -208,8 +208,9 @@ func TestEagerVsStreamingSeeding(t *testing.T) {
 }
 
 // BenchmarkAblationEagerSeeding is the seeding ablation beside the root
-// package's others (MCF on orkut-s, 3 workers × 2 threads): every seed task
-// generated before processing starts, as in the paper.
+// package's others (MCF on orkut-s, 3 workers × 2 threads): the executors
+// take seed ranges with no bound on alive tasks, so every seed task that
+// waits for data is generated before processing starts, as in the paper.
 func BenchmarkAblationEagerSeeding(b *testing.B) {
 	g := gen.MustBuild(gen.Orkut, 0.15)
 	cfg := cluster.Config{Workers: 3, Threads: 2, UseLSH: true, Stealing: true}

@@ -30,9 +30,9 @@ type Config struct {
 	CacheShards int
 	// StoreMemCapacity is the task store's spill threshold: the number of
 	// inactive tasks a worker keeps in memory before the store spills
-	// blocks to disk. Seeds never cross it (given room for two BufferFlush
-	// batches): the streaming seeder holds the store at or under half of
-	// it, leaving spilling to the tasks the executor produces.
+	// blocks to disk. Seeds alone do not cross it: an executor takes a seed
+	// range only while the worker's alive tasks are at most half of it,
+	// leaving spilling to the tasks the executor produces.
 	StoreMemCapacity int
 	// StoreBlockCapacity is the number of tasks per spilled block.
 	StoreBlockCapacity int
@@ -113,18 +113,19 @@ type Config struct {
 	cpqHighWater     int
 	pullRetryBase    time.Duration
 
-	// eagerSeeding, when set (tests only, see export_test.go), generates
-	// every seed task that waits for data before processing starts — the
-	// paper's behaviour, which §9 lists as an overhead. Otherwise such seeds
-	// stream into the pipeline with backpressure: the seeder waits while the
-	// task store holds more than StoreMemCapacity/2 tasks. A ready seed
-	// waits for room in the CPQ either way.
+	// eagerSeeding, when set (tests only, see export_test.go), lifts the
+	// bound on alive tasks from the seed range take, so every seed task that
+	// waits for data is generated before processing starts — the paper's
+	// behaviour, which §9 lists as an overhead. Otherwise an executor takes
+	// a range only while the worker's alive tasks are at most
+	// StoreMemCapacity/2. A range waits for room in the CPQ either way.
 	eagerSeeding bool
 
-	// seedHold, when set (tests only, see export_test.go), makes every seeder
-	// wait for it to close before seeding its last vertex: the job cannot
-	// finish, however fast it runs, until the test lets it.
-	seedHold <-chan struct{}
+	// seedHold, when set (tests only, see export_test.go), is asked at each
+	// seed range take, with whether the range is the scan's last, and
+	// withholds the range while it answers true: a test keeps a job from
+	// finishing, however fast it runs, until it lets it.
+	seedHold func(last bool) bool
 
 	// The per-job fields, stamped by Session.build at every launch: the
 	// job's ID ("" in single-shot mode), the graph epoch it runs at (folded
@@ -135,7 +136,7 @@ type Config struct {
 	memBudget  *memctl.Budget
 	roundHook  func(round int64)
 
-	// seeds, when non-nil, is JobOptions.Seeds as a set: each seeder skips
+	// seeds, when non-nil, is JobOptions.Seeds as a set: a seed range skips
 	// the vertices of its scan that are not in it.
 	seeds map[graph.VertexID]struct{}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -284,17 +285,19 @@ func TestBatchInFlightAcrossCut(t *testing.T) {
 func batchAcrossCut(t *testing.T, c cutJob, resume bool) {
 	trap := newBatchTrap()
 	tr := trace.New(c.cfg.Workers+1, 4096).EnableEvents()
-	s, err := NewSession(c.g, c.cfg)
+	// Every worker withholds its seed ranges until the trap is armed, so the
+	// whole job's work, and its migrations, come after the first commit: a
+	// job that runs fast cannot end before there is a batch to hold.
+	armed := make(chan struct{})
+	held := c.cfg
+	held.seedHold = func(bool) bool { return !closed(armed) }
+	s, err := NewSession(c.g, held)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
 	s.wrapEps = trap.wrap
-	// Every seeder parks at its first vertex until the trap is armed, so the
-	// whole job's work, and its migrations, come after the first commit: a
-	// job that runs fast cannot end before there is a batch to hold.
-	armed := make(chan struct{})
-	a := gatedGM{GraphMatch: c.build(t), gate: func(_ *graph.Vertex, seed func()) { <-armed; seed() }}
+	a := c.build(t)
 	j, err := s.Launch(a, JobOptions{ID: "cut", CheckpointEvery: time.Hour, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
@@ -345,18 +348,19 @@ func batchAcrossCut(t *testing.T, c cutJob, resume bool) {
 	}
 }
 
-// TestCutAmongSpawnlessSeeds: the seeder moves its cursor past a vertex that
-// admitted no task with one atomic store and no lock, and a cut may read
-// the cursor on either side of it. The test parks one worker's seeder among
-// such vertices — past one that admitted tasks, just after one whose cursor
-// moved unlocked — commits an epoch there, and rolls the job back to it
-// (killing that worker) or crashes it and resumes it from disk, stealing
-// on: the count is the sequential run's and the tasks done the fault-free
-// run's. On its way there the test takes the cut's lock as soon as Seed
-// returns from the vertex that admitted tasks, and the cursor must not move
-// past that vertex until it lets go.
-func TestCutAmongSpawnlessSeeds(t *testing.T) {
+// TestCutBetweenSeedRanges: a seed range is alive from its take to its last
+// child's admission, so a cut holds it whole or not at all. One executor
+// parks in Seed at the first vertex of its worker's scan that admits tasks,
+// inside a taken range with the cursor past it and nothing admitted yet. An
+// epoch requested then must not commit while it is parked: every other
+// worker acks it and the parked one does not. Once released, the range
+// finishes and the epoch commits; the job is rolled back to it (killing that
+// worker) or crashed and resumed from disk: the count is the sequential
+// run's and the tasks done the fault-free run's. Every worker withholds its
+// last range until then, so the job outlives the commit.
+func TestCutBetweenSeedRanges(t *testing.T) {
 	c := newCutJob(t)
+	c.cfg.Threads = 1 // the parked executor is its worker's only one
 	ref, err := Run(c.g, c.build(t), c.cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -372,68 +376,41 @@ func TestCutAmongSpawnlessSeeds(t *testing.T) {
 	}
 	for _, resume := range []bool{false, true} {
 		t.Run(map[bool]string{false: "rollback", true: "resume"}[resume], func(t *testing.T) {
-			s, err := NewSession(c.g, c.cfg)
+			release := make(chan struct{})
+			cfg := c.cfg
+			cfg.seedHold = holdLast(release)
+			s, err := NewSession(c.g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(s.Close)
-			// On the worker with the longest scan: sv admits tasks, and gv,
-			// later, admits none, nor does the vertex before it.
+			acks := make(chan [2]int64, 64) // {worker, epoch} of every checkpoint ack sent
+			s.wrapEps = func(eps []transport.Endpoint) {
+				for i, ep := range eps {
+					eps[i] = ackTap{Endpoint: ep, acks: acks}
+				}
+			}
+			// On the worker with the longest scan, sv is the first vertex that
+			// admits tasks; it must not be in the withheld last range.
 			w := 0
 			for i, l := range s.tables.locals {
 				if len(l.ids) > len(s.tables.locals[w].ids) {
 					w = i
 				}
 			}
-			order, sv, gv := s.tables.locals[w].ids, -1, -1
-			for i := range order {
-				if sv < 0 && spawns(order[i]) {
-					sv = i
-				} else if sv >= 0 && i > sv+1 && !spawns(order[i-1]) && !spawns(order[i]) {
-					gv = i
-					break
-				}
+			order, flush := s.tables.locals[w].ids, cfg.Defaults().BufferFlush
+			sv := slices.IndexFunc(order, spawns)
+			if sv < 0 || sv >= (len(order)-1)/flush*flush {
+				t.Fatalf("worker %d's scan of %d vertices admits its first task at %d, in no range but the last", w, len(order), sv)
 			}
-			if gv < 0 {
-				t.Fatalf("worker %d's scan of %d vertices has no spawnless pair after a seed", w, len(order))
-			}
-
-			var (
-				job                    *Job
-				launched, parked, next = make(chan struct{}), make(chan struct{}), make(chan struct{})
-				moved                  = make(chan bool, 1)
-				atSV, atNext, atGV     sync.Once
-			)
-			release := make(chan struct{})
-			let := sync.OnceFunc(func() { close(release) })
-			t.Cleanup(let) // before s.Close: a failed run must not leave the seeder parked
+			parked, unpark := make(chan struct{}), make(chan struct{})
+			let, releaseAll := sync.OnceFunc(func() { close(unpark) }), sync.OnceFunc(func() { close(release) })
+			t.Cleanup(let) // before s.Close: a failed run must not leave an executor parked
+			t.Cleanup(releaseAll)
 			a := gatedGM{GraphMatch: c.build(t), gate: func(v *graph.Vertex, seed func()) {
-				switch v.ID {
-				case order[sv]:
-					seed()
-					// sv's tasks are admitted: hold cutMu as a cut does until
-					// the seeder reaches the next vertex or 20 ms pass.
-					atSV.Do(func() {
-						<-launched
-						wk, held := goroutineWorkers(job)(w), make(chan struct{})
-						go func() {
-							wk.cutMu.Lock()
-							defer wk.cutMu.Unlock()
-							close(held)
-							before := wk.seedCursor.Load()
-							select {
-							case <-next:
-							case <-time.After(20 * time.Millisecond):
-							}
-							moved <- wk.seedCursor.Load() != before
-						}()
-						<-held
-					})
-					return
-				case order[sv+1]:
-					atNext.Do(func() { close(next) })
-				case order[gv]:
-					atGV.Do(func() { close(parked); <-release })
+				if v.ID == order[sv] && !closed(parked) {
+					close(parked)
+					<-unpark
 				}
 				seed()
 			}}
@@ -441,20 +418,34 @@ func TestCutAmongSpawnlessSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			job = j
-			close(launched)
 			<-parked
-			if <-moved {
-				t.Fatal("the seeder moved its cursor past a vertex that admitted tasks while the cut's lock was held")
+			j.master.requestBarrier()
+			var epoch int64
+			for others := map[int64]bool{}; len(others) < cfg.Workers-1; {
+				ack := <-acks
+				if ack[0] == int64(w) {
+					t.Fatalf("worker %d acked epoch %d with a seed range parked", w, ack[1])
+				}
+				epoch, others[ack[0]] = ack[1], true
 			}
-			wk := goroutineWorkers(j)(w)
-			if cur, sp := wk.seedCursor.Load(), wk.seedSpawned.Load(); cur != int64(gv) || sp != 0 {
-				t.Fatalf("parked at vertex %d of worker %d's scan: cursor %d, %d of its tasks admitted", gv, w, cur, sp)
+			if got := j.master.committedEpoch(); got >= epoch {
+				t.Fatalf("epoch %d committed with worker %d's seed range parked", got, w)
 			}
-			commit(t, j, goroutineWorkers(j), noEpoch)
+			let()
+			for {
+				sig := j.master.commitSignal()
+				if j.master.committedEpoch() >= epoch {
+					break
+				}
+				select {
+				case <-sig:
+				case <-j.master.doneCh:
+					t.Fatal("the job ended before the barrier epoch committed")
+				}
+			}
 			var res *Result
 			if resume {
-				let()
+				releaseAll()
 				j.Stop() // a crash: the run's in-memory state is gone
 				if _, err := j.Wait(); err != nil {
 					t.Fatal(err)
@@ -464,7 +455,7 @@ func TestCutAmongSpawnlessSeeds(t *testing.T) {
 				res, err = Run(c.g, a, cfg)
 			} else {
 				j.KillWorker(w)
-				let()
+				releaseAll()
 				if err := j.RecoverWorker(w); err != nil {
 					t.Fatal(err)
 				}
@@ -480,6 +471,23 @@ func TestCutAmongSpawnlessSeeds(t *testing.T) {
 	}
 }
 
+// ackTap passes every message on and reports the checkpoint acks its worker
+// sends.
+type ackTap struct {
+	transport.Endpoint
+	acks chan<- [2]int64
+}
+
+func (e ackTap) Send(to int, typ uint8, payload []byte) error {
+	if epoch, err := decodeEpoch(payload); typ == msgCheckpointDone && err == nil {
+		select {
+		case e.acks <- [2]int64{int64(e.Node()), epoch}:
+		default:
+		}
+	}
+	return e.Endpoint.Send(to, typ, payload)
+}
+
 // build returns the job's GM, as Launch takes it.
 func (c cutJob) build(t *testing.T) *algo.GraphMatch {
 	t.Helper()
@@ -490,9 +498,8 @@ func (c cutJob) build(t *testing.T) *algo.GraphMatch {
 	return a.(*algo.GraphMatch)
 }
 
-// gatedGM is GM whose seeders hand every vertex to gate, with the call that
-// seeds it: a test parks a seeder there, or acts before or after a vertex
-// seeds.
+// gatedGM is GM whose seed ranges hand every vertex to gate, with the call
+// that seeds it: a test parks an executor there inside a taken range.
 type gatedGM struct {
 	*algo.GraphMatch
 	gate func(v *graph.Vertex, seed func())

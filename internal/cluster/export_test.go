@@ -47,10 +47,26 @@ func Tune(cfg *Config, k Knobs) {
 
 // HoldLastSeed is the deterministic hold of the fault-injection soaks: every
 // worker built from cfg — in this process or a worker process started with
-// it, first incarnation or replacement — seeds all but its last vertex, then
-// waits for release to close. Until then the job has work pending on every
-// slot and cannot finish under the test, whatever the engine's speed.
-func HoldLastSeed(cfg *Config, release <-chan struct{}) { cfg.seedHold = release }
+// it, first incarnation or replacement — seeds all but its last range, which
+// it withholds until release closes. Until then the job has work pending on
+// every slot and cannot finish under the test, whatever the engine's speed.
+func HoldLastSeed(cfg *Config, release <-chan struct{}) { cfg.seedHold = holdLast(release) }
+
+// holdLast is a seedHold that withholds the scan's last range until release
+// closes.
+func holdLast(release <-chan struct{}) func(last bool) bool {
+	return func(last bool) bool { return last && !closed(release) }
+}
+
+// closed reports whether ch is closed.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
 
 // residentIDs lists the resident set of the view as its directory answers
 // for it — the vertices a worker other than the owner reads in place —
@@ -108,8 +124,9 @@ func (wp *WorkerProcess) ResidentCore() (rows int, fingerprint uint64) {
 }
 
 // SeedEagerly makes cfg's workers generate every seed task that waits for
-// data before processing starts, the paper's behaviour, instead of streaming
-// those seeds under the task store's backpressure.
+// data before processing starts, the paper's behaviour, instead of taking
+// seed ranges only while the alive tasks are at most half the store's spill
+// threshold.
 func SeedEagerly(cfg *Config) { cfg.eagerSeeding = true }
 
 // ResultTimeout is a RemoteSessionConfig whose finished jobs wait up to d

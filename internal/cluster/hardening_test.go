@@ -167,7 +167,8 @@ func TestRestoreVsMigrateRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := &workerSnapshot{Epoch: 1, SeedsDone: true, TaskBytes: taskBytes}
+	// One task per local vertex, and the seed scan past them all.
+	snap := &workerSnapshot{Epoch: 1, SeedCursor: int64(len(tasks)), TaskBytes: taskBytes}
 
 	net := transport.NewLocal(transport.LocalConfig{Nodes: 3})
 	// The racing MIGRATE: queued before the worker exists, handled the

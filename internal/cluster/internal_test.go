@@ -204,7 +204,7 @@ func TestEpochCodec(t *testing.T) {
 
 func TestSnapshotCodec(t *testing.T) {
 	s := &workerSnapshot{
-		Epoch: 3, SeedCursor: 77, SeedsDone: true,
+		Epoch: 3, SeedCursor: 77,
 		TaskBytes: []byte{9, 9, 9},
 		Results:   []string{"a", "b"},
 		AggBytes:  []byte{4},

@@ -13,21 +13,22 @@ import (
 // Durable checkpoint format (§7 hardening). A worker's snapshot is framed
 // on disk as
 //
-//	"GMCK3" | uvarint payload length | payload | crc32c(payload), LE
+//	"GMCK4" | uvarint payload length | payload | crc32c(payload), LE
 //
 // so a torn write (crash mid-checkpoint, disk rot) is detected before the
 // payload ever reaches decodeSnapshot. The master's MANIFEST uses the same
 // frame with its own magic and records which epoch is committed: an epoch
 // exists durably only once every worker's file landed (fsync'd) and the
 // master wrote the manifest naming it. Restore never trusts a file the
-// manifest does not vouch for. GMCK3 is the payload whose task list is a
-// core.EncodeTasks list without to_pull, followed by the worker's tasks
+// manifest does not vouch for. GMCK4 is the payload whose seed state is
+// the cursor alone (a cut holds each seed range whole) and whose task list
+// is a core.EncodeTasks list without to_pull, followed by the worker's tasks
 // done and per-peer migration counts; GMMF2 is the manifest whose payload
 // is JSON. A file or manifest any older build framed fails at unframe ("bad
 // magic") instead of mis-decoding, so its directory does not resume.
 
 const (
-	snapshotMagic = "GMCK3"
+	snapshotMagic = "GMCK4"
 	manifestMagic = "GMMF2"
 	// manifestName is the committed-epoch record inside the checkpoint
 	// directory.

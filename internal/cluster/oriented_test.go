@@ -285,10 +285,10 @@ func TestOrientedTCKillRecover(t *testing.T) {
 
 // TestSeedOnlyJobNeverSpills: oriented TC makes one task per seed and none
 // of them ever comes back to the store, so whatever the store writes to the
-// spiller, the seeder put there. At the benchmark's engine shape — and the
+// spiller, seed ranges put there. At the benchmark's engine shape — and the
 // same shape an eighth the size, which -short keeps — every worker seeds
-// more than twice its spill threshold and the streaming seeder must still
-// stay under it: spilling is for what the executor produces.
+// more than twice its spill threshold and its seed ranges must still keep
+// the store under it: spilling is for what the executor produces.
 func TestSeedOnlyJobNeverSpills(t *testing.T) {
 	for _, tc := range []struct {
 		scale    int

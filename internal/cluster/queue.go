@@ -8,12 +8,13 @@ import (
 
 // taskQueue is the CPQ of Figure 2: an unbounded FIFO of ready tasks
 // consumed by the executor's computing threads. A high-water mark lets the
-// candidate retriever apply backpressure (WaitBelow) so ready tasks — and
+// candidate retriever apply backpressure (waitBelow) so ready tasks — and
 // the cache references they hold — stay bounded.
 type taskQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []*core.Task
+	kicked bool // the next pop to find the queue empty returns no task
 	closed bool
 }
 
@@ -34,7 +35,8 @@ func (q *taskQueue) push(t *core.Task) {
 	q.cond.Broadcast()
 }
 
-// pop blocks for the next task; ok=false once closed and drained.
+// pop blocks for the next task; ok=false once closed and drained. A kick
+// makes it return nil, true instead of waiting on.
 func (q *taskQueue) pop() (*core.Task, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -45,14 +47,28 @@ func (q *taskQueue) pop() (*core.Task, bool) {
 			// a finished task, and what it points to, reachable.
 			q.queue[0] = nil
 			q.queue = q.queue[1:]
-			q.cond.Broadcast() // wake WaitBelow waiters
+			q.cond.Broadcast() // wake waitBelow waiters
 			return t, true
 		}
 		if q.closed {
 			return nil, false
 		}
+		if q.kicked {
+			q.kicked = false
+			return nil, true
+		}
 		q.cond.Wait()
 	}
+}
+
+// kick makes the next pop to find the queue empty — one waiting now, or one
+// about to wait — return no task, so its executor looks for a seed range
+// again.
+func (q *taskQueue) kick() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.kicked = true
+	q.cond.Broadcast()
 }
 
 // waitBelow blocks while the queue holds >= n tasks (and is not closed).

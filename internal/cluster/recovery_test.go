@@ -160,7 +160,7 @@ func waitForManifest(t *testing.T, dir string, deadline time.Duration) {
 // for a pull in the store, and one worker, where every task with a candidate
 // is ready at intake and goes straight to the CPQ — so each checkpoint's
 // quiesce waits for the executor to drain the CPQ, and the snapshot holds
-// only what the seeder had not yet reached. On both, a checkpointed run that
+// only what the seed scan had not yet reached. On both, a checkpointed run that
 // is left to finish runs one task per vertex, as a fault-free run does, and
 // the resumed run runs exactly the tasks the checkpoint had not finished and
 // reports, with the count the checkpoint restored, one task per vertex.

@@ -356,7 +356,7 @@ func TestResidentRestoreAndStealRecompute(t *testing.T) {
 		return popAll(w.store)
 	}
 
-	check("restored", drain(build(&workerSnapshot{Epoch: 1, SeedsDone: true, TaskBytes: taskList(tasks, tc)})))
+	check("restored", drain(build(&workerSnapshot{Epoch: 1, TaskBytes: taskList(tasks, tc)})))
 
 	thief := build(nil)
 	thief.handleTasks(1, taskList(tasks, tc))

@@ -530,7 +530,7 @@ type JobOptions struct {
 	// passed to Launch, whose plan alone decides what the runtime offers it.
 	Spec *jobspec.Spec
 	// Seeds, when non-nil, is the set of vertices the job seeds tasks at:
-	// each worker's seeder walks its scan as ever and skips the vertices not
+	// each worker's seed ranges walk its scan as ever and skip the vertices not
 	// in the set, so the job is the full job minus the tasks of the other
 	// seeds — same order, same cursor, same restore. IDs the graph does not
 	// hold are ignored; an empty non-nil set runs no task. It is a job

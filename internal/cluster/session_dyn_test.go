@@ -516,7 +516,7 @@ func TestResidentSetFollowsGraphEpoch(t *testing.T) {
 	g, _ := gen.Community(gen.CommunityConfig{Communities: 60, MinSize: 5, MaxSize: 10, PIn: 0.7, Bridges: 120, Seed: 31})
 	cfg := dynConfig(3)
 	hold := make(chan struct{})
-	cfg.seedHold = hold
+	cfg.seedHold = holdLast(hold)
 	s, err := NewSession(g, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -107,18 +107,18 @@ type Worker struct {
 	// when it dies or leaves, activity bumps in between, a migrated batch is
 	// in tasksSent before it is sent and in tasksRecv once it is in inflight.
 	// sentTo and recvFrom split the two by peer, for the checkpoint cut.
-	inflight    atomic.Int64 // alive tasks owned by this worker
-	activity    atomic.Int64 // bumps on intake/death/migration
-	tasksSent   atomic.Int64
-	tasksRecv   atomic.Int64
-	sentTo      []atomic.Int64
-	recvFrom    []atomic.Int64
-	seedsDone   atomic.Bool
-	seedCursor  atomic.Int64
-	seedSpawned atomic.Int64 // tasks of the vertex at seedCursor admitted
+	inflight  atomic.Int64 // alive tasks owned by this worker, and seed ranges taken
+	activity  atomic.Int64 // bumps on intake/death/migration
+	tasksSent atomic.Int64
+	tasksRecv atomic.Int64
+	sentTo    []atomic.Int64
+	recvFrom  []atomic.Int64
+	// seedCursor is the first vertex of the seed scan no range has taken:
+	// the scan is done once it reaches the end (seedsDone).
+	seedCursor atomic.Int64
 	// cutMu makes a checkpoint's cut atomic with what moves tasks beside the
-	// paused pipeline: a seed's admission with the seeder's place, and a
-	// migration batch shipped or taken in with its counts.
+	// paused pipeline: a seed range's take with the cursor, and a migration
+	// batch shipped or taken in with its counts.
 	cutMu sync.Mutex
 	// wave is the newest termination probe seen, echoed by every report;
 	// repMu keeps reports leaving in the order they were built.
@@ -266,7 +266,7 @@ func newWorker(id int, cfg Config, algo core.Algorithm, dir *directory, local *l
 // start launches the pipeline goroutines.
 func (w *Worker) start() {
 	w.clock.Store(time.Now().UnixNano())
-	loops := []func(){w.commLoop, w.retrieverLoop, w.seederLoop, w.progressLoop}
+	loops := []func(){w.commLoop, w.retrieverLoop, w.progressLoop}
 	for i := 0; i < w.cfg.Threads; i++ {
 		loops = append(loops, w.executorLoop)
 	}
@@ -283,6 +283,7 @@ func (w *Worker) start() {
 			f()
 		}(loop)
 	}
+	w.reportIfIdle() // a worker with nothing to seed is idle from the start
 }
 
 // stop shuts the pipeline down (idempotent).
@@ -444,72 +445,6 @@ func (w *Worker) computeToPull(t *core.Task) {
 		}
 		t.ToPull = append(t.ToPull, id)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Seeder: the task generator of Figure 4, streaming seeds into the pipeline.
-
-func (w *Worker) seederLoop() {
-	// Streaming seeding (extension, §9): backpressure where each seed is
-	// going, so seeds do not all materialize up front. A ready seed waits for
-	// the CPQ to drop below the high water the retriever fills it to. A
-	// waiting seed is admitted only while the store is at or under the level
-	// a spill cuts it back to, so seeds alone fill it to at most
-	// mark + BufferFlush — under the spill threshold (if that is two flushes
-	// or more): spilling is for what the executor produces, and for eager
-	// seeding.
-	// A cut may fall between two tasks of one vertex: a restore skips those
-	// its cut holds.
-	mark := w.cfg.StoreMemCapacity / 2
-	skip := w.seedSpawned.Load()
-	spawn := func(t *core.Task) {
-		if skip > 0 {
-			skip--
-			return
-		}
-		w.computeToPull(t)
-		if w.runsNow(t) {
-			w.cpq.waitBelow(w.cfg.cpqHighWater)
-		} else if !w.cfg.eagerSeeding {
-			w.store.WaitBelow(mark)
-		}
-		w.assignID(t)
-		w.trSeed.Event(trace.EvTaskSeed, t.ID)
-		w.cutMu.Lock()
-		w.admit(t, false)
-		w.seedSpawned.Add(1)
-		w.cutMu.Unlock()
-	}
-	for i := int(w.seedCursor.Load()); i < len(w.localIDs); i++ {
-		if !w.waitResumed() {
-			return
-		}
-		if w.cfg.seedHold != nil && i == len(w.localIDs)-1 {
-			select {
-			case <-w.cfg.seedHold:
-			case <-w.stopCh:
-				return
-			}
-		}
-		if _, in := w.cfg.seeds[w.localIDs[i]]; in || w.cfg.seeds == nil {
-			w.algo.Seed(w.dir.local(w.localIDs[i], w.id), spawn)
-		}
-		// A vertex that admitted nothing restores the same task set whether
-		// a cut reads the cursor before it or past it (Seed is a pure
-		// function of the vertex and the view), so only a vertex that
-		// admitted tasks moves the cursor under the cut's lock.
-		if w.seedSpawned.Load() == 0 {
-			w.seedCursor.Store(int64(i + 1))
-			continue
-		}
-		w.cutMu.Lock()
-		w.seedCursor.Store(int64(i + 1))
-		w.seedSpawned.Store(0)
-		w.cutMu.Unlock()
-	}
-	w.seedsDone.Store(true)
-	w.flushBatch(w.buffer.drain())
-	w.reportIfIdle()
 }
 
 // ---------------------------------------------------------------------------
@@ -785,9 +720,15 @@ func (w *Worker) executorLoop() {
 		if w.cpq.len() == 0 {
 			w.flushStarved() // going idle: buffered output must not wait for a heartbeat
 		}
+		if w.seedRange() {
+			continue
+		}
 		t, ok := w.cpq.pop()
 		if !ok {
 			return
+		}
+		if t == nil {
+			continue // kicked: a range may be takeable now
 		}
 		if w.stopped() {
 			// Cancellation drain: the queue is closed and being emptied;
@@ -852,12 +793,66 @@ func (w *Worker) runTask(t *core.Task, cands []*graph.Vertex) []*graph.Vertex {
 func (w *Worker) taskDead(t *core.Task) {
 	w.counters.TaskDone()
 	w.trExec.Event(trace.EvTaskDead, t.ID)
+	w.retire()
+}
+
+// retire ends one alive unit, a task or a seed range: activity bumps before
+// inflight falls, and a worker left idle reports at once.
+func (w *Worker) retire() {
 	w.activity.Add(1)
 	w.inflight.Add(-1)
 	w.reportIfIdle()
 	if w.paused.Load() {
 		w.wake()
 	}
+}
+
+// seedRange is the task generator of Figure 4, run by an executor before it
+// pops the CPQ: it seeds the next BufferFlush vertices of the scan (those in
+// JobOptions.Seeds, when set) and reports whether it took them. It takes a
+// range only while the pipeline runs, the CPQ is under its high water and —
+// unless seeding eagerly — the alive tasks are at most half the store's spill
+// threshold. The range is alive from its take, under cutMu with the cursor,
+// until its last child is admitted, so a cut (DESIGN §8, "Seed ranges") holds
+// it whole or not at all.
+func (w *Worker) seedRange() bool {
+	if w.seedsDone() || w.paused.Load() || w.stopped() || w.cpq.len() >= w.cfg.cpqHighWater ||
+		(!w.cfg.eagerSeeding && w.inflight.Load() > int64(w.cfg.StoreMemCapacity/2)) {
+		return false
+	}
+	w.cutMu.Lock()
+	lo := int(w.seedCursor.Load())
+	hi := min(lo+w.cfg.BufferFlush, len(w.localIDs))
+	if lo == hi || (w.cfg.seedHold != nil && w.cfg.seedHold(hi == len(w.localIDs))) {
+		w.cutMu.Unlock()
+		return false
+	}
+	w.inflight.Add(1)
+	w.activity.Add(1)
+	w.seedCursor.Store(int64(hi))
+	w.cutMu.Unlock()
+
+	start, spawn := time.Now(), w.spawn // one method value, not one a vertex
+	for _, id := range w.localIDs[lo:hi] {
+		if _, in := w.cfg.seeds[id]; in || w.cfg.seeds == nil {
+			w.algo.Seed(w.dir.local(id, w.id), spawn)
+		}
+	}
+	w.counters.AddBusy(time.Since(start))
+	w.retire()
+	return true
+}
+
+// spawn admits a seed task.
+func (w *Worker) spawn(t *core.Task) {
+	w.assignID(t)
+	w.trSeed.Event(trace.EvTaskSeed, t.ID)
+	w.intake(t, false)
+}
+
+// seedsDone: every range of the seed scan is taken.
+func (w *Worker) seedsDone() bool {
+	return w.seedCursor.Load() == int64(len(w.localIDs))
 }
 
 // resolve maps t's candidate IDs to vertex objects: what this worker reads
@@ -1071,7 +1066,8 @@ func (w *Worker) progressLoop() {
 
 // tick is one heartbeat, reading now on the protocol's clock: it flushes what
 // sits below batch thresholds, retries overdue pulls, samples live memory
-// (partition and resident lists, store, cache), reports and, idle, steals.
+// (partition and resident lists, store, cache), reports, wakes an executor
+// while seeds remain and, idle, steals.
 func (w *Worker) tick(now time.Time) {
 	w.clock.Store(now.UnixNano())
 	w.flushBatch(w.buffer.drain())
@@ -1084,7 +1080,10 @@ func (w *Worker) tick(now time.Time) {
 
 	w.sendProgress()
 
-	if w.cfg.Stealing && w.seedsDone.Load() && w.inflight.Load() == 0 {
+	if !w.seedsDone() && w.cpq.len() == 0 {
+		w.cpq.kick() // an executor waiting on the CPQ looks for a range again
+	}
+	if w.cfg.Stealing && w.seedsDone() && w.inflight.Load() == 0 {
 		if w.stealBackoff.Load() > 0 {
 			w.stealBackoff.Add(-1)
 		} else {
@@ -1113,7 +1112,7 @@ func (w *Worker) sendProgress() {
 		rep.Inflight = w.inflight.Load()
 		rep.TasksSent = w.tasksSent.Load()
 		rep.TasksRecv = w.tasksRecv.Load()
-		rep.SeedsDone = w.seedsDone.Load()
+		rep.SeedsDone = w.seedsDone()
 		if w.activity.Load() == rep.Activity {
 			break
 		}
@@ -1140,7 +1139,7 @@ func (w *Worker) sendProgress() {
 
 // reportIfIdle pushes a report the moment the worker runs out of work.
 func (w *Worker) reportIfIdle() {
-	if w.seedsDone.Load() && w.inflight.Load() == 0 {
+	if w.seedsDone() && w.inflight.Load() == 0 {
 		w.sendProgress()
 	}
 }

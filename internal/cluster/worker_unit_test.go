@@ -3,7 +3,10 @@ package cluster
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -292,5 +295,58 @@ func TestDelayedProbeKeepsNewerWave(t *testing.T) {
 	}
 	if !reflect.DeepEqual(echoed, []int64{3, 3}) {
 		t.Fatalf("probes 3 then 2 echoed %v, want [3 3]", echoed)
+	}
+}
+
+// TestUnpauseWakesSeedRanges: a checkpoint lands while seeds remain and the
+// CPQ is empty. The one executor found every range withheld and waits on the
+// CPQ; the gate opens while the checkpoint holds the pipeline paused, and no
+// heartbeat comes to look again (it is an hour), so only the unpause can send
+// the executor back to the scan. The job must end, with the exact count.
+func TestUnpauseWakesSeedRanges(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 2000, Seed: 47})
+	var open atomic.Bool
+	asked := make(chan struct{})
+	ask := sync.OnceFunc(func() { close(asked) })
+	cfg := Config{Workers: 1, Threads: 1, progressInterval: time.Hour,
+		seedHold: func(bool) bool { ask(); return !open.Load() }}
+	s, err := NewSession(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	j, err := s.Launch(algo.NewTriangleCount(), JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-asked
+	wk := goroutineWorkers(j)(0)
+	wk.cutMu.Lock() // the checkpoint cuts, and unpauses, only after the gate opens
+	if err := j.master.ep.Send(0, msgCheckpointReq, encodeCheckpointReq(1, noEpoch)); err != nil {
+		t.Fatal(err)
+	}
+	for !wk.paused.Load() {
+		runtime.Gosched()
+	}
+	open.Store(true)
+	wk.cutMu.Unlock()
+	var res *Result
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, err = j.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		wk.cpq.kick() // let the job end, so the session can close
+		<-done
+		t.Fatal("the job did not end: nothing woke the executor after the checkpoint")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.AggGlobal.(int64), algo.RefTriangles(g); got != want {
+		t.Fatalf("count %d, want %d", got, want)
 	}
 }

@@ -303,7 +303,7 @@ func TestQueuedDeadlineSheds(t *testing.T) {
 // heldCluster is a deterministic slot-holder: the mcf job launched under id
 // parks before its first seed, so it occupies its slot for exactly as long
 // as the test needs, however fast the engine finishes real jobs. A parked
-// seeder cannot see a stop: close release right after cancelling the job.
+// Seed call cannot see a stop: close release right after cancelling the job.
 type heldCluster struct {
 	*cluster.Session
 	id      string

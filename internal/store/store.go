@@ -90,8 +90,6 @@ type Store struct {
 	size    int
 	closed  bool
 	err     error // the spill read that failed; the store is closed from then on
-	// lowWater is the size a WaitBelow caller sleeps for; -1 when nobody does.
-	lowWater int
 
 	counters *metrics.Counters
 	memBytes int64
@@ -100,7 +98,7 @@ type Store struct {
 // New creates a task store spilling through sp.
 func New(cfg Config, codec core.ContextCodec, sp *spill.Spiller, counters *metrics.Counters) *Store {
 	cfg.defaults()
-	s := &Store{cfg: cfg, codec: codec, spiller: sp, counters: counters, lowWater: -1}
+	s := &Store{cfg: cfg, codec: codec, spiller: sp, counters: counters}
 	if cfg.LSHDims > 0 {
 		s.signer = lsh.NewSigner(cfg.LSHDims, cfg.Seed)
 		s.zeroKey = make(lsh.Signature, cfg.LSHDims)
@@ -326,26 +324,6 @@ func (s *Store) Err() error {
 	return s.err
 }
 
-// WaitBelow blocks while the store holds more than n tasks (and is open):
-// the seeder's backpressure against a full store. One caller at a time.
-func (s *Store) WaitBelow(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.size > n && !s.closed {
-		s.lowWater = n
-		s.cond.Wait()
-	}
-	s.lowWater = -1
-}
-
-// shrunkLocked wakes the WaitBelow caller once the store has drained to its
-// mark — not on every pop above it, which would wake it only to sleep again.
-func (s *Store) shrunkLocked() {
-	if s.size <= s.lowWater {
-		s.cond.Broadcast()
-	}
-}
-
 // TryPop removes the lowest-key task without blocking.
 func (s *Store) TryPop() (*core.Task, bool) {
 	s.mu.Lock()
@@ -379,7 +357,6 @@ func (s *Store) popLocked() *core.Task {
 	}
 	s.size--
 	s.memBytes -= it.t.FootprintBytes()
-	s.shrunkLocked()
 	return it.t
 }
 
@@ -420,7 +397,6 @@ func (s *Store) Steal(n int, eligible func(*core.Task) bool) []*core.Task {
 	clear(s.items[end:])
 	s.items = s.items[:end]
 	s.size -= len(out)
-	s.shrunkLocked()
 	return out
 }
 

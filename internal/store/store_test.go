@@ -384,7 +384,7 @@ func TestQuickNoTaskLoss(t *testing.T) {
 // tasks of one worker of an oriented triangle count — one per local vertex,
 // to_pull = its remote forward neighbors — are popped one at a time
 // through a 64-entry RCV cache, once in signature order and once in the
-// seeder's hash-shuffled insertion order. Everything is single-threaded, so
+// seed scan's hash-shuffled insertion order. Everything is single-threaded, so
 // the miss counts are exact, and signature order must need fewer pulls.
 func TestLSHOrderCutsCacheMisses(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Scale: 10, Edges: 12000, Seed: 103})

@@ -136,7 +136,7 @@ var eventNames = [NumEventTypes]string{
 type Component uint8
 
 const (
-	CompSeeder     Component = iota // task generator
+	CompSeeder     Component = iota // task generator: seed ranges, run by the executors
 	CompStore                       // task store
 	CompRetriever                   // candidate retriever + CMQ
 	CompExecutor                    // task executor threads

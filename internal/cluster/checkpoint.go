@@ -544,7 +544,9 @@ func (w *Worker) checkpoint() int64 {
 			return epoch
 		}
 	}
-	w.trCkpt.ObserveSpan(trace.MetricCheckpoint, trace.EvCheckpointEnd, ckptStart, uint64(epoch))
+	if !ckptStart.IsZero() {
+		w.trCkpt.ObserveSpan(trace.MetricCheckpoint, trace.EvCheckpointEnd, time.Since(ckptStart), uint64(epoch))
+	}
 	w.ackCheckpoint(ack)
 	return epoch
 }
@@ -567,7 +569,7 @@ func (w *Worker) cut(epoch int64) (*workerSnapshot, error) {
 	if w.agg != nil {
 		wr := wire.NewWriter(32)
 		w.aggMu.Lock()
-		w.agg.Encode(wr, w.aggPartial)
+		w.agg.Encode(wr, w.partialAgg())
 		w.aggMu.Unlock()
 		snap.AggBytes = wr.Bytes()
 	}
@@ -650,7 +652,7 @@ func (w *Worker) applySnapshot(s *workerSnapshot) error {
 	w.seedCursor.Store(s.SeedCursor)
 	w.results = append(w.results, s.Results...)
 	if w.agg != nil && s.AggBytes != nil {
-		w.aggPartial = w.agg.Decode(wire.NewReader(s.AggBytes))
+		w.setPartialAgg(w.agg.Decode(wire.NewReader(s.AggBytes)))
 	}
 	w.counters.SetTasksDone(s.TasksDone)
 	for peer := range w.sentTo {

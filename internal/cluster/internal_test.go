@@ -25,6 +25,57 @@ func TestTaskQueueFIFO(t *testing.T) {
 	}
 }
 
+// TestTaskQueueRingWrapsAndGrows: pushes and pops interleaved so the ring
+// wraps and doubles with its head mid-array keep FIFO order against a
+// slice model, len tracks it, popped slots are cleared, and a queue that
+// stays at its working size stops allocating.
+func TestTaskQueueRingWrapsAndGrows(t *testing.T) {
+	q := newTaskQueue()
+	var model []uint64
+	next := uint64(1)
+	for round, burst := range []int{50, 70, 200, 10, 1000, 3} {
+		for i := 0; i < burst; i++ {
+			q.push(&core.Task{ID: next})
+			model = append(model, next)
+			next++
+		}
+		for i := 0; i < burst*2/3+round; i++ {
+			task, ok := q.pop()
+			if !ok || task.ID != model[0] {
+				t.Fatalf("round %d: pop %v %v, want %d", round, task, ok, model[0])
+			}
+			model = model[1:]
+		}
+		if q.len() != len(model) {
+			t.Fatalf("round %d: len %d, want %d", round, q.len(), len(model))
+		}
+	}
+	for _, want := range model {
+		if task, _ := q.pop(); task.ID != want {
+			t.Fatalf("drain: pop %d, want %d", task.ID, want)
+		}
+	}
+	for i, slot := range q.ring {
+		if slot != nil {
+			t.Fatalf("slot %d still holds task %d after its pop", i, slot.ID)
+		}
+	}
+	tasks := make([]*core.Task, len(q.ring))
+	for i := range tasks {
+		tasks[i] = &core.Task{ID: uint64(i)}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for _, task := range tasks {
+			q.push(task)
+		}
+		for range tasks {
+			q.pop()
+		}
+	}); n != 0 {
+		t.Fatalf("a queue within its capacity allocates %v times a cycle", n)
+	}
+}
+
 func TestTaskQueueCloseDrains(t *testing.T) {
 	q := newTaskQueue()
 	q.push(&core.Task{ID: 1})

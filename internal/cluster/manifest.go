@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"io"
 
 	"gminer/internal/core"
 	"gminer/internal/graph"
@@ -181,13 +182,24 @@ func decodeManifest(b []byte) (*manifest, error) {
 // Two jobs with the same fingerprint generate the same seed tasks in the
 // same partitions, so one's snapshots are restorable by the other.
 func jobFingerprint(g *graph.Graph, algoName string, p core.Plan, cfg Config) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%t|%t|%d|%T|%d|", algoName, p.Oriented != nil, p.Labels != nil, cfg.Workers, cfg.Partitioner, cfg.graphEpoch)
+	return foldFingerprint(graphFold(g), algoName, p, cfg)
+}
+
+// graphFold is jobFingerprint's O(V) part: the graph structure and its
+// external IDs, folded. A session caches it per graph epoch (epochFold).
+func graphFold(g *graph.Graph) string {
 	var fold uint64
 	g.ForEach(func(v *graph.Vertex) bool {
 		fold = fold*0x100000001b3 + uint64(g.External(v.ID))*2654435761 + uint64(len(v.Adj))
 		return true
 	})
-	fmt.Fprintf(h, "%d|%d|%t|%t|%x", g.NumVertices(), g.NumEdges(), g.Labeled(), g.Attributed(), fold)
+	return fmt.Sprintf("%d|%d|%t|%t|%x", g.NumVertices(), g.NumEdges(), g.Labeled(), g.Attributed(), fold)
+}
+
+// foldFingerprint is jobFingerprint over a graph already folded.
+func foldFingerprint(fold string, algoName string, p core.Plan, cfg Config) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%t|%t|%d|%T|%d|", algoName, p.Oriented != nil, p.Labels != nil, cfg.Workers, cfg.Partitioner, cfg.graphEpoch)
+	io.WriteString(h, fold)
 	return h.Sum64()
 }

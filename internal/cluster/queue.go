@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"gminer/internal/core"
 )
@@ -10,16 +11,22 @@ import (
 // consumed by the executor's computing threads. A high-water mark lets the
 // candidate retriever apply backpressure (waitBelow) so ready tasks — and
 // the cache references they hold — stay bounded.
+//
+// The FIFO is a ring that doubles when full, so a queue at its working
+// size allocates nothing. Its length is mirrored in an atomic, written
+// under mu, so the executors' and the tick's len checks take no lock.
 type taskQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []*core.Task
-	kicked bool // the next pop to find the queue empty returns no task
+	ring   []*core.Task // power-of-two capacity
+	head   int          // index of the oldest task
+	n      atomic.Int64 // tasks queued
+	kicked bool         // the next pop to find the queue empty returns no task
 	closed bool
 }
 
 func newTaskQueue() *taskQueue {
-	q := &taskQueue{}
+	q := &taskQueue{ring: make([]*core.Task, 64)}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -31,7 +38,15 @@ func (q *taskQueue) push(t *core.Task) {
 	if q.closed {
 		return
 	}
-	q.queue = append(q.queue, t)
+	n := int(q.n.Load())
+	if n == len(q.ring) {
+		grown := make([]*core.Task, 2*n)
+		copy(grown, q.ring[q.head:])
+		copy(grown[n-q.head:], q.ring[:q.head])
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+n)&(len(q.ring)-1)] = t
+	q.n.Store(int64(n + 1))
 	q.cond.Broadcast()
 }
 
@@ -41,12 +56,13 @@ func (q *taskQueue) pop() (*core.Task, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if len(q.queue) > 0 {
-			t := q.queue[0]
-			// The backing array outlives the pop: a slot left set would keep
-			// a finished task, and what it points to, reachable.
-			q.queue[0] = nil
-			q.queue = q.queue[1:]
+		if n := q.n.Load(); n > 0 {
+			t := q.ring[q.head]
+			// A slot left set would keep a finished task, and what it
+			// points to, reachable.
+			q.ring[q.head] = nil
+			q.head = (q.head + 1) & (len(q.ring) - 1)
+			q.n.Store(n - 1)
 			q.cond.Broadcast() // wake waitBelow waiters
 			return t, true
 		}
@@ -75,16 +91,14 @@ func (q *taskQueue) kick() {
 func (q *taskQueue) waitBelow(n int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.queue) >= n && !q.closed {
+	for q.n.Load() >= int64(n) && !q.closed {
 		q.cond.Wait()
 	}
 }
 
-func (q *taskQueue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.queue)
-}
+// len is the number of queued tasks, read without the lock: a reading a
+// push or pop may move at once, which every caller takes as a hint.
+func (q *taskQueue) len() int { return int(q.n.Load()) }
 
 func (q *taskQueue) close() {
 	q.mu.Lock()

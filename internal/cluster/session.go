@@ -63,10 +63,14 @@ type Session struct {
 	closed bool
 
 	// cut caches the edge cut, an O(E) scan every job's Result carries, for
-	// graph epoch cutEpoch-1; a mutation batch retires it with the epoch.
-	cutMu    sync.Mutex
-	cut      float64
-	cutEpoch int64
+	// graph epoch cutEpoch-1, and fold the fingerprint's graph fold, an O(V)
+	// scan every Launch needs, for epoch foldEpoch-1; a mutation batch
+	// retires both with the epoch.
+	cutMu     sync.Mutex
+	cut       float64
+	cutEpoch  int64
+	fold      string
+	foldEpoch int64
 
 	// The goroutine host's state. tables are the resident graph's vertex
 	// tables: the directory, rebuilt with every graph epoch, and one scan per
@@ -358,7 +362,7 @@ func (s *Session) build(a core.Algorithm, opt JobOptions, id string, ch uint64, 
 	}
 
 	plan := core.PlanOf(a)
-	fingerprint := jobFingerprint(s.g, a.Name(), plan, cfg)
+	fingerprint := foldFingerprint(s.epochFold(), a.Name(), plan, cfg)
 	sink, err := newSnapshotSink(cfg.CheckpointDir, cfg.Workers, fingerprint, 0, resume)
 	if err != nil {
 		return nil, err
@@ -573,7 +577,19 @@ func (s *Session) Fingerprint() uint64 {
 	defer s.epochMu.RUnlock()
 	cfg := s.cfg
 	cfg.graphEpoch = s.epoch.Load()
-	return jobFingerprint(s.g, "session", core.Plan{}, cfg)
+	return foldFingerprint(s.epochFold(), "session", core.Plan{}, cfg)
+}
+
+// epochFold computes the fingerprint's graph fold once per graph epoch
+// (caller holds epochMu).
+func (s *Session) epochFold() string {
+	s.cutMu.Lock()
+	defer s.cutMu.Unlock()
+	if key := s.epoch.Load() + 1; s.foldEpoch != key {
+		s.fold = graphFold(s.g)
+		s.foldEpoch = key
+	}
+	return s.fold
 }
 
 // Dynamic reports whether the session accepts mutations: one built with

@@ -209,6 +209,50 @@ func TestDynamicSessionEpochSemantics(t *testing.T) {
 	}
 }
 
+// TestFingerprintFoldFollowsGraphEpoch: the session caches the
+// fingerprint's graph fold per epoch, so after a mutation batch the
+// fingerprint must change and equal one folded afresh from the mutated
+// graph — a fold left over from the old epoch would differ only in the
+// epoch number, and fail here.
+func TestFingerprintFoldFollowsGraphEpoch(t *testing.T) {
+	s, err := NewSession(gen.ErdosRenyi(100, 300, 3), dynConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fresh := func() uint64 {
+		cfg := s.cfg
+		cfg.graphEpoch = s.GraphEpoch()
+		return jobFingerprint(s.g, "session", core.Plan{}, cfg)
+	}
+	fold := func() string {
+		s.epochMu.RLock()
+		defer s.epochMu.RUnlock()
+		return s.epochFold()
+	}
+	fp0, fold0 := s.Fingerprint(), fold()
+	if fp0 != fresh() {
+		t.Fatal("epoch 0: cached fingerprint differs from a fresh fold")
+	}
+	if _, err := runOn(s, algo.NewTriangleCount()); err != nil { // a Launch reads the cached fold too
+		t.Fatal(err)
+	}
+	for epoch := 1; epoch <= 2; epoch++ {
+		if _, err := s.ApplyMutations(dyngraph.Batch{Ops: []dyngraph.Mutation{
+			{Op: dyngraph.OpAddEdge, U: 1, W: graph.VertexID(50 + epoch)}}}); err != nil {
+			t.Fatal(err)
+		}
+		fp := s.Fingerprint()
+		if fp == fp0 || fp != fresh() {
+			t.Fatalf("epoch %d: fingerprint %x (was %x), fresh fold gives %x", epoch, fp, fp0, fresh())
+		}
+		if f := fold(); f == fold0 || f != graphFold(s.g) {
+			t.Fatalf("epoch %d: cached fold %q (was %q), fresh %q", epoch, f, fold0, graphFold(s.g))
+		}
+		fp0, fold0 = fp, fold()
+	}
+}
+
 // TestDynamicSessionConcurrentJobsAndMutations races job launches against
 // mutation batches: every job must observe a whole epoch (no torn reads —
 // this test is what -race patrols), and the final state must equal a

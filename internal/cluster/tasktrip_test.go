@@ -125,7 +125,7 @@ func TestTaskTripAllocsBounded(t *testing.T) {
 	}
 	perTask := testing.AllocsPerRun(3, func() { tt.run(t) }) / float64(tasks)
 	t.Logf("%d tasks (%d through the store), %.2f allocations each", tasks, stored, perTask)
-	if perTask > 6.5 && !raceEnabled {
-		t.Fatalf("%.2f allocations per task, want <= 6.5", perTask)
+	if perTask > 5.5 && !raceEnabled {
+		t.Fatalf("%.2f allocations per task, want <= 5.5", perTask)
 	}
 }

@@ -125,10 +125,14 @@ type Worker struct {
 	wave  atomic.Int64
 	repMu sync.Mutex
 
-	// Aggregator state.
+	// Aggregator state. A core.SumInt64Aggregator's partial is the typed
+	// aggSum, so AggUpdate boxes nothing; any other aggregator's is
+	// aggPartial. partialAgg reads whichever it is.
 	aggMu      sync.Mutex
 	aggPartial any
 	aggGlobal  any
+	sumAgg     bool
+	aggSum     atomic.Int64
 
 	// Output collector.
 	resMu   sync.Mutex
@@ -220,6 +224,7 @@ func newWorker(id int, cfg Config, algo core.Algorithm, dir *directory, local *l
 	w.stealPolicy = CostPolicy{Tc: stealCostMax, Tr: cfg.stealLocalityMax}
 	if ap, ok := algo.(core.AggregatorProvider); ok {
 		w.agg = ap.Aggregator()
+		_, w.sumAgg = w.agg.(core.SumInt64Aggregator)
 		w.aggPartial = w.agg.Zero()
 		w.aggGlobal = w.agg.Zero()
 	}
@@ -751,13 +756,13 @@ func (w *Worker) runTask(t *core.Task, cands []*graph.Vertex) []*graph.Vertex {
 		if t.Round == 0 {
 			t.Round = 1 // first update round after seeding (§4.2)
 		}
-		start := time.Now()
+		start := metrics.BusyClock()
 		cands = w.resolve(cands, t)
 		w.algo.Update(t, cands, w)
-		w.counters.AddBusy(time.Since(start))
-		// Reuses the busy-time timestamps: a disabled tracer adds no clock
-		// reads to the round loop.
-		w.trExec.ObserveSpan(trace.MetricTaskRound, trace.EvTaskActive, start, t.ID)
+		// One clock read ends the round for the busy time and the tracer.
+		d := metrics.BusyClock() - start
+		w.counters.AddBusy(d)
+		w.trExec.ObserveSpan(trace.MetricTaskRound, trace.EvTaskActive, d, t.ID)
 
 		next, children := t.TakeTransition()
 		if len(t.ToPull) > 0 {
@@ -832,13 +837,13 @@ func (w *Worker) seedRange() bool {
 	w.seedCursor.Store(int64(hi))
 	w.cutMu.Unlock()
 
-	start, spawn := time.Now(), w.spawn // one method value, not one a vertex
+	start, spawn := metrics.BusyClock(), w.spawn // one method value, not one a vertex
 	for _, id := range w.localIDs[lo:hi] {
 		if _, in := w.cfg.seeds[id]; in || w.cfg.seeds == nil {
 			w.algo.Seed(w.dir.local(id, w.id), spawn)
 		}
 	}
-	w.counters.AddBusy(time.Since(start))
+	w.counters.AddBusy(metrics.BusyClock() - start)
 	w.retire()
 	return true
 }
@@ -1123,7 +1128,7 @@ func (w *Worker) sendProgress() {
 	if w.agg != nil {
 		aggW = wire.GetWriter(32)
 		w.aggMu.Lock()
-		w.agg.Encode(aggW, w.aggPartial)
+		w.agg.Encode(aggW, w.partialAgg())
 		w.aggMu.Unlock()
 		rep.AggSet = true
 		rep.AggBytes = aggW.Bytes()
@@ -1203,9 +1208,31 @@ func (w *Worker) AggUpdate(v any) {
 	if w.agg == nil {
 		return
 	}
+	if w.sumAgg {
+		w.aggSum.Add(v.(int64))
+		return
+	}
 	w.aggMu.Lock()
 	w.aggPartial = w.agg.Add(w.aggPartial, v)
 	w.aggMu.Unlock()
+}
+
+// partialAgg is this worker's partial aggregate (caller holds aggMu).
+func (w *Worker) partialAgg() any {
+	if w.sumAgg {
+		return w.aggSum.Load()
+	}
+	return w.aggPartial
+}
+
+// setPartialAgg replaces the partial aggregate (caller holds aggMu, or
+// owns the worker before it runs).
+func (w *Worker) setPartialAgg(v any) {
+	if w.sumAgg {
+		w.aggSum.Store(v.(int64))
+		return
+	}
+	w.aggPartial = v
 }
 
 // AggGlobal implements core.Env.
@@ -1217,7 +1244,7 @@ func (w *Worker) AggGlobal() any {
 	defer w.aggMu.Unlock()
 	// The freshest view a worker has is its own partial merged with the
 	// last broadcast global.
-	return w.agg.Merge(w.aggGlobal, w.aggPartial)
+	return w.agg.Merge(w.aggGlobal, w.partialAgg())
 }
 
 // LocalVertex implements core.Env.

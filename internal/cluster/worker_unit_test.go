@@ -350,3 +350,32 @@ func TestUnpauseWakesSeedRanges(t *testing.T) {
 		t.Fatalf("count %d, want %d", got, want)
 	}
 }
+
+// TestSumAggUpdateAllocFree: a core.SumInt64Aggregator's partial is a
+// typed int64, so folding a task's count in boxes nothing, and AggGlobal,
+// the progress report and a snapshot read the same sum.
+func TestSumAggUpdateAllocFree(t *testing.T) {
+	w, _, _ := newTestWorker(t)
+	if !w.sumAgg {
+		t.Fatal("TC's aggregator must take the typed sum path")
+	}
+	// AllocsPerRun makes one warm-up call before the 100 it counts.
+	if n := testing.AllocsPerRun(100, func() { w.AggUpdate(int64(1000)) }); n != 0 {
+		t.Fatalf("AggUpdate allocates %v times a call", n)
+	}
+	const want = 101 * 1000
+	if got := w.AggGlobal(); got != int64(want) {
+		t.Fatalf("AggGlobal = %v, want %d", got, want)
+	}
+	w.aggMu.Lock()
+	got := w.partialAgg()
+	w.aggMu.Unlock()
+	if got != int64(want) {
+		t.Fatalf("partial = %v, want %d", got, want)
+	}
+	w.setPartialAgg(int64(7))
+	w.AggUpdate(int64(1))
+	if got := w.AggGlobal(); got != int64(8) {
+		t.Fatalf("after a restore to 7 and one update: %v, want 8", got)
+	}
+}

@@ -50,6 +50,14 @@ type Counters struct {
 	ckptFails atomic.Int64
 }
 
+// busyBase anchors BusyClock.
+var busyBase = time.Now()
+
+// BusyClock reads the monotonic clock alone, as an offset from a fixed
+// process-wide base: one clock read where time.Now is two (wall and
+// monotonic). Busy time is measured between two of its readings.
+func BusyClock() time.Duration { return time.Since(busyBase) }
+
 // AddBusy records d of computing-thread busy time.
 func (c *Counters) AddBusy(d time.Duration) { c.busyNanos.Add(int64(d)) }
 

@@ -425,7 +425,9 @@ func (r *registry) pumpLocked() {
 		if budget == 0 {
 			budget = r.cfg.DefaultMemBudgetBytes
 		}
-		tracer := trace.New(r.sess.Config().Workers+1, 0).Enable()
+		// Histograms only: the status phases, Result.Phases and the QoS
+		// meter read nothing else, so the job counts no events.
+		tracer := trace.New(r.sess.Config().Workers+1, 0).EnableHistograms()
 		// The spec rides along for multi-process clusters: worker processes
 		// rebuild the algorithm from it (an in-process Session ignores it).
 		sp := j.req.Spec

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -407,5 +408,55 @@ func TestMetricsPerJobLabels(t *testing.T) {
 		if after := metricGauge(t, base, name); after < before[i] || !strings.Contains(body, "# TYPE "+name+" counter\n") {
 			t.Fatalf("%s went %v -> %v across a job, or is not typed a counter", name, before[i], after)
 		}
+	}
+}
+
+// TestServedJobPhases: a served job's tracer records histograms only, and
+// its status carries the task-round phase both live, while the job runs,
+// and final, once it is done.
+func TestServedJobPhases(t *testing.T) {
+	ccfg := testClusterConfig()
+	ccfg.Latency = 5 * time.Millisecond // slow the rounds so a poll lands mid-job
+	srv, base := startServer(t, ccfg, Config{})
+	defer srv.Shutdown()
+
+	taskRound := func(st JobStatus) int64 {
+		for _, p := range st.Phases {
+			if p.Metric == "task_round" {
+				if p.Component != "executor" || p.P50 <= 0 || p.P99 < p.P50 || p.Total <= 0 {
+					t.Fatalf("task_round phase: %+v", p)
+				}
+				return p.Count
+			}
+		}
+		return 0
+	}
+	_, st := submit(t, base, `{"app":"mcf","id":"phased"}`)
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		st = awaitState(t, base, st.ID, StateRunning, StateDone, StateFailed)
+		if st.State != StateRunning {
+			t.Fatalf("job went %s before a running status carried task_round", st.State)
+		}
+		if taskRound(st) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no live task_round phase")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	fin := awaitState(t, base, st.ID, StateDone, StateFailed)
+	if fin.State != StateDone {
+		t.Fatalf("job finished %s: %s", fin.State, fin.Error)
+	}
+	if n := taskRound(fin); n == 0 || n < taskRound(st) {
+		t.Fatalf("final task_round count %d (live %d)", n, taskRound(st))
+	}
+	srv.reg.mu.Lock()
+	res := srv.reg.jobs[st.ID].result
+	srv.reg.mu.Unlock()
+	if res == nil || !reflect.DeepEqual(res.Phases, fin.Phases) {
+		t.Fatal("the final status must carry the result's phases")
 	}
 }

@@ -102,7 +102,9 @@ func (s *Spiller) Write(data []byte) (int, error) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return 0, fmt.Errorf("spill: write block %d: %w", id, err)
 	}
-	s.tr.ObserveSpan(trace.MetricSpillIO, trace.EvSpillWrite, start, uint64(len(data)))
+	if !start.IsZero() {
+		s.tr.ObserveSpan(trace.MetricSpillIO, trace.EvSpillWrite, time.Since(start), uint64(len(data)))
+	}
 	return id, nil
 }
 
@@ -123,7 +125,9 @@ func (s *Spiller) Read(id int) ([]byte, error) {
 	if s.counters != nil {
 		s.counters.AddDiskRead(int64(len(data)))
 	}
-	s.tr.ObserveSpan(trace.MetricSpillIO, trace.EvSpillLoad, start, uint64(len(data)))
+	if !start.IsZero() {
+		s.tr.ObserveSpan(trace.MetricSpillIO, trace.EvSpillLoad, time.Since(start), uint64(len(data)))
+	}
 	return data, nil
 }
 

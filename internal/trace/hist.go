@@ -59,10 +59,11 @@ var metricComponents = [NumMetrics]Component{
 const histBuckets = 40
 
 // Histogram is a lock-free power-of-two-bucket latency histogram. The
-// zero value is ready to use.
+// zero value is ready to use. Its count is the sum of its buckets, so an
+// observation is two atomic adds and a snapshot's count always agrees
+// with its buckets.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
 }
 
@@ -77,12 +78,27 @@ func (h *Histogram) Observe(d time.Duration) {
 		b = histBuckets - 1
 	}
 	h.buckets[b].Add(1)
-	h.count.Add(1)
 	h.sum.Add(n)
 }
 
+// merge adds o's samples to h.
+func (h *Histogram) merge(o *Histogram) {
+	for b := range o.buckets {
+		if n := o.buckets[b].Load(); n != 0 {
+			h.buckets[b].Add(n)
+		}
+	}
+	h.sum.Add(o.sum.Load())
+}
+
 // Count returns the number of samples.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	var n int64
+	for b := range h.buckets {
+		n += h.buckets[b].Load()
+	}
+	return n
+}
 
 // Sum returns the summed duration of all samples.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
@@ -107,7 +123,7 @@ func BucketBounds(b int) (lo, hi int64) {
 // Quantile returns the q-quantile (q in [0,1]) with linear interpolation
 // inside the winning bucket. With no samples it returns 0.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
+	total := h.Count()
 	if total == 0 {
 		return 0
 	}
@@ -147,21 +163,23 @@ type PhaseSummary struct {
 	Total     time.Duration `json:"total"`
 }
 
-// Summary digests every non-empty histogram into per-phase percentiles.
+// Summary digests every non-empty histogram, merged over the shards, into
+// per-phase percentiles.
 func (t *Tracer) Summary() []PhaseSummary {
 	if t == nil {
 		return nil
 	}
 	var out []PhaseSummary
 	for m := Metric(0); m < NumMetrics; m++ {
-		h := &t.hists[m]
-		if h.Count() == 0 {
+		h := t.Histogram(m)
+		n := h.Count()
+		if n == 0 {
 			continue
 		}
 		out = append(out, PhaseSummary{
 			Metric:    m.String(),
 			Component: metricComponents[m].String(),
-			Count:     h.Count(),
+			Count:     n,
 			P50:       h.Quantile(0.50),
 			P95:       h.Quantile(0.95),
 			P99:       h.Quantile(0.99),

@@ -8,16 +8,26 @@
 // checkpoint) with percentile extraction.
 //
 // The tracer is designed so that instrumentation can stay compiled into
-// every hot path permanently:
+// every hot path permanently, and so that recording costs only what it
+// records:
 //
 //   - A nil *Tracer (the default — Config.Tracer unset) reduces every
 //     call to a nil check on a value-type Handle.
 //   - A constructed but disabled tracer reduces every call to one atomic
-//     load (the enabled flag), so "tracer shipped but off" costs nothing
-//     measurable (see BenchmarkTraceOverhead).
-//   - Enabled, histogram observations are a few atomic adds; ring events
-//     take one short per-worker mutex, so workers never contend with each
-//     other.
+//     load (the recording level), so "tracer shipped but off" costs
+//     nothing measurable (see BenchmarkTraceOverhead).
+//   - Each (worker, component) Handle records into its own shard of
+//     histograms and event counters, padded off its neighbours' cache
+//     lines; readers (Histogram, EventCount, Summary) merge the shards.
+//     So no two workers write one line, and the executor threads of one
+//     worker share only their executor shard.
+//   - Levels: EnableHistograms records the latency histograms alone (two
+//     atomic adds a sample; an event costs its level check) — what a
+//     served job's phases read. Enable adds one counter add per event
+//     (the CLI monitor's gminer_trace_events_total); EnableEvents adds the
+//     per-worker ring, one short mutex per event.
+//   - Timed phases pass the duration their caller already measured
+//     (ObserveSpan), so the tracer adds no clock read to them.
 //
 // Three sinks consume a tracer: a Chrome trace-event JSON dump loadable
 // in Perfetto (chrome.go), a per-phase percentile summary (hist.go)
@@ -223,25 +233,42 @@ func (r *ring) snapshot() []Event {
 // caller passes 0.
 const DefaultRingCapacity = 1 << 16
 
+// Recording levels, each one recording what the level below it does and
+// more.
+const (
+	levelOff        int32 = iota
+	levelHistograms       // latency histograms only
+	levelCounts           // + per-type event counters
+	levelEvents           // + ring-buffer event capture
+)
+
+// shard is one (node, component) pair's share of the histograms and event
+// counters. Only that pair's handles write it, and the trailing pad keeps
+// the next shard's counters off its last cache line, so workers never
+// write one line; readers merge every shard.
+type shard struct {
+	worker int32
+	comp   Component
+	hists  [NumMetrics]Histogram
+	counts [NumEventTypes]atomic.Int64
+	_      [64]byte
+}
+
 // Tracer records events and latency histograms for one job.
 type Tracer struct {
-	// enabled is the master switch: histograms and event counters record
-	// only while set. events additionally gates the ring buffers (they
-	// are only worth paying for when a trace dump was requested).
-	enabled atomic.Bool
-	events  atomic.Bool
+	// level is what the tracer records (levelOff .. levelEvents); it only
+	// ever rises.
+	level atomic.Int32
 
 	start   time.Time
 	ringCap int
 	rings   []*ring
-	hists   [NumMetrics]Histogram
-	// eventCounts survive ring overwrites; they feed the Prometheus sink.
-	eventCounts [NumEventTypes]atomic.Int64
+	shards  []shard // node-major, one per (node, component)
 }
 
 // New returns a disabled tracer for `nodes` nodes (workers + master) with
-// the given per-node ring capacity (0 = DefaultRingCapacity). Call Enable
-// (histograms + counters) and EnableEvents (ring buffers) to turn it on.
+// the given per-node ring capacity (0 = DefaultRingCapacity). Call
+// EnableHistograms, Enable or EnableEvents to turn it on.
 func New(nodes, ringCap int) *Tracer {
 	if nodes < 1 {
 		nodes = 1
@@ -249,18 +276,33 @@ func New(nodes, ringCap int) *Tracer {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCapacity
 	}
-	t := &Tracer{start: time.Now(), ringCap: ringCap, rings: make([]*ring, nodes)}
+	t := &Tracer{start: time.Now(), ringCap: ringCap, rings: make([]*ring, nodes),
+		shards: make([]shard, nodes*int(numComponents))}
 	for i := range t.rings {
 		t.rings[i] = &ring{}
+	}
+	for i := range t.shards {
+		t.shards[i].worker, t.shards[i].comp = int32(i/int(numComponents)), Component(i%int(numComponents))
 	}
 	return t
 }
 
-// Enable turns on histogram and event-counter recording.
-func (t *Tracer) Enable() *Tracer {
-	t.enabled.Store(true)
-	return t
+// raise lifts the recording level to at least l.
+func (t *Tracer) raise(l int32) *Tracer {
+	for {
+		cur := t.level.Load()
+		if cur >= l || t.level.CompareAndSwap(cur, l) {
+			return t
+		}
+	}
 }
+
+// EnableHistograms turns on the latency histograms alone: what a job's
+// phase summary reads, with no per-event cost beyond one atomic load.
+func (t *Tracer) EnableHistograms() *Tracer { return t.raise(levelHistograms) }
+
+// Enable turns on histogram and event-counter recording.
+func (t *Tracer) Enable() *Tracer { return t.raise(levelCounts) }
 
 // EnableEvents turns on ring-buffer event capture (implies Enable). The
 // ring buffers are allocated here, before any event, not by New.
@@ -272,33 +314,29 @@ func (t *Tracer) EnableEvents() *Tracer {
 		}
 		r.mu.Unlock()
 	}
-	t.enabled.Store(true)
-	t.events.Store(true)
-	return t
+	return t.raise(levelEvents)
 }
 
 // Enabled reports whether the tracer records anything. Nil-safe.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
+func (t *Tracer) Enabled() bool { return t != nil && t.level.Load() >= levelHistograms }
 
 // EventsEnabled reports whether ring-buffer capture is on. Nil-safe.
-func (t *Tracer) EventsEnabled() bool { return t != nil && t.events.Load() }
+func (t *Tracer) EventsEnabled() bool { return t != nil && t.level.Load() >= levelEvents }
 
 // Start returns the tracer's epoch (event timestamps are relative to it).
 func (t *Tracer) Start() time.Time { return t.start }
 
-// Handle returns a recording handle bound to (worker, component). Safe to
-// call on a nil tracer: the returned handle drops everything. Out-of-range
-// workers clamp to the last ring so foreign events are never lost.
+// Handle returns a recording handle bound to (worker, component) and to
+// that pair's shard; every Handle for one pair shares the shard. Make a
+// handle once, where its component is built, and keep it. Safe to call on
+// a nil tracer: the returned handle drops everything. Out-of-range workers
+// clamp to the last ring so foreign events are never lost.
 func (t *Tracer) Handle(worker int, comp Component) Handle {
-	if t != nil {
-		if worker < 0 {
-			worker = 0
-		}
-		if worker >= len(t.rings) {
-			worker = len(t.rings) - 1
-		}
+	if t == nil {
+		return Handle{}
 	}
-	return Handle{t: t, worker: int32(worker), comp: comp}
+	worker = max(0, min(worker, len(t.rings)-1))
+	return Handle{t: t, s: &t.shards[worker*int(numComponents)+int(comp)]}
 }
 
 // Events returns every buffered event, worker by worker, oldest-first
@@ -315,20 +353,30 @@ func (t *Tracer) Events() []Event {
 }
 
 // EventCount returns the total number of events of the given type
-// recorded since Enable, regardless of ring overwrites.
+// recorded since Enable, regardless of ring overwrites, summed over every
+// shard.
 func (t *Tracer) EventCount(typ EventType) int64 {
-	if t == nil || int(typ) >= int(NumEventTypes) {
+	if t == nil || typ >= NumEventTypes {
 		return 0
 	}
-	return t.eventCounts[typ].Load()
+	var n int64
+	for i := range t.shards {
+		n += t.shards[i].counts[typ].Load()
+	}
+	return n
 }
 
-// Histogram returns the histogram for m (read-only use).
+// Histogram returns m's histogram merged over every shard: a snapshot,
+// not a live view.
 func (t *Tracer) Histogram(m Metric) *Histogram {
 	if t == nil || m >= NumMetrics {
 		return nil
 	}
-	return &t.hists[m]
+	h := new(Histogram)
+	for i := range t.shards {
+		h.merge(&t.shards[i].hists[m])
+	}
+	return h
 }
 
 // Nodes returns the number of per-node rings.
@@ -339,69 +387,79 @@ func (t *Tracer) Nodes() int {
 	return len(t.rings)
 }
 
-func (t *Tracer) record(worker int32, comp Component, typ EventType, dur time.Duration, arg uint64) {
-	t.eventCounts[typ].Add(1)
-	if !t.events.Load() {
-		return
-	}
-	t.rings[worker].push(Event{
-		TS:     int64(time.Since(t.start)),
-		Dur:    int64(dur),
-		Arg:    arg,
-		Worker: worker,
-		Type:   typ,
-		Comp:   comp,
-	})
-}
-
 // Handle is a value-type recording handle bound to one (worker,
-// component) pair. The zero Handle (and any handle from a nil Tracer)
+// component) shard. The zero Handle (and any handle from a nil Tracer)
 // drops every call after a single nil check, so instrumented components
 // need no conditional wiring.
 type Handle struct {
-	t      *Tracer
-	worker int32
-	comp   Component
+	t *Tracer
+	s *shard
 }
 
 // Active reports whether recording is on; use it to gate the cost of
 // gathering event arguments (e.g. a time.Now() for a span).
-func (h Handle) Active() bool { return h.t != nil && h.t.enabled.Load() }
+func (h Handle) Active() bool { return h.t != nil && h.t.level.Load() >= levelHistograms }
+
+// record counts one event and, while event capture is on, rings it.
+func (h Handle) record(level int32, typ EventType, dur time.Duration, arg uint64) {
+	h.s.counts[typ].Add(1)
+	if level < levelEvents {
+		return
+	}
+	h.t.rings[h.s.worker].push(Event{
+		TS:     int64(time.Since(h.t.start)),
+		Dur:    int64(dur),
+		Arg:    arg,
+		Worker: h.s.worker,
+		Type:   typ,
+		Comp:   h.s.comp,
+	})
+}
 
 // Event records an instantaneous event.
 func (h Handle) Event(typ EventType, arg uint64) {
-	if h.t == nil || !h.t.enabled.Load() {
+	if h.t == nil {
 		return
 	}
-	h.t.record(h.worker, h.comp, typ, 0, arg)
+	if l := h.t.level.Load(); l >= levelCounts {
+		h.record(l, typ, 0, arg)
+	}
 }
 
 // Span records an event that began at start and just finished.
 func (h Handle) Span(typ EventType, start time.Time, arg uint64) {
-	if h.t == nil || !h.t.enabled.Load() || start.IsZero() {
+	if h.t == nil || start.IsZero() {
 		return
 	}
-	h.t.record(h.worker, h.comp, typ, time.Since(start), arg)
+	if l := h.t.level.Load(); l >= levelCounts {
+		h.record(l, typ, time.Since(start), arg)
+	}
 }
 
 // Observe adds one latency sample to metric m.
 func (h Handle) Observe(m Metric, d time.Duration) {
-	if h.t == nil || !h.t.enabled.Load() || m >= NumMetrics {
+	if h.t == nil || m >= NumMetrics || h.t.level.Load() < levelHistograms {
 		return
 	}
-	h.t.hists[m].Observe(d)
+	h.s.hists[m].Observe(d)
 }
 
 // ObserveSpan records both a histogram sample and a span event for a
-// phase that began at start: the common pattern for timed pipeline
-// stages (update rounds, spill I/O, checkpoints).
-func (h Handle) ObserveSpan(m Metric, typ EventType, start time.Time, arg uint64) {
-	if h.t == nil || !h.t.enabled.Load() || start.IsZero() {
+// timed phase that just finished and took d: the common pattern for timed
+// pipeline stages (update rounds, spill I/O, checkpoints). The caller
+// measured d, so the tracer reads no clock of its own for it.
+func (h Handle) ObserveSpan(m Metric, typ EventType, d time.Duration, arg uint64) {
+	if h.t == nil {
 		return
 	}
-	d := time.Since(start)
-	if m < NumMetrics {
-		h.t.hists[m].Observe(d)
+	l := h.t.level.Load()
+	if l < levelHistograms {
+		return
 	}
-	h.t.record(h.worker, h.comp, typ, d, arg)
+	if m < NumMetrics {
+		h.s.hists[m].Observe(d)
+	}
+	if l >= levelCounts {
+		h.record(l, typ, d, arg)
+	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -19,7 +20,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	h.Event(EvTaskSeed, 1)
 	h.Span(EvTaskActive, time.Now(), 1)
 	h.Observe(MetricTaskRound, time.Millisecond)
-	h.ObserveSpan(MetricTaskRound, EvTaskActive, time.Now(), 1)
+	h.ObserveSpan(MetricTaskRound, EvTaskActive, time.Millisecond, 1)
 	if h.Active() {
 		t.Fatal("nil-backed handle reports active")
 	}
@@ -81,7 +82,7 @@ func TestHistogramOnlyTracerHoldsNoRing(t *testing.T) {
 	for w := 0; w < 3; w++ {
 		h := tr.Handle(w, CompExecutor)
 		h.Event(EvTaskDead, 1)
-		h.ObserveSpan(MetricTaskRound, EvTaskActive, time.Now().Add(-time.Millisecond), 1)
+		h.ObserveSpan(MetricTaskRound, EvTaskActive, time.Millisecond, 1)
 	}
 	for i, r := range tr.rings {
 		if r.buf != nil {
@@ -310,5 +311,116 @@ func TestChromeTraceSchema(t *testing.T) {
 	}
 	if !sawMeta || !sawInstant || !sawComplete {
 		t.Fatalf("missing event kinds: meta=%v instant=%v complete=%v", sawMeta, sawInstant, sawComplete)
+	}
+}
+
+// TestShardedRecordingMatchesOneHandle is the shards' differential gate:
+// one multiset of events and observations, recorded once through a single
+// handle and once spread over every (worker, component) handle on
+// concurrent goroutines, must read back identically — Summary, every
+// histogram's buckets and sum, and every event count. A reader that
+// skipped a shard, or a shard that lost a write, shows here.
+func TestShardedRecordingMatchesOneHandle(t *testing.T) {
+	const workers, perPair = 3, 400
+	type op struct {
+		m   Metric
+		typ EventType
+		d   time.Duration
+	}
+	// ops[w][c] is pair (w, c)'s share; the durations spread over many
+	// buckets so the merged percentiles are worth comparing.
+	ops := make([][][]op, workers)
+	seed := uint64(0x9e3779b97f4a7c15)
+	for w := range ops {
+		ops[w] = make([][]op, numComponents)
+		for c := range ops[w] {
+			for i := 0; i < perPair; i++ {
+				seed ^= seed << 13
+				seed ^= seed >> 7
+				seed ^= seed << 17
+				ops[w][c] = append(ops[w][c], op{
+					m:   Metric(seed % uint64(NumMetrics)),
+					typ: EventType(1 + seed%uint64(NumEventTypes-1)),
+					d:   time.Duration(seed>>40) * time.Nanosecond,
+				})
+			}
+		}
+	}
+	record := func(h Handle, o op, i int) {
+		switch i % 3 {
+		case 0:
+			h.ObserveSpan(o.m, o.typ, o.d, uint64(i))
+		case 1:
+			h.Observe(o.m, o.d)
+			h.Event(o.typ, uint64(i))
+		default:
+			h.Observe(o.m, o.d)
+			h.Span(o.typ, time.Now().Add(-o.d), uint64(i))
+		}
+	}
+
+	one := New(workers+1, 0).Enable()
+	h := one.Handle(0, CompExecutor)
+	for w := range ops {
+		for c := range ops[w] {
+			for i, o := range ops[w][c] {
+				record(h, o, i)
+			}
+		}
+	}
+
+	sharded := New(workers+1, 0).Enable()
+	var wg sync.WaitGroup
+	for w := range ops {
+		for c := range ops[w] {
+			wg.Add(1)
+			go func(w, c int) {
+				defer wg.Done()
+				h := sharded.Handle(w, Component(c))
+				for i, o := range ops[w][c] {
+					record(h, o, i)
+				}
+			}(w, c)
+		}
+	}
+	wg.Wait()
+
+	if got, want := sharded.Summary(), one.Summary(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sharded summary differs:\n got %+v\nwant %+v", got, want)
+	}
+	for m := Metric(0); m < NumMetrics; m++ {
+		g, w := sharded.Histogram(m), one.Histogram(m)
+		if g.Buckets() != w.Buckets() || g.Sum() != w.Sum() || g.Count() == 0 {
+			t.Fatalf("%s: sharded buckets %v sum %v, one handle %v sum %v", m, g.Buckets(), g.Sum(), w.Buckets(), w.Sum())
+		}
+	}
+	for typ := EventType(1); typ < NumEventTypes; typ++ {
+		if g, w := sharded.EventCount(typ), one.EventCount(typ); g != w || g == 0 {
+			t.Fatalf("%s: sharded count %d, one handle %d", typ, g, w)
+		}
+	}
+}
+
+// TestHistogramLevelCountsNoEvents: EnableHistograms (a served job's
+// tracer) fills the histograms and counts no events; raising it to Enable
+// starts the counters, and no later call lowers the level.
+func TestHistogramLevelCountsNoEvents(t *testing.T) {
+	tr := New(2, 16).EnableHistograms()
+	h := tr.Handle(1, CompExecutor)
+	h.ObserveSpan(MetricTaskRound, EvTaskActive, time.Millisecond, 1)
+	h.Event(EvTaskDead, 1)
+	if !tr.Enabled() || tr.EventsEnabled() || !h.Active() {
+		t.Fatal("a histogram-only tracer must be enabled without events")
+	}
+	if tr.Histogram(MetricTaskRound).Count() != 1 || tr.EventCount(EvTaskActive) != 0 || tr.EventCount(EvTaskDead) != 0 {
+		t.Fatal("histogram-only tracer: one sample and no event counts wanted")
+	}
+	tr.Enable().EnableHistograms()
+	h.Event(EvTaskDead, 2)
+	if tr.EventCount(EvTaskDead) != 1 {
+		t.Fatal("Enable must start the event counters, and EnableHistograms must not stop them")
+	}
+	if tr.Handle(1, CompExecutor) != h || tr.Handle(0, CompExecutor) == h {
+		t.Fatal("one shard per (worker, component) pair")
 	}
 }

@@ -127,7 +127,7 @@ func (m *Mux) Open(ch uint64, counters []*metrics.Counters, tracer *trace.Tracer
 
 // endpoint binds node's current mailbox in channel c. Caller holds m.mu.
 func (m *Mux) endpoint(ch uint64, c *muxChannel, node int) Endpoint {
-	e := &muxEndpoint{mux: m, ch: ch, node: node, box: c.boxes[node], tracer: c.tracer}
+	e := &muxEndpoint{mux: m, ch: ch, node: node, box: c.boxes[node], tr: c.tracer.Handle(node, trace.CompNet)}
 	if node < len(c.counters) {
 		e.counters = c.counters[node]
 	}
@@ -197,7 +197,7 @@ type muxEndpoint struct {
 	node     int
 	box      *mailbox
 	counters *metrics.Counters
-	tracer   *trace.Tracer
+	tr       trace.Handle
 }
 
 // Send prepends the channel envelope and forwards on the underlying
@@ -211,9 +211,7 @@ func (e *muxEndpoint) Send(to int, typ uint8, payload []byte) error {
 	if e.counters != nil {
 		e.counters.AddNet(bytes)
 	}
-	if e.tracer.Enabled() {
-		e.tracer.Handle(e.node, trace.CompNet).Event(trace.EvNetSend, uint64(bytes))
-	}
+	e.tr.Event(trace.EvNetSend, uint64(bytes))
 	und := e.mux.under[e.node]
 	if und == nil {
 		return fmt.Errorf("transport: mux node %d is remote (no local underlying endpoint)", e.node)

@@ -211,11 +211,11 @@ func BenchmarkAblationCache4096(b *testing.B) {
 // BenchmarkTraceOverhead quantifies what permanently compiled-in tracing
 // costs on a TC run (the gate: a disabled tracer ≤ 3% overhead).
 //
-//	absent     — Config.Tracer nil: every probe is one nil check.
-//	disabled   — tracer constructed but never enabled: one atomic load.
-//	histograms — EnableHistograms(), a served job's: histogram samples only.
-//	counters   — Enable(), the CLI's: histograms plus event counters.
-//	events     — EnableEvents(): full ring-buffer event capture.
+//	absent    — Config.Tracer nil: every probe is one nil check.
+//	disabled  — tracer constructed but never enabled: one atomic load.
+//	histogram — Enable(), a served job's and the CLI's: histogram samples
+//	            and event counters, no ring events.
+//	events    — EnableEvents(): full ring-buffer event capture.
 func BenchmarkTraceOverhead(b *testing.B) {
 	g := gen.MustBuild(gen.Orkut, 0.15)
 	run := func(b *testing.B, mk func() *trace.Tracer) {
@@ -235,9 +235,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		run(b, func() *trace.Tracer { return trace.New(4, 1024) })
 	})
 	b.Run("histograms", func(b *testing.B) {
-		run(b, func() *trace.Tracer { return trace.New(4, 1024).EnableHistograms() })
-	})
-	b.Run("counters", func(b *testing.B) {
 		run(b, func() *trace.Tracer { return trace.New(4, 1024).Enable() })
 	})
 	b.Run("events", func(b *testing.B) {

@@ -425,9 +425,7 @@ func (r *registry) pumpLocked() {
 		if budget == 0 {
 			budget = r.cfg.DefaultMemBudgetBytes
 		}
-		// Histograms only: the status phases, Result.Phases and the QoS
-		// meter read nothing else, so the job counts no events.
-		tracer := trace.New(r.sess.Config().Workers+1, 0).EnableHistograms()
+		tracer := trace.New(r.sess.Config().Workers+1, 0).Enable()
 		// The spec rides along for multi-process clusters: worker processes
 		// rebuild the algorithm from it (an in-process Session ignores it).
 		sp := j.req.Spec

@@ -411,9 +411,8 @@ func TestMetricsPerJobLabels(t *testing.T) {
 	}
 }
 
-// TestServedJobPhases: a served job's tracer records histograms only, and
-// its status carries the task-round phase both live, while the job runs,
-// and final, once it is done.
+// TestServedJobPhases: a served job's status carries the task-round phase
+// both live, while the job runs, and final, once it is done.
 func TestServedJobPhases(t *testing.T) {
 	ccfg := testClusterConfig()
 	ccfg.Latency = 5 * time.Millisecond // slow the rounds so a poll lands mid-job

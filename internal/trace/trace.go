@@ -21,11 +21,9 @@
 //     lines; readers (Histogram, EventCount, Summary) merge the shards.
 //     So no two workers write one line, and the executor threads of one
 //     worker share only their executor shard.
-//   - Levels: EnableHistograms records the latency histograms alone (two
-//     atomic adds a sample; an event costs its level check) — what a
-//     served job's phases read. Enable adds one counter add per event
-//     (the CLI monitor's gminer_trace_events_total); EnableEvents adds the
-//     per-worker ring, one short mutex per event.
+//   - Enable records a histogram sample as two atomic adds and an event
+//     as one counter add, all on the handle's own shard; EnableEvents
+//     adds the per-worker ring, one short mutex per event.
 //   - Timed phases pass the duration their caller already measured
 //     (ObserveSpan), so the tracer adds no clock read to them.
 //
@@ -236,10 +234,9 @@ const DefaultRingCapacity = 1 << 16
 // Recording levels, each one recording what the level below it does and
 // more.
 const (
-	levelOff        int32 = iota
-	levelHistograms       // latency histograms only
-	levelCounts           // + per-type event counters
-	levelEvents           // + ring-buffer event capture
+	levelOff    int32 = iota
+	levelOn           // latency histograms and per-type event counters
+	levelEvents       // + ring-buffer event capture
 )
 
 // shard is one (node, component) pair's share of the histograms and event
@@ -267,8 +264,8 @@ type Tracer struct {
 }
 
 // New returns a disabled tracer for `nodes` nodes (workers + master) with
-// the given per-node ring capacity (0 = DefaultRingCapacity). Call
-// EnableHistograms, Enable or EnableEvents to turn it on.
+// the given per-node ring capacity (0 = DefaultRingCapacity). Call Enable
+// (histograms + counters) or EnableEvents (+ ring buffers) to turn it on.
 func New(nodes, ringCap int) *Tracer {
 	if nodes < 1 {
 		nodes = 1
@@ -287,22 +284,12 @@ func New(nodes, ringCap int) *Tracer {
 	return t
 }
 
-// raise lifts the recording level to at least l.
-func (t *Tracer) raise(l int32) *Tracer {
-	for {
-		cur := t.level.Load()
-		if cur >= l || t.level.CompareAndSwap(cur, l) {
-			return t
-		}
-	}
+// Enable turns on histogram and event-counter recording; after
+// EnableEvents it changes nothing.
+func (t *Tracer) Enable() *Tracer {
+	t.level.CompareAndSwap(levelOff, levelOn)
+	return t
 }
-
-// EnableHistograms turns on the latency histograms alone: what a job's
-// phase summary reads, with no per-event cost beyond one atomic load.
-func (t *Tracer) EnableHistograms() *Tracer { return t.raise(levelHistograms) }
-
-// Enable turns on histogram and event-counter recording.
-func (t *Tracer) Enable() *Tracer { return t.raise(levelCounts) }
 
 // EnableEvents turns on ring-buffer event capture (implies Enable). The
 // ring buffers are allocated here, before any event, not by New.
@@ -314,11 +301,12 @@ func (t *Tracer) EnableEvents() *Tracer {
 		}
 		r.mu.Unlock()
 	}
-	return t.raise(levelEvents)
+	t.level.Store(levelEvents)
+	return t
 }
 
 // Enabled reports whether the tracer records anything. Nil-safe.
-func (t *Tracer) Enabled() bool { return t != nil && t.level.Load() >= levelHistograms }
+func (t *Tracer) Enabled() bool { return t != nil && t.level.Load() >= levelOn }
 
 // EventsEnabled reports whether ring-buffer capture is on. Nil-safe.
 func (t *Tracer) EventsEnabled() bool { return t != nil && t.level.Load() >= levelEvents }
@@ -398,7 +386,7 @@ type Handle struct {
 
 // Active reports whether recording is on; use it to gate the cost of
 // gathering event arguments (e.g. a time.Now() for a span).
-func (h Handle) Active() bool { return h.t != nil && h.t.level.Load() >= levelHistograms }
+func (h Handle) Active() bool { return h.t != nil && h.t.level.Load() >= levelOn }
 
 // record counts one event and, while event capture is on, rings it.
 func (h Handle) record(level int32, typ EventType, dur time.Duration, arg uint64) {
@@ -421,7 +409,7 @@ func (h Handle) Event(typ EventType, arg uint64) {
 	if h.t == nil {
 		return
 	}
-	if l := h.t.level.Load(); l >= levelCounts {
+	if l := h.t.level.Load(); l >= levelOn {
 		h.record(l, typ, 0, arg)
 	}
 }
@@ -431,14 +419,14 @@ func (h Handle) Span(typ EventType, start time.Time, arg uint64) {
 	if h.t == nil || start.IsZero() {
 		return
 	}
-	if l := h.t.level.Load(); l >= levelCounts {
+	if l := h.t.level.Load(); l >= levelOn {
 		h.record(l, typ, time.Since(start), arg)
 	}
 }
 
 // Observe adds one latency sample to metric m.
 func (h Handle) Observe(m Metric, d time.Duration) {
-	if h.t == nil || m >= NumMetrics || h.t.level.Load() < levelHistograms {
+	if h.t == nil || m >= NumMetrics || h.t.level.Load() < levelOn {
 		return
 	}
 	h.s.hists[m].Observe(d)
@@ -453,13 +441,11 @@ func (h Handle) ObserveSpan(m Metric, typ EventType, d time.Duration, arg uint64
 		return
 	}
 	l := h.t.level.Load()
-	if l < levelHistograms {
+	if l < levelOn {
 		return
 	}
 	if m < NumMetrics {
 		h.s.hists[m].Observe(d)
 	}
-	if l >= levelCounts {
-		h.record(l, typ, d, arg)
-	}
+	h.record(l, typ, d, arg)
 }

@@ -401,24 +401,14 @@ func TestShardedRecordingMatchesOneHandle(t *testing.T) {
 	}
 }
 
-// TestHistogramLevelCountsNoEvents: EnableHistograms (a served job's
-// tracer) fills the histograms and counts no events; raising it to Enable
-// starts the counters, and no later call lowers the level.
-func TestHistogramLevelCountsNoEvents(t *testing.T) {
-	tr := New(2, 16).EnableHistograms()
+// TestEnableKeepsEventCapture: Enable after EnableEvents leaves the rings
+// on, and every Handle for one (worker, component) pair shares its shard.
+func TestEnableKeepsEventCapture(t *testing.T) {
+	tr := New(2, 16).EnableEvents().Enable()
 	h := tr.Handle(1, CompExecutor)
-	h.ObserveSpan(MetricTaskRound, EvTaskActive, time.Millisecond, 1)
 	h.Event(EvTaskDead, 1)
-	if !tr.Enabled() || tr.EventsEnabled() || !h.Active() {
-		t.Fatal("a histogram-only tracer must be enabled without events")
-	}
-	if tr.Histogram(MetricTaskRound).Count() != 1 || tr.EventCount(EvTaskActive) != 0 || tr.EventCount(EvTaskDead) != 0 {
-		t.Fatal("histogram-only tracer: one sample and no event counts wanted")
-	}
-	tr.Enable().EnableHistograms()
-	h.Event(EvTaskDead, 2)
-	if tr.EventCount(EvTaskDead) != 1 {
-		t.Fatal("Enable must start the event counters, and EnableHistograms must not stop them")
+	if !tr.EventsEnabled() || len(tr.Events()) != 1 || tr.EventCount(EvTaskDead) != 1 {
+		t.Fatal("Enable after EnableEvents must keep ring capture and counting on")
 	}
 	if tr.Handle(1, CompExecutor) != h || tr.Handle(0, CompExecutor) == h {
 		t.Fatal("one shard per (worker, component) pair")

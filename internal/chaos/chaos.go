@@ -14,14 +14,11 @@
 // injected fault is recorded as an EvFaultInjected trace event so chaos
 // runs show up in the Chrome/Prometheus sinks.
 //
-// No protocol is told what the profile injects, and none needs to be: a
-// chaos job ends by the same counting probe waves as any other. Every
-// report names the probe wave it answers, so a dropped, duplicated,
-// delayed or reordered probe or report only postpones the end, never
-// brings it forward. Task-migration batches are the one type the cluster
-// exempts (Controller.Exempt): a migrated task lives nowhere else, so a
-// batch lost would lose its tasks and one delivered twice would run them
-// twice.
+// No protocol is told what the profile injects, and every message type is
+// faulted alike. The cluster's data frames (pulls and migration batches)
+// ride a per-peer acknowledged stream that delivers each exactly once
+// whatever the faults; control frames are re-sent or idempotent, and a chaos
+// job ends by the same counting probe waves as any other (DESIGN §8).
 package chaos
 
 import (
@@ -201,7 +198,6 @@ func (s Stats) Injected() int64 {
 // A nil *Controller is inert (methods are nil-safe).
 type Controller struct {
 	p      Profile
-	exempt [256]atomic.Bool
 	tracer atomic.Pointer[trace.Tracer]
 
 	startMu sync.Mutex
@@ -234,20 +230,6 @@ func (c *Controller) Crashes() []Crash {
 		return nil
 	}
 	return c.p.Crashes
-}
-
-// Exempt excludes message types from all injection. The cluster exempts
-// task-migration payloads: a migrated task lives nowhere else, so the
-// protocol (like the paper's) assumes reliable delivery for that one
-// message; everything else has a retry or is idempotent.
-func (c *Controller) Exempt(types ...uint8) *Controller {
-	if c == nil {
-		return nil
-	}
-	for _, t := range types {
-		c.exempt[t].Store(true)
-	}
-	return c
 }
 
 // SetTracer attaches the tracer EvFaultInjected events are recorded to.
@@ -337,13 +319,11 @@ type decision struct {
 
 // Send applies the fault profile and forwards to the inner endpoint.
 // Dropped messages return nil: a lossy network gives the sender no
-// error, which is exactly what the retry paths must survive.
+// error, which is exactly what the cluster's stream and control paths must
+// survive.
 func (e *endpoint) Send(to int, typ uint8, payload []byte) error {
 	c := e.c
 	c.sends.Add(1)
-	if c.exempt[typ].Load() {
-		return e.inner.Send(to, typ, payload)
-	}
 	now := c.sinceStart()
 	for _, w := range c.p.Partitions {
 		if (w.Node == to || w.Node == e.inner.Node()) && now >= w.From && now < w.To {

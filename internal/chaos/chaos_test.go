@@ -156,21 +156,6 @@ func TestPartitionWindowBlackholes(t *testing.T) {
 	}
 }
 
-func TestExemptTypesAreNeverFaulted(t *testing.T) {
-	net := twoNodeNet(t)
-	c := New(Profile{Seed: 11, Drop: 1}).Exempt(6)
-	ep := c.Wrap(net.Endpoint(0))
-	for i := 0; i < 50; i++ {
-		_ = ep.Send(1, 6, []byte{byte(i)})
-	}
-	if got := drain(net.Endpoint(1), 20*time.Millisecond); len(got) != 50 {
-		t.Fatalf("exempt type lost messages: %d/50 delivered", len(got))
-	}
-	if d := c.Stats().Drops; d != 0 {
-		t.Fatalf("drops=%d on an exempt type", d)
-	}
-}
-
 func TestFaultsAreTraced(t *testing.T) {
 	net := twoNodeNet(t)
 	c := New(Profile{Seed: 13, Drop: 1})
@@ -220,7 +205,7 @@ func TestParseProfileNamedAndCustom(t *testing.T) {
 
 func TestNilControllerInert(t *testing.T) {
 	var nilC *Controller
-	if nilC.Profile().Active() || nilC.Stats() != (Stats{}) || nilC.Crashes() != nil || nilC.Exempt(1) != nil {
+	if nilC.Profile().Active() || nilC.Stats() != (Stats{}) || nilC.Crashes() != nil {
 		t.Fatal("nil controller not inert")
 	}
 }

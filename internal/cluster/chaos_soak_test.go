@@ -30,9 +30,6 @@ func chaosBaseline(t *testing.T, cfg cluster.Config, seed int64) []string {
 func TestChaosSoakLossyNetwork(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Partitioner = partition.Hash{}
-	// Faster pull retries keep the soak short: each dropped pull costs one
-	// backoff interval before the retry path re-issues it.
-	cluster.Tune(&cfg, cluster.Knobs{PullRetryBase: 10 * time.Millisecond})
 
 	want := chaosBaseline(t, cfg, 61)
 
@@ -74,7 +71,6 @@ func TestChaosSoakWithWorkerCrash(t *testing.T) {
 	cfg.CheckpointEvery = 3 * time.Millisecond
 	cfg.CheckpointDir = t.TempDir()
 	cfg.FailTimeout = 10 * time.Millisecond
-	cluster.Tune(&cfg, cluster.Knobs{PullRetryBase: 10 * time.Millisecond})
 	// Stealing on: a kill rolls the job back to one committed cut.
 	cfg.Stealing = true
 
@@ -111,7 +107,6 @@ func TestChaosSameSeedSameStats(t *testing.T) {
 	run := func() chaos.Stats {
 		cfg := smallConfig()
 		cfg.Partitioner = partition.Hash{}
-		cluster.Tune(&cfg, cluster.Knobs{PullRetryBase: 10 * time.Millisecond})
 		ctl := chaos.New(profile)
 		cfg.Chaos = ctl
 		g := gen.RMAT(gen.RMATConfig{Scale: 8, Edges: 1200, Seed: 71})

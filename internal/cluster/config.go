@@ -69,8 +69,9 @@ type Config struct {
 
 	// Chaos, if non-nil, wraps every node's endpoint with the seeded
 	// fault-injection layer (internal/chaos) and executes the profile's
-	// crash schedule against live workers, on either transport. The
-	// process host rejects it (its workers are other processes).
+	// crash schedule against live workers, on either transport and either
+	// host: worker processes wrap their endpoints with the profile the job
+	// start carries.
 	Chaos *chaos.Controller
 
 	// Partitioner distributes vertices to workers; default BDG (§6.1).
@@ -111,7 +112,6 @@ type Config struct {
 	stealBatch       int
 	stealLocalityMax float64
 	cpqHighWater     int
-	pullRetryBase    time.Duration
 
 	// eagerSeeding, when set (tests only, see export_test.go), lifts the
 	// bound on alive tasks from the seed range take, so every seed task that
@@ -122,10 +122,10 @@ type Config struct {
 	eagerSeeding bool
 
 	// seedHold, when set (tests only, see export_test.go), is asked at each
-	// seed range take, with whether the range is the scan's last, and
-	// withholds the range while it answers true: a test keeps a job from
-	// finishing, however fast it runs, until it lets it.
-	seedHold func(last bool) bool
+	// seed range take, with the worker's ID and whether the range is its
+	// scan's last, and withholds the range while it answers true: a test
+	// keeps a job from finishing, however fast it runs, until it lets it.
+	seedHold func(worker int, last bool) bool
 
 	// The per-job fields, stamped by Session.build at every launch: the
 	// job's ID ("" in single-shot mode), the graph epoch it runs at (folded
@@ -144,7 +144,7 @@ type Config struct {
 // Engine constants: the values Defaults gives the tuning fields.
 const (
 	// defaultProgressInterval is the heartbeat: each worker reports, asks to
-	// steal when idle, observes memory and retries stale pulls once per
+	// steal when idle, observes memory and ticks its stream once per
 	// interval, and the master runs one scheduling round (aggregator sync,
 	// checkpoint trigger, failure detection, RoundHook). It is not the
 	// latency floor of a job: idle reports, termination probes and buffer
@@ -160,12 +160,6 @@ const (
 	// cpqDepthPerThread bounds the ready-task computation queue per worker,
 	// per executor thread.
 	cpqDepthPerThread = 32
-	// pullRetryHeartbeats is the initial wait before re-issuing an
-	// unanswered pull request, in heartbeats: late enough that a slow
-	// response usually wins the race, early enough that a lost batch does not
-	// stall the CMQ window for long. Retries back off exponentially (with
-	// jitter) up to 16× it.
-	pullRetryHeartbeats = 30
 )
 
 // Defaults fills unset fields with production defaults.
@@ -199,9 +193,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.progressInterval <= 0 {
 		c.progressInterval = defaultProgressInterval
-	}
-	if c.pullRetryBase <= 0 {
-		c.pullRetryBase = pullRetryHeartbeats * c.progressInterval
 	}
 	if c.Partitioner == nil {
 		c.Partitioner = partition.BDG{}

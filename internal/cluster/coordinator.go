@@ -143,9 +143,6 @@ type coordinator struct {
 // previous coordinator held from the JOBSPECs under CheckpointDir
 // (HeldJobs); a Launch under one of their IDs resumes it.
 func NewRemoteSession(g *graph.Graph, cfg Config, rcfg RemoteSessionConfig) (*Session, error) {
-	if cfg.Chaos != nil {
-		return nil, fmt.Errorf("cluster: remote sessions do not support chaos injection")
-	}
 	if cfg.Resume && cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("cluster: coordinator resume requires a checkpoint directory")
 	}

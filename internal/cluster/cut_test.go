@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -187,14 +186,18 @@ func TestKillAfterMigrationRollsBack(t *testing.T) {
 }
 
 // batchTrap wraps a goroutine-host job's worker endpoints: armed, it holds
-// the next migration batch sent until release, and it counts the
-// checkpoint acks of one epoch and the batches that land.
+// the next migration batch sent, and every re-send of its sequence, until
+// release, and it counts the checkpoint acks of one epoch and the batches
+// that land.
 type batchTrap struct {
 	mu      sync.Mutex
 	armed   bool
 	held    chan struct{} // closed once a batch is held
-	batch   []byte        // the held batch's payload
+	from    int           // the held batch's sender
+	seq     uint64        // and its sequence on the sender's stream
+	batch   []byte        // the held batch's frame
 	send    func()        // sends it
+	gone    bool          // the batch was let go
 	epoch   int64         // whose acks acked counts
 	acked   int
 	landed  chan int // the worker the held batch reached
@@ -229,6 +232,7 @@ func (b *batchTrap) let() {
 	b.release.Do(func() {
 		b.mu.Lock()
 		send := b.send
+		b.gone = true
 		b.mu.Unlock()
 		send()
 	})
@@ -243,12 +247,16 @@ func (e *trapEndpoint) Send(to int, typ uint8, payload []byte) error {
 	b := e.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	h, _, _ := decodeStreamHeader(payload)
 	switch {
 	case typ == msgTasks && b.armed && b.send == nil:
+		b.from, b.seq = e.Node(), h.seq
 		b.batch = append([]byte(nil), payload...)
 		b.send = func() { _ = e.Endpoint.Send(to, typ, b.batch) }
 		close(b.held)
 		return nil
+	case typ == msgTasks && b.send != nil && !b.gone && e.Node() == b.from && h.seq == b.seq:
+		return nil // a re-send of the held batch
 	case typ == msgCheckpointDone:
 		if epoch, err := decodeEpoch(payload); err == nil && b.armed && epoch == b.epoch {
 			b.acked++
@@ -260,9 +268,13 @@ func (e *trapEndpoint) Send(to int, typ uint8, payload []byte) error {
 func (e *trapEndpoint) Recv() (transport.Message, bool) {
 	m, ok := e.Endpoint.Recv()
 	if ok && m.Type == msgTasks {
+		h, _, _ := decodeStreamHeader(m.Payload)
 		e.b.mu.Lock()
-		if e.b.batch != nil && bytes.Equal(m.Payload, e.b.batch) {
-			e.b.landed <- e.Node()
+		if e.b.batch != nil && m.From == e.b.from && h.seq == e.b.seq {
+			select {
+			case e.b.landed <- e.Node():
+			default: // a copy of a batch that already landed
+			}
 		}
 		e.b.mu.Unlock()
 	}
@@ -290,7 +302,7 @@ func batchAcrossCut(t *testing.T, c cutJob, resume bool) {
 	// job that runs fast cannot end before there is a batch to hold.
 	armed := make(chan struct{})
 	held := c.cfg
-	held.seedHold = func(bool) bool { return !closed(armed) }
+	held.seedHold = func(int, bool) bool { return !closed(armed) }
 	s, err := NewSession(c.g, held)
 	if err != nil {
 		t.Fatal(err)

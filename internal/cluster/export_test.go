@@ -32,7 +32,6 @@ func NewUndirectedTC() UndirectedTC { return UndirectedTC{algo.NewTriangleCount(
 // field keeps the default.
 type Knobs struct {
 	Heartbeat        time.Duration
-	PullRetryBase    time.Duration
 	StealBatch       int
 	StealLocalityMax float64 // Tr; 2 lets every task migrate
 }
@@ -40,7 +39,6 @@ type Knobs struct {
 // Tune sets cfg's engine constants to k's non-zero fields.
 func Tune(cfg *Config, k Knobs) {
 	cfg.progressInterval = cmp.Or(k.Heartbeat, cfg.progressInterval)
-	cfg.pullRetryBase = cmp.Or(k.PullRetryBase, cfg.pullRetryBase)
 	cfg.stealBatch = cmp.Or(k.StealBatch, cfg.stealBatch)
 	cfg.stealLocalityMax = cmp.Or(k.StealLocalityMax, cfg.stealLocalityMax)
 }
@@ -54,9 +52,14 @@ func HoldLastSeed(cfg *Config, release <-chan struct{}) { cfg.seedHold = holdLas
 
 // holdLast is a seedHold that withholds the scan's last range until release
 // closes.
-func holdLast(release <-chan struct{}) func(last bool) bool {
-	return func(last bool) bool { return last && !closed(release) }
+func holdLast(release <-chan struct{}) func(worker int, last bool) bool {
+	return func(_ int, last bool) bool { return last && !closed(release) }
 }
+
+// HoldSeeds makes every worker built from cfg withhold each seed range while
+// hold, asked with the worker's ID and whether the range is its scan's last,
+// answers true.
+func HoldSeeds(cfg *Config, hold func(worker int, last bool) bool) { cfg.seedHold = hold }
 
 // closed reports whether ch is closed.
 func closed(ch <-chan struct{}) bool {

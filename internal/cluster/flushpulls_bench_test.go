@@ -36,8 +36,16 @@ func newBenchWorker(tb testing.TB) *Worker {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w.ep = discardEndpoint{}
+	w.ep = newStream(discardEndpoint{}, cfg.Workers)
 	return w
+}
+
+// ackAll acks every frame s sent, as its peers' acks would.
+func ackAll(s *stream) {
+	for i := range s.peers {
+		h := encodeStreamHeader(streamHeader{ack: s.peers[i].sent})
+		s.deliver(&transport.Message{From: i, Type: msgAck, Payload: h})
+	}
 }
 
 // BenchmarkFlushPulls measures the retriever's pull-request flush: 64
@@ -63,6 +71,7 @@ func BenchmarkFlushPulls(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fill()
 		w.flushPulls()
+		ackAll(w.ep)
 	}
 }
 
@@ -82,5 +91,6 @@ func BenchmarkFlushPullsBaseline(b *testing.B) {
 		for owner, ids := range batch {
 			_ = w.ep.Send(owner, msgPullReq, encodePullReq(ids))
 		}
+		ackAll(w.ep)
 	}
 }

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"testing"
 
 	"gminer/internal/core"
 	"gminer/internal/graph"
+	"gminer/internal/transport"
 )
 
 // Fuzz targets for every decoder that consumes bytes off the wire. The
@@ -25,6 +27,45 @@ func FuzzDecodePullResp(f *testing.F) {
 		for _, e := range entries {
 			if e.Present && e.V == nil {
 				t.Fatal("present entry with nil vertex")
+			}
+		}
+	})
+}
+
+// FuzzDecodeStreamHeader feeds arbitrary frames to the stream header decoder
+// and to a stream holding sent frames: a header that decodes leaves its body
+// as the frame's tail, and no frame panics the stream, makes it deliver one
+// sequence twice, frees a kept frame with an ack of what it never sent, or
+// holds a sequence far past the gap.
+func FuzzDecodeStreamHeader(f *testing.F) {
+	for _, h := range []streamHeader{{seq: 1}, {seq: 5, ack: 3, tick: 2, echo: 1, early: []uint64{5, 6}}, {ack: 4, echo: 1}} {
+		f.Add(append(encodeStreamHeader(h), "body"...))
+	}
+	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // huge early count
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, body, err := decodeStreamHeader(data)
+		if err != nil {
+			return
+		}
+		if !bytes.HasSuffix(data, body) || len(h.early) > len(data) {
+			t.Fatalf("body %d bytes, %d early sequences, of a %d-byte frame", len(body), len(h.early), len(data))
+		}
+		s := newStream(discardEndpoint{}, 2)
+		for i := 0; i < 4; i++ {
+			_ = s.Send(1, msgTasks, []byte{byte(i)})
+		}
+		s.tick()
+		m := transport.Message{From: 1, Type: msgTasks, Payload: data}
+		if s.deliver(&m) && s.deliver(&transport.Message{From: 1, Type: msgTasks, Payload: data}) {
+			t.Fatalf("sequence %d delivered twice", h.seq)
+		}
+		p := &s.peers[1]
+		if h.ack > 4 && len(p.unacked) != 4 {
+			t.Fatalf("an ack of %d, past the 4 sent, freed kept frames", h.ack)
+		}
+		for e := range p.early {
+			if e > maxEarly+1 {
+				t.Fatalf("sequence %d held past a gap at %d", e, p.got)
 			}
 		}
 	})

@@ -1,12 +1,15 @@
 package cluster_test
 
 import (
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gminer/internal/algo"
 	"gminer/internal/cluster"
 	"gminer/internal/gen"
+	"gminer/internal/graph"
 	"gminer/internal/jobspec"
 	"gminer/internal/partition"
 )
@@ -51,11 +54,24 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 		cfg.Partitioner = partition.Skewed{Bias: 0.8}
 		cfg.Stealing = true
 		cluster.Tune(&cfg, cluster.Knobs{StealBatch: 2, StealLocalityMax: 2}) // every task may migrate
+		// On the goroutine host a migration is certain: the worker the skew
+		// loads seeds all its ranges but the last up front, and withholds
+		// that one until a task has migrated, so it keeps a store to steal
+		// from, and the job cannot end, until the others go idle and steal.
+		var job atomic.Pointer[cluster.Job]
+		if !h.processes {
+			cluster.SeedEagerly(&cfg)
+			heavy := heaviest(t, g, cfg)
+			cluster.HoldSeeds(&cfg, func(w int, last bool) bool {
+				return w == heavy && last && migrations(job.Load()) == 0
+			})
+		}
 		sess := openSession(t, g, cfg, h)
 		j, err := sess.Launch(algo.NewGraphMatch(p), cluster.JobOptions{Spec: &sp})
 		if err != nil {
 			t.Fatal(err)
 		}
+		job.Store(j)
 		res, err := j.Wait()
 		if err != nil {
 			t.Fatal(err)
@@ -103,4 +119,26 @@ func TestGMContextSurvivesSpillStealRestore(t *testing.T) {
 	if stolen == 0 {
 		t.Fatal("no task migrated on either host: the steal path never carried a context")
 	}
+}
+
+// heaviest is the worker cfg's partitioner gives the most vertices of g.
+func heaviest(t *testing.T, g *graph.Graph, cfg cluster.Config) int {
+	t.Helper()
+	a, err := cfg.Partitioner.Partition(g, cfg.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := a.Sizes()
+	return slices.Index(sizes, slices.Max(sizes))
+}
+
+// migrations is the tasks job's workers have shipped to thieves so far (0
+// before the job is launched).
+func migrations(j *cluster.Job) (n int64) {
+	if j != nil {
+		for _, s := range j.WorkerSnapshots() {
+			n += s.Stolen
+		}
+	}
+	return n
 }

@@ -30,7 +30,9 @@ import (
 // v3: a migration batch is a core.EncodeTasks list, which carries no
 // to_pull.
 // v4: the hello and welcome are JSON; a job start may be strict.
-const handshakeVersion = 4
+// v5: data frames carry the stream header (stream.go), and a job start
+// carries the job's fault profile.
+const handshakeVersion = 5
 
 // The handshake's bounds keep a hostile frame from provoking a large
 // allocation or an oversized registry entry. maxHandshakeFrame caps a

@@ -96,7 +96,7 @@ func TestDecodeHelloRejects(t *testing.T) {
 		}
 		return out
 	}
-	const garbled = "not a v4 handshake"
+	const garbled = "not a v5 handshake"
 	runHandshakeRows(t, decodeHello, []handshakeRow{
 		{name: "empty", data: nil, wantSub: garbled},
 		// A stray frame.
@@ -106,12 +106,12 @@ func TestDecodeHelloRejects(t *testing.T) {
 		{name: "truncated after version", data: goodBytes[:len(`{"version":4`)], wantSub: garbled},
 		{name: "truncated mid-address", data: goodBytes[:len(goodBytes)-8], wantSub: garbled},
 		{name: "trailing garbage", data: append(append([]byte{}, goodBytes...), 0xAA), wantSub: garbled},
-		{name: "version mismatch", wantVersion: true, wantSub: "peer speaks v5",
+		{name: "version mismatch", wantVersion: true, wantSub: "peer speaks v6",
 			data: with(func(h *helloFrame) { h.Version = handshakeVersion + 1 })},
 		// A later version may reshape any other field; it is still told
 		// apart as a version skew.
-		{name: "version mismatch with a reshaped field", wantVersion: true, wantSub: "peer speaks v5",
-			data: []byte(`{"version":5,"node":"any","held":{}}`)},
+		{name: "version mismatch with a reshaped field", wantVersion: true, wantSub: "peer speaks v6",
+			data: []byte(`{"version":6,"node":"any","held":{}}`)},
 		// Refused on its size, before any of it is decoded.
 		{name: "huge address length prefix", wantSub: "exceeds",
 			data: with(func(h *helloFrame) { h.Advertise = strings.Repeat("a", maxHandshakeFrame) })},
@@ -142,7 +142,7 @@ func TestDecodeWelcomeRejects(t *testing.T) {
 		mutate(&wf)
 		return encodeCtrl(wf)
 	}
-	const garbled = "not a v4 handshake"
+	const garbled = "not a v5 handshake"
 	runHandshakeRows(t, decodeWelcome, []handshakeRow{
 		{name: "empty", data: nil, wantSub: garbled},
 		// The opening of a pre-v4 binary welcome.
@@ -150,7 +150,7 @@ func TestDecodeWelcomeRejects(t *testing.T) {
 		{name: "truncated", data: goodBytes[:6], wantSub: garbled},
 		{name: "truncated peer table", data: goodBytes[:bytes.Index(goodBytes, []byte(`"b:2"`))], wantSub: garbled},
 		{name: "trailing garbage", data: append(append([]byte{}, goodBytes...), 1), wantSub: garbled},
-		{name: "version mismatch", wantVersion: true, wantSub: "peer speaks v5",
+		{name: "version mismatch", wantVersion: true, wantSub: "peer speaks v6",
 			data: with(func(w *welcomeFrame) { w.Version = handshakeVersion + 1 })},
 		{name: "frame over byte cap", wantSub: "exceeds",
 			data: with(func(w *welcomeFrame) { w.Reason = strings.Repeat("r", maxHandshakeFrame) })},

@@ -15,96 +15,6 @@ import (
 	"gminer/internal/transport"
 )
 
-// TestRetryStalePullsReresolvesOwner registers a pull whose cached owner
-// snapshot is wrong (points at the master node) and drives the worker's
-// tick clock over it: the first tick stamps the retry deadline, a tick before
-// retryDelay(0)'s lower bound sends nothing, and a tick past its upper bound
-// sends the retry to the vertex's actual owner. Before the fix,
-// retryStalePulls resent to the stale ps.owner forever, so a pull issued
-// just before a failover could never complete.
-func TestRetryStalePullsReresolvesOwner(t *testing.T) {
-	w, g, net := newTestWorker(t)
-	var remote graph.VertexID = -1
-	g.ForEach(func(v *graph.Vertex) bool {
-		if w.dir.owner(v.ID) == 1 {
-			remote = v.ID
-			return false
-		}
-		return true
-	})
-	if remote < 0 {
-		t.Skip("degenerate partition")
-	}
-	w.pendMu.Lock()
-	w.pulls[remote] = &pullState{owner: 2 /* wrong: the master node */}
-	w.pendMu.Unlock()
-	// pullsAt drains node's mailbox (the ticks' progress reports go to the
-	// master node too) and returns the pull requests in it.
-	pullsAt := func(node int) (reqs []transport.Message) {
-		for {
-			msg, ok := net.Endpoint(node).RecvTimeout(0)
-			if !ok {
-				return reqs
-			}
-			if msg.Type == msgPullReq {
-				reqs = append(reqs, msg)
-			}
-		}
-	}
-
-	base, t0 := w.cfg.pullRetryBase, time.Unix(1000, 0)
-	w.tick(t0) // stamps the deadline, retryDelay(0) from t0
-	w.tick(t0.Add(base*3/4 - time.Nanosecond))
-	if got := len(pullsAt(1)) + len(pullsAt(2)); got != 0 {
-		t.Fatalf("%d pull requests before the retry deadline's lower bound", got)
-	}
-	last := t0.Add(base * 5 / 4)
-	w.tick(last)
-	reqs := pullsAt(1)
-	if len(reqs) != 1 {
-		t.Fatalf("%d retried pulls at the true owner past the deadline's upper bound, want 1", len(reqs))
-	}
-	ids, err := decodePullReq(reqs[0].Payload)
-	if err != nil || len(ids) != 1 || ids[0] != remote {
-		t.Fatalf("ids=%v err=%v", ids, err)
-	}
-	if stray := pullsAt(2); len(stray) != 0 {
-		t.Fatal("retry also sent to the stale owner")
-	}
-	w.pendMu.Lock()
-	ps := w.pulls[remote]
-	if ps.owner != 1 || ps.attempts != 1 || !ps.retryAt.After(last) {
-		t.Fatalf("retry state not updated: %+v", ps)
-	}
-	w.pendMu.Unlock()
-}
-
-// TestRetryDelayBacksOffAndCaps checks the exponential growth, the cap at
-// 16× PullRetryBase and the ±25%% jitter envelope.
-func TestRetryDelayBacksOffAndCaps(t *testing.T) {
-	w, _, _ := newTestWorker(t)
-	base := w.cfg.pullRetryBase
-	max := 16 * base
-	w.pendMu.Lock()
-	defer w.pendMu.Unlock()
-	for i := 0; i < 50; i++ {
-		if d := w.retryDelay(0); d < base*3/4 || d > base*5/4 {
-			t.Fatalf("retryDelay(0) = %v outside [%v, %v]", d, base*3/4, base*5/4)
-		}
-		if d := w.retryDelay(1000); d < max*3/4 || d > max*5/4 {
-			t.Fatalf("retryDelay(1000) = %v outside [%v, %v]", d, max*3/4, max*5/4)
-		}
-	}
-	jittered := false
-	first := w.retryDelay(2)
-	for i := 0; i < 20 && !jittered; i++ {
-		jittered = w.retryDelay(2) != first
-	}
-	if !jittered {
-		t.Fatal("retryDelay shows no jitter")
-	}
-}
-
 // markAlgo runs one update round per task, emits a record naming the task
 // and dies. The sleep keeps tasks in the store long enough for a MIGRATE
 // to race the restore below.
@@ -191,16 +101,18 @@ func TestRestoreVsMigrateRace(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Drain the thief's mailbox before tearing the network down (close
-	// discards queued messages).
+	// discards queued messages), once the worker stopped probing the thief
+	// that acks nothing; the thief's stream takes the probes in.
+	w.stop()
+	thief := newStream(net.Endpoint(1), 2)
 	var thiefMsgs []transport.Message
 	for {
-		msg, ok := net.Endpoint(1).RecvTimeout(100 * time.Millisecond)
+		msg, ok := recvFor(thief, 100*time.Millisecond)
 		if !ok {
 			break
 		}
 		thiefMsgs = append(thiefMsgs, msg)
 	}
-	w.stop()
 	net.Close()
 	w.wg.Wait()
 	w.spiller.Close()

@@ -353,6 +353,7 @@ func (h *processHost) start(i int, ref *resumeEpochRef) error {
 		Spec:                   h.spec,
 		CheckpointEverySeconds: h.j.cfg.CheckpointEvery.Seconds(),
 		Resume:                 ref,
+		Chaos:                  h.j.cfg.Chaos.Profile(),
 	}))
 }
 

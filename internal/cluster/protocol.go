@@ -11,7 +11,9 @@ import (
 )
 
 // Message types of the cluster protocol. Workers are nodes 0..K-1; the
-// master is node K.
+// master is node K. The data frames (msgPullReq, msgPullResp, msgTasks) ride
+// each pair of workers' stream, which puts its header before the payloads
+// below (stream.go).
 const (
 	// msgPullReq: worker → worker. Payload: vertex ID list. The request
 	// listener of the owning worker responds with msgPullResp.
@@ -52,6 +54,9 @@ const (
 	// (encodeEpoch). The worker answers at once with a msgProgress echoing
 	// the wave, and echoes it in every later report.
 	msgProbe
+	// msgAck: worker → worker. A bare stream header: the ack no data frame
+	// carried back by the receiver's tick.
+	msgAck
 )
 
 // progressReport is the worker → master report (§5.1: "a progress reporter

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"gminer/internal/chaos"
 	"gminer/internal/jobspec"
 	"gminer/internal/metrics"
 )
@@ -24,7 +25,7 @@ import (
 //
 // Message types live in their own range (64+) so a control frame
 // misrouted onto a job channel can never be mistaken for an engine
-// message (those are 1..11).
+// message (those are 1..12).
 // ctrlChannel is the mux channel reserved for the control plane.
 const ctrlChannel uint64 = 0
 
@@ -91,6 +92,10 @@ type jobStartMsg struct {
 	// restore it fails the job instead of starting fresh beside restored
 	// peers.
 	Resume *resumeEpochRef `json:"resume,omitempty"`
+	// Chaos is the job's fault profile, which the worker process wraps the
+	// job's endpoint with (the zero profile injects nothing). The
+	// coordinator runs its crash schedule.
+	Chaos chaos.Profile `json:"chaos"`
 }
 
 // jobStopMsg is the ctrlJobStop payload. With Kill set the job's worker

@@ -436,7 +436,9 @@ func (wp *WorkerProcess) startJob(m *jobStartMsg) {
 		wp.nack(m, fmt.Errorf("open channel %d: %w", m.Channel, err))
 		return
 	}
-	w, err := buildWorker(wp.node, cfg, algo, tables, eps[wp.node], counters, sink, m.Resume)
+	// Behind the job's fault profile, as the coordinator's endpoints are.
+	ep := chaos.Wrap(eps[wp.node], m.Chaos)
+	w, err := buildWorker(wp.node, cfg, algo, tables, ep, counters, sink, m.Resume)
 	if err != nil {
 		wp.mux.CloseChannel(m.Channel)
 		wp.nack(m, fmt.Errorf("worker build: %w", err))

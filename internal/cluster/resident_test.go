@@ -218,7 +218,8 @@ type pullSpy struct {
 func (p *pullSpy) Send(to int, typ uint8, payload []byte) error {
 	var ids []graph.VertexID
 	if typ == msgPullReq {
-		ids, _ = decodePullReq(payload)
+		_, body, _ := decodeStreamHeader(payload)
+		ids, _ = decodePullReq(body)
 	}
 	p.mu.Lock()
 	for _, id := range ids {

@@ -347,11 +347,6 @@ func (s *Session) build(a core.Algorithm, opt JobOptions, id string, ch uint64, 
 		counters[i] = &metrics.Counters{}
 	}
 	if cfg.Chaos != nil {
-		// Task migration payloads carry the tasks themselves: the protocol
-		// has no ack/retransmit for them, so a batch dropped or duplicated
-		// without a kill would lose or double-count work (a kill rolls the
-		// job back to a cut no batch crosses). Fault everything else.
-		cfg.Chaos.Exempt(msgTasks)
 		cfg.Chaos.SetTracer(cfg.Tracer)
 		cfg.Chaos.Begin()
 	}

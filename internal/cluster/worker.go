@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -50,16 +49,11 @@ type pullWork struct {
 	payload []byte
 }
 
-// pullState tracks one in-flight vertex pull: the tasks waiting for it,
-// when its request last left (the RTT metric, stamped only while tracing),
-// and the retry/backoff state used when the request or response is lost to a
-// crashed worker or a lossy network.
+// pullState tracks one in-flight vertex pull: the tasks waiting for it, and
+// when its request left (the RTT metric, stamped only while tracing).
 type pullState struct {
 	waiters     []pullWaiter
 	requestedAt time.Time
-	retryAt     time.Time // next re-request time (exponential backoff); zero until a tick stamps it
-	attempts    int       // retries so far
-	owner       int       // last resolved owner (re-resolved on retry)
 }
 
 // Worker is one slave node (§5.1): it owns a graph partition (vertex
@@ -70,7 +64,7 @@ type Worker struct {
 	cfg  Config
 	algo core.Algorithm
 	agg  core.Aggregator // nil when the algorithm has no aggregator
-	ep   transport.Endpoint
+	ep   *stream
 
 	dir       *directory       // vertex and owner lookups, shared per graph epoch
 	localIDs  []graph.VertexID // seed scan order
@@ -98,9 +92,6 @@ type Worker struct {
 	// per-owner slices truncated) so steady-state flushing allocates
 	// neither the map nor the slices.
 	pullSpare map[int][]graph.VertexID
-	// retryRng jitters pull-retry backoff so a lost batch does not come
-	// back as a synchronized burst. Guarded by pendMu.
-	retryRng *rand.Rand
 
 	// Progress counters. Termination detection (DESIGN.md) leans on the order
 	// they move in: inflight is up before a task is admitted and down last
@@ -201,7 +192,7 @@ func newWorker(id int, cfg Config, algo core.Algorithm, dir *directory, local *l
 		id:         id,
 		cfg:        cfg,
 		algo:       algo,
-		ep:         ep,
+		ep:         newStream(ep, cfg.Workers),
 		dir:        dir,
 		localIDs:   local.ids,
 		graphFoot:  local.footprint,
@@ -210,7 +201,6 @@ func newWorker(id int, cfg Config, algo core.Algorithm, dir *directory, local *l
 		masterNode: cfg.Workers,
 		pulls:      make(map[graph.VertexID]*pullState),
 		pullBatch:  make(map[int][]graph.VertexID),
-		retryRng:   rand.New(rand.NewSource(0xfa17 + int64(id))),
 		snapshots:  snapshots,
 		sentTo:     make([]atomic.Int64, cfg.Workers),
 		recvFrom:   make([]atomic.Int64, cfg.Workers),
@@ -553,7 +543,7 @@ func (w *Worker) dispatch(t *core.Task) {
 		ps, inFlight := w.pulls[id]
 		if !inFlight {
 			owner := w.dir.owner(id)
-			ps = &pullState{owner: owner} // the next tick stamps its retry
+			ps = &pullState{}
 			w.pulls[id] = ps
 			w.pullBatch[owner] = append(w.pullBatch[owner], id)
 			w.pullCount++
@@ -587,9 +577,7 @@ func (w *Worker) flushPulls() {
 		now := time.Now() // the round trip starts as the request leaves
 		for _, ids := range batch {
 			for _, id := range ids {
-				if ps := w.pulls[id]; ps != nil { // a retry's answer may have come
-					ps.requestedAt = now
-				}
+				w.pulls[id].requestedAt = now
 			}
 		}
 	}
@@ -634,7 +622,7 @@ func (w *Worker) handlePullResp(payload []byte) {
 	for _, pv := range entries {
 		ps, ok := w.pulls[pv.ID]
 		if !ok || len(ps.waiters) == 0 {
-			continue // duplicate response (e.g. a retry raced the original)
+			continue // not asked for
 		}
 		if !now.IsZero() {
 			w.trRetr.Observe(trace.MetricPullRTT, now.Sub(ps.requestedAt))
@@ -666,52 +654,6 @@ func (w *Worker) handlePullResp(payload []byte) {
 	w.trRetr.Event(trace.EvPullAnswered, uint64(len(entries)))
 	for _, t := range ready {
 		w.ready(t)
-	}
-}
-
-// retryDelay is the wait before retry number `attempts` of a pull:
-// exponential from the pull retry base, capped at 16× it, with ±25% jitter so a
-// lost batch does not retry as one synchronized burst. Caller holds pendMu
-// (the RNG is not otherwise synchronized).
-func (w *Worker) retryDelay(attempts int) time.Duration {
-	d := w.cfg.pullRetryBase << min(attempts, 4)
-	if half := int64(d) / 2; half > 0 {
-		d = d*3/4 + time.Duration(w.retryRng.Int63n(half))
-	}
-	return d
-}
-
-// retryStalePulls re-issues, at the tick reading now, pull requests whose
-// responses are overdue (request or response lost to a crashed worker or a
-// lossy network). Each retry re-resolves the vertex owner instead of
-// trusting the snapshot taken at request time: after a failure + recovery
-// the owner assignment is re-read, so a stale snapshot could target the
-// wrong node forever. Retries back off exponentially with jitter (capped) so
-// a dead owner is probed, not hammered. The re-requests are queued for the
-// caller's flushPulls.
-func (w *Worker) retryStalePulls(now time.Time) {
-	w.pendMu.Lock()
-	retried := 0
-	for id, ps := range w.pulls {
-		if ps.retryAt.IsZero() {
-			ps.retryAt = now.Add(w.retryDelay(0)) // requested since the last tick
-		}
-		if now.Before(ps.retryAt) {
-			continue
-		}
-		ps.attempts++
-		if owner := w.dir.owner(id); owner >= 0 {
-			ps.owner = owner
-		}
-		ps.retryAt = now.Add(w.retryDelay(ps.attempts))
-		// Retries ride the caller's flush, in the batch map it recycles.
-		w.pullBatch[ps.owner] = append(w.pullBatch[ps.owner], id)
-		retried++
-	}
-	w.pullCount += retried
-	w.pendMu.Unlock()
-	if retried > 0 {
-		w.trRetr.Event(trace.EvPullRetry, uint64(retried))
 	}
 }
 
@@ -828,7 +770,7 @@ func (w *Worker) seedRange() bool {
 	w.cutMu.Lock()
 	lo := int(w.seedCursor.Load())
 	hi := min(lo+w.cfg.BufferFlush, len(w.localIDs))
-	if lo == hi || (w.cfg.seedHold != nil && w.cfg.seedHold(hi == len(w.localIDs))) {
+	if lo == hi || (w.cfg.seedHold != nil && w.cfg.seedHold(w.id, hi == len(w.localIDs))) {
 		w.cutMu.Unlock()
 		return false
 	}
@@ -1033,12 +975,15 @@ func (w *Worker) stealAnswered() {
 	}
 }
 
-// stealPending: a steal REQ is unanswered at the newest tick, for less than a
-// pull waits before its retry. Past that the reply is taken as lost; should a
-// batch still come, the master's cut check refuses the epoch it crosses.
+// stealReplyHeartbeats bounds stealPending: a steal REQ is unanswered at the
+// newest tick, for fewer heartbeats than it. Past that the reply is taken as
+// lost; should a batch still come, the master's cut check refuses the epoch
+// it crosses.
+const stealReplyHeartbeats = 30
+
 func (w *Worker) stealPending() bool {
 	at := w.lastStealReq.Load()
-	return at != 0 && w.clock.Load()-at < int64(w.cfg.pullRetryBase)
+	return at != 0 && w.clock.Load()-at < int64(stealReplyHeartbeats*w.cfg.progressInterval)
 }
 
 func (w *Worker) handleAggGlobal(payload []byte) {
@@ -1069,14 +1014,16 @@ func (w *Worker) progressLoop() {
 	}
 }
 
-// tick is one heartbeat, reading now on the protocol's clock: it flushes what
-// sits below batch thresholds, retries overdue pulls, samples live memory
+// tick is one heartbeat, reading now on the protocol's clock: it ticks the
+// stream, flushes what sits below batch thresholds, samples live memory
 // (partition and resident lists, store, cache), reports, wakes an executor
-// while seeds remain and, idle, steals.
+// while seeds remain and, idle with no steal reply due, steals.
 func (w *Worker) tick(now time.Time) {
 	w.clock.Store(now.UnixNano())
+	if n := w.ep.tick(); n > 0 {
+		w.trRetr.Event(trace.EvRetransmit, uint64(n))
+	}
 	w.flushBatch(w.buffer.drain())
-	w.retryStalePulls(now)
 	w.flushPulls()
 	w.counters.ObserveLive(w.graphFoot + w.store.MemBytes() + w.cache.Bytes())
 	if w.paused.Load() {
@@ -1091,7 +1038,7 @@ func (w *Worker) tick(now time.Time) {
 	if w.cfg.Stealing && w.seedsDone() && w.inflight.Load() == 0 {
 		if w.stealBackoff.Load() > 0 {
 			w.stealBackoff.Add(-1)
-		} else {
+		} else if !w.stealPending() {
 			w.trSteal.Event(trace.EvStealReq, 0)
 			w.lastStealReq.Store(now.UnixNano())
 			_ = w.ep.Send(w.masterNode, msgStealReq, nil)

@@ -171,7 +171,8 @@ func TestFlushPullsBatchesByOwner(t *testing.T) {
 	w.dispatch(task)
 	w.flushPulls()
 	// One batched message should arrive at worker 1 carrying all IDs.
-	msg, ok := net.Endpoint(1).RecvTimeout(time.Second)
+	owner := newStream(net.Endpoint(1), 2)
+	msg, ok := recvFor(owner, time.Second)
 	if !ok || msg.Type != msgPullReq {
 		t.Fatalf("no pull request: %+v ok=%v", msg, ok)
 	}
@@ -179,14 +180,12 @@ func TestFlushPullsBatchesByOwner(t *testing.T) {
 	if err != nil || len(ids) != len(remotes) {
 		t.Fatalf("ids=%v err=%v", ids, err)
 	}
-	if _, more := net.Endpoint(1).RecvTimeout(10 * time.Millisecond); more {
+	if _, more := recvFor(owner, 10*time.Millisecond); more {
 		t.Fatal("pulls were not batched into one message")
 	}
 }
 
-// dispatch reads no clock: the pulls it opens carry no stamp until the next
-// tick, which gives every one of them a retry deadline retryDelay(0) after
-// the tick's one reading.
+// dispatch reads no clock: the pulls it opens carry no stamp until they leave.
 func TestTickStampsDispatchedPulls(t *testing.T) {
 	w, g, _ := newTestWorker(t)
 	var remotes []graph.VertexID
@@ -205,18 +204,8 @@ func TestTickStampsDispatchedPulls(t *testing.T) {
 		t.Fatalf("%d pulls in flight, want %d", len(w.pulls), len(remotes)-1)
 	}
 	for id, ps := range w.pulls {
-		if !ps.retryAt.IsZero() || !ps.requestedAt.IsZero() {
+		if !ps.requestedAt.IsZero() {
 			t.Fatalf("dispatch stamped the pull of %d: %+v", id, ps)
-		}
-	}
-	t0 := time.Unix(1000, 0)
-	w.tick(t0)
-	for id, ps := range w.pulls {
-		if d := ps.retryAt.Sub(t0); d < w.cfg.pullRetryBase*3/4 || d > w.cfg.pullRetryBase*5/4 {
-			t.Fatalf("pull of %d retries %v after the tick, base %v", id, d, w.cfg.pullRetryBase)
-		}
-		if ps.attempts != 0 {
-			t.Fatalf("the stamping tick retried the pull of %d", id)
 		}
 	}
 }
@@ -262,7 +251,7 @@ func TestHandlePullRespTombstone(t *testing.T) {
 	// this models an owner-map/graph inconsistency).
 	w.pendMu.Lock()
 	pt := &pendingTask{t: task, remaining: 1}
-	w.pulls[missing] = &pullState{waiters: []pullWaiter{{pt: pt}}, owner: 1}
+	w.pulls[missing] = &pullState{waiters: []pullWaiter{{pt: pt}}}
 	w.pendingTasks++
 	w.pendMu.Unlock()
 
@@ -298,6 +287,46 @@ func TestDelayedProbeKeepsNewerWave(t *testing.T) {
 	}
 }
 
+// An idle thief has one steal REQ out at a time, and a lost reply (REQ,
+// MIGRATE or msgNoTask dropped) costs it stealReplyHeartbeats: its next tick
+// past them asks again. A msgNoTask that does come frees it after its backoff.
+func TestLostStealReplyAsksAgainWithinTheBound(t *testing.T) {
+	w, _, net := newTestWorker(t)
+	w.cfg.Stealing = true
+	w.seedCursor.Store(int64(len(w.localIDs)))
+	master := net.Endpoint(2)
+	reqs := func() (n int) {
+		for {
+			m, ok := master.RecvTimeout(0)
+			if !ok {
+				return n
+			}
+			if m.Type == msgStealReq {
+				n++
+			}
+		}
+	}
+	t0 := time.Unix(0, 0).Add(time.Hour)
+	bound := stealReplyHeartbeats * w.cfg.progressInterval
+	for _, at := range []time.Duration{0, w.cfg.progressInterval, bound - w.cfg.progressInterval} {
+		w.tick(t0.Add(at))
+	}
+	if n := reqs(); n != 1 {
+		t.Fatalf("%d REQs within the bound of the first, want 1", n)
+	}
+	w.tick(t0.Add(bound))
+	if n := reqs(); n != 1 {
+		t.Fatalf("%d REQs once the reply was overdue, want a new one", n)
+	}
+	w.handle(transport.Message{From: 1, To: 0, Type: msgNoTask})
+	for i := 1; i <= 9; i++ {
+		w.tick(t0.Add(bound + time.Duration(i)*w.cfg.progressInterval))
+	}
+	if n := reqs(); n != 1 {
+		t.Fatalf("%d REQs in the 9 ticks after a msgNoTask, want 1 once its backoff ran out", n)
+	}
+}
+
 // TestUnpauseWakesSeedRanges: a checkpoint lands while seeds remain and the
 // CPQ is empty. The one executor found every range withheld and waits on the
 // CPQ; the gate opens while the checkpoint holds the pipeline paused, and no
@@ -309,7 +338,7 @@ func TestUnpauseWakesSeedRanges(t *testing.T) {
 	asked := make(chan struct{})
 	ask := sync.OnceFunc(func() { close(asked) })
 	cfg := Config{Workers: 1, Threads: 1, progressInterval: time.Hour,
-		seedHold: func(bool) bool { ask(); return !open.Load() }}
+		seedHold: func(int, bool) bool { ask(); return !open.Load() }}
 	s, err := NewSession(g, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -83,8 +83,9 @@ const (
 	// type, so a trace dump shows both what was injected and on which
 	// protocol message.
 	EvFaultInjected
-	// Pull retry/backoff: a stale pull was re-issued. Arg = vertex count.
-	EvPullRetry
+	// Stream re-send: a tick re-sent unacknowledged data frames. Arg = frame
+	// count.
+	EvRetransmit
 
 	// Durable checkpointing (§7 hardening). Arg = epoch.
 	EvCheckpointFail // snapshot or persist failed; the epoch was abandoned
@@ -132,7 +133,7 @@ var eventNames = [NumEventTypes]string{
 	EvCheckpointEnd:   "checkpoint_end",
 	EvNetSend:         "net_send",
 	EvFaultInjected:   "fault_injected",
-	EvPullRetry:       "pull_retry",
+	EvRetransmit:      "retransmit",
 	EvCheckpointFail:  "checkpoint_fail",
 	EvCheckpointSkip:  "checkpoint_skip",
 	EvRestoreFail:     "restore_fail",
@@ -188,25 +189,29 @@ type Event struct {
 	Comp   Component
 }
 
-// ring is a fixed-capacity overwrite-oldest event buffer. One ring per
-// worker keeps lock traffic local: a worker's goroutines only ever touch
-// their own ring. The buffer is allocated by EnableEvents: a tracer that
-// only ever feeds histograms (a served job's) holds no event memory.
+// ring is an overwrite-oldest event buffer of at most limit events. One ring
+// per worker keeps lock traffic local: a worker's goroutines only ever touch
+// their own ring. EnableEvents sets the limit and the buffer grows as events
+// come: a tracer that only ever feeds histograms (a served job's) holds no
+// event memory, and a short traced job only what it records.
 type ring struct {
 	mu    sync.Mutex
 	buf   []Event
-	next  int
-	count int64 // total pushed (may exceed len(buf))
+	limit int // 0 until EnableEvents
+	next  int // the oldest event, once buf holds limit
 }
 
 func (r *ring) push(e Event) {
 	r.mu.Lock()
-	r.buf[r.next] = e
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
+	if n := len(r.buf); n < r.limit {
+		if n == cap(r.buf) { // double, from 256 events, up to the limit
+			r.buf = append(make([]Event, 0, n+min(max(n, 256), r.limit-n)), r.buf...)
+		}
+		r.buf = append(r.buf, e)
+	} else if n > 0 {
+		r.buf[r.next] = e
+		r.next = (r.next + 1) % n
 	}
-	r.count++
 	r.mu.Unlock()
 }
 
@@ -215,16 +220,10 @@ func (r *ring) push(e Event) {
 func (r *ring) snapshot() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.buf == nil {
+	if r.limit == 0 {
 		return nil
 	}
-	if r.count >= int64(len(r.buf)) {
-		out := make([]Event, 0, len(r.buf))
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
-		return out
-	}
-	return append([]Event(nil), r.buf[:r.next]...)
+	return append(append(make([]Event, 0, len(r.buf)), r.buf[r.next:]...), r.buf[:r.next]...)
 }
 
 // DefaultRingCapacity is the per-worker event capacity used when the
@@ -292,13 +291,11 @@ func (t *Tracer) Enable() *Tracer {
 }
 
 // EnableEvents turns on ring-buffer event capture (implies Enable). The
-// ring buffers are allocated here, before any event, not by New.
+// rings grow as events come, up to the tracer's ring capacity.
 func (t *Tracer) EnableEvents() *Tracer {
 	for _, r := range t.rings {
 		r.mu.Lock()
-		if r.buf == nil {
-			r.buf = make([]Event, t.ringCap)
-		}
+		r.limit = t.ringCap
 		r.mu.Unlock()
 	}
 	t.level.Store(levelEvents)
@@ -388,14 +385,16 @@ type Handle struct {
 // gathering event arguments (e.g. a time.Now() for a span).
 func (h Handle) Active() bool { return h.t != nil && h.t.level.Load() >= levelOn }
 
-// record counts one event and, while event capture is on, rings it.
+// record counts one event and, while event capture is on, rings it. A span
+// of dur ends now, so it is stamped dur earlier: TS is where it began, or the
+// tracer's start if it began before.
 func (h Handle) record(level int32, typ EventType, dur time.Duration, arg uint64) {
 	h.s.counts[typ].Add(1)
 	if level < levelEvents {
 		return
 	}
 	h.t.rings[h.s.worker].push(Event{
-		TS:     int64(time.Since(h.t.start)),
+		TS:     max(0, int64(time.Since(h.t.start)-dur)),
 		Dur:    int64(dur),
 		Arg:    arg,
 		Worker: h.s.worker,

@@ -98,12 +98,58 @@ func TestHistogramOnlyTracerHoldsNoRing(t *testing.T) {
 	tr.EnableEvents()
 	tr.Handle(1, CompExecutor).Event(EvTaskDead, 2)
 	for i, r := range tr.rings {
-		if len(r.buf) != DefaultRingCapacity {
-			t.Fatalf("ring %d holds %d events after EnableEvents", i, len(r.buf))
+		if r.limit != DefaultRingCapacity || len(r.buf) != map[bool]int{true: 1}[i == 1] {
+			t.Fatalf("ring %d holds %d events of %d after EnableEvents and one event", i, len(r.buf), r.limit)
 		}
 	}
 	if evs := tr.Events(); len(evs) != 1 || evs[0].Worker != 1 {
 		t.Fatalf("events after enabling: %+v", evs)
+	}
+}
+
+// EnableEvents allocates no ring: each grows as its events come, up to the
+// tracer's capacity, and keeps overwriting the oldest once there.
+func TestEnableEventsGrowsRingsOnDemand(t *testing.T) {
+	tr := New(3, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr.EnableEvents()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("EnableEvents on a 3-node tracer allocated %d bytes", got)
+	}
+	const limit = 1000 // past the first growth step, not a multiple of it
+	tr = New(1, limit).EnableEvents()
+	h := tr.Handle(0, CompNet)
+	for i := 0; i < 3*limit+7; i++ {
+		h.Event(EvNetSend, uint64(i))
+		if n := len(tr.rings[0].buf); n != min(i+1, limit) || cap(tr.rings[0].buf) > limit {
+			t.Fatalf("after %d events the ring holds %d in room for %d; limit %d", i+1, n, cap(tr.rings[0].buf), limit)
+		}
+	}
+	evs := tr.Events()
+	for i, e := range evs {
+		if want := uint64(2*limit + 7 + i); e.Arg != want {
+			t.Fatalf("event %d arg = %d, want %d (oldest-first order after a wrap)", i, e.Arg, want)
+		}
+	}
+}
+
+// A span is recorded when it ends and stamped where it began: TS + Dur is no
+// later than the tracer's clock at the record.
+func TestSpanStampsItsStart(t *testing.T) {
+	tr := New(1, 0).EnableEvents()
+	d := time.Since(tr.Start())
+	for ; d < 200*time.Microsecond; d = time.Since(tr.Start()) {
+	} // a phase that ran from the tracer's start
+	tr.Handle(0, CompExecutor).ObserveSpan(MetricTaskRound, EvTaskActive, d, 1)
+	elapsed := time.Since(tr.Start())
+	evs := tr.Events()
+	if len(evs) != 1 || evs[0].Dur != int64(d) {
+		t.Fatalf("events: %+v", evs)
+	}
+	if end := evs[0].TS + evs[0].Dur; end > int64(elapsed) {
+		t.Fatalf("span ends at %v, after the %v elapsed at its record", time.Duration(end), elapsed)
 	}
 }
 

@@ -79,7 +79,7 @@ type RemoteConfig struct {
 // lazily with the configured redial budget and backoff; a frame whose
 // peer stays unreachable past the budget is dropped and counted — the
 // same at-most-once semantics the cluster protocol already tolerates from
-// chaos tests (pull retries and periodic progress reports recover).
+// chaos tests (the data stream re-sends, progress reports repeat).
 type RemoteNetwork struct {
 	cfg   RemoteConfig
 	ln    net.Listener

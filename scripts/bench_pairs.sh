@@ -8,10 +8,12 @@
 # registered in .git), then runs <pairs> pairs of `bash benchmark/run.sh
 # --workload <workload> --seed S` — once in the parent's tree, once in the
 # working tree, each tree building its own benchmark binary from its own
-# source with its own copy of the frozen run.sh. Pair i runs at seed
-# first-seed + i (default first seed 43; the benchmark's held-out seed is
-# 7), and odd pairs run the change first. The run length is the benchmark's
-# own, from BENCHMARK.json's run_seconds.
+# source with its own copy of the frozen run.sh. Every pair runs at
+# first-seed (default 43), so the parent's quartiles measure run-to-run noise
+# alone, not the spread between seeds; a held-out check is a second call with
+# another first seed (the benchmark's held-out seed is 7). Odd pairs run the
+# change first. The run length is the benchmark's own, from BENCHMARK.json's
+# run_seconds.
 #
 # Every run's result line is kept in .bench_build/pairs/<workload>/. At the
 # end, for every end-to-end metric of BENCHMARK.json: per-pair values, each
@@ -51,8 +53,8 @@ run() {
     | tail -n 1 >"$out/$side-$pair.json" || true # a failed run still prints its result line
 }
 
+seed="$seed0"
 for ((i = 0; i < pairs; i++)); do
-  seed=$((seed0 + i))
   if ((i % 2 == 0)); then
     run parent "$parent" "$i" "$seed"
     run change "$root" "$i" "$seed"
@@ -62,7 +64,7 @@ for ((i = 0; i < pairs; i++)); do
   fi
 done
 
-echo "parent ${sha:0:12} vs working tree, $workload, $pairs pairs from seed $seed0, ${seconds}s runs"
+echo "parent ${sha:0:12} vs working tree, $workload, $pairs pairs at seed $seed0, ${seconds}s runs"
 python3 - "$out" "$pairs" "$seed0" BENCHMARK.json <<'EOF'
 import json, statistics, sys
 
@@ -100,7 +102,7 @@ for m in metrics:
     delta = (cm - pm) / pm if pm else float("nan")
     print(f"\n{name} ({m['unit']}, {m['better']} is better, bound {m['bound']:.0%})")
     for i, (a, b) in enumerate(zip(p, c)):
-        print(f"  pair {i:2d} seed {seed0 + i:3d}: parent {a:10.3f}  change {b:10.3f}")
+        print(f"  pair {i:2d} seed {seed0:3d}: parent {a:10.3f}  change {b:10.3f}")
     print(f"  parent median {pm:.3f} [Q1 {pq[0]:.3f}, Q3 {pq[2]:.3f}, IQR {pq[2] - pq[0]:.3f}]")
     print(f"  change median {cm:.3f} [Q1 {cq[0]:.3f}, Q3 {cq[2]:.3f}, IQR {cq[2] - cq[0]:.3f}]")
     print(f"  change/parent {delta:+.1%}; change won {won}/{pairs}, lost {lost}, "
